@@ -166,6 +166,7 @@ func run(sub string, args []string, stdin io.Reader, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
+		defer r.Close()
 		_, err = io.Copy(stdout, r)
 		return err
 	case "rm":

@@ -64,6 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer gr.Close()
 	var sum, count uint64
 	buf := make([]byte, recordSize)
 	for {

@@ -242,6 +242,7 @@ func checkpointed(nonblocking bool) (time.Duration, uint64) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer rd.Close()
 	sum := uint64(14695981039346656037)
 	buf := make([]byte, resultSize)
 	for {

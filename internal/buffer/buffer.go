@@ -66,21 +66,23 @@ type fetched struct {
 // Next concurrently under an engine (each receives a distinct block, in
 // claim order) — this is the substrate for shared self-scheduled reads.
 //
-// Under an engine the reader is built on two sim.Queues — the same
-// request-queue machinery the I/O server uses: free buffers flow
-// producer-ward through freeq, and fetched-block futures flow
-// consumer-ward through fillq in claim order.
+// Under an engine, fetched-block futures flow consumer-ward through
+// fillq in claim order. No prefetch process ever parks waiting for a
+// buffer: one that finds the pool empty retires, and the Release that
+// refills the pool spawns its successor — at the very point a parked
+// process would have been woken, so modeled time is the same. A reader
+// abandoned at any point (drained, dropped mid-stream, never closed)
+// therefore leaves nothing behind for the engine to call a deadlock.
 type SeqReader struct {
 	fetch     Fetch
 	blockSize int
 	total     int64
-	nbufs     int
 	readers   int // prefetch processes; 0 = synchronous on Next
 
 	started   bool
 	closed    bool
-	free      [][]byte   // synchronous-path free list (engine moves it into freeq)
-	freeq     *sim.Queue // []byte, capacity nbufs
+	free      [][]byte   // buffer pool
+	active    int        // live prefetch processes
 	fillq     *sim.Queue // *fetched, in claim order
 	nextFetch int64
 	nextServe int64
@@ -107,7 +109,6 @@ func NewSeqReader(fetch Fetch, blockSize int, total int64, nbufs, readers int) (
 		fetch:     fetch,
 		blockSize: blockSize,
 		total:     total,
-		nbufs:     nbufs,
 		readers:   readers,
 	}
 	for i := 0; i < nbufs; i++ {
@@ -143,56 +144,46 @@ func NewSeqReaderExtent(fetch FetchRun, blockSize int, total int64, extent, nbuf
 	return NewSeqReader(wrapped, blockSize*extent, extents, nbufs, readers)
 }
 
-// startPrefetch launches the dedicated I/O processes (engine mode
-// only), moving the buffer pool into the queues. Each prefetcher claims
-// the next block, publishes its future on fillq (claim and publish
-// never park, so fillq stays in stream order — fillq is unbounded for
-// exactly that reason; the buffer pool is what bounds read-ahead), then
-// fetches and completes the future.
-func (r *SeqReader) startPrefetch(p *sim.Proc) {
-	r.started = true
-	r.freeq = sim.NewQueue(r.nbufs)
-	r.fillq = sim.NewQueue(1 << 30)
-	for _, b := range r.free {
-		r.freeq.Put(p, b)
+// takeFree pops a pool buffer; ok=false when the pool is empty.
+func (r *SeqReader) takeFree() (buf []byte, ok bool) {
+	n := len(r.free)
+	if n == 0 {
+		return nil, false
 	}
-	r.free = nil
-	for i := 0; i < r.readers; i++ {
-		p.Engine().Go("prefetch", func(io *sim.Proc) {
-			for {
-				if r.closed || r.nextFetch >= r.total {
-					return
-				}
-				v, ok := r.freeq.Get(io)
-				if !ok {
-					return // reader closed
-				}
-				buf := v.([]byte)
-				if r.closed {
-					return // closed while parked; drop the buffer
-				}
-				if r.nextFetch >= r.total {
-					// Stream exhausted while parked: hand the buffer to
-					// any sibling still mid-claim and retire.
-					r.freeq.Put(io, buf)
-					return
-				}
-				f := &fetched{idx: r.nextFetch, buf: buf}
-				r.nextFetch++
-				r.fillq.Put(io, f)
-				err := r.fetch(io, f.idx, buf)
-				if r.closed {
-					return // consumer gone; drop the block
-				}
-				if err != nil {
-					f.err, f.buf = err, nil
-					r.freeq.Put(io, buf)
-				}
-				f.done = true
-				f.wq.WakeAll(io.Engine())
-			}
-		})
+	buf = r.free[n-1]
+	r.free = r.free[:n-1]
+	return buf, true
+}
+
+// spawnPrefetch launches one dedicated I/O process (engine mode only).
+func (r *SeqReader) spawnPrefetch(e *sim.Engine) {
+	r.active++
+	e.Go("prefetch", r.prefetch)
+}
+
+// prefetch is the body of a dedicated I/O process: while the stream has
+// blocks left and the pool a buffer, claim the next block, publish its
+// future on fillq (claim and publish never park, so fillq stays in
+// stream order — fillq is unbounded for exactly that reason; the buffer
+// pool is what bounds read-ahead), then fetch and complete the future.
+// The only place it waits is inside the fetch itself.
+func (r *SeqReader) prefetch(io *sim.Proc) {
+	for !r.closed && r.nextFetch < r.total {
+		buf, ok := r.takeFree()
+		if !ok {
+			break // Release respawns
+		}
+		f := &fetched{idx: r.nextFetch, buf: buf}
+		r.nextFetch++
+		r.fillq.Put(io, f)
+		if err := r.fetch(io, f.idx, buf); err != nil {
+			f.err, f.buf = err, nil
+			r.free = append(r.free, buf)
+		}
+		f.done = true
+		f.wq.WakeAll(io.Engine())
 	}
+	r.active--
 }
 
 // Next claims and returns the next block in stream order along with its
@@ -210,11 +201,10 @@ func (r *SeqReader) Next(ctx sim.Context) ([]byte, int64, error) {
 		// Synchronous path: fetch directly into a free buffer.
 		idx := r.nextServe
 		r.nextServe++
-		if len(r.free) == 0 {
+		buf, ok := r.takeFree()
+		if !ok {
 			return nil, idx, fmt.Errorf("buffer: no free buffer (missing Release?)")
 		}
-		buf := r.free[len(r.free)-1]
-		r.free = r.free[:len(r.free)-1]
 		if err := r.fetch(ctx, idx, buf); err != nil {
 			r.free = append(r.free, buf)
 			return nil, idx, err
@@ -222,7 +212,11 @@ func (r *SeqReader) Next(ctx sim.Context) ([]byte, int64, error) {
 		return buf, idx, nil
 	}
 	if !r.started {
-		r.startPrefetch(p)
+		r.started = true
+		r.fillq = sim.NewQueue(1 << 30)
+		for i := 0; i < r.readers; i++ {
+			r.spawnPrefetch(p.Engine())
+		}
 	}
 	r.nextServe++
 	// Futures arrive in claim order, so the queue's head is this
@@ -241,28 +235,30 @@ func (r *SeqReader) Next(ctx sim.Context) ([]byte, int64, error) {
 	return f.buf, f.idx, nil
 }
 
-// Release returns a buffer obtained from Next to the pool.
+// Claimed reports how many blocks, from the start of the stream, have
+// been fetched or are being fetched.
+func (r *SeqReader) Claimed() int64 { return max(r.nextFetch, r.nextServe) }
+
+// Release returns a buffer obtained from Next to the pool, restarting
+// read-ahead if it had stopped for want of one.
 func (r *SeqReader) Release(ctx sim.Context, buf []byte) {
-	if p, ok := ctx.(*sim.Proc); ok && r.started {
-		if r.closed {
-			return
-		}
-		// Never parks: the pool holds at most nbufs buffers.
-		r.freeq.Put(p, buf)
+	if r.closed {
 		return
 	}
 	r.free = append(r.free, buf)
+	if p, ok := ctx.(*sim.Proc); ok && r.started && r.active < r.readers && r.nextFetch < r.total {
+		r.spawnPrefetch(p.Engine())
+	}
 }
 
 // Close shuts the reader down; outstanding prefetches complete and are
-// discarded, parked prefetchers are released.
+// discarded. Close is optional: an unclosed reader holds only memory.
 func (r *SeqReader) Close(ctx sim.Context) {
 	if r.closed {
 		return
 	}
 	r.closed = true
 	if p, ok := ctx.(*sim.Proc); ok && r.started {
-		r.freeq.Close(p)
 		r.fillq.Close(p)
 	}
 }
@@ -466,6 +462,7 @@ type Cache struct {
 	entries map[int64]*entry
 	lru     *list.List // front = most recent
 	busy    map[int64]*sim.WaitQueue
+	spare   *entry // last evicted entry, recycled (frame and all) by the next With miss
 	stats   CacheStats
 }
 
@@ -591,13 +588,16 @@ func (c *Cache) clearBusy(ctx sim.Context, idx int64) {
 	}
 }
 
-// evictOne writes back and drops the least-recently-used entry.
+// evictOne writes back and drops the least-recently-used entry, keeping
+// it (once the write-back has returned) for the next With miss to
+// recycle — unless a concurrent Flush still holds the entry and its frame.
 func (c *Cache) evictOne(ctx sim.Context) error {
 	back := c.lru.Back()
 	if back == nil {
 		return fmt.Errorf("buffer: cache eviction with empty LRU")
 	}
 	victim := back.Value.(*entry)
+	flushing := c.busy[victim.idx] != nil
 	c.lru.Remove(back)
 	delete(c.entries, victim.idx)
 	c.stats.Evictions++
@@ -609,6 +609,9 @@ func (c *Cache) evictOne(ctx sim.Context) error {
 		if err != nil {
 			return fmt.Errorf("buffer: write back block %d: %w", victim.idx, err)
 		}
+	}
+	if !flushing {
+		c.spare = victim
 	}
 	return nil
 }
@@ -637,14 +640,18 @@ func (c *Cache) With(ctx sim.Context, idx int64, dirty bool, fn func(buf []byte)
 			c.stats.Misses-- // someone else brought it in; recount as hit
 			continue
 		}
-		buf := make([]byte, c.blockSize)
+		e := c.spare
+		c.spare = nil
+		if e == nil {
+			e = &entry{buf: make([]byte, c.blockSize)}
+		}
 		c.setBusy(idx)
-		err := c.fetch(ctx, idx, buf)
+		err := c.fetch(ctx, idx, e.buf)
 		c.clearBusy(ctx, idx)
 		if err != nil {
 			return fmt.Errorf("buffer: fetch block %d: %w", idx, err)
 		}
-		e := &entry{idx: idx, buf: buf, dirty: dirty}
+		e.idx, e.dirty = idx, dirty
 		e.elem = c.lru.PushFront(e)
 		c.entries[idx] = e
 		return fn(e.buf)

@@ -3,6 +3,7 @@ package buffer
 import (
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -234,6 +235,48 @@ func TestSeqReaderCloseUnblocksPrefetchers(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSeqReaderNeverParksAProcess: a reader that is never closed —
+// drained to EOF, dropped mid-stream holding a buffer, or dropped after
+// releasing it — leaves no prefetch process behind, for any pool and
+// prefetcher count.
+func TestSeqReaderNeverParksAProcess(t *testing.T) {
+	const total = 20
+	for _, nbufs := range []int{1, 2, 4} {
+		for _, readers := range []int{1, 2} {
+			for _, stopAfter := range []int{0, 1, 7, total} {
+				for _, hold := range []bool{false, true} {
+					e := sim.NewEngine()
+					r, err := NewSeqReader(memFetch(time.Millisecond), 4, total, nbufs, readers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					e.Go("consumer", func(p *sim.Proc) {
+						var held []byte
+						for i := 0; i < stopAfter; i++ {
+							if held != nil {
+								r.Release(p, held)
+							}
+							buf, idx, err := r.Next(p)
+							if err != nil || idx != int64(i) || buf[0] != byte(i) {
+								t.Errorf("block %d: idx %d err %v", i, idx, err)
+								return
+							}
+							held = buf
+							p.Sleep(3 * time.Millisecond) // let read-ahead fill the pool and retire
+						}
+						if held != nil && !hold {
+							r.Release(p, held)
+						}
+					})
+					if err := e.Run(); err != nil {
+						t.Fatalf("nbufs=%d readers=%d stop=%d hold=%v: %v", nbufs, readers, stopAfter, hold, err)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -599,5 +642,93 @@ func TestSeqReaderManyBuffersStress(t *testing.T) {
 				t.Fatalf("nbufs=%d readers=%d: consumed %d", nbufs, readers, count)
 			}
 		}
+	}
+}
+
+// TestCacheMissRecyclesEvictedFrame pins the steady-state cost of a miss
+// on a full cache: the evicted entry and its frame are recycled, so a
+// miss allocates at most the busy marker and the LRU element — never a
+// block-sized frame.
+func TestCacheMissRecyclesEvictedFrame(t *testing.T) {
+	const blockSize, capacity = 4096, 8
+	c, err := NewCache(memFetch(0), func(sim.Context, int64, []byte) error { return nil }, blockSize, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := sim.NewWall()
+	next := int64(0)
+	check := func(buf []byte) error {
+		if buf[0] != byte(next) || buf[blockSize-1] != byte(next) {
+			t.Errorf("block %d served a stale frame (%d)", next, buf[0])
+		}
+		return nil
+	}
+	miss := func() {
+		if err := c.With(ctx, next, false, check); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for next < capacity {
+		miss()
+	}
+	if n := testing.AllocsPerRun(200, miss); n > 2 {
+		t.Fatalf("%v allocations per miss on a full cache, want ≤ 2", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const misses = 200
+	for i := 0; i < misses; i++ {
+		miss()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / misses; per >= blockSize/8 {
+		t.Fatalf("%d bytes allocated per miss: a %d-byte frame is still being made", per, blockSize)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Evictions != st.Misses-capacity {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestCacheEvictionDuringFlushKeepsFrame: an entry evicted while Flush is
+// still writing it must not be recycled — the device reads the frame when
+// the slow write completes, after the evictor has refilled the cache.
+func TestCacheEvictionDuringFlushKeepsFrame(t *testing.T) {
+	written := map[int64]byte{}
+	calls := 0
+	flush := func(ctx sim.Context, idx int64, buf []byte) error {
+		calls++
+		if calls == 1 {
+			ctx.Sleep(20 * time.Millisecond) // Flush's write: slow
+		} else {
+			ctx.Sleep(time.Millisecond) // the evictor's write-back overtakes it
+		}
+		written[idx] = buf[0]
+		return nil
+	}
+	c, err := NewCache(memFetch(time.Millisecond), flush, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := sim.NewEngine()
+	e.Go("flusher", func(p *sim.Proc) {
+		if err := c.With(p, 7, true, func(buf []byte) error { buf[0] = 77; return nil }); err != nil {
+			t.Error(err)
+		}
+		if err := c.Flush(p); err != nil {
+			t.Error(err)
+		}
+	})
+	e.Go("evictor", func(p *sim.Proc) {
+		p.Sleep(5 * time.Millisecond) // Flush is mid-write
+		if err := c.With(p, 9, false, func([]byte) error { return nil }); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if written[7] != 77 {
+		t.Fatalf("block 7 written back as %d, want 77: its frame was reused under Flush", written[7])
 	}
 }

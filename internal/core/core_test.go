@@ -17,6 +17,13 @@ import (
 // testVolume builds a volume over devs fresh disks (engine optional).
 func testVolume(t *testing.T, devs int, e *sim.Engine) *pfs.Volume {
 	t.Helper()
+	v, _ := testVolumeDisks(t, devs, e)
+	return v
+}
+
+// testVolumeDisks is testVolume with the drives exposed (to fail them).
+func testVolumeDisks(t *testing.T, devs int, e *sim.Engine) (*pfs.Volume, []*device.Disk) {
+	t.Helper()
 	disks := make([]*device.Disk, devs)
 	for i := range disks {
 		disks[i] = device.New(device.Config{
@@ -29,7 +36,7 @@ func testVolume(t *testing.T, devs int, e *sim.Engine) *pfs.Volume {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pfs.NewVolume(store)
+	return pfs.NewVolume(store), disks
 }
 
 // rec64 builds a 64-byte record whose first 8 bytes encode v.

@@ -283,9 +283,9 @@ func TestSelfSchedExtent(t *testing.T) {
 	}
 }
 
-// TestGlobalReaderDenseBulk checks the dense bulk path: a global read
-// into a large buffer returns the exact canonical stream and issues far
-// fewer device requests than blocks.
+// TestGlobalReaderDenseBulk checks a dense file read in bulk: one global
+// read into a file-sized buffer returns the exact canonical stream, and
+// an unaligned read after a backward Seek agrees with it.
 func TestGlobalReaderDenseBulk(t *testing.T) {
 	vol := testVolume(t, 2, nil)
 	f, err := vol.Create(pfs.Spec{Name: "g", Org: pfs.OrgSequential,
@@ -318,7 +318,7 @@ func TestGlobalReaderDenseBulk(t *testing.T) {
 			t.Fatalf("record %d mismatch in global stream", rec)
 		}
 	}
-	// Unaligned reads still work (head/tail through the cache).
+	// Unaligned reads still work.
 	if _, err := gr.Seek(13, io.SeekStart); err != nil {
 		t.Fatal(err)
 	}

@@ -4,149 +4,116 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/buffer"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 )
 
 // GlobalReader presents the paper's global view of any parallel file: a
 // standard sequential byte stream of the record payload in canonical
-// order, with block padding invisible. It implements io.ReadSeeker, so
-// conventional sequential software (editors, print spoolers, checksum
+// order, with block padding invisible. It implements io.ReadSeekCloser,
+// so conventional sequential software (editors, print spoolers, checksum
 // tools — anything taking an io.Reader) can consume parallel files.
 //
-// GlobalReader favours generality over bandwidth: it reads through a
-// small block cache with no read-ahead. Performance-sensitive sequential
-// scans should use StreamReader (OpenReader), which prefetches.
+// It is a byte cursor over the S stream view under TunedOptions: reads of
+// any size are served from 32-block extents that a dedicated I/O process
+// keeps four buffers ahead of the program (synchronous extent reads
+// under a wall context), each extent one request per drive. A Seek
+// forward inside the extents already read ahead costs nothing; any other
+// target drops them and restarts read-ahead at the target's paper-block.
+// Consistency is the stream views': a prefetched extent is a snapshot, so
+// a writer racing the scan is seen or not per extent. Close releases the
+// buffers and stops read-ahead early; a reader that is merely dropped
+// leaves no process behind.
 type GlobalReader struct {
-	f     *pfs.File
-	ctx   sim.Context
-	cache *buffer.Cache
-	pos   int64 // byte position in payload space
-	size  int64
+	f      *pfs.File
+	ctx    sim.Context
+	rd     *StreamReader // nil until the first Read after open or a far Seek
+	base   int64         // paper-block rd's stream starts at
+	rec    []byte        // record `have`, valid until rd's next ReadRecord
+	have   int64         // −1: none
+	pos    int64         // byte position in payload space
+	size   int64
+	closed bool
 }
 
 // OpenGlobalReader opens the global view of f. The supplied context is
-// used for all subsequent Read/Seek calls (io interfaces leave no
+// used for all subsequent Read/Seek/Close calls (io interfaces leave no
 // parameter room).
 func OpenGlobalReader(f *pfs.File, ctx sim.Context) (*GlobalReader, error) {
 	m := f.Mapper()
-	fetch := func(c sim.Context, k int64, buf []byte) error {
-		return f.Set().ReadBlock(c, k, buf)
-	}
-	flush := func(c sim.Context, k int64, buf []byte) error {
-		return f.Set().WriteBlock(c, k, buf)
-	}
-	cache, err := buffer.NewCache(fetch, flush, m.FSBlockSize(), 2)
-	if err != nil {
-		return nil, err
-	}
 	return &GlobalReader{
-		f:     f,
-		ctx:   ctx,
-		cache: cache,
-		size:  m.NumRecords() * int64(m.RecordSize()),
+		f:    f,
+		ctx:  ctx,
+		have: -1,
+		size: m.NumRecords() * int64(m.RecordSize()),
 	}, nil
 }
 
 // Size reports the payload length in bytes.
 func (g *GlobalReader) Size() int64 { return g.size }
 
-// Read implements io.Reader over the canonical record stream. For dense
-// framings (no paper-block padding) whole-fs-block spans of the request
-// bypass the cache as coalesced ranged transfers — one device request
-// per physically contiguous run instead of one per block.
+// Read implements io.Reader over the canonical record stream. A fetch
+// error surfaces on the Read that reaches the failed extent; the next
+// Read retries from the same position.
 func (g *GlobalReader) Read(p []byte) (int, error) {
+	if g.closed {
+		return 0, fmt.Errorf("core: reader closed")
+	}
 	if g.pos >= g.size {
 		return 0, io.EOF
 	}
-	m := g.f.Mapper()
-	if m.Dense() {
-		return g.readDense(p)
-	}
-	rs := int64(m.RecordSize())
+	rs := int64(g.f.Mapper().RecordSize())
 	total := 0
 	for len(p) > 0 && g.pos < g.size {
-		rec := g.pos / rs
-		within := int(g.pos % rs)
-		// Walk the record's spans to the current offset.
-		skipped := 0
-		for _, sp := range m.Spans(rec) {
-			if skipped+sp.Len <= within {
-				skipped += sp.Len
-				continue
-			}
-			inSpan := within - skipped
-			n := sp.Len - inSpan
-			if n > len(p) {
-				n = len(p)
-			}
-			sp := sp
-			err := g.cache.With(g.ctx, sp.FSBlock, false, func(buf []byte) error {
-				copy(p[:n], buf[sp.Off+inSpan:sp.Off+inSpan+n])
-				return nil
-			})
-			if err != nil {
+		if idx := g.pos / rs; idx != g.have {
+			if err := g.load(idx); err != nil {
 				return total, err
 			}
-			p = p[n:]
-			g.pos += int64(n)
-			total += n
-			within += n
-			skipped += sp.Len
-			if len(p) == 0 {
-				break
-			}
 		}
-	}
-	return total, nil
-}
-
-// readDense serves Read when payload bytes map 1:1 onto fs-block bytes:
-// block-aligned whole blocks transfer directly through Set.ReadRange
-// (the extent path); unaligned head and tail bytes go through the cache.
-func (g *GlobalReader) readDense(p []byte) (int, error) {
-	m := g.f.Mapper()
-	fsbs := int64(m.FSBlockSize())
-	total := 0
-	for len(p) > 0 && g.pos < g.size {
-		off := g.pos % fsbs
-		rem := g.size - g.pos
-		if off == 0 && int64(len(p)) >= fsbs && rem >= fsbs {
-			nb := int64(len(p)) / fsbs
-			if max := rem / fsbs; nb > max {
-				nb = max
-			}
-			if err := g.f.Set().ReadRange(g.ctx, g.pos/fsbs, nb, p[:nb*fsbs]); err != nil {
-				return total, err
-			}
-			p = p[nb*fsbs:]
-			g.pos += nb * fsbs
-			total += int(nb * fsbs)
-			continue
-		}
-		n := fsbs - off
-		if n > int64(len(p)) {
-			n = int64(len(p))
-		}
-		if n > rem {
-			n = rem
-		}
-		err := g.cache.With(g.ctx, g.pos/fsbs, false, func(buf []byte) error {
-			copy(p[:n], buf[off:off+n])
-			return nil
-		})
-		if err != nil {
-			return total, err
-		}
+		n := copy(p, g.rec[g.pos%rs:])
 		p = p[n:]
-		g.pos += n
-		total += int(n)
+		g.pos += int64(n)
+		total += n
 	}
 	return total, nil
 }
 
-// Seek implements io.Seeker over payload bytes.
+// load makes rec hold record idx: by moving the stream cursor when idx
+// lies ahead inside the extents already read ahead, else by restarting
+// the stream at idx's paper-block.
+func (g *GlobalReader) load(idx int64) error {
+	m := g.f.Mapper()
+	pb := idx / int64(m.BlockRecords())
+	if g.rd != nil && (idx < g.have || (pb-g.base)*m.FSPerBlock() >= g.rd.readAheadEnd()) {
+		g.drop()
+	}
+	if g.rd == nil {
+		rd, err := OpenBlockRangeReader(g.f, pb, m.NumBlocks(), TunedOptions())
+		if err != nil {
+			return err
+		}
+		g.rd, g.base = rd, pb
+	}
+	g.rd.j, g.rd.i = pb-g.base, int(idx%int64(m.BlockRecords()))
+	rec, _, err := g.rd.ReadRecord(g.ctx)
+	if err != nil {
+		g.drop()
+		return err
+	}
+	g.rec, g.have = rec, idx
+	return nil
+}
+
+// drop releases the stream and its read-ahead.
+func (g *GlobalReader) drop() {
+	if g.rd != nil {
+		_ = g.rd.Close(g.ctx) // a stream reader's Close cannot fail
+	}
+	g.rd, g.rec, g.have = nil, nil, -1
+}
+
+// Seek implements io.Seeker over payload bytes; the next Read pays for
+// the move, if anything.
 func (g *GlobalReader) Seek(offset int64, whence int) (int64, error) {
 	var abs int64
 	switch whence {
@@ -166,7 +133,15 @@ func (g *GlobalReader) Seek(offset int64, whence int) (int64, error) {
 	return abs, nil
 }
 
-var _ io.ReadSeeker = (*GlobalReader)(nil)
+// Close releases the buffers and stops read-ahead. It is idempotent, and
+// optional for correctness.
+func (g *GlobalReader) Close() error {
+	g.drop()
+	g.closed = true
+	return nil
+}
+
+var _ io.ReadSeekCloser = (*GlobalReader)(nil)
 
 // GlobalWriter fills a parallel file through the global view: a plain
 // io.Writer whose byte stream lands in canonical record order. Partial

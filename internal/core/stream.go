@@ -114,6 +114,11 @@ func (r *StreamReader) advanceTo(ctx sim.Context, k int64) error {
 	return nil
 }
 
+// readAheadEnd reports the stream fs block one past the last extent
+// fetched or being fetched (not clamped to the stream's end): moving the
+// cursor forward below it waits only for transfers already issued.
+func (r *StreamReader) readAheadEnd() int64 { return r.rd.Claimed() * r.ext }
+
 // fsSlice returns the cached bytes of stream fs block k; advanceTo(k)
 // must have succeeded.
 func (r *StreamReader) fsSlice(k int64) []byte {

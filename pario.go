@@ -17,6 +17,12 @@
 // Every file also presents the paper's global view — a conventional
 // sequential byte stream — through OpenGlobalReader/OpenGlobalWriter, so
 // ordinary sequential software can consume parallel files.
+// OpenGlobalReader returns an io.ReadSeekCloser that is a byte cursor
+// over the S stream view under TunedOptions: whatever the size of the
+// program's Reads, the drives see 32-block extents fetched four buffers
+// ahead by a dedicated I/O process. Each prefetched extent is a snapshot;
+// a Seek ahead inside the extents already read is free, any other
+// restarts read-ahead; Close is optional (TestGlobalViewReadAheadWin).
 //
 // # Extent I/O
 //
@@ -363,7 +369,7 @@ type (
 	Direct = core.Direct
 	// DirectPart is the PDA handle.
 	DirectPart = core.DirectPart
-	// GlobalReader is the conventional sequential read view (io.ReadSeeker).
+	// GlobalReader is the conventional sequential read view (io.ReadSeekCloser).
 	GlobalReader = core.GlobalReader
 	// GlobalWriter is the conventional sequential write view (io.WriteCloser).
 	GlobalWriter = core.GlobalWriter
