@@ -1,0 +1,182 @@
+// Drive-aligned two-phase acceptance: on the paper's declustered
+// checkpoint — 512 ranks × 32 default drives, a unit-1 striped file,
+// every rank moving 8 strided blocks — TunedProfile's StrategyAuto must
+// put the collective on the drive-aligned partition through a two-round
+// pipeline and win ≥ 1.3× modeled time over the same options on logical
+// file domains (Locality, 1 MiB chunks), with each drive seeing two long
+// sequential requests per call instead of one short piece per file
+// domain, and its head never travelling further than the next cylinder.
+//
+// (Against the parent commit the same call is 1.65× faster, 889 → 537 ms:
+// ISSUE 15's owner-election fix alone takes the logical path from 889 to
+// 728 ms by spreading the 32 tied domains over 32 aggregators instead of
+// 4, and that faster logical path is the baseline here. The 512 KiB a
+// drive holds span two 64-block cylinders, so the second chunk of a
+// call starts one cylinder on and the next call one cylinder back:
+// track-to-track steps, which is what "sequential" means on this drive.)
+//
+// Logical file domains are contiguous in the file, so on a declustered
+// file each of the 32 domains holds a 16 KiB piece of every drive: 1 024
+// device requests per 16 MiB call, each paying controller overhead and
+// half a rotation, and a 512 KiB domain that the 1 MiB chunk never cuts,
+// so nothing overlaps. Aligned, domain a IS drive a's footprint — one
+// sequential 512 KiB run, cut in two chunks so the exchange of the
+// second overlaps the write of the first (the paper's §5: one process
+// driving each device with long transfers, all devices at once).
+//
+// The choice is priced per call, not a replacement: on TestLocalityWin's
+// shifted slabs each rank already holds most of a logical domain, the
+// aligned partition would ship seven eighths of the bytes across a
+// 2.5 MB/s link to save three requests a drive, and Auto must keep off
+// it. Everything here is virtual time and counters; nothing depends on
+// the host clock.
+package pario_test
+
+import (
+	"testing"
+	"time"
+
+	pario "repro"
+)
+
+const (
+	alignRanks   = 512
+	alignDrives  = 32
+	alignPerRank = 8 // 4 KiB blocks a rank moves per call
+)
+
+// alignedResult is one measured steady-state checkpoint call.
+type alignedResult struct {
+	elapsed          time.Duration
+	requests, seeks  int64 // device requests; cylinders the heads travelled
+	aligned, logical int64 // two-phase calls per partition, whole run
+	rounds           float64
+}
+
+// runAlignedCheckpoint issues the strided checkpoint twice through a
+// collective with the given options on the tuned machine and measures
+// the second call (the first plans, and leaves the heads where a
+// checkpoint loop leaves them), then verifies the landed bytes.
+func runAlignedCheckpoint(tb testing.TB, opts pario.CollectiveOptions) alignedResult {
+	tb.Helper()
+	pf := pario.TunedProfile()
+	m := pario.NewProfiledMachine(alignDrives, pf)
+	m.SetProbe(pario.NewRecorder())
+	f, err := m.Volume.Create(pario.Spec{
+		Name: "chk", Org: pario.OrgGlobalDirect,
+		RecordSize: 4096, BlockRecords: 1, NumRecords: alignRanks * alignPerRank,
+		Placement: pario.PlaceStriped, StripeUnitFS: 1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	group, err := m.Volume.OpenGroup("chk")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	col, err := pario.OpenCollective(group, alignRanks, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	devTotals := func() (reqs, seeks int64) {
+		for _, d := range m.Disks {
+			st := d.Stats()
+			reqs += st.Requests()
+			seeks += st.SeekCyls
+		}
+		return reqs, seeks
+	}
+	var res alignedResult
+	rg := m.GoRanks(alignRanks, "ck", func(r *pario.Rank) {
+		rank := int64(r.Rank())
+		vec := make(pario.Vec, alignPerRank)
+		buf := make([]byte, alignPerRank*4096)
+		for k := range vec {
+			b := int64(k)*alignRanks + rank
+			vec[k] = pario.VecSeg{Block: b, N: 1, BufOff: int64(k) * 4096}
+			buf[k*4096], buf[k*4096+1] = byte(b), byte(b>>8)
+		}
+		reqs := []pario.VecReq{{File: 0, Vec: vec}}
+		var t0 time.Duration
+		var req0, seek0 int64
+		for call := 0; call < 2; call++ {
+			if rank == 0 && call == 1 {
+				t0 = r.Now()
+				req0, seek0 = devTotals()
+			}
+			if err := col.WriteAll(r, reqs, buf); err != nil {
+				tb.Errorf("rank %d: %v", rank, err)
+			}
+		}
+		if rank == 0 {
+			res.elapsed = r.Now() - t0
+			reqs, seeks := devTotals()
+			res.requests, res.seeks = reqs-req0, seeks-seek0
+		}
+	})
+	pf.ConfigureRanks(rg)
+	if err := m.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	mt := m.Probe().Metrics()
+	res.aligned = mt.Counter("collective.ck.plan.aligned").Value()
+	res.logical = mt.Counter("collective.ck.plan.logical").Value()
+	res.rounds = mt.Histogram("collective.ck.plan.rounds").Sample().Max()
+	ctx := pario.NewWall()
+	blk := make([]byte, 4096)
+	for b := int64(0); b < alignRanks*alignPerRank; b++ {
+		if err := f.Set().ReadBlock(ctx, b, blk); err != nil {
+			tb.Fatal(err)
+		}
+		if blk[0] != byte(b) || blk[1] != byte(b>>8) {
+			tb.Fatalf("block %d corrupt after checkpoint (options %+v)", b, opts)
+		}
+	}
+	return res
+}
+
+// TestAlignedDomainsWin enforces the ISSUE 15 acceptance numbers.
+func TestAlignedDomainsWin(t *testing.T) {
+	tuned := pario.TunedProfile().Collective
+	before := tuned
+	before.Strategy = pario.StrategyDefault // the logical partition, as before ISSUE 15
+	old := runAlignedCheckpoint(t, before)
+	now := runAlignedCheckpoint(t, tuned)
+	ratio := old.elapsed.Seconds() / now.elapsed.Seconds()
+	t.Logf("per call: %v -> %v (%.2fx), device requests %d -> %d, cylinders travelled %d -> %d, rounds %.0f -> %.0f",
+		old.elapsed, now.elapsed, ratio, old.requests, now.requests, old.seeks, now.seeks, old.rounds, now.rounds)
+	if old.aligned != 0 || old.logical != 2 {
+		t.Errorf("Strategy default ran %d aligned / %d logical calls, want 0 / 2", old.aligned, old.logical)
+	}
+	if now.aligned != 2 || now.logical != 0 {
+		t.Errorf("StrategyAuto ran %d aligned / %d logical calls, want 2 / 0", now.aligned, now.logical)
+	}
+	if now.rounds != 2 {
+		t.Errorf("aligned schedule ran %.0f rounds, want 2", now.rounds)
+	}
+	if now.requests > 2*alignDrives {
+		t.Errorf("aligned call issued %d device requests, want ≤ %d (two chunks a drive)", now.requests, 2*alignDrives)
+	}
+	if now.seeks > now.requests {
+		t.Errorf("aligned call moved the heads %d cylinders over %d requests, want at most one each", now.seeks, now.requests)
+	}
+	if ratio < 1.3 {
+		t.Errorf("modeled time improvement %.2fx < 1.3x", ratio)
+	}
+
+	// Not a replacement: on the shifted slabs (as many domains as
+	// drives, so the aligned candidate IS offered and priced) Auto must
+	// not go two-phase on the aligned partition, and must do no worse
+	// than locality-aware logical domains.
+	shifted := pario.CollectiveOptions{Locality: true}
+	logical, _ := runShiftedCheckpointOpts(t, shifted)
+	shifted.Strategy = pario.StrategyAuto
+	auto, rec := runShiftedCheckpointOpts(t, shifted)
+	if n := rec.Metrics().Counter("collective.rank.plan.aligned").Value(); n != 0 {
+		t.Errorf("Auto put the shifted slabs on the aligned partition (%d calls)", n)
+	}
+	if auto.elapsed > logical.elapsed {
+		t.Errorf("Auto took %v on the shifted slabs, logical domains %v", auto.elapsed, logical.elapsed)
+	}
+	t.Logf("shifted slabs: logical %v, auto %v", logical.elapsed, auto.elapsed)
+}

@@ -537,14 +537,15 @@ func collectiveDemo(w io.Writer) error {
 // StrategyAuto, which prices the routes per call. Dense partition-local
 // patterns favor sieving, sparse ones vectored I/O, interleaved ones the
 // two-phase exchange — until link congestion inverts that trade; the
-// route column shows what Auto picked.
+// route column shows what Auto picked, and predicted what its cost model
+// priced that pick at, beside the modeled time the call then took.
 func strategyDemo(w io.Writer) error {
 	const (
 		devs   = 4
 		blocks = 1024 // 4 KiB blocks, 256 per device
 	)
 	t := stats.NewTable("Strategy selection: rank-disjoint collective writes, 1024 blocks (4 KiB) on 4 devices",
-		"pattern", "ranks", "link", "vectored", "sieved", "two-phase", "auto", "route")
+		"pattern", "ranks", "link", "vectored", "sieved", "two-phase", "auto", "route", "predicted", "pred/real")
 	type sweepCfg struct {
 		pattern   string
 		ranks     int
@@ -575,7 +576,7 @@ func strategyDemo(w io.Writer) error {
 		}
 		return vec
 	}
-	one := func(c sweepCfg, strat blockio.Strategy, scope string) (time.Duration, string, error) {
+	one := func(c sweepCfg, strat blockio.Strategy, scope string) (el time.Duration, route string, predicted time.Duration, err error) {
 		e := sim.NewEngine()
 		disks := make([]*device.Disk, devs)
 		for i := range disks {
@@ -583,7 +584,7 @@ func strategyDemo(w io.Writer) error {
 		}
 		store, err := blockio.NewDirect(disks)
 		if err != nil {
-			return 0, "", err
+			return 0, "", 0, err
 		}
 		attach(scope, e, disks, store)
 		vol := pfs.NewVolume(store)
@@ -594,15 +595,15 @@ func strategyDemo(w io.Writer) error {
 			spec.Org, spec.Parts = pfs.OrgPartitioned, devs
 		}
 		if _, err := vol.Create(spec); err != nil {
-			return 0, "", err
+			return 0, "", 0, err
 		}
 		group, err := vol.OpenGroup("sweep")
 		if err != nil {
-			return 0, "", err
+			return 0, "", 0, err
 		}
 		col, err := collective.Open(group, c.ranks, collective.Options{Strategy: strat})
 		if err != nil {
-			return 0, "", err
+			return 0, "", 0, err
 		}
 		var rankErr error
 		g, _ := mpp.Run(e, c.ranks, "rank", func(p *mpp.Proc) {
@@ -624,9 +625,9 @@ func strategyDemo(w io.Writer) error {
 		}
 		attachGroup(g, "rank")
 		if err := e.Run(); err != nil {
-			return 0, "", err
+			return 0, "", 0, err
 		}
-		return e.Now(), col.LastRoute(), rankErr
+		return e.Now(), col.LastRoute(), col.LastPredicted(), rankErr
 	}
 	for _, pattern := range []string{"dense", "sparse", "interleaved"} {
 		for _, ranks := range []int{4, 8} {
@@ -637,24 +638,26 @@ func strategyDemo(w io.Writer) error {
 					link = "congested"
 				}
 				row := []any{pattern, ranks, link}
+				// The last strategy is Auto: its route, prediction and time
+				// fill the closing columns.
 				var route string
+				var el, predicted time.Duration
 				for _, strat := range []blockio.Strategy{
 					blockio.StrategyVectored, blockio.StrategySieved,
 					blockio.StrategyCollective, blockio.StrategyAuto,
 				} {
 					scope := fmt.Sprintf("strategy/%s-r%d-%s/%v", pattern, ranks, link, strat)
-					el, rt, err := one(c, strat, scope)
-					if err != nil {
+					var err error
+					if el, route, predicted, err = one(c, strat, scope); err != nil {
 						return err
 					}
 					row = append(row, el)
-					route = rt
 				}
-				t.AddRow(append(row, route)...)
+				t.AddRow(append(row, route, predicted, fmt.Sprintf("%.2f", predicted.Seconds()/el.Seconds()))...)
 			}
 		}
 	}
-	t.Note = "auto prices vectored/sieved/two-phase per call from the drive parameters and the link model;\nroute is the path auto picked — dense favors sieving, sparse vectored, interleaved two-phase\n(until congestion inverts the trade)"
+	t.Note = "auto prices vectored/sieved/two-phase per call from the drive parameters and the link model;\nroute is the path auto picked — dense favors sieving, sparse vectored, interleaved two-phase\n(until congestion inverts the trade); predicted is what the cost model priced that pick at,\npred/real its ratio to the modeled time the call took (with -metrics: collective.*.plan.*\ncount the two-phase calls per partition — aligned = file domains cut at drive boundaries)"
 	fmt.Fprintln(w, t.String())
 	return nil
 }

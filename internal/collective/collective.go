@@ -13,7 +13,8 @@
 //  1. Plan. The ranks' request lists are combined into a union access
 //     footprint over the file group's concatenated block space, and the
 //     footprint is split into contiguous file domains, one per aggregator
-//     rank (plan.go).
+//     rank — contiguous in the files, or under StrategyAuto, where it
+//     prices cheaper, contiguous on the drives (plan.go).
 //  2. Exchange. Every rank ships the pieces of its buffer that fall in
 //     each domain to that domain's aggregator (writes), or the
 //     aggregators ship freshly read domains back to the ranks (reads),
@@ -63,8 +64,9 @@ type Options struct {
 	Aggregators int
 
 	// Locality assigns each file domain to the participating rank that
-	// owns the largest share of the domain's footprint (ties to the
-	// lowest rank) instead of round-robin rank order. Nearly-aligned
+	// owns the largest share of the domain's footprint (ties to the tied
+	// rank given the fewest domains so far, the lowest rank among those)
+	// instead of round-robin rank order. Nearly-aligned
 	// access patterns then keep most bytes local — self-messages cross
 	// no link — which matters whenever the interconnect is contended
 	// (mpp.Group.SetBisection). One rank may aggregate several domains;
@@ -99,9 +101,11 @@ type Options struct {
 	// time instead of strictly alternating. Each aggregator stages at
 	// most two chunks per owned domain (double buffering). Sub-block
 	// values round up to one block per chunk; values above the domain
-	// size degenerate to a single round. 0 (the default) keeps the
-	// unbounded single-shot two-phase schedule, whose modeled timings
-	// are bit-identical to earlier releases.
+	// size degenerate to a single round (except on StrategyAuto's
+	// drive-aligned partition, which may cut such a domain in two to
+	// have something to overlap). 0 (the default) keeps the unbounded
+	// single-shot two-phase schedule, whose modeled timings are
+	// bit-identical to earlier releases.
 	ChunkBytes int64
 
 	// Strategy selects the access route of the blocking collective
@@ -111,10 +115,17 @@ type Options struct {
 	// (skipping the exchange entirely); StrategyAuto prices the three
 	// routes per call — exchange traffic against the group's modeled
 	// interconnect (mpp.Group.LinkModel), device requests against the
-	// store's drive parameters — and picks the cheapest. Plan
-	// validation, cross-rank overlap rejection, and LastWriterWins
-	// semantics are identical on every route. The nonblocking entry
-	// points (Service) always run two-phase.
+	// store's drive parameters — and picks the cheapest. For the
+	// two-phase route it prices two partitions of the footprint into
+	// file domains: the logical one every other setting uses (domains
+	// contiguous in the files) and the drive-aligned one (domain a is
+	// the footprint on drive a: one sequential run per aggregator, the
+	// exchange re-sorting the ranks' pieces by drive), the latter also
+	// through a two-round pipeline when a domain fits in one chunk.
+	// LastRoute says "two-phase" for either. Plan validation, cross-rank
+	// overlap rejection, and LastWriterWins semantics are identical on
+	// every route. The nonblocking entry points (Service) always run
+	// two-phase on the logical partition.
 	Strategy blockio.Strategy
 
 	// PlanCache bounds the handle's schedule cache (schedule.go).
@@ -189,6 +200,9 @@ type Collective struct {
 	plErr error
 	route route
 	stats ExchangeStats
+	// predicted is what StrategyAuto priced the call's chosen candidate
+	// at (LastPredicted).
+	predicted time.Duration
 	// per-call phase busy intervals, appended by every rank (strict
 	// alternation again) and folded into stats by rank 0 at the end.
 	// Recording is pure Now() reads, so it never perturbs the schedule.
@@ -200,6 +214,10 @@ type Collective struct {
 	// after (nonblock.go). Outstanding handles own their state, so this
 	// slot is free for reuse the moment every rank has copied it.
 	hScratch *Handle
+	// The nonblocking calls' domain buffers, recycled by size (getDom /
+	// putDom), and how many are out with unfinished calls.
+	domFree map[int][][]byte
+	domOut  int
 
 	// Sparse-exchange scratch, shared by all ranks under strict
 	// alternation. payPool recycles exchange payload buffers: a sender
@@ -228,6 +246,15 @@ type Collective struct {
 	sigScratch []uint64
 
 	hits, misses, evictions, invalidations uint64
+
+	// Route-pricing scratch (strategy.go) and the flight-recorder
+	// handles that report what was priced (explain.go).
+	price priceScratch
+	ex    explainProbe
+	// forcePart, when set, replaces route pricing with a fixed choice on
+	// every blocking call — the in-package test hook that runs the
+	// differential harness on the aligned partition.
+	forcePart *choice
 }
 
 // getPay pops a recycled payload buffer (length 0, capacity whatever it
@@ -330,12 +357,13 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 	// the same one — which is also why a cached replay (scheduleFor) is
 	// indistinguishable from a fresh build.
 	if rank == 0 {
-		c.sched, c.plErr = c.scheduleFor(p, write)
+		c.sched, c.plErr = c.scheduleFor(p, write, false)
 		if c.plErr == nil {
 			// Route selection happens only after the plan validates, so
 			// every strategy rejects bad requests (cross-rank write
 			// overlap above all) with byte-identical errors.
 			c.route = c.sched.route
+			c.predicted = c.sched.predicted
 			c.stats = c.sched.stats
 			if c.route != routeTwoPhase {
 				c.stats = ExchangeStats{} // independent routes exchange nothing
@@ -350,6 +378,7 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 	}
 	sd := c.sched
 	pl := sd.pl
+	tPlan := p.Now()
 	switch {
 	case c.route != routeTwoPhase:
 		c.runIndependent(p, sd, write, c.route == routeSieved)
@@ -422,6 +451,7 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 		c.stats.ExchangeTime = busyUnion(c.commIv)
 		c.stats.AccessTime = busyUnion(c.ioIv)
 		c.stats.Overlap = busyOverlap(c.commIv, c.ioIv)
+		c.explain(rec, prefix, sd, p.Now()-tPlan)
 	}
 	var errs []error
 	for r, err := range c.errs {

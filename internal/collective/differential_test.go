@@ -66,11 +66,24 @@ const (
 	// reference.
 	diffReplayWrite
 	diffReplayRead
+	// Aligned phases run the two-phase engine on the drive-aligned
+	// partition (plan.aligned), which only StrategyAuto's pricing would
+	// otherwise select: handles with the in-package forcePart hook set,
+	// single-shot on even phases and chunked (the scenario's ChunkBytes,
+	// domains that fit one chunk cut in two) on odd ones. The phases
+	// around them run on the logical partition, so an aligned write is
+	// read back by logical reads and the reverse, and every image is
+	// diffed against the same serial reference — across the store kinds,
+	// layouts, multi-file groups, aggregator counts below, at and above
+	// the drive count, ragged domains and LastWriterWins overlaps the
+	// scenarios already sweep.
+	diffAlignedWrite
+	diffAlignedRead
 	diffKinds
 )
 
 var diffKindNames = [...]string{"cwrite", "cread", "pwrite", "pread", "vwrite", "ewrite", "eread",
-	"swrite", "sread", "awrite", "aread", "rwrite", "rread"}
+	"swrite", "sread", "awrite", "aread", "rwrite", "rread", "lwrite", "lread"}
 
 // diffReplayReps is how many consecutive iterations a replay phase
 // issues its request lists (first plans, the rest replay).
@@ -223,13 +236,16 @@ func genScenario(seed int64) *diffScenario {
 	nPhases := 3 + rng.Intn(3)
 	for ph := 0; ph < nPhases; ph++ {
 		kind := rng.Intn(diffKinds)
-		if ph == 0 {
-			kind = diffPipelinedWrite // every scenario exercises the tentpole path
+		switch ph {
+		case 0:
+			kind = diffPipelinedWrite // every scenario exercises the pipelined path
+		case 1:
+			kind = diffAlignedWrite // and the aligned partition, chunked (odd phase)
 		}
 		switch kind {
-		case diffCollectiveWrite, diffPipelinedWrite, diffVectoredWrite, diffSievedWrite, diffAutoWrite:
+		case diffCollectiveWrite, diffPipelinedWrite, diffVectoredWrite, diffSievedWrite, diffAutoWrite, diffAlignedWrite:
 			sc.genAssignedWrite(rng, g, ph, kind)
-		case diffCollectiveRead, diffPipelinedRead, diffSievedRead, diffAutoRead:
+		case diffCollectiveRead, diffPipelinedRead, diffSievedRead, diffAutoRead, diffAlignedRead:
 			sc.genCollectiveRead(rng, g, ph, kind)
 		case diffExtentWrite:
 			sc.genExtentWrite(rng, g, ph)
@@ -251,8 +267,8 @@ func (sc *diffScenario) genAssignedWrite(rng *rand.Rand, g *fileGroupInfo, ph, k
 	// Raw vectored/sieved Set writes have no overlap resolution, so only
 	// the collective kinds — including Auto, which must honor
 	// LastWriterWins on whatever route it picks — generate overlaps.
-	overlaps := (kind == diffCollectiveWrite || kind == diffPipelinedWrite || kind == diffAutoWrite) &&
-		sc.opts.LastWriterWins
+	overlaps := (kind == diffCollectiveWrite || kind == diffPipelinedWrite || kind == diffAutoWrite ||
+		kind == diffAlignedWrite) && sc.opts.LastWriterWins
 	density := 0.2 + 0.6*rng.Float64()
 	owners := make([][]int, g.total)
 	for gb := int64(0); gb < g.total; gb++ {
@@ -475,28 +491,40 @@ func (sc *diffScenario) run(t *testing.T) {
 	if err != nil {
 		t.Fatalf("seed %d: %v", sc.seed, err)
 	}
+	// aligned[0] single-shot, aligned[1] chunked: phase pi uses aligned[pi%2].
+	var aligned [2]*Collective
+	for i, o := range []Options{sc.opts, popts} {
+		if aligned[i], err = Open(g, sc.nRanks, o); err != nil {
+			t.Fatalf("seed %d: %v", sc.seed, err)
+		}
+		aligned[i].forcePart = &choice{route: routeTwoPhase, aligned: true, split: 1 + i}
+	}
 	mg, join := mpp.Run(e, sc.nRanks, "diff", func(p *mpp.Proc) {
 		r := p.Rank()
 		for pi, ph := range sc.phases {
 			switch ph.kind {
-			case diffCollectiveWrite, diffPipelinedWrite, diffAutoWrite:
+			case diffCollectiveWrite, diffPipelinedWrite, diffAutoWrite, diffAlignedWrite:
 				h := col
 				switch ph.kind {
 				case diffPipelinedWrite:
 					h = piped
 				case diffAutoWrite:
 					h = auto
+				case diffAlignedWrite:
+					h = aligned[pi%2]
 				}
 				if err := h.WriteAll(p, ph.reqs[r], ph.bufs[r]); err != nil {
 					t.Errorf("seed %d phase %d (%s) rank %d: %v", sc.seed, pi, diffKindNames[ph.kind], r, err)
 				}
-			case diffCollectiveRead, diffPipelinedRead, diffAutoRead:
+			case diffCollectiveRead, diffPipelinedRead, diffAutoRead, diffAlignedRead:
 				h := col
 				switch ph.kind {
 				case diffPipelinedRead:
 					h = piped
 				case diffAutoRead:
 					h = auto
+				case diffAlignedRead:
+					h = aligned[pi%2]
 				}
 				if err := h.ReadAll(p, ph.reqs[r], ph.bufs[r]); err != nil {
 					t.Errorf("seed %d phase %d (%s) rank %d: %v", sc.seed, pi, diffKindNames[ph.kind], r, err)
@@ -594,6 +622,11 @@ func (sc *diffScenario) run(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("seed %d: %v", sc.seed, err)
 	}
+	// Phase 1 always writes through aligned[1]: the hook must have put it
+	// on the re-keyed plan, or the aligned phases tested nothing.
+	if sd := aligned[1].sched; sd == nil || sd.pl.phys == nil || sd.route != routeTwoPhase {
+		t.Errorf("seed %d: the aligned phases did not run on the aligned partition", sc.seed)
+	}
 	if got := readAllBlocks(t, g); !bytes.Equal(got, sc.ref) {
 		for gb := int64(0); gb < int64(len(got))/testBS; gb++ {
 			if !bytes.Equal(got[gb*testBS:(gb+1)*testBS], sc.ref[gb*testBS:(gb+1)*testBS]) {
@@ -609,7 +642,8 @@ func (sc *diffScenario) run(t *testing.T) {
 // every store kind × layout at least 6 times each (seed mod 9 walks the
 // 3×3 matrix), with randomized rank counts, aggregator counts, locality
 // and overlap policies, link models, chunk sizes for the pipelined
-// phases, and phase mixes.
+// phases, and phase mixes — every scenario with at least one write on
+// the drive-aligned partition.
 // Set PARIO_DIFF_SEED=N to replay a single scenario — including seeds
 // outside the fixed matrix — e.g.
 //

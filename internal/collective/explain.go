@@ -1,0 +1,64 @@
+// What StrategyAuto priced, said out loud: with a flight recorder
+// attached, every blocking collective call reports which partition its
+// two-phase route ran on, how many rounds it was cut into, and how far
+// the cost model's prediction for the chosen candidate was from what the
+// call then took — the residual that tells a reader of the metrics table
+// whether the next choice can be trusted. Detached (the default) none of
+// this runs.
+
+package collective
+
+import (
+	"time"
+
+	"repro/internal/probe"
+)
+
+// explainProbe caches the registry handles of one recorder and rank
+// group, so a recorded call costs four field updates, not four lookups.
+type explainProbe struct {
+	rec              *probe.Recorder
+	prefix           string
+	aligned, logical *probe.Counter
+	rounds, residual *probe.Histogram
+}
+
+// LastPredicted reports the modeled cost StrategyAuto priced the chosen
+// candidate of the most recent successfully planned blocking call at —
+// zero when Options.Strategy fixed the route and nothing was priced.
+// Valid under the same rules as LastStats.
+func (c *Collective) LastPredicted() time.Duration { return c.predicted }
+
+// explain records one finished blocking call (rank 0, after the closing
+// barrier of the access phase) in the registry of rec:
+//
+//	collective.<prefix>.plan.aligned   two-phase calls on the drive-aligned partition
+//	collective.<prefix>.plan.logical   two-phase calls on the logical partition
+//	collective.<prefix>.plan.rounds    their pipeline rounds (0 = single-shot)
+//	collective.<prefix>.plan.predicted_over_realised
+//	                                   priced cost ÷ modeled time of every priced call
+func (c *Collective) explain(rec *probe.Recorder, prefix string, sd *schedule, realised time.Duration) {
+	if rec == nil {
+		return
+	}
+	ex := &c.ex
+	if ex.rec != rec || ex.prefix != prefix {
+		m, name := rec.Metrics(), "collective."+prefix+".plan."
+		*ex = explainProbe{
+			rec: rec, prefix: prefix,
+			aligned: m.Counter(name + "aligned"), logical: m.Counter(name + "logical"),
+			rounds: m.Histogram(name + "rounds"), residual: m.Histogram(name + "predicted_over_realised"),
+		}
+	}
+	if sd.route == routeTwoPhase {
+		if sd.pl.phys != nil {
+			ex.aligned.Add(1)
+		} else {
+			ex.logical.Add(1)
+		}
+		ex.rounds.Add(float64(sd.pl.rounds))
+	}
+	if sd.predicted > 0 && realised > 0 {
+		ex.residual.Add(sd.predicted.Seconds() / realised.Seconds())
+	}
+}

@@ -75,7 +75,7 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 	c.reqs[rank], c.bufs[rank], c.errs[rank] = reqs, buf, nil
 	p.Barrier()
 	if rank == 0 {
-		c.sched, c.plErr = c.scheduleFor(p, write)
+		c.sched, c.plErr = c.scheduleFor(p, write, true)
 		if c.plErr == nil {
 			// LastStats reports the exchange byte split for nonblocking
 			// calls too; the phase-time fields stay zero (the access
@@ -101,13 +101,14 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 	pl := sd.pl
 	h.bufs[rank] = buf
 
-	// Allocate this rank's owned-domain buffers. The buffers outlive the
-	// call — the server holds them until the batches complete — so they
-	// are fresh per call, never pooled (unlike the blocking path's).
+	// This rank's owned-domain buffers outlive the call — the server
+	// holds them until the batches complete — so they cannot be the
+	// blocking path's per-rank scratch; they come from the handle's free
+	// list and go back in Wait.
 	owned := sd.ownedOf[rank]
 	for _, a := range owned {
 		lo, hi := pl.domain(a)
-		h.dombufs[rank] = append(h.dombufs[rank], make([]byte, (hi-lo)*pl.bs))
+		h.dombufs[rank] = append(h.dombufs[rank], c.getDom(int((hi-lo)*pl.bs)))
 	}
 
 	if write {
@@ -140,6 +141,35 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 	}
 	h.errs[rank] = errors.Join(aggErrs...)
 	return h, nil
+}
+
+// getDom pops a domain buffer of exactly n bytes from the handle's free
+// list, or makes one. Contents are stale, which is safe for the reason
+// domBufs gives: a write domain is fully covered by the ranks' clips and
+// a read domain fully overwritten by the device read.
+func (c *Collective) getDom(n int) []byte {
+	c.domOut++
+	if free := c.domFree[n]; len(free) > 0 {
+		b := free[len(free)-1]
+		c.domFree[n] = free[:len(free)-1]
+		return b
+	}
+	return make([]byte, n)
+}
+
+// putDom returns a domain buffer to the free list. The list is keyed by
+// size and holds what the outstanding calls needed at their peak (two
+// calls may be in flight), so an iterative workload stops allocating
+// after its first epoch.
+func (c *Collective) putDom(b []byte) {
+	c.domOut--
+	if len(b) == 0 {
+		return
+	}
+	if c.domFree == nil {
+		c.domFree = make(map[int][][]byte)
+	}
+	c.domFree[len(b)] = append(c.domFree[len(b)], b)
 }
 
 // Test reports whether this rank's server requests have completed —
@@ -175,6 +205,13 @@ func (h *Handle) Wait(p *mpp.Proc) error {
 		c.scatterRankMsgs(pl, rank, recv, h.bufs[rank])
 		p.RecycleRecv(recv)
 	}
+	// The server is done with this rank's domain buffers (every ticket
+	// has completed, failed or not) and a read's bytes have been packed
+	// out of them.
+	for _, b := range h.dombufs[rank] {
+		c.putDom(b)
+	}
+	h.dombufs[rank] = nil
 	p.Barrier()
 	var errs []error
 	for r, err := range h.errs {

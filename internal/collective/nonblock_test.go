@@ -225,3 +225,163 @@ func TestNonblockingOverlapsCompute(t *testing.T) {
 		t.Fatalf("no overlap win: nonblocking %v vs blocking %v", nonblocking, blocking)
 	}
 }
+
+// freeDomBufs counts the domain buffers parked in the handle's free list.
+func freeDomBufs(c *Collective) (n int) {
+	for _, l := range c.domFree {
+		n += len(l)
+	}
+	return n
+}
+
+// TestNonblockingDomainBuffersRecycle: the nonblocking calls' domain
+// buffers come from a per-handle free list and go back in Wait. With two
+// writes outstanding per epoch the list must balance (nothing out) after
+// every epoch's Waits, hold after the first epoch everything later
+// epochs need (its population stops growing, so steady state allocates
+// no domain buffer), and balance again after a call that failed at plan
+// validation (which takes nothing) and after one whose device requests
+// failed (whose Wait still returns what it took).
+func TestNonblockingDomainBuffersRecycle(t *testing.T) {
+	const nRanks = 8
+	e, g, disks := collectiveFixture(t, storeDirect, testPlacements[0].spec)
+	srv, jb := serviceFor(e, ioserver.FairShare, 2)
+	col, err := Open(g, nRanks, Options{Service: jb, Locality: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parked int
+	check := func(p *mpp.Proc, what string) {
+		p.Barrier() // every rank has returned its buffers
+		if p.Rank() == 0 {
+			if col.domOut != 0 {
+				t.Errorf("%s: %d domain buffers still out", what, col.domOut)
+			}
+			if n := freeDomBufs(col); parked == 0 {
+				parked = n
+			} else if n != parked {
+				t.Errorf("%s: free list holds %d buffers, %d after the first epoch", what, n, parked)
+			}
+		}
+		p.Barrier()
+	}
+	_, join := mpp.Run(e, nRanks, "iw", func(p *mpp.Proc) {
+		reqs, buf, slots := strideReqs(g, p.Rank(), nRanks)
+		for i, gb := range slots {
+			pattern(gb, buf[int64(i)*testBS:int64(i+1)*testBS])
+		}
+		rbuf := make([]byte, len(buf))
+		for epoch := 0; epoch < 3; epoch++ {
+			h1, err1 := col.IWriteAll(p, reqs, buf)
+			h2, err2 := col.IWriteAll(p, reqs, buf)
+			if err1 != nil || err2 != nil {
+				t.Errorf("rank %d epoch %d: %v / %v", p.Rank(), epoch, err1, err2)
+				return
+			}
+			if p.Rank() == 0 && epoch == 0 && col.domOut == 0 {
+				t.Error("two outstanding writes hold no domain buffer")
+			}
+			if err := h1.Wait(p); err != nil {
+				t.Errorf("rank %d epoch %d: %v", p.Rank(), epoch, err)
+			}
+			if err := h2.Wait(p); err != nil {
+				t.Errorf("rank %d epoch %d: %v", p.Rank(), epoch, err)
+			}
+			hr, err := col.IReadAll(p, reqs, rbuf)
+			if err != nil {
+				t.Errorf("rank %d epoch %d: %v", p.Rank(), epoch, err)
+				return
+			}
+			if err := hr.Wait(p); err != nil {
+				t.Errorf("rank %d epoch %d: %v", p.Rank(), epoch, err)
+			}
+			if !bytes.Equal(rbuf, buf) {
+				t.Errorf("rank %d epoch %d: recycled domain buffers delivered different bytes", p.Rank(), epoch)
+			}
+			check(p, fmt.Sprintf("epoch %d", epoch))
+		}
+		// A call rejected at plan validation starts nothing.
+		bad := reqs
+		if p.Rank() == 3 {
+			bad = []VecReq{{File: 9, Vec: blockio.Vec{{N: 1}}}}
+		}
+		if _, err := col.IWriteAll(p, bad, buf); err == nil {
+			t.Errorf("rank %d: invalid request list accepted", p.Rank())
+		}
+		check(p, "after a rejected call")
+		// A call whose device requests fail still returns its buffers.
+		if p.Rank() == 0 {
+			disks[1].Fail()
+		}
+		p.Barrier()
+		h, err := col.IWriteAll(p, reqs, buf)
+		if err != nil {
+			t.Errorf("rank %d: %v", p.Rank(), err)
+			return
+		}
+		if err := h.Wait(p); err == nil {
+			t.Errorf("rank %d: write to a failed drive succeeded", p.Rank())
+		}
+		check(p, "after a failed call")
+	})
+	e.Go("join", func(sp *sim.Proc) { join.Wait(sp); srv.Stop(sp) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNonblockingKeepsLogicalPartition: a handle's blocking and
+// nonblocking calls share one schedule cache but never one schedule.
+// Under StrategyAuto a WriteAll of lists an IWriteAll already planned is
+// still priced (here onto the drive-aligned partition), and an IWriteAll
+// of lists a WriteAll put on the aligned partition still runs on the
+// logical one — behind a server lane the workers bound device
+// parallelism, and drive-spanning batches are what keep the drives busy.
+func TestNonblockingKeepsLogicalPartition(t *testing.T) {
+	const nRanks = 8
+	e, g, _ := collectiveFixture(t, storeDirect, testPlacements[1].spec)
+	srv, jb := serviceFor(e, ioserver.FIFO, 2)
+	col, err := Open(g, nRanks, Options{Service: jb, Strategy: blockio.StrategyAuto, Locality: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onAligned := func() bool { return col.sched.pl.phys != nil }
+	_, join := mpp.Run(e, nRanks, "mix", func(p *mpp.Proc) {
+		reqs, buf, slots := strideReqs(g, p.Rank(), nRanks)
+		for i, gb := range slots {
+			pattern(gb, buf[int64(i)*testBS:int64(i+1)*testBS])
+		}
+		step := func(nonblocking, wantAligned bool, wantMisses uint64) {
+			var err error
+			if nonblocking {
+				var h *Handle
+				if h, err = col.IWriteAll(p, reqs, buf); err == nil {
+					if p.Rank() == 0 && onAligned() != wantAligned {
+						t.Errorf("IWriteAll planned on aligned=%v", onAligned())
+					}
+					err = h.Wait(p)
+				}
+			} else {
+				err = col.WriteAll(p, reqs, buf)
+				if p.Rank() == 0 && (onAligned() != wantAligned || col.LastRoute() != "two-phase") {
+					t.Errorf("WriteAll ran %s, aligned=%v, want two-phase aligned=%v", col.LastRoute(), onAligned(), wantAligned)
+				}
+			}
+			if err != nil {
+				t.Errorf("rank %d: %v", p.Rank(), err)
+			}
+			if p.Rank() == 0 && col.PlanCacheStats().Misses != wantMisses {
+				t.Errorf("nonblocking=%v: %d schedule builds, want %d", nonblocking, col.PlanCacheStats().Misses, wantMisses)
+			}
+			p.Barrier()
+		}
+		step(true, false, 1) // planned for istart: logical, unpriced
+		step(false, true, 2) // same lists, blocking: priced afresh
+		step(true, false, 2) // replays the logical schedule, not the aligned one
+		step(false, true, 2) // and the reverse
+	})
+	e.Go("join", func(sp *sim.Proc) { join.Wait(sp); srv.Stop(sp) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -22,6 +22,20 @@
 // the companion works on another). Device access goes through a
 // blockio.BatchPlan prepared once per domain, so chunking never
 // re-sorts or re-merges the physical pieces.
+//
+// What a chunk is on the drives is the plan's business, not this file's.
+// A chunk of a logical domain is a contiguous slice of the files: on a
+// declustered file, a short piece on every drive, every round. A chunk
+// of a drive-aligned domain (plan.aligned, StrategyAuto's other
+// two-phase candidate) is a contiguous slice of one drive, so a round is
+// one long request per drive. And a ChunkBytes larger than every domain
+// used to mean one round — this code path with nothing to overlap, the
+// second staging buffer never touched; the aligned candidate is priced
+// at that depth and cut in two (strategy.go's alignedCost, the
+// two-stage pipeline formula), and takes the cheaper. Two, not more:
+// each extra round is a full SparseExchange.Round for every rank, which
+// at 512 ranks is what the host time of a call is made of. Nothing
+// below tells the two partitions apart.
 
 package collective
 
@@ -367,27 +381,23 @@ func (c *Collective) scatterChunkSparse(pl *plan, rank, k int, recv []mpp.RecvMs
 
 // domainBatchVec assembles domain a's cross-file batch shape with no
 // buffers bound — the input to blockio's prepared, windowed batch plan.
+// plan.locate names the Set behind each key, so the batch of a logical
+// domain lists its files and the batch of an aligned domain is one item
+// on the identity Set.
 func (c *Collective) domainBatchVec(pl *plan, a int) blockio.BatchVec {
 	var batch blockio.BatchVec
-	fileIdx := -1
-	pl.forEachDomainSpan(a, func(gb, n, domOff int64) {
+	pl.forEachDomainSpan(a, func(key, n, domOff int64) {
 		for n > 0 {
-			file, block, err := c.group.Locate(gb)
-			if err != nil {
-				// Unreachable: validated segments lie inside the group.
-				panic(err)
-			}
-			seg := c.group.Offset(file+1) - gb // blocks left in this file
+			set, block, seg := pl.locate(key)
 			if seg > n {
 				seg = n
 			}
-			if file != fileIdx {
-				batch = append(batch, blockio.BatchItem{Set: c.group.File(file).Set()})
-				fileIdx = file
+			if len(batch) == 0 || batch[len(batch)-1].Set != set {
+				batch = append(batch, blockio.BatchItem{Set: set})
 			}
 			it := &batch[len(batch)-1]
 			it.Vec = append(it.Vec, blockio.VecSeg{Block: block, N: seg, BufOff: domOff})
-			gb += seg
+			key += seg
 			domOff += seg * pl.bs
 			n -= seg
 		}

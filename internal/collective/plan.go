@@ -2,45 +2,73 @@
 // operation that every rank derives identically from the gathered
 // request lists.
 //
-// All coordinates are global fs blocks — the pfs.FileGroup concatenation
-// of the member files' block spaces. The plan holds four things:
+// A plan is a set of per-rank segment lists in ONE key space plus
+// everything derived from them. buildPlan validates the requests and
+// keys them by global fs block — the pfs.FileGroup concatenation of the
+// member files' block spaces; plan.aligned re-keys a validated plan by
+// physical address, key = device × store.Blocks() + physical block, each
+// segment split where the layout's MapRun says physical contiguity
+// ends. Below the segment lists nothing knows which key space it is in
+// (plan.partition): the plan holds
 //
-//   - the per-rank segment lists (each rank's requests flattened into
-//     sorted global-block segments),
+//   - the per-rank segment lists, sorted by key,
 //
 //   - the union access footprint (the merged covered spans, with prefix
-//     sums assigning every covered block a dense "covered index"),
+//     sums assigning every covered key a dense "covered index"),
 //
-//   - the file-domain split: the covered index space divided into naggs
-//     contiguous domains of ⌈total/naggs⌉ blocks (the final domain is
-//     ragged when the footprint does not divide evenly), and
+//   - the file-domain table: the covered-index space cut into naggs
+//     contiguous domains. The logical partition cuts it into equal
+//     domains of ⌈total/naggs⌉ blocks (the final one ragged), so a
+//     domain is a contiguous piece of the files. The aligned partition
+//     cuts it at drive boundaries, so domain a is the footprint on
+//     drive(s) a — unequal when the drives hold unequal shares, whole
+//     drives when there are fewer domains than drives — and
 //
 //   - the domain→aggregator assignment (owner): by default domain a
 //     belongs to rank a (round-robin rank order, the historical PR 3
 //     behavior); with Options.Locality the domain is instead assigned to
-//     the participating rank owning the largest share of its footprint
-//     (ties to the lowest rank), so nearly-aligned access patterns keep
-//     most bytes local and only the stragglers cross the interconnect.
+//     the participating rank owning the largest share of its footprint,
+//     so nearly-aligned access patterns keep most bytes local and only
+//     the stragglers cross the interconnect. Ties go to the tied rank
+//     that has been given the fewest domains so far (lowest rank among
+//     those): a footprint every rank shares equally spreads over the
+//     ranks instead of electing rank 0 for every domain.
 //
-// Because domains are contiguous in covered-index space, each
-// aggregator's device accesses are as sequential as the footprint
-// permits, and holes nobody asked for are never touched.
+// Domains are contiguous in covered-index space and holes nobody asked
+// for are never touched. What "contiguous" buys depends on the key: a
+// logical domain is sequential in the file, which on a declustered
+// (unit-1 striped) file means a short piece on every drive; an aligned
+// domain is one sequential run on its own drive, and a chunk of it
+// (Options.ChunkBytes) a contiguous slice of that run — the paper's §5
+// strategy of one process driving each device with long transfers.
+// Only Options.Strategy = StrategyAuto ever builds the aligned
+// partition, and only when it prices cheaper (strategy.go); every other
+// setting, and every nonblocking call, keeps the logical one.
 
 package collective
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
+	"repro/internal/blockio"
 	"repro/internal/pfs"
 )
 
-// rseg is one rank segment in global coordinates: n blocks starting at
-// global block gb, moving the rank-buffer bytes [bufOff, bufOff+n×bs).
+// rseg is one rank segment in the plan's key space: n blocks starting at
+// key gb (a global block, or a physical address in an aligned plan),
+// moving the rank-buffer bytes [bufOff, bufOff+n×bs).
 type rseg struct {
 	gb     int64
 	n      int64
 	bufOff int64
+}
+
+// owned is a rank segment tagged with its rank, for the union merge.
+type owned struct {
+	rseg
+	rank int
 }
 
 // span is a covered interval of the union footprint.
@@ -59,13 +87,21 @@ type clip struct {
 
 // plan is the shared description of one collective operation.
 type plan struct {
-	bs        int64
-	naggs     int
-	segs      [][]rseg  // per rank, sorted by gb
-	covered   []span    // merged union footprint, sorted by gb
+	bs    int64
+	naggs int
+	group *pfs.FileGroup
+	// phys is set on an aligned plan: the identity Set whose logical
+	// block IS the key (striped over every device with a stripe unit of
+	// one whole device, extent bases zero), through which domain batches
+	// address the store. nil on a logical plan, whose keys resolve
+	// through the group's files (locate).
+	phys      *blockio.Set
+	segs      [][]rseg  // per rank, sorted by key
+	covered   []span    // merged union footprint, sorted by key
 	cbase     []int64   // covered-index of covered[i].gb
 	total     int64     // total covered blocks
-	domBlocks int64     // blocks per domain (last one ragged)
+	domLo     []int64   // domain a is covered indexes [domLo[a], domLo[a+1])
+	domBlocks int64     // blocks in the largest domain
 	owner     []int     // domain index → aggregator rank
 	shares    [][]int64 // shares[rank][domain]: exchange payload bytes
 	// Chunking (Options.ChunkBytes): each domain is cut into
@@ -94,17 +130,13 @@ type plan struct {
 }
 
 // buildPlan validates every rank's requests and computes the footprint,
-// domain split and domain→aggregator assignment. write additionally
-// rejects cross-rank overlaps, whose store order would be ambiguous —
-// unless opts.LastWriterWins selects MPI-IO rank-order semantics.
+// domain split and domain→aggregator assignment of the logical
+// partition. write additionally rejects cross-rank overlaps, whose store
+// order would be ambiguous — unless opts.LastWriterWins selects MPI-IO
+// rank-order semantics.
 func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, write bool, opts Options) (*plan, error) {
 	bs := int64(group.Store().BlockSize())
-	pl := &plan{bs: bs, naggs: naggs, segs: make([][]rseg, len(reqs))}
-	type owned struct {
-		rseg
-		rank int
-	}
-	var all []owned
+	pl := &plan{bs: bs, naggs: naggs, group: group, segs: make([][]rseg, len(reqs))}
 	for r, rr := range reqs {
 		bufLen := int64(len(bufs[r]))
 		var segs []rseg
@@ -151,21 +183,116 @@ func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, 
 			}
 		}
 		pl.segs[r] = segs
-		for _, sg := range segs {
+	}
+
+	all := sortedSegs(pl.segs)
+	if write && !opts.LastWriterWins {
+		// Reads may share blocks, and LastWriterWins resolves write
+		// overlaps in rank order; the union merge absorbs both.
+		for i := 1; i < len(all); i++ {
+			if all[i-1].gb+all[i-1].n > all[i].gb {
+				return nil, fmt.Errorf("collective: ranks %d and %d write overlapping blocks at global block %d",
+					all[i-1].rank, all[i].rank, all[i].gb)
+			}
+		}
+	}
+	pl.partition(all, opts, nil, 1)
+	return pl, nil
+}
+
+// sortedSegs flattens the per-rank segment lists into one list sorted
+// by key — the input of the union merge.
+func sortedSegs(segs [][]rseg) []owned {
+	n := 0
+	for _, ss := range segs {
+		n += len(ss)
+	}
+	all := make([]owned, 0, n)
+	for r, ss := range segs {
+		for _, sg := range ss {
 			all = append(all, owned{rseg: sg, rank: r})
 		}
 	}
-
 	sort.Slice(all, func(i, j int) bool { return all[i].gb < all[j].gb })
-	for i, sg := range all {
-		if i > 0 && all[i-1].gb+all[i-1].n > sg.gb {
-			if write && !opts.LastWriterWins {
-				return nil, fmt.Errorf("collective: ranks %d and %d write overlapping blocks at global block %d",
-					all[i-1].rank, sg.rank, sg.gb)
-			}
-			// Reads may share blocks, and LastWriterWins resolves write
-			// overlaps in rank order; the union merge below absorbs both.
+	return all
+}
+
+// aligned re-keys a validated logical plan by physical address: every
+// rank segment goes through its file's layout (MapRun splits it where
+// physical contiguity ends) and is keyed device × store.Blocks() +
+// absolute physical block, and the domains are cut at drive boundaries —
+// domain a is the footprint on drive a, or on a's whole drives when
+// there are fewer domains than drives. Everything below the segment
+// lists (partition) and every executor then runs unchanged: a domain
+// buffer is laid out in drive order, a chunk is a contiguous slice of a
+// drive, and locate resolves keys through the identity Set. split
+// deepens the pipeline of a domain that fits in one chunk (partition).
+func (pl *plan) aligned(opts Options, split int) *plan {
+	store := pl.group.Store()
+	nd, per := store.Devices(), store.Blocks()
+	phys, err := blockio.NewSet(store, blockio.NewStriped(nd, per), make([]int64, nd))
+	if err != nil {
+		panic(err) // unreachable: the layout is built from the store's own shape
+	}
+	al := &plan{bs: pl.bs, naggs: pl.naggs, group: pl.group, phys: phys, segs: make([][]rseg, len(pl.segs))}
+	var runs []blockio.Run
+	for r, segs := range pl.segs {
+		if len(segs) == 0 {
+			continue
 		}
+		out := make([]rseg, 0, len(segs))
+		for _, sg := range segs {
+			// A validated segment lies inside one file.
+			set, blk, _ := pl.locate(sg.gb)
+			runs = set.Layout().MapRun(runs[:0], blk, sg.n)
+			for _, run := range runs {
+				_, pb := set.Locate(run.B)
+				out = append(out, rseg{gb: int64(run.Dev)*per + pb, n: run.N, bufOff: sg.bufOff + (run.B-blk)*pl.bs})
+			}
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].gb < out[j].gb })
+		al.segs[r] = out
+	}
+	cuts := make([]int64, al.naggs+1)
+	for a := range cuts {
+		cuts[a] = int64(firstDrive(a, nd, al.naggs)) * per
+	}
+	al.partition(sortedSegs(al.segs), opts, cuts, split)
+	return al
+}
+
+// firstDrive is the first drive of aligned domain a: ⌈a·nd/naggs⌉, so
+// domain a holds the whole drives up to firstDrive(a+1), spread as evenly
+// as the counts allow (with more domains than drives the surplus domains
+// are empty).
+func firstDrive(a, nd, naggs int) int { return (a*nd + naggs - 1) / naggs }
+
+// locate resolves a key to the Set that addresses it, the Set's logical
+// block there, and how many blocks follow before the addressing changes
+// (the end of the file on a logical plan; never, on an aligned one).
+func (pl *plan) locate(key int64) (set *blockio.Set, block, left int64) {
+	if pl.phys != nil {
+		return pl.phys, key, math.MaxInt64
+	}
+	file, block, err := pl.group.Locate(key)
+	if err != nil {
+		panic(err) // unreachable: validated segments lie inside the group
+	}
+	return pl.group.File(file).Set(), block, pl.group.Offset(file+1) - key
+}
+
+// partition derives everything below the segment lists from pl.segs, in
+// whatever key space they are in: the union footprint (all is every
+// rank's segments sorted by key), the domain table, the per-segment
+// covered ranges, the share table and participation indexes, the chunk
+// size and the domain owners. cuts == nil cuts the covered-index space
+// into naggs equal domains; otherwise domain a starts at key cuts[a]
+// (naggs+1 ascending keys). split > 1 cuts a domain that fits in one
+// chunk into that many chunks anyway, so the pipeline has something to
+// overlap.
+func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int) {
+	naggs, nranks := pl.naggs, len(pl.segs)
+	for _, sg := range all {
 		if k := len(pl.covered) - 1; k >= 0 && pl.covered[k].gb+pl.covered[k].n >= sg.gb {
 			if end := sg.gb + sg.n; end > pl.covered[k].gb+pl.covered[k].n {
 				pl.covered[k].n = end - pl.covered[k].gb
@@ -179,52 +306,54 @@ func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, 
 		pl.cbase[i] = pl.total
 		pl.total += sp.n
 	}
-	if pl.total > 0 {
-		pl.domBlocks = (pl.total + int64(naggs) - 1) / int64(naggs)
+	pl.domLo = make([]int64, naggs+1)
+	if cuts == nil {
+		if pl.total > 0 {
+			pl.domBlocks = (pl.total + int64(naggs) - 1) / int64(naggs)
+		}
+		for a := 1; a <= naggs; a++ {
+			pl.domLo[a] = min(int64(a)*pl.domBlocks, pl.total)
+		}
+	} else {
+		for a := 1; a <= naggs; a++ {
+			// Covered index of the first covered key at or after the cut.
+			i := sort.Search(len(pl.covered), func(i int) bool { return pl.covered[i].gb+pl.covered[i].n > cuts[a] })
+			pl.domLo[a] = pl.total
+			if i < len(pl.covered) {
+				pl.domLo[a] = pl.cbase[i] + max(cuts[a]-pl.covered[i].gb, 0)
+			}
+			pl.domBlocks = max(pl.domBlocks, pl.domLo[a]-pl.domLo[a-1])
+		}
 	}
-	pl.cstart = make([][]int64, len(reqs))
-	pl.cend = make([][]int64, len(reqs))
-	pl.maxEnd = make([][]int64, len(reqs))
+	pl.cstart = make([][]int64, nranks)
+	pl.cend = make([][]int64, nranks)
+	pl.maxEnd = make([][]int64, nranks)
+	// One pass over all segments fills the covered ranges and the
+	// rank×domain share table (equal to clipBytes at every cell) — it
+	// drives the locality election, the exchange stats, and
+	// payload-buffer sizing without rescanning segment lists per domain.
+	pl.shares = make([][]int64, nranks)
 	for r, segs := range pl.segs {
 		pl.cstart[r] = make([]int64, len(segs))
 		pl.cend[r] = make([]int64, len(segs))
 		pl.maxEnd[r] = make([]int64, len(segs))
-		var max int64
+		pl.shares[r] = make([]int64, naggs)
+		var maxEnd int64
 		for i, sg := range segs {
 			ci := pl.coveredIndex(sg.gb)
-			pl.cstart[r][i] = ci
-			pl.cend[r][i] = ci + sg.n
-			if ci+sg.n > max {
-				max = ci + sg.n
-			}
-			pl.maxEnd[r][i] = max
-		}
-	}
-	// One pass over all segments fills the rank×domain share table
-	// (equal to clipBytes at every cell) — it drives the locality
-	// election, the exchange stats, and payload-buffer sizing without
-	// rescanning segment lists per domain.
-	pl.shares = make([][]int64, len(reqs))
-	for r := range pl.shares {
-		pl.shares[r] = make([]int64, naggs)
-		if pl.domBlocks == 0 {
-			continue
-		}
-		for _, sg := range pl.segs[r] {
-			ci := pl.coveredIndex(sg.gb)
-			for a := ci / pl.domBlocks; a <= (ci+sg.n-1)/pl.domBlocks; a++ {
-				lo, hi := a*pl.domBlocks, (a+1)*pl.domBlocks
-				if lo < ci {
-					lo = ci
+			end := ci + sg.n
+			pl.cstart[r][i], pl.cend[r][i] = ci, end
+			maxEnd = max(maxEnd, end)
+			pl.maxEnd[r][i] = maxEnd
+			for a := sort.Search(naggs, func(a int) bool { return pl.domLo[a+1] > ci }); ci < end; a++ {
+				if hi := min(pl.domLo[a+1], end); hi > ci {
+					pl.shares[r][a] += (hi - ci) * pl.bs
+					ci = hi
 				}
-				if hi > ci+sg.n {
-					hi = ci + sg.n
-				}
-				pl.shares[r][a] += (hi - lo) * pl.bs
 			}
 		}
 	}
-	pl.domsOf = make([][]int32, len(reqs))
+	pl.domsOf = make([][]int32, nranks)
 	pl.ranksIn = make([][]int32, naggs)
 	for r := range pl.shares {
 		for a, b := range pl.shares[r] {
@@ -237,14 +366,15 @@ func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, 
 	if opts.ChunkBytes > 0 && pl.total > 0 {
 		// A chunk is ChunkBytes worth of whole blocks — at least one (a
 		// sub-block ChunkBytes degenerates to single-block chunks) and at
-		// most a whole domain (a chunk larger than the domain degenerates
-		// to one round, the pipelined code path with nothing to overlap).
-		cb := opts.ChunkBytes / bs
-		if cb < 1 {
-			cb = 1
-		}
-		if cb > pl.domBlocks {
-			cb = pl.domBlocks
+		// most a whole domain. A chunk as large as the largest domain is
+		// one round, the pipelined code path with nothing to overlap,
+		// unless split asks for the domain to be cut anyway: the executor
+		// holds two staging buffers per domain whatever the round count,
+		// and at one round the second is never used.
+		cb := max(opts.ChunkBytes/pl.bs, 1)
+		if cb >= pl.domBlocks {
+			n := int64(max(split, 1))
+			cb = (pl.domBlocks + n - 1) / n
 		}
 		pl.chunkBlocks = cb
 		pl.rounds = int((pl.domBlocks + cb - 1) / cb)
@@ -254,22 +384,33 @@ func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, 
 		pl.owner[a] = a // round-robin rank order, the bit-identical default
 	}
 	if opts.Locality {
-		for a := range pl.owner {
-			// The rank with the largest byte share of the domain
-			// aggregates it; strict > keeps the lowest rank on ties. A
-			// nonempty domain always has a participating rank (domains
-			// tile the covered footprint, and every covered block was
-			// requested by someone), so best stays the round-robin rank
-			// only for empty (past-the-footprint) domains.
-			bestBytes := int64(0)
-			for r := range reqs {
-				if b := pl.shares[r][a]; b > bestBytes {
-					pl.owner[a], bestBytes = r, b
-				}
+		electOwners(pl.owner, pl.shares)
+	}
+}
+
+// electOwners assigns every nonempty domain to the rank holding the
+// largest byte share of it. Among tied ranks the one given the fewest
+// domains so far wins, the lowest rank among those: a domain every rank
+// shares equally goes to a rank with nothing to aggregate yet rather
+// than to rank 0 again, whose domains would then queue behind one
+// another. A nonempty domain always has a participating rank (domains
+// tile the covered footprint, and every covered block was requested by
+// someone), so owner keeps its incoming (round-robin) rank only for
+// empty domains.
+func electOwners(owner []int, shares [][]int64) {
+	load := make([]int, len(shares))
+	for a := range owner {
+		best, bestBytes := -1, int64(0)
+		for r := range shares {
+			if b := shares[r][a]; b > bestBytes || (b == bestBytes && b > 0 && load[r] < load[best]) {
+				best, bestBytes = r, b
 			}
 		}
+		if best >= 0 {
+			owner[a] = best
+			load[best]++
+		}
 	}
-	return pl, nil
 }
 
 // exchangeStats totals the exchange-phase payload bytes by destination:
@@ -290,30 +431,22 @@ func (pl *plan) exchangeStats(nranks int) (st ExchangeStats) {
 	return st
 }
 
-// coveredIndex maps a covered global block to its dense covered index.
-// gb must lie in the footprint (every validated segment does).
+// coveredIndex maps a covered key to its dense covered index. gb must
+// lie in the footprint (every segment's first key does).
 func (pl *plan) coveredIndex(gb int64) int64 {
 	i := sort.Search(len(pl.covered), func(i int) bool { return pl.covered[i].gb+pl.covered[i].n > gb })
 	return pl.cbase[i] + gb - pl.covered[i].gb
 }
 
 // domain reports aggregator a's covered-index range [lo, hi); empty when
-// the footprint runs out before domain a.
+// the footprint holds nothing for domain a.
 func (pl *plan) domain(a int) (lo, hi int64) {
-	lo = int64(a) * pl.domBlocks
-	hi = lo + pl.domBlocks
-	if lo > pl.total {
-		lo = pl.total
-	}
-	if hi > pl.total {
-		hi = pl.total
-	}
-	return lo, hi
+	return pl.domLo[a], pl.domLo[a+1]
 }
 
 // forEachClip enumerates rank's segments clipped to aggregator agg's
-// domain, in ascending global-block order — the canonical payload order
-// of the exchange phase.
+// domain, in ascending key order — the canonical payload order of the
+// exchange phase.
 func (pl *plan) forEachClip(rank, agg int, fn func(c clip)) {
 	lo, hi := pl.domain(agg)
 	pl.forEachClipWin(rank, lo, hi, fn)
@@ -385,9 +518,9 @@ func (pl *plan) clipBytes(rank, agg int) int64 {
 	return n * pl.bs
 }
 
-// forEachDomainSpan enumerates aggregator a's domain as (global block,
-// length, domain-buffer offset) pieces — the covered spans clipped to
-// the domain, ascending.
+// forEachDomainSpan enumerates aggregator a's domain as (key, length,
+// domain-buffer offset) pieces — the covered spans clipped to the
+// domain, ascending.
 func (pl *plan) forEachDomainSpan(a int, fn func(gb, n, domOff int64)) {
 	lo, hi := pl.domain(a)
 	pl.forEachSpanWin(lo, hi, fn)

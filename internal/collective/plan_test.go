@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -154,6 +155,26 @@ func TestPlanLocalityAssignment(t *testing.T) {
 		}
 	})
 
+	t.Run("ties spread over the least-loaded ranks", func(t *testing.T) {
+		// Four 2-block domains, every one split evenly between ranks 0
+		// (even blocks) and 1 (odd blocks): each tie goes to the tied rank
+		// with the fewest domains so far, the lower rank when that ties
+		// too — not to rank 0 four times.
+		var even, odd blockio.Vec
+		for b := int64(0); b < 8; b += 2 {
+			even = append(even, blockio.VecSeg{Block: b, N: 1, BufOff: b / 2 * bs})
+			odd = append(odd, blockio.VecSeg{Block: b + 1, N: 1, BufOff: b / 2 * bs})
+		}
+		reqs := [][]VecReq{{{File: 0, Vec: even}}, {{File: 0, Vec: odd}}, nil, nil}
+		pl, err := buildPlan(g, reqs, mkBufs(reqs), 4, true, Options{Locality: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{0, 1, 0, 1}; fmt.Sprint(pl.owner) != fmt.Sprint(want) {
+			t.Fatalf("tied owners = %v, want %v", pl.owner, want)
+		}
+	})
+
 	t.Run("empty domains keep round-robin ranks", func(t *testing.T) {
 		// 2 covered blocks over 3 domains of 1: the third domain is empty.
 		reqs := [][]VecReq{slabReqs(0, 2), nil, nil}
@@ -165,6 +186,54 @@ func TestPlanLocalityAssignment(t *testing.T) {
 			t.Fatalf("owners = %v, want %v", pl.owner, want)
 		}
 	})
+}
+
+// TestPlanAlignedDomains re-keys one plan by physical address at three
+// aggregator counts over planFixture's two drives: as many domains as
+// drives (one drive each), fewer (one domain holding both whole drives)
+// and more (the surplus domain empty). Whatever the count, the footprint
+// is the same blocks, every domain lies on its own drives, and the
+// shares, clips and spans agree (checkPlanInvariants, the fuzz targets'
+// checker).
+func TestPlanAlignedDomains(t *testing.T) {
+	g := planFixture(t)
+	bs := int64(64)
+	// Rank 0 all of file a, rank 1 all of file b: 12 blocks, 6 a drive.
+	reqs := [][]VecReq{
+		{{File: 0, Vec: blockio.Vec{{Block: 0, N: 8}}}},
+		{{File: 1, Vec: blockio.Vec{{Block: 0, N: 4}}}},
+		nil,
+	}
+	bufs := [][]byte{make([]byte, 8*bs), make([]byte, 4*bs), nil}
+	for _, tc := range []struct {
+		naggs int
+		want  []int64 // domain table
+	}{
+		{2, []int64{0, 6, 12}},
+		{1, []int64{0, 12}},
+		{3, []int64{0, 6, 12, 12}},
+	} {
+		t.Run(fmt.Sprintf("naggs=%d", tc.naggs), func(t *testing.T) {
+			opts := Options{Locality: true, ChunkBytes: 1 << 20}
+			pl, err := buildPlan(g, reqs, bufs, tc.naggs, true, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			al := pl.aligned(opts, 2)
+			if al.phys == nil || al.total != pl.total {
+				t.Fatalf("aligned plan covers %d blocks (phys %v), logical %d", al.total, al.phys != nil, pl.total)
+			}
+			if fmt.Sprint(al.domLo) != fmt.Sprint(tc.want) {
+				t.Fatalf("domain table = %v, want %v", al.domLo, tc.want)
+			}
+			// The largest domain fits ChunkBytes, so split 2 halves it.
+			if want := (al.domBlocks + 1) / 2; al.chunkBlocks != want || al.rounds != 2 {
+				t.Fatalf("chunkBlocks %d rounds %d, want %d and 2", al.chunkBlocks, al.rounds, want)
+			}
+			checkPlanInvariants(t, al, reqs, opts)
+			checkChunkInvariants(t, al, opts.ChunkBytes, 2)
+		})
+	}
 }
 
 func TestPlanLastWriterWinsOverlap(t *testing.T) {

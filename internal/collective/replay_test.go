@@ -42,6 +42,9 @@ type replayScn struct {
 	// bufLen, when set, overrides the write-buffer length for (it, rank)
 	// (return <0 for the full length) — the bounds-error test's hook.
 	bufLen func(it, rank int) int64
+	// force, when set, is the handle's forcePart hook: every call runs
+	// two-phase on the partition it names instead of the priced one.
+	force *choice
 }
 
 // replayObs is everything observable about one scenario run.
@@ -51,6 +54,7 @@ type replayObs struct {
 	rankHash  []uint64
 	imageHash uint64
 	iterErrs  []string
+	aligned   []bool // per iteration: the write ran on the aligned partition
 	cache     CacheStats
 	trace     []byte
 	metrics   []byte
@@ -94,6 +98,7 @@ func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recor
 	if err != nil {
 		t.Fatal(err)
 	}
+	col.forcePart = scn.force
 	if rec != nil {
 		e.SetProbe(rec)
 		for _, d := range disks {
@@ -105,6 +110,7 @@ func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recor
 		iterDur:  make([]time.Duration, scn.iters),
 		rankHash: make([]uint64, scn.nRanks),
 		iterErrs: make([]string, scn.iters),
+		aligned:  make([]bool, scn.iters),
 	}
 	var mg *mpp.Group
 	var join *sim.Group
@@ -137,6 +143,9 @@ func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recor
 			}
 			t0 := p.Now()
 			werr := col.WriteAll(p, reqs, wbuf)
+			if rank == 0 && werr == nil {
+				obs.aligned[it] = col.route == routeTwoPhase && col.sched.pl.phys != nil
+			}
 			rerr := col.ReadAll(p, reqs, rbuf)
 			if rank == 0 {
 				obs.iterDur[it] = p.Now() - t0
@@ -197,6 +206,9 @@ func diffReplayObs(t *testing.T, label string, a, b replayObs) {
 		if a.iterErrs[it] != b.iterErrs[it] {
 			t.Errorf("%s: iteration %d errors differ:\n  %q\n  %q", label, it, a.iterErrs[it], b.iterErrs[it])
 		}
+		if a.aligned[it] != b.aligned[it] {
+			t.Errorf("%s: iteration %d partition differs: aligned %v vs %v", label, it, a.aligned[it], b.aligned[it])
+		}
 	}
 	for r := range a.rankHash {
 		if a.rankHash[r] != b.rankHash[r] {
@@ -217,29 +229,45 @@ func diffReplayObs(t *testing.T, label string, a, b replayObs) {
 // TestReplayBitIdentical runs the iterated checkpoint loop cached and
 // uncached on every route family — single-shot two-phase, pipelined,
 // auto, vectored and sieved (the latter two with LastWriterWins, so the
-// cached LWW clips are exercised) — and requires bit-identical modeled
-// observables and probe traces, while the cached run actually replays.
+// cached LWW clips are exercised), and the drive-aligned partition:
+// forced single-shot, forced through the two-round pipeline, and as the
+// tuned options' StrategyAuto prices it — and requires bit-identical
+// modeled observables and probe traces, while the cached run actually
+// replays.
 func TestReplayBitIdentical(t *testing.T) {
+	aligned := func(split int) *choice { return &choice{route: routeTwoPhase, aligned: true, split: split} }
+	tuned := Options{Locality: true, ChunkBytes: 1 << 20, Strategy: blockio.StrategyAuto}
 	cases := []struct {
-		name string
-		opts Options
+		name        string
+		opts        Options
+		force       *choice
+		wantAligned bool
 	}{
-		{"single-shot", Options{}},
-		{"locality", Options{Locality: true}},
-		{"pipelined", Options{ChunkBytes: 2 * testBS}},
-		{"auto", Options{Strategy: blockio.StrategyAuto}},
-		{"vectored-lww", Options{Strategy: blockio.StrategyVectored, LastWriterWins: true}},
-		{"sieved-lww", Options{Strategy: blockio.StrategySieved, LastWriterWins: true}},
+		{"single-shot", Options{}, nil, false},
+		{"locality", Options{Locality: true}, nil, false},
+		{"pipelined", Options{ChunkBytes: 2 * testBS}, nil, false},
+		{"auto", Options{Strategy: blockio.StrategyAuto}, nil, true},
+		{"vectored-lww", Options{Strategy: blockio.StrategyVectored, LastWriterWins: true}, nil, false},
+		{"sieved-lww", Options{Strategy: blockio.StrategySieved, LastWriterWins: true}, nil, false},
+		{"aligned", Options{LastWriterWins: true}, aligned(1), true},
+		{"aligned-chunked", Options{Locality: true, ChunkBytes: 2 * testBS}, aligned(1), true},
+		{"aligned-two-rounds", Options{Locality: true, ChunkBytes: 1 << 20}, aligned(2), true},
+		{"auto-tuned", tuned, nil, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			scn := replayScn{nRanks: 24, iters: 5, opts: tc.opts}
+			scn := replayScn{nRanks: 24, iters: 5, opts: tc.opts, force: tc.force}
 			run := func(cache bool) replayObs {
 				return runReplayScenario(t, scn, cache, probe.New())
 			}
 			cached := run(true)
 			fresh := run(false)
 			diffReplayObs(t, tc.name, cached, fresh)
+			for it, al := range cached.aligned {
+				if al != tc.wantAligned {
+					t.Errorf("iteration %d: aligned partition %v, want %v", it, al, tc.wantAligned)
+				}
+			}
 			// 5 iterations × (write + read) = 2 misses then 8 replays.
 			if cached.cache.Hits != 8 || cached.cache.Misses != 2 {
 				t.Errorf("cached run: got %d hits / %d misses, want 8 / 2 (stats %+v)",
@@ -286,6 +314,38 @@ func TestReplayInvalidation(t *testing.T) {
 	}
 	if st.Invalidations < 4 {
 		t.Errorf("got %d invalidations, want ≥ 4 (one per mutation)", st.Invalidations)
+	}
+}
+
+// TestReplayRepricesPartition is the same fence for the partition choice
+// a cached schedule carries: under the tuned options StrategyAuto puts
+// the loop on the drive-aligned partition; starving the bisection pool
+// mid-loop bumps the model epoch, so the cached aligned schedule must be
+// dropped and the call re-priced (onto an independent route — no
+// exchange is worth 1 KB/s), and restoring the pool must bring the
+// aligned partition back — cached and uncached runs bit-identical
+// throughout.
+func TestReplayRepricesPartition(t *testing.T) {
+	mutate := func(it int, col *Collective, mg *mpp.Group) {
+		switch it {
+		case 2:
+			mg.SetBisection(1e3)
+		case 4:
+			mg.SetBisection(500e6)
+		}
+	}
+	scn := replayScn{nRanks: 24, iters: 6, mutate: mutate,
+		opts: Options{Locality: true, ChunkBytes: 1 << 20, Strategy: blockio.StrategyAuto}}
+	cached := runReplayScenario(t, scn, true, probe.New())
+	fresh := runReplayScenario(t, scn, false, probe.New())
+	diffReplayObs(t, "reprice", cached, fresh)
+	for it, want := range []bool{true, true, false, false, true, true} {
+		if cached.aligned[it] != want {
+			t.Errorf("iteration %d: aligned partition %v, want %v", it, cached.aligned[it], want)
+		}
+	}
+	if st := cached.cache; st.Misses != 6 || st.Hits != 6 {
+		t.Errorf("got %d misses / %d hits, want 6 / 6 (stats %+v)", st.Misses, st.Hits, st)
 	}
 }
 

@@ -54,6 +54,9 @@ type schedule struct {
 	pl    *plan
 	route route
 	stats ExchangeStats // byte split only; time fields stay zero
+	// predicted is the modeled cost StrategyAuto priced the chosen
+	// candidate at (zero when nothing was priced).
+	predicted time.Duration
 
 	key uint64   // fingerprint hash (fast reject)
 	sig []uint64 // full flattened signature (exact compare on lookup)
@@ -171,12 +174,12 @@ func stampOf(p *mpp.Proc) modelStamp {
 // fresh — buildPlan, chooseRoute, the byte-split stats — and inserts
 // it. Runs on rank 0 between the plan barriers; pure host work, no
 // virtual time.
-func (c *Collective) scheduleFor(p *mpp.Proc, write bool) (*schedule, error) {
+func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedule, error) {
 	if st := stampOf(p); st != c.cacheStamp {
 		c.flushSchedules()
 		c.cacheStamp = st
 	}
-	key, sig := c.fingerprint(write)
+	key, sig := c.fingerprint(write, nonblocking)
 	if c.cacheCap > 0 {
 		for i, sd := range c.cached {
 			if sd.key != key || !sigEqual(sd.sig, sig) {
@@ -198,7 +201,7 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write bool) (*schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	sd := c.newSchedule(p, pl, write, key, sig)
+	sd := c.newSchedule(p, pl, write, nonblocking, key, sig)
 	if c.cacheCap > 0 {
 		if len(c.cached) >= c.cacheCap {
 			last := len(c.cached) - 1
@@ -213,12 +216,31 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write bool) (*schedule, error) {
 	return sd, nil
 }
 
-// newSchedule freezes a fresh plan into a schedule: route choice,
-// byte-split stats, the per-rank owned-domain lists and buffer bounds.
+// newSchedule freezes a fresh plan into a schedule: route and partition
+// choice, byte-split stats, the per-rank owned-domain lists and buffer
+// bounds. pl is the validated logical plan; when StrategyAuto prices the
+// drive-aligned partition cheaper the schedule is built on pl.aligned
+// instead. Nonblocking calls are never priced: they always run two-phase
+// on the logical partition (behind an I/O server lane the server's
+// workers, not the aggregators, bound device parallelism, and a
+// drive-spanning batch is what keeps many drives busy from few workers).
 // The signature is copied so no fingerprint scratch is retained.
-func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write bool, key uint64, sig []uint64) *schedule {
+func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool, key uint64, sig []uint64) *schedule {
+	ch := choice{route: routeTwoPhase}
+	switch {
+	case nonblocking:
+	case c.forcePart != nil:
+		ch = *c.forcePart
+	default:
+		ch = c.chooseRoute(p, pl, write)
+	}
+	if ch.aligned {
+		pl = pl.aligned(c.opts, ch.split)
+	}
 	sd := &schedule{
 		pl:         pl,
+		route:      ch.route,
+		predicted:  ch.predicted,
 		key:        key,
 		sig:        append([]uint64(nil), sig...),
 		minBuf:     make([]int64, c.size),
@@ -226,7 +248,6 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write bool, key uint64, 
 		maxSegRank: -1,
 		bplans:     make([]*blockio.BatchPlan, pl.naggs),
 	}
-	sd.route = c.chooseRoute(p, pl, write)
 	sd.stats = pl.exchangeStats(c.size)
 	for a := 0; a < pl.naggs; a++ {
 		r := pl.owner[a]
@@ -261,15 +282,21 @@ func (c *Collective) bufsFit(sd *schedule) bool {
 }
 
 // fingerprint flattens the gathered request lists (and the call
-// direction) into the handle's signature scratch and hashes it. The
-// signature captures everything buildPlan reads from the requests —
-// per-rank list shapes, file indexes, and every segment's (Block, N,
-// BufOff) — so equal signatures mean value-identical requests.
-func (c *Collective) fingerprint(write bool) (key uint64, sig []uint64) {
+// direction and entry point) into the handle's signature scratch and
+// hashes it. The signature captures everything buildPlan reads from the
+// requests — per-rank list shapes, file indexes, and every segment's
+// (Block, N, BufOff) — so equal signatures mean value-identical
+// requests. Blocking and nonblocking calls of the same lists are
+// different schedules (newSchedule), so the entry point is part of it:
+// neither ever replays the other's.
+func (c *Collective) fingerprint(write, nonblocking bool) (key uint64, sig []uint64) {
 	s := c.sigScratch[:0]
 	w := uint64(0)
 	if write {
 		w = 1
+	}
+	if nonblocking {
+		w |= 2
 	}
 	s = append(s, w)
 	for r, rr := range c.reqs {

@@ -9,7 +9,10 @@
 // Options.Strategy exposes the choice; StrategyAuto prices the three
 // routes per call from the plan, the store's drive parameters
 // (blockio.StoreCostModel) and the group's link model
-// (mpp.Group.LinkModel), and picks the cheapest.
+// (mpp.Group.LinkModel), and picks the cheapest. The two-phase route has
+// two candidates of its own: the logical partition (file domains
+// contiguous in the files) and the drive-aligned one (plan.aligned),
+// priced with the same numbers.
 //
 // Whatever the route, the semantics are the plan's: validation and
 // cross-rank overlap rejection happen in buildPlan before any route is
@@ -55,51 +58,149 @@ func (r route) String() string {
 // for sweeps and tests. Valid under the same rules as LastStats.
 func (c *Collective) LastRoute() string { return c.route.String() }
 
+// choice is what chooseRoute resolved for one call: the route, and for
+// the two-phase route which partition carries it — the aligned one cut
+// into split chunks per domain where a domain fits in one chunk
+// (plan.aligned). predicted is the modeled cost the chosen candidate was
+// priced at (zero when Options.Strategy fixed the route and nothing was
+// priced); LastStats-style observability compares it with what the call
+// then took (explain.go).
+type choice struct {
+	route     route
+	aligned   bool
+	split     int
+	predicted time.Duration
+}
+
+// devUse is one device's share of the union footprint: its physically
+// contiguous gather runs, the blocks in them, and their summed request
+// + transfer cost.
+type devUse struct {
+	cost   time.Duration
+	runs   int
+	blocks int64
+}
+
+// priceScratch is the handle-retained scratch of route pricing, so a
+// workload whose request lists never repeat prices every call without
+// allocating: the aligned candidate's rank × domain byte table and
+// owners, and the exchange pricer's per-rank link totals.
+type priceScratch struct {
+	flat   []int64   // backing of shares, cleared per pricing
+	shares [][]int64 // [rank][domain]
+	owner  []int
+	link   []linkUse
+}
+
+// linkUse is one rank's exchange traffic: messages and bytes it injects
+// and takes delivery of.
+type linkUse struct {
+	outBytes, inBytes int64
+	outMsgs, inMsgs   int
+}
+
 // chooseRoute resolves Options.Strategy for one call. Rank 0 runs it
 // after buildPlan succeeds; it is a pure function of the plan, the
 // gathered requests and the modeled machine, so the choice is
-// deterministic.
-func (c *Collective) chooseRoute(p *mpp.Proc, pl *plan, write bool) route {
+// deterministic. pl is the logical plan; the aligned partition is priced
+// from the same per-rank, per-device spans the independent routes are
+// priced from and built only if it is chosen.
+func (c *Collective) chooseRoute(p *mpp.Proc, pl *plan, write bool) choice {
 	switch c.opts.Strategy {
 	case blockio.StrategyVectored:
-		return routeVectored
+		return choice{route: routeVectored}
 	case blockio.StrategySieved:
-		return routeSieved
+		return choice{route: routeSieved}
 	case blockio.StrategyAuto:
 	default:
 		// StrategyDefault and StrategyCollective: the historical path.
-		return routeTwoPhase
+		return choice{route: routeTwoPhase}
 	}
 	m := blockio.StoreCostModel(c.group.Store(), c.size)
 	m.LinkMsg, m.LinkBytesPerSec, m.BisectionBytesPerSec = p.LinkModel()
-	indVec, indSieve, ok := c.independentCosts(m, write)
+	// The aligned candidate is offered where its access phase can be
+	// priced honestly: every domain one whole drive, or domains of
+	// several whole drives moved single-shot (a chunk window of a
+	// multi-drive domain would keep one of its drives busy at a time).
+	nd := c.group.Store().Devices()
+	var devDom []int
+	if pl.total > 0 && (pl.naggs == nd || (pl.naggs < nd && c.opts.ChunkBytes == 0)) {
+		devDom = c.alignedDomains(nd)
+	}
+	indVec, indSieve, ok := c.independentCosts(m, write, devDom)
 	if !ok {
 		// Some request list is not a valid independent Set descriptor
 		// (e.g. one rank reading a block into two buffer slots): only
-		// the exchange can serve it.
-		return routeTwoPhase
+		// the exchange can serve it, on the partition it always had.
+		return choice{route: routeTwoPhase}
 	}
-	two := c.twoPhaseCost(m, pl)
-	if two <= indVec && two <= indSieve {
-		return routeTwoPhase // ties to the historical path
+	exch := c.exchangeCost(m, pl.shares, pl.owner)
+	use := c.unionUse(m, pl)
+	access := logicalAccess(m, pl, use)
+	ch := choice{route: routeTwoPhase, predicted: exch + access}
+	if devDom != nil {
+		owner := c.price.owner
+		for a := range owner {
+			owner[a] = a
+		}
+		if c.opts.Locality {
+			electOwners(owner, c.price.shares)
+		}
+		// Against the independent routes the logical partition keeps its
+		// historical price, exchange + access. Against the aligned one it
+		// is credited with the overlap its own rounds buy, or a footprint
+		// of many chunks would go aligned for the pipelining alone.
+		t, split := c.alignedCost(m, c.exchangeCost(m, c.price.shares, owner), use)
+		if t < pipelineCost(exch, access, int64(pl.rounds)) {
+			ch.aligned, ch.split, ch.predicted = true, split, t // ties to the historical partition
+		}
 	}
-	if indVec <= indSieve {
-		return routeVectored
+	switch {
+	case ch.predicted <= indVec && ch.predicted <= indSieve:
+		return ch // ties to the historical path
+	case indVec <= indSieve:
+		return choice{route: routeVectored, predicted: indVec}
 	}
-	return routeSieved
+	return choice{route: routeSieved, predicted: indSieve}
+}
+
+// alignedDomains maps every device to its domain of the aligned
+// partition (plan.aligned's cuts) and readies the zeroed rank × domain
+// byte table independentCosts fills.
+func (c *Collective) alignedDomains(nd int) []int {
+	devDom := make([]int, nd)
+	for a := 0; a < c.naggs; a++ {
+		for d := firstDrive(a, nd, c.naggs); d < firstDrive(a+1, nd, c.naggs); d++ {
+			devDom[d] = a
+		}
+	}
+	sc := &c.price
+	if len(sc.flat) != c.size*c.naggs || len(sc.owner) != c.naggs {
+		// First pricing on this handle, or SetOptions changed the domain count.
+		sc.flat = make([]int64, c.size*c.naggs)
+		sc.shares = make([][]int64, c.size)
+		for r := range sc.shares {
+			sc.shares[r] = sc.flat[r*c.naggs : (r+1)*c.naggs : (r+1)*c.naggs]
+		}
+		sc.owner = make([]int, c.naggs)
+	}
+	clear(sc.flat)
+	return devDom
 }
 
 // independentCosts prices the independent routes: every rank's requests
 // mapped onto the store's devices (blockio.SieveSpans yields both the
 // vectored gather runs and the sieved covering span per device), request
 // and byte costs accumulated per device — concurrent ranks serialize at
-// the device queues — and the slowest device bounding the call.
-func (c *Collective) independentCosts(m blockio.CostModel, write bool) (vec, sieve time.Duration, ok bool) {
+// the device queues — and the slowest device bounding the call. With
+// devDom set the same walk fills the aligned candidate's share table:
+// the bytes each rank holds on each domain's drives.
+func (c *Collective) independentCosts(m blockio.CostModel, write bool, devDom []int) (vec, sieve time.Duration, ok bool) {
 	bs := c.bs
 	nd := c.group.Store().Devices()
 	vecDev := make([]time.Duration, nd)
 	sieveDev := make([]time.Duration, nd)
-	for _, rr := range c.reqs {
+	for r, rr := range c.reqs {
 		for _, q := range rr {
 			spans, err := c.group.File(q.File).Set().SieveSpans(q.Vec)
 			if err != nil {
@@ -114,6 +215,9 @@ func (c *Collective) independentCosts(m blockio.CostModel, write bool) (vec, sie
 					d *= 2 // read-modify-write moves the span twice
 				}
 				sieveDev[sp.Dev] += d
+				if devDom != nil {
+					c.price.shares[r][devDom[sp.Dev]] += sp.Useful * bs
+				}
 			}
 		}
 	}
@@ -128,62 +232,60 @@ func (c *Collective) independentCosts(m blockio.CostModel, write bool) (vec, sie
 	return vec, sieve, true
 }
 
-// twoPhaseCost prices the exchange route: the link phase from the plan's
-// share table under the group's link model, plus the access phase from
-// the union footprint — two-phase coalesces across ranks, so its device
-// requests are the union's physically contiguous gather runs (NOT any
-// single rank's view, and NOT one request per device: a union that still
-// has holes stays fragmented however it is aggregated), plus roughly one
-// extra request per nonempty domain for runs the domain split severs. An
-// estimate, not a replay — good enough to rank routes.
-func (c *Collective) twoPhaseCost(m blockio.CostModel, pl *plan) time.Duration {
-	// Exchange: per-rank injected+delivered bytes ride each rank's link
-	// in parallel; cross-cut bytes also drain the shared bisection pool.
-	var linkMax, msgMax time.Duration
+// exchangeCost prices the exchange phase of a two-phase candidate from
+// its rank × domain share table and domain owners under the group's
+// link model, the way mpp charges it: every rank injects its outgoing
+// messages on its own link, the slowest sender holding the round's first
+// barrier; every rank then takes delivery on its link, and the volume
+// that crossed the cut drains the shared bisection pool behind the
+// slowest receiver. A rank's bytes for a domain it aggregates itself
+// cross nothing.
+func (c *Collective) exchangeCost(m blockio.CostModel, shares [][]int64, owner []int) time.Duration {
+	sc := &c.price
+	if len(sc.link) != c.size {
+		sc.link = make([]linkUse, c.size)
+	}
+	clear(sc.link)
 	var cross int64
-	for r := 0; r < c.size; r++ {
-		var bytes int64
-		var msgs int
-		for _, a32 := range pl.domsOf[r] {
-			if o := pl.owner[int(a32)]; o != r {
-				bytes += pl.shares[r][int(a32)]
-				msgs++
+	for r := range shares {
+		for a, b := range shares[r] {
+			if o := owner[a]; b > 0 && o != r {
+				sc.link[r].outBytes += b
+				sc.link[r].outMsgs++
+				sc.link[o].inBytes += b
+				sc.link[o].inMsgs++
+				cross += b
 			}
 		}
-		cross += bytes
-		for a := 0; a < pl.naggs; a++ {
-			if pl.owner[a] != r {
-				continue
-			}
-			for _, r32 := range pl.ranksIn[a] {
-				if int(r32) != r {
-					bytes += pl.shares[int(r32)][a]
-					msgs++
-				}
-			}
-		}
-		var lt time.Duration
+	}
+	price := func(msgs int, bytes int64) time.Duration {
+		d := time.Duration(msgs) * m.LinkMsg
 		if m.LinkBytesPerSec > 0 {
-			lt = time.Duration(float64(bytes) / m.LinkBytesPerSec * float64(time.Second))
+			d += time.Duration(float64(bytes) / m.LinkBytesPerSec * float64(time.Second))
 		}
-		if lt > linkMax {
-			linkMax = lt
-		}
-		if mt := time.Duration(msgs) * m.LinkMsg; mt > msgMax {
-			msgMax = mt
-		}
+		return d
 	}
-	exch := linkMax + msgMax
+	var out, in time.Duration
+	for _, u := range sc.link {
+		out = max(out, price(u.outMsgs, u.outBytes))
+		in = max(in, price(u.inMsgs, u.inBytes))
+	}
+	exch := out + in
 	if m.BisectionBytesPerSec > 0 {
-		if bt := time.Duration(float64(cross) / m.BisectionBytesPerSec * float64(time.Second)); bt > exch {
-			exch = bt
-		}
+		exch += time.Duration(float64(cross) / m.BisectionBytesPerSec * float64(time.Second))
 	}
-	// Access: split the union footprint's covered spans at file
-	// boundaries, map each file's slice to its device gather runs, and
-	// charge request + transfer per run, devices in parallel.
-	nd := c.group.Store().Devices()
-	devCost := make([]time.Duration, nd)
+	return exch
+}
+
+// unionUse maps the union footprint onto the devices: two-phase
+// coalesces across ranks, so its device requests are the union's
+// physically contiguous gather runs (NOT any single rank's view, and NOT
+// one request per device: a union that still has holes stays fragmented
+// however it is aggregated). The covered spans are split at file
+// boundaries, each file's slice mapped to its device gather runs, and
+// request + transfer charged per run. pl is the logical plan.
+func (c *Collective) unionUse(m blockio.CostModel, pl *plan) []devUse {
+	use := make([]devUse, c.group.Store().Devices())
 	perFile := make([]blockio.Vec, c.group.Len())
 	var off int64
 	for _, sp := range pl.covered {
@@ -210,23 +312,82 @@ func (c *Collective) twoPhaseCost(m blockio.CostModel, pl *plan) time.Duration {
 			continue // union descriptors are always valid
 		}
 		for _, sp := range spans {
+			u := &use[sp.Dev]
 			for _, run := range sp.Runs {
-				devCost[sp.Dev] += m.ReqFixed + m.Xfer(run.N*pl.bs)
+				u.cost += m.ReqFixed + m.Xfer(run.N*pl.bs)
+				u.runs++
+				u.blocks += run.N
 			}
 		}
 	}
+	return use
+}
+
+// logicalAccess prices the access phase of the logical partition:
+// devices in parallel, plus roughly one extra request per nonempty
+// domain for runs the domain split severs. With exchangeCost, an
+// estimate, not a replay — good enough to rank routes.
+func logicalAccess(m blockio.CostModel, pl *plan, use []devUse) time.Duration {
 	var access time.Duration
-	for _, d := range devCost {
-		if d > access {
-			access = d
-		}
+	for _, u := range use {
+		access = max(access, u.cost)
 	}
 	for a := 0; a < pl.naggs; a++ {
 		if lo, hi := pl.domain(a); hi > lo {
 			access += m.ReqFixed // domain split severing a run
 		}
 	}
-	return exch + access
+	return access
+}
+
+// pipelineCost prices a two-phase schedule of the given exchange and
+// access totals cut into rounds: a two-stage pipeline, each round an
+// exchange of e = exchange/R feeding an access of a = access/R,
+//
+//	T(R) = e + a + (R−1)·max(e, a)
+//
+// which is exchange + access at one round (and for the single-shot
+// schedule, rounds 0).
+func pipelineCost(exch, access time.Duration, rounds int64) time.Duration {
+	r := time.Duration(max(rounds, 1))
+	e, a := exch/r, access/r
+	return e + a + (r-1)*max(e, a)
+}
+
+// alignedCost prices the aligned partition: its domains end at drive
+// boundaries, so no run is severed and a drive's requests are the
+// union's runs on it — at least one per round. The round count is what
+// ChunkBytes makes of the largest domain; a domain that fits in one
+// chunk is also priced cut in two (the second staging buffer is
+// otherwise idle), and the cheaper depth is returned as split. Deeper
+// cuts would price lower still, but every extra round is a full
+// exchange round of host work for every rank.
+func (c *Collective) alignedCost(m blockio.CostModel, exch time.Duration, use []devUse) (t time.Duration, split int) {
+	var dom int64 // the largest domain: one drive whenever the schedule is chunked
+	for _, u := range use {
+		dom = max(dom, u.blocks)
+	}
+	price := func(rounds int64) time.Duration {
+		var access time.Duration
+		for _, u := range use {
+			if u.runs > 0 {
+				access = max(access, time.Duration(max(int64(u.runs), rounds))*m.ReqFixed+m.Xfer(u.blocks*c.bs))
+			}
+		}
+		return pipelineCost(exch, access, rounds)
+	}
+	if c.opts.ChunkBytes <= 0 {
+		return price(1), 1
+	}
+	cb := max(c.opts.ChunkBytes/c.bs, 1)
+	if cb < dom {
+		return price((dom + cb - 1) / cb), 1
+	}
+	t, split = price(1), 1
+	if t2 := price(min(2, dom)); t2 < t {
+		t, split = t2, 2
+	}
+	return t, split
 }
 
 // runIndependent executes one collective call as independent per-rank

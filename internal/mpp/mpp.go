@@ -87,6 +87,8 @@ type Proc struct {
 	*sim.Proc
 	rank  int
 	group *Group
+
+	sparseEx SparseExchange // the process's recycled chunked-exchange handle
 }
 
 // Rank reports this process's rank in [0, Size).

@@ -142,9 +142,20 @@ type SparseExchange struct {
 
 // NewSparseExchange returns this process's handle on a fresh chunked
 // sparse exchange. Handles are per-collective-operation, like
-// NewExchange.
+// NewExchange, and a process runs one chunked sparse exchange at a time:
+// the handle is the process's own, recycled with its pair table emptied
+// but keeping the size it grew to, so asking for the next exchange ends
+// the previous one. (A fresh table per operation was most of a pipelined
+// collective's steady-state allocation once an aggregator hears from a
+// hundred ranks.)
 func (p *Proc) NewSparseExchange() *SparseExchange {
-	return &SparseExchange{p: p, pairs: make(map[int]uint8)}
+	ex := &p.sparseEx
+	if ex.pairs == nil {
+		ex.p, ex.pairs = p, make(map[int]uint8)
+		return ex
+	}
+	clear(ex.pairs)
+	return ex
 }
 
 // Round moves one round of the chunked exchange — the sparse analogue

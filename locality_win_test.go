@@ -49,6 +49,17 @@ type localityResult struct {
 // given domain assignment policy and verifies the landed bytes.
 func runShiftedCheckpoint(tb testing.TB, locality bool) localityResult {
 	tb.Helper()
+	res, _ := runShiftedCheckpointOpts(tb, pario.CollectiveOptions{
+		Aggregators: locRanks,
+		Locality:    locality,
+	})
+	return res
+}
+
+// runShiftedCheckpointOpts is runShiftedCheckpoint under arbitrary
+// collective options; it also returns the machine's flight recorder.
+func runShiftedCheckpointOpts(tb testing.TB, opts pario.CollectiveOptions) (localityResult, *pario.Recorder) {
+	tb.Helper()
 	m := pario.NewMachine(4)
 	m.SetProbe(pario.NewRecorder()) // live recorder: must not perturb modeled time
 	f, err := m.Volume.Create(pario.Spec{
@@ -63,10 +74,7 @@ func runShiftedCheckpoint(tb testing.TB, locality bool) localityResult {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	col, err := pario.OpenCollective(group, locRanks, pario.CollectiveOptions{
-		Aggregators: locRanks,
-		Locality:    locality,
-	})
+	col, err := pario.OpenCollective(group, locRanks, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -116,10 +124,10 @@ func runShiftedCheckpoint(tb testing.TB, locality bool) localityResult {
 			tb.Fatal(err)
 		}
 		if blk[0] != byte(b) || blk[1] != byte(b>>8) {
-			tb.Fatalf("block %d corrupt after checkpoint (locality=%v)", b, locality)
+			tb.Fatalf("block %d corrupt after checkpoint (options %+v)", b, opts)
 		}
 	}
-	return res
+	return res, m.Probe()
 }
 
 // TestLocalityWin enforces the tentpole acceptance criteria: ≥2× fewer

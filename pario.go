@@ -183,7 +183,16 @@
 // candidate routes per operation with a cost model built from the
 // modeled drive parameters (StoreCostModel) and the rank group's link
 // model, picking the cheapest — one self-tuning knob where tuning
-// previously meant picking fixed mechanisms per workload.
+// previously meant picking fixed mechanisms per workload. The
+// two-phase route has two candidates of its own: file domains
+// contiguous in the files (the logical partition every fixed strategy
+// and every nonblocking call uses) and file domains cut at drive
+// boundaries (domain a is the footprint on drive a, so an aggregator's
+// access is one sequential run on its own drive — the paper's §5
+// strategy), the latter also priced through a two-round pipeline when
+// a domain fits in one chunk; Collective.LastRoute says "two-phase"
+// for either, and TestAlignedDomainsWin enforces the win on a
+// declustered checkpoint and the refusal on rank-aligned slabs.
 // TunedProfile and TunedOptions now set StrategyAuto.
 // TestStrategyAutoWins enforces that Auto matches the best fixed
 // strategy on every configuration of a density × rank-count ×
@@ -683,8 +692,16 @@ func PaperProfile() Profile {
 // communication real but still cheaper than seeks), and collectives
 // with locality-aware aggregator domains pipelined through 1 MiB
 // chunks under per-call strategy selection (StrategyAuto — see "Data
-// sieving & strategy selection"). Every knob is one of the opt-in
-// mechanisms grown since PR 1;
+// sieving & strategy selection"). What that buys depends on the call,
+// because Auto prices it: a 16 MiB checkpoint of 512 ranks on a
+// declustered file over 32 drives runs two-phase on the drive-aligned
+// partition — 32 file domains of 512 KiB, one per drive, each cut in
+// two 256 KiB chunks so the exchange of the second overlaps the write
+// of the first (two rounds, 64 device requests; the logical partition
+// is 1 024 requests in one round) — while ranks that each own a
+// contiguous slab keep logical domains or skip the exchange
+// altogether. Every knob is one of the opt-in mechanisms grown since
+// PR 1;
 // TestTunedProfileWins enforces that the bundle beats PaperProfile on
 // the checkpoint scenario even though the paper's interconnect is free.
 func TunedProfile() Profile {
