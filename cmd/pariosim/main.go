@@ -1009,7 +1009,7 @@ func scaleDemo(w io.Writer) error {
 		t.AddRow(ranks, drives, e.Now(), wall.Round(time.Millisecond),
 			fmt.Sprintf("%.3f", wall.Seconds()/e.Now().Seconds()))
 	}
-	t.Note = "wall time is host-dependent; the shape to watch is sub-linear growth in wall s / modeled s\nas ranks × drives grow. BenchmarkEngineScale tracks the 4096 × 256 point in CI (BENCH_scale.json)."
+	t.Note = "wall time is host-dependent; the shape to watch is sub-linear growth in wall s / modeled s\nas ranks × drives grow. BenchmarkEngineScale reports the 4096 × 256 point."
 	fmt.Fprintln(w, t.String())
 	return nil
 }
@@ -1107,7 +1107,7 @@ func replayDemo(w io.Writer) error {
 				fmt.Sprintf("%.2fx", float64(walls[0])/float64(walls[1])))
 		}
 	}
-	t.Note = "cached: iteration 1 builds and captures the schedule, iterations 2+ replay it (fingerprint\nlookup + payload packing only). Modeled results are bit-identical either way — TestPlanReplayWin\nenforces the host-side win and the identity (BENCH_replay.json tracks it in CI)."
+	t.Note = "cached: iteration 1 builds and captures the schedule, iterations 2+ replay it (fingerprint\nlookup + payload packing only). Modeled results are bit-identical either way — TestPlanReplayWin\nenforces the host-side win and the identity."
 	fmt.Fprintln(w, t.String())
 	return nil
 }
@@ -1118,30 +1118,41 @@ func replayDemo(w io.Writer) error {
 // arrival spacings, under each QoS policy. The table reports the worst
 // small-job p99 — the number FIFO lets the bulk job ruin and fair-share
 // or strict priority bound — plus the bulk job's own p99 and the run's
-// modeled makespan (QoS reorders the backlog, it does not starve it).
+// modeled makespan (QoS reorders the backlog, it does not starve it),
+// and what a collective call costs the server and the drives: lane
+// requests and device requests per call, over all jobs.
 func multijobDemo(w io.Writer) error {
 	t := stats.NewTable("Multi-job I/O service: QoS policy vs small jobs' tail latency (one server worker; job 0 is a bulk writer)",
-		"jobs", "gap", "policy", "small p99", "bulk p99", "makespan")
+		"jobs", "gap", "policy", "small p99", "bulk p99", "makespan", "lane req/call", "dev req/call")
 	for _, nJobs := range []int{2, 4, 8} {
 		for _, gap := range []time.Duration{0, 5 * time.Millisecond} {
 			for _, pol := range []pario.IOPolicy{pario.IOFIFO, pario.IOFairShare, pario.IOPriority} {
-				small, bulk, makespan, err := multijobRun(nJobs, gap, pol)
+				c, err := multijobRun(nJobs, gap, pol)
 				if err != nil {
 					return err
 				}
-				t.AddRow(nJobs, gap, pol, small, bulk, makespan)
+				t.AddRow(nJobs, gap, pol, c.small, c.bulk, c.makespan,
+					fmt.Sprintf("%.2f", float64(c.laneReqs)/float64(c.calls)),
+					fmt.Sprintf("%.2f", float64(c.devReqs)/float64(c.calls)))
 			}
 		}
 	}
-	t.Note = "small p99 = worst latency percentile across the small jobs' lanes (IOJob.Stats);\ngap staggers job arrivals. fair = start-time fair queuing by served bytes; prio = small jobs at priority 1."
+	t.Note = "small p99 = worst latency percentile across the small jobs' lanes (IOJob.Stats);\ngap staggers job arrivals. fair = start-time fair queuing by served bytes; prio = small jobs at priority 1.\nA nonblocking collective call is one lane request — every aggregator domain in one plan — and at most\none device request per drive (two drives here), whatever the job's size."
 	fmt.Fprintln(w, t.String())
 	return nil
 }
 
-// multijobRun executes one cell of the multijob sweep and returns the
-// worst small-job p99, the bulk job's p99, and the modeled makespan.
-func multijobRun(nJobs int, gap time.Duration, pol pario.IOPolicy) (small, bulk, makespan time.Duration, err error) {
-	const ranks = 4
+// multijobCell is one cell of the multijob sweep: the worst small-job
+// p99, the bulk job's p99, the modeled makespan, and the collective
+// calls made with the lane and device requests they turned into.
+type multijobCell struct {
+	small, bulk, makespan    time.Duration
+	calls, laneReqs, devReqs int64
+}
+
+// multijobRun executes one cell of the multijob sweep.
+func multijobRun(nJobs int, gap time.Duration, pol pario.IOPolicy) (c multijobCell, err error) {
+	const ranks, rounds = 4, 4
 	m := pario.NewMachine(2)
 	attachMachine(fmt.Sprintf("multijob/%d/%s/%s", nJobs, gap, pol), m)
 	srv := pario.NewIOServer(pario.IOServerConfig{Workers: 1, Policy: pol})
@@ -1178,9 +1189,9 @@ func multijobRun(nJobs int, gap time.Duration, pol pario.IOPolicy) (small, bulk,
 	done.Add(nJobs * ranks)
 	for j := 0; j < nJobs; j++ {
 		j := j
-		blocks, rounds := int64(32), 4
+		blocks := int64(32)
 		if j == 0 {
-			blocks, rounds = 256, 4
+			blocks = 256
 		}
 		m.GoRanks(ranks, fmt.Sprintf("job%d", j), func(r *pario.Rank) {
 			defer done.Done(r.Proc)
@@ -1221,7 +1232,7 @@ func multijobRun(nJobs int, gap time.Duration, pol pario.IOPolicy) (small, bulk,
 	m.Go("driver", func(p *pario.Proc) {
 		done.Wait(p)
 		srv.Stop(p)
-		makespan = p.Now()
+		c.makespan = p.Now()
 	})
 	if err = m.Run(); err != nil {
 		return
@@ -1229,11 +1240,17 @@ func multijobRun(nJobs int, gap time.Duration, pol pario.IOPolicy) (small, bulk,
 	if err = rankErr; err != nil {
 		return
 	}
-	bulk = lanes[0].Stats().P99
-	for _, lane := range lanes[1:] {
-		if st := lane.Stats(); st.P99 > small {
-			small = st.P99
+	c.calls = int64(nJobs * rounds)
+	c.bulk = lanes[0].Stats().P99
+	for j, lane := range lanes {
+		st := lane.Stats()
+		c.laneReqs += st.Completed
+		if j > 0 && st.P99 > c.small {
+			c.small = st.P99
 		}
+	}
+	for _, d := range m.Disks {
+		c.devReqs += d.Stats().Requests()
 	}
 	return
 }

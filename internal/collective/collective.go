@@ -83,11 +83,11 @@ type Options struct {
 
 	// Service routes the nonblocking entry points (IWriteAll/IReadAll)
 	// through an I/O server: instead of each aggregator executing its
-	// domain batch inline, the batches are enqueued on this job's lane
-	// of an ioserver.Server and the call returns a Handle immediately.
-	// The server's QoS policy then decides when the batches run,
-	// multiplexing this job against every other job sharing the
-	// server's devices. nil (the default) leaves the blocking calls as
+	// domain batch inline, the whole call is enqueued as one request on
+	// this job's lane of an ioserver.Server and the call returns a
+	// Handle immediately. The server's QoS policy then decides when the
+	// call runs, multiplexing this job against every other job sharing
+	// the server's devices. nil (the default) leaves the blocking calls as
 	// the only entry points; WriteAll/ReadAll never consult Service, so
 	// the default modeled timings stay bit-identical.
 	Service *ioserver.Job
@@ -214,8 +214,9 @@ type Collective struct {
 	// after (nonblock.go). Outstanding handles own their state, so this
 	// slot is free for reuse the moment every rank has copied it.
 	hScratch *Handle
-	// The nonblocking calls' domain buffers, recycled by size (getDom /
-	// putDom), and how many are out with unfinished calls.
+	// The nonblocking calls' buffers — one per call, holding every
+	// domain — recycled by size (getDom / putDom), and how many are out
+	// with unfinished calls.
 	domFree map[int][][]byte
 	domOut  int
 
@@ -409,7 +410,7 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 			// p.Proc, not p: sim.Par recognizes the underlying engine
 			// process, so the domain's per-device runs issue in parallel.
 			t0 := p.Now()
-			if err := sd.issueDomain(c, p, a, dombufs[i], true); err != nil {
+			if err := sd.issueDomain(p, a, dombufs[i], true); err != nil {
 				aggErrs = append(aggErrs, err)
 			}
 			c.ioIv = append(c.ioIv, iv{t0, p.Now()})
@@ -431,7 +432,7 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 		}
 		for i, a := range owned {
 			t0 := p.Now()
-			if err := sd.issueDomain(c, p, a, dombufs[i], false); err != nil {
+			if err := sd.issueDomain(p, a, dombufs[i], false); err != nil {
 				aggErrs = append(aggErrs, err)
 			}
 			c.ioIv = append(c.ioIv, iv{t0, p.Now()})

@@ -8,7 +8,7 @@
 //     ragged;
 //   - every requested block lands in exactly one domain (each rank's
 //     clips across all domains sum to its requested blocks);
-//   - forEachDomainSpan tiles each domain exactly, ascending, with
+//   - forEachSpanWin tiles each domain exactly, ascending, with
 //     contiguous domain-buffer offsets;
 //   - the locality assignment always picks a participating rank — the
 //     one with the largest byte share; on ties the one given the fewest
@@ -176,7 +176,7 @@ func checkPlanInvariants(t *testing.T, pl *plan, reqs [][]VecReq, opts Options) 
 		lo, hi := pl.domain(a)
 		var n, nextOff int64
 		lastEnd := int64(-1)
-		pl.forEachDomainSpan(a, func(gb, cnt, domOff int64) {
+		pl.forEachSpanWin(lo, hi, func(gb, cnt, domOff int64) {
 			if cnt <= 0 {
 				t.Fatalf("domain %d: empty span at %d", a, gb)
 			}

@@ -2,27 +2,40 @@
 // the split-collective forms of WriteAll/ReadAll (the MPI_File_iwrite_all
 // shape). The plan and exchange phases still run inline — they are
 // collective by nature, every rank participates — but the device phase
-// is enqueued on an ioserver.Job lane (Options.Service) and the call
+// is handed to an ioserver.Job lane (Options.Service) and the call
 // returns a Handle. Ranks overlap their own computation with the
 // server's device work and rendezvous in Handle.Wait.
 //
+// The unit of server work is the call, not the aggregator domain. The
+// aggregators assemble their domains side by side in one call buffer,
+// and the rank that finishes last submits one request: the schedule's
+// callPlan, every domain's spans mapped, sorted and merged together by
+// blockio, so pieces of different domains that are neighbours on a drive
+// are one device request (on a declustered file: one sequential run per
+// drive per call, where per-domain submission issued one short piece per
+// drive per domain). The server sees the whole request and its worker
+// drives every device at once — ViPIOS's server-directed I/O, with Ching
+// et al.'s list-I/O descriptor as the message. The cost is granularity:
+// QoS decisions happen between calls, so a small job's call can wait
+// behind whole in-service bulk calls (ioserver's package doc gives the
+// bound).
+//
 // The outcome is data-identical to the blocking call: for writes, the
-// exchange and LastWriterWins overlap resolution complete before any
-// batch is submitted, so domain buffers are final and the server may
-// execute batches in any QoS order (domains are disjoint by
-// construction); for reads, the delivery exchange runs inside Wait,
-// after every owned domain has arrived from the devices. The
+// exchange and LastWriterWins overlap resolution complete before the
+// request is submitted, so the call buffer is final and the server may
+// run it whenever its policy says; for reads, the delivery exchange runs
+// inside Wait, after the whole call has arrived from the devices. The
 // differential harness's multijob phase enforces this equivalence
 // against serialized execution.
 
 package collective
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/ioserver"
 	"repro/internal/mpp"
+	"repro/internal/sim"
 )
 
 // Handle is an in-flight nonblocking collective. All ranks of the
@@ -31,37 +44,59 @@ import (
 // is local and may be called any number of times before Wait. A
 // Collective may have several outstanding Handles, but their Waits
 // must be issued in the same order on every rank.
+//
+// A Handle owns one call buffer and one server ticket. The call buffer
+// holds the call's covered bytes in covered-index order, so domain a is
+// a sub-slice of it (domSlices) and the aggregators pack, assemble and
+// scatter exactly as they do into per-domain buffers. The rank that finishes its
+// eager half last (pending reaching zero) submits the schedule's
+// call-wide plan bound to that buffer; every rank's Test and Wait read
+// that one ticket.
 type Handle struct {
 	c     *Collective
 	write bool
 	sd    *schedule
 
-	// Per-rank state, indexed by the owning rank.
-	tickets [][]*ioserver.Request
-	dombufs [][][]byte
-	bufs    [][]byte
-	errs    []error
+	callbuf []byte            // from getDom; rank 0 returns it in Wait
+	pending int               // ranks still in their eager half
+	sub     int               // the rank that submitted
+	ticket  *ioserver.Request // nil until the last rank has submitted
+	subq    sim.WaitQueue     // ranks that reached Wait before then
+	bufs    [][]byte          // per rank: the caller's buffer (reads scatter in Wait)
+}
+
+// domSlices lists rank's owned domains as slices of the call buffer, in
+// ownedOf order — the shape assembleDomains and packDomainMsgs take.
+func (h *Handle) domSlices(rank int) [][]byte {
+	pl, owned := h.sd.pl, h.sd.ownedOf[rank]
+	bufs := make([][]byte, len(owned))
+	for i, a := range owned {
+		lo, hi := pl.domain(a)
+		bufs[i] = h.callbuf[lo*pl.bs : hi*pl.bs]
+	}
+	return bufs
 }
 
 // IWriteAll starts a nonblocking collective write: the exchange runs
-// now, the aggregators' domain batches are enqueued on Options.Service,
-// and the returned Handle completes once the server has written them.
+// now, the whole call is enqueued on Options.Service as one request, and
+// the returned Handle completes once the server has written it.
 // Requires Options.Service; see WriteAll for the blocking semantics the
 // data outcome matches.
 func (c *Collective) IWriteAll(p *mpp.Proc, reqs []VecReq, buf []byte) (*Handle, error) {
 	return c.istart(p, true, reqs, buf)
 }
 
-// IReadAll starts a nonblocking collective read: the aggregators'
-// domain batches are enqueued on Options.Service now, and Wait performs
-// the delivery exchange once they have arrived. The rank's buffer is
-// filled only after Wait returns.
+// IReadAll starts a nonblocking collective read: the whole call is
+// enqueued on Options.Service as one request now, and Wait performs the
+// delivery exchange once it has arrived. The rank's buffer is filled
+// only after Wait returns.
 func (c *Collective) IReadAll(p *mpp.Proc, reqs []VecReq, buf []byte) (*Handle, error) {
 	return c.istart(p, false, reqs, buf)
 }
 
-// istart is the shared nonblocking prologue: plan, then the
-// direction's eager half (writes: exchange + submit; reads: submit).
+// istart is the shared nonblocking prologue: plan, then the direction's
+// eager half (writes: exchange and assemble; reads: nothing), then the
+// last rank through submits the call.
 func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) (*Handle, error) {
 	if p.Size() != c.size {
 		return nil, fmt.Errorf("collective: handle opened for %d ranks, called from a %d-rank group", c.size, p.Size())
@@ -72,7 +107,7 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 		return nil, fmt.Errorf("collective: nonblocking calls require Options.Service (an ioserver job lane)")
 	}
 	rank := p.Rank()
-	c.reqs[rank], c.bufs[rank], c.errs[rank] = reqs, buf, nil
+	c.reqs[rank], c.bufs[rank] = reqs, buf
 	p.Barrier()
 	if rank == 0 {
 		c.sched, c.plErr = c.scheduleFor(p, write, true)
@@ -81,14 +116,19 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 			// calls too; the phase-time fields stay zero (the access
 			// phase runs on the server's clock, not inside this call).
 			c.stats = c.sched.stats
+			// The call buffer outlives the call — the server holds it
+			// until the request completes — so it cannot be the blocking
+			// path's per-rank scratch; it comes from the handle's free
+			// list and goes back in Wait. A call rejected above takes
+			// nothing.
+			pl := c.sched.pl
 			c.hScratch = &Handle{
 				c:       c,
 				write:   write,
 				sd:      c.sched,
-				tickets: make([][]*ioserver.Request, c.size),
-				dombufs: make([][][]byte, c.size),
+				callbuf: c.getDom(int(pl.total * pl.bs)),
+				pending: c.size,
 				bufs:    make([][]byte, c.size),
-				errs:    make([]error, c.size),
 			}
 		}
 	}
@@ -98,52 +138,35 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 	}
 	h := c.hScratch
 	sd := h.sd
-	pl := sd.pl
 	h.bufs[rank] = buf
-
-	// This rank's owned-domain buffers outlive the call — the server
-	// holds them until the batches complete — so they cannot be the
-	// blocking path's per-rank scratch; they come from the handle's free
-	// list and go back in Wait.
-	owned := sd.ownedOf[rank]
-	for _, a := range owned {
-		lo, hi := pl.domain(a)
-		h.dombufs[rank] = append(h.dombufs[rank], c.getDom(int((hi-lo)*pl.bs)))
-	}
 
 	if write {
 		// Writes exchange eagerly: once the domains are assembled (with
-		// rank-order overlap resolution), the batches are self-contained
-		// and the server may run them in any order.
-		send := c.packRankMsgs(pl, rank, buf)
+		// rank-order overlap resolution) the call buffer is final, and the
+		// server may run the request whenever its policy says.
+		send := c.packRankMsgs(sd.pl, rank, buf)
 		recv := p.AlltoallvSparse(send)
-		c.assembleDomains(pl, owned, recv, h.dombufs[rank])
+		c.assembleDomains(sd.pl, sd.ownedOf[rank], recv, h.domSlices(rank))
 		p.RecycleRecv(recv)
 	}
-	var aggErrs []error
-	for i, a := range owned {
-		lo, hi := pl.domain(a)
-		bp, err := sd.batchPlan(c, a)
-		if err != nil {
-			// Unreachable in practice; surfaced through the Handle's
-			// error slots so every rank still joins in Wait.
-			aggErrs = append(aggErrs, err)
-			continue
-		}
-		bytes := (hi - lo) * pl.bs
-		var tk *ioserver.Request
+	if h.pending--; h.pending == 0 {
+		// One request for the whole call: blockio's sort/merge across the
+		// domains has already made it one run per drive where the
+		// footprint allows (schedule.callPlan), and the server's worker
+		// drives them all at once.
+		h.sub = rank
+		bytes := int64(len(h.callbuf))
 		if write {
-			tk = c.opts.Service.SubmitWritePlan(p.Proc, bp, h.dombufs[rank][i], bytes)
+			h.ticket = c.opts.Service.SubmitWritePlan(p.Proc, sd.callPlan, h.callbuf, bytes)
 		} else {
-			tk = c.opts.Service.SubmitReadPlan(p.Proc, bp, h.dombufs[rank][i], bytes)
+			h.ticket = c.opts.Service.SubmitReadPlan(p.Proc, sd.callPlan, h.callbuf, bytes)
 		}
-		h.tickets[rank] = append(h.tickets[rank], tk)
+		h.subq.WakeAll(p.Engine())
 	}
-	h.errs[rank] = errors.Join(aggErrs...)
 	return h, nil
 }
 
-// getDom pops a domain buffer of exactly n bytes from the handle's free
+// getDom pops a call buffer of exactly n bytes from the handle's free
 // list, or makes one. Contents are stale, which is safe for the reason
 // domBufs gives: a write domain is fully covered by the ranks' clips and
 // a read domain fully overwritten by the device read.
@@ -157,7 +180,7 @@ func (c *Collective) getDom(n int) []byte {
 	return make([]byte, n)
 }
 
-// putDom returns a domain buffer to the free list. The list is keyed by
+// putDom returns a call buffer to the free list. The list is keyed by
 // size and holds what the outstanding calls needed at their peak (two
 // calls may be in flight), so an iterative workload stops allocating
 // after its first epoch.
@@ -172,55 +195,44 @@ func (c *Collective) putDom(b []byte) {
 	c.domFree[len(b)] = append(c.domFree[len(b)], b)
 }
 
-// Test reports whether this rank's server requests have completed —
-// local, never parks, the MPI_Test shape. Ranks that aggregate no
-// domain report true immediately; global completion is Wait's job.
+// Test reports whether the call's server request has completed — local,
+// never parks, the MPI_Test shape. It is false while some rank is still
+// in its eager half (nothing has been submitted yet); the delivery
+// exchange of a read is Wait's job either way.
 func (h *Handle) Test(p *mpp.Proc) bool {
-	for _, tk := range h.tickets[p.Rank()] {
-		if !tk.Done() {
-			return false
-		}
-	}
-	return true
+	return h.ticket != nil && h.ticket.Done()
 }
 
-// Wait completes the collective: every rank parks until its own server
-// requests finish, reads additionally run the delivery exchange, and
-// all ranks return the same joined error — exactly the error contract
-// of the blocking calls.
+// Wait completes the collective: every rank parks until the call's one
+// server request finishes, reads additionally run the delivery exchange,
+// and all ranks return the same error — the contract of the blocking
+// calls. There is one request, so there is one error: it is attributed
+// to the rank that submitted it ("rank r: …", the last rank out of its
+// eager half), which every rank reads off the shared ticket.
 func (h *Handle) Wait(p *mpp.Proc) error {
 	c, pl, rank := h.c, h.sd.pl, p.Rank()
-	aggErrs := []error{h.errs[rank]} // istart's submission errors, if any
-	for _, tk := range h.tickets[rank] {
-		if err := tk.Wait(p.Proc); err != nil {
-			aggErrs = append(aggErrs, err)
-		}
+	for h.ticket == nil {
+		h.subq.Wait(p.Proc)
 	}
-	h.errs[rank] = errors.Join(aggErrs...)
+	err := h.ticket.Wait(p.Proc)
 	if !h.write {
 		// Delivery: the freshly read domains ship back to the ranks and
 		// scatter into their buffers, as in the blocking read's tail.
-		send := c.packDomainMsgs(pl, rank, h.sd.ownedOf[rank], h.dombufs[rank])
+		send := c.packDomainMsgs(pl, rank, h.sd.ownedOf[rank], h.domSlices(rank))
 		recv := p.AlltoallvSparse(send)
 		c.scatterRankMsgs(pl, rank, recv, h.bufs[rank])
 		p.RecycleRecv(recv)
 	}
-	// The server is done with this rank's domain buffers (every ticket
-	// has completed, failed or not) and a read's bytes have been packed
-	// out of them.
-	for _, b := range h.dombufs[rank] {
-		c.putDom(b)
-	}
-	h.dombufs[rank] = nil
+	// The server is done with the call buffer (the ticket has completed,
+	// failed or not) and past this barrier every rank has packed a read's
+	// bytes out of it: rank 0 returns it, once.
 	p.Barrier()
-	var errs []error
-	for r, err := range h.errs {
-		if err != nil {
-			errs = append(errs, fmt.Errorf("rank %d: %w", r, err))
-		}
+	if rank == 0 {
+		c.putDom(h.callbuf)
+		h.callbuf = nil
 	}
-	// Hold everyone until all ranks have read the error slots (the
-	// blocking calls' reuse-visibility rule, TestCollectiveReuseErrorVisibility).
-	p.Barrier()
-	return errors.Join(errs...)
+	if err != nil {
+		return fmt.Errorf("rank %d: %w", h.sub, err)
+	}
+	return nil
 }

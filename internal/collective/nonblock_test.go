@@ -2,13 +2,17 @@ package collective
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/blockio"
+	"repro/internal/device"
 	"repro/internal/ioserver"
 	"repro/internal/mpp"
+	"repro/internal/pfs"
 	"repro/internal/sim"
 )
 
@@ -234,14 +238,18 @@ func freeDomBufs(c *Collective) (n int) {
 	return n
 }
 
-// TestNonblockingDomainBuffersRecycle: the nonblocking calls' domain
-// buffers come from a per-handle free list and go back in Wait. With two
-// writes outstanding per epoch the list must balance (nothing out) after
-// every epoch's Waits, hold after the first epoch everything later
-// epochs need (its population stops growing, so steady state allocates
-// no domain buffer), and balance again after a call that failed at plan
-// validation (which takes nothing) and after one whose device requests
-// failed (whose Wait still returns what it took).
+// TestNonblockingDomainBuffersRecycle: a nonblocking call's buffer comes
+// from a per-handle free list and goes back in Wait, exactly once (rank
+// 0, after Wait's barrier). With two writes outstanding per epoch the
+// list must balance (nothing out) after every epoch's Waits, hold after
+// the first epoch everything later epochs need (its population stops
+// growing, so steady state allocates no call buffer), and balance again
+// after a call that failed at plan validation (which takes nothing) and
+// after one whose server request failed (whose Wait still returns what
+// it took). The single ticket's contract rides along: Test is false, not
+// a nil dereference, on a rank that is out of IWriteAll before the last
+// rank has submitted, and a failed request is the identical error on
+// every rank.
 func TestNonblockingDomainBuffersRecycle(t *testing.T) {
 	const nRanks = 8
 	e, g, disks := collectiveFixture(t, storeDirect, testPlacements[0].spec)
@@ -250,12 +258,13 @@ func TestNonblockingDomainBuffersRecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var parked int
+	var parked, early int
+	failed := make([]string, nRanks)
 	check := func(p *mpp.Proc, what string) {
-		p.Barrier() // every rank has returned its buffers
+		p.Barrier() // rank 0 has returned the call buffers
 		if p.Rank() == 0 {
 			if col.domOut != 0 {
-				t.Errorf("%s: %d domain buffers still out", what, col.domOut)
+				t.Errorf("%s: %d call buffers still out", what, col.domOut)
 			}
 			if n := freeDomBufs(col); parked == 0 {
 				parked = n
@@ -273,13 +282,21 @@ func TestNonblockingDomainBuffersRecycle(t *testing.T) {
 		rbuf := make([]byte, len(buf))
 		for epoch := 0; epoch < 3; epoch++ {
 			h1, err1 := col.IWriteAll(p, reqs, buf)
+			if err1 == nil && h1.ticket == nil {
+				// Some rank is still in its eager half: nothing is
+				// submitted, so nothing can be done.
+				early++
+				if h1.Test(p) {
+					t.Errorf("rank %d epoch %d: Test true before the call was submitted", p.Rank(), epoch)
+				}
+			}
 			h2, err2 := col.IWriteAll(p, reqs, buf)
 			if err1 != nil || err2 != nil {
 				t.Errorf("rank %d epoch %d: %v / %v", p.Rank(), epoch, err1, err2)
 				return
 			}
-			if p.Rank() == 0 && epoch == 0 && col.domOut == 0 {
-				t.Error("two outstanding writes hold no domain buffer")
+			if p.Rank() == 0 && epoch == 0 && col.domOut != 2 {
+				t.Errorf("two outstanding writes hold %d call buffers", col.domOut)
 			}
 			if err := h1.Wait(p); err != nil {
 				t.Errorf("rank %d epoch %d: %v", p.Rank(), epoch, err)
@@ -296,7 +313,7 @@ func TestNonblockingDomainBuffersRecycle(t *testing.T) {
 				t.Errorf("rank %d epoch %d: %v", p.Rank(), epoch, err)
 			}
 			if !bytes.Equal(rbuf, buf) {
-				t.Errorf("rank %d epoch %d: recycled domain buffers delivered different bytes", p.Rank(), epoch)
+				t.Errorf("rank %d epoch %d: recycled call buffers delivered different bytes", p.Rank(), epoch)
 			}
 			check(p, fmt.Sprintf("epoch %d", epoch))
 		}
@@ -309,7 +326,8 @@ func TestNonblockingDomainBuffersRecycle(t *testing.T) {
 			t.Errorf("rank %d: invalid request list accepted", p.Rank())
 		}
 		check(p, "after a rejected call")
-		// A call whose device requests fail still returns its buffers.
+		// A call whose server request fails still returns its buffer, and
+		// every rank reports the one failure in the same words.
 		if p.Rank() == 0 {
 			disks[1].Fail()
 		}
@@ -321,6 +339,8 @@ func TestNonblockingDomainBuffersRecycle(t *testing.T) {
 		}
 		if err := h.Wait(p); err == nil {
 			t.Errorf("rank %d: write to a failed drive succeeded", p.Rank())
+		} else {
+			failed[p.Rank()] = err.Error()
 		}
 		check(p, "after a failed call")
 	})
@@ -328,6 +348,148 @@ func TestNonblockingDomainBuffersRecycle(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if early == 0 {
+		t.Error("no rank ever left IWriteAll ahead of the submission: the Test-before-submit case did not run")
+	}
+	for r, msg := range failed {
+		if msg != failed[0] || !strings.Contains(msg, "drive failed") {
+			t.Errorf("rank %d: %q, rank 0: %q", r, msg, failed[0])
+		}
+	}
+}
+
+// checkPatternImage requires every block gb of the group to hold
+// pattern(gb + shift).
+func checkPatternImage(t *testing.T, g *pfs.FileGroup, shift int64) {
+	t.Helper()
+	got := readAllBlocks(t, g)
+	want := make([]byte, testBS)
+	for gb := int64(0); gb < g.TotalFSBlocks(); gb++ {
+		pattern(gb+shift, want)
+		if !bytes.Equal(got[gb*testBS:(gb+1)*testBS], want) {
+			t.Fatalf("global block %d does not hold pattern(%d)", gb, gb+shift)
+		}
+	}
+}
+
+// TestNonblockingDriveFailure fails a drive under the I/O server: call 1
+// is in service and call 2 queued behind it (one worker, FIFO) when drive
+// 1 fail-stops. On a Direct store every rank gets the identical error
+// from each Wait, nobody hangs, the call buffers come back, and after
+// Repair the same handle writes a third call cleanly. Parity and Mirror
+// absorb the failure: no error, and the image after each step is what a
+// serial writer applying the calls in order leaves.
+func TestNonblockingDriveFailure(t *testing.T) {
+	for _, kind := range []storeKind{storeDirect, storeParity, storeMirror} {
+		t.Run(kind.String(), func(t *testing.T) {
+			const nRanks = 8
+			e, g, disks := collectiveFixture(t, kind, testPlacements[0].spec)
+			srv, jb := serviceFor(e, ioserver.FIFO, 1)
+			col, err := Open(g, nRanks, Options{Service: jb})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Call k writes pattern(gb + 1000k) to every block gb.
+			fill := func(buf []byte, slots []int64, k int) {
+				for i, gb := range slots {
+					pattern(gb+int64(1000*k), buf[int64(i)*testBS:int64(i+1)*testBS])
+				}
+			}
+			var errs [3][nRanks]error
+			_, join := mpp.Run(e, nRanks, "iw", func(p *mpp.Proc) {
+				rank := p.Rank()
+				reqs, buf1, slots := strideReqs(g, rank, nRanks)
+				buf2, buf3 := make([]byte, len(buf1)), make([]byte, len(buf1))
+				fill(buf1, slots, 1)
+				fill(buf2, slots, 2)
+				fill(buf3, slots, 3)
+				h1, err1 := col.IWriteAll(p, reqs, buf1)
+				h2, err2 := col.IWriteAll(p, reqs, buf2)
+				if err1 != nil || err2 != nil {
+					t.Errorf("rank %d: %v / %v", rank, err1, err2)
+					return
+				}
+				p.Barrier() // both calls are with the server
+				if rank == 0 {
+					if st := jb.Stats(); st.Submitted != 2 || st.Completed != 0 {
+						t.Errorf("at the failure: %+v, want one call in service and one queued", st)
+					}
+					disks[1].Fail()
+				}
+				errs[0][rank] = h1.Wait(p)
+				errs[1][rank] = h2.Wait(p)
+				p.Barrier()
+				if rank == 0 {
+					if col.domOut != 0 {
+						t.Errorf("%d call buffers still out after the failed calls", col.domOut)
+					}
+					if kind == storeDirect {
+						disks[1].Repair()
+					}
+				}
+				p.Barrier()
+				h3, err := col.IWriteAll(p, reqs, buf3)
+				if err != nil {
+					t.Errorf("rank %d: %v", rank, err)
+					return
+				}
+				errs[2][rank] = h3.Wait(p)
+			})
+			e.Go("join", func(sp *sim.Proc) { join.Wait(sp); srv.Stop(sp) })
+			if err := e.Run(); err != nil {
+				t.Fatal(err) // a hang is a deadlock report here
+			}
+			for k, call := range errs {
+				for r, err := range call {
+					if fmt.Sprint(err) != fmt.Sprint(call[0]) {
+						t.Errorf("call %d: rank %d returned %v, rank 0 %v", k+1, r, err, call[0])
+					}
+				}
+				wantErr := kind == storeDirect && k < 2
+				if got := call[0]; (got != nil) != wantErr {
+					t.Errorf("call %d: error %v, want one: %v", k+1, got, wantErr)
+				} else if wantErr && !errors.Is(got, device.ErrFailed) {
+					t.Errorf("call %d: %v does not wrap the drive failure", k+1, got)
+				}
+			}
+			if col.domOut != 0 {
+				t.Errorf("%d call buffers still out", col.domOut)
+			}
+			// The serial reference: the calls applied in order, so call 3's
+			// bytes everywhere.
+			checkPatternImage(t, g, 3000)
+		})
+	}
+}
+
+// TestNonblockingHandleNeverWaited: ranks that start a nonblocking write
+// and walk away leave nothing parked. Server.Stop drains the queued call,
+// Engine.Run returns nil, and the bytes are on the drives.
+func TestNonblockingHandleNeverWaited(t *testing.T) {
+	const nRanks = 8
+	e, g, _ := collectiveFixture(t, storeDirect, testPlacements[0].spec)
+	srv, jb := serviceFor(e, ioserver.FIFO, 1)
+	col, err := Open(g, nRanks, Options{Service: jb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, join := mpp.Run(e, nRanks, "iw", func(p *mpp.Proc) {
+		reqs, buf, slots := strideReqs(g, p.Rank(), nRanks)
+		for i, gb := range slots {
+			pattern(gb, buf[int64(i)*testBS:int64(i+1)*testBS])
+		}
+		if _, err := col.IWriteAll(p, reqs, buf); err != nil {
+			t.Errorf("rank %d: %v", p.Rank(), err)
+		}
+	})
+	e.Go("join", func(sp *sim.Proc) { join.Wait(sp); srv.Stop(sp) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := jb.Stats(); st.Submitted != 1 || st.Completed != 1 {
+		t.Fatalf("server accounting: %+v, want the one call submitted and drained", st)
+	}
+	checkPatternImage(t, g, 0)
 }
 
 // TestNonblockingKeepsLogicalPartition: a handle's blocking and

@@ -212,7 +212,7 @@ func (c *Collective) newAggState(pl *plan, owned []int) (*aggState, error) {
 		for off := pl.chunkBlocks; off < hi-lo; off += pl.chunkBlocks {
 			cuts = append(cuts, off*pl.bs)
 		}
-		plan, err := c.domainBatchVec(pl, a).Plan(cuts)
+		plan, err := pl.batchVec(lo, hi).Plan(cuts)
 		if err != nil {
 			return nil, err
 		}
@@ -379,14 +379,15 @@ func (c *Collective) scatterChunkSparse(pl *plan, rank, k int, recv []mpp.RecvMs
 	}
 }
 
-// domainBatchVec assembles domain a's cross-file batch shape with no
-// buffers bound — the input to blockio's prepared, windowed batch plan.
-// plan.locate names the Set behind each key, so the batch of a logical
-// domain lists its files and the batch of an aligned domain is one item
-// on the identity Set.
-func (c *Collective) domainBatchVec(pl *plan, a int) blockio.BatchVec {
+// batchVec assembles the cross-file batch shape of the covered-index
+// window [lo, hi) with no buffers bound and offsets relative to the
+// window start — the input to blockio's prepared, windowed batch plan.
+// The window is one domain, or the whole call (nonblock.go). plan.locate
+// names the Set behind each key, so a logical window lists its files and
+// an aligned one is one item on the identity Set.
+func (pl *plan) batchVec(lo, hi int64) blockio.BatchVec {
 	var batch blockio.BatchVec
-	pl.forEachDomainSpan(a, func(key, n, domOff int64) {
+	pl.forEachSpanWin(lo, hi, func(key, n, off int64) {
 		for n > 0 {
 			set, block, seg := pl.locate(key)
 			if seg > n {
@@ -396,9 +397,9 @@ func (c *Collective) domainBatchVec(pl *plan, a int) blockio.BatchVec {
 				batch = append(batch, blockio.BatchItem{Set: set})
 			}
 			it := &batch[len(batch)-1]
-			it.Vec = append(it.Vec, blockio.VecSeg{Block: block, N: seg, BufOff: domOff})
+			it.Vec = append(it.Vec, blockio.VecSeg{Block: block, N: seg, BufOff: off})
 			key += seg
-			domOff += seg * pl.bs
+			off += seg * pl.bs
 			n -= seg
 		}
 	})

@@ -518,16 +518,10 @@ func (pl *plan) clipBytes(rank, agg int) int64 {
 	return n * pl.bs
 }
 
-// forEachDomainSpan enumerates aggregator a's domain as (key, length,
-// domain-buffer offset) pieces — the covered spans clipped to the
-// domain, ascending.
-func (pl *plan) forEachDomainSpan(a int, fn func(gb, n, domOff int64)) {
-	lo, hi := pl.domain(a)
-	pl.forEachSpanWin(lo, hi, fn)
-}
-
-// forEachSpanWin is forEachDomainSpan over an arbitrary covered-index
-// window, with offsets relative to the window start.
+// forEachSpanWin enumerates the covered-index window [lo, hi) — a
+// domain, a chunk of one, or the whole call — as (key, length, offset)
+// pieces: the covered spans clipped to the window, ascending, offsets
+// relative to the window start.
 func (pl *plan) forEachSpanWin(lo, hi int64, fn func(gb, n, domOff int64)) {
 	if lo >= hi {
 		return

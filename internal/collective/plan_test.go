@@ -82,13 +82,15 @@ func TestPlanFootprintAndDomains(t *testing.T) {
 	}
 	// Domain 2 spans the hole: covered [6,8) = global [9,11) — one span.
 	var spans [][3]int64
-	pl.forEachDomainSpan(2, func(gb, n, off int64) { spans = append(spans, [3]int64{gb, n, off}) })
+	lo, hi := pl.domain(2)
+	pl.forEachSpanWin(lo, hi, func(gb, n, off int64) { spans = append(spans, [3]int64{gb, n, off}) })
 	if len(spans) != 1 || spans[0] != [3]int64{9, 2, 0} {
 		t.Fatalf("domain 2 spans = %v", spans)
 	}
 	// Domain 0 covers global [0,3) entirely within file a.
 	spans = nil
-	pl.forEachDomainSpan(0, func(gb, n, off int64) { spans = append(spans, [3]int64{gb, n, off}) })
+	lo, hi = pl.domain(0)
+	pl.forEachSpanWin(lo, hi, func(gb, n, off int64) { spans = append(spans, [3]int64{gb, n, off}) })
 	if len(spans) != 1 || spans[0] != [3]int64{0, 3, 0} {
 		t.Fatalf("domain 0 spans = %v", spans)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/blockio"
 	"repro/internal/device"
+	"repro/internal/ioserver"
 	"repro/internal/mpp"
 	"repro/internal/pfs"
 	"repro/internal/probe"
@@ -45,6 +46,9 @@ type replayScn struct {
 	// force, when set, is the handle's forcePart hook: every call runs
 	// two-phase on the partition it names instead of the priced one.
 	force *choice
+	// nonblocking runs every call as IWriteAll/IReadAll + Wait through a
+	// two-worker fair-share I/O server lane.
+	nonblocking bool
 }
 
 // replayObs is everything observable about one scenario run.
@@ -94,6 +98,12 @@ func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recor
 	if !cache {
 		opts.PlanCache = -1
 	}
+	var srv *ioserver.Server
+	if scn.nonblocking {
+		srv = ioserver.New(ioserver.Config{Workers: 2, Policy: ioserver.FairShare})
+		opts.Service = srv.AddJob(ioserver.JobConfig{Name: "rp"})
+		srv.Start(e)
+	}
 	col, err := Open(g, scn.nRanks, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +115,23 @@ func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recor
 			d.SetProbe(rec)
 		}
 		store.SetProbe(rec)
+		if srv != nil {
+			srv.SetProbe(rec)
+		}
+	}
+	// call is one collective in the scenario's mode.
+	call := func(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) error {
+		switch {
+		case !scn.nonblocking && write:
+			return col.WriteAll(p, reqs, buf)
+		case !scn.nonblocking:
+			return col.ReadAll(p, reqs, buf)
+		}
+		h, err := col.istart(p, write, reqs, buf)
+		if err != nil {
+			return err
+		}
+		return h.Wait(p)
 	}
 	obs := replayObs{
 		iterDur:  make([]time.Duration, scn.iters),
@@ -142,11 +169,11 @@ func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recor
 				}
 			}
 			t0 := p.Now()
-			werr := col.WriteAll(p, reqs, wbuf)
+			werr := call(p, true, reqs, wbuf)
 			if rank == 0 && werr == nil {
 				obs.aligned[it] = col.route == routeTwoPhase && col.sched.pl.phys != nil
 			}
-			rerr := col.ReadAll(p, reqs, rbuf)
+			rerr := call(p, false, reqs, rbuf)
 			if rank == 0 {
 				obs.iterDur[it] = p.Now() - t0
 				var es string
@@ -170,7 +197,12 @@ func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recor
 	if rec != nil {
 		mg.SetProbe(rec, "rp")
 	}
-	e.Go("join", func(sp *sim.Proc) { join.Wait(sp) })
+	e.Go("join", func(sp *sim.Proc) {
+		join.Wait(sp)
+		if srv != nil {
+			srv.Stop(sp)
+		}
+	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +263,10 @@ func diffReplayObs(t *testing.T, label string, a, b replayObs) {
 // auto, vectored and sieved (the latter two with LastWriterWins, so the
 // cached LWW clips are exercised), and the drive-aligned partition:
 // forced single-shot, forced through the two-round pipeline, and as the
-// tuned options' StrategyAuto prices it — and requires bit-identical
-// modeled observables and probe traces, while the cached run actually
-// replays.
+// tuned options' StrategyAuto prices it — and on the nonblocking entry
+// points, whose cached schedule carries the call-wide callPlan the I/O
+// server executes — and requires bit-identical modeled observables and
+// probe traces, while the cached run actually replays.
 func TestReplayBitIdentical(t *testing.T) {
 	aligned := func(split int) *choice { return &choice{route: routeTwoPhase, aligned: true, split: split} }
 	tuned := Options{Locality: true, ChunkBytes: 1 << 20, Strategy: blockio.StrategyAuto}
@@ -254,18 +287,17 @@ func TestReplayBitIdentical(t *testing.T) {
 		{"aligned-two-rounds", Options{Locality: true, ChunkBytes: 1 << 20}, aligned(2), true},
 		{"auto-tuned", tuned, nil, true},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			scn := replayScn{nRanks: 24, iters: 5, opts: tc.opts, force: tc.force}
+	check := func(name string, scn replayScn, wantAligned bool) {
+		t.Run(name, func(t *testing.T) {
 			run := func(cache bool) replayObs {
 				return runReplayScenario(t, scn, cache, probe.New())
 			}
 			cached := run(true)
 			fresh := run(false)
-			diffReplayObs(t, tc.name, cached, fresh)
+			diffReplayObs(t, name, cached, fresh)
 			for it, al := range cached.aligned {
-				if al != tc.wantAligned {
-					t.Errorf("iteration %d: aligned partition %v, want %v", it, al, tc.wantAligned)
+				if al != wantAligned {
+					t.Errorf("iteration %d: aligned partition %v, want %v", it, al, wantAligned)
 				}
 			}
 			// 5 iterations × (write + read) = 2 misses then 8 replays.
@@ -278,6 +310,12 @@ func TestReplayBitIdentical(t *testing.T) {
 			}
 		})
 	}
+	for _, tc := range cases {
+		check(tc.name, replayScn{nRanks: 24, iters: 5, opts: tc.opts, force: tc.force}, tc.wantAligned)
+	}
+	// Nonblocking calls never leave the logical partition, tuned or not.
+	check("nonblocking", replayScn{nRanks: 24, iters: 5, opts: Options{Locality: true}, nonblocking: true}, false)
+	check("nonblocking-tuned", replayScn{nRanks: 24, iters: 5, opts: tuned, nonblocking: true}, false)
 }
 
 // TestReplayInvalidation mutates the handle options (ChunkBytes, then

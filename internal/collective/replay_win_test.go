@@ -259,7 +259,7 @@ func TestPlanReplayWin(t *testing.T) {
 	}
 }
 
-// BenchmarkPlanReplay is the CI trajectory benchmark (BENCH_replay.json):
+// BenchmarkPlanReplay reports the replay trajectory numbers:
 // the checkpoint loop cached vs uncached, reporting iteration-1 build
 // cost, replayed-iteration cost, and the per-iteration speedup.
 func BenchmarkPlanReplay(b *testing.B) {

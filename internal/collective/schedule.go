@@ -74,8 +74,16 @@ type schedule struct {
 	// in one comparison.
 	maxSegRank int
 
+	// callPlan is a nonblocking schedule's whole call as one prepared
+	// batch: every domain's spans at their call-buffer offsets, sorted and
+	// merged across domains by blockio, so the I/O server receives one
+	// request per call and the drives one run each where the footprint
+	// allows. Built with the schedule (rank 0, newSchedule); nil on
+	// blocking schedules.
+	callPlan *blockio.BatchPlan
+
 	// Lazily built execution state. bplans[a] is domain a's prepared
-	// single-window batch plan (single-shot and nonblocking paths);
+	// single-window batch plan (the single-shot path);
 	// aggs[r] is rank r's pipelined aggregator state (chunk-cut batch
 	// plans plus double-buffered staging); lww[r] holds rank r's
 	// LastWriterWins-clipped requests, rebuilt from the plan's own
@@ -201,7 +209,10 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedul
 	if err != nil {
 		return nil, err
 	}
-	sd := c.newSchedule(p, pl, write, nonblocking, key, sig)
+	sd, err := c.newSchedule(p, pl, write, nonblocking, key, sig)
+	if err != nil {
+		return nil, err
+	}
 	if c.cacheCap > 0 {
 		if len(c.cached) >= c.cacheCap {
 			last := len(c.cached) - 1
@@ -221,11 +232,11 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedul
 // bounds. pl is the validated logical plan; when StrategyAuto prices the
 // drive-aligned partition cheaper the schedule is built on pl.aligned
 // instead. Nonblocking calls are never priced: they always run two-phase
-// on the logical partition (behind an I/O server lane the server's
-// workers, not the aggregators, bound device parallelism, and a
-// drive-spanning batch is what keeps many drives busy from few workers).
+// on the logical partition. Their device phase is one call-wide request
+// (callPlan) whatever the partition, so the domains only say which rank
+// assembles which slice of the call buffer.
 // The signature is copied so no fingerprint scratch is retained.
-func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool, key uint64, sig []uint64) *schedule {
+func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool, key uint64, sig []uint64) (*schedule, error) {
 	ch := choice{route: routeTwoPhase}
 	switch {
 	case nonblocking:
@@ -246,7 +257,6 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 		minBuf:     make([]int64, c.size),
 		ownedOf:    make([][]int, c.size),
 		maxSegRank: -1,
-		bplans:     make([]*blockio.BatchPlan, pl.naggs),
 	}
 	sd.stats = pl.exchangeStats(c.size)
 	for a := 0; a < pl.naggs; a++ {
@@ -263,10 +273,22 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 			}
 		}
 	}
-	if pl.rounds > 0 {
+	switch {
+	case nonblocking:
+		// An error is unreachable in practice, like batchPlan's: the batch
+		// is derived from validated, physically disjoint covered spans. It
+		// would fail the call as a plan error, on every rank, before
+		// anything is taken or submitted.
+		var err error
+		if sd.callPlan, err = pl.batchVec(0, pl.total).Plan(nil); err != nil {
+			return nil, err
+		}
+	case pl.rounds > 0:
 		sd.aggs = make([]*aggState, c.size)
+	default:
+		sd.bplans = make([]*blockio.BatchPlan, pl.naggs)
 	}
-	return sd
+	return sd, nil
 }
 
 // bufsFit reports whether every rank's current buffer is long enough
@@ -336,12 +358,12 @@ func sigEqual(a, b []uint64) bool {
 // batchPlan returns domain a's prepared single-window batch plan,
 // building it on first use. The plan is buffer-less — the domain
 // staging buffer binds at issue time — so one plan serves every
-// iteration and every entry point (blocking and nonblocking alike).
-func (sd *schedule) batchPlan(c *Collective, a int) (*blockio.BatchPlan, error) {
+// iteration.
+func (sd *schedule) batchPlan(a int) (*blockio.BatchPlan, error) {
 	if bp := sd.bplans[a]; bp != nil {
 		return bp, nil
 	}
-	bp, err := c.domainBatchVec(sd.pl, a).Plan(nil)
+	bp, err := sd.pl.batchVec(sd.pl.domain(a)).Plan(nil)
 	if err != nil {
 		// Unreachable in practice: domain batches are derived from
 		// validated, physically disjoint covered spans.
@@ -355,8 +377,8 @@ func (sd *schedule) batchPlan(c *Collective, a int) (*blockio.BatchPlan, error) 
 // through the schedule's prepared plan — one window covering the whole
 // domain, each merged run one device request, runs in parallel across
 // devices (the single-shot schedule's access phase).
-func (sd *schedule) issueDomain(c *Collective, p *mpp.Proc, a int, dombuf []byte, write bool) error {
-	bp, err := sd.batchPlan(c, a)
+func (sd *schedule) issueDomain(p *mpp.Proc, a int, dombuf []byte, write bool) error {
+	bp, err := sd.batchPlan(a)
 	if err != nil {
 		return err
 	}

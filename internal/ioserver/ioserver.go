@@ -7,6 +7,14 @@
 // submitter — enqueue Requests and go back to computing; a Request is a
 // ticket with Done/Wait semantics.
 //
+// A Request is whatever the client makes it, and a worker executes it
+// whole: every merged run of the batch issues at once, in parallel
+// across the drives, and the worker takes nothing else until all have
+// finished. The collective layer submits one Request per collective call
+// — every aggregator domain in one prepared plan — so a worker serves
+// one call at a time across all drives, and the server's choices are
+// made between calls.
+//
 // Multiplexing many concurrent jobs over one device array is the whole
 // point, so the dequeue order is a pluggable QoS policy:
 //
@@ -26,6 +34,23 @@
 // is capped the worker sleeps until the earliest becomes eligible, and
 // a Submit arriving mid-sleep wakes it immediately, so an uncapped
 // request never waits out another job's bucket.
+//
+// Three properties hold for any job mix (TestServerInvariants checks
+// them on seeded mixes of call-sized and small requests):
+//
+//   - Work conservation: no worker is idle while a request of a job
+//     that is not at its cap is queued.
+//   - The cap is a bound over every window: between two dispatches of a
+//     capped job, the bytes dispatched in between are at most
+//     BytesPerSec × the time between them.
+//   - Bounded unfairness under FairShare (start-time fair queueing's
+//     bound): over any interval in which two uncapped jobs f and g both
+//     stay backlogged, their weighted service bytes/weight differs by at
+//     most maxreq(f)/weight(f) + maxreq(g)/weight(g) — one maximum
+//     request each. The bound is in requests, so it scales with what a
+//     client submits: with whole collective calls as requests a small
+//     job can fall one bulk call behind (in time: that call's service,
+//     per worker) where per-domain requests made it one domain.
 //
 // Every request records its enqueue→completion latency in the job's
 // stats.Sample, so per-job p50/p95/p99 come out exact and
@@ -77,9 +102,12 @@ func (p Policy) String() string {
 // Config sizes a Server.
 type Config struct {
 	// Workers is the number of dedicated I/O-server processes (≥1;
-	// default 1). Each worker executes one request at a time, so
-	// Workers bounds the server's request concurrency the way
-	// aggregator count bounds a collective's.
+	// default 1). Each worker executes one request at a time — for the
+	// collective layer one whole call, driving every drive the call
+	// touches at once — so Workers is how many calls are in service
+	// together, not how many drives are busy: one worker already keeps
+	// the whole array streaming, and a second lets the next call's
+	// requests queue at the drives behind the first's.
 	Workers int
 	// Policy is the dequeue discipline (default FIFO).
 	Policy Policy

@@ -147,11 +147,19 @@
 // opened with CollectiveOptions.Service routes its device phase
 // through a lane and gains the split-collective forms
 // Collective.IWriteAll / IReadAll: plan and exchange run inline (they
-// are collective by nature), the device batches are enqueued, and the
+// are collective by nature), the device phase is enqueued, and the
 // returned IOHandle lets every rank overlap its own computation before
-// the collective Wait (Test polls locally). Outcomes are
-// data-identical to the blocking calls under every policy — write
-// domains are final before submission and disjoint by construction —
+// the collective Wait (Test polls locally). The unit of server work is
+// the call: the aggregators assemble their domains side by side in one
+// call buffer and the last rank out of the exchange submits ONE request
+// — every domain in one prepared BatchPlan, merged across domains, so a
+// checkpoint of a declustered file reaches each drive as one sequential
+// run (TestServerDirectedWin: 64 lane requests and 1 024 device
+// requests a call become 1 and 16, ≥ 3× modeled makespan). A worker
+// serves one call at a time across all drives, QoS decisions fall
+// between calls, and a failed request is one error, the same on every
+// rank. Outcomes are data-identical to the blocking calls under every
+// policy — a write's call buffer is final before submission —
 // enforced by TestDifferentialMultijob (scheduled == serialized ==
 // reference model, 18 seeded scenarios). IOJob.Stats reports per-job
 // served bytes, busy time and latency percentiles; TestMultijobQoS
@@ -225,8 +233,7 @@
 // modeled times, stats and probe traces are bit-identical cached or
 // uncached (the win is host wall-clock and allocations, ≥2× and ≥3×
 // per replayed iteration, enforced by TestPlanReplayWin on a 1024-rank
-// × 64-iteration contended loop and tracked in CI by
-// BENCH_replay.json). Collective.PlanCacheStats reports hits, misses,
+// × 64-iteration contended loop). Collective.PlanCacheStats reports hits, misses,
 // evictions and invalidations (CollectiveCacheStats);
 // TestReplayDeterminism512 fences determinism, the differential
 // harness's replay phases diff replayed iterations against fresh-plan

@@ -224,8 +224,7 @@ func TestStrategyAutoWins(t *testing.T) {
 }
 
 // BenchmarkStrategySweep reports the whole sweep — modeled MB/s per
-// (configuration, strategy) — as the CI trajectory artifact
-// (BENCH_strategy.json).
+// (configuration, strategy).
 func BenchmarkStrategySweep(b *testing.B) {
 	for _, cfg := range strategySweepConfigs() {
 		for _, fs := range append(strategyFixed, struct {
