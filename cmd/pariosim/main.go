@@ -538,14 +538,16 @@ func collectiveDemo(w io.Writer) error {
 // patterns favor sieving, sparse ones vectored I/O, interleaved ones the
 // two-phase exchange — until link congestion inverts that trade; the
 // route column shows what Auto picked, and predicted what its cost model
-// priced that pick at, beside the modeled time the call then took.
+// priced that pick at, beside the modeled time the call then took and
+// the pipeline depth it priced cheapest (Auto's handle bounds the chunk
+// at 1 MiB, a whole domain here; the fixed strategies run single-shot).
 func strategyDemo(w io.Writer) error {
 	const (
 		devs   = 4
 		blocks = 1024 // 4 KiB blocks, 256 per device
 	)
 	t := stats.NewTable("Strategy selection: rank-disjoint collective writes, 1024 blocks (4 KiB) on 4 devices",
-		"pattern", "ranks", "link", "vectored", "sieved", "two-phase", "auto", "route", "predicted", "pred/real")
+		"pattern", "ranks", "link", "vectored", "sieved", "two-phase", "auto", "route", "predicted", "pred/real", "depth")
 	type sweepCfg struct {
 		pattern   string
 		ranks     int
@@ -576,7 +578,7 @@ func strategyDemo(w io.Writer) error {
 		}
 		return vec
 	}
-	one := func(c sweepCfg, strat blockio.Strategy, scope string) (el time.Duration, route string, predicted time.Duration, err error) {
+	one := func(c sweepCfg, strat blockio.Strategy, scope string) (el time.Duration, route string, predicted time.Duration, depth int, err error) {
 		e := sim.NewEngine()
 		disks := make([]*device.Disk, devs)
 		for i := range disks {
@@ -584,7 +586,7 @@ func strategyDemo(w io.Writer) error {
 		}
 		store, err := blockio.NewDirect(disks)
 		if err != nil {
-			return 0, "", 0, err
+			return 0, "", 0, 0, err
 		}
 		attach(scope, e, disks, store)
 		vol := pfs.NewVolume(store)
@@ -595,15 +597,19 @@ func strategyDemo(w io.Writer) error {
 			spec.Org, spec.Parts = pfs.OrgPartitioned, devs
 		}
 		if _, err := vol.Create(spec); err != nil {
-			return 0, "", 0, err
+			return 0, "", 0, 0, err
 		}
 		group, err := vol.OpenGroup("sweep")
 		if err != nil {
-			return 0, "", 0, err
+			return 0, "", 0, 0, err
 		}
-		col, err := collective.Open(group, c.ranks, collective.Options{Strategy: strat})
+		opts := collective.Options{Strategy: strat}
+		if strat == blockio.StrategyAuto {
+			opts.ChunkBytes = 1 << 20 // an upper bound: Auto prices the depth below it
+		}
+		col, err := collective.Open(group, c.ranks, opts)
 		if err != nil {
-			return 0, "", 0, err
+			return 0, "", 0, 0, err
 		}
 		var rankErr error
 		g, _ := mpp.Run(e, c.ranks, "rank", func(p *mpp.Proc) {
@@ -625,9 +631,9 @@ func strategyDemo(w io.Writer) error {
 		}
 		attachGroup(g, "rank")
 		if err := e.Run(); err != nil {
-			return 0, "", 0, err
+			return 0, "", 0, 0, err
 		}
-		return e.Now(), col.LastRoute(), col.LastPredicted(), rankErr
+		return e.Now(), col.LastRoute(), col.LastPredicted(), col.LastDepth(), rankErr
 	}
 	for _, pattern := range []string{"dense", "sparse", "interleaved"} {
 		for _, ranks := range []int{4, 8} {
@@ -642,22 +648,23 @@ func strategyDemo(w io.Writer) error {
 				// fill the closing columns.
 				var route string
 				var el, predicted time.Duration
+				var depth int
 				for _, strat := range []blockio.Strategy{
 					blockio.StrategyVectored, blockio.StrategySieved,
 					blockio.StrategyCollective, blockio.StrategyAuto,
 				} {
 					scope := fmt.Sprintf("strategy/%s-r%d-%s/%v", pattern, ranks, link, strat)
 					var err error
-					if el, route, predicted, err = one(c, strat, scope); err != nil {
+					if el, route, predicted, depth, err = one(c, strat, scope); err != nil {
 						return err
 					}
 					row = append(row, el)
 				}
-				t.AddRow(append(row, route, predicted, fmt.Sprintf("%.2f", predicted.Seconds()/el.Seconds()))...)
+				t.AddRow(append(row, route, predicted, fmt.Sprintf("%.2f", predicted.Seconds()/el.Seconds()), depth)...)
 			}
 		}
 	}
-	t.Note = "auto prices vectored/sieved/two-phase per call from the drive parameters and the link model;\nroute is the path auto picked — dense favors sieving, sparse vectored, interleaved two-phase\n(until congestion inverts the trade); predicted is what the cost model priced that pick at,\npred/real its ratio to the modeled time the call took (with -metrics: collective.*.plan.*\ncount the two-phase calls per partition — aligned = file domains cut at drive boundaries)"
+	t.Note = "auto prices vectored/sieved/two-phase per call from the drive parameters and the link model;\nroute is the path auto picked — dense favors sieving, sparse vectored, interleaved two-phase\n(until congestion inverts the trade); predicted is what the cost model priced that pick at,\npred/real its ratio to the modeled time the call took, depth the pipeline rounds it priced\ncheapest for a two-phase pick (0: an independent route); with -metrics, collective.*.plan.*\ncount the two-phase calls per partition (aligned = file domains cut at drive boundaries) and\n.plan.depth_price_ms.<rounds> list what every depth tried was priced at"
 	fmt.Fprintln(w, t.String())
 	return nil
 }

@@ -26,12 +26,17 @@ import (
 
 // BatchPlan is a prepared cross-file batch split into issue windows.
 // Build one with BatchVec.Plan; issue windows with ReadWindow and
-// WriteWindow. A plan is immutable and may be issued any number of
-// times, in any window order, concurrently under an engine.
+// WriteWindow. A plan's runs are immutable and it may be issued any
+// number of times, in any window order, concurrently under an engine.
 type BatchPlan struct {
 	store Store
 	bs    int64
 	wins  [][]planRun
+	// iovFree recycles the scatter/gather lists of single-run windows
+	// (one per issue in flight), so issuing such a window — a chunk of a
+	// drive-aligned domain, every round of a pipelined collective —
+	// allocates nothing in steady state.
+	iovFree [][][]byte
 }
 
 // planRun is one merged physically contiguous gather run of a window.
@@ -192,15 +197,15 @@ func (pl *BatchPlan) do(ctx sim.Context, op string, w int, buf []byte, base int6
 	if len(runs) == 0 {
 		return nil
 	}
-	iov := func(r planRun) ([][]byte, error) {
-		out := make([][]byte, len(r.segs))
-		for i, sg := range r.segs {
+	// iov binds run r's segments to buf, appending to out.
+	iov := func(r planRun, out [][]byte) ([][]byte, error) {
+		for _, sg := range r.segs {
 			off := sg.BufOff - base
 			if off < 0 || off+sg.Blocks*pl.bs > int64(len(buf)) {
 				return nil, fmt.Errorf("blockio: %s window %d: plan bytes [%d,%d) outside the %d-byte buffer at base %d",
 					op, w, sg.BufOff, sg.BufOff+sg.Blocks*pl.bs, len(buf), base)
 			}
-			out[i] = buf[off : off+sg.Blocks*pl.bs]
+			out = append(out, buf[off:off+sg.Blocks*pl.bs])
 		}
 		return out, nil
 	}
@@ -212,16 +217,23 @@ func (pl *BatchPlan) do(ctx sim.Context, op string, w int, buf []byte, base int6
 	var err error
 	if len(runs) == 1 {
 		r := runs[0]
-		io, ierr := iov(r)
+		var scratch [][]byte
+		if n := len(pl.iovFree); n > 0 {
+			scratch, pl.iovFree[n-1] = pl.iovFree[n-1], nil
+			pl.iovFree = pl.iovFree[:n-1]
+		}
+		io, ierr := iov(r, scratch[:0])
 		if ierr != nil {
 			return ierr
 		}
 		err = xfer(pl.store, ctx, r.dev, r.pb, int(r.n), io)
+		clear(io)
+		pl.iovFree = append(pl.iovFree, io)
 	} else {
 		fns := make([]func(sim.Context) error, len(runs))
 		for i, r := range runs {
 			r := r
-			io, ierr := iov(r)
+			io, ierr := iov(r, make([][]byte, 0, len(r.segs)))
 			if ierr != nil {
 				return ierr
 			}

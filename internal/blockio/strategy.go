@@ -79,24 +79,33 @@ type CostModel struct {
 	BisectionBytesPerSec float64
 	// Ranks is the number of processes accessing the store at once.
 	Ranks int
+
+	// The drive model ReqFixed and DevBytesPerSec were derived from, for
+	// requests whose seek is known (ContFixed). Zero outside
+	// StoreCostModel: such requests then price as free, like the rest.
+	geom   device.Geometry
+	timing device.Timing
 }
 
-// DeviceTimer is implemented by stores that can report their drives'
-// service-time model (Direct, stripe.Parity, stripe.Mirror). Stores
-// without it price requests with the 1989 defaults.
-type DeviceTimer interface {
-	DeviceTiming() device.Timing
+// DeviceModeler is implemented by stores that can report their drives'
+// geometry and service-time model (Direct, stripe.Parity,
+// stripe.Mirror). Stores without it price requests with the 1989
+// defaults.
+type DeviceModeler interface {
+	DeviceModel() (device.Geometry, device.Timing)
 }
 
-// DeviceTiming implements DeviceTimer for plain disk arrays.
-func (d *Direct) DeviceTiming() device.Timing { return d.disks[0].Timing() }
+// DeviceModel implements DeviceModeler for plain disk arrays.
+func (d *Direct) DeviceModel() (device.Geometry, device.Timing) {
+	return d.disks[0].Geometry(), d.disks[0].Timing()
+}
 
 // StoreCostModel derives the device half of a cost model from a store's
 // drive parameters, for ranks concurrent accessors.
 func StoreCostModel(store Store, ranks int) CostModel {
-	t := device.DefaultTiming1989()
-	if dt, ok := store.(DeviceTimer); ok {
-		t = dt.DeviceTiming()
+	g, t := device.DefaultGeometry1989(), device.DefaultTiming1989()
+	if dm, ok := store.(DeviceModeler); ok {
+		g, t = dm.DeviceModel()
 	}
 	if ranks < 1 {
 		ranks = 1
@@ -105,7 +114,30 @@ func StoreCostModel(store Store, ranks int) CostModel {
 		ReqFixed:       t.Overhead + t.RotationPeriod/2 + (t.SeekMin+t.SeekMax)/2,
 		DevBytesPerSec: t.TransferRate,
 		Ranks:          ranks,
+		geom:           g,
+		timing:         t,
 	}
+}
+
+// ContFixed prices the fixed part — everything but the transfer — of n
+// requests that continue a sequential run on one drive: the run's first
+// request started at physical block first, and each of the n starts
+// blocks blocks after the one before it. Such a request does not pay
+// ReqFixed's average seek: the drive's own service-time model
+// (device.ServiceTime) charges it controller overhead, half a rotation,
+// and the seek across the cylinders it actually crosses — none, when it
+// starts in the cylinder the previous one started in.
+func (m CostModel) ContFixed(n, first, blocks int64) time.Duration {
+	per := int64(m.geom.BlocksPerCyl)
+	if per <= 0 || n <= 0 {
+		return 0
+	}
+	// Every one of the n crosses blocks/per cylinders or one more; the run
+	// crosses (first+n×blocks)/per − first/per in all.
+	cyls := blocks / per
+	more := (first+n*blocks)/per - first/per - n*cyls
+	fixed := func(cyls int64) time.Duration { return device.ServiceTime(m.geom, m.timing, int(cyls), 0) }
+	return time.Duration(more)*fixed(cyls+1) + time.Duration(n-more)*fixed(cyls)
 }
 
 // Xfer prices moving bytes at the device transfer rate.

@@ -588,17 +588,28 @@ func (c *Cache) clearBusy(ctx sim.Context, idx int64) {
 	}
 }
 
-// evictOne writes back and drops the least-recently-used entry, keeping
-// it (once the write-back has returned) for the next With miss to
-// recycle — unless a concurrent Flush still holds the entry and its frame.
+// evictOne writes back and drops the least-recently-used entry that no
+// Flush is writing back, keeping it (once its own write-back has
+// returned) for the next With miss to recycle. An entry under Flush is
+// not a victim: Flush still holds its frame, and the accessors parked
+// on its busy marker would never be woken had eviction replaced the
+// marker with its own. When Flush holds every resident entry, evictOne
+// waits for the oldest to come back and evicts nothing; its callers loop.
 func (c *Cache) evictOne(ctx sim.Context) error {
 	back := c.lru.Back()
 	if back == nil {
 		return fmt.Errorf("buffer: cache eviction with empty LRU")
 	}
-	victim := back.Value.(*entry)
-	flushing := c.busy[victim.idx] != nil
-	c.lru.Remove(back)
+	el := back
+	for el != nil && c.busy[el.Value.(*entry).idx] != nil {
+		el = el.Prev()
+	}
+	if el == nil {
+		c.waitNotBusy(ctx, back.Value.(*entry).idx)
+		return nil
+	}
+	victim := el.Value.(*entry)
+	c.lru.Remove(el)
 	delete(c.entries, victim.idx)
 	c.stats.Evictions++
 	if victim.dirty {
@@ -610,9 +621,7 @@ func (c *Cache) evictOne(ctx sim.Context) error {
 			return fmt.Errorf("buffer: write back block %d: %w", victim.idx, err)
 		}
 	}
-	if !flushing {
-		c.spare = victim
-	}
+	c.spare = victim
 	return nil
 }
 

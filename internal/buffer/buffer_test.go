@@ -690,9 +690,10 @@ func TestCacheMissRecyclesEvictedFrame(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionDuringFlushKeepsFrame: an entry evicted while Flush is
-// still writing it must not be recycled — the device reads the frame when
-// the slow write completes, after the evictor has refilled the cache.
+// TestCacheEvictionDuringFlushKeepsFrame: the frame of an entry Flush is
+// still writing must not be recycled — the device reads it when the slow
+// write completes. A miss on the full cache waits for Flush to hand the
+// entry back instead of evicting it from under the write.
 func TestCacheEvictionDuringFlushKeepsFrame(t *testing.T) {
 	written := map[int64]byte{}
 	calls := 0
@@ -730,5 +731,85 @@ func TestCacheEvictionDuringFlushKeepsFrame(t *testing.T) {
 	}
 	if written[7] != 77 {
 		t.Fatalf("block 7 written back as %d, want 77: its frame was reused under Flush", written[7])
+	}
+}
+
+// TestCacheFlushIsNotEvicted: eviction must pass over an entry Flush is
+// writing back. It used to take the least recently used entry whoever
+// held it; when that entry was still dirty, eviction's busy marker
+// replaced the one Flush had installed, and an accessor parked on the
+// old marker was never woken (and the block was written twice). Here a
+// reader waits on the block under Flush while other processes fault
+// blocks in and out of a two-block cache around it: the run must end
+// (Engine.Run returns nil, not a *sim.Deadlock) with every reader served
+// the right bytes and the backing store equal to the reference.
+func TestCacheFlushIsNotEvicted(t *testing.T) {
+	b := newCacheBacking()
+	flushed := map[int64]int{}
+	flush := func(ctx sim.Context, idx int64, buf []byte) error {
+		ctx.Sleep(10 * time.Millisecond) // long enough for the others to get in its way
+		flushed[idx]++
+		return b.flush(ctx, idx, buf)
+	}
+	fetch := func(ctx sim.Context, idx int64, buf []byte) error {
+		ctx.Sleep(time.Millisecond)
+		return b.fetch(ctx, idx, buf)
+	}
+	c, err := NewCache(fetch, flush, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := map[int64]byte{0: 10, 1: 11}
+	expect := func(idx int64) func([]byte) error {
+		return func(buf []byte) error {
+			if buf[0] != ref[idx] {
+				t.Errorf("block %d read as %d, want %d", idx, buf[0], ref[idx])
+			}
+			return nil
+		}
+	}
+	e := sim.NewEngine()
+	e.Go("flusher", func(p *sim.Proc) {
+		for idx := int64(0); idx < 2; idx++ {
+			v := ref[idx]
+			if err := c.With(p, idx, true, func(buf []byte) error { buf[0] = v; return nil }); err != nil {
+				t.Error(err)
+			}
+		}
+		if err := c.Flush(p); err != nil { // block 0 first: the LRU entry
+			t.Error(err)
+		}
+	})
+	e.Go("reader", func(p *sim.Proc) {
+		p.Sleep(3 * time.Millisecond) // Flush is writing block 0: parks on its marker
+		if err := c.With(p, 0, false, expect(0)); err != nil {
+			t.Error(err)
+		}
+	})
+	for i := 0; i < 3; i++ {
+		idx := int64(5 + i)
+		e.Go("faulter", func(p *sim.Proc) {
+			p.Sleep(time.Duration(4+i) * time.Millisecond) // misses on the full cache
+			if err := c.With(p, idx, false, expect(idx)); err != nil {
+				t.Error(err)
+			}
+			if err := c.With(p, 1, false, expect(1)); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(sim.NewWall()); err != nil {
+		t.Fatal(err)
+	}
+	for idx, want := range ref {
+		if got := b.blocks[idx]; len(got) == 0 || got[0] != want {
+			t.Errorf("block %d on the backing store is %v, want %d", idx, got, want)
+		}
+		if flushed[idx] != 1 {
+			t.Errorf("block %d written back %d times, want once", idx, flushed[idx])
+		}
 	}
 }

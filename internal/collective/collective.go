@@ -94,18 +94,19 @@ type Options struct {
 
 	// ChunkBytes bounds each aggregator's staging memory and turns the
 	// collective into a software pipeline (ROMIO's cb_buffer_size): every
-	// file domain is cut into ChunkBytes-sized chunks and the exchange of
-	// chunk k+1 proceeds concurrently with the device access of chunk k
-	// (reads mirror this: the access of chunk k+1 overlaps the delivery
-	// of chunk k), so the interconnect and the drives work at the same
-	// time instead of strictly alternating. Each aggregator stages at
-	// most two chunks per owned domain (double buffering). Sub-block
-	// values round up to one block per chunk; values above the domain
-	// size degenerate to a single round (except on StrategyAuto's
-	// drive-aligned partition, which may cut such a domain in two to
-	// have something to overlap). 0 (the default) keeps the unbounded
-	// single-shot two-phase schedule, whose modeled timings are
-	// bit-identical to earlier releases.
+	// file domain is cut into chunks of at most ChunkBytes and the
+	// exchange of chunk k+1 proceeds concurrently with the device access
+	// of chunk k (reads mirror this: the access of chunk k+1 overlaps the
+	// delivery of chunk k), so the interconnect and the drives work at the
+	// same time instead of strictly alternating. Each aggregator stages at
+	// most two chunks per owned domain (double buffering). It is an upper
+	// bound: sub-block values round up to one block per chunk, values
+	// above the domain size mean one chunk per domain — a single round,
+	// with nothing to overlap — and on StrategyAuto's drive-aligned
+	// partition the chunk may be cut finer, as many times as prices
+	// cheapest (Strategy). 0 (the default) keeps the unbounded single-shot
+	// two-phase schedule, whose modeled timings are bit-identical to
+	// earlier releases.
 	ChunkBytes int64
 
 	// Strategy selects the access route of the blocking collective
@@ -120,8 +121,10 @@ type Options struct {
 	// file domains: the logical one every other setting uses (domains
 	// contiguous in the files) and the drive-aligned one (domain a is
 	// the footprint on drive a: one sequential run per aggregator, the
-	// exchange re-sorting the ranks' pieces by drive), the latter also
-	// through a two-round pipeline when a domain fits in one chunk.
+	// exchange re-sorting the ranks' pieces by drive). With ChunkBytes
+	// set the aligned one is priced at every pipeline depth from the
+	// chunk ChunkBytes allows down to single blocks — each chunk cut in
+	// 2, 4, 8, … — and runs at the cheapest (LastDepth reports it).
 	// LastRoute says "two-phase" for either. Plan validation, cross-rank
 	// overlap rejection, and LastWriterWins semantics are identical on
 	// every route. The nonblocking entry points (Service) always run
@@ -253,9 +256,22 @@ type Collective struct {
 	price priceScratch
 	ex    explainProbe
 	// forcePart, when set, replaces route pricing with a fixed choice on
-	// every blocking call — the in-package test hook that runs the
-	// differential harness on the aligned partition.
+	// every blocking call — the test hook that runs the differential
+	// harness on the aligned partition and the win tests at a pipeline
+	// depth the prices would not pick (ForceAligned).
 	forcePart *choice
+}
+
+// ForceAligned is the test hook of the module's own tests, out of reach
+// of the public facade: every blocking call on c runs two-phase on the
+// drive-aligned partition with every chunk cut in split, priced or not.
+// split 0 hands the choice back to Options.Strategy.
+func ForceAligned(c *Collective, split int) {
+	c.forcePart = nil
+	if split > 0 {
+		c.forcePart = &choice{route: routeTwoPhase, aligned: true, split: split}
+	}
+	c.flushSchedules()
 }
 
 // getPay pops a recycled payload buffer (length 0, capacity whatever it

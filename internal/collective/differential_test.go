@@ -70,7 +70,8 @@ const (
 	// partition (plan.aligned), which only StrategyAuto's pricing would
 	// otherwise select: handles with the in-package forcePart hook set,
 	// single-shot on even phases and chunked (the scenario's ChunkBytes,
-	// domains that fit one chunk cut in two) on odd ones. The phases
+	// every chunk cut in 2, 4, 8 or 16 by the seed, so the ranks that own
+	// no domain post up to sixteen rounds at once) on odd ones. The phases
 	// around them run on the logical partition, so an aligned write is
 	// read back by logical reads and the reverse, and every image is
 	// diffed against the same serial reference — across the store kinds,
@@ -497,8 +498,9 @@ func (sc *diffScenario) run(t *testing.T) {
 		if aligned[i], err = Open(g, sc.nRanks, o); err != nil {
 			t.Fatalf("seed %d: %v", sc.seed, err)
 		}
-		aligned[i].forcePart = &choice{route: routeTwoPhase, aligned: true, split: 1 + i}
+		aligned[i].forcePart = &choice{route: routeTwoPhase, aligned: true, split: 1}
 	}
+	aligned[1].forcePart.split = 2 << (sc.seed % 4)
 	mg, join := mpp.Run(e, sc.nRanks, "diff", func(p *mpp.Proc) {
 		r := p.Rank()
 		for pi, ph := range sc.phases {

@@ -249,7 +249,8 @@ func checkPlanInvariants(t *testing.T, pl *plan, reqs [][]VecReq, opts Options) 
 //   - every chunk is at most chunkBlocks blocks, and chunkBlocks bytes
 //     never exceed ChunkBytes except for the single-oversized-segment
 //     degenerations (sub-block ChunkBytes → one block; chunk larger
-//     than a domain → clamped to the domain);
+//     than a domain → clamped to the domain), at every pipeline split
+//     from 1 to 16 of the drive-aligned partition;
 //   - rounds is exactly the chunk count of the largest domain, and
 //     every domain is exhausted within it;
 //   - per (rank, domain), the clips of the domain's chunk windows sum
@@ -281,8 +282,9 @@ func FuzzChunkDomains(f *testing.F) {
 			return // rejected input: the validator at work, not a plan
 		}
 		checkChunkInvariants(t, pl, chunkBytes, 1)
-		checkChunkInvariants(t, pl.aligned(opts, 1), chunkBytes, 1)
-		checkChunkInvariants(t, pl.aligned(opts, 2), chunkBytes, 2)
+		for _, split := range []int{1, 2, 3, 4, 8, 16} {
+			checkChunkInvariants(t, pl.aligned(opts, split), chunkBytes, split)
+		}
 	})
 }
 
@@ -300,8 +302,9 @@ func checkChunkInvariants(t *testing.T, pl *plan, chunkBytes int64, split int) {
 	if pl.chunkBlocks < 1 {
 		t.Fatalf("chunkBlocks = %d with ChunkBytes %d", pl.chunkBlocks, chunkBytes)
 	}
-	// Chunk size honors ChunkBytes except the two documented oversized
-	// degenerations; a domain that fits in one chunk is cut in split.
+	// ChunkBytes is an upper bound on the chunk (a sub-block ChunkBytes
+	// rounds up to one block, a chunk larger than a domain is the domain),
+	// and every chunk is cut in split.
 	maxBytes := chunkBytes
 	if maxBytes < pl.bs {
 		maxBytes = pl.bs // sub-block chunks round up to one block
@@ -310,9 +313,9 @@ func checkChunkInvariants(t *testing.T, pl *plan, chunkBytes int64, split int) {
 		t.Fatalf("chunkBlocks %d (%d bytes) exceeds ChunkBytes %d",
 			pl.chunkBlocks, pl.chunkBlocks*pl.bs, chunkBytes)
 	}
-	if fits := maxBytes/pl.bs >= pl.domBlocks; fits && pl.chunkBlocks != (pl.domBlocks+int64(split)-1)/int64(split) {
-		t.Fatalf("domain of %d blocks fits ChunkBytes %d but chunkBlocks = %d at split %d",
-			pl.domBlocks, chunkBytes, pl.chunkBlocks, split)
+	if whole := min(maxBytes/pl.bs, pl.domBlocks); pl.chunkBlocks != (whole+int64(split)-1)/int64(split) {
+		t.Fatalf("chunk of %d blocks (domain %d, ChunkBytes %d) cut in %d: chunkBlocks = %d",
+			whole, pl.domBlocks, chunkBytes, split, pl.chunkBlocks)
 	}
 	wantRounds := int((pl.domBlocks + pl.chunkBlocks - 1) / pl.chunkBlocks)
 	if pl.rounds != wantRounds {

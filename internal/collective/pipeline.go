@@ -7,10 +7,9 @@
 // whole access, so the interconnect idles while the drives work and the
 // drives idle while bytes cross the link. Here each file domain is cut
 // into chunk-aligned sub-domains (plan.chunkWindow) and the collective
-// runs plan.rounds lockstep exchange rounds (mpp.SparseExchange — per-pair
-// setup charged once for the whole collective), with every aggregator's
-// device access running in a companion process fed through a depth-1
-// sim.Queue:
+// runs plan.rounds exchange rounds (mpp.SparseExchange — per-pair setup
+// charged once for the whole collective), with every aggregator's device
+// access running in a companion process fed through a depth-1 sim.Queue:
 //
 //	write: main   pack(k) → Round(k) ──→ queue ──→ companion: assemble(k) → WriteWindow(k)
 //	read:  companion ReadWindow(k) → pack(k) ──→ queue ──→ main: Round(k) → scatter(k)
@@ -23,19 +22,28 @@
 // blockio.BatchPlan prepared once per domain, so chunking never
 // re-sorts or re-merges the physical pieces.
 //
+// Only the aggregators run the rounds. A rank that owns no domain has
+// nothing to do between them — it packs before the first and scatters
+// after the last, both free in virtual time — so it posts all its rounds
+// at once and parks until the exchange is over
+// (mpp.SparseExchange.Post: modeled time is what taking part in every
+// round charges). A round therefore costs the host what its aggregators
+// and its messages cost, not four engine dispatches for each of the
+// group's ranks, and in steady state it allocates nothing: hand-off
+// slots, staging, message lists, payloads, device requests and wait
+// lists are all reused.
+//
 // What a chunk is on the drives is the plan's business, not this file's.
 // A chunk of a logical domain is a contiguous slice of the files: on a
 // declustered file, a short piece on every drive, every round. A chunk
 // of a drive-aligned domain (plan.aligned, StrategyAuto's other
 // two-phase candidate) is a contiguous slice of one drive, so a round is
-// one long request per drive. And a ChunkBytes larger than every domain
-// used to mean one round — this code path with nothing to overlap, the
-// second staging buffer never touched; the aligned candidate is priced
-// at that depth and cut in two (strategy.go's alignedCost, the
-// two-stage pipeline formula), and takes the cheaper. Two, not more:
-// each extra round is a full SparseExchange.Round for every rank, which
-// at 512 ranks is what the host time of a call is made of. Nothing
-// below tells the two partitions apart.
+// one long request per drive. How many rounds is a price there, not a
+// setting: Options.ChunkBytes bounds the chunk, and strategy.go's
+// alignedCost runs every depth below that bound — each chunk cut in 2,
+// 4, 8, … — through the two-stage pipeline formula, pricing the extra
+// request a drive takes per round with the drive's own service time,
+// and keeps the cheapest. Nothing below tells the two partitions apart.
 
 package collective
 
@@ -60,28 +68,30 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 	rank := p.Rank()
 	pl := sd.pl
 	rec, trk, prefix := p.Probe()
-	owned := sd.ownedOf[rank]
 	ex := p.NewSparseExchange()
-	if len(owned) == 0 {
-		// Pure compute rank: it only feeds (or drains) the exchange
-		// rounds — no device work, no companion process.
-		for k := 0; k < pl.rounds; k++ {
-			if write {
-				send := c.packChunkSparse(pl, rank, k, buf)
-				t0 := p.Now()
-				p.RecycleRecv(ex.Round(send))
-				c.commIv = append(c.commIv, iv{t0, p.Now()})
-				rec.Span(trk, "collective", "chunk.exchange", t0, p.Now(), 0, 0)
-			} else {
-				t0 := p.Now()
-				recv := ex.Round(nil)
-				c.commIv = append(c.commIv, iv{t0, p.Now()})
-				rec.Span(trk, "collective", "chunk.exchange", t0, p.Now(), 0, 0)
-				c.scatterChunkSparse(pl, rank, k, recv, buf)
-				p.RecycleRecv(recv)
-			}
+	var agg *aggState
+	var err error
+	if owned := sd.ownedOf[rank]; len(owned) > 0 {
+		agg, err = sd.aggState(c, rank, owned)
+	}
+	if agg == nil {
+		// A rank with no domain has nothing to do between rounds: it packs
+		// every round's payloads now (writes) or scatters them at the end
+		// (reads), both free in virtual time, so it posts its rounds and
+		// parks once (mpp.SparseExchange.Post). So does an aggregator whose
+		// state could not be built — unreachable in practice, the plan's
+		// windows are valid by construction — dropping what it is sent.
+		var send []mpp.Msg
+		if write {
+			send = c.packRounds(pl, rank, buf)
 		}
-		c.errs[rank] = nil
+		t0 := p.Now()
+		recv := ex.Post(send, pl.rounds)
+		c.commIv = append(c.commIv, iv{t0, p.Now()})
+		rec.Span(trk, "collective", "chunk.exchange", t0, p.Now(), 0, 0)
+		c.scatterRounds(pl, rank, recv, buf, !write)
+		p.RecycleRecv(recv)
+		c.errs[rank] = err
 		return
 	}
 	// Aggregator rank: exchange spans live on the rank's track, device
@@ -91,44 +101,18 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 	if rec != nil {
 		ioTrk = rec.Track(fmt.Sprintf("%s/%d/io", prefix, rank))
 	}
-
-	agg, err := sd.aggState(c, rank, owned)
-	if err != nil {
-		// Unreachable in practice (the plan's windows are valid by
-		// construction), but surface it on every round's schedule anyway:
-		// the rank still must participate in the exchanges.
-		for k := 0; k < pl.rounds; k++ {
-			var send []mpp.Msg
-			if write {
-				send = c.packChunkSparse(pl, rank, k, buf)
-			}
-			recv := ex.Round(send)
-			if !write {
-				c.scatterChunkSparse(pl, rank, k, recv, buf)
-			}
-			p.RecycleRecv(recv)
-		}
-		c.errs[rank] = err
-		return
-	}
-
-	type round struct {
-		k    int
-		recv []mpp.RecvMsg // write: payloads received for the access stage
-		send []mpp.Msg     // read: payloads packed for delivery
-		span probe.SpanID  // producing stage's span: the consumer's causal parent
-	}
 	if write {
 		c.errs[rank] = sim.Pipe(p.Proc, "collective-io", 1,
 			func(q *sim.Queue) error { // exchange stage, on the rank
 				defer q.Close(p.Proc)
 				for k := 0; k < pl.rounds; k++ {
-					send := c.packChunkSparse(pl, rank, k, buf)
+					send := c.packChunkSparse(pl, rank, k, buf, c.msgScratch[rank][:0])
+					c.msgScratch[rank] = send
 					t0 := p.Now()
 					recv := ex.Round(send)
 					c.commIv = append(c.commIv, iv{t0, p.Now()})
 					sp := rec.Span(trk, "collective", "chunk.exchange", t0, p.Now(), 0, 0)
-					q.Put(p.Proc, round{k: k, recv: recv, span: sp})
+					q.Put(p.Proc, agg.handOff(k, recv, nil, sp))
 				}
 				return nil
 			},
@@ -139,7 +123,7 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 					if !ok {
 						return errors.Join(errs...)
 					}
-					r := v.(round)
+					r := *v.(*round)
 					t0 := cp.Now()
 					if err := agg.writeChunk(cp, r.k, r.recv); err != nil {
 						errs = append(errs, err)
@@ -156,16 +140,14 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 	c.errs[rank] = sim.Pipe(p.Proc, "collective-io", 1,
 		func(q *sim.Queue) error { // delivery stage, on the rank
 			for k := 0; k < pl.rounds; k++ {
-				var send []mpp.Msg
-				var parent probe.SpanID
+				var r round
 				if v, ok := q.Get(p.Proc); ok {
-					r := v.(round)
-					send, parent = r.send, r.span
+					r = *v.(*round)
 				}
 				t0 := p.Now()
-				recv := ex.Round(send)
+				recv := ex.Round(r.send)
 				c.commIv = append(c.commIv, iv{t0, p.Now()})
-				rec.Span(trk, "collective", "chunk.exchange", t0, p.Now(), 0, parent)
+				rec.Span(trk, "collective", "chunk.exchange", t0, p.Now(), 0, r.span)
 				c.scatterChunkSparse(pl, rank, k, recv, buf)
 				p.RecycleRecv(recv)
 			}
@@ -182,10 +164,19 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 				}
 				c.ioIv = append(c.ioIv, iv{t0, cp.Now()})
 				sp := rec.Span(ioTrk, "collective", "chunk.access", t0, cp.Now(), 0, 0)
-				q.Put(cp, round{k: k, send: send, span: sp})
+				q.Put(cp, agg.handOff(k, nil, send, sp))
 			}
 			return errors.Join(errs...)
 		})
+}
+
+// round is what one pipeline stage hands the other through the stage
+// queue.
+type round struct {
+	k    int
+	recv []mpp.RecvMsg // write: payloads received for the access stage
+	send []mpp.Msg     // read: payloads packed for delivery
+	span probe.SpanID  // producing stage's span: the consumer's causal parent
 }
 
 // aggState is one aggregator rank's pipelined device-access state: a
@@ -202,6 +193,19 @@ type aggState struct {
 	plans  []*blockio.BatchPlan
 	stage  [][2][]byte
 	msgScr [2][]mpp.Msg
+	// slots are the two rounds in flight between the stages (handOff).
+	slots [2]round
+}
+
+// handOff fills round k's hand-off slot and returns it for the stage
+// queue. A pointer into the state boxes without allocating, where the
+// value did once per round; the consumer copies the slot out as it takes
+// it off the depth-1 queue, before the producer can have put round k+1
+// and come back for this slot with round k+2.
+func (s *aggState) handOff(k int, recv []mpp.RecvMsg, send []mpp.Msg, span probe.SpanID) *round {
+	r := &s.slots[k%2]
+	*r = round{k: k, recv: recv, send: send, span: span}
+	return r
 }
 
 func (c *Collective) newAggState(pl *plan, owned []int) (*aggState, error) {
@@ -325,15 +329,17 @@ func dlo(pl *plan, a int) int64 {
 	return lo
 }
 
-// packChunkSparse builds rank's round-k write messages: for each
-// touched domain in ascending order, the rank's clips against that
+// packChunkSparse appends rank's round-k write messages to msgs: for
+// each touched domain in ascending order, the rank's clips against that
 // domain's chunk-k window concatenated onto the domain owner's payload
 // — the chunked analogue of packRankMsgs, with the same canonical
 // (domain asc, clip asc) order. A message is created only when the
 // window actually holds a clip, so round-level pair counts (and the
 // exchange's per-pair setup charges) match the dense schedule exactly.
-func (c *Collective) packChunkSparse(pl *plan, rank, k int, buf []byte) []mpp.Msg {
-	msgs := c.msgScratch[rank][:0]
+// Messages carry their round, so a rank may pack all its rounds into one
+// list and post them.
+func (c *Collective) packChunkSparse(pl *plan, rank, k int, buf []byte, msgs []mpp.Msg) []mpp.Msg {
+	first := len(msgs)
 	for _, a32 := range pl.domsOf[rank] {
 		a := int(a32)
 		lo, hi := pl.chunkWindow(a, k)
@@ -342,16 +348,15 @@ func (c *Collective) packChunkSparse(pl *plan, rank, k int, buf []byte) []mpp.Ms
 			i := c.dstIdx[dst]
 			if i < 0 {
 				i = len(msgs)
-				msgs = append(msgs, mpp.Msg{Dst: dst, Data: c.getPay()})
+				msgs = append(msgs, mpp.Msg{Dst: dst, Round: k, Data: c.getPay()})
 				c.dstIdx[dst] = i
 			}
 			msgs[i].Data = append(msgs[i].Data, buf[cl.bufOff:cl.bufOff+cl.n*pl.bs]...)
 		})
 	}
-	for _, m := range msgs {
+	for _, m := range msgs[first:] {
 		c.dstIdx[m.Dst] = -1
 	}
-	c.msgScratch[rank] = msgs
 	return msgs
 }
 
@@ -376,6 +381,39 @@ func (c *Collective) scatterChunkSparse(pl *plan, rank, k int, recv []mpp.RecvMs
 			})
 		}
 		c.putPay(m.Data)
+	}
+}
+
+// packRounds packs every round's write messages of rank into one list,
+// in round order — what a rank that posts its rounds hands the exchange.
+func (c *Collective) packRounds(pl *plan, rank int, buf []byte) []mpp.Msg {
+	msgs := c.msgScratch[rank][:0]
+	for k := 0; k < pl.rounds; k++ {
+		msgs = c.packChunkSparse(pl, rank, k, buf, msgs)
+	}
+	c.msgScratch[rank] = msgs
+	return msgs
+}
+
+// scatterRounds consumes what a rank that posted its rounds was sent
+// over the whole exchange, a list in round order: each round's payloads
+// are scattered into buf as scatterChunkSparse does round by round, or,
+// with deliver false (a write: only an aggregator that could not build
+// its state is sent anything), handed back to the pool unread.
+func (c *Collective) scatterRounds(pl *plan, rank int, recv []mpp.RecvMsg, buf []byte, deliver bool) {
+	for len(recv) > 0 {
+		n := 1
+		for n < len(recv) && recv[n].Round == recv[0].Round {
+			n++
+		}
+		if deliver {
+			c.scatterChunkSparse(pl, rank, recv[0].Round, recv[:n], buf)
+		} else {
+			for _, m := range recv[:n] {
+				c.putPay(m.Data)
+			}
+		}
+		recv = recv[n:]
 	}
 }
 

@@ -226,7 +226,7 @@ func sortedSegs(segs [][]rseg) []owned {
 // lists (partition) and every executor then runs unchanged: a domain
 // buffer is laid out in drive order, a chunk is a contiguous slice of a
 // drive, and locate resolves keys through the identity Set. split
-// deepens the pipeline of a domain that fits in one chunk (partition).
+// deepens the pipeline (partition).
 func (pl *plan) aligned(opts Options, split int) *plan {
 	store := pl.group.Store()
 	nd, per := store.Devices(), store.Blocks()
@@ -287,9 +287,8 @@ func (pl *plan) locate(key int64) (set *blockio.Set, block, left int64) {
 // covered ranges, the share table and participation indexes, the chunk
 // size and the domain owners. cuts == nil cuts the covered-index space
 // into naggs equal domains; otherwise domain a starts at key cuts[a]
-// (naggs+1 ascending keys). split > 1 cuts a domain that fits in one
-// chunk into that many chunks anyway, so the pipeline has something to
-// overlap.
+// (naggs+1 ascending keys). split > 1 cuts every chunk into that many,
+// deepening the pipeline below what ChunkBytes asks for.
 func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int) {
 	naggs, nranks := pl.naggs, len(pl.segs)
 	for _, sg := range all {
@@ -364,18 +363,16 @@ func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int) {
 		}
 	}
 	if opts.ChunkBytes > 0 && pl.total > 0 {
-		// A chunk is ChunkBytes worth of whole blocks — at least one (a
-		// sub-block ChunkBytes degenerates to single-block chunks) and at
-		// most a whole domain. A chunk as large as the largest domain is
-		// one round, the pipelined code path with nothing to overlap,
-		// unless split asks for the domain to be cut anyway: the executor
-		// holds two staging buffers per domain whatever the round count,
-		// and at one round the second is never used.
-		cb := max(opts.ChunkBytes/pl.bs, 1)
-		if cb >= pl.domBlocks {
-			n := int64(max(split, 1))
-			cb = (pl.domBlocks + n - 1) / n
-		}
+		// A chunk is at most ChunkBytes worth of whole blocks — at least
+		// one (a sub-block ChunkBytes degenerates to single-block chunks)
+		// and at most a whole domain — cut in split: ChunkBytes bounds the
+		// staging memory, and how deep the pipeline runs below that bound
+		// is the caller's to price (alignedCost). At split 1 a chunk as
+		// large as the largest domain is one round, the pipelined code
+		// path with nothing to overlap.
+		cb := min(max(opts.ChunkBytes/pl.bs, 1), pl.domBlocks)
+		n := int64(max(split, 1))
+		cb = (cb + n - 1) / n
 		pl.chunkBlocks = cb
 		pl.rounds = int((pl.domBlocks + cb - 1) / cb)
 	}

@@ -262,8 +262,10 @@ func diffReplayObs(t *testing.T, label string, a, b replayObs) {
 // uncached on every route family — single-shot two-phase, pipelined,
 // auto, vectored and sieved (the latter two with LastWriterWins, so the
 // cached LWW clips are exercised), and the drive-aligned partition:
-// forced single-shot, forced through the two-round pipeline, and as the
-// tuned options' StrategyAuto prices it — and on the nonblocking entry
+// forced single-shot, forced through pipelines of two, four and six
+// rounds (every chunk cut in 2, 4 and 8: the non-owner ranks post all
+// their rounds at once), and as the tuned options' StrategyAuto prices
+// its depth — and on the nonblocking entry
 // points, whose cached schedule carries the call-wide callPlan the I/O
 // server executes — and requires bit-identical modeled observables and
 // probe traces, while the cached run actually replays.
@@ -285,6 +287,8 @@ func TestReplayBitIdentical(t *testing.T) {
 		{"aligned", Options{LastWriterWins: true}, aligned(1), true},
 		{"aligned-chunked", Options{Locality: true, ChunkBytes: 2 * testBS}, aligned(1), true},
 		{"aligned-two-rounds", Options{Locality: true, ChunkBytes: 1 << 20}, aligned(2), true},
+		{"aligned-split-4", Options{Locality: true, ChunkBytes: 1 << 20}, aligned(4), true},
+		{"aligned-split-8", Options{Locality: true, ChunkBytes: 1 << 20, LastWriterWins: true}, aligned(8), true},
 		{"auto-tuned", tuned, nil, true},
 	}
 	check := func(name string, scn replayScn, wantAligned bool) {

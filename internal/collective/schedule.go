@@ -55,8 +55,10 @@ type schedule struct {
 	route route
 	stats ExchangeStats // byte split only; time fields stay zero
 	// predicted is the modeled cost StrategyAuto priced the chosen
-	// candidate at (zero when nothing was priced).
+	// candidate at (zero when nothing was priced); depths what it priced
+	// every pipeline depth of the aligned partition at, when it chose it.
 	predicted time.Duration
+	depths    []depthPrice
 
 	key uint64   // fingerprint hash (fast reject)
 	sig []uint64 // full flattened signature (exact compare on lookup)
@@ -252,6 +254,7 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 		pl:         pl,
 		route:      ch.route,
 		predicted:  ch.predicted,
+		depths:     ch.depths,
 		key:        key,
 		sig:        append([]uint64(nil), sig...),
 		minBuf:     make([]int64, c.size),

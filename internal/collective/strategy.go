@@ -59,26 +59,35 @@ func (r route) String() string {
 func (c *Collective) LastRoute() string { return c.route.String() }
 
 // choice is what chooseRoute resolved for one call: the route, and for
-// the two-phase route which partition carries it — the aligned one cut
-// into split chunks per domain where a domain fits in one chunk
-// (plan.aligned). predicted is the modeled cost the chosen candidate was
-// priced at (zero when Options.Strategy fixed the route and nothing was
-// priced); LastStats-style observability compares it with what the call
-// then took (explain.go).
+// the two-phase route which partition carries it — the aligned one with
+// every chunk cut in split (plan.partition), the pipeline depth
+// alignedCost priced cheapest. predicted is the modeled cost the chosen
+// candidate was priced at (zero when Options.Strategy fixed the route
+// and nothing was priced); LastStats-style observability compares it
+// with what the call then took (explain.go), next to the price of every
+// depth that was tried (depths).
 type choice struct {
 	route     route
 	aligned   bool
 	split     int
 	predicted time.Duration
+	depths    []depthPrice
+}
+
+// depthPrice is what alignedCost priced one pipeline depth at.
+type depthPrice struct {
+	rounds int64
+	cost   time.Duration
 }
 
 // devUse is one device's share of the union footprint: its physically
-// contiguous gather runs, the blocks in them, and their summed request
-// + transfer cost.
+// contiguous gather runs (the first of them starting at physical block
+// first), the blocks in them, and their summed request + transfer cost.
 type devUse struct {
 	cost   time.Duration
 	runs   int
 	blocks int64
+	first  int64
 }
 
 // priceScratch is the handle-retained scratch of route pricing, so a
@@ -150,9 +159,9 @@ func (c *Collective) chooseRoute(p *mpp.Proc, pl *plan, write bool) choice {
 		// historical price, exchange + access. Against the aligned one it
 		// is credited with the overlap its own rounds buy, or a footprint
 		// of many chunks would go aligned for the pipelining alone.
-		t, split := c.alignedCost(m, c.exchangeCost(m, c.price.shares, owner), use)
+		t, split, depths := c.alignedCost(m, c.exchangeCost(m, c.price.shares, owner), use)
 		if t < pipelineCost(exch, access, int64(pl.rounds)) {
-			ch.aligned, ch.split, ch.predicted = true, split, t // ties to the historical partition
+			ch.aligned, ch.split, ch.predicted, ch.depths = true, split, t, depths // ties to the historical partition
 		}
 	}
 	switch {
@@ -313,6 +322,9 @@ func (c *Collective) unionUse(m blockio.CostModel, pl *plan) []devUse {
 		}
 		for _, sp := range spans {
 			u := &use[sp.Dev]
+			if u.runs == 0 {
+				_, u.first = c.group.File(f).Set().Locate(sp.Runs[0].B)
+			}
 			for _, run := range sp.Runs {
 				u.cost += m.ReqFixed + m.Xfer(run.N*pl.bs)
 				u.runs++
@@ -356,38 +368,56 @@ func pipelineCost(exch, access time.Duration, rounds int64) time.Duration {
 
 // alignedCost prices the aligned partition: its domains end at drive
 // boundaries, so no run is severed and a drive's requests are the
-// union's runs on it — at least one per round. The round count is what
-// ChunkBytes makes of the largest domain; a domain that fits in one
-// chunk is also priced cut in two (the second staging buffer is
-// otherwise idle), and the cheaper depth is returned as split. Deeper
-// cuts would price lower still, but every extra round is a full
-// exchange round of host work for every rank.
-func (c *Collective) alignedCost(m blockio.CostModel, exch time.Duration, use []devUse) (t time.Duration, split int) {
+// union's runs on it — at least one per round. ChunkBytes bounds the
+// chunk (one whole domain when there is no chunking, or none smaller);
+// the depth of the pipeline below that bound is priced, not fixed: every
+// chunk is cut in 1, 2, 4, … down to single blocks, each depth goes
+// through the two-stage pipeline formula, and the cheapest is returned
+// as split (ties to the shallower). A deeper pipeline hides more of the
+// shorter phase behind the longer one and pays one more request per
+// drive per round for it. What such a request costs is the drive's
+// business: one that continues where the previous round's ended is
+// priced by the drive's own service-time model for the cylinders it
+// crosses (blockio.CostModel.ContFixed), which for a run that stays in
+// its cylinder is overhead and half a rotation — a third of ReqFixed,
+// whose average seek the head never makes. Runs the footprint itself
+// severs keep ReqFixed, so a price with no more rounds than runs (one
+// round above all) is the price it always was.
+func (c *Collective) alignedCost(m blockio.CostModel, exch time.Duration, use []devUse) (t time.Duration, split int, tried []depthPrice) {
 	var dom int64 // the largest domain: one drive whenever the schedule is chunked
 	for _, u := range use {
 		dom = max(dom, u.blocks)
 	}
-	price := func(rounds int64) time.Duration {
+	price := func(chunk int64) (time.Duration, int64) {
+		rounds := max((dom+chunk-1)/chunk, 1)
 		var access time.Duration
 		for _, u := range use {
 			if u.runs > 0 {
-				access = max(access, time.Duration(max(int64(u.runs), rounds))*m.ReqFixed+m.Xfer(u.blocks*c.bs))
+				fixed := time.Duration(u.runs) * m.ReqFixed
+				if more := rounds - int64(u.runs); more > 0 {
+					fixed += m.ContFixed(more, u.first, chunk)
+				}
+				access = max(access, fixed+m.Xfer(u.blocks*c.bs))
 			}
 		}
-		return pipelineCost(exch, access, rounds)
+		return pipelineCost(exch, access, rounds), rounds
 	}
-	if c.opts.ChunkBytes <= 0 {
-		return price(1), 1
+	if c.opts.ChunkBytes <= 0 || dom == 0 {
+		t, _ = price(max(dom, 1))
+		return t, 1, nil
 	}
-	cb := max(c.opts.ChunkBytes/c.bs, 1)
-	if cb < dom {
-		return price((dom + cb - 1) / cb), 1
+	whole := min(max(c.opts.ChunkBytes/c.bs, 1), dom)
+	for n := int64(1); ; n *= 2 {
+		chunk := (whole + n - 1) / n
+		cost, rounds := price(chunk)
+		tried = append(tried, depthPrice{rounds, cost})
+		if n == 1 || cost < t {
+			t, split = cost, int(n)
+		}
+		if chunk == 1 {
+			return t, split, tried
+		}
 	}
-	t, split = price(1), 1
-	if t2 := price(min(2, dom)); t2 < t {
-		t, split = t2, 2
-	}
-	return t, split
 }
 
 // runIndependent executes one collective call as independent per-rank

@@ -143,9 +143,12 @@ const (
 // request is a queued disk operation. A merged request carries several
 // owning processes: procs[0] issued the request the others were absorbed
 // into, performs the completion chaining, and is woken first; every
-// member transfers its own data at the shared completion instant.
+// member transfers its own data at the shared completion instant. The
+// last member to finish hands the request back to the disk's free list
+// (fin counts them), so a steady request stream allocates nothing.
 type request struct {
 	procs   []*sim.Proc
+	fin     int // members that have finished their access
 	op      reqOp
 	block   int64 // first block of the run (merge key)
 	nblk    int64 // run length in blocks; 0 for byte-granular requests
@@ -173,6 +176,7 @@ type Disk struct {
 	busy    bool
 	merge   bool // merge physically adjacent queued requests
 	queue   []*request
+	free    []*request // finished requests, reused by newRequest
 	failed  bool
 
 	stats Stats
@@ -296,39 +300,47 @@ func (d *Disk) Snapshot() (map[int64][]byte, error) { return d.backend.Snapshot(
 // back to that point in time).
 func (d *Disk) Restore(snap map[int64][]byte) error { return d.backend.Restore(snap) }
 
+// ServiceTime is the service-time model as a function of the drive's
+// parameters: what one request moving bytes costs a drive of geometry g
+// and timing t whose head stands cyls cylinders from the request's first
+// block — controller overhead, the seek across those cylinders, half a
+// rotation (the average latency) and the transfer. Every Disk charges its
+// requests with it; cost models price a request with it before issuing
+// one (blockio.CostModel.ContFixed).
+func ServiceTime(g Geometry, t Timing, cyls, bytes int) time.Duration {
+	svc := t.Overhead + seekTime(g, t, cyls) + t.RotationPeriod/2
+	if t.TransferRate > 0 {
+		svc += time.Duration(float64(bytes) / t.TransferRate * float64(time.Second))
+	}
+	return svc
+}
+
 // seekTime models head movement across dist cylinders.
-func (d *Disk) seekTime(dist int) time.Duration {
+func seekTime(g Geometry, t Timing, dist int) time.Duration {
 	if dist <= 0 {
 		return 0
 	}
-	maxDist := d.geom.Cylinders - 1
+	maxDist := g.Cylinders - 1
 	if maxDist < 1 {
 		maxDist = 1
 	}
-	span := d.timing.SeekMax - d.timing.SeekMin
+	span := t.SeekMax - t.SeekMin
 	var frac float64
-	if d.timing.LinearSeek {
+	if t.LinearSeek {
 		frac = float64(dist) / float64(maxDist)
 	} else {
 		frac = math.Sqrt(float64(dist) / float64(maxDist))
 	}
-	return d.timing.SeekMin + time.Duration(float64(span)*frac)
+	return t.SeekMin + time.Duration(float64(span)*frac)
 }
 
 // serviceTime models one request: overhead + seek + rotation + transfer.
 func (d *Disk) serviceTime(fromCyl, toCyl, bytes int) time.Duration {
-	t := d.timing.Overhead
-	if dist := toCyl - fromCyl; dist != 0 {
-		if dist < 0 {
-			dist = -dist
-		}
-		t += d.seekTime(dist)
+	dist := toCyl - fromCyl
+	if dist < 0 {
+		dist = -dist
 	}
-	t += d.timing.RotationPeriod / 2
-	if d.timing.TransferRate > 0 {
-		t += time.Duration(float64(bytes) / d.timing.TransferRate * float64(time.Second))
-	}
-	return t
+	return ServiceTime(d.geom, d.timing, dist, bytes)
 }
 
 // selectNext removes and returns the next request per the discipline.
@@ -396,6 +408,21 @@ func (d *Disk) dispatch(now time.Duration) {
 	}
 }
 
+// newRequest returns a request for p, reusing a finished one (and its
+// member list's array) when there is one.
+func (d *Disk) newRequest(p *sim.Proc, op reqOp, block, nblk int64, bytes int) *request {
+	var r *request
+	if n := len(d.free); n > 0 {
+		r, d.free[n-1] = d.free[n-1], nil
+		d.free = d.free[:n-1]
+	} else {
+		r = new(request)
+	}
+	*r = request{procs: append(r.procs[:0], p), op: op, block: block, nblk: nblk,
+		cyl: d.geom.cylinderOf(block), bytes: bytes}
+	return r
+}
+
 // tryMerge absorbs a new whole-block request into a physically adjacent
 // queued request of the same direction (block-layer back/front merging)
 // and returns the merged request, or nil when nothing is adjacent. Only
@@ -459,8 +486,7 @@ func (d *Disk) access(ctx sim.Context, op reqOp, block, nblk int64, bytes int, f
 			r = d.tryMerge(p, op, block, nblk, bytes)
 		}
 		if r == nil {
-			r = &request{procs: []*sim.Proc{p}, op: op, block: block, nblk: nblk,
-				cyl: d.geom.cylinderOf(block), bytes: bytes}
+			r = d.newRequest(p, op, block, nblk, bytes)
 			d.queue = append(d.queue, r)
 		}
 		if depth := len(d.queue) + 1; depth > d.stats.QueuePeak {
@@ -469,8 +495,7 @@ func (d *Disk) access(ctx sim.Context, op reqOp, block, nblk int64, bytes int, f
 		p.Park()
 	} else {
 		// Idle disk: serve ourselves immediately.
-		r = &request{procs: []*sim.Proc{p}, op: op, block: block, nblk: nblk,
-			cyl: d.geom.cylinderOf(block), bytes: bytes}
+		r = d.newRequest(p, op, block, nblk, bytes)
 		d.busy = true
 		if d.stats.QueuePeak < 1 {
 			d.stats.QueuePeak = 1
@@ -517,6 +542,9 @@ func (d *Disk) access(ctx sim.Context, op reqOp, block, nblk int64, bytes int, f
 		} else {
 			d.busy = false
 		}
+	}
+	if r.fin++; r.fin == len(r.procs) {
+		d.free = append(d.free, r)
 	}
 	return err
 }

@@ -3,6 +3,7 @@ package device
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -487,3 +488,51 @@ func TestSchedString(t *testing.T) {
 		t.Fatal("unknown sched empty")
 	}
 }
+
+// TestRequestsAreRecycled: a request record goes back to its disk's free
+// list when its last member has finished, on the idle path and on the
+// queued one, so a steady stream of requests allocates nothing and the
+// free list stays as short as the queue ever was deep.
+func TestRequestsAreRecycled(t *testing.T) {
+	const procs, each = 3, 400
+	e := sim.NewEngine()
+	d := New(Config{Engine: e, MergeQueued: true})
+	var ms runtime.MemStats // out here: reading it must not allocate it
+	var from, to uint64
+	for i := 0; i < procs; i++ {
+		first := i == 0
+		base := int64(i) * 1000
+		e.Go("p", func(p *sim.Proc) {
+			buf := make([]byte, 2*d.Geometry().BlockSize)
+			for k := int64(0); k < each; k++ {
+				switch {
+				case first && k == each/2: // every page exists, every process is past its first lap
+					runtime.ReadMemStats(&ms)
+					from = ms.Mallocs
+				case first && k == each-each/4: // while the others still queue
+					runtime.ReadMemStats(&ms)
+					to = ms.Mallocs
+				}
+				// Three processes, one drive: two of them always queue.
+				if err := d.WriteBlocks(p, base+2*(k%100), 2, buf); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(d.free); n > procs {
+		t.Errorf("%d finished requests on the free list of a disk %d processes use", n, procs)
+	}
+	// (The memory backend allocates a page the first time a block is
+	// written: the first hundred writes of each process.)
+	// It was two objects a request; a handful is the Go runtime's own.
+	if got := to - from; got > 8 && !raceEnabled {
+		t.Errorf("%d requests in steady state allocated %d objects", procs*each/4, got)
+	}
+}
+
+// seekTime is the seek model at d's parameters, for the tests above.
+func (d *Disk) seekTime(dist int) time.Duration { return seekTime(d.geom, d.timing, dist) }

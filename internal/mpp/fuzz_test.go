@@ -1,11 +1,14 @@
 // Fuzz target for the Alltoallv exchange and its link models. Arbitrary
 // bytes decode into a group size, a payload-size matrix, a link
-// configuration, a chunked-round count, and optionally a second group
-// issuing an overlapping exchange on a shared pool; invariants:
+// configuration, a chunked-round count, a subset of ranks that post
+// their rounds (SparseExchange.Post) while the rest run them, and
+// optionally a second group issuing an overlapping exchange on a shared
+// pool; invariants:
 //
 //   - delivery: every rank receives exactly the bytes each source sent
 //     it, absent entries stay nil — whether the exchange moves in one
-//     Alltoallv or in chunked Exchange rounds;
+//     Alltoallv, in chunked Exchange rounds, or in sparse rounds with
+//     any subset of the ranks posted;
 //   - self-messages are never charged: with only self payloads the
 //     clock stays at zero under every model;
 //   - the shared pool charges exactly the exchange's cross volume once
@@ -30,13 +33,16 @@ import (
 
 func FuzzAlltoallv(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{2, 1, 0, 0, 0, 5})                      // 3 ranks, free link
-	f.Add([]byte{1, 3, 0, 0, 200, 0})                    // self-only payloads
-	f.Add([]byte{3, 2, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8})    // 4 ranks, bisection
-	f.Add([]byte{3, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8})    // same, 3 chunked rounds
-	f.Add([]byte{1, 1, 0, 9, 40, 40, 40, 40})            // overlapping second group
-	f.Add([]byte{3, 2, 3, 17, 9, 9, 9, 9, 9, 9, 9, 9})   // chunked + overlap + link
-	f.Add([]byte{5, 3, 1, 0, 9, 9, 9, 9, 9, 9, 9, 9, 9}) // big group
+	f.Add([]byte{2, 1, 0, 0, 0, 5})                                                              // 3 ranks, free link
+	f.Add([]byte{1, 3, 0, 0, 200, 0})                                                            // self-only payloads
+	f.Add([]byte{3, 2, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8})                                            // 4 ranks, bisection
+	f.Add([]byte{3, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8})                                            // same, 3 chunked rounds
+	f.Add([]byte{1, 1, 0, 9, 40, 40, 40, 40})                                                    // overlapping second group
+	f.Add([]byte{3, 2, 3, 17, 9, 9, 9, 9, 9, 9, 9, 9})                                           // chunked + overlap + link
+	f.Add([]byte{5, 3, 1, 0, 9, 9, 9, 9, 9, 9, 9, 9, 9})                                         // big group
+	f.Add([]byte{3, 2, 2 | 0b1010<<2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}) // ranks 1 and 3 posted
+	f.Add([]byte{5, 1, 3 | 0b111110<<2, 0, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})               // all but rank 0 posted
+	f.Add([]byte{3, 2, 1 | 0b1111<<2, 17, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})       // every rank drawn: rank 0 runs them
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -44,8 +50,11 @@ func FuzzAlltoallv(f *testing.F) {
 		size := int(data[0])%6 + 1
 		mode := data[1] % 3          // 0 free, 1 bisection only, 2 per-process + bisection
 		rounds := int(data[2])%4 + 1 // 1 = single Alltoallv, >1 = chunked Exchange
-		overlap := data[3]%2 == 1    // second group exchanging on the same pool
-		vol2 := int(data[3]) % 128   // second group's per-rank payload
+		// Bit r set: rank r posts its rounds. Any bit set moves the chunked
+		// exchange to the sparse form; rank 0 always runs the rounds.
+		postMask := int(data[2]>>2) &^ 1
+		overlap := data[3]%2 == 1  // second group exchanging on the same pool
+		vol2 := int(data[3]) % 128 // second group's per-rank payload
 		// sizes[src][dst]: payload length; 0 = nil (nothing sent).
 		sizes := make([][]int, size)
 		p := 4
@@ -85,6 +94,41 @@ func FuzzAlltoallv(f *testing.F) {
 				for src := 0; src < size; src++ {
 					if recv[src] != nil {
 						got[src] = append([]byte(nil), recv[src]...)
+					}
+				}
+			} else if postMask != 0 {
+				ex := pr.NewSparseExchange()
+				whole := make2(sizes, pr.Rank())
+				chunk := func(k int) (send []Msg) {
+					for dst, pl := range whole {
+						if pl != nil {
+							send = append(send, Msg{Dst: dst, Round: k, Data: pl[k*len(pl)/rounds : (k+1)*len(pl)/rounds]})
+						}
+					}
+					return send
+				}
+				var recv []RecvMsg
+				if postMask>>pr.Rank()&1 == 1 {
+					var send []Msg
+					for k := 0; k < rounds; k++ {
+						send = append(send, chunk(k)...)
+					}
+					recv = ex.Post(send, rounds)
+				} else {
+					for k := 0; k < rounds; k++ {
+						recv = append(recv, ex.Round(chunk(k))...)
+					}
+				}
+				// Round order holds in either list; sources within a round
+				// arrive in dispatch order.
+				for k := 0; k < rounds; k++ {
+					for _, m := range recv {
+						if m.Round == k {
+							if got[m.Src] == nil {
+								got[m.Src] = []byte{}
+							}
+							got[m.Src] = append(got[m.Src], m.Data...)
+						}
 					}
 				}
 			} else {

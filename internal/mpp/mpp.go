@@ -42,6 +42,16 @@
 // per-message setup time (SetLink's msg cost) is charged once per
 // communicating pair for the whole exchange, not once per round, and
 // Traffic counts one message per pair; bytes are charged as they move.
+// A process that consumes nothing before the exchange ends — a rank of
+// a collective write that only ships its pieces out, a rank of a read
+// that only looks at its buffer afterwards — need not take part round by
+// round: it posts all its rounds at once (SparseExchange.Post) and parks
+// until the exchange is over, and the processes that do run the rounds
+// charge its part of each — its injection holding the round's first
+// barrier, its place in the queue for the pool, its delivery holding the
+// second — from what it posted, to the nanosecond lockstep charges. A
+// round then costs the simulation what its participants and messages
+// cost, whatever the size of the group (sparse.go, "Posted rounds").
 //
 // Under both models a self-message (rank → itself) is a local copy and
 // is never charged. Traffic reports the accumulated cross-link volume,
@@ -142,8 +152,13 @@ func (b *Bisection) reserve(now time.Duration, vol int64) time.Duration {
 	if b.free > start {
 		start = b.free
 	}
-	b.free = start + time.Duration(float64(vol)/b.bw*float64(time.Second))
+	b.free = start + b.drain(vol)
 	return b.free
+}
+
+// drain is the time vol bytes take through the whole pool.
+func (b *Bisection) drain(vol int64) time.Duration {
+	return time.Duration(float64(vol) / b.bw * float64(time.Second))
 }
 
 // Group is a set of processes executing one parallel program.
@@ -182,6 +197,9 @@ type Group struct {
 	// consumed receive lists handed back through RecycleRecv
 	sin       [][]RecvMsg
 	inboxPool [][]RecvMsg
+	// post is the chunked exchanges' round barrier and what the processes
+	// that posted their rounds left with it (sparse.go, "Posted rounds")
+	post posted
 	// topo, when non-nil, assigns each rank a side of the bisection cut;
 	// only cross-cut traffic then charges the pool (see SetTopology)
 	topo []int
@@ -417,6 +435,15 @@ func (g *Group) RankTrack(r int) probe.TrackID {
 	return g.rankTrk[r]
 }
 
+// reservePool makes the current exchange's one reservation of vol bytes
+// on the pool, from now, unless it has been made.
+func (g *Group) reservePool(now time.Duration, vol int64) {
+	if !g.exCharged {
+		g.exEnd = g.bisection.reserve(now, vol)
+		g.exCharged = true
+	}
+}
+
 // crossCut reports whether a message from rank a to rank b crosses the
 // bisection cut (and so charges the pool). Without a topology every
 // non-self pair crosses; a == b never does.
@@ -460,9 +487,16 @@ func (g *Group) Traffic() (msgs, bytes int64) {
 // bytes (later rounds of a chunked exchange, whose setup was already
 // charged): only the byte cost applies then.
 func (p *Proc) chargeLink(msgs int, bytes int64) {
-	g := p.group
+	if d := p.group.linkTime(msgs, bytes); d > 0 {
+		p.Sleep(d)
+	}
+}
+
+// linkTime is what chargeLink charges: msgs per-message setups plus
+// bytes at the per-process link bandwidth; zero with no link model.
+func (g *Group) linkTime(msgs int, bytes int64) time.Duration {
 	if (msgs <= 0 && bytes <= 0) || (g.linkMsg == 0 && g.linkBytes == 0) {
-		return
+		return 0
 	}
 	var d time.Duration
 	if msgs > 0 {
@@ -471,9 +505,7 @@ func (p *Proc) chargeLink(msgs int, bytes int64) {
 	if g.linkBytes > 0 && bytes > 0 {
 		d += time.Duration(float64(bytes) / g.linkBytes * float64(time.Second))
 	}
-	if d > 0 {
-		p.Sleep(d)
-	}
+	return d
 }
 
 // chargePool models vol total bytes crossing the group's shared
@@ -501,13 +533,10 @@ func (p *Proc) chargePool(vol, own int64) {
 	if g.topo != nil && own <= 0 {
 		return // no cross-cut involvement: the pool is not this process's wait
 	}
-	if !g.exCharged {
-		g.exEnd = g.bisection.reserve(p.Now(), vol)
-		g.exCharged = true
-	}
+	g.reservePool(p.Now(), vol)
 	until := g.exEnd
 	if g.topo == nil {
-		if mine := p.Now() + time.Duration(float64(vol)/g.bisection.bw*float64(time.Second)); mine > until {
+		if mine := p.Now() + g.bisection.drain(vol); mine > until {
 			until = mine
 		}
 	}

@@ -17,7 +17,7 @@ import "errors"
 // on the engine's strict alternation instead of locks.
 type Queue struct {
 	cap    int
-	items  []any
+	items  fifo[any]
 	closed bool
 	sendq  WaitQueue
 	recvq  WaitQueue
@@ -36,27 +36,26 @@ func NewQueue(cap int) *Queue {
 // queue panics (a pipeline protocol error, like a send on a closed
 // channel).
 func (q *Queue) Put(p *Proc, v any) {
-	for len(q.items) >= q.cap && !q.closed {
+	for q.Len() >= q.cap && !q.closed {
 		q.sendq.Wait(p)
 	}
 	if q.closed {
 		panic("sim: Put on closed Queue")
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.recvq.WakeOne(p.e)
 }
 
 // Get removes and returns the head item, parking while the queue is
 // empty. It returns ok=false once the queue is closed and drained.
 func (q *Queue) Get(p *Proc) (v any, ok bool) {
-	for len(q.items) == 0 && !q.closed {
+	for q.Len() == 0 && !q.closed {
 		q.recvq.Wait(p)
 	}
-	if len(q.items) == 0 {
+	if q.Len() == 0 {
 		return nil, false
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
+	v = q.items.pop()
 	q.sendq.WakeOne(p.e)
 	return v, true
 }
@@ -66,25 +65,24 @@ func (q *Queue) Get(p *Proc) (v any, ok bool) {
 // queues under its own ordering policy uses this instead of Get (which
 // commits the caller to this queue's arrivals).
 func (q *Queue) TryGet(p *Proc) (v any, ok bool) {
-	if len(q.items) == 0 {
+	if q.Len() == 0 {
 		return nil, false
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
+	v = q.items.pop()
 	q.sendq.WakeOne(p.e)
 	return v, true
 }
 
 // Peek returns the head item without removing it; ok=false when empty.
 func (q *Queue) Peek() (v any, ok bool) {
-	if len(q.items) == 0 {
+	if q.Len() == 0 {
 		return nil, false
 	}
-	return q.items[0], true
+	return q.items.buf[q.items.head], true
 }
 
 // Len reports the number of buffered items.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return q.items.len() }
 
 // Closed reports whether Close has been called.
 func (q *Queue) Closed() bool { return q.closed }

@@ -18,7 +18,7 @@ func TestQueueBoundsInFlight(t *testing.T) {
 	e.Go("producer", func(p *Proc) {
 		for i := 0; i < 10; i++ {
 			q.Put(p, i)
-			if d := len(q.items); d > maxDepth {
+			if d := q.Len(); d > maxDepth {
 				maxDepth = d
 			}
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -529,4 +530,121 @@ func TestWallContext(t *testing.T) {
 	if zero.Now() < 0 {
 		t.Fatal("zero Wall Now negative")
 	}
+}
+
+// mallocsDuring runs the engine and reports the objects allocated between
+// the two marks a process sets — mark(0) and mark(1), around its own
+// steady state — whatever the other processes do meanwhile. The count
+// is the whole Go runtime's, which now and then allocates a few objects
+// of its own: callers allow runtimeNoise of them.
+const runtimeNoise = 12
+
+func mallocsDuring(t *testing.T, e *Engine, body func(mark func(i int))) uint64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counting is meaningless under -race")
+	}
+	var at [2]uint64
+	var ms runtime.MemStats // out here: the marks must not allocate it
+	body(func(i int) {
+		runtime.ReadMemStats(&ms)
+		at[i] = ms.Mallocs
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return at[1] - at[0]
+}
+
+// TestBarrierReuseAllocatesNothing: a barrier's wait list keeps its array
+// from phase to phase, so a reused barrier of 512 allocates nothing after
+// its first phase (it regrew the list, 1 → 512 by doubling, every phase).
+func TestBarrierReuseAllocatesNothing(t *testing.T) {
+	const procs, phases = 512, 6
+	e := NewEngine()
+	b := NewBarrier(procs)
+	got := mallocsDuring(t, e, func(mark func(int)) {
+		for i := 0; i < procs; i++ {
+			first := i == 0
+			e.Go("p", func(p *Proc) {
+				for k := 0; k < phases; k++ {
+					switch {
+					case first && k == 1:
+						mark(0)
+					case first && k == phases-1: // before any process finishes
+						mark(1)
+					}
+					p.Sleep(time.Microsecond) // the engine's event heap grows in phase 0 too
+					b.Wait(p)
+				}
+			})
+		}
+	})
+	if got > runtimeNoise { // it was ten a phase
+		t.Errorf("%d phases of a %d-process barrier allocated %d objects after the first", phases-2, procs, got)
+	}
+}
+
+// TestWakeOneDoesNotCreep: waking from the head one at a time used to
+// walk the wait list down its array until append had to move it; a list
+// that drains goes back to the start of the array instead, and one that
+// never drains slides down when it reaches the end. Neither a contended
+// mutex nor a producer/consumer pair on a Queue allocates in steady state.
+func TestWakeOneDoesNotCreep(t *testing.T) {
+	t.Run("mutex", func(t *testing.T) {
+		const procs, turns = 8, 200
+		e := NewEngine()
+		var mu Mutex
+		got := mallocsDuring(t, e, func(mark func(int)) {
+			for i := 0; i < procs; i++ {
+				first := i == 0
+				e.Go("p", func(p *Proc) {
+					for k := 0; k < turns; k++ {
+						if first && k == turns/4 {
+							mark(0)
+						}
+						mu.Lock(p) // always contended: the list never drains
+						p.Sleep(time.Microsecond)
+						mu.Unlock(p)
+					}
+					if first {
+						mark(1)
+					}
+				})
+			}
+		})
+		if got > runtimeNoise {
+			t.Errorf("a contended mutex allocated %d objects in steady state", got)
+		}
+	})
+	t.Run("queue", func(t *testing.T) {
+		const items = 400
+		e := NewEngine()
+		q := NewQueue(1)
+		var slots [2]int
+		got := mallocsDuring(t, e, func(mark func(int)) {
+			e.Go("producer", func(p *Proc) {
+				for k := 0; k < items; k++ {
+					if k == items/4 {
+						mark(0)
+					}
+					q.Put(p, &slots[k%2]) // a pointer boxes without allocating
+					p.Sleep(time.Microsecond)
+				}
+				mark(1)
+				q.Close(p)
+			})
+			e.Go("consumer", func(p *Proc) {
+				for {
+					if _, ok := q.Get(p); !ok {
+						return
+					}
+					p.Sleep(2 * time.Microsecond)
+				}
+			})
+		})
+		if got > runtimeNoise { // it was two an item
+			t.Errorf("a producer/consumer pair allocated %d objects in steady state", got)
+		}
+	})
 }

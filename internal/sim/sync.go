@@ -9,40 +9,74 @@ import "errors"
 // running goroutine, and the park/wake channel operations provide the
 // happens-before edges the memory model requires.
 
+// fifo is a first-in-first-out list that keeps its backing array: buf[head:]
+// are the elements, a list that drains goes back to the start of the
+// array, and one that reaches the end of it slides down over the popped
+// prefix before it grows. A primitive that is reused — a barrier's wait
+// list, a pipeline's hand-off queue — therefore allocates nothing once
+// the array has reached the size it needs. (Popping by re-slicing walked
+// the list down its array until append had to move it, and emptying it
+// with nil regrew it from nothing every time.)
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if f.head > 0 && len(f.buf) == cap(f.buf) {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+// pop removes and returns the head element (the list must not be empty).
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.buf[f.head]
+	f.buf[f.head] = zero
+	if f.head++; f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v
+}
+
 // WaitQueue is a FIFO queue of parked processes — the building block for
 // the other primitives (condition-variable style).
 type WaitQueue struct {
-	q []*Proc
+	q fifo[*Proc]
 }
 
 // Wait parks the calling process at the tail of the queue.
 func (w *WaitQueue) Wait(p *Proc) {
-	w.q = append(w.q, p)
+	w.q.push(p)
 	p.Park()
 }
 
 // Len reports how many processes are parked on the queue.
-func (w *WaitQueue) Len() int { return len(w.q) }
+func (w *WaitQueue) Len() int { return w.q.len() }
 
 // WakeOne resumes the process at the head of the queue (at the current
 // virtual time) and reports whether one was waiting.
 func (w *WaitQueue) WakeOne(e *Engine) bool {
-	if len(w.q) == 0 {
+	if w.q.len() == 0 {
 		return false
 	}
-	p := w.q[0]
-	w.q = w.q[1:]
-	e.Wake(p)
+	e.Wake(w.q.pop())
 	return true
 }
 
 // WakeAll resumes every parked process, in FIFO order, at the current
-// virtual time.
+// virtual time. Wake only schedules — no woken process runs before the
+// caller parks — so the list is emptied in place afterwards.
 func (w *WaitQueue) WakeAll(e *Engine) {
-	for _, p := range w.q {
+	for _, p := range w.q.buf[w.q.head:] {
 		e.Wake(p)
 	}
-	w.q = nil
+	w.q.buf, w.q.head = w.q.buf[:0], 0
 }
 
 // Mutex is a virtual-time mutual-exclusion lock with FIFO handoff. The

@@ -35,13 +35,17 @@ func getVecBuf(n int) *[]byte {
 	return bp
 }
 
-// DeviceTiming implements blockio.DeviceTimer with the array's drive
+// DeviceModel implements blockio.DeviceModeler with the array's drive
 // parameters.
-func (p *Parity) DeviceTiming() device.Timing { return p.disks[0].Timing() }
+func (p *Parity) DeviceModel() (device.Geometry, device.Timing) {
+	return p.disks[0].Geometry(), p.disks[0].Timing()
+}
 
-// DeviceTiming implements blockio.DeviceTimer with the pair's drive
+// DeviceModel implements blockio.DeviceModeler with the pair's drive
 // parameters.
-func (m *Mirror) DeviceTiming() device.Timing { return m.primary[0].Timing() }
+func (m *Mirror) DeviceModel() (device.Geometry, device.Timing) {
+	return m.primary[0].Geometry(), m.primary[0].Timing()
+}
 
 // checkVec validates a scatter/gather list against a run of n blocks.
 func checkVec(op string, bs, n int, iov [][]byte) error {

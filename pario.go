@@ -197,10 +197,14 @@
 // and every nonblocking call uses) and file domains cut at drive
 // boundaries (domain a is the footprint on drive a, so an aggregator's
 // access is one sequential run on its own drive — the paper's §5
-// strategy), the latter also priced through a two-round pipeline when
-// a domain fits in one chunk; Collective.LastRoute says "two-phase"
-// for either, and TestAlignedDomainsWin enforces the win on a
-// declustered checkpoint and the refusal on rank-aligned slabs.
+// strategy), the latter at whatever pipeline depth prices cheapest:
+// CollectiveOptions.ChunkBytes is an upper bound on the chunk, and each
+// chunk is priced cut in 2, 4, 8, … with the drive's own service time
+// for the extra request a round costs it (Collective.LastDepth reports
+// the depth chosen, TestPipelineDepthPriced holds it to the fastest).
+// Collective.LastRoute says "two-phase" for either, and
+// TestAlignedDomainsWin enforces the win on a declustered checkpoint
+// and the refusal on rank-aligned slabs.
 // TunedProfile and TunedOptions now set StrategyAuto.
 // TestStrategyAutoWins enforces that Auto matches the best fixed
 // strategy on every configuration of a density × rank-count ×
@@ -295,7 +299,11 @@
 // collectives (internal/mpp's AlltoallvSparse / SparseExchange) carry
 // explicit message lists with by-reference payload delivery and pooled
 // receive buffers, so an exchange round costs O(messages actually
-// sent), not O(ranks²); the collective layer packs and scatters through
+// sent), not O(ranks²) — and, in a pipelined collective, not O(ranks)
+// either: the ranks that own no file domain post all their rounds at
+// once and park until the exchange is over (SparseExchange.Post), so
+// only the aggregators take the engine's hand-offs round by round; the
+// collective layer packs and scatters through
 // the plan's participation indexes and pooled payload buffers. The
 // sparse-exchange guarantee is exact: charging is computed from the
 // same message and byte totals, between the same barriers, as the dense
@@ -703,12 +711,13 @@ func PaperProfile() Profile {
 // because Auto prices it: a 16 MiB checkpoint of 512 ranks on a
 // declustered file over 32 drives runs two-phase on the drive-aligned
 // partition — 32 file domains of 512 KiB, one per drive, each cut in
-// two 256 KiB chunks so the exchange of the second overlaps the write
-// of the first (two rounds, 64 device requests; the logical partition
-// is 1 024 requests in one round) — while ranks that each own a
-// contiguous slab keep logical domains or skip the exchange
-// altogether. Every knob is one of the opt-in mechanisms grown since
-// PR 1;
+// eight 64 KiB chunks so the exchange of each overlaps the write of the
+// one before (eight rounds, 256 device requests, the drives busy nine
+// tenths of the call; the 1 MiB chunk is an upper bound, the depth is
+// priced, and the logical partition is 1 024 requests in one round) —
+// while ranks that each own a contiguous slab keep logical domains or
+// skip the exchange altogether. Every knob is one of the opt-in
+// mechanisms grown since PR 1;
 // TestTunedProfileWins enforces that the bundle beats PaperProfile on
 // the checkpoint scenario even though the paper's interconnect is free.
 func TunedProfile() Profile {

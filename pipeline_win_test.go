@@ -17,10 +17,12 @@
 package pario_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	pario "repro"
+	"repro/internal/collective"
 )
 
 const (
@@ -165,5 +167,159 @@ func BenchmarkPipelinedCheckpoint(b *testing.B) {
 			b.ReportMetric(res.stats.Overlap.Seconds(), "overlap-s")
 			b.ReportMetric(float64(res.requests), "requests")
 		})
+	}
+}
+
+// depthResult is the steady state of the 512-rank checkpoint at one
+// pipeline depth: the last of four calls in modeled time, and the last
+// three in host cost per call.
+type depthResult struct {
+	rounds     int
+	elapsed    time.Duration
+	predicted  time.Duration
+	requests   int64
+	dispatches float64
+	mallocs    float64
+}
+
+// runDepthCheckpoint issues TestAlignedDomainsWin's checkpoint — 512
+// ranks × 32 drives, a unit-1 striped file, eight strided blocks a rank,
+// TunedProfile — four times through one handle. split 0 leaves the
+// pipeline depth to StrategyAuto's prices; split > 0 forces the
+// drive-aligned partition with every chunk cut in split, through the
+// collective package's test hook.
+func runDepthCheckpoint(tb testing.TB, split int) depthResult {
+	tb.Helper()
+	const calls = 4
+	pf := pario.TunedProfile()
+	m := pario.NewProfiledMachine(alignDrives, pf)
+	// The engine alone is probed: its dispatch counter is wanted, and
+	// spans from the layers above would be most of the allocations.
+	rec := pario.NewRecorder()
+	m.Engine.SetProbe(rec)
+	if _, err := m.Volume.Create(pario.Spec{
+		Name: "chk", Org: pario.OrgGlobalDirect,
+		RecordSize: 4096, BlockRecords: 1, NumRecords: alignRanks * alignPerRank,
+		Placement: pario.PlaceStriped, StripeUnitFS: 1,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	group, err := m.Volume.OpenGroup("chk")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	col, err := pario.OpenCollective(group, alignRanks, pf.Collective)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	collective.ForceAligned(col, split)
+	dispatches := rec.Metrics().Counter("sim.dispatches")
+	var res depthResult
+	rg := m.GoRanks(alignRanks, "ck", func(r *pario.Rank) {
+		rank := int64(r.Rank())
+		vec := make(pario.Vec, alignPerRank)
+		buf := make([]byte, alignPerRank*4096)
+		for k := range vec {
+			vec[k] = pario.VecSeg{Block: int64(k)*alignRanks + rank, N: 1, BufOff: int64(k) * 4096}
+		}
+		reqs := []pario.VecReq{{File: 0, Vec: vec}}
+		var t0 time.Duration
+		var disp0, req0 int64
+		var ms runtime.MemStats
+		var mallocs0 uint64
+		for call := 0; call < calls; call++ {
+			if rank == 0 && call == 1 {
+				disp0 = dispatches.Value()
+				runtime.ReadMemStats(&ms)
+				mallocs0 = ms.Mallocs
+			}
+			if rank == 0 && call == calls-1 {
+				t0 = r.Now()
+				for _, d := range m.Disks {
+					req0 += d.Stats().Requests()
+				}
+			}
+			if err := col.WriteAll(r, reqs, buf); err != nil {
+				tb.Errorf("rank %d: %v", rank, err)
+			}
+		}
+		if rank == 0 {
+			runtime.ReadMemStats(&ms)
+			res.elapsed = r.Now() - t0
+			res.dispatches = float64(dispatches.Value()-disp0) / (calls - 1)
+			res.mallocs = float64(ms.Mallocs-mallocs0) / (calls - 1)
+			for _, d := range m.Disks {
+				res.requests += d.Stats().Requests()
+			}
+			res.requests -= req0
+		}
+	})
+	pf.ConfigureRanks(rg)
+	if err := m.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	res.rounds, res.predicted = col.LastDepth(), col.LastPredicted()
+	return res
+}
+
+// TestPipelineDepthPriced enforces that the pipeline's depth is a price,
+// not a constant: on the declustered checkpoint StrategyAuto must land
+// on the depth that is in fact the fastest of 1, 2, 4, 8 and 16 rounds,
+// its prediction within 5 % of what the call then takes, ≥ 1.10× faster
+// than the two rounds the parent commit stopped at — and for less host
+// work than those two rounds cost there, because the 480 ranks that own
+// no domain post their rounds and park once instead of taking four
+// engine dispatches a round each: no more engine dispatches per call
+// than the parent's two-round call took, and no more allocations than
+// two rounds take here. Posting moves no modeled time: two rounds forced
+// take what they took at the parent, to the nanosecond.
+func TestPipelineDepthPriced(t *testing.T) {
+	// The parent commit on this fixture (it priced two rounds itself).
+	const (
+		parentDispatches = 6301
+		parentTwoRounds  = 535061172 * time.Nanosecond
+	)
+	priced := runDepthCheckpoint(t, 0)
+	forced := map[int]depthResult{}
+	best := 0
+	for _, split := range []int{1, 2, 4, 8, 16} {
+		r := runDepthCheckpoint(t, split)
+		if r.rounds != split {
+			t.Fatalf("split %d ran %d rounds", split, r.rounds)
+		}
+		forced[split] = r
+		if best == 0 || r.elapsed < forced[best].elapsed {
+			best = split
+		}
+		t.Logf("depth %2d: %v per call, %d device requests, %.0f dispatches, %.0f allocations",
+			split, r.elapsed, r.requests, r.dispatches, r.mallocs)
+	}
+	t.Logf("priced: depth %d, %v per call (predicted %v), %.0f dispatches, %.0f allocations",
+		priced.rounds, priced.elapsed, priced.predicted, priced.dispatches, priced.mallocs)
+	if priced.rounds != best {
+		t.Errorf("StrategyAuto priced its way to %d rounds; %d rounds are fastest (%v against %v)",
+			priced.rounds, best, forced[best].elapsed, priced.elapsed)
+	}
+	if priced.elapsed != forced[priced.rounds].elapsed {
+		t.Errorf("priced call took %v, the same depth forced %v", priced.elapsed, forced[priced.rounds].elapsed)
+	}
+	if priced.requests != int64(alignDrives*priced.rounds) {
+		t.Errorf("priced call issued %d device requests, want one per drive per round (%d)",
+			priced.requests, alignDrives*priced.rounds)
+	}
+	if forced[2].elapsed != parentTwoRounds {
+		t.Errorf("two rounds take %v, the parent's took %v: posted rounds moved modeled time", forced[2].elapsed, parentTwoRounds)
+	}
+	if ratio := forced[2].elapsed.Seconds() / priced.elapsed.Seconds(); ratio < 1.10 {
+		t.Errorf("priced depth is %.2fx faster than two rounds, want ≥ 1.10x", ratio)
+	}
+	if resid := priced.predicted.Seconds() / priced.elapsed.Seconds(); resid < 1/1.05 || resid > 1.05 {
+		t.Errorf("predicted %v for a call of %v: ratio %.3f outside [0.952, 1.05]", priced.predicted, priced.elapsed, resid)
+	}
+	if priced.dispatches > parentDispatches {
+		t.Errorf("priced call cost %.0f engine dispatches, the parent's two-round call %d", priced.dispatches, parentDispatches)
+	}
+	if !raceEnabled && priced.mallocs > forced[2].mallocs {
+		t.Errorf("priced call allocates %.0f objects in steady state, two rounds %.0f", priced.mallocs, forced[2].mallocs)
 	}
 }
