@@ -539,8 +539,9 @@ func collectiveDemo(w io.Writer) error {
 // two-phase exchange — until link congestion inverts that trade; the
 // route column shows what Auto picked, and predicted what its cost model
 // priced that pick at, beside the modeled time the call then took and
-// the pipeline depth it priced cheapest (Auto's handle bounds the chunk
-// at 1 MiB, a whole domain here; the fixed strategies run single-shot).
+// the pipeline depth it priced cheapest (no handle bounds the chunk: Auto
+// prices every depth below a whole domain, the fixed strategies run one
+// round).
 func strategyDemo(w io.Writer) error {
 	const (
 		devs   = 4
@@ -603,11 +604,7 @@ func strategyDemo(w io.Writer) error {
 		if err != nil {
 			return 0, "", 0, 0, err
 		}
-		opts := collective.Options{Strategy: strat}
-		if strat == blockio.StrategyAuto {
-			opts.ChunkBytes = 1 << 20 // an upper bound: Auto prices the depth below it
-		}
-		col, err := collective.Open(group, c.ranks, opts)
+		col, err := collective.Open(group, c.ranks, collective.Options{Strategy: strat})
 		if err != nil {
 			return 0, "", 0, 0, err
 		}
@@ -773,10 +770,11 @@ func contendedDemo(w io.Writer) error {
 }
 
 // pipelineDemo shows chunked collective buffering: the contended 8-rank
-// strided checkpoint issued as a single-shot two-phase collective
-// (whole exchange, then whole access — each phase idles the other's
-// resource) versus the pipelined schedule (CollectiveOptions.ChunkBytes:
-// the exchange of chunk k+1 overlaps the device access of chunk k).
+// strided checkpoint issued as a single-shot two-phase collective (one
+// round: whole exchange, then whole access — each phase idles the
+// other's resource) versus the same executor cut into rounds
+// (CollectiveOptions.ChunkBytes: the exchange of chunk k+1 overlaps the
+// device access of chunk k).
 func pipelineDemo(w io.Writer) error {
 	const (
 		ranks   = 8

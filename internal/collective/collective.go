@@ -18,12 +18,19 @@
 //  2. Exchange. Every rank ships the pieces of its buffer that fall in
 //     each domain to that domain's aggregator (writes), or the
 //     aggregators ship freshly read domains back to the ranks (reads),
-//     in one mpp.AlltoallvSparse with modeled link cost.
+//     as sparse message lists with modeled link cost.
 //  3. Access. Each aggregator moves its whole domain with one
 //     blockio.BatchVec — the cross-file batch — so pieces that are
 //     physically adjacent on a device coalesce into single requests even
 //     across files, and each device sees at most one request per
 //     aggregator per collective.
+//
+// Phases 2 and 3 are one loop (pipeline.go): rounds of exchange feeding
+// rounds of access, chunk by chunk of every domain. One round — whole
+// exchange, then whole access — is what the numbered list describes and
+// what a handle runs by default; Options.ChunkBytes and StrategyAuto's
+// prices cut it deeper, so the interconnect and the drives work at the
+// same time.
 //
 // An 8-rank interleaved checkpoint that costs one device request per
 // record independently collapses to one request per device per
@@ -39,7 +46,6 @@ import (
 	"repro/internal/ioserver"
 	"repro/internal/mpp"
 	"repro/internal/pfs"
-	"repro/internal/probe"
 )
 
 // VecReq names one file of the collective's group and a scatter/gather
@@ -53,8 +59,8 @@ type VecReq struct {
 }
 
 // Options tunes a collective handle. The zero value selects defaults
-// (round-robin domains, overlapping writes rejected), which keep PR 3's
-// modeled timings bit-identical.
+// (round-robin domains, one round, overlapping writes rejected), which
+// keep PR 3's modeled timings bit-identical.
 type Options struct {
 	// Aggregators is the number of file domains (and so the maximum
 	// number of aggregator ranks performing device I/O). 0 selects
@@ -99,14 +105,17 @@ type Options struct {
 	// of chunk k (reads mirror this: the access of chunk k+1 overlaps the
 	// delivery of chunk k), so the interconnect and the drives work at the
 	// same time instead of strictly alternating. Each aggregator stages at
-	// most two chunks per owned domain (double buffering). It is an upper
-	// bound: sub-block values round up to one block per chunk, values
-	// above the domain size mean one chunk per domain — a single round,
-	// with nothing to overlap — and on StrategyAuto's drive-aligned
-	// partition the chunk may be cut finer, as many times as prices
-	// cheapest (Strategy). 0 (the default) keeps the unbounded single-shot
-	// two-phase schedule, whose modeled timings are bit-identical to
-	// earlier releases.
+	// most two chunks per owned domain (double buffering), one when there
+	// is a single round. It is an upper bound: sub-block values round up
+	// to one block per chunk, values above the domain size mean one chunk
+	// per domain — a single round, whole exchange then whole access, with
+	// nothing to overlap — and on StrategyAuto's drive-aligned partition
+	// the chunk may be cut finer, as many times as prices cheapest
+	// (Strategy). 0 (the default): no bound — one round unless
+	// StrategyAuto prices a deeper pipeline cheaper; staging ≤ one domain
+	// either way (a depth-d pipeline holds two chunks of domain/d). One
+	// round under the other strategies keeps their modeled timings
+	// bit-identical to earlier releases.
 	ChunkBytes int64
 
 	// Strategy selects the access route of the blocking collective
@@ -121,14 +130,18 @@ type Options struct {
 	// file domains: the logical one every other setting uses (domains
 	// contiguous in the files) and the drive-aligned one (domain a is
 	// the footprint on drive a: one sequential run per aggregator, the
-	// exchange re-sorting the ranks' pieces by drive). With ChunkBytes
-	// set the aligned one is priced at every pipeline depth from the
-	// chunk ChunkBytes allows down to single blocks — each chunk cut in
-	// 2, 4, 8, … — and runs at the cheapest (LastDepth reports it).
+	// exchange re-sorting the ranks' pieces by drive). The aligned one is
+	// priced at every pipeline depth from the chunk ChunkBytes allows (a
+	// whole domain when it sets no bound) down to single blocks — each
+	// chunk cut in 2, 4, 8, … — and runs at the cheapest, ties to the
+	// shallower, so a free interconnect stays at one round (LastDepth
+	// reports it); domains of several drives each (fewer aggregators than
+	// drives) are priced at one round only. The other settings never
+	// price and run the rounds ChunkBytes asks for: one, when it is 0.
 	// LastRoute says "two-phase" for either. Plan validation, cross-rank
 	// overlap rejection, and LastWriterWins semantics are identical on
 	// every route. The nonblocking entry points (Service) always run
-	// two-phase on the logical partition.
+	// two-phase on the logical partition, one window per domain.
 	Strategy blockio.Strategy
 
 	// PlanCache bounds the handle's schedule cache (schedule.go).
@@ -147,6 +160,16 @@ type Options struct {
 	PlanCache int
 }
 
+// chunkCeiling is the largest chunk, in blocks, ChunkBytes allows of a
+// dom-block domain: whole blocks, at least one, at most the domain — and
+// the whole domain when ChunkBytes sets no bound.
+func (o Options) chunkCeiling(bs, dom int64) int64 {
+	if o.ChunkBytes <= 0 {
+		return dom
+	}
+	return min(max(o.ChunkBytes/bs, 1), dom)
+}
+
 // ExchangeStats reports where one collective call's exchange-phase bytes
 // went — BytesMoved crossed the interconnect (rank ≠ domain aggregator),
 // BytesLocal stayed on the aggregating rank (self-messages, free under
@@ -159,11 +182,11 @@ type Options struct {
 // was inside the exchange (AlltoallvSparse or a pipelined round, including the
 // collective's rendezvous waits), AccessTime the time at least one
 // aggregator had device requests in flight, and Overlap the time both
-// were true at once. The single-shot schedule (ChunkBytes 0) reports
-// zero Overlap on writes — its phases are barrier-separated — and on
-// reads can report only rendezvous overlap (ranks parked at the
-// exchange while aggregators finish reading); real exchange/access
-// concurrency needs the pipelined schedule, which reports it here.
+// were true at once. A one-round call reports zero Overlap on writes —
+// its whole exchange precedes its whole access — and on reads can report
+// only rendezvous overlap (ranks parked at the exchange while
+// aggregators finish reading); real exchange/access concurrency needs
+// two rounds or more, which report it here.
 // 1 - ExchangeTime/elapsed is the link idle fraction.
 type ExchangeStats struct {
 	BytesMoved int64
@@ -217,9 +240,11 @@ type Collective struct {
 	// after (nonblock.go). Outstanding handles own their state, so this
 	// slot is free for reuse the moment every rank has copied it.
 	hScratch *Handle
-	// The nonblocking calls' buffers — one per call, holding every
-	// domain — recycled by size (getDom / putDom), and how many are out
-	// with unfinished calls.
+	// Domain-sized buffers, recycled by size (getDom / putDom), and how
+	// many are out with unfinished calls: the blocking calls' chunk
+	// staging (taken on an aggregator's first use in a call, returned
+	// when its pipeline has drained) and the nonblocking calls' buffers,
+	// one per call, holding every domain.
 	domFree map[int][][]byte
 	domOut  int
 
@@ -235,10 +260,9 @@ type Collective struct {
 	dstIdx     []int
 	msgScratch [][]mpp.Msg
 
-	// Single-shot aggregation staging, per rank: each rank's
-	// owned-domain buffers, retained and resized across calls
-	// (schedule.domBufs) so steady-state iterations allocate nothing.
-	domScr [][][]byte
+	// Aggregator state, per rank, made on a rank's first turn as an
+	// aggregator and rebound call after call (pipeline.go).
+	aggs []*aggState
 
 	// Schedule capture/replay state (schedule.go): the cached
 	// schedules in MRU order, the interconnect-model stamp they were
@@ -320,7 +344,6 @@ func Open(g *pfs.FileGroup, size int, opts Options) (*Collective, error) {
 		errs:       make([]error, size),
 		dstIdx:     make([]int, size),
 		msgScratch: make([][]mpp.Msg, size),
-		domScr:     make([][][]byte, size),
 		cacheCap:   planCacheCap(opts.PlanCache),
 	}
 	for i := range c.dstIdx {
@@ -381,10 +404,7 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 			// overlap above all) with byte-identical errors.
 			c.route = c.sched.route
 			c.predicted = c.sched.predicted
-			c.stats = c.sched.stats
-			if c.route != routeTwoPhase {
-				c.stats = ExchangeStats{} // independent routes exchange nothing
-			}
+			c.stats = c.sched.stats // zero on the independent routes: they exchange nothing
 			rec.Instant(trk, "collective", "plan", p.Now())
 		}
 		c.commIv, c.ioIv = c.commIv[:0], c.ioIv[:0]
@@ -399,69 +419,12 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 	switch {
 	case c.route != routeTwoPhase:
 		c.runIndependent(p, sd, write, c.route == routeSieved)
-	case pl.rounds > 0:
-		// Chunked staging buffers configured (Options.ChunkBytes): the
-		// pipelined schedule overlapping exchange with device access.
+	case pl.total > 0:
+		// One executor for every two-phase plan with a footprint: rounds of
+		// exchange feeding rounds of access, one round when nothing cuts the
+		// domains. A call nobody asked anything of goes straight to the
+		// closing barriers.
 		c.runPipelined(p, sd, write, buf)
-	case write:
-		send := c.packRankMsgs(pl, rank, buf)
-		t0 := p.Now()
-		recv := p.AlltoallvSparse(send)
-		c.commIv = append(c.commIv, iv{t0, p.Now()})
-		exSpan := rec.Span(trk, "collective", "exchange", t0, p.Now(), 0, 0)
-		// Assemble every owned domain from the delivered payloads, then
-		// issue the device batches. Assembly is pure compute — it costs no
-		// virtual time — so hoisting it above the first batch leaves the
-		// modeled schedule bit-identical to interleaving it per domain.
-		owned := sd.ownedOf[rank]
-		dombufs := c.domBufs(rank, pl, owned)
-		c.assembleDomains(pl, owned, recv, dombufs)
-		p.RecycleRecv(recv)
-		var ioTrk probe.TrackID
-		if rec != nil && len(owned) > 0 {
-			ioTrk = rec.Track(fmt.Sprintf("%s/%d/io", prefix, rank))
-		}
-		var aggErrs []error
-		for i, a := range owned {
-			// p.Proc, not p: sim.Par recognizes the underlying engine
-			// process, so the domain's per-device runs issue in parallel.
-			t0 := p.Now()
-			if err := sd.issueDomain(p, a, dombufs[i], true); err != nil {
-				aggErrs = append(aggErrs, err)
-			}
-			c.ioIv = append(c.ioIv, iv{t0, p.Now()})
-			rec.Span(ioTrk, "collective", "access", t0, p.Now(), int64(len(dombufs[i])), exSpan)
-		}
-		c.errs[rank] = errors.Join(aggErrs...)
-	default:
-		// Read every owned domain, then pack all outgoing payloads in one
-		// non-parking section (the pack shares the handle's scratch, and
-		// packing is free in virtual time — same schedule as packing each
-		// domain right after its read).
-		owned := sd.ownedOf[rank]
-		dombufs := c.domBufs(rank, pl, owned)
-		var aggErrs []error
-		var ioTrk probe.TrackID
-		var lastAcc probe.SpanID
-		if rec != nil && len(owned) > 0 {
-			ioTrk = rec.Track(fmt.Sprintf("%s/%d/io", prefix, rank))
-		}
-		for i, a := range owned {
-			t0 := p.Now()
-			if err := sd.issueDomain(p, a, dombufs[i], false); err != nil {
-				aggErrs = append(aggErrs, err)
-			}
-			c.ioIv = append(c.ioIv, iv{t0, p.Now()})
-			lastAcc = rec.Span(ioTrk, "collective", "access", t0, p.Now(), int64(len(dombufs[i])), 0)
-		}
-		c.errs[rank] = errors.Join(aggErrs...)
-		send := c.packDomainMsgs(pl, rank, owned, dombufs)
-		t0 := p.Now()
-		recv := p.AlltoallvSparse(send)
-		c.commIv = append(c.commIv, iv{t0, p.Now()})
-		rec.Span(trk, "collective", "exchange", t0, p.Now(), 0, lastAcc)
-		c.scatterRankMsgs(pl, rank, recv, buf)
-		p.RecycleRecv(recv)
 	}
 	p.Barrier()
 	if rank == 0 {
@@ -482,109 +445,6 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 	// (TestCollectiveReuseErrorVisibility).
 	p.Barrier()
 	return errors.Join(errs...)
-}
-
-// packRankMsgs builds rank's write-phase exchange messages, one per
-// destination aggregator rank the footprint actually touches: for each
-// touched domain in ascending order, the rank's clips against that
-// domain concatenated onto the domain owner's payload. The (domain asc,
-// clip asc) canonical order is what lets the aggregator side consume a
-// payload with one plain cursor. Payload buffers come from the handle's
-// pool; the consumer recycles them.
-func (c *Collective) packRankMsgs(pl *plan, rank int, buf []byte) []mpp.Msg {
-	msgs := c.msgScratch[rank][:0]
-	for _, a32 := range pl.domsOf[rank] {
-		a := int(a32)
-		dst := pl.owner[a]
-		i := c.dstIdx[dst]
-		if i < 0 {
-			i = len(msgs)
-			msgs = append(msgs, mpp.Msg{Dst: dst, Data: c.getPay()})
-			c.dstIdx[dst] = i
-		}
-		pl.forEachClip(rank, a, func(cl clip) {
-			msgs[i].Data = append(msgs[i].Data, buf[cl.bufOff:cl.bufOff+cl.n*pl.bs]...)
-		})
-	}
-	for _, m := range msgs {
-		c.dstIdx[m.Dst] = -1
-	}
-	c.msgScratch[rank] = msgs
-	return msgs
-}
-
-// assembleDomains builds the owned domains' buffers from the write-phase
-// receive list. The caller sorts recv by source rank first, so each
-// domain sees its sources applied in rank order and overlap resolution
-// (Options.LastWriterWins) matches the rank-ordered semantics. Each
-// payload is one source's clips across the owned domains in ascending
-// order — packRankMsgs's concatenation — so a single per-message cursor
-// consumes it; consumed payloads return to the pool.
-func (c *Collective) assembleDomains(pl *plan, owned []int, recv []mpp.RecvMsg, dombufs [][]byte) {
-	mpp.SortBySrc(recv)
-	for _, m := range recv {
-		var off int64
-		for i, a := range owned {
-			dombuf := dombufs[i]
-			pl.forEachClip(m.Src, a, func(cl clip) {
-				n := cl.n * pl.bs
-				copy(dombuf[cl.domOff:cl.domOff+n], m.Data[off:off+n])
-				off += n
-			})
-		}
-		c.putPay(m.Data)
-	}
-}
-
-// packDomainMsgs builds an aggregator's read-phase messages, one per
-// rank with clips in any owned domain: the rank's clips copied out of
-// the freshly read domain buffers, owned domains in ascending order —
-// the order scatterRankMsgs consumes.
-func (c *Collective) packDomainMsgs(pl *plan, rank int, owned []int, dombufs [][]byte) []mpp.Msg {
-	msgs := c.msgScratch[rank][:0]
-	for i, a := range owned {
-		dombuf := dombufs[i]
-		for _, r32 := range pl.ranksIn[a] {
-			r := int(r32)
-			j := c.dstIdx[r]
-			if j < 0 {
-				j = len(msgs)
-				msgs = append(msgs, mpp.Msg{Dst: r, Data: c.getPay()})
-				c.dstIdx[r] = j
-			}
-			pl.forEachClip(r, a, func(cl clip) {
-				msgs[j].Data = append(msgs[j].Data, dombuf[cl.domOff:cl.domOff+cl.n*pl.bs]...)
-			})
-		}
-	}
-	for _, m := range msgs {
-		c.dstIdx[m.Dst] = -1
-	}
-	c.msgScratch[rank] = msgs
-	return msgs
-}
-
-// scatterRankMsgs delivers the read-phase payloads into rank's buffer,
-// consuming each aggregator's payload with a per-message cursor across
-// that aggregator's domains in ascending order (scatter targets are
-// disjoint buffer ranges, so message order is immaterial). Consumed
-// payloads return to the pool.
-func (c *Collective) scatterRankMsgs(pl *plan, rank int, recv []mpp.RecvMsg, buf []byte) {
-	for _, m := range recv {
-		var off int64
-		for _, a32 := range pl.domsOf[rank] {
-			a := int(a32)
-			if pl.owner[a] != m.Src {
-				continue
-			}
-			pl.forEachClip(rank, a, func(cl clip) {
-				n := cl.n * pl.bs
-				copy(buf[cl.bufOff:cl.bufOff+n], m.Data[off:off+n])
-				off += n
-			})
-		}
-		c.putPay(m.Data)
-	}
 }
 
 // RecordRangeReq builds the VecReq covering records [firstRec,

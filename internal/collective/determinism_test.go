@@ -28,12 +28,15 @@ type detResult struct {
 	readBackDiff int
 }
 
+// detOpts is the determinism fences' handle: four 16-block rounds.
+var detOpts = Options{ChunkBytes: 16 * testBS}
+
 // runDeterminismScenario executes one 512-rank contended pipelined
 // collective (strided write + read-back) on a fresh engine and 16-drive
 // store, and returns the full observable state. A non-nil rec is
 // attached across every layer (engine, disks, store, rank group) before
 // the run; recording must not change any modeled observable.
-func runDeterminismScenario(t *testing.T, nRanks int, rec *probe.Recorder) detResult {
+func runDeterminismScenario(t *testing.T, nRanks int, opts Options, rec *probe.Recorder) detResult {
 	t.Helper()
 	e := sim.NewEngine()
 	geom := device.Geometry{BlockSize: testBS, BlocksPerCyl: 8, Cylinders: 64}
@@ -59,7 +62,7 @@ func runDeterminismScenario(t *testing.T, nRanks int, rec *probe.Recorder) detRe
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := Open(g, nRanks, Options{ChunkBytes: 16 * testBS})
+	col, err := Open(g, nRanks, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +126,8 @@ func runDeterminismScenario(t *testing.T, nRanks int, rec *probe.Recorder) detRe
 // the same scenario is also exercised under -race.
 func TestPipelinedDeterminism512(t *testing.T) {
 	const nRanks = 512
-	a := runDeterminismScenario(t, nRanks, nil)
-	b := runDeterminismScenario(t, nRanks, nil)
+	a := runDeterminismScenario(t, nRanks, detOpts, nil)
+	b := runDeterminismScenario(t, nRanks, detOpts, nil)
 	if a.writeErr != nil || a.readErr != nil {
 		t.Fatalf("collective failed: write=%v read=%v", a.writeErr, a.readErr)
 	}

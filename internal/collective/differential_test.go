@@ -34,8 +34,8 @@ func diffContent(seed int64, phase, rank int, gb, i int64) byte {
 	return byte(seed*131 + int64(phase)*31 + int64(rank)*17 + gb*7 + i*3 + 1)
 }
 
-// Phase kinds. Collective phases go through the two-phase engine —
-// single-shot, or pipelined through a chunked handle (the scenario's
+// Phase kinds. Collective phases go through the two-phase engine — in
+// one round, or pipelined through a chunked handle (the scenario's
 // randomized ChunkBytes, including single-block chunks and chunks
 // larger than any domain) — while vectored and extent phases go through
 // the independent per-rank paths, so the harness cross-checks every
@@ -52,8 +52,10 @@ const (
 	// per-rank WriteVecSieved/ReadVecSieved — the read-modify-write and
 	// covering-span scatter against the same reference as everything
 	// else); auto phases go through a collective handle with
-	// Strategy: Auto, so whichever route its cost model picks for the
-	// scenario's machine must produce reference-identical bytes.
+	// Strategy: Auto — unbounded (ChunkBytes 0) or bounded by the
+	// scenario's ChunkBytes, by seed — so whichever route and pipeline
+	// depth its cost model picks for the scenario's machine must produce
+	// reference-identical bytes.
 	diffSievedWrite
 	diffSievedRead
 	diffAutoWrite
@@ -69,7 +71,8 @@ const (
 	// Aligned phases run the two-phase engine on the drive-aligned
 	// partition (plan.aligned), which only StrategyAuto's pricing would
 	// otherwise select: handles with the in-package forcePart hook set,
-	// single-shot on even phases and chunked (the scenario's ChunkBytes,
+	// unbounded on even phases (ChunkBytes 0: one round, or every domain
+	// cut in 2 or 4 by the seed) and chunked (the scenario's ChunkBytes,
 	// every chunk cut in 2, 4, 8 or 16 by the seed, so the ranks that own
 	// no domain post up to sixteen rounds at once) on odd ones. The phases
 	// around them run on the logical partition, so an aligned write is
@@ -373,7 +376,7 @@ func (sc *diffScenario) genReplayWrite(rng *rand.Rand, g *fileGroupInfo, ph int)
 // genCollectiveRead generates per-rank read requests — cross-rank and
 // even same-rank block overlaps are legal for reads — and snapshots the
 // expected buffers from the current reference image. kind selects the
-// single-shot or the pipelined handle.
+// handle.
 func (sc *diffScenario) genCollectiveRead(rng *rand.Rand, g *fileGroupInfo, ph, kind int) {
 	reqs := make([][]VecReq, sc.nRanks)
 	bufs := make([][]byte, sc.nRanks)
@@ -480,8 +483,13 @@ func (sc *diffScenario) run(t *testing.T) {
 	if err != nil {
 		t.Fatalf("seed %d: %v", sc.seed, err)
 	}
+	// Auto prices its pipeline depth under any bound: none (ChunkBytes 0)
+	// on even seeds, the scenario's on odd ones.
 	aopts := sc.opts
 	aopts.Strategy = blockio.StrategyAuto
+	if sc.seed%2 == 1 {
+		aopts.ChunkBytes = sc.chunkBytes
+	}
 	auto, err := Open(g, sc.nRanks, aopts)
 	if err != nil {
 		t.Fatalf("seed %d: %v", sc.seed, err)
@@ -492,13 +500,16 @@ func (sc *diffScenario) run(t *testing.T) {
 	if err != nil {
 		t.Fatalf("seed %d: %v", sc.seed, err)
 	}
-	// aligned[0] single-shot, aligned[1] chunked: phase pi uses aligned[pi%2].
+	// aligned[0] unbounded, aligned[1] chunked: phase pi uses aligned[pi%2].
+	// The unbounded one runs one round, or its whole domains cut in 2 or 4
+	// (what Auto does to them where it prices depth); the chunked one cuts
+	// every chunk in 2 to 16.
 	var aligned [2]*Collective
 	for i, o := range []Options{sc.opts, popts} {
 		if aligned[i], err = Open(g, sc.nRanks, o); err != nil {
 			t.Fatalf("seed %d: %v", sc.seed, err)
 		}
-		aligned[i].forcePart = &choice{route: routeTwoPhase, aligned: true, split: 1}
+		aligned[i].forcePart = &choice{route: routeTwoPhase, aligned: true, split: 1 << (sc.seed % 3)}
 	}
 	aligned[1].forcePart.split = 2 << (sc.seed % 4)
 	mg, join := mpp.Run(e, sc.nRanks, "diff", func(p *mpp.Proc) {

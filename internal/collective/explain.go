@@ -32,10 +32,12 @@ type explainProbe struct {
 func (c *Collective) LastPredicted() time.Duration { return c.predicted }
 
 // LastDepth reports the pipeline depth of the most recent successfully
-// planned blocking call: the rounds its two-phase route was cut into, 0
-// for the single-shot schedule and the independent routes. Under
-// StrategyAuto it is the depth the prices chose. Valid under the same
-// rules as LastStats.
+// planned blocking call: the rounds its two-phase route was cut into — 1
+// for a call with nothing to overlap, whole exchange then whole access —
+// and 0 for the independent routes and for a call no rank asked anything
+// of. Under StrategyAuto it is the depth the prices chose, whether or not
+// Options.ChunkBytes bounds the chunk. Valid under the same rules as
+// LastStats.
 func (c *Collective) LastDepth() int {
 	if c.sched == nil || c.route != routeTwoPhase {
 		return 0
@@ -48,10 +50,11 @@ func (c *Collective) LastDepth() int {
 //
 //	collective.<prefix>.plan.aligned   two-phase calls on the drive-aligned partition
 //	collective.<prefix>.plan.logical   two-phase calls on the logical partition
-//	collective.<prefix>.plan.rounds    their pipeline rounds (0 = single-shot)
+//	collective.<prefix>.plan.rounds    their pipeline rounds (1 = nothing overlaps)
 //	collective.<prefix>.plan.depth_price_ms.<rounds>
 //	                                   what the aligned partition was priced at, cut into
-//	                                   that many rounds: one entry per depth tried
+//	                                   that many rounds: one entry per depth tried, with
+//	                                   or without a ChunkBytes bound
 //	collective.<prefix>.plan.predicted_over_realised
 //	                                   priced cost ÷ modeled time of every priced call
 func (c *Collective) explain(rec *probe.Recorder, prefix string, sd *schedule, realised time.Duration) {

@@ -249,8 +249,9 @@ func checkPlanInvariants(t *testing.T, pl *plan, reqs [][]VecReq, opts Options) 
 //   - every chunk is at most chunkBlocks blocks, and chunkBlocks bytes
 //     never exceed ChunkBytes except for the single-oversized-segment
 //     degenerations (sub-block ChunkBytes → one block; chunk larger
-//     than a domain → clamped to the domain), at every pipeline split
-//     from 1 to 16 of the drive-aligned partition;
+//     than a domain → clamped to the domain; ChunkBytes 0, no bound →
+//     the domain, one round at split 1), at every pipeline split from 1
+//     to 16 of the drive-aligned partition;
 //   - rounds is exactly the chunk count of the largest domain, and
 //     every domain is exhausted within it;
 //   - per (rank, domain), the clips of the domain's chunk windows sum
@@ -265,13 +266,14 @@ func FuzzChunkDomains(f *testing.F) {
 	f.Add([]byte{1, 8, 3, 5, 0, 0, 0, 1, 1, 0, 2, 2, 0})   // sub-block ChunkBytes
 	f.Add([]byte{255, 4, 8, 7, 0, 0, 3, 1, 2, 3, 2, 4, 3}) // chunk > domain
 	f.Add([]byte{130, 2, 2, 3, 0, 0, 3, 1, 1, 3})          // odd chunk, LWW overlap
+	f.Add([]byte{9, 4, 8, 7, 0, 0, 3, 1, 2, 3, 2, 4, 3})   // ChunkBytes 0: no bound
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
 		}
-		// Chunk sizes sweep sub-block, exact-block, odd multiples and
-		// larger-than-footprint (bs = 64 in the fixture).
-		chunkBytes := []int64{1, 7, 63, 64, 65, 128, 130, 3 * 64, 1 << 20}[int(data[0])%9]
+		// Chunk sizes sweep sub-block, exact-block, odd multiples,
+		// larger-than-footprint and none (bs = 64 in the fixture).
+		chunkBytes := []int64{1, 7, 63, 64, 65, 128, 130, 3 * 64, 1 << 20, 0}[int(data[0])%10]
 		nRanks, naggs, opts, write, reqs, bufs := fuzzPlanInput(data[1:])
 		if nRanks == 0 {
 			return
@@ -303,10 +305,16 @@ func checkChunkInvariants(t *testing.T, pl *plan, chunkBytes int64, split int) {
 		t.Fatalf("chunkBlocks = %d with ChunkBytes %d", pl.chunkBlocks, chunkBytes)
 	}
 	// ChunkBytes is an upper bound on the chunk (a sub-block ChunkBytes
-	// rounds up to one block, a chunk larger than a domain is the domain),
-	// and every chunk is cut in split.
+	// rounds up to one block, a chunk larger than a domain is the domain,
+	// and so is the chunk under no bound), and every chunk is cut in split.
 	maxBytes := chunkBytes
-	if maxBytes < pl.bs {
+	switch {
+	case maxBytes == 0:
+		maxBytes = pl.domBlocks * pl.bs // no bound: a whole domain
+		if split == 1 && pl.rounds != 1 {
+			t.Fatalf("ChunkBytes 0 at split 1 planned %d rounds, want 1", pl.rounds)
+		}
+	case maxBytes < pl.bs:
 		maxBytes = pl.bs // sub-block chunks round up to one block
 	}
 	if pl.chunkBlocks*pl.bs > maxBytes {

@@ -48,7 +48,9 @@ import (
 // A Handle owns one call buffer and one server ticket. The call buffer
 // holds the call's covered bytes in covered-index order, so domain a is
 // a sub-slice of it (domSlices) and the aggregators pack, assemble and
-// scatter exactly as they do into per-domain buffers. The rank that finishes its
+// scatter with the blocking executor's helpers, the slices standing in
+// for round 0's staging (a nonblocking plan has one window per domain,
+// whatever Options.ChunkBytes says). The rank that finishes its
 // eager half last (pending reaching zero) submits the schedule's
 // call-wide plan bound to that buffer; every rank's Test and Wait read
 // that one ticket.
@@ -66,7 +68,7 @@ type Handle struct {
 }
 
 // domSlices lists rank's owned domains as slices of the call buffer, in
-// ownedOf order — the shape assembleDomains and packDomainMsgs take.
+// ownedOf order — the shape assembleChunk and packChunkDomains take.
 func (h *Handle) domSlices(rank int) [][]byte {
 	pl, owned := h.sd.pl, h.sd.ownedOf[rank]
 	bufs := make([][]byte, len(owned))
@@ -117,9 +119,9 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 			// phase runs on the server's clock, not inside this call).
 			c.stats = c.sched.stats
 			// The call buffer outlives the call — the server holds it
-			// until the request completes — so it cannot be the blocking
-			// path's per-rank scratch; it comes from the handle's free
-			// list and goes back in Wait. A call rejected above takes
+			// until the request completes — so it comes from the handle's
+			// free list and goes back in Wait, not at the end of this
+			// call as blocking staging does. A call rejected above takes
 			// nothing.
 			pl := c.sched.pl
 			c.hScratch = &Handle{
@@ -144,9 +146,8 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 		// Writes exchange eagerly: once the domains are assembled (with
 		// rank-order overlap resolution) the call buffer is final, and the
 		// server may run the request whenever its policy says.
-		send := c.packRankMsgs(sd.pl, rank, buf)
-		recv := p.AlltoallvSparse(send)
-		c.assembleDomains(sd.pl, sd.ownedOf[rank], recv, h.domSlices(rank))
+		recv := p.AlltoallvSparse(c.packRounds(sd.pl, rank, buf))
+		c.assembleChunk(sd.pl, sd.ownedOf[rank], 0, recv, h.domSlices(rank))
 		p.RecycleRecv(recv)
 	}
 	if h.pending--; h.pending == 0 {
@@ -166,10 +167,13 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 	return h, nil
 }
 
-// getDom pops a call buffer of exactly n bytes from the handle's free
-// list, or makes one. Contents are stale, which is safe for the reason
-// domBufs gives: a write domain is fully covered by the ranks' clips and
-// a read domain fully overwritten by the device read.
+// maxDomSizes bounds the sizes the free list keeps: one per schedule a
+// default cache retains, since a schedule's chunk is what sizes staging.
+const maxDomSizes = defaultPlanCacheCap
+
+// getDom pops a buffer of exactly n bytes from the handle's free list, or
+// makes one: a blocking call's chunk staging or a nonblocking call's call
+// buffer. Contents are stale (aggState.takeStage says why that is safe).
 func (c *Collective) getDom(n int) []byte {
 	c.domOut++
 	if free := c.domFree[n]; len(free) > 0 {
@@ -180,19 +184,27 @@ func (c *Collective) getDom(n int) []byte {
 	return make([]byte, n)
 }
 
-// putDom returns a call buffer to the free list. The list is keyed by
-// size and holds what the outstanding calls needed at their peak (two
-// calls may be in flight), so an iterative workload stops allocating
-// after its first epoch.
+// putDom returns a buffer to the free list. A size's list holds what the
+// calls in flight needed of it at their peak (every aggregator's staging
+// of one blocking call; two nonblocking calls may be outstanding), so an
+// iterative workload stops allocating after its first epoch. A handle
+// whose footprints keep changing size does not grow without bound: the
+// list keeps maxDomSizes sizes, and a new one beyond that starts it over
+// (the rest goes to the collector), so it never holds more than that many
+// calls' worth.
 func (c *Collective) putDom(b []byte) {
 	c.domOut--
 	if len(b) == 0 {
 		return
 	}
+	free, ok := c.domFree[len(b)]
+	if !ok && len(c.domFree) >= maxDomSizes {
+		clear(c.domFree)
+	}
 	if c.domFree == nil {
 		c.domFree = make(map[int][][]byte)
 	}
-	c.domFree[len(b)] = append(c.domFree[len(b)], b)
+	c.domFree[len(b)] = append(free, b)
 }
 
 // Test reports whether the call's server request has completed — local,
@@ -218,9 +230,10 @@ func (h *Handle) Wait(p *mpp.Proc) error {
 	if !h.write {
 		// Delivery: the freshly read domains ship back to the ranks and
 		// scatter into their buffers, as in the blocking read's tail.
-		send := c.packDomainMsgs(pl, rank, h.sd.ownedOf[rank], h.domSlices(rank))
+		send := c.packChunkDomains(pl, h.sd.ownedOf[rank], 0, h.domSlices(rank), c.msgScratch[rank][:0])
+		c.msgScratch[rank] = send
 		recv := p.AlltoallvSparse(send)
-		c.scatterRankMsgs(pl, rank, recv, h.bufs[rank])
+		c.scatterChunkSparse(pl, rank, 0, recv, h.bufs[rank])
 		p.RecycleRecv(recv)
 	}
 	// The server is done with the call buffer (the ticket has completed,

@@ -1,15 +1,14 @@
-// The pipelined two-phase schedule (Options.ChunkBytes > 0): chunked
-// aggregator staging buffers that overlap the exchange phase with the
-// device-access phase, in the style of ROMIO's collective buffering
-// (cb_buffer_size) and PVFS listio chunk pipelining.
+// The two-phase executor: every blocking two-phase call runs here, as
+// rounds of exchange feeding rounds of device access through chunked
+// aggregator staging buffers, in the style of ROMIO's collective
+// buffering (one loop parameterised by cb_buffer_size) and PVFS listio
+// chunk pipelining.
 //
-// The single-shot schedule is a hard barrier: plan → whole exchange →
-// whole access, so the interconnect idles while the drives work and the
-// drives idle while bytes cross the link. Here each file domain is cut
-// into chunk-aligned sub-domains (plan.chunkWindow) and the collective
-// runs plan.rounds exchange rounds (mpp.SparseExchange — per-pair setup
-// charged once for the whole collective), with every aggregator's device
-// access running in a companion process fed through a depth-1 sim.Queue:
+// Each file domain is cut into chunk-aligned sub-domains
+// (plan.chunkWindow) and the collective runs plan.rounds exchange rounds
+// (mpp.SparseExchange — per-pair setup charged once for the whole
+// collective), with every aggregator's device access running in a
+// companion process fed through a depth-1 sim.Queue:
 //
 //	write: main   pack(k) → Round(k) ──→ queue ──→ companion: assemble(k) → WriteWindow(k)
 //	read:  companion ReadWindow(k) → pack(k) ──→ queue ──→ main: Round(k) → scatter(k)
@@ -21,6 +20,14 @@
 // the companion works on another). Device access goes through a
 // blockio.BatchPlan prepared once per domain, so chunking never
 // re-sorts or re-merges the physical pieces.
+//
+// One round is the schedule with nothing to overlap — plan → whole
+// exchange → whole access, the interconnect idle while the drives work
+// and the drives idle while bytes cross the link — and it is what a
+// handle runs when nothing bounds the chunk and nothing prices a deeper
+// pipeline (Options.ChunkBytes 0 under any Strategy but Auto): the same
+// loop, once, with one staging buffer per owned domain
+// (TestOneRoundGoldens pins its modeled times to the nanosecond).
 //
 // Only the aggregators run the rounds. A rank that owns no domain has
 // nothing to do between them — it packs before the first and scatters
@@ -39,11 +46,16 @@
 // of a drive-aligned domain (plan.aligned, StrategyAuto's other
 // two-phase candidate) is a contiguous slice of one drive, so a round is
 // one long request per drive. How many rounds is a price there, not a
-// setting: Options.ChunkBytes bounds the chunk, and strategy.go's
-// alignedCost runs every depth below that bound — each chunk cut in 2,
-// 4, 8, … — through the two-stage pipeline formula, pricing the extra
-// request a drive takes per round with the drive's own service time,
-// and keeps the cheapest. Nothing below tells the two partitions apart.
+// setting: Options.ChunkBytes bounds the chunk (0: at a whole domain),
+// and strategy.go's alignedCost runs every depth below that bound — each
+// chunk cut in 2, 4, 8, … — through the two-stage pipeline formula,
+// pricing the extra request a drive takes per round with the drive's own
+// service time, and keeps the cheapest. Nothing below tells the two
+// partitions apart.
+//
+// The nonblocking calls (nonblock.go) hand their device phase to an I/O
+// server instead, but pack, assemble and scatter with the same helpers:
+// round 0 of a plan built with one window per domain.
 
 package collective
 
@@ -62,8 +74,8 @@ import (
 // iv is one busy interval of a phase, in virtual time.
 type iv struct{ from, to time.Duration }
 
-// runPipelined executes the chunked schedule for one rank, leaving its
-// error in c.errs[rank]. Called with pl.rounds > 0.
+// runPipelined executes the schedule's rounds for one rank, leaving its
+// error in c.errs[rank]. Called with a footprint (pl.rounds ≥ 1).
 func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []byte) {
 	rank := p.Rank()
 	pl := sd.pl
@@ -71,15 +83,15 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 	ex := p.NewSparseExchange()
 	var agg *aggState
 	var err error
-	if owned := sd.ownedOf[rank]; len(owned) > 0 {
-		agg, err = sd.aggState(c, rank, owned)
+	if len(sd.ownedOf[rank]) > 0 {
+		agg, err = c.bindAgg(sd, rank)
 	}
 	if agg == nil {
 		// A rank with no domain has nothing to do between rounds: it packs
 		// every round's payloads now (writes) or scatters them at the end
 		// (reads), both free in virtual time, so it posts its rounds and
 		// parks once (mpp.SparseExchange.Post). So does an aggregator whose
-		// state could not be built — unreachable in practice, the plan's
+		// domains could not be planned — unreachable in practice, the plan's
 		// windows are valid by construction — dropping what it is sent.
 		var send []mpp.Msg
 		if write {
@@ -101,6 +113,10 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 	if rec != nil {
 		ioTrk = rec.Track(fmt.Sprintf("%s/%d/io", prefix, rank))
 	}
+	// Staging is the call's, not the schedule's: out of the handle's free
+	// list now, back when both stages have drained.
+	agg.takeStage()
+	defer agg.putStage()
 	if write {
 		c.errs[rank] = sim.Pipe(p.Proc, "collective-io", 1,
 			func(q *sim.Queue) error { // exchange stage, on the rank
@@ -179,19 +195,25 @@ type round struct {
 	span probe.SpanID  // producing stage's span: the consumer's causal parent
 }
 
-// aggState is one aggregator rank's pipelined device-access state: a
-// prepared batch plan per owned domain (mapped, sorted and merged once,
-// cut at the chunk boundaries) and two staging buffers per domain — the
-// bounded memory the whole feature is named for. msgScr holds the read
-// path's two in-flight outgoing message lists: round k's list sits in
-// the stage queue while round k+1 is being packed, and slot k%2 is free
-// again by round k+2 because the delivery stage is sequential.
+// aggState is one aggregator rank's device-access state, the handle's
+// and reused call after call: bound at the start of a call to the
+// schedule's prepared batch plan of each owned domain (mapped, sorted and
+// merged once, cut at the chunk boundaries — the schedule's, so they
+// replay with it) and to the call's staging — at most two chunk buffers
+// per domain, the bounded memory Options.ChunkBytes is named for, out of
+// the handle's free list only while the call runs (takeStage / putStage).
+// A workload whose schedules never repeat therefore allocates the plans
+// and nothing else. msgScr holds the read path's two in-flight outgoing
+// message lists: round k's list sits in the stage queue while round k+1
+// is being packed, and slot k%2 is free again by round k+2 because the
+// delivery stage is sequential.
 type aggState struct {
 	c      *Collective
 	pl     *plan
 	owned  []int
 	plans  []*blockio.BatchPlan
 	stage  [][2][]byte
+	bufs   [][]byte // chunkBufs' result, rebuilt per round by the access stage
 	msgScr [2][]mpp.Msg
 	// slots are the two rounds in flight between the stages (handOff).
 	slots [2]round
@@ -208,68 +230,92 @@ func (s *aggState) handOff(k int, recv []mpp.RecvMsg, send []mpp.Msg, span probe
 	return r
 }
 
-func (c *Collective) newAggState(pl *plan, owned []int) (*aggState, error) {
-	s := &aggState{c: c, pl: pl, owned: owned}
-	for _, a := range owned {
-		lo, hi := pl.domain(a)
-		var cuts []int64
-		for off := pl.chunkBlocks; off < hi-lo; off += pl.chunkBlocks {
-			cuts = append(cuts, off*pl.bs)
-		}
-		plan, err := pl.batchVec(lo, hi).Plan(cuts)
-		if err != nil {
+// bindAgg binds rank's aggregator state to the schedule's plan, owned
+// domains and their batch plans (schedule.domainPlan builds what a fresh
+// schedule lacks).
+func (c *Collective) bindAgg(sd *schedule, rank int) (*aggState, error) {
+	if c.aggs == nil {
+		c.aggs = make([]*aggState, c.size)
+	}
+	s := c.aggs[rank]
+	if s == nil {
+		s = &aggState{c: c}
+		c.aggs[rank] = s
+	}
+	s.pl, s.owned = sd.pl, sd.ownedOf[rank]
+	n := len(s.owned)
+	if cap(s.plans) < n {
+		s.plans, s.stage, s.bufs = make([]*blockio.BatchPlan, n), make([][2][]byte, n), make([][]byte, n)
+	}
+	s.plans, s.stage, s.bufs = s.plans[:n], s.stage[:n], s.bufs[:n]
+	for i, a := range s.owned {
+		var err error
+		if s.plans[i], err = sd.domainPlan(a); err != nil {
 			return nil, err
 		}
-		s.plans = append(s.plans, plan)
-		n := pl.chunkBlocks * pl.bs
-		s.stage = append(s.stage, [2][]byte{make([]byte, n), make([]byte, n)})
 	}
 	return s, nil
 }
 
-// chunkBuf returns the staging buffer for chunk k of owned domain i,
-// sized to the chunk. Buffers alternate per round; buffer k%2 is free
-// again by round k+2 because the access stage is sequential.
-func (s *aggState) chunkBuf(i, k int, lo, hi int64) []byte {
-	return s.stage[i][k%2][:(hi-lo)*s.pl.bs]
+// takeStage takes the call's staging from the handle's free list: one
+// chunk buffer per nonempty owned domain, and the second of the double
+// buffer only for a domain that has a second chunk — a one-round call
+// holds one buffer per domain. Contents are stale, which is safe: a write
+// chunk is fully covered by the ranks' clips (domains tile the covered
+// footprint) and a read chunk fully overwritten by the device read, so
+// stale bytes never travel.
+func (s *aggState) takeStage() {
+	n := int(s.pl.chunkBlocks * s.pl.bs)
+	for i, a := range s.owned {
+		lo, hi := s.pl.domain(a)
+		if hi > lo {
+			s.stage[i][0] = s.c.getDom(n)
+		}
+		if hi-lo > s.pl.chunkBlocks {
+			s.stage[i][1] = s.c.getDom(n)
+		}
+	}
+}
+
+// putStage returns the call's staging, whatever became of the call.
+func (s *aggState) putStage() {
+	for i := range s.stage {
+		for j, b := range s.stage[i] {
+			if b != nil {
+				s.c.putDom(b)
+				s.stage[i][j] = nil
+			}
+		}
+	}
+}
+
+// chunkBufs returns the staging of chunk k of every owned domain, each
+// sized to its window (empty once a ragged domain has run out). Buffers
+// alternate per round; buffer k%2 is free again by round k+2 because the
+// access stage, the only caller, is sequential.
+func (s *aggState) chunkBufs(k int) [][]byte {
+	for i, a := range s.owned {
+		lo, hi := s.pl.chunkWindow(a, k)
+		s.bufs[i] = s.stage[i][k%2][:(hi-lo)*s.pl.bs]
+	}
+	return s.bufs
 }
 
 // writeChunk assembles round k's received payloads into the owned
 // domains' chunk staging buffers and issues each chunk's window of the
-// prepared plan. A single cursor walks each payload across the owned
-// domains in ascending order, mirroring packChunkSparse's
-// concatenation; the receive list is sorted by source first, so each
-// domain sees its sources in rank order and LastWriterWins overlaps
-// resolve exactly as in the single-shot schedule. Assembly is pure
-// compute, so finishing it before the first WriteWindow leaves the
-// device schedule bit-identical to assembling per domain.
+// prepared plan. Assembly is pure compute, so finishing it before the
+// first WriteWindow leaves the device schedule bit-identical to
+// assembling per domain.
 func (s *aggState) writeChunk(ctx sim.Context, k int, recv []mpp.RecvMsg) error {
 	pl := s.pl
-	mpp.SortBySrc(recv)
-	for _, m := range recv {
-		var off int64
-		for i, a := range s.owned {
-			lo, hi := pl.chunkWindow(a, k)
-			if lo >= hi {
-				continue
-			}
-			buf := s.chunkBuf(i, k, lo, hi)
-			pl.forEachClipWin(m.Src, lo, hi, func(cl clip) {
-				n := cl.n * pl.bs
-				copy(buf[cl.domOff:cl.domOff+n], m.Data[off:off+n])
-				off += n
-			})
-		}
-		s.c.putPay(m.Data)
-	}
+	bufs := s.chunkBufs(k)
+	s.c.assembleChunk(pl, s.owned, k, recv, bufs)
 	var errs []error
-	for i, a := range s.owned {
-		lo, hi := pl.chunkWindow(a, k)
-		if lo >= hi {
+	for i, buf := range bufs {
+		if len(buf) == 0 {
 			continue
 		}
-		buf := s.chunkBuf(i, k, lo, hi)
-		if err := s.plans[i].WriteWindow(ctx, k, buf, (lo-dlo(pl, a))*pl.bs); err != nil {
+		if err := s.plans[i].WriteWindow(ctx, k, buf, int64(k)*pl.chunkBlocks*pl.bs); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -278,31 +324,60 @@ func (s *aggState) writeChunk(ctx sim.Context, k int, recv []mpp.RecvMsg) error 
 
 // readChunk reads chunk k of every owned domain through the prepared
 // plans, then packs the ranks' round-k messages from the fresh staging
-// buffers — the read mirror of writeChunk. The pack copies into pooled
-// payload buffers (staging is reused two rounds later, so bytes cannot
-// ride the message by reference) and runs without parking, after all
-// the reads, keeping the handle-shared pack scratch consistent.
+// buffers — the read mirror of writeChunk. The pack runs without parking,
+// after all the reads, keeping the handle-shared pack scratch consistent.
 func (s *aggState) readChunk(ctx sim.Context, k int) ([]mpp.Msg, error) {
 	pl := s.pl
+	bufs := s.chunkBufs(k)
 	var errs []error
-	for i, a := range s.owned {
-		lo, hi := pl.chunkWindow(a, k)
-		if lo >= hi {
+	for i, buf := range bufs {
+		if len(buf) == 0 {
 			continue
 		}
-		buf := s.chunkBuf(i, k, lo, hi)
-		if err := s.plans[i].ReadWindow(ctx, k, buf, (lo-dlo(pl, a))*pl.bs); err != nil {
+		if err := s.plans[i].ReadWindow(ctx, k, buf, int64(k)*pl.chunkBlocks*pl.bs); err != nil {
 			errs = append(errs, err)
 		}
 	}
-	c := s.c
-	msgs := s.msgScr[k%2][:0]
-	for i, a := range s.owned {
-		lo, hi := pl.chunkWindow(a, k)
-		if lo >= hi {
-			continue
+	s.msgScr[k%2] = s.c.packChunkDomains(pl, s.owned, k, bufs, s.msgScr[k%2][:0])
+	return s.msgScr[k%2], errors.Join(errs...)
+}
+
+// assembleChunk copies round k's received write payloads into bufs, the
+// staging of chunk k of each owned domain (a whole domain, when the plan
+// has one window per domain). A single cursor walks each payload across
+// the owned domains in ascending order, mirroring packChunkSparse's
+// concatenation; the receive list is sorted by source first, so each
+// domain sees its sources in rank order and LastWriterWins overlaps
+// resolve to the highest rank's bytes. Consumed payloads return to the
+// pool; the caller recycles the receive list itself.
+func (c *Collective) assembleChunk(pl *plan, owned []int, k int, recv []mpp.RecvMsg, bufs [][]byte) {
+	mpp.SortBySrc(recv)
+	for _, m := range recv {
+		var off int64
+		for i, a := range owned {
+			lo, hi := pl.chunkWindow(a, k)
+			buf := bufs[i]
+			pl.forEachClipWin(m.Src, lo, hi, func(cl clip) {
+				n := cl.n * pl.bs
+				copy(buf[cl.domOff:cl.domOff+n], m.Data[off:off+n])
+				off += n
+			})
 		}
-		buf := s.chunkBuf(i, k, lo, hi)
+		c.putPay(m.Data)
+	}
+}
+
+// packChunkDomains appends an aggregator's round-k read messages to
+// msgs, one per rank with a clip in chunk k of any owned domain: the
+// rank's clips copied out of bufs, the freshly read staging, owned
+// domains in ascending order — the order scatterChunkSparse consumes.
+// The copy goes into pooled payload buffers (staging is reused two rounds
+// later, so bytes cannot ride the message by reference).
+func (c *Collective) packChunkDomains(pl *plan, owned []int, k int, bufs [][]byte, msgs []mpp.Msg) []mpp.Msg {
+	first := len(msgs)
+	for i, a := range owned {
+		lo, hi := pl.chunkWindow(a, k)
+		buf := bufs[i]
 		for _, r32 := range pl.ranksIn[a] {
 			r := int(r32)
 			pl.forEachClipWin(r, lo, hi, func(cl clip) {
@@ -316,28 +391,22 @@ func (s *aggState) readChunk(ctx sim.Context, k int) ([]mpp.Msg, error) {
 			})
 		}
 	}
-	for _, m := range msgs {
+	for _, m := range msgs[first:] {
 		c.dstIdx[m.Dst] = -1
 	}
-	s.msgScr[k%2] = msgs
-	return msgs, errors.Join(errs...)
-}
-
-// dlo is domain a's covered-index start.
-func dlo(pl *plan, a int) int64 {
-	lo, _ := pl.domain(a)
-	return lo
+	return msgs
 }
 
 // packChunkSparse appends rank's round-k write messages to msgs: for
 // each touched domain in ascending order, the rank's clips against that
-// domain's chunk-k window concatenated onto the domain owner's payload
-// — the chunked analogue of packRankMsgs, with the same canonical
-// (domain asc, clip asc) order. A message is created only when the
-// window actually holds a clip, so round-level pair counts (and the
-// exchange's per-pair setup charges) match the dense schedule exactly.
-// Messages carry their round, so a rank may pack all its rounds into one
-// list and post them.
+// domain's chunk-k window concatenated onto the domain owner's payload,
+// in the canonical (domain asc, clip asc) order that lets the aggregator
+// consume a payload with one plain cursor. A message is created only
+// when the window actually holds a clip, so round-level pair counts (and
+// the exchange's per-pair setup charges) match the dense schedule
+// exactly. Payload buffers come from the handle's pool; the consumer
+// recycles them. Messages carry their round, so a rank may pack all its
+// rounds into one list and post them.
 func (c *Collective) packChunkSparse(pl *plan, rank, k int, buf []byte, msgs []mpp.Msg) []mpp.Msg {
 	first := len(msgs)
 	for _, a32 := range pl.domsOf[rank] {
@@ -363,8 +432,9 @@ func (c *Collective) packChunkSparse(pl *plan, rank, k int, buf []byte, msgs []m
 // scatterChunkSparse delivers round k's read payloads into rank's
 // buffer, consuming each aggregator's payload with a per-message cursor
 // across that aggregator's domains in ascending order (matching
-// readChunk's packing). Consumed payloads return to the pool; the
-// caller recycles the receive list itself.
+// packChunkDomains; scatter targets are disjoint buffer ranges, so
+// message order is immaterial). Consumed payloads return to the pool;
+// the caller recycles the receive list itself.
 func (c *Collective) scatterChunkSparse(pl *plan, rank, k int, recv []mpp.RecvMsg, buf []byte) {
 	for _, m := range recv {
 		var off int64
@@ -385,7 +455,8 @@ func (c *Collective) scatterChunkSparse(pl *plan, rank, k int, recv []mpp.RecvMs
 }
 
 // packRounds packs every round's write messages of rank into one list,
-// in round order — what a rank that posts its rounds hands the exchange.
+// in round order — what a rank that posts its rounds hands the exchange,
+// and a nonblocking call's one round.
 func (c *Collective) packRounds(pl *plan, rank int, buf []byte) []mpp.Msg {
 	msgs := c.msgScratch[rank][:0]
 	for k := 0; k < pl.rounds; k++ {
@@ -420,7 +491,7 @@ func (c *Collective) scatterRounds(pl *plan, rank int, recv []mpp.RecvMsg, buf [
 // batchVec assembles the cross-file batch shape of the covered-index
 // window [lo, hi) with no buffers bound and offsets relative to the
 // window start — the input to blockio's prepared, windowed batch plan.
-// The window is one domain, or the whole call (nonblock.go). plan.locate
+// The window is one domain, or the whole call (schedule.callPlan). plan.locate
 // names the Set behind each key, so a logical window lists its files and
 // an aligned one is one item on the identity Set.
 func (pl *plan) batchVec(lo, hi int64) blockio.BatchVec {

@@ -107,8 +107,9 @@ type plan struct {
 	// Chunking (Options.ChunkBytes): each domain is cut into
 	// chunkBlocks-block chunks (the final chunk of a domain ragged), and
 	// the collective runs as `rounds` pipelined exchange/access rounds —
-	// round k moving chunk k of every domain at once. Zero chunkBlocks /
-	// rounds selects the unchunked single-shot path.
+	// round k moving chunk k of every domain at once. A plan with a
+	// footprint has at least one round (a chunk as large as the largest
+	// domain); both are zero only when no rank asked for anything.
 	chunkBlocks int64
 	rounds      int
 	// Sparse participation indexes, derived from shares: domsOf[r] lists
@@ -223,10 +224,10 @@ func sortedSegs(segs [][]rseg) []owned {
 // absolute physical block, and the domains are cut at drive boundaries —
 // domain a is the footprint on drive a, or on a's whole drives when
 // there are fewer domains than drives. Everything below the segment
-// lists (partition) and every executor then runs unchanged: a domain
-// buffer is laid out in drive order, a chunk is a contiguous slice of a
-// drive, and locate resolves keys through the identity Set. split
-// deepens the pipeline (partition).
+// lists (partition), the executor and the nonblocking path then run
+// unchanged: a domain buffer is laid out in drive order, a chunk is a
+// contiguous slice of a drive, and locate resolves keys through the
+// identity Set. split deepens the pipeline (partition).
 func (pl *plan) aligned(opts Options, split int) *plan {
 	store := pl.group.Store()
 	nd, per := store.Devices(), store.Blocks()
@@ -288,7 +289,8 @@ func (pl *plan) locate(key int64) (set *blockio.Set, block, left int64) {
 // size and the domain owners. cuts == nil cuts the covered-index space
 // into naggs equal domains; otherwise domain a starts at key cuts[a]
 // (naggs+1 ascending keys). split > 1 cuts every chunk into that many,
-// deepening the pipeline below what ChunkBytes asks for.
+// deepening the pipeline below what ChunkBytes asks for (or, with no
+// bound, below one round).
 func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int) {
 	naggs, nranks := pl.naggs, len(pl.segs)
 	for _, sg := range all {
@@ -328,7 +330,7 @@ func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int) {
 	pl.cend = make([][]int64, nranks)
 	pl.maxEnd = make([][]int64, nranks)
 	// One pass over all segments fills the covered ranges and the
-	// rank×domain share table (equal to clipBytes at every cell) — it
+	// rank×domain share table (the clips' bytes at every cell) — it
 	// drives the locality election, the exchange stats, and
 	// payload-buffer sizing without rescanning segment lists per domain.
 	pl.shares = make([][]int64, nranks)
@@ -362,17 +364,16 @@ func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int) {
 			}
 		}
 	}
-	if opts.ChunkBytes > 0 && pl.total > 0 {
-		// A chunk is at most ChunkBytes worth of whole blocks — at least
-		// one (a sub-block ChunkBytes degenerates to single-block chunks)
-		// and at most a whole domain — cut in split: ChunkBytes bounds the
-		// staging memory, and how deep the pipeline runs below that bound
-		// is the caller's to price (alignedCost). At split 1 a chunk as
-		// large as the largest domain is one round, the pipelined code
-		// path with nothing to overlap.
-		cb := min(max(opts.ChunkBytes/pl.bs, 1), pl.domBlocks)
+	if pl.total > 0 {
+		// A chunk is at most the ceiling Options.ChunkBytes sets — whole
+		// blocks, at least one, at most a whole domain, which is also what
+		// no bound means — cut in split: ChunkBytes bounds the staging
+		// memory, and how deep the pipeline runs below that bound is the
+		// caller's to price (alignedCost). At split 1 a chunk as large as
+		// the largest domain is one round: whole exchange, then whole
+		// access, nothing to overlap.
 		n := int64(max(split, 1))
-		cb = (cb + n - 1) / n
+		cb := (opts.chunkCeiling(pl.bs, pl.domBlocks) + n - 1) / n
 		pl.chunkBlocks = cb
 		pl.rounds = int((pl.domBlocks + cb - 1) / cb)
 	}
@@ -441,23 +442,16 @@ func (pl *plan) domain(a int) (lo, hi int64) {
 	return pl.domLo[a], pl.domLo[a+1]
 }
 
-// forEachClip enumerates rank's segments clipped to aggregator agg's
-// domain, in ascending key order — the canonical payload order of the
-// exchange phase.
-func (pl *plan) forEachClip(rank, agg int, fn func(c clip)) {
-	lo, hi := pl.domain(agg)
-	pl.forEachClipWin(rank, lo, hi, fn)
-}
-
-// forEachClipWin is forEachClip over an arbitrary covered-index window
-// [lo, hi) — a whole domain, or one chunk of one (chunkWindow). domOff
-// is relative to the window start, so chunk clips address chunk-sized
-// staging buffers directly. A segment is always contained in one
-// covered span, so its covered indexes are consecutive and each segment
-// yields at most one clip per window. The precomputed covered ranges
-// bound the scan to the intersecting segments (O(log S + clips)), which
-// is what keeps the pipelined path affordable when tiny chunks make the
-// window count large.
+// forEachClipWin enumerates rank's segments clipped to the covered-index
+// window [lo, hi) — one chunk of a domain (chunkWindow), a whole domain
+// when the plan has one round — in ascending key order, the canonical
+// payload order of the exchange phase. domOff is relative to the window
+// start, so chunk clips address chunk-sized staging buffers directly. A
+// segment is always contained in one covered span, so its covered
+// indexes are consecutive and each segment yields at most one clip per
+// window. The precomputed covered ranges bound the scan to the
+// intersecting segments (O(log S + clips)), which is what keeps the
+// executor affordable when tiny chunks make the window count large.
 func (pl *plan) forEachClipWin(rank int, lo, hi int64, fn func(c clip)) {
 	if lo >= hi {
 		return
@@ -504,15 +498,6 @@ func (pl *plan) chunkWindow(a, c int) (lo, hi int64) {
 		hi = dhi
 	}
 	return lo, hi
-}
-
-// clipBytes reports the exchange payload size between rank and agg by
-// enumerating clips — the reference implementation of shares[rank][agg],
-// kept for the fuzz target's independent cross-check.
-func (pl *plan) clipBytes(rank, agg int) int64 {
-	var n int64
-	pl.forEachClip(rank, agg, func(c clip) { n += c.n })
-	return n * pl.bs
 }
 
 // forEachSpanWin enumerates the covered-index window [lo, hi) — a

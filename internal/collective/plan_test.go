@@ -350,3 +350,19 @@ func TestRecordRangeReq(t *testing.T) {
 		t.Fatal("out-of-range records accepted")
 	}
 }
+
+// forEachClip enumerates rank's segments clipped to aggregator agg's
+// whole domain.
+func (pl *plan) forEachClip(rank, agg int, fn func(c clip)) {
+	lo, hi := pl.domain(agg)
+	pl.forEachClipWin(rank, lo, hi, fn)
+}
+
+// clipBytes reports the exchange payload size between rank and agg by
+// enumerating clips — the reference implementation of shares[rank][agg],
+// the fuzz target's independent cross-check.
+func (pl *plan) clipBytes(rank, agg int) int64 {
+	var n int64
+	pl.forEachClip(rank, agg, func(c clip) { n += c.n })
+	return n * pl.bs
+}

@@ -49,6 +49,9 @@ type replayScn struct {
 	// nonblocking runs every call as IWriteAll/IReadAll + Wait through a
 	// two-worker fair-share I/O server lane.
 	nonblocking bool
+	// bisection, when set, replaces the 500 MB/s shared pool: a starved
+	// one makes the exchange worth hiding behind the drives.
+	bisection float64
 }
 
 // replayObs is everything observable about one scenario run.
@@ -59,6 +62,7 @@ type replayObs struct {
 	imageHash uint64
 	iterErrs  []string
 	aligned   []bool // per iteration: the write ran on the aligned partition
+	depth     []int  // per iteration: the write's pipeline rounds
 	cache     CacheStats
 	trace     []byte
 	metrics   []byte
@@ -138,6 +142,7 @@ func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recor
 		rankHash: make([]uint64, scn.nRanks),
 		iterErrs: make([]string, scn.iters),
 		aligned:  make([]bool, scn.iters),
+		depth:    make([]int, scn.iters),
 	}
 	var mg *mpp.Group
 	var join *sim.Group
@@ -172,6 +177,7 @@ func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recor
 			werr := call(p, true, reqs, wbuf)
 			if rank == 0 && werr == nil {
 				obs.aligned[it] = col.route == routeTwoPhase && col.sched.pl.phys != nil
+				obs.depth[it] = col.LastDepth()
 			}
 			rerr := call(p, false, reqs, rbuf)
 			if rank == 0 {
@@ -194,6 +200,9 @@ func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recor
 	})
 	mg.SetLink(2*time.Microsecond, 100e6)
 	mg.SetBisection(500e6)
+	if scn.bisection > 0 {
+		mg.SetBisection(scn.bisection)
+	}
 	if rec != nil {
 		mg.SetProbe(rec, "rp")
 	}
@@ -238,8 +247,9 @@ func diffReplayObs(t *testing.T, label string, a, b replayObs) {
 		if a.iterErrs[it] != b.iterErrs[it] {
 			t.Errorf("%s: iteration %d errors differ:\n  %q\n  %q", label, it, a.iterErrs[it], b.iterErrs[it])
 		}
-		if a.aligned[it] != b.aligned[it] {
-			t.Errorf("%s: iteration %d partition differs: aligned %v vs %v", label, it, a.aligned[it], b.aligned[it])
+		if a.aligned[it] != b.aligned[it] || a.depth[it] != b.depth[it] {
+			t.Errorf("%s: iteration %d partition differs: aligned %v at depth %d vs %v at depth %d",
+				label, it, a.aligned[it], a.depth[it], b.aligned[it], b.depth[it])
 		}
 	}
 	for r := range a.rankHash {
@@ -259,13 +269,15 @@ func diffReplayObs(t *testing.T, label string, a, b replayObs) {
 }
 
 // TestReplayBitIdentical runs the iterated checkpoint loop cached and
-// uncached on every route family — single-shot two-phase, pipelined,
+// uncached on every route family — two-phase in one round and pipelined,
 // auto, vectored and sieved (the latter two with LastWriterWins, so the
 // cached LWW clips are exercised), and the drive-aligned partition:
-// forced single-shot, forced through pipelines of two, four and six
+// forced into one round, forced through pipelines of two, four and six
 // rounds (every chunk cut in 2, 4 and 8: the non-owner ranks post all
-// their rounds at once), and as the tuned options' StrategyAuto prices
-// its depth — and on the nonblocking entry
+// their rounds at once), as the tuned options' StrategyAuto prices its
+// depth, and as an unbounded handle's StrategyAuto prices it over a
+// starved bisection pool (auto-unbounded: ChunkBytes 0 must run deeper
+// than one round there) — and on the nonblocking entry
 // points, whose cached schedule carries the call-wide callPlan the I/O
 // server executes — and requires bit-identical modeled observables and
 // probe traces, while the cached run actually replays.
@@ -277,19 +289,22 @@ func TestReplayBitIdentical(t *testing.T) {
 		opts        Options
 		force       *choice
 		wantAligned bool
+		bisection   float64 // 0: the fixture's 500 MB/s
 	}{
-		{"single-shot", Options{}, nil, false},
-		{"locality", Options{Locality: true}, nil, false},
-		{"pipelined", Options{ChunkBytes: 2 * testBS}, nil, false},
-		{"auto", Options{Strategy: blockio.StrategyAuto}, nil, true},
-		{"vectored-lww", Options{Strategy: blockio.StrategyVectored, LastWriterWins: true}, nil, false},
-		{"sieved-lww", Options{Strategy: blockio.StrategySieved, LastWriterWins: true}, nil, false},
-		{"aligned", Options{LastWriterWins: true}, aligned(1), true},
-		{"aligned-chunked", Options{Locality: true, ChunkBytes: 2 * testBS}, aligned(1), true},
-		{"aligned-two-rounds", Options{Locality: true, ChunkBytes: 1 << 20}, aligned(2), true},
-		{"aligned-split-4", Options{Locality: true, ChunkBytes: 1 << 20}, aligned(4), true},
-		{"aligned-split-8", Options{Locality: true, ChunkBytes: 1 << 20, LastWriterWins: true}, aligned(8), true},
-		{"auto-tuned", tuned, nil, true},
+		{"single-shot", Options{}, nil, false, 0}, // one round: the name the schedule has always had
+		{"locality", Options{Locality: true}, nil, false, 0},
+		{"pipelined", Options{ChunkBytes: 2 * testBS}, nil, false, 0},
+		{"auto", Options{Strategy: blockio.StrategyAuto}, nil, true, 0},
+		{"auto-unbounded", Options{Locality: true, Strategy: blockio.StrategyAuto}, nil, true, 500e3},
+		{"vectored-lww", Options{Strategy: blockio.StrategyVectored, LastWriterWins: true}, nil, false, 0},
+		{"sieved-lww", Options{Strategy: blockio.StrategySieved, LastWriterWins: true}, nil, false, 0},
+		{"aligned", Options{LastWriterWins: true}, aligned(1), true, 0},
+		{"aligned-chunked", Options{Locality: true, ChunkBytes: 2 * testBS}, aligned(1), true, 0},
+		{"aligned-two-rounds", Options{Locality: true, ChunkBytes: 1 << 20}, aligned(2), true, 0},
+		{"aligned-split-4", Options{Locality: true, ChunkBytes: 1 << 20}, aligned(4), true, 0},
+		{"aligned-split-8", Options{Locality: true, ChunkBytes: 1 << 20, LastWriterWins: true}, aligned(8), true, 0},
+		{"aligned-unbounded-split-4", Options{Locality: true}, aligned(4), true, 0},
+		{"auto-tuned", tuned, nil, true, 0},
 	}
 	check := func(name string, scn replayScn, wantAligned bool) {
 		t.Run(name, func(t *testing.T) {
@@ -303,6 +318,11 @@ func TestReplayBitIdentical(t *testing.T) {
 				if al != wantAligned {
 					t.Errorf("iteration %d: aligned partition %v, want %v", it, al, wantAligned)
 				}
+				// Unbounded is a bound too: where the exchange is worth
+				// hiding, ChunkBytes 0 gets a pipeline.
+				if name == "auto-unbounded" && cached.depth[it] < 2 {
+					t.Errorf("iteration %d: ran %d round(s), want a priced pipeline (≥ 2)", it, cached.depth[it])
+				}
 			}
 			// 5 iterations × (write + read) = 2 misses then 8 replays.
 			if cached.cache.Hits != 8 || cached.cache.Misses != 2 {
@@ -315,7 +335,7 @@ func TestReplayBitIdentical(t *testing.T) {
 		})
 	}
 	for _, tc := range cases {
-		check(tc.name, replayScn{nRanks: 24, iters: 5, opts: tc.opts, force: tc.force}, tc.wantAligned)
+		check(tc.name, replayScn{nRanks: 24, iters: 5, opts: tc.opts, force: tc.force, bisection: tc.bisection}, tc.wantAligned)
 	}
 	// Nonblocking calls never leave the logical partition, tuned or not.
 	check("nonblocking", replayScn{nRanks: 24, iters: 5, opts: Options{Locality: true}, nonblocking: true}, false)

@@ -13,13 +13,13 @@
 // The cache is transparent and first-call: rank 0 fingerprints the
 // gathered request lists after the entry barrier, and a hit replays the
 // frozen schedule — the validated plan, the domain→aggregator
-// assignment, the chosen route, the per-domain prepared
-// blockio.BatchPlans, the pipelined aggregator state, and the
-// LastWriterWins clips — rebinding only the callers' buffers and
-// packing fresh payloads. Everything frozen is a pure function of the
-// request values and the machine model, so a replayed call is
-// bit-identical in modeled time and probe trace to a fresh build; the
-// win is host wall-clock and allocations.
+// assignment, the chosen route and pipeline depth, the domains' prepared
+// blockio.BatchPlans, and the LastWriterWins clips — rebinding only the
+// callers' buffers and the staging and packing fresh payloads.
+// Everything frozen is a pure function of the request values and the
+// machine model, so a replayed call is bit-identical in modeled time and
+// probe trace to a fresh build; the win is host wall-clock and
+// allocations.
 //
 // Invalidation is epoch-based: SetOptions flushes the handle's cache
 // (Options shape every planning decision), and the group's model epoch
@@ -53,7 +53,9 @@ const defaultPlanCacheCap = 8
 type schedule struct {
 	pl    *plan
 	route route
-	stats ExchangeStats // byte split only; time fields stay zero
+	// stats is the exchange's byte split (zero on the independent routes,
+	// which exchange nothing); the time fields stay zero.
+	stats ExchangeStats
 	// predicted is the modeled cost StrategyAuto priced the chosen
 	// candidate at (zero when nothing was priced); depths what it priced
 	// every pipeline depth of the aligned partition at, when it chose it.
@@ -69,7 +71,8 @@ type schedule struct {
 	minBuf []int64
 	// ownedOf[r] lists the domains rank r aggregates, ascending —
 	// including empty past-the-footprint domains, mirroring the
-	// enumeration the execution paths historically did per call.
+	// enumeration the execution paths historically did per call. Built
+	// for the two-phase route only.
 	ownedOf [][]int
 	// maxSegRank is the highest rank with a nonempty footprint (-1 when
 	// no rank requested anything): clipLWW's no-higher-writers fast path
@@ -84,14 +87,13 @@ type schedule struct {
 	// blocking schedules.
 	callPlan *blockio.BatchPlan
 
-	// Lazily built execution state. bplans[a] is domain a's prepared
-	// single-window batch plan (the single-shot path);
-	// aggs[r] is rank r's pipelined aggregator state (chunk-cut batch
-	// plans plus double-buffered staging); lww[r] holds rank r's
-	// LastWriterWins-clipped requests, rebuilt from the plan's own
-	// segments so no caller slice is retained across calls.
-	bplans []*blockio.BatchPlan
-	aggs   []*aggState
+	// Lazily built execution state. plans[a] is domain a's prepared batch
+	// plan, one window per chunk (domainPlan; two-phase blocking schedules
+	// only); lww[r] holds rank r's LastWriterWins-clipped requests,
+	// rebuilt from the plan's own segments so no caller slice is retained
+	// across calls.
+	plans  []*blockio.BatchPlan
+	cuts   []int64 // domainPlan's scratch
 	lww    [][]VecReq
 	lwwSet []bool
 }
@@ -207,7 +209,13 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedul
 		}
 	}
 	c.misses++
-	pl, err := buildPlan(c.group, c.reqs, c.bufs, c.naggs, write, c.opts)
+	opts := c.opts
+	if nonblocking {
+		// One window per domain: the device phase of a nonblocking call is
+		// one call-wide request, so there is nothing for chunks to overlap.
+		opts.ChunkBytes = 0
+	}
+	pl, err := buildPlan(c.group, c.reqs, c.bufs, c.naggs, write, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -258,13 +266,7 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 		key:        key,
 		sig:        append([]uint64(nil), sig...),
 		minBuf:     make([]int64, c.size),
-		ownedOf:    make([][]int, c.size),
 		maxSegRank: -1,
-	}
-	sd.stats = pl.exchangeStats(c.size)
-	for a := 0; a < pl.naggs; a++ {
-		r := pl.owner[a]
-		sd.ownedOf[r] = append(sd.ownedOf[r], a)
 	}
 	for r, segs := range pl.segs {
 		if len(segs) > 0 {
@@ -276,20 +278,25 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 			}
 		}
 	}
-	switch {
-	case nonblocking:
-		// An error is unreachable in practice, like batchPlan's: the batch
-		// is derived from validated, physically disjoint covered spans. It
-		// would fail the call as a plan error, on every rank, before
-		// anything is taken or submitted.
-		var err error
-		if sd.callPlan, err = pl.batchVec(0, pl.total).Plan(nil); err != nil {
-			return nil, err
-		}
-	case pl.rounds > 0:
-		sd.aggs = make([]*aggState, c.size)
-	default:
-		sd.bplans = make([]*blockio.BatchPlan, pl.naggs)
+	if ch.route != routeTwoPhase {
+		return sd, nil // independent routes: no exchange, no aggregators
+	}
+	sd.stats = pl.exchangeStats(c.size)
+	sd.ownedOf = make([][]int, c.size)
+	for a, r := range pl.owner {
+		sd.ownedOf[r] = append(sd.ownedOf[r], a)
+	}
+	if !nonblocking {
+		sd.plans = make([]*blockio.BatchPlan, pl.naggs)
+		return sd, nil
+	}
+	// An error is unreachable in practice, like domainPlan's: the batch is
+	// derived from validated, physically disjoint covered spans. It would
+	// fail the call as a plan error, on every rank, before anything is
+	// taken or submitted.
+	var err error
+	if sd.callPlan, err = pl.batchVec(0, pl.total).Plan(nil); err != nil {
+		return nil, err
 	}
 	return sd, nil
 }
@@ -358,50 +365,28 @@ func sigEqual(a, b []uint64) bool {
 	return true
 }
 
-// batchPlan returns domain a's prepared single-window batch plan,
-// building it on first use. The plan is buffer-less — the domain
-// staging buffer binds at issue time — so one plan serves every
-// iteration.
-func (sd *schedule) batchPlan(a int) (*blockio.BatchPlan, error) {
-	if bp := sd.bplans[a]; bp != nil {
+// domainPlan returns domain a's prepared batch plan — mapped, sorted and
+// merged once, cut at the chunk boundaries into one window per round —
+// building it on first use. The plan is buffer-less (staging binds at
+// issue time), so one plan serves every replay. An error is unreachable
+// in practice: domain batches are derived from validated, physically
+// disjoint covered spans.
+func (sd *schedule) domainPlan(a int) (*blockio.BatchPlan, error) {
+	if bp := sd.plans[a]; bp != nil {
 		return bp, nil
 	}
-	bp, err := sd.pl.batchVec(sd.pl.domain(a)).Plan(nil)
-	if err != nil {
-		// Unreachable in practice: domain batches are derived from
-		// validated, physically disjoint covered spans.
-		return nil, err
+	pl := sd.pl
+	lo, hi := pl.domain(a)
+	cuts := sd.cuts[:0]
+	for off := pl.chunkBlocks; off < hi-lo; off += pl.chunkBlocks {
+		cuts = append(cuts, off*pl.bs)
 	}
-	sd.bplans[a] = bp
-	return bp, nil
-}
-
-// issueDomain moves domain a between the device array and dombuf
-// through the schedule's prepared plan — one window covering the whole
-// domain, each merged run one device request, runs in parallel across
-// devices (the single-shot schedule's access phase).
-func (sd *schedule) issueDomain(p *mpp.Proc, a int, dombuf []byte, write bool) error {
-	bp, err := sd.batchPlan(a)
-	if err != nil {
-		return err
-	}
-	if write {
-		return bp.WriteWindow(p.Proc, 0, dombuf, 0)
-	}
-	return bp.ReadWindow(p.Proc, 0, dombuf, 0)
-}
-
-// aggState returns rank's pipelined aggregator state (chunk-cut batch
-// plans, double-buffered staging), building it on first use.
-func (sd *schedule) aggState(c *Collective, rank int, owned []int) (*aggState, error) {
-	if s := sd.aggs[rank]; s != nil {
-		return s, nil
-	}
-	s, err := c.newAggState(sd.pl, owned)
+	sd.cuts = cuts
+	bp, err := pl.batchVec(lo, hi).Plan(cuts)
 	if err == nil {
-		sd.aggs[rank] = s
+		sd.plans[a] = bp
 	}
-	return s, err
+	return bp, err
 }
 
 // lwwReqs returns rank's LastWriterWins-clipped write requests for the
@@ -423,28 +408,4 @@ func (sd *schedule) lwwReqs(c *Collective, rank int) []VecReq {
 		sd.lwwSet[rank] = true
 	}
 	return sd.lww[rank]
-}
-
-// domBufs returns rank's owned-domain staging buffers sized for the
-// plan, reusing the handle's per-rank retained scratch (grown as
-// needed, never shrunk). Safe to reuse without zeroing: write domains
-// are fully covered by the ranks' clips (domains tile the covered
-// footprint) and read domains are fully overwritten by the device
-// read, so stale bytes never travel.
-func (c *Collective) domBufs(rank int, pl *plan, owned []int) [][]byte {
-	bufs := c.domScr[rank]
-	if cap(bufs) < len(owned) {
-		bufs = append(bufs[:cap(bufs)], make([][]byte, len(owned)-cap(bufs))...)
-	}
-	bufs = bufs[:len(owned)]
-	for i, a := range owned {
-		lo, hi := pl.domain(a)
-		n := (hi - lo) * pl.bs
-		if int64(cap(bufs[i])) < n {
-			bufs[i] = make([]byte, n)
-		}
-		bufs[i] = bufs[i][:n]
-	}
-	c.domScr[rank] = bufs
-	return bufs
 }

@@ -129,8 +129,10 @@ func (c *Collective) chooseRoute(p *mpp.Proc, pl *plan, write bool) choice {
 	m.LinkMsg, m.LinkBytesPerSec, m.BisectionBytesPerSec = p.LinkModel()
 	// The aligned candidate is offered where its access phase can be
 	// priced honestly: every domain one whole drive, or domains of
-	// several whole drives moved single-shot (a chunk window of a
-	// multi-drive domain would keep one of its drives busy at a time).
+	// several whole drives moved in one round (a chunk window of a
+	// multi-drive domain would keep one of its drives busy at a time, and
+	// nobody prices those windows yet: with a bound set the candidate is
+	// withheld, with none alignedCost keeps it at one round).
 	nd := c.group.Store().Devices()
 	var devDom []int
 	if pl.total > 0 && (pl.naggs == nd || (pl.naggs < nd && c.opts.ChunkBytes == 0)) {
@@ -358,8 +360,7 @@ func logicalAccess(m blockio.CostModel, pl *plan, use []devUse) time.Duration {
 //
 //	T(R) = e + a + (R−1)·max(e, a)
 //
-// which is exchange + access at one round (and for the single-shot
-// schedule, rounds 0).
+// which is exchange + access at one round.
 func pipelineCost(exch, access time.Duration, rounds int64) time.Duration {
 	r := time.Duration(max(rounds, 1))
 	e, a := exch/r, access/r
@@ -369,27 +370,32 @@ func pipelineCost(exch, access time.Duration, rounds int64) time.Duration {
 // alignedCost prices the aligned partition: its domains end at drive
 // boundaries, so no run is severed and a drive's requests are the
 // union's runs on it — at least one per round. ChunkBytes bounds the
-// chunk (one whole domain when there is no chunking, or none smaller);
+// chunk (at one whole domain when it sets no bound, or none smaller);
 // the depth of the pipeline below that bound is priced, not fixed: every
 // chunk is cut in 1, 2, 4, … down to single blocks, each depth goes
 // through the two-stage pipeline formula, and the cheapest is returned
-// as split (ties to the shallower). A deeper pipeline hides more of the
-// shorter phase behind the longer one and pays one more request per
-// drive per round for it. What such a request costs is the drive's
+// as split (ties to the shallower, so an exchange priced at nothing — a
+// free interconnect — stays at one round). A deeper pipeline hides more
+// of the shorter phase behind the longer one and pays one more request
+// per drive per round for it. What such a request costs is the drive's
 // business: one that continues where the previous round's ended is
 // priced by the drive's own service-time model for the cylinders it
 // crosses (blockio.CostModel.ContFixed), which for a run that stays in
 // its cylinder is overhead and half a rotation — a third of ReqFixed,
 // whose average seek the head never makes. Runs the footprint itself
 // severs keep ReqFixed, so a price with no more rounds than runs (one
-// round above all) is the price it always was.
+// round above all) is the price it always was. Domains of several drives
+// (fewer domains than drives: chooseRoute offers them unbounded only) are
+// priced at one round and no deeper.
 func (c *Collective) alignedCost(m blockio.CostModel, exch time.Duration, use []devUse) (t time.Duration, split int, tried []depthPrice) {
-	var dom int64 // the largest domain: one drive whenever the schedule is chunked
+	var dom int64 // the largest domain: one drive, unless domains are several
 	for _, u := range use {
 		dom = max(dom, u.blocks)
 	}
-	price := func(chunk int64) (time.Duration, int64) {
-		rounds := max((dom+chunk-1)/chunk, 1)
+	whole := c.opts.chunkCeiling(c.bs, max(dom, 1))
+	for n := int64(1); ; n *= 2 {
+		chunk := (whole + n - 1) / n
+		rounds := (dom + chunk - 1) / chunk
 		var access time.Duration
 		for _, u := range use {
 			if u.runs > 0 {
@@ -400,21 +406,12 @@ func (c *Collective) alignedCost(m blockio.CostModel, exch time.Duration, use []
 				access = max(access, fixed+m.Xfer(u.blocks*c.bs))
 			}
 		}
-		return pipelineCost(exch, access, rounds), rounds
-	}
-	if c.opts.ChunkBytes <= 0 || dom == 0 {
-		t, _ = price(max(dom, 1))
-		return t, 1, nil
-	}
-	whole := min(max(c.opts.ChunkBytes/c.bs, 1), dom)
-	for n := int64(1); ; n *= 2 {
-		chunk := (whole + n - 1) / n
-		cost, rounds := price(chunk)
+		cost := pipelineCost(exch, access, rounds)
 		tried = append(tried, depthPrice{rounds, cost})
 		if n == 1 || cost < t {
 			t, split = cost, int(n)
 		}
-		if chunk == 1 {
+		if chunk == 1 || c.naggs != len(use) {
 			return t, split, tried
 		}
 	}

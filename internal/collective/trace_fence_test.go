@@ -19,7 +19,7 @@ func TestTraceDeterminism512(t *testing.T) {
 	const nRanks = 512
 	run := func() ([]byte, []byte, detResult) {
 		rec := probe.New()
-		res := runDeterminismScenario(t, nRanks, rec)
+		res := runDeterminismScenario(t, nRanks, detOpts, rec)
 		var trace bytes.Buffer
 		if err := rec.WriteChromeTrace(&trace); err != nil {
 			t.Fatal(err)
@@ -43,7 +43,7 @@ func TestTraceDeterminism512(t *testing.T) {
 
 	// Recording must not perturb the model: the same scenario without a
 	// recorder lands on the same modeled observables.
-	bare := runDeterminismScenario(t, nRanks, nil)
+	bare := runDeterminismScenario(t, nRanks, detOpts, nil)
 	if a.now != bare.now {
 		t.Errorf("recorder changed modeled time: %v traced vs %v bare", a.now, bare.now)
 	}

@@ -108,12 +108,14 @@
 //
 // # Chunked two-phase I/O
 //
-// The single-shot collective is still a barrier: plan, then the WHOLE
+// A collective run in one round is still a barrier: plan, then the WHOLE
 // exchange, then the WHOLE access, so the drives idle while bytes cross
 // the interconnect and the interconnect idles while the drives stream.
+// One executor runs every two-phase call as rounds of exchange feeding
+// rounds of access (ROMIO's one loop parameterised by cb_buffer_size),
+// and that schedule is its one-round case.
 // CollectiveOptions.ChunkBytes bounds each aggregator's staging memory
-// (ROMIO's cb_buffer_size) and turns the collective into a software
-// pipeline: every file domain is cut into chunk-aligned sub-domains and
+// and turns the collective into a software pipeline: every file domain is cut into chunk-aligned sub-domains and
 // the exchange of chunk k+1 runs concurrently with the device access of
 // chunk k (reads mirror this — the access of chunk k+1 overlaps the
 // delivery of chunk k), double-buffered through two chunk staging
@@ -128,8 +130,12 @@
 // Collective.LastStats (ExchangeTime / AccessTime / Overlap) and
 // enforced by TestPipelineWin (≥1.3× modeled time on contended
 // checkpoints, link-bound and disk-bound). `pariosim -scenario
-// pipeline` prints the comparison; ChunkBytes 0 (the default) keeps the
-// single-shot schedule bit-identical.
+// pipeline` prints the comparison. ChunkBytes 0 (the default) sets no
+// bound: one round, bit-identical to the single-shot schedule of earlier
+// releases, unless StrategyAuto prices a deeper pipeline cheaper (see
+// "Data sieving & strategy selection") — staging is at most one domain
+// per owned domain either way, since a depth-d pipeline holds two chunks
+// of domain/d.
 //
 // # I/O as a service (nonblocking collectives, multi-job QoS)
 //
@@ -198,10 +204,14 @@
 // boundaries (domain a is the footprint on drive a, so an aggregator's
 // access is one sequential run on its own drive — the paper's §5
 // strategy), the latter at whatever pipeline depth prices cheapest:
-// CollectiveOptions.ChunkBytes is an upper bound on the chunk, and each
-// chunk is priced cut in 2, 4, 8, … with the drive's own service time
-// for the extra request a round costs it (Collective.LastDepth reports
-// the depth chosen, TestPipelineDepthPriced holds it to the fastest).
+// CollectiveOptions.ChunkBytes is an upper bound on the chunk — 0, no
+// bound, is a bound too: a whole domain — and each chunk is priced cut
+// in 2, 4, 8, … with the drive's own service time for the extra request
+// a round costs it, ties to the shallower, so a free interconnect stays
+// at one round (Collective.LastDepth reports the depth chosen,
+// TestPipelineDepthPriced holds it to the fastest and
+// TestUnboundedDepthPriced holds the unbounded handle to the bounded
+// one's choice).
 // Collective.LastRoute says "two-phase" for either, and
 // TestAlignedDomainsWin enforces the win on a declustered checkpoint
 // and the refusal on rank-aligned slabs.
@@ -231,13 +241,13 @@
 // interconnect reconfiguration (RankGroup.SetLink / SetBisection /
 // SetBisectionPool / SetTopology) bumps a model epoch the cache
 // stamps its entries against; Collective.InvalidateSchedules drops
-// them by hand. Replay threads through every route — single-shot
-// two-phase, vectored, sieved, the pipelined chunked schedule, and the
-// nonblocking server path — and is invisible to the virtual world:
-// modeled times, stats and probe traces are bit-identical cached or
-// uncached (the win is host wall-clock and allocations, ≥2× and ≥3×
-// per replayed iteration, enforced by TestPlanReplayWin on a 1024-rank
-// × 64-iteration contended loop). Collective.PlanCacheStats reports hits, misses,
+// them by hand. Replay threads through every route — two-phase at one
+// round or many, vectored, sieved, and the nonblocking server path — and
+// is invisible to the virtual world: modeled times, stats and probe
+// traces are bit-identical cached or uncached (the win is host
+// wall-clock and allocations; ≥3× fewer allocations per replayed
+// iteration is enforced by TestPlanReplayWin on a 1024-rank ×
+// 64-iteration contended loop, wall-clock is the benchmark's to judge). Collective.PlanCacheStats reports hits, misses,
 // evictions and invalidations (CollectiveCacheStats);
 // TestReplayDeterminism512 fences determinism, the differential
 // harness's replay phases diff replayed iterations against fresh-plan
@@ -705,16 +715,17 @@ func PaperProfile() Profile {
 // modeled interconnect (100 MB/s links, 10 µs per message, a 50 MB/s
 // shared bisection pool — generous late-era numbers that make
 // communication real but still cheaper than seeks), and collectives
-// with locality-aware aggregator domains pipelined through 1 MiB
-// chunks under per-call strategy selection (StrategyAuto — see "Data
+// with locality-aware aggregator domains pipelined through chunks of at
+// most 1 MiB under per-call strategy selection (StrategyAuto — see "Data
 // sieving & strategy selection"). What that buys depends on the call,
 // because Auto prices it: a 16 MiB checkpoint of 512 ranks on a
 // declustered file over 32 drives runs two-phase on the drive-aligned
 // partition — 32 file domains of 512 KiB, one per drive, each cut in
 // eight 64 KiB chunks so the exchange of each overlaps the write of the
 // one before (eight rounds, 256 device requests, the drives busy nine
-// tenths of the call; the 1 MiB chunk is an upper bound, the depth is
-// priced, and the logical partition is 1 024 requests in one round) —
+// tenths of the call; the 1 MiB chunk is an upper bound that only caps
+// staging — the depth is priced, the same with ChunkBytes 0 — and the
+// logical partition is 1 024 requests in one round) —
 // while ranks that each own a contiguous slab keep logical domains or
 // skip the exchange altogether. Every knob is one of the opt-in
 // mechanisms grown since PR 1;

@@ -180,18 +180,28 @@ type depthResult struct {
 	requests   int64
 	dispatches float64
 	mallocs    float64
+	allocBytes float64
 }
 
 // runDepthCheckpoint issues TestAlignedDomainsWin's checkpoint — 512
 // ranks × 32 drives, a unit-1 striped file, eight strided blocks a rank,
-// TunedProfile — four times through one handle. split 0 leaves the
+// TunedProfile — four times through one handle whose ChunkBytes is chunk
+// (TunedProfile's own is 1 MiB; 0 sets no bound). split 0 leaves the
 // pipeline depth to StrategyAuto's prices; split > 0 forces the
 // drive-aligned partition with every chunk cut in split, through the
 // collective package's test hook.
-func runDepthCheckpoint(tb testing.TB, split int) depthResult {
+func runDepthCheckpoint(tb testing.TB, chunk int64, split int) depthResult {
+	tb.Helper()
+	pf := pario.TunedProfile()
+	pf.Collective.ChunkBytes = chunk
+	return runDepthCheckpointOn(tb, pf, pf.Collective, split)
+}
+
+// runDepthCheckpointOn is runDepthCheckpoint on any profile's machine and
+// interconnect, through a handle with the given options.
+func runDepthCheckpointOn(tb testing.TB, pf pario.Profile, opts pario.CollectiveOptions, split int) depthResult {
 	tb.Helper()
 	const calls = 4
-	pf := pario.TunedProfile()
 	m := pario.NewProfiledMachine(alignDrives, pf)
 	// The engine alone is probed: its dispatch counter is wanted, and
 	// spans from the layers above would be most of the allocations.
@@ -208,7 +218,7 @@ func runDepthCheckpoint(tb testing.TB, split int) depthResult {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	col, err := pario.OpenCollective(group, alignRanks, pf.Collective)
+	col, err := pario.OpenCollective(group, alignRanks, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -226,12 +236,12 @@ func runDepthCheckpoint(tb testing.TB, split int) depthResult {
 		var t0 time.Duration
 		var disp0, req0 int64
 		var ms runtime.MemStats
-		var mallocs0 uint64
+		var mallocs0, bytes0 uint64
 		for call := 0; call < calls; call++ {
 			if rank == 0 && call == 1 {
 				disp0 = dispatches.Value()
 				runtime.ReadMemStats(&ms)
-				mallocs0 = ms.Mallocs
+				mallocs0, bytes0 = ms.Mallocs, ms.TotalAlloc
 			}
 			if rank == 0 && call == calls-1 {
 				t0 = r.Now()
@@ -248,6 +258,7 @@ func runDepthCheckpoint(tb testing.TB, split int) depthResult {
 			res.elapsed = r.Now() - t0
 			res.dispatches = float64(dispatches.Value()-disp0) / (calls - 1)
 			res.mallocs = float64(ms.Mallocs-mallocs0) / (calls - 1)
+			res.allocBytes = float64(ms.TotalAlloc-bytes0) / (calls - 1)
 			for _, d := range m.Disks {
 				res.requests += d.Stats().Requests()
 			}
@@ -279,11 +290,11 @@ func TestPipelineDepthPriced(t *testing.T) {
 		parentDispatches = 6301
 		parentTwoRounds  = 535061172 * time.Nanosecond
 	)
-	priced := runDepthCheckpoint(t, 0)
+	priced := runDepthCheckpoint(t, 1<<20, 0)
 	forced := map[int]depthResult{}
 	best := 0
 	for _, split := range []int{1, 2, 4, 8, 16} {
-		r := runDepthCheckpoint(t, split)
+		r := runDepthCheckpoint(t, 1<<20, split)
 		if r.rounds != split {
 			t.Fatalf("split %d ran %d rounds", split, r.rounds)
 		}
@@ -322,4 +333,69 @@ func TestPipelineDepthPriced(t *testing.T) {
 	if !raceEnabled && priced.mallocs > forced[2].mallocs {
 		t.Errorf("priced call allocates %.0f objects in steady state, two rounds %.0f", priced.mallocs, forced[2].mallocs)
 	}
+}
+
+// TestUnboundedDepthPriced enforces that no bound is a bound too: a
+// handle that grants the aggregators unbounded staging (ChunkBytes 0)
+// must get the pipeline a 1 MiB bound gets — the same eight rounds on the
+// 512-rank checkpoint, to the nanosecond, priced within 5 % — where it
+// used to run the one round depth 1 forced still runs, 1.45× slower, and
+// must pay no more host memory per steady call for it than that one
+// round does: a depth-d pipeline stages two chunks of domain/d, out of
+// the handle's free list. Where depth buys nothing it must not be
+// bought: with a free interconnect (the exchange is priced at nothing, so
+// every depth ties and the shallowest wins) and with fewer aggregators
+// than drives (domains of several drives, whose chunk windows nobody
+// prices) the call stays at one round.
+func TestUnboundedDepthPriced(t *testing.T) {
+	const (
+		pricedCall = 468131288 * time.Nanosecond // a steady call at the priced depth
+		oneRound   = 678334513 * time.Nanosecond // what ChunkBytes 0 ran before: depth 1
+	)
+	unbounded := runDepthCheckpoint(t, 0, 0)
+	bounded := runDepthCheckpoint(t, 1<<20, 0)
+	depth1 := runDepthCheckpoint(t, 0, 1)
+	t.Logf("unbounded: depth %d, %v per call (predicted %v), %.0f allocations / %.0f KB per call",
+		unbounded.rounds, unbounded.elapsed, unbounded.predicted, unbounded.mallocs, unbounded.allocBytes/1024)
+	t.Logf("1 MiB:     depth %d, %v per call; depth 1 forced: %v per call, %.0f allocations / %.0f KB per call",
+		bounded.rounds, bounded.elapsed, depth1.elapsed, depth1.mallocs, depth1.allocBytes/1024)
+	if unbounded.rounds != 8 || unbounded.rounds != bounded.rounds {
+		t.Errorf("ChunkBytes 0 ran %d rounds, 1 MiB %d, want 8 and 8", unbounded.rounds, bounded.rounds)
+	}
+	if unbounded.elapsed != bounded.elapsed || unbounded.predicted != bounded.predicted {
+		t.Errorf("ChunkBytes 0 took %v (predicted %v), 1 MiB %v (predicted %v): the bound changed the schedule",
+			unbounded.elapsed, unbounded.predicted, bounded.elapsed, bounded.predicted)
+	}
+	if unbounded.elapsed != pricedCall {
+		t.Errorf("a steady call took %v, want the priced depth's %v", unbounded.elapsed, pricedCall)
+	}
+	if resid := unbounded.predicted.Seconds() / unbounded.elapsed.Seconds(); resid < 1/1.05 || resid > 1.05 {
+		t.Errorf("predicted %v for a call of %v: ratio %.3f outside [0.952, 1.05]", unbounded.predicted, unbounded.elapsed, resid)
+	}
+	if depth1.rounds != 1 || depth1.elapsed != oneRound {
+		t.Errorf("depth 1 forced ran %d rounds in %v, want 1 round in %v (what ChunkBytes 0 ran before)",
+			depth1.rounds, depth1.elapsed, oneRound)
+	}
+	if ratio := depth1.elapsed.Seconds() / unbounded.elapsed.Seconds(); ratio < 1.40 {
+		t.Errorf("priced depth is %.2fx faster than one round, want ≥ 1.40x", ratio)
+	}
+	if !raceEnabled && unbounded.allocBytes > depth1.allocBytes {
+		t.Errorf("unbounded call allocates %.0f bytes in steady state, one round %.0f", unbounded.allocBytes, depth1.allocBytes)
+	}
+
+	// A free interconnect: StrategyAuto on the paper's machine, no link set.
+	free := runDepthCheckpointOn(t, pario.PaperProfile(), pario.CollectiveOptions{Strategy: pario.StrategyAuto}, 0)
+	if free.rounds != 1 {
+		t.Errorf("free interconnect: ran %d rounds, want 1 (every depth ties at the access time)", free.rounds)
+	}
+	// Fewer aggregators than drives: domains of two drives each.
+	tuned := pario.TunedProfile()
+	wide := tuned.Collective
+	wide.ChunkBytes, wide.Aggregators = 0, alignDrives/2
+	multi := runDepthCheckpointOn(t, tuned, wide, 0)
+	if multi.rounds != 1 {
+		t.Errorf("%d aggregators over %d drives: ran %d rounds, want 1", wide.Aggregators, alignDrives, multi.rounds)
+	}
+	t.Logf("free interconnect: depth %d, %v per call; %d aggregators: depth %d, %v per call",
+		free.rounds, free.elapsed, wide.Aggregators, multi.rounds, multi.elapsed)
 }
