@@ -7,9 +7,10 @@
 //	pariobench -run all
 //
 // Each experiment builds a fresh simulated 1989-class machine, runs its
-// workload under virtual time, and prints the table(s) recorded in
-// EXPERIMENTS.md. Runs are deterministic: the same binary prints the
-// same numbers every time.
+// workload under virtual time, and prints its paper-style table(s); the
+// mechanisms built on top of them are in README.md's experiment table.
+// Runs are deterministic: the same binary prints the same numbers every
+// time.
 package main
 
 import (

@@ -323,7 +323,8 @@ func stripeDemo(w io.Writer) error {
 }
 
 // extentDemo shows request coalescing: the same sequential scan issued
-// block-at-a-time versus as extent (multi-block) runs via ReadRange.
+// block-at-a-time versus as extents — multi-block runs, each a
+// one-segment descriptor (Set.ReadVec).
 func extentDemo(w io.Writer) error {
 	const devs = 4
 	const blocks = 1024 // 256 per device
@@ -352,7 +353,7 @@ func extentDemo(w io.Writer) error {
 				if b+n > blocks {
 					n = blocks - b
 				}
-				if scanErr = set.ReadRange(p, b, n, buf[:n*int64(store.BlockSize())]); scanErr != nil {
+				if scanErr = set.ReadVec(p, blockio.Vec{{Block: b, N: n}}, buf[:n*int64(store.BlockSize())]); scanErr != nil {
 					return
 				}
 			}

@@ -1,5 +1,6 @@
-// Cross-file batched (listio-style) I/O: one scatter/gather request list
-// spanning several Sets that share a device array.
+// Map: the second stage of the transfer pipeline (describe → map →
+// transform → issue), and the cross-file request list it is general
+// enough for.
 //
 // A Vec coalesces pieces that land physically adjacent on one device, but
 // only within a single file: each Set adds its own extent base, so two
@@ -10,8 +11,9 @@
 // are mapped through its own Set into absolute physical addresses, the
 // pieces are sorted device-major and merged across items, and each merged
 // run transfers as ONE device request gathering from (scattering into)
-// the items' buffers. This is the cross-Set entry point the collective
-// subsystem issues its per-domain I/O through.
+// the items' shared buffer space. One file's descriptor is the one-item
+// case (Set.MapVec), the whole batch the one-window case of a BatchPlan
+// (batchplan.go): there is one mapper, mapRuns, and it serves them all.
 
 package blockio
 
@@ -19,229 +21,163 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
-
-	"repro/internal/sim"
 )
 
 // BatchItem is one file's contribution to a cross-file batch: a
-// scatter/gather descriptor against Set, moving bytes of Buf.
+// scatter/gather descriptor against Set. The segment offsets of all
+// items of a batch address one shared buffer space, supplied when a
+// window of the batch's plan is issued.
 type BatchItem struct {
 	Set *Set
 	Vec Vec
-	Buf []byte
 }
 
 // BatchVec is a cross-file scatter/gather request list. All items' Sets
 // must share one Store (the same device array — Sets of one Volume
 // qualify); pieces that are physically adjacent on a device merge into
-// single gather requests even across items.
+// single gather requests even across items. Prepare it with Plan, issue
+// it with BatchPlan.ReadWindow/WriteWindow.
 type BatchVec []BatchItem
 
-// bpiece is one physical fragment of a batch before merging: n blocks at
-// absolute physical block pb of device dev, moving the buffer bytes
-// [bufOff, bufOff+n×bs) of buf.
-type bpiece struct {
+// piece is one physical fragment of a descriptor before merging: n blocks
+// at absolute physical block pb of device dev, holding the logical blocks
+// [b, b+n) of their Set and moving the buffer-space bytes
+// [bufOff, bufOff+n×bs), all inside window win.
+type piece struct {
 	dev    int
 	pb     int64
+	b      int64
 	n      int64
-	buf    []byte
 	bufOff int64
+	win    int
 }
 
-// batchRun is a merged physically contiguous gather run; iov holds its
-// buffer slices (across item buffers) in transfer order.
-type batchRun struct {
-	dev int
-	pb  int64
-	n   int64
-	iov [][]byte
-	// final-element bookkeeping, so adjacent pieces of one buffer extend
-	// the last iov slice instead of adding an element
-	lastBuf        []byte
-	lastOff, lastN int64
-}
-
-// sameBuf reports whether a and b are the same slice (identical base and
-// length). Both are non-empty here: checkVec rejects pieces whose buffer
-// window is empty.
-func sameBuf(a, b []byte) bool {
-	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
-}
-
-// addPiece appends pc's buffer window to the run's iov.
-func (r *batchRun) addPiece(pc bpiece, bs int64) {
-	n := pc.n * bs
-	if r.lastBuf != nil && sameBuf(r.lastBuf, pc.buf) && r.lastOff+r.lastN == pc.bufOff {
-		r.lastN += n
-		r.iov[len(r.iov)-1] = pc.buf[r.lastOff : r.lastOff+r.lastN]
-		return
-	}
-	r.lastBuf, r.lastOff, r.lastN = pc.buf, pc.bufOff, n
-	r.iov = append(r.iov, pc.buf[pc.bufOff:pc.bufOff+n])
-}
-
-// batchScratch is mapBatch's pooled mapping state: the unsorted piece
+// mapScratch is the mapper's pooled working state: the unsorted piece
 // list and the per-segment MapRun scratch. The holder doubles as the
 // sort.Interface over its pieces, so the device-major sort allocates
 // nothing (sort.Slice builds a closure and a reflect-based swapper per
-// call — measurable at collective scale, where every domain batch maps
-// through here).
-type batchScratch struct {
-	pieces []bpiece
+// call — measurable when every transfer maps through here).
+type mapScratch struct {
+	pieces []piece
 	tmp    []Run
 }
 
-func (s *batchScratch) Len() int { return len(s.pieces) }
-func (s *batchScratch) Less(i, j int) bool {
+func (s *mapScratch) Len() int { return len(s.pieces) }
+func (s *mapScratch) Less(i, j int) bool {
 	if s.pieces[i].dev != s.pieces[j].dev {
 		return s.pieces[i].dev < s.pieces[j].dev
 	}
 	return s.pieces[i].pb < s.pieces[j].pb
 }
-func (s *batchScratch) Swap(i, j int) {
+func (s *mapScratch) Swap(i, j int) {
 	s.pieces[i], s.pieces[j] = s.pieces[j], s.pieces[i]
 }
 
-var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+var mapPool = sync.Pool{New: func() any { return new(mapScratch) }}
 
-// mapBatch validates the batch and merges it into per-device gather runs
-// in (device, physical block) order. Only the returned runs survive the
-// call (BatchPlan retains them); all mapping scratch goes back to the
-// pool.
-func (b BatchVec) mapBatch(op string) ([]batchRun, Store, error) {
-	if len(b) == 0 {
-		return nil, nil, nil
-	}
-	if b[0].Set == nil {
-		return nil, nil, fmt.Errorf("blockio: %s item 0 has no Set", op)
-	}
-	store := b[0].Set.store
-	bs := int64(store.BlockSize())
-	s := batchPool.Get().(*batchScratch)
+// mapRuns is the package's one map → split → sort → merge. Every
+// segment of every item goes through its Set's layout into absolute
+// physical pieces; a piece straddling one of the buffer-space cuts is
+// split there, so each lies in one window (window w covers the bytes
+// [cuts[w-1], cuts[w])); the pieces are sorted by (device, physical
+// block); and pieces that are physically adjacent on one device and in
+// one window merge into a single gather run even when they come from
+// different segments or items or are logically strided (listio-style
+// coalescing). The runs come back in (device, physical block) order with
+// win[i] the window of runs[i] (nil without cuts: one window). Items must
+// have been validated (checkVec); what only the sorted walk can see — two
+// pieces naming one physical block, which makes the transfer order
+// ambiguous whatever their windows — is rejected here. Only the returned
+// runs survive the call; all mapping scratch goes back to the pool.
+func mapRuns(op string, items BatchVec, cuts []int64, bs int64) (runs []Run, win []int, err error) {
+	s := mapPool.Get().(*mapScratch)
 	defer func() {
 		s.pieces = s.pieces[:0]
-		batchPool.Put(s)
+		mapPool.Put(s)
 	}()
-	// Preallocate from the footprint: each non-empty segment maps to at
-	// least one piece, so the segment count is a cheap lower bound that
-	// absorbs most of the append growth on first use.
-	nseg := 0
-	for _, it := range b {
-		nseg += len(it.Vec)
-	}
-	if cap(s.pieces) < nseg {
-		s.pieces = make([]bpiece, 0, nseg)
-	}
-	for i, it := range b {
-		if it.Set == nil {
-			return nil, nil, fmt.Errorf("blockio: %s item %d has no Set", op, i)
-		}
-		if it.Set.store != store {
-			return nil, nil, fmt.Errorf("blockio: %s item %d is on a different store", op, i)
-		}
-		if err := it.Set.checkVec(fmt.Sprintf("%s item %d", op, i), it.Vec, int64(len(it.Buf))); err != nil {
-			return nil, nil, err
-		}
+	for _, it := range items {
 		for _, sg := range it.Vec {
 			if sg.N == 0 {
 				continue
 			}
 			s.tmp = it.Set.layout.MapRun(s.tmp[:0], sg.Block, sg.N)
 			for _, r := range s.tmp {
-				s.pieces = append(s.pieces, bpiece{
-					dev: r.Dev, pb: it.Set.base[r.Dev] + r.PBlock, n: r.N,
-					buf: it.Buf, bufOff: sg.BufOff + (r.B-sg.Block)*bs,
+				s.pieces = append(s.pieces, piece{
+					dev: r.Dev, pb: it.Set.base[r.Dev] + r.PBlock, b: r.B, n: r.N,
+					bufOff: sg.BufOff + (r.B-sg.Block)*bs,
 				})
 			}
 		}
 	}
+	if len(cuts) > 0 {
+		// A split piece's tail goes to the end of the list and is looked
+		// at in its turn, so a piece spanning several cuts splits at each.
+		for i := 0; i < len(s.pieces); i++ {
+			pc := &s.pieces[i]
+			pc.win = sort.Search(len(cuts), func(k int) bool { return cuts[k] > pc.bufOff })
+			if pc.win < len(cuts) && cuts[pc.win] < pc.bufOff+pc.n*bs {
+				head := (cuts[pc.win] - pc.bufOff) / bs
+				tail := *pc
+				tail.pb, tail.b, tail.n, tail.bufOff = pc.pb+head, pc.b+head, pc.n-head, pc.bufOff+head*bs
+				pc.n = head
+				s.pieces = append(s.pieces, tail)
+			}
+		}
+	}
 	sort.Sort(s)
-	runs := make([]batchRun, 0, len(s.pieces))
-	for _, pc := range s.pieces {
-		if k := len(runs) - 1; k >= 0 && runs[k].dev == pc.dev {
-			last := &runs[k]
-			if last.pb+last.n > pc.pb {
-				// Same physical blocks named twice (a Set listed twice, or
-				// overlapping vecs): the transfer order would be ambiguous.
-				return nil, nil, fmt.Errorf("blockio: %s items overlap on device %d at block %d", op, pc.dev, pc.pb)
-			}
-			if last.pb+last.n == pc.pb {
-				last.n += pc.n
-				last.addPiece(pc, bs)
-				continue
-			}
+	// Two walks of the sorted pieces: the first sizes the result exactly
+	// (and finds overlap), the second fills it. The runs' Segs are slices
+	// of one array: a piece can only join the piece sorted right before
+	// it, so a run's segments are always the array's tail while it grows.
+	nr, nsg := 0, 0
+	for i := range s.pieces {
+		pc := &s.pieces[i]
+		if i > 0 && s.pieces[i-1].dev == pc.dev && s.pieces[i-1].pb+s.pieces[i-1].n > pc.pb {
+			return nil, nil, fmt.Errorf("blockio: %s items overlap on device %d at block %d", op, pc.dev, pc.pb)
 		}
-		r := batchRun{dev: pc.dev, pb: pc.pb, n: pc.n}
-		r.addPiece(pc, bs)
-		runs = append(runs, r)
+		run, seg := s.joins(i, bs)
+		if !run {
+			nr++
+		}
+		if !seg {
+			nsg++
+		}
 	}
-	return runs, store, nil
-}
-
-// Read transfers the batch from the devices into the items' buffers:
-// each merged cross-file run is one scatter device request, and runs
-// proceed in parallel across devices under a simulation engine.
-func (b BatchVec) Read(ctx sim.Context) error {
-	return b.do(ctx, "ReadBatch", Store.ReadBlocksVec)
-}
-
-// Write transfers the batch from the items' buffers to the devices, the
-// write counterpart of Read.
-func (b BatchVec) Write(ctx sim.Context) error {
-	return b.do(ctx, "WriteBatch", Store.WriteBlocksVec)
-}
-
-// NumRuns reports how many device requests the batch coalesces into
-// (diagnostics and tests).
-func (b BatchVec) NumRuns() (int, error) {
-	runs, _, err := b.mapBatch("MapBatch")
-	return len(runs), err
-}
-
-// do implements Read/Write over the merged runs.
-func (b BatchVec) do(ctx sim.Context, op string,
-	xfer func(Store, sim.Context, int, int64, int, [][]byte) error) error {
-	runs, store, err := b.mapBatch(op)
-	if err != nil || len(runs) == 0 {
-		return err
+	runs = make([]Run, 0, nr)
+	segs := make([]Seg, 0, nsg)
+	if len(cuts) > 0 {
+		win = make([]int, 0, nr)
 	}
-	bp := probeOf(store)
-	var t0 time.Duration
-	if bp != nil {
-		t0 = ctx.Now()
-	}
-	if len(runs) == 1 {
-		r := runs[0]
-		err = xfer(store, ctx, r.dev, r.pb, int(r.n), r.iov)
-	} else {
-		fns := make([]func(sim.Context) error, len(runs))
-		for i, r := range runs {
-			r := r
-			fns[i] = func(c sim.Context) error {
-				return xfer(store, c, r.dev, r.pb, int(r.n), r.iov)
+	first := 0 // index in segs of the growing run's first segment
+	for i, pc := range s.pieces {
+		run, seg := s.joins(i, bs)
+		if seg {
+			segs[len(segs)-1].Blocks += pc.n
+		} else {
+			segs = append(segs, Seg{BufOff: pc.bufOff, Blocks: pc.n})
+		}
+		if !run {
+			first = len(segs) - 1
+			runs = append(runs, Run{Dev: pc.dev, PBlock: pc.pb, B: pc.b})
+			if win != nil {
+				win = append(win, pc.win)
 			}
 		}
-		err = sim.Par(ctx, fns...)
+		last := &runs[len(runs)-1]
+		last.N += pc.n
+		last.Segs = segs[first:len(segs):len(segs)]
 	}
-	if bp != nil {
-		var blocks int64
-		for _, r := range runs {
-			blocks += r.n
-		}
-		nb := blocks * int64(store.BlockSize())
-		bp.batches.Add(1)
-		bp.runs.Add(int64(len(runs)))
-		bp.bytes.Add(nb)
-		bp.rec.Span(bp.trk, "blockio", op, t0, ctx.Now(), nb, 0)
-	}
-	return err
+	return runs, win, nil
 }
 
-// probeOf reports the store's attached batch probe, or nil.
-func probeOf(store Store) *batchProbe {
-	if sp, ok := store.(storeProber); ok {
-		return sp.batchProbe()
+// joins reports whether sorted piece i extends the run of piece i-1
+// (same device and window, physically adjacent) and, if so, whether it
+// also extends that run's last segment (adjacent in the buffer too).
+func (s *mapScratch) joins(i int, bs int64) (run, seg bool) {
+	if i == 0 {
+		return false, false
 	}
-	return nil
+	prev, pc := &s.pieces[i-1], &s.pieces[i]
+	run = prev.dev == pc.dev && prev.pb+prev.n == pc.pb && prev.win == pc.win
+	return run, run && prev.bufOff+prev.n*bs == pc.bufOff
 }

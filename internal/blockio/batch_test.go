@@ -41,6 +41,25 @@ func newBatchStore(t *testing.T, devs int, unit, perDev int64, files int) ([]*Se
 	return sets, disks
 }
 
+// readBatch and writeBatch transfer a whole batch: the one window of its
+// plan, bound to the buffer all its items' offsets address.
+
+func readBatch(ctx sim.Context, b BatchVec, buf []byte) error {
+	plan, err := b.Plan(nil)
+	if err != nil {
+		return err
+	}
+	return plan.ReadWindow(ctx, 0, buf, 0)
+}
+
+func writeBatch(ctx sim.Context, b BatchVec, buf []byte) error {
+	plan, err := b.Plan(nil)
+	if err != nil {
+		return err
+	}
+	return plan.WriteWindow(ctx, 0, buf, 0)
+}
+
 // TestBatchVecMergesAcrossFiles is the point of the cross-file batch: two
 // files with abutting extents, each contributing a contiguous range,
 // coalesce to ONE device request per device — where per-file vectored
@@ -50,20 +69,21 @@ func TestBatchVecMergesAcrossFiles(t *testing.T) {
 	sets, disks := newBatchStore(t, devs, 1, perDev, 2)
 	bs := int64(sets[0].BlockSize())
 	ctx := sim.NewWall()
-	bufA := make([]byte, 8*bs)
-	bufB := make([]byte, 8*bs)
+	buf := make([]byte, 16*bs)
+	bufA, bufB := buf[:8*bs], buf[8*bs:]
 	for i := range bufA {
 		bufA[i] = byte(i)
 		bufB[i] = byte(i + 128)
 	}
 	batch := BatchVec{
-		{Set: sets[0], Vec: Vec{{Block: 0, N: 8}}, Buf: bufA},
-		{Set: sets[1], Vec: Vec{{Block: 0, N: 8}}, Buf: bufB},
+		{Set: sets[0], Vec: Vec{{Block: 0, N: 8}}},
+		{Set: sets[1], Vec: Vec{{Block: 0, N: 8, BufOff: 8 * bs}}},
 	}
-	if n, err := batch.NumRuns(); err != nil || n != devs {
-		t.Fatalf("NumRuns = %d, %v; want %d (one merged run per device)", n, err, devs)
+	plan, err := batch.Plan(nil)
+	if err != nil || plan.WindowRuns(0) != devs {
+		t.Fatalf("WindowRuns = %d, %v; want %d (one merged run per device)", plan.WindowRuns(0), err, devs)
 	}
-	if err := batch.Write(ctx); err != nil {
+	if err := plan.WriteWindow(ctx, 0, buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	var reqs int64
@@ -92,16 +112,11 @@ func TestBatchVecMergesAcrossFiles(t *testing.T) {
 		t.Fatalf("per-file writes issued %d requests, want %d", reqs, 2*devs)
 	}
 	// Read the batch back and verify both buffers round-trip.
-	gotA := make([]byte, len(bufA))
-	gotB := make([]byte, len(bufB))
-	rd := BatchVec{
-		{Set: sets[0], Vec: Vec{{Block: 0, N: 8}}, Buf: gotA},
-		{Set: sets[1], Vec: Vec{{Block: 0, N: 8}}, Buf: gotB},
-	}
-	if err := rd.Read(ctx); err != nil {
+	got := make([]byte, len(buf))
+	if err := readBatch(ctx, batch, got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gotA, bufA) || !bytes.Equal(gotB, bufB) {
+	if !bytes.Equal(got, buf) {
 		t.Fatal("batch read differs from batch write")
 	}
 }
@@ -118,10 +133,10 @@ func TestBatchVecSharedBuffer(t *testing.T) {
 		buf[i] = byte(i * 7)
 	}
 	batch := BatchVec{
-		{Set: sets[0], Vec: Vec{{Block: 0, N: 8, BufOff: 0}}, Buf: buf},
-		{Set: sets[1], Vec: Vec{{Block: 0, N: 8, BufOff: 8 * bs}}, Buf: buf},
+		{Set: sets[0], Vec: Vec{{Block: 0, N: 8, BufOff: 0}}},
+		{Set: sets[1], Vec: Vec{{Block: 0, N: 8, BufOff: 8 * bs}}},
 	}
-	if err := batch.Write(ctx); err != nil {
+	if err := writeBatch(ctx, batch, buf); err != nil {
 		t.Fatal(err)
 	}
 	var reqs int64
@@ -132,11 +147,7 @@ func TestBatchVecSharedBuffer(t *testing.T) {
 		t.Fatalf("shared-buffer batch issued %d requests, want 2", reqs)
 	}
 	got := make([]byte, len(buf))
-	rd := BatchVec{
-		{Set: sets[0], Vec: Vec{{Block: 0, N: 8, BufOff: 0}}, Buf: got},
-		{Set: sets[1], Vec: Vec{{Block: 0, N: 8, BufOff: 8 * bs}}, Buf: got},
-	}
-	if err := rd.Read(ctx); err != nil {
+	if err := readBatch(ctx, batch, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, buf) {
@@ -191,16 +202,29 @@ func TestBatchVecEquivalence(t *testing.T) {
 				}
 			}
 			for trial := 0; trial < 10; trial++ {
+				// Each file's descriptor addresses its own stretch of the
+				// batch's one buffer space: the item's offsets are vecs[f]'s
+				// shifted to where the stretch starts, bufs[f] is the
+				// stretch.
 				vecs := make([]Vec, len(sets))
-				bufs := make([][]byte, len(sets))
+				lens := make([]int64, len(sets))
 				var batch BatchVec
+				var total int64
 				for f := range sets {
-					vec, bufLen := randomVec(rng, tc.total, bs)
-					vecs[f] = vec
-					bufs[f] = make([]byte, bufLen)
-					batch = append(batch, BatchItem{Set: sets[f], Vec: vec, Buf: bufs[f]})
+					vecs[f], lens[f] = randomVec(rng, tc.total, bs)
+					shifted := append(Vec(nil), vecs[f]...)
+					for i := range shifted {
+						shifted[i].BufOff += total
+					}
+					batch = append(batch, BatchItem{Set: sets[f], Vec: shifted})
+					total += lens[f]
 				}
-				if err := batch.Read(ctx); err != nil {
+				shared := make([]byte, total)
+				bufs := make([][]byte, len(sets))
+				for f, off := 0, int64(0); f < len(sets); off, f = off+lens[f], f+1 {
+					bufs[f] = shared[off : off+lens[f]]
+				}
+				if err := readBatch(ctx, batch, shared); err != nil {
 					t.Fatalf("trial %d: batch read: %v", trial, err)
 				}
 				for f, s := range sets {
@@ -216,7 +240,7 @@ func TestBatchVecEquivalence(t *testing.T) {
 				for f := range bufs {
 					rng.Read(bufs[f])
 				}
-				if err := batch.Write(ctx); err != nil {
+				if err := writeBatch(ctx, batch, shared); err != nil {
 					t.Fatalf("trial %d: batch write: %v", trial, err)
 				}
 				for f, s := range sets {
@@ -257,35 +281,35 @@ func TestBatchVecValidation(t *testing.T) {
 		batch BatchVec
 		want  string
 	}{
-		{"nil set", BatchVec{{Set: nil, Vec: Vec{{N: 1}}, Buf: buf}}, "no Set"},
+		{"nil set", BatchVec{{Set: nil, Vec: Vec{{N: 1}}}}, "no Set"},
 		{"mixed stores", BatchVec{
-			{Set: sets[0], Vec: Vec{{Block: 0, N: 1}}, Buf: buf},
-			{Set: otherSet, Vec: Vec{{Block: 0, N: 1}}, Buf: buf},
+			{Set: sets[0], Vec: Vec{{Block: 0, N: 1}}},
+			{Set: otherSet, Vec: Vec{{Block: 0, N: 1}}},
 		}, "different store"},
 		{"same set twice overlapping", BatchVec{
-			{Set: sets[0], Vec: Vec{{Block: 0, N: 4}}, Buf: buf},
-			{Set: sets[0], Vec: Vec{{Block: 2, N: 4}}, Buf: buf},
+			{Set: sets[0], Vec: Vec{{Block: 0, N: 4}}},
+			{Set: sets[0], Vec: Vec{{Block: 2, N: 4}}},
 		}, "overlap"},
 		{"bad item vec", BatchVec{
-			{Set: sets[0], Vec: Vec{{Block: 0, N: 1, BufOff: 7}}, Buf: buf},
+			{Set: sets[0], Vec: Vec{{Block: 0, N: 1, BufOff: 7}}},
 		}, "not aligned"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.batch.Read(ctx)
+			err := readBatch(ctx, tc.batch, buf)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Read = %v, want error containing %q", err, tc.want)
 			}
-			if err := tc.batch.Write(ctx); err == nil {
+			if err := writeBatch(ctx, tc.batch, buf); err == nil {
 				t.Fatal("Write accepted invalid batch")
 			}
 		})
 	}
 	// An empty batch and empty vecs are fine no-ops.
-	if err := (BatchVec{}).Read(ctx); err != nil {
+	if err := readBatch(ctx, BatchVec{}, nil); err != nil {
 		t.Fatalf("empty batch rejected: %v", err)
 	}
-	if err := (BatchVec{{Set: sets[0], Vec: nil, Buf: nil}}).Write(ctx); err != nil {
+	if err := writeBatch(ctx, BatchVec{{Set: sets[0], Vec: nil}}, nil); err != nil {
 		t.Fatalf("empty item rejected: %v", err)
 	}
 	if reqs := disks[0].Stats().Requests() + disks[1].Stats().Requests(); reqs != 0 {

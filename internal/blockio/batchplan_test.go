@@ -11,9 +11,9 @@ import (
 
 // TestBatchPlanWindowedEquivalence: writing a batch window by window
 // through a plan (with windows issued out of order and staged through
-// per-window buffers) must land exactly the bytes one whole-batch
-// BatchVec write lands, across stripe units, and reading the windows
-// back must reproduce them.
+// per-window buffers) must land exactly the bytes the whole batch written
+// as one window lands, across stripe units, and reading the windows back
+// must reproduce them.
 func TestBatchPlanWindowedEquivalence(t *testing.T) {
 	for _, unit := range []int64{1, 2, 8} {
 		const devs, perDev = 2, 32
@@ -27,31 +27,31 @@ func TestBatchPlanWindowedEquivalence(t *testing.T) {
 		// Both files fully covered, with buffer offsets permuted
 		// relative to block order (7 and 5 are coprime to 24) so plan
 		// windows cut across scrambled piece order.
-		mkBatch := func(buf []byte) BatchVec {
+		mkBatch := func() BatchVec {
 			var v0, v1 Vec
 			for b := int64(0); b < 24; b++ {
 				v0 = append(v0, VecSeg{Block: b, N: 1, BufOff: (b * 7 % 24) * bs})
 				v1 = append(v1, VecSeg{Block: b, N: 1, BufOff: (24 + b*5%24) * bs})
 			}
 			return BatchVec{
-				{Set: sets[0], Vec: v0, Buf: buf},
-				{Set: sets[1], Vec: v1, Buf: buf},
+				{Set: sets[0], Vec: v0},
+				{Set: sets[1], Vec: v1},
 			}
 		}
 		// Reference: whole-batch write on a twin store.
 		refSets, _ := newBatchStore(t, devs, unit, perDev, 2)
-		refBatch := mkBatch(whole)
+		refBatch := mkBatch()
 		for i := range refBatch {
 			refBatch[i].Set = refSets[i]
 		}
-		if err := refBatch.Write(ctx); err != nil {
+		if err := writeBatch(ctx, refBatch, whole); err != nil {
 			t.Fatal(err)
 		}
 
 		// Plan with 3 uneven windows, issued out of order through
 		// staging copies.
 		cuts := []int64{10 * bs, 31 * bs}
-		plan, err := mkBatch(nil).Plan(cuts)
+		plan, err := mkBatch().Plan(cuts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,21 @@
 //     the IS strategy.
 //
 // A Store abstracts the device array so reliability wrappers (parity,
-// shadowing — package stripe) can interpose transparently.
+// shadowing — package stripe) can interpose transparently. It moves
+// blocks one way only: a physically contiguous run of one device,
+// scattered into or gathered from a list of buffers.
+//
+// Every transfer, whatever its shape, goes down one pipeline:
+//
+//	describe   a Vec lists (logical range, buffer offset) segments; one
+//	           block or one range is the one-segment case (vec.go)
+//	map        segments → physical pieces → sorted → merged into gather
+//	           runs, within one file or across the files of a BatchVec,
+//	           whole or split into the windows of a BatchPlan (batch.go)
+//	transform  optionally, data sieving: a device's runs become one
+//	           covering run whose gaps are hole segments (sieve.go)
+//	issue      one loop binds each run's segments to the caller's buffer
+//	           and hands it to the store, runs in parallel (issue.go)
 package blockio
 
 import (
@@ -31,6 +45,13 @@ import (
 
 // Store is a block-addressed array of devices. Implementations: Direct
 // (plain disks), stripe.Parity, stripe.Mirror.
+//
+// The vectored run is the only transfer: one block is a run of one with
+// a one-buffer list, a contiguous range a run of n with one buffer. What
+// a store does below that is its own business — Direct passes the list
+// to the drive, Mirror to the drive and its shadow, Parity splits the
+// run by physical drive, batches the parity rows and stages a scattered
+// list through a contiguous copy.
 type Store interface {
 	// Devices reports how many (data) devices are visible.
 	Devices() int
@@ -38,28 +59,15 @@ type Store interface {
 	BlockSize() int
 	// Blocks reports the per-device capacity in blocks.
 	Blocks() int64
-	// ReadBlock reads physical block pblock of device dev into dst.
-	ReadBlock(ctx sim.Context, dev int, pblock int64, dst []byte) error
-	// WriteBlock writes src to physical block pblock of device dev.
-	WriteBlock(ctx sim.Context, dev int, pblock int64, src []byte) error
-	// ReadBlocks reads the n physically contiguous blocks starting at
-	// pblock of device dev into dst (len = n × block size), coalescing
-	// them into as few device requests as the store's redundancy
-	// geometry allows — one for plain disks.
-	ReadBlocks(ctx sim.Context, dev int, pblock int64, n int, dst []byte) error
-	// WriteBlocks writes the n physically contiguous blocks starting at
-	// pblock of device dev from src, the write counterpart of ReadBlocks.
-	WriteBlocks(ctx sim.Context, dev int, pblock int64, n int, src []byte) error
 	// ReadBlocksVec reads the n physically contiguous blocks starting at
-	// pblock of device dev as one coalesced request, scattering
-	// consecutive blocks into the elements of dsts in order (each a
-	// whole number of blocks, n blocks in total) — the gather-run
-	// primitive behind vectored I/O.
+	// pblock of device dev, coalesced into as few device requests as the
+	// store's redundancy geometry allows — one for plain disks —
+	// scattering consecutive blocks into the elements of dsts in order
+	// (each a whole number of blocks, n blocks in total).
 	ReadBlocksVec(ctx sim.Context, dev int, pblock int64, n int, dsts [][]byte) error
 	// WriteBlocksVec writes the n physically contiguous blocks starting
-	// at pblock of device dev as one coalesced request, gathering
-	// consecutive blocks from the elements of srcs in order — the write
-	// counterpart of ReadBlocksVec.
+	// at pblock of device dev, gathering consecutive blocks from the
+	// elements of srcs in order — the write counterpart of ReadBlocksVec.
 	WriteBlocksVec(ctx sim.Context, dev int, pblock int64, n int, srcs [][]byte) error
 }
 
@@ -70,7 +78,7 @@ type Direct struct {
 }
 
 // batchProbe caches the flight-recorder handles a store hands to the
-// batch executors (BatchVec, BatchPlan).
+// issue loop.
 type batchProbe struct {
 	rec     *probe.Recorder
 	trk     probe.TrackID
@@ -80,17 +88,17 @@ type batchProbe struct {
 }
 
 // storeProber is implemented by stores carrying a flight recorder; the
-// batch executors consult it to record merged batch spans. Optional —
-// stores without it are simply not traced.
+// issue loop consults it to record every transfer. Optional — stores
+// without it are simply not traced.
 type storeProber interface{ batchProbe() *batchProbe }
 
 func (d *Direct) batchProbe() *batchProbe { return d.pr }
 
-// SetProbe attaches a flight recorder to the store: every merged batch
-// issued through it records an async span on the "blockio" track (batch
-// start to completion of all its parallel runs) plus batch/run/byte
-// counters. Pass nil to detach. Device-level spans are the disks' own
-// (device.Disk.SetProbe).
+// SetProbe attaches a flight recorder to the store: every transfer issued
+// through it — a block, a descriptor, a plan window — records an async
+// span on the "blockio" track (start to completion of all its parallel
+// runs) plus batch/run/byte counters. Pass nil to detach. Device-level
+// spans are the disks' own (device.Disk.SetProbe).
 func (d *Direct) SetProbe(r *probe.Recorder) {
 	if r == nil {
 		d.pr = nil
@@ -131,26 +139,6 @@ func (d *Direct) Blocks() int64 { return d.disks[0].Geometry().Blocks() }
 
 // Disk exposes the underlying disk (for stats and failure injection).
 func (d *Direct) Disk(i int) *device.Disk { return d.disks[i] }
-
-// ReadBlock implements Store.
-func (d *Direct) ReadBlock(ctx sim.Context, dev int, pblock int64, dst []byte) error {
-	return d.disks[dev].ReadBlock(ctx, pblock, dst)
-}
-
-// WriteBlock implements Store.
-func (d *Direct) WriteBlock(ctx sim.Context, dev int, pblock int64, src []byte) error {
-	return d.disks[dev].WriteBlock(ctx, pblock, src)
-}
-
-// ReadBlocks implements Store as one device request.
-func (d *Direct) ReadBlocks(ctx sim.Context, dev int, pblock int64, n int, dst []byte) error {
-	return d.disks[dev].ReadBlocks(ctx, pblock, n, dst)
-}
-
-// WriteBlocks implements Store as one device request.
-func (d *Direct) WriteBlocks(ctx sim.Context, dev int, pblock int64, n int, src []byte) error {
-	return d.disks[dev].WriteBlocks(ctx, pblock, n, src)
-}
 
 // ReadBlocksVec implements Store as one scatter device request.
 func (d *Direct) ReadBlocksVec(ctx sim.Context, dev int, pblock int64, n int, dsts [][]byte) error {
@@ -450,7 +438,7 @@ type Set struct {
 	base   []int64
 
 	// sieveLocks serializes sieved read-modify-write spans per device
-	// (lazily created; engine contexts only — see WriteVecSieved). The
+	// (lazily created; engine contexts only — see lockSieve). The
 	// map is only ever touched by engine-managed processes, whose strict
 	// alternation provides the required happens-before edges, mirroring
 	// stripe.Parity's row-lock map.
@@ -491,14 +479,17 @@ func (s *Set) Locate(b int64) (dev int, pblock int64) {
 	return dev, s.base[dev] + pb
 }
 
-// ReadBlock reads logical block b into dst.
+// ReadBlock reads logical block b into dst: the one-block helper the
+// fault paths use. Layout.Map yields the one run directly — no
+// descriptor, no mapping pass, nothing allocated.
 func (s *Set) ReadBlock(ctx sim.Context, b int64, dst []byte) error {
 	dev, pb := s.layout.Map(b)
-	return s.store.ReadBlock(ctx, dev, s.base[dev]+pb, dst)
+	return issue(ctx, s.store, "ReadBlock", false, []Run{{Dev: dev, PBlock: s.base[dev] + pb, B: b, N: 1}}, dst, 0, nil)
 }
 
-// WriteBlock writes src to logical block b.
+// WriteBlock writes src to logical block b, the write counterpart of
+// ReadBlock.
 func (s *Set) WriteBlock(ctx sim.Context, b int64, src []byte) error {
 	dev, pb := s.layout.Map(b)
-	return s.store.WriteBlock(ctx, dev, s.base[dev]+pb, src)
+	return issue(ctx, s.store, "WriteBlock", true, []Run{{Dev: dev, PBlock: s.base[dev] + pb, B: b, N: 1}}, src, 0, nil)
 }

@@ -1,35 +1,34 @@
-// Extent (multi-block run) I/O: the contiguity iterator over layouts and
-// the ranged Set operations built on it.
+// Extents (multi-block runs): the contiguity iterator over layouts.
 //
 // The device model charges every request a fixed overhead plus seek and
 // rotational latency, so a sequential scan issued block-at-a-time pays
 // those costs once per block. MapRun decomposes a logical block range
-// into maximal physically contiguous per-device runs in closed form;
-// ReadRange/WriteRange issue each run as a single coalesced store
-// request, in parallel across devices under a simulation engine. A run
-// of N contiguous blocks then costs one overhead + one seek + rotation +
-// N transfers instead of N of each.
+// into maximal physically contiguous per-device runs in closed form; the
+// map stage of the transfer pipeline (mapRuns, batch.go) calls it once
+// per descriptor segment and merges what it yields, and each merged run
+// is issued as a single coalesced store request. A run of N contiguous
+// blocks then costs one overhead + one seek + rotation + N transfers
+// instead of N of each.
 
 package blockio
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
-
 // Run is a physically contiguous span of a layout: N logical blocks map
-// to the physical blocks [PBlock, PBlock+N) of device Dev.
+// to the physical blocks [PBlock, PBlock+N) of device Dev. It is the one
+// run type of the package: what layouts yield, what the mapper merges and
+// what the issue loop transfers.
 //
 // A run produced by Layout.MapRun is logically contiguous too — its
-// blocks are [B, B+N) — and has no Segs. A gather run produced by vec
-// merging (Set.MapVec) may cover logically scattered blocks: Segs then
-// lists where each consecutive slice of the run's blocks lives in the
-// caller's buffer, and B records only the run's first logical block (for
-// diagnostics).
+// blocks are [B, B+N) — and has no Segs. A gather run produced by the
+// mapper (Set.MapVec, BatchVec.Plan) may cover logically scattered
+// blocks: Segs then lists where each consecutive slice of the run's
+// blocks lives in the caller's buffer, and B records only the run's
+// first logical block (for diagnostics).
 type Run struct {
-	Dev    int   // device index
-	PBlock int64 // first physical block (file-extent relative)
+	Dev int // device index
+	// PBlock is the first physical block: relative to the file's extent
+	// in what Layout.MapRun and Set.MapVec report, absolute (extent base
+	// added) in the runs a transfer issues.
+	PBlock int64
 	B      int64 // first logical block
 	N      int64 // length in blocks
 	Segs   []Seg // buffer scatter/gather map; nil for plain MapRun runs
@@ -197,48 +196,4 @@ func (il *Interleaved) perDevice(need []int64, total int64) {
 			need[dev] = top
 		}
 	}
-}
-
-// ReadRange reads the n logical blocks [b, b+n) into dst (len must equal
-// n × block size). The range is decomposed into per-device physically
-// contiguous runs (Layout.MapRun); each run is issued as one coalesced
-// store request, and the runs proceed in parallel across devices under a
-// simulation engine.
-func (s *Set) ReadRange(ctx sim.Context, b, n int64, dst []byte) error {
-	return s.doRange(ctx, "ReadRange", b, n, dst, s.store.ReadBlocks)
-}
-
-// WriteRange writes the n logical blocks [b, b+n) from src, the write
-// counterpart of ReadRange.
-func (s *Set) WriteRange(ctx sim.Context, b, n int64, src []byte) error {
-	return s.doRange(ctx, "WriteRange", b, n, src, s.store.WriteBlocks)
-}
-
-// doRange implements ReadRange/WriteRange over a per-run transfer.
-func (s *Set) doRange(ctx sim.Context, op string, b, n int64, buf []byte,
-	xfer func(sim.Context, int, int64, int, []byte) error) error {
-	bs := int64(s.store.BlockSize())
-	if b < 0 || n < 0 {
-		return fmt.Errorf("blockio: %s of blocks [%d,%d)", op, b, b+n)
-	}
-	if int64(len(buf)) != n*bs {
-		return fmt.Errorf("blockio: %s buffer len %d != %d blocks of %d bytes", op, len(buf), n, bs)
-	}
-	if n == 0 {
-		return nil
-	}
-	runs := s.layout.MapRun(nil, b, n)
-	if len(runs) == 1 {
-		r := runs[0]
-		return xfer(ctx, r.Dev, s.base[r.Dev]+r.PBlock, int(r.N), buf)
-	}
-	fns := make([]func(sim.Context) error, len(runs))
-	for i, r := range runs {
-		r := r
-		sub := buf[(r.B-b)*bs : (r.B-b+r.N)*bs]
-		fns[i] = func(c sim.Context) error {
-			return xfer(c, r.Dev, s.base[r.Dev]+r.PBlock, int(r.N), sub)
-		}
-	}
-	return sim.Par(ctx, fns...)
 }

@@ -140,10 +140,20 @@ func newTestSet(t *testing.T, l Layout, total int64) (*Set, []*device.Disk) {
 	return set, disks
 }
 
-// TestRangeEquivalence asserts ReadRange/WriteRange are bit-for-bit
+// A range is the one-segment descriptor.
+
+func readRange(ctx sim.Context, s *Set, b, n int64, dst []byte) error {
+	return s.ReadVec(ctx, Vec{{Block: b, N: n}}, dst)
+}
+
+func writeRange(ctx sim.Context, s *Set, b, n int64, src []byte) error {
+	return s.WriteVec(ctx, Vec{{Block: b, N: n}}, src)
+}
+
+// TestRangeEquivalence asserts ranged transfers are bit-for-bit
 // identical to block-at-a-time loops on every layout: data written by
-// WriteRange reads back block-by-block, and data written block-by-block
-// reads back via ReadRange.
+// range reads back block-by-block, and data written block-by-block
+// reads back by range.
 func TestRangeEquivalence(t *testing.T) {
 	ctx := sim.NewWall()
 	for _, tc := range testLayouts(t) {
@@ -153,14 +163,14 @@ func TestRangeEquivalence(t *testing.T) {
 			set, _ := newTestSet(t, tc.layout, tc.total)
 			data := make([]byte, int(tc.total)*bs)
 			rng.Read(data)
-			// Write the whole space with WriteRange in irregular chunks.
+			// Write the whole space by range in irregular chunks.
 			for b := int64(0); b < tc.total; {
 				n := int64(rng.Intn(7) + 1)
 				if b+n > tc.total {
 					n = tc.total - b
 				}
-				if err := set.WriteRange(ctx, b, n, data[b*int64(bs):(b+n)*int64(bs)]); err != nil {
-					t.Fatalf("WriteRange(%d,%d): %v", b, n, err)
+				if err := writeRange(ctx, set, b, n, data[b*int64(bs):(b+n)*int64(bs)]); err != nil {
+					t.Fatalf("writeRange(%d,%d): %v", b, n, err)
 				}
 				b += n
 			}
@@ -171,11 +181,11 @@ func TestRangeEquivalence(t *testing.T) {
 					t.Fatalf("ReadBlock(%d): %v", b, err)
 				}
 				if !bytes.Equal(buf, data[b*int64(bs):(b+1)*int64(bs)]) {
-					t.Fatalf("block %d mismatch after WriteRange", b)
+					t.Fatalf("block %d mismatch after a ranged write", b)
 				}
 			}
 
-			// Fresh set: write block-at-a-time, read back with ReadRange.
+			// Fresh set: write block-at-a-time, read back by range.
 			set2, _ := newTestSet(t, tc.layout, tc.total)
 			for b := int64(0); b < tc.total; b++ {
 				if err := set2.WriteBlock(ctx, b, data[b*int64(bs):(b+1)*int64(bs)]); err != nil {
@@ -188,36 +198,37 @@ func TestRangeEquivalence(t *testing.T) {
 				if b+n > tc.total {
 					n = tc.total - b
 				}
-				if err := set2.ReadRange(ctx, b, n, got[b*int64(bs):(b+n)*int64(bs)]); err != nil {
-					t.Fatalf("ReadRange(%d,%d): %v", b, n, err)
+				if err := readRange(ctx, set2, b, n, got[b*int64(bs):(b+n)*int64(bs)]); err != nil {
+					t.Fatalf("readRange(%d,%d): %v", b, n, err)
 				}
 				b += n
 			}
 			if !bytes.Equal(got, data) {
-				t.Fatal("ReadRange data differs from per-block writes")
+				t.Fatal("ranged read differs from per-block writes")
 			}
 		})
 	}
 }
 
 // TestRangeCoalescesRequests asserts that a ranged sequential scan of a
-// striped layout issues one device request per stripe-unit run rather
-// than one per block.
+// striped layout issues one device request per drive — a drive's stripe
+// units are physically adjacent, and the map stage merges them — rather
+// than one per block or one per unit.
 func TestRangeCoalescesRequests(t *testing.T) {
 	ctx := sim.NewWall()
 	const unit, devs, total = 8, 4, 256
 	l := NewStriped(devs, unit)
 	set, disks := newTestSet(t, l, total)
 	buf := make([]byte, total*64)
-	if err := set.ReadRange(ctx, 0, total, buf); err != nil {
+	if err := readRange(ctx, set, 0, total, buf); err != nil {
 		t.Fatal(err)
 	}
 	var requests int64
 	for _, d := range disks {
 		requests += d.Stats().Requests()
 	}
-	if want := int64(total / unit); requests != want {
-		t.Fatalf("requests = %d, want %d (one per %d-block run)", requests, want, unit)
+	if want := int64(devs); requests != want {
+		t.Fatalf("requests = %d, want %d (one per drive, %d units of %d blocks each)", requests, want, total/unit/devs, unit)
 	}
 }
 
@@ -248,12 +259,12 @@ func TestRangeUnderEngine(t *testing.T) {
 	rand.New(rand.NewSource(7)).Read(data)
 	got := make([]byte, total*bs)
 	e.Go("io", func(p *sim.Proc) {
-		if err := set.WriteRange(p, 0, total, data); err != nil {
-			t.Errorf("WriteRange: %v", err)
+		if err := writeRange(p, set, 0, total, data); err != nil {
+			t.Errorf("writeRange: %v", err)
 			return
 		}
-		if err := set.ReadRange(p, 0, total, got); err != nil {
-			t.Errorf("ReadRange: %v", err)
+		if err := readRange(p, set, 0, total, got); err != nil {
+			t.Errorf("readRange: %v", err)
 		}
 	})
 	if err := e.Run(); err != nil {

@@ -1,18 +1,23 @@
-// Data sieving: noncontiguous access as one contiguous covering span per
-// device, in the style of ROMIO's optimization of noncontiguous MPI-IO
-// requests (Thakur/Gropp/Lusk).
+// Transform: the optional third stage of the transfer pipeline (describe
+// → map → transform → issue). Data sieving: noncontiguous access as one
+// contiguous covering span per device, in the style of ROMIO's
+// optimization of noncontiguous MPI-IO requests (Thakur/Gropp/Lusk) —
+// where sieving is a transform of the flattened request list, not another
+// way in.
 //
-// The vectored path (vec.go) issues one device request per physically
+// The vectored strategy issues one device request per physically
 // contiguous gather run, which is optimal when runs are long but pays the
 // full per-request cost (overhead + seek + rotational latency) for every
 // hole in the access pattern. When the pattern is dense — many small
 // pieces separated by small holes — it is cheaper to move the holes too:
-// a sieved read issues ONE request per device covering the span from the
-// first to the last requested block, scattering the requested pieces into
-// the caller's buffer and the unwanted hole blocks into pooled scratch; a
-// sieved write reads the covering span, overlays the caller's pieces, and
-// writes the span back (read-modify-write), two requests per device
-// however fragmented the pattern.
+// sieveRuns turns each device's mapped runs into ONE covering run from
+// the first to the last requested block, whose gaps are hole segments.
+// The issue loop binds holes to pooled scratch: a sieved read scatters
+// the requested pieces into the caller's buffer and the unwanted blocks
+// into the scratch; a sieved write reads the covering span into the
+// scratch, then writes the span back gathering the caller's pieces over
+// it (read-modify-write), two requests per device however fragmented the
+// pattern.
 //
 // The write-back makes concurrent writers dangerous: a span's holes may
 // be another writer's data, so writing back a stale hole loses that
@@ -23,17 +28,13 @@
 // device lock (no ordering to violate, hence no deadlock), and concurrent
 // sieved writers with disjoint block sets land exactly their own bytes
 // whatever order the engine schedules them in. Writers that bypass the
-// sieve (plain WriteVec) are not protected — concurrent writers to one
-// device must either touch disjoint spans or all go through the sieve,
-// which is how the collective layer's strategy routing uses it.
+// sieve (the vectored strategy) are not protected — concurrent writers to
+// one device must either touch disjoint spans or all go through the
+// sieve, which is how the collective layer's strategy routing uses it.
 
 package blockio
 
-import (
-	"sync"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // SieveSpan is one device's covering span for a sieved transfer: the
 // Blocks physically contiguous blocks starting at PBlock (extent
@@ -49,19 +50,19 @@ type SieveSpan struct {
 }
 
 // SieveSpans validates vec and computes the per-device covering spans the
-// sieved paths would transfer, in ascending device order — the planning
-// half of ReadVecSieved/WriteVecSieved, exposed for cost models and
-// tests.
+// sieved strategy would transfer, in ascending device order — the
+// planning half of sieving, exposed for cost models and tests.
 func (s *Set) SieveSpans(vec Vec) ([]SieveSpan, error) {
-	if err := s.checkVec("SieveSpans", vec, -1); err != nil {
+	runs, err := s.MapVec(vec)
+	if err != nil {
 		return nil, err
 	}
-	return s.sieveSpans(s.mapVec(vec)), nil
+	return sieveSpans(runs), nil
 }
 
 // sieveSpans groups mapped gather runs (sorted by device, physical
-// block — mapVec's order) into one covering span per device.
-func (s *Set) sieveSpans(runs []Run) []SieveSpan {
+// block — the mapper's order) into one covering span per device.
+func sieveSpans(runs []Run) []SieveSpan {
 	var spans []SieveSpan
 	for i := 0; i < len(runs); {
 		j := i + 1
@@ -83,78 +84,34 @@ func (s *Set) sieveSpans(runs []Run) []SieveSpan {
 	return spans
 }
 
-// sievePool recycles hole scratch and span staging buffers across sieved
-// transfers (the spans can be large — that is the point of sieving — so
-// per-call allocation would be real churn, as the pooled batch-mapping
-// scratch was before it).
-var sievePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// getSieveBuf pops a pooled buffer of at least n bytes.
-func getSieveBuf(n int64) *[]byte {
-	bp := sievePool.Get().(*[]byte)
-	if int64(cap(*bp)) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
-
-// sieveIov builds the scatter/gather list of one covering span: the
-// requested runs' blocks map to the caller's buffer slices (the true
-// scatter path — no staging copy on stores that scatter at the device),
-// and each hole maps to its slice of the scratch buffer. hole(off, n)
-// returns the scratch bytes standing in for the n hole blocks at span
-// offset off.
-func sieveIov(sp SieveSpan, bs int64, buf []byte, hole func(off, n int64) []byte) [][]byte {
-	var iov [][]byte
-	pos := sp.PBlock
-	for _, r := range sp.Runs {
-		if r.PBlock > pos {
-			iov = append(iov, hole(pos-sp.PBlock, r.PBlock-pos))
-			pos = r.PBlock
-		}
-		for _, sg := range r.Segs {
-			iov = append(iov, buf[sg.BufOff:sg.BufOff+sg.Blocks*bs])
-		}
-		pos += r.N
-	}
-	return iov
-}
-
-// ReadVecSieved reads the blocks described by vec into buf like ReadVec,
-// but as one covering device request per device: requested pieces
-// scatter straight into buf, hole blocks into pooled scratch. Devices
-// proceed in parallel under a simulation engine. Reads take no locks
-// (they modify nothing), matching ReadVec.
-func (s *Set) ReadVecSieved(ctx sim.Context, vec Vec, buf []byte) error {
-	if err := s.checkVec("ReadVecSieved", vec, int64(len(buf))); err != nil {
-		return err
-	}
-	spans := s.sieveSpans(s.mapVec(vec))
-	if len(spans) == 0 {
-		return nil
-	}
-	bs := int64(s.store.BlockSize())
-	one := func(ctx sim.Context, sp SieveSpan) error {
-		holeBp := getSieveBuf((sp.Blocks - sp.Useful) * bs)
-		defer sievePool.Put(holeBp)
-		var holeOff int64
-		iov := sieveIov(sp, bs, buf, func(_, n int64) []byte {
-			h := (*holeBp)[holeOff : holeOff+n*bs]
-			holeOff += n * bs
-			return h
-		})
-		return s.store.ReadBlocksVec(ctx, sp.Dev, s.base[sp.Dev]+sp.PBlock, int(sp.Blocks), iov)
-	}
-	if len(spans) == 1 {
-		return one(ctx, spans[0])
-	}
-	fns := make([]func(sim.Context) error, len(spans))
+// sieveRuns is the sieving transform: each device's gather runs become
+// one covering run — the device's span, first requested block to last —
+// whose Segs are the runs' own with a hole segment for every gap between
+// them. A device with a single run keeps it as it is.
+func sieveRuns(runs []Run) []Run {
+	spans := sieveSpans(runs)
+	out := make([]Run, len(spans))
 	for i, sp := range spans {
-		sp := sp
-		fns[i] = func(c sim.Context) error { return one(c, sp) }
+		if len(sp.Runs) == 1 {
+			out[i] = sp.Runs[0]
+			continue
+		}
+		nseg := len(sp.Runs) - 1 // the holes
+		for _, r := range sp.Runs {
+			nseg += len(r.Segs)
+		}
+		cover := Run{Dev: sp.Dev, PBlock: sp.PBlock, B: sp.Runs[0].B, N: sp.Blocks, Segs: make([]Seg, 0, nseg)}
+		pos := sp.PBlock
+		for _, r := range sp.Runs {
+			if r.PBlock > pos {
+				cover.Segs = append(cover.Segs, Seg{BufOff: hole, Blocks: r.PBlock - pos})
+			}
+			cover.Segs = append(cover.Segs, r.Segs...)
+			pos = r.PBlock + r.N
+		}
+		out[i] = cover
 	}
-	return sim.Par(ctx, fns...)
+	return out
 }
 
 // lockSieve serializes sieved writes on device dev (engine contexts
@@ -177,51 +134,22 @@ func (s *Set) lockSieve(ctx sim.Context, dev int) func() {
 	return func() { mu.Unlock(pr) }
 }
 
-// WriteVecSieved writes the blocks described by vec from buf like
-// WriteVec, but as a read-modify-write of one covering span per device:
-// under the device's sieve lock, the span is read into pooled scratch
-// (one request), then written back (one request) gathering the
-// requested pieces straight from buf and the hole blocks from the
-// freshly read scratch. A span with no holes skips the read but still
-// takes the lock, so a hole-free writer can never slip inside another
-// writer's read-modify-write window. Devices proceed in parallel under
-// a simulation engine; each parallel branch holds at most one device
-// lock, so concurrent sieved writers contend but never deadlock.
-func (s *Set) WriteVecSieved(ctx sim.Context, vec Vec, buf []byte) error {
-	if err := s.checkVec("WriteVecSieved", vec, int64(len(buf))); err != nil {
-		return err
-	}
-	spans := s.sieveSpans(s.mapVec(vec))
-	if len(spans) == 0 {
-		return nil
-	}
-	bs := int64(s.store.BlockSize())
-	one := func(ctx sim.Context, sp SieveSpan) error {
-		unlock := s.lockSieve(ctx, sp.Dev)
-		defer unlock()
-		pb := s.base[sp.Dev] + sp.PBlock
-		if sp.Useful == sp.Blocks {
-			iov := sieveIov(sp, bs, buf, nil) // no holes: hole fn never called
-			return s.store.WriteBlocksVec(ctx, sp.Dev, pb, int(sp.Blocks), iov)
-		}
-		spanBp := getSieveBuf(sp.Blocks * bs)
-		defer sievePool.Put(spanBp)
-		span := *spanBp
-		if err := s.store.ReadBlocks(ctx, sp.Dev, pb, int(sp.Blocks), span); err != nil {
+// sievedWrite is the per-run body of a sieved write: the read-modify-
+// write of one covering run under its device's sieve lock. The covering
+// read goes out through the issue loop like any transfer, filling the
+// scratch span the run's hole segments are bound to; the write then
+// gathers the requested pieces straight from the caller's buffer and the
+// holes from the freshly read scratch. A run with no holes skips the read
+// but still takes the lock, so a hole-free writer can never slip inside
+// another writer's read-modify-write window.
+func (s *Set) sievedWrite(ctx sim.Context, r Run, iov [][]byte, scratch []byte) error {
+	unlock := s.lockSieve(ctx, r.Dev)
+	defer unlock()
+	if scratch != nil {
+		span := []Run{{Dev: r.Dev, PBlock: r.PBlock, B: r.B, N: r.N}}
+		if err := issue(ctx, s.store, "SieveRead", false, span, scratch, 0, nil); err != nil {
 			return err
 		}
-		iov := sieveIov(sp, bs, buf, func(off, n int64) []byte {
-			return span[off*bs : (off+n)*bs]
-		})
-		return s.store.WriteBlocksVec(ctx, sp.Dev, pb, int(sp.Blocks), iov)
 	}
-	if len(spans) == 1 {
-		return one(ctx, spans[0])
-	}
-	fns := make([]func(sim.Context) error, len(spans))
-	for i, sp := range spans {
-		sp := sp
-		fns[i] = func(c sim.Context) error { return one(c, sp) }
-	}
-	return sim.Par(ctx, fns...)
+	return s.store.WriteBlocksVec(ctx, r.Dev, r.PBlock, int(r.N), iov)
 }

@@ -31,6 +31,17 @@ func sieveVecFromBits(bits uint64, total int64, bs int64) (Vec, int64) {
 	return vec, picked
 }
 
+// The sieved transfers: a descriptor under StrategySieved (no cost model
+// is consulted for a fixed strategy).
+
+func readSieved(ctx sim.Context, s *Set, vec Vec, buf []byte) error {
+	return s.ReadVecStrategy(ctx, StrategySieved, CostModel{}, vec, buf)
+}
+
+func writeSieved(ctx sim.Context, s *Set, vec Vec, buf []byte) error {
+	return s.WriteVecStrategy(ctx, StrategySieved, CostModel{}, vec, buf)
+}
+
 // TestSieveSpansShape pins the planner's output on a striped layout:
 // one span per touched device, covering exactly the device's first
 // through last requested physical block.
@@ -70,7 +81,7 @@ func TestSievedMatchesVectored(t *testing.T) {
 			bs := int64(set.BlockSize())
 			base := make([]byte, tc.total*bs)
 			rng.Read(base)
-			if err := set.WriteRange(ctx, 0, tc.total, base); err != nil {
+			if err := writeRange(ctx, set, 0, tc.total, base); err != nil {
 				t.Fatal(err)
 			}
 			for trial := 0; trial < 20; trial++ {
@@ -88,7 +99,7 @@ func TestSievedMatchesVectored(t *testing.T) {
 				if err := set.ReadVec(ctx, vec, want); err != nil {
 					t.Fatal(err)
 				}
-				if err := set.ReadVecSieved(ctx, vec, got); err != nil {
+				if err := readSieved(ctx, set, vec, got); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {
@@ -97,11 +108,11 @@ func TestSievedMatchesVectored(t *testing.T) {
 				// Sieved write leaves the image a vectored write would.
 				data := make([]byte, picked*bs)
 				rng.Read(data)
-				if err := set.WriteVecSieved(ctx, vec, data); err != nil {
+				if err := writeSieved(ctx, set, vec, data); err != nil {
 					t.Fatal(err)
 				}
 				img := make([]byte, tc.total*bs)
-				if err := set.ReadRange(ctx, 0, tc.total, img); err != nil {
+				if err := readRange(ctx, set, 0, tc.total, img); err != nil {
 					t.Fatal(err)
 				}
 				for _, sg := range vec {
@@ -145,7 +156,7 @@ func TestSieveConcurrentWriters(t *testing.T) {
 		}
 		data := bytes.Repeat([]byte{byte('A' + w)}, total/2*bs)
 		e.Go(fmt.Sprintf("writer%d", w), func(p *sim.Proc) {
-			if err := set.WriteVecSieved(p, vec, data); err != nil {
+			if err := writeSieved(p, set, vec, data); err != nil {
 				t.Errorf("writer %d: %v", w, err)
 			}
 		})
@@ -154,7 +165,7 @@ func TestSieveConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := make([]byte, total*bs)
-	if err := set.ReadRange(sim.NewWall(), 0, total, img); err != nil {
+	if err := readRange(sim.NewWall(), set, 0, total, img); err != nil {
 		t.Fatal(err)
 	}
 	for b := int64(0); b < total; b++ {
@@ -245,15 +256,15 @@ func FuzzSieveSpans(f *testing.F) {
 		ctx := sim.NewWall()
 		base := make([]byte, total*bs)
 		rand.New(rand.NewSource(int64(bits))).Read(base)
-		if err := set.WriteRange(ctx, 0, total, base); err != nil {
+		if err := writeRange(ctx, set, 0, total, base); err != nil {
 			t.Fatal(err)
 		}
 		data := bytes.Repeat([]byte{0x5a}, int(picked)*bs)
-		if err := set.WriteVecSieved(ctx, vec, data); err != nil {
+		if err := writeSieved(ctx, set, vec, data); err != nil {
 			t.Fatal(err)
 		}
 		img := make([]byte, total*bs)
-		if err := set.ReadRange(ctx, 0, total, img); err != nil {
+		if err := readRange(ctx, set, 0, total, img); err != nil {
 			t.Fatal(err)
 		}
 		for _, sg := range vec {

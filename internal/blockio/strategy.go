@@ -26,11 +26,11 @@ const (
 	// StrategyDefault keeps the layer's historical path.
 	StrategyDefault Strategy = iota
 	// StrategyVectored forces one request per physically contiguous
-	// gather run (ReadVec/WriteVec).
+	// gather run (what ReadVec/WriteVec are shorthand for).
 	StrategyVectored
 	// StrategySieved forces data sieving: one covering span per device,
 	// holes moved through scratch, writes as read-modify-write
-	// (ReadVecSieved/WriteVecSieved).
+	// (sieve.go).
 	StrategySieved
 	// StrategyCollective forces the two-phase collective path where one
 	// exists (internal/collective); independent Set transfers treat it
@@ -193,47 +193,61 @@ func (m CostModel) SieveCost(spans []SieveSpan, bs int64, write bool) time.Durat
 // ChooseVecStrategy resolves StrategyAuto for one Set transfer: the
 // descriptor is mapped once and the vectored and sieved executions are
 // priced; the cheaper one wins (ties to vectored, which never moves
-// bytes nobody asked for). Fixed strategies pass through unchanged
-// (StrategyDefault and StrategyCollective mean vectored at this layer).
+// bytes nobody asked for).
 func (s *Set) ChooseVecStrategy(m CostModel, vec Vec, write bool) (Strategy, error) {
 	if err := s.checkVec("ChooseVecStrategy", vec, -1); err != nil {
 		return 0, err
 	}
-	runs := s.mapVec(vec)
-	bs := int64(s.store.BlockSize())
-	if m.SieveCost(s.sieveSpans(runs), bs, write) < m.VecCost(runs, bs) {
-		return StrategySieved, nil
+	runs, err := s.mapVec("ChooseVecStrategy", vec)
+	if err != nil {
+		return 0, err
 	}
-	return StrategyVectored, nil
+	return m.choose(runs, int64(s.store.BlockSize()), write), nil
 }
 
-// ReadVecStrategy reads vec into buf through the path strat selects,
-// resolving StrategyAuto with the cost model per operation.
+// choose prices mapped runs both ways and names the cheaper strategy.
+func (m CostModel) choose(runs []Run, bs int64, write bool) Strategy {
+	if m.SieveCost(sieveSpans(runs), bs, write) < m.VecCost(runs, bs) {
+		return StrategySieved
+	}
+	return StrategyVectored
+}
+
+// ReadVecStrategy reads the blocks described by vec into buf, scattering
+// each segment's blocks at its buffer offset, as strat directs: vectored
+// (also what StrategyDefault and StrategyCollective mean at this layer),
+// sieved, or — StrategyAuto — whichever the cost model prices cheaper for
+// this descriptor. It is the Set's one read entry point for anything
+// larger than a block.
 func (s *Set) ReadVecStrategy(ctx sim.Context, strat Strategy, m CostModel, vec Vec, buf []byte) error {
-	return s.doVecStrategy(ctx, strat, m, vec, buf, false)
+	return s.transfer(ctx, "ReadVec", false, strat, m, vec, buf)
 }
 
-// WriteVecStrategy writes vec from buf through the path strat selects —
-// the write counterpart of ReadVecStrategy.
+// WriteVecStrategy writes the blocks described by vec from buf — the
+// write counterpart of ReadVecStrategy.
 func (s *Set) WriteVecStrategy(ctx sim.Context, strat Strategy, m CostModel, vec Vec, buf []byte) error {
-	return s.doVecStrategy(ctx, strat, m, vec, buf, true)
+	return s.transfer(ctx, "WriteVec", true, strat, m, vec, buf)
 }
 
-func (s *Set) doVecStrategy(ctx sim.Context, strat Strategy, m CostModel, vec Vec, buf []byte, write bool) error {
+// transfer takes one descriptor down the pipeline: validate, map,
+// transform if the strategy is (or prices out as) sieved, issue.
+func (s *Set) transfer(ctx sim.Context, op string, write bool, strat Strategy, m CostModel, vec Vec, buf []byte) error {
+	if err := s.checkVec(op, vec, int64(len(buf))); err != nil {
+		return err
+	}
+	runs, err := s.mapVec(op, vec)
+	if err != nil {
+		return err
+	}
 	if strat == StrategyAuto {
-		var err error
-		if strat, err = s.ChooseVecStrategy(m, vec, write); err != nil {
-			return err
+		strat = m.choose(runs, int64(s.store.BlockSize()), write)
+	}
+	var body runBody
+	if strat == StrategySieved {
+		runs = sieveRuns(runs)
+		if write {
+			body = s.sievedWrite
 		}
 	}
-	switch {
-	case strat == StrategySieved && write:
-		return s.WriteVecSieved(ctx, vec, buf)
-	case strat == StrategySieved:
-		return s.ReadVecSieved(ctx, vec, buf)
-	case write:
-		return s.WriteVec(ctx, vec, buf)
-	default:
-		return s.ReadVec(ctx, vec, buf)
-	}
+	return issue(ctx, s.store, op, write, runs, buf, 0, body)
 }

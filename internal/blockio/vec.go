@@ -1,18 +1,19 @@
-// Vectored (scatter/gather) I/O: the request descriptor, the listio-style
-// merge of physically adjacent pieces across descriptor segments, and the
-// vectored Set operations built on them.
+// Describe: the first stage of the transfer pipeline (describe → map →
+// transform → issue). A Vec is the request descriptor every transfer
+// above one block is stated in: a list of (logical block range, buffer
+// offset) segments. A contiguous range is its one-segment case, which is
+// why there is no ranged entry point.
 //
-// Extent I/O (extent.go) coalesces runs that are contiguous in both the
-// logical file and the caller's buffer. Declustered layouts break that:
-// with a stripe unit smaller than the transfer, logically consecutive
-// blocks alternate devices, and the blocks that ARE physically adjacent
-// on one device are logically strided — so the extent path degenerates to
-// one request per unit. A Vec describes the whole transfer up front;
-// MapVec decomposes every segment, sorts the pieces by physical address
-// and merges the adjacent ones into gather runs, each of which transfers
-// as one device request scattering into (gathering from) the caller's
-// buffer. Unit-1 declustering then coalesces exactly like unit-8
-// striping.
+// Describing the whole transfer up front is what lets the map stage
+// coalesce it. Declustered layouts break logical contiguity: with a
+// stripe unit smaller than the transfer, logically consecutive blocks
+// alternate devices, and the blocks that ARE physically adjacent on one
+// device are logically strided — issued range by range they go out one
+// request per unit. MapVec decomposes every segment, sorts the pieces by
+// physical address and merges the adjacent ones into gather runs, each of
+// which transfers as one device request scattering into (gathering from)
+// the caller's buffer. Unit-1 declustering then coalesces exactly like
+// unit-8 striping.
 
 package blockio
 
@@ -30,6 +31,10 @@ type Seg struct {
 	BufOff int64 // byte offset into the caller's buffer (block aligned)
 	Blocks int64 // number of consecutive run blocks at that offset
 }
+
+// hole is the BufOff of a segment nobody asked for: blocks a sieved
+// covering run moves through scratch only to stay one request (sieve.go).
+const hole int64 = -1
 
 // VecSeg is one segment of a vectored request: the n logical blocks
 // [Block, Block+N) correspond to the caller-buffer bytes
@@ -59,10 +64,13 @@ func (v Vec) Blocks() int64 {
 // checkVec validates descriptor shape: block-aligned in-bounds buffer
 // ranges, non-negative block ranges, and pairwise disjointness in both
 // coordinate systems. bufLen < 0 skips the buffer bound check (MapVec,
-// which has no buffer).
+// which has no buffer). Segments that arrive ascending in both blocks and
+// buffer — one range, a stream's extent, most request lists — are proven
+// disjoint by the first walk alone; only a shuffled descriptor pays for
+// the two sorts.
 func (s *Set) checkVec(op string, vec Vec, bufLen int64) error {
 	bs := int64(s.store.BlockSize())
-	act := make([]int, 0, len(vec)) // indices of non-empty segments
+	ordered, last := true, -1 // last: the previous non-empty segment
 	for i, sg := range vec {
 		if sg.N < 0 || sg.Block < 0 {
 			return fmt.Errorf("blockio: %s segment %d: blocks [%d,%d)", op, i, sg.Block, sg.Block+sg.N)
@@ -77,7 +85,19 @@ func (s *Set) checkVec(op string, vec Vec, bufLen int64) error {
 			return fmt.Errorf("blockio: %s segment %d: buffer bytes [%d,%d) exceed %d-byte buffer",
 				op, i, sg.BufOff, sg.BufOff+sg.N*bs, bufLen)
 		}
-		act = append(act, i)
+		if last >= 0 && (vec[last].Block+vec[last].N > sg.Block || vec[last].BufOff+vec[last].N*bs > sg.BufOff) {
+			ordered = false
+		}
+		last = i
+	}
+	if ordered {
+		return nil
+	}
+	var act []int // indices of non-empty segments
+	for i, sg := range vec {
+		if sg.N > 0 {
+			act = append(act, i)
+		}
 	}
 	for pass := 0; pass < 2; pass++ {
 		byBlock := pass == 0
@@ -101,26 +121,6 @@ func (s *Set) checkVec(op string, vec Vec, bufLen int64) error {
 	return nil
 }
 
-// appendGather extends runs with the piece (dev, pblock, b, n, bufOff),
-// merging it into the previous run when physically adjacent. Pieces must
-// arrive sorted by (dev, pblock).
-func appendGather(runs []Run, bs int64, dev int, pblock, b, n, bufOff int64) []Run {
-	if k := len(runs) - 1; k >= 0 {
-		last := &runs[k]
-		if last.Dev == dev && last.PBlock+last.N == pblock {
-			last.N += n
-			if j := len(last.Segs) - 1; j >= 0 && last.Segs[j].BufOff+last.Segs[j].Blocks*bs == bufOff {
-				last.Segs[j].Blocks += n
-			} else {
-				last.Segs = append(last.Segs, Seg{BufOff: bufOff, Blocks: n})
-			}
-			return runs
-		}
-	}
-	return append(runs, Run{Dev: dev, PBlock: pblock, B: b, N: n,
-		Segs: []Seg{{BufOff: bufOff, Blocks: n}}})
-}
-
 // MapVec validates vec and decomposes it into gather runs: every segment
 // is mapped through the layout, the resulting pieces are sorted by
 // physical address, and pieces that are physically adjacent on one
@@ -132,92 +132,33 @@ func (s *Set) MapVec(vec Vec) ([]Run, error) {
 	if err := s.checkVec("MapVec", vec, -1); err != nil {
 		return nil, err
 	}
-	return s.mapVec(vec), nil
+	runs, err := s.mapVec("MapVec", vec)
+	for i := range runs {
+		runs[i].PBlock -= s.base[runs[i].Dev]
+	}
+	return runs, err
 }
 
-// piece is one (physical run, buffer offset) fragment before merging.
-type piece struct {
-	dev    int
-	pblock int64
-	b      int64
-	n      int64
-	bufOff int64
-}
-
-// mapVec is MapVec without validation (callers have run checkVec).
-func (s *Set) mapVec(vec Vec) []Run {
-	bs := int64(s.store.BlockSize())
-	var pieces []piece
-	var tmp []Run
-	for _, sg := range vec {
-		if sg.N == 0 {
-			continue
-		}
-		tmp = s.layout.MapRun(tmp[:0], sg.Block, sg.N)
-		for _, r := range tmp {
-			pieces = append(pieces, piece{
-				dev: r.Dev, pblock: r.PBlock, b: r.B, n: r.N,
-				bufOff: sg.BufOff + (r.B-sg.Block)*bs,
-			})
-		}
-	}
-	sort.Slice(pieces, func(i, j int) bool {
-		if pieces[i].dev != pieces[j].dev {
-			return pieces[i].dev < pieces[j].dev
-		}
-		return pieces[i].pblock < pieces[j].pblock
-	})
-	runs := make([]Run, 0, len(pieces))
-	for _, p := range pieces {
-		runs = appendGather(runs, bs, p.dev, p.pblock, p.b, p.n, p.bufOff)
-	}
-	return runs
+// mapVec maps a validated descriptor — the one-item, one-window case of
+// the package's mapper — into gather runs at absolute physical blocks,
+// the form the issue loop takes.
+func (s *Set) mapVec(op string, vec Vec) ([]Run, error) {
+	runs, _, err := mapRuns(op, BatchVec{{Set: s, Vec: vec}}, nil, int64(s.store.BlockSize()))
+	return runs, err
 }
 
 // ReadVec reads the blocks described by vec into buf, scattering each
 // segment's blocks at its buffer offset. Physically adjacent pieces —
 // across segments, regardless of logical adjacency — coalesce into
 // single gather requests, issued in parallel across devices under a
-// simulation engine.
+// simulation engine. It is ReadVecStrategy with the vectored strategy.
 func (s *Set) ReadVec(ctx sim.Context, vec Vec, buf []byte) error {
-	return s.doVec(ctx, "ReadVec", vec, buf, s.store.ReadBlocksVec)
+	return s.ReadVecStrategy(ctx, StrategyVectored, CostModel{}, vec, buf)
 }
 
 // WriteVec writes the blocks described by vec from buf, gathering each
 // segment's bytes from its buffer offset — the write counterpart of
 // ReadVec.
 func (s *Set) WriteVec(ctx sim.Context, vec Vec, buf []byte) error {
-	return s.doVec(ctx, "WriteVec", vec, buf, s.store.WriteBlocksVec)
-}
-
-// doVec implements ReadVec/WriteVec over a per-run vectored transfer.
-func (s *Set) doVec(ctx sim.Context, op string, vec Vec, buf []byte,
-	xfer func(sim.Context, int, int64, int, [][]byte) error) error {
-	if err := s.checkVec(op, vec, int64(len(buf))); err != nil {
-		return err
-	}
-	runs := s.mapVec(vec)
-	if len(runs) == 0 {
-		return nil
-	}
-	bs := int64(s.store.BlockSize())
-	iov := func(r Run) [][]byte {
-		out := make([][]byte, len(r.Segs))
-		for i, sg := range r.Segs {
-			out[i] = buf[sg.BufOff : sg.BufOff+sg.Blocks*bs]
-		}
-		return out
-	}
-	if len(runs) == 1 {
-		r := runs[0]
-		return xfer(ctx, r.Dev, s.base[r.Dev]+r.PBlock, int(r.N), iov(r))
-	}
-	fns := make([]func(sim.Context) error, len(runs))
-	for i, r := range runs {
-		r := r
-		fns[i] = func(c sim.Context) error {
-			return xfer(c, r.Dev, s.base[r.Dev]+r.PBlock, int(r.N), iov(r))
-		}
-	}
-	return sim.Par(ctx, fns...)
+	return s.WriteVecStrategy(ctx, StrategyVectored, CostModel{}, vec, buf)
 }

@@ -36,8 +36,9 @@ type Fetch func(ctx sim.Context, idx int64, buf []byte) error
 type FlushFn func(ctx sim.Context, idx int64, buf []byte) error
 
 // FetchRun reads the run of n stream blocks starting at block first into
-// buf (len(buf) = n × block size), ideally as one coalesced device
-// request (blockio.Set.ReadRange).
+// buf (len(buf) = n × block size), ideally coalesced into one device
+// request per drive (core issues it as a blockio.Vec — one segment where
+// the view is contiguous — through Set.ReadVecStrategy).
 type FetchRun func(ctx sim.Context, first int64, n int, buf []byte) error
 
 // FlushRun writes the run of n stream blocks starting at block first
@@ -124,7 +125,9 @@ func NewSeqReader(fetch Fetch, blockSize int, total int64, nbufs, readers int) (
 // fetch pays the device's per-request overhead once per extent instead
 // of once per block. Next yields whole extents (the index is the extent
 // number; the final extent may cover fewer blocks, and only its valid
-// prefix of the buffer is filled).
+// prefix of the buffer is filled). The pool is sized to the stream, not
+// just to the options: a stream shorter than one extent gets buffers of
+// its own length, and never more buffers than it has extents.
 func NewSeqReaderExtent(fetch FetchRun, blockSize int, total int64, extent, nbufs, readers int) (*SeqReader, error) {
 	if extent < 1 {
 		extent = 1
@@ -132,7 +135,13 @@ func NewSeqReaderExtent(fetch FetchRun, blockSize int, total int64, extent, nbuf
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("buffer: block size %d", blockSize)
 	}
+	if total > 0 && int64(extent) > total {
+		extent = int(total)
+	}
 	extents := (total + int64(extent) - 1) / int64(extent)
+	if int64(nbufs) > extents {
+		nbufs = int(max(extents, 1))
+	}
 	wrapped := func(ctx sim.Context, e int64, buf []byte) error {
 		first := e * int64(extent)
 		n := int64(extent)

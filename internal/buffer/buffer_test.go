@@ -35,6 +35,84 @@ func TestSeqReaderValidation(t *testing.T) {
 	}
 }
 
+// TestSeqReaderExtentSizedToStream: the extent reader's pool follows the
+// stream, not just the options. A 3-block file opened with 32-block
+// extents and 4 buffers used to allocate 4 × 32 blocks of buffer; it
+// needs one buffer of 3. A longer stream keeps full extents but no more
+// buffers than it has extents. Either way the stream reads back whole,
+// synchronously and under prefetch processes.
+func TestSeqReaderExtentSizedToStream(t *testing.T) {
+	const bs = 16
+	cases := []struct {
+		total           int64
+		extent, nbufs   int
+		wantBufs, wantN int // pool: buffers × blocks each
+	}{
+		{3, 32, 4, 1, 3},
+		{40, 32, 4, 2, 32},
+		{200, 32, 4, 4, 32},
+		{0, 32, 4, 1, 32},
+	}
+	for _, tc := range cases {
+		fetch := func(ctx sim.Context, first int64, n int, buf []byte) error {
+			ctx.Sleep(time.Millisecond)
+			for i := range buf {
+				buf[i] = byte(first) + byte(i/bs)
+			}
+			return nil
+		}
+		for _, engine := range []bool{false, true} {
+			r, err := NewSeqReaderExtent(fetch, bs, tc.total, tc.extent, tc.nbufs, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pool int
+			for _, b := range r.free {
+				pool += len(b)
+			}
+			if len(r.free) != tc.wantBufs || pool != tc.wantBufs*tc.wantN*bs {
+				t.Errorf("total %d: pool is %d buffers, %d bytes; want %d buffers of %d blocks",
+					tc.total, len(r.free), pool, tc.wantBufs, tc.wantN)
+			}
+			read := func(ctx sim.Context) {
+				var next int64
+				for {
+					buf, e, err := r.Next(ctx)
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					lo := e * int64(tc.extent)
+					for k := lo; k < min(lo+int64(tc.extent), tc.total); k++ {
+						if k != next || buf[(k-lo)*bs] != byte(k) {
+							t.Errorf("total %d engine %v: block %d arrived as %d tagged %d", tc.total, engine, next, k, buf[(k-lo)*bs])
+							return
+						}
+						next++
+					}
+					r.Release(ctx, buf)
+				}
+				if next != tc.total {
+					t.Errorf("total %d engine %v: read %d blocks", tc.total, engine, next)
+				}
+				r.Close(ctx)
+			}
+			if !engine {
+				read(sim.NewWall())
+				continue
+			}
+			e := sim.NewEngine()
+			e.Go("consumer", func(p *sim.Proc) { read(p) })
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestSeqReaderSynchronousOrder(t *testing.T) {
 	r, err := NewSeqReader(memFetch(0), 8, 5, 2, 0)
 	if err != nil {

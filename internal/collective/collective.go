@@ -46,6 +46,7 @@ import (
 	"repro/internal/ioserver"
 	"repro/internal/mpp"
 	"repro/internal/pfs"
+	"repro/internal/probe"
 )
 
 // VecReq names one file of the collective's group and a scatter/gather
@@ -232,8 +233,8 @@ type Collective struct {
 	// per-call phase busy intervals, appended by every rank (strict
 	// alternation again) and folded into stats by rank 0 at the end.
 	// Recording is pure Now() reads, so it never perturbs the schedule.
-	commIv []iv
-	ioIv   []iv
+	commIv []probe.Interval
+	ioIv   []probe.Interval
 
 	// Nonblocking-call scratch: the Handle under construction, built by
 	// rank 0 between the plan barriers and grabbed by every rank right
@@ -428,9 +429,9 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 	}
 	p.Barrier()
 	if rank == 0 {
-		c.stats.ExchangeTime = busyUnion(c.commIv)
-		c.stats.AccessTime = busyUnion(c.ioIv)
-		c.stats.Overlap = busyOverlap(c.commIv, c.ioIv)
+		c.stats.ExchangeTime = probe.Union(c.commIv)
+		c.stats.AccessTime = probe.Union(c.ioIv)
+		c.stats.Overlap = probe.Overlap(c.commIv, c.ioIv)
 		c.explain(rec, prefix, sd, p.Now()-tPlan)
 	}
 	var errs []error

@@ -49,7 +49,7 @@ const (
 	diffExtentWrite
 	diffExtentRead
 	// Sieved phases hit the data-sieving paths directly (independent
-	// per-rank WriteVecSieved/ReadVecSieved — the read-modify-write and
+	// per-rank transfers under StrategySieved — the read-modify-write and
 	// covering-span scatter against the same reference as everything
 	// else); auto phases go through a collective handle with
 	// Strategy: Auto — unbounded (ChunkBytes 0) or bounded by the
@@ -407,7 +407,7 @@ func (sc *diffScenario) genCollectiveRead(rng *rand.Rand, g *fileGroupInfo, ph, 
 }
 
 // genExtentWrite gives each rank one contiguous, cross-rank-disjoint
-// range inside one file (WriteRange's shape), with per-file cursors
+// range inside one file (a one-segment descriptor), with per-file cursors
 // guaranteeing disjointness.
 func (sc *diffScenario) genExtentWrite(rng *rand.Rand, g *fileGroupInfo, ph int) {
 	reqs := make([][]VecReq, sc.nRanks)
@@ -436,7 +436,8 @@ func (sc *diffScenario) genExtentWrite(rng *rand.Rand, g *fileGroupInfo, ph int)
 }
 
 // genExtentRead gives each rank one contiguous in-file range to read
-// back through ReadRange, expected from the current reference image.
+// back as a one-segment descriptor, expected from the current reference
+// image.
 func (sc *diffScenario) genExtentRead(rng *rand.Rand, g *fileGroupInfo, ph int) {
 	reqs := make([][]VecReq, sc.nRanks)
 	bufs := make([][]byte, sc.nRanks)
@@ -550,7 +551,7 @@ func (sc *diffScenario) run(t *testing.T) {
 					set := g.File(q.File).Set()
 					var err error
 					if ph.kind == diffSievedWrite {
-						err = set.WriteVecSieved(p.Proc, q.Vec, ph.bufs[r])
+						err = set.WriteVecStrategy(p.Proc, blockio.StrategySieved, blockio.CostModel{}, q.Vec, ph.bufs[r])
 					} else {
 						err = set.WriteVec(p.Proc, q.Vec, ph.bufs[r])
 					}
@@ -560,7 +561,7 @@ func (sc *diffScenario) run(t *testing.T) {
 				}
 			case diffSievedRead:
 				for _, q := range ph.reqs[r] {
-					if err := g.File(q.File).Set().ReadVecSieved(p.Proc, q.Vec, ph.bufs[r]); err != nil {
+					if err := g.File(q.File).Set().ReadVecStrategy(p.Proc, blockio.StrategySieved, blockio.CostModel{}, q.Vec, ph.bufs[r]); err != nil {
 						t.Errorf("seed %d phase %d (%s) rank %d: %v", sc.seed, pi, diffKindNames[ph.kind], r, err)
 					}
 				}
@@ -604,14 +605,14 @@ func (sc *diffScenario) run(t *testing.T) {
 			case diffExtentWrite:
 				for _, q := range ph.reqs[r] {
 					sg := q.Vec[0]
-					if err := g.File(q.File).Set().WriteRange(p.Proc, sg.Block, sg.N, ph.bufs[r]); err != nil {
+					if err := g.File(q.File).Set().WriteVec(p.Proc, blockio.Vec{{Block: sg.Block, N: sg.N}}, ph.bufs[r]); err != nil {
 						t.Errorf("seed %d phase %d (%s) rank %d: %v", sc.seed, pi, diffKindNames[ph.kind], r, err)
 					}
 				}
 			case diffExtentRead:
 				for _, q := range ph.reqs[r] {
 					sg := q.Vec[0]
-					if err := g.File(q.File).Set().ReadRange(p.Proc, sg.Block, sg.N, ph.bufs[r]); err != nil {
+					if err := g.File(q.File).Set().ReadVec(p.Proc, blockio.Vec{{Block: sg.Block, N: sg.N}}, ph.bufs[r]); err != nil {
 						t.Errorf("seed %d phase %d (%s) rank %d: %v", sc.seed, pi, diffKindNames[ph.kind], r, err)
 					} else if !bytes.Equal(ph.bufs[r], ph.expect[r]) {
 						t.Errorf("seed %d phase %d (%s) rank %d: extent read diverged from reference model",

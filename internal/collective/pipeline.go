@@ -62,17 +62,12 @@ package collective
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"time"
 
 	"repro/internal/blockio"
 	"repro/internal/mpp"
 	"repro/internal/probe"
 	"repro/internal/sim"
 )
-
-// iv is one busy interval of a phase, in virtual time.
-type iv struct{ from, to time.Duration }
 
 // runPipelined executes the schedule's rounds for one rank, leaving its
 // error in c.errs[rank]. Called with a footprint (pl.rounds ≥ 1).
@@ -99,7 +94,7 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 		}
 		t0 := p.Now()
 		recv := ex.Post(send, pl.rounds)
-		c.commIv = append(c.commIv, iv{t0, p.Now()})
+		c.commIv = append(c.commIv, probe.Interval{From: t0, To: p.Now()})
 		rec.Span(trk, "collective", "chunk.exchange", t0, p.Now(), 0, 0)
 		c.scatterRounds(pl, rank, recv, buf, !write)
 		p.RecycleRecv(recv)
@@ -126,7 +121,7 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 					c.msgScratch[rank] = send
 					t0 := p.Now()
 					recv := ex.Round(send)
-					c.commIv = append(c.commIv, iv{t0, p.Now()})
+					c.commIv = append(c.commIv, probe.Interval{From: t0, To: p.Now()})
 					sp := rec.Span(trk, "collective", "chunk.exchange", t0, p.Now(), 0, 0)
 					q.Put(p.Proc, agg.handOff(k, recv, nil, sp))
 				}
@@ -144,7 +139,7 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 					if err := agg.writeChunk(cp, r.k, r.recv); err != nil {
 						errs = append(errs, err)
 					}
-					c.ioIv = append(c.ioIv, iv{t0, cp.Now()})
+					c.ioIv = append(c.ioIv, probe.Interval{From: t0, To: cp.Now()})
 					rec.Span(ioTrk, "collective", "chunk.access", t0, cp.Now(), 0, r.span)
 					// The companion recycles on the rank's behalf: only
 					// handle memory is touched, never engine state.
@@ -162,7 +157,7 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 				}
 				t0 := p.Now()
 				recv := ex.Round(r.send)
-				c.commIv = append(c.commIv, iv{t0, p.Now()})
+				c.commIv = append(c.commIv, probe.Interval{From: t0, To: p.Now()})
 				rec.Span(trk, "collective", "chunk.exchange", t0, p.Now(), 0, r.span)
 				c.scatterChunkSparse(pl, rank, k, recv, buf)
 				p.RecycleRecv(recv)
@@ -178,7 +173,7 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 				if err != nil {
 					errs = append(errs, err)
 				}
-				c.ioIv = append(c.ioIv, iv{t0, cp.Now()})
+				c.ioIv = append(c.ioIv, probe.Interval{From: t0, To: cp.Now()})
 				sp := rec.Span(ioTrk, "collective", "chunk.access", t0, cp.Now(), 0, 0)
 				q.Put(cp, agg.handOff(k, nil, send, sp))
 			}
@@ -513,60 +508,4 @@ func (pl *plan) batchVec(lo, hi int64) blockio.BatchVec {
 		}
 	})
 	return batch
-}
-
-// busyUnion reports the total time covered by at least one interval
-// (sorts ivs in place).
-func busyUnion(ivs []iv) time.Duration {
-	merged := mergeIvs(ivs)
-	var total time.Duration
-	for _, x := range merged {
-		total += x.to - x.from
-	}
-	return total
-}
-
-// busyOverlap reports the total time covered by both interval sets.
-func busyOverlap(a, b []iv) time.Duration {
-	am, bm := mergeIvs(a), mergeIvs(b)
-	var total time.Duration
-	i, j := 0, 0
-	for i < len(am) && j < len(bm) {
-		lo, hi := am[i].from, am[i].to
-		if bm[j].from > lo {
-			lo = bm[j].from
-		}
-		if bm[j].to < hi {
-			hi = bm[j].to
-		}
-		if hi > lo {
-			total += hi - lo
-		}
-		if am[i].to < bm[j].to {
-			i++
-		} else {
-			j++
-		}
-	}
-	return total
-}
-
-// mergeIvs sorts the intervals in place and returns their merged,
-// disjoint cover.
-func mergeIvs(ivs []iv) []iv {
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].from < ivs[j].from })
-	var out []iv
-	for _, x := range ivs {
-		if x.to <= x.from {
-			continue
-		}
-		if k := len(out) - 1; k >= 0 && x.from <= out[k].to {
-			if x.to > out[k].to {
-				out[k].to = x.to
-			}
-			continue
-		}
-		out = append(out, x)
-	}
-	return out
 }

@@ -434,27 +434,25 @@ func (c *Collective) runIndependent(p *mpp.Proc, sd *schedule, write, sieved boo
 	if rec != nil && len(reqs) > 0 {
 		ioTrk = rec.Track(fmt.Sprintf("%s/%d/io", prefix, rank))
 	}
+	// One way in below: the Set entry point of the call's direction, under
+	// the strategy the route names. A fixed strategy consults no cost
+	// model.
+	xfer, strat := (*blockio.Set).ReadVecStrategy, blockio.StrategyVectored
+	if write {
+		xfer = (*blockio.Set).WriteVecStrategy
+	}
+	if sieved {
+		strat = blockio.StrategySieved
+	}
 	var errs []error
 	t0 := p.Now()
 	for _, q := range reqs {
-		set := c.group.File(q.File).Set()
-		var err error
-		switch {
-		case sieved && write:
-			err = set.WriteVecSieved(p.Proc, q.Vec, buf)
-		case sieved:
-			err = set.ReadVecSieved(p.Proc, q.Vec, buf)
-		case write:
-			err = set.WriteVec(p.Proc, q.Vec, buf)
-		default:
-			err = set.ReadVec(p.Proc, q.Vec, buf)
-		}
-		if err != nil {
+		if err := xfer(c.group.File(q.File).Set(), p.Proc, strat, blockio.CostModel{}, q.Vec, buf); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	if len(reqs) > 0 {
-		c.ioIv = append(c.ioIv, iv{t0, p.Now()})
+		c.ioIv = append(c.ioIv, probe.Interval{From: t0, To: p.Now()})
 		rec.Span(ioTrk, "collective", "independent", t0, p.Now(), 0, 0)
 	}
 	c.errs[rank] = errors.Join(errs...)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/blockio"
 	"repro/internal/buffer"
 	"repro/internal/pfs"
 	"repro/internal/sim"
@@ -105,13 +106,11 @@ func OpenSelfSched(f *pfs.File, mode ssMode, opts Options) (*SelfSched, error) {
 	switch mode {
 	case ssRead:
 		if opts.EarlyRelease {
-			fetch := func(ctx sim.Context, first int64, n int, buf []byte) error {
-				return f.Set().ReadRange(ctx, first, int64(n), buf)
-			}
 			ioProcs := opts.IOProcs
 			if ioProcs < 1 {
 				ioProcs = 1
 			}
+			fetch := rangedFetch(f, wholeFileSeq(f), blockio.StrategyDefault)
 			rd, err := buffer.NewSeqReaderExtent(fetch, m.FSBlockSize(), totalFS,
 				opts.ExtentBlocks, opts.NBufs, ioProcs)
 			if err != nil {
@@ -123,13 +122,11 @@ func OpenSelfSched(f *pfs.File, mode ssMode, opts Options) (*SelfSched, error) {
 		}
 	case ssWrite:
 		if opts.EarlyRelease {
-			flush := func(ctx sim.Context, first int64, n int, buf []byte) error {
-				return f.Set().WriteRange(ctx, first, int64(n), buf)
-			}
 			ioProcs := opts.IOProcs
 			if ioProcs < 1 {
 				ioProcs = 1
 			}
+			flush := rangedFlush(f, wholeFileSeq(f), blockio.StrategyDefault)
 			sw, err := buffer.NewSeqWriterExtent(flush, m.FSBlockSize(), totalFS,
 				opts.ExtentBlocks, opts.NBufs, ioProcs)
 			if err != nil {

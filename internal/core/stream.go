@@ -35,7 +35,8 @@ type StreamReader struct {
 
 // newStreamReader wires an extent SeqReader over the stream's fs blocks:
 // each prefetch covers one extent of up to opts.ExtentBlocks fs blocks,
-// issued through the coalescing ranged path (Set.ReadRange).
+// issued as one descriptor (rangedFetch: Set.ReadVecStrategy), which
+// coalesces it into a gather request per drive.
 func newStreamReader(f *pfs.File, seq blockSeq, opts Options) (*StreamReader, error) {
 	opts = opts.norm()
 	m := f.Mapper()
@@ -210,7 +211,8 @@ type StreamWriter struct {
 
 // newStreamWriter wires an extent SeqWriter over the stream's fs blocks:
 // each deferred flush covers one extent of up to opts.ExtentBlocks fs
-// blocks, issued through the coalescing ranged path (Set.WriteRange).
+// blocks, issued as one descriptor (rangedFlush: Set.WriteVecStrategy),
+// which coalesces it into a gather request per drive.
 func newStreamWriter(f *pfs.File, seq blockSeq, opts Options) (*StreamWriter, error) {
 	opts = opts.norm()
 	m := f.Mapper()

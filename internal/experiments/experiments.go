@@ -3,8 +3,10 @@
 // virtual-time engine), runs the workload, and returns paper-style tables
 // plus named metrics for the benchmark harness and shape assertions.
 //
-// The experiment index, the paper claims each one reproduces, and the
-// expected shapes are documented in DESIGN.md §5 and EXPERIMENTS.md.
+// The experiment index is the registry below (pariobench -list prints
+// it); the paper claim each one reproduces and its expected shape are
+// stated on its driver, and README.md's experiment table lists what was
+// built on top.
 package experiments
 
 import (

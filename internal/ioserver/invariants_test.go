@@ -69,7 +69,7 @@ func invariantMix(t *testing.T, seed int64, pol Policy) (cfgs []JobConfig, worke
 				var tickets []*Request
 				for _, n := range b.blocks {
 					buf := make([]byte, n*bs)
-					tickets = append(tickets, job.SubmitWrite(p, batchFor(set, int64(ji)*region, n, buf), n*bs))
+					tickets = append(tickets, job.SubmitWritePlan(p, batchFor(set, int64(ji)*region, n), buf, n*bs))
 				}
 				for _, tk := range tickets {
 					if err := tk.Wait(p); err != nil {

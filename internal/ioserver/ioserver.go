@@ -7,13 +7,15 @@
 // submitter — enqueue Requests and go back to computing; a Request is a
 // ticket with Done/Wait semantics.
 //
-// A Request is whatever the client makes it, and a worker executes it
-// whole: every merged run of the batch issues at once, in parallel
-// across the drives, and the worker takes nothing else until all have
-// finished. The collective layer submits one Request per collective call
-// — every aggregator domain in one prepared plan — so a worker serves
-// one call at a time across all drives, and the server's choices are
-// made between calls.
+// There is one request form: a prepared blockio.BatchPlan (validated,
+// mapped and merged once by the client, reusable across submissions) and
+// the buffer its one window binds to. A Request is whatever the client
+// makes it, and a worker executes it whole: every merged run of the plan
+// issues at once, in parallel across the drives, and the worker takes
+// nothing else until all have finished. The collective layer submits one
+// Request per collective call — every aggregator domain in one prepared
+// plan — so a worker serves one call at a time across all drives, and the
+// server's choices are made between calls.
 //
 // Multiplexing many concurrent jobs over one device array is the whole
 // point, so the dequeue order is a pluggable QoS policy:
@@ -187,17 +189,16 @@ func (j *Job) Stats() JobStats {
 // the snapshot does not pre-compute.
 func (j *Job) Latency() *stats.Sample { return &j.lat }
 
-// Request is the ticket for one submitted batch: Done reports local
+// Request is the ticket for one submitted plan: Done reports local
 // completion without parking (the MPI_Test shape), Wait parks until the
 // server finishes and returns the access error.
 type Request struct {
 	job   *Job
 	write bool
-	batch blockio.BatchVec
-	// Prepared-plan form (SubmitWritePlan/SubmitReadPlan): window 0 of
-	// plan is issued against pbuf instead of executing batch. Lets a
-	// client reuse one validated, merged plan across many submissions
-	// (the collective layer's schedule replay).
+	// Window 0 of plan is issued against pbuf. The plan is the client's:
+	// validated and merged once, it may back any number of submissions
+	// with only the buffer rebound (the collective layer's schedule
+	// replay).
 	plan  *blockio.BatchPlan
 	pbuf  []byte
 	bytes int64
@@ -330,35 +331,21 @@ func (s *Server) Stop(p *sim.Proc) {
 	s.g.Wait(p)
 }
 
-// SubmitWrite enqueues a write of the batch (bytes is the payload size
-// the accounting and QoS policies charge) and returns its ticket.
-func (j *Job) SubmitWrite(p *sim.Proc, batch blockio.BatchVec, bytes int64) *Request {
-	return j.submit(p, true, batch, nil, nil, bytes)
-}
-
-// SubmitRead enqueues a read of the batch and returns its ticket.
-func (j *Job) SubmitRead(p *sim.Proc, batch blockio.BatchVec, bytes int64) *Request {
-	return j.submit(p, false, batch, nil, nil, bytes)
-}
-
 // SubmitWritePlan enqueues a write issued through a prepared
-// blockio.BatchPlan: the worker issues window 0 of the plan bound to
-// buf. Service semantics (queueing, QoS, accounting, modeled time) are
-// identical to SubmitWrite of the equivalent batch — the prepared form
-// exists so a client can validate and merge once, then submit every
-// iteration with only the buffer rebound (the collective layer's
-// schedule replay).
+// blockio.BatchPlan — the worker issues window 0 of the plan bound to
+// buf — and returns its ticket. bytes is the payload size the accounting
+// and QoS policies charge.
 func (j *Job) SubmitWritePlan(p *sim.Proc, plan *blockio.BatchPlan, buf []byte, bytes int64) *Request {
-	return j.submit(p, true, nil, plan, buf, bytes)
+	return j.submit(p, true, plan, buf, bytes)
 }
 
 // SubmitReadPlan enqueues a read through a prepared plan — the read
 // counterpart of SubmitWritePlan.
 func (j *Job) SubmitReadPlan(p *sim.Proc, plan *blockio.BatchPlan, buf []byte, bytes int64) *Request {
-	return j.submit(p, false, nil, plan, buf, bytes)
+	return j.submit(p, false, plan, buf, bytes)
 }
 
-func (j *Job) submit(p *sim.Proc, write bool, batch blockio.BatchVec, plan *blockio.BatchPlan, pbuf []byte, bytes int64) *Request {
+func (j *Job) submit(p *sim.Proc, write bool, plan *blockio.BatchPlan, pbuf []byte, bytes int64) *Request {
 	s := j.s
 	if !s.started {
 		panic("ioserver: Submit before Start")
@@ -367,7 +354,6 @@ func (j *Job) submit(p *sim.Proc, write bool, batch blockio.BatchVec, plan *bloc
 	r := &Request{
 		job:   j,
 		write: write,
-		batch: batch,
 		plan:  plan,
 		pbuf:  pbuf,
 		bytes: bytes,
@@ -400,15 +386,10 @@ func (s *Server) worker(p *sim.Proc) {
 		}
 		start := p.Now()
 		var err error
-		switch {
-		case r.plan != nil && r.write:
+		if r.write {
 			err = r.plan.WriteWindow(p, 0, r.pbuf, 0)
-		case r.plan != nil:
+		} else {
 			err = r.plan.ReadWindow(p, 0, r.pbuf, 0)
-		case r.write:
-			err = r.batch.Write(p)
-		default:
-			err = r.batch.Read(p)
 		}
 		s.complete(p, r, start, err)
 	}

@@ -34,9 +34,14 @@ func fixture(t *testing.T, e *sim.Engine, blocks int64) *blockio.Set {
 	return set
 }
 
-// batchFor builds a write or read batch over blocks [first, first+n).
-func batchFor(set *blockio.Set, first, n int64, buf []byte) blockio.BatchVec {
-	return blockio.BatchVec{{Set: set, Vec: blockio.Vec{{Block: first, N: n}}, Buf: buf}}
+// batchFor prepares the plan of a write or read of blocks
+// [first, first+n), to be bound to an n-block buffer at submission.
+func batchFor(set *blockio.Set, first, n int64) *blockio.BatchPlan {
+	plan, err := blockio.BatchVec{{Set: set, Vec: blockio.Vec{{Block: first, N: n}}}}.Plan(nil)
+	if err != nil {
+		panic(err)
+	}
+	return plan
 }
 
 func run(t *testing.T, e *sim.Engine) {
@@ -63,7 +68,7 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 	in := make([]byte, 4*bs)
 	e.Go("client", func(p *sim.Proc) {
-		w := job.SubmitWrite(p, batchFor(set, 0, 4, out), 4*bs)
+		w := job.SubmitWritePlan(p, batchFor(set, 0, 4), out, 4*bs)
 		if w.Done() {
 			t.Error("write done before any virtual time passed")
 		}
@@ -73,7 +78,7 @@ func TestServerRoundTrip(t *testing.T) {
 		if !w.Done() || w.Err() != nil {
 			t.Error("ticket not completed after Wait")
 		}
-		r := job.SubmitRead(p, batchFor(set, 0, 4, in), 4*bs)
+		r := job.SubmitReadPlan(p, batchFor(set, 0, 4), in, 4*bs)
 		if err := r.Wait(p); err != nil {
 			t.Error(err)
 		}
@@ -107,7 +112,7 @@ func submitN(e *sim.Engine, job *Job, set *blockio.Set, first, blocks int64, n i
 				p.Sleep(gap)
 			}
 			buf := make([]byte, blocks*bs)
-			tickets = append(tickets, job.SubmitWrite(p, batchFor(set, first, blocks, buf), blocks*bs))
+			tickets = append(tickets, job.SubmitWritePlan(p, batchFor(set, first, blocks), buf, blocks*bs))
 		}
 		for i, tk := range tickets {
 			if err := tk.Wait(p); err != nil {
@@ -180,7 +185,7 @@ func TestBandwidthCapPaces(t *testing.T) {
 			var last *Request
 			for i := int64(0); i < 8; i++ {
 				buf := make([]byte, 2*bs)
-				last = job.SubmitWrite(p, batchFor(set, i*2, 2, buf), 2*bs)
+				last = job.SubmitWritePlan(p, batchFor(set, i*2, 2), buf, 2*bs)
 			}
 			if err := last.Wait(p); err != nil {
 				t.Error(err)
@@ -220,7 +225,7 @@ func TestQueueDepthBackpressure(t *testing.T) {
 		var last *Request
 		for i := int64(0); i < 3; i++ {
 			buf := make([]byte, bs)
-			last = job.SubmitWrite(p, batchFor(set, i, 1, buf), bs)
+			last = job.SubmitWritePlan(p, batchFor(set, i, 1), buf, bs)
 			submitTimes = append(submitTimes, p.Now())
 		}
 		if err := last.Wait(p); err != nil {
@@ -297,7 +302,7 @@ func TestSubmitBeforeStartPanics(t *testing.T) {
 				t.Error("Submit before Start did not panic")
 			}
 		}()
-		job.SubmitWrite(p, batchFor(set, 0, 1, make([]byte, set.BlockSize())), int64(set.BlockSize()))
+		job.SubmitWritePlan(p, batchFor(set, 0, 1), make([]byte, set.BlockSize()), int64(set.BlockSize()))
 	})
 	run(t, e)
 }
@@ -325,8 +330,8 @@ func TestSubmitWakesCapSleeper(t *testing.T) {
 	var g sim.Group
 	g.Spawn(e, "capped-client", func(p *sim.Proc) {
 		buf := make([]byte, bs)
-		t1 := capped.SubmitWrite(p, batchFor(set, 0, 1, buf), bs)
-		t2 := capped.SubmitWrite(p, batchFor(set, 1, 1, buf), bs)
+		t1 := capped.SubmitWritePlan(p, batchFor(set, 0, 1), buf, bs)
+		t2 := capped.SubmitWritePlan(p, batchFor(set, 1, 1), buf, bs)
 		if err := t1.Wait(p); err != nil {
 			t.Error(err)
 		}
@@ -338,7 +343,7 @@ func TestSubmitWakesCapSleeper(t *testing.T) {
 	g.Spawn(e, "free-client", func(p *sim.Proc) {
 		p.Sleep(arrival) // well inside the worker's cap sleep [~0, 1s)
 		buf := make([]byte, bs)
-		tk := free.SubmitRead(p, batchFor(set, 2, 1, buf), bs)
+		tk := free.SubmitReadPlan(p, batchFor(set, 2, 1), buf, bs)
 		if err := tk.Wait(p); err != nil {
 			t.Error(err)
 		}

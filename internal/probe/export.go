@@ -267,7 +267,7 @@ func (r *Recorder) Usage() []TrackUsage {
 	}
 	var lo, hi time.Duration
 	seen := false
-	per := make([][]iv, len(r.tracks))
+	per := make([][]Interval, len(r.tracks))
 	out := make([]TrackUsage, len(r.tracks))
 	for i, t := range r.tracks {
 		out[i].Name = t.name
@@ -276,9 +276,7 @@ func (r *Recorder) Usage() []TrackUsage {
 		u := &out[s.Track-1]
 		u.Spans++
 		u.Bytes += s.Bytes
-		if s.End > s.Start {
-			per[s.Track-1] = append(per[s.Track-1], iv{s.Start, s.End})
-		}
+		per[s.Track-1] = append(per[s.Track-1], Interval{s.Start, s.End})
 		if !seen || s.Start < lo {
 			lo = s.Start
 		}
@@ -289,7 +287,7 @@ func (r *Recorder) Usage() []TrackUsage {
 	}
 	span := hi - lo
 	for i := range out {
-		out[i].Busy = unionIvs(per[i])
+		out[i].Busy = Union(per[i])
 		if span > 0 {
 			out[i].Util = float64(out[i].Busy) / float64(span)
 		}
@@ -316,13 +314,7 @@ func (r *Recorder) UnionBusy(keep func(Span) bool) time.Duration {
 	if r == nil {
 		return 0
 	}
-	var ivs []iv
-	for _, s := range r.spans {
-		if s.End > s.Start && keep(s) {
-			ivs = append(ivs, iv{s.Start, s.End})
-		}
-	}
-	return unionIvs(ivs)
+	return Union(r.intervalsOf(keep))
 }
 
 // OverlapBusy returns the virtual time where the union of spans
@@ -332,73 +324,70 @@ func (r *Recorder) OverlapBusy(a, b func(Span) bool) time.Duration {
 	if r == nil {
 		return 0
 	}
-	ua, ub := r.unionOf(a), r.unionOf(b)
-	var ov time.Duration
-	i, j := 0, 0
-	for i < len(ua) && j < len(ub) {
-		from, to := maxDur(ua[i].from, ub[j].from), minDur(ua[i].to, ub[j].to)
-		if to > from {
-			ov += to - from
+	return Overlap(r.intervalsOf(a), r.intervalsOf(b))
+}
+
+// intervalsOf lists the spans accepted by keep as intervals.
+func (r *Recorder) intervalsOf(keep func(Span) bool) []Interval {
+	var ivs []Interval
+	for _, s := range r.spans {
+		if keep(s) {
+			ivs = append(ivs, Interval{s.Start, s.End})
 		}
-		if ua[i].to < ub[j].to {
+	}
+	return ivs
+}
+
+// Interval is a stretch [From, To) of virtual time: one busy period of a
+// track, a phase, a layer. The interval algebra below is the one copy in
+// the repository — the recorder's busy accounting and the collective
+// layer's exchange/access/overlap statistics both use it.
+type Interval struct{ From, To time.Duration }
+
+// Union reports the total time covered by at least one of the intervals
+// (which it sorts in place).
+func Union(ivs []Interval) time.Duration {
+	var total time.Duration
+	for _, x := range mergeIntervals(ivs) {
+		total += x.To - x.From
+	}
+	return total
+}
+
+// Overlap reports the total time covered by both interval sets (each of
+// which it sorts in place).
+func Overlap(a, b []Interval) time.Duration {
+	am, bm := mergeIntervals(a), mergeIntervals(b)
+	var total time.Duration
+	i, j := 0, 0
+	for i < len(am) && j < len(bm) {
+		if lo, hi := max(am[i].From, bm[j].From), min(am[i].To, bm[j].To); hi > lo {
+			total += hi - lo
+		}
+		if am[i].To < bm[j].To {
 			i++
 		} else {
 			j++
 		}
 	}
-	return ov
-}
-
-func (r *Recorder) unionOf(keep func(Span) bool) []iv {
-	var ivs []iv
-	for _, s := range r.spans {
-		if s.End > s.Start && keep(s) {
-			ivs = append(ivs, iv{s.Start, s.End})
-		}
-	}
-	return mergeIvs(ivs)
-}
-
-type iv struct{ from, to time.Duration }
-
-// mergeIvs sorts and coalesces intervals into a disjoint union.
-func mergeIvs(ivs []iv) []iv {
-	if len(ivs) == 0 {
-		return ivs
-	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].from < ivs[j].from })
-	out := ivs[:1]
-	for _, x := range ivs[1:] {
-		last := &out[len(out)-1]
-		if x.from <= last.to {
-			if x.to > last.to {
-				last.to = x.to
-			}
-		} else {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func unionIvs(ivs []iv) time.Duration {
-	var total time.Duration
-	for _, x := range mergeIvs(ivs) {
-		total += x.to - x.from
-	}
 	return total
 }
 
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
+// mergeIntervals sorts the intervals in place and returns their merged,
+// disjoint cover: intervals that touch or nest coalesce, empty ones
+// (To ≤ From) are dropped.
+func mergeIntervals(ivs []Interval) []Interval {
+	sort.Slice(ivs, func(i, j int) bool { return ivs[i].From < ivs[j].From })
+	var out []Interval
+	for _, x := range ivs {
+		if x.To <= x.From {
+			continue
+		}
+		if k := len(out) - 1; k >= 0 && x.From <= out[k].To {
+			out[k].To = max(out[k].To, x.To)
+			continue
+		}
+		out = append(out, x)
 	}
-	return b
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
+	return out
 }

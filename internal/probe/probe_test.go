@@ -224,6 +224,42 @@ func TestUsageAndOverlap(t *testing.T) {
 	}
 }
 
+// TestIntervalAlgebra pins Union and Overlap — the repository's one
+// interval algebra, behind the recorder's busy accounting and the
+// collective layer's exchange/access/overlap statistics — on the shapes
+// that distinguish implementations: intervals that touch, nest, are
+// empty, or are disjoint, given out of order.
+func TestIntervalAlgebra(t *testing.T) {
+	iv := func(from, to int) Interval {
+		return Interval{time.Duration(from) * time.Microsecond, time.Duration(to) * time.Microsecond}
+	}
+	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
+	cases := []struct {
+		name    string
+		a, b    []Interval
+		unionA  time.Duration
+		overlap time.Duration
+	}{
+		{"touching coalesce", []Interval{iv(5, 10), iv(0, 5)}, []Interval{iv(4, 6)}, us(10), us(2)},
+		{"nested adds nothing", []Interval{iv(0, 10), iv(2, 3), iv(4, 10)}, []Interval{iv(2, 3), iv(9, 12)}, us(10), us(2)},
+		{"empty and inverted dropped", []Interval{iv(3, 3), iv(0, 2), iv(9, 7)}, []Interval{iv(0, 10), iv(5, 5)}, us(2), us(2)},
+		{"empty cannot bridge a gap", []Interval{iv(0, 2), iv(2, 2), iv(3, 4)}, []Interval{iv(2, 3)}, us(3), 0},
+		{"disjoint", []Interval{iv(6, 8), iv(0, 2)}, []Interval{iv(2, 6), iv(8, 9)}, us(4), 0},
+		{"touching sets share no time", []Interval{iv(0, 5)}, []Interval{iv(5, 9)}, us(5), 0},
+		{"none", nil, []Interval{iv(0, 1)}, 0, 0},
+	}
+	for _, tc := range cases {
+		if got := Union(append([]Interval(nil), tc.a...)); got != tc.unionA {
+			t.Errorf("%s: Union = %v, want %v", tc.name, got, tc.unionA)
+		}
+		ab := Overlap(append([]Interval(nil), tc.a...), append([]Interval(nil), tc.b...))
+		ba := Overlap(append([]Interval(nil), tc.b...), append([]Interval(nil), tc.a...))
+		if ab != tc.overlap || ba != tc.overlap {
+			t.Errorf("%s: Overlap = %v one way, %v the other, want %v", tc.name, ab, ba, tc.overlap)
+		}
+	}
+}
+
 func TestReset(t *testing.T) {
 	r := New()
 	trk := r.Track("x")

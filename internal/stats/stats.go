@@ -1,6 +1,6 @@
 // Package stats provides counters, throughput math and fixed-width table
 // rendering for the experiment harness (the paper-style tables printed
-// by cmd/pariobench and recorded in EXPERIMENTS.md).
+// by cmd/pariobench; README.md's experiment table has the headline rows).
 package stats
 
 import (

@@ -1,17 +1,16 @@
-// Extent (multi-block run) I/O for the redundant stores. A run of rows
-// on a visible device is split into maximal segments living on one
-// physical drive (parity rotation moves blocks between drives row by
-// row), each segment transfers as one coalesced device request, and
-// segments proceed in parallel — so the per-request overhead of the
-// device model is paid once per contiguous span rather than once per
-// block, while preserving the per-row redundancy semantics of
-// ReadBlock/WriteBlock.
+// Extent (multi-block run) I/O for the parity store: what its vectored
+// pair (vec.go) stages through. A run of rows on a visible device is
+// split into maximal segments living on one physical drive (parity
+// rotation moves blocks between drives row by row), each segment
+// transfers as one coalesced device request, and segments proceed in
+// parallel — so the per-request overhead of the device model is paid
+// once per contiguous span rather than once per block, while preserving
+// the per-row redundancy semantics of readBlock/writeBlock.
 
 package stripe
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/device"
 	"repro/internal/sim"
@@ -42,17 +41,14 @@ func segsBy(b int64, n int, physOf func(int64) int) []physSeg {
 	return segs
 }
 
-// ReadBlocks implements blockio.Store: the run is read as one coalesced
-// request per physical-drive segment (one request total without parity
-// rotation), falling back to per-row reconstruction for segments on a
-// failed drive.
-func (p *Parity) ReadBlocks(ctx sim.Context, dev int, b int64, n int, dst []byte) error {
+// readBlocks reads a contiguous run (dst is n blocks: ReadBlocksVec has
+// checked) as one coalesced request per physical-drive segment (one
+// request total without parity rotation), falling back to per-row
+// reconstruction for segments on a failed drive.
+func (p *Parity) readBlocks(ctx sim.Context, dev int, b int64, n int, dst []byte) error {
 	bs := p.BlockSize()
-	if len(dst) != n*bs {
-		return fmt.Errorf("stripe: ReadBlocks dst len %d != %d blocks of %d bytes", len(dst), n, bs)
-	}
 	if n == 1 {
-		return p.ReadBlock(ctx, dev, b, dst)
+		return p.readBlock(ctx, dev, b, dst)
 	}
 	segs := segsBy(b, n, func(row int64) int { return p.phys(dev, row) })
 	fns := make([]func(sim.Context) error, len(segs))
@@ -68,7 +64,7 @@ func (p *Parity) ReadBlocks(ctx sim.Context, dev int, b int64, n int, dst []byte
 			// row locks.
 			for r := 0; r < sg.n; r++ {
 				row := sg.row + int64(r)
-				if err := p.ReadBlock(c, dev, row, sub[r*bs:(r+1)*bs]); err != nil {
+				if err := p.readBlock(c, dev, row, sub[r*bs:(r+1)*bs]); err != nil {
 					return err
 				}
 			}
@@ -78,20 +74,17 @@ func (p *Parity) ReadBlocks(ctx sim.Context, dev int, b int64, n int, dst []byte
 	return par(ctx, fns...)
 }
 
-// WriteBlocks implements blockio.Store with the small-write procedure
-// batched across the run: all row locks are taken in ascending order,
-// old data and old parity are read as coalesced segment requests in
+// writeBlocks writes a contiguous run with the small-write procedure
+// batched across it: all row locks are taken in ascending order, old
+// data and old parity are read as coalesced segment requests in
 // parallel, every row's new parity is XORed in memory, and new data and
 // new parity are written back as coalesced segment requests in parallel.
 // Runs touching a failed drive (or racing a failure) take the per-row
-// WriteBlock path, which handles every degraded mode.
-func (p *Parity) WriteBlocks(ctx sim.Context, dev int, b int64, n int, src []byte) error {
+// writeBlock path, which handles every degraded mode.
+func (p *Parity) writeBlocks(ctx sim.Context, dev int, b int64, n int, src []byte) error {
 	bs := p.BlockSize()
-	if len(src) != n*bs {
-		return fmt.Errorf("stripe: WriteBlocks src len %d != %d blocks of %d bytes", len(src), n, bs)
-	}
 	if n == 1 {
-		return p.WriteBlock(ctx, dev, b, src)
+		return p.writeBlock(ctx, dev, b, src)
 	}
 	healthy := true
 	for i := 0; i < n && healthy; i++ {
@@ -110,7 +103,7 @@ func (p *Parity) WriteBlocks(ctx sim.Context, dev int, b int64, n int, src []byt
 		// stays consistent for whatever already landed.
 	}
 	for i := 0; i < n; i++ {
-		if err := p.WriteBlock(ctx, dev, b+int64(i), src[i*bs:(i+1)*bs]); err != nil {
+		if err := p.writeBlock(ctx, dev, b+int64(i), src[i*bs:(i+1)*bs]); err != nil {
 			return err
 		}
 	}
@@ -167,35 +160,4 @@ func (p *Parity) writeRun(ctx sim.Context, dev int, b int64, n int, src []byte) 
 		fns = append(fns, func(c sim.Context) error { return p.disks[sg.phys].WriteBlocks(c, sg.row, sg.n, sub) })
 	}
 	return par(ctx, fns...)
-}
-
-// ReadBlocks implements blockio.Store as one coalesced request on the
-// primary, failing over to one request on the shadow.
-func (m *Mirror) ReadBlocks(ctx sim.Context, dev int, b int64, n int, dst []byte) error {
-	err := m.primary[dev].ReadBlocks(ctx, b, n, dst)
-	if err == nil || !errors.Is(err, device.ErrFailed) {
-		return err
-	}
-	if err2 := m.shadow[dev].ReadBlocks(ctx, b, n, dst); err2 != nil {
-		return fmt.Errorf("%w: primary and shadow of device %d", ErrDoubleFailure, dev)
-	}
-	return nil
-}
-
-// WriteBlocks implements blockio.Store: one coalesced request on the
-// drive and one on its shadow, issued in parallel; the write survives a
-// single failed drive of the pair.
-func (m *Mirror) WriteBlocks(ctx sim.Context, dev int, b int64, n int, src []byte) error {
-	errP := make([]error, 2)
-	err := par(ctx,
-		func(c sim.Context) error { errP[0] = m.primary[dev].WriteBlocks(c, b, n, src); return nil },
-		func(c sim.Context) error { errP[1] = m.shadow[dev].WriteBlocks(c, b, n, src); return nil },
-	)
-	if err != nil {
-		return err
-	}
-	if errP[0] != nil && errP[1] != nil {
-		return fmt.Errorf("%w: primary and shadow of device %d", ErrDoubleFailure, dev)
-	}
-	return nil
 }

@@ -74,7 +74,7 @@ func TestParityRunEquivalence(t *testing.T) {
 					if b+n > rows {
 						n = rows - b
 					}
-					if err := p.WriteBlocks(ctx, dev, b, int(n), want[dev][b*bs:(b+n)*bs]); err != nil {
+					if err := writeBlocks(p, ctx, dev, b, int(n), want[dev][b*bs:(b+n)*bs]); err != nil {
 						t.Fatalf("WriteBlocks(dev=%d,b=%d,n=%d): %v", dev, b, n, err)
 					}
 					b += n
@@ -86,14 +86,14 @@ func TestParityRunEquivalence(t *testing.T) {
 			got := make([]byte, rows*bs)
 			buf := make([]byte, bs)
 			for dev := range want {
-				if err := p.ReadBlocks(ctx, dev, 0, rows, got); err != nil {
+				if err := readBlocks(p, ctx, dev, 0, rows, got); err != nil {
 					t.Fatalf("ReadBlocks(dev=%d): %v", dev, err)
 				}
 				if !bytes.Equal(got, want[dev]) {
 					t.Fatalf("dev %d ranged read mismatch", dev)
 				}
 				for b := int64(0); b < rows; b++ {
-					if err := p.ReadBlock(ctx, dev, b, buf); err != nil {
+					if err := readBlock(p, ctx, dev, b, buf); err != nil {
 						t.Fatalf("ReadBlock(dev=%d,b=%d): %v", dev, b, err)
 					}
 					if !bytes.Equal(buf, want[dev][b*bs:(b+1)*bs]) {
@@ -107,7 +107,7 @@ func TestParityRunEquivalence(t *testing.T) {
 			for fail := 0; fail < p.PhysDrives(); fail++ {
 				p.PhysDisk(fail).Fail()
 				for dev := range want {
-					if err := p.ReadBlocks(ctx, dev, 0, rows, got); err != nil {
+					if err := readBlocks(p, ctx, dev, 0, rows, got); err != nil {
 						t.Fatalf("degraded(fail=%d) ReadBlocks(dev=%d): %v", fail, dev, err)
 					}
 					if !bytes.Equal(got, want[dev]) {
@@ -122,10 +122,10 @@ func TestParityRunEquivalence(t *testing.T) {
 			p.PhysDisk(0).Fail()
 			alt := make([]byte, rows*bs)
 			rng.Read(alt)
-			if err := p.WriteBlocks(ctx, 0, 0, rows, alt); err != nil {
+			if err := writeBlocks(p, ctx, 0, 0, rows, alt); err != nil {
 				t.Fatalf("degraded WriteBlocks: %v", err)
 			}
-			if err := p.ReadBlocks(ctx, 0, 0, rows, got); err != nil {
+			if err := readBlocks(p, ctx, 0, 0, rows, got); err != nil {
 				t.Fatalf("degraded read-after-write: %v", err)
 			}
 			if !bytes.Equal(got, alt) {
@@ -139,7 +139,7 @@ func TestParityRunEquivalence(t *testing.T) {
 				t.Fatalf("rebuild: %v", err)
 			}
 			checkParityConsistent(t, p, rows)
-			if err := p.ReadBlocks(ctx, 0, 0, rows, got); err != nil {
+			if err := readBlocks(p, ctx, 0, 0, rows, got); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, alt) {
@@ -167,7 +167,7 @@ func TestParityRunUnderEngine(t *testing.T) {
 			rand.New(rand.NewSource(int64(w))).Read(data)
 			for pass := 0; pass < 2; pass++ {
 				for b := int64(0); b < rows; b += 8 {
-					if err := p.WriteBlocks(pr, w, b, 8, data[b*bs:(b+8)*bs]); err != nil {
+					if err := writeBlocks(p, pr, w, b, 8, data[b*bs:(b+8)*bs]); err != nil {
 						t.Errorf("writer %d: %v", w, err)
 						return
 					}
@@ -199,13 +199,13 @@ func TestMirrorRunEquivalence(t *testing.T) {
 		if b+n > rows {
 			n = rows - b
 		}
-		if err := m.WriteBlocks(ctx, 1, b, int(n), want[b*bs:(b+n)*bs]); err != nil {
+		if err := writeBlocks(m, ctx, 1, b, int(n), want[b*bs:(b+n)*bs]); err != nil {
 			t.Fatalf("WriteBlocks: %v", err)
 		}
 		b += n
 	}
 	got := make([]byte, rows*bs)
-	if err := m.ReadBlocks(ctx, 1, 0, rows, got); err != nil {
+	if err := readBlocks(m, ctx, 1, 0, rows, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -222,14 +222,14 @@ func TestMirrorRunEquivalence(t *testing.T) {
 	}
 	m.Primary(1).Fail()
 	clear(got)
-	if err := m.ReadBlocks(ctx, 1, 0, rows, got); err != nil {
+	if err := readBlocks(m, ctx, 1, 0, rows, got); err != nil {
 		t.Fatalf("failover ReadBlocks: %v", err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("failover read mismatch")
 	}
 	m.Shadow(1).Fail()
-	if err := m.ReadBlocks(ctx, 1, 0, rows, got); err == nil {
+	if err := readBlocks(m, ctx, 1, 0, rows, got); err == nil {
 		t.Fatal("double failure read should error")
 	}
 }

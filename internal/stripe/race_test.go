@@ -55,7 +55,7 @@ func TestParityConcurrentAggregators(t *testing.T) {
 			}
 			// A second, shifted run so lock ranges cross between writers
 			// in both directions.
-			if err := p.WriteBlocks(pr, (dev+1)%dataDevs, base+2, span, buf); err != nil {
+			if err := writeBlocks(p, pr, (dev+1)%dataDevs, base+2, span, buf); err != nil {
 				t.Errorf("writer %d second run: %v", w, err)
 			}
 		})
@@ -68,7 +68,7 @@ func TestParityConcurrentAggregators(t *testing.T) {
 				blk[i] = byte(200 + w)
 			}
 			for r := int64(w); r < rows; r += 16 {
-				if err := p.WriteBlock(pr, (w+2)%dataDevs, r, blk); err != nil {
+				if err := writeBlock(p, pr, (w+2)%dataDevs, r, blk); err != nil {
 					t.Errorf("row writer %d: %v", w, err)
 					return
 				}

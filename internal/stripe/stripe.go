@@ -163,10 +163,10 @@ func (p *Parity) reconstruct(ctx sim.Context, failedPhys int, b int64, dst []byt
 	return nil
 }
 
-// ReadBlock implements Store, reconstructing from peers when the target
+// readBlock reads one block, reconstructing from peers when the target
 // drive has failed. Reconstruction takes the row lock so it never
 // observes a half-applied parity update.
-func (p *Parity) ReadBlock(ctx sim.Context, dev int, b int64, dst []byte) error {
+func (p *Parity) readBlock(ctx sim.Context, dev int, b int64, dst []byte) error {
 	phys := p.phys(dev, b)
 	err := p.disks[phys].ReadBlock(ctx, b, dst)
 	if err == nil {
@@ -180,11 +180,11 @@ func (p *Parity) ReadBlock(ctx sim.Context, dev int, b int64, dst []byte) error 
 	return p.reconstruct(ctx, phys, b, dst)
 }
 
-// WriteBlock implements Store using the standard small-write procedure:
+// writeBlock writes one block using the standard small-write procedure:
 // read old data and old parity in parallel, then write new data and new
 // parity (new parity = old parity XOR old data XOR new data) in parallel.
 // Degraded modes cover a failed data or parity drive.
-func (p *Parity) WriteBlock(ctx sim.Context, dev int, b int64, src []byte) error {
+func (p *Parity) writeBlock(ctx sim.Context, dev int, b int64, src []byte) error {
 	dataPhys := p.phys(dev, b)
 	parPhys := p.parityPhys(b)
 	data := p.disks[dataPhys]
@@ -342,36 +342,6 @@ func (m *Mirror) Primary(i int) *device.Disk { return m.primary[i] }
 
 // Shadow exposes shadow drive i.
 func (m *Mirror) Shadow(i int) *device.Disk { return m.shadow[i] }
-
-// ReadBlock implements Store with failover to the shadow.
-func (m *Mirror) ReadBlock(ctx sim.Context, dev int, b int64, dst []byte) error {
-	err := m.primary[dev].ReadBlock(ctx, b, dst)
-	if err == nil || !errors.Is(err, device.ErrFailed) {
-		return err
-	}
-	if err2 := m.shadow[dev].ReadBlock(ctx, b, dst); err2 != nil {
-		return fmt.Errorf("%w: primary and shadow of device %d", ErrDoubleFailure, dev)
-	}
-	return nil
-}
-
-// WriteBlock implements Store: "exactly the same I/O operations on each
-// disk and its shadow", issued in parallel. The write survives a single
-// failed drive of the pair.
-func (m *Mirror) WriteBlock(ctx sim.Context, dev int, b int64, src []byte) error {
-	errP := make([]error, 2)
-	err := par(ctx,
-		func(c sim.Context) error { errP[0] = m.primary[dev].WriteBlock(c, b, src); return nil },
-		func(c sim.Context) error { errP[1] = m.shadow[dev].WriteBlock(c, b, src); return nil },
-	)
-	if err != nil {
-		return err
-	}
-	if errP[0] != nil && errP[1] != nil {
-		return fmt.Errorf("%w: primary and shadow of device %d", ErrDoubleFailure, dev)
-	}
-	return nil
-}
 
 // Rebuild copies rows [0, rows) of device dev from its healthy twin onto
 // the (repaired, erased) other drive, in extents of up to rebuildExtent

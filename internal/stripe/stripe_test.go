@@ -6,9 +6,30 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blockio"
 	"repro/internal/device"
 	"repro/internal/sim"
 )
+
+// The contiguous shapes of the one Store primitive, as the layer above
+// issues them: a block is a run of one with a one-buffer list, a
+// contiguous range a run of n with one buffer.
+
+func readBlock(st blockio.Store, ctx sim.Context, dev int, b int64, dst []byte) error {
+	return readBlocks(st, ctx, dev, b, 1, dst)
+}
+
+func writeBlock(st blockio.Store, ctx sim.Context, dev int, b int64, src []byte) error {
+	return writeBlocks(st, ctx, dev, b, 1, src)
+}
+
+func readBlocks(st blockio.Store, ctx sim.Context, dev int, b int64, n int, dst []byte) error {
+	return st.ReadBlocksVec(ctx, dev, b, n, [][]byte{dst})
+}
+
+func writeBlocks(st blockio.Store, ctx sim.Context, dev int, b int64, n int, src []byte) error {
+	return st.WriteBlocksVec(ctx, dev, b, n, [][]byte{src})
+}
 
 func drives(n int, e *sim.Engine) []*device.Disk {
 	ds := make([]*device.Disk, n)
@@ -34,13 +55,13 @@ func TestParityRoundTrip(t *testing.T) {
 		t.Fatalf("Devices = %d, want 3", p.Devices())
 	}
 	for dev := 0; dev < 3; dev++ {
-		if err := p.WriteBlock(ctx, dev, 2, blockOf(byte(dev+1), 128)); err != nil {
+		if err := writeBlock(p, ctx, dev, 2, blockOf(byte(dev+1), 128)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for dev := 0; dev < 3; dev++ {
 		got := make([]byte, 128)
-		if err := p.ReadBlock(ctx, dev, 2, got); err != nil {
+		if err := readBlock(p, ctx, dev, 2, got); err != nil {
 			t.Fatal(err)
 		}
 		if got[0] != byte(dev+1) {
@@ -58,7 +79,7 @@ func TestParityReconstructsFailedDrive(t *testing.T) {
 		ctx := sim.NewWall()
 		for dev := 0; dev < 3; dev++ {
 			for b := int64(0); b < 4; b++ {
-				if err := p.WriteBlock(ctx, dev, b, blockOf(byte(16*dev+int(b)+1), 128)); err != nil {
+				if err := writeBlock(p, ctx, dev, b, blockOf(byte(16*dev+int(b)+1), 128)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -69,7 +90,7 @@ func TestParityReconstructsFailedDrive(t *testing.T) {
 		p.PhysDisk(failPhys).Fail()
 		got := make([]byte, 128)
 		// Rows where dev1 lives on the failed phys must reconstruct.
-		if err := p.ReadBlock(ctx, 1, 0, got); err != nil {
+		if err := readBlock(p, ctx, 1, 0, got); err != nil {
 			t.Fatalf("rotate=%v: degraded read: %v", rotate, err)
 		}
 		if got[0] != 17 {
@@ -85,17 +106,17 @@ func TestParityDegradedWriteThenRecover(t *testing.T) {
 	}
 	ctx := sim.NewWall()
 	for dev := 0; dev < 3; dev++ {
-		if err := p.WriteBlock(ctx, dev, 0, blockOf(byte(dev+1), 128)); err != nil {
+		if err := writeBlock(p, ctx, dev, 0, blockOf(byte(dev+1), 128)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p.PhysDisk(1).Fail() // dev 1's drive
 	// Write to the failed device: must fold into parity.
-	if err := p.WriteBlock(ctx, 1, 0, blockOf(0x99, 128)); err != nil {
+	if err := writeBlock(p, ctx, 1, 0, blockOf(0x99, 128)); err != nil {
 		t.Fatalf("degraded write: %v", err)
 	}
 	got := make([]byte, 128)
-	if err := p.ReadBlock(ctx, 1, 0, got); err != nil {
+	if err := readBlock(p, ctx, 1, 0, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0x99 {
@@ -112,7 +133,7 @@ func TestParityRebuild(t *testing.T) {
 	const rows = 6
 	for dev := 0; dev < 3; dev++ {
 		for b := int64(0); b < rows; b++ {
-			if err := p.WriteBlock(ctx, dev, b, blockOf(byte(10*dev+int(b)+1), 128)); err != nil {
+			if err := writeBlock(p, ctx, dev, b, blockOf(byte(10*dev+int(b)+1), 128)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -129,7 +150,7 @@ func TestParityRebuild(t *testing.T) {
 	for dev := 0; dev < 3; dev++ {
 		for b := int64(0); b < rows; b++ {
 			got := make([]byte, 128)
-			if err := p.ReadBlock(ctx, dev, b, got); err != nil {
+			if err := readBlock(p, ctx, dev, b, got); err != nil {
 				t.Fatal(err)
 			}
 			if got[0] != byte(10*dev+int(b)+1) {
@@ -156,16 +177,16 @@ func TestParityDoubleFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := sim.NewWall()
-	if err := p.WriteBlock(ctx, 0, 0, blockOf(1, 128)); err != nil {
+	if err := writeBlock(p, ctx, 0, 0, blockOf(1, 128)); err != nil {
 		t.Fatal(err)
 	}
 	p.PhysDisk(0).Fail()
 	p.PhysDisk(1).Fail()
 	got := make([]byte, 128)
-	if err := p.ReadBlock(ctx, 0, 0, got); !errors.Is(err, ErrDoubleFailure) {
+	if err := readBlock(p, ctx, 0, 0, got); !errors.Is(err, ErrDoubleFailure) {
 		t.Fatalf("want ErrDoubleFailure, got %v", err)
 	}
-	if err := p.WriteBlock(ctx, 1, 0, blockOf(2, 128)); err == nil {
+	if err := writeBlock(p, ctx, 1, 0, blockOf(2, 128)); err == nil {
 		t.Fatal("double-failure write accepted")
 	}
 }
@@ -208,16 +229,16 @@ func TestMirrorRoundTripAndFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := sim.NewWall()
-	if err := m.WriteBlock(ctx, 0, 3, blockOf(0x42, 128)); err != nil {
+	if err := writeBlock(m, ctx, 0, 3, blockOf(0x42, 128)); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 128)
-	if err := m.ReadBlock(ctx, 0, 3, got); err != nil || got[0] != 0x42 {
+	if err := readBlock(m, ctx, 0, 3, got); err != nil || got[0] != 0x42 {
 		t.Fatalf("read: %v %#x", err, got[0])
 	}
 	m.Primary(0).Fail()
 	clear(got)
-	if err := m.ReadBlock(ctx, 0, 3, got); err != nil {
+	if err := readBlock(m, ctx, 0, 3, got); err != nil {
 		t.Fatalf("failover read: %v", err)
 	}
 	if got[0] != 0x42 {
@@ -232,18 +253,18 @@ func TestMirrorWritesSurviveSingleFailure(t *testing.T) {
 	}
 	ctx := sim.NewWall()
 	m.Primary(0).Fail()
-	if err := m.WriteBlock(ctx, 0, 0, blockOf(7, 128)); err != nil {
+	if err := writeBlock(m, ctx, 0, 0, blockOf(7, 128)); err != nil {
 		t.Fatalf("write with failed primary: %v", err)
 	}
 	got := make([]byte, 128)
-	if err := m.ReadBlock(ctx, 0, 0, got); err != nil || got[0] != 7 {
+	if err := readBlock(m, ctx, 0, 0, got); err != nil || got[0] != 7 {
 		t.Fatalf("read: %v %d", err, got[0])
 	}
 	m.Shadow(0).Fail()
-	if err := m.WriteBlock(ctx, 0, 0, blockOf(8, 128)); !errors.Is(err, ErrDoubleFailure) {
+	if err := writeBlock(m, ctx, 0, 0, blockOf(8, 128)); !errors.Is(err, ErrDoubleFailure) {
 		t.Fatalf("want ErrDoubleFailure, got %v", err)
 	}
-	if err := m.ReadBlock(ctx, 0, 0, got); !errors.Is(err, ErrDoubleFailure) {
+	if err := readBlock(m, ctx, 0, 0, got); !errors.Is(err, ErrDoubleFailure) {
 		t.Fatalf("want ErrDoubleFailure, got %v", err)
 	}
 }
@@ -256,7 +277,7 @@ func TestMirrorRebuild(t *testing.T) {
 	ctx := sim.NewWall()
 	const rows = 5
 	for b := int64(0); b < rows; b++ {
-		if err := m.WriteBlock(ctx, 0, b, blockOf(byte(b+1), 128)); err != nil {
+		if err := writeBlock(m, ctx, 0, b, blockOf(byte(b+1), 128)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +292,7 @@ func TestMirrorRebuild(t *testing.T) {
 	m.Shadow(0).Fail() // force reads onto the rebuilt primary
 	for b := int64(0); b < rows; b++ {
 		got := make([]byte, 128)
-		if err := m.ReadBlock(ctx, 0, b, got); err != nil || got[0] != byte(b+1) {
+		if err := readBlock(m, ctx, 0, b, got); err != nil || got[0] != byte(b+1) {
 			t.Fatalf("row %d after rebuild: %v %d", b, err, got[0])
 		}
 	}
@@ -296,7 +317,7 @@ func TestMirrorWritesOverlapUnderEngine(t *testing.T) {
 	}
 	var elapsed time.Duration
 	e.Go("w", func(p *sim.Proc) {
-		if err := m.WriteBlock(p, 0, 0, blockOf(1, 128)); err != nil {
+		if err := writeBlock(m, p, 0, 0, blockOf(1, 128)); err != nil {
 			t.Error(err)
 		}
 		elapsed = p.Now()
@@ -331,7 +352,7 @@ func TestParitySmallWritePenaltyUnderEngine(t *testing.T) {
 	}
 	var elapsed time.Duration
 	e.Go("w", func(p *sim.Proc) {
-		if err := p4.WriteBlock(p, 0, 0, blockOf(1, 128)); err != nil {
+		if err := writeBlock(p4, p, 0, 0, blockOf(1, 128)); err != nil {
 			t.Error(err)
 		}
 		elapsed = p.Now()

@@ -1,12 +1,13 @@
-// Vectored (scatter/gather) run I/O for the redundant stores. Mirror
-// passes the scatter list straight through to the drive pair, so
+// The Store primitive — the vectored run — for the redundant stores.
+// Mirror passes the scatter list straight through to the drive pair, so
 // scattered delivery happens at the device like a plain disk. Parity
-// stages through a contiguous scratch run instead: its run path already
-// splits by physical drive and batches parity rows (extent.go), and the
-// redundancy arithmetic (XOR across rows) wants contiguous spans — an
-// in-memory copy costs nothing in the device model, while the queued
-// requests, locks and degraded modes stay exactly those of
-// ReadBlocks/WriteBlocks.
+// stages a scattered list through a contiguous scratch run instead: its
+// run path already splits by physical drive and batches parity rows
+// (extent.go), and the redundancy arithmetic (XOR across rows) wants
+// contiguous spans — an in-memory copy costs nothing in the device model,
+// while the queued requests, locks and degraded modes stay exactly those
+// of the contiguous path. A one-buffer list — a block, a contiguous
+// range — goes down it directly.
 
 package stripe
 
@@ -79,7 +80,7 @@ func scatter(src []byte, iov [][]byte) {
 }
 
 // ReadBlocksVec implements blockio.Store: the run is read through the
-// coalesced (and degraded-capable) ReadBlocks path into a contiguous
+// coalesced (and degraded-capable) readBlocks path into a contiguous
 // scratch buffer, then scattered to the caller's segments.
 func (p *Parity) ReadBlocksVec(ctx sim.Context, dev int, b int64, n int, dsts [][]byte) error {
 	bs := p.BlockSize()
@@ -87,11 +88,11 @@ func (p *Parity) ReadBlocksVec(ctx sim.Context, dev int, b int64, n int, dsts []
 		return err
 	}
 	if len(dsts) == 1 {
-		return p.ReadBlocks(ctx, dev, b, n, dsts[0])
+		return p.readBlocks(ctx, dev, b, n, dsts[0])
 	}
 	bp := getVecBuf(n * bs)
 	defer vecPool.Put(bp)
-	if err := p.ReadBlocks(ctx, dev, b, n, *bp); err != nil {
+	if err := p.readBlocks(ctx, dev, b, n, *bp); err != nil {
 		return err
 	}
 	scatter(*bp, dsts)
@@ -100,7 +101,7 @@ func (p *Parity) ReadBlocksVec(ctx sim.Context, dev int, b int64, n int, dsts []
 
 // WriteBlocksVec implements blockio.Store: the caller's segments are
 // gathered into a contiguous run and written through the batched
-// small-write path (WriteBlocks), preserving its row locks and degraded
+// small-write path (writeBlocks), preserving its row locks and degraded
 // modes.
 func (p *Parity) WriteBlocksVec(ctx sim.Context, dev int, b int64, n int, srcs [][]byte) error {
 	bs := p.BlockSize()
@@ -108,12 +109,12 @@ func (p *Parity) WriteBlocksVec(ctx sim.Context, dev int, b int64, n int, srcs [
 		return err
 	}
 	if len(srcs) == 1 {
-		return p.WriteBlocks(ctx, dev, b, n, srcs[0])
+		return p.writeBlocks(ctx, dev, b, n, srcs[0])
 	}
 	bp := getVecBuf(n * bs)
 	defer vecPool.Put(bp)
 	gather(srcs, *bp)
-	return p.WriteBlocks(ctx, dev, b, n, *bp)
+	return p.writeBlocks(ctx, dev, b, n, *bp)
 }
 
 // ReadBlocksVec implements blockio.Store as one scatter request on the

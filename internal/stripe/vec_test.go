@@ -169,10 +169,10 @@ func TestParityVecScratchPooled(t *testing.T) {
 		vec   func() error
 	}{
 		{"write",
-			func() error { return p.WriteBlocks(ctx, 0, 0, n, flat) },
+			func() error { return writeBlocks(p, ctx, 0, 0, n, flat) },
 			func() error { return p.WriteBlocksVec(ctx, 0, 0, n, iov) }},
 		{"read",
-			func() error { return p.ReadBlocks(ctx, 0, 0, n, flat) },
+			func() error { return readBlocks(p, ctx, 0, 0, n, flat) },
 			func() error { return p.ReadBlocksVec(ctx, 0, 0, n, iov) }},
 	} {
 		if err := op.vec(); err != nil { // warm the pool
@@ -227,7 +227,7 @@ func TestParityRebuildBatched(t *testing.T) {
 		for i := range want[dev] {
 			want[dev][i] = byte(dev*13 + i)
 		}
-		if err := p.WriteBlocks(ctx, dev, 0, rows, want[dev]); err != nil {
+		if err := writeBlocks(p, ctx, dev, 0, rows, want[dev]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,7 +250,7 @@ func TestParityRebuildBatched(t *testing.T) {
 	}
 	for dev := range want {
 		buf := make([]byte, rows*bs)
-		if err := p.ReadBlocks(ctx, dev, 0, rows, buf); err != nil {
+		if err := readBlocks(p, ctx, dev, 0, rows, buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, want[dev]) {
@@ -282,7 +282,7 @@ func TestMirrorRebuildBatched(t *testing.T) {
 	for i := range want {
 		want[i] = byte(i * 3)
 	}
-	if err := m.WriteBlocks(ctx, 0, 0, rows, want); err != nil {
+	if err := writeBlocks(m, ctx, 0, 0, rows, want); err != nil {
 		t.Fatal(err)
 	}
 	if err := primary[0].Erase(); err != nil {

@@ -31,8 +31,11 @@
 // as one queued request (one controller overhead, one seek, one
 // rotational latency, then N blocks at the streaming rate); layouts
 // decompose any logical block range into per-device physically
-// contiguous runs in closed form (blockio.Layout.MapRun); and ranged
-// Set operations issue those runs in parallel across devices. Stream
+// contiguous runs in closed form (blockio.Layout.MapRun); and a Set
+// issues those runs in parallel across devices. A range has no entry
+// point of its own — it is the one-segment case of the descriptor the
+// next section introduces, and a single block the one-run case beneath
+// that (Set.ReadBlock/WriteBlock, which the fault paths use). Stream
 // access methods opt in through Options.ExtentBlocks: prefetchers and
 // write-behind then move whole extents per device request, which cuts
 // the modeled per-request overhead of a sequential scan by the
@@ -52,8 +55,13 @@
 // (listio-style coalescing). A disk services a gather run as one queued
 // request (one overhead + seek + rotational latency, then N blocks at
 // the streaming rate) scattering into or gathering from the strided
-// buffer, and every Store implementation (plain disks, parity,
-// mirroring) supports the vectored run methods. Stream prefetchers
+// buffer. The vectored run is the only transfer a Store implementation
+// (plain disks, parity, mirroring) has, and every transfer reaches it
+// down one pipeline in internal/blockio: describe (a Vec) → map (pieces
+// sorted and merged into runs, within a file or across the files of a
+// BatchVec) → transform (optionally, data sieving) → issue (one loop,
+// which also records every transfer on the flight recorder's "blockio"
+// track). Stream prefetchers
 // route each extent through the same descriptor, so a unit-1
 // declustered scan collapses to one request per device per extent; the
 // direct-access handles batch record ranges through
@@ -180,12 +188,14 @@
 // Vectored I/O issues one device request per physically contiguous
 // gather run — optimal when runs are long, but every hole in a pattern
 // costs a full request (overhead + seek + rotational latency).
-// Set.ReadVecSieved and Set.WriteVecSieved instead move each device's
-// whole covering span as ONE request (two for writes: a
-// read-modify-write, serialized per device through ordered locks so
-// concurrent sieved writers with disjoint blocks stay safe),
-// scattering the requested pieces straight into the caller's buffer
-// and the hole blocks into pooled scratch — ROMIO-style data sieving.
+// StrategySieved — one of the strategies Set.ReadVecStrategy and
+// Set.WriteVecStrategy, the Set's one read and one write entry point,
+// take — instead moves each device's whole covering span as ONE request
+// (two for writes: a read-modify-write, serialized per device through
+// ordered locks so concurrent sieved writers with disjoint blocks stay
+// safe), scattering the requested pieces straight into the caller's
+// buffer and the hole blocks into pooled scratch — ROMIO-style data
+// sieving, applied as a transform of the mapped runs.
 // No fixed choice wins everywhere ("Noncontiguous I/O through PVFS",
 // PAPERS.md): sieving wins dense patterns, vectored wins sparse ones,
 // and the two-phase collective wins when ranks' pieces interleave so
@@ -440,8 +450,10 @@ type (
 	TrackUsage = probe.TrackUsage
 
 	// Vec is the scatter/gather request descriptor: a list of (logical
-	// block range, buffer offset) segments moved by Set.ReadVec/WriteVec
-	// with listio-style physical coalescing.
+	// block range, buffer offset) segments moved by
+	// Set.ReadVecStrategy/WriteVecStrategy (ReadVec/WriteVec for short)
+	// with listio-style physical coalescing. One contiguous range is its
+	// one-segment case.
 	Vec = blockio.Vec
 	// VecSeg is one segment of a Vec.
 	VecSeg = blockio.VecSeg
@@ -454,14 +466,17 @@ type (
 	// Set binds a store, a layout and extent bases into logical-block
 	// I/O (File.Set returns a file's Set).
 	Set = blockio.Set
-	// BatchItem is one file's contribution to a cross-file batch.
+	// BatchItem is one file's contribution to a cross-file batch: a
+	// descriptor whose offsets address the batch's one buffer space.
 	BatchItem = blockio.BatchItem
 	// BatchVec is a cross-file scatter/gather request list over Sets
-	// sharing one device array, merged physically across files.
+	// sharing one device array, merged physically across files. It is
+	// executed through its plan.
 	BatchVec = blockio.BatchVec
 	// BatchPlan is a BatchVec mapped, sorted and merged once and split
-	// into issue windows (BatchVec.Plan) — the prepared form the
-	// pipelined collective issues its per-chunk device requests through.
+	// into issue windows (BatchVec.Plan; no cuts: one window, the whole
+	// batch) — the form every batch is issued in: the pipelined
+	// collective's per-chunk device requests, an I/O server's requests.
 	BatchPlan = blockio.BatchPlan
 	// Strategy selects how noncontiguous transfers execute: a forced
 	// path, each layer's historical default (the zero value), or
@@ -473,8 +488,8 @@ type (
 	// half from a volume's drives).
 	CostModel = blockio.CostModel
 	// SieveSpan is one device's covering span for a sieved transfer
-	// (Set.SieveSpans plans them; Set.ReadVecSieved/WriteVecSieved
-	// execute them).
+	// (Set.SieveSpans plans them for cost models; a transfer under
+	// StrategySieved moves them).
 	SieveSpan = blockio.SieveSpan
 
 	// Rank is one process of a parallel program (GoRanks), with the
@@ -517,7 +532,9 @@ type (
 	IOServer = ioserver.Server
 	// IOServerConfig sets the server's worker count and QoS policy.
 	IOServerConfig = ioserver.Config
-	// IOJob is one client job's request lane on an IOServer.
+	// IOJob is one client job's request lane on an IOServer. A request
+	// is a prepared BatchPlan and the buffer its window binds to
+	// (SubmitWritePlan/SubmitReadPlan) — the one request form.
 	IOJob = ioserver.Job
 	// IOJobConfig sets a lane's QoS parameters (priority, fair-share
 	// weight, bandwidth cap, admission queue depth).
@@ -525,7 +542,7 @@ type (
 	// IOJobStats is a lane's accounting snapshot: request counts, served
 	// bytes, device busy time and latency percentiles.
 	IOJobStats = ioserver.JobStats
-	// IORequest is one submitted batch's completion ticket.
+	// IORequest is one submitted plan's completion ticket.
 	IORequest = ioserver.Request
 	// IOPolicy selects the server's scheduling policy.
 	IOPolicy = ioserver.Policy
