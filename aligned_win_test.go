@@ -36,6 +36,7 @@ import (
 	"time"
 
 	pario "repro"
+	"repro/internal/experiments"
 )
 
 const (
@@ -43,6 +44,16 @@ const (
 	alignDrives  = 32
 	alignPerRank = 8 // 4 KiB blocks a rank moves per call
 )
+
+// alignedCheckpoint is the declustered checkpoint on pf's machine,
+// interconnect and handle options: every rank's eight strided blocks,
+// calls times.
+func alignedCheckpoint(pf pario.Profile, calls int) experiments.Checkpoint {
+	return experiments.Checkpoint{
+		Drives: alignDrives, Ranks: alignRanks, Blocks: alignRanks * alignPerRank,
+		Profile: pf, Calls: calls,
+	}
+}
 
 // alignedResult is one measured steady-state checkpoint call.
 type alignedResult struct {
@@ -55,83 +66,20 @@ type alignedResult struct {
 // runAlignedCheckpoint issues the strided checkpoint twice through a
 // collective with the given options on the tuned machine and measures
 // the second call (the first plans, and leaves the heads where a
-// checkpoint loop leaves them), then verifies the landed bytes.
+// checkpoint loop leaves them); the fixture verifies the landed bytes.
 func runAlignedCheckpoint(tb testing.TB, opts pario.CollectiveOptions) alignedResult {
 	tb.Helper()
 	pf := pario.TunedProfile()
-	m := pario.NewProfiledMachine(alignDrives, pf)
-	m.SetProbe(pario.NewRecorder())
-	f, err := m.Volume.Create(pario.Spec{
-		Name: "chk", Org: pario.OrgGlobalDirect,
-		RecordSize: 4096, BlockRecords: 1, NumRecords: alignRanks * alignPerRank,
-		Placement: pario.PlaceStriped, StripeUnitFS: 1,
-	})
-	if err != nil {
-		tb.Fatal(err)
+	pf.Collective = opts
+	rec := pario.NewRecorder()
+	second := mustRun(tb, alignedCheckpoint(pf, 2).Traced(rec, "")).Calls[1]
+	mt := rec.Metrics()
+	return alignedResult{
+		elapsed: second.Modeled, requests: second.Requests, seeks: second.SeekCyls,
+		aligned: mt.Counter("collective.rank.plan.aligned").Value(),
+		logical: mt.Counter("collective.rank.plan.logical").Value(),
+		rounds:  mt.Histogram("collective.rank.plan.rounds").Sample().Max(),
 	}
-	group, err := m.Volume.OpenGroup("chk")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	col, err := pario.OpenCollective(group, alignRanks, opts)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	devTotals := func() (reqs, seeks int64) {
-		for _, d := range m.Disks {
-			st := d.Stats()
-			reqs += st.Requests()
-			seeks += st.SeekCyls
-		}
-		return reqs, seeks
-	}
-	var res alignedResult
-	rg := m.GoRanks(alignRanks, "ck", func(r *pario.Rank) {
-		rank := int64(r.Rank())
-		vec := make(pario.Vec, alignPerRank)
-		buf := make([]byte, alignPerRank*4096)
-		for k := range vec {
-			b := int64(k)*alignRanks + rank
-			vec[k] = pario.VecSeg{Block: b, N: 1, BufOff: int64(k) * 4096}
-			buf[k*4096], buf[k*4096+1] = byte(b), byte(b>>8)
-		}
-		reqs := []pario.VecReq{{File: 0, Vec: vec}}
-		var t0 time.Duration
-		var req0, seek0 int64
-		for call := 0; call < 2; call++ {
-			if rank == 0 && call == 1 {
-				t0 = r.Now()
-				req0, seek0 = devTotals()
-			}
-			if err := col.WriteAll(r, reqs, buf); err != nil {
-				tb.Errorf("rank %d: %v", rank, err)
-			}
-		}
-		if rank == 0 {
-			res.elapsed = r.Now() - t0
-			reqs, seeks := devTotals()
-			res.requests, res.seeks = reqs-req0, seeks-seek0
-		}
-	})
-	pf.ConfigureRanks(rg)
-	if err := m.Run(); err != nil {
-		tb.Fatal(err)
-	}
-	mt := m.Probe().Metrics()
-	res.aligned = mt.Counter("collective.ck.plan.aligned").Value()
-	res.logical = mt.Counter("collective.ck.plan.logical").Value()
-	res.rounds = mt.Histogram("collective.ck.plan.rounds").Sample().Max()
-	ctx := pario.NewWall()
-	blk := make([]byte, 4096)
-	for b := int64(0); b < alignRanks*alignPerRank; b++ {
-		if err := f.Set().ReadBlock(ctx, b, blk); err != nil {
-			tb.Fatal(err)
-		}
-		if blk[0] != byte(b) || blk[1] != byte(b>>8) {
-			tb.Fatalf("block %d corrupt after checkpoint (options %+v)", b, opts)
-		}
-	}
-	return res
 }
 
 // TestAlignedDomainsWin enforces the ISSUE 15 acceptance numbers.
@@ -168,14 +116,15 @@ func TestAlignedDomainsWin(t *testing.T) {
 	// not go two-phase on the aligned partition, and must do no worse
 	// than locality-aware logical domains.
 	shifted := pario.CollectiveOptions{Locality: true}
-	logical, _ := runShiftedCheckpointOpts(t, shifted)
+	logical := mustRun(t, experiments.ShiftedCheckpoint(8, 10e6, shifted))
 	shifted.Strategy = pario.StrategyAuto
-	auto, rec := runShiftedCheckpointOpts(t, shifted)
+	rec := pario.NewRecorder()
+	auto := mustRun(t, experiments.ShiftedCheckpoint(8, 10e6, shifted).Traced(rec, ""))
 	if n := rec.Metrics().Counter("collective.rank.plan.aligned").Value(); n != 0 {
 		t.Errorf("Auto put the shifted slabs on the aligned partition (%d calls)", n)
 	}
-	if auto.elapsed > logical.elapsed {
-		t.Errorf("Auto took %v on the shifted slabs, logical domains %v", auto.elapsed, logical.elapsed)
+	if auto.Elapsed > logical.Elapsed {
+		t.Errorf("Auto took %v on the shifted slabs, logical domains %v", auto.Elapsed, logical.Elapsed)
 	}
-	t.Logf("shifted slabs: logical %v, auto %v", logical.elapsed, auto.elapsed)
+	t.Logf("shifted slabs: logical %v, auto %v", logical.Elapsed, auto.Elapsed)
 }

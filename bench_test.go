@@ -1,5 +1,5 @@
 // Benchmark harness: one benchmark per reproduced figure/table (the
-// drivers live in internal/experiments; tables print via cmd/pariobench)
+// rows live in internal/experiments; tables print via cmd/pariobench)
 // plus microbenchmarks of the core access paths. Experiment benches
 // report the headline metric of their table via b.ReportMetric so the
 // paper's shapes are visible in benchmark output.
@@ -12,14 +12,8 @@ import (
 	"time"
 
 	pario "repro"
-	"repro/internal/blockio"
-	"repro/internal/collective"
-	"repro/internal/device"
 	"repro/internal/experiments"
-	"repro/internal/mpp"
-	"repro/internal/pfs"
 	"repro/internal/probe"
-	"repro/internal/sim"
 )
 
 // benchExperiment runs one experiment driver per iteration and reports
@@ -28,7 +22,7 @@ func benchExperiment(b *testing.B, id string, report ...string) {
 	var res *experiments.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.Run(id)
+		res, err = experiments.Run(id, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,13 +113,14 @@ func BenchmarkDeviceReadBlock(b *testing.B) {
 	d := pario.NewDisk(pario.DiskConfig{})
 	ctx := pario.NewWall()
 	buf := make([]byte, d.Geometry().BlockSize)
-	if err := d.WriteBlock(ctx, 0, buf); err != nil {
+	iov := [][]byte{buf}
+	if err := d.WriteBlocksVec(ctx, 0, 1, iov); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := d.ReadBlock(ctx, 0, buf); err != nil {
+		if err := d.ReadBlocksVec(ctx, 0, 1, iov); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -247,74 +242,13 @@ func BenchmarkDirectReadRecordAt(b *testing.B) {
 	}
 }
 
-// runScaleScenario models one contended pipelined collective checkpoint
-// at the given scale — every rank writes two strided blocks through a
-// chunked collective over a drives-wide direct store, with per-process
-// links and a shared bisection pool both charged — and returns the final
-// modeled time. This is the shape the engine-scaling work is judged on:
-// ranks × drives up to 4096 × 256 in wall-clock seconds. A non-nil rec
+// runScaleScenario models experiments.ScaleCheckpoint — the shape the
+// engine-scaling work is judged on: ranks × drives up to 4096 × 256 in
+// wall-clock seconds — and returns the final modeled time. A non-nil rec
 // is attached across every layer (BenchmarkTraceOverhead measures its
 // wall-clock cost; modeled time must not change).
 func runScaleScenario(tb testing.TB, ranks, drives int, rec *probe.Recorder) time.Duration {
-	const bs = 256
-	e := sim.NewEngine()
-	geom := device.Geometry{BlockSize: bs, BlocksPerCyl: 8, Cylinders: 64}
-	disks := make([]*device.Disk, drives)
-	for i := range disks {
-		disks[i] = device.New(device.Config{
-			Name: fmt.Sprintf("d%d", i), Geometry: geom, Engine: e,
-		})
-	}
-	store, err := blockio.NewDirect(disks)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if rec != nil {
-		e.SetProbe(rec)
-		for _, d := range disks {
-			d.SetProbe(rec)
-		}
-		store.SetProbe(rec)
-	}
-	vol := pfs.NewVolume(store)
-	if _, err := vol.Create(pfs.Spec{
-		Name: "chk", Org: pfs.OrgSequential, RecordSize: bs,
-		NumRecords: int64(2 * ranks), Placement: pfs.PlaceStriped, StripeUnitFS: 1,
-	}); err != nil {
-		tb.Fatal(err)
-	}
-	g, err := vol.OpenGroup("chk")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	col, err := collective.Open(g, ranks, collective.Options{ChunkBytes: 8 * bs})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	mg, join := mpp.Run(e, ranks, "w", func(p *mpp.Proc) {
-		r := int64(p.Rank())
-		reqs := []collective.VecReq{{File: 0, Vec: blockio.Vec{
-			{Block: r, N: 1, BufOff: 0},
-			{Block: r + int64(ranks), N: 1, BufOff: bs},
-		}}}
-		buf := make([]byte, 2*bs)
-		for i := range buf {
-			buf[i] = byte(int(r) + i)
-		}
-		if err := col.WriteAll(p, reqs, buf); err != nil {
-			tb.Errorf("rank %d: %v", p.Rank(), err)
-		}
-	})
-	mg.SetLink(2*time.Microsecond, 100e6)
-	mg.SetBisection(500e6)
-	if rec != nil {
-		mg.SetProbe(rec, "w")
-	}
-	e.Go("join", func(sp *sim.Proc) { join.Wait(sp) })
-	if err := e.Run(); err != nil {
-		tb.Fatal(err)
-	}
-	return e.Now()
+	return mustRun(tb, experiments.ScaleCheckpoint(ranks, drives).Traced(rec, "")).Elapsed
 }
 
 // BenchmarkEngineScale drives the 4096-rank × 256-drive contended

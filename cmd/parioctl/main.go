@@ -17,7 +17,7 @@
 //	parioctl convert -vol DIR -src FILE -dst FILE -org ORG [-parts P]
 //	parioctl fsck   -vol DIR
 //	parioctl df     -vol DIR
-//	parioctl trace  [-top N] FILE     (summarize a pariosim -trace file)
+//	parioctl trace  [-top N] FILE     (summarize a pariobench -trace file)
 package main
 
 import (

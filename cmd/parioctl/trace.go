@@ -14,7 +14,7 @@ import (
 )
 
 // traceCmd summarizes a Chrome trace-event JSON file recorded by the
-// flight recorder (`pariosim -trace out.json`): the hottest span groups,
+// flight recorder (`pariobench -run <id> -trace out.json`): the hottest span groups,
 // per-device utilization, and the exchange/access overlap the pipelined
 // collective schedule exists to create.
 func traceCmd(args []string, stdout io.Writer) error {

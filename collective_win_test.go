@@ -15,92 +15,24 @@ package pario_test
 
 import (
 	"testing"
-	"time"
 
-	pario "repro"
+	"repro/internal/experiments"
 )
 
-// checkpointResult is one measured 8-rank checkpoint write.
-type checkpointResult struct {
-	requests int64
-	elapsed  time.Duration
-	bytes    int64
-}
-
-const (
-	ckptRanks   = 8
-	ckptRecords = 1024 // 4 KiB records = fs blocks (unit-1 declustered)
-)
-
-// runCollectiveCheckpoint writes the strided checkpoint over 4 default
-// 1989 drives, collectively or independently, and verifies the file
-// contents afterwards. The interconnect is modeled at 100 MB/s with 10 µs
-// per message — generous 1989 supercomputer numbers, and charged only to
-// the collective path (the independent path does not communicate).
-func runCollectiveCheckpoint(tb testing.TB, collective bool) checkpointResult {
+// mustRun is every win test's way to a fixture: run it, fail on a corrupt
+// image or a failed call.
+func mustRun(tb testing.TB, c experiments.Checkpoint) experiments.CheckpointResult {
 	tb.Helper()
-	m := pario.NewMachine(4)
-	f, err := m.Volume.Create(pario.Spec{
-		Name: "ckpt", Org: pario.OrgGlobalDirect,
-		RecordSize: 4096, BlockRecords: 1, NumRecords: ckptRecords,
-		Placement: pario.PlaceStriped, StripeUnitFS: 1,
-	})
+	res, err := c.Run()
 	if err != nil {
 		tb.Fatal(err)
-	}
-	group, err := m.Volume.OpenGroup("ckpt")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	col, err := pario.OpenCollective(group, ckptRanks, pario.CollectiveOptions{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rg := m.GoRanks(ckptRanks, "rank", func(r *pario.Rank) {
-		rank := int64(r.Rank())
-		var vec pario.Vec
-		var off int64
-		for b := rank; b < ckptRecords; b += ckptRanks {
-			vec = append(vec, pario.VecSeg{Block: b, N: 1, BufOff: off})
-			off += 4096
-		}
-		buf := make([]byte, off)
-		for i, sg := range vec {
-			buf[int64(i)*4096] = byte(sg.Block)
-			buf[int64(i)*4096+1] = byte(sg.Block >> 8)
-		}
-		if collective {
-			if err := col.WriteAll(r, []pario.VecReq{{File: 0, Vec: vec}}, buf); err != nil {
-				tb.Errorf("rank %d: %v", rank, err)
-			}
-			return
-		}
-		if err := f.Set().WriteVec(r.Proc, vec, buf); err != nil {
-			tb.Errorf("rank %d: %v", rank, err)
-		}
-	})
-	rg.SetLink(10*time.Microsecond, 100e6)
-	if err := m.Run(); err != nil {
-		tb.Fatal(err)
-	}
-	var res checkpointResult
-	for _, d := range m.Disks {
-		res.requests += d.Stats().Requests()
-	}
-	res.elapsed = m.Engine.Now()
-	res.bytes = ckptRecords * 4096
-	// Same bytes on disk either way.
-	ctx := pario.NewWall()
-	blk := make([]byte, 4096)
-	for b := int64(0); b < ckptRecords; b++ {
-		if err := f.Set().ReadBlock(ctx, b, blk); err != nil {
-			tb.Fatal(err)
-		}
-		if blk[0] != byte(b) || blk[1] != byte(b>>8) {
-			tb.Fatalf("block %d corrupt after checkpoint (collective=%v)", b, collective)
-		}
 	}
 	return res
+}
+
+// vMBps is a result's modeled throughput in MB/s.
+func vMBps(res experiments.CheckpointResult) float64 {
+	return float64(res.Bytes) / 1e6 / res.Elapsed.Seconds()
 }
 
 // TestCollectiveCoalescingWin enforces the acceptance criteria: ≥4×
@@ -110,18 +42,17 @@ func runCollectiveCheckpoint(tb testing.TB, collective bool) checkpointResult {
 // non-collective paths is pinned separately by the experiments suite,
 // which reproduces the paper's modeled shapes bit-for-bit.)
 func TestCollectiveCoalescingWin(t *testing.T) {
-	indep := runCollectiveCheckpoint(t, false)
-	coll := runCollectiveCheckpoint(t, true)
-	if indep.requests == 0 || coll.requests == 0 {
+	indep := mustRun(t, experiments.CollectiveCheckpoint(true))
+	coll := mustRun(t, experiments.CollectiveCheckpoint(false))
+	if indep.Requests == 0 || coll.Requests == 0 {
 		t.Fatalf("no requests measured: %+v %+v", indep, coll)
 	}
-	reqRatio := float64(indep.requests) / float64(coll.requests)
-	tpRatio := indep.elapsed.Seconds() / coll.elapsed.Seconds()
-	t.Logf("requests %d -> %d (%.1fx fewer)", indep.requests, coll.requests, reqRatio)
+	reqRatio := float64(indep.Requests) / float64(coll.Requests)
+	tpRatio := indep.Elapsed.Seconds() / coll.Elapsed.Seconds()
+	t.Logf("requests %d -> %d (%.1fx fewer)", indep.Requests, coll.Requests, reqRatio)
 	t.Logf("elapsed %v -> %v (throughput %.2fx: %.2f -> %.2f MB/s)",
-		indep.elapsed, coll.elapsed, tpRatio,
-		float64(indep.bytes)/1e6/indep.elapsed.Seconds(),
-		float64(coll.bytes)/1e6/coll.elapsed.Seconds())
+		indep.Elapsed, coll.Elapsed, tpRatio,
+		vMBps(indep), vMBps(coll))
 	if reqRatio < 4 {
 		t.Errorf("request reduction %.2fx < 4x", reqRatio)
 	}
@@ -134,17 +65,14 @@ func TestCollectiveCoalescingWin(t *testing.T) {
 // modeled MB/s and device requests for the independent and collective
 // paths.
 func BenchmarkCollectiveCheckpoint(b *testing.B) {
-	for _, mode := range []struct {
-		name       string
-		collective bool
-	}{{"independent", false}, {"collective", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var res checkpointResult
+	for _, mode := range []string{"independent", "collective"} {
+		b.Run(mode, func(b *testing.B) {
+			var res experiments.CheckpointResult
 			for i := 0; i < b.N; i++ {
-				res = runCollectiveCheckpoint(b, mode.collective)
+				res = mustRun(b, experiments.CollectiveCheckpoint(mode == "independent"))
 			}
-			b.ReportMetric(float64(res.bytes)/1e6/res.elapsed.Seconds(), "vMB/s")
-			b.ReportMetric(float64(res.requests), "requests")
+			b.ReportMetric(vMBps(res), "vMB/s")
+			b.ReportMetric(float64(res.Requests), "requests")
 		})
 	}
 }

@@ -14,6 +14,13 @@ import (
 	pario "repro"
 )
 
+// The pinned checkpoint's shape, frozen here on purpose: this file keeps
+// its own fixture so a change to the shared one cannot move the pins.
+const (
+	ckptRanks   = 8
+	ckptRecords = 1024 // 4 KiB records = fs blocks (unit-1 declustered)
+)
+
 // pinnedCheckpoint runs the PR 3 strided checkpoint write (8 ranks, 1024
 // records, unit-1 declustered over 4 default drives) with the given link
 // configuration and returns the modeled elapsed time.

@@ -115,11 +115,11 @@ func TestIntegrationParityStoreFullStack(t *testing.T) {
 // engine across the whole stack.
 func TestIntegrationExperimentDeterminism(t *testing.T) {
 	for _, id := range []string{"e2", "e5", "e7"} {
-		a, err := experiments.Run(id)
+		a, err := experiments.Run(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := experiments.Run(id)
+		b, err := experiments.Run(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

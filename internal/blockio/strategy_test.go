@@ -39,7 +39,7 @@ func TestContFixedIsWhatTheDriveCharges(t *testing.T) {
 				if j == 1 {
 					rest = -d.Stats().BusyTime
 				}
-				if err := d.WriteBlocks(p, tc.first+j*tc.blocks, int(tc.blocks), buf); err != nil {
+				if err := d.WriteBlocksVec(p, tc.first+j*tc.blocks, int(tc.blocks), [][]byte{buf}); err != nil {
 					t.Error(err)
 				}
 			}

@@ -1,0 +1,4 @@
+package collective
+
+// RaceEnabled is raceEnabled for the package's external tests.
+const RaceEnabled = raceEnabled

@@ -6,198 +6,59 @@
 // bit-identical to the uncached path. The virtual world cannot tell the
 // cache exists; only the host does.
 
-package collective
+package collective_test
 
 import (
-	"fmt"
-	"hash/fnv"
-	"runtime"
+	"bytes"
 	"sort"
 	"testing"
 	"time"
 
-	"repro/internal/blockio"
-	"repro/internal/device"
-	"repro/internal/mpp"
-	"repro/internal/pfs"
+	"repro/internal/collective"
+	"repro/internal/experiments"
 	"repro/internal/probe"
-	"repro/internal/sim"
 )
 
-// replayWinPerRank is the number of single-block interleaved segments
-// each rank writes per checkpoint.
-const replayWinPerRank = 8
-
-// replayWinContent is the byte at offset j of rank's k-th block in
-// iteration it.
-func replayWinContent(it, rank, k, j int) byte {
-	return byte(11*it + 17*rank + 23*k + 3*j + 1)
-}
-
-// replayWinResult is one measured checkpoint-loop run.
-type replayWinResult struct {
-	wall    []time.Duration // host wall-clock per iteration (rank-0 window)
-	mallocs []uint64        // host allocations per iteration
-	vdur    []time.Duration // modeled duration per iteration
-	now     time.Duration   // final virtual time
-	image   uint64          // FNV-1a of the final file image
-	cache   CacheStats
-	trace   []byte
-	metrics []byte
-}
-
-// runReplayWin executes the contended checkpoint loop: nRanks ranks each
-// write the same replayWinPerRank interleaved blocks every iteration
-// with fresh contents. Host wall-clock and allocation counts are
-// measured per iteration at rank 0's call boundaries — under the
-// engine's strict alternation the window spans the whole group's work
-// for that collective.
-func runReplayWin(tb testing.TB, nRanks, iters int, cache bool, rec *probe.Recorder) replayWinResult {
+// runReplayWin executes the contended checkpoint loop
+// (experiments.ReplayLoop): nRanks ranks each write the same eight
+// interleaved blocks every iteration with fresh contents. Host wall-clock
+// and allocation counts are measured per iteration at rank 0's call
+// boundaries — under the engine's strict alternation the window spans the
+// whole group's work for that collective. The fixture verifies that the
+// final image holds the last iteration's bytes.
+func runReplayWin(tb testing.TB, nRanks, iters int, cache bool, rec *probe.Recorder) experiments.CheckpointResult {
 	tb.Helper()
-	e := sim.NewEngine()
-	geom := device.Geometry{BlockSize: testBS, BlocksPerCyl: 8, Cylinders: 64}
-	disks := make([]*device.Disk, 16)
-	for i := range disks {
-		disks[i] = device.New(device.Config{
-			Name: fmt.Sprintf("d%d", i), Geometry: geom, Engine: e,
-		})
-	}
-	store, err := blockio.NewDirect(disks)
+	res, err := experiments.ReplayLoop(nRanks, iters, cache).Traced(rec, "").Run()
 	if err != nil {
 		tb.Fatal(err)
-	}
-	vol := pfs.NewVolume(store)
-	nBlocks := int64(replayWinPerRank * nRanks)
-	if _, err := vol.Create(pfs.Spec{
-		Name: "chk", Org: pfs.OrgSequential, RecordSize: testBS,
-		NumRecords: nBlocks, Placement: pfs.PlaceStriped, StripeUnitFS: 1,
-	}); err != nil {
-		tb.Fatal(err)
-	}
-	g, err := vol.OpenGroup("chk")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	opts := Options{}
-	if !cache {
-		opts.PlanCache = -1
-	}
-	col, err := Open(g, nRanks, opts)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if rec != nil {
-		e.SetProbe(rec)
-		for _, d := range disks {
-			d.SetProbe(rec)
-		}
-		store.SetProbe(rec)
-	}
-	res := replayWinResult{
-		wall:    make([]time.Duration, iters),
-		mallocs: make([]uint64, iters),
-		vdur:    make([]time.Duration, iters),
-	}
-	var mg *mpp.Group
-	var join *sim.Group
-	mg, join = mpp.Run(e, nRanks, "ck", func(p *mpp.Proc) {
-		rank := p.Rank()
-		var vec blockio.Vec
-		for k := 0; k < replayWinPerRank; k++ {
-			vec = append(vec, blockio.VecSeg{
-				Block: int64(rank + k*nRanks), N: 1, BufOff: int64(k) * testBS,
-			})
-		}
-		reqs := []VecReq{{File: 0, Vec: vec}}
-		buf := make([]byte, replayWinPerRank*testBS)
-		var ms runtime.MemStats
-		var m0 uint64
-		var t0 time.Time
-		var v0 time.Duration
-		for it := 0; it < iters; it++ {
-			for k := 0; k < replayWinPerRank; k++ {
-				blk := buf[k*testBS : (k+1)*testBS]
-				for j := range blk {
-					blk[j] = replayWinContent(it, rank, k, j)
-				}
-			}
-			if rank == 0 {
-				runtime.ReadMemStats(&ms)
-				m0, t0, v0 = ms.Mallocs, time.Now(), p.Now()
-			}
-			if err := col.WriteAll(p, reqs, buf); err != nil {
-				tb.Errorf("iter %d rank %d: %v", it, rank, err)
-			}
-			if rank == 0 {
-				res.wall[it] = time.Since(t0)
-				res.vdur[it] = p.Now() - v0
-				runtime.ReadMemStats(&ms)
-				res.mallocs[it] = ms.Mallocs - m0
-			}
-		}
-	})
-	// Contended interconnect: per-hop latency plus a shared bisection
-	// link the whole exchange squeezes through.
-	mg.SetLink(2*time.Microsecond, 50e6)
-	mg.SetBisection(200e6)
-	if rec != nil {
-		mg.SetProbe(rec, "ck")
-	}
-	e.Go("join", func(sp *sim.Proc) { join.Wait(sp) })
-	if err := e.Run(); err != nil {
-		tb.Fatal(err)
-	}
-	res.now = e.Now()
-	res.cache = col.PlanCacheStats()
-
-	// Final image: must hold the last iteration's bytes exactly.
-	img := make([]byte, nBlocks*testBS)
-	if err := g.File(0).Set().ReadVec(sim.NewWall(), blockio.Vec{{Block: 0, N: nBlocks}}, img); err != nil {
-		tb.Fatal(err)
-	}
-	for b := int64(0); b < nBlocks; b++ {
-		rank, k := int(b)%nRanks, int(b)/nRanks
-		for j := 0; j < 4; j++ { // spot-check a prefix of each block
-			if want := replayWinContent(iters-1, rank, k, j); img[b*testBS+int64(j)] != want {
-				tb.Errorf("block %d byte %d: got %d, want %d (last iteration's data)", b, j, img[b*testBS+int64(j)], want)
-				break
-			}
-		}
-	}
-	h := fnv.New64a()
-	h.Write(img)
-	res.image = h.Sum64()
-	if rec != nil {
-		var tr traceBuf
-		if err := rec.WriteChromeTrace(&tr); err != nil {
-			tb.Fatal(err)
-		}
-		res.trace = tr.b
-		res.metrics = []byte(rec.Metrics().Table().String())
 	}
 	return res
 }
 
-// traceBuf is a minimal io.Writer (avoids pulling bytes.Buffer into the
-// measured run's allocation profile).
-type traceBuf struct{ b []byte }
-
-func (t *traceBuf) Write(p []byte) (int, error) { t.b = append(t.b, p...); return len(p), nil }
+// traceOf renders what rec recorded: the Chrome trace and the metrics
+// table.
+func traceOf(tb testing.TB, rec *probe.Recorder) (trace []byte, metrics string) {
+	tb.Helper()
+	var tr bytes.Buffer
+	if err := rec.WriteChromeTrace(&tr); err != nil {
+		tb.Fatal(err)
+	}
+	return tr.Bytes(), rec.Metrics().Table().String()
+}
 
 // replayWinSummary reduces the per-iteration series: iteration 1's
 // fresh-build cost versus the replayed iterations 2..N (median wall —
 // robust to a stray GC pause — and mean allocations).
-func replayWinSummary(res replayWinResult) (buildWall, replayWall time.Duration, buildAllocs, replayAllocs uint64) {
-	buildWall, buildAllocs = res.wall[0], res.mallocs[0]
-	rest := append([]time.Duration(nil), res.wall[1:]...)
-	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-	replayWall = rest[len(rest)/2]
+func replayWinSummary(res experiments.CheckpointResult) (buildWall, replayWall time.Duration, buildAllocs, replayAllocs uint64) {
+	buildWall, buildAllocs = res.Calls[0].Wall, res.Calls[0].Mallocs
+	var rest []time.Duration
 	var sum uint64
-	for _, m := range res.mallocs[1:] {
-		sum += m
+	for _, c := range res.Calls[1:] {
+		rest = append(rest, c.Wall)
+		sum += c.Mallocs
 	}
-	replayAllocs = sum / uint64(len(res.mallocs)-1)
-	return
+	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
+	return buildWall, rest[len(rest)/2], buildAllocs, sum / uint64(len(rest))
 }
 
 // TestPlanReplayWin is the acceptance gate: 1024 ranks × 64 iterations,
@@ -213,33 +74,36 @@ func TestPlanReplayWin(t *testing.T) {
 	}
 	const nRanks, iters = 1024, 64
 	cached := runReplayWin(t, nRanks, iters, true, nil)
-	if cached.cache.Misses != 1 || cached.cache.Hits != uint64(iters-1) {
+	if cached.Cache.Misses != 1 || cached.Cache.Hits != uint64(iters-1) {
 		t.Errorf("cached run: got %d misses / %d hits, want 1 / %d (stats %+v)",
-			cached.cache.Misses, cached.cache.Hits, iters-1, cached.cache)
+			cached.Cache.Misses, cached.Cache.Hits, iters-1, cached.Cache)
 	}
 
 	// Bit-identity against the uncached path, iteration by iteration.
 	fresh := runReplayWin(t, nRanks, iters, false, nil)
-	if cached.now != fresh.now {
-		t.Errorf("final virtual time differs: cached %v vs uncached %v", cached.now, fresh.now)
+	if cached.Elapsed != fresh.Elapsed {
+		t.Errorf("final virtual time differs: cached %v vs uncached %v", cached.Elapsed, fresh.Elapsed)
 	}
-	for it := range cached.vdur {
-		if cached.vdur[it] != fresh.vdur[it] {
-			t.Errorf("iteration %d modeled duration differs: cached %v vs uncached %v", it, cached.vdur[it], fresh.vdur[it])
+	for it := range cached.Calls {
+		if cached.Calls[it].Modeled != fresh.Calls[it].Modeled {
+			t.Errorf("iteration %d modeled duration differs: cached %v vs uncached %v", it, cached.Calls[it].Modeled, fresh.Calls[it].Modeled)
 		}
 	}
-	if cached.image != fresh.image {
+	if cached.Image != fresh.Image {
 		t.Error("final file images differ between cached and uncached runs")
 	}
 
 	// Probe-trace identity, on a smaller traced pair (a 1024×64 trace is
 	// hundreds of MB; the replay machinery is scale-independent).
-	ctr := runReplayWin(t, 128, 6, true, probe.New())
-	ftr := runReplayWin(t, 128, 6, false, probe.New())
-	if string(ctr.trace) != string(ftr.trace) {
-		t.Errorf("probe traces differ between cached and uncached runs (%d vs %d bytes)", len(ctr.trace), len(ftr.trace))
+	crec, frec := probe.New(), probe.New()
+	runReplayWin(t, 128, 6, true, crec)
+	runReplayWin(t, 128, 6, false, frec)
+	ctrace, cmetrics := traceOf(t, crec)
+	ftrace, fmetrics := traceOf(t, frec)
+	if !bytes.Equal(ctrace, ftrace) {
+		t.Errorf("probe traces differ between cached and uncached runs (%d vs %d bytes)", len(ctrace), len(ftrace))
 	}
-	if string(ctr.metrics) != string(ftr.metrics) {
+	if cmetrics != fmetrics {
 		t.Error("metrics tables differ between cached and uncached runs")
 	}
 
@@ -248,7 +112,7 @@ func TestPlanReplayWin(t *testing.T) {
 	t.Logf("iterations 2..%d (replay): %v median, %d allocs mean (%.1fx wall, %.1fx allocs)",
 		iters, replayWall, replayAllocs,
 		float64(buildWall)/float64(replayWall), float64(buildAllocs)/float64(replayAllocs))
-	if raceEnabled {
+	if collective.RaceEnabled {
 		t.Log("race detector active: perf-ratio assertions skipped")
 		return
 	}
@@ -266,7 +130,7 @@ func BenchmarkPlanReplay(b *testing.B) {
 		cache bool
 	}{{"cached", true}, {"uncached", false}} {
 		b.Run(mode.name, func(b *testing.B) {
-			var res replayWinResult
+			var res experiments.CheckpointResult
 			for i := 0; i < b.N; i++ {
 				res = runReplayWin(b, 1024, 64, mode.cache, nil)
 			}

@@ -26,18 +26,18 @@ func TestFileBackendRoundTrip(t *testing.T) {
 	ctx := sim.NewWall()
 	bs := d.Geometry().BlockSize
 	src := bytes.Repeat([]byte{0x5e}, bs)
-	if err := d.WriteBlock(ctx, 9, src); err != nil {
+	if err := writeBlocks(d, ctx, 9, 1, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, bs)
-	if err := d.ReadBlock(ctx, 9, dst); err != nil {
+	if err := readBlocks(d, ctx, 9, 1, dst); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(src, dst) {
 		t.Fatal("file-backed round trip mismatch")
 	}
 	// Unwritten blocks still read as zeros.
-	if err := d.ReadBlock(ctx, 10, dst); err != nil {
+	if err := readBlocks(d, ctx, 10, 1, dst); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range dst {
@@ -50,27 +50,31 @@ func TestFileBackendRoundTrip(t *testing.T) {
 func TestFileBackendPartialWrites(t *testing.T) {
 	d := fileDisk(t)
 	ctx := sim.NewWall()
-	// Byte-granular writes straddling blocks exercise read-modify-write.
-	payload := []byte("straddling the boundary")
-	off := int64(d.Geometry().BlockSize) - 7
-	if err := d.WriteAt(ctx, off, payload); err != nil {
+	bs := d.Geometry().BlockSize
+	// Two whole-block writes, then byte-granular reads straddling their
+	// boundary: partial pages come back from the file intact, and an
+	// overwrite of one block leaves its neighbour alone.
+	two := make([]byte, 2*bs)
+	copy(two[bs-7:], "straddling the boundary")
+	if err := writeBlocks(d, ctx, 0, 2, two); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, len(payload))
-	if err := d.ReadAt(ctx, off, got); err != nil {
+	got := make([]byte, len("straddling the boundary"))
+	if err := d.ReadAt(ctx, int64(bs-7), got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(payload, got) {
+	if string(got) != "straddling the boundary" {
 		t.Fatalf("got %q", got)
 	}
-	// Overwrite part of it; the rest must survive.
-	if err := d.WriteAt(ctx, off+4, []byte("DDL")); err != nil {
+	blk := make([]byte, bs)
+	copy(blk, "DDL")
+	if err := writeBlocks(d, ctx, 1, 1, blk); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ReadAt(ctx, off, got); err != nil {
+	if err := d.ReadAt(ctx, int64(bs-7), got); err != nil {
 		t.Fatal(err)
 	}
-	if string(got[:4]) != "stra" || string(got[4:7]) != "DDL" {
+	if string(got[:7]) != "straddl" || string(got[7:10]) != "DDL" {
 		t.Fatalf("partial overwrite corrupted: %q", got)
 	}
 }
@@ -79,7 +83,7 @@ func TestFileBackendSnapshotRestoreErase(t *testing.T) {
 	d := fileDisk(t)
 	ctx := sim.NewWall()
 	bs := d.Geometry().BlockSize
-	if err := d.WriteBlock(ctx, 1, bytes.Repeat([]byte{0x11}, bs)); err != nil {
+	if err := writeBlocks(d, ctx, 1, 1, bytes.Repeat([]byte{0x11}, bs)); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := d.Snapshot()
@@ -89,14 +93,14 @@ func TestFileBackendSnapshotRestoreErase(t *testing.T) {
 	if len(snap) != 1 || snap[1][0] != 0x11 {
 		t.Fatalf("snapshot = %v blocks", len(snap))
 	}
-	if err := d.WriteBlock(ctx, 1, bytes.Repeat([]byte{0x22}, bs)); err != nil {
+	if err := writeBlocks(d, ctx, 1, 1, bytes.Repeat([]byte{0x22}, bs)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, bs)
-	if err := d.ReadBlock(ctx, 1, dst); err != nil {
+	if err := readBlocks(d, ctx, 1, 1, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0] != 0x11 {
@@ -105,7 +109,7 @@ func TestFileBackendSnapshotRestoreErase(t *testing.T) {
 	if err := d.Erase(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ReadBlock(ctx, 1, dst); err != nil {
+	if err := readBlocks(d, ctx, 1, 1, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0] != 0 {
@@ -123,7 +127,7 @@ func TestFileBackendUnderEngine(t *testing.T) {
 		e.Go("w", func(p *sim.Proc) {
 			buf := make([]byte, geom.BlockSize)
 			for b := int64(0); b < 16; b++ {
-				if err := d.WriteBlock(p, b, buf); err != nil {
+				if err := writeBlocks(d, p, b, 1, buf); err != nil {
 					t.Error(err)
 				}
 			}

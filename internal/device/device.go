@@ -135,7 +135,7 @@ func (s Stats) Bytes() int64 { return s.BytesRead + s.BytesWritten }
 type reqOp int
 
 const (
-	opOther reqOp = iota // byte-granular (ReadAt/WriteAt): never merged
+	opOther reqOp = iota // byte-granular (ReadAt): never merged
 	opRead
 	opWrite
 )
@@ -549,105 +549,6 @@ func (d *Disk) access(ctx sim.Context, op reqOp, block, nblk int64, bytes int, f
 	return err
 }
 
-// ReadBlock reads one whole block into dst (len(dst) must equal the block
-// size). Unwritten blocks read as zeros.
-func (d *Disk) ReadBlock(ctx sim.Context, block int64, dst []byte) error {
-	if len(dst) != d.geom.BlockSize {
-		return fmt.Errorf("device: ReadBlock dst len %d != block size %d", len(dst), d.geom.BlockSize)
-	}
-	return d.access(ctx, opRead, block, 1, len(dst), func() error {
-		found, err := d.backend.ReadPage(block, dst)
-		if err != nil {
-			return err
-		}
-		if !found {
-			clear(dst)
-		}
-		d.stats.Reads++
-		d.stats.BytesRead += int64(len(dst))
-		return nil
-	})
-}
-
-// WriteBlock writes one whole block from src (len(src) must equal the
-// block size).
-func (d *Disk) WriteBlock(ctx sim.Context, block int64, src []byte) error {
-	if len(src) != d.geom.BlockSize {
-		return fmt.Errorf("device: WriteBlock src len %d != block size %d", len(src), d.geom.BlockSize)
-	}
-	return d.access(ctx, opWrite, block, 1, len(src), func() error {
-		if err := d.backend.WritePage(block, src); err != nil {
-			return err
-		}
-		d.stats.Writes++
-		d.stats.BytesWritten += int64(len(src))
-		return nil
-	})
-}
-
-// checkRun validates a whole-block run request.
-func (d *Disk) checkRun(op string, block int64, n int, buf []byte) error {
-	if n <= 0 {
-		return fmt.Errorf("device: %s of %d blocks", op, n)
-	}
-	if block < 0 || block+int64(n) > d.geom.Blocks() {
-		return fmt.Errorf("%w: blocks [%d,%d) of %d on %s", ErrOutOfRange, block, block+int64(n), d.geom.Blocks(), d.name)
-	}
-	if len(buf) != n*d.geom.BlockSize {
-		return fmt.Errorf("device: %s buffer len %d != %d blocks of %d bytes", op, len(buf), n, d.geom.BlockSize)
-	}
-	return nil
-}
-
-// ReadBlocks reads the n contiguous blocks starting at block into dst
-// (len(dst) must equal n × block size). The run is serviced as ONE queued
-// request — one controller overhead, one seek to the first block's
-// cylinder, one rotational latency, then n blocks at the streaming rate —
-// and the statistics count it as a single read of n blocks. This is the
-// extent I/O primitive: a sequential transfer of 1000 blocks issued
-// through ReadBlocks pays 1 overhead instead of 1000.
-func (d *Disk) ReadBlocks(ctx sim.Context, block int64, n int, dst []byte) error {
-	if err := d.checkRun("ReadBlocks", block, n, dst); err != nil {
-		return err
-	}
-	return d.access(ctx, opRead, block, int64(n), len(dst), func() error {
-		bs := d.geom.BlockSize
-		for i := 0; i < n; i++ {
-			page := dst[i*bs : (i+1)*bs]
-			found, err := d.backend.ReadPage(block+int64(i), page)
-			if err != nil {
-				return err
-			}
-			if !found {
-				clear(page)
-			}
-		}
-		d.stats.Reads++
-		d.stats.BytesRead += int64(len(dst))
-		return nil
-	})
-}
-
-// WriteBlocks writes the n contiguous blocks starting at block from src
-// (len(src) must equal n × block size) as ONE queued request, the write
-// counterpart of ReadBlocks.
-func (d *Disk) WriteBlocks(ctx sim.Context, block int64, n int, src []byte) error {
-	if err := d.checkRun("WriteBlocks", block, n, src); err != nil {
-		return err
-	}
-	return d.access(ctx, opWrite, block, int64(n), len(src), func() error {
-		bs := d.geom.BlockSize
-		for i := 0; i < n; i++ {
-			if err := d.backend.WritePage(block+int64(i), src[i*bs:(i+1)*bs]); err != nil {
-				return err
-			}
-		}
-		d.stats.Writes++
-		d.stats.BytesWritten += int64(len(src))
-		return nil
-	})
-}
-
 // checkRunVec validates a scatter/gather run request: every element of
 // iov must be a non-empty whole number of blocks and the elements must
 // total exactly n blocks.
@@ -673,12 +574,16 @@ func (d *Disk) checkRunVec(op string, block int64, n int, iov [][]byte) error {
 }
 
 // ReadBlocksVec reads the n physically contiguous blocks starting at
-// block as ONE queued request — the same service-time model as
-// ReadBlocks — scattering consecutive blocks into the elements of dsts in
-// order (readv semantics). Each element must hold a whole number of
-// blocks; together they must hold exactly n. This is the gather-run
-// primitive behind vectored I/O: a merged physical run can deliver into a
-// strided caller buffer without paying one request per stride.
+// block, scattering consecutive blocks into the elements of dsts in order
+// (readv semantics). Each element must hold a whole number of blocks;
+// together they must hold exactly n. Unwritten blocks read as zeros. The
+// run is serviced as ONE queued request — one controller overhead, one
+// seek to the first block's cylinder, one rotational latency, then n
+// blocks at the streaming rate — and the statistics count it as a single
+// read of n blocks: a sequential transfer of 1000 blocks pays 1 overhead
+// instead of 1000, and a merged physical run delivers into a strided
+// caller buffer without paying one request per stride. It is the drive's
+// one whole-block transfer; a contiguous buffer is a one-element list.
 func (d *Disk) ReadBlocksVec(ctx sim.Context, block int64, n int, dsts [][]byte) error {
 	if err := d.checkRunVec("ReadBlocksVec", block, n, dsts); err != nil {
 		return err
@@ -748,23 +653,6 @@ func (d *Disk) ReadAt(ctx sim.Context, off int64, dst []byte) error {
 	})
 }
 
-// WriteAt writes len(src) bytes starting at byte offset off, modeled as a
-// single request like ReadAt.
-func (d *Disk) WriteAt(ctx sim.Context, off int64, src []byte) error {
-	if off < 0 || off+int64(len(src)) > d.geom.Capacity() {
-		return fmt.Errorf("%w: [%d,%d) of %d bytes on %s", ErrOutOfRange, off, off+int64(len(src)), d.geom.Capacity(), d.name)
-	}
-	first := off / int64(d.geom.BlockSize)
-	return d.access(ctx, opOther, first, 0, len(src), func() error {
-		if err := d.copyIn(off, src); err != nil {
-			return err
-		}
-		d.stats.Writes++
-		d.stats.BytesWritten += int64(len(src))
-		return nil
-	})
-}
-
 // copyOut copies stored bytes [off, off+len(dst)) into dst.
 func (d *Disk) copyOut(off int64, dst []byte) error {
 	bs := int64(d.geom.BlockSize)
@@ -785,40 +673,6 @@ func (d *Disk) copyOut(off int64, dst []byte) error {
 			clear(dst[:n])
 		}
 		dst = dst[n:]
-		off += n
-	}
-	return nil
-}
-
-// copyIn copies src into stored bytes starting at off (read-modify-write
-// for partial pages).
-func (d *Disk) copyIn(off int64, src []byte) error {
-	bs := int64(d.geom.BlockSize)
-	for len(src) > 0 {
-		block := off / bs
-		in := off % bs
-		n := bs - in
-		if n > int64(len(src)) {
-			n = int64(len(src))
-		}
-		if in == 0 && n == bs {
-			if err := d.backend.WritePage(block, src[:n]); err != nil {
-				return err
-			}
-		} else {
-			found, err := d.backend.ReadPage(block, d.scratch)
-			if err != nil {
-				return err
-			}
-			if !found {
-				clear(d.scratch)
-			}
-			copy(d.scratch[in:in+n], src[:n])
-			if err := d.backend.WritePage(block, d.scratch); err != nil {
-				return err
-			}
-		}
-		src = src[n:]
 		off += n
 	}
 	return nil

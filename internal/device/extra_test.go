@@ -23,7 +23,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	ctx := sim.NewWall()
 	bs := d.Geometry().BlockSize
 	blkA := bytes.Repeat([]byte{0xaa}, bs)
-	if err := d.WriteBlock(ctx, 2, blkA); err != nil {
+	if err := writeBlocks(d, ctx, 2, 1, blkA); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := d.Snapshot()
@@ -32,23 +32,23 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// Mutate after the snapshot.
 	blkB := bytes.Repeat([]byte{0xbb}, bs)
-	if err := d.WriteBlock(ctx, 2, blkB); err != nil {
+	if err := writeBlocks(d, ctx, 2, 1, blkB); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WriteBlock(ctx, 7, blkB); err != nil {
+	if err := writeBlocks(d, ctx, 7, 1, blkB); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, bs)
-	if err := d.ReadBlock(ctx, 2, got); err != nil {
+	if err := readBlocks(d, ctx, 2, 1, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0xaa {
 		t.Fatalf("block 2 = %#x after restore", got[0])
 	}
-	if err := d.ReadBlock(ctx, 7, got); err != nil {
+	if err := readBlocks(d, ctx, 7, 1, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0 {
@@ -60,7 +60,7 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	d := untimed()
 	ctx := sim.NewWall()
 	bs := d.Geometry().BlockSize
-	if err := d.WriteBlock(ctx, 0, bytes.Repeat([]byte{1}, bs)); err != nil {
+	if err := writeBlocks(d, ctx, 0, 1, bytes.Repeat([]byte{1}, bs)); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := d.Snapshot()
@@ -69,7 +69,7 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	}
 	snap[0][0] = 0xff // mutating the snapshot must not touch the disk
 	got := make([]byte, bs)
-	if err := d.ReadBlock(ctx, 0, got); err != nil {
+	if err := readBlocks(d, ctx, 0, 1, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 1 {
@@ -80,7 +80,7 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap[0][0] = 0x77
-	if err := d.ReadBlock(ctx, 0, got); err != nil {
+	if err := readBlocks(d, ctx, 0, 1, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0xff {
@@ -116,7 +116,7 @@ func TestQueuePeakTracksDepth(t *testing.T) {
 	for i := 0; i < n; i++ {
 		e.Go("w", func(p *sim.Proc) {
 			buf := make([]byte, d.Geometry().BlockSize)
-			_ = d.ReadBlock(p, 0, buf)
+			_ = readBlocks(d, p, 0, 1, buf)
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -133,7 +133,7 @@ func TestLatencyStats(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.Go("w", func(p *sim.Proc) {
 			buf := make([]byte, d.Geometry().BlockSize)
-			_ = d.ReadBlock(p, 0, buf)
+			_ = readBlocks(d, p, 0, 1, buf)
 		})
 	}
 	if err := e.Run(); err != nil {

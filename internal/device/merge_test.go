@@ -25,7 +25,7 @@ func mergeRun(t *testing.T, mergeOn bool, order []int64, write bool) (*Disk, tim
 		for j := range blk {
 			blk[j] = byte(100 + i)
 		}
-		if err := d.WriteBlock(ctx, 100+i, blk); err != nil {
+		if err := writeBlocks(d, ctx, 100+i, 1, blk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,7 +33,7 @@ func mergeRun(t *testing.T, mergeOn bool, order []int64, write bool) (*Disk, tim
 
 	e.Go("busy", func(p *sim.Proc) {
 		buf := make([]byte, 8*bs)
-		if err := d.ReadBlocks(p, 0, 8, buf); err != nil {
+		if err := readBlocks(d, p, 0, 8, buf); err != nil {
 			t.Error(err)
 		}
 	})
@@ -46,12 +46,12 @@ func mergeRun(t *testing.T, mergeOn bool, order []int64, write bool) (*Disk, tim
 				for j := range buf {
 					buf[j] = byte(200 + b - 100)
 				}
-				if err := d.WriteBlock(p, b, buf); err != nil {
+				if err := writeBlocks(d, p, b, 1, buf); err != nil {
 					t.Error(err)
 				}
 				return
 			}
-			if err := d.ReadBlock(p, b, buf); err != nil {
+			if err := readBlocks(d, p, b, 1, buf); err != nil {
 				t.Error(err)
 				return
 			}
@@ -123,7 +123,7 @@ func TestMergeQueuedWrites(t *testing.T) {
 	bs := d.Geometry().BlockSize
 	buf := make([]byte, bs)
 	for i := int64(0); i < 4; i++ {
-		if err := d.ReadBlock(ctx, 100+i, buf); err != nil {
+		if err := readBlocks(d, ctx, 100+i, 1, buf); err != nil {
 			t.Fatal(err)
 		}
 		want := bytes.Repeat([]byte{byte(200 + i)}, bs)
@@ -141,25 +141,25 @@ func TestMergeRespectsOpAndAdjacency(t *testing.T) {
 	bs := d.Geometry().BlockSize
 	e.Go("busy", func(p *sim.Proc) {
 		buf := make([]byte, 8*bs)
-		if err := d.ReadBlocks(p, 0, 8, buf); err != nil {
+		if err := readBlocks(d, p, 0, 8, buf); err != nil {
 			t.Error(err)
 		}
 	})
 	e.Go("read100", func(p *sim.Proc) {
 		p.Sleep(time.Microsecond)
-		if err := d.ReadBlock(p, 100, make([]byte, bs)); err != nil {
+		if err := readBlocks(d, p, 100, 1, make([]byte, bs)); err != nil {
 			t.Error(err)
 		}
 	})
 	e.Go("write101", func(p *sim.Proc) { // adjacent but a write: no merge
 		p.Sleep(time.Microsecond)
-		if err := d.WriteBlock(p, 101, make([]byte, bs)); err != nil {
+		if err := writeBlocks(d, p, 101, 1, make([]byte, bs)); err != nil {
 			t.Error(err)
 		}
 	})
 	e.Go("read200", func(p *sim.Proc) { // same op but not adjacent
 		p.Sleep(time.Microsecond)
-		if err := d.ReadBlock(p, 200, make([]byte, bs)); err != nil {
+		if err := readBlocks(d, p, 200, 1, make([]byte, bs)); err != nil {
 			t.Error(err)
 		}
 	})

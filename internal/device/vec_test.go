@@ -59,7 +59,7 @@ func TestBlocksVecMatchesBlocksTiming(t *testing.T) {
 					t.Error(err)
 				}
 			} else {
-				if err := d.ReadBlocks(p, 0, 16, buf); err != nil {
+				if err := readBlocks(d, p, 0, 16, buf); err != nil {
 					t.Error(err)
 				}
 			}

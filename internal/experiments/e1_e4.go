@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/pfs"
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -17,7 +18,7 @@ import (
 // the file is striped over 1..16 devices — the §4 claim that "disk
 // striping can be used to spread the file across multiple drives,
 // resulting in higher transfer rates".
-func E1Striping() (*Result, error) {
+func E1Striping(rec *probe.Recorder) (*Result, error) {
 	const records = 1024 // 4 MiB with 4 KiB records
 	const recordSize = 4096
 	table := stats.NewTable("E1: type-S scan of a 4 MiB file, striped (stripe unit = 1 block)",
@@ -28,7 +29,7 @@ func E1Striping() (*Result, error) {
 	var baseRead time.Duration
 	for _, devs := range []int{1, 2, 4, 8, 16} {
 		e := sim.NewEngine()
-		_, vol, err := array(e, devs, device.FCFS)
+		_, vol, err := array(rec, e, devs, device.FCFS)
 		if err != nil {
 			return nil, err
 		}
@@ -89,13 +90,13 @@ func E1Striping() (*Result, error) {
 		metrics[fmt.Sprintf("read_mbps_d%d", devs)] = stats.MBps(bytes, readTime)
 		metrics[fmt.Sprintf("read_speedup_d%d", devs)] = stats.Speedup(baseRead, readTime)
 	}
-	return &Result{ID: "e1", Title: Title("e1"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
 // E2SelfSched measures the §4 self-scheduling optimization: early
 // pointer release vs holding the shared pointer through each transfer,
 // across compute/IO ratios.
-func E2SelfSched() (*Result, error) {
+func E2SelfSched(rec *probe.Recorder) (*Result, error) {
 	const records = 512
 	const recordSize = 4096
 	const workers = 8
@@ -107,7 +108,7 @@ func E2SelfSched() (*Result, error) {
 
 	run := func(early bool, compute time.Duration) (time.Duration, error) {
 		e := sim.NewEngine()
-		_, vol, err := array(e, devs, device.FCFS)
+		_, vol, err := array(rec, e, devs, device.FCFS)
 		if err != nil {
 			return 0, err
 		}
@@ -183,7 +184,7 @@ func E2SelfSched() (*Result, error) {
 		"claim unit", "elapsed", "pointer claims")
 	runBlocks := func(byBlock bool) (time.Duration, int64, error) {
 		e := sim.NewEngine()
-		_, vol, err := array(e, devs, device.FCFS)
+		_, vol, err := array(rec, e, devs, device.FCFS)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -260,13 +261,13 @@ func E2SelfSched() (*Result, error) {
 	metrics["claims_record"] = float64(recClaims)
 	metrics["claims_block"] = float64(blkClaims)
 
-	return &Result{ID: "e2", Title: Title("e2"), Tables: []*stats.Table{table, granTable}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table, granTable}, Metrics: metrics}, nil
 }
 
 // E3DevicePerProcess shows the §4 property of PS/IS placements: with one
 // device per process, processes "are free to proceed at different
 // rates"; sharing one device couples them.
-func E3DevicePerProcess() (*Result, error) {
+func E3DevicePerProcess(rec *probe.Recorder) (*Result, error) {
 	const procs = 4
 	const blocksPerPart = 64
 	const recordSize = 4096
@@ -278,7 +279,7 @@ func E3DevicePerProcess() (*Result, error) {
 	run := func(devs int) ([procs]time.Duration, error) {
 		var finish [procs]time.Duration
 		e := sim.NewEngine()
-		_, vol, err := array(e, devs, device.FCFS)
+		_, vol, err := array(rec, e, devs, device.FCFS)
 		if err != nil {
 			return finish, err
 		}
@@ -346,7 +347,7 @@ func E3DevicePerProcess() (*Result, error) {
 	metrics["private_fast_finish_ms"] = float64(private[0]) / float64(time.Millisecond)
 	metrics["shared_fast_finish_ms"] = float64(shared[0]) / float64(time.Millisecond)
 	metrics["fast_proc_slowdown"] = slow
-	return &Result{ID: "e3", Title: Title("e3"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
 // E4SeekInterference measures the §4 concern that with fewer devices
@@ -354,7 +355,7 @@ func E3DevicePerProcess() (*Result, error) {
 // degradation as the drive services requests from different processes",
 // and compares the two on-device allocation policies ("work is needed
 // here to determine the best ways to allocate space").
-func E4SeekInterference() (*Result, error) {
+func E4SeekInterference(rec *probe.Recorder) (*Result, error) {
 	const procs = 16
 	const blocksPerPart = 32
 	const recordSize = 4096
@@ -365,7 +366,7 @@ func E4SeekInterference() (*Result, error) {
 
 	run := func(devs int, pack blockio.Pack, sched device.Sched) (time.Duration, int64, int64, error) {
 		e := sim.NewEngine()
-		disks, vol, err := array(e, devs, sched)
+		disks, vol, err := array(rec, e, devs, sched)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -453,5 +454,5 @@ func E4SeekInterference() (*Result, error) {
 			metrics[fmt.Sprintf("seekcyls_d%d_%s", devs, sched)] = float64(cyls)
 		}
 	}
-	return &Result{ID: "e4", Title: Title("e4"), Tables: []*stats.Table{table, scanTable}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table, scanTable}, Metrics: metrics}, nil
 }

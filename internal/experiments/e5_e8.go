@@ -3,11 +3,13 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/pfs"
+	"repro/internal/probe"
 	"repro/internal/reliability"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -21,7 +23,7 @@ import (
 // non-uniform access patterns are reduced". Whole blocks live on single
 // drives (round-robin); declustered blocks are split into one chunk per
 // drive, accessed as a synchronized gang (Kim's interleaving).
-func E5Decluster() (*Result, error) {
+func E5Decluster(rec *probe.Recorder) (*Result, error) {
 	const blockBytes = 65536 // one database block (transfer-dominated)
 	const nBlocks = 64
 	const accesses = 48 // per worker
@@ -33,12 +35,8 @@ func E5Decluster() (*Result, error) {
 
 	run := func(devs int, skew float64, declustered bool) (time.Duration, time.Duration, float64, error) {
 		e := sim.NewEngine()
-		disks := make([]*device.Disk, devs)
-		for i := range disks {
-			disks[i] = device.New(device.Config{
-				Name: fmt.Sprintf("d%d", i), Geometry: geom1989(), Engine: e,
-			})
-		}
+		disks := drives(e, devs, device.Config{Geometry: geom1989()})
+		attach(rec, "", e, disks, nil)
 		var elapsed time.Duration
 		var respSum time.Duration
 		_, err := runMain(e, func(p *sim.Proc) error {
@@ -122,14 +120,14 @@ func E5Decluster() (*Result, error) {
 			}
 		}
 	}
-	return &Result{ID: "e5", Title: Title("e5"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
 // E6Buffering reproduces the §4 buffering claims: "buffering overheads
 // can be a significant factor in limiting speedups" and "reading ahead
 // and deferred writing can be used to overlap I/O operations with
 // computation".
-func E6Buffering() (*Result, error) {
+func E6Buffering(rec *probe.Recorder) (*Result, error) {
 	const records = 256
 	const recordSize = 4096
 	const devs = 4
@@ -141,7 +139,7 @@ func E6Buffering() (*Result, error) {
 
 	run := func(nbufs, ioprocs int, write bool) (time.Duration, error) {
 		e := sim.NewEngine()
-		_, vol, err := array(e, devs, device.FCFS)
+		_, vol, err := array(rec, e, devs, device.FCFS)
 		if err != nil {
 			return 0, err
 		}
@@ -245,7 +243,7 @@ func E6Buffering() (*Result, error) {
 		table.AddRow(c.label, c.nbufs, c.ioprocs, elapsed, stats.Speedup(base, elapsed))
 		metrics[c.label] = elapsed.Seconds()
 	}
-	return &Result{ID: "e6", Title: Title("e6"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
 // E7GlobalView measures the §4 warnings about reading parallel files
@@ -253,7 +251,7 @@ func E6Buffering() (*Result, error) {
 // PS files are serial ("all of the data would have to be read from the
 // first disk, followed by ... the second"), and IS files degrade when
 // the block size approaches the buffer space.
-func E7GlobalView() (*Result, error) {
+func E7GlobalView(rec *probe.Recorder) (*Result, error) {
 	const recordSize = 4096
 	const totalRecords = 512
 	const devs = 4
@@ -303,7 +301,7 @@ func E7GlobalView() (*Result, error) {
 
 	for _, c := range cases {
 		e := sim.NewEngine()
-		_, vol, err := array(e, devs, device.FCFS)
+		_, vol, err := array(rec, e, devs, device.FCFS)
 		if err != nil {
 			return nil, err
 		}
@@ -352,14 +350,14 @@ func E7GlobalView() (*Result, error) {
 		table.AddRow(c.label, fsPer, c.nbufs, elapsed, stats.MBps(bytes, elapsed))
 		metrics[c.label] = stats.MBps(bytes, elapsed)
 	}
-	return &Result{ID: "e7", Title: Title("e7"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
 // E8Reliability reproduces the §5 analysis: the MTBF table (including
 // the paper's 10-device and 100-device numbers), Monte-Carlo loss rates
 // with and without redundancy, and measured inject/recover scenarios on
 // parity and shadowed stores.
-func E8Reliability() (*Result, error) {
+func E8Reliability(rec *probe.Recorder) (*Result, error) {
 	mtbfTable := stats.NewTable("E8a: system MTBF, 30,000 h drives (§5 arithmetic)",
 		"devices", "system MTBF", "failures/year", "paper says")
 	paperNote := map[int]string{
@@ -402,10 +400,8 @@ func E8Reliability() (*Result, error) {
 	geom := device.Geometry{BlockSize: 4096, BlocksPerCyl: 16, Cylinders: 64}
 	{
 		e := sim.NewEngine()
-		disks := make([]*device.Disk, 5)
-		for i := range disks {
-			disks[i] = device.New(device.Config{Geometry: geom, Engine: e})
-		}
+		disks := drives(e, 5, device.Config{Geometry: geom})
+		attach(rec, "", e, disks, nil)
 		par, err := stripe.NewParity(disks, true)
 		if err != nil {
 			return nil, err
@@ -428,14 +424,16 @@ func E8Reliability() (*Result, error) {
 	}
 	{
 		e := sim.NewEngine()
-		mk := func() []*device.Disk {
+		mk := func(role string) []*device.Disk {
 			ds := make([]*device.Disk, 2)
 			for i := range ds {
-				ds[i] = device.New(device.Config{Geometry: geom, Engine: e})
+				ds[i] = device.New(device.Config{Name: fmt.Sprintf("%s%d", role, i), Geometry: geom, Engine: e})
 			}
 			return ds
 		}
-		mir, err := stripe.NewMirror(mk(), mk())
+		primary, shadow := mk("p"), mk("s")
+		attach(rec, "", e, slices.Concat(primary, shadow), nil)
+		mir, err := stripe.NewMirror(primary, shadow)
 		if err != nil {
 			return nil, err
 		}
@@ -462,6 +460,7 @@ func E8Reliability() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		attach(rec, "", e, disks, nil)
 		f, err := vol.Create(pfs.Spec{Name: "data", RecordSize: 4096, NumRecords: 96})
 		if err != nil {
 			return nil, err
@@ -484,9 +483,5 @@ func E8Reliability() (*Result, error) {
 		}
 	}
 
-	return &Result{
-		ID: "e8", Title: Title("e8"),
-		Tables:  []*stats.Table{mtbfTable, campTable, scenTable},
-		Metrics: metrics,
-	}, nil
+	return &Result{Tables: []*stats.Table{mtbfTable, campTable, scenTable}, Metrics: metrics}, nil
 }

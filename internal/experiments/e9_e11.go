@@ -11,6 +11,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/fem"
 	"repro/internal/pfs"
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -20,7 +21,7 @@ import (
 // organization must later be consumed with an IS view: the alternate
 // software view (degraded), the global-view fallback (serial), and copy
 // conversion (expensive once, fast thereafter).
-func E9ViewMismatch() (*Result, error) {
+func E9ViewMismatch(rec *probe.Recorder) (*Result, error) {
 	const recordSize = 4096
 	const totalRecords = 512
 	const devs = 4
@@ -54,7 +55,7 @@ func E9ViewMismatch() (*Result, error) {
 	}
 
 	mkPS := func(e *sim.Engine) (*pfs.Volume, *pfs.File, error) {
-		_, vol, err := array(e, devs, device.FCFS)
+		_, vol, err := array(rec, e, devs, device.FCFS)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -194,14 +195,14 @@ func E9ViewMismatch() (*Result, error) {
 	metrics["glb_one_s"] = glbOne.Seconds()
 	metrics["copy_one_s"] = cpOne.Seconds()
 	metrics["copy_four_s"] = cpFour.Seconds()
-	return &Result{ID: "e9", Title: Title("e9"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
 // E10Boundary measures the §5 boundary-data remedies on an out-of-core
 // 1-D stencil: replicating halo records in the file (bigger file, clean
 // per-partition streams, dirty global view) versus caching halos in
 // memory (clean file, extra random reads on the first pass only).
-func E10Boundary() (*Result, error) {
+func E10Boundary(rec *probe.Recorder) (*Result, error) {
 	const recordSize = 4096
 	const points = 512
 	const parts = 4
@@ -221,7 +222,7 @@ func E10Boundary() (*Result, error) {
 		var repOne, repFour, repGlobal time.Duration
 		{
 			e := sim.NewEngine()
-			_, vol, err := array(e, devs, device.FCFS)
+			_, vol, err := array(rec, e, devs, device.FCFS)
 			if err != nil {
 				return nil, err
 			}
@@ -296,7 +297,7 @@ func E10Boundary() (*Result, error) {
 		var cacheOne, cacheFour, plainGlobal time.Duration
 		{
 			e := sim.NewEngine()
-			_, vol, err := array(e, devs, device.FCFS)
+			_, vol, err := array(rec, e, devs, device.FCFS)
 			if err != nil {
 				return nil, err
 			}
@@ -398,13 +399,13 @@ func E10Boundary() (*Result, error) {
 		metrics[fmt.Sprintf("cache_four_h%d_s", halo)] = cacheFour.Seconds()
 		metrics[fmt.Sprintf("overhead_h%d", halo)] = l.Overhead()
 	}
-	return &Result{ID: "e10", Title: Title("e10"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
 // E11FemBaseline quantifies the §3 Finite Element Machine experience:
 // file-per-process working sets versus one PS parallel file — object
 // counts and the pre/post-processing passes users "balked at".
-func E11FemBaseline() (*Result, error) {
+func E11FemBaseline(rec *probe.Recorder) (*Result, error) {
 	const recordSize = 4096
 	const devs = 4
 	table := stats.NewTable("E11: file-per-process (FEM) vs one PS parallel file, 1 MiB of records",
@@ -416,7 +417,7 @@ func E11FemBaseline() (*Result, error) {
 	for _, procs := range []int{4, 16, 64} {
 		for _, perProc := range []int{1, 4} {
 			e := sim.NewEngine()
-			_, vol, err := array(e, devs, device.FCFS)
+			_, vol, err := array(rec, e, devs, device.FCFS)
 			if err != nil {
 				return nil, err
 			}
@@ -471,5 +472,5 @@ func E11FemBaseline() (*Result, error) {
 			metrics[fmt.Sprintf("prepost_s_p%d_f%d", procs, perProc)] = (partT + mergeT).Seconds()
 		}
 	}
-	return &Result{ID: "e11", Title: Title("e11"), Tables: []*stats.Table{table}, Metrics: metrics}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }

@@ -1,22 +1,37 @@
-// Package experiments contains one driver per reproduced figure/table.
-// Each driver builds a fresh simulated machine (1989-class drives under a
-// virtual-time engine), runs the workload, and returns paper-style tables
-// plus named metrics for the benchmark harness and shape assertions.
+// Package experiments is the one scenario table: every figure, table and
+// mechanism sweep the repository prints is a row of the registry below,
+// run by id (cmd/pariobench prints what Run returns; README.md's
+// experiment table has one line per id).
 //
-// The experiment index is the registry below (pariobench -list prints
-// it); the paper claim each one reproduces and its expected shape are
-// stated on its driver, and README.md's experiment table lists what was
-// built on top.
+// The contract, row by row:
+//
+//   - A scenario's machine is built in one place, by a parameterised
+//     fixture (Checkpoint, Multijob, the scans) that runs it under
+//     virtual time, verifies the bytes that landed and returns its
+//     measurements — or an error, never a table of unchecked numbers.
+//   - A registry row sweeps its fixture over the parameters of its table
+//     and returns the rendered tables plus named Metrics; the win tests
+//     call the same fixture with their own parameters and keep their
+//     thresholds, so what is printed is what is asserted on.
+//   - Metrics that read the host clock are keyed host_*; every other
+//     metric and every table cell outside a "wall" column repeats exactly
+//     (TestRegistryDeterministic, TestRegistryGoldens).
+//   - The flight recorder reaches a row as the parameter of its run
+//     function (nil: detached); each machine a row builds attaches under
+//     its own track scope.
+//
+// The paper claim a row reproduces and its expected shape are stated on
+// its driver.
 package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/blockio"
 	"repro/internal/device"
 	"repro/internal/pfs"
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -38,82 +53,123 @@ func (r *Result) String() string {
 	return out
 }
 
-// entry is one registered experiment driver.
-type entry struct {
-	title string
-	run   func() (*Result, error)
+// registry is the scenario table, in the order README.md lists it: the
+// paper's figure and tables, then one row per mechanism grown on top.
+// A driver returns its tables and metrics; Run names the result.
+var registry = []struct {
+	id, title string
+	run       func(rec *probe.Recorder) (*Result, error)
+}{
+	{"f1", "Figure 1: internal organizations of sequential parallel files", Figure1},
+	{"e1", "E1: disk striping bandwidth for S files (§4)", E1Striping},
+	{"e2", "E2: self-scheduled early pointer release (§4)", E2SelfSched},
+	{"e3", "E3: one device per process — independent progress (§4)", E3DevicePerProcess},
+	{"e4", "E4: fewer devices than processes — seek interference (§4)", E4SeekInterference},
+	{"e5", "E5: declustering vs whole blocks under skew (§4, Livny)", E5Decluster},
+	{"e6", "E6: buffering — overlap of I/O with computation (§4)", E6Buffering},
+	{"e7", "E7: global view performance by placement (§4)", E7GlobalView},
+	{"e8", "E8: reliability — MTBF, parity, shadowing (§5)", E8Reliability},
+	{"e9", "E9: view mismatch remedies (§5)", E9ViewMismatch},
+	{"e10", "E10: boundary data — replicate vs cache (§5)", E10Boundary},
+	{"e11", "E11: file-per-process baseline (FEM, §3)", E11FemBaseline},
+	{"seek", "device model: seek time vs distance", seekCurve},
+	{"service", "device model: service time of one request", serviceTimes},
+	{"stripe", "raw striped scan: bandwidth vs device count", stripedScan},
+	{"extent", "extent I/O: request coalescing on a unit-8 striped file", extentScan},
+	{"noncontig", "vectored I/O: scatter/gather on a unit-1 declustered file", vectoredScan},
+	{"collective", "two-phase collective I/O vs independent vectored writes", collectiveWrite},
+	{"strategy", "strategy selection: vectored, sieved, two-phase, auto", strategySweep},
+	{"contended", "locality-aware aggregator domains on a contended interconnect", contendedSweep},
+	{"pipeline", "pipelined two-phase: exchange overlapping device access", pipelineSweep},
+	{"replay", "plan capture & replay: host cost cached vs uncached", replaySweep},
+	{"profile", "cross-layer profiles: paper vs tuned", profileCompare},
+	{"multijob", "multi-job I/O service: QoS policy vs tail latency", multijobSweep},
+	{"scale", "engine scaling: host cost per modeled second", scaleSweep},
 }
 
-// registry maps experiment ids to drivers. It is populated in init (a
-// plain var initializer would form a reference cycle through Title).
-var registry = map[string]entry{}
-
-func init() {
-	registry["f1"] = entry{"Figure 1: internal organizations of sequential parallel files", Figure1}
-	registry["e1"] = entry{"E1: disk striping bandwidth for S files (§4)", E1Striping}
-	registry["e2"] = entry{"E2: self-scheduled early pointer release (§4)", E2SelfSched}
-	registry["e3"] = entry{"E3: one device per process — independent progress (§4)", E3DevicePerProcess}
-	registry["e4"] = entry{"E4: fewer devices than processes — seek interference (§4)", E4SeekInterference}
-	registry["e5"] = entry{"E5: declustering vs whole blocks under skew (§4, Livny)", E5Decluster}
-	registry["e6"] = entry{"E6: buffering — overlap of I/O with computation (§4)", E6Buffering}
-	registry["e7"] = entry{"E7: global view performance by placement (§4)", E7GlobalView}
-	registry["e8"] = entry{"E8: reliability — MTBF, parity, shadowing (§5)", E8Reliability}
-	registry["e9"] = entry{"E9: view mismatch remedies (§5)", E9ViewMismatch}
-	registry["e10"] = entry{"E10: boundary data — replicate vs cache (§5)", E10Boundary}
-	registry["e11"] = entry{"E11: file-per-process baseline (FEM, §3)", E11FemBaseline}
-}
-
-// IDs lists the experiment identifiers in canonical order.
+// IDs lists the experiment identifiers in table order.
 func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for id := range registry {
-		ids = append(ids, id)
+	ids := make([]string, len(registry))
+	for i, ent := range registry {
+		ids[i] = ent.id
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		// f1 first, then e1..e11 numerically.
-		a, b := ids[i], ids[j]
-		if a[0] != b[0] {
-			return a[0] == 'f'
-		}
-		var na, nb int
-		fmt.Sscanf(a[1:], "%d", &na)
-		fmt.Sscanf(b[1:], "%d", &nb)
-		return na < nb
-	})
 	return ids
 }
 
-// Title reports the registered title for id.
-func Title(id string) string { return registry[id].title }
-
-// Run executes the experiment with the given id.
-func Run(id string) (*Result, error) {
-	ent, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
+// Title reports the registered title for id ("" if unknown).
+func Title(id string) string {
+	for _, ent := range registry {
+		if ent.id == id {
+			return ent.title
+		}
 	}
-	return ent.run()
+	return ""
+}
+
+// Run executes the experiment with the given id, recording every machine
+// it builds through rec (nil: detached).
+func Run(id string, rec *probe.Recorder) (*Result, error) {
+	for _, ent := range registry {
+		if ent.id != id {
+			continue
+		}
+		res, err := ent.run(rec)
+		if err != nil {
+			return nil, err
+		}
+		res.ID, res.Title = ent.id, ent.title
+		return res, nil
+	}
+	return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
+}
+
+// attach wires rec (nil: detached) across one machine — engine, drives,
+// volume store — under a track scope of its own, so the identically
+// named drives of a sweep's successive machines land on distinct
+// timeline rows. An empty scope numbers the machine ("m3"), counted in
+// the recorder's own experiments.machines metric.
+func attach(rec *probe.Recorder, scope string, e *sim.Engine, disks []*device.Disk, store *blockio.Direct) {
+	if rec == nil {
+		return
+	}
+	n := rec.Metrics().Counter("experiments.machines")
+	n.Add(1)
+	if scope == "" {
+		scope = fmt.Sprintf("m%d", n.Value())
+	}
+	rec.SetScope(scope)
+	e.SetProbe(rec)
+	for _, d := range disks {
+		d.SetProbe(rec)
+	}
+	if store != nil {
+		store.SetProbe(rec)
+	}
 }
 
 // geom1989 is the drive layout used by all experiments: 4 KiB blocks,
 // 64 per cylinder, 900 cylinders.
 func geom1989() device.Geometry { return device.DefaultGeometry1989() }
 
-// array builds n engine-attached 1989 drives and a volume over them.
-func array(e *sim.Engine, n int, sched device.Sched) ([]*device.Disk, *pfs.Volume, error) {
+// drives builds n engine-attached drives d0 … d(n-1) from one template.
+func drives(e *sim.Engine, n int, tmpl device.Config) []*device.Disk {
 	disks := make([]*device.Disk, n)
 	for i := range disks {
-		disks[i] = device.New(device.Config{
-			Name:     fmt.Sprintf("d%d", i),
-			Geometry: geom1989(),
-			Engine:   e,
-			Sched:    sched,
-		})
+		tmpl.Name, tmpl.Engine = fmt.Sprintf("d%d", i), e
+		disks[i] = device.New(tmpl)
 	}
+	return disks
+}
+
+// array builds n engine-attached 1989 drives and a volume over them,
+// recorded through rec.
+func array(rec *probe.Recorder, e *sim.Engine, n int, sched device.Sched) ([]*device.Disk, *pfs.Volume, error) {
+	disks := drives(e, n, device.Config{Geometry: geom1989(), Sched: sched})
 	store, err := blockio.NewDirect(disks)
 	if err != nil {
 		return nil, nil, err
 	}
+	attach(rec, "", e, disks, store)
 	return disks, pfs.NewVolume(store), nil
 }
 

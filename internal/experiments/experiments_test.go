@@ -1,45 +1,174 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
+
 func TestIDsOrderAndTitles(t *testing.T) {
-	ids := IDs()
-	want := []string{"f1", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11"}
-	if len(ids) != len(want) {
-		t.Fatalf("IDs = %v", ids)
+	want := []string{"f1", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11",
+		"seek", "service", "stripe", "extent", "noncontig", "collective", "strategy",
+		"contended", "pipeline", "replay", "profile", "multijob", "scale"}
+	if ids := IDs(); !slices.Equal(ids, want) {
+		t.Fatalf("IDs = %v, want %v", ids, want)
 	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("IDs = %v, want %v", ids, want)
-		}
-	}
-	for _, id := range ids {
+	for _, id := range want {
 		if Title(id) == "" {
 			t.Fatalf("no title for %s", id)
 		}
 	}
-	if _, err := Run("nope"); err == nil {
+	if _, err := Run("nope", nil); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }
 
-// runOK runs an experiment and sanity-checks the result envelope.
+// ran holds each row's first result: the tests below read one run of a
+// row, and TestRegistryDeterministic compares a second against it.
+var ran = map[string]*Result{}
+
+// runOK runs an experiment (once per test binary) and sanity-checks the
+// result envelope.
 func runOK(t *testing.T, id string) *Result {
 	t.Helper()
-	res, err := Run(id)
+	if res := ran[id]; res != nil {
+		return res
+	}
+	res, err := Run(id, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	if res.ID != id || len(res.Tables) == 0 {
+	ran[id] = res
+	if res.ID != id || res.Title != Title(id) || len(res.Tables) == 0 {
 		t.Fatalf("%s: malformed result", id)
 	}
 	if !strings.Contains(res.String(), res.ID) {
 		t.Fatalf("%s: String() missing id", id)
 	}
 	return res
+}
+
+// maskHost blanks what reads the host clock in rendered tables: in a
+// table with a "wall…" column, those columns and "speedup" (a ratio of
+// them) become "~", and the table is re-joined unpadded, since cell
+// widths move with the values.
+func maskHost(text string) string {
+	lines := strings.Split(text, "\n")
+	cells := regexp.MustCompile(` {2,}`)
+	for i := 0; i+1 < len(lines); i++ {
+		if !strings.Contains(lines[i], "wall") || !strings.HasPrefix(lines[i+1], "---") {
+			continue
+		}
+		head := cells.Split(strings.TrimRight(lines[i], " "), -1)
+		for ; i < len(lines) && lines[i] != "" && !strings.HasPrefix(lines[i], "note:"); i++ {
+			row := cells.Split(strings.TrimRight(lines[i], " "), -1)
+			for c := range row {
+				switch {
+				case strings.HasPrefix(row[c], "---"):
+					row[c] = "-"
+				case row[c] != head[c] && (strings.HasPrefix(head[c], "wall") || head[c] == "speedup"):
+					row[c] = "~"
+				}
+			}
+			lines[i] = strings.Join(row, "  ")
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
+// TestRegistryGoldens holds every registry row's rendered tables to the
+// bytes the two binaries printed before they became one table:
+// testdata/pariobench_all.golden is `pariobench -run all` (f1, e1–e11)
+// and testdata/pariosim_all.golden `pariosim -scenario all` (the 13
+// mechanism rows, tables only) at the commit before, host-clock cells
+// masked. -update rewrites both from this run.
+func TestRegistryGoldens(t *testing.T) {
+	var bench, sim strings.Builder
+	for i, id := range IDs() {
+		res := runOK(t, id)
+		if i < 12 {
+			fmt.Fprintln(&bench, res.String())
+			continue
+		}
+		for _, tab := range res.Tables {
+			fmt.Fprintln(&sim, tab.String())
+		}
+	}
+	for name, got := range map[string]string{
+		"testdata/pariobench_all.golden": bench.String(),
+		"testdata/pariosim_all.golden":   sim.String(),
+	} {
+		got = maskHost(got)
+		if *update {
+			if err := os.WriteFile(name, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != maskHost(string(want)) {
+			gl, wl := strings.Split(got, "\n"), strings.Split(maskHost(string(want)), "\n")
+			for i := range gl {
+				if i >= len(wl) || gl[i] != wl[i] {
+					t.Fatalf("%s line %d:\n got %q\nwant %q", name, i+1, gl[i], append(wl, "<eof>")[min(i, len(wl))])
+				}
+			}
+			t.Fatalf("%s: %d lines rendered, %d in the golden", name, len(gl), len(wl))
+		}
+	}
+}
+
+// TestRegistryDeterministic: every row run twice reports identical
+// metrics, except those keyed host_* (they read the host clock).
+func TestRegistryDeterministic(t *testing.T) {
+	for _, id := range IDs() {
+		again, err := Run(id, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		a, b := runOK(t, id).Metrics, again.Metrics
+		if len(a) == 0 || len(a) != len(b) {
+			t.Errorf("%s: %d metrics, then %d", id, len(a), len(b))
+		}
+		for k, v := range a {
+			if w, ok := b[k]; !strings.HasPrefix(k, "host_") && (!ok || v != w) {
+				t.Errorf("%s: metric %s = %v, then %v", id, k, v, w)
+			}
+		}
+	}
+}
+
+// TestMechanismRowShapes asserts the shape of the mechanism rows no win
+// test sweeps: the device-model tables and the raw scans.
+func TestMechanismRowShapes(t *testing.T) {
+	seek := runOK(t, "seek").Metrics
+	for _, pair := range [][2]string{{"c0", "c1"}, {"c1", "c10"}, {"c10", "c100"}, {"c100", "c400"}, {"c400", "c899"}} {
+		if seek["seek_s_"+pair[0]] >= seek["seek_s_"+pair[1]] {
+			t.Errorf("seek curve not monotone: %s %v, %s %v", pair[0], seek["seek_s_"+pair[0]], pair[1], seek["seek_s_"+pair[1]])
+		}
+	}
+	if svc := runOK(t, "service").Metrics; svc["service_s_4KiB"] != seek["seek_s_c0"] {
+		t.Errorf("one 4 KiB request: service table says %v s, the drive took %v s", svc["service_s_4KiB"], seek["seek_s_c0"])
+	}
+	if st := runOK(t, "stripe").Metrics; st["mbps_d8"] < 7*st["mbps_d1"] {
+		t.Errorf("8 drives scan at %v MB/s, one at %v: want ≥ 7x", st["mbps_d8"], st["mbps_d1"])
+	}
+	for _, id := range []string{"extent", "noncontig"} {
+		m := runOK(t, id).Metrics
+		if m["requests_w1"] < 4*m["requests_w32"] || m["elapsed_s_w1"] < 1.5*m["elapsed_s_w32"] {
+			t.Errorf("%s: 32-block descriptors %v requests in %v s, one-block %v in %v s: want ≥ 4x fewer, ≥ 1.5x faster",
+				id, m["requests_w32"], m["elapsed_s_w32"], m["requests_w1"], m["elapsed_s_w1"])
+		}
+	}
 }
 
 func TestFigure1AllPatternsValid(t *testing.T) {

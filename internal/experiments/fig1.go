@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/pfs"
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -17,7 +18,7 @@ import (
 // four sequential organizations (S, PS, IS, SS) for a hypothetical
 // three-process program over a 12-block file. Each pattern is rendered
 // as a block strip and machine-validated against the §3.1 definition.
-func Figure1() (*Result, error) {
+func Figure1(rec *probe.Recorder) (*Result, error) {
 	const procs = 3
 	const blocks = 12
 	table := stats.NewTable("Figure 1: access patterns, 3 processes, 12 blocks (1 record/block)",
@@ -189,7 +190,7 @@ func Figure1() (*Result, error) {
 
 	for _, tc := range cases {
 		e := sim.NewEngine()
-		_, vol, err := array(e, procs, device.FCFS)
+		_, vol, err := array(rec, e, procs, device.FCFS)
 		if err != nil {
 			return nil, err
 		}
@@ -220,10 +221,5 @@ func Figure1() (*Result, error) {
 		}
 	}
 
-	return &Result{
-		ID:      "f1",
-		Title:   Title("f1"),
-		Tables:  []*stats.Table{table},
-		Metrics: metrics,
-	}, nil
+	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }

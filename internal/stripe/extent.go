@@ -56,7 +56,7 @@ func (p *Parity) readBlocks(ctx sim.Context, dev int, b int64, n int, dst []byte
 		sg := sg
 		sub := dst[sg.off*bs : (sg.off+sg.n)*bs]
 		fns[i] = func(c sim.Context) error {
-			err := p.disks[sg.phys].ReadBlocks(c, sg.row, sg.n, sub)
+			err := readDisk(c, p.disks[sg.phys], sg.row, sub)
 			if err == nil || !errors.Is(err, device.ErrFailed) {
 				return err
 			}
@@ -136,12 +136,12 @@ func (p *Parity) writeRun(ctx sim.Context, dev int, b int64, n int, src []byte) 
 	for _, sg := range dataSegs {
 		sg := sg
 		sub := oldData[sg.off*bs : (sg.off+sg.n)*bs]
-		fns = append(fns, func(c sim.Context) error { return p.disks[sg.phys].ReadBlocks(c, sg.row, sg.n, sub) })
+		fns = append(fns, func(c sim.Context) error { return readDisk(c, p.disks[sg.phys], sg.row, sub) })
 	}
 	for _, sg := range parSegs {
 		sg := sg
 		sub := newPar[sg.off*bs : (sg.off+sg.n)*bs]
-		fns = append(fns, func(c sim.Context) error { return p.disks[sg.phys].ReadBlocks(c, sg.row, sg.n, sub) })
+		fns = append(fns, func(c sim.Context) error { return readDisk(c, p.disks[sg.phys], sg.row, sub) })
 	}
 	if err := par(ctx, fns...); err != nil {
 		return err
@@ -152,12 +152,12 @@ func (p *Parity) writeRun(ctx sim.Context, dev int, b int64, n int, src []byte) 
 	for _, sg := range dataSegs {
 		sg := sg
 		sub := src[sg.off*bs : (sg.off+sg.n)*bs]
-		fns = append(fns, func(c sim.Context) error { return p.disks[sg.phys].WriteBlocks(c, sg.row, sg.n, sub) })
+		fns = append(fns, func(c sim.Context) error { return writeDisk(c, p.disks[sg.phys], sg.row, sub) })
 	}
 	for _, sg := range parSegs {
 		sg := sg
 		sub := newPar[sg.off*bs : (sg.off+sg.n)*bs]
-		fns = append(fns, func(c sim.Context) error { return p.disks[sg.phys].WriteBlocks(c, sg.row, sg.n, sub) })
+		fns = append(fns, func(c sim.Context) error { return writeDisk(c, p.disks[sg.phys], sg.row, sub) })
 	}
 	return par(ctx, fns...)
 }

@@ -35,7 +35,7 @@ func checkParityConsistent(t *testing.T, p *Parity, rows int64) {
 	for b := int64(0); b < rows; b++ {
 		clear(acc)
 		for i := 0; i < p.PhysDrives(); i++ {
-			if err := p.PhysDisk(i).ReadBlock(ctx, b, buf); err != nil {
+			if err := readDisk(ctx, p.PhysDisk(i), b, buf); err != nil {
 				t.Fatalf("row %d drive %d: %v", b, i, err)
 			}
 			xorInto(acc, buf)
@@ -213,7 +213,7 @@ func TestMirrorRunEquivalence(t *testing.T) {
 	}
 	buf := make([]byte, bs)
 	for b := int64(0); b < rows; b++ {
-		if err := m.Shadow(1).ReadBlock(ctx, b, buf); err != nil {
+		if err := readDisk(ctx, m.Shadow(1), b, buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, want[b*bs:(b+1)*bs]) {

@@ -37,6 +37,17 @@ func par(ctx sim.Context, fns ...func(sim.Context) error) error {
 	return sim.Par(ctx, fns...)
 }
 
+// readDisk and writeDisk move the whole blocks of buf to or from drive
+// d's rows starting at b: the drive's one transfer, the vectored run,
+// given a one-element list (row arithmetic works on contiguous rows).
+func readDisk(ctx sim.Context, d *device.Disk, b int64, buf []byte) error {
+	return d.ReadBlocksVec(ctx, b, len(buf)/d.Geometry().BlockSize, [][]byte{buf})
+}
+
+func writeDisk(ctx sim.Context, d *device.Disk, b int64, buf []byte) error {
+	return d.WriteBlocksVec(ctx, b, len(buf)/d.Geometry().BlockSize, [][]byte{buf})
+}
+
 // xorInto sets dst ^= src.
 func xorInto(dst, src []byte) {
 	for i := range dst {
@@ -145,7 +156,7 @@ func (p *Parity) reconstruct(ctx sim.Context, failedPhys int, b int64, dst []byt
 		i := i
 		bufs[i] = make([]byte, p.BlockSize())
 		fns = append(fns, func(c sim.Context) error {
-			if err := p.disks[i].ReadBlock(c, b, bufs[i]); err != nil {
+			if err := readDisk(c, p.disks[i], b, bufs[i]); err != nil {
 				return fmt.Errorf("%w (drive %d also unavailable: %v)", ErrDoubleFailure, i, err)
 			}
 			return nil
@@ -168,7 +179,7 @@ func (p *Parity) reconstruct(ctx sim.Context, failedPhys int, b int64, dst []byt
 // observes a half-applied parity update.
 func (p *Parity) readBlock(ctx sim.Context, dev int, b int64, dst []byte) error {
 	phys := p.phys(dev, b)
-	err := p.disks[phys].ReadBlock(ctx, b, dst)
+	err := readDisk(ctx, p.disks[phys], b, dst)
 	if err == nil {
 		return nil
 	}
@@ -198,8 +209,8 @@ func (p *Parity) writeBlock(ctx sim.Context, dev int, b int64, src []byte) error
 		oldData := make([]byte, bs)
 		oldPar := make([]byte, bs)
 		if err := par(ctx,
-			func(c sim.Context) error { return data.ReadBlock(c, b, oldData) },
-			func(c sim.Context) error { return parD.ReadBlock(c, b, oldPar) },
+			func(c sim.Context) error { return readDisk(c, data, b, oldData) },
+			func(c sim.Context) error { return readDisk(c, parD, b, oldPar) },
 		); err != nil {
 			return err
 		}
@@ -207,14 +218,14 @@ func (p *Parity) writeBlock(ctx sim.Context, dev int, b int64, src []byte) error
 		xorInto(newPar, oldData)
 		xorInto(newPar, src)
 		return par(ctx,
-			func(c sim.Context) error { return data.WriteBlock(c, b, src) },
-			func(c sim.Context) error { return parD.WriteBlock(c, b, newPar) },
+			func(c sim.Context) error { return writeDisk(c, data, b, src) },
+			func(c sim.Context) error { return writeDisk(c, parD, b, newPar) },
 		)
 	case data.Failed() && parD.Failed():
 		return fmt.Errorf("%w: drives %d and %d", ErrDoubleFailure, dataPhys, parPhys)
 	case parD.Failed():
 		// Parity unavailable: the data write alone keeps user data intact.
-		return data.WriteBlock(ctx, b, src)
+		return writeDisk(ctx, data, b, src)
 	default:
 		// Data drive failed: fold the write into parity so the block is
 		// recoverable. New parity = XOR of all surviving data rows XOR src.
@@ -229,7 +240,7 @@ func (p *Parity) writeBlock(ctx sim.Context, dev int, b int64, src []byte) error
 			i := i
 			bufs[i] = make([]byte, bs)
 			fns = append(fns, func(c sim.Context) error {
-				if err := p.disks[i].ReadBlock(c, b, bufs[i]); err != nil {
+				if err := readDisk(c, p.disks[i], b, bufs[i]); err != nil {
 					return fmt.Errorf("%w (drive %d also unavailable: %v)", ErrDoubleFailure, i, err)
 				}
 				return nil
@@ -244,7 +255,7 @@ func (p *Parity) writeBlock(ctx sim.Context, dev int, b int64, src []byte) error
 			}
 			xorInto(newPar, buf)
 		}
-		return parD.WriteBlock(ctx, b, newPar)
+		return writeDisk(ctx, parD, b, newPar)
 	}
 }
 
@@ -283,7 +294,7 @@ func (p *Parity) Rebuild(ctx sim.Context, failedPhys int, rows int64) error {
 			}
 			i := i
 			fns = append(fns, func(c sim.Context) error {
-				if err := p.disks[i].ReadBlocks(c, b, int(n), bufs[i][:n*bs]); err != nil {
+				if err := readDisk(c, p.disks[i], b, bufs[i][:n*bs]); err != nil {
 					return fmt.Errorf("%w (drive %d also unavailable: %v)", ErrDoubleFailure, i, err)
 				}
 				return nil
@@ -299,7 +310,7 @@ func (p *Parity) Rebuild(ctx sim.Context, failedPhys int, rows int64) error {
 			}
 			xorInto(acc[:n*bs], buf[:n*bs])
 		}
-		if err := p.disks[failedPhys].WriteBlocks(ctx, b, int(n), acc[:n*bs]); err != nil {
+		if err := writeDisk(ctx, p.disks[failedPhys], b, acc[:n*bs]); err != nil {
 			return fmt.Errorf("stripe: rebuild rows [%d,%d): %w", b, b+n, err)
 		}
 	}
@@ -360,10 +371,10 @@ func (m *Mirror) Rebuild(ctx sim.Context, dev int, rows int64, fromShadow bool) 
 		if b+n > rows {
 			n = rows - b
 		}
-		if err := src.ReadBlocks(ctx, b, int(n), buf[:n*bs]); err != nil {
+		if err := readDisk(ctx, src, b, buf[:n*bs]); err != nil {
 			return fmt.Errorf("stripe: mirror rebuild rows [%d,%d): %w", b, b+n, err)
 		}
-		if err := dst.WriteBlocks(ctx, b, int(n), buf[:n*bs]); err != nil {
+		if err := writeDisk(ctx, dst, b, buf[:n*bs]); err != nil {
 			return fmt.Errorf("stripe: mirror rebuild rows [%d,%d): %w", b, b+n, err)
 		}
 	}

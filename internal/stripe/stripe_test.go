@@ -329,7 +329,7 @@ func TestMirrorWritesOverlapUnderEngine(t *testing.T) {
 	d := drives(1, single)[0]
 	var one time.Duration
 	single.Go("w", func(p *sim.Proc) {
-		if err := d.WriteBlock(p, 0, blockOf(1, 128)); err != nil {
+		if err := writeDisk(p, d, 0, blockOf(1, 128)); err != nil {
 			t.Error(err)
 		}
 		one = p.Now()
@@ -364,7 +364,7 @@ func TestParitySmallWritePenaltyUnderEngine(t *testing.T) {
 	d := drives(1, single)[0]
 	var one time.Duration
 	single.Go("w", func(p *sim.Proc) {
-		_ = d.ReadBlock(p, 0, make([]byte, 128))
+		_ = readDisk(p, d, 0, make([]byte, 128))
 		one = p.Now()
 	})
 	if err := single.Run(); err != nil {

@@ -299,7 +299,7 @@ func TestMirrorRebuildBatched(t *testing.T) {
 		t.Fatalf("batched mirror rebuild issued %d requests; row-by-row would issue %d, want ≥4× fewer", got, rowByRow)
 	}
 	buf := make([]byte, rows*bs)
-	if err := primary[0].ReadBlocks(ctx, 0, rows, buf); err != nil {
+	if err := readDisk(ctx, primary[0], 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, want) {

@@ -24,110 +24,18 @@ package pario_test
 
 import (
 	"testing"
-	"time"
 
 	pario "repro"
+	"repro/internal/experiments"
 )
 
-const (
-	locRanks     = 8
-	locSlab      = 128 // blocks per slab; 8 slabs = 1024 records
-	locStraggler = 8   // trailing blocks of each slab written by a neighbor
-	locRecords   = locRanks * locSlab
-)
-
-// localityResult is one measured shifted-checkpoint write.
-type localityResult struct {
-	elapsed    time.Duration
-	stats      pario.ExchangeStats
-	linkBytes  int64
-	requests   int64
-	totalBytes int64
-}
-
-// runShiftedCheckpoint writes the nearly-aligned checkpoint with the
-// given domain assignment policy and verifies the landed bytes.
-func runShiftedCheckpoint(tb testing.TB, locality bool) localityResult {
+// runShiftedCheckpoint writes the nearly-aligned 8-rank checkpoint over a
+// 10 MB/s bisection pool with the given domain assignment policy, under a
+// live recorder (it must not perturb modeled time).
+func runShiftedCheckpoint(tb testing.TB, locality bool) experiments.CheckpointResult {
 	tb.Helper()
-	res, _ := runShiftedCheckpointOpts(tb, pario.CollectiveOptions{
-		Aggregators: locRanks,
-		Locality:    locality,
-	})
-	return res
-}
-
-// runShiftedCheckpointOpts is runShiftedCheckpoint under arbitrary
-// collective options; it also returns the machine's flight recorder.
-func runShiftedCheckpointOpts(tb testing.TB, opts pario.CollectiveOptions) (localityResult, *pario.Recorder) {
-	tb.Helper()
-	m := pario.NewMachine(4)
-	m.SetProbe(pario.NewRecorder()) // live recorder: must not perturb modeled time
-	f, err := m.Volume.Create(pario.Spec{
-		Name: "ckpt", Org: pario.OrgGlobalDirect,
-		RecordSize: 4096, BlockRecords: 1, NumRecords: locRecords,
-		Placement: pario.PlaceStriped, StripeUnitFS: 1,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	group, err := m.Volume.OpenGroup("ckpt")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	col, err := pario.OpenCollective(group, locRanks, opts)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	fill := func(buf []byte, gb int64) {
-		buf[0] = byte(gb)
-		buf[1] = byte(gb >> 8)
-	}
-	rg := m.GoRanks(locRanks, "rank", func(r *pario.Rank) {
-		// Main slab (r+3) mod 8 minus its straggler tail, plus the tail
-		// of slab (r+2) mod 8 — together [0, locRecords) across ranks.
-		main := int64((r.Rank() + 3) % locRanks)
-		tail := int64((r.Rank() + 2) % locRanks)
-		vec := pario.Vec{
-			{Block: main * locSlab, N: locSlab - locStraggler, BufOff: 0},
-			{Block: tail*locSlab + locSlab - locStraggler, N: locStraggler,
-				BufOff: (locSlab - locStraggler) * 4096},
-		}
-		buf := make([]byte, locSlab*4096)
-		for i := int64(0); i < locSlab-locStraggler; i++ {
-			fill(buf[i*4096:], main*locSlab+i)
-		}
-		for i := int64(0); i < locStraggler; i++ {
-			fill(buf[(locSlab-locStraggler+i)*4096:], tail*locSlab+locSlab-locStraggler+i)
-		}
-		if err := col.WriteAll(r, []pario.VecReq{{File: 0, Vec: vec}}, buf); err != nil {
-			tb.Errorf("rank %d: %v", r.Rank(), err)
-		}
-	})
-	rg.SetLink(10*time.Microsecond, 2.5e6)
-	rg.SetBisection(10e6)
-	if err := m.Run(); err != nil {
-		tb.Fatal(err)
-	}
-	var res localityResult
-	res.elapsed = m.Engine.Now()
-	res.stats = col.LastStats()
-	_, res.linkBytes = rg.Traffic()
-	for _, d := range m.Disks {
-		res.requests += d.Stats().Requests()
-	}
-	res.totalBytes = locRecords * 4096
-	// Same bytes on disk either way.
-	ctx := pario.NewWall()
-	blk := make([]byte, 4096)
-	for b := int64(0); b < locRecords; b++ {
-		if err := f.Set().ReadBlock(ctx, b, blk); err != nil {
-			tb.Fatal(err)
-		}
-		if blk[0] != byte(b) || blk[1] != byte(b>>8) {
-			tb.Fatalf("block %d corrupt after checkpoint (options %+v)", b, opts)
-		}
-	}
-	return res, m.Probe()
+	return mustRun(tb, experiments.ShiftedCheckpoint(8, 10e6,
+		pario.CollectiveOptions{Aggregators: 8, Locality: locality}).Traced(pario.NewRecorder(), ""))
 }
 
 // TestLocalityWin enforces the tentpole acceptance criteria: ≥2× fewer
@@ -138,19 +46,18 @@ func runShiftedCheckpointOpts(tb testing.TB, opts pario.CollectiveOptions) (loca
 func TestLocalityWin(t *testing.T) {
 	naive := runShiftedCheckpoint(t, false)
 	local := runShiftedCheckpoint(t, true)
-	if naive.stats.BytesMoved == 0 || local.stats.BytesMoved == 0 {
-		t.Fatalf("degenerate exchange split: %+v %+v", naive.stats, local.stats)
+	if naive.Stats.BytesMoved == 0 || local.Stats.BytesMoved == 0 {
+		t.Fatalf("degenerate exchange split: %+v %+v", naive.Stats, local.Stats)
 	}
-	moveRatio := float64(naive.stats.BytesMoved) / float64(local.stats.BytesMoved)
-	timeRatio := naive.elapsed.Seconds() / local.elapsed.Seconds()
+	moveRatio := float64(naive.Stats.BytesMoved) / float64(local.Stats.BytesMoved)
+	timeRatio := naive.Elapsed.Seconds() / local.Elapsed.Seconds()
 	t.Logf("bytes moved %d -> %d (%.1fx fewer), local %d -> %d",
-		naive.stats.BytesMoved, local.stats.BytesMoved, moveRatio,
-		naive.stats.BytesLocal, local.stats.BytesLocal)
-	t.Logf("measured link traffic %d -> %d bytes", naive.linkBytes, local.linkBytes)
+		naive.Stats.BytesMoved, local.Stats.BytesMoved, moveRatio,
+		naive.Stats.BytesLocal, local.Stats.BytesLocal)
+	t.Logf("measured link traffic %d -> %d bytes", naive.LinkBytes, local.LinkBytes)
 	t.Logf("elapsed %v -> %v (%.2fx: %.2f -> %.2f MB/s)",
-		naive.elapsed, local.elapsed, timeRatio,
-		float64(naive.totalBytes)/1e6/naive.elapsed.Seconds(),
-		float64(local.totalBytes)/1e6/local.elapsed.Seconds())
+		naive.Elapsed, local.Elapsed, timeRatio,
+		vMBps(naive), vMBps(local))
 	if moveRatio < 2 {
 		t.Errorf("interconnect byte reduction %.2fx < 2x", moveRatio)
 	}
@@ -159,12 +66,12 @@ func TestLocalityWin(t *testing.T) {
 	}
 	// The split must agree with the measured link counters, and device
 	// work must be identical — the win is purely exchange-side.
-	if naive.linkBytes != naive.stats.BytesMoved || local.linkBytes != local.stats.BytesMoved {
+	if naive.LinkBytes != naive.Stats.BytesMoved || local.LinkBytes != local.Stats.BytesMoved {
 		t.Errorf("stats/traffic disagree: naive %d vs %d, locality %d vs %d",
-			naive.stats.BytesMoved, naive.linkBytes, local.stats.BytesMoved, local.linkBytes)
+			naive.Stats.BytesMoved, naive.LinkBytes, local.Stats.BytesMoved, local.LinkBytes)
 	}
-	if naive.requests != local.requests {
-		t.Errorf("device requests differ: %d vs %d", naive.requests, local.requests)
+	if naive.Requests != local.Requests {
+		t.Errorf("device requests differ: %d vs %d", naive.Requests, local.Requests)
 	}
 }
 
@@ -176,12 +83,12 @@ func BenchmarkLocalityCheckpoint(b *testing.B) {
 		locality bool
 	}{{"round-robin", false}, {"locality", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			var res localityResult
+			var res experiments.CheckpointResult
 			for i := 0; i < b.N; i++ {
 				res = runShiftedCheckpoint(b, mode.locality)
 			}
-			b.ReportMetric(float64(res.totalBytes)/1e6/res.elapsed.Seconds(), "vMB/s")
-			b.ReportMetric(float64(res.stats.BytesMoved)/1e6, "movedMB")
+			b.ReportMetric(vMBps(res), "vMB/s")
+			b.ReportMetric(float64(res.Stats.BytesMoved)/1e6, "movedMB")
 		})
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	pario "repro"
+	"repro/internal/experiments"
 )
 
 // mjRun is one measured contended run.
@@ -28,99 +29,26 @@ type mjRun struct {
 	makespan      time.Duration
 }
 
-// runMultijob executes the bully/victim mix under the given policy
-// (victimPrio raises the victim's lane for the Priority runs) and
-// returns both lanes' stats and the modeled makespan.
+// runMultijob executes the bully/victim mix on two drives under the given
+// policy (victimPrio raises the victim's lane for the Priority runs),
+// under a live recorder — it must not perturb modeled time or lane stats —
+// and returns both lanes' stats and the modeled makespan.
 func runMultijob(tb testing.TB, pol pario.IOPolicy, victimPrio int) mjRun {
 	tb.Helper()
-	const ranks = 4
-	m := pario.NewMachine(2)
-	m.SetProbe(pario.NewRecorder()) // live recorder: must not perturb modeled time or lane stats
-	mk := func(name string, blocks int64) *pario.FileGroup {
-		if _, err := m.Volume.Create(pario.Spec{
-			Name: name, Org: pario.OrgGlobalDirect,
-			RecordSize: 4096, BlockRecords: 1, NumRecords: blocks,
-			Placement: pario.PlaceStriped, StripeUnitFS: 1,
-		}); err != nil {
-			tb.Fatal(err)
-		}
-		g, err := m.Volume.OpenGroup(name)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return g
-	}
-	gBully, gVictim := mk("big", 512), mk("small", 64)
-
-	srv := pario.NewIOServer(pario.IOServerConfig{Workers: 1, Policy: pol})
-	srv.SetProbe(m.Probe())
-	laneB := srv.AddJob(pario.IOJobConfig{Name: "bully"})
-	laneV := srv.AddJob(pario.IOJobConfig{Name: "victim", Priority: victimPrio})
-	srv.Start(m.Engine)
-	colB, err := pario.OpenCollective(gBully, ranks, pario.CollectiveOptions{Service: laneB})
+	res, err := experiments.Multijob{
+		Drives: 2, Policy: pol, Rec: pario.NewRecorder(),
+		Jobs: []experiments.Job{
+			// Six checkpoints issued back to back — the backlog — then the
+			// Waits in issue order.
+			{Name: "bully", Blocks: 512, Calls: 6, Backlog: true},
+			// Eight small writes, one at a time, arriving behind the backlog.
+			{Name: "victim", Blocks: 64, Calls: 8, Delay: 10 * time.Millisecond, Priority: victimPrio},
+		},
+	}.Run()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	colV, err := pario.OpenCollective(gVictim, ranks, pario.CollectiveOptions{Service: laneV})
-	if err != nil {
-		tb.Fatal(err)
-	}
-
-	var done pario.Group
-	done.Add(2 * ranks)
-	m.GoRanks(ranks, "bully", func(r *pario.Rank) {
-		defer done.Done(r.Proc)
-		// Six checkpoints issued back to back — the backlog — then the
-		// Waits in issue order.
-		const per = 512 / ranks
-		buf := make([]byte, per*4096)
-		reqs := []pario.VecReq{{File: 0, Vec: pario.Vec{{Block: int64(r.Rank() * per), N: per}}}}
-		var hs []*pario.IOHandle
-		for i := 0; i < 6; i++ {
-			h, err := colB.IWriteAll(r, reqs, buf)
-			if err != nil {
-				tb.Errorf("bully rank %d: %v", r.Rank(), err)
-				return
-			}
-			hs = append(hs, h)
-		}
-		for _, h := range hs {
-			if err := h.Wait(r); err != nil {
-				tb.Errorf("bully rank %d: %v", r.Rank(), err)
-			}
-		}
-	})
-	m.GoRanks(ranks, "victim", func(r *pario.Rank) {
-		defer done.Done(r.Proc)
-		r.Compute(10 * time.Millisecond) // arrive behind the backlog
-		const per = 64 / ranks
-		buf := make([]byte, per*4096)
-		reqs := []pario.VecReq{{File: 0, Vec: pario.Vec{{Block: int64(r.Rank() * per), N: per}}}}
-		for i := 0; i < 8; i++ {
-			h, err := colV.IWriteAll(r, reqs, buf)
-			if err != nil {
-				tb.Errorf("victim rank %d: %v", r.Rank(), err)
-				return
-			}
-			if err := h.Wait(r); err != nil {
-				tb.Errorf("victim rank %d: %v", r.Rank(), err)
-			}
-		}
-	})
-	var res mjRun
-	m.Go("driver", func(p *pario.Proc) {
-		done.Wait(p)
-		srv.Stop(p)
-		res.makespan = p.Now()
-	})
-	if err := m.Run(); err != nil {
-		tb.Fatal(err)
-	}
-	res.bully, res.victim = laneB.Stats(), laneV.Stats()
-	if res.bully.Submitted != res.bully.Completed || res.victim.Submitted != res.victim.Completed {
-		tb.Fatalf("unfinished lanes: bully %+v victim %+v", res.bully, res.victim)
-	}
-	return res
+	return mjRun{bully: res.Lanes[0], victim: res.Lanes[1], makespan: res.Makespan}
 }
 
 // TestMultijobQoS enforces the scheduler wins through the full

@@ -67,7 +67,7 @@
 // direct-access handles batch record ranges through
 // ReadRecordsAt/WriteRecordsAt, whose cache faults fetch a request's
 // missing span as one vectored read. See BenchmarkVectoredScan and
-// `pariosim -scenario noncontig` for the measured win.
+// `pariobench -run noncontig` for the measured win.
 //
 // # Collective I/O
 //
@@ -87,7 +87,7 @@
 // record independently collapses to one request per device per
 // aggregator — trading cheap interconnect traffic for expensive device
 // requests; TestCollectiveCoalescingWin enforces ≥4× fewer requests and
-// ≥2× modeled throughput, and `pariosim -scenario collective` prints the
+// ≥2× modeled throughput, and `pariobench -run collective` prints the
 // comparison. Independent (non-collective) paths are untouched: with the
 // default free link model their timing stays bit-identical to the
 // paper's.
@@ -107,7 +107,7 @@
 // Collective.LastStats reports the measured split (bytes moved vs bytes
 // local) and RankGroup.Traffic the link volume. TestLocalityWin
 // enforces ≥2× fewer bytes moved and better modeled time on a contended
-// 8-rank checkpoint; `pariosim -scenario contended` sweeps rank count ×
+// 8-rank checkpoint; `pariobench -run contended` sweeps rank count ×
 // link bandwidth. CollectiveOptions.LastWriterWins additionally offers
 // MPI-IO-style deterministic resolution of cross-rank write overlaps
 // (the outcome is as if ranks wrote in rank order). All knobs are
@@ -137,7 +137,7 @@
 // per-chunk request overhead; the win is overlap, reported by
 // Collective.LastStats (ExchangeTime / AccessTime / Overlap) and
 // enforced by TestPipelineWin (≥1.3× modeled time on contended
-// checkpoints, link-bound and disk-bound). `pariosim -scenario
+// checkpoints, link-bound and disk-bound). `pariobench -run
 // pipeline` prints the comparison. ChunkBytes 0 (the default) sets no
 // bound: one round, bit-identical to the single-shot schedule of earlier
 // releases, unless StrategyAuto prices a deeper pipeline cheaper (see
@@ -229,7 +229,7 @@
 // TestStrategyAutoWins enforces that Auto matches the best fixed
 // strategy on every configuration of a density × rank-count ×
 // link-bandwidth sweep and strictly beats each fixed strategy on at
-// least one; `pariosim -scenario strategy` prints the sweep. The paper
+// least one; `pariobench -run strategy` prints the sweep. The paper
 // defaults are untouched: StrategyDefault keeps every pinned modeled
 // time bit-identical (TestDefaultModelPinned).
 //
@@ -261,15 +261,15 @@
 // evictions and invalidations (CollectiveCacheStats);
 // TestReplayDeterminism512 fences determinism, the differential
 // harness's replay phases diff replayed iterations against fresh-plan
-// and reference-model execution, and `pariosim -scenario replay`
+// and reference-model execution, and `pariobench -run replay`
 // sweeps iterations × ranks cached vs uncached.
 //
 // Profiles bundle the knobs grown across all these layers:
 // PaperProfile is the pinned 1989 model, TunedProfile the "modern
 // defaults" (extents, SCAN scheduling with queue merging, a modeled
 // interconnect, locality-aware chunked collectives), and
-// NewProfiledMachine builds a machine under one. `pariosim -scenario
-// profile [-profile tuned|paper]` compares them on the checkpoint
+// NewProfiledMachine builds a machine under one. `pariobench -run
+// profile` compares them on the checkpoint
 // scenario; TestTunedProfileWins enforces the tuned win.
 //
 // # Flight recorder
@@ -293,7 +293,7 @@
 // metrics registry (counters, pull gauges, histograms). With no
 // recorder attached (the default) every hook is a nil-receiver no-op:
 // zero work, zero allocations (BenchmarkTraceOverhead measures the
-// delta). `pariosim -trace out.json -metrics` records any scenario;
+// delta). `pariobench -run <id> -trace out.json -metrics` records any row;
 // `parioctl trace out.json` summarizes a trace offline. Distinct from
 // TraceRecorder, which captures the paper's per-record access events
 // (Figure 1), not timing.
@@ -332,7 +332,7 @@
 // TestEngineScaleWin and TestPipelinedDeterminism512 enforce this from
 // three directions). A 4096-rank × 256-drive contended pipelined
 // checkpoint simulates in well under a wall-clock second per modeled
-// second; `pariosim -scenario scale` prints the sweep, and pariosim's
+// second; `pariobench -run scale` prints the sweep, and pariobench's
 // -cpuprofile/-memprofile flags capture pprof profiles of the simulator
 // itself.
 //

@@ -17,92 +17,18 @@
 package pario_test
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
 	pario "repro"
-	"repro/internal/collective"
+	"repro/internal/experiments"
 )
 
-const (
-	pipeRanks   = 8
-	pipeRecords = 4096 // 4 KiB records = fs blocks, unit-1 declustered
-)
-
-// pipeResult is one measured checkpoint write.
-type pipeResult struct {
-	elapsed  time.Duration
-	requests int64
-	stats    pario.ExchangeStats
-	bytes    int64
-}
-
-// runPipelinedCheckpoint writes the 8-rank strided checkpoint over 4
-// default 1989 drives through a collective with the given chunking, on
-// a contended interconnect (100 MB/s per-process links sharing a
-// bisection pool of the given bandwidth), and verifies the landed
-// bytes.
-func runPipelinedCheckpoint(tb testing.TB, chunkBytes int64, bisection float64) pipeResult {
+// runPipelinedCheckpoint writes experiments.PipelinedCheckpoint under a
+// live recorder (it must not perturb modeled time).
+func runPipelinedCheckpoint(tb testing.TB, chunkBytes int64, bisection float64) experiments.CheckpointResult {
 	tb.Helper()
-	m := pario.NewMachine(4)
-	m.SetProbe(pario.NewRecorder()) // live recorder: must not perturb modeled time
-	f, err := m.Volume.Create(pario.Spec{
-		Name: "ckpt", Org: pario.OrgGlobalDirect,
-		RecordSize: 4096, BlockRecords: 1, NumRecords: pipeRecords,
-		Placement: pario.PlaceStriped, StripeUnitFS: 1,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	group, err := m.Volume.OpenGroup("ckpt")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	col, err := pario.OpenCollective(group, pipeRanks, pario.CollectiveOptions{ChunkBytes: chunkBytes})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rg := m.GoRanks(pipeRanks, "rank", func(r *pario.Rank) {
-		rank := int64(r.Rank())
-		var vec pario.Vec
-		var off int64
-		for b := rank; b < pipeRecords; b += pipeRanks {
-			vec = append(vec, pario.VecSeg{Block: b, N: 1, BufOff: off})
-			off += 4096
-		}
-		buf := make([]byte, off)
-		for i, sg := range vec {
-			buf[int64(i)*4096] = byte(sg.Block)
-			buf[int64(i)*4096+1] = byte(sg.Block >> 8)
-		}
-		if err := col.WriteAll(r, []pario.VecReq{{File: 0, Vec: vec}}, buf); err != nil {
-			tb.Errorf("rank %d: %v", rank, err)
-		}
-	})
-	rg.SetLink(10*time.Microsecond, 100e6)
-	rg.SetBisection(bisection)
-	if err := m.Run(); err != nil {
-		tb.Fatal(err)
-	}
-	var res pipeResult
-	res.elapsed = m.Engine.Now()
-	res.stats = col.LastStats()
-	res.bytes = pipeRecords * 4096
-	for _, d := range m.Disks {
-		res.requests += d.Stats().Requests()
-	}
-	ctx := pario.NewWall()
-	blk := make([]byte, 4096)
-	for b := int64(0); b < pipeRecords; b++ {
-		if err := f.Set().ReadBlock(ctx, b, blk); err != nil {
-			tb.Fatal(err)
-		}
-		if blk[0] != byte(b) || blk[1] != byte(b>>8) {
-			tb.Fatalf("block %d corrupt after checkpoint (chunk=%d)", b, chunkBytes)
-		}
-	}
-	return res
+	return mustRun(tb, experiments.PipelinedCheckpoint(chunkBytes, bisection).Traced(pario.NewRecorder(), ""))
 }
 
 // TestPipelineWin enforces the acceptance criteria in both regimes:
@@ -124,27 +50,26 @@ func TestPipelineWin(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			serial := runPipelinedCheckpoint(t, 0, tc.bisection)
 			piped := runPipelinedCheckpoint(t, chunk, tc.bisection)
-			ratio := serial.elapsed.Seconds() / piped.elapsed.Seconds()
+			ratio := serial.Elapsed.Seconds() / piped.Elapsed.Seconds()
 			t.Logf("elapsed %v -> %v (%.2fx; %.2f -> %.2f MB/s)",
-				serial.elapsed, piped.elapsed, ratio,
-				float64(serial.bytes)/1e6/serial.elapsed.Seconds(),
-				float64(piped.bytes)/1e6/piped.elapsed.Seconds())
+				serial.Elapsed, piped.Elapsed, ratio,
+				vMBps(serial), vMBps(piped))
 			t.Logf("requests %d -> %d; piped exchange %v, access %v, overlap %v; link idle %.0f%% -> %.0f%%",
-				serial.requests, piped.requests,
-				piped.stats.ExchangeTime, piped.stats.AccessTime, piped.stats.Overlap,
-				100*(1-serial.stats.ExchangeTime.Seconds()/serial.elapsed.Seconds()),
-				100*(1-piped.stats.ExchangeTime.Seconds()/piped.elapsed.Seconds()))
+				serial.Requests, piped.Requests,
+				piped.Stats.ExchangeTime, piped.Stats.AccessTime, piped.Stats.Overlap,
+				100*(1-serial.Stats.ExchangeTime.Seconds()/serial.Elapsed.Seconds()),
+				100*(1-piped.Stats.ExchangeTime.Seconds()/piped.Elapsed.Seconds()))
 			if ratio < 1.3 {
 				t.Errorf("modeled time improvement %.2fx < 1.3x", ratio)
 			}
-			if serial.stats.Overlap != 0 {
-				t.Errorf("single-shot write reported overlap %v, want none", serial.stats.Overlap)
+			if serial.Stats.Overlap != 0 {
+				t.Errorf("single-shot write reported overlap %v, want none", serial.Stats.Overlap)
 			}
-			if piped.stats.Overlap <= 0 {
-				t.Errorf("pipelined stats report no exchange/access overlap: %+v", piped.stats)
+			if piped.Stats.Overlap <= 0 {
+				t.Errorf("pipelined stats report no exchange/access overlap: %+v", piped.Stats)
 			}
-			if !serial.stats.SameBytes(piped.stats) {
-				t.Errorf("schedules moved different bytes: %+v vs %+v", serial.stats, piped.stats)
+			if !serial.Stats.SameBytes(piped.Stats) {
+				t.Errorf("schedules moved different bytes: %+v vs %+v", serial.Stats, piped.Stats)
 			}
 		})
 	}
@@ -159,13 +84,13 @@ func BenchmarkPipelinedCheckpoint(b *testing.B) {
 		chunk int64
 	}{{"single-shot", 0}, {"pipelined", 256 * 4096}} {
 		b.Run(mode.name, func(b *testing.B) {
-			var res pipeResult
+			var res experiments.CheckpointResult
 			for i := 0; i < b.N; i++ {
 				res = runPipelinedCheckpoint(b, mode.chunk, 3.5e6)
 			}
-			b.ReportMetric(float64(res.bytes)/1e6/res.elapsed.Seconds(), "vMB/s")
-			b.ReportMetric(res.stats.Overlap.Seconds(), "overlap-s")
-			b.ReportMetric(float64(res.requests), "requests")
+			b.ReportMetric(vMBps(res), "vMB/s")
+			b.ReportMetric(res.Stats.Overlap.Seconds(), "overlap-s")
+			b.ReportMetric(float64(res.Requests), "requests")
 		})
 	}
 }
@@ -183,93 +108,40 @@ type depthResult struct {
 	allocBytes float64
 }
 
-// runDepthCheckpoint issues TestAlignedDomainsWin's checkpoint — 512
-// ranks × 32 drives, a unit-1 striped file, eight strided blocks a rank,
-// TunedProfile — four times through one handle whose ChunkBytes is chunk
-// (TunedProfile's own is 1 MiB; 0 sets no bound). split 0 leaves the
-// pipeline depth to StrategyAuto's prices; split > 0 forces the
-// drive-aligned partition with every chunk cut in split, through the
-// collective package's test hook.
+// runDepthCheckpoint issues TestAlignedDomainsWin's checkpoint
+// (alignedCheckpoint) under TunedProfile four times through one handle
+// whose ChunkBytes is chunk (TunedProfile's own is 1 MiB; 0 sets no
+// bound). split 0 leaves the pipeline depth to StrategyAuto's prices;
+// split > 0 forces the drive-aligned partition with every chunk cut in
+// split, through the collective package's test hook.
 func runDepthCheckpoint(tb testing.TB, chunk int64, split int) depthResult {
 	tb.Helper()
 	pf := pario.TunedProfile()
 	pf.Collective.ChunkBytes = chunk
-	return runDepthCheckpointOn(tb, pf, pf.Collective, split)
+	return runDepthCheckpointOn(tb, pf, split)
 }
 
-// runDepthCheckpointOn is runDepthCheckpoint on any profile's machine and
-// interconnect, through a handle with the given options.
-func runDepthCheckpointOn(tb testing.TB, pf pario.Profile, opts pario.CollectiveOptions, split int) depthResult {
+// runDepthCheckpointOn is runDepthCheckpoint on any profile's machine,
+// interconnect and handle options.
+func runDepthCheckpointOn(tb testing.TB, pf pario.Profile, split int) depthResult {
 	tb.Helper()
 	const calls = 4
-	m := pario.NewProfiledMachine(alignDrives, pf)
+	ck := alignedCheckpoint(pf, calls)
+	ck.ForceSplit = split
 	// The engine alone is probed: its dispatch counter is wanted, and
 	// spans from the layers above would be most of the allocations.
-	rec := pario.NewRecorder()
-	m.Engine.SetProbe(rec)
-	if _, err := m.Volume.Create(pario.Spec{
-		Name: "chk", Org: pario.OrgGlobalDirect,
-		RecordSize: 4096, BlockRecords: 1, NumRecords: alignRanks * alignPerRank,
-		Placement: pario.PlaceStriped, StripeUnitFS: 1,
-	}); err != nil {
-		tb.Fatal(err)
+	ck.Rec, ck.EngineOnly = pario.NewRecorder(), true
+	run := mustRun(tb, ck)
+	last := run.Calls[calls-1]
+	res := depthResult{
+		rounds: run.Depth, predicted: run.Predicted,
+		elapsed: last.Modeled, requests: last.Requests,
 	}
-	group, err := m.Volume.OpenGroup("chk")
-	if err != nil {
-		tb.Fatal(err)
+	for _, c := range run.Calls[1:] {
+		res.dispatches += float64(c.Dispatches) / (calls - 1)
+		res.mallocs += float64(c.Mallocs) / (calls - 1)
+		res.allocBytes += float64(c.Bytes) / (calls - 1)
 	}
-	col, err := pario.OpenCollective(group, alignRanks, opts)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	collective.ForceAligned(col, split)
-	dispatches := rec.Metrics().Counter("sim.dispatches")
-	var res depthResult
-	rg := m.GoRanks(alignRanks, "ck", func(r *pario.Rank) {
-		rank := int64(r.Rank())
-		vec := make(pario.Vec, alignPerRank)
-		buf := make([]byte, alignPerRank*4096)
-		for k := range vec {
-			vec[k] = pario.VecSeg{Block: int64(k)*alignRanks + rank, N: 1, BufOff: int64(k) * 4096}
-		}
-		reqs := []pario.VecReq{{File: 0, Vec: vec}}
-		var t0 time.Duration
-		var disp0, req0 int64
-		var ms runtime.MemStats
-		var mallocs0, bytes0 uint64
-		for call := 0; call < calls; call++ {
-			if rank == 0 && call == 1 {
-				disp0 = dispatches.Value()
-				runtime.ReadMemStats(&ms)
-				mallocs0, bytes0 = ms.Mallocs, ms.TotalAlloc
-			}
-			if rank == 0 && call == calls-1 {
-				t0 = r.Now()
-				for _, d := range m.Disks {
-					req0 += d.Stats().Requests()
-				}
-			}
-			if err := col.WriteAll(r, reqs, buf); err != nil {
-				tb.Errorf("rank %d: %v", rank, err)
-			}
-		}
-		if rank == 0 {
-			runtime.ReadMemStats(&ms)
-			res.elapsed = r.Now() - t0
-			res.dispatches = float64(dispatches.Value()-disp0) / (calls - 1)
-			res.mallocs = float64(ms.Mallocs-mallocs0) / (calls - 1)
-			res.allocBytes = float64(ms.TotalAlloc-bytes0) / (calls - 1)
-			for _, d := range m.Disks {
-				res.requests += d.Stats().Requests()
-			}
-			res.requests -= req0
-		}
-	})
-	pf.ConfigureRanks(rg)
-	if err := m.Run(); err != nil {
-		tb.Fatal(err)
-	}
-	res.rounds, res.predicted = col.LastDepth(), col.LastPredicted()
 	return res
 }
 
@@ -384,18 +256,19 @@ func TestUnboundedDepthPriced(t *testing.T) {
 	}
 
 	// A free interconnect: StrategyAuto on the paper's machine, no link set.
-	free := runDepthCheckpointOn(t, pario.PaperProfile(), pario.CollectiveOptions{Strategy: pario.StrategyAuto}, 0)
+	paper := pario.PaperProfile()
+	paper.Collective.Strategy = pario.StrategyAuto
+	free := runDepthCheckpointOn(t, paper, 0)
 	if free.rounds != 1 {
 		t.Errorf("free interconnect: ran %d rounds, want 1 (every depth ties at the access time)", free.rounds)
 	}
 	// Fewer aggregators than drives: domains of two drives each.
-	tuned := pario.TunedProfile()
-	wide := tuned.Collective
-	wide.ChunkBytes, wide.Aggregators = 0, alignDrives/2
-	multi := runDepthCheckpointOn(t, tuned, wide, 0)
+	wide := pario.TunedProfile()
+	wide.Collective.ChunkBytes, wide.Collective.Aggregators = 0, alignDrives/2
+	multi := runDepthCheckpointOn(t, wide, 0)
 	if multi.rounds != 1 {
-		t.Errorf("%d aggregators over %d drives: ran %d rounds, want 1", wide.Aggregators, alignDrives, multi.rounds)
+		t.Errorf("%d aggregators over %d drives: ran %d rounds, want 1", wide.Collective.Aggregators, alignDrives, multi.rounds)
 	}
 	t.Logf("free interconnect: depth %d, %v per call; %d aggregators: depth %d, %v per call",
-		free.rounds, free.elapsed, wide.Aggregators, multi.rounds, multi.elapsed)
+		free.rounds, free.elapsed, wide.Collective.Aggregators, multi.rounds, multi.elapsed)
 }

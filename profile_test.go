@@ -8,94 +8,20 @@
 package pario_test
 
 import (
-	"io"
 	"testing"
 	"time"
 
 	pario "repro"
+	"repro/internal/experiments"
 )
 
-const (
-	profRanks   = 8
-	profRecords = 2048 // 4 KiB records = fs blocks, unit-1 declustered
-)
-
-// runProfileCheckpoint runs the checkpoint scenario under a profile: an
-// 8-rank strided collective write of the checkpoint, then one
-// sequential scan validating it (the restart read), all on a 4-drive
-// machine configured by the profile.
+// runProfileCheckpoint runs the checkpoint scenario under a profile
+// (experiments.ProfileCheckpoint: an 8-rank strided collective write,
+// then one sequential scan validating it — the restart read) and returns
+// its modeled time.
 func runProfileCheckpoint(tb testing.TB, pf pario.Profile) time.Duration {
 	tb.Helper()
-	m := pario.NewProfiledMachine(4, pf)
-	f, err := m.Volume.Create(pario.Spec{
-		Name: "ckpt", Org: pario.OrgGlobalDirect,
-		RecordSize: 4096, BlockRecords: 1, NumRecords: profRecords,
-		Placement: pario.PlaceStriped, StripeUnitFS: 1,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	group, err := m.Volume.OpenGroup("ckpt")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	col, err := pario.OpenCollective(group, profRanks, pf.Collective)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rg := m.GoRanks(profRanks, "rank", func(r *pario.Rank) {
-		rank := int64(r.Rank())
-		var vec pario.Vec
-		var off int64
-		for b := rank; b < profRecords; b += profRanks {
-			vec = append(vec, pario.VecSeg{Block: b, N: 1, BufOff: off})
-			off += 4096
-		}
-		buf := make([]byte, off)
-		for i, sg := range vec {
-			buf[int64(i)*4096] = byte(sg.Block)
-			buf[int64(i)*4096+1] = byte(sg.Block >> 8)
-		}
-		if err := col.WriteAll(r, []pario.VecReq{{File: 0, Vec: vec}}, buf); err != nil {
-			tb.Errorf("rank %d: %v", rank, err)
-			return
-		}
-		// All ranks leave WriteAll together; rank 0 performs the restart
-		// scan through the profile's access options.
-		if r.Rank() != 0 {
-			return
-		}
-		rd, err := pario.OpenReader(f, pf.Access)
-		if err != nil {
-			tb.Error(err)
-			return
-		}
-		for b := int64(0); ; b++ {
-			rec, _, err := rd.ReadRecord(r.Proc)
-			if err == io.EOF {
-				if b != profRecords {
-					tb.Errorf("scan ended after %d of %d records", b, profRecords)
-				}
-				break
-			}
-			if err != nil {
-				tb.Error(err)
-				return
-			}
-			if rec[0] != byte(b) || rec[1] != byte(b>>8) {
-				tb.Errorf("record %d corrupt under profile %q", b, pf.Name)
-				return
-			}
-		}
-		if err := rd.Close(r.Proc); err != nil {
-			tb.Error(err)
-		}
-	})
-	pf.ConfigureRanks(rg)
-	if err := m.Run(); err != nil {
-		tb.Fatal(err)
-	}
-	return m.Engine.Now()
+	return mustRun(tb, experiments.ProfileCheckpoint(pf)).Elapsed
 }
 
 // TestTunedProfileWins asserts the modern-defaults bundle beats the

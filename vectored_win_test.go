@@ -8,94 +8,17 @@ package pario_test
 
 import (
 	"fmt"
-	"io"
 	"testing"
-	"time"
-
-	pario "repro"
 )
 
-// vecScanResult is one measured sequential whole-file scan.
-type vecScanResult struct {
-	requests int64         // device requests during the read
-	elapsed  time.Duration // virtual time of the read
-	bytes    int64
-}
-
-// runVectoredScan writes a unit-1 declustered S file of `records` 4 KiB
-// records over 4 drives and reads it back sequentially with the given
-// extent size, returning the read-phase device stats. With StripeUnitFS
-// 1, logically consecutive blocks alternate devices, so each extent's
-// per-device blocks form one physically contiguous gather run: the
-// vectored path issues one request per device per extent, where the
+// runVectoredScan is runStreamScan on a unit-1 declustered file: with
+// StripeUnitFS 1, logically consecutive blocks alternate devices, so each
+// extent's per-device blocks form one physically contiguous gather run:
+// the vectored path issues one request per device per extent, where the
 // per-block path (extent 1) issues one per block.
-func runVectoredScan(tb testing.TB, records int64, extent int) vecScanResult {
+func runVectoredScan(tb testing.TB, records int64, extent int) scanResult {
 	tb.Helper()
-	m := pario.NewMachine(4)
-	f, err := m.Volume.Create(pario.Spec{
-		Name: "declustered", Org: pario.OrgSequential,
-		RecordSize: 4096, BlockRecords: 1, NumRecords: records,
-		Placement: pario.PlaceStriped, StripeUnitFS: 1,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var res vecScanResult
-	m.Go("scan", func(p *pario.Proc) {
-		w, err := pario.OpenWriter(f, pario.Options{NBufs: 2, IOProcs: 1, ExtentBlocks: 8})
-		if err != nil {
-			tb.Error(err)
-			return
-		}
-		rec := make([]byte, 4096)
-		for r := int64(0); r < records; r++ {
-			rec[0] = byte(r)
-			if _, err := w.WriteRecord(p, rec); err != nil {
-				tb.Error(err)
-				return
-			}
-		}
-		if err := w.Close(p); err != nil {
-			tb.Error(err)
-			return
-		}
-		for _, d := range m.Disks {
-			d.ResetStats()
-		}
-		start := p.Now()
-		r, err := pario.OpenReader(f, pario.Options{NBufs: 2, IOProcs: 1, ExtentBlocks: extent})
-		if err != nil {
-			tb.Error(err)
-			return
-		}
-		for i := int64(0); ; i++ {
-			data, rec, err := r.ReadRecord(p)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				tb.Error(err)
-				return
-			}
-			if rec != i || data[0] != byte(i) {
-				tb.Errorf("record %d: got index %d first byte %d", i, rec, data[0])
-				return
-			}
-		}
-		if err := r.Close(p); err != nil {
-			tb.Error(err)
-			return
-		}
-		res.elapsed = p.Now() - start
-	})
-	if err := m.Run(); err != nil {
-		tb.Fatal(err)
-	}
-	for _, d := range m.Disks {
-		res.requests += d.Stats().Requests()
-	}
-	res.bytes = records * 4096
-	return res
+	return runStreamScan(tb, 1, records, extent)
 }
 
 // TestVectoredCoalescingWin enforces the acceptance criteria on a
@@ -141,7 +64,7 @@ func TestVectoredCoalescingWin(t *testing.T) {
 func BenchmarkVectoredScan(b *testing.B) {
 	for _, extent := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("extent%d", extent), func(b *testing.B) {
-			var res vecScanResult
+			var res scanResult
 			for i := 0; i < b.N; i++ {
 				res = runVectoredScan(b, 4096, extent)
 			}
