@@ -64,6 +64,7 @@ var mechanismRows = map[string]string{
 	"strategy": "Strategy selection", "contended": "Contention-aware", "pipeline": "Pipelined collective",
 	"replay": "Plan capture & replay", "profile": "Cross-layer profiles",
 	"multijob": "Multi-job I/O service", "scale": "Engine scaling",
+	"cache": "Direct-access buffer pool",
 }
 
 func TestScenarios(t *testing.T) {

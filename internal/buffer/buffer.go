@@ -6,8 +6,11 @@
 //     Prefetching is performed by dedicated I/O processes, the paper's
 //     "dedicated I/O processors".
 //   - SeqWriter: deferred (behind) writing for sequential output streams.
-//   - Cache: an LRU block cache "helpful when there is some locality of
-//     reference, as in the PDA organization".
+//   - Cache: a write-back buffer pool "helpful when there is some
+//     locality of reference, as in the PDA organization": segmented-LRU
+//     replacement, so blocks touched once do not flush the ones hit again,
+//     and write-behind — dirty victims are written in vectored batches by
+//     dedicated I/O processes instead of inside the miss that evicted them.
 //
 // SeqReader and SeqWriter also come in extent form (NewSeqReaderExtent,
 // NewSeqWriterExtent): the streaming unit becomes a run of up to E
@@ -20,11 +23,9 @@
 package buffer
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -433,278 +434,3 @@ func (w *SeqWriter) Close(ctx sim.Context) error {
 	}
 	return errors.Join(w.errs...)
 }
-
-// CacheStats counts cache outcomes.
-type CacheStats struct {
-	Hits       int64
-	Misses     int64
-	Evictions  int64
-	WriteBacks int64
-}
-
-// HitRate reports hits / (hits+misses), zero when empty.
-func (s CacheStats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
-// entry is a resident cache block.
-type entry struct {
-	idx   int64
-	buf   []byte
-	dirty bool
-	elem  *list.Element
-}
-
-// Cache is a write-back LRU block cache keyed by block index. Under an
-// engine concurrent readers coalesce misses per block; without one it
-// must be used from a single goroutine.
-type Cache struct {
-	fetch     Fetch
-	fetchSpan FetchSpan // optional vectored batch fetch (FaultIn)
-	flush     FlushFn
-	blockSize int
-	capacity  int
-
-	entries map[int64]*entry
-	lru     *list.List // front = most recent
-	busy    map[int64]*sim.WaitQueue
-	spare   *entry // last evicted entry, recycled (frame and all) by the next With miss
-	stats   CacheStats
-}
-
-// NewCache builds a cache of capacity blocks.
-func NewCache(fetch Fetch, flush FlushFn, blockSize, capacity int) (*Cache, error) {
-	if blockSize <= 0 {
-		return nil, fmt.Errorf("buffer: block size %d", blockSize)
-	}
-	if capacity < 1 {
-		return nil, fmt.Errorf("buffer: cache capacity %d", capacity)
-	}
-	return &Cache{
-		fetch:     fetch,
-		flush:     flush,
-		blockSize: blockSize,
-		capacity:  capacity,
-		entries:   make(map[int64]*entry),
-		lru:       list.New(),
-		busy:      make(map[int64]*sim.WaitQueue),
-	}, nil
-}
-
-// Stats returns a snapshot of the counters.
-func (c *Cache) Stats() CacheStats { return c.stats }
-
-// SetFetchSpan installs a vectored batch fetch used by FaultIn. Without
-// one, FaultIn degrades to per-block fetches.
-func (c *Cache) SetFetchSpan(fs FetchSpan) { c.fetchSpan = fs }
-
-// FaultIn brings the listed blocks (ascending, distinct) into the cache,
-// fetching all the missing ones with a single vectored FetchSpan call —
-// the ranged fault path: a request spanning several absent blocks pays
-// the device's per-request overhead once per physically contiguous run
-// instead of once per block. Blocks already resident are touched first
-// (made most-recent), so the fault's evictions spare them whenever the
-// listed span fits the cache. At most capacity blocks are faulted per
-// call; callers chunk larger spans.
-func (c *Cache) FaultIn(ctx sim.Context, idxs []int64) error {
-	for _, idx := range idxs {
-		c.waitNotBusy(ctx, idx)
-		if e, ok := c.entries[idx]; ok {
-			c.lru.MoveToFront(e.elem)
-		}
-	}
-	var missing []int64
-	for _, idx := range idxs {
-		c.waitNotBusy(ctx, idx)
-		if _, ok := c.entries[idx]; ok {
-			continue
-		}
-		if c.busy[idx] != nil || len(missing) >= c.capacity {
-			continue
-		}
-		// Reserve the slot before parking in eviction, so concurrent
-		// accessors wait for our fetch instead of duplicating it.
-		c.setBusy(idx)
-		missing = append(missing, idx)
-		for len(c.entries)+len(c.busy) > c.capacity && c.lru.Len() > 0 {
-			if err := c.evictOne(ctx); err != nil {
-				for _, m := range missing {
-					c.clearBusy(ctx, m)
-				}
-				return err
-			}
-		}
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	c.stats.Misses += int64(len(missing))
-	flat := make([]byte, len(missing)*c.blockSize)
-	var err error
-	if c.fetchSpan != nil {
-		err = c.fetchSpan(ctx, missing, flat)
-	} else {
-		for i, idx := range missing {
-			if err = c.fetch(ctx, idx, flat[i*c.blockSize:(i+1)*c.blockSize]); err != nil {
-				break
-			}
-		}
-	}
-	for i, idx := range missing {
-		c.clearBusy(ctx, idx)
-		if err != nil {
-			continue
-		}
-		e := &entry{idx: idx, buf: flat[i*c.blockSize : (i+1)*c.blockSize]}
-		e.elem = c.lru.PushFront(e)
-		c.entries[idx] = e
-	}
-	if err != nil {
-		return fmt.Errorf("buffer: fault in %d blocks: %w", len(missing), err)
-	}
-	return nil
-}
-
-// waitNotBusy parks until no fetch/write-back is in flight for idx.
-func (c *Cache) waitNotBusy(ctx sim.Context, idx int64) {
-	p, ok := ctx.(*sim.Proc)
-	if !ok {
-		return
-	}
-	for {
-		wq := c.busy[idx]
-		if wq == nil {
-			return
-		}
-		wq.Wait(p)
-	}
-}
-
-// setBusy marks idx in flight.
-func (c *Cache) setBusy(idx int64) {
-	c.busy[idx] = &sim.WaitQueue{}
-}
-
-// clearBusy releases waiters for idx.
-func (c *Cache) clearBusy(ctx sim.Context, idx int64) {
-	wq := c.busy[idx]
-	delete(c.busy, idx)
-	if p, ok := ctx.(*sim.Proc); ok && wq != nil {
-		wq.WakeAll(p.Engine())
-	}
-}
-
-// evictOne writes back and drops the least-recently-used entry that no
-// Flush is writing back, keeping it (once its own write-back has
-// returned) for the next With miss to recycle. An entry under Flush is
-// not a victim: Flush still holds its frame, and the accessors parked
-// on its busy marker would never be woken had eviction replaced the
-// marker with its own. When Flush holds every resident entry, evictOne
-// waits for the oldest to come back and evicts nothing; its callers loop.
-func (c *Cache) evictOne(ctx sim.Context) error {
-	back := c.lru.Back()
-	if back == nil {
-		return fmt.Errorf("buffer: cache eviction with empty LRU")
-	}
-	el := back
-	for el != nil && c.busy[el.Value.(*entry).idx] != nil {
-		el = el.Prev()
-	}
-	if el == nil {
-		c.waitNotBusy(ctx, back.Value.(*entry).idx)
-		return nil
-	}
-	victim := el.Value.(*entry)
-	c.lru.Remove(el)
-	delete(c.entries, victim.idx)
-	c.stats.Evictions++
-	if victim.dirty {
-		c.stats.WriteBacks++
-		c.setBusy(victim.idx)
-		err := c.flush(ctx, victim.idx, victim.buf)
-		c.clearBusy(ctx, victim.idx)
-		if err != nil {
-			return fmt.Errorf("buffer: write back block %d: %w", victim.idx, err)
-		}
-	}
-	c.spare = victim
-	return nil
-}
-
-// With runs fn on the cached contents of block idx, faulting it in if
-// needed; dirty marks the block modified (write-back on eviction or
-// Flush). fn must not block: it runs while the cache entry is unpinned.
-func (c *Cache) With(ctx sim.Context, idx int64, dirty bool, fn func(buf []byte) error) error {
-	for {
-		c.waitNotBusy(ctx, idx)
-		if e, ok := c.entries[idx]; ok {
-			c.stats.Hits++
-			c.lru.MoveToFront(e.elem)
-			e.dirty = e.dirty || dirty
-			return fn(e.buf)
-		}
-		// Miss: make room, then fetch. Both park, so re-check residency
-		// afterwards (another process may have raced us to it).
-		c.stats.Misses++
-		for len(c.entries)+len(c.busy) >= c.capacity && c.lru.Len() > 0 {
-			if err := c.evictOne(ctx); err != nil {
-				return err
-			}
-		}
-		if _, ok := c.entries[idx]; ok || c.busy[idx] != nil {
-			c.stats.Misses-- // someone else brought it in; recount as hit
-			continue
-		}
-		e := c.spare
-		c.spare = nil
-		if e == nil {
-			e = &entry{buf: make([]byte, c.blockSize)}
-		}
-		c.setBusy(idx)
-		err := c.fetch(ctx, idx, e.buf)
-		c.clearBusy(ctx, idx)
-		if err != nil {
-			return fmt.Errorf("buffer: fetch block %d: %w", idx, err)
-		}
-		e.idx, e.dirty = idx, dirty
-		e.elem = c.lru.PushFront(e)
-		c.entries[idx] = e
-		return fn(e.buf)
-	}
-}
-
-// Flush writes back all dirty entries (they stay resident, clean).
-// Entries are flushed in ascending block order so virtual-time runs are
-// deterministic.
-func (c *Cache) Flush(ctx sim.Context) error {
-	idxs := make([]int64, 0, len(c.entries))
-	for idx, e := range c.entries {
-		if e.dirty {
-			idxs = append(idxs, idx)
-		}
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	var errs []error
-	for _, idx := range idxs {
-		e, ok := c.entries[idx]
-		if !ok || !e.dirty {
-			continue // evicted or cleaned while we flushed earlier blocks
-		}
-		c.stats.WriteBacks++
-		c.setBusy(idx)
-		err := c.flush(ctx, idx, e.buf)
-		c.clearBusy(ctx, idx)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("buffer: flush block %d: %w", idx, err))
-			continue
-		}
-		e.dirty = false
-	}
-	return errors.Join(errs...)
-}
-
-// Resident reports how many blocks are cached.
-func (c *Cache) Resident() int { return len(c.entries) }

@@ -6,7 +6,7 @@
 //	PS   OpenPartReader / OpenPartWriter — one contiguous partition
 //	IS   OpenInterleavedReader / OpenInterleavedWriter — strided blocks
 //	SS   SelfSched — shared handle; every request claims the next record
-//	GDA  Direct — random record access through a block cache
+//	GDA  Direct — random record access through a buffer pool
 //	PDA  DirectPart — random access within owned blocks
 //
 // Organizations are access methods, deliberately decoupled from the
@@ -47,15 +47,24 @@ type Options struct {
 	// final extent.
 	ExtentBlocks int
 	// IOProcs is the number of dedicated I/O processes performing
-	// read-ahead / write-behind. 0 disables overlap (synchronous).
+	// read-ahead / write-behind. 0 disables overlap (synchronous). For a
+	// direct-access handle it is the number of cleaner processes writing
+	// the dirty blocks evictions leave behind, in vectored batches; with 0
+	// every dirty victim is written back inside the miss that evicted it.
 	IOProcs int
 	// EarlyRelease enables the §4 self-scheduling optimization: the
 	// shared file pointer advances and buffer space is reserved before
 	// the data transfer completes. Disabling it serializes every SS
 	// request through its full device transfer.
 	EarlyRelease bool
-	// CacheBlocks is the block-cache capacity for direct access
-	// handles (minimum 1; DefaultOptions sets 8).
+	// CacheBlocks is the capacity, in fs-block frames, of a direct-access
+	// handle's buffer pool (minimum 1; DefaultOptions sets 8): resident
+	// blocks plus fetches in flight never exceed it. Replacement is a
+	// segmented LRU — a fault enters on probation, a hit promotes to a
+	// protected ¾ — so blocks touched once do not flush the ones hit
+	// again. With IOProcs > 0 the pool grows a write-behind reserve of up
+	// to CacheBlocks/4 more frames, holding evicted dirty blocks until a
+	// cleaner has written them.
 	CacheBlocks int
 	// SeqWithinBlocks enforces the restricted PDA variant of §3.2:
 	// records inside each owned block must be accessed sequentially.

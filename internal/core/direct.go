@@ -11,34 +11,65 @@ import (
 	"repro/internal/trace"
 )
 
-// fetchSpanOf builds the vectored batch fetch for f's block cache: each
-// listed fs block becomes a one-block descriptor segment, so physically
-// adjacent blocks — even when logically strided — coalesce into gather
-// runs (Set.ReadVec), the ranged fault path of the direct handles.
-// Under Options.Strategy the faulted set may instead come in as one
-// sieved covering span per device — direct access faults are exactly
-// the dense-but-holey patterns sieving was invented for.
-func fetchSpanOf(f *pfs.File, strat blockio.Strategy) buffer.FetchSpan {
+// blockVec describes the fs blocks idxs, the i-th at buffer block i, each
+// a one-block segment: physically adjacent blocks — even when logically
+// strided — coalesce into gather runs (Set.ReadVec / WriteVec).
+func blockVec(dst blockio.Vec, idxs []int64, bs int64) blockio.Vec {
+	for i, k := range idxs {
+		dst = append(dst, blockio.VecSeg{Block: k, N: 1, BufOff: int64(i) * bs})
+	}
+	return dst
+}
+
+// spansOf builds the vectored batch fetch and write of f's buffer pool:
+// a ranged fault's missing blocks arrive, and the dirty blocks of a Flush
+// or a cleaner's batch leave, as one gather request per physical run, in
+// parallel across drives. Under Options.Strategy the faulted set may
+// instead come in as one sieved covering span per device — direct access
+// faults are exactly the dense-but-holey patterns sieving was invented
+// for. Each hook reuses its descriptor across calls, which is safe even
+// with concurrent callers: the transfer consumes it into physical runs
+// before its first wait.
+func spansOf(f *pfs.File, strat blockio.Strategy) (buffer.FetchSpan, buffer.FlushSpan) {
 	set := f.Set()
 	bs := int64(f.Mapper().FSBlockSize())
 	cm := costModelFor(f, strat)
-	return func(ctx sim.Context, idxs []int64, buf []byte) error {
-		vec := make(blockio.Vec, len(idxs))
-		for i, k := range idxs {
-			vec[i] = blockio.VecSeg{Block: k, N: 1, BufOff: int64(i) * bs}
-		}
-		return set.ReadVecStrategy(ctx, strat, cm, vec, buf)
+	var rvec, wvec blockio.Vec
+	fetch := func(ctx sim.Context, idxs []int64, buf []byte) error {
+		rvec = blockVec(rvec[:0], idxs, bs)
+		return set.ReadVecStrategy(ctx, strat, cm, rvec, buf)
 	}
+	flush := func(ctx sim.Context, idxs []int64, buf []byte) error {
+		wvec = blockVec(wvec[:0], idxs, bs)
+		return set.WriteVec(ctx, wvec, buf)
+	}
+	return fetch, flush
+}
+
+// newBlockCache builds the buffer pool of a direct-access handle on f:
+// opts.CacheBlocks frames, faults and flushes vectored, and opts.IOProcs
+// write-behind processes.
+func newBlockCache(f *pfs.File, opts Options) (*buffer.Cache, error) {
+	set := f.Set()
+	cache, err := buffer.NewCache(set.ReadBlock, set.WriteBlock, f.Mapper().FSBlockSize(), opts.CacheBlocks)
+	if err != nil {
+		return nil, err
+	}
+	fetchSpan, flushSpan := spansOf(f, opts.Strategy)
+	cache.SetFetchSpan(fetchSpan)
+	cache.SetFlushSpan(flushSpan, opts.IOProcs)
+	return cache, nil
 }
 
 // moveRecord copies one record between data (len = record size) and the
-// cache, tracing the access. spanBuf is scratch reused across calls.
+// cache, tracing the access.
 func moveRecord(ctx sim.Context, cache *buffer.Cache, m *records.Mapper, opts *Options,
-	rec int64, data []byte, write bool, spanBuf *[]records.Span) error {
+	rec int64, data []byte, write bool) error {
 	pos := 0
-	*spanBuf = m.AppendSpans((*spanBuf)[:0], rec)
-	for _, sp := range *spanBuf {
-		sp := sp
+	// A record rarely straddles more than two fs blocks; the array keeps
+	// the span list off the heap.
+	var arr [4]records.Span
+	for _, sp := range m.AppendSpans(arr[:0], rec) {
 		p0 := pos
 		err := cache.With(ctx, sp.FSBlock, write, func(buf []byte) error {
 			if write {
@@ -88,7 +119,8 @@ func batchRecords(ctx sim.Context, cache *buffer.Cache, m *records.Mapper, opts 
 		return fmt.Errorf("core: buffer is %d bytes, %d records are %d", len(data), count, count*rs)
 	}
 	capBlocks := opts.CacheBlocks
-	var spanBuf []records.Span
+	var arr [4]records.Span
+	spanBuf := arr[:0]
 	var blocks []int64
 	var checkErr error
 	for r := rec; r < rec+count; {
@@ -133,7 +165,7 @@ func batchRecords(ctx sim.Context, cache *buffer.Cache, m *records.Mapper, opts 
 		}
 		for ; r < r2; r++ {
 			off := (r - rec) * rs
-			if err := moveRecord(ctx, cache, m, opts, r, data[off:off+rs], write, &spanBuf); err != nil {
+			if err := moveRecord(ctx, cache, m, opts, r, data[off:off+rs], write); err != nil {
 				return err
 			}
 		}
@@ -159,18 +191,10 @@ type Direct struct {
 // OpenDirect opens the GDA view of f.
 func OpenDirect(f *pfs.File, opts Options) (*Direct, error) {
 	opts = opts.norm()
-	m := f.Mapper()
-	fetch := func(ctx sim.Context, k int64, buf []byte) error {
-		return f.Set().ReadBlock(ctx, k, buf)
-	}
-	flush := func(ctx sim.Context, k int64, buf []byte) error {
-		return f.Set().WriteBlock(ctx, k, buf)
-	}
-	cache, err := buffer.NewCache(fetch, flush, m.FSBlockSize(), opts.CacheBlocks)
+	cache, err := newBlockCache(f, opts)
 	if err != nil {
 		return nil, err
 	}
-	cache.SetFetchSpan(fetchSpanOf(f, opts.Strategy))
 	return &Direct{f: f, opts: opts, cache: cache}, nil
 }
 
@@ -222,8 +246,7 @@ func (d *Direct) access(ctx sim.Context, rec int64, data []byte, write bool) err
 	if len(data) != m.RecordSize() {
 		return fmt.Errorf("core: buffer is %d bytes, records are %d", len(data), m.RecordSize())
 	}
-	var spanBuf []records.Span
-	return moveRecord(ctx, d.cache, m, &d.opts, rec, data, write, &spanBuf)
+	return moveRecord(ctx, d.cache, m, &d.opts, rec, data, write)
 }
 
 // Flush writes back dirty cached blocks.
@@ -264,18 +287,10 @@ func OpenDirectPart(f *pfs.File, part int, opts Options) (*DirectPart, error) {
 	if part < 0 || part >= f.Parts() {
 		return nil, fmt.Errorf("core: partition %d of %d", part, f.Parts())
 	}
-	m := f.Mapper()
-	fetch := func(ctx sim.Context, k int64, buf []byte) error {
-		return f.Set().ReadBlock(ctx, k, buf)
-	}
-	flush := func(ctx sim.Context, k int64, buf []byte) error {
-		return f.Set().WriteBlock(ctx, k, buf)
-	}
-	cache, err := buffer.NewCache(fetch, flush, m.FSBlockSize(), opts.CacheBlocks)
+	cache, err := newBlockCache(f, opts)
 	if err != nil {
 		return nil, err
 	}
-	cache.SetFetchSpan(fetchSpanOf(f, opts.Strategy))
 	dp := &DirectPart{f: f, part: part, opts: opts, cache: cache}
 	if opts.SeqWithinBlocks {
 		dp.seqPos = make(map[int64]int)
@@ -360,8 +375,7 @@ func (d *DirectPart) move(ctx sim.Context, rec int64, data []byte, write bool) e
 	if len(data) != m.RecordSize() {
 		return fmt.Errorf("core: buffer is %d bytes, records are %d", len(data), m.RecordSize())
 	}
-	var spanBuf []records.Span
-	return moveRecord(ctx, d.cache, m, &d.opts, rec, data, write, &spanBuf)
+	return moveRecord(ctx, d.cache, m, &d.opts, rec, data, write)
 }
 
 // Flush writes back dirty cached blocks.

@@ -85,6 +85,7 @@ var registry = []struct {
 	{"profile", "cross-layer profiles: paper vs tuned", profileCompare},
 	{"multijob", "multi-job I/O service: QoS policy vs tail latency", multijobSweep},
 	{"scale", "engine scaling: host cost per modeled second", scaleSweep},
+	{"cache", "direct-access buffer pool: scan-resistant replacement and write-behind", cacheSweep},
 }
 
 // IDs lists the experiment identifiers in table order.

@@ -15,7 +15,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run
 func TestIDsOrderAndTitles(t *testing.T) {
 	want := []string{"f1", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11",
 		"seek", "service", "stripe", "extent", "noncontig", "collective", "strategy",
-		"contended", "pipeline", "replay", "profile", "multijob", "scale"}
+		"contended", "pipeline", "replay", "profile", "multijob", "scale", "cache"}
 	if ids := IDs(); !slices.Equal(ids, want) {
 		t.Fatalf("IDs = %v, want %v", ids, want)
 	}
