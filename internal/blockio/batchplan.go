@@ -18,15 +18,20 @@
 package blockio
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/sim"
 )
 
 // BatchPlan is a prepared cross-file batch split into issue windows.
 // Build one with BatchVec.Plan; issue windows with ReadWindow and
-// WriteWindow. A plan's runs are immutable and it may be issued any
-// number of times, in any window order, concurrently under an engine.
+// WriteWindow, or a range of them as if it had not been cut with
+// ReadWindows and WriteWindows. A plan's runs are immutable and it may be
+// issued any number of times, in any window order, concurrently under an
+// engine.
 type BatchPlan struct {
 	store Store
 	bs    int64
@@ -103,33 +108,115 @@ func (pl *BatchPlan) WindowBlocks(w int) int64 {
 	return n
 }
 
+// WindowBytes reports the bytes window w transfers.
+func (pl *BatchPlan) WindowBytes(w int) int64 { return pl.WindowBlocks(w) * pl.bs }
+
 // ReadWindow reads window w into buf, which stands in for the buffer
 // space bytes starting at base: a segment at plan offset o lands at
 // buf[o-base:]. Every merged run is one scatter device request; runs
 // proceed in parallel across devices under a simulation engine.
 func (pl *BatchPlan) ReadWindow(ctx sim.Context, w int, buf []byte, base int64) error {
-	return pl.window(ctx, "ReadWindow", false, w, buf, base)
+	return pl.windows(ctx, "ReadWindow", false, w, w+1, buf, base)
 }
 
 // WriteWindow writes window w from buf (offset like ReadWindow) — the
 // write counterpart.
 func (pl *BatchPlan) WriteWindow(ctx sim.Context, w int, buf []byte, base int64) error {
-	return pl.window(ctx, "WriteWindow", true, w, buf, base)
+	return pl.windows(ctx, "WriteWindow", true, w, w+1, buf, base)
 }
 
-// window checks that buf holds every segment of window w, then issues
-// the window's runs.
-func (pl *BatchPlan) window(ctx sim.Context, op string, write bool, w int, buf []byte, base int64) error {
-	if w < 0 || w >= len(pl.wins) {
-		return fmt.Errorf("blockio: %s window %d of %d", op, w, len(pl.wins))
+// ReadWindows reads the windows [w0, w1) in one issue, as if the cuts
+// between them had not been made: runs of different windows that are
+// neighbours on a drive go out as one device request, so every window of
+// a plan issued together is exactly the uncut plan's transfer. This is
+// how a server that cuts a call into windows only to be able to stop
+// between them (ioserver) pays nothing for the cuts it does not use.
+func (pl *BatchPlan) ReadWindows(ctx sim.Context, w0, w1 int, buf []byte, base int64) error {
+	return pl.windows(ctx, "ReadWindow", false, w0, w1, buf, base)
+}
+
+// WriteWindows writes the windows [w0, w1) in one issue — the write
+// counterpart of ReadWindows.
+func (pl *BatchPlan) WriteWindows(ctx sim.Context, w0, w1 int, buf []byte, base int64) error {
+	return pl.windows(ctx, "WriteWindow", true, w0, w1, buf, base)
+}
+
+// windows checks that buf holds every segment of the windows [w0, w1),
+// then issues their runs: one window's as they are, several merged
+// across the cuts in pooled scratch that lives until the issue returns.
+func (pl *BatchPlan) windows(ctx sim.Context, op string, write bool, w0, w1 int, buf []byte, base int64) error {
+	if w0 < 0 || w0 >= w1 || w1 > len(pl.wins) {
+		return fmt.Errorf("blockio: %s windows [%d,%d) of %d", op, w0, w1, len(pl.wins))
 	}
-	for _, r := range pl.wins[w] {
-		for _, sg := range r.Segs {
-			if off := sg.BufOff - base; off < 0 || off+sg.Blocks*pl.bs > int64(len(buf)) {
-				return fmt.Errorf("blockio: %s window %d: plan bytes [%d,%d) outside the %d-byte buffer at base %d",
-					op, w, sg.BufOff, sg.BufOff+sg.Blocks*pl.bs, len(buf), base)
+	for w := w0; w < w1; w++ {
+		for _, r := range pl.wins[w] {
+			for _, sg := range r.Segs {
+				if off := sg.BufOff - base; off < 0 || off+sg.Blocks*pl.bs > int64(len(buf)) {
+					return fmt.Errorf("blockio: %s window %d: plan bytes [%d,%d) outside the %d-byte buffer at base %d",
+						op, w, sg.BufOff, sg.BufOff+sg.Blocks*pl.bs, len(buf), base)
+				}
 			}
 		}
 	}
-	return issue(ctx, pl.store, op, write, pl.wins[w], buf, base, nil)
+	if w1-w0 == 1 {
+		return issue(ctx, pl.store, op, write, pl.wins[w0], buf, base, nil)
+	}
+	m := mergePool.Get().(*mergeScratch)
+	err := issue(ctx, pl.store, op, write, m.merge(pl.wins[w0:w1], pl.bs), buf, base, nil)
+	mergePool.Put(m)
+	return err
+}
+
+// mergeScratch holds the runs of several windows joined for one issue.
+type mergeScratch struct {
+	runs []Run
+	segs []Seg
+}
+
+var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
+
+// merge undoes the cuts between wins: their runs in (device, physical
+// block) order, runs that are neighbours on a drive joined, and where
+// the join is also one in the buffer — a piece Plan split at a cut — the
+// two segments joined too. What comes back is what mapRuns would have
+// returned had those cuts not been given; it aliases the scratch.
+func (m *mergeScratch) merge(wins [][]Run, bs int64) []Run {
+	m.runs = m.runs[:0]
+	nsg := 0
+	for _, runs := range wins {
+		m.runs = append(m.runs, runs...)
+		for _, r := range runs {
+			nsg += len(r.Segs)
+		}
+	}
+	// Each window's runs are sorted already and a cut call is a handful
+	// of windows: the sort sees a few ascending stretches.
+	slices.SortFunc(m.runs, func(a, b Run) int {
+		if a.Dev != b.Dev {
+			return cmp.Compare(a.Dev, b.Dev)
+		}
+		return cmp.Compare(a.PBlock, b.PBlock)
+	})
+	// The joined runs' Segs are slices of one array that never moves
+	// while they are built: it is sized for every segment up front.
+	m.segs = slices.Grow(m.segs[:0], nsg)
+	out := m.runs[:0]
+	first := 0 // index in m.segs of the growing run's first segment
+	for _, r := range m.runs {
+		segs := r.Segs
+		if k := len(out) - 1; k >= 0 && out[k].Dev == r.Dev && out[k].PBlock+out[k].N == r.PBlock {
+			if last := &m.segs[len(m.segs)-1]; last.BufOff+last.Blocks*bs == segs[0].BufOff {
+				last.Blocks += segs[0].Blocks
+				segs = segs[1:]
+			}
+			out[k].N += r.N
+		} else {
+			first = len(m.segs)
+			out = append(out, r)
+		}
+		m.segs = append(m.segs, segs...)
+		out[len(out)-1].Segs = m.segs[first:len(m.segs):len(m.segs)]
+	}
+	m.runs = out
+	return out
 }

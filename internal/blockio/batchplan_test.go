@@ -3,6 +3,7 @@ package blockio
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -188,5 +189,82 @@ func TestBatchPlanErrors(t *testing.T) {
 	}
 	if err := empty.ReadWindow(ctx, 1, nil, 0); err != nil {
 		t.Errorf("empty window read: %v", err)
+	}
+}
+
+// TestBatchPlanWindowRangesUncut: windows issued together are the
+// transfer the plan would have been without the cuts between them. For
+// every range [w0, w1) of a five-window plan over scrambled buffer
+// offsets, the merged runs equal the runs of a plan built from the same
+// batch with only the cuts outside the range — device requests, segment
+// lists and all — and the range written in one issue costs the drives
+// that many requests and lands the same bytes.
+func TestBatchPlanWindowRangesUncut(t *testing.T) {
+	for _, unit := range []int64{1, 2, 8} {
+		const devs, perDev, blocks = 2, 32, 48
+		sets, disks := newBatchStore(t, devs, unit, perDev, 2)
+		bs := int64(sets[0].BlockSize())
+		var v0, v1 Vec
+		for b := int64(0); b < 24; b++ {
+			v0 = append(v0, VecSeg{Block: b, N: 1, BufOff: (b * 7 % 24) * bs})
+			v1 = append(v1, VecSeg{Block: b, N: 1, BufOff: (24 + b*5%24) * bs})
+		}
+		batch := BatchVec{{Set: sets[0], Vec: v0}, {Set: sets[1], Vec: v1}}
+		cuts := []int64{5 * bs, 12 * bs, 30 * bs, 41 * bs}
+		plan, err := batch.Plan(cuts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := sim.NewWall()
+		buf := make([]byte, blocks*bs)
+		rand.New(rand.NewSource(unit)).Read(buf)
+		requests := func() (n int64) {
+			for _, d := range disks {
+				n += d.Stats().Requests()
+			}
+			return n
+		}
+		for w0 := 0; w0 < plan.Windows(); w0++ {
+			for w1 := w0 + 1; w1 <= plan.Windows(); w1++ {
+				// The same batch with the cuts inside [w0, w1) left out:
+				// the range is its window w0.
+				outer := append(append([]int64(nil), cuts[:w0]...), cuts[w1-1:]...)
+				ref, err := batch.Plan(outer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var m mergeScratch
+				got, want := m.merge(plan.wins[w0:w1], bs), ref.wins[w0]
+				if w1-w0 == 1 {
+					got = plan.wins[w0]
+				}
+				if len(got) != len(want) {
+					t.Fatalf("unit %d windows [%d,%d): %d runs merged, %d uncut", unit, w0, w1, len(got), len(want))
+				}
+				for i := range got {
+					g, w := got[i], want[i]
+					if g.Dev != w.Dev || g.PBlock != w.PBlock || g.N != w.N || g.B != w.B || !slices.Equal(g.Segs, w.Segs) {
+						t.Errorf("unit %d windows [%d,%d) run %d: merged %+v, uncut %+v", unit, w0, w1, i, g, w)
+					}
+				}
+				before := requests()
+				if err := plan.WriteWindows(ctx, w0, w1, buf, 0); err != nil {
+					t.Fatal(err)
+				}
+				if n := requests() - before; n != int64(len(want)) {
+					t.Errorf("unit %d windows [%d,%d): %d device requests, the uncut plan has %d runs", unit, w0, w1, n, len(want))
+				}
+			}
+		}
+		back := make([]byte, len(buf))
+		if err := plan.ReadWindows(ctx, 0, plan.Windows(), back, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, buf) {
+			t.Errorf("unit %d: the windows read back together differ from what was written", unit)
+		}
+		if err := plan.ReadWindows(ctx, 2, 2, back, 0); err == nil || !strings.Contains(err.Error(), "windows [2,2)") {
+			t.Errorf("empty range: %v", err)
+		}
 	}
 }

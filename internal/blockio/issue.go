@@ -32,6 +32,22 @@ type xfer struct {
 	body  runBody
 }
 
+// parXfer is a transfer of several runs in flight: what sim.ParN's
+// branches share, with each — the branch body — bound to it once.
+type parXfer struct {
+	xfer
+	runs []Run
+	each func(sim.Context, int) error
+}
+
+func (px *parXfer) run(ctx sim.Context, i int) error { return px.one(ctx, px.runs[i]) }
+
+var parPool = sync.Pool{New: func() any {
+	px := new(parXfer)
+	px.each = px.run
+	return px
+}}
+
 // iovPool recycles scatter/gather lists, the one-element list of a block
 // or a contiguous range included, so a steady stream of transfers binds
 // its buffers without allocating. sievePool does the same for the
@@ -68,14 +84,17 @@ func issue(ctx sim.Context, store Store, op string, write bool, runs []Run, buf 
 	if len(runs) == 1 {
 		err = x.one(ctx, runs[0])
 	} else {
-		// The branches share a copy of x: captured itself it would move to
-		// the heap on every call, the single-run path above included.
-		shared := x
-		fns := make([]func(sim.Context) error, len(runs))
-		for i, r := range runs {
-			fns[i] = func(c sim.Context) error { return shared.one(c, r) }
-		}
-		err = sim.Par(ctx, fns...)
+		// The branches share a pooled copy of x and of the runs and take
+		// their run by index: x or runs captured themselves would move to
+		// the heap on every call, the single-run path above (and the
+		// one-run literal of Set.ReadBlock) included, and a closure per
+		// run is an allocation per drive.
+		px := parPool.Get().(*parXfer)
+		px.xfer, px.runs = x, append(px.runs[:0], runs...)
+		err = sim.ParN(ctx, len(runs), px.each)
+		px.xfer = xfer{}
+		clear(px.runs)
+		parPool.Put(px)
 	}
 	if bp != nil {
 		var blocks int64

@@ -117,6 +117,16 @@ type Options struct {
 	// either way (a depth-d pipeline holds two chunks of domain/d). One
 	// round under the other strategies keeps their modeled timings
 	// bit-identical to earlier releases.
+	//
+	// For the nonblocking calls (Service) it is the same bound on what is
+	// in service at once, one layer down: the call still exchanges in one
+	// round into one call buffer, and the request the I/O server receives
+	// is cut every ChunkBytes of that buffer (whole blocks, at least one)
+	// into the windows the server issues one at a time, choosing again
+	// among the jobs between them — so another job waits for at most a
+	// window of this one's call. The server uses a cut only when another
+	// job is queued; a call it serves alone costs what it would uncut. 0:
+	// one window, the whole call.
 	ChunkBytes int64
 
 	// Strategy selects the access route of the blocking collective

@@ -187,7 +187,7 @@ func (sc *mjScenario) genJobRead(rng *rand.Rand, job *mjJob, j int) {
 
 // build creates the scenario's volume and one collective per job, plus
 // a group over every file (in job order) for whole-image capture.
-func (sc *mjScenario) build(t *testing.T, e *sim.Engine, service []*ioserver.Job) (cols []*Collective, all *pfs.FileGroup) {
+func (sc *mjScenario) build(t *testing.T, e *sim.Engine, service []*ioserver.Job, chunk int64) (cols []*Collective, all *pfs.FileGroup) {
 	t.Helper()
 	store, _ := newTestStore(t, e, sc.kind)
 	vol := pfs.NewVolume(store)
@@ -204,6 +204,7 @@ func (sc *mjScenario) build(t *testing.T, e *sim.Engine, service []*ioserver.Job
 			t.Fatalf("seed %d: %v", sc.seed, err)
 		}
 		opts := job.opts
+		opts.ChunkBytes = chunk
 		if service != nil {
 			opts.Service = service[j]
 		}
@@ -221,15 +222,18 @@ func (sc *mjScenario) build(t *testing.T, e *sim.Engine, service []*ioserver.Job
 }
 
 // runScheduled executes every job concurrently through the shared
-// server and returns the final whole-store image.
-func (sc *mjScenario) runScheduled(t *testing.T) []byte {
+// server, every handle at ChunkBytes chunk — the server may stop a call
+// after every chunk bytes of it and serve another job — and returns the
+// final whole-store image and in how many dispatches beyond one a call
+// the server did it.
+func (sc *mjScenario) runScheduled(t *testing.T, chunk int64) (img []byte, cut int64) {
 	e := sim.NewEngine()
 	srv := ioserver.New(ioserver.Config{Workers: sc.workers, Policy: sc.policy})
 	lanes := make([]*ioserver.Job, len(sc.jobs))
 	for j, job := range sc.jobs {
 		lanes[j] = srv.AddJob(job.lane)
 	}
-	cols, all := sc.build(t, e, lanes)
+	cols, all := sc.build(t, e, lanes, chunk)
 	srv.Start(e)
 	var joins []*sim.Group
 	for j, job := range sc.jobs {
@@ -276,11 +280,12 @@ func (sc *mjScenario) runScheduled(t *testing.T) []byte {
 	}
 	for j, lane := range lanes {
 		st := lane.Stats()
-		if st.Submitted == 0 || st.Submitted != st.Completed {
+		if st.Submitted == 0 || st.Submitted != st.Completed || st.Dispatches < st.Completed || (chunk == 0 && st.Dispatches != st.Completed) {
 			t.Fatalf("seed %d job %d: server accounting %+v", sc.seed, j, st)
 		}
+		cut += st.Dispatches - st.Completed
 	}
-	return readAllBlocks(t, all)
+	return readAllBlocks(t, all), cut
 }
 
 // runSerialized executes the same workload job-after-job (job j+1's
@@ -288,7 +293,7 @@ func (sc *mjScenario) runScheduled(t *testing.T) []byte {
 // and returns the final image.
 func (sc *mjScenario) runSerialized(t *testing.T) []byte {
 	e := sim.NewEngine()
-	cols, all := sc.build(t, e, nil)
+	cols, all := sc.build(t, e, nil, 0)
 	joins := make([]*sim.Group, len(sc.jobs))
 	for j, job := range sc.jobs {
 		j, job, col := j, job, cols[j]
@@ -326,15 +331,24 @@ func (sc *mjScenario) runSerialized(t *testing.T) []byte {
 // TestDifferentialMultijob: 18 seeded scenarios sweeping store kind ×
 // layout × policy × worker count × lane configs. Scheduled and
 // serialized executions must produce byte-identical images, both equal
-// to the serial reference model.
+// to the serial reference model — with every call one server request,
+// and again with every handle at ChunkBytes of two blocks, so that a
+// call of any size is three windows or more and the server interleaves
+// the jobs inside their calls.
 func TestDifferentialMultijob(t *testing.T) {
+	var cut int64
 	for seed := int64(0); seed < 18; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			sc := genMultijob(seed)
-			scheduled := sc.runScheduled(t)
+			scheduled, _ := sc.runScheduled(t, 0)
+			windowed, n := sc.runScheduled(t, 2*testBS)
+			cut += n
 			serialized := sc.runSerialized(t)
 			if !bytes.Equal(scheduled, serialized) {
 				t.Fatalf("seed %d: scheduled image diverges from serialized image", seed)
+			}
+			if !bytes.Equal(windowed, serialized) {
+				t.Fatalf("seed %d: image of the run served in windows diverges from serialized image", seed)
 			}
 			var ref []byte
 			for _, job := range sc.jobs {
@@ -344,5 +358,9 @@ func TestDifferentialMultijob(t *testing.T) {
 				t.Fatalf("seed %d: scheduled image diverges from reference model", seed)
 			}
 		})
+	}
+	t.Logf("windowed runs: %d dispatches beyond one a call", cut)
+	if cut < 100 {
+		t.Errorf("the windowed runs were served in %d dispatches beyond one a call: the sweep does not interleave jobs inside calls", cut)
 	}
 }

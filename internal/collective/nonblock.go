@@ -6,7 +6,7 @@
 // returns a Handle. Ranks overlap their own computation with the
 // server's device work and rendezvous in Handle.Wait.
 //
-// The unit of server work is the call, not the aggregator domain. The
+// The unit of submission is the call, not the aggregator domain. The
 // aggregators assemble their domains side by side in one call buffer,
 // and the rank that finishes last submits one request: the schedule's
 // callPlan, every domain's spans mapped, sorted and merged together by
@@ -15,10 +15,14 @@
 // drive per call, where per-domain submission issued one short piece per
 // drive per domain). The server sees the whole request and its worker
 // drives every device at once — ViPIOS's server-directed I/O, with Ching
-// et al.'s list-I/O descriptor as the message. The cost is granularity:
-// QoS decisions happen between calls, so a small job's call can wait
-// behind whole in-service bulk calls (ioserver's package doc gives the
-// bound).
+// et al.'s list-I/O descriptor as the message. The unit of service is
+// smaller: Options.ChunkBytes cuts the call plan every ChunkBytes of the
+// call buffer (ROMIO's collective-buffer loop, run by the server), the
+// server issues it a window at a time and its QoS policy chooses again
+// between windows, so another job's small call waits for one window of a
+// bulk call in service, not for the call (ioserver's package doc gives
+// the bound) — and a call with the server to itself is handed over whole,
+// cuts and all, as the one run per drive it would be uncut.
 //
 // The outcome is data-identical to the blocking call: for writes, the
 // exchange and LastWriterWins overlap resolution complete before the
@@ -49,8 +53,9 @@ import (
 // holds the call's covered bytes in covered-index order, so domain a is
 // a sub-slice of it (domSlices) and the aggregators pack, assemble and
 // scatter with the blocking executor's helpers, the slices standing in
-// for round 0's staging (a nonblocking plan has one window per domain,
-// whatever Options.ChunkBytes says). The rank that finishes its
+// for round 0's staging (a nonblocking call exchanges in one round;
+// Options.ChunkBytes cuts what the server issues, not the domains). The
+// rank that finishes its
 // eager half last (pending reaching zero) submits the schedule's
 // call-wide plan bound to that buffer; every rank's Test and Wait read
 // that one ticket.
@@ -152,9 +157,9 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 	}
 	if h.pending--; h.pending == 0 {
 		// One request for the whole call: blockio's sort/merge across the
-		// domains has already made it one run per drive where the
-		// footprint allows (schedule.callPlan), and the server's worker
-		// drives them all at once.
+		// domains has already made it one run per drive per window where
+		// the footprint allows (schedule.callPlan), and a server worker
+		// drives them all at once, a window or several at a time.
 		h.sub = rank
 		bytes := int64(len(h.callbuf))
 		if write {

@@ -459,7 +459,181 @@ func TestNonblockingDriveFailure(t *testing.T) {
 			// bytes everywhere.
 			checkPatternImage(t, g, 3000)
 		})
+		t.Run(kind.String()+"-windows", func(t *testing.T) { driveFailsBetweenWindows(t, kind) })
 	}
+}
+
+// backlogLane gives the server a second job with n one-block reads of
+// file 0's block 0 queued: while it is backlogged a fair-share server
+// hands out a cut call one window at a time. The reads touch drive 0
+// only and change nothing.
+func backlogLane(t *testing.T, e *sim.Engine, srv *ioserver.Server, g *pfs.FileGroup, n int, each func(done int)) *sim.Group {
+	lane := srv.AddJob(ioserver.JobConfig{Name: "other"})
+	plan, err := blockio.BatchVec{{Set: g.File(0).Set(), Vec: blockio.Vec{{Block: 0, N: 1}}}}.Plan(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cl sim.Group
+	cl.Spawn(e, "other", func(p *sim.Proc) {
+		tickets := make([]*ioserver.Request, n)
+		for i := range tickets {
+			tickets[i] = lane.SubmitReadPlan(p, plan, make([]byte, testBS), testBS)
+		}
+		for i, tk := range tickets {
+			if err := tk.Wait(p); err != nil {
+				t.Errorf("other job's read %d: %v", i, err)
+			}
+			each(i + 1)
+		}
+	})
+	return &cl
+}
+
+// driveFailsBetweenWindows is TestNonblockingDriveFailure with the call
+// cut: ChunkBytes makes each 63-block call four server windows, a second
+// job keeps the fair-share server choosing between them, and drive 1
+// fail-stops after window 1 of call 1 has returned and before window 2
+// is handed out. On a Direct store window 2 fails: the call ends there —
+// no window 3 — call 2 behind it fails on its first window, every rank
+// reads the one identical error off each ticket, and the call buffers are
+// back on the free list. Parity and Mirror absorb the failure. Either way
+// a third call (after Repair on Direct) leaves the serial reference image.
+func driveFailsBetweenWindows(t *testing.T, kind storeKind) {
+	const nRanks, windows = 8, 4
+	e, g, disks := collectiveFixture(t, kind, testPlacements[0].spec)
+	srv, jb := serviceFor(e, ioserver.FairShare, 1)
+	col, err := Open(g, nRanks, Options{Service: jb, ChunkBytes: 16 * testBS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The other job's client runs between dispatches. Seeing call 1 at two
+	// dispatches for the second time, it knows window 1 has come back (the
+	// worker has served one of its reads since) and window 2 is not out.
+	seen, failedAt := 0, int64(0)
+	other := backlogLane(t, e, srv, g, 200, func(int) {
+		if st := jb.Stats(); failedAt == 0 && st.Dispatches == 2 {
+			if seen++; seen == 2 {
+				if st.Completed != 0 || st.Submitted != 2 {
+					t.Errorf("at the failure: %+v, want call 1 half issued and call 2 queued", st)
+				}
+				disks[1].Fail()
+				failedAt = st.Dispatches
+			}
+		}
+	})
+	fill := func(buf []byte, slots []int64, k int) {
+		for i, gb := range slots {
+			pattern(gb+int64(1000*k), buf[int64(i)*testBS:int64(i+1)*testBS])
+		}
+	}
+	var errs [3][nRanks]error
+	_, join := mpp.Run(e, nRanks, "iw", func(p *mpp.Proc) {
+		rank := p.Rank()
+		reqs, buf1, slots := strideReqs(g, rank, nRanks)
+		buf2, buf3 := make([]byte, len(buf1)), make([]byte, len(buf1))
+		fill(buf1, slots, 1)
+		fill(buf2, slots, 2)
+		fill(buf3, slots, 3)
+		h1, err1 := col.IWriteAll(p, reqs, buf1)
+		h2, err2 := col.IWriteAll(p, reqs, buf2)
+		if err1 != nil || err2 != nil {
+			t.Errorf("rank %d: %v / %v", rank, err1, err2)
+			return
+		}
+		errs[0][rank] = h1.Wait(p)
+		errs[1][rank] = h2.Wait(p)
+		p.Barrier()
+		if rank == 0 {
+			want := int64(2 * windows)
+			if kind == storeDirect {
+				want = 3 + 1 // call 1 stops at its failed window 2, call 2 at its window 0
+				disks[1].Repair()
+			}
+			if st := jb.Stats(); st.Completed != 2 || st.Dispatches != want {
+				t.Errorf("after the failed calls: %+v, want 2 calls in %d dispatches", st, want)
+			}
+			if col.domOut != 0 || freeDomBufs(col) != 2 {
+				t.Errorf("%d call buffers out, %d on the free list, want both back", col.domOut, freeDomBufs(col))
+			}
+		}
+		p.Barrier()
+		h3, err := col.IWriteAll(p, reqs, buf3)
+		if err != nil {
+			t.Errorf("rank %d: %v", rank, err)
+			return
+		}
+		errs[2][rank] = h3.Wait(p)
+	})
+	e.Go("join", func(sp *sim.Proc) { join.Wait(sp); other.Wait(sp); srv.Stop(sp) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err) // a hang is a deadlock report here
+	}
+	if failedAt != 2 {
+		t.Fatal("the drive never failed: call 1 was not seen between its windows 1 and 2")
+	}
+	for k, call := range errs {
+		for r, err := range call {
+			if fmt.Sprint(err) != fmt.Sprint(call[0]) {
+				t.Errorf("call %d: rank %d returned %v, rank 0 %v", k+1, r, err, call[0])
+			}
+		}
+		wantErr := kind == storeDirect && k < 2
+		if got := call[0]; (got != nil) != wantErr {
+			t.Errorf("call %d: error %v, want one: %v", k+1, got, wantErr)
+		} else if wantErr && (!errors.Is(got, device.ErrFailed) || !strings.HasPrefix(got.Error(), "rank ")) {
+			t.Errorf("call %d: %v is not the submitting rank's drive failure", k+1, got)
+		}
+	}
+	if col.domOut != 0 {
+		t.Errorf("%d call buffers still out", col.domOut)
+	}
+	checkPatternImage(t, g, 3000)
+}
+
+// TestNonblockingStopMidCall: Server.Stop with a cut call half issued —
+// the ranks walked away from their handle and a second job still has
+// work queued — drains the call's remaining windows and the other lane,
+// and the bytes are on the drives.
+func TestNonblockingStopMidCall(t *testing.T) {
+	const nRanks, windows = 8, 4
+	e, g, _ := collectiveFixture(t, storeDirect, testPlacements[0].spec)
+	srv, jb := serviceFor(e, ioserver.FairShare, 1)
+	col, err := Open(g, nRanks, Options{Service: jb, ChunkBytes: 16 * testBS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The other job's client stops the server as soon as the call is
+	// between windows, with most of its own reads still queued.
+	var stopped ioserver.JobStats
+	var other *sim.Group
+	other = backlogLane(t, e, srv, g, 200, func(int) {})
+	e.Go("stopper", func(sp *sim.Proc) {
+		for jb.Stats().Dispatches < 2 {
+			sp.Sleep(time.Millisecond)
+		}
+		stopped = jb.Stats()
+		srv.Stop(sp)
+		other.Wait(sp)
+	})
+	mpp.Run(e, nRanks, "iw", func(p *mpp.Proc) {
+		reqs, buf, slots := strideReqs(g, p.Rank(), nRanks)
+		for i, gb := range slots {
+			pattern(gb, buf[int64(i)*testBS:int64(i+1)*testBS])
+		}
+		if _, err := col.IWriteAll(p, reqs, buf); err != nil {
+			t.Errorf("rank %d: %v", p.Rank(), err)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if stopped.Completed != 0 || stopped.Dispatches >= windows {
+		t.Errorf("at Stop: %+v, want the call half issued", stopped)
+	}
+	if st := jb.Stats(); st.Submitted != 1 || st.Completed != 1 || st.Dispatches != windows {
+		t.Errorf("server accounting: %+v, want the one call drained in %d dispatches", st, windows)
+	}
+	checkPatternImage(t, g, 0)
 }
 
 // TestNonblockingHandleNeverWaited: ranks that start a nonblocking write

@@ -83,8 +83,9 @@ type schedule struct {
 	// batch: every domain's spans at their call-buffer offsets, sorted and
 	// merged across domains by blockio, so the I/O server receives one
 	// request per call and the drives one run each where the footprint
-	// allows. Built with the schedule (rank 0, newSchedule); nil on
-	// blocking schedules.
+	// allows — cut every Options.ChunkBytes of the call buffer into the
+	// windows the server may stop between. Built with the schedule (rank
+	// 0, newSchedule); nil on blocking schedules.
 	callPlan *blockio.BatchPlan
 
 	// Lazily built execution state. plans[a] is domain a's prepared batch
@@ -211,8 +212,10 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedul
 	c.misses++
 	opts := c.opts
 	if nonblocking {
-		// One window per domain: the device phase of a nonblocking call is
-		// one call-wide request, so there is nothing for chunks to overlap.
+		// The domains assemble in one round: the device phase of a
+		// nonblocking call belongs to the server, so a rank has nothing to
+		// overlap an exchange round with. ChunkBytes cuts the server's
+		// plan instead (newSchedule).
 		opts.ChunkBytes = 0
 	}
 	pl, err := buildPlan(c.group, c.reqs, c.bufs, c.naggs, write, opts)
@@ -244,7 +247,9 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedul
 // instead. Nonblocking calls are never priced: they always run two-phase
 // on the logical partition. Their device phase is one call-wide request
 // (callPlan) whatever the partition, so the domains only say which rank
-// assembles which slice of the call buffer.
+// assembles which slice of the call buffer; Options.ChunkBytes cuts that
+// request — not the domains — into the windows the server issues it in
+// and may serve other jobs between (0: one window, the whole call).
 // The signature is copied so no fingerprint scratch is retained.
 func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool, key uint64, sig []uint64) (*schedule, error) {
 	ch := choice{route: routeTwoPhase}
@@ -294,8 +299,13 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 	// derived from validated, physically disjoint covered spans. It would
 	// fail the call as a plan error, on every rank, before anything is
 	// taken or submitted.
+	var cuts []int64
+	win := c.opts.chunkCeiling(pl.bs, pl.total) * pl.bs
+	for off := win; off < pl.total*pl.bs; off += win {
+		cuts = append(cuts, off)
+	}
 	var err error
-	if sd.callPlan, err = pl.batchVec(0, pl.total).Plan(nil); err != nil {
+	if sd.callPlan, err = pl.batchVec(0, pl.total).Plan(cuts); err != nil {
 		return nil, err
 	}
 	return sd, nil

@@ -507,39 +507,55 @@ func multijobSweep(rec *probe.Recorder) (*Result, error) {
 		"jobs", "gap", "policy", "small p99", "bulk p99", "makespan", "lane req/call", "dev req/call")
 	t.Note = "small p99 = worst latency percentile across the small jobs' lanes (IOJob.Stats);\ngap staggers job arrivals. fair = start-time fair queuing by served bytes; prio = small jobs at priority 1.\nA nonblocking collective call is one lane request — every aggregator domain in one plan — and at most\none device request per drive (two drives here), whatever the job's size."
 	metrics := map[string]float64{}
+	row := func(nJobs int, gap time.Duration, pol pario.IOPolicy, chunk int64, label string) error {
+		jobs := []Job{{Name: "job0", Blocks: 256, Calls: calls, Backlog: true}}
+		for j := 1; j < nJobs; j++ {
+			jobs = append(jobs, Job{
+				Name: fmt.Sprintf("job%d", j), Blocks: 32, Calls: calls,
+				Delay: time.Duration(j) * gap, Priority: 1,
+			})
+		}
+		mix := Multijob{
+			Drives: 2, Policy: pol, Jobs: jobs,
+			Rec: rec, Scope: fmt.Sprintf("multijob/%d/%s/%s", nJobs, gap, label),
+		}
+		mix.Profile.Collective.ChunkBytes = chunk
+		res, err := mix.Run()
+		if err != nil {
+			return err
+		}
+		var small time.Duration
+		var laneReqs int64
+		for j, st := range res.Lanes {
+			laneReqs += st.Completed
+			if j > 0 {
+				small = max(small, st.P99)
+			}
+		}
+		n := float64(nJobs * calls)
+		t.AddRow(nJobs, gap, label, small, res.Lanes[0].P99, res.Makespan,
+			fmt.Sprintf("%.2f", float64(laneReqs)/n), fmt.Sprintf("%.2f", float64(res.Requests)/n))
+		key := fmt.Sprintf("j%d_gap%v_%v", nJobs, gap, label)
+		metrics["small_p99_s_"+key] = small.Seconds()
+		metrics["makespan_s_"+key] = res.Makespan.Seconds()
+		return nil
+	}
 	for _, nJobs := range []int{2, 4, 8} {
 		for _, gap := range []time.Duration{0, 5 * time.Millisecond} {
 			for _, pol := range []pario.IOPolicy{pario.IOFIFO, pario.IOFairShare, pario.IOPriority} {
-				jobs := []Job{{Name: "job0", Blocks: 256, Calls: calls, Backlog: true}}
-				for j := 1; j < nJobs; j++ {
-					jobs = append(jobs, Job{
-						Name: fmt.Sprintf("job%d", j), Blocks: 32, Calls: calls,
-						Delay: time.Duration(j) * gap, Priority: 1,
-					})
-				}
-				res, err := Multijob{
-					Drives: 2, Policy: pol, Jobs: jobs,
-					Rec: rec, Scope: fmt.Sprintf("multijob/%d/%s/%s", nJobs, gap, pol),
-				}.Run()
-				if err != nil {
+				if err := row(nJobs, gap, pol, 0, pol.String()); err != nil {
 					return nil, err
 				}
-				var small time.Duration
-				var laneReqs int64
-				for j, st := range res.Lanes {
-					laneReqs += st.Completed
-					if j > 0 {
-						small = max(small, st.P99)
-					}
-				}
-				n := float64(nJobs * calls)
-				t.AddRow(nJobs, gap, pol, small, res.Lanes[0].P99, res.Makespan,
-					fmt.Sprintf("%.2f", float64(laneReqs)/n), fmt.Sprintf("%.2f", float64(res.Requests)/n))
-				key := fmt.Sprintf("j%d_gap%v_%v", nJobs, gap, pol)
-				metrics["small_p99_s_"+key] = small.Seconds()
-				metrics["makespan_s_"+key] = res.Makespan.Seconds()
 			}
 		}
+	}
+	// The 8-job, no-gap fair-share row again with ChunkBytes 256 KiB
+	// (fair+w): the server issues job0's 1 MiB calls a window at a time
+	// and chooses again between windows, so a small job waits for a
+	// quarter of a bulk call, not a whole one, and the bulk job pays a
+	// positioning for every window it was stopped after.
+	if err := row(8, 0, pario.IOFairShare, 256<<10, "fair+w"); err != nil {
+		return nil, err
 	}
 	return &Result{Tables: []*stats.Table{t}, Metrics: metrics}, nil
 }

@@ -8,23 +8,61 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blockio"
 	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
-// served is one request as the flight recorder saw it.
-type served struct {
-	job             int
-	enq, start, end time.Duration
-	bytes           int64
+// dispatch is one hand-over of windows to a worker as the flight
+// recorder saw it: a "service" span.
+type dispatch struct {
+	job        int
+	start, end time.Duration
+	bytes      int64
 }
 
-// invariantMix runs a seeded job mix — call-sized requests (32 blocks)
-// among one- and two-block ones, submitted in bursts with think time
-// between, one job under a bandwidth cap — and returns every request's
-// (enqueue, dispatch, completion) from the server's lane spans, by job
-// in submission order.
-func invariantMix(t *testing.T, seed int64, pol Policy) (cfgs []JobConfig, workers int, reqs [][]served) {
+// served is one request: what the client submitted (wins: the plan's
+// window sizes in bytes, in index order; burst: which of the client's
+// bursts it belongs to) and what the flight recorder saw of it — the
+// "req" span (enqueue → completion) and its "service" children in
+// dispatch order.
+type served struct {
+	job      int
+	burst    int
+	wins     []int64
+	enq, end time.Duration
+	bytes    int64
+	svc      []dispatch
+}
+
+// start is the request's first dispatch; last its last.
+func (r served) start() time.Duration { return r.svc[0].start }
+func (r served) last() time.Duration  { return r.svc[len(r.svc)-1].start }
+
+// cutPlan prepares a write of blocks [first, first+Σwins), cut into
+// windows of wins blocks each.
+func cutPlan(set *blockio.Set, first int64, wins []int64) *blockio.BatchPlan {
+	var n int64
+	var cuts []int64
+	for _, w := range wins {
+		if n += w; len(cuts) < len(wins)-1 {
+			cuts = append(cuts, n*int64(set.BlockSize()))
+		}
+	}
+	plan, err := blockio.BatchVec{{Set: set, Vec: blockio.Vec{{Block: first, N: n}}}}.Plan(cuts)
+	if err != nil {
+		panic(err)
+	}
+	return plan
+}
+
+// invariantMix runs a seeded job mix — call-sized requests (32 blocks,
+// cut into one to six windows of unequal sizes) among one- and two-block
+// ones, submitted in bursts with think time between, one job under a
+// bandwidth cap, nobody waiting for its last burst (Stop must drain it) —
+// and returns every request as submitted and as the server's lane spans
+// show it, by job in submission order.
+func invariantMix(t *testing.T, seed int64, pol Policy) (cfgs []JobConfig, workers int, reqs [][]served, stats []JobStats) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const region = 64 // blocks per job
@@ -42,6 +80,7 @@ func invariantMix(t *testing.T, seed int64, pol Policy) (cfgs []JobConfig, worke
 	s := New(Config{Workers: workers, Policy: pol})
 	s.SetProbe(rec)
 	jobs := make([]*Job, len(cfgs))
+	reqs = make([][]served, len(cfgs))
 	var clients sim.Group
 	for ji, cfg := range cfgs {
 		ji, job := ji, s.AddJob(cfg)
@@ -49,27 +88,48 @@ func invariantMix(t *testing.T, seed int64, pol Policy) (cfgs []JobConfig, worke
 		// Every draw happens here, before the engine runs, so the mix
 		// depends on the seed alone.
 		type burst struct {
-			think  time.Duration
-			blocks []int64
+			think time.Duration
+			wins  [][]int64 // per request, window sizes in blocks
 		}
 		bursts := make([]burst, 5+rng.Intn(4))
 		for b := range bursts {
 			bursts[b].think = time.Duration(rng.Int63n(int64(60 * time.Millisecond)))
 			for k := 2 + rng.Intn(7); k > 0; k-- {
-				n := int64(1 + rng.Intn(2))
+				wins := []int64{int64(1 + rng.Intn(2))}
 				if big := rng.Intn(4); (ji == 0 && big > 0) || (ji == 2 && big > 1) || (ji == 3 && big == 0) {
-					n = 32 // a whole collective call
+					// A whole collective call: 32 blocks in 1–6 windows.
+					wins = make([]int64, 1+rng.Intn(6))
+					left := int64(32)
+					for w := range wins {
+						wins[w] = 1
+						if rest := int64(len(wins) - 1 - w); w == len(wins)-1 {
+							wins[w] = left
+						} else if left-rest > 1 {
+							wins[w] = 1 + rng.Int63n(left-rest-1)
+						}
+						left -= wins[w]
+					}
 				}
-				bursts[b].blocks = append(bursts[b].blocks, n)
+				bursts[b].wins = append(bursts[b].wins, wins)
 			}
 		}
 		clients.Spawn(e, "client-"+cfg.Name, func(p *sim.Proc) {
-			for _, b := range bursts {
-				p.Sleep(b.think)
+			for b, bu := range bursts {
+				p.Sleep(bu.think)
 				var tickets []*Request
-				for _, n := range b.blocks {
-					buf := make([]byte, n*bs)
-					tickets = append(tickets, job.SubmitWritePlan(p, batchFor(set, int64(ji)*region, n), buf, n*bs))
+				for _, wins := range bu.wins {
+					// A nanosecond apart: (job, enqueue time) names the request.
+					p.Sleep(time.Nanosecond)
+					sv := served{job: ji, burst: b, enq: p.Now()}
+					for _, w := range wins {
+						sv.wins = append(sv.wins, w*bs)
+						sv.bytes += w * bs
+					}
+					reqs[ji] = append(reqs[ji], sv)
+					tickets = append(tickets, job.SubmitWritePlan(p, cutPlan(set, int64(ji)*region, wins), make([]byte, sv.bytes), sv.bytes))
+				}
+				if b == len(bursts)-1 {
+					return // the server is stopped with these outstanding
 				}
 				for _, tk := range tickets {
 					if err := tk.Wait(p); err != nil {
@@ -83,85 +143,166 @@ func invariantMix(t *testing.T, seed int64, pol Policy) (cfgs []JobConfig, worke
 	e.Go("driver", func(p *sim.Proc) { clients.Wait(p); s.Stop(p) })
 	run(t, e)
 
-	// A completed request leaves a "req" span (enqueue → completion) on
-	// its lane and a "service" child (dispatch → completion).
-	dispatched := map[probe.SpanID]time.Duration{}
+	// A completed request leaves one "req" span (enqueue → completion) on
+	// its lane and one "service" child per dispatch.
+	children := map[probe.SpanID][]dispatch{}
 	for _, sp := range rec.Spans() {
 		if sp.Cat == "ioserver" && sp.Name == "service" {
-			dispatched[sp.Parent] = sp.Start
+			children[sp.Parent] = append(children[sp.Parent], dispatch{start: sp.Start, end: sp.End, bytes: sp.Bytes})
 		}
 	}
-	reqs = make([][]served, len(cfgs))
 	for _, sp := range rec.Spans() {
 		if sp.Cat != "ioserver" || sp.Name != "req" {
 			continue
 		}
 		for ji, j := range jobs {
-			if j.trk == sp.Track {
-				reqs[ji] = append(reqs[ji], served{job: ji, enq: sp.Start, start: dispatched[sp.ID], end: sp.End, bytes: sp.Bytes})
+			if j.trk != sp.Track {
+				continue
 			}
+			i := sort.Search(len(reqs[ji]), func(i int) bool { return reqs[ji][i].enq >= sp.Start })
+			if i == len(reqs[ji]) || reqs[ji][i].enq != sp.Start || reqs[ji][i].svc != nil {
+				t.Fatalf("job %s: a request span enqueued at %v that nobody submitted", cfgs[ji].Name, sp.Start)
+			}
+			r := &reqs[ji][i]
+			r.end, r.svc = sp.End, children[sp.ID]
+			if sp.Bytes != r.bytes {
+				t.Errorf("job %s: request span of %d bytes, %d submitted", cfgs[ji].Name, sp.Bytes, r.bytes)
+			}
+			for k := range r.svc {
+				r.svc[k].job = ji
+			}
+			// Record order is return order; dispatch order is what counts.
+			sort.SliceStable(r.svc, func(a, b int) bool { return r.svc[a].start < r.svc[b].start })
 		}
 	}
 	for ji, rr := range reqs {
-		// Completion order → submission order: a lane is FIFO.
-		sort.SliceStable(rr, func(a, b int) bool {
-			if rr[a].start != rr[b].start {
-				return rr[a].start < rr[b].start
+		for _, r := range rr {
+			if len(r.svc) == 0 {
+				t.Fatalf("job %s: the request enqueued at %v never completed", cfgs[ji].Name, r.enq)
 			}
-			return rr[a].enq < rr[b].enq
-		})
-		if int64(len(rr)) != jobs[ji].Stats().Completed {
-			t.Fatalf("job %s: %d request spans, %d completed", cfgs[ji].Name, len(rr), jobs[ji].Stats().Completed)
 		}
+		stats = append(stats, jobs[ji].Stats())
 	}
-	return cfgs, workers, reqs
+	return cfgs, workers, reqs, stats
 }
 
-// capBusy is how long a request of n bytes holds a capped job's bucket.
+// inIndexOrder reports whether the dispatches svc, in start order, hand
+// out the windows wins in index order: each dispatch the next one or
+// more windows, all of them by the end. Dispatches that start together
+// (two workers) may have been recorded either way round.
+func inIndexOrder(svc []dispatch, wins []int64) bool {
+	if len(svc) == 0 {
+		return len(wins) == 0
+	}
+	for i := 0; i < len(svc) && svc[i].start == svc[0].start; i++ {
+		var sum int64
+		for k, w := range wins {
+			if sum += w; sum == svc[i].bytes {
+				rest := append(append([]dispatch(nil), svc[:i]...), svc[i+1:]...)
+				if inIndexOrder(rest, wins[k+1:]) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// capBusy is how long a dispatch of n bytes holds a capped job's bucket.
 func capBusy(n int64, bps float64) time.Duration {
 	return time.Duration(float64(n) / bps * float64(time.Second))
 }
 
-// TestServerInvariants checks, on seeded mixes of call-sized and small
-// requests under every policy, the three properties the package doc
-// promises: the server is work-conserving, a bandwidth cap is never
-// exceeded over any window, and under FairShare two backlogged jobs'
-// weighted service never drifts apart by more than one maximum request ÷
-// weight each.
+// TestServerInvariants checks, on seeded mixes of windowed call-sized
+// and small requests under every policy, what the package doc promises.
+// Per request: its windows are dispatched in index order, all of them
+// (a stopped server's too), and it completes when the last one returns;
+// the lane counts requests (Completed, Bytes, latency) and dispatches
+// (Dispatches, Busy) apart. Per server: it is work-conserving, a
+// bandwidth cap is never exceeded over any window of time with windows
+// charged as they are dispatched, and under FairShare two backlogged
+// jobs' weighted service never drifts apart by more than one maximum
+// window ÷ weight each.
 func TestServerInvariants(t *testing.T) {
 	for _, pol := range []Policy{FIFO, FairShare, Priority} {
 		for seed := int64(1); seed <= 12; seed++ {
 			t.Run(fmt.Sprintf("%v/seed%d", pol, seed), func(t *testing.T) {
-				cfgs, workers, reqs := invariantMix(t, seed, pol)
+				cfgs, workers, reqs, stats := invariantMix(t, seed, pol)
 				var all []served
-				for _, rr := range reqs {
+				byJob := make([][]dispatch, len(cfgs)) // in dispatch order
+				cut := 0
+				for ji, rr := range reqs {
 					all = append(all, rr...)
+					want := JobStats{Name: cfgs[ji].Name, Submitted: int64(len(rr)), Completed: int64(len(rr))}
+					var slowest time.Duration
+					for i, r := range rr {
+						if !inIndexOrder(r.svc, r.wins) {
+							t.Errorf("%s: windows %v dispatched as %+v", cfgs[ji].Name, r.wins, r.svc)
+						}
+						if len(r.svc) > 1 {
+							cut++
+						}
+						if pol == FIFO && len(r.svc) > 1 {
+							t.Errorf("%s: FIFO cut a request into %d dispatches", cfgs[ji].Name, len(r.svc))
+						}
+						var done time.Duration
+						for _, d := range r.svc {
+							done = max(done, d.end)
+							want.Busy += d.end - d.start
+							if d.start < r.enq {
+								t.Errorf("%s: a window dispatched at %v of a request enqueued at %v", cfgs[ji].Name, d.start, r.enq)
+							}
+						}
+						if r.end != done {
+							t.Errorf("%s: request completed at %v, its last window returned at %v", cfgs[ji].Name, r.end, done)
+						}
+						if i > 0 && r.start() < rr[i-1].last() {
+							t.Errorf("%s: request %d dispatched at %v, before the last window of the one ahead (%v)",
+								cfgs[ji].Name, i, r.start(), rr[i-1].last())
+						}
+						want.Dispatches += int64(len(r.svc))
+						want.Bytes += r.bytes
+						slowest = max(slowest, r.end-r.enq)
+						byJob[ji] = append(byJob[ji], r.svc...)
+					}
+					got := stats[ji]
+					// The sample holds float seconds: a nanosecond of rounding.
+					if d := got.Max - slowest; d < -1 || d > 1 || got.P50 == 0 {
+						t.Errorf("%s: latency max %v (p50 %v), the slowest request took %v", cfgs[ji].Name, got.Max, got.P50, slowest)
+					}
+					got.P50, got.P95, got.P99, got.Max = 0, 0, 0, 0
+					if got != want {
+						t.Errorf("lane accounting:\n got %+v\nwant %+v", got, want)
+					}
+				}
+				if pol != FIFO && cut == 0 {
+					t.Error("no request was served in more than one dispatch: the mix does not exercise windows")
 				}
 
 				// When each job is at its cap: from a dispatch until the
 				// bucket has drained what was dispatched so far.
 				capped := make([][][2]time.Duration, len(cfgs))
-				for ji, rr := range reqs {
+				for ji, dd := range byJob {
 					bps := cfgs[ji].BytesPerSec
 					if bps == 0 {
 						continue
 					}
 					var free time.Duration
-					for _, r := range rr {
-						if r.start < free {
-							t.Errorf("%s: dispatched at %v, capped until %v", cfgs[ji].Name, r.start, free)
+					for _, d := range dd {
+						if d.start < free {
+							t.Errorf("%s: dispatched at %v, capped until %v", cfgs[ji].Name, d.start, free)
 						}
-						free = max(free, r.start) + capBusy(r.bytes, bps)
-						capped[ji] = append(capped[ji], [2]time.Duration{r.start, free})
+						free = max(free, d.start) + capBusy(d.bytes, bps)
+						capped[ji] = append(capped[ji], [2]time.Duration{d.start, free})
 					}
-					// No window holds more than rate × length: between
-					// dispatch i and dispatch k the bucket drained
+					// No window of time holds more than rate × length:
+					// between dispatch i and dispatch k the bucket drained
 					// everything dispatched in [i, k).
-					for i := range rr {
+					for i := range dd {
 						var sum int64
-						for k := i + 1; k < len(rr); k++ {
-							sum += rr[k-1].bytes
-							if win := rr[k].start - rr[i].start; capBusy(sum, bps) > win+time.Duration(k-i) {
+						for k := i + 1; k < len(dd); k++ {
+							sum += dd[k-1].bytes
+							if win := dd[k].start - dd[i].start; capBusy(sum, bps) > win+time.Duration(k-i) {
 								t.Errorf("%s: %d bytes dispatched in a %v window, cap %.0f B/s", cfgs[ji].Name, sum, win, bps)
 							}
 						}
@@ -177,11 +318,14 @@ func TestServerInvariants(t *testing.T) {
 				}
 
 				// Work conservation: over every interval between two
-				// events, a request sits queued only if every worker is
-				// busy or its job is at its cap.
+				// events, a request has windows waiting only if every
+				// worker is busy or its job is at its cap.
 				var times []time.Duration
 				for _, r := range all {
-					times = append(times, r.enq, r.start, r.end)
+					times = append(times, r.enq)
+					for _, d := range r.svc {
+						times = append(times, d.start, d.end)
+					}
 				}
 				for ji := range capped {
 					for _, iv := range capped[ji] {
@@ -195,20 +339,22 @@ func TestServerInvariants(t *testing.T) {
 						continue
 					}
 					busy := 0
-					for _, r := range all {
-						if r.start <= at && at < r.end {
-							busy++
+					for _, dd := range byJob {
+						for _, d := range dd {
+							if d.start <= at && at < d.end {
+								busy++
+							}
 						}
 					}
 					if busy > workers {
-						t.Fatalf("%d requests in service at %v with %d workers", busy, at, workers)
+						t.Fatalf("%d dispatches in service at %v with %d workers", busy, at, workers)
 					}
 					if busy == workers {
 						continue
 					}
 					for _, r := range all {
-						if r.enq <= at && at < r.start && !isCapped(r.job, at) {
-							t.Errorf("%s request queued over [%v, %v) with %d of %d workers busy",
+						if r.enq <= at && at < r.last() && !isCapped(r.job, at) {
+							t.Errorf("%s request has windows queued over [%v, %v) with %d of %d workers busy",
 								cfgs[r.job].Name, at, next, busy, workers)
 						}
 					}
@@ -217,28 +363,31 @@ func TestServerInvariants(t *testing.T) {
 				if pol != FairShare {
 					return
 				}
-				// Fair share: a job is backlogged from a burst's enqueue
-				// until the burst's last dispatch. Over any interval in
-				// which two uncapped jobs both stay backlogged, the
-				// difference of their weighted service is within one
-				// maximum request ÷ weight each.
+				// Fair share: a job is backlogged from a burst's first
+				// enqueue until the burst's last dispatch. While two jobs
+				// are, every dispatch of either is one window, so over any
+				// interval in which two uncapped jobs both stay backlogged
+				// the difference of their weighted service is within one
+				// maximum window ÷ weight each.
 				type backlog struct{ from, to time.Duration }
-				maxReq := make([]float64, len(cfgs))
+				maxWin := make([]float64, len(cfgs))
 				backlogs := make([][]backlog, len(cfgs))
 				for ji, rr := range reqs {
 					for i, r := range rr {
-						maxReq[ji] = math.Max(maxReq[ji], float64(r.bytes))
-						if i > 0 && rr[i-1].enq == r.enq {
-							backlogs[ji][len(backlogs[ji])-1].to = r.start
+						for _, w := range r.wins {
+							maxWin[ji] = math.Max(maxWin[ji], float64(w))
+						}
+						if i > 0 && rr[i-1].burst == r.burst {
+							backlogs[ji][len(backlogs[ji])-1].to = r.last()
 						} else {
-							backlogs[ji] = append(backlogs[ji], backlog{r.enq, r.start})
+							backlogs[ji] = append(backlogs[ji], backlog{r.enq, r.last()})
 						}
 					}
 				}
 				service := func(ji int, from, to time.Duration) (n float64) {
-					for _, r := range reqs[ji] {
-						if from <= r.start && r.start < to {
-							n += float64(r.bytes)
+					for _, d := range byJob[ji] {
+						if from <= d.start && d.start < to {
+							n += float64(d.bytes)
 						}
 					}
 					return n / cfgs[ji].Weight
@@ -248,7 +397,7 @@ func TestServerInvariants(t *testing.T) {
 						if cfgs[f].BytesPerSec > 0 || cfgs[g].BytesPerSec > 0 {
 							continue
 						}
-						bound := maxReq[f]/cfgs[f].Weight + maxReq[g]/cfgs[g].Weight
+						bound := maxWin[f]/cfgs[f].Weight + maxWin[g]/cfgs[g].Weight
 						for _, bf := range backlogs[f] {
 							for _, bg := range backlogs[g] {
 								from, to := max(bf.from, bg.from), min(bf.to, bg.to)

@@ -9,13 +9,26 @@
 //
 // There is one request form: a prepared blockio.BatchPlan (validated,
 // mapped and merged once by the client, reusable across submissions) and
-// the buffer its one window binds to. A Request is whatever the client
-// makes it, and a worker executes it whole: every merged run of the plan
-// issues at once, in parallel across the drives, and the worker takes
-// nothing else until all have finished. The collective layer submits one
-// Request per collective call — every aggregator domain in one prepared
-// plan — so a worker serves one call at a time across all drives, and the
-// server's choices are made between calls.
+// the buffer its windows bind to. A Request is whatever the client makes
+// it — the collective layer submits one per collective call, every
+// aggregator domain in one prepared plan — but the unit of service is the
+// plan's window, not the request: a worker is handed the next window of
+// the request the policy chose, issues its merged runs in parallel across
+// the drives, and comes back to the policy, which chooses again. A
+// request keeps its place at the head of its lane until its last window
+// is handed out (two workers may hold two windows of one request) and
+// completes once — one latency sample, one error — when the last window
+// out returns; a window that fails ends the request there. How a plan is
+// cut is the client's choice (collective.Options.ChunkBytes); a plan that
+// is not cut is one window, and served whole.
+//
+// A cut costs the drives a positioning, so the server makes only the cuts
+// it can use: when no other job has anything queued there is nobody to
+// choose, and under FIFO the choice after any window is the same request
+// again, so the worker is handed every window left at once and blockio
+// sends windows issued together as the uncut plan's device requests. A
+// job alone on the server, or any job under FIFO, is served exactly as if
+// its plans had never been cut.
 //
 // Multiplexing many concurrent jobs over one device array is the whole
 // point, so the dequeue order is a pluggable QoS policy:
@@ -38,26 +51,29 @@
 // request never waits out another job's bucket.
 //
 // Three properties hold for any job mix (TestServerInvariants checks
-// them on seeded mixes of call-sized and small requests):
+// them on seeded mixes of small requests and call-sized ones cut into
+// one to six windows):
 //
-//   - Work conservation: no worker is idle while a request of a job
-//     that is not at its cap is queued.
-//   - The cap is a bound over every window: between two dispatches of a
-//     capped job, the bytes dispatched in between are at most
-//     BytesPerSec × the time between them.
+//   - Work conservation: no worker is idle while a window of a job that
+//     is not at its cap is waiting.
+//   - The cap is a bound over every interval: a window charges the
+//     bucket when it is handed out, and between two dispatches of a
+//     capped job the bytes dispatched in between are at most BytesPerSec
+//     × the time between them.
 //   - Bounded unfairness under FairShare (start-time fair queueing's
 //     bound): over any interval in which two uncapped jobs f and g both
 //     stay backlogged, their weighted service bytes/weight differs by at
-//     most maxreq(f)/weight(f) + maxreq(g)/weight(g) — one maximum
-//     request each. The bound is in requests, so it scales with what a
-//     client submits: with whole collective calls as requests a small
-//     job can fall one bulk call behind (in time: that call's service,
-//     per worker) where per-domain requests made it one domain.
+//     most maxwin(f)/weight(f) + maxwin(g)/weight(g) — one maximum
+//     window each. The bound is in what a client lets the server stop
+//     between: a small job can fall one bulk window behind (in time: that
+//     window's service, per worker), which is a whole bulk call only for
+//     a client that does not cut its calls.
 //
 // Every request records its enqueue→completion latency in the job's
-// stats.Sample, so per-job p50/p95/p99 come out exact and
-// deterministic; JobStats snapshots are comparable structs, which is
-// what TestMultijobDeterminism compares across runs.
+// stats.Sample — one observation a request, however many windows — so
+// per-job p50/p95/p99 come out exact and deterministic; JobStats
+// snapshots are comparable structs, which is what
+// TestMultijobDeterminism compares across runs.
 //
 // Everything relies on the engine's strict alternation (one managed
 // process runs at a time), like the rest of the sim stack: no locks,
@@ -104,12 +120,13 @@ func (p Policy) String() string {
 // Config sizes a Server.
 type Config struct {
 	// Workers is the number of dedicated I/O-server processes (≥1;
-	// default 1). Each worker executes one request at a time — for the
-	// collective layer one whole call, driving every drive the call
-	// touches at once — so Workers is how many calls are in service
-	// together, not how many drives are busy: one worker already keeps
-	// the whole array streaming, and a second lets the next call's
-	// requests queue at the drives behind the first's.
+	// default 1). Each worker issues one window at a time — for the
+	// collective layer a ChunkBytes slice of one call, or the whole call,
+	// driving every drive it touches at once — so Workers is how many
+	// windows are in service together (of one call or of several), not
+	// how many drives are busy: one worker already keeps the whole array
+	// streaming, and a second lets the next window's requests queue at
+	// the drives behind the first's.
 	Workers int
 	// Policy is the dequeue discipline (default FIFO).
 	Policy Policy
@@ -141,10 +158,11 @@ type JobConfig struct {
 // snapshots (TestMultijobDeterminism).
 type JobStats struct {
 	Name                 string
-	Submitted, Completed int64
-	Bytes                int64 // payload bytes served
-	Busy                 time.Duration
-	P50, P95, P99, Max   time.Duration // enqueue→completion latency
+	Submitted, Completed int64         // requests — for the collective layer, calls
+	Dispatches           int64         // times a worker was handed windows of one
+	Bytes                int64         // payload bytes of the completed requests
+	Busy                 time.Duration // service time, summed over the dispatches
+	P50, P95, P99, Max   time.Duration // enqueue→completion latency, per request
 }
 
 // Job is one client's lane into the server: a FIFO request queue plus
@@ -158,11 +176,12 @@ type Job struct {
 	vtime   float64       // fair-share virtual service time (weighted bytes)
 	capFree time.Duration // bandwidth bucket: eligible when now ≥ capFree
 
-	submitted int64
-	completed int64
-	bytes     int64
-	busy      time.Duration
-	lat       stats.Sample // seconds, one observation per request
+	submitted  int64
+	completed  int64
+	dispatches int64
+	bytes      int64
+	busy       time.Duration
+	lat        stats.Sample // seconds, one observation per request
 
 	trk probe.TrackID // flight-recorder lane track (0: detached)
 }
@@ -173,15 +192,16 @@ func (j *Job) Name() string { return j.cfg.Name }
 // Stats snapshots the job's accounting.
 func (j *Job) Stats() JobStats {
 	return JobStats{
-		Name:      j.cfg.Name,
-		Submitted: j.submitted,
-		Completed: j.completed,
-		Bytes:     j.bytes,
-		Busy:      j.busy,
-		P50:       j.lat.QuantileDur(0.50),
-		P95:       j.lat.QuantileDur(0.95),
-		P99:       j.lat.QuantileDur(0.99),
-		Max:       j.lat.QuantileDur(1),
+		Name:       j.cfg.Name,
+		Submitted:  j.submitted,
+		Completed:  j.completed,
+		Dispatches: j.dispatches,
+		Bytes:      j.bytes,
+		Busy:       j.busy,
+		P50:        j.lat.QuantileDur(0.50),
+		P95:        j.lat.QuantileDur(0.95),
+		P99:        j.lat.QuantileDur(0.99),
+		Max:        j.lat.QuantileDur(1),
 	}
 }
 
@@ -195,26 +215,46 @@ func (j *Job) Latency() *stats.Sample { return &j.lat }
 type Request struct {
 	job   *Job
 	write bool
-	// Window 0 of plan is issued against pbuf. The plan is the client's:
-	// validated and merged once, it may back any number of submissions
-	// with only the buffer rebound (the collective layer's schedule
-	// replay).
+	// The plan's windows are issued against pbuf, in index order. The plan
+	// is the client's: validated and merged once, it may back any number
+	// of submissions with only the buffer rebound (the collective layer's
+	// schedule replay).
 	plan  *blockio.BatchPlan
 	pbuf  []byte
 	bytes int64
 	seq   int64 // global arrival order
 	enq   time.Duration
 
+	// Service state. The request stays at the head of its lane until its
+	// last window is dispatched (win == plan.Windows()) and completes when
+	// the last dispatched window returns (inflight == 0 after that).
+	win      int   // next window to dispatch
+	charged  int64 // bytes of r.bytes the dispatched windows have paid for
+	inflight int   // dispatches that have not returned
+	first    time.Duration
+	svc      []service // one per dispatch, for the recorder only
+
 	done bool
 	err  error
 	wq   sim.WaitQueue
+}
+
+// service is one dispatch of a request as the flight recorder shows it.
+type service struct {
+	start, end time.Duration
+	bytes      int64
 }
 
 // Done reports whether the server has completed the request.
 func (r *Request) Done() bool { return r.done }
 
 // Err returns the access error once Done; nil before completion.
-func (r *Request) Err() error { return r.err }
+func (r *Request) Err() error {
+	if !r.done {
+		return nil
+	}
+	return r.err
+}
 
 // Wait parks the caller until the server completes the request and
 // returns the access error.
@@ -332,9 +372,9 @@ func (s *Server) Stop(p *sim.Proc) {
 }
 
 // SubmitWritePlan enqueues a write issued through a prepared
-// blockio.BatchPlan — the worker issues window 0 of the plan bound to
-// buf — and returns its ticket. bytes is the payload size the accounting
-// and QoS policies charge.
+// blockio.BatchPlan — the workers issue the plan's windows in order,
+// bound to buf — and returns its ticket. bytes is the payload size the
+// accounting reports and the QoS policies charge, a window at a time.
 func (j *Job) SubmitWritePlan(p *sim.Proc, plan *blockio.BatchPlan, buf []byte, bytes int64) *Request {
 	return j.submit(p, true, plan, buf, bytes)
 }
@@ -376,32 +416,34 @@ func (j *Job) submit(p *sim.Proc, write bool, plan *blockio.BatchPlan, pbuf []by
 	return r
 }
 
-// worker is one dedicated I/O-server process: dequeue in policy order,
-// execute, complete, repeat until the server stops.
+// worker is one dedicated I/O-server process: take the next windows in
+// policy order, issue them, account, repeat until the server stops.
 func (s *Server) worker(p *sim.Proc) {
 	for {
 		r := s.next(p)
 		if r == nil {
 			return
 		}
+		w0, w1, charge := s.dispatch(p, r)
 		start := p.Now()
 		var err error
 		if r.write {
-			err = r.plan.WriteWindow(p, 0, r.pbuf, 0)
+			err = r.plan.WriteWindows(p, w0, w1, r.pbuf, 0)
 		} else {
-			err = r.plan.ReadWindow(p, 0, r.pbuf, 0)
+			err = r.plan.ReadWindows(p, w0, w1, r.pbuf, 0)
 		}
-		s.complete(p, r, start, err)
+		s.returned(p, r, start, charge, err)
 	}
 }
 
-// next blocks until a request is eligible under the policy (nil once
-// the server is stopped and drained). When every backlogged job is at
-// its bandwidth cap, the worker sleeps until the earliest cap expiry —
+// next blocks until a request's next window is eligible under the policy
+// and returns the request, still at the head of its lane (nil once the
+// server is stopped and drained). When every backlogged job is at its
+// bandwidth cap, the worker sleeps until the earliest cap expiry —
 // registered on capSleep so a mid-sleep Submit can wake it early.
 func (s *Server) next(p *sim.Proc) *Request {
 	for {
-		r, wakeAt := s.pick(p)
+		r, wakeAt := s.pick(p.Now())
 		switch {
 		case r != nil:
 			return r
@@ -425,60 +467,87 @@ func (s *Server) next(p *sim.Proc) *Request {
 	}
 }
 
-// pick dequeues the next request per the policy, or reports the
-// earliest bandwidth-cap expiry when every backlogged job is capped
-// (wakeAt 0 when there is simply nothing queued). Job iteration order
-// and seq tie-breaks are fixed, so scheduling is deterministic.
-func (s *Server) pick(p *sim.Proc) (r *Request, wakeAt time.Duration) {
-	now := p.Now()
+// pick chooses the request to serve next per the policy — the head of
+// the winning lane, left where it is — or reports the earliest
+// bandwidth-cap expiry when every backlogged job is capped (wakeAt 0
+// when there is simply nothing queued). Job iteration order and seq
+// tie-breaks are fixed, so scheduling is deterministic.
+func (s *Server) pick(now time.Duration) (r *Request, wakeAt time.Duration) {
 	var best *Job
-	var bestHead *Request
-	backlogged := false
 	for _, j := range s.jobs {
 		head, ok := j.q.Peek()
 		if !ok {
 			continue
 		}
-		backlogged = true
 		if j.cfg.BytesPerSec > 0 && j.capFree > now {
 			if wakeAt == 0 || j.capFree < wakeAt {
 				wakeAt = j.capFree
 			}
 			continue
 		}
-		hr := head.(*Request)
-		if best == nil || s.beats(j, hr, best, bestHead) {
-			best, bestHead = j, hr
+		if hr := head.(*Request); best == nil || s.beats(j, hr, best, r) {
+			best, r = j, hr
 		}
 	}
-	if best == nil {
-		if !backlogged {
-			wakeAt = 0
-		}
-		return nil, wakeAt
+	if r != nil {
+		wakeAt = 0
 	}
-	v, _ := best.q.TryGet(p)
-	r = v.(*Request)
+	return r, wakeAt
+}
+
+// dispatch hands the calling worker r's next windows [w0, w1) and
+// charges r's job for them. It is one window when another job is
+// backlogged — the policy chooses again when it returns — and every
+// window left when none is, or under FIFO, whose choice after any window
+// is the same request again (its seq is the lowest there is; a cap can
+// only delay it): a cut the policy cannot use is only a positioning
+// paid, and issued together the
+// windows are the uncut plan's device requests
+// (blockio.BatchPlan.WriteWindows), so a job alone on the server never
+// pays for cuts made on other jobs' behalf. r leaves its lane with its
+// last window.
+func (s *Server) dispatch(p *sim.Proc, r *Request) (w0, w1 int, charge int64) {
+	j, now, n := r.job, p.Now(), r.plan.Windows()
+	w0, w1 = r.win, n
+	if s.cfg.Policy != FIFO {
+		for _, o := range s.jobs {
+			if o != j && o.q.Len() > 0 {
+				w1 = w0 + 1
+				break
+			}
+		}
+	}
+	// A window costs the bytes it moves; the last settles the difference
+	// to the payload size the client declared.
+	charge = r.bytes - r.charged
+	if w1 < n {
+		charge = min(charge, r.plan.WindowBytes(w0))
+	}
+	if w0 == 0 {
+		r.first = now
+	}
+	r.win, r.charged = w1, r.charged+charge
+	r.inflight++
+	j.dispatches++
+	if w1 == n {
+		j.q.TryGet(p)
+	}
 	// Charge the QoS state at dispatch: the fair-share virtual clock
-	// advances by weighted bytes, the bandwidth bucket by the time this
-	// payload takes at the capped rate. A job returning from idle first
+	// advances by weighted bytes, the bandwidth bucket by the time these
+	// bytes take at the capped rate. A job returning from idle first
 	// catches its tag up to the server's virtual clock (the start-time
 	// fair queueing rule), so accumulated idleness buys at most one
 	// early dispatch, not a monopolizing burst.
-	if best.vtime < s.vnow {
-		best.vtime = s.vnow
+	if j.vtime < s.vnow {
+		j.vtime = s.vnow
 	}
-	s.vnow = best.vtime
-	if best.cfg.BytesPerSec > 0 {
-		busyFor := time.Duration(float64(r.bytes) / best.cfg.BytesPerSec * float64(time.Second))
-		from := best.capFree
-		if now > from {
-			from = now
-		}
-		best.capFree = from + busyFor
+	s.vnow = j.vtime
+	if j.cfg.BytesPerSec > 0 {
+		busyFor := time.Duration(float64(charge) / j.cfg.BytesPerSec * float64(time.Second))
+		j.capFree = max(j.capFree, now) + busyFor
 	}
-	best.vtime += float64(r.bytes) / best.cfg.Weight
-	return r, 0
+	j.vtime += float64(charge) / j.cfg.Weight
+	return w0, w1, charge
 }
 
 // beats reports whether backlogged job j (head request jr) should be
@@ -497,22 +566,40 @@ func (s *Server) beats(j *Job, jr *Request, best *Job, br *Request) bool {
 	return jr.seq < br.seq
 }
 
-// complete finalizes a request: accounting, spans, then wake its
-// waiters.
-func (s *Server) complete(p *sim.Proc, r *Request, start time.Duration, err error) {
-	j := r.job
+// returned accounts for one dispatch coming back and, when it was the
+// request's last one out, completes the request: accounting, spans, then
+// wake its waiters. A failed window is the request's error — the first
+// one, if two workers held windows — and takes the request off its lane:
+// no window of it is issued after that, and it completes when the windows
+// already out have returned.
+func (s *Server) returned(p *sim.Proc, r *Request, start time.Duration, charge int64, err error) {
+	j, now, n := r.job, p.Now(), r.plan.Windows()
+	j.busy += now - start
+	if s.rec != nil {
+		r.svc = append(r.svc, service{start, now, charge})
+	}
+	if err != nil && r.err == nil {
+		r.err = err
+		if r.win < n {
+			r.win = n
+			j.q.TryGet(p)
+		}
+	}
+	if r.inflight--; r.inflight > 0 || r.win < n {
+		return
+	}
 	j.completed++
 	j.bytes += r.bytes
-	j.busy += p.Now() - start
-	j.lat.AddDuration(p.Now() - r.enq)
+	j.lat.AddDuration(now - r.enq)
 	if s.rec != nil {
-		req := s.rec.Span(j.trk, "ioserver", "req", r.enq, p.Now(), r.bytes, 0)
-		if start > r.enq {
-			s.rec.Span(j.trk, "ioserver", "wait", r.enq, start, 0, req)
+		req := s.rec.Span(j.trk, "ioserver", "req", r.enq, now, r.bytes, 0)
+		if r.first > r.enq {
+			s.rec.Span(j.trk, "ioserver", "wait", r.enq, r.first, 0, req)
 		}
-		s.rec.Span(j.trk, "ioserver", "service", start, p.Now(), r.bytes, req)
+		for _, sv := range r.svc {
+			s.rec.Span(j.trk, "ioserver", "service", sv.start, sv.end, sv.bytes, req)
+		}
 	}
-	r.err = err
 	r.done = true
 	r.wq.WakeAll(p.Engine())
 }

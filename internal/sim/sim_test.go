@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -647,4 +650,79 @@ func TestWakeOneDoesNotCreep(t *testing.T) {
 			t.Errorf("a producer/consumer pair allocated %d objects in steady state", got)
 		}
 	})
+}
+
+// TestParN: index 0 runs on the caller, the rest as spawned processes in
+// index order at the caller's instant; every branch's error is joined;
+// off the engine the branches run in order on the caller; Par is ParN
+// over a list of closures.
+func TestParN(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	var end time.Duration
+	var err error
+	boom := errors.New("boom")
+	e.Go("caller", func(p *Proc) {
+		err = ParN(p, 4, func(c Context, i int) error {
+			order = append(order, i)
+			if (i == 0) != (c == Context(p)) {
+				t.Errorf("branch %d ran on %v", i, c.(*Proc).Name())
+			}
+			c.Sleep(time.Duration(4-i) * time.Millisecond)
+			if i%2 == 1 {
+				return fmt.Errorf("branch %d: %w", i, boom)
+			}
+			return nil
+		})
+		end = p.Now()
+	})
+	if rerr := e.Run(); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if fmt.Sprint(order) != "[0 1 2 3]" || end != 4*time.Millisecond {
+		t.Errorf("branches started in order %v and joined at %v, want index order and 4ms", order, end)
+	}
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "branch 1") || !strings.Contains(err.Error(), "branch 3") {
+		t.Errorf("joined error %v, want branches 1 and 3", err)
+	}
+
+	order = order[:0]
+	if err := ParN(NewWall(), 3, func(_ Context, i int) error { order = append(order, i); return nil }); err != nil || fmt.Sprint(order) != "[0 1 2]" {
+		t.Errorf("sequential ParN: order %v, error %v", order, err)
+	}
+	var ran [3]bool
+	mk := func(i int) func(Context) error { return func(Context) error { ran[i] = true; return nil } }
+	if err := Par(NewWall(), mk(0), mk(1), mk(2)); err != nil || ran != [3]bool{true, true, true} {
+		t.Errorf("Par ran %v, error %v", ran, err)
+	}
+}
+
+// TestParNAllocatesNothing: a steady stream of fan-outs — nested ones
+// included, as a redundant store's parallel branches under a transfer's —
+// reuses its pooled call state: no error slice, group or closure per
+// branch (it was three objects a call and two a branch).
+func TestParNAllocatesNothing(t *testing.T) {
+	const rounds = 64
+	e := NewEngine()
+	var inner, outer func(Context, int) error
+	inner = func(c Context, i int) error { c.Sleep(time.Microsecond); return nil }
+	outer = func(c Context, i int) error { return ParN(c, 2, inner) }
+	got := mallocsDuring(t, e, func(mark func(int)) {
+		e.Go("caller", func(p *Proc) {
+			for k := 0; k < rounds; k++ {
+				switch k {
+				case 2:
+					mark(0)
+				case rounds - 1:
+					mark(1)
+				}
+				if err := ParN(p, 16, outer); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	})
+	if got > runtimeNoise {
+		t.Errorf("%d fan-outs of 16 × 2 allocated %d objects after warm-up", rounds-3, got)
+	}
 }

@@ -1,6 +1,10 @@
 package sim
 
-import "errors"
+import (
+	"errors"
+	"slices"
+	"sync"
+)
 
 // Synchronization primitives for virtual-time processes.
 //
@@ -191,32 +195,63 @@ func (g *Group) Spawn(e *Engine, name string, fn func(p *Proc)) {
 	})
 }
 
-// Par runs the given operations concurrently when ctx is a managed
-// process (the first on the calling process, the rest as spawned
+// Par runs the given operations concurrently: ParN over a list of
+// closures, for callers whose branches differ in kind.
+func Par(ctx Context, fns ...func(Context) error) error {
+	return ParN(ctx, len(fns), func(c Context, i int) error { return fns[i](c) })
+}
+
+// ParN runs fn(c, 0) … fn(c, n-1) concurrently when ctx is a managed
+// process (index 0 on the calling process, the rest as spawned
 // processes, matching how an I/O controller drives several spindles at
 // once) and sequentially otherwise, joining all errors. Spawn order — and
-// therefore virtual-time scheduling — follows argument order, keeping
-// runs deterministic.
-func Par(ctx Context, fns ...func(Context) error) error {
+// therefore virtual-time scheduling — follows index order, keeping runs
+// deterministic. The branches are told apart by index so that a fan-out
+// over a list (the runs of a transfer) needs no closure per element.
+func ParN(ctx Context, n int, fn func(Context, int) error) error {
 	p, ok := ctx.(*Proc)
-	if !ok || len(fns) == 1 {
+	if !ok || n <= 1 {
 		var errs []error
-		for _, fn := range fns {
-			if err := fn(ctx); err != nil {
+		for i := 0; i < n; i++ {
+			if err := fn(ctx, i); err != nil {
 				errs = append(errs, err)
 			}
 		}
 		return errors.Join(errs...)
 	}
-	errs := make([]error, len(fns))
-	var g Group
-	for i := 1; i < len(fns); i++ {
-		i, fn := i, fns[i]
-		g.Spawn(p.Engine(), "par-io", func(c *Proc) {
-			errs[i] = fn(c)
+	pc := parPool.Get().(*parCall)
+	pc.fn = fn
+	pc.errs = slices.Grow(pc.errs[:0], n)[:n] // all nil: cleared on the way back to the pool
+	for len(pc.branch) < n-1 {
+		i := len(pc.branch) + 1
+		pc.branch = append(pc.branch, func(c *Proc) {
+			pc.errs[i] = pc.fn(c, i)
+			pc.g.Done(c)
 		})
 	}
-	errs[0] = fns[0](p)
-	g.Wait(p)
-	return errors.Join(errs...)
+	pc.g.Add(n - 1)
+	for _, b := range pc.branch[:n-1] {
+		p.e.Go("par-io", b)
+	}
+	pc.errs[0] = fn(p, 0)
+	pc.g.Wait(p)
+	err := errors.Join(pc.errs...)
+	pc.fn = nil
+	clear(pc.errs)
+	parPool.Put(pc)
+	return err
 }
+
+// parCall is one ParN in flight: what the caller and its spawned
+// branches share. branch[i-1] is the body of index i, bound to the call
+// once and kept with it in the pool, so a steady stream of fan-outs (one
+// per multi-drive transfer) allocates nothing: no error slice, no group,
+// no closure per branch. A fan-out nested in a branch takes its own call.
+type parCall struct {
+	fn     func(Context, int) error
+	errs   []error
+	g      Group
+	branch []func(*Proc)
+}
+
+var parPool = sync.Pool{New: func() any { return new(parCall) }}

@@ -163,16 +163,22 @@
 // Collective.IWriteAll / IReadAll: plan and exchange run inline (they
 // are collective by nature), the device phase is enqueued, and the
 // returned IOHandle lets every rank overlap its own computation before
-// the collective Wait (Test polls locally). The unit of server work is
+// the collective Wait (Test polls locally). The unit of submission is
 // the call: the aggregators assemble their domains side by side in one
 // call buffer and the last rank out of the exchange submits ONE request
 // — every domain in one prepared BatchPlan, merged across domains, so a
 // checkpoint of a declustered file reaches each drive as one sequential
 // run (TestServerDirectedWin: 64 lane requests and 1 024 device
-// requests a call become 1 and 16, ≥ 3× modeled makespan). A worker
-// serves one call at a time across all drives, QoS decisions fall
-// between calls, and a failed request is one error, the same on every
-// rank. Outcomes are data-identical to the blocking calls under every
+// requests a call become 1 and 16, ≥ 3× modeled makespan). The unit of
+// service is a window of it: CollectiveOptions.ChunkBytes cuts the call
+// plan, a worker issues one window across all drives, and the QoS
+// policy chooses again between windows, so a small job waits for a
+// window of a bulk call in service, not for the call
+// (TestServerWindowsWin: small-job call p98 275 → 155 ms beside a
+// 64-rank bully) — while a job alone on the server is handed its windows
+// all at once and costs what it would uncut. A failed window ends its
+// request: one error, the same on every rank. Outcomes are
+// data-identical to the blocking calls under every
 // policy — a write's call buffer is final before submission —
 // enforced by TestDifferentialMultijob (scheduled == serialized ==
 // reference model, 18 seeded scenarios). IOJob.Stats reports per-job
@@ -530,17 +536,21 @@ type (
 	// own the device array and execute client jobs' request batches
 	// under a QoS policy (NewIOServer, IOServer.AddJob / Start / Stop).
 	IOServer = ioserver.Server
-	// IOServerConfig sets the server's worker count and QoS policy.
+	// IOServerConfig sets the server's worker count — how many plan
+	// windows are in service together, of one call or of several — and
+	// QoS policy.
 	IOServerConfig = ioserver.Config
 	// IOJob is one client job's request lane on an IOServer. A request
-	// is a prepared BatchPlan and the buffer its window binds to
-	// (SubmitWritePlan/SubmitReadPlan) — the one request form.
+	// is a prepared BatchPlan and the buffer its windows bind to
+	// (SubmitWritePlan/SubmitReadPlan) — the one request form; the server
+	// issues it a window at a time and chooses among the lanes between
+	// windows.
 	IOJob = ioserver.Job
 	// IOJobConfig sets a lane's QoS parameters (priority, fair-share
 	// weight, bandwidth cap, admission queue depth).
 	IOJobConfig = ioserver.JobConfig
-	// IOJobStats is a lane's accounting snapshot: request counts, served
-	// bytes, device busy time and latency percentiles.
+	// IOJobStats is a lane's accounting snapshot: request and dispatch
+	// counts, served bytes, device busy time and latency percentiles.
 	IOJobStats = ioserver.JobStats
 	// IORequest is one submitted plan's completion ticket.
 	IORequest = ioserver.Request

@@ -23,10 +23,14 @@
 package pario_test
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	pario "repro"
+	"repro/internal/experiments"
 )
 
 const (
@@ -183,6 +187,13 @@ func TestServerDirectedWin(t *testing.T) {
 	if now.lane.Submitted != swCalls || now.lane.Completed != swCalls {
 		t.Errorf("lane saw %d requests (%d completed) for %d calls, want one a call", now.lane.Submitted, now.lane.Completed, swCalls)
 	}
+	// The tuned ChunkBytes cuts each 4 MiB call into four server windows,
+	// but a job alone on the server is handed them all at once: the run is
+	// what it was before the server knew windows (ISSUE 23), to the
+	// nanosecond.
+	if now.lane.Dispatches != swCalls || now.makespan != 814_556_664 {
+		t.Errorf("a lone job was served in %d dispatches, %v: want one a call and the uncut 814.556664ms", now.lane.Dispatches, now.makespan)
+	}
 	for d, n := range now.perDrive {
 		if n > swCalls {
 			t.Errorf("drive %d served %d requests over %d calls, want at most one a call", d, n, swCalls)
@@ -193,5 +204,114 @@ func TestServerDirectedWin(t *testing.T) {
 	}
 	if ratio < 3 {
 		t.Errorf("modeled makespan improvement %.2fx < 3x", ratio)
+	}
+}
+
+// qosMix is the multijob_qos shape on the experiments fixture: 16 tuned
+// drives behind two fair-share workers, one interconnect; a 64-rank
+// bully keeping two 4 MiB checkpoint calls outstanding, and seven 8-rank
+// victims alternating a 128 KiB write and its read-back, thinking a
+// seeded 0–20 ms before each. chunk is the handles' ChunkBytes: the tuned
+// profile's 1 MiB cuts a bully call into four server windows, 0 leaves it
+// the one request it was before ISSUE 23.
+func qosMix(chunk int64, rec *pario.Recorder) experiments.Multijob {
+	pf := pario.TunedProfile()
+	pf.Collective.ChunkBytes = chunk
+	mix := experiments.Multijob{
+		Drives: 16, Profile: pf, Workers: 2, Policy: pario.IOFairShare,
+		Strided: true, Seed: 1, Rec: rec,
+		Jobs: []experiments.Job{{Name: "bully", Ranks: 64, Blocks: 1024, Calls: 2, Backlog: true, Forever: true}},
+	}
+	for v := 0; v < 7; v++ {
+		mix.Jobs = append(mix.Jobs, experiments.Job{
+			Name: fmt.Sprintf("v%d", v), Ranks: 8, Blocks: 32, Calls: 96, ReadBack: true, Think: 20 * time.Millisecond,
+		})
+	}
+	return mix
+}
+
+// qosRun is what TestServerWindowsWin compares.
+type qosRun struct {
+	victimP98 time.Duration // over every victim call, entry to Wait's return: the benchmark's op
+	bullyP98  time.Duration // the bully lane's enqueue→completion
+	makespan  time.Duration
+	bully     pario.IOJobStats
+	calls     int64 // lane requests, all jobs
+	requests  int64 // device requests
+}
+
+func runQoSMix(tb testing.TB, chunk int64, rec *pario.Recorder) qosRun {
+	tb.Helper()
+	res, err := qosMix(chunk, rec).Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	run := qosRun{bullyP98: res.LaneP98[0], makespan: res.Makespan, bully: res.Lanes[0], requests: res.Requests}
+	for _, st := range res.Lanes {
+		run.calls += st.Completed
+	}
+	victims := slices.Concat(res.Calls[1:]...)
+	slices.Sort(victims)
+	run.victimP98 = victims[(len(victims)*98+99)/100-1] // nearest rank
+	return run
+}
+
+// TestServerWindowsWin enforces the ISSUE 23 acceptance numbers: the
+// server runs windows, not calls. The parent's numbers were captured by
+// running this fixture at the commit before, where a nonblocking call
+// ignored ChunkBytes; with ChunkBytes 0 the mix must still reproduce them
+// to the nanosecond.
+func TestServerWindowsWin(t *testing.T) {
+	parent := qosRun{
+		victimP98: 275_020_904, bullyP98: 6_613_677_116, makespan: 10_457_073_239,
+		calls: 676, requests: 10_816,
+	}
+	whole := runQoSMix(t, 0, nil)
+	whole.bully = pario.IOJobStats{}
+	if whole != parent {
+		t.Errorf("ChunkBytes 0 moved:\n got %+v\nwant %+v", whole, parent)
+	}
+
+	rec := pario.NewRecorder()
+	cut := runQoSMix(t, 1<<20, rec)
+	t.Logf("victim p98 %v -> %v (%.2fx), bully p98 %v -> %v, makespan %v -> %v, device requests %d -> %d over %d calls",
+		parent.victimP98, cut.victimP98, float64(cut.victimP98)/float64(parent.victimP98),
+		parent.bullyP98, cut.bullyP98, parent.makespan, cut.makespan, parent.requests, cut.requests, cut.calls)
+	if float64(cut.victimP98) > 0.62*float64(parent.victimP98) {
+		t.Errorf("victim p98 %v, want at most 0.62 x the parent's %v", cut.victimP98, parent.victimP98)
+	}
+	if float64(cut.makespan) > 1.03*float64(parent.makespan) {
+		t.Errorf("makespan %v, want at most 1.03 x the parent's %v", cut.makespan, parent.makespan)
+	}
+	if float64(cut.bullyP98) > 1.10*float64(parent.bullyP98) {
+		t.Errorf("bully p98 %v, want at most 1.10 x the parent's %v", cut.bullyP98, parent.bullyP98)
+	}
+	// A 4 MiB call is four windows, a dispatch issues at most one request
+	// per drive (windows issued together merge), and a victim call is one
+	// window: so at most four requests per drive per bully call.
+	if cut.calls != parent.calls || cut.bully.Dispatches > 4*cut.bully.Completed || cut.bully.Dispatches <= cut.bully.Completed {
+		t.Errorf("%d calls, the bully's %d in %d dispatches: want %d calls, the bully's cut, in at most 4 dispatches each",
+			cut.calls, cut.bully.Completed, cut.bully.Dispatches, parent.calls)
+	}
+	dispatches := cut.calls - cut.bully.Completed + cut.bully.Dispatches
+	if cut.requests > 16*dispatches {
+		t.Errorf("%d device requests over %d dispatches, want at most one per drive per dispatch", cut.requests, dispatches)
+	}
+
+	// Window boundaries are virtual-time decisions like any other: the same
+	// mix again exports the same trace, byte for byte.
+	again := pario.NewRecorder()
+	if r := runQoSMix(t, 1<<20, again); r != cut {
+		t.Errorf("second run differs:\n%+v\n%+v", r, cut)
+	}
+	var a, b bytes.Buffer
+	if err := rec.WriteChromeTrace(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := again.WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("two runs of the windowed mix exported different traces")
 	}
 }
