@@ -15,8 +15,9 @@ import (
 
 // traceCmd summarizes a Chrome trace-event JSON file recorded by the
 // flight recorder (`pariobench -run <id> -trace out.json`): the hottest span groups,
-// per-device utilization, and the exchange/access overlap the pipelined
-// collective schedule exists to create.
+// per-device utilization, the exchange/access overlap the pipelined
+// collective schedule exists to create, and what StrategyAuto priced the
+// routes of every collective call at beside what the call then took.
 func traceCmd(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	top := fs.Int("top", 12, "span groups to list")
@@ -128,7 +129,58 @@ func traceCmd(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintln(stdout)
 	}
+	routePrices(stdout, spans, *top)
 	return nil
+}
+
+// routePrices prints the price table of the priced collective calls in
+// the trace (collective/call.<candidate chosen> spans, each the parent of
+// its collective/price.<candidate> spans, whose length is the price): the
+// first top calls one a row, then the price ÷ realised ratio over all of
+// them.
+func routePrices(stdout io.Writer, spans []probe.Span, top int) {
+	candidates := []string{"vectored", "sieved", "two-phase", "aligned"}
+	prices := map[probe.SpanID]map[string]time.Duration{}
+	for _, s := range spans {
+		if name, ok := strings.CutPrefix(s.Name, "price."); ok && s.Cat == "collective" {
+			if prices[s.Parent] == nil {
+				prices[s.Parent] = map[string]time.Duration{}
+			}
+			prices[s.Parent][name] = s.End - s.Start
+		}
+	}
+	t := stats.NewTable("route prices of priced collective calls (StrategyAuto)",
+		"at", "vectored", "sieved", "two-phase", "aligned", "chosen", "took", "price/took")
+	var ratios []float64
+	for _, s := range spans {
+		chosen, ok := strings.CutPrefix(s.Name, "call.")
+		if !ok || s.Cat != "collective" {
+			continue
+		}
+		took := s.End - s.Start
+		ratio := prices[s.ID][chosen].Seconds() / took.Seconds()
+		ratios = append(ratios, ratio)
+		if len(ratios) > top {
+			continue
+		}
+		row := []any{s.Start.Round(time.Microsecond)}
+		for _, c := range candidates {
+			if p, ok := prices[s.ID][c]; ok {
+				row = append(row, p.Round(time.Microsecond))
+			} else {
+				row = append(row, "-")
+			}
+		}
+		t.AddRow(append(row, chosen, took.Round(time.Microsecond), fmt.Sprintf("%.3f", ratio))...)
+	}
+	if len(ratios) == 0 {
+		return
+	}
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, t.String())
+	sort.Float64s(ratios)
+	fmt.Fprintf(stdout, "%d priced calls: price/took min %.3f, median %.3f, max %.3f\n",
+		len(ratios), ratios[0], ratios[len(ratios)/2], ratios[len(ratios)-1])
 }
 
 func minDur(a, b time.Duration) time.Duration {

@@ -83,13 +83,14 @@ var mapPool = sync.Pool{New: func() any { return new(mapScratch) }}
 // block); and pieces that are physically adjacent on one device and in
 // one window merge into a single gather run even when they come from
 // different segments or items or are logically strided (listio-style
-// coalescing). The runs come back in (device, physical block) order with
-// win[i] the window of runs[i] (nil without cuts: one window). Items must
-// have been validated (checkVec); what only the sorted walk can see — two
-// pieces naming one physical block, which makes the transfer order
-// ambiguous whatever their windows — is rejected here. Only the returned
-// runs survive the call; all mapping scratch goes back to the pool.
-func mapRuns(op string, items BatchVec, cuts []int64, bs int64) (runs []Run, win []int, err error) {
+// coalescing). Without cuts the runs come back in (device, physical block)
+// order; with cuts they come back window by window, each window's in that
+// order — window w is runs[bounds[w]:bounds[w+1]]. Items must have been
+// validated (checkVec); what only the sorted walk can see — two pieces
+// naming one physical block, which makes the transfer order ambiguous
+// whatever their windows — is rejected here. Only the returned runs
+// survive the call; all mapping scratch goes back to the pool.
+func mapRuns(op string, items BatchVec, cuts []int64, bs int64) (runs []Run, bounds []int, err error) {
 	s := mapPool.Get().(*mapScratch)
 	defer func() {
 		s.pieces = s.pieces[:0]
@@ -123,6 +124,7 @@ func mapRuns(op string, items BatchVec, cuts []int64, bs int64) (runs []Run, win
 				s.pieces = append(s.pieces, tail)
 			}
 		}
+		bounds = make([]int, len(cuts)+3)
 	}
 	sort.Sort(s)
 	// Two walks of the sorted pieces: the first sizes the result exactly
@@ -138,17 +140,25 @@ func mapRuns(op string, items BatchVec, cuts []int64, bs int64) (runs []Run, win
 		run, seg := s.joins(i, bs)
 		if !run {
 			nr++
+			if bounds != nil {
+				bounds[pc.win+2]++
+			}
 		}
 		if !seg {
 			nsg++
 		}
 	}
-	runs = make([]Run, 0, nr)
-	segs := make([]Seg, 0, nsg)
-	if len(cuts) > 0 {
-		win = make([]int, 0, nr)
+	// bounds[w+2] counts window w's runs; summed from the front,
+	// bounds[w+1] is where window w starts — and, bumped for every run
+	// the fill places there, ends up where it ends, so that afterwards
+	// window w is runs[bounds[w]:bounds[w+1]].
+	for w := 2; w < len(bounds); w++ {
+		bounds[w] += bounds[w-1]
 	}
-	first := 0 // index in segs of the growing run's first segment
+	runs = make([]Run, nr)
+	segs := make([]Seg, 0, nsg)
+	var last *Run
+	first, placed := 0, 0 // the growing run's first segment in segs; runs placed so far
 	for i, pc := range s.pieces {
 		run, seg := s.joins(i, bs)
 		if seg {
@@ -158,16 +168,22 @@ func mapRuns(op string, items BatchVec, cuts []int64, bs int64) (runs []Run, win
 		}
 		if !run {
 			first = len(segs) - 1
-			runs = append(runs, Run{Dev: pc.dev, PBlock: pc.pb, B: pc.b})
-			if win != nil {
-				win = append(win, pc.win)
+			at := placed
+			if bounds != nil {
+				at = bounds[pc.win+1]
+				bounds[pc.win+1]++
 			}
+			placed++
+			last = &runs[at]
+			*last = Run{Dev: pc.dev, PBlock: pc.pb, B: pc.b}
 		}
-		last := &runs[len(runs)-1]
 		last.N += pc.n
 		last.Segs = segs[first:len(segs):len(segs)]
 	}
-	return runs, win, nil
+	if bounds != nil {
+		bounds = bounds[:len(cuts)+2]
+	}
+	return runs, bounds, nil
 }
 
 // joins reports whether sorted piece i extends the run of piece i-1

@@ -78,18 +78,30 @@ func (b BatchVec) Plan(cuts []int64) (*BatchPlan, error) {
 			return nil, err
 		}
 	}
-	runs, win, err := mapRuns("Plan", b, cuts, bs)
+	runs, bounds, err := mapRuns("Plan", b, cuts, bs)
 	if err != nil {
 		return nil, err
 	}
 	pl := &BatchPlan{store: store, bs: bs, wins: make([][]Run, len(cuts)+1)}
-	if win == nil {
+	if bounds == nil {
 		pl.wins[0] = runs
 	}
-	for i, w := range win {
-		pl.wins[w] = append(pl.wins[w], runs[i])
+	for w := range bounds[:max(len(bounds)-1, 0)] {
+		pl.wins[w] = runs[bounds[w]:bounds[w+1]:bounds[w+1]]
 	}
 	return pl, nil
+}
+
+// Uncut appends to dst the plan's runs as if it had no cuts — every
+// window's, neighbours on a drive joined, in (device, block) order —
+// without their segments: where the whole batch lies on the drives.
+func (pl *BatchPlan) Uncut(dst []Run) []Run {
+	m := mergePool.Get().(*mergeScratch)
+	for _, r := range m.merge(pl.wins, pl.bs) {
+		dst = append(dst, Run{Dev: r.Dev, PBlock: r.PBlock, B: r.B, N: r.N})
+	}
+	mergePool.Put(m)
+	return dst
 }
 
 // Windows reports the number of issue windows (len(cuts)+1).

@@ -32,6 +32,9 @@
 //	           covering run whose gaps are hole segments (sieve.go)
 //	issue      one loop binds each run's segments to the caller's buffer
 //	           and hands it to the store, runs in parallel (issue.go)
+//	dry issue  the same runs through the drives' queues without the
+//	           drives: what the issue would take, which is how a
+//	           strategy is priced before one is chosen (dry.go)
 package blockio
 
 import (

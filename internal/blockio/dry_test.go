@@ -1,0 +1,253 @@
+package blockio
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/device"
+	"repro/internal/sim"
+)
+
+// TestDryIssueIsWhatTheDriveCharges: a dry issue prices the requests
+// that continue a sequential run — what a deeper pipeline pays a drive
+// for every round — with the drive's own service-time model and the
+// cylinders the head really crosses, so it must equal, to the
+// nanosecond, what a drive then charges for them: a process writes a run
+// in equal requests, and the busy time the drive books for all but the
+// first is the dry price of the same requests from where the first left
+// the head — for requests shorter than a cylinder, longer than one, and
+// runs that start in the middle of one.
+func TestDryIssueIsWhatTheDriveCharges(t *testing.T) {
+	for _, tc := range []struct{ first, blocks, n int64 }{
+		{0, 16, 7},    // eight rounds of a 128-block domain: one crossing
+		{0, 64, 1},    // two rounds: the second starts one cylinder on
+		{40, 16, 7},   // mid-cylinder start: two crossings
+		{3, 1, 200},   // single blocks
+		{10, 100, 5},  // more than a cylinder a request
+		{64, 128, 3},  // whole cylinders
+		{5000, 32, 9}, // far out on the platter: distance, not position, is charged
+	} {
+		e := sim.NewEngine()
+		d := device.New(device.Config{Engine: e})
+		store, err := NewDirect([]*device.Disk{d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs := int64(d.Geometry().BlockSize)
+		var rest, want time.Duration
+		e.Go("writer", func(p *sim.Proc) {
+			buf := make([]byte, tc.blocks*bs)
+			for j := int64(0); j <= tc.n; j++ {
+				if j == 1 {
+					rest = -d.Stats().BusyTime
+					var dry Dry
+					dry.Bind(store)
+					dry.Sync()
+					for k := int64(1); k <= tc.n; k++ {
+						dry.Extent(0, tc.first+k*tc.blocks, tc.blocks)
+						want += dry.Flush()
+					}
+				}
+				if err := d.WriteBlocksVec(p, tc.first+j*tc.blocks, int(tc.blocks), [][]byte{buf}); err != nil {
+					t.Error(err)
+				}
+			}
+			rest += d.Stats().BusyTime
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if rest != want {
+			t.Errorf("%d requests of %d blocks continuing from block %d: the drive charged %v, the dry issue prices %v",
+				tc.n, tc.blocks, tc.first, rest, want)
+		}
+	}
+}
+
+// dryWorld is one seeded machine for FuzzDryIssue: a handful of small
+// drives under a seeded discipline, and a file under a seeded layout at
+// seeded extent bases.
+type dryWorld struct {
+	e     *sim.Engine
+	disks []*device.Disk
+	store *Direct
+	set   *Set
+	total int64
+	bs    int64
+}
+
+func newDryWorld(t *testing.T, rng *rand.Rand, devices int, sched device.Sched, merge bool) *dryWorld {
+	t.Helper()
+	w := &dryWorld{e: sim.NewEngine(), bs: 64}
+	geom := device.Geometry{BlockSize: int(w.bs), BlocksPerCyl: 8, Cylinders: 64}
+	for i := 0; i < devices; i++ {
+		w.disks = append(w.disks, device.New(device.Config{
+			Name: fmt.Sprintf("d%d", i), Geometry: geom, Engine: w.e, Sched: sched, MergeQueued: merge,
+		}))
+	}
+	var err error
+	if w.store, err = NewDirect(w.disks); err != nil {
+		t.Fatal(err)
+	}
+	w.total = int64(40 + rng.Intn(160))
+	var l Layout
+	switch rng.Intn(3) {
+	case 0:
+		l = NewStriped(devices, int64(1+rng.Intn(5)))
+	case 1:
+		parts := 1 + rng.Intn(2*devices)
+		sizes := make([]int64, parts)
+		for b := int64(0); b < w.total; b++ {
+			sizes[rng.Intn(parts)]++
+		}
+		l, err = NewPartitioned(devices, sizes, int64(1+rng.Intn(3)), Pack(rng.Intn(2)))
+	default:
+		l, err = NewInterleaved(devices, 1+rng.Intn(2*devices), int64(1+rng.Intn(3)), w.total, Pack(rng.Intn(2)))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := make([]int64, l.Devices())
+	for dev, need := range PerDevice(l, w.total) {
+		base[dev] = rng.Int63n(geom.Blocks() - need + 1)
+	}
+	if w.set, err = NewSet(w.store, l, base); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// vec draws a descriptor over the logical blocks [lo, hi): disjoint
+// segments in ascending block order, landing in the buffer in a seeded
+// order. It may be empty.
+func (w *dryWorld) vec(rng *rand.Rand, lo, hi int64) (Vec, int64) {
+	var vec Vec
+	for b := lo + rng.Int63n(4); b < hi; {
+		n := min(1+rng.Int63n(5), hi-b)
+		vec = append(vec, VecSeg{Block: b, N: n})
+		b += n + rng.Int63n(7)
+	}
+	var off int64
+	for _, i := range rng.Perm(len(vec)) {
+		vec[i].BufOff = off
+		off += vec[i].N * w.bs
+	}
+	return vec, off
+}
+
+// park leaves every head at a seeded cylinder, the elevators travelling
+// a seeded way.
+func (w *dryWorld) park(p *sim.Proc, rng *rand.Rand, t *testing.T) {
+	buf := make([]byte, w.bs)
+	for _, d := range w.disks {
+		for k := rng.Intn(3); k >= 0; k-- {
+			if err := d.ReadBlocksVec(p, rng.Int63n(d.Geometry().Blocks()), 1, [][]byte{buf}); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
+
+// FuzzDryIssue holds the dry issue to the live one. For a seeded layout
+// (striped, partitioned, interleaved), descriptor and head position, one
+// process on idle drives: the dry price of the vectored and of the sieved
+// execution, read and write, equals the modeled time of issuing it to the
+// nanosecond, under either discipline, merging or not. And k processes on
+// one drive, each issuing its own descriptor at the same instant: exact
+// again — the order the requests reach the drive in is known, and the
+// dry walk merges and sweeps as the drive does.
+func FuzzDryIssue(f *testing.F) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		sched, merge := device.Sched(rng.Intn(2)), rng.Intn(2) == 1
+
+		one := newDryWorld(t, rng, 1+rng.Intn(4), sched, merge)
+		one.e.Go("one", func(p *sim.Proc) {
+			var dry Dry
+			dry.Bind(one.store)
+			for _, tc := range []struct {
+				strat Strategy
+				write bool
+			}{{StrategyVectored, false}, {StrategyVectored, true}, {StrategySieved, false}, {StrategySieved, true}} {
+				vec, size := one.vec(rng, 0, one.total)
+				m, err := one.set.Map(vec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				one.park(p, rng, t)
+				dry.Sync()
+				if tc.strat == StrategySieved {
+					dry.Sieved(m.Runs(), tc.write)
+				} else {
+					dry.Vectored(m.Runs())
+				}
+				price := dry.Flush()
+				buf, t0 := make([]byte, size), p.Now()
+				if tc.write {
+					err = m.Write(p, tc.strat, buf)
+				} else {
+					err = m.Read(p, tc.strat, buf)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if took := p.Now() - t0; price != took {
+					t.Errorf("seed %d, %v write=%v on %s (%v, merge %v): dry price %v, the issue took %v",
+						seed, tc.strat, tc.write, one.set.Layout().Name(), sched, merge, price, took)
+				}
+			}
+		})
+		if err := one.e.Run(); err != nil {
+			t.Fatal(err)
+		}
+
+		many := newDryWorld(t, rng, 1+rng.Intn(3), sched, merge)
+		k := 2 + rng.Intn(4)
+		strat, write := Strategy(StrategyVectored+Strategy(rng.Intn(2))), rng.Intn(2) == 1
+		maps := make([]Mapped, k)
+		bufs := make([][]byte, k)
+		var dry Dry
+		dry.Bind(many.store)
+		dry.Sync()
+		for i := range maps {
+			// Each process asks for its own slice of the file.
+			vec, size := many.vec(rng, many.total*int64(i)/int64(k), many.total*int64(i+1)/int64(k))
+			var err error
+			if maps[i], err = many.set.Map(vec); err != nil {
+				t.Fatal(err)
+			}
+			bufs[i] = make([]byte, size)
+			if strat == StrategySieved {
+				dry.Sieved(maps[i].Runs(), write)
+			} else {
+				dry.Vectored(maps[i].Runs())
+			}
+		}
+		price := dry.Flush()
+		for i := range maps {
+			many.e.Go(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
+				var err error
+				if write {
+					err = maps[i].Write(p, strat, bufs[i])
+				} else {
+					err = maps[i].Read(p, strat, bufs[i])
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		if err := many.e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if took := many.e.Now(); price != took {
+			t.Errorf("seed %d, %d processes, %v write=%v on %s (%v, merge %v): dry price %v, the issues took %v",
+				seed, k, strat, write, many.set.Layout().Name(), sched, merge, price, took)
+		}
+	})
+}

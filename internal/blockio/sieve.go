@@ -51,7 +51,7 @@ type SieveSpan struct {
 
 // SieveSpans validates vec and computes the per-device covering spans the
 // sieved strategy would transfer, in ascending device order — the
-// planning half of sieving, exposed for cost models and tests.
+// planning half of sieving, exposed for tests.
 func (s *Set) SieveSpans(vec Vec) ([]SieveSpan, error) {
 	runs, err := s.MapVec(vec)
 	if err != nil {
@@ -65,10 +65,7 @@ func (s *Set) SieveSpans(vec Vec) ([]SieveSpan, error) {
 func sieveSpans(runs []Run) []SieveSpan {
 	var spans []SieveSpan
 	for i := 0; i < len(runs); {
-		j := i + 1
-		for j < len(runs) && runs[j].Dev == runs[i].Dev {
-			j++
-		}
+		j := deviceEnd(runs, i)
 		sp := SieveSpan{
 			Dev:    runs[i].Dev,
 			PBlock: runs[i].PBlock,
@@ -82,6 +79,17 @@ func sieveSpans(runs []Run) []SieveSpan {
 		i = j
 	}
 	return spans
+}
+
+// deviceEnd reports where the stretch of runs on runs[i]'s device ends:
+// runs[i:deviceEnd] are one device's gather runs, which sieving covers
+// with one span from the first's first block to the last's last.
+func deviceEnd(runs []Run, i int) int {
+	j := i + 1
+	for j < len(runs) && runs[j].Dev == runs[i].Dev {
+		j++
+	}
+	return j
 }
 
 // sieveRuns is the sieving transform: each device's gather runs become

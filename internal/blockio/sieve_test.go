@@ -31,15 +31,15 @@ func sieveVecFromBits(bits uint64, total int64, bs int64) (Vec, int64) {
 	return vec, picked
 }
 
-// The sieved transfers: a descriptor under StrategySieved (no cost model
-// is consulted for a fixed strategy).
+// The sieved transfers: a descriptor under StrategySieved (a fixed
+// strategy prices nothing).
 
 func readSieved(ctx sim.Context, s *Set, vec Vec, buf []byte) error {
-	return s.ReadVecStrategy(ctx, StrategySieved, CostModel{}, vec, buf)
+	return s.ReadVecStrategy(ctx, StrategySieved, vec, buf)
 }
 
 func writeSieved(ctx sim.Context, s *Set, vec Vec, buf []byte) error {
-	return s.WriteVecStrategy(ctx, StrategySieved, CostModel{}, vec, buf)
+	return s.WriteVecStrategy(ctx, StrategySieved, vec, buf)
 }
 
 // TestSieveSpansShape pins the planner's output on a striped layout:

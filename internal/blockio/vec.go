@@ -129,14 +129,11 @@ func (s *Set) checkVec(op string, vec Vec, bufLen int64) error {
 // blocks are file-extent relative, like Layout.MapRun. The runs are
 // returned in (device, physical block) order.
 func (s *Set) MapVec(vec Vec) ([]Run, error) {
-	if err := s.checkVec("MapVec", vec, -1); err != nil {
-		return nil, err
+	m, err := s.Map(vec)
+	for i := range m.runs {
+		m.runs[i].PBlock -= s.base[m.runs[i].Dev]
 	}
-	runs, err := s.mapVec("MapVec", vec)
-	for i := range runs {
-		runs[i].PBlock -= s.base[runs[i].Dev]
-	}
-	return runs, err
+	return m.runs, err
 }
 
 // mapVec maps a validated descriptor — the one-item, one-window case of
@@ -153,12 +150,12 @@ func (s *Set) mapVec(op string, vec Vec) ([]Run, error) {
 // single gather requests, issued in parallel across devices under a
 // simulation engine. It is ReadVecStrategy with the vectored strategy.
 func (s *Set) ReadVec(ctx sim.Context, vec Vec, buf []byte) error {
-	return s.ReadVecStrategy(ctx, StrategyVectored, CostModel{}, vec, buf)
+	return s.ReadVecStrategy(ctx, StrategyVectored, vec, buf)
 }
 
 // WriteVec writes the blocks described by vec from buf, gathering each
 // segment's bytes from its buffer offset — the write counterpart of
 // ReadVec.
 func (s *Set) WriteVec(ctx sim.Context, vec Vec, buf []byte) error {
-	return s.WriteVecStrategy(ctx, StrategyVectored, CostModel{}, vec, buf)
+	return s.WriteVecStrategy(ctx, StrategyVectored, vec, buf)
 }

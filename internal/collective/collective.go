@@ -134,9 +134,10 @@ type Options struct {
 	// two-phase exchange; StrategyVectored/StrategySieved route every
 	// rank's requests as independent vectored/sieved Set transfers
 	// (skipping the exchange entirely); StrategyAuto prices the three
-	// routes per call — exchange traffic against the group's modeled
-	// interconnect (mpp.Group.LinkModel), device requests against the
-	// store's drive parameters — and picks the cheapest. For the
+	// routes per call — the device requests each would send by a dry
+	// issue of them through the drives' own queues and service-time
+	// function (blockio.Dry), its exchange by the group's own round charge
+	// (mpp.RoundPrice) — and picks the cheapest (LastPrices). For the
 	// two-phase route it prices two partitions of the footprint into
 	// file domains: the logical one every other setting uses (domains
 	// contiguous in the files) and the drive-aligned one (domain a is
@@ -238,8 +239,10 @@ type Collective struct {
 	route route
 	stats ExchangeStats
 	// predicted is what StrategyAuto priced the call's chosen candidate
-	// at (LastPredicted).
+	// at (LastPredicted), prices what it priced every candidate at
+	// (LastPrices).
 	predicted time.Duration
+	prices    Prices
 	// per-call phase busy intervals, appended by every rank (strict
 	// alternation again) and folded into stats by rank 0 at the end.
 	// Recording is pure Now() reads, so it never perturbs the schedule.
@@ -414,7 +417,7 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 			// every strategy rejects bad requests (cross-rank write
 			// overlap above all) with byte-identical errors.
 			c.route = c.sched.route
-			c.predicted = c.sched.predicted
+			c.predicted, c.prices = c.sched.predicted, c.sched.prices
 			c.stats = c.sched.stats // zero on the independent routes: they exchange nothing
 			rec.Instant(trk, "collective", "plan", p.Now())
 		}
@@ -442,7 +445,7 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 		c.stats.ExchangeTime = probe.Union(c.commIv)
 		c.stats.AccessTime = probe.Union(c.ioIv)
 		c.stats.Overlap = probe.Overlap(c.commIv, c.ioIv)
-		c.explain(rec, prefix, sd, p.Now()-tPlan)
+		c.explain(rec, prefix, sd, tPlan, p.Now())
 	}
 	var errs []error
 	for r, err := range c.errs {

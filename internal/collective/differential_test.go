@@ -54,7 +54,7 @@ const (
 	// else); auto phases go through a collective handle with
 	// Strategy: Auto — unbounded (ChunkBytes 0) or bounded by the
 	// scenario's ChunkBytes, by seed — so whichever route and pipeline
-	// depth its cost model picks for the scenario's machine must produce
+	// depth its prices pick for the scenario's machine must produce
 	// reference-identical bytes.
 	diffSievedWrite
 	diffSievedRead
@@ -551,7 +551,7 @@ func (sc *diffScenario) run(t *testing.T) {
 					set := g.File(q.File).Set()
 					var err error
 					if ph.kind == diffSievedWrite {
-						err = set.WriteVecStrategy(p.Proc, blockio.StrategySieved, blockio.CostModel{}, q.Vec, ph.bufs[r])
+						err = set.WriteVecStrategy(p.Proc, blockio.StrategySieved, q.Vec, ph.bufs[r])
 					} else {
 						err = set.WriteVec(p.Proc, q.Vec, ph.bufs[r])
 					}
@@ -561,7 +561,7 @@ func (sc *diffScenario) run(t *testing.T) {
 				}
 			case diffSievedRead:
 				for _, q := range ph.reqs[r] {
-					if err := g.File(q.File).Set().ReadVecStrategy(p.Proc, blockio.StrategySieved, blockio.CostModel{}, q.Vec, ph.bufs[r]); err != nil {
+					if err := g.File(q.File).Set().ReadVecStrategy(p.Proc, blockio.StrategySieved, q.Vec, ph.bufs[r]); err != nil {
 						t.Errorf("seed %d phase %d (%s) rank %d: %v", sc.seed, pi, diffKindNames[ph.kind], r, err)
 					}
 				}

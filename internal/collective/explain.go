@@ -1,10 +1,11 @@
 // What StrategyAuto priced, said out loud: with a flight recorder
 // attached, every blocking collective call reports which partition its
 // two-phase route ran on, how many rounds it was cut into, what every
-// pipeline depth it tried was priced at, and how far the cost model's
-// prediction for the chosen candidate was from what the call then took —
-// the residual that tells a reader of the metrics table whether the next
-// choice can be trusted. Detached (the default) none of this runs.
+// candidate route and every pipeline depth it tried was priced at, and
+// how far the price of the chosen candidate was from what the call then
+// took — the residual that tells a reader of the metrics table whether
+// the next choice can be trusted. Detached (the default) none of this
+// runs; the prices themselves are kept either way (LastPrices).
 
 package collective
 
@@ -21,8 +22,10 @@ import (
 type explainProbe struct {
 	rec              *probe.Recorder
 	prefix           string
+	trk              probe.TrackID // "<prefix>/plan": priced calls and their prices
 	aligned, logical *probe.Counter
 	rounds, residual *probe.Histogram
+	price            [4]*probe.Histogram // in Prices.each order
 }
 
 // LastPredicted reports the modeled cost StrategyAuto priced the chosen
@@ -30,6 +33,20 @@ type explainProbe struct {
 // zero when Options.Strategy fixed the route and nothing was priced.
 // Valid under the same rules as LastStats.
 func (c *Collective) LastPredicted() time.Duration { return c.predicted }
+
+// LastPrices reports what StrategyAuto priced every candidate of the most
+// recent successfully planned blocking call at — all zero when
+// Options.Strategy fixed the route and nothing was priced. LastPredicted
+// is the chosen one's. Valid under the same rules as LastStats.
+func (c *Collective) LastPrices() Prices { return c.prices }
+
+// each calls fn with every candidate's name and price, in a fixed order.
+func (pr Prices) each(fn func(i int, name string, price time.Duration)) {
+	fn(0, "vectored", pr.Vectored)
+	fn(1, "sieved", pr.Sieved)
+	fn(2, "two-phase", pr.TwoPhase)
+	fn(3, "aligned", pr.Aligned)
+}
 
 // LastDepth reports the pipeline depth of the most recent successfully
 // planned blocking call: the rounds its two-phase route was cut into — 1
@@ -46,7 +63,8 @@ func (c *Collective) LastDepth() int {
 }
 
 // explain records one finished blocking call (rank 0, after the closing
-// barrier of the access phase) in the registry of rec:
+// barrier of the access phase; it left the plan barrier at from) in the
+// registry of rec:
 //
 //	collective.<prefix>.plan.aligned   two-phase calls on the drive-aligned partition
 //	collective.<prefix>.plan.logical   two-phase calls on the logical partition
@@ -55,9 +73,20 @@ func (c *Collective) LastDepth() int {
 //	                                   what the aligned partition was priced at, cut into
 //	                                   that many rounds: one entry per depth tried, with
 //	                                   or without a ChunkBytes bound
+//	collective.<prefix>.plan.price_ms.{vectored,sieved,two-phase,aligned}
+//	                                   what every candidate of a priced call was priced at
+//	                                   (two-phase: the logical partition; aligned: at its
+//	                                   cheapest depth, when offered)
 //	collective.<prefix>.plan.predicted_over_realised
-//	                                   priced cost ÷ modeled time of every priced call
-func (c *Collective) explain(rec *probe.Recorder, prefix string, sd *schedule, realised time.Duration) {
+//	                                   the chosen candidate's price ÷ the modeled time the
+//	                                   call then took
+//
+// and every priced call on the async track "<prefix>/plan", for a trace
+// to carry what the registry does not outlive the run to say (parioctl
+// trace): a span collective/call.<candidate chosen> over the call, and
+// under it one span collective/price.<candidate> per price, as long as
+// the price.
+func (c *Collective) explain(rec *probe.Recorder, prefix string, sd *schedule, from, to time.Duration) {
 	if rec == nil {
 		return
 	}
@@ -65,10 +94,13 @@ func (c *Collective) explain(rec *probe.Recorder, prefix string, sd *schedule, r
 	if ex.rec != rec || ex.prefix != prefix {
 		m, name := rec.Metrics(), "collective."+prefix+".plan."
 		*ex = explainProbe{
-			rec: rec, prefix: prefix,
+			rec: rec, prefix: prefix, trk: rec.AsyncTrack(prefix + "/plan"),
 			aligned: m.Counter(name + "aligned"), logical: m.Counter(name + "logical"),
 			rounds: m.Histogram(name + "rounds"), residual: m.Histogram(name + "predicted_over_realised"),
 		}
+		Prices{}.each(func(i int, route string, _ time.Duration) {
+			ex.price[i] = m.Histogram(name + "price_ms." + route)
+		})
 	}
 	if sd.route == routeTwoPhase {
 		if sd.pl.phys != nil {
@@ -82,7 +114,18 @@ func (c *Collective) explain(rec *probe.Recorder, prefix string, sd *schedule, r
 			rec.Metrics().Histogram(name).Add(float64(d.cost) / float64(time.Millisecond))
 		}
 	}
-	if sd.predicted > 0 && realised > 0 {
-		ex.residual.Add(sd.predicted.Seconds() / realised.Seconds())
+	if sd.predicted > 0 && to > from {
+		chosen := sd.route.String()
+		if sd.route == routeTwoPhase && sd.pl.phys != nil {
+			chosen = "aligned"
+		}
+		call := rec.Span(ex.trk, "collective", "call."+chosen, from, to, 0, 0)
+		sd.prices.each(func(i int, name string, price time.Duration) {
+			if price > 0 {
+				ex.price[i].Add(float64(price) / float64(time.Millisecond))
+				rec.Span(ex.trk, "collective", "price."+name, from, from+price, 0, call)
+			}
+		})
+		ex.residual.Add(sd.predicted.Seconds() / (to - from).Seconds())
 	}
 }

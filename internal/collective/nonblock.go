@@ -9,7 +9,7 @@
 // The unit of submission is the call, not the aggregator domain. The
 // aggregators assemble their domains side by side in one call buffer,
 // and the rank that finishes last submits one request: the schedule's
-// callPlan, every domain's spans mapped, sorted and merged together by
+// prepared plan (schedule.cut), every domain's spans mapped, sorted and merged together by
 // blockio, so pieces of different domains that are neighbours on a drive
 // are one device request (on a declustered file: one sequential run per
 // drive per call, where per-domain submission issued one short piece per
@@ -158,14 +158,14 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 	if h.pending--; h.pending == 0 {
 		// One request for the whole call: blockio's sort/merge across the
 		// domains has already made it one run per drive per window where
-		// the footprint allows (schedule.callPlan), and a server worker
+		// the footprint allows (schedule.cut), and a server worker
 		// drives them all at once, a window or several at a time.
 		h.sub = rank
 		bytes := int64(len(h.callbuf))
 		if write {
-			h.ticket = c.opts.Service.SubmitWritePlan(p.Proc, sd.callPlan, h.callbuf, bytes)
+			h.ticket = c.opts.Service.SubmitWritePlan(p.Proc, sd.cut.plan, h.callbuf, bytes)
 		} else {
-			h.ticket = c.opts.Service.SubmitReadPlan(p.Proc, sd.callPlan, h.callbuf, bytes)
+			h.ticket = c.opts.Service.SubmitReadPlan(p.Proc, sd.cut.plan, h.callbuf, bytes)
 		}
 		h.subq.WakeAll(p.Engine())
 	}

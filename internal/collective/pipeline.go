@@ -17,9 +17,10 @@
 // already exchanging chunk k+1, and while chunk k is being delivered to
 // the ranks (reads) the companion is already reading chunk k+2's data —
 // bounded by the double-buffered staging (the queue holds one round,
-// the companion works on another). Device access goes through a
-// blockio.BatchPlan prepared once per domain, so chunking never
-// re-sorts or re-merges the physical pieces.
+// the companion works on another). Device access goes through one
+// blockio.BatchPlan prepared once per call and cut at every chunk of every
+// domain (schedule.cut), so chunking never re-sorts or re-merges the
+// physical pieces.
 //
 // One round is the schedule with nothing to overlap — plan → whole
 // exchange → whole access, the interconnect idle while the drives work
@@ -48,10 +49,9 @@
 // one long request per drive. How many rounds is a price there, not a
 // setting: Options.ChunkBytes bounds the chunk (0: at a whole domain),
 // and strategy.go's alignedCost runs every depth below that bound — each
-// chunk cut in 2, 4, 8, … — through the two-stage pipeline formula,
-// pricing the extra request a drive takes per round with the drive's own
-// service time, and keeps the cheapest. Nothing below tells the two
-// partitions apart.
+// chunk cut in 2, 4, 8, … — through a dry issue of every round's requests
+// and this file's own hand-off (pipelineEnd), and keeps the cheapest.
+// Nothing below tells the two partitions apart.
 //
 // The nonblocking calls (nonblock.go) hand their device phase to an I/O
 // server instead, but pack, assemble and scatter with the same helpers:
@@ -76,18 +76,11 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 	pl := sd.pl
 	rec, trk, prefix := p.Probe()
 	ex := p.NewSparseExchange()
-	var agg *aggState
-	var err error
-	if len(sd.ownedOf[rank]) > 0 {
-		agg, err = c.bindAgg(sd, rank)
-	}
-	if agg == nil {
+	if len(sd.ownedOf[rank]) == 0 {
 		// A rank with no domain has nothing to do between rounds: it packs
 		// every round's payloads now (writes) or scatters them at the end
 		// (reads), both free in virtual time, so it posts its rounds and
-		// parks once (mpp.SparseExchange.Post). So does an aggregator whose
-		// domains could not be planned — unreachable in practice, the plan's
-		// windows are valid by construction — dropping what it is sent.
+		// parks once (mpp.SparseExchange.Post).
 		var send []mpp.Msg
 		if write {
 			send = c.packRounds(pl, rank, buf)
@@ -96,11 +89,11 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 		recv := ex.Post(send, pl.rounds)
 		c.commIv = append(c.commIv, probe.Interval{From: t0, To: p.Now()})
 		rec.Span(trk, "collective", "chunk.exchange", t0, p.Now(), 0, 0)
-		c.scatterRounds(pl, rank, recv, buf, !write)
+		c.scatterRounds(pl, rank, recv, buf)
 		p.RecycleRecv(recv)
-		c.errs[rank] = err
 		return
 	}
+	agg := c.bindAgg(sd, rank)
 	// Aggregator rank: exchange spans live on the rank's track, device
 	// access spans on a companion "<rank>/io" track — the two stages
 	// overlap in time, which is the whole point of the pipeline.
@@ -192,21 +185,21 @@ type round struct {
 
 // aggState is one aggregator rank's device-access state, the handle's
 // and reused call after call: bound at the start of a call to the
-// schedule's prepared batch plan of each owned domain (mapped, sorted and
-// merged once, cut at the chunk boundaries — the schedule's, so they
-// replay with it) and to the call's staging — at most two chunk buffers
-// per domain, the bounded memory Options.ChunkBytes is named for, out of
-// the handle's free list only while the call runs (takeStage / putStage).
-// A workload whose schedules never repeat therefore allocates the plans
-// and nothing else. msgScr holds the read path's two in-flight outgoing
-// message lists: round k's list sits in the stage queue while round k+1
-// is being packed, and slot k%2 is free again by round k+2 because the
-// delivery stage is sequential.
+// schedule's prepared plan (mapped, sorted and merged once, cut at the
+// chunk boundaries — the schedule's, so it replays with it) and to the
+// call's staging — at most two chunk buffers per domain, the bounded
+// memory Options.ChunkBytes is named for, out of the handle's free list
+// only while the call runs (takeStage / putStage). A workload whose
+// schedules never repeat therefore allocates the plan and nothing else.
+// msgScr holds the read path's two in-flight outgoing message lists:
+// round k's list sits in the stage queue while round k+1 is being packed,
+// and slot k%2 is free again by round k+2 because the delivery stage is
+// sequential.
 type aggState struct {
 	c      *Collective
 	pl     *plan
+	cut    *cutPlan
 	owned  []int
-	plans  []*blockio.BatchPlan
 	stage  [][2][]byte
 	bufs   [][]byte // chunkBufs' result, rebuilt per round by the access stage
 	msgScr [2][]mpp.Msg
@@ -225,10 +218,9 @@ func (s *aggState) handOff(k int, recv []mpp.RecvMsg, send []mpp.Msg, span probe
 	return r
 }
 
-// bindAgg binds rank's aggregator state to the schedule's plan, owned
-// domains and their batch plans (schedule.domainPlan builds what a fresh
-// schedule lacks).
-func (c *Collective) bindAgg(sd *schedule, rank int) (*aggState, error) {
+// bindAgg binds rank's aggregator state to the schedule's plan, prepared
+// windows and owned domains.
+func (c *Collective) bindAgg(sd *schedule, rank int) *aggState {
 	if c.aggs == nil {
 		c.aggs = make([]*aggState, c.size)
 	}
@@ -237,19 +229,13 @@ func (c *Collective) bindAgg(sd *schedule, rank int) (*aggState, error) {
 		s = &aggState{c: c}
 		c.aggs[rank] = s
 	}
-	s.pl, s.owned = sd.pl, sd.ownedOf[rank]
+	s.pl, s.cut, s.owned = sd.pl, sd.cut, sd.ownedOf[rank]
 	n := len(s.owned)
-	if cap(s.plans) < n {
-		s.plans, s.stage, s.bufs = make([]*blockio.BatchPlan, n), make([][2][]byte, n), make([][]byte, n)
+	if cap(s.stage) < n {
+		s.stage, s.bufs = make([][2][]byte, n), make([][]byte, n)
 	}
-	s.plans, s.stage, s.bufs = s.plans[:n], s.stage[:n], s.bufs[:n]
-	for i, a := range s.owned {
-		var err error
-		if s.plans[i], err = sd.domainPlan(a); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+	s.stage, s.bufs = s.stage[:n], s.bufs[:n]
+	return s
 }
 
 // takeStage takes the call's staging from the handle's free list: one
@@ -296,6 +282,17 @@ func (s *aggState) chunkBufs(k int) [][]byte {
 	return s.bufs
 }
 
+// window issues chunk k of the i-th owned domain — its window of the
+// call's prepared plan — between the drives and buf, the chunk's staging.
+func (s *aggState) window(i, k int, write bool, ctx sim.Context, buf []byte) error {
+	a := s.owned[i]
+	lo, _ := s.pl.chunkWindow(a, k)
+	if write {
+		return s.cut.plan.WriteWindow(ctx, s.cut.win0[a]+k, buf, lo*s.pl.bs)
+	}
+	return s.cut.plan.ReadWindow(ctx, s.cut.win0[a]+k, buf, lo*s.pl.bs)
+}
+
 // writeChunk assembles round k's received payloads into the owned
 // domains' chunk staging buffers and issues each chunk's window of the
 // prepared plan. Assembly is pure compute, so finishing it before the
@@ -310,7 +307,7 @@ func (s *aggState) writeChunk(ctx sim.Context, k int, recv []mpp.RecvMsg) error 
 		if len(buf) == 0 {
 			continue
 		}
-		if err := s.plans[i].WriteWindow(ctx, k, buf, int64(k)*pl.chunkBlocks*pl.bs); err != nil {
+		if err := s.window(i, k, true, ctx, buf); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -329,7 +326,7 @@ func (s *aggState) readChunk(ctx sim.Context, k int) ([]mpp.Msg, error) {
 		if len(buf) == 0 {
 			continue
 		}
-		if err := s.plans[i].ReadWindow(ctx, k, buf, int64(k)*pl.chunkBlocks*pl.bs); err != nil {
+		if err := s.window(i, k, false, ctx, buf); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -462,23 +459,16 @@ func (c *Collective) packRounds(pl *plan, rank int, buf []byte) []mpp.Msg {
 }
 
 // scatterRounds consumes what a rank that posted its rounds was sent
-// over the whole exchange, a list in round order: each round's payloads
-// are scattered into buf as scatterChunkSparse does round by round, or,
-// with deliver false (a write: only an aggregator that could not build
-// its state is sent anything), handed back to the pool unread.
-func (c *Collective) scatterRounds(pl *plan, rank int, recv []mpp.RecvMsg, buf []byte, deliver bool) {
+// over the whole exchange of a read, a list in round order: each round's
+// payloads are scattered into buf as scatterChunkSparse does round by
+// round. (In a write only aggregators are sent anything.)
+func (c *Collective) scatterRounds(pl *plan, rank int, recv []mpp.RecvMsg, buf []byte) {
 	for len(recv) > 0 {
 		n := 1
 		for n < len(recv) && recv[n].Round == recv[0].Round {
 			n++
 		}
-		if deliver {
-			c.scatterChunkSparse(pl, rank, recv[0].Round, recv[:n], buf)
-		} else {
-			for _, m := range recv[:n] {
-				c.putPay(m.Data)
-			}
-		}
+		c.scatterChunkSparse(pl, rank, recv[0].Round, recv[:n], buf)
 		recv = recv[n:]
 	}
 }
@@ -486,11 +476,15 @@ func (c *Collective) scatterRounds(pl *plan, rank int, recv []mpp.RecvMsg, buf [
 // batchVec assembles the cross-file batch shape of the covered-index
 // window [lo, hi) with no buffers bound and offsets relative to the
 // window start — the input to blockio's prepared, windowed batch plan.
-// The window is one domain, or the whole call (schedule.callPlan). plan.locate
+// The window is the whole call (schedule.cut), or any part of it. plan.locate
 // names the Set behind each key, so a logical window lists its files and
 // an aligned one is one item on the identity Set.
 func (pl *plan) batchVec(lo, hi int64) blockio.BatchVec {
 	var batch blockio.BatchVec
+	// The items' descriptors are slices of one array, each its tail while
+	// it grows: a span yields one segment, and one more for every file
+	// boundary it crosses.
+	segs := make(blockio.Vec, 0, len(pl.covered)+pl.group.Len())
 	pl.forEachSpanWin(lo, hi, func(key, n, off int64) {
 		for n > 0 {
 			set, block, seg := pl.locate(key)
@@ -498,10 +492,11 @@ func (pl *plan) batchVec(lo, hi int64) blockio.BatchVec {
 				seg = n
 			}
 			if len(batch) == 0 || batch[len(batch)-1].Set != set {
-				batch = append(batch, blockio.BatchItem{Set: set})
+				batch = append(batch, blockio.BatchItem{Set: set, Vec: segs[len(segs):]})
 			}
+			segs = append(segs, blockio.VecSeg{Block: block, N: seg, BufOff: off})
 			it := &batch[len(batch)-1]
-			it.Vec = append(it.Vec, blockio.VecSeg{Block: block, N: seg, BufOff: off})
+			it.Vec = it.Vec[:len(it.Vec)+1]
 			key += seg
 			off += seg * pl.bs
 			n -= seg

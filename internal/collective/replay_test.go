@@ -61,8 +61,9 @@ type replayObs struct {
 	rankHash  []uint64
 	imageHash uint64
 	iterErrs  []string
-	aligned   []bool // per iteration: the write ran on the aligned partition
-	depth     []int  // per iteration: the write's pipeline rounds
+	aligned   []bool      // per iteration: the write ran on the aligned partition
+	depth     []int       // per iteration: the write's pipeline rounds
+	routes    [][2]string // per iteration: the write's and the read's route
 	cache     CacheStats
 	trace     []byte
 	metrics   []byte
@@ -143,6 +144,7 @@ func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recor
 		iterErrs: make([]string, scn.iters),
 		aligned:  make([]bool, scn.iters),
 		depth:    make([]int, scn.iters),
+		routes:   make([][2]string, scn.iters),
 	}
 	var mg *mpp.Group
 	var join *sim.Group
@@ -178,9 +180,11 @@ func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recor
 			if rank == 0 && werr == nil {
 				obs.aligned[it] = col.route == routeTwoPhase && col.sched.pl.phys != nil
 				obs.depth[it] = col.LastDepth()
+				obs.routes[it][0] = col.LastRoute()
 			}
 			rerr := call(p, false, reqs, rbuf)
 			if rank == 0 {
+				obs.routes[it][1] = col.LastRoute()
 				obs.iterDur[it] = p.Now() - t0
 				var es string
 				if werr != nil {
@@ -278,7 +282,7 @@ func diffReplayObs(t *testing.T, label string, a, b replayObs) {
 // depth, and as an unbounded handle's StrategyAuto prices it over a
 // starved bisection pool (auto-unbounded: ChunkBytes 0 must run deeper
 // than one round there) — and on the nonblocking entry
-// points, whose cached schedule carries the call-wide callPlan the I/O
+// points, whose cached schedule carries the call-wide plan the I/O
 // server executes — and requires bit-identical modeled observables and
 // probe traces, while the cached run actually replays.
 func TestReplayBitIdentical(t *testing.T) {

@@ -4,8 +4,8 @@
 // The paper's headline workload — and every checkpoint-every-iteration
 // loop — issues the *same* request lists over and over with fresh data
 // in the buffers. Rebuilding the whole schedule per call (buildPlan's
-// validation, sort and union merge, chooseRoute's pricing, the
-// per-domain BatchVec map→sort→merge) throws that repetition away;
+// validation, sort and union merge, chooseRoute's pricing, the call's
+// BatchVec map→sort→merge) throws that repetition away;
 // Thakur/Gropp/Lusk note that collective optimization cost must be
 // amortized over repeated accesses, and ViPIOS precomputes server-side
 // access profiles for the same reason.
@@ -13,8 +13,9 @@
 // The cache is transparent and first-call: rank 0 fingerprints the
 // gathered request lists after the entry barrier, and a hit replays the
 // frozen schedule — the validated plan, the domain→aggregator
-// assignment, the chosen route and pipeline depth, the domains' prepared
-// blockio.BatchPlans, and the LastWriterWins clips — rebinding only the
+// assignment, the chosen route and pipeline depth, the call's prepared
+// blockio.BatchPlan or the ranks' mapped descriptors, and the
+// LastWriterWins clips — rebinding only the
 // callers' buffers and the staging and packing fresh payloads.
 // Everything frozen is a pure function of the request values and the
 // machine model, so a replayed call is bit-identical in modeled time and
@@ -33,6 +34,7 @@
 package collective
 
 import (
+	"errors"
 	"time"
 
 	"repro/internal/blockio"
@@ -57,9 +59,11 @@ type schedule struct {
 	// which exchange nothing); the time fields stay zero.
 	stats ExchangeStats
 	// predicted is the modeled cost StrategyAuto priced the chosen
-	// candidate at (zero when nothing was priced); depths what it priced
-	// every pipeline depth of the aligned partition at, when it chose it.
+	// candidate at (zero when nothing was priced), prices what it priced
+	// every candidate at, and depths every pipeline depth of the aligned
+	// partition, when it chose it.
 	predicted time.Duration
+	prices    Prices
 	depths    []depthPrice
 
 	key uint64   // fingerprint hash (fast reject)
@@ -79,24 +83,57 @@ type schedule struct {
 	// in one comparison.
 	maxSegRank int
 
-	// callPlan is a nonblocking schedule's whole call as one prepared
-	// batch: every domain's spans at their call-buffer offsets, sorted and
-	// merged across domains by blockio, so the I/O server receives one
-	// request per call and the drives one run each where the footprint
-	// allows — cut every Options.ChunkBytes of the call buffer into the
-	// windows the server may stop between. Built with the schedule (rank
-	// 0, newSchedule); nil on blocking schedules.
-	callPlan *blockio.BatchPlan
+	// cut is a two-phase schedule's whole call as one prepared batch:
+	// every domain's spans at their call-buffer offsets, mapped, sorted and
+	// merged once by blockio and cut into the windows the call is issued
+	// in. A blocking call cuts at every chunk of every domain — window
+	// win0[a]+k is chunk k of domain a, what aggregator owner[a] issues in
+	// round k (and what StrategyAuto walked to price the logical
+	// partition). A nonblocking call is one request to the I/O server, the
+	// drives one run each where the footprint allows, cut every
+	// Options.ChunkBytes of the call buffer into the windows the server may
+	// stop between. Built with the schedule (rank 0, newSchedule).
+	cut *cutPlan
 
-	// Lazily built execution state. plans[a] is domain a's prepared batch
-	// plan, one window per chunk (domainPlan; two-phase blocking schedules
-	// only); lww[r] holds rank r's LastWriterWins-clipped requests,
-	// rebuilt from the plan's own segments so no caller slice is retained
-	// across calls.
-	plans  []*blockio.BatchPlan
-	cuts   []int64 // domainPlan's scratch
+	// Lazily built execution state of the independent routes: ind[r] is
+	// rank r's request list taken through the map stage (mapped), and
+	// lww[r] its LastWriterWins-clipped requests, rebuilt from the plan's
+	// own segments so no caller slice is retained across calls.
+	ind    [][]blockio.Mapped
+	indErr []error
 	lww    [][]VecReq
 	lwwSet []bool
+}
+
+// cutPlan is a call's prepared batch plan and, for a blocking call, the
+// first window of every domain.
+type cutPlan struct {
+	plan *blockio.BatchPlan
+	win0 []int
+}
+
+// cut prepares the whole call for the blocking executor: one batch
+// over the covered footprint, cut at every chunk boundary of every domain.
+// An error is unreachable in practice: the batch is derived from
+// validated, physically disjoint covered spans.
+func (pl *plan) cut() (*cutPlan, error) {
+	cp := &cutPlan{win0: make([]int, pl.naggs)}
+	cuts := make([]int64, 0, pl.naggs*pl.rounds)
+	for a := range cp.win0 {
+		lo, hi := pl.domain(a)
+		cp.win0[a] = len(cuts)
+		if lo > 0 {
+			cp.win0[a]++ // the window that opens at the cut about to be made
+		}
+		for off := lo; off < hi; off += pl.chunkBlocks {
+			if off > 0 {
+				cuts = append(cuts, off*pl.bs)
+			}
+		}
+	}
+	var err error
+	cp.plan, err = pl.batchVec(0, pl.total).Plan(cuts)
+	return cp, err
 }
 
 // CacheStats is a point-in-time snapshot of a handle's schedule cache:
@@ -242,32 +279,19 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedul
 
 // newSchedule freezes a fresh plan into a schedule: route and partition
 // choice, byte-split stats, the per-rank owned-domain lists and buffer
-// bounds. pl is the validated logical plan; when StrategyAuto prices the
-// drive-aligned partition cheaper the schedule is built on pl.aligned
-// instead. Nonblocking calls are never priced: they always run two-phase
-// on the logical partition. Their device phase is one call-wide request
-// (callPlan) whatever the partition, so the domains only say which rank
-// assembles which slice of the call buffer; Options.ChunkBytes cuts that
-// request — not the domains — into the windows the server issues it in
-// and may serve other jobs between (0: one window, the whole call).
-// The signature is copied so no fingerprint scratch is retained.
+// bounds, the call's prepared plan. pl is the validated logical plan;
+// when StrategyAuto prices the drive-aligned partition cheaper the
+// schedule is built on pl.aligned instead. Nonblocking calls are never
+// priced: they always run two-phase on the logical partition. Their
+// device phase is one call-wide request whatever the partition, so the
+// domains only say which rank assembles which slice of the call buffer;
+// Options.ChunkBytes cuts that request — not the domains — into the
+// windows the server issues it in and may serve other jobs between (0:
+// one window, the whole call). The signature is copied so no fingerprint
+// scratch is retained.
 func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool, key uint64, sig []uint64) (*schedule, error) {
-	ch := choice{route: routeTwoPhase}
-	switch {
-	case nonblocking:
-	case c.forcePart != nil:
-		ch = *c.forcePart
-	default:
-		ch = c.chooseRoute(p, pl, write)
-	}
-	if ch.aligned {
-		pl = pl.aligned(c.opts, ch.split)
-	}
 	sd := &schedule{
 		pl:         pl,
-		route:      ch.route,
-		predicted:  ch.predicted,
-		depths:     ch.depths,
 		key:        key,
 		sig:        append([]uint64(nil), sig...),
 		minBuf:     make([]int64, c.size),
@@ -283,29 +307,47 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 			}
 		}
 	}
+	ch := choice{route: routeTwoPhase}
+	switch {
+	case nonblocking:
+	case c.forcePart != nil:
+		ch = *c.forcePart
+	default:
+		ch = c.chooseRoute(p, sd, write)
+	}
+	sd.route, sd.predicted, sd.prices, sd.depths = ch.route, ch.predicted, ch.prices, ch.depths
 	if ch.route != routeTwoPhase {
 		return sd, nil // independent routes: no exchange, no aggregators
+	}
+	sd.ind, sd.indErr = nil, nil // priced and passed over
+	if ch.aligned {
+		pl, ch.cut = pl.aligned(c.opts, ch.split), nil
+		sd.pl = pl
 	}
 	sd.stats = pl.exchangeStats(c.size)
 	sd.ownedOf = make([][]int, c.size)
 	for a, r := range pl.owner {
 		sd.ownedOf[r] = append(sd.ownedOf[r], a)
 	}
-	if !nonblocking {
-		sd.plans = make([]*blockio.BatchPlan, pl.naggs)
-		return sd, nil
-	}
-	// An error is unreachable in practice, like domainPlan's: the batch is
-	// derived from validated, physically disjoint covered spans. It would
+	// An error below is unreachable in practice (plan.cut). It would
 	// fail the call as a plan error, on every rank, before anything is
 	// taken or submitted.
-	var cuts []int64
-	win := c.opts.chunkCeiling(pl.bs, pl.total) * pl.bs
-	for off := win; off < pl.total*pl.bs; off += win {
-		cuts = append(cuts, off)
-	}
 	var err error
-	if sd.callPlan, err = pl.batchVec(0, pl.total).Plan(cuts); err != nil {
+	switch {
+	case nonblocking:
+		var cuts []int64
+		win := c.opts.chunkCeiling(pl.bs, pl.total) * pl.bs
+		for off := win; off < pl.total*pl.bs; off += win {
+			cuts = append(cuts, off)
+		}
+		sd.cut = new(cutPlan)
+		sd.cut.plan, err = pl.batchVec(0, pl.total).Plan(cuts)
+	case ch.cut != nil:
+		sd.cut = ch.cut // the plan that was priced is the plan that runs
+	default:
+		sd.cut, err = pl.cut()
+	}
+	if err != nil {
 		return nil, err
 	}
 	return sd, nil
@@ -375,28 +417,37 @@ func sigEqual(a, b []uint64) bool {
 	return true
 }
 
-// domainPlan returns domain a's prepared batch plan — mapped, sorted and
-// merged once, cut at the chunk boundaries into one window per round —
-// building it on first use. The plan is buffer-less (staging binds at
-// issue time), so one plan serves every replay. An error is unreachable
-// in practice: domain batches are derived from validated, physically
-// disjoint covered spans.
-func (sd *schedule) domainPlan(a int) (*blockio.BatchPlan, error) {
-	if bp := sd.plans[a]; bp != nil {
-		return bp, nil
+// mapped returns rank's requests of an independent route taken through
+// the map stage — one blockio.Mapped per request, LastWriterWins-clipped
+// for a write that asks for it — mapping them on first use: StrategyAuto
+// maps every rank to price the routes, a fixed strategy leaves each rank
+// to map its own, and a replayed schedule maps nothing. A request that is
+// not a valid independent descriptor is reported and left out; the others
+// still move.
+func (sd *schedule) mapped(c *Collective, rank int, write bool) ([]blockio.Mapped, error) {
+	if sd.ind == nil {
+		sd.ind, sd.indErr = make([][]blockio.Mapped, c.size), make([]error, c.size)
 	}
-	pl := sd.pl
-	lo, hi := pl.domain(a)
-	cuts := sd.cuts[:0]
-	for off := pl.chunkBlocks; off < hi-lo; off += pl.chunkBlocks {
-		cuts = append(cuts, off*pl.bs)
+	if ms := sd.ind[rank]; ms != nil {
+		return ms, sd.indErr[rank]
 	}
-	sd.cuts = cuts
-	bp, err := pl.batchVec(lo, hi).Plan(cuts)
-	if err == nil {
-		sd.plans[a] = bp
+	reqs := c.reqs[rank]
+	if write && c.opts.LastWriterWins {
+		reqs = sd.lwwReqs(c, rank)
 	}
-	return bp, err
+	if len(reqs) == 0 {
+		return nil, nil
+	}
+	ms := make([]blockio.Mapped, len(reqs))
+	var errs []error
+	for i, q := range reqs {
+		var err error
+		if ms[i], err = c.group.File(q.File).Set().Map(q.Vec); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	sd.ind[rank], sd.indErr[rank] = ms, errors.Join(errs...)
+	return ms, sd.indErr[rank]
 }
 
 // lwwReqs returns rank's LastWriterWins-clipped write requests for the

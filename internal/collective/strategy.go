@@ -6,13 +6,25 @@
 // when each rank's footprint is dense on few devices and the link is
 // slow or contended, shipping every byte through aggregators costs more
 // than letting ranks access the store directly, vectored or sieved.
-// Options.Strategy exposes the choice; StrategyAuto prices the three
-// routes per call from the plan, the store's drive parameters
-// (blockio.StoreCostModel) and the group's link model
-// (mpp.Group.LinkModel), and picks the cheapest. The two-phase route has
-// two candidates of its own: the logical partition (file domains
-// contiguous in the files) and the drive-aligned one (plan.aligned),
-// priced with the same numbers.
+// Options.Strategy exposes the choice, and StrategyAuto makes it per call
+// without a cost model of its own: every candidate is priced by the code
+// that would charge it. The device side of a route is a dry issue
+// (blockio.Dry) of the very runs the route would send — every rank's
+// mapped descriptor, vectored and sieved; the windows of the call's
+// prepared plan, round by round — through the drives' own queue
+// discipline and service-time function; the exchange side is the rank
+// group's own round charge on a scratch pool (mpp.RoundPrice); and the
+// two meet in the executor's own hand-off (pipelineEnd). The two-phase
+// route has two candidates of its own: the logical partition (file
+// domains contiguous in the files) and the drive-aligned one
+// (plan.aligned), the latter at every pipeline depth.
+//
+// A price is a pure function of the requests and the modeled machine —
+// the dry issue starts with the heads parked, not where the drives happen
+// to have them — because a schedule is priced once and replayed
+// (schedule.go). What was priced is what runs: the independent routes
+// issue the mapped descriptors they were priced from, the logical
+// partition the plan whose windows were walked.
 //
 // Whatever the route, the semantics are the plan's: validation and
 // cross-rank overlap rejection happen in buildPlan before any route is
@@ -26,6 +38,7 @@ package collective
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/blockio"
@@ -38,7 +51,7 @@ type route int
 
 const (
 	routeTwoPhase route = iota // exchange + aggregator batches
-	routeVectored              // independent per-rank Set.ReadVec/WriteVec
+	routeVectored              // independent per-rank vectored transfers
 	routeSieved                // independent per-rank sieved transfers
 )
 
@@ -58,63 +71,73 @@ func (r route) String() string {
 // for sweeps and tests. Valid under the same rules as LastStats.
 func (c *Collective) LastRoute() string { return c.route.String() }
 
+// Prices is what StrategyAuto priced the candidates of one call at: the
+// independent routes, two-phase on the logical partition at the rounds
+// Options.ChunkBytes gives it, and two-phase on the drive-aligned
+// partition at its cheapest depth. Zero: not priced, or (Aligned) not
+// offered.
+type Prices struct {
+	Vectored, Sieved, TwoPhase, Aligned time.Duration
+}
+
 // choice is what chooseRoute resolved for one call: the route, and for
 // the two-phase route which partition carries it — the aligned one with
-// every chunk cut in split (plan.partition), the pipeline depth
-// alignedCost priced cheapest. predicted is the modeled cost the chosen
-// candidate was priced at (zero when Options.Strategy fixed the route
-// and nothing was priced); LastStats-style observability compares it
-// with what the call then took (explain.go), next to the price of every
-// depth that was tried (depths).
+// every chunk cut in split (plan.partition), the pipeline depth priced
+// cheapest. predicted is the price of the chosen candidate (zero when
+// Options.Strategy fixed the route and nothing was priced), prices every
+// candidate's and depths what each depth of the aligned partition was
+// priced at (explain.go). cut is the logical partition's prepared plan,
+// handed to the schedule when that is what runs.
 type choice struct {
 	route     route
 	aligned   bool
 	split     int
 	predicted time.Duration
+	prices    Prices
 	depths    []depthPrice
+	cut       *cutPlan
 }
 
-// depthPrice is what alignedCost priced one pipeline depth at.
+// depthPrice is what one pipeline depth of the aligned partition was
+// priced at.
 type depthPrice struct {
 	rounds int64
 	cost   time.Duration
 }
 
-// devUse is one device's share of the union footprint: its physically
-// contiguous gather runs (the first of them starting at physical block
-// first), the blocks in them, and their summed request + transfer cost.
-type devUse struct {
-	cost   time.Duration
-	runs   int
-	blocks int64
-	first  int64
-}
-
 // priceScratch is the handle-retained scratch of route pricing, so a
 // workload whose request lists never repeat prices every call without
-// allocating: the aligned candidate's rank × domain byte table and
-// owners, and the exchange pricer's per-rank link totals.
+// allocating: the dry issue and the round pricer, the aligned
+// candidate's rank × domain byte table and owners, where the footprint
+// lies on the drives, each domain's place in it, and the access time of
+// every round of the candidate being priced.
 type priceScratch struct {
+	dry    blockio.Dry
+	ex     mpp.RoundPrice
 	flat   []int64   // backing of shares, cleared per pricing
 	shares [][]int64 // [rank][domain]
 	owner  []int
-	link   []linkUse
+	domOf  []int // drive → aligned domain
+	union  []blockio.Run
+	from   []int // domain → its first run in union; one more entry closes the last
+	at     []unionAt
+	access []time.Duration
+	tried  []depthPrice
 }
 
-// linkUse is one rank's exchange traffic: messages and bytes it injects
-// and takes delivery of.
-type linkUse struct {
-	outBytes, inBytes int64
-	outMsgs, inMsgs   int
+// unionAt is a position in priceScratch.union: off blocks into run i.
+type unionAt struct {
+	i   int
+	off int64
 }
 
 // chooseRoute resolves Options.Strategy for one call. Rank 0 runs it
-// after buildPlan succeeds; it is a pure function of the plan, the
-// gathered requests and the modeled machine, so the choice is
-// deterministic. pl is the logical plan; the aligned partition is priced
-// from the same per-rank, per-device spans the independent routes are
-// priced from and built only if it is chosen.
-func (c *Collective) chooseRoute(p *mpp.Proc, pl *plan, write bool) choice {
+// after buildPlan succeeds, on the schedule under construction; it is a
+// pure function of the plan, the gathered requests and the modeled
+// machine, so the choice is deterministic. sd.pl is the logical plan; the
+// aligned partition is priced from where the same footprint lies on the
+// drives and built only if it is chosen.
+func (c *Collective) chooseRoute(p *mpp.Proc, sd *schedule, write bool) choice {
 	switch c.opts.Strategy {
 	case blockio.StrategyVectored:
 		return choice{route: routeVectored}
@@ -125,66 +148,125 @@ func (c *Collective) chooseRoute(p *mpp.Proc, pl *plan, write bool) choice {
 		// StrategyDefault and StrategyCollective: the historical path.
 		return choice{route: routeTwoPhase}
 	}
-	m := blockio.StoreCostModel(c.group.Store(), c.size)
-	m.LinkMsg, m.LinkBytesPerSec, m.BisectionBytesPerSec = p.LinkModel()
-	// The aligned candidate is offered where its access phase can be
-	// priced honestly: every domain one whole drive, or domains of
-	// several whole drives moved in one round (a chunk window of a
-	// multi-drive domain would keep one of its drives busy at a time, and
-	// nobody prices those windows yet: with a bound set the candidate is
-	// withheld, with none alignedCost keeps it at one round).
+	pl, sc := sd.pl, &c.price
+	ch := choice{route: routeTwoPhase}
+	if pl.total == 0 {
+		return ch
+	}
+	for r := range c.reqs {
+		if _, err := sd.mapped(c, r, write); err != nil {
+			// Some request list is not a valid independent descriptor (e.g.
+			// one rank reading a block into two buffer slots): only the
+			// exchange can serve it, on the partition it always had.
+			return ch
+		}
+	}
+	cut, err := pl.cut()
+	if err != nil {
+		return ch // unreachable: newSchedule says why, and fails the call on it
+	}
+	ch.cut = cut
+	dry := &sc.dry
+	dry.Bind(c.group.Store())
+	// The independent routes: every rank's mapped requests, all at once.
+	independent := func(sieved bool) time.Duration {
+		dry.Park()
+		for _, ms := range sd.ind {
+			for _, m := range ms {
+				if sieved {
+					dry.Sieved(m.Runs(), write)
+				} else {
+					dry.Vectored(m.Runs())
+				}
+			}
+		}
+		return dry.Flush()
+	}
+	ch.prices.Vectored, ch.prices.Sieved = independent(false), independent(true)
+
+	// Two-phase on the logical partition: the windows the executor would
+	// issue, round by round, every aggregator's at once.
+	sc.ex.Reset(p)
+	enter(&sc.ex, pl.shares, pl.owner)
+	dry.Park()
+	sc.access = sc.access[:0]
+	for k := 0; k < pl.rounds; k++ {
+		for a := 0; a < pl.naggs; a++ {
+			if lo, hi := pl.chunkWindow(a, k); hi > lo {
+				dry.Window(cut.plan, cut.win0[a]+k)
+			}
+		}
+		sc.access = append(sc.access, dry.Flush())
+	}
+	ch.prices.TwoPhase = pipelineEnd(write, &sc.ex, sc.access)
+	ch.predicted = ch.prices.TwoPhase
+
+	// The aligned candidate is offered where every domain is one whole
+	// drive, or domains are several whole drives moved in one round (with a
+	// bound set the candidate is withheld there, with none alignedCost
+	// keeps it at one round).
 	nd := c.group.Store().Devices()
-	var devDom []int
-	if pl.total > 0 && (pl.naggs == nd || (pl.naggs < nd && c.opts.ChunkBytes == 0)) {
-		devDom = c.alignedDomains(nd)
-	}
-	indVec, indSieve, ok := c.independentCosts(m, write, devDom)
-	if !ok {
-		// Some request list is not a valid independent Set descriptor
-		// (e.g. one rank reading a block into two buffer slots): only
-		// the exchange can serve it, on the partition it always had.
-		return choice{route: routeTwoPhase}
-	}
-	exch := c.exchangeCost(m, pl.shares, pl.owner)
-	use := c.unionUse(m, pl)
-	access := logicalAccess(m, pl, use)
-	ch := choice{route: routeTwoPhase, predicted: exch + access}
-	if devDom != nil {
-		owner := c.price.owner
-		for a := range owner {
-			owner[a] = a
-		}
-		if c.opts.Locality {
-			electOwners(owner, c.price.shares)
-		}
-		// Against the independent routes the logical partition keeps its
-		// historical price, exchange + access. Against the aligned one it
-		// is credited with the overlap its own rounds buy, or a footprint
-		// of many chunks would go aligned for the pipelining alone.
-		t, split, depths := c.alignedCost(m, c.exchangeCost(m, c.price.shares, owner), use)
-		if t < pipelineCost(exch, access, int64(pl.rounds)) {
-			ch.aligned, ch.split, ch.predicted, ch.depths = true, split, t, depths // ties to the historical partition
+	var split int
+	var tried []depthPrice
+	if pl.naggs == nd || (pl.naggs < nd && c.opts.ChunkBytes == 0) {
+		c.alignedShares(sd, nd)
+		ch.prices.Aligned, split, tried = c.alignedCost(p, write, cut, nd)
+		if ch.prices.Aligned < ch.predicted { // ties to the historical partition
+			ch.aligned, ch.predicted = true, ch.prices.Aligned
 		}
 	}
-	switch {
-	case ch.predicted <= indVec && ch.predicted <= indSieve:
-		return ch // ties to the historical path
-	case indVec <= indSieve:
-		return choice{route: routeVectored, predicted: indVec}
+	switch pr := ch.prices; {
+	case ch.predicted <= pr.Vectored && ch.predicted <= pr.Sieved:
+		// ties to the historical path
+		if ch.aligned {
+			ch.split, ch.depths = split, slices.Clone(tried)
+		}
+	case pr.Vectored <= pr.Sieved:
+		ch.route, ch.aligned, ch.predicted = routeVectored, false, pr.Vectored
+	default:
+		ch.route, ch.aligned, ch.predicted = routeSieved, false, pr.Sieved
 	}
-	return choice{route: routeSieved, predicted: indSieve}
+	return ch
 }
 
-// alignedDomains maps every device to its domain of the aligned
-// partition (plan.aligned's cuts) and readies the zeroed rank × domain
-// byte table independentCosts fills.
-func (c *Collective) alignedDomains(nd int) []int {
-	devDom := make([]int, nd)
-	for a := 0; a < c.naggs; a++ {
-		for d := firstDrive(a, nd, c.naggs); d < firstDrive(a+1, nd, c.naggs); d++ {
-			devDom[d] = a
+// enter gives the round pricer every message of a two-phase candidate's
+// exchange: each rank's bytes for each domain, to the domain's owner.
+func enter(ex *mpp.RoundPrice, shares [][]int64, owner []int) {
+	for r := range shares {
+		for a, b := range shares[r] {
+			ex.Msg(r, owner[a], b)
 		}
 	}
+}
+
+// pipelineEnd is when the two-phase executor finishes a schedule whose
+// round k spends access[k] at the drives, by the executor's own hand-off
+// (runPipelined): two stages — exchange then access for a write, access
+// then delivery for a read — with one slot between them, so the first
+// stage runs at most a round ahead of what the second has taken. One
+// round is exchange + access.
+func pipelineEnd(write bool, ex *mpp.RoundPrice, access []time.Duration) time.Duration {
+	first, later := ex.Price(len(access))
+	var put, got, done time.Duration // round k-1: handed over, taken, finished
+	for k, a := range access {
+		s1, s2 := later, a
+		if k == 0 {
+			s1 = first
+		}
+		if !write {
+			s1, s2 = s2, s1
+		}
+		put = max(put+s1, got)
+		got = max(put, done)
+		done = got + s2
+	}
+	return done
+}
+
+// alignedShares readies the aligned candidate's tables from the mapped
+// descriptors: the bytes each rank holds on each domain's drives
+// (plan.aligned's cuts) and the domain owners.
+func (c *Collective) alignedShares(sd *schedule, nd int) {
 	sc := &c.price
 	if len(sc.flat) != c.size*c.naggs || len(sc.owner) != c.naggs {
 		// First pricing on this handle, or SetOptions changed the domain count.
@@ -196,262 +278,143 @@ func (c *Collective) alignedDomains(nd int) []int {
 		sc.owner = make([]int, c.naggs)
 	}
 	clear(sc.flat)
-	return devDom
-}
-
-// independentCosts prices the independent routes: every rank's requests
-// mapped onto the store's devices (blockio.SieveSpans yields both the
-// vectored gather runs and the sieved covering span per device), request
-// and byte costs accumulated per device — concurrent ranks serialize at
-// the device queues — and the slowest device bounding the call. With
-// devDom set the same walk fills the aligned candidate's share table:
-// the bytes each rank holds on each domain's drives.
-func (c *Collective) independentCosts(m blockio.CostModel, write bool, devDom []int) (vec, sieve time.Duration, ok bool) {
-	bs := c.bs
-	nd := c.group.Store().Devices()
-	vecDev := make([]time.Duration, nd)
-	sieveDev := make([]time.Duration, nd)
-	for r, rr := range c.reqs {
-		for _, q := range rr {
-			spans, err := c.group.File(q.File).Set().SieveSpans(q.Vec)
-			if err != nil {
-				return 0, 0, false
-			}
-			for _, sp := range spans {
-				for _, run := range sp.Runs {
-					vecDev[sp.Dev] += m.ReqFixed + m.Xfer(run.N*bs)
-				}
-				d := m.ReqFixed + m.Xfer(sp.Blocks*bs)
-				if write && sp.Useful < sp.Blocks {
-					d *= 2 // read-modify-write moves the span twice
-				}
-				sieveDev[sp.Dev] += d
-				if devDom != nil {
-					c.price.shares[r][devDom[sp.Dev]] += sp.Useful * bs
-				}
+	sc.domOf = sc.domOf[:0]
+	for a := 0; a < c.naggs; a++ {
+		for d := firstDrive(a, nd, c.naggs); d < firstDrive(a+1, nd, c.naggs); d++ {
+			sc.domOf = append(sc.domOf, a)
+		}
+	}
+	for r, ms := range sd.ind {
+		for _, m := range ms {
+			for _, run := range m.Runs() {
+				sc.shares[r][sc.domOf[run.Dev]] += run.N * c.bs
 			}
 		}
 	}
-	for i := 0; i < nd; i++ {
-		if vecDev[i] > vec {
-			vec = vecDev[i]
-		}
-		if sieveDev[i] > sieve {
-			sieve = sieveDev[i]
-		}
+	for a := range sc.owner {
+		sc.owner[a] = a
 	}
-	return vec, sieve, true
-}
-
-// exchangeCost prices the exchange phase of a two-phase candidate from
-// its rank × domain share table and domain owners under the group's
-// link model, the way mpp charges it: every rank injects its outgoing
-// messages on its own link, the slowest sender holding the round's first
-// barrier; every rank then takes delivery on its link, and the volume
-// that crossed the cut drains the shared bisection pool behind the
-// slowest receiver. A rank's bytes for a domain it aggregates itself
-// cross nothing.
-func (c *Collective) exchangeCost(m blockio.CostModel, shares [][]int64, owner []int) time.Duration {
-	sc := &c.price
-	if len(sc.link) != c.size {
-		sc.link = make([]linkUse, c.size)
+	if c.opts.Locality {
+		electOwners(sc.owner, sc.shares)
 	}
-	clear(sc.link)
-	var cross int64
-	for r := range shares {
-		for a, b := range shares[r] {
-			if o := owner[a]; b > 0 && o != r {
-				sc.link[r].outBytes += b
-				sc.link[r].outMsgs++
-				sc.link[o].inBytes += b
-				sc.link[o].inMsgs++
-				cross += b
-			}
-		}
-	}
-	price := func(msgs int, bytes int64) time.Duration {
-		d := time.Duration(msgs) * m.LinkMsg
-		if m.LinkBytesPerSec > 0 {
-			d += time.Duration(float64(bytes) / m.LinkBytesPerSec * float64(time.Second))
-		}
-		return d
-	}
-	var out, in time.Duration
-	for _, u := range sc.link {
-		out = max(out, price(u.outMsgs, u.outBytes))
-		in = max(in, price(u.inMsgs, u.inBytes))
-	}
-	exch := out + in
-	if m.BisectionBytesPerSec > 0 {
-		exch += time.Duration(float64(cross) / m.BisectionBytesPerSec * float64(time.Second))
-	}
-	return exch
-}
-
-// unionUse maps the union footprint onto the devices: two-phase
-// coalesces across ranks, so its device requests are the union's
-// physically contiguous gather runs (NOT any single rank's view, and NOT
-// one request per device: a union that still has holes stays fragmented
-// however it is aggregated). The covered spans are split at file
-// boundaries, each file's slice mapped to its device gather runs, and
-// request + transfer charged per run. pl is the logical plan.
-func (c *Collective) unionUse(m blockio.CostModel, pl *plan) []devUse {
-	use := make([]devUse, c.group.Store().Devices())
-	perFile := make([]blockio.Vec, c.group.Len())
-	var off int64
-	for _, sp := range pl.covered {
-		for gb, n := sp.gb, sp.n; n > 0; {
-			f, blk, err := c.group.Locate(gb)
-			if err != nil {
-				break // covered spans are always locatable
-			}
-			take := n
-			if rem := c.group.Offset(f+1) - gb; take > rem {
-				take = rem
-			}
-			perFile[f] = append(perFile[f], blockio.VecSeg{Block: blk, N: take, BufOff: off})
-			off += take * pl.bs
-			gb, n = gb+take, n-take
-		}
-	}
-	for f, vec := range perFile {
-		if len(vec) == 0 {
-			continue
-		}
-		spans, err := c.group.File(f).Set().SieveSpans(vec)
-		if err != nil {
-			continue // union descriptors are always valid
-		}
-		for _, sp := range spans {
-			u := &use[sp.Dev]
-			if u.runs == 0 {
-				_, u.first = c.group.File(f).Set().Locate(sp.Runs[0].B)
-			}
-			for _, run := range sp.Runs {
-				u.cost += m.ReqFixed + m.Xfer(run.N*pl.bs)
-				u.runs++
-				u.blocks += run.N
-			}
-		}
-	}
-	return use
-}
-
-// logicalAccess prices the access phase of the logical partition:
-// devices in parallel, plus roughly one extra request per nonempty
-// domain for runs the domain split severs. With exchangeCost, an
-// estimate, not a replay — good enough to rank routes.
-func logicalAccess(m blockio.CostModel, pl *plan, use []devUse) time.Duration {
-	var access time.Duration
-	for _, u := range use {
-		access = max(access, u.cost)
-	}
-	for a := 0; a < pl.naggs; a++ {
-		if lo, hi := pl.domain(a); hi > lo {
-			access += m.ReqFixed // domain split severing a run
-		}
-	}
-	return access
-}
-
-// pipelineCost prices a two-phase schedule of the given exchange and
-// access totals cut into rounds: a two-stage pipeline, each round an
-// exchange of e = exchange/R feeding an access of a = access/R,
-//
-//	T(R) = e + a + (R−1)·max(e, a)
-//
-// which is exchange + access at one round.
-func pipelineCost(exch, access time.Duration, rounds int64) time.Duration {
-	r := time.Duration(max(rounds, 1))
-	e, a := exch/r, access/r
-	return e + a + (r-1)*max(e, a)
 }
 
 // alignedCost prices the aligned partition: its domains end at drive
-// boundaries, so no run is severed and a drive's requests are the
-// union's runs on it — at least one per round. ChunkBytes bounds the
-// chunk (at one whole domain when it sets no bound, or none smaller);
-// the depth of the pipeline below that bound is priced, not fixed: every
-// chunk is cut in 1, 2, 4, … down to single blocks, each depth goes
-// through the two-stage pipeline formula, and the cheapest is returned
-// as split (ties to the shallower, so an exchange priced at nothing — a
-// free interconnect — stays at one round). A deeper pipeline hides more
-// of the shorter phase behind the longer one and pays one more request
-// per drive per round for it. What such a request costs is the drive's
-// business: one that continues where the previous round's ended is
-// priced by the drive's own service-time model for the cylinders it
-// crosses (blockio.CostModel.ContFixed), which for a run that stays in
-// its cylinder is overhead and half a rotation — a third of ReqFixed,
-// whose average seek the head never makes. Runs the footprint itself
-// severs keep ReqFixed, so a price with no more rounds than runs (one
-// round above all) is the price it always was. Domains of several drives
-// (fewer domains than drives: chooseRoute offers them unbounded only) are
-// priced at one round and no deeper.
-func (c *Collective) alignedCost(m blockio.CostModel, exch time.Duration, use []devUse) (t time.Duration, split int, tried []depthPrice) {
+// boundaries, so a domain's windows are the footprint on its drives cut
+// every chunk blocks — what plan.aligned's prepared plan would hold, read
+// here off the logical plan's runs with its cuts undone. ChunkBytes
+// bounds the chunk (at one whole domain when it sets no bound, or none
+// smaller); the depth of the pipeline below that bound is priced, not
+// fixed: every chunk is cut in 1, 2, 4, … down to single blocks, each
+// depth's rounds go through a dry issue and the executor's hand-off, and
+// the cheapest is returned as split (ties to the shallower, so an
+// exchange priced at nothing — a free interconnect — stays at one round).
+// A deeper pipeline hides more of the shorter phase behind the longer one
+// and pays one more request per drive per round for it; what such a
+// request costs is the drive's business — one that continues where the
+// previous round's ended crosses no cylinder, or one. Domains of several
+// drives (fewer domains than drives: chooseRoute offers them unbounded
+// only) are priced at one round and no deeper. Nor is any depth walked
+// that could not win: one at which the requests of the largest domain's
+// drive alone, a round each, take as long as the cheapest depth so far.
+// tried aliases the scratch.
+func (c *Collective) alignedCost(p *mpp.Proc, write bool, cut *cutPlan, nd int) (t time.Duration, split int, tried []depthPrice) {
+	sc, dry := &c.price, &c.price.dry
+	sc.ex.Reset(p)
+	enter(&sc.ex, sc.shares, sc.owner)
+	// Domain a's footprint is union[from[a]:from[a+1]], in drive order.
+	sc.union = cut.plan.Uncut(sc.union[:0])
+	sc.from = sc.from[:0]
 	var dom int64 // the largest domain: one drive, unless domains are several
-	for _, u := range use {
-		dom = max(dom, u.blocks)
+	i := 0
+	for a := 0; a < c.naggs; a++ {
+		sc.from = append(sc.from, i)
+		var blocks int64
+		for ; i < len(sc.union) && sc.union[i].Dev < firstDrive(a+1, nd, c.naggs); i++ {
+			blocks += sc.union[i].N
+		}
+		dom = max(dom, blocks)
 	}
+	sc.from = append(sc.from, i)
+	sc.at = slices.Grow(sc.at[:0], c.naggs)[:c.naggs]
+	sc.tried = sc.tried[:0]
 	whole := c.opts.chunkCeiling(c.bs, max(dom, 1))
 	for n := int64(1); ; n *= 2 {
 		chunk := (whole + n - 1) / n
 		rounds := (dom + chunk - 1) / chunk
-		var access time.Duration
-		for _, u := range use {
-			if u.runs > 0 {
-				fixed := time.Duration(u.runs) * m.ReqFixed
-				if more := rounds - int64(u.runs); more > 0 {
-					fixed += m.ContFixed(more, u.first, chunk)
-				}
-				access = max(access, fixed+m.Xfer(u.blocks*c.bs))
-			}
+		if n > 1 && dry.AtLeast(rounds, dom) >= t {
+			// The largest domain's drive alone takes that long over a request
+			// a round; deeper is more requests still.
+			return t, split, sc.tried
 		}
-		cost := pipelineCost(exch, access, rounds)
-		tried = append(tried, depthPrice{rounds, cost})
+		for a := range sc.at {
+			sc.at[a] = unionAt{i: sc.from[a]}
+		}
+		dry.Park()
+		sc.access = sc.access[:0]
+		for k := int64(0); k < rounds; k++ {
+			for a := range sc.at {
+				// Round k's window of domain a: the next chunk blocks of it.
+				at := &sc.at[a]
+				for left := chunk; left > 0 && at.i < sc.from[a+1]; {
+					r := sc.union[at.i]
+					take := min(r.N-at.off, left)
+					dry.Extent(r.Dev, r.PBlock+at.off, take)
+					left -= take
+					if at.off += take; at.off == r.N {
+						at.i, at.off = at.i+1, 0
+					}
+				}
+			}
+			sc.access = append(sc.access, dry.Flush())
+		}
+		cost := pipelineEnd(write, &sc.ex, sc.access)
+		sc.tried = append(sc.tried, depthPrice{rounds, cost})
 		if n == 1 || cost < t {
 			t, split = cost, int(n)
 		}
-		if chunk == 1 || c.naggs != len(use) {
-			return t, split, tried
+		if chunk == 1 || c.naggs != nd {
+			return t, split, sc.tried
 		}
 	}
 }
 
 // runIndependent executes one collective call as independent per-rank
 // Set transfers — no exchange, every rank moving its own requests
-// straight to the store, sieved or vectored. Concurrent sieved writers
-// are safe under the Sets' per-device sieve locks; vectored writers are
-// block-disjoint by plan validation (after LastWriterWins clipping).
+// straight to the store, sieved or vectored: the descriptors the schedule
+// mapped (and, under StrategyAuto, priced), issued as they are.
+// Concurrent sieved writers are safe under the Sets' per-device sieve
+// locks; vectored writers are block-disjoint by plan validation (after
+// LastWriterWins clipping).
 func (c *Collective) runIndependent(p *mpp.Proc, sd *schedule, write, sieved bool) {
 	rank := p.Rank()
 	buf := c.bufs[rank]
-	reqs := c.reqs[rank]
-	if write && c.opts.LastWriterWins {
-		reqs = sd.lwwReqs(c, rank)
-	}
+	ms, err := sd.mapped(c, rank, write)
 	rec, _, prefix := p.Probe()
 	var ioTrk probe.TrackID
-	if rec != nil && len(reqs) > 0 {
+	if rec != nil && len(ms) > 0 {
 		ioTrk = rec.Track(fmt.Sprintf("%s/%d/io", prefix, rank))
 	}
-	// One way in below: the Set entry point of the call's direction, under
-	// the strategy the route names. A fixed strategy consults no cost
-	// model.
-	xfer, strat := (*blockio.Set).ReadVecStrategy, blockio.StrategyVectored
-	if write {
-		xfer = (*blockio.Set).WriteVecStrategy
-	}
+	strat := blockio.StrategyVectored
 	if sieved {
 		strat = blockio.StrategySieved
 	}
 	var errs []error
+	if err != nil {
+		errs = append(errs, err)
+	}
 	t0 := p.Now()
-	for _, q := range reqs {
-		if err := xfer(c.group.File(q.File).Set(), p.Proc, strat, blockio.CostModel{}, q.Vec, buf); err != nil {
+	for _, m := range ms {
+		if write {
+			err = m.Write(p.Proc, strat, buf)
+		} else {
+			err = m.Read(p.Proc, strat, buf)
+		}
+		if err != nil {
 			errs = append(errs, err)
 		}
 	}
-	if len(reqs) > 0 {
+	if len(ms) > 0 {
 		c.ioIv = append(c.ioIv, probe.Interval{From: t0, To: p.Now()})
 		rec.Span(ioTrk, "collective", "independent", t0, p.Now(), 0, 0)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/blockio"
 	"repro/internal/mpp"
@@ -145,4 +146,28 @@ func TestStrategyForcedRoutes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReplayLoopReadsSieved is the mis-route ISSUE 18 found and nothing
+// caught: on the 24-rank × 8-drive replay loop (256-byte blocks, Locality,
+// two-block chunks) StrategyAuto used to read two-phase on the aligned
+// partition — priced 78 ms an iteration, 129–136 ms realised — because
+// every request of the sieved read was billed an average seek its drive
+// never makes. Three ranks share a drive there, each wanting four single
+// blocks three apart: a dry issue prices the three covering reads at what
+// the drive charges for them, the read goes sieved, and an iteration
+// takes what the sieved route always took.
+func TestReplayLoopReadsSieved(t *testing.T) {
+	scn := replayScn{nRanks: 24, iters: 5,
+		opts: Options{Locality: true, ChunkBytes: 2 * testBS, Strategy: blockio.StrategyAuto}}
+	obs := runReplayScenario(t, scn, true, nil)
+	for it, d := range obs.iterDur {
+		if obs.routes[it][1] != "sieved" {
+			t.Errorf("iteration %d: read took the %s route, want sieved", it, obs.routes[it][1])
+		}
+		if d > 105*time.Millisecond {
+			t.Errorf("iteration %d took %v, want ≤ 105ms (the sieved read's 99.5ms)", it, d)
+		}
+	}
+	t.Logf("iteration %v: write %s at depth %d, read %s", obs.iterDur[0], obs.routes[0][0], obs.depth[0], obs.routes[0][1])
 }

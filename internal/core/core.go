@@ -232,16 +232,6 @@ func (s blockSeq) streamVec(dst blockio.Vec, fsPer, bs, first, n int64) blockio.
 	return dst
 }
 
-// costModelFor derives the cost model a strategy-dispatched transfer
-// prices paths with — built once per handle, not per operation. Fixed
-// strategies never consult it, so the zero model is fine for them.
-func costModelFor(f *pfs.File, strat blockio.Strategy) blockio.CostModel {
-	if strat != blockio.StrategyAuto {
-		return blockio.CostModel{}
-	}
-	return blockio.StoreCostModel(f.Set().Store(), 1)
-}
-
 // rangedFetch returns a FetchRun over the stream's fs blocks that issues
 // each extent as one vectored request (Set.ReadVec) — the extent read
 // path, gather-capable since vectored I/O — or, under Options.Strategy,
@@ -250,14 +240,13 @@ func rangedFetch(f *pfs.File, seq blockSeq, strat blockio.Strategy) buffer.Fetch
 	set := f.Set()
 	fsPer := f.Mapper().FSPerBlock()
 	bs := int64(f.Mapper().FSBlockSize())
-	cm := costModelFor(f, strat)
 	// vec is reused across calls, which is safe even with several
 	// prefetch processes sharing this closure: ReadVec consumes the
 	// descriptor into physical runs before its first wait.
 	var vec blockio.Vec
 	return func(ctx sim.Context, first int64, n int, buf []byte) error {
 		vec = seq.streamVec(vec[:0], fsPer, bs, first, int64(n))
-		return set.ReadVecStrategy(ctx, strat, cm, vec, buf)
+		return set.ReadVecStrategy(ctx, strat, vec, buf)
 	}
 }
 
@@ -267,11 +256,10 @@ func rangedFlush(f *pfs.File, seq blockSeq, strat blockio.Strategy) buffer.Flush
 	set := f.Set()
 	fsPer := f.Mapper().FSPerBlock()
 	bs := int64(f.Mapper().FSBlockSize())
-	cm := costModelFor(f, strat)
 	var vec blockio.Vec
 	return func(ctx sim.Context, first int64, n int, buf []byte) error {
 		vec = seq.streamVec(vec[:0], fsPer, bs, first, int64(n))
-		return set.WriteVecStrategy(ctx, strat, cm, vec, buf)
+		return set.WriteVecStrategy(ctx, strat, vec, buf)
 	}
 }
 

@@ -33,11 +33,10 @@ func blockVec(dst blockio.Vec, idxs []int64, bs int64) blockio.Vec {
 func spansOf(f *pfs.File, strat blockio.Strategy) (buffer.FetchSpan, buffer.FlushSpan) {
 	set := f.Set()
 	bs := int64(f.Mapper().FSBlockSize())
-	cm := costModelFor(f, strat)
 	var rvec, wvec blockio.Vec
 	fetch := func(ctx sim.Context, idxs []int64, buf []byte) error {
 		rvec = blockVec(rvec[:0], idxs, bs)
-		return set.ReadVecStrategy(ctx, strat, cm, rvec, buf)
+		return set.ReadVecStrategy(ctx, strat, rvec, buf)
 	}
 	flush := func(ctx sim.Context, idxs []int64, buf []byte) error {
 		wvec = blockVec(wvec[:0], idxs, bs)

@@ -265,9 +265,33 @@ func (d *Disk) Name() string { return d.name }
 // Geometry reports the device geometry.
 func (d *Disk) Geometry() Geometry { return d.geom }
 
-// Timing reports the disk's service-time model — the parameters cost
-// models (blockio.StoreCostModel) price device requests with.
+// Timing reports the disk's service-time model.
 func (d *Disk) Timing() Timing { return d.timing }
+
+// Model is everything the time a drive takes over a list of requests
+// depends on, the list and where the head stands apart: what a dry issue
+// (blockio.Dry) replays the drive's queue from without the drive.
+type Model struct {
+	Geometry
+	Timing
+	Sched       Sched
+	MergeQueued bool
+}
+
+// Model reports the disk's queue and service-time model.
+func (d *Disk) Model() Model {
+	return Model{Geometry: d.geom, Timing: d.timing, Sched: d.sched, MergeQueued: d.merge}
+}
+
+// Arm is where a drive's head stands — the cylinder of the last request
+// it served — and which way a SCAN sweep is travelling.
+type Arm struct {
+	Cyl int
+	Up  bool
+}
+
+// Arm reports the disk's head position and sweep direction.
+func (d *Disk) Arm() Arm { return Arm{Cyl: d.head, Up: d.scanUp} }
 
 // Stats returns a snapshot of the device counters.
 func (d *Disk) Stats() Stats { return d.stats }
@@ -304,9 +328,9 @@ func (d *Disk) Restore(snap map[int64][]byte) error { return d.backend.Restore(s
 // parameters: what one request moving bytes costs a drive of geometry g
 // and timing t whose head stands cyls cylinders from the request's first
 // block — controller overhead, the seek across those cylinders, half a
-// rotation (the average latency) and the transfer. Every Disk charges its
-// requests with it; cost models price a request with it before issuing
-// one (blockio.CostModel.ContFixed).
+// rotation (the average latency) and the transfer. It is the one price of
+// a device request: every Disk charges its requests with it, and a dry
+// issue (blockio.Dry) prices with it the requests a route would send.
 func ServiceTime(g Geometry, t Timing, cyls, bytes int) time.Duration {
 	svc := t.Overhead + seekTime(g, t, cyls) + t.RotationPeriod/2
 	if t.TransferRate > 0 {

@@ -96,6 +96,7 @@ type CheckpointResult struct {
 	LinkBytes int64               // bytes that crossed the interconnect
 	Route     string              // the last call's route, its price and depth
 	Predicted time.Duration
+	Prices    pario.RoutePrices // what StrategyAuto priced every candidate at
 	Depth     int
 	Cache     pario.CollectiveCacheStats
 	Image     uint64 // FNV-1a of the final file image
@@ -296,6 +297,7 @@ func (c Checkpoint) Run() (CheckpointResult, error) {
 	res.Stats = col.LastStats()
 	_, res.LinkBytes = rg.Traffic()
 	res.Route, res.Predicted, res.Depth = col.LastRoute(), col.LastPredicted(), col.LastDepth()
+	res.Prices = col.LastPrices()
 	res.Cache = col.PlanCacheStats()
 
 	written := make([]bool, c.Blocks)

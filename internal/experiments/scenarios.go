@@ -292,8 +292,8 @@ func (c StrategyCell) Checkpoint(strat pario.Strategy) Checkpoint {
 // StrategyAuto, which prices the routes per call. Dense partition-local
 // patterns favor sieving, sparse ones vectored I/O, interleaved ones the
 // two-phase exchange — until link congestion inverts that trade; the
-// route column shows what Auto picked, and predicted what its cost model
-// priced that pick at, beside the modeled time the call then took and
+// route column shows what Auto picked, and predicted what it priced
+// that pick at, beside the modeled time the call then took and
 // the pipeline depth it priced cheapest (no handle bounds the chunk: Auto
 // prices every depth below a whole domain, the fixed strategies run one
 // round).
@@ -318,6 +318,12 @@ func strategySweep(rec *probe.Recorder) (*Result, error) {
 		ratio := auto.Predicted.Seconds() / auto.Elapsed.Seconds()
 		t.AddRow(append(row, auto.Route, auto.Predicted, fmt.Sprintf("%.2f", ratio), auto.Depth)...)
 		metrics["predicted_over_realised_"+cell.Name()] = ratio
+		for route, price := range map[string]time.Duration{
+			"vectored": auto.Prices.Vectored, "sieved": auto.Prices.Sieved,
+			"two-phase": auto.Prices.TwoPhase, "aligned": auto.Prices.Aligned,
+		} {
+			metrics[fmt.Sprintf("price_s_%s_%s", cell.Name(), route)] = price.Seconds()
+		}
 	}
 	return &Result{Tables: []*stats.Table{t}, Metrics: metrics}, nil
 }

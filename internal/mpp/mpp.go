@@ -161,6 +161,16 @@ func (b *Bisection) drain(vol int64) time.Duration {
 	return time.Duration(float64(vol) / b.bw * float64(time.Second))
 }
 
+// leave is when a process that reached the pool at `at`, in an exchange
+// of vol bytes whose reservation drains at end, leaves it: once the
+// reservation has drained, and no sooner than the whole volume takes
+// through the pool from its own arrival (the historical per-process
+// charge; the reservation ends later only when an earlier one was still
+// draining).
+func (b *Bisection) leave(at time.Duration, vol int64, end time.Duration) time.Duration {
+	return max(at+b.drain(vol), end)
+}
+
 // Group is a set of processes executing one parallel program.
 type Group struct {
 	size    int
@@ -335,9 +345,8 @@ func (p *Proc) ModelEpoch() uint64 { return p.group.epoch }
 
 // LinkModel reports the group's interconnect parameters — per-message
 // latency, per-process bandwidth (0 = infinite), and the shared
-// bisection pool's aggregate bandwidth (0 = uncontended) — for cost
-// models that weigh exchange traffic against device access
-// (blockio.CostModel).
+// bisection pool's aggregate bandwidth (0 = uncontended). What an
+// exchange costs under them is RoundPrice's to say.
 func (g *Group) LinkModel() (msg time.Duration, bytesPerSec, bisectionBytesPerSec float64) {
 	if g.bisection != nil {
 		bisectionBytesPerSec = g.bisection.bw
@@ -536,9 +545,7 @@ func (p *Proc) chargePool(vol, own int64) {
 	g.reservePool(p.Now(), vol)
 	until := g.exEnd
 	if g.topo == nil {
-		if mine := p.Now() + g.bisection.drain(vol); mine > until {
-			until = mine
-		}
+		until = g.bisection.leave(p.Now(), vol, g.exEnd)
 	}
 	if until > p.Now() {
 		from := p.Now()

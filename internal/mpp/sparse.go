@@ -541,7 +541,7 @@ func (g *Group) closeSecond(p *Proc, k int) (late bool) {
 	rd := &ps.round[k]
 	until := ps.t1 + ps.inMax
 	if vol := g.crossVol + rd.vol; g.bisection != nil && vol > 0 {
-		until = max(until+g.bisection.drain(vol), g.exEnd)
+		until = g.bisection.leave(until, vol, g.exEnd)
 	}
 	late = holdUntil(p, until)
 	ps.t2 = p.Now()

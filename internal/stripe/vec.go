@@ -37,16 +37,13 @@ func getVecBuf(n int) *[]byte {
 }
 
 // DeviceModel implements blockio.DeviceModeler with the array's drive
-// parameters.
-func (p *Parity) DeviceModel() (device.Geometry, device.Timing) {
-	return p.disks[0].Geometry(), p.disks[0].Timing()
-}
+// model. A dry issue prices the data requests as a plain array would
+// serve them; the parity row's own traffic is not in the price.
+func (p *Parity) DeviceModel() device.Model { return p.disks[0].Model() }
 
 // DeviceModel implements blockio.DeviceModeler with the pair's drive
-// parameters.
-func (m *Mirror) DeviceModel() (device.Geometry, device.Timing) {
-	return m.primary[0].Geometry(), m.primary[0].Timing()
-}
+// model.
+func (m *Mirror) DeviceModel() device.Model { return m.primary[0].Model() }
 
 // checkVec validates a scatter/gather list against a run of n blocks.
 func checkVec(op string, bs, n int, iov [][]byte) error {

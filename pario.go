@@ -210,10 +210,26 @@
 // CollectiveOptions.Strategy expose the choice: StrategyVectored,
 // StrategySieved and StrategyCollective force a path, the zero value
 // keeps each layer's historical default, and StrategyAuto prices the
-// candidate routes per operation with a cost model built from the
-// modeled drive parameters (StoreCostModel) and the rank group's link
-// model, picking the cheapest — one self-tuning knob where tuning
-// previously meant picking fixed mechanisms per workload. The
+// candidate routes per operation and picks the cheapest — one
+// self-tuning knob where tuning previously meant picking fixed
+// mechanisms per workload. There is no cost model beside the machine
+// model: a route is priced by the code that would charge it. Its device
+// side is a dry issue — the fifth stage of the transfer pipeline: the
+// very runs the route would send (every rank's mapped descriptor, their
+// sieved covering runs with the write-back's second pass, the windows of
+// the call's prepared plan) walked through a head tracker and a queue per
+// drive, served in the order the drive's discipline serves them (arrival
+// order or the elevator's sweep, waiting neighbours merged where the
+// drive merges), each request charged by the drive's own service-time
+// function for the cylinders the head really crosses. For one process,
+// and for any number issuing at one instant, the dry price equals the
+// modeled time of the issue to the nanosecond (FuzzDryIssue); a Set's
+// own StrategyAuto prices from where the heads stand, a collective's from
+// parked heads, because its schedule is priced once and replayed. The
+// exchange side is the rank group's own round charge on a scratch pool
+// (RankGroup's link and bisection models), and rounds of the two meet in
+// the executor's own hand-off. What was priced is what runs: the mapped
+// descriptors and the prepared plan go on to issue. The
 // two-phase route has two candidates of its own: file domains
 // contiguous in the files (the logical partition every fixed strategy
 // and every nonblocking call uses) and file domains cut at drive
@@ -222,22 +238,28 @@
 // strategy), the latter at whatever pipeline depth prices cheapest:
 // CollectiveOptions.ChunkBytes is an upper bound on the chunk — 0, no
 // bound, is a bound too: a whole domain — and each chunk is priced cut
-// in 2, 4, 8, … with the drive's own service time for the extra request
-// a round costs it, ties to the shallower, so a free interconnect stays
-// at one round (Collective.LastDepth reports the depth chosen,
+// in 2, 4, 8, …, every round's requests through the dry issue, ties to
+// the shallower, so a free interconnect stays at one round
+// (Collective.LastDepth reports the depth chosen,
 // TestPipelineDepthPriced holds it to the fastest and
 // TestUnboundedDepthPriced holds the unbounded handle to the bounded
 // one's choice).
-// Collective.LastRoute says "two-phase" for either, and
-// TestAlignedDomainsWin enforces the win on a declustered checkpoint
-// and the refusal on rank-aligned slabs.
-// TunedProfile and TunedOptions now set StrategyAuto.
-// TestStrategyAutoWins enforces that Auto matches the best fixed
-// strategy on every configuration of a density × rank-count ×
-// link-bandwidth sweep and strictly beats each fixed strategy on at
-// least one; `pariobench -run strategy` prints the sweep. The paper
-// defaults are untouched: StrategyDefault keeps every pinned modeled
-// time bit-identical (TestDefaultModelPinned).
+// Collective.LastRoute says "two-phase" for either,
+// Collective.LastPrices what every candidate was priced at and
+// Collective.LastPredicted the chosen one's price; with a recorder
+// attached the prices and price ÷ modeled time of every call are
+// histograms (collective.<ranks>.plan.price_ms.*,
+// .plan.predicted_over_realised) and `parioctl trace` prints them.
+// TestAlignedDomainsWin enforces the aligned partition's win on a
+// declustered checkpoint and the refusal on rank-aligned slabs.
+// TunedProfile and TunedOptions set StrategyAuto.
+// TestStrategyAutoWins enforces that Auto is no slower than the best
+// fixed strategy on every configuration of a density × rank-count ×
+// link-bandwidth sweep, strictly beats each fixed strategy on at least
+// one, and prices its pick within 5 % of what the call then takes;
+// `pariobench -run strategy` prints the sweep. The paper defaults are
+// untouched: StrategyDefault keeps every pinned modeled time
+// bit-identical (TestDefaultModelPinned).
 //
 // # Plan capture & replay
 //
@@ -486,17 +508,16 @@ type (
 	BatchPlan = blockio.BatchPlan
 	// Strategy selects how noncontiguous transfers execute: a forced
 	// path, each layer's historical default (the zero value), or
-	// per-operation cost-model selection (StrategyAuto). See the "Data
+	// per-operation priced selection (StrategyAuto). See the "Data
 	// sieving & strategy selection" doc section.
 	Strategy = blockio.Strategy
-	// CostModel carries the modeled machine parameters strategy
-	// decisions price transfers with (StoreCostModel derives the device
-	// half from a volume's drives).
-	CostModel = blockio.CostModel
 	// SieveSpan is one device's covering span for a sieved transfer
-	// (Set.SieveSpans plans them for cost models; a transfer under
-	// StrategySieved moves them).
+	// (Set.SieveSpans plans them; a transfer under StrategySieved moves
+	// them).
 	SieveSpan = blockio.SieveSpan
+	// RoutePrices is what StrategyAuto priced every candidate route of a
+	// collective call at (Collective.LastPrices).
+	RoutePrices = collective.Prices
 
 	// Rank is one process of a parallel program (GoRanks), with the
 	// group collectives (Barrier, AlltoallvSparse, reductions).
@@ -606,12 +627,6 @@ const (
 	StrategyCollective = blockio.StrategyCollective
 	StrategyAuto       = blockio.StrategyAuto
 )
-
-// StoreCostModel derives the device half of a strategy CostModel from a
-// store's drive parameters (Volume.Store), for ranks concurrent
-// accessors; the collective layer fills in the link half from the rank
-// group automatically.
-var StoreCostModel = blockio.StoreCostModel
 
 // I/O server scheduling policies.
 const (

@@ -3,7 +3,7 @@
 // configuration of a density × rank-count × link-bandwidth sweep, and
 // strictly beat each fixed strategy on at least one configuration. This
 // is the ISSUE 9 tentpole criterion: no fixed choice wins everywhere
-// ("Noncontiguous I/O through PVFS"), so the cost model has to earn its
+// ("Noncontiguous I/O through PVFS"), so the prices have to earn their
 // keep on each workload shape where a different mechanism dominates:
 //
 //   - dense: each rank writes every other block of its own contiguous
@@ -41,12 +41,15 @@ var strategyFixed = []struct {
 }
 
 // TestStrategyAutoWins enforces the tentpole acceptance criteria: on
-// every sweep configuration Auto's modeled time is within 5% of the best
-// fixed strategy's (it normally picks that strategy's exact route, so
-// the times are identical; the slack covers the estimate nature of the
-// cost model), and for each fixed strategy there is at least one
-// configuration where Auto is strictly faster. All four runs of a
-// configuration must land byte-identical file images.
+// every sweep configuration Auto's modeled time is no worse than the best
+// fixed strategy's (it takes that strategy's route, or a pipeline depth
+// no fixed strategy runs), the price it put on its pick is within 5 % of
+// the modeled time the call then took — every candidate is priced by the
+// code that charges it, so a wider residual is a difference between the
+// dry walk and the live one that somebody must name — and for each fixed
+// strategy there is at least one configuration where Auto is strictly
+// faster. All four runs of a configuration must land byte-identical file
+// images.
 func TestStrategyAutoWins(t *testing.T) {
 	beats := make(map[string]bool)
 	for _, cell := range experiments.StrategyCells() {
@@ -66,9 +69,13 @@ func TestStrategyAutoWins(t *testing.T) {
 					beats[fs.name] = true
 				}
 			}
-			t.Logf("%-10s %12v (route %s)", "auto", auto.Elapsed, auto.Route)
-			if float64(auto.Elapsed) > float64(best)/0.95 {
-				t.Errorf("auto %v is worse than 0.95x the best fixed strategy (%v)", auto.Elapsed, best)
+			resid := auto.Predicted.Seconds() / auto.Elapsed.Seconds()
+			t.Logf("%-10s %12v (route %s, priced %v: %.3f; candidates %+v)", "auto", auto.Elapsed, auto.Route, auto.Predicted, resid, auto.Prices)
+			if auto.Elapsed > best {
+				t.Errorf("auto %v is slower than the best fixed strategy (%v)", auto.Elapsed, best)
+			}
+			if resid < 0.95 || resid > 1.05 {
+				t.Errorf("auto priced its pick at %v, the call took %v: ratio %.3f outside [0.95, 1.05]", auto.Predicted, auto.Elapsed, resid)
 			}
 		})
 	}
