@@ -1,7 +1,7 @@
-// Benchmark harness: one benchmark per reproduced figure/table (the
+// Benchmark harness: one sub-benchmark per reproduced figure/table (the
 // rows live in internal/experiments; tables print via cmd/pariobench)
-// plus microbenchmarks of the core access paths. Experiment benches
-// report the headline metric of their table via b.ReportMetric so the
+// plus microbenchmarks of the core access paths. The registry benches
+// report the headline metrics of their table via b.ReportMetric so the
 // paper's shapes are visible in benchmark output.
 package pario_test
 
@@ -16,94 +16,44 @@ import (
 	"repro/internal/probe"
 )
 
-// benchExperiment runs one experiment driver per iteration and reports
-// selected metrics from the final run.
-func benchExperiment(b *testing.B, id string, report ...string) {
-	var res *experiments.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.Run(id, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkRegistry regenerates the paper's figure and tables, one
+// sub-benchmark per registry row (f1, e1–e11), and reports each row's
+// headline metrics.
+func BenchmarkRegistry(b *testing.B) {
+	for _, row := range []struct {
+		id     string
+		report []string
+	}{
+		{"f1", nil},
+		{"e1", []string{"read_speedup_d4", "read_speedup_d16", "read_mbps_d16"}},
+		{"e2", []string{"speedup_c0ms", "speedup_c10ms"}},
+		{"e3", []string{"fast_proc_slowdown"}},
+		{"e4", []string{"mbps_d16_contiguous", "mbps_d1_contiguous"}},
+		{"e5", []string{"s_d4_zipf(2.0)_whole", "s_d4_zipf(2.0)_declustered"}},
+		{"e6", nil},
+		{"e7", nil},
+		{"e8", []string{"mtbf_h_n10", "mtbf_h_n100"}},
+		{"e9", []string{"alt_four_s", "copy_four_s"}},
+		{"e10", []string{"rep_four_h8_s", "cache_four_h8_s"}},
+		{"e11", []string{"files_p64_f4"}},
+	} {
+		b.Run(row.id, func(b *testing.B) {
+			var res *experiments.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = experiments.Run(row.id, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, key := range row.report {
+				v, ok := res.Metrics[key]
+				if !ok {
+					b.Fatalf("%s reports no metric %s", row.id, key)
+				}
+				b.ReportMetric(v, key)
+			}
+		})
 	}
-	for _, key := range report {
-		if v, ok := res.Metrics[key]; ok {
-			b.ReportMetric(v, key)
-		}
-	}
-}
-
-// BenchmarkFigure1Patterns regenerates Figure 1 (access patterns of the
-// S/PS/IS/SS organizations) and validates all four.
-func BenchmarkFigure1Patterns(b *testing.B) {
-	benchExperiment(b, "f1")
-}
-
-// BenchmarkE1Striping regenerates the E1 table (type-S bandwidth vs
-// device count, §4 striping claim).
-func BenchmarkE1Striping(b *testing.B) {
-	benchExperiment(b, "e1", "read_speedup_d4", "read_speedup_d16", "read_mbps_d16")
-}
-
-// BenchmarkE2SelfSched regenerates the E2 table (early pointer release
-// vs serialized self-scheduling, §4).
-func BenchmarkE2SelfSched(b *testing.B) {
-	benchExperiment(b, "e2", "speedup_c0ms", "speedup_c10ms")
-}
-
-// BenchmarkE3DevicePerProcess regenerates the E3 table (PS/IS processes
-// proceed at independent rates on private devices, §4).
-func BenchmarkE3DevicePerProcess(b *testing.B) {
-	benchExperiment(b, "e3", "fast_proc_slowdown")
-}
-
-// BenchmarkE4SeekInterference regenerates the E4 table (devices <
-// processes seek interference and on-device packing policies, §4).
-func BenchmarkE4SeekInterference(b *testing.B) {
-	benchExperiment(b, "e4", "mbps_d16_contiguous", "mbps_d1_contiguous")
-}
-
-// BenchmarkE5Decluster regenerates the E5 table (declustering vs whole
-// blocks under skewed access, §4 / Livny et al.).
-func BenchmarkE5Decluster(b *testing.B) {
-	benchExperiment(b, "e5", "s_d4_zipf(2.0)_whole", "s_d4_zipf(2.0)_declustered")
-}
-
-// BenchmarkE6Buffering regenerates the E6 table (multiple buffering,
-// read-ahead and deferred writing, §4).
-func BenchmarkE6Buffering(b *testing.B) {
-	benchExperiment(b, "e6")
-}
-
-// BenchmarkE7GlobalView regenerates the E7 table (global-view bandwidth
-// by placement; PS serial, IS buffer-starved degradation, §4).
-func BenchmarkE7GlobalView(b *testing.B) {
-	benchExperiment(b, "e7")
-}
-
-// BenchmarkE8Reliability regenerates the E8 tables (MTBF arithmetic,
-// Monte-Carlo loss rates, inject/recover scenarios, §5).
-func BenchmarkE8Reliability(b *testing.B) {
-	benchExperiment(b, "e8", "mtbf_h_n10", "mtbf_h_n100")
-}
-
-// BenchmarkE9ViewMismatch regenerates the E9 table (alternate view vs
-// global fallback vs copy conversion, §5).
-func BenchmarkE9ViewMismatch(b *testing.B) {
-	benchExperiment(b, "e9", "alt_four_s", "copy_four_s")
-}
-
-// BenchmarkE10Boundary regenerates the E10 table (boundary replication
-// vs in-memory caching, §5).
-func BenchmarkE10Boundary(b *testing.B) {
-	benchExperiment(b, "e10", "rep_four_h8_s", "cache_four_h8_s")
-}
-
-// BenchmarkE11FemBaseline regenerates the E11 table (file-per-process
-// baseline vs one PS parallel file, §3).
-func BenchmarkE11FemBaseline(b *testing.B) {
-	benchExperiment(b, "e11", "files_p64_f4")
 }
 
 // --- Microbenchmarks of the hot paths (real time, wall context). ---

@@ -43,61 +43,43 @@ func TestReadmeListsEveryID(t *testing.T) {
 	}
 }
 
+// TestRunSingleExperiment: -run f1 prints exactly the f1 section of the
+// registry's golden file (internal/experiments' TestRegistryGoldens holds
+// every row to it), less the section's metric lines and closing blank
+// line.
 func TestRunSingleExperiment(t *testing.T) {
-	if s := runOut(t, false, "f1"); !strings.Contains(s, "Figure 1") {
-		t.Fatalf("f1 output:\n%s", s)
+	golden, err := os.ReadFile("../../internal/experiments/testdata/registry.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, line := range strings.SplitAfter(string(golden), "\n") {
+		if strings.HasPrefix(line, "== e1: ") {
+			break
+		}
+		if !strings.HasPrefix(line, "metric ") {
+			want.WriteString(line)
+		}
+	}
+	if got := runOut(t, false, "f1"); got+"\n" != want.String() {
+		t.Fatalf("-run f1 printed:\n%s\nthe golden holds:\n%s", got, want.String())
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(false, "zzz", "", false, &out); err == nil {
-		t.Fatal("unknown experiment accepted")
+	if err := run(false, "zzz", "", false, &out); err == nil || out.Len() > 0 {
+		t.Fatalf("unknown experiment: err %v, printed %q", err, out.String())
 	}
 }
 
-// mechanismRows are the rows pariosim printed before it joined the table,
-// each with a phrase of its table's title.
-var mechanismRows = map[string]string{
-	"seek": "Seek curve", "service": "service time", "stripe": "striped scan",
-	"extent": "Extent coalescing", "noncontig": "Vectored I/O", "collective": "Collective I/O",
-	"strategy": "Strategy selection", "contended": "Contention-aware", "pipeline": "Pipelined collective",
-	"replay": "Plan capture & replay", "profile": "Cross-layer profiles",
-	"multijob": "Multi-job I/O service", "scale": "Engine scaling",
-	"cache": "Direct-access buffer pool",
-}
-
-func TestScenarios(t *testing.T) {
-	for id, title := range mechanismRows {
-		if s := runOut(t, false, id); !strings.Contains(s, title) {
-			t.Fatalf("-run %s does not print %q:\n%s", id, title, s)
-		}
-	}
-}
-
-func TestAllScenario(t *testing.T) {
-	s := runOut(t, false, "all")
-	for id, title := range mechanismRows {
-		if !strings.Contains(s, "== "+id+": ") || !strings.Contains(s, title) {
-			t.Fatalf("-run all misses row %s (%q)", id, title)
-		}
-	}
-	if !strings.Contains(s, "\npaper ") || !strings.Contains(s, "\ntuned ") {
-		t.Fatalf("the profile row does not print both profiles")
-	}
-}
-
-func TestSeekTableMonotone(t *testing.T) {
-	// The longest seek row (899 cylinders) must appear.
-	if s := runOut(t, false, "seek"); !strings.Contains(s, "899") {
-		t.Fatalf("full-stroke row missing:\n%s", s)
-	}
-}
-
+// TestUnknownScenario: the error names the id it did not find and the
+// ids it has.
 func TestUnknownScenario(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(false, "wat", "", false, &out); err == nil {
-		t.Fatal("unknown scenario accepted")
+	err := run(false, "wat", "", false, &out)
+	if err == nil || !strings.Contains(err.Error(), `"wat"`) || !strings.Contains(err.Error(), "cache") {
+		t.Fatalf("unknown scenario: err %v", err)
 	}
 }
 

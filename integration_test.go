@@ -11,7 +11,6 @@ import (
 	"repro/internal/convert"
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/experiments"
 	"repro/internal/mpp"
 	"repro/internal/pfs"
 	"repro/internal/sim"
@@ -107,25 +106,6 @@ func TestIntegrationParityStoreFullStack(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestIntegrationExperimentDeterminism re-runs an experiment and demands
-// byte-identical tables — the reproducibility promise of the virtual
-// engine across the whole stack.
-func TestIntegrationExperimentDeterminism(t *testing.T) {
-	for _, id := range []string{"e2", "e5", "e7"} {
-		a, err := experiments.Run(id, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := experiments.Run(id, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
-			t.Fatalf("experiment %s not deterministic:\n%s\nvs\n%s", id, a.String(), b.String())
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/blockio"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/pfs"
 	"repro/internal/probe"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -28,60 +26,20 @@ func E1Striping(rec *probe.Recorder) (*Result, error) {
 
 	var baseRead time.Duration
 	for _, devs := range []int{1, 2, 4, 8, 16} {
-		e := sim.NewEngine()
-		_, vol, err := array(rec, e, devs, device.FCFS)
-		if err != nil {
-			return nil, err
-		}
-		f, err := vol.Create(pfs.Spec{
-			Name: "s", Org: pfs.OrgSequential, RecordSize: recordSize,
-			BlockRecords: 1, NumRecords: records, StripeUnitFS: 1,
-		})
-		if err != nil {
-			return nil, err
-		}
+		// The fill is the timed write.
 		opts := core.Options{NBufs: 2 * devs, IOProcs: devs, EarlyRelease: true}
-		var writeTime, readTime time.Duration
-		if _, err := runMain(e, func(p *sim.Proc) error {
-			start := p.Now()
-			w, err := core.OpenWriter(f, opts)
-			if err != nil {
-				return err
-			}
-			buf := make([]byte, recordSize)
-			for r := int64(0); r < records; r++ {
-				if _, err := w.WriteRecord(p, buf); err != nil {
-					return err
-				}
-			}
-			if err := w.Close(p); err != nil {
-				return err
-			}
-			writeTime = p.Now() - start
-
-			start = p.Now()
-			rd, err := core.OpenReader(f, opts)
-			if err != nil {
-				return err
-			}
-			for {
-				if _, _, err := rd.ReadRecord(p); err != nil {
-					if err == io.EOF {
-						break
-					}
-					return err
-				}
-			}
-			if err := rd.Close(p); err != nil {
-				return err
-			}
-			readTime = p.Now() - start
-			return nil
-		}); err != nil {
+		res, err := organization{
+			drives: devs,
+			spec: pfs.Spec{Name: "s", Org: pfs.OrgSequential, RecordSize: recordSize,
+				BlockRecords: 1, NumRecords: records, StripeUnitFS: 1},
+			fillOpts: opts,
+			phases:   [][]consumer{team(1, global, opts, 0)},
+		}.run(rec)
+		if err != nil {
 			return nil, err
 		}
-
 		bytes := int64(records) * recordSize
+		readTime, writeTime := res.ends[0], res.fill
 		if devs == 1 {
 			baseRead = readTime
 		}
@@ -106,75 +64,28 @@ func E2SelfSched(rec *probe.Recorder) (*Result, error) {
 	table.Note = "early release = pointer advanced and buffer reserved before the transfer completes (§4)"
 	metrics := map[string]float64{}
 
-	run := func(early bool, compute time.Duration) (time.Duration, error) {
-		e := sim.NewEngine()
-		_, vol, err := array(rec, e, devs, device.FCFS)
-		if err != nil {
-			return 0, err
-		}
-		f, err := vol.Create(pfs.Spec{
-			Name: "ss", Org: pfs.OrgSelfScheduled, RecordSize: recordSize,
-			BlockRecords: 1, NumRecords: records, StripeUnitFS: 1,
-		})
-		if err != nil {
-			return 0, err
-		}
-		var elapsed time.Duration
-		_, err = runMain(e, func(p *sim.Proc) error {
-			w, err := core.OpenWriter(f, core.Options{NBufs: 2 * devs, IOProcs: devs})
-			if err != nil {
-				return err
-			}
-			buf := make([]byte, recordSize)
-			for r := int64(0); r < records; r++ {
-				if _, err := w.WriteRecord(p, buf); err != nil {
-					return err
-				}
-			}
-			if err := w.Close(p); err != nil {
-				return err
-			}
-			start := p.Now()
-			opts := core.Options{NBufs: 2 * devs, IOProcs: devs, EarlyRelease: early}
-			ss, err := core.OpenSelfSched(f, core.SSRead, opts)
-			if err != nil {
-				return err
-			}
-			var g sim.Group
-			for wk := 0; wk < workers; wk++ {
-				g.Spawn(p.Engine(), "w", func(c *sim.Proc) {
-					dst := make([]byte, recordSize)
-					for {
-						if _, err := ss.ReadNext(c, dst); err != nil {
-							return
-						}
-						if compute > 0 {
-							c.Sleep(compute)
-						}
-					}
-				})
-			}
-			g.Wait(p)
-			if err := ss.Close(p); err != nil {
-				return err
-			}
-			elapsed = p.Now() - start
-			return nil
-		})
-		return elapsed, err
+	// run is 8 workers claiming from one handle, blockRecords records a
+	// block, each computing for compute a record.
+	run := func(blockRecords int, v view, early bool, compute time.Duration) (orgResult, error) {
+		return organization{
+			drives: devs,
+			spec: pfs.Spec{Name: "ss", Org: pfs.OrgSelfScheduled, RecordSize: recordSize,
+				BlockRecords: blockRecords, NumRecords: records, StripeUnitFS: 1},
+			fillOpts: core.Options{NBufs: 2 * devs, IOProcs: devs},
+			phases:   [][]consumer{team(workers, v, core.Options{NBufs: 2 * devs, IOProcs: devs, EarlyRelease: early}, compute)},
+		}.run(rec)
 	}
-
 	for _, compute := range []time.Duration{0, 2 * time.Millisecond, 10 * time.Millisecond, 40 * time.Millisecond} {
-		early, err := run(true, compute)
+		early, err := run(1, claim, true, compute)
 		if err != nil {
 			return nil, err
 		}
-		serial, err := run(false, compute)
+		serial, err := run(1, claim, false, compute)
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(compute, early, serial, stats.Speedup(serial, early))
-		metrics[fmt.Sprintf("speedup_c%dms", compute/time.Millisecond)] = stats.Speedup(serial, early)
+		table.AddRow(compute, early.ends[0], serial.ends[0], stats.Speedup(serial.ends[0], early.ends[0]))
+		metrics[fmt.Sprintf("speedup_c%dms", compute/time.Millisecond)] = stats.Speedup(serial.ends[0], early.ends[0])
 	}
 
 	// Extension (§3.1): "self-scheduling by block for multi-record blocks
@@ -182,85 +93,17 @@ func E2SelfSched(rec *probe.Recorder) (*Result, error) {
 	// amortizes the shared-pointer critical section.
 	granTable := stats.NewTable("E2b: claim granularity, 512 records in 4-record blocks, 2 ms compute/record",
 		"claim unit", "elapsed", "pointer claims")
-	runBlocks := func(byBlock bool) (time.Duration, int64, error) {
-		e := sim.NewEngine()
-		_, vol, err := array(rec, e, devs, device.FCFS)
+	for _, g := range []struct {
+		unit, key string
+		v         view
+	}{{"record", "claims_record", claim}, {"block (4 records)", "claims_block", claimBlocks}} {
+		res, err := run(4, g.v, true, 2*time.Millisecond)
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
-		f, err := vol.Create(pfs.Spec{
-			Name: "ssb", Org: pfs.OrgSelfScheduled, RecordSize: recordSize,
-			BlockRecords: 4, NumRecords: records, StripeUnitFS: 1,
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		var elapsed time.Duration
-		var claims int64
-		_, err = runMain(e, func(p *sim.Proc) error {
-			w, err := core.OpenWriter(f, core.Options{NBufs: 2 * devs, IOProcs: devs})
-			if err != nil {
-				return err
-			}
-			buf := make([]byte, recordSize)
-			for r := int64(0); r < records; r++ {
-				if _, err := w.WriteRecord(p, buf); err != nil {
-					return err
-				}
-			}
-			if err := w.Close(p); err != nil {
-				return err
-			}
-			start := p.Now()
-			ss, err := core.OpenSelfSched(f, core.SSRead, core.Options{NBufs: 2 * devs, IOProcs: devs, EarlyRelease: true})
-			if err != nil {
-				return err
-			}
-			var g sim.Group
-			for wk := 0; wk < workers; wk++ {
-				g.Spawn(p.Engine(), "w", func(c *sim.Proc) {
-					dst := make([]byte, recordSize)
-					for {
-						if byBlock {
-							payload, _, err := ss.ReadNextBlock(c)
-							if err != nil {
-								return
-							}
-							claims++
-							n := len(payload) / recordSize
-							c.Sleep(time.Duration(n) * 2 * time.Millisecond)
-						} else {
-							if _, err := ss.ReadNext(c, dst); err != nil {
-								return
-							}
-							claims++
-							c.Sleep(2 * time.Millisecond)
-						}
-					}
-				})
-			}
-			g.Wait(p)
-			if err := ss.Close(p); err != nil {
-				return err
-			}
-			elapsed = p.Now() - start
-			return nil
-		})
-		return elapsed, claims, err
+		granTable.AddRow(g.unit, res.ends[0], res.claims)
+		metrics[g.key] = float64(res.claims)
 	}
-	recElapsed, recClaims, err := runBlocks(false)
-	if err != nil {
-		return nil, err
-	}
-	blkElapsed, blkClaims, err := runBlocks(true)
-	if err != nil {
-		return nil, err
-	}
-	granTable.AddRow("record", recElapsed, recClaims)
-	granTable.AddRow("block (4 records)", blkElapsed, blkClaims)
-	metrics["claims_record"] = float64(recClaims)
-	metrics["claims_block"] = float64(blkClaims)
-
 	return &Result{Tables: []*stats.Table{table, granTable}, Metrics: metrics}, nil
 }
 
@@ -274,79 +117,34 @@ func E3DevicePerProcess(rec *probe.Recorder) (*Result, error) {
 	table := stats.NewTable("E3: 4 PS partitions, per-process compute rates 0/4/8/12 ms per block",
 		"devices", "finish p0", "finish p1", "finish p2", "finish p3", "fast proc slowdown vs private")
 	table.Note = "private devices let the light process finish early; a shared device couples everyone"
-	metrics := map[string]float64{}
 
-	run := func(devs int) ([procs]time.Duration, error) {
-		var finish [procs]time.Duration
-		e := sim.NewEngine()
-		_, vol, err := array(rec, e, devs, device.FCFS)
-		if err != nil {
-			return finish, err
+	var finish [2][]time.Duration // private, shared
+	for i, devs := range []int{procs, 1} {
+		cs := team(procs, part, core.Options{NBufs: 2, IOProcs: 1}, 0)
+		for w := range cs {
+			cs[w].compute = time.Duration(w) * 4 * time.Millisecond
 		}
-		f, err := vol.Create(pfs.Spec{
-			Name: "ps", Org: pfs.OrgPartitioned, RecordSize: recordSize,
-			BlockRecords: 1, NumRecords: procs * blocksPerPart, Parts: procs,
-		})
+		res, err := organization{
+			drives: devs,
+			spec: pfs.Spec{Name: "ps", Org: pfs.OrgPartitioned, RecordSize: recordSize,
+				BlockRecords: 1, NumRecords: procs * blocksPerPart, Parts: procs},
+			fillOpts: core.Options{NBufs: 4, IOProcs: 2},
+			phases:   [][]consumer{cs},
+		}.run(rec)
 		if err != nil {
-			return finish, err
+			return nil, err
 		}
-		_, err = runMain(e, func(p *sim.Proc) error {
-			// Fill all partitions.
-			w, err := core.OpenWriter(f, core.Options{NBufs: 4, IOProcs: 2})
-			if err != nil {
-				return err
-			}
-			buf := make([]byte, recordSize)
-			for r := int64(0); r < procs*blocksPerPart; r++ {
-				if _, err := w.WriteRecord(p, buf); err != nil {
-					return err
-				}
-			}
-			if err := w.Close(p); err != nil {
-				return err
-			}
-			start := p.Now()
-			var g sim.Group
-			for wk := 0; wk < procs; wk++ {
-				wid := wk
-				compute := time.Duration(wid) * 4 * time.Millisecond
-				g.Spawn(p.Engine(), "w", func(c *sim.Proc) {
-					r, err := core.OpenPartReader(f, wid, core.Options{NBufs: 2, IOProcs: 1})
-					if err != nil {
-						return
-					}
-					for {
-						if _, _, err := r.ReadRecord(c); err != nil {
-							break
-						}
-						if compute > 0 {
-							c.Sleep(compute)
-						}
-					}
-					_ = r.Close(c)
-					finish[wid] = c.Now() - start
-				})
-			}
-			g.Wait(p)
-			return nil
-		})
-		return finish, err
+		finish[i] = res.finish
 	}
-
-	private, err := run(procs)
-	if err != nil {
-		return nil, err
-	}
-	shared, err := run(1)
-	if err != nil {
-		return nil, err
-	}
+	private, shared := finish[0], finish[1]
 	table.AddRow(procs, private[0], private[1], private[2], private[3], 1.0)
 	slow := float64(shared[0]) / float64(private[0])
 	table.AddRow(1, shared[0], shared[1], shared[2], shared[3], slow)
-	metrics["private_fast_finish_ms"] = float64(private[0]) / float64(time.Millisecond)
-	metrics["shared_fast_finish_ms"] = float64(shared[0]) / float64(time.Millisecond)
-	metrics["fast_proc_slowdown"] = slow
+	metrics := map[string]float64{
+		"private_fast_finish_ms": float64(private[0]) / float64(time.Millisecond),
+		"shared_fast_finish_ms":  float64(shared[0]) / float64(time.Millisecond),
+		"fast_proc_slowdown":     slow,
+	}
 	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
@@ -364,77 +162,29 @@ func E4SeekInterference(rec *probe.Recorder) (*Result, error) {
 	table.Note = "FCFS queues; interleaved packing keeps co-resident partitions' current blocks close together"
 	metrics := map[string]float64{}
 
-	run := func(devs int, pack blockio.Pack, sched device.Sched) (time.Duration, int64, int64, error) {
-		e := sim.NewEngine()
-		disks, vol, err := array(rec, e, devs, sched)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		f, err := vol.Create(pfs.Spec{
-			Name: "ps", Org: pfs.OrgPartitioned, RecordSize: recordSize,
-			BlockRecords: 1, NumRecords: procs * blocksPerPart, Parts: procs,
-			Pack: pack,
-		})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		var elapsed time.Duration
-		_, err = runMain(e, func(p *sim.Proc) error {
-			w, err := core.OpenWriter(f, core.Options{NBufs: 4, IOProcs: 2})
-			if err != nil {
-				return err
-			}
-			buf := make([]byte, recordSize)
-			for r := int64(0); r < procs*blocksPerPart; r++ {
-				if _, err := w.WriteRecord(p, buf); err != nil {
-					return err
-				}
-			}
-			if err := w.Close(p); err != nil {
-				return err
-			}
-			for _, d := range disks {
-				d.ResetStats()
-			}
-			start := p.Now()
-			var g sim.Group
-			for wk := 0; wk < procs; wk++ {
-				wid := wk
-				g.Spawn(p.Engine(), "w", func(c *sim.Proc) {
-					r, err := core.OpenPartReader(f, wid, core.Options{NBufs: 2, IOProcs: 1})
-					if err != nil {
-						return
-					}
-					for {
-						if _, _, err := r.ReadRecord(c); err != nil {
-							break
-						}
-						c.Sleep(time.Millisecond) // light compute keeps procs in lockstep
-					}
-					_ = r.Close(c)
-				})
-			}
-			g.Wait(p)
-			elapsed = p.Now() - start
-			return nil
-		})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		seeks, cyls := sumSeeks(disks)
-		return elapsed, seeks, cyls, nil
+	// run is the 16 readers, a light 1 ms a record keeping them in
+	// lockstep; the seeks counted are the scan's.
+	run := func(devs int, pack blockio.Pack, sched device.Sched) (orgResult, error) {
+		return organization{
+			drives: devs, sched: sched,
+			spec: pfs.Spec{Name: "ps", Org: pfs.OrgPartitioned, RecordSize: recordSize,
+				BlockRecords: 1, NumRecords: procs * blocksPerPart, Parts: procs, Pack: pack},
+			fillOpts: core.Options{NBufs: 4, IOProcs: 2},
+			phases:   [][]consumer{team(procs, part, core.Options{NBufs: 2, IOProcs: 1}, time.Millisecond)},
+		}.run(rec)
 	}
 
 	bytes := int64(procs) * blocksPerPart * recordSize
 	for _, devs := range []int{16, 8, 4, 2, 1} {
 		for _, pack := range []blockio.Pack{blockio.PackContiguous, blockio.PackInterleaved} {
-			elapsed, seeks, cyls, err := run(devs, pack, device.FCFS)
+			res, err := run(devs, pack, device.FCFS)
 			if err != nil {
 				return nil, err
 			}
-			table.AddRow(devs, procs/devs, pack.String(), elapsed, stats.MBps(bytes, elapsed), seeks, cyls)
+			elapsed := res.ends[0]
+			table.AddRow(devs, procs/devs, pack.String(), elapsed, stats.MBps(bytes, elapsed), res.seeks, res.seekCyls)
 			metrics[fmt.Sprintf("mbps_d%d_%s", devs, pack)] = stats.MBps(bytes, elapsed)
-			metrics[fmt.Sprintf("seekcyls_d%d_%s", devs, pack)] = float64(cyls)
+			metrics[fmt.Sprintf("seekcyls_d%d_%s", devs, pack)] = float64(res.seekCyls)
 		}
 	}
 
@@ -445,13 +195,14 @@ func E4SeekInterference(rec *probe.Recorder) (*Result, error) {
 		"devices", "discipline", "elapsed", "agg MB/s", "seek cylinders")
 	for _, devs := range []int{4, 1} {
 		for _, sched := range []device.Sched{device.FCFS, device.SCAN} {
-			elapsed, _, cyls, err := run(devs, blockio.PackContiguous, sched)
+			res, err := run(devs, blockio.PackContiguous, sched)
 			if err != nil {
 				return nil, err
 			}
-			scanTable.AddRow(devs, sched.String(), elapsed, stats.MBps(bytes, elapsed), cyls)
+			elapsed := res.ends[0]
+			scanTable.AddRow(devs, sched.String(), elapsed, stats.MBps(bytes, elapsed), res.seekCyls)
 			metrics[fmt.Sprintf("mbps_d%d_%s", devs, sched)] = stats.MBps(bytes, elapsed)
-			metrics[fmt.Sprintf("seekcyls_d%d_%s", devs, sched)] = float64(cyls)
+			metrics[fmt.Sprintf("seekcyls_d%d_%s", devs, sched)] = float64(res.seekCyls)
 		}
 	}
 	return &Result{Tables: []*stats.Table{table, scanTable}, Metrics: metrics}, nil

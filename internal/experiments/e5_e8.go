@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"time"
 
@@ -137,84 +136,12 @@ func E6Buffering(rec *probe.Recorder) (*Result, error) {
 	table.Note = "unbuffered = synchronous fetch per record; multiple buffering overlaps transfers with compute"
 	metrics := map[string]float64{}
 
-	run := func(nbufs, ioprocs int, write bool) (time.Duration, error) {
-		e := sim.NewEngine()
-		_, vol, err := array(rec, e, devs, device.FCFS)
-		if err != nil {
-			return 0, err
-		}
-		f, err := vol.Create(pfs.Spec{
-			Name: "s", Org: pfs.OrgSequential, RecordSize: recordSize,
-			BlockRecords: 1, NumRecords: records, StripeUnitFS: 1,
-		})
-		if err != nil {
-			return 0, err
-		}
-		var elapsed time.Duration
-		_, err = runMain(e, func(p *sim.Proc) error {
-			buf := make([]byte, recordSize)
-			if !write {
-				// Pre-fill for the read scan.
-				w, err := core.OpenWriter(f, core.Options{NBufs: 4, IOProcs: 2})
-				if err != nil {
-					return err
-				}
-				for r := int64(0); r < records; r++ {
-					if _, err := w.WriteRecord(p, buf); err != nil {
-						return err
-					}
-				}
-				if err := w.Close(p); err != nil {
-					return err
-				}
-			}
-			start := p.Now()
-			opts := core.Options{NBufs: nbufs, IOProcs: ioprocs}
-			if write {
-				w, err := core.OpenWriter(f, opts)
-				if err != nil {
-					return err
-				}
-				for r := int64(0); r < records; r++ {
-					p.Sleep(compute)
-					if _, err := w.WriteRecord(p, buf); err != nil {
-						return err
-					}
-				}
-				if err := w.Close(p); err != nil {
-					return err
-				}
-			} else {
-				rd, err := core.OpenReader(f, opts)
-				if err != nil {
-					return err
-				}
-				for {
-					if _, _, err := rd.ReadRecord(p); err != nil {
-						if err == io.EOF {
-							break
-						}
-						return err
-					}
-					p.Sleep(compute)
-				}
-				if err := rd.Close(p); err != nil {
-					return err
-				}
-			}
-			elapsed = p.Now() - start
-			return nil
-		})
-		return elapsed, err
-	}
-
-	type cfg struct {
-		label   string
-		nbufs   int
-		ioprocs int
-		write   bool
-	}
-	cases := []cfg{
+	var baseRead, baseWrite time.Duration
+	for _, c := range []struct {
+		label          string
+		nbufs, ioprocs int
+		write          bool
+	}{
 		{"read, unbuffered", 1, 0, false},
 		{"read, single buffer", 1, 1, false},
 		{"read, double buffer", 2, 1, false},
@@ -223,12 +150,28 @@ func E6Buffering(rec *probe.Recorder) (*Result, error) {
 		{"write, synchronous", 1, 0, true},
 		{"write, deferred x2", 2, 1, true},
 		{"write, deferred x4", 4, 2, true},
-	}
-	var baseRead, baseWrite time.Duration
-	for _, c := range cases {
-		elapsed, err := run(c.nbufs, c.ioprocs, c.write)
+	} {
+		// A read scans what a 4-buffer writer left; a write is the fill,
+		// computing before every record, then read back unmeasured.
+		opts := core.Options{NBufs: c.nbufs, IOProcs: c.ioprocs}
+		o := organization{
+			drives: devs,
+			spec: pfs.Spec{Name: "s", Org: pfs.OrgSequential, RecordSize: recordSize,
+				BlockRecords: 1, NumRecords: records, StripeUnitFS: 1},
+			fillOpts: core.Options{NBufs: 4, IOProcs: 2},
+			phases:   [][]consumer{team(1, global, opts, compute)},
+		}
+		if c.write {
+			o.fillOpts, o.fillCompute = opts, compute
+			o.phases = [][]consumer{team(1, global, opts, 0)}
+		}
+		res, err := o.run(rec)
 		if err != nil {
 			return nil, err
+		}
+		elapsed := res.ends[0]
+		if c.write {
+			elapsed = res.fill
 		}
 		if c.label == "read, unbuffered" {
 			baseRead = elapsed
@@ -260,94 +203,35 @@ func E7GlobalView(rec *probe.Recorder) (*Result, error) {
 	table.Note = "scan uses 8 buffers / 4 I/O procs unless noted; striped-S sets the parallel ceiling"
 	metrics := map[string]float64{}
 
-	type cfg struct {
-		label   string
-		spec    pfs.Spec
-		nbufs   int
-		ioprocs int
-	}
-	cases := []cfg{
-		{
-			label: "S striped (unit 1)",
-			spec: pfs.Spec{Name: "s", Org: pfs.OrgSequential, RecordSize: recordSize,
-				BlockRecords: 1, NumRecords: totalRecords, StripeUnitFS: 1},
-			nbufs: 8, ioprocs: 4,
-		},
-		{
-			label: "PS (partition per device)",
-			spec: pfs.Spec{Name: "ps", Org: pfs.OrgPartitioned, RecordSize: recordSize,
-				BlockRecords: 1, NumRecords: totalRecords, Parts: devs},
-			nbufs: 8, ioprocs: 4,
-		},
-		{
-			label: "IS (1-block groups)",
-			spec: pfs.Spec{Name: "is", Org: pfs.OrgInterleaved, RecordSize: recordSize,
-				BlockRecords: 1, NumRecords: totalRecords, Parts: devs},
-			nbufs: 8, ioprocs: 4,
-		},
-		{
-			label: "IS (8-block groups, buffers >= group)",
-			spec: pfs.Spec{Name: "isbig", Org: pfs.OrgInterleaved, RecordSize: recordSize,
-				BlockRecords: 8, NumRecords: totalRecords, Parts: devs},
-			nbufs: 24, ioprocs: 24,
-		},
-		{
-			label: "IS (8-block groups, buffers < group)",
-			spec: pfs.Spec{Name: "issmall", Org: pfs.OrgInterleaved, RecordSize: recordSize,
-				BlockRecords: 8, NumRecords: totalRecords, Parts: devs},
-			nbufs: 4, ioprocs: 4,
-		},
-	}
-
-	for _, c := range cases {
-		e := sim.NewEngine()
-		_, vol, err := array(rec, e, devs, device.FCFS)
-		if err != nil {
-			return nil, err
+	for _, c := range []struct {
+		label          string
+		org            pfs.Organization
+		blockRecords   int
+		nbufs, ioprocs int
+	}{
+		{"S striped (unit 1)", pfs.OrgSequential, 1, 8, 4},
+		{"PS (partition per device)", pfs.OrgPartitioned, 1, 8, 4},
+		{"IS (1-block groups)", pfs.OrgInterleaved, 1, 8, 4},
+		{"IS (8-block groups, buffers >= group)", pfs.OrgInterleaved, 8, 24, 24},
+		{"IS (8-block groups, buffers < group)", pfs.OrgInterleaved, 8, 4, 4},
+	} {
+		spec := pfs.Spec{Name: "f", Org: c.org, RecordSize: recordSize, BlockRecords: c.blockRecords, NumRecords: totalRecords}
+		if c.org == pfs.OrgSequential {
+			spec.StripeUnitFS = 1
+		} else {
+			spec.Parts = devs
 		}
-		f, err := vol.Create(c.spec)
+		res, err := organization{
+			drives: devs, spec: spec,
+			fillOpts: core.Options{NBufs: 8, IOProcs: 4},
+			phases:   [][]consumer{team(1, global, core.Options{NBufs: c.nbufs, IOProcs: c.ioprocs}, 0)},
+		}.run(rec)
 		if err != nil {
-			return nil, err
-		}
-		var elapsed time.Duration
-		if _, err := runMain(e, func(p *sim.Proc) error {
-			w, err := core.OpenWriter(f, core.Options{NBufs: 8, IOProcs: 4})
-			if err != nil {
-				return err
-			}
-			buf := make([]byte, recordSize)
-			for r := int64(0); r < totalRecords; r++ {
-				if _, err := w.WriteRecord(p, buf); err != nil {
-					return err
-				}
-			}
-			if err := w.Close(p); err != nil {
-				return err
-			}
-			start := p.Now()
-			rd, err := core.OpenReader(f, core.Options{NBufs: c.nbufs, IOProcs: c.ioprocs})
-			if err != nil {
-				return err
-			}
-			for {
-				if _, _, err := rd.ReadRecord(p); err != nil {
-					if err == io.EOF {
-						break
-					}
-					return err
-				}
-			}
-			if err := rd.Close(p); err != nil {
-				return err
-			}
-			elapsed = p.Now() - start
-			return nil
-		}); err != nil {
 			return nil, err
 		}
 		bytes := int64(totalRecords) * recordSize
-		fsPer := f.Mapper().FSPerBlock()
-		table.AddRow(c.label, fsPer, c.nbufs, elapsed, stats.MBps(bytes, elapsed))
+		elapsed := res.ends[0]
+		table.AddRow(c.label, res.file.Mapper().FSPerBlock(), c.nbufs, elapsed, stats.MBps(bytes, elapsed))
 		metrics[c.label] = stats.MBps(bytes, elapsed)
 	}
 	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil

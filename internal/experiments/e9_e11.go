@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/boundary"
 	"repro/internal/convert"
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/fem"
 	"repro/internal/pfs"
 	"repro/internal/probe"
@@ -16,6 +14,9 @@ import (
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
+
+// fourPasses is a body that runs the same phase four times.
+func fourPasses(cs []consumer) [][]consumer { return [][]consumer{cs, cs, cs, cs} }
 
 // E9ViewMismatch measures the §5 remedies when a file written with a PS
 // organization must later be consumed with an IS view: the alternate
@@ -29,172 +30,44 @@ func E9ViewMismatch(rec *probe.Recorder) (*Result, error) {
 	table := stats.NewTable("E9: PS-written 2 MiB file consumed with an IS view (4 processes, 4 devices)",
 		"strategy", "1 pass", "4 passes", "notes")
 	table.Note = "copy-convert pays the conversion once; alternate view pays the placement mismatch every pass"
-	metrics := map[string]float64{}
 
-	// readPass performs one full parallel IS-view consumption of f.
-	readPass := func(p *sim.Proc, f *pfs.File, native bool) error {
-		var g sim.Group
-		for w := 0; w < procs; w++ {
-			wid := w
-			g.Spawn(p.Engine(), "w", func(c *sim.Proc) {
-				r, err := core.OpenInterleavedReader(f, wid, procs, core.Options{NBufs: 2, IOProcs: 1})
-				if err != nil {
-					return
-				}
-				for {
-					if _, _, err := r.ReadRecord(c); err != nil {
-						break
-					}
-					c.Sleep(time.Millisecond)
-				}
-				_ = r.Close(c)
-			})
+	// One pass is a full parallel IS-view consumption, 1 ms a record, or
+	// one sequential consumer doing the same total compute.
+	isPass := team(procs, interleaved, core.Options{NBufs: 2, IOProcs: 1}, time.Millisecond)
+	var one, four [3]time.Duration
+	for i, s := range []struct {
+		label, notes string
+		pass         []consumer
+		convert      bool
+	}{
+		{"alternate view (PS placement)", "stride fights placement every pass", isPass, false},
+		{"global-view fallback", "one sequential consumer", team(1, global, core.Options{NBufs: 8, IOProcs: 4}, time.Millisecond/4), false},
+		{"copy-convert to IS", "includes one full copy", isPass, true},
+	} {
+		o := organization{
+			drives: devs,
+			spec: pfs.Spec{Name: "ps", Org: pfs.OrgPartitioned, RecordSize: recordSize,
+				BlockRecords: 1, NumRecords: totalRecords, Parts: procs},
+			fillOpts: core.Options{NBufs: 8, IOProcs: 4},
+			phases:   fourPasses(s.pass),
 		}
-		g.Wait(p)
-		return nil
-	}
-
-	mkPS := func(e *sim.Engine) (*pfs.Volume, *pfs.File, error) {
-		_, vol, err := array(rec, e, devs, device.FCFS)
-		if err != nil {
-			return nil, nil, err
-		}
-		f, err := vol.Create(pfs.Spec{
-			Name: "ps", Org: pfs.OrgPartitioned, RecordSize: recordSize,
-			BlockRecords: 1, NumRecords: totalRecords, Parts: procs,
-		})
-		return vol, f, err
-	}
-	fill := func(p *sim.Proc, f *pfs.File) error {
-		w, err := core.OpenWriter(f, core.Options{NBufs: 8, IOProcs: 4})
-		if err != nil {
-			return err
-		}
-		buf := make([]byte, recordSize)
-		for r := int64(0); r < totalRecords; r++ {
-			workload.Record(buf, 1, r)
-			if _, err := w.WriteRecord(p, buf); err != nil {
-				return err
+		if s.convert {
+			o.before = func(p *sim.Proc, vol *pfs.Volume, f *pfs.File) (*pfs.File, error) {
+				return convert.ToOrganization(p, vol, f, "is", pfs.OrgInterleaved, procs, core.Options{NBufs: 8, IOProcs: 4})
 			}
 		}
-		return w.Close(p)
-	}
-
-	// Strategy 1: alternate view directly on the PS file.
-	altOne, altFour := time.Duration(0), time.Duration(0)
-	{
-		e := sim.NewEngine()
-		_, f, err := mkPS(e)
+		res, err := o.run(rec)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := runMain(e, func(p *sim.Proc) error {
-			if err := fill(p, f); err != nil {
-				return err
-			}
-			start := p.Now()
-			if err := readPass(p, f, false); err != nil {
-				return err
-			}
-			altOne = p.Now() - start
-			for i := 0; i < 3; i++ {
-				if err := readPass(p, f, false); err != nil {
-					return err
-				}
-			}
-			altFour = p.Now() - start
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		one[i], four[i] = res.ends[0], res.ends[3]
+		table.AddRow(s.label, one[i], four[i], s.notes)
 	}
-
-	// Strategy 2: global-view fallback (single sequential consumer).
-	glbOne, glbFour := time.Duration(0), time.Duration(0)
-	{
-		e := sim.NewEngine()
-		_, f, err := mkPS(e)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := runMain(e, func(p *sim.Proc) error {
-			if err := fill(p, f); err != nil {
-				return err
-			}
-			start := p.Now()
-			pass := func() error {
-				r, err := core.OpenReader(f, core.Options{NBufs: 8, IOProcs: 4})
-				if err != nil {
-					return err
-				}
-				for {
-					if _, _, err := r.ReadRecord(p); err != nil {
-						if err == io.EOF {
-							return r.Close(p)
-						}
-						return err
-					}
-					p.Sleep(time.Millisecond / 4) // same total compute, one process
-				}
-			}
-			if err := pass(); err != nil {
-				return err
-			}
-			glbOne = p.Now() - start
-			for i := 0; i < 3; i++ {
-				if err := pass(); err != nil {
-					return err
-				}
-			}
-			glbFour = p.Now() - start
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+	metrics := map[string]float64{
+		"alt_one_s": one[0].Seconds(), "alt_four_s": four[0].Seconds(),
+		"glb_one_s":  one[1].Seconds(),
+		"copy_one_s": one[2].Seconds(), "copy_four_s": four[2].Seconds(),
 	}
-
-	// Strategy 3: copy-convert to IS, then native passes.
-	cpOne, cpFour := time.Duration(0), time.Duration(0)
-	{
-		e := sim.NewEngine()
-		vol, f, err := mkPS(e)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := runMain(e, func(p *sim.Proc) error {
-			if err := fill(p, f); err != nil {
-				return err
-			}
-			start := p.Now()
-			is, err := convert.ToOrganization(p, vol, f, "is", pfs.OrgInterleaved, procs,
-				core.Options{NBufs: 8, IOProcs: 4})
-			if err != nil {
-				return err
-			}
-			if err := readPass(p, is, true); err != nil {
-				return err
-			}
-			cpOne = p.Now() - start
-			for i := 0; i < 3; i++ {
-				if err := readPass(p, is, true); err != nil {
-					return err
-				}
-			}
-			cpFour = p.Now() - start
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	table.AddRow("alternate view (PS placement)", altOne, altFour, "stride fights placement every pass")
-	table.AddRow("global-view fallback", glbOne, glbFour, "one sequential consumer")
-	table.AddRow("copy-convert to IS", cpOne, cpFour, "includes one full copy")
-	metrics["alt_one_s"] = altOne.Seconds()
-	metrics["alt_four_s"] = altFour.Seconds()
-	metrics["glb_one_s"] = glbOne.Seconds()
-	metrics["copy_one_s"] = cpOne.Seconds()
-	metrics["copy_four_s"] = cpFour.Seconds()
 	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
@@ -212,191 +85,89 @@ func E10Boundary(rec *probe.Recorder) (*Result, error) {
 	table.Note = "replicate stores halos in the file; cache reads them once via direct access and holds them in memory"
 	metrics := map[string]float64{}
 
+	partOpts := core.Options{NBufs: 2, IOProcs: 1}
+	// pass is the partitions' consumers, 1 ms a record, each opening open.
+	pass := func(open func(p *sim.Proc, f *pfs.File, part int) (recordReader, error)) []consumer {
+		cs := team(parts, part, partOpts, time.Millisecond)
+		for i := range cs {
+			cs[i].open = open
+		}
+		return cs
+	}
 	for _, halo := range []int64{1, 8} {
 		l, err := boundary.New(parts, points, halo)
 		if err != nil {
 			return nil, err
 		}
 
-		// Strategy A: replicated file.
-		var repOne, repFour, repGlobal time.Duration
-		{
-			e := sim.NewEngine()
-			_, vol, err := array(rec, e, devs, device.FCFS)
-			if err != nil {
-				return nil, err
-			}
-			f, err := boundary.CreateReplicated(vol, "halo", recordSize, l)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := runMain(e, func(p *sim.Proc) error {
-				src := func(rec int64, buf []byte) error {
-					workload.Record(buf, 2, rec)
-					return nil
-				}
+		// Strategy A: replicated file, each partition's stream filled with
+		// its owned and halo records; the global view pays the dedup
+		// machinery.
+		repPass := pass(func(_ *sim.Proc, f *pfs.File, part int) (recordReader, error) {
+			return boundary.OpenPartReader(f, l, part, partOpts)
+		})
+		rep, err := organization{
+			drives: devs,
+			create: func(vol *pfs.Volume) (*pfs.File, error) {
+				return boundary.CreateReplicated(vol, "halo", recordSize, l)
+			},
+			fill: func(p *sim.Proc, f *pfs.File) error {
+				src := func(r int64, buf []byte) error { record(buf, r); return nil }
 				for part := 0; part < parts; part++ {
 					if err := boundary.WriteReplicated(p, f, l, part, src, core.Options{NBufs: 4, IOProcs: 2}); err != nil {
 						return err
 					}
 				}
-				start := p.Now()
-				pass := func() error {
-					var g sim.Group
-					for part := 0; part < parts; part++ {
-						pid := part
-						g.Spawn(p.Engine(), "w", func(c *sim.Proc) {
-							pr, err := boundary.OpenPartReader(f, l, pid, core.Options{NBufs: 2, IOProcs: 1})
-							if err != nil {
-								return
-							}
-							for {
-								if _, _, err := pr.ReadRecord(c); err != nil {
-									break
-								}
-								c.Sleep(time.Millisecond)
-							}
-							_ = pr.Close(c)
-						})
-					}
-					g.Wait(p)
-					return nil
-				}
-				if err := pass(); err != nil {
-					return err
-				}
-				repOne = p.Now() - start
-				for i := 0; i < 3; i++ {
-					if err := pass(); err != nil {
-						return err
-					}
-				}
-				repFour = p.Now() - start
-				// Global-view scan pays the dedup machinery.
-				gStart := p.Now()
-				dr, err := boundary.OpenDedupReader(f, l, p, core.Options{NBufs: 4, IOProcs: 2})
-				if err != nil {
-					return err
-				}
-				for {
-					if _, _, err := dr.ReadRecord(p); err != nil {
-						break
-					}
-				}
-				if err := dr.Close(p); err != nil {
-					return err
-				}
-				repGlobal = p.Now() - gStart
 				return nil
-			}); err != nil {
-				return nil, err
-			}
+			},
+			phases: [][]consumer{repPass, repPass, repPass, repPass, {{
+				open: func(p *sim.Proc, f *pfs.File, _ int) (recordReader, error) {
+					return boundary.OpenDedupReader(f, l, p, core.Options{NBufs: 4, IOProcs: 2})
+				},
+			}}},
+		}.run(rec)
+		if err != nil {
+			return nil, err
 		}
 
-		// Strategy B: plain file + in-memory halo cache.
-		var cacheOne, cacheFour, plainGlobal time.Duration
-		{
-			e := sim.NewEngine()
-			_, vol, err := array(rec, e, devs, device.FCFS)
-			if err != nil {
+		// Strategy B: plain file; pass 1 fills each partition's halo cache
+		// through direct access first, later passes take halos from memory,
+		// and the global view is a free, clean scan.
+		haloPass := pass(func(p *sim.Proc, f *pfs.File, part int) (recordReader, error) {
+			h := boundary.NewHaloCache(l, part, recordSize)
+			if err := h.Fill(p, f, core.Options{CacheBlocks: 4}); err != nil {
 				return nil, err
 			}
-			f, err := boundary.CreatePlain(vol, "plain", recordSize, l)
-			if err != nil {
-				return nil, err
+			first, end := l.OwnedRange(part)
+			for r := max(first-halo, 0); r < min(end+halo, points); r++ {
+				if r < first || r >= end {
+					if err := workload.CheckRecord(h.Get(r), fillSeed, r); err != nil {
+						return nil, err
+					}
+				}
 			}
-			if _, err := runMain(e, func(p *sim.Proc) error {
-				w, err := core.OpenWriter(f, core.Options{NBufs: 8, IOProcs: 4})
-				if err != nil {
-					return err
-				}
-				buf := make([]byte, recordSize)
-				for r := int64(0); r < points; r++ {
-					workload.Record(buf, 2, r)
-					if _, err := w.WriteRecord(p, buf); err != nil {
-						return err
-					}
-				}
-				if err := w.Close(p); err != nil {
-					return err
-				}
-				start := p.Now()
-				// Pass 1 includes halo fills.
-				var g sim.Group
-				caches := make([]*boundary.HaloCache, parts)
-				for part := 0; part < parts; part++ {
-					pid := part
-					g.Spawn(p.Engine(), "w", func(c *sim.Proc) {
-						h := boundary.NewHaloCache(l, pid, recordSize)
-						caches[pid] = h
-						if err := h.Fill(c, f, core.Options{CacheBlocks: 4}); err != nil {
-							return
-						}
-						r, err := core.OpenPartReader(f, pid, core.Options{NBufs: 2, IOProcs: 1})
-						if err != nil {
-							return
-						}
-						for {
-							if _, _, err := r.ReadRecord(c); err != nil {
-								break
-							}
-							c.Sleep(time.Millisecond)
-						}
-						_ = r.Close(c)
-					})
-				}
-				g.Wait(p)
-				cacheOne = p.Now() - start
-				// Later passes: own records only, halos from memory.
-				for i := 0; i < 3; i++ {
-					var g2 sim.Group
-					for part := 0; part < parts; part++ {
-						pid := part
-						g2.Spawn(p.Engine(), "w", func(c *sim.Proc) {
-							r, err := core.OpenPartReader(f, pid, core.Options{NBufs: 2, IOProcs: 1})
-							if err != nil {
-								return
-							}
-							for {
-								if _, _, err := r.ReadRecord(c); err != nil {
-									break
-								}
-								c.Sleep(time.Millisecond)
-							}
-							_ = r.Close(c)
-						})
-					}
-					g2.Wait(p)
-				}
-				cacheFour = p.Now() - start
-				// Global view of the plain file is a free, clean scan.
-				gStart := p.Now()
-				r, err := core.OpenReader(f, core.Options{NBufs: 4, IOProcs: 2})
-				if err != nil {
-					return err
-				}
-				for {
-					if _, _, err := r.ReadRecord(p); err != nil {
-						break
-					}
-				}
-				if err := r.Close(p); err != nil {
-					return err
-				}
-				plainGlobal = p.Now() - gStart
-				return nil
-			}); err != nil {
-				return nil, err
-			}
+			return core.OpenPartReader(f, part, partOpts)
+		})
+		partPass := team(parts, part, partOpts, time.Millisecond)
+		cache, err := organization{
+			drives: devs,
+			create: func(vol *pfs.Volume) (*pfs.File, error) {
+				return boundary.CreatePlain(vol, "plain", recordSize, l)
+			},
+			fillOpts: core.Options{NBufs: 8, IOProcs: 4},
+			phases:   [][]consumer{haloPass, partPass, partPass, partPass, team(1, global, core.Options{NBufs: 4, IOProcs: 2}, 0)},
+		}.run(rec)
+		if err != nil {
+			return nil, err
 		}
 
 		ov := fmt.Sprintf("%.1f%%", l.Overhead()*100)
-		table.AddRow(halo, "replicate in file", ov, repOne, repFour, repGlobal)
-		table.AddRow(halo, "cache in memory", "0%", cacheOne, cacheFour, plainGlobal)
-		metrics[fmt.Sprintf("rep_one_h%d_s", halo)] = repOne.Seconds()
-		metrics[fmt.Sprintf("rep_four_h%d_s", halo)] = repFour.Seconds()
-		metrics[fmt.Sprintf("cache_one_h%d_s", halo)] = cacheOne.Seconds()
-		metrics[fmt.Sprintf("cache_four_h%d_s", halo)] = cacheFour.Seconds()
+		table.AddRow(halo, "replicate in file", ov, rep.ends[0], rep.ends[3], rep.ends[4]-rep.ends[3])
+		table.AddRow(halo, "cache in memory", "0%", cache.ends[0], cache.ends[3], cache.ends[4]-cache.ends[3])
+		metrics[fmt.Sprintf("rep_one_h%d_s", halo)] = rep.ends[0].Seconds()
+		metrics[fmt.Sprintf("rep_four_h%d_s", halo)] = rep.ends[3].Seconds()
+		metrics[fmt.Sprintf("cache_one_h%d_s", halo)] = cache.ends[0].Seconds()
+		metrics[fmt.Sprintf("cache_four_h%d_s", halo)] = cache.ends[3].Seconds()
 		metrics[fmt.Sprintf("overhead_h%d", halo)] = l.Overhead()
 	}
 	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
@@ -414,57 +185,38 @@ func E11FemBaseline(rec *probe.Recorder) (*Result, error) {
 	metrics := map[string]float64{}
 
 	const totalRecords = 256
+	spec := pfs.Spec{Name: "input", Org: pfs.OrgSequential, RecordSize: recordSize,
+		BlockRecords: 1, NumRecords: totalRecords, StripeUnitFS: 1}
 	for _, procs := range []int{4, 16, 64} {
 		for _, perProc := range []int{1, 4} {
-			e := sim.NewEngine()
-			_, vol, err := array(rec, e, devs, device.FCFS)
-			if err != nil {
-				return nil, err
-			}
-			global, err := vol.Create(pfs.Spec{
-				Name: "input", Org: pfs.OrgSequential, RecordSize: recordSize,
-				BlockRecords: 1, NumRecords: totalRecords, StripeUnitFS: 1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			output, err := vol.Create(pfs.Spec{
-				Name: "output", Org: pfs.OrgSequential, RecordSize: recordSize,
-				BlockRecords: 1, NumRecords: totalRecords, StripeUnitFS: 1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			m, err := fem.NewManager(vol, "app", procs, perProc)
-			if err != nil {
-				return nil, err
-			}
-			if err := m.CreateAll(recordSize, totalRecords/int64(procs)); err != nil {
-				return nil, err
-			}
+			// The body partitions the input into per-process files and
+			// merges them into an output file, which is then read back.
+			var m *fem.Manager
 			var partT, mergeT time.Duration
-			if _, err := runMain(e, func(p *sim.Proc) error {
-				w, err := core.OpenWriter(global, core.Options{NBufs: 8, IOProcs: 4})
-				if err != nil {
-					return err
-				}
-				buf := make([]byte, recordSize)
-				for r := int64(0); r < totalRecords; r++ {
-					workload.Record(buf, 3, r)
-					if _, err := w.WriteRecord(p, buf); err != nil {
-						return err
+			if _, err := (organization{
+				drives: devs, spec: spec,
+				fillOpts: core.Options{NBufs: 8, IOProcs: 4},
+				before: func(p *sim.Proc, vol *pfs.Volume, input *pfs.File) (*pfs.File, error) {
+					out := spec
+					out.Name = "output"
+					output, err := vol.Create(out)
+					if err != nil {
+						return nil, err
 					}
-				}
-				if err := w.Close(p); err != nil {
-					return err
-				}
-				partT, err = m.Partition(p, global, core.Options{NBufs: 4, IOProcs: 2})
-				if err != nil {
-					return err
-				}
-				mergeT, err = m.Merge(p, output, core.Options{NBufs: 4, IOProcs: 2})
-				return err
-			}); err != nil {
+					if m, err = fem.NewManager(vol, "app", procs, perProc); err != nil {
+						return nil, err
+					}
+					if err := m.CreateAll(recordSize, totalRecords/int64(procs)); err != nil {
+						return nil, err
+					}
+					if partT, err = m.Partition(p, input, core.Options{NBufs: 4, IOProcs: 2}); err != nil {
+						return nil, err
+					}
+					mergeT, err = m.Merge(p, output, core.Options{NBufs: 4, IOProcs: 2})
+					return output, err
+				},
+				phases: [][]consumer{team(1, global, core.Options{}, 0)},
+			}).run(rec); err != nil {
 				return nil, err
 			}
 			table.AddRow(procs, perProc, m.FileCount(), partT, mergeT, partT+mergeT, "1 object, 0 pre/post")

@@ -6,16 +6,17 @@
 // The contract, row by row:
 //
 //   - A scenario's machine is built in one place, by a parameterised
-//     fixture (Checkpoint, Multijob, the scans) that runs it under
-//     virtual time, verifies the bytes that landed and returns its
-//     measurements — or an error, never a table of unchecked numbers.
+//     fixture (Checkpoint, Multijob, DirectMix, the raw scans, and
+//     organization for the paper's rows) that runs it under virtual
+//     time, verifies the bytes that landed and returns its measurements
+//     — or an error, never a table of unchecked numbers.
 //   - A registry row sweeps its fixture over the parameters of its table
 //     and returns the rendered tables plus named Metrics; the win tests
 //     call the same fixture with their own parameters and keep their
 //     thresholds, so what is printed is what is asserted on.
 //   - Metrics that read the host clock are keyed host_*; every other
-//     metric and every table cell outside a "wall" column repeats exactly
-//     (TestRegistryDeterministic, TestRegistryGoldens).
+//     metric and every table cell outside a "wall" column repeats exactly,
+//     and TestRegistryGoldens holds them all to testdata/registry.golden.
 //   - The flight recorder reaches a row as the parameter of its run
 //     function (nil: detached); each machine a row builds attaches under
 //     its own track scope.

@@ -3,14 +3,18 @@ package experiments
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
+var update = flag.Bool("update", false, "rewrite testdata/registry.golden from this run")
 
 func TestIDsOrderAndTitles(t *testing.T) {
 	want := []string{"f1", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11",
@@ -29,8 +33,8 @@ func TestIDsOrderAndTitles(t *testing.T) {
 	}
 }
 
-// ran holds each row's first result: the tests below read one run of a
-// row, and TestRegistryDeterministic compares a second against it.
+// ran holds each row's result: TestRegistryGoldens runs every row once,
+// and the tests below read that run.
 var ran = map[string]*Result{}
 
 // runOK runs an experiment (once per test binary) and sanity-checks the
@@ -45,7 +49,7 @@ func runOK(t *testing.T, id string) *Result {
 		t.Fatalf("%s: %v", id, err)
 	}
 	ran[id] = res
-	if res.ID != id || res.Title != Title(id) || len(res.Tables) == 0 {
+	if res.ID != id || res.Title != Title(id) || len(res.Tables) == 0 || len(res.Metrics) == 0 {
 		t.Fatalf("%s: malformed result", id)
 	}
 	if !strings.Contains(res.String(), res.ID) {
@@ -82,67 +86,62 @@ func maskHost(text string) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestRegistryGoldens holds every registry row's rendered tables to the
-// bytes the two binaries printed before they became one table:
-// testdata/pariobench_all.golden is `pariobench -run all` (f1, e1–e11)
-// and testdata/pariosim_all.golden `pariosim -scenario all` (the 13
-// mechanism rows, tables only) at the commit before, host-clock cells
-// masked. -update rewrites both from this run.
+// TestRegistryGoldens runs every registry row once and holds it to
+// testdata/registry.golden: per row, what `pariobench -run <id>` prints,
+// then every metric not keyed host_* (those read the host clock), sorted,
+// one "metric <key> = <value>" line each, host-clock table cells masked.
+// The file was first written at the commit before the paper rows became
+// tables over one fixture, so it pins every modeled number across
+// commits. -update rewrites it from this run.
 func TestRegistryGoldens(t *testing.T) {
-	var bench, sim strings.Builder
-	for i, id := range IDs() {
+	var b strings.Builder
+	for _, id := range IDs() {
 		res := runOK(t, id)
-		if i < 12 {
-			fmt.Fprintln(&bench, res.String())
-			continue
-		}
-		for _, tab := range res.Tables {
-			fmt.Fprintln(&sim, tab.String())
-		}
-	}
-	for name, got := range map[string]string{
-		"testdata/pariobench_all.golden": bench.String(),
-		"testdata/pariosim_all.golden":   sim.String(),
-	} {
-		got = maskHost(got)
-		if *update {
-			if err := os.WriteFile(name, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
+		fmt.Fprintln(&b, res.String())
+		for _, k := range slices.Sorted(maps.Keys(res.Metrics)) {
+			if !strings.HasPrefix(k, "host_") {
+				fmt.Fprintf(&b, "metric %s = %s\n", k, strconv.FormatFloat(res.Metrics[k], 'g', -1, 64))
 			}
-			continue
 		}
-		want, err := os.ReadFile(name)
-		if err != nil {
+		fmt.Fprintln(&b)
+	}
+	const name = "testdata/registry.golden"
+	got := maskHost(b.String())
+	if *update {
+		if err := os.WriteFile(name, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got != maskHost(string(want)) {
-			gl, wl := strings.Split(got, "\n"), strings.Split(maskHost(string(want)), "\n")
-			for i := range gl {
-				if i >= len(wl) || gl[i] != wl[i] {
-					t.Fatalf("%s line %d:\n got %q\nwant %q", name, i+1, gl[i], append(wl, "<eof>")[min(i, len(wl))])
-				}
+		return
+	}
+	raw, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := maskHost(string(raw)); got != want {
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for i := range gl {
+			if i >= len(wl) || gl[i] != wl[i] {
+				t.Fatalf("%s line %d:\n got %q\nwant %q", name, i+1, gl[i], append(wl, "<eof>")[min(i, len(wl))])
 			}
-			t.Fatalf("%s: %d lines rendered, %d in the golden", name, len(gl), len(wl))
 		}
+		t.Fatalf("%s: %d lines rendered, %d in the golden", name, len(gl), len(wl))
 	}
 }
 
-// TestRegistryDeterministic: every row run twice reports identical
-// metrics, except those keyed host_* (they read the host clock).
-func TestRegistryDeterministic(t *testing.T) {
-	for _, id := range IDs() {
-		again, err := Run(id, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+// TestPaperRowsCheckTheFill breaks one byte of one record of every
+// organization's fill: each paper row reads it back through its own
+// consumers, so each must fail, naming the record.
+func TestPaperRowsCheckTheFill(t *testing.T) {
+	defer func(fill func([]byte, int64)) { record = fill }(record)
+	record = func(buf []byte, r int64) {
+		workload.Record(buf, fillSeed, r)
+		if r == 5 {
+			buf[20] ^= 1
 		}
-		a, b := runOK(t, id).Metrics, again.Metrics
-		if len(a) == 0 || len(a) != len(b) {
-			t.Errorf("%s: %d metrics, then %d", id, len(a), len(b))
-		}
-		for k, v := range a {
-			if w, ok := b[k]; !strings.HasPrefix(k, "host_") && (!ok || v != w) {
-				t.Errorf("%s: metric %s = %v, then %v", id, k, v, w)
-			}
+	}
+	for _, id := range []string{"f1", "e1", "e2", "e3", "e4", "e6", "e7", "e9", "e10", "e11"} {
+		if _, err := Run(id, nil); err == nil || !strings.Contains(err.Error(), "record 5") {
+			t.Errorf("%s with record 5 broken: err = %v", id, err)
 		}
 	}
 }

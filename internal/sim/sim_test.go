@@ -539,7 +539,10 @@ func TestWallContext(t *testing.T) {
 // the two marks a process sets — mark(0) and mark(1), around its own
 // steady state — whatever the other processes do meanwhile. The count
 // is the whole Go runtime's, which now and then allocates a few objects
-// of its own: callers allow runtimeNoise of them.
+// of its own: callers allow runtimeNoise of them. The run is pinned to
+// one P, as the benchmark pins it: a sync.Pool's per-P private slot
+// cannot be stolen, so hand-offs that hop between Ps would miss pooled
+// objects and allocate fresh ones.
 const runtimeNoise = 12
 
 func mallocsDuring(t *testing.T, e *Engine, body func(mark func(i int))) uint64 {
@@ -547,6 +550,7 @@ func mallocsDuring(t *testing.T, e *Engine, body func(mark func(i int))) uint64 
 	if raceEnabled {
 		t.Skip("allocation counting is meaningless under -race")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var at [2]uint64
 	var ms runtime.MemStats // out here: the marks must not allocate it
 	body(func(i int) {
