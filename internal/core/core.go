@@ -5,7 +5,7 @@
 //	S    StreamReader / StreamWriter over the whole file
 //	PS   OpenPartReader / OpenPartWriter — one contiguous partition
 //	IS   OpenInterleavedReader / OpenInterleavedWriter — strided blocks
-//	SS   SelfSched — shared handle; every request claims the next record
+//	SS   SelfSched — the S stream with a shared pointer; a request claims the next record
 //	GDA  Direct — random record access through a buffer pool
 //	PDA  DirectPart — random access within owned blocks
 //
@@ -25,7 +25,6 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/pfs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Options tune an access method. The zero value means: synchronous,
@@ -52,10 +51,13 @@ type Options struct {
 	// the dirty blocks evictions leave behind, in vectored batches; with 0
 	// every dirty victim is written back inside the miss that evicted it.
 	IOProcs int
-	// EarlyRelease enables the §4 self-scheduling optimization: the
-	// shared file pointer advances and buffer space is reserved before
-	// the data transfer completes. Disabling it serializes every SS
-	// request through its full device transfer.
+	// EarlyRelease enables the §4 self-scheduling optimization. An SS
+	// handle is a cursor over the S stream, shared by its claimants; with
+	// EarlyRelease that stream reads ahead and writes behind on IOProcs
+	// (at least one) dedicated I/O processes, so the shared file pointer
+	// advances and buffer space is reserved before the data transfer
+	// completes. Without it the stream is one synchronous block buffer,
+	// and every SS request holds the pointer through its device transfer.
 	EarlyRelease bool
 	// CacheBlocks is the capacity, in fs-block frames, of a direct-access
 	// handle's buffer pool (minimum 1; DefaultOptions sets 8): resident
@@ -69,10 +71,6 @@ type Options struct {
 	// SeqWithinBlocks enforces the restricted PDA variant of §3.2:
 	// records inside each owned block must be accessed sequentially.
 	SeqWithinBlocks bool
-	// Trace, when non-nil, records every record access (for Figure 1).
-	Trace *trace.Recorder
-	// Proc identifies the calling process in traces.
-	Proc int
 	// Strategy selects how noncontiguous extent transfers execute:
 	// vectored (one request per physical run), sieved (one covering span
 	// per device, writes as read-modify-write), or Auto, which prices

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/pfs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // testVolume builds a volume over devs fresh disks (engine optional).
@@ -853,16 +853,19 @@ func TestGlobalWriterPadsFinalRecord(t *testing.T) {
 }
 
 func TestFigure1Traces(t *testing.T) {
-	// Reproduce Figure 1 with 3 processes and 12 single-record blocks,
-	// validating each organization's access pattern.
+	// Reproduce Figure 1 with 3 processes and 12 single-record blocks: each
+	// process notes the records it reads, and every organization's pattern
+	// must be the paper's.
 	const procs = 3
 	const blocks = 12
-	newFile := func(t *testing.T, org pfs.Organization) (*pfs.File, *sim.Engine) {
+	// scan fills a file of org and has n processes read it to EOF through
+	// the claims open hands them, process w computing w+1 ms a record. It
+	// returns the records each process read, in its order, and every
+	// record in the order it was read.
+	scan := func(t *testing.T, org pfs.Organization, n int, open func(f *pfs.File, w int) (func(*sim.Proc) (int64, error), error)) (byProc [][]int64, all []int64) {
 		e := sim.NewEngine()
 		v := testVolume(t, 3, e)
-		spec := pfs.Spec{
-			Name: "fig1", Org: org, RecordSize: 64, BlockRecords: 1, NumRecords: blocks,
-		}
+		spec := pfs.Spec{Name: "fig1", Org: org, RecordSize: 64, BlockRecords: 1, NumRecords: blocks}
 		if org == pfs.OrgPartitioned || org == pfs.OrgInterleaved {
 			spec.Parts = procs
 		}
@@ -870,130 +873,90 @@ func TestFigure1Traces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f, e
+		byProc = make([][]int64, n)
+		e.Go("main", func(p *sim.Proc) {
+			fillSeq(t, f, p)
+			var g sim.Group
+			for w := 0; w < n; w++ {
+				next, err := open(f, w)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				g.Spawn(p.Engine(), "w", func(c *sim.Proc) {
+					for {
+						rec, err := next(c)
+						if err != nil {
+							if err != io.EOF {
+								t.Error(err)
+							}
+							return
+						}
+						byProc[w] = append(byProc[w], rec)
+						all = append(all, rec)
+						c.Sleep(time.Duration(w+1) * time.Millisecond)
+					}
+				})
+			}
+			g.Wait(p)
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return byProc, all
+	}
+	stream := func(r *StreamReader, err error) (func(*sim.Proc) (int64, error), error) {
+		if err != nil {
+			return nil, err
+		}
+		return func(c *sim.Proc) (int64, error) {
+			_, rec, err := r.ReadRecord(c)
+			return rec, err
+		}, nil
+	}
+	want := func(t *testing.T, got any, want string) {
+		t.Helper()
+		if s := fmt.Sprint(got); s != want {
+			t.Fatalf("read %s, want %s", s, want)
+		}
 	}
 
 	t.Run("S", func(t *testing.T) {
-		f, e := newFile(t, pfs.OrgSequential)
-		rec := &trace.Recorder{}
-		e.Go("p0", func(p *sim.Proc) {
-			fillSeq(t, f, p)
-			opts := Options{Trace: rec, Proc: 0}
-			r, err := OpenReader(f, opts)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for {
-				if _, _, err := r.ReadRecord(p); err != nil {
-					break
+		byProc, _ := scan(t, pfs.OrgSequential, 1, func(f *pfs.File, _ int) (func(*sim.Proc) (int64, error), error) {
+			return stream(OpenReader(f, Options{}))
+		})
+		want(t, byProc, "[[0 1 2 3 4 5 6 7 8 9 10 11]]")
+	})
+	t.Run("PS", func(t *testing.T) {
+		byProc, _ := scan(t, pfs.OrgPartitioned, procs, func(f *pfs.File, w int) (func(*sim.Proc) (int64, error), error) {
+			return stream(OpenPartReader(f, w, Options{}))
+		})
+		want(t, byProc, "[[0 1 2 3] [4 5 6 7] [8 9 10 11]]")
+	})
+	t.Run("IS", func(t *testing.T) {
+		byProc, _ := scan(t, pfs.OrgInterleaved, procs, func(f *pfs.File, w int) (func(*sim.Proc) (int64, error), error) {
+			return stream(OpenInterleavedReader(f, w, procs, Options{}))
+		})
+		want(t, byProc, "[[0 3 6 9] [1 4 7 10] [2 5 8 11]]")
+	})
+	t.Run("SS", func(t *testing.T) {
+		var ss *SelfSched
+		byProc, all := scan(t, pfs.OrgSelfScheduled, procs, func(f *pfs.File, _ int) (func(*sim.Proc) (int64, error), error) {
+			if ss == nil {
+				var err error
+				if ss, err = OpenSelfSched(f, SSRead, Options{NBufs: 2, IOProcs: 1, EarlyRelease: true}); err != nil {
+					return nil, err
 				}
 			}
-			_ = r.Close(p)
+			dst := make([]byte, 64)
+			return func(c *sim.Proc) (int64, error) { return ss.ReadNext(c, dst) }, nil
 		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.ValidateSequential(rec.Events(), blocks); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("PS", func(t *testing.T) {
-		f, e := newFile(t, pfs.OrgPartitioned)
-		rec := &trace.Recorder{}
-		e.Go("main", func(p *sim.Proc) {
-			fillSeq(t, f, p)
-			var g sim.Group
-			for w := 0; w < procs; w++ {
-				wid := w
-				g.Spawn(p.Engine(), "w", func(c *sim.Proc) {
-					r, err := OpenPartReader(f, wid, Options{Trace: rec, Proc: wid})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					for {
-						if _, _, err := r.ReadRecord(c); err != nil {
-							break
-						}
-					}
-					_ = r.Close(c)
-				})
+		// Every record exactly once, in claim order, shared between processes.
+		want(t, all, "[0 1 2 3 4 5 6 7 8 9 10 11]")
+		for w, recs := range byProc {
+			if len(recs) == 0 {
+				t.Fatalf("process %d claimed nothing: %v", w, byProc)
 			}
-			g.Wait(p)
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		first := []int64{0, 4, 8, 12}
-		if err := trace.ValidatePartitioned(rec.Events(), first); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("IS", func(t *testing.T) {
-		f, e := newFile(t, pfs.OrgInterleaved)
-		rec := &trace.Recorder{}
-		e.Go("main", func(p *sim.Proc) {
-			fillSeq(t, f, p)
-			var g sim.Group
-			for w := 0; w < procs; w++ {
-				wid := w
-				g.Spawn(p.Engine(), "w", func(c *sim.Proc) {
-					r, err := OpenInterleavedReader(f, wid, procs, Options{Trace: rec, Proc: wid})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					for {
-						if _, _, err := r.ReadRecord(c); err != nil {
-							break
-						}
-					}
-					_ = r.Close(c)
-				})
-			}
-			g.Wait(p)
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.ValidateInterleaved(rec.Events(), procs, 1, blocks); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("SS", func(t *testing.T) {
-		f, e := newFile(t, pfs.OrgSelfScheduled)
-		rec := &trace.Recorder{}
-		e.Go("main", func(p *sim.Proc) {
-			fillSeq(t, f, p)
-			ss, err := OpenSelfSched(f, SSRead, Options{NBufs: 2, IOProcs: 1, EarlyRelease: true, Trace: rec})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			var g sim.Group
-			for w := 0; w < procs; w++ {
-				g.Spawn(p.Engine(), "w", func(c *sim.Proc) {
-					dst := make([]byte, 64)
-					for {
-						if _, err := ss.ReadNext(c, dst); err != nil {
-							return
-						}
-						c.Sleep(time.Millisecond)
-					}
-				})
-			}
-			g.Wait(p)
-			_ = ss.Close(p)
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.ValidateSelfScheduled(rec.Events(), blocks); err != nil {
-			t.Fatal(err)
 		}
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/records"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // blockVec describes the fs blocks idxs, the i-th at buffer block i, each
@@ -61,9 +60,8 @@ func newBlockCache(f *pfs.File, opts Options) (*buffer.Cache, error) {
 }
 
 // moveRecord copies one record between data (len = record size) and the
-// cache, tracing the access.
-func moveRecord(ctx sim.Context, cache *buffer.Cache, m *records.Mapper, opts *Options,
-	rec int64, data []byte, write bool) error {
+// cache.
+func moveRecord(ctx sim.Context, cache *buffer.Cache, m *records.Mapper, rec int64, data []byte, write bool) error {
 	pos := 0
 	// A record rarely straddles more than two fs blocks; the array keeps
 	// the span list off the heap.
@@ -83,13 +81,6 @@ func moveRecord(ctx sim.Context, cache *buffer.Cache, m *records.Mapper, opts *O
 		}
 		pos += sp.Len
 	}
-	op := trace.Read
-	if write {
-		op = trace.Write
-	}
-	opts.Trace.Add(trace.Event{
-		Time: ctx.Now(), Proc: opts.Proc, Op: op, Record: rec, Block: m.BlockOf(rec),
-	})
 	return nil
 }
 
@@ -164,7 +155,7 @@ func batchRecords(ctx sim.Context, cache *buffer.Cache, m *records.Mapper, opts 
 		}
 		for ; r < r2; r++ {
 			off := (r - rec) * rs
-			if err := moveRecord(ctx, cache, m, opts, r, data[off:off+rs], write); err != nil {
+			if err := moveRecord(ctx, cache, m, r, data[off:off+rs], write); err != nil {
 				return err
 			}
 		}
@@ -245,7 +236,7 @@ func (d *Direct) access(ctx sim.Context, rec int64, data []byte, write bool) err
 	if len(data) != m.RecordSize() {
 		return fmt.Errorf("core: buffer is %d bytes, records are %d", len(data), m.RecordSize())
 	}
-	return moveRecord(ctx, d.cache, m, &d.opts, rec, data, write)
+	return moveRecord(ctx, d.cache, m, rec, data, write)
 }
 
 // Flush writes back dirty cached blocks.
@@ -374,7 +365,7 @@ func (d *DirectPart) move(ctx sim.Context, rec int64, data []byte, write bool) e
 	if len(data) != m.RecordSize() {
 		return fmt.Errorf("core: buffer is %d bytes, records are %d", len(data), m.RecordSize())
 	}
-	return moveRecord(ctx, d.cache, m, &d.opts, rec, data, write)
+	return moveRecord(ctx, d.cache, m, rec, data, write)
 }
 
 // Flush writes back dirty cached blocks.

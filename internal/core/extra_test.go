@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/pfs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func TestDirectFlushPersistsWithoutClose(t *testing.T) {
@@ -129,6 +128,39 @@ func TestOpenBlockRangeReader(t *testing.T) {
 	}
 }
 
+// recs64 is n 64-byte records, each carrying v.
+func recs64(n int, v uint64) []byte {
+	var b []byte
+	for i := 0; i < n; i++ {
+		b = append(b, rec64(v)...)
+	}
+	return b
+}
+
+// readAll64 reads f back through the S view and returns each record's value.
+func readAll64(t *testing.T, f *pfs.File, ctx sim.Context) []uint64 {
+	t.Helper()
+	r, err := OpenReader(f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vals []uint64
+	for {
+		data, _, err := r.ReadRecord(ctx)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals = append(vals, recVal(data))
+	}
+	if err := r.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return vals
+}
+
 func TestSelfSchedBlockModeWrite(t *testing.T) {
 	e := sim.NewEngine()
 	v := testVolume(t, 2, e)
@@ -148,30 +180,24 @@ func TestSelfSchedBlockModeWrite(t *testing.T) {
 		var g sim.Group
 		for w := 0; w < 2; w++ {
 			g.Spawn(p.Engine(), "w", func(c *sim.Proc) {
+				m := f.Mapper()
 				for {
-					// Claim, then build the payload for the claimed block.
-					m := f.Mapper()
-					// Probe the next block's record count via a dry run:
-					// WriteNextBlock validates length, so construct for
-					// the worst case and retry shorter on the final block.
-					payload := make([]byte, 4*64)
-					b, err := ss.WriteNextBlock(c, payload)
-					if err != nil {
-						if errors.Is(err, io.ErrShortWrite) {
-							return
-						}
-						// Final short block: retry with its real size.
-						short := make([]byte, m.RecordsInBlock(m.NumBlocks()-1)*64)
-						if _, err2 := ss.WriteNextBlock(c, short); err2 != nil {
-							if errors.Is(err2, io.ErrShortWrite) {
-								return
-							}
-							t.Error(err2)
-							return
-						}
-						continue
+					// Build the payload for a full block; the final short
+					// block rejects it, and the retry with its real size
+					// must land in that same block.
+					_, err := ss.WriteNextBlock(c, recs64(4, uint64(100+w)))
+					if errors.Is(err, io.ErrShortWrite) {
+						return
 					}
-					_ = b
+					if err != nil {
+						short := recs64(m.RecordsInBlock(m.NumBlocks()-1), uint64(100+w))
+						if _, err := ss.WriteNextBlock(c, short); err != nil {
+							if !errors.Is(err, io.ErrShortWrite) {
+								t.Error(err)
+							}
+							return
+						}
+					}
 					c.Sleep(time.Millisecond)
 				}
 			})
@@ -180,9 +206,65 @@ func TestSelfSchedBlockModeWrite(t *testing.T) {
 		if err := ss.Close(p); err != nil {
 			t.Error(err)
 		}
+		vals := readAll64(t, f, p)
+		if len(vals) != 22 {
+			t.Errorf("read %d records, want 22", len(vals))
+		}
+		for r, v := range vals {
+			if v != 100 && v != 101 {
+				t.Errorf("record %d carries %d, not a writer's tag", r, v)
+			}
+		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSelfSchedRejectedBlockKeepsItsSlot: a block write whose payload has
+// the wrong length is refused without claiming the block, so the retry
+// with the right length lands in it and no record is left unwritten.
+func TestSelfSchedRejectedBlockKeepsItsSlot(t *testing.T) {
+	for _, opts := range []Options{{}, DefaultOptions()} {
+		v := testVolume(t, 2, nil)
+		f, err := v.Create(pfs.Spec{Name: "ssb", Org: pfs.OrgSelfScheduled, RecordSize: 64, BlockRecords: 4, NumRecords: 22})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := sim.NewWall()
+		ss, err := OpenSelfSched(f, SSWrite, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := int64(0); b < 5; b++ {
+			if _, err := ss.WriteNextBlock(ctx, recs64(3, 9)); err == nil {
+				t.Fatalf("block %d took a 3-record payload", b)
+			}
+			if got, err := ss.WriteNextBlock(ctx, recs64(4, uint64(b+1))); err != nil || got != b {
+				t.Fatalf("block write = %d, %v; want block %d", got, err, b)
+			}
+		}
+		if _, err := ss.WriteNextBlock(ctx, recs64(4, 6)); err == nil {
+			t.Fatal("the 2-record last block took a 4-record payload")
+		}
+		if got, err := ss.WriteNextBlock(ctx, recs64(2, 6)); err != nil || got != 5 {
+			t.Fatalf("retry = %d, %v; want block 5", got, err)
+		}
+		if _, err := ss.WriteNextBlock(ctx, recs64(2, 7)); !errors.Is(err, io.ErrShortWrite) {
+			t.Fatalf("write past the end: %v", err)
+		}
+		if err := ss.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		vals := readAll64(t, f, ctx)
+		if len(vals) != 22 {
+			t.Fatalf("read %d records, want 22", len(vals))
+		}
+		for r, v := range vals {
+			if want := uint64(r/4 + 1); v != want {
+				t.Fatalf("opts %+v: record %d carries %d, want %d", opts, r, v, want)
+			}
+		}
 	}
 }
 
@@ -243,56 +325,6 @@ func TestSelfSchedSerializedWritePath(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSelfSchedRegisterProcTracing(t *testing.T) {
-	e := sim.NewEngine()
-	v := testVolume(t, 2, e)
-	f, err := v.Create(pfs.Spec{Name: "ss", Org: pfs.OrgSelfScheduled, RecordSize: 64, NumRecords: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &trace.Recorder{}
-	e.Go("main", func(p *sim.Proc) {
-		fillSeq(t, f, p)
-		opts := DefaultOptions()
-		opts.Trace = rec
-		opts.Proc = 99 // fallback id for unregistered procs
-		ss, err := OpenSelfSched(f, SSRead, opts)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		var g sim.Group
-		for w := 0; w < 2; w++ {
-			wid := w
-			g.Spawn(p.Engine(), "w", func(c *sim.Proc) {
-				ss.RegisterProc(c, wid)
-				dst := make([]byte, 64)
-				for {
-					if _, err := ss.ReadNext(c, dst); err != nil {
-						return
-					}
-					c.Sleep(time.Millisecond)
-				}
-			})
-		}
-		g.Wait(p)
-		_ = ss.Close(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	procs := map[int]bool{}
-	for _, ev := range rec.Events() {
-		procs[ev.Proc] = true
-	}
-	if procs[99] {
-		t.Fatal("registered procs traced under fallback id")
-	}
-	if !procs[0] || !procs[1] {
-		t.Fatalf("traced procs: %v", procs)
 	}
 }
 

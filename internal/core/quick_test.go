@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"io"
 	"testing"
 	"testing/quick"
@@ -193,14 +195,26 @@ func TestQuickRoundTripAllFramings(t *testing.T) {
 	}
 }
 
-// TestQuickSelfSchedClaimsComplete checks the SS invariant under random
-// framing (no-straddle framings only): workers claim every record
-// exactly once, regardless of worker count and compute skew.
-func TestQuickSelfSchedClaimsComplete(t *testing.T) {
-	check := func(n16 uint16, workers8, br8 uint8) bool {
+// FuzzSelfSched checks the SS invariant under random framing (no-straddle
+// framings only): claimants take every record exactly once, whatever
+// their number and compute skew, reading or writing, a record or a block
+// a claim, with early release or without, at any extent. A read returns
+// the record's stamp; a write lands where its claim said, so the file
+// ends equal to the image the claims describe.
+func FuzzSelfSched(f *testing.F) {
+	for mode := uint8(0); mode < 8; mode++ {
+		for ext := uint8(0); ext < 3; ext++ {
+			f.Add(uint16(37+13*mode), 1+mode%6, 1+ext, mode, ext, uint64(mode)*3+uint64(ext))
+		}
+	}
+	f.Fuzz(func(t *testing.T, n16 uint16, claimants8, br8, mode, ext8 uint8, seed uint64) {
 		numRecords := int64(n16%200) + 1
-		workers := int(workers8%6) + 1
+		claimants := int(claimants8%6) + 1
 		blockRecords := int(br8%4) + 1
+		write, blocks, early := mode&1 != 0, mode&2 != 0, mode&4 != 0
+		const rs = 128
+		opts := Options{NBufs: 1 + int(seed%4), IOProcs: int(seed/4) % 3, EarlyRelease: early,
+			ExtentBlocks: []int{1, 3, 32}[ext8%3]}
 
 		e := sim.NewEngine()
 		disks := make([]*device.Disk, 2)
@@ -212,77 +226,143 @@ func TestQuickSelfSchedClaimsComplete(t *testing.T) {
 		}
 		store, err := blockio.NewDirect(disks)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		vol := pfs.NewVolume(store)
-		f, err := vol.Create(pfs.Spec{
-			Name: "ss", Org: pfs.OrgSelfScheduled, RecordSize: 128,
+		file, err := pfs.NewVolume(store).Create(pfs.Spec{
+			Name: "ss", Org: pfs.OrgSelfScheduled, RecordSize: rs,
 			BlockRecords: blockRecords, NumRecords: numRecords,
 		})
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		ok := true
-		e.Go("driver", func(p *sim.Proc) {
-			w, err := OpenWriter(f, Options{})
-			if err != nil {
-				ok = false
-				return
+		m := file.Mapper()
+		claimed := make([]int, numRecords)
+		image := make([]byte, numRecords*rs) // what the write claims put where
+		// claimant is process w's loop: claim until the file is exhausted,
+		// computing a skewed while after each claim.
+		claimant := func(c *sim.Proc, w int, ss *SelfSched) error {
+			rng := sim.NewRNG(seed + uint64(w))
+			payload := make([]byte, blockRecords*rs)
+			for k := 0; ; k++ {
+				var first int64
+				var data []byte
+				var err error
+				switch {
+				case write:
+					for i := range payload {
+						payload[i] = byte(w*31 + k + i/rs)
+					}
+					if blocks {
+						var b int64
+						if b, err = ss.WriteNextBlock(c, payload); err != nil && !errors.Is(err, io.ErrShortWrite) {
+							// Only the short last block refuses a full payload.
+							data = payload[:m.RecordsInBlock(m.NumBlocks()-1)*rs]
+							b, err = ss.WriteNextBlock(c, data)
+						} else {
+							data = payload
+						}
+						first = b * int64(blockRecords)
+					} else {
+						data = payload[:rs]
+						first, err = ss.WriteNext(c, data)
+					}
+					if errors.Is(err, io.ErrShortWrite) {
+						return nil
+					}
+					if err == nil {
+						copy(image[first*rs:], data)
+					}
+				case blocks:
+					var b int64
+					data, b, err = ss.ReadNextBlock(c)
+					first = b * int64(blockRecords)
+				default:
+					data = payload[:rs]
+					first, err = ss.ReadNext(c, data)
+				}
+				if err == io.EOF {
+					return nil
+				}
+				if err != nil {
+					return err
+				}
+				for i := 0; i < len(data)/rs; i++ {
+					claimed[first+int64(i)]++
+					if !write {
+						if err := workload.CheckRecord(data[i*rs:][:rs], seed, first+int64(i)); err != nil {
+							return err
+						}
+					}
+				}
+				c.Sleep(time.Duration(1+rng.Intn(3*(w+1))) * 100 * time.Microsecond)
 			}
-			buf := make([]byte, 128)
-			for r := int64(0); r < numRecords; r++ {
-				workload.Record(buf, 5, r)
-				if _, err := w.WriteRecord(p, buf); err != nil {
-					ok = false
+		}
+		e.Go("driver", func(p *sim.Proc) {
+			buf := make([]byte, rs)
+			if !write {
+				w, err := OpenWriter(file, Options{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for r := int64(0); r < numRecords; r++ {
+					workload.Record(buf, seed, r)
+					if _, err := w.WriteRecord(p, buf); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := w.Close(p); err != nil {
+					t.Error(err)
 					return
 				}
 			}
-			if err := w.Close(p); err != nil {
-				ok = false
-				return
+			dir := SSRead
+			if write {
+				dir = SSWrite
 			}
-			ss, err := OpenSelfSched(f, SSRead, DefaultOptions())
+			ss, err := OpenSelfSched(file, dir, opts)
 			if err != nil {
-				ok = false
+				t.Error(err)
 				return
 			}
-			seen := make(map[int64]int)
+			errs := make([]error, claimants)
 			var g sim.Group
-			for wk := 0; wk < workers; wk++ {
-				wid := wk
-				g.Spawn(p.Engine(), "w", func(c *sim.Proc) {
-					dst := make([]byte, 128)
-					for {
-						rec, err := ss.ReadNext(c, dst)
-						if err != nil {
-							return
-						}
-						if workload.CheckRecord(dst, 5, rec) != nil {
-							ok = false
-							return
-						}
-						seen[rec]++
-						c.Sleep(time.Duration(sim.NewRNG(uint64(wid)).Intn(3)*1000 + 1))
-					}
-				})
+			for w := 0; w < claimants; w++ {
+				g.Spawn(p.Engine(), "w", func(c *sim.Proc) { errs[w] = claimant(c, w, ss) })
 			}
 			g.Wait(p)
-			_ = ss.Close(p)
-			if int64(len(seen)) != numRecords {
-				ok = false
+			if err := errors.Join(append(errs, ss.Close(p))...); err != nil {
+				t.Error(err)
+				return
 			}
-			for _, n := range seen {
+			for r, n := range claimed {
 				if n != 1 {
-					ok = false
+					t.Errorf("record %d claimed %d times", r, n)
+				}
+			}
+			if !write {
+				return
+			}
+			rd, err := OpenReader(file, Options{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for r := int64(0); r < numRecords; r++ {
+				data, _, err := rd.ReadRecord(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(data, image[r*rs:][:rs]) {
+					t.Errorf("record %d differs from the image its claim wrote", r)
+					return
 				}
 			}
 		})
 		if err := e.Run(); err != nil {
-			return false
+			t.Fatal(err)
 		}
-		return ok
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }

@@ -7,59 +7,33 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/pfs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // SelfSchedDirect is the §3.2 variant the paper sketches for the GDA
 // organization: "this organization could be used to support direct
-// access versions of the S and SS file types". Records are claimed in
-// strict sequence (the SS guarantee) but transferred through a shared
-// direct-access block cache instead of a sequential prefetch stream, so
-// the same handle can also serve interspersed random reads — the mixed
-// mode a purely sequential SS handle cannot offer.
-//
-// Like SelfSched, a single handle is shared by all processes; unlike
-// SelfSched, records may straddle fs blocks (the cache assembles spans).
+// access versions of the S and SS file types". Like SelfSched it is one
+// cursor over the file's records in S order, shared by all processes:
+// every claim takes the next record (the SS guarantee). Its records move
+// through a shared direct-access block cache instead of the S stream, so
+// the same handle can also serve interspersed random reads (the mixed
+// mode a purely sequential SS handle cannot offer), and records may
+// straddle fs blocks (the cache assembles spans).
 type SelfSchedDirect struct {
-	f    *pfs.File
-	opts Options
-	d    *Direct
+	f *pfs.File
+	d *Direct
 
-	mu      sim.Mutex
-	cursor  int64
-	closed  bool
-	procIDs map[*sim.Proc]int
+	mu     sim.Mutex
+	cursor int64
+	closed bool
 }
 
 // OpenSelfSchedDirect opens the shared direct-access self-scheduled view.
 func OpenSelfSchedDirect(f *pfs.File, opts Options) (*SelfSchedDirect, error) {
-	opts = opts.norm()
-	inner := opts
-	inner.Trace = nil // this handle emits the events; avoid double tracing
-	d, err := OpenDirect(f, inner)
+	d, err := OpenDirect(f, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &SelfSchedDirect{f: f, opts: opts, d: d}, nil
-}
-
-// RegisterProc associates a simulated process with a trace id (as with
-// SelfSched, the shared handle cannot identify claimants otherwise).
-func (s *SelfSchedDirect) RegisterProc(p *sim.Proc, id int) {
-	if s.procIDs == nil {
-		s.procIDs = make(map[*sim.Proc]int)
-	}
-	s.procIDs[p] = id
-}
-
-// traceProc resolves the claimant's trace id.
-func (s *SelfSchedDirect) traceProc(ctx sim.Context) int {
-	if p, ok := ctx.(*sim.Proc); ok {
-		if id, ok := s.procIDs[p]; ok {
-			return id
-		}
-	}
-	return s.opts.Proc
+	return &SelfSchedDirect{f: f, d: d}, nil
 }
 
 // Claim atomically takes the next record index without transferring any
@@ -95,14 +69,7 @@ func (s *SelfSchedDirect) ReadNext(ctx sim.Context, dst []byte) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := s.d.ReadRecordAt(ctx, rec, dst); err != nil {
-		return rec, err
-	}
-	s.opts.Trace.Add(trace.Event{
-		Time: ctx.Now(), Proc: s.traceProc(ctx), Op: trace.Read,
-		Record: rec, Block: s.f.Mapper().BlockOf(rec),
-	})
-	return rec, nil
+	return rec, s.d.ReadRecordAt(ctx, rec, dst)
 }
 
 // WriteNext claims the next record slot and writes data through the
@@ -115,14 +82,7 @@ func (s *SelfSchedDirect) WriteNext(ctx sim.Context, data []byte) (int64, error)
 		}
 		return 0, err
 	}
-	if err := s.d.WriteRecordAt(ctx, rec, data); err != nil {
-		return rec, err
-	}
-	s.opts.Trace.Add(trace.Event{
-		Time: ctx.Now(), Proc: s.traceProc(ctx), Op: trace.Write,
-		Record: rec, Block: s.f.Mapper().BlockOf(rec),
-	})
-	return rec, nil
+	return rec, s.d.WriteRecordAt(ctx, rec, data)
 }
 
 // ReadRecordAt performs an interspersed random read through the same

@@ -8,16 +8,14 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/records"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // StreamReader reads the records of a stream view (S, one PS partition,
 // or one IS stride class) in order, with multiple buffering and
 // read-ahead when IOProcs > 0. It is a single-process handle.
 type StreamReader struct {
-	f    *pfs.File
-	seq  blockSeq
-	opts Options
+	f   *pfs.File
+	seq blockSeq
 
 	rd      *buffer.SeqReader
 	ext     int64  // fs blocks per streaming extent
@@ -49,7 +47,6 @@ func newStreamReader(f *pfs.File, seq blockSeq, opts Options) (*StreamReader, er
 	return &StreamReader{
 		f:       f,
 		seq:     seq,
-		opts:    opts,
 		rd:      rd,
 		ext:     int64(opts.ExtentBlocks),
 		totalFS: totalFS,
@@ -159,9 +156,6 @@ func (r *StreamReader) ReadRecord(ctx sim.Context) ([]byte, int64, error) {
 		got += sp.Len
 	}
 	r.i++
-	r.opts.Trace.Add(trace.Event{
-		Time: ctx.Now(), Proc: r.opts.Proc, Op: trace.Read, Record: rec, Block: block,
-	})
 	return r.recBuf[:got], rec, nil
 }
 
@@ -192,9 +186,8 @@ func (r *StreamReader) Close(ctx sim.Context) error {
 // StreamWriter writes the records of a stream view in order, with
 // deferred writing when IOProcs > 0. It is a single-process handle.
 type StreamWriter struct {
-	f    *pfs.File
-	seq  blockSeq
-	opts Options
+	f   *pfs.File
+	seq blockSeq
 
 	sw      *buffer.SeqWriter
 	ext     int64  // fs blocks per streaming extent
@@ -222,7 +215,7 @@ func newStreamWriter(f *pfs.File, seq blockSeq, opts Options) (*StreamWriter, er
 	if err != nil {
 		return nil, err
 	}
-	return &StreamWriter{f: f, seq: seq, opts: opts, sw: sw,
+	return &StreamWriter{f: f, seq: seq, sw: sw,
 		ext: int64(opts.ExtentBlocks), totalFS: totalFS}, nil
 }
 
@@ -277,6 +270,20 @@ func (w *StreamWriter) fsSlice(k int64) []byte {
 	return extentSlice(w.cur, k, w.wLo, w.f.Mapper().FSBlockSize())
 }
 
+// nextBlock reports the paper-block the next record written lands in, or
+// -1 when the stream is full.
+func (w *StreamWriter) nextBlock() int64 {
+	m := w.f.Mapper()
+	for w.j < w.seq.n && w.i >= m.RecordsInBlock(w.seq.pb(w.j)) {
+		w.j++
+		w.i = 0
+	}
+	if w.j >= w.seq.n {
+		return -1
+	}
+	return w.seq.pb(w.j)
+}
+
 // WriteRecord appends data (len must equal the record size) as the next
 // record of the stream, returning its global record index.
 func (w *StreamWriter) WriteRecord(ctx sim.Context, data []byte) (int64, error) {
@@ -287,14 +294,10 @@ func (w *StreamWriter) WriteRecord(ctx sim.Context, data []byte) (int64, error) 
 	if len(data) != m.RecordSize() {
 		return 0, fmt.Errorf("core: record is %d bytes, file records are %d", len(data), m.RecordSize())
 	}
-	for w.j < w.seq.n && w.i >= m.RecordsInBlock(w.seq.pb(w.j)) {
-		w.j++
-		w.i = 0
-	}
-	if w.j >= w.seq.n {
+	block := w.nextBlock()
+	if block < 0 {
 		return 0, fmt.Errorf("core: stream full: %w", io.ErrShortWrite)
 	}
-	block := w.seq.pb(w.j)
 	rec := block*int64(m.BlockRecords()) + int64(w.i)
 	fsPer := m.FSPerBlock()
 	blockFirstFS := block * fsPer
@@ -312,9 +315,6 @@ func (w *StreamWriter) WriteRecord(ctx sim.Context, data []byte) (int64, error) 
 		put += sp.Len
 	}
 	w.i++
-	w.opts.Trace.Add(trace.Event{
-		Time: ctx.Now(), Proc: w.opts.Proc, Op: trace.Write, Record: rec, Block: block,
-	})
 	return rec, nil
 }
 

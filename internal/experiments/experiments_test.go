@@ -180,6 +180,69 @@ func TestFigure1AllPatternsValid(t *testing.T) {
 	}
 }
 
+// figure1Case is one crafted read sequence over 6 blocks for checkFigure1.
+type figure1Case struct {
+	name  string
+	reads []int  // process, block, process, block, ...
+	want  string // "" = valid
+}
+
+// checkFigure1Cases holds each case to one pattern's owner function: a
+// good sequence must pass, and a broken one must be refused with the reason.
+func checkFigure1Cases(t *testing.T, owner func(int64) int, cases []figure1Case) {
+	t.Helper()
+	for _, tc := range cases {
+		var rs []blockRead
+		for i := 0; i < len(tc.reads); i += 2 {
+			rs = append(rs, blockRead{tc.reads[i], int64(tc.reads[i+1])})
+		}
+		err := checkFigure1(rs, 6, owner)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: valid pattern refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+func TestFigure1CheckSequential(t *testing.T) {
+	checkFigure1Cases(t, func(int64) int { return 0 }, []figure1Case{
+		{"S", []int{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5}, ""},
+		{"duplicate", []int{0, 0, 0, 1, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5}, "block 1 read twice"},
+		{"unread block", []int{0, 0, 0, 1, 0, 2, 0, 3, 0, 4}, "block 5 never read"},
+		{"second process", []int{0, 0, 0, 1, 0, 2, 1, 3, 0, 4, 0, 5}, "block 3 read by P2, owner P1"},
+		{"out of order", []int{0, 0, 0, 2, 0, 1, 0, 3, 0, 4, 0, 5}, "P1 read block 1 after block 2"},
+	})
+}
+
+func TestFigure1CheckPartitioned(t *testing.T) {
+	checkFigure1Cases(t, func(b int64) int { return int(b / 2) }, []figure1Case{ // 3 processes, 2 blocks each
+		{"PS interleaved in time", []int{0, 0, 1, 2, 2, 4, 0, 1, 1, 3, 2, 5}, ""},
+		{"wrong owner", []int{0, 0, 0, 1, 1, 2, 2, 3, 2, 4, 2, 5}, "block 3 read by P3, owner P2"},
+		{"unread block", []int{0, 0, 1, 2, 2, 4, 0, 1, 2, 5}, "block 3 never read"},
+		{"unknown process", []int{0, 0, 0, 1, 1, 2, 1, 3, 2, 4, 5, 5}, "block 5 read by P6, owner P3"},
+	})
+}
+
+func TestFigure1CheckInterleaved(t *testing.T) {
+	checkFigure1Cases(t, func(b int64) int { return int(b % 3) }, []figure1Case{
+		{"IS", []int{0, 0, 1, 1, 2, 2, 0, 3, 1, 4, 2, 5}, ""},
+		{"unread block", []int{0, 0, 1, 1, 2, 2, 0, 3, 2, 5}, "block 4 never read"},
+		{"wrong stride class", []int{0, 1, 1, 0, 2, 2, 0, 3, 1, 4, 2, 5}, "block 1 read by P1, owner P2"},
+		{"out of order in one process", []int{0, 3, 1, 1, 2, 2, 0, 0, 1, 4, 2, 5}, "P1 read block 0 after block 3"},
+	})
+}
+
+func TestFigure1CheckSelfScheduled(t *testing.T) {
+	checkFigure1Cases(t, nil, []figure1Case{
+		{"SS", []int{2, 0, 0, 1, 1, 2, 0, 3, 0, 4, 2, 5}, ""},
+		{"SS duplicate", []int{0, 0, 1, 1, 2, 1, 0, 2, 1, 3, 2, 4, 0, 5}, "block 1 read twice"},
+		{"SS out of claim order", []int{0, 0, 1, 2, 2, 1, 0, 3, 1, 4, 2, 5}, "P3 read block 1 after block 2"},
+		{"outside the file", []int{0, 0, 1, 1, 2, 2, 0, 3, 1, 4, 2, 6}, "P3 read block 6 of 6"},
+	})
+}
+
 func TestE1StripingScales(t *testing.T) {
 	res := runOK(t, "e1")
 	// Shape: bandwidth grows with device count; 16 devices at least 6x

@@ -55,12 +55,11 @@ type consumer struct {
 }
 
 // team is n consumers of view v, the i-th reading partition i with stride
-// n through opts traced as process i, each computing compute per record.
+// n through opts, each computing compute per record.
 func team(n int, v view, opts core.Options, compute time.Duration) []consumer {
 	cs := make([]consumer, n)
 	for i := range cs {
 		cs[i] = consumer{view: v, part: i, stride: n, opts: opts, compute: compute}
-		cs[i].opts.Proc = i
 	}
 	return cs
 }
@@ -81,6 +80,9 @@ type organization struct {
 	// before opens the body and returns the file the phases read.
 	before func(p *sim.Proc, vol *pfs.Volume, f *pfs.File) (*pfs.File, error)
 	phases [][]consumer
+	// seen, when set, is told of every record a consumer has checked, in
+	// the order the consumers read them; consumer is its index in the phase.
+	seen func(consumer int, rec int64)
 }
 
 // orgResult is what one organization run measured.
@@ -131,7 +133,7 @@ func (o organization) run(rec *probe.Recorder) (orgResult, error) {
 			}
 		}
 		for _, cs := range o.phases {
-			if err := res.phase(p, f, cs, start); err != nil {
+			if err := res.phase(p, f, cs, start, o.seen); err != nil {
 				return err
 			}
 			res.ends = append(res.ends, p.Now()-start)
@@ -164,7 +166,7 @@ func (o *organization) globalFill(p *sim.Proc, f *pfs.File) error {
 // phase runs one phase's consumers together. The self-scheduled ones
 // share a handle opened with the first one's options before any starts and
 // closed after the last ends.
-func (res *orgResult) phase(p *sim.Proc, f *pfs.File, cs []consumer, start time.Duration) error {
+func (res *orgResult) phase(p *sim.Proc, f *pfs.File, cs []consumer, start time.Duration, seen func(int, int64)) error {
 	var ss *core.SelfSched
 	for _, c := range cs {
 		if c.view >= claim && ss == nil {
@@ -179,7 +181,12 @@ func (res *orgResult) phase(p *sim.Proc, f *pfs.File, cs []consumer, start time.
 	var g sim.Group
 	for i, c := range cs {
 		g.Spawn(p.Engine(), "w", func(w *sim.Proc) {
-			if err := c.consume(w, f, ss, &res.claims); err != nil {
+			report := func(rec int64) {
+				if seen != nil {
+					seen(i, rec)
+				}
+			}
+			if err := c.consume(w, f, ss, &res.claims, report); err != nil {
 				errs[i] = fmt.Errorf("consumer %d: %w", i, err)
 			}
 			res.finish[i] = w.Now() - start
@@ -192,8 +199,8 @@ func (res *orgResult) phase(p *sim.Proc, f *pfs.File, cs []consumer, start time.
 	return errors.Join(errs...)
 }
 
-// consume is one consumer's process.
-func (c consumer) consume(p *sim.Proc, f *pfs.File, ss *core.SelfSched, claims *int64) error {
+// consume is one consumer's process; it reports each record it checked.
+func (c consumer) consume(p *sim.Proc, f *pfs.File, ss *core.SelfSched, claims *int64, report func(rec int64)) error {
 	rd, err := c.reader(p, f, ss)
 	if err != nil {
 		return err
@@ -209,6 +216,9 @@ func (c consumer) consume(p *sim.Proc, f *pfs.File, ss *core.SelfSched, claims *
 		}
 		if err != nil {
 			return errors.Join(err, rd.Close(p))
+		}
+		for k := 0; k < len(data)/rs; k++ {
+			report(first + int64(k))
 		}
 		*claims++
 		if c.compute > 0 {
@@ -229,7 +239,6 @@ func (c consumer) reader(p *sim.Proc, f *pfs.File, ss *core.SelfSched) (recordRe
 	case c.view == interleaved:
 		return core.OpenInterleavedReader(f, c.part, c.stride, c.opts)
 	}
-	ss.RegisterProc(p, c.opts.Proc)
 	m := f.Mapper()
 	return &claimer{ss, c.view == claimBlocks, make([]byte, m.RecordSize()), int64(m.BlockRecords())}, nil
 }

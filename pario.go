@@ -322,9 +322,7 @@
 // recorder attached (the default) every hook is a nil-receiver no-op:
 // zero work, zero allocations (BenchmarkTraceOverhead measures the
 // delta). `pariobench -run <id> -trace out.json -metrics` records any row;
-// `parioctl trace out.json` summarizes a trace offline. Distinct from
-// TraceRecorder, which captures the paper's per-record access events
-// (Figure 1), not timing.
+// `parioctl trace out.json` summarizes a trace offline.
 //
 // # Execution model
 //
@@ -395,7 +393,6 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/probe"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/volio"
 )
 
@@ -427,13 +424,13 @@ type (
 	// Category separates standard from specialized files.
 	Category = pfs.Category
 
-	// Options tunes an access method (buffering, read-ahead, tracing).
+	// Options tunes an access method (buffering, read-ahead, write-behind).
 	Options = core.Options
 	// StreamReader reads S/PS/IS views sequentially.
 	StreamReader = core.StreamReader
 	// StreamWriter writes S/PS/IS views sequentially.
 	StreamWriter = core.StreamWriter
-	// SelfSched is the shared SS handle.
+	// SelfSched is the shared SS handle: a cursor over the S stream.
 	SelfSched = core.SelfSched
 	// SelfSchedDirect is the §3.2 direct-access SS variant over GDA.
 	SelfSchedDirect = core.SelfSchedDirect
@@ -461,9 +458,6 @@ type (
 	Backend = device.Backend
 	// FileBackend stores disk pages in a host file.
 	FileBackend = device.FileBackend
-
-	// TraceRecorder captures per-record access events (Figure 1).
-	TraceRecorder = trace.Recorder
 
 	// Recorder is the flight recorder: virtual-clock spans plus a typed
 	// metrics registry, nil-default across the whole stack (see the
