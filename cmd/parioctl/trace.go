@@ -135,13 +135,18 @@ func traceCmd(args []string, stdout io.Writer) error {
 
 // routePrices prints the price table of the priced collective calls in
 // the trace (collective/call.<candidate chosen> spans, each the parent of
-// its collective/price.<candidate> spans, whose length is the price): the
-// first top calls one a row, then the price ÷ realised ratio over all of
-// them.
+// its collective/price.<candidate> spans, whose length is the price, and
+// of a two-phase pick's collective/cut.<cut> span, which names its round
+// table: equal or ramped rounds and their chunks): the first top calls
+// one a row, then the price ÷ realised ratio over all of them.
 func routePrices(stdout io.Writer, spans []probe.Span, top int) {
 	candidates := []string{"vectored", "sieved", "two-phase", "aligned"}
 	prices := map[probe.SpanID]map[string]time.Duration{}
+	cuts := map[probe.SpanID]string{}
 	for _, s := range spans {
+		if cut, ok := strings.CutPrefix(s.Name, "cut."); ok && s.Cat == "collective" {
+			cuts[s.Parent] = cut
+		}
 		if name, ok := strings.CutPrefix(s.Name, "price."); ok && s.Cat == "collective" {
 			if prices[s.Parent] == nil {
 				prices[s.Parent] = map[string]time.Duration{}
@@ -150,7 +155,7 @@ func routePrices(stdout io.Writer, spans []probe.Span, top int) {
 		}
 	}
 	t := stats.NewTable("route prices of priced collective calls (StrategyAuto)",
-		"at", "vectored", "sieved", "two-phase", "aligned", "chosen", "took", "price/took")
+		"at", "vectored", "sieved", "two-phase", "aligned", "chosen", "took", "price/took", "cut")
 	var ratios []float64
 	for _, s := range spans {
 		chosen, ok := strings.CutPrefix(s.Name, "call.")
@@ -171,7 +176,11 @@ func routePrices(stdout io.Writer, spans []probe.Span, top int) {
 				row = append(row, "-")
 			}
 		}
-		t.AddRow(append(row, chosen, took.Round(time.Microsecond), fmt.Sprintf("%.3f", ratio))...)
+		cut := cuts[s.ID]
+		if cut == "" {
+			cut = "-"
+		}
+		t.AddRow(append(row, chosen, took.Round(time.Microsecond), fmt.Sprintf("%.3f", ratio), cut)...)
 	}
 	if len(ratios) == 0 {
 		return

@@ -26,11 +26,12 @@ func writeTestTrace(t *testing.T) string {
 	ex := rec.Span(rank, "collective", "chunk.exchange", ms(0), ms(8), 0, 0)
 	rec.Span(io, "collective", "chunk.access", ms(4), ms(20), 8192, ex)
 	// The call was priced: sieved at 30 ms, the aligned partition at 21 ms
-	// and chosen, and it took 20.
+	// and chosen, on ramped rounds, and it took 20.
 	plan := rec.AsyncTrack("rank/plan")
 	call := rec.Span(plan, "collective", "call.aligned", ms(0), ms(20), 0, 0)
 	rec.Span(plan, "collective", "price.sieved", ms(0), ms(30), 0, call)
 	rec.Span(plan, "collective", "price.aligned", ms(0), ms(21), 0, call)
+	rec.Span(plan, "collective", "cut.ramped 3 7 11", ms(0), ms(20), 0, call)
 	path := filepath.Join(t.TempDir(), "trace.json")
 	f, err := os.Create(path)
 	if err != nil {
@@ -49,12 +50,12 @@ func TestTraceSubcommand(t *testing.T) {
 	path := writeTestTrace(t)
 	out := ctl(t, nil, "trace", path)
 	for _, want := range []string{
-		"7 spans on 4 tracks",
+		"8 spans on 4 tracks",
 		"device/write",
 		"collective/chunk.exchange",
 		"dev/d0",
 		"overlap 4ms", // exchange [0,8) ∩ access [4,20) = [4,8)
-		"30.00ms  -          21.00ms  aligned  20.00ms  1.050",
+		"30.00ms  -          21.00ms  aligned  20.00ms  1.050       ramped 3 7 11",
 		"1 priced calls: price/took min 1.050",
 	} {
 		if !strings.Contains(out, want) {

@@ -40,6 +40,7 @@ package collective
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/blockio"
@@ -145,11 +146,14 @@ type Options struct {
 	// exchange re-sorting the ranks' pieces by drive). The aligned one is
 	// priced at every pipeline depth from the chunk ChunkBytes allows (a
 	// whole domain when it sets no bound) down to single blocks — each
-	// chunk cut in 2, 4, 8, … — and runs at the cheapest, ties to the
-	// shallower, so a free interconnect stays at one round (LastDepth
-	// reports it); domains of several drives each (fewer aggregators than
-	// drives) are priced at one round only. The other settings never
-	// price and run the rounds ChunkBytes asks for: one, when it is 0.
+	// chunk cut in 2, 4, 8, … — each depth in equal rounds and in rounds
+	// ramped in proportion to the round (growing for a write, shrinking
+	// for a read, within the ChunkBytes bound), and runs at the cheapest,
+	// ties to the shallower and to equal rounds, so a free interconnect
+	// stays at one round (LastDepth reports it); domains of several drives
+	// each (fewer aggregators than drives) are priced at one round only.
+	// The other settings never price and run the equal rounds ChunkBytes
+	// asks for: one, when it is 0.
 	// LastRoute says "two-phase" for either. Plan validation, cross-rank
 	// overlap rejection, and LastWriterWins semantics are identical on
 	// every route. The nonblocking entry points (Service) always run
@@ -263,15 +267,17 @@ type Collective struct {
 	domOut  int
 
 	// Sparse-exchange scratch, shared by all ranks under strict
-	// alternation. payPool recycles exchange payload buffers: a sender
-	// packs into a pooled buffer, ownership rides the message, and the
-	// consumer returns it once copied out, so steady-state rounds
-	// allocate nothing. dstIdx (invariant: all -1 outside a pack call)
+	// alternation. payPool recycles exchange payload buffers by size class
+	// (getPay): a sender packs into a pooled buffer, ownership rides the
+	// message, and the consumer returns it once copied out, so steady-state
+	// rounds allocate nothing. dstIdx (invariant: all -1 outside a pack call)
 	// maps destination rank to its message while one rank packs; a pack
 	// never parks the engine, so one shared array serves every rank.
 	// msgScratch holds per-rank outgoing message lists, reused per call.
-	payPool    [][]byte
+	payPool    [64][][]byte
 	dstIdx     []int
+	dstLen     []int   // per destination, while one rank packs: its message's length
+	pieces     []piece // the pack in progress (pack)
 	msgScratch [][]mpp.Msg
 
 	// Aggregator state, per rank, made on a rank's first turn as an
@@ -302,8 +308,9 @@ type Collective struct {
 
 // ForceAligned is the test hook of the module's own tests, out of reach
 // of the public facade: every blocking call on c runs two-phase on the
-// drive-aligned partition with every chunk cut in split, priced or not.
-// split 0 hands the choice back to Options.Strategy.
+// drive-aligned partition with every chunk cut in split, priced or not,
+// on the equal round table. split 0 hands the choice back to
+// Options.Strategy.
 func ForceAligned(c *Collective, split int) {
 	c.forcePart = nil
 	if split > 0 {
@@ -312,22 +319,26 @@ func ForceAligned(c *Collective, split int) {
 	c.flushSchedules()
 }
 
-// getPay pops a recycled payload buffer (length 0, capacity whatever it
-// grew to) or returns nil for append to grow.
-func (c *Collective) getPay() []byte {
-	if n := len(c.payPool); n > 0 {
-		b := c.payPool[n-1]
-		c.payPool[n-1] = nil
-		c.payPool = c.payPool[:n-1]
+// getPay pops a recycled payload buffer that holds n bytes (length 0),
+// or makes one. The pool is kept by size class, a power of two, so a
+// payload is never taken smaller than what it will carry.
+func (c *Collective) getPay(n int) []byte {
+	cl := bits.Len(uint(max(n, 1) - 1)) // the least class of 2^cl ≥ n bytes
+	if pool := c.payPool[cl]; len(pool) > 0 {
+		b := pool[len(pool)-1]
+		pool[len(pool)-1] = nil
+		c.payPool[cl] = pool[:len(pool)-1]
 		return b[:0]
 	}
-	return nil
+	return make([]byte, 0, 1<<cl)
 }
 
-// putPay returns a fully consumed payload buffer to the pool.
+// putPay returns a fully consumed payload buffer to the pool, in the
+// largest class its capacity holds.
 func (c *Collective) putPay(b []byte) {
 	if cap(b) > 0 {
-		c.payPool = append(c.payPool, b)
+		cl := bits.Len(uint(cap(b))) - 1
+		c.payPool[cl] = append(c.payPool[cl], b)
 	}
 }
 
@@ -357,6 +368,7 @@ func Open(g *pfs.FileGroup, size int, opts Options) (*Collective, error) {
 		bufs:       make([][]byte, size),
 		errs:       make([]error, size),
 		dstIdx:     make([]int, size),
+		dstLen:     make([]int, size),
 		msgScratch: make([][]mpp.Msg, size),
 		cacheCap:   planCacheCap(opts.PlanCache),
 	}

@@ -74,7 +74,9 @@ const (
 	// unbounded on even phases (ChunkBytes 0: one round, or every domain
 	// cut in 2 or 4 by the seed) and chunked (the scenario's ChunkBytes,
 	// every chunk cut in 2, 4, 8 or 16 by the seed, so the ranks that own
-	// no domain post up to sixteen rounds at once) on odd ones. The phases
+	// no domain post up to sixteen rounds at once) on odd ones, every other
+	// pair of them on a ramped round table (rounds growing, or shrinking)
+	// instead of the equal one. The phases
 	// around them run on the logical partition, so an aligned write is
 	// read back by logical reads and the reverse, and every image is
 	// diffed against the same serial reference — across the store kinds,
@@ -501,18 +503,25 @@ func (sc *diffScenario) run(t *testing.T) {
 	if err != nil {
 		t.Fatalf("seed %d: %v", sc.seed, err)
 	}
-	// aligned[0] unbounded, aligned[1] chunked: phase pi uses aligned[pi%2].
-	// The unbounded one runs one round, or its whole domains cut in 2 or 4
-	// (what Auto does to them where it prices depth); the chunked one cuts
+	// aligned[i]: unbounded for even i, chunked for odd; equal rounds below
+	// 2, growing rounds at 2 and shrinking ones at 3, for reads and writes
+	// alike (where the ramp fits under the bound); phase pi uses
+	// aligned[pi%4]. The
+	// unbounded ones run one round, or their whole domains cut in 2 or 4
+	// (what Auto does to them where it prices depth); the chunked ones cut
 	// every chunk in 2 to 16.
-	var aligned [2]*Collective
-	for i, o := range []Options{sc.opts, popts} {
+	var aligned [4]*Collective
+	for i := range aligned {
+		o := sc.opts
+		split := 1 << (sc.seed % 3)
+		if i%2 == 1 {
+			o, split = popts, 2<<(sc.seed%4)
+		}
 		if aligned[i], err = Open(g, sc.nRanks, o); err != nil {
 			t.Fatalf("seed %d: %v", sc.seed, err)
 		}
-		aligned[i].forcePart = &choice{route: routeTwoPhase, aligned: true, split: 1 << (sc.seed % 3)}
+		aligned[i].forcePart = &choice{route: routeTwoPhase, aligned: true, split: split, ramp: []ramp{0, 0, rampUp, rampDown}[i]}
 	}
-	aligned[1].forcePart.split = 2 << (sc.seed % 4)
 	mg, join := mpp.Run(e, sc.nRanks, "diff", func(p *mpp.Proc) {
 		r := p.Rank()
 		for pi, ph := range sc.phases {
@@ -525,7 +534,7 @@ func (sc *diffScenario) run(t *testing.T) {
 				case diffAutoWrite:
 					h = auto
 				case diffAlignedWrite:
-					h = aligned[pi%2]
+					h = aligned[pi%4]
 				}
 				if err := h.WriteAll(p, ph.reqs[r], ph.bufs[r]); err != nil {
 					t.Errorf("seed %d phase %d (%s) rank %d: %v", sc.seed, pi, diffKindNames[ph.kind], r, err)
@@ -538,7 +547,7 @@ func (sc *diffScenario) run(t *testing.T) {
 				case diffAutoRead:
 					h = auto
 				case diffAlignedRead:
-					h = aligned[pi%2]
+					h = aligned[pi%4]
 				}
 				if err := h.ReadAll(p, ph.reqs[r], ph.bufs[r]); err != nil {
 					t.Errorf("seed %d phase %d (%s) rank %d: %v", sc.seed, pi, diffKindNames[ph.kind], r, err)

@@ -101,7 +101,7 @@ func FuzzPlanDomains(f *testing.F) {
 			return // rejected input: the validator at work, not a plan
 		}
 		checkPlanInvariants(t, pl, reqs, opts)
-		checkPlanInvariants(t, pl.aligned(opts, 1), reqs, opts)
+		checkPlanInvariants(t, pl.aligned(opts, 1, 0), reqs, opts)
 	})
 }
 
@@ -239,21 +239,24 @@ func checkPlanInvariants(t *testing.T, pl *plan, reqs [][]VecReq, opts Options) 
 	}
 }
 
-// FuzzChunkDomains fuzzes the chunk splitting layered on the domain
-// split: decoded like FuzzPlanDomains plus a chunk-size byte, it checks
-// that chunk windows preserve the exact cover/disjointness invariants
-// of the domains they tile:
+// FuzzChunkDomains fuzzes the round table layered on the domain split:
+// decoded like FuzzPlanDomains plus a chunk-size byte, it checks that
+// the table's chunk windows preserve the exact cover/disjointness
+// invariants of the domains they tile, on the logical partition and on
+// the drive-aligned one at every pipeline split from 1 to 16, each cut
+// equal, ramped up (a write's) and ramped down (a read's):
 //
-//   - every domain's chunks are contiguous, disjoint, and cover the
-//     domain exactly, ragged only at the domain's tail;
-//   - every chunk is at most chunkBlocks blocks, and chunkBlocks bytes
-//     never exceed ChunkBytes except for the single-oversized-segment
-//     degenerations (sub-block ChunkBytes → one block; chunk larger
-//     than a domain → clamped to the domain; ChunkBytes 0, no bound →
-//     the domain, one round at split 1), at every pipeline split from 1
-//     to 16 of the drive-aligned partition;
-//   - rounds is exactly the chunk count of the largest domain, and
-//     every domain is exhausted within it;
+//   - rounds is the table's length, the table ascends strictly and ends
+//     at the largest domain;
+//   - every domain's chunks are contiguous, disjoint and cover the domain
+//     exactly, and no chunk is empty before its domain ends;
+//   - the largest chunk stays within the ChunkBytes ceiling, except for
+//     the single-oversized-segment degenerations (sub-block ChunkBytes →
+//     one block; chunk larger than a domain → clamped to the domain;
+//     ChunkBytes 0, no bound → the domain, one round at split 1); the
+//     equal cut's chunks are that ceiling cut in split, the last ragged,
+//     and a ramp has as many rounds, its first chunk no larger (up) or no
+//     smaller (down) than its last;
 //   - per (rank, domain), the clips of the domain's chunk windows sum
 //     to the domain's clips, with chunk-relative offsets tiling each
 //     window in canonical order — the invariant the pipelined payload
@@ -283,30 +286,33 @@ func FuzzChunkDomains(f *testing.F) {
 		if err != nil {
 			return // rejected input: the validator at work, not a plan
 		}
-		checkChunkInvariants(t, pl, chunkBytes, 1)
-		for _, split := range []int{1, 2, 3, 4, 8, 16} {
-			checkChunkInvariants(t, pl.aligned(opts, split), chunkBytes, split)
+		checkChunkInvariants(t, pl, chunkBytes, 1, 0)
+		for split := 1; split <= 16; split++ {
+			for _, r := range []ramp{0, rampUp, rampDown} {
+				checkChunkInvariants(t, pl.aligned(opts, split, r), chunkBytes, split, r)
+			}
 		}
 	})
 }
 
-// checkChunkInvariants checks one plan's chunk windows, in whichever key
-// space it is in; split is the pipeline split the plan was built with.
-func checkChunkInvariants(t *testing.T, pl *plan, chunkBytes int64, split int) {
+// checkChunkInvariants checks one plan's round table and chunk windows, in
+// whichever key space it is in; split and r are the pipeline split and
+// ramp the plan was built with.
+func checkChunkInvariants(t *testing.T, pl *plan, chunkBytes int64, split int, r ramp) {
 	t.Helper()
 	nRanks, naggs := len(pl.segs), pl.naggs
 	if pl.total == 0 {
-		if pl.rounds != 0 {
-			t.Fatalf("empty footprint planned %d rounds", pl.rounds)
+		if pl.rounds != 0 || len(pl.ends) != 0 {
+			t.Fatalf("empty footprint planned %d rounds (table %v)", pl.rounds, pl.ends)
 		}
 		return
 	}
-	if pl.chunkBlocks < 1 {
-		t.Fatalf("chunkBlocks = %d with ChunkBytes %d", pl.chunkBlocks, chunkBytes)
+	if pl.rounds != len(pl.ends) || pl.ends[pl.rounds-1] != pl.domBlocks {
+		t.Fatalf("%d rounds, table %v, largest domain %d", pl.rounds, pl.ends, pl.domBlocks)
 	}
 	// ChunkBytes is an upper bound on the chunk (a sub-block ChunkBytes
 	// rounds up to one block, a chunk larger than a domain is the domain,
-	// and so is the chunk under no bound), and every chunk is cut in split.
+	// and so is the chunk under no bound).
 	maxBytes := chunkBytes
 	switch {
 	case maxBytes == 0:
@@ -317,36 +323,45 @@ func checkChunkInvariants(t *testing.T, pl *plan, chunkBytes int64, split int) {
 	case maxBytes < pl.bs:
 		maxBytes = pl.bs // sub-block chunks round up to one block
 	}
-	if pl.chunkBlocks*pl.bs > maxBytes {
-		t.Fatalf("chunkBlocks %d (%d bytes) exceeds ChunkBytes %d",
-			pl.chunkBlocks, pl.chunkBlocks*pl.bs, chunkBytes)
+	ceil := min(maxBytes/pl.bs, pl.domBlocks)
+	cb := (ceil + int64(split) - 1) / int64(split)
+	chunks := make([]int64, pl.rounds)
+	var lo int64
+	for k, end := range pl.ends {
+		chunks[k], lo = end-lo, end
+		if chunks[k] < 1 || chunks[k] > ceil {
+			t.Fatalf("table %v: chunk %d of %d blocks, ceiling %d (ChunkBytes %d)", pl.ends, k, chunks[k], ceil, chunkBytes)
+		}
 	}
-	if whole := min(maxBytes/pl.bs, pl.domBlocks); pl.chunkBlocks != (whole+int64(split)-1)/int64(split) {
-		t.Fatalf("chunk of %d blocks (domain %d, ChunkBytes %d) cut in %d: chunkBlocks = %d",
-			whole, pl.domBlocks, chunkBytes, split, pl.chunkBlocks)
+	if wantRounds := int((pl.domBlocks + cb - 1) / cb); pl.rounds != wantRounds {
+		t.Fatalf("%d rounds, want %d (domain %d, chunk %d cut in %d)", pl.rounds, wantRounds, pl.domBlocks, ceil, split)
 	}
-	wantRounds := int((pl.domBlocks + pl.chunkBlocks - 1) / pl.chunkBlocks)
-	if pl.rounds != wantRounds {
-		t.Fatalf("rounds = %d, want %d (domBlocks %d, chunkBlocks %d)",
-			pl.rounds, wantRounds, pl.domBlocks, pl.chunkBlocks)
+	if pl.ramped && r == 0 {
+		t.Fatalf("an equal cut planned a ramp: %v", pl.ends)
+	}
+	switch {
+	case !pl.ramped:
+		for k, n := range chunks {
+			if n != cb && (k < pl.rounds-1 || n > cb) {
+				t.Fatalf("equal table %v: chunk %d of %d blocks, want %d (the last no more)", pl.ends, k, n, cb)
+			}
+		}
+	case r == rampUp && chunks[0] > chunks[pl.rounds-1], r == rampDown && chunks[0] < chunks[pl.rounds-1]:
+		t.Fatalf("ramp %d table %v runs the wrong way", r, pl.ends)
 	}
 	for a := 0; a < naggs; a++ {
 		dLo, dHi := pl.domain(a)
 		prevHi := dLo
-		sawShort := false
 		for c := 0; c < pl.rounds; c++ {
 			lo, hi := pl.chunkWindow(a, c)
 			if lo != prevHi {
 				t.Fatalf("domain %d chunk %d starts at %d, want %d (gap or overlap)", a, c, lo, prevHi)
 			}
-			if hi < lo || hi-lo > pl.chunkBlocks {
-				t.Fatalf("domain %d chunk %d spans [%d,%d), chunkBlocks %d", a, c, lo, hi, pl.chunkBlocks)
+			if hi < lo || hi-lo > chunks[c] {
+				t.Fatalf("domain %d chunk %d spans [%d,%d), table chunk %d", a, c, lo, hi, chunks[c])
 			}
-			if sawShort && hi > lo {
-				t.Fatalf("domain %d chunk %d nonempty after a short chunk", a, c)
-			}
-			if hi-lo < pl.chunkBlocks {
-				sawShort = true
+			if hi == lo && hi < dHi {
+				t.Fatalf("domain %d chunk %d empty before the domain ends at %d", a, c, dHi)
 			}
 			prevHi = hi
 

@@ -4,10 +4,12 @@
 // buffering (one loop parameterised by cb_buffer_size) and PVFS listio
 // chunk pipelining.
 //
-// Each file domain is cut into chunk-aligned sub-domains
-// (plan.chunkWindow) and the collective runs plan.rounds exchange rounds
-// (mpp.SparseExchange — per-pair setup charged once for the whole
-// collective), with every aggregator's device access running in a
+// Each file domain is cut into chunks where the plan's round table says
+// (plan.ends, one table for every domain: equal chunks, or chunks ramped
+// in proportion to the round) and the collective runs plan.rounds
+// exchange rounds (mpp.SparseExchange — per-pair setup charged once for
+// the whole collective), round k moving chunk k of every domain
+// (plan.chunkWindow), with every aggregator's device access running in a
 // companion process fed through a depth-1 sim.Queue:
 //
 //	write: main   pack(k) → Round(k) ──→ queue ──→ companion: assemble(k) → WriteWindow(k)
@@ -39,19 +41,25 @@
 // and its messages cost, not four engine dispatches for each of the
 // group's ranks, and in steady state it allocates nothing: hand-off
 // slots, staging, message lists, payloads, device requests and wait
-// lists are all reused.
+// lists are all reused — staging at the table's largest chunk and every
+// payload sized before it is packed, so unequal rounds reuse each
+// other's memory too.
 //
 // What a chunk is on the drives is the plan's business, not this file's.
 // A chunk of a logical domain is a contiguous slice of the files: on a
 // declustered file, a short piece on every drive, every round. A chunk
 // of a drive-aligned domain (plan.aligned, StrategyAuto's other
 // two-phase candidate) is a contiguous slice of one drive, so a round is
-// one long request per drive. How many rounds is a price there, not a
-// setting: Options.ChunkBytes bounds the chunk (0: at a whole domain),
-// and strategy.go's alignedCost runs every depth below that bound — each
-// chunk cut in 2, 4, 8, … — through a dry issue of every round's requests
-// and this file's own hand-off (pipelineEnd), and keeps the cheapest.
-// Nothing below tells the two partitions apart.
+// one long request per drive. How many rounds, and how they share a
+// domain, is a price there, not a setting: Options.ChunkBytes bounds the
+// chunk (0: at a whole domain), and strategy.go's alignedCost runs every
+// depth below that bound — each chunk cut in 2, 4, 8, … — cut equally and
+// ramped, through a dry issue of every round's requests and this file's
+// own hand-off (pipelineEnd), and keeps the cheapest. A write's ramp
+// grows, so the first exchange, which nothing hides, is a few blocks; a
+// read's shrinks, so the last delivery is. The logical partition and the
+// nonblocking calls keep equal rounds. Nothing below tells the two
+// partitions or the two cuts apart.
 //
 // The nonblocking calls (nonblock.go) hand their device phase to an I/O
 // server instead, but pack, assemble and scatter with the same helpers:
@@ -239,20 +247,26 @@ func (c *Collective) bindAgg(sd *schedule, rank int) *aggState {
 }
 
 // takeStage takes the call's staging from the handle's free list: one
-// chunk buffer per nonempty owned domain, and the second of the double
-// buffer only for a domain that has a second chunk — a one-round call
-// holds one buffer per domain. Contents are stale, which is safe: a write
-// chunk is fully covered by the ranks' clips (domains tile the covered
-// footprint) and a read chunk fully overwritten by the device read, so
-// stale bytes never travel.
+// buffer of the round table's largest chunk per nonempty owned domain, and
+// the second of the double buffer only for a domain that has a second
+// chunk — a one-round call holds one buffer per domain. Every buffer is
+// one size, so a call of unequal rounds recycles what the last one
+// returned. Contents are stale, which is safe: a write chunk is fully
+// covered by the ranks' clips (domains tile the covered footprint) and a
+// read chunk fully overwritten by the device read, so stale bytes never
+// travel.
 func (s *aggState) takeStage() {
-	n := int(s.pl.chunkBlocks * s.pl.bs)
+	var chunk, lo int64
+	for _, hi := range s.pl.ends {
+		chunk, lo = max(chunk, hi-lo), hi
+	}
+	n := int(chunk * s.pl.bs)
 	for i, a := range s.owned {
 		lo, hi := s.pl.domain(a)
 		if hi > lo {
 			s.stage[i][0] = s.c.getDom(n)
 		}
-		if hi-lo > s.pl.chunkBlocks {
+		if hi-lo > s.pl.ends[0] {
 			s.stage[i][1] = s.c.getDom(n)
 		}
 	}
@@ -366,27 +380,17 @@ func (c *Collective) assembleChunk(pl *plan, owned []int, k int, recv []mpp.Recv
 // The copy goes into pooled payload buffers (staging is reused two rounds
 // later, so bytes cannot ride the message by reference).
 func (c *Collective) packChunkDomains(pl *plan, owned []int, k int, bufs [][]byte, msgs []mpp.Msg) []mpp.Msg {
-	first := len(msgs)
 	for i, a := range owned {
 		lo, hi := pl.chunkWindow(a, k)
 		buf := bufs[i]
 		for _, r32 := range pl.ranksIn[a] {
 			r := int(r32)
 			pl.forEachClipWin(r, lo, hi, func(cl clip) {
-				j := c.dstIdx[r]
-				if j < 0 {
-					j = len(msgs)
-					msgs = append(msgs, mpp.Msg{Dst: r, Data: c.getPay()})
-					c.dstIdx[r] = j
-				}
-				msgs[j].Data = append(msgs[j].Data, buf[cl.domOff:cl.domOff+cl.n*pl.bs]...)
+				c.pieces = append(c.pieces, piece{r, buf[cl.domOff : cl.domOff+cl.n*pl.bs]})
 			})
 		}
 	}
-	for _, m := range msgs[first:] {
-		c.dstIdx[m.Dst] = -1
-	}
-	return msgs
+	return c.pack(msgs, k)
 }
 
 // packChunkSparse appends rank's round-k write messages to msgs: for
@@ -400,21 +404,48 @@ func (c *Collective) packChunkDomains(pl *plan, owned []int, k int, bufs [][]byt
 // recycles them. Messages carry their round, so a rank may pack all its
 // rounds into one list and post them.
 func (c *Collective) packChunkSparse(pl *plan, rank, k int, buf []byte, msgs []mpp.Msg) []mpp.Msg {
-	first := len(msgs)
 	for _, a32 := range pl.domsOf[rank] {
 		a := int(a32)
 		lo, hi := pl.chunkWindow(a, k)
 		dst := pl.owner[a]
 		pl.forEachClipWin(rank, lo, hi, func(cl clip) {
-			i := c.dstIdx[dst]
-			if i < 0 {
-				i = len(msgs)
-				msgs = append(msgs, mpp.Msg{Dst: dst, Round: k, Data: c.getPay()})
-				c.dstIdx[dst] = i
-			}
-			msgs[i].Data = append(msgs[i].Data, buf[cl.bufOff:cl.bufOff+cl.n*pl.bs]...)
+			c.pieces = append(c.pieces, piece{dst, buf[cl.bufOff : cl.bufOff+cl.n*pl.bs]})
 		})
 	}
+	return c.pack(msgs, k)
+}
+
+// piece is the next bytes of the round's message to dst, as a pack walks
+// its clips.
+type piece struct {
+	dst int
+	b   []byte
+}
+
+// pack appends to msgs one round-k message per destination of c.pieces,
+// its pieces concatenated in order, and empties c.pieces. Every message
+// is sized before it is filled, so its payload comes out of the pool at
+// the size it will hold (getPay) and never regrows: rounds of unequal
+// size recycle each other's payloads without allocating.
+func (c *Collective) pack(msgs []mpp.Msg, k int) []mpp.Msg {
+	first := len(msgs)
+	for _, pc := range c.pieces {
+		if c.dstIdx[pc.dst] < 0 {
+			c.dstIdx[pc.dst] = len(msgs)
+			msgs = append(msgs, mpp.Msg{Dst: pc.dst, Round: k})
+		}
+		c.dstLen[pc.dst] += len(pc.b)
+	}
+	for i := first; i < len(msgs); i++ {
+		d := msgs[i].Dst
+		msgs[i].Data, c.dstLen[d] = c.getPay(c.dstLen[d]), 0
+	}
+	for _, pc := range c.pieces {
+		m := &msgs[c.dstIdx[pc.dst]]
+		m.Data = append(m.Data, pc.b...)
+	}
+	clear(c.pieces)
+	c.pieces = c.pieces[:0]
 	for _, m := range msgs[first:] {
 		c.dstIdx[m.Dst] = -1
 	}

@@ -50,6 +50,7 @@ package collective
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/blockio"
@@ -104,14 +105,17 @@ type plan struct {
 	domBlocks int64     // blocks in the largest domain
 	owner     []int     // domain index → aggregator rank
 	shares    [][]int64 // shares[rank][domain]: exchange payload bytes
-	// Chunking (Options.ChunkBytes): each domain is cut into
-	// chunkBlocks-block chunks (the final chunk of a domain ragged), and
-	// the collective runs as `rounds` pipelined exchange/access rounds —
-	// round k moving chunk k of every domain at once. A plan with a
-	// footprint has at least one round (a chunk as large as the largest
-	// domain); both are zero only when no rank asked for anything.
-	chunkBlocks int64
-	rounds      int
+	// Chunking: the collective runs as `rounds` pipelined exchange/access
+	// rounds, round k moving chunk k of every domain at once — its covered
+	// indexes [ends[k-1], ends[k]) counted from the domain's start
+	// (ends[-1] = 0). One table serves every domain, cut for the largest
+	// (ends[rounds-1] = domBlocks), so a smaller domain runs out early
+	// (roundEnds: equal chunks, or ramped ones). A plan with a footprint
+	// has at least one round (a chunk as large as the largest domain);
+	// rounds is zero only when no rank asked for anything.
+	ends   []int64
+	rounds int
+	ramped bool // ends is a ramped cut, not the equal one
 	// Sparse participation indexes, derived from shares: domsOf[r] lists
 	// the domains rank r's footprint touches and ranksIn[a] the ranks
 	// touching domain a (both ascending). The exchange and staging loops
@@ -197,7 +201,7 @@ func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, 
 			}
 		}
 	}
-	pl.partition(all, opts, nil, 1)
+	pl.partition(all, opts, nil, 1, 0)
 	return pl, nil
 }
 
@@ -227,8 +231,9 @@ func sortedSegs(segs [][]rseg) []owned {
 // lists (partition), the executor and the nonblocking path then run
 // unchanged: a domain buffer is laid out in drive order, a chunk is a
 // contiguous slice of a drive, and locate resolves keys through the
-// identity Set. split deepens the pipeline (partition).
-func (pl *plan) aligned(opts Options, split int) *plan {
+// identity Set. split deepens the pipeline and rmp sizes its rounds
+// (partition).
+func (pl *plan) aligned(opts Options, split int, rmp ramp) *plan {
 	store := pl.group.Store()
 	nd, per := store.Devices(), store.Blocks()
 	phys, err := blockio.NewSet(store, blockio.NewStriped(nd, per), make([]int64, nd))
@@ -258,7 +263,7 @@ func (pl *plan) aligned(opts Options, split int) *plan {
 	for a := range cuts {
 		cuts[a] = int64(firstDrive(a, nd, al.naggs)) * per
 	}
-	al.partition(sortedSegs(al.segs), opts, cuts, split)
+	al.partition(sortedSegs(al.segs), opts, cuts, split, rmp)
 	return al
 }
 
@@ -285,13 +290,13 @@ func (pl *plan) locate(key int64) (set *blockio.Set, block, left int64) {
 // partition derives everything below the segment lists from pl.segs, in
 // whatever key space they are in: the union footprint (all is every
 // rank's segments sorted by key), the domain table, the per-segment
-// covered ranges, the share table and participation indexes, the chunk
-// size and the domain owners. cuts == nil cuts the covered-index space
+// covered ranges, the share table and participation indexes, the round
+// table and the domain owners. cuts == nil cuts the covered-index space
 // into naggs equal domains; otherwise domain a starts at key cuts[a]
 // (naggs+1 ascending keys). split > 1 cuts every chunk into that many,
 // deepening the pipeline below what ChunkBytes asks for (or, with no
-// bound, below one round).
-func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int) {
+// bound, below one round); rmp ramps the rounds where the ramp fits.
+func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int, rmp ramp) {
 	naggs, nranks := pl.naggs, len(pl.segs)
 	for _, sg := range all {
 		if k := len(pl.covered) - 1; k >= 0 && pl.covered[k].gb+pl.covered[k].n >= sg.gb {
@@ -335,9 +340,9 @@ func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int) {
 	// payload-buffer sizing without rescanning segment lists per domain.
 	pl.shares = make([][]int64, nranks)
 	for r, segs := range pl.segs {
-		pl.cstart[r] = make([]int64, len(segs))
-		pl.cend[r] = make([]int64, len(segs))
-		pl.maxEnd[r] = make([]int64, len(segs))
+		n := len(segs) // one allocation holds the rank's three ranges
+		rng := make([]int64, 3*n)
+		pl.cstart[r], pl.cend[r], pl.maxEnd[r] = rng[:n:n], rng[n:2*n:2*n], rng[2*n:]
 		pl.shares[r] = make([]int64, naggs)
 		var maxEnd int64
 		for i, sg := range segs {
@@ -365,17 +370,17 @@ func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int) {
 		}
 	}
 	if pl.total > 0 {
-		// A chunk is at most the ceiling Options.ChunkBytes sets — whole
-		// blocks, at least one, at most a whole domain, which is also what
-		// no bound means — cut in split: ChunkBytes bounds the staging
-		// memory, and how deep the pipeline runs below that bound is the
-		// caller's to price (alignedCost). At split 1 a chunk as large as
-		// the largest domain is one round: whole exchange, then whole
-		// access, nothing to overlap.
-		n := int64(max(split, 1))
-		cb := (opts.chunkCeiling(pl.bs, pl.domBlocks) + n - 1) / n
-		pl.chunkBlocks = cb
-		pl.rounds = int((pl.domBlocks + cb - 1) / cb)
+		// ChunkBytes bounds the staging memory; how deep the pipeline runs
+		// below that bound, and how its rounds share a domain, is the
+		// caller's to price (alignedCost).
+		ceil := opts.chunkCeiling(pl.bs, pl.domBlocks)
+		if rmp != 0 {
+			pl.ends = roundEnds(nil, pl.domBlocks, ceil, split, rmp)
+		}
+		if pl.ramped = len(pl.ends) > 0; !pl.ramped {
+			pl.ends = roundEnds(nil, pl.domBlocks, ceil, split, 0)
+		}
+		pl.rounds = len(pl.ends)
 	}
 	pl.owner = make([]int, naggs)
 	for a := range pl.owner {
@@ -484,20 +489,66 @@ func (pl *plan) forEachClipWin(rank int, lo, hi int64, fn func(c clip)) {
 	}
 }
 
-// chunkWindow reports chunk c of aggregator a's domain as a
-// covered-index range; empty once the domain runs out (ragged domains
+// chunkWindow reports chunk k of aggregator a's domain as a
+// covered-index range; empty once the domain runs out (smaller domains
 // have fewer nonempty chunks than plan.rounds).
-func (pl *plan) chunkWindow(a, c int) (lo, hi int64) {
+func (pl *plan) chunkWindow(a, k int) (lo, hi int64) {
 	dlo, dhi := pl.domain(a)
-	lo = dlo + int64(c)*pl.chunkBlocks
-	hi = lo + pl.chunkBlocks
-	if lo > dhi {
-		lo = dhi
+	if k > 0 {
+		lo = pl.ends[k-1]
 	}
-	if hi > dhi {
-		hi = dhi
+	return min(dlo+lo, dhi), min(dlo+pl.ends[k], dhi)
+}
+
+// ramp is how a pipeline's rounds share a domain (roundEnds): equally
+// (0), or in proportion to the round — growing for a write (rampUp), so
+// its first exchange, which nothing hides, is small and the exchange of
+// round k+1 fits under the access of round k; shrinking for a read
+// (rampDown), so its last delivery is.
+type ramp int8
+
+const (
+	rampUp   ramp = 1
+	rampDown ramp = -1
+)
+
+// roundEnds appends to dst the round table of a dom-block domain whose
+// chunks ChunkBytes bounds at ceil blocks, cut in split (plan.ends). The
+// equal cut (r == 0) is chunks of ⌈ceil/split⌉ blocks, the last ragged.
+// A ramped cut has as many rounds, round k's chunk in proportion to k+1
+// (rampUp) or to rounds-k (rampDown), at least one block each; it is
+// empty where a chunk would exceed the ceiling or there is one round.
+func roundEnds(dst []int64, dom, ceil int64, split int, r ramp) []int64 {
+	n := int64(max(split, 1))
+	cb := (ceil + n - 1) / n
+	rounds := (dom + cb - 1) / cb
+	if r == 0 {
+		for end := cb; ; end += cb {
+			if dst = append(dst, min(end, dom)); end >= dom {
+				return dst
+			}
+		}
 	}
-	return lo, hi
+	if rounds < 2 {
+		return dst[:0]
+	}
+	w, prev := uint64(rounds*(rounds+1)/2), int64(0)
+	var cum uint64
+	for k := int64(0); k < rounds; k++ {
+		if r == rampUp {
+			cum += uint64(k + 1)
+		} else {
+			cum += uint64(rounds - k)
+		}
+		hi, lo := bits.Mul64(uint64(dom), cum)
+		q, _ := bits.Div64(hi, lo, w) // dom·cum/w ≤ dom: no overflow
+		end := min(max(int64(q), prev+1), dom-(rounds-1-k))
+		if end-prev > ceil {
+			return dst[:0]
+		}
+		dst, prev = append(dst, end), end
+	}
+	return dst
 }
 
 // forEachSpanWin enumerates the covered-index window [lo, hi) — a

@@ -221,7 +221,7 @@ func TestPlanAlignedDomains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			al := pl.aligned(opts, 2)
+			al := pl.aligned(opts, 2, 0)
 			if al.phys == nil || al.total != pl.total {
 				t.Fatalf("aligned plan covers %d blocks (phys %v), logical %d", al.total, al.phys != nil, pl.total)
 			}
@@ -229,12 +229,37 @@ func TestPlanAlignedDomains(t *testing.T) {
 				t.Fatalf("domain table = %v, want %v", al.domLo, tc.want)
 			}
 			// The largest domain fits ChunkBytes, so split 2 halves it.
-			if want := (al.domBlocks + 1) / 2; al.chunkBlocks != want || al.rounds != 2 {
-				t.Fatalf("chunkBlocks %d rounds %d, want %d and 2", al.chunkBlocks, al.rounds, want)
+			if want := []int64{(al.domBlocks + 1) / 2, al.domBlocks}; fmt.Sprint(al.ends) != fmt.Sprint(want) {
+				t.Fatalf("round table %v, want %v", al.ends, want)
 			}
 			checkPlanInvariants(t, al, reqs, opts)
-			checkChunkInvariants(t, al, opts.ChunkBytes, 2)
+			checkChunkInvariants(t, al, opts.ChunkBytes, 2, 0)
 		})
+	}
+}
+
+// TestRoundEnds pins the round tables: the equal cut's chunks of the
+// ceiling cut in split, the last ragged; the write's ramp growing with
+// the round, the read's shrinking, at least a block each; and no ramp
+// where a chunk would pass the ceiling or there is one round.
+func TestRoundEnds(t *testing.T) {
+	for _, tc := range []struct {
+		dom, ceil int64
+		split     int
+		r         ramp
+		want      string
+	}{
+		{128, 128, 8, 0, "[16 32 48 64 80 96 112 128]"},
+		{128, 128, 8, rampUp, "[3 10 21 35 53 74 99 128]"}, // chunks 3 7 11 14 18 21 25 29
+		{128, 128, 8, rampDown, "[28 53 74 92 106 117 124 128]"},
+		{100, 32, 1, 0, "[32 64 96 100]"},
+		{100, 32, 1, rampUp, "[]"},   // a chunk of 40 passes the ceiling
+		{5, 5, 4, rampUp, "[1 2 5]"}, // three rounds of a 2-block cut: chunks 1 1 3
+		{8, 8, 1, rampUp, "[]"},      // one round
+	} {
+		if got := fmt.Sprint(roundEnds(nil, tc.dom, tc.ceil, tc.split, tc.r)); got != tc.want {
+			t.Errorf("roundEnds(%d blocks, ceiling %d, split %d, ramp %d) = %s, want %s", tc.dom, tc.ceil, tc.split, tc.r, got, tc.want)
+		}
 	}
 }
 

@@ -113,9 +113,9 @@ type cutPlan struct {
 }
 
 // cut prepares the whole call for the blocking executor: one batch
-// over the covered footprint, cut at every chunk boundary of every domain.
-// An error is unreachable in practice: the batch is derived from
-// validated, physically disjoint covered spans.
+// over the covered footprint, cut where the round table starts every
+// chunk of every domain. An error is unreachable in practice: the batch
+// is derived from validated, physically disjoint covered spans.
 func (pl *plan) cut() (*cutPlan, error) {
 	cp := &cutPlan{win0: make([]int, pl.naggs)}
 	cuts := make([]int64, 0, pl.naggs*pl.rounds)
@@ -125,8 +125,8 @@ func (pl *plan) cut() (*cutPlan, error) {
 		if lo > 0 {
 			cp.win0[a]++ // the window that opens at the cut about to be made
 		}
-		for off := lo; off < hi; off += pl.chunkBlocks {
-			if off > 0 {
+		for k := 0; k < pl.rounds; k++ {
+			if off, _ := pl.chunkWindow(a, k); off > 0 && off < hi {
 				cuts = append(cuts, off*pl.bs)
 			}
 		}
@@ -321,7 +321,7 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 	}
 	sd.ind, sd.indErr = nil, nil // priced and passed over
 	if ch.aligned {
-		pl, ch.cut = pl.aligned(c.opts, ch.split), nil
+		pl, ch.cut = pl.aligned(c.opts, ch.split, ch.ramp), nil
 		sd.pl = pl
 	}
 	sd.stats = pl.exchangeStats(c.size)

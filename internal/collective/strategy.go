@@ -83,7 +83,8 @@ type Prices struct {
 // choice is what chooseRoute resolved for one call: the route, and for
 // the two-phase route which partition carries it — the aligned one with
 // every chunk cut in split (plan.partition), the pipeline depth priced
-// cheapest. predicted is the price of the chosen candidate (zero when
+// cheapest, and ramp, how its rounds share a domain there (roundEnds; 0:
+// equally). predicted is the price of the chosen candidate (zero when
 // Options.Strategy fixed the route and nothing was priced), prices every
 // candidate's and depths what each depth of the aligned partition was
 // priced at (explain.go). cut is the logical partition's prepared plan,
@@ -92,6 +93,7 @@ type choice struct {
 	route     route
 	aligned   bool
 	split     int
+	ramp      ramp
 	predicted time.Duration
 	prices    Prices
 	depths    []depthPrice
@@ -99,9 +101,10 @@ type choice struct {
 }
 
 // depthPrice is what one pipeline depth of the aligned partition was
-// priced at.
+// priced at, on the equal cut or the ramped one.
 type depthPrice struct {
-	rounds int64
+	rounds int32
+	ramped bool
 	cost   time.Duration
 }
 
@@ -109,8 +112,8 @@ type depthPrice struct {
 // workload whose request lists never repeat prices every call without
 // allocating: the dry issue and the round pricer, the aligned
 // candidate's rank × domain byte table and owners, where the footprint
-// lies on the drives, each domain's place in it, and the access time of
-// every round of the candidate being priced.
+// lies on the drives, each domain's place in it, the round table and the
+// access time of every round of the candidate being priced.
 type priceScratch struct {
 	dry    blockio.Dry
 	ex     mpp.RoundPrice
@@ -121,6 +124,7 @@ type priceScratch struct {
 	union  []blockio.Run
 	from   []int // domain → its first run in union; one more entry closes the last
 	at     []unionAt
+	ends   []int64
 	access []time.Duration
 	tried  []depthPrice
 }
@@ -198,7 +202,7 @@ func (c *Collective) chooseRoute(p *mpp.Proc, sd *schedule, write bool) choice {
 		}
 		sc.access = append(sc.access, dry.Flush())
 	}
-	ch.prices.TwoPhase = pipelineEnd(write, &sc.ex, sc.access)
+	ch.prices.TwoPhase = pipelineEnd(write, &sc.ex, sc.access, pl.ends)
 	ch.predicted = ch.prices.TwoPhase
 
 	// The aligned candidate is offered where every domain is one whole
@@ -207,10 +211,11 @@ func (c *Collective) chooseRoute(p *mpp.Proc, sd *schedule, write bool) choice {
 	// keeps it at one round).
 	nd := c.group.Store().Devices()
 	var split int
+	var r ramp
 	var tried []depthPrice
 	if pl.naggs == nd || (pl.naggs < nd && c.opts.ChunkBytes == 0) {
 		c.alignedShares(sd, nd)
-		ch.prices.Aligned, split, tried = c.alignedCost(p, write, cut, nd)
+		ch.prices.Aligned, split, r, tried = c.alignedCost(p, write, cut, nd)
 		if ch.prices.Aligned < ch.predicted { // ties to the historical partition
 			ch.aligned, ch.predicted = true, ch.prices.Aligned
 		}
@@ -219,7 +224,7 @@ func (c *Collective) chooseRoute(p *mpp.Proc, sd *schedule, write bool) choice {
 	case ch.predicted <= pr.Vectored && ch.predicted <= pr.Sieved:
 		// ties to the historical path
 		if ch.aligned {
-			ch.split, ch.depths = split, slices.Clone(tried)
+			ch.split, ch.ramp, ch.depths = split, r, slices.Clone(tried)
 		}
 	case pr.Vectored <= pr.Sieved:
 		ch.route, ch.aligned, ch.predicted = routeVectored, false, pr.Vectored
@@ -240,19 +245,25 @@ func enter(ex *mpp.RoundPrice, shares [][]int64, owner []int) {
 }
 
 // pipelineEnd is when the two-phase executor finishes a schedule whose
-// round k spends access[k] at the drives, by the executor's own hand-off
+// round k moves the chunk the round table ends gives it (plan.ends) and
+// spends access[k] at the drives, by the executor's own hand-off
 // (runPipelined): two stages — exchange then access for a write, access
 // then delivery for a read — with one slot between them, so the first
-// stage runs at most a round ahead of what the second has taken. One
-// round is exchange + access.
-func pipelineEnd(write bool, ex *mpp.RoundPrice, access []time.Duration) time.Duration {
-	first, later := ex.Price(len(access))
+// stage runs at most a round ahead of what the second has taken. Round k's
+// exchange carries its chunk's share of every message, the first round
+// setting up every pair (mpp.RoundPrice.Price). One round is exchange +
+// access.
+func pipelineEnd(write bool, ex *mpp.RoundPrice, access []time.Duration, ends []int64) time.Duration {
+	whole := ends[len(ends)-1]
 	var put, got, done time.Duration // round k-1: handed over, taken, finished
+	var x time.Duration              // round k's exchange, priced again where its chunk differs
+	var lo, chunk int64
 	for k, a := range access {
-		s1, s2 := later, a
-		if k == 0 {
-			s1 = first
+		if n := ends[k] - lo; k < 2 || n != chunk {
+			x, chunk = ex.Price(n, whole, k == 0), n
 		}
+		s1, s2 := x, a
+		lo = ends[k]
 		if !write {
 			s1, s2 = s2, s1
 		}
@@ -299,26 +310,43 @@ func (c *Collective) alignedShares(sd *schedule, nd int) {
 	}
 }
 
+// rampMargin: a ramped cut is kept only where it prices below the
+// cheapest cut so far by more than 1/rampMargin of its price (5 %,
+// the band every price is held to: TestStrategyAutoWins,
+// TestPipelineDepthPriced). Its exchange rounds are priced as shares of
+// every message, which its small rounds carry least faithfully — a rank
+// sends a whole block or nothing — so a ramp that wins by less is not
+// known to win, and it would cost the handle staging and payloads of a
+// new size.
+const rampMargin = 20
+
 // alignedCost prices the aligned partition: its domains end at drive
 // boundaries, so a domain's windows are the footprint on its drives cut
-// every chunk blocks — what plan.aligned's prepared plan would hold, read
-// here off the logical plan's runs with its cuts undone. ChunkBytes
-// bounds the chunk (at one whole domain when it sets no bound, or none
-// smaller); the depth of the pipeline below that bound is priced, not
-// fixed: every chunk is cut in 1, 2, 4, … down to single blocks, each
-// depth's rounds go through a dry issue and the executor's hand-off, and
-// the cheapest is returned as split (ties to the shallower, so an
-// exchange priced at nothing — a free interconnect — stays at one round).
-// A deeper pipeline hides more of the shorter phase behind the longer one
-// and pays one more request per drive per round for it; what such a
-// request costs is the drive's business — one that continues where the
-// previous round's ended crosses no cylinder, or one. Domains of several
-// drives (fewer domains than drives: chooseRoute offers them unbounded
-// only) are priced at one round and no deeper. Nor is any depth walked
-// that could not win: one at which the requests of the largest domain's
-// drive alone, a round each, take as long as the cheapest depth so far.
-// tried aliases the scratch.
-func (c *Collective) alignedCost(p *mpp.Proc, write bool, cut *cutPlan, nd int) (t time.Duration, split int, tried []depthPrice) {
+// where the round table says — what plan.aligned's prepared plan would
+// hold, read here off the logical plan's runs with its cuts undone.
+// ChunkBytes bounds the chunk (at one whole domain when it sets no bound,
+// or none smaller); the depth of the pipeline below that bound is priced,
+// not fixed: every chunk is cut in 1, 2, 4, … down to single blocks, and
+// at each depth two cuts (roundEnds) go through a dry issue of their
+// rounds and the executor's hand-off — the equal one and, where it fits
+// under the bound, the ramped one, whose small first exchange (a write)
+// or last delivery (a read) leaves less of the call unhidden. The
+// cheapest is returned as split and ramp (ties to the equal cut and the
+// shallower depth, so an exchange priced at nothing — a free
+// interconnect — stays at one round; a ramp must be cheaper by a margin,
+// rampMargin). A deeper pipeline hides more of the shorter phase behind
+// the longer one and pays one more request per drive per round for it;
+// what such a request costs is the drive's business — one that continues
+// where the previous round's ended crosses no cylinder, or one — and so
+// is what a ramp costs: on a drive whose footprint is separate runs,
+// chunks that no longer fall on them may cost requests the equal cut
+// does not. Domains of several drives (fewer
+// domains than drives: chooseRoute offers them unbounded only) are priced
+// at one round and no deeper. Nor is any depth walked that could not win:
+// one at which the requests of the largest domain's drive alone, a round
+// each, take as long as the cheapest depth so far. tried aliases the
+// scratch.
+func (c *Collective) alignedCost(p *mpp.Proc, write bool, cut *cutPlan, nd int) (t time.Duration, split int, rmp ramp, tried []depthPrice) {
 	sc, dry := &c.price, &c.price.dry
 	sc.ex.Reset(p)
 	enter(&sc.ex, sc.shares, sc.owner)
@@ -339,44 +367,65 @@ func (c *Collective) alignedCost(p *mpp.Proc, write bool, cut *cutPlan, nd int) 
 	sc.at = slices.Grow(sc.at[:0], c.naggs)[:c.naggs]
 	sc.tried = sc.tried[:0]
 	whole := c.opts.chunkCeiling(c.bs, max(dom, 1))
-	for n := int64(1); ; n *= 2 {
-		chunk := (whole + n - 1) / n
-		rounds := (dom + chunk - 1) / chunk
+	up := rampDown
+	if write {
+		up = rampUp
+	}
+	for n := 1; ; n *= 2 {
+		sc.ends = roundEnds(sc.ends[:0], dom, whole, n, 0)
+		rounds, chunk := int64(len(sc.ends)), sc.ends[0]
 		if n > 1 && dry.AtLeast(rounds, dom) >= t {
 			// The largest domain's drive alone takes that long over a request
 			// a round; deeper is more requests still.
-			return t, split, sc.tried
+			return t, split, rmp, sc.tried
 		}
-		for a := range sc.at {
-			sc.at[a] = unionAt{i: sc.from[a]}
-		}
-		dry.Park()
-		sc.access = sc.access[:0]
-		for k := int64(0); k < rounds; k++ {
-			for a := range sc.at {
-				// Round k's window of domain a: the next chunk blocks of it.
-				at := &sc.at[a]
-				for left := chunk; left > 0 && at.i < sc.from[a+1]; {
-					r := sc.union[at.i]
-					take := min(r.N-at.off, left)
-					dry.Extent(r.Dev, r.PBlock+at.off, take)
-					left -= take
-					if at.off += take; at.off == r.N {
-						at.i, at.off = at.i+1, 0
-					}
+		for _, r := range []ramp{0, up} {
+			if r != 0 {
+				if sc.ends = roundEnds(sc.ends[:0], dom, whole, n, r); len(sc.ends) == 0 {
+					break
 				}
 			}
-			sc.access = append(sc.access, dry.Flush())
-		}
-		cost := pipelineEnd(write, &sc.ex, sc.access)
-		sc.tried = append(sc.tried, depthPrice{rounds, cost})
-		if n == 1 || cost < t {
-			t, split = cost, int(n)
+			cost := c.cutCost(write)
+			sc.tried = append(sc.tried, depthPrice{int32(rounds), r != 0, cost})
+			if n == 1 && r == 0 || cost < t && (r == 0 || cost+cost/rampMargin < t) {
+				t, split, rmp = cost, n, r
+			}
 		}
 		if chunk == 1 || c.naggs != nd {
-			return t, split, sc.tried
+			return t, split, rmp, sc.tried
 		}
 	}
+}
+
+// cutCost prices one cut of the aligned partition, the round table in
+// the pricing scratch: every round's windows — the next chunk of every
+// domain's footprint — through the dry issue, and the rounds through the
+// executor's hand-off.
+func (c *Collective) cutCost(write bool) time.Duration {
+	sc, dry := &c.price, &c.price.dry
+	for a := range sc.at {
+		sc.at[a] = unionAt{i: sc.from[a]}
+	}
+	dry.Park()
+	sc.access = sc.access[:0]
+	var lo int64
+	for _, end := range sc.ends {
+		for a := range sc.at {
+			at := &sc.at[a]
+			for left := end - lo; left > 0 && at.i < sc.from[a+1]; {
+				r := sc.union[at.i]
+				take := min(r.N-at.off, left)
+				dry.Extent(r.Dev, r.PBlock+at.off, take)
+				left -= take
+				if at.off += take; at.off == r.N {
+					at.i, at.off = at.i+1, 0
+				}
+			}
+		}
+		sc.access = append(sc.access, dry.Flush())
+		lo = end
+	}
+	return pipelineEnd(write, &sc.ex, sc.access, sc.ends)
 }
 
 // runIndependent executes one collective call as independent per-rank

@@ -98,6 +98,8 @@ type CheckpointResult struct {
 	Predicted time.Duration
 	Prices    pario.RoutePrices // what StrategyAuto priced every candidate at
 	Depth     int
+	Ramped    bool    // the last call's rounds ramped, not equal (collective.LastCut)
+	Rounds    []int64 // blocks each of its rounds moved of the largest file domain
 	Cache     pario.CollectiveCacheStats
 	Image     uint64 // FNV-1a of the final file image
 }
@@ -298,6 +300,7 @@ func (c Checkpoint) Run() (CheckpointResult, error) {
 	_, res.LinkBytes = rg.Traffic()
 	res.Route, res.Predicted, res.Depth = col.LastRoute(), col.LastPredicted(), col.LastDepth()
 	res.Prices = col.LastPrices()
+	res.Ramped, res.Rounds = collective.LastCut(col)
 	res.Cache = col.PlanCacheStats()
 
 	written := make([]bool, c.Blocks)

@@ -203,10 +203,10 @@ type Group struct {
 	gather    [][]byte
 	gatherBuf [][]byte   // per-rank retained Gather copies, reused per call
 	a2a       [][][]byte // a2a[src][dst]: dense Alltoallv scratch (lazy)
-	// sparse exchange state: per-rank inboxes plus a free list of
-	// consumed receive lists handed back through RecycleRecv
+	// sparse exchange state: per-rank inboxes plus, per rank, a free list
+	// of the consumed receive lists it handed back through RecycleRecv
 	sin       [][]RecvMsg
-	inboxPool [][]RecvMsg
+	inboxPool [][][]RecvMsg
 	// post is the chunked exchanges' round barrier and what the processes
 	// that posted their rounds left with it (sparse.go, "Posted rounds")
 	post posted

@@ -15,8 +15,8 @@ import "time"
 // process is priced as waiting for it.
 //
 // Enter every message of the whole exchange (Reset, then Msg), then ask
-// for the price of its rounds (Price). A RoundPrice keeps its tables
-// between uses: hold one per handle.
+// for the price of each of its rounds (Price). A RoundPrice keeps its
+// tables between uses: hold one per handle.
 type RoundPrice struct {
 	g    *Group
 	use  []linkUse
@@ -63,35 +63,32 @@ func (rp *RoundPrice) Msg(src, dst int, bytes int64) {
 	}
 }
 
-// Price reports what the exchange costs cut into rounds equal rounds,
-// each carrying its share of every message: the first round, which also
-// sets up every pair, and each later one. A round is what Round charges
-// it: every process injects, the slowest holding the first barrier; every
-// process then takes delivery, the first to finish reserving the round's
-// cross-cut volume on the pool, and the round ends when the last has left
-// the pool. The messages of a collective read travel the other way and
-// cost the same.
-func (rp *RoundPrice) Price(rounds int) (first, later time.Duration) {
-	return rp.round(rounds, true), rp.round(rounds, false)
-}
-
-func (rp *RoundPrice) round(rounds int, setup bool) time.Duration {
-	g, n := rp.g, int64(max(rounds, 1))
+// Price reports what one round of the exchange costs that carries part of
+// every whole bytes each process sends, takes delivery of and books on
+// the pool (rounded down per process: an equal round of n carries 1 of
+// n); setup prices the round that sets up every pair, the first. A round
+// is what Round charges it: every process injects, the slowest holding
+// the first barrier; every process then takes delivery, the first to
+// finish reserving the round's cross-cut volume on the pool, and the
+// round ends when the last has left the pool. The messages of a
+// collective read travel the other way and cost the same.
+func (rp *RoundPrice) Price(part, whole int64, setup bool) time.Duration {
+	g, share := rp.g, func(b int64) int64 { return b * part / max(whole, 1) }
 	var out, inMin, inMax time.Duration
 	for i, u := range rp.use {
 		outMsgs, inMsgs := 0, 0
 		if setup {
 			outMsgs, inMsgs = u.outMsgs, u.inMsgs
 		}
-		out = max(out, g.linkTime(outMsgs, u.outBytes/n))
-		in := g.linkTime(inMsgs, u.inBytes/n)
+		out = max(out, g.linkTime(outMsgs, share(u.outBytes)))
+		in := g.linkTime(inMsgs, share(u.inBytes))
 		if i == 0 || in < inMin {
 			inMin = in
 		}
 		inMax = max(inMax, in)
 	}
 	end := out + inMax
-	if vol := rp.vol / n; g.bisection != nil && vol > 0 {
+	if vol := share(rp.vol); g.bisection != nil && vol > 0 {
 		pool := Bisection{bw: g.bisection.bw}
 		end = pool.leave(end, vol, pool.reserve(out+inMin, vol))
 	}

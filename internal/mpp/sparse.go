@@ -54,31 +54,34 @@ func SortBySrc(recv []RecvMsg) {
 // ensureSparse lazily allocates the per-rank inboxes.
 func (g *Group) ensureSparse() {
 	if g.sin == nil {
-		g.sin = make([][]RecvMsg, g.size)
+		g.sin, g.inboxPool = make([][]RecvMsg, g.size), make([][][]RecvMsg, g.size)
 	}
 }
 
-// takeInbox hands out a recycled (or nil, to be grown by append)
-// receive list for a rank whose inbox was just consumed.
-func (g *Group) takeInbox() []RecvMsg {
-	if n := len(g.inboxPool); n > 0 {
-		b := g.inboxPool[n-1]
-		g.inboxPool[n-1] = nil
-		g.inboxPool = g.inboxPool[:n-1]
+// takeInbox hands rank a receive list it recycled (or nil, to be grown by
+// append). Lists go back to the rank they came from, so each grows to
+// what its own rank receives in a round and stays that size, however
+// unequal the rounds or the ranks.
+func (g *Group) takeInbox(rank int) []RecvMsg {
+	pool := g.inboxPool[rank]
+	if n := len(pool); n > 0 {
+		b := pool[n-1]
+		pool[n-1] = nil
+		g.inboxPool[rank] = pool[:n-1]
 		return b
 	}
 	return nil
 }
 
 // RecycleRecv returns a receive list obtained from AlltoallvSparse or
-// SparseExchange.Round to the group's pool once its payloads have been
+// SparseExchange.Round to the process's pool once its payloads have been
 // fully consumed. Optional — an unrecycled list is ordinary garbage —
 // but steady-state exchanges that recycle run allocation-free.
 func (p *Proc) RecycleRecv(recv []RecvMsg) {
 	for i := range recv {
 		recv[i] = RecvMsg{}
 	}
-	p.group.inboxPool = append(p.group.inboxPool, recv[:0])
+	p.group.inboxPool[p.rank] = append(p.group.inboxPool[p.rank], recv[:0])
 }
 
 // deliverSparse appends this process's messages to the destination
@@ -118,7 +121,7 @@ func (p *Proc) AlltoallvSparse(send []Msg) []RecvMsg {
 	g.crossVol += outPool
 	p.Barrier()
 	recv := g.sin[p.rank]
-	g.sin[p.rank] = g.takeInbox()
+	g.sin[p.rank] = g.takeInbox(p.rank)
 	var in, inPool int64
 	inMsgs := 0
 	for _, m := range recv {
@@ -308,7 +311,7 @@ func (ex *SparseExchange) Round(send []Msg) []RecvMsg {
 	g.crossVol += out.pool
 	g.roundBarrier(p, k, false)
 	recv := g.sin[p.rank]
-	g.sin[p.rank] = g.takeInbox()
+	g.sin[p.rank] = g.takeInbox(p.rank)
 	in, newIn, inPool := ex.received(recv)
 	vol := g.crossVol
 	if len(ps.posters) > 0 {
@@ -346,9 +349,10 @@ func (ex *SparseExchange) Round(send []Msg) []RecvMsg {
 func (ex *SparseExchange) Post(send []Msg, rounds int) []RecvMsg {
 	p := ex.p
 	g := p.group
+	g.ensureSparse()
 	if g.topo != nil {
 		// Pool waits are personal under a topology: take part in every round.
-		all := g.takeInbox()
+		all := g.takeInbox(p.rank)
 		for k := 0; k < rounds; k++ {
 			n := 0
 			for n < len(send) && send[n].Round == k {
@@ -364,7 +368,6 @@ func (ex *SparseExchange) Post(send []Msg, rounds int) []RecvMsg {
 	if rounds <= 0 {
 		return nil
 	}
-	g.ensureSparse()
 	ps := &g.post
 	if len(ps.posters) == 0 {
 		ps.rounds, ps.ready0 = rounds, 0
@@ -411,7 +414,7 @@ func (ex *SparseExchange) Post(send []Msg, rounds int) []RecvMsg {
 	}
 	ps.done.Wait(p.Proc)
 	recv := g.sin[p.rank]
-	g.sin[p.rank] = g.takeInbox()
+	g.sin[p.rank] = g.takeInbox(p.rank)
 	if g.rec != nil {
 		for _, m := range recv {
 			if m.Src != p.rank {
