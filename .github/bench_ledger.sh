@@ -11,6 +11,9 @@
 #   bench_ledger.sh layout   fail if the benchmark binary is laid out so that
 #                            multijob_qos's set-up reads 40 % slow (below);
 #                            check runs it first
+#   bench_ledger.sh lines    print the non-test Go code lines (comment and
+#                            blank lines left out) of every package outside
+#                            bench/, and their total: the code-size ledger
 #
 # A PR that moves modeled time on purpose runs `record` and commits the
 # result: that diff is its row in the ledger.
@@ -48,7 +51,26 @@ layout() {
 	echo "ledger: layout: main.newMultijob.func1 starts at $addr, on a 64-byte boundary"
 }
 
+# lines counts what the code-size ledger counts: lines of non-test .go
+# files outside bench/ (and outside hidden directories) that are neither
+# blank nor a // comment, per package directory, then the total.
+lines() {
+	find . \( -name '.?*' -o -path ./bench \) -prune -o -name '*.go' ! -name '*_test.go' -print |
+		sort | xargs awk '
+			FNR == 1 { pkg = FILENAME; sub(/\/[^\/]*$/, "", pkg); sub(/^\.\/?/, "", pkg); if (pkg == "") pkg = "." }
+			/^[ \t]*(\/\/.*)?$/ { next }
+			{ n[pkg]++; total++ }
+			END {
+				for (p in n) printf "%6d  %s\n", n[p], p | "sort -k2"
+				close("sort -k2")
+				printf "%6d  total\n", total
+			}'
+}
+
 case "${1:-check}" in
+lines)
+	lines
+	;;
 record)
 	record "$baseline"
 	;;
@@ -76,7 +98,7 @@ check)
 	' "$tmp/table.txt"
 	;;
 *)
-	echo "usage: $0 [check|record|layout]" >&2
+	echo "usage: $0 [check|record|layout|lines]" >&2
 	exit 2
 	;;
 esac

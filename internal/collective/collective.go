@@ -159,21 +159,6 @@ type Options struct {
 	// every route. The nonblocking entry points (Service) always run
 	// two-phase on the logical partition, one window per domain.
 	Strategy blockio.Strategy
-
-	// PlanCache bounds the handle's schedule cache (schedule.go).
-	// Iterative workloads issue the same request lists every iteration;
-	// the handle fingerprints each call's gathered requests and, on a
-	// match, replays the frozen schedule — validated plan, domain
-	// assignment, chosen route, chunk windows, prepared per-domain
-	// batch plans — rebinding only buffers and payloads. Replay is
-	// bit-identical to a fresh build in modeled time and probe trace,
-	// so caching is on by default: 0 selects the default capacity
-	// (8 schedules, LRU), larger values retain more distinct patterns,
-	// and a negative value disables caching (every call re-plans).
-	// Schedules are invalidated by SetOptions and by interconnect-model
-	// reconfiguration (mpp.Group.SetLink/SetBisection/SetBisectionPool/
-	// SetTopology bump the group's model epoch).
-	PlanCache int
 }
 
 // chunkCeiling is the largest chunk, in blocks, ChunkBytes allows of a
@@ -195,8 +180,8 @@ func (o Options) chunkCeiling(bs, dom int64) int64 {
 //
 // The time fields are unions of busy intervals across all ranks in the
 // call's virtual-time window: ExchangeTime is the time at least one rank
-// was inside the exchange (AlltoallvSparse or a pipelined round, including the
-// collective's rendezvous waits), AccessTime the time at least one
+// was inside an exchange round (including the collective's rendezvous
+// waits), AccessTime the time at least one
 // aggregator had device requests in flight, and Overlap the time both
 // were true at once. A one-round call reports zero Overlap on writes —
 // its whole exchange precedes its whole access — and on reads can report
@@ -288,7 +273,6 @@ type Collective struct {
 	// schedules in MRU order, the interconnect-model stamp they were
 	// built under, the fingerprint scratch, and the counters
 	// PlanCacheStats reports.
-	cacheCap   int
 	cached     []*schedule
 	cacheStamp modelStamp
 	sigScratch []uint64
@@ -370,7 +354,6 @@ func Open(g *pfs.FileGroup, size int, opts Options) (*Collective, error) {
 		dstIdx:     make([]int, size),
 		dstLen:     make([]int, size),
 		msgScratch: make([][]mpp.Msg, size),
-		cacheCap:   planCacheCap(opts.PlanCache),
 	}
 	for i := range c.dstIdx {
 		c.dstIdx[i] = -1

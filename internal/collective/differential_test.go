@@ -64,8 +64,8 @@ const (
 	// request lists issued several consecutive iterations with mutated
 	// buffer contents through a cache-enabled handle — iterations 2+
 	// replay the captured schedule — then cross-checked by re-issuing
-	// through a fresh-plan (cache-disabled) handle against the same
-	// reference.
+	// through a fresh-plan handle, whose schedules are dropped before
+	// every call, against the same reference.
 	diffReplayWrite
 	diffReplayRead
 	// Aligned phases run the two-phase engine on the drive-aligned
@@ -497,9 +497,9 @@ func (sc *diffScenario) run(t *testing.T) {
 	if err != nil {
 		t.Fatalf("seed %d: %v", sc.seed, err)
 	}
-	fopts := sc.opts
-	fopts.PlanCache = -1
-	fresh, err := Open(g, sc.nRanks, fopts)
+	// fresh drops its schedules before every call (freshly): each plans
+	// afresh.
+	fresh, err := Open(g, sc.nRanks, sc.opts)
 	if err != nil {
 		t.Fatalf("seed %d: %v", sc.seed, err)
 	}
@@ -521,6 +521,12 @@ func (sc *diffScenario) run(t *testing.T) {
 			t.Fatalf("seed %d: %v", sc.seed, err)
 		}
 		aligned[i].forcePart = &choice{route: routeTwoPhase, aligned: true, split: split, ramp: []ramp{0, 0, rampUp, rampDown}[i]}
+	}
+	freshly := func(p *mpp.Proc) *Collective {
+		if p.Rank() == 0 {
+			fresh.InvalidateSchedules()
+		}
+		return fresh
 	}
 	mg, join := mpp.Run(e, sc.nRanks, "diff", func(p *mpp.Proc) {
 		r := p.Rank()
@@ -588,7 +594,7 @@ func (sc *diffScenario) run(t *testing.T) {
 						t.Errorf("seed %d phase %d (%s) rank %d iter %d: %v", sc.seed, pi, diffKindNames[ph.kind], r, it, err)
 					}
 				}
-				if err := fresh.WriteAll(p, ph.reqs[r], ph.iters[diffReplayReps-1][r]); err != nil {
+				if err := freshly(p).WriteAll(p, ph.reqs[r], ph.iters[diffReplayReps-1][r]); err != nil {
 					t.Errorf("seed %d phase %d (%s) rank %d fresh-plan: %v", sc.seed, pi, diffKindNames[ph.kind], r, err)
 				}
 			case diffReplayRead:
@@ -602,7 +608,7 @@ func (sc *diffScenario) run(t *testing.T) {
 					}
 					h, tag := col, "replay"
 					if it == diffReplayReps {
-						h, tag = fresh, "fresh-plan"
+						h, tag = freshly(p), "fresh-plan"
 					}
 					if err := h.ReadAll(p, ph.reqs[r], ph.bufs[r]); err != nil {
 						t.Errorf("seed %d phase %d (%s) rank %d iter %d (%s): %v", sc.seed, pi, diffKindNames[ph.kind], r, it, tag, err)

@@ -151,7 +151,7 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 		// Writes exchange eagerly: once the domains are assembled (with
 		// rank-order overlap resolution) the call buffer is final, and the
 		// server may run the request whenever its policy says.
-		recv := p.AlltoallvSparse(c.packRounds(sd.pl, rank, buf))
+		recv := p.NewSparseExchange().Round(c.packRounds(sd.pl, rank, buf))
 		c.assembleChunk(sd.pl, sd.ownedOf[rank], 0, recv, h.domSlices(rank))
 		p.RecycleRecv(recv)
 	}
@@ -237,7 +237,7 @@ func (h *Handle) Wait(p *mpp.Proc) error {
 		// scatter into their buffers, as in the blocking read's tail.
 		send := c.packChunkDomains(pl, h.sd.ownedOf[rank], 0, h.domSlices(rank), c.msgScratch[rank][:0])
 		c.msgScratch[rank] = send
-		recv := p.AlltoallvSparse(send)
+		recv := p.NewSparseExchange().Round(send)
 		c.scatterChunkSparse(pl, rank, 0, recv, h.bufs[rank])
 		p.RecycleRecv(recv)
 	}

@@ -70,8 +70,9 @@ type replayObs struct {
 }
 
 // runReplayScenario executes the scenario on a fresh simulated machine.
-// cache=false disables the schedule cache (PlanCache -1), everything
-// else identical — the comparison baseline.
+// cache=false drops the cached schedules before every call
+// (InvalidateSchedules), everything else identical — the comparison
+// baseline.
 func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recorder) replayObs {
 	t.Helper()
 	const perRank = 4
@@ -100,9 +101,6 @@ func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recor
 		t.Fatal(err)
 	}
 	opts := scn.opts
-	if !cache {
-		opts.PlanCache = -1
-	}
 	var srv *ioserver.Server
 	if scn.nonblocking {
 		srv = ioserver.New(ioserver.Config{Workers: 2, Policy: ioserver.FairShare})
@@ -126,6 +124,9 @@ func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recor
 	}
 	// call is one collective in the scenario's mode.
 	call := func(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) error {
+		if !cache && p.Rank() == 0 {
+			col.InvalidateSchedules()
+		}
 		switch {
 		case !scn.nonblocking && write:
 			return col.WriteAll(p, reqs, buf)

@@ -28,8 +28,10 @@
 // SetBisectionPool/SetTopology) is checked per call so reconfiguring
 // the interconnect forces a rebuild — the route chooser priced the old
 // model. The store's drive parameters are immutable after construction,
-// so no device epoch is needed. A small LRU (Options.PlanCache) keeps
-// several schedules so multi-pattern jobs don't thrash.
+// so no device epoch is needed. A small LRU (defaultPlanCacheCap
+// schedules) keeps several so multi-pattern jobs don't thrash; a caller
+// that wants every call planned afresh drops them first
+// (InvalidateSchedules).
 
 package collective
 
@@ -41,9 +43,9 @@ import (
 	"repro/internal/mpp"
 )
 
-// defaultPlanCacheCap is the schedule-LRU capacity Options.PlanCache 0
-// selects: enough for a few concurrent access patterns (checkpoint +
-// restart + analysis dump) without retaining unbounded plan memory.
+// defaultPlanCacheCap is the schedule-LRU capacity: enough for a few
+// concurrent access patterns (checkpoint + restart + analysis dump)
+// without retaining unbounded plan memory.
 const defaultPlanCacheCap = 8
 
 // schedule is one frozen collective schedule: everything derivable from
@@ -137,10 +139,10 @@ func (pl *plan) cut() (*cutPlan, error) {
 }
 
 // CacheStats is a point-in-time snapshot of a handle's schedule cache:
-// replayed calls (Hits), full builds (Misses — including all calls on a
-// disabled cache), schedules dropped by capacity (Evictions), and
-// wholesale flushes from SetOptions or a model-epoch change
-// (Invalidations). Entries is the current cache population.
+// replayed calls (Hits), full builds (Misses), schedules dropped by
+// capacity (Evictions), and wholesale flushes from SetOptions, a
+// model-epoch change or InvalidateSchedules (Invalidations). Entries is
+// the current cache population.
 type CacheStats struct {
 	Hits, Misses, Evictions, Invalidations uint64
 	Entries                                int
@@ -171,13 +173,14 @@ func (c *Collective) SetOptions(opts Options) {
 		naggs = c.size
 	}
 	c.naggs = naggs
-	c.cacheCap = planCacheCap(opts.PlanCache)
 	c.flushSchedules()
 }
 
 // InvalidateSchedules drops every cached schedule. The handle does this
 // itself on SetOptions and on model-epoch changes; the explicit form is
-// for callers that mutate state the handle cannot observe.
+// for callers that mutate state the handle cannot observe, and for those
+// that want the next call planned afresh. Call it between collective
+// calls.
 func (c *Collective) InvalidateSchedules() { c.flushSchedules() }
 
 func (c *Collective) flushSchedules() {
@@ -189,18 +192,6 @@ func (c *Collective) flushSchedules() {
 		c.cached[i] = nil
 	}
 	c.cached = c.cached[:0]
-}
-
-// planCacheCap resolves the Options.PlanCache knob: 0 = default
-// capacity, negative = caching disabled.
-func planCacheCap(v int) int {
-	switch {
-	case v == 0:
-		return defaultPlanCacheCap
-	case v < 0:
-		return 0
-	}
-	return v
 }
 
 // modelStamp identifies the interconnect model a schedule was priced
@@ -220,31 +211,28 @@ func stampOf(p *mpp.Proc) modelStamp {
 }
 
 // scheduleFor resolves the schedule for the current call: a cache hit
-// replays the frozen schedule, a miss (or a disabled cache) builds it
-// fresh — buildPlan, chooseRoute, the byte-split stats — and inserts
-// it. Runs on rank 0 between the plan barriers; pure host work, no
-// virtual time.
+// replays the frozen schedule, a miss builds it fresh — buildPlan,
+// chooseRoute, the byte-split stats — and inserts it. Runs on rank 0
+// between the plan barriers; pure host work, no virtual time.
 func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedule, error) {
 	if st := stampOf(p); st != c.cacheStamp {
 		c.flushSchedules()
 		c.cacheStamp = st
 	}
 	key, sig := c.fingerprint(write, nonblocking)
-	if c.cacheCap > 0 {
-		for i, sd := range c.cached {
-			if sd.key != key || !sigEqual(sd.sig, sig) {
-				continue
-			}
-			if !c.bufsFit(sd) {
-				// A replay would skip validation; rebuild so the bounds
-				// error is byte-identical to the uncached path.
-				break
-			}
-			copy(c.cached[1:i+1], c.cached[:i]) // move to front (MRU)
-			c.cached[0] = sd
-			c.hits++
-			return sd, nil
+	for i, sd := range c.cached {
+		if sd.key != key || !sigEqual(sd.sig, sig) {
+			continue
 		}
+		if !c.bufsFit(sd) {
+			// A replay would skip validation; rebuild so the bounds
+			// error is byte-identical to the uncached path.
+			break
+		}
+		copy(c.cached[1:i+1], c.cached[:i]) // move to front (MRU)
+		c.cached[0] = sd
+		c.hits++
+		return sd, nil
 	}
 	c.misses++
 	opts := c.opts
@@ -263,17 +251,15 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedul
 	if err != nil {
 		return nil, err
 	}
-	if c.cacheCap > 0 {
-		if len(c.cached) >= c.cacheCap {
-			last := len(c.cached) - 1
-			c.cached[last] = nil
-			c.cached = c.cached[:last]
-			c.evictions++
-		}
-		c.cached = append(c.cached, nil)
-		copy(c.cached[1:], c.cached)
-		c.cached[0] = sd
+	if len(c.cached) >= defaultPlanCacheCap {
+		last := len(c.cached) - 1
+		c.cached[last] = nil
+		c.cached = c.cached[:last]
+		c.evictions++
 	}
+	c.cached = append(c.cached, nil)
+	copy(c.cached[1:], c.cached)
+	c.cached[0] = sd
 	return sd, nil
 }
 

@@ -137,9 +137,7 @@ func TestStagingPoolInvariants(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const nRanks = 8
 			e, g, disks := collectiveFixture(t, storeDirect, testPlacements[0].spec)
-			opts := tc.opts
-			opts.PlanCache = -1
-			col, err := Open(g, nRanks, opts)
+			col, err := Open(g, nRanks, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,6 +145,7 @@ func TestStagingPoolInvariants(t *testing.T) {
 			parked := 0
 			check := func(p *mpp.Proc, what string) {
 				if p.Rank() == 0 {
+					col.InvalidateSchedules() // the next call plans afresh
 					if col.domOut != 0 {
 						t.Errorf("%s: %d staging buffers still out", what, col.domOut)
 					}
@@ -246,13 +245,16 @@ func TestStagingPoolInvariants(t *testing.T) {
 func TestStagingPoolBounded(t *testing.T) {
 	const nRanks = 4
 	e, g, _ := collectiveFixture(t, storeDirect, testPlacements[0].spec)
-	col, err := Open(g, nRanks, Options{PlanCache: -1, ChunkBytes: 2 * testBS})
+	col, err := Open(g, nRanks, Options{ChunkBytes: 2 * testBS})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// call writes the first n blocks of file 0, rank r the r-th quarter:
 	// four domains of n/4 blocks, staged through chunks of min(n/4, 2).
 	call := func(p *mpp.Proc, n int64) {
+		if p.Rank() == 0 {
+			col.InvalidateSchedules() // every call plans afresh
+		}
 		q := n / nRanks
 		reqs := []VecReq{{File: 0, Vec: blockio.Vec{{Block: int64(p.Rank()) * q, N: q}}}}
 		if err := col.WriteAll(p, reqs, make([]byte, q*testBS)); err != nil {
@@ -277,7 +279,7 @@ func TestStagingPoolBounded(t *testing.T) {
 		// Every call a new chunk size: unbounded staging, domains of 1 to
 		// 10 blocks (file 0 has 40), on top of the two sizes above.
 		if p.Rank() == 0 {
-			col.SetOptions(Options{PlanCache: -1})
+			col.SetOptions(Options{})
 		}
 		p.Barrier()
 		for q := int64(1); q <= 10; q++ {

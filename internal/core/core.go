@@ -6,8 +6,8 @@
 //	PS   OpenPartReader / OpenPartWriter — one contiguous partition
 //	IS   OpenInterleavedReader / OpenInterleavedWriter — strided blocks
 //	SS   SelfSched — the S stream with a shared pointer; a request claims the next record
-//	GDA  Direct — random record access through a buffer pool
-//	PDA  DirectPart — random access within owned blocks
+//	GDA  OpenDirect — random record access through a buffer pool
+//	PDA  OpenDirectPart — the same Direct handle, checked to owned blocks
 //
 // Organizations are access methods, deliberately decoupled from the
 // file's physical placement: opening a PS-placed file with an

@@ -166,26 +166,53 @@ func batchRecords(ctx sim.Context, cache *buffer.Cache, m *records.Mapper, opts 
 	return nil
 }
 
-// Direct is the type-GDA handle: any process may read or write any
-// record in any order. Accesses go through a shared write-back block
-// cache ("buffer caching techniques would be helpful when there is some
-// locality of reference"). One Direct handle may be shared by all
-// processes under an engine.
+// Direct is the direct-access handle, GDA or PDA. Opened with
+// OpenDirect it is the type-GDA handle: any process may read or write any
+// record in any order, through a shared write-back block cache ("buffer
+// caching techniques would be helpful when there is some locality of
+// reference"), and one handle may be shared by all processes under an
+// engine. Opened with OpenDirectPart it is the type-PDA handle: a process
+// accesses records randomly but only within the paper-blocks assigned to
+// its partition ("blocks can be thought of as pages of virtual memory");
+// each process opens its own, so the block cache is private — the
+// locality the paper expects. The two differ in the record check alone.
+//
+// With Options.SeqWithinBlocks a PDA handle enforces the §3.2 restricted
+// variant: records inside each block must be accessed in ascending order
+// (block order stays free).
 type Direct struct {
 	f      *pfs.File
 	opts   Options
 	cache  *buffer.Cache
+	part   int           // PDA: the partition whose blocks the handle may touch; -1 for GDA
+	seqPos map[int64]int // restricted PDA: next record index per block
 	closed bool
 }
 
 // OpenDirect opens the GDA view of f.
 func OpenDirect(f *pfs.File, opts Options) (*Direct, error) {
+	return openDirect(f, -1, opts)
+}
+
+// OpenDirectPart opens the PDA view of partition part.
+func OpenDirectPart(f *pfs.File, part int, opts Options) (*Direct, error) {
+	if part < 0 || part >= f.Parts() {
+		return nil, fmt.Errorf("core: partition %d of %d", part, f.Parts())
+	}
+	return openDirect(f, part, opts)
+}
+
+func openDirect(f *pfs.File, part int, opts Options) (*Direct, error) {
 	opts = opts.norm()
 	cache, err := newBlockCache(f, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Direct{f: f, opts: opts, cache: cache}, nil
+	d := &Direct{f: f, opts: opts, cache: cache, part: part}
+	if part >= 0 && opts.SeqWithinBlocks {
+		d.seqPos = make(map[int64]int)
+	}
+	return d, nil
 }
 
 // CacheStats reports the handle's cache counters.
@@ -216,86 +243,15 @@ func (d *Direct) WriteRecordsAt(ctx sim.Context, rec, count int64, src []byte) e
 	return d.batch(ctx, rec, count, src, true)
 }
 
-// batch implements the batch-record methods.
-func (d *Direct) batch(ctx sim.Context, rec, count int64, data []byte, write bool) error {
-	if d.closed {
-		return fmt.Errorf("core: handle closed")
-	}
-	return batchRecords(ctx, d.cache, d.f.Mapper(), &d.opts, rec, count, data, write, nil)
-}
-
-// access moves one record between the caller's buffer and the cache.
-func (d *Direct) access(ctx sim.Context, rec int64, data []byte, write bool) error {
-	if d.closed {
-		return fmt.Errorf("core: handle closed")
-	}
+// check validates record rec for this handle: in range, and on a PDA
+// handle in an owned block and (restricted mode) next in its block.
+func (d *Direct) check(rec int64) error {
 	m := d.f.Mapper()
 	if err := m.Check(rec); err != nil {
 		return err
 	}
-	if len(data) != m.RecordSize() {
-		return fmt.Errorf("core: buffer is %d bytes, records are %d", len(data), m.RecordSize())
-	}
-	return moveRecord(ctx, d.cache, m, rec, data, write)
-}
-
-// Flush writes back dirty cached blocks.
-func (d *Direct) Flush(ctx sim.Context) error { return d.cache.Flush(ctx) }
-
-// Close flushes and invalidates the handle.
-func (d *Direct) Close(ctx sim.Context) error {
-	if d.closed {
+	if d.part < 0 {
 		return nil
-	}
-	if err := d.cache.Flush(ctx); err != nil {
-		return err
-	}
-	d.closed = true
-	return nil
-}
-
-// DirectPart is the type-PDA handle: a process accesses records randomly
-// but only within the paper-blocks assigned to it ("blocks can be thought
-// of as pages of virtual memory"). Each process opens its own handle, so
-// the block cache is private — the locality the paper expects.
-//
-// With Options.SeqWithinBlocks the §3.2 restricted variant is enforced:
-// records inside each block must be accessed in ascending order (block
-// order stays free).
-type DirectPart struct {
-	f      *pfs.File
-	part   int
-	opts   Options
-	cache  *buffer.Cache
-	seqPos map[int64]int // restricted mode: next record index per block
-	closed bool
-}
-
-// OpenDirectPart opens the PDA view of partition part.
-func OpenDirectPart(f *pfs.File, part int, opts Options) (*DirectPart, error) {
-	opts = opts.norm()
-	if part < 0 || part >= f.Parts() {
-		return nil, fmt.Errorf("core: partition %d of %d", part, f.Parts())
-	}
-	cache, err := newBlockCache(f, opts)
-	if err != nil {
-		return nil, err
-	}
-	dp := &DirectPart{f: f, part: part, opts: opts, cache: cache}
-	if opts.SeqWithinBlocks {
-		dp.seqPos = make(map[int64]int)
-	}
-	return dp, nil
-}
-
-// CacheStats reports the handle's private cache counters.
-func (d *DirectPart) CacheStats() buffer.CacheStats { return d.cache.Stats() }
-
-// check validates ownership and (in restricted mode) intra-block order.
-func (d *DirectPart) check(rec int64) error {
-	m := d.f.Mapper()
-	if err := m.Check(rec); err != nil {
-		return err
 	}
 	b := m.BlockOf(rec)
 	if owner := d.f.BlockOwner(b); owner != d.part {
@@ -315,52 +271,28 @@ func (d *DirectPart) check(rec int64) error {
 	return nil
 }
 
-// ReadRecordAt reads record rec (must lie in an owned block) into dst.
-func (d *DirectPart) ReadRecordAt(ctx sim.Context, rec int64, dst []byte) error {
-	if d.closed {
-		return fmt.Errorf("core: handle closed")
-	}
-	if err := d.check(rec); err != nil {
-		return err
-	}
-	return d.move(ctx, rec, dst, false)
-}
-
-// WriteRecordAt writes record rec (must lie in an owned block).
-func (d *DirectPart) WriteRecordAt(ctx sim.Context, rec int64, src []byte) error {
-	if d.closed {
-		return fmt.Errorf("core: handle closed")
-	}
-	if err := d.check(rec); err != nil {
-		return err
-	}
-	return d.move(ctx, rec, src, true)
-}
-
-// ReadRecordsAt reads the count records [rec, rec+count) — all in owned
-// blocks — into dst (len = count × record size), faulting the span's
-// missing blocks with vectored reads instead of block-at-a-time.
-func (d *DirectPart) ReadRecordsAt(ctx sim.Context, rec, count int64, dst []byte) error {
-	return d.batch(ctx, rec, count, dst, false)
-}
-
-// WriteRecordsAt writes the count records [rec, rec+count) from src, the
-// write counterpart of ReadRecordsAt.
-func (d *DirectPart) WriteRecordsAt(ctx sim.Context, rec, count int64, src []byte) error {
-	return d.batch(ctx, rec, count, src, true)
-}
-
-// batch implements the batch-record methods; every record passes the
+// batch implements the batch-record methods. A GDA batch is checked at
+// its endpoints (batchRecords); on a PDA handle every record passes the
 // ownership (and restricted-sequencing) check before its chunk faults.
-func (d *DirectPart) batch(ctx sim.Context, rec, count int64, data []byte, write bool) error {
+func (d *Direct) batch(ctx sim.Context, rec, count int64, data []byte, write bool) error {
 	if d.closed {
 		return fmt.Errorf("core: handle closed")
 	}
-	return batchRecords(ctx, d.cache, d.f.Mapper(), &d.opts, rec, count, data, write, d.check)
+	var check func(int64) error
+	if d.part >= 0 {
+		check = d.check
+	}
+	return batchRecords(ctx, d.cache, d.f.Mapper(), &d.opts, rec, count, data, write, check)
 }
 
-// move copies one record through the private cache.
-func (d *DirectPart) move(ctx sim.Context, rec int64, data []byte, write bool) error {
+// access moves one record between the caller's buffer and the cache.
+func (d *Direct) access(ctx sim.Context, rec int64, data []byte, write bool) error {
+	if d.closed {
+		return fmt.Errorf("core: handle closed")
+	}
+	if err := d.check(rec); err != nil {
+		return err
+	}
 	m := d.f.Mapper()
 	if len(data) != m.RecordSize() {
 		return fmt.Errorf("core: buffer is %d bytes, records are %d", len(data), m.RecordSize())
@@ -369,10 +301,10 @@ func (d *DirectPart) move(ctx sim.Context, rec int64, data []byte, write bool) e
 }
 
 // Flush writes back dirty cached blocks.
-func (d *DirectPart) Flush(ctx sim.Context) error { return d.cache.Flush(ctx) }
+func (d *Direct) Flush(ctx sim.Context) error { return d.cache.Flush(ctx) }
 
 // Close flushes and invalidates the handle.
-func (d *DirectPart) Close(ctx sim.Context) error {
+func (d *Direct) Close(ctx sim.Context) error {
 	if d.closed {
 		return nil
 	}

@@ -51,31 +51,31 @@ func TestFileBackendPartialWrites(t *testing.T) {
 	d := fileDisk(t)
 	ctx := sim.NewWall()
 	bs := d.Geometry().BlockSize
-	// Two whole-block writes, then byte-granular reads straddling their
-	// boundary: partial pages come back from the file intact, and an
-	// overwrite of one block leaves its neighbour alone.
+	// Two whole-block writes, then a run read across their boundary into
+	// a buffer cut at it: each page comes back from the file intact, and
+	// an overwrite of one block leaves its neighbour alone.
 	two := make([]byte, 2*bs)
 	copy(two[bs-7:], "straddling the boundary")
 	if err := writeBlocks(d, ctx, 0, 2, two); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, len("straddling the boundary"))
-	if err := d.ReadAt(ctx, int64(bs-7), got); err != nil {
-		t.Fatal(err)
+	got := make([]byte, 2*bs)
+	read := func() string {
+		if err := d.ReadBlocksVec(ctx, 0, 2, [][]byte{got[:bs], got[bs:]}); err != nil {
+			t.Fatal(err)
+		}
+		return string(got[bs-7 : bs-7+len("straddling the boundary")])
 	}
-	if string(got) != "straddling the boundary" {
-		t.Fatalf("got %q", got)
+	if s := read(); s != "straddling the boundary" {
+		t.Fatalf("got %q", s)
 	}
 	blk := make([]byte, bs)
 	copy(blk, "DDL")
 	if err := writeBlocks(d, ctx, 1, 1, blk); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ReadAt(ctx, int64(bs-7), got); err != nil {
-		t.Fatal(err)
-	}
-	if string(got[:7]) != "straddl" || string(got[7:10]) != "DDL" {
-		t.Fatalf("partial overwrite corrupted: %q", got)
+	if s := read(); s[:7] != "straddl" || s[7:10] != "DDL" {
+		t.Fatalf("partial overwrite corrupted: %q", s)
 	}
 }
 

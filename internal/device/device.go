@@ -9,12 +9,14 @@
 //
 //	service = overhead + seek(|head - cylinder|) + rotational latency + bytes/rate
 //
-// Requests from concurrent processes queue at the device and are served
-// one at a time under a configurable discipline (FCFS or SCAN), which is
-// what makes the paper's seek-interference and bandwidth-aggregation
-// effects emerge naturally. Without an engine the same calls complete
-// immediately but still maintain all statistics, so the library is usable
-// as an ordinary in-memory block store.
+// A Disk moves whole blocks only: ReadBlocksVec and WriteBlocksVec, each
+// a run of physically contiguous blocks served as one request, are its
+// two transfers. Requests from concurrent processes queue at the device
+// and are served one at a time under a configurable discipline (FCFS or
+// SCAN), which is what makes the paper's seek-interference and
+// bandwidth-aggregation effects emerge naturally. Without an engine the
+// same calls complete immediately but still maintain all statistics, so
+// the library is usable as an ordinary in-memory block store.
 package device
 
 import (
@@ -130,16 +132,6 @@ func (s Stats) Requests() int64 { return s.Reads + s.Writes }
 // Bytes reports total bytes transferred.
 func (s Stats) Bytes() int64 { return s.BytesRead + s.BytesWritten }
 
-// reqOp classifies a request for queue merging: only whole-block
-// requests of the same direction may merge.
-type reqOp int
-
-const (
-	opOther reqOp = iota // byte-granular (ReadAt): never merged
-	opRead
-	opWrite
-)
-
 // request is a queued disk operation. A merged request carries several
 // owning processes: procs[0] issued the request the others were absorbed
 // into, performs the completion chaining, and is woken first; every
@@ -148,10 +140,10 @@ const (
 // (fin counts them), so a steady request stream allocates nothing.
 type request struct {
 	procs   []*sim.Proc
-	fin     int // members that have finished their access
-	op      reqOp
+	fin     int   // members that have finished their access
+	write   bool  // direction: only runs of one direction merge
 	block   int64 // first block of the run (merge key)
-	nblk    int64 // run length in blocks; 0 for byte-granular requests
+	nblk    int64 // run length in blocks
 	cyl     int
 	bytes   int
 	svcFrom time.Duration // service start, set at dispatch
@@ -170,7 +162,6 @@ type Disk struct {
 	eng    *sim.Engine // nil: untimed
 
 	backend Backend // page storage (in-memory by default)
-	scratch []byte  // one-block scratch page for partial transfers
 	head    int     // current cylinder
 	scanUp  bool    // SCAN direction
 	busy    bool
@@ -229,7 +220,6 @@ func New(cfg Config) *Disk {
 		sched:   cfg.Sched,
 		eng:     cfg.Engine,
 		backend: backend,
-		scratch: make([]byte, cfg.Geometry.BlockSize),
 		scanUp:  true,
 		merge:   cfg.MergeQueued,
 	}
@@ -434,7 +424,7 @@ func (d *Disk) dispatch(now time.Duration) {
 
 // newRequest returns a request for p, reusing a finished one (and its
 // member list's array) when there is one.
-func (d *Disk) newRequest(p *sim.Proc, op reqOp, block, nblk int64, bytes int) *request {
+func (d *Disk) newRequest(p *sim.Proc, write bool, block, nblk int64, bytes int) *request {
 	var r *request
 	if n := len(d.free); n > 0 {
 		r, d.free[n-1] = d.free[n-1], nil
@@ -442,19 +432,19 @@ func (d *Disk) newRequest(p *sim.Proc, op reqOp, block, nblk int64, bytes int) *
 	} else {
 		r = new(request)
 	}
-	*r = request{procs: append(r.procs[:0], p), op: op, block: block, nblk: nblk,
+	*r = request{procs: append(r.procs[:0], p), write: write, block: block, nblk: nblk,
 		cyl: d.geom.cylinderOf(block), bytes: bytes}
 	return r
 }
 
-// tryMerge absorbs a new whole-block request into a physically adjacent
-// queued request of the same direction (block-layer back/front merging)
+// tryMerge absorbs a new request into a physically adjacent queued
+// request of the same direction (block-layer back/front merging)
 // and returns the merged request, or nil when nothing is adjacent. Only
 // requests still waiting in the queue merge; the in-service request is
 // already committed to its service time.
-func (d *Disk) tryMerge(p *sim.Proc, op reqOp, block, nblk int64, bytes int) *request {
+func (d *Disk) tryMerge(p *sim.Proc, write bool, block, nblk int64, bytes int) *request {
 	for _, q := range d.queue {
-		if q.op != op || q.nblk == 0 {
+		if q.write != write {
 			continue
 		}
 		switch {
@@ -475,10 +465,9 @@ func (d *Disk) tryMerge(p *sim.Proc, op reqOp, block, nblk int64, bytes int) *re
 }
 
 // access performs the timing model around fn, which does the actual
-// data transfer. block fixes the target cylinder, bytes the transfer
-// size; nblk is the whole-block run length (0 for byte-granular
-// requests), which is what queue merging keys on.
-func (d *Disk) access(ctx sim.Context, op reqOp, block, nblk int64, bytes int, fn func() error) error {
+// data transfer of the nblk-block run starting at block: block fixes the
+// target cylinder, and the run is what queue merging keys on.
+func (d *Disk) access(ctx sim.Context, write bool, block, nblk int64, fn func() error) error {
 	if block < 0 || block >= d.geom.Blocks() {
 		return fmt.Errorf("%w: block %d of %d on %s", ErrOutOfRange, block, d.geom.Blocks(), d.name)
 	}
@@ -501,16 +490,17 @@ func (d *Disk) access(ctx sim.Context, op reqOp, block, nblk int64, bytes int, f
 	}
 
 	enq := p.Now()
+	bytes := int(nblk) * d.geom.BlockSize
 	var r *request
 	if d.busy {
 		// Queue behind the in-service request; a completing process will
 		// dispatch us and wake us at our completion time. With merging
 		// enabled, an adjacent queued request may absorb us instead.
-		if d.merge && nblk > 0 {
-			r = d.tryMerge(p, op, block, nblk, bytes)
+		if d.merge {
+			r = d.tryMerge(p, write, block, nblk, bytes)
 		}
 		if r == nil {
-			r = d.newRequest(p, op, block, nblk, bytes)
+			r = d.newRequest(p, write, block, nblk, bytes)
 			d.queue = append(d.queue, r)
 		}
 		if depth := len(d.queue) + 1; depth > d.stats.QueuePeak {
@@ -519,7 +509,7 @@ func (d *Disk) access(ctx sim.Context, op reqOp, block, nblk int64, bytes int, f
 		p.Park()
 	} else {
 		// Idle disk: serve ourselves immediately.
-		r = d.newRequest(p, op, block, nblk, bytes)
+		r = d.newRequest(p, write, block, nblk, bytes)
 		d.busy = true
 		if d.stats.QueuePeak < 1 {
 			d.stats.QueuePeak = 1
@@ -540,11 +530,8 @@ func (d *Disk) access(ctx sim.Context, op reqOp, block, nblk int64, bytes int, f
 			d.rec.Span(d.trkQ, "device", "wait", enq, r.svcFrom, 0, 0)
 		}
 		if p == r.procs[0] {
-			name := "io"
-			switch r.op {
-			case opRead:
-				name = "read"
-			case opWrite:
+			name := "read"
+			if r.write {
 				name = "write"
 			}
 			d.rec.Span(d.trk, "device", name, r.svcFrom, r.done, int64(r.bytes), 0)
@@ -607,12 +594,12 @@ func (d *Disk) checkRunVec(op string, block int64, n int, iov [][]byte) error {
 // read of n blocks: a sequential transfer of 1000 blocks pays 1 overhead
 // instead of 1000, and a merged physical run delivers into a strided
 // caller buffer without paying one request per stride. It is the drive's
-// one whole-block transfer; a contiguous buffer is a one-element list.
+// only read; a contiguous buffer is a one-element list.
 func (d *Disk) ReadBlocksVec(ctx sim.Context, block int64, n int, dsts [][]byte) error {
 	if err := d.checkRunVec("ReadBlocksVec", block, n, dsts); err != nil {
 		return err
 	}
-	return d.access(ctx, opRead, block, int64(n), n*d.geom.BlockSize, func() error {
+	return d.access(ctx, false, block, int64(n), func() error {
 		bs := d.geom.BlockSize
 		b := block
 		for _, dst := range dsts {
@@ -642,7 +629,7 @@ func (d *Disk) WriteBlocksVec(ctx sim.Context, block int64, n int, srcs [][]byte
 	if err := d.checkRunVec("WriteBlocksVec", block, n, srcs); err != nil {
 		return err
 	}
-	return d.access(ctx, opWrite, block, int64(n), n*d.geom.BlockSize, func() error {
+	return d.access(ctx, true, block, int64(n), func() error {
 		bs := d.geom.BlockSize
 		b := block
 		for _, src := range srcs {
@@ -657,47 +644,4 @@ func (d *Disk) WriteBlocksVec(ctx sim.Context, block int64, n int, srcs [][]byte
 		d.stats.BytesWritten += int64(n) * int64(bs)
 		return nil
 	})
-}
-
-// ReadAt reads len(dst) bytes starting at byte offset off, possibly
-// spanning blocks; it is modeled as a single request targeting the first
-// block's cylinder (contiguous blocks transfer at the streaming rate).
-func (d *Disk) ReadAt(ctx sim.Context, off int64, dst []byte) error {
-	if off < 0 || off+int64(len(dst)) > d.geom.Capacity() {
-		return fmt.Errorf("%w: [%d,%d) of %d bytes on %s", ErrOutOfRange, off, off+int64(len(dst)), d.geom.Capacity(), d.name)
-	}
-	first := off / int64(d.geom.BlockSize)
-	return d.access(ctx, opOther, first, 0, len(dst), func() error {
-		if err := d.copyOut(off, dst); err != nil {
-			return err
-		}
-		d.stats.Reads++
-		d.stats.BytesRead += int64(len(dst))
-		return nil
-	})
-}
-
-// copyOut copies stored bytes [off, off+len(dst)) into dst.
-func (d *Disk) copyOut(off int64, dst []byte) error {
-	bs := int64(d.geom.BlockSize)
-	for len(dst) > 0 {
-		block := off / bs
-		in := off % bs
-		n := bs - in
-		if n > int64(len(dst)) {
-			n = int64(len(dst))
-		}
-		found, err := d.backend.ReadPage(block, d.scratch)
-		if err != nil {
-			return err
-		}
-		if found {
-			copy(dst[:n], d.scratch[in:in+n])
-		} else {
-			clear(dst[:n])
-		}
-		dst = dst[n:]
-		off += n
-	}
-	return nil
 }

@@ -95,8 +95,8 @@ func TestOutOfRange(t *testing.T) {
 	if err := readBlocks(d, ctx, -1, 1, buf); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("negative block: want ErrOutOfRange, got %v", err)
 	}
-	if err := d.ReadAt(ctx, d.Geometry().Capacity()-1, make([]byte, 2)); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("ReadAt past end: want ErrOutOfRange, got %v", err)
+	if err := readBlocks(d, ctx, d.Geometry().Blocks()-1, 2, make([]byte, 2*len(buf))); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("run past the end: want ErrOutOfRange, got %v", err)
 	}
 }
 
@@ -104,23 +104,31 @@ func TestReadWriteAtSpanningBlocks(t *testing.T) {
 	d := untimed()
 	ctx := sim.NewWall()
 	bs := int64(d.Geometry().BlockSize)
-	// Block 1 written whole, block 0 never: a byte read across their
-	// boundary sees block 0's zeros, then block 1's bytes.
+	// Block 1 written whole, block 0 never: a run across their boundary
+	// sees block 0's zeros, then block 1's bytes, whichever way the
+	// caller's buffer is cut.
 	blk := make([]byte, bs)
 	src := []byte("hello, parallel files")
 	copy(blk, src)
 	if err := writeBlocks(d, ctx, 1, 1, blk); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]byte, 5+len(src))
-	if err := d.ReadAt(ctx, bs-5, dst); err != nil {
+	want := append(make([]byte, bs), blk...)
+	one := make([]byte, 2*bs)
+	if err := readBlocks(d, ctx, 0, 2, one); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(dst[:5], make([]byte, 5)) {
-		t.Fatal("unwritten bytes before the boundary read nonzero")
+	two := [][]byte{bytes.Repeat([]byte{0xEE}, int(bs)), make([]byte, bs)}
+	if err := d.ReadBlocksVec(ctx, 0, 2, two); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(dst[5:], src) {
-		t.Fatalf("got %q want %q", dst[5:], src)
+	for _, got := range [][]byte{one, append(two[0], two[1]...)} {
+		if !bytes.Equal(got[:bs], want[:bs]) {
+			t.Fatal("unwritten block before the boundary read nonzero")
+		}
+		if !bytes.Equal(got[bs:], want[bs:]) {
+			t.Fatalf("got %q want %q", got[bs:bs+int64(len(src))], src)
+		}
 	}
 }
 
@@ -447,8 +455,9 @@ func TestReadAtWriteAtQuick(t *testing.T) {
 	d := untimed()
 	ctx := sim.NewWall()
 	bs := d.Geometry().BlockSize
-	// An image of whole-block writes; ReadAt of any byte range must
-	// return exactly the image's bytes.
+	// An image of whole-block writes; any run of its blocks, scattered
+	// into any cut of the caller's buffer into whole blocks, must return
+	// exactly the image's bytes.
 	const blocks = 8
 	image := make([]byte, blocks*bs)
 	for i := range image {
@@ -457,14 +466,24 @@ func TestReadAtWriteAtQuick(t *testing.T) {
 	if err := writeBlocks(d, ctx, 0, blocks, image); err != nil {
 		t.Fatal(err)
 	}
-	err := quick.Check(func(off16, n16 uint16) bool {
-		off := int(off16) % len(image)
-		n := 1 + int(n16)%(len(image)-off)
-		got := make([]byte, n)
-		if err := d.ReadAt(ctx, int64(off), got); err != nil {
+	err := quick.Check(func(b8, n8, cuts uint8) bool {
+		b := int(b8) % blocks
+		n := 1 + int(n8)%(blocks-b)
+		got := make([]byte, n*bs)
+		var iov [][]byte
+		for rest, k := got, 0; len(rest) > 0; k++ {
+			// Bit k of cuts ends a segment after this block.
+			seg := bs
+			for seg < len(rest) && cuts>>(k%8)&1 == 0 {
+				seg += bs
+				k++
+			}
+			iov, rest = append(iov, rest[:seg]), rest[seg:]
+		}
+		if err := d.ReadBlocksVec(ctx, int64(b), n, iov); err != nil {
 			return false
 		}
-		return bytes.Equal(got, image[off:off+n])
+		return bytes.Equal(got, image[b*bs:(b+n)*bs])
 	}, &quick.Config{MaxCount: 50})
 	if err != nil {
 		t.Fatal(err)

@@ -134,7 +134,7 @@ func TestMergeQueuedWrites(t *testing.T) {
 }
 
 // TestMergeRespectsOpAndAdjacency: different directions and non-adjacent
-// blocks never merge, and byte-granular requests are left alone.
+// blocks never merge.
 func TestMergeRespectsOpAndAdjacency(t *testing.T) {
 	e := sim.NewEngine()
 	d := New(Config{Engine: e, MergeQueued: true})
@@ -160,12 +160,6 @@ func TestMergeRespectsOpAndAdjacency(t *testing.T) {
 	e.Go("read200", func(p *sim.Proc) { // same op but not adjacent
 		p.Sleep(time.Microsecond)
 		if err := readBlocks(d, p, 200, 1, make([]byte, bs)); err != nil {
-			t.Error(err)
-		}
-	})
-	e.Go("readAt102", func(p *sim.Proc) { // byte-granular: never merged
-		p.Sleep(time.Microsecond)
-		if err := d.ReadAt(p, int64(102)*int64(bs), make([]byte, bs)); err != nil {
 			t.Error(err)
 		}
 	})

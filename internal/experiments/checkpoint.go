@@ -65,6 +65,9 @@ type Checkpoint struct {
 	// ForceSplit > 0 forces two-phase on the drive-aligned partition with
 	// every chunk cut in ForceSplit (collective.ForceAligned).
 	ForceSplit int
+	// Uncached drops the handle's schedules before every call
+	// (Collective.InvalidateSchedules), so every call plans afresh.
+	Uncached bool
 
 	// Rec records the run (nil: detached) under track scope Scope;
 	// EngineOnly attaches it to the engine alone, for the dispatch count
@@ -254,6 +257,9 @@ func (c Checkpoint) Run() (CheckpointResult, error) {
 			}
 			var before mark
 			if r.Rank() == 0 {
+				if c.Uncached {
+					col.InvalidateSchedules()
+				}
 				before = take(r.Now(), false)
 			}
 			var err error

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -27,6 +28,7 @@ func E5Decluster(rec *probe.Recorder) (*Result, error) {
 	const nBlocks = 64
 	const accesses = 48 // per worker
 	const workers = 8
+	bs := geom1989().BlockSize
 	table := stats.NewTable("E5: direct-access database blocks (64 KiB), 8 workers, 48 accesses each",
 		"devices", "pattern", "placement", "elapsed", "blocks/s", "mean response", "max drive busy share")
 	table.Note = "whole = block on one drive; declustered = block split across all drives (synchronized gang read)"
@@ -38,6 +40,7 @@ func E5Decluster(rec *probe.Recorder) (*Result, error) {
 		attach(rec, "", e, disks, nil)
 		var elapsed time.Duration
 		var respSum time.Duration
+		errs := make([]error, workers)
 		_, err := runMain(e, func(p *sim.Proc) error {
 			start := p.Now()
 			var g sim.Group
@@ -50,6 +53,14 @@ func E5Decluster(rec *probe.Recorder) (*Result, error) {
 					} else {
 						pat = workload.NewUniformAccess(seed, nBlocks)
 					}
+					// read moves dst from drive d's blocks from block on, as one
+					// run; the worker keeps the first error it meets.
+					read := func(rp *sim.Proc, d int, block int64, dst []byte) {
+						err := disks[d].ReadBlocksVec(rp, block, len(dst)/bs, [][]byte{dst})
+						if err != nil && errs[w] == nil {
+							errs[w] = fmt.Errorf("worker %d: %w", w, err)
+						}
+					}
 					buf := make([]byte, blockBytes)
 					for i := 0; i < accesses; i++ {
 						b := pat.Next()
@@ -57,19 +68,18 @@ func E5Decluster(rec *probe.Recorder) (*Result, error) {
 						if declustered {
 							// Synchronized gang read: one chunk per drive.
 							chunk := blockBytes / devs
+							first := b * int64(chunk/bs)
 							var ior sim.Group
 							for d := 1; d < devs; d++ {
-								d := d
 								ior.Spawn(c.Engine(), "gang", func(gc *sim.Proc) {
-									_ = disks[d].ReadAt(gc, b*int64(chunk), buf[d*chunk:(d+1)*chunk])
+									read(gc, d, first, buf[d*chunk:(d+1)*chunk])
 								})
 							}
-							_ = disks[0].ReadAt(c, b*int64(chunk), buf[:chunk])
+							read(c, 0, first, buf[:chunk])
 							ior.Wait(c)
 						} else {
 							drive := int(b % int64(devs))
-							off := (b / int64(devs)) * int64(blockBytes)
-							_ = disks[drive].ReadAt(c, off, buf)
+							read(c, drive, b/int64(devs)*int64(blockBytes/bs), buf)
 						}
 						respSum += c.Now() - t0
 					}
@@ -77,7 +87,7 @@ func E5Decluster(rec *probe.Recorder) (*Result, error) {
 			}
 			g.Wait(p)
 			elapsed = p.Now() - start
-			return nil
+			return errors.Join(errs...)
 		})
 		if err != nil {
 			return 0, 0, 0, err

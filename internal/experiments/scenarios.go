@@ -427,13 +427,10 @@ var scaleGeometry = device.Geometry{BlockSize: 256, BlocksPerCyl: 8, Cylinders: 
 // iters times with fresh contents, with the schedule cache on (iteration
 // 1 plans, the rest replay) or off (every iteration replans).
 func ReplayLoop(ranks, iters int, cache bool) Checkpoint {
-	opts := pario.CollectiveOptions{}
-	if !cache {
-		opts.PlanCache = -1
-	}
 	return Checkpoint{
 		Drives: 16, Geometry: scaleGeometry, Ranks: ranks, Blocks: int64(8 * ranks), Calls: iters,
-		Profile: linked(2*time.Microsecond, 50e6, 200e6, opts),
+		Profile:  linked(2*time.Microsecond, 50e6, 200e6, pario.CollectiveOptions{}),
+		Uncached: !cache,
 	}
 }
 

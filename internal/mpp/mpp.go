@@ -2,13 +2,14 @@
 // "general-purpose MIMD computer architecture" the paper assumes (§2).
 // A Run launches P processes (goroutines under the simulation engine),
 // giving each a rank and collective operations (barrier, reductions,
-// gather) in the style parallel programs of the era used.
+// personalized exchange) in the style parallel programs of the era used.
 //
 // # Interconnect models
 //
-// Collectives (Gather, AlltoallvSparse) can charge modeled communication time
-// under two composable models, both off by default so communication is
-// free and existing programs' timings are bit-identical:
+// The exchange is charged in one place, SparseExchange.Round
+// (AlltoallvSparse is its one-round form), under two composable models,
+// both off by default so communication is free and existing programs'
+// timings are bit-identical:
 //
 //   - Per-process link (SetLink): every message a process injects or
 //     receives costs a fixed per-message time plus its bytes at the
@@ -38,7 +39,7 @@
 // logical personalized exchange into several rounds so a consumer can
 // overlap round k's delivery with other work — the exchange engine of
 // package collective's pipelined two-phase I/O. A chunked exchange
-// charges the same totals as the equivalent single AlltoallvSparse:
+// charges the same totals as its messages sent in one round:
 // per-message setup time (SetLink's msg cost) is charged once per
 // communicating pair for the whole exchange, not once per round, and
 // Traffic counts one message per pair; bytes are charged as they move.
@@ -198,11 +199,8 @@ type Group struct {
 	exCharged bool
 	exEnd     time.Duration
 	// reduction scratch
-	redVals   []float64
-	redCount  int
-	gather    [][]byte
-	gatherBuf [][]byte   // per-rank retained Gather copies, reused per call
-	a2a       [][][]byte // a2a[src][dst]: dense Alltoallv scratch (lazy)
+	redVals []float64
+	a2a     [][][]byte // a2a[src][dst]: dense Alltoallv scratch (lazy)
 	// sparse exchange state: per-rank inboxes plus, per rank, a free list
 	// of the consumed receive lists it handed back through RecycleRecv
 	sin       [][]RecvMsg
@@ -232,7 +230,6 @@ func Run(e *sim.Engine, size int, name string, fn func(p *Proc)) (*Group, *sim.G
 		size:    size,
 		barrier: sim.NewBarrier(size),
 		redVals: make([]float64, size),
-		gather:  make([][]byte, size),
 	}
 	var join sim.Group
 	for r := 0; r < size; r++ {
@@ -271,55 +268,6 @@ func (p *Proc) ReduceMax(v float64) float64 {
 	}
 	p.Barrier()
 	return max
-}
-
-// Gather collects each process's payload; rank 0's slice of all payloads
-// is returned to every process (valid until the next collective). With a
-// link model configured (SetLink) each process is charged for injecting
-// its payload and receiving the other processes' payloads; under a shared
-// link (SetBisection) the whole exchange volume is additionally charged
-// against the pool. A single-process group gathers locally and crosses no
-// link.
-func (p *Proc) Gather(payload []byte) [][]byte {
-	g := p.group
-	if g.gatherBuf == nil {
-		g.gatherBuf = make([][]byte, g.size)
-	}
-	// Reuse this rank's retained buffer: the result is only promised
-	// valid until the next collective, so the copy from the prior Gather
-	// is dead by the time we overwrite it.
-	cp := append(g.gatherBuf[p.rank][:0], payload...)
-	g.gatherBuf[p.rank] = cp
-	g.gather[p.rank] = cp
-	cross := int64(g.size-1) * int64(len(payload))
-	crossPool := int64(g.othersAcross(p.rank)) * int64(len(payload))
-	if g.size > 1 {
-		// The payload reaches size-1 remote processes; the process's own
-		// copy is local. A 1-process gather is pure copy: no link charge.
-		p.chargeLink(1, int64(len(payload)))
-		g.trafMsgs += int64(g.size - 1)
-		g.trafBytes += cross
-		g.crossVol += crossPool
-	}
-	p.Barrier()
-	out := g.gather
-	var in, inPool int64
-	for r, pl := range out {
-		if r != p.rank {
-			in += int64(len(pl))
-			if g.crossCut(r, p.rank) {
-				inPool += int64(len(pl))
-			}
-		}
-	}
-	p.chargeLink(g.size-1, in)
-	p.chargePool(g.crossVol, crossPool+inPool)
-	p.Barrier()
-	if g.size > 1 {
-		g.crossVol -= crossPool
-	}
-	g.exCharged = false
-	return out
 }
 
 // SetLink configures the modeled interconnect: every message a process
@@ -464,21 +412,6 @@ func (g *Group) crossCut(a, b int) bool {
 		return true
 	}
 	return g.topo[a] != g.topo[b]
-}
-
-// othersAcross counts the ranks a broadcast-style payload from rank r
-// must cross the cut to reach (all other ranks without a topology).
-func (g *Group) othersAcross(r int) int {
-	if g.topo == nil {
-		return g.size - 1
-	}
-	n := 0
-	for o, s := range g.topo {
-		if o != r && s != g.topo[r] {
-			n++
-		}
-	}
-	return n
 }
 
 // Traffic reports the cross-link volume the group's collectives have

@@ -76,22 +76,6 @@ func TestReduceMax(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	e := sim.NewEngine()
-	_, join := Run(e, 3, "w", func(p *Proc) {
-		all := p.Gather([]byte{byte(p.Rank() * 10)})
-		for r := 0; r < 3; r++ {
-			if len(all[r]) != 1 || all[r][0] != byte(r*10) {
-				t.Errorf("rank %d sees gather[%d] = %v", p.Rank(), r, all[r])
-			}
-		}
-	})
-	e.Go("join", func(sp *sim.Proc) { join.Wait(sp) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAlltoallv(t *testing.T) {
 	e := sim.NewEngine()
 	const n = 4
@@ -192,29 +176,10 @@ func TestLinkFreeByDefault(t *testing.T) {
 	e := sim.NewEngine()
 	_, join := Run(e, 2, "w", func(p *Proc) {
 		p.Alltoallv([][]byte{make([]byte, 1<<20), make([]byte, 1<<20)})
-		p.Gather(make([]byte, 1<<20))
 		if p.Now() != 0 {
 			t.Errorf("rank %d: free link advanced clock to %v", p.Rank(), p.Now())
 		}
 	})
-	e.Go("join", func(sp *sim.Proc) { join.Wait(sp) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherLinkCost(t *testing.T) {
-	// Gather with a pure-bandwidth link: each of 2 ranks injects 100
-	// bytes and receives the other's 100 bytes at 1000 B/s.
-	e := sim.NewEngine()
-	g, join := Run(e, 2, "w", func(p *Proc) {
-		p.Gather(make([]byte, 100))
-		want := 2 * 100 * time.Millisecond
-		if p.Now() != want {
-			t.Errorf("rank %d finished at %v, want %v", p.Rank(), p.Now(), want)
-		}
-	})
-	g.SetLink(0, 1000)
 	e.Go("join", func(sp *sim.Proc) { join.Wait(sp) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -293,8 +258,8 @@ func TestBisectionComposesWithLink(t *testing.T) {
 }
 
 func TestSelfMessagesNeverCharged(t *testing.T) {
-	// A rank sending only to itself crosses no link under either model;
-	// a 1-process Gather likewise. The clock must not move at all.
+	// A rank sending only to itself crosses no link under either model,
+	// in a group of two or alone. The clock must not move at all.
 	e := sim.NewEngine()
 	g, join := Run(e, 2, "w", func(p *Proc) {
 		send := make([][]byte, 2)
@@ -319,12 +284,12 @@ func TestSelfMessagesNeverCharged(t *testing.T) {
 
 	e2 := sim.NewEngine()
 	g2, join2 := Run(e2, 1, "w", func(p *Proc) {
-		all := p.Gather(make([]byte, 1<<20))
-		if len(all) != 1 || len(all[0]) != 1<<20 {
-			t.Error("1-process gather lost its payload")
+		recv := p.AlltoallvSparse([]Msg{{Dst: 0, Data: make([]byte, 1<<20)}})
+		if len(recv) != 1 || recv[0].Src != 0 || len(recv[0].Data) != 1<<20 {
+			t.Error("1-process exchange lost its payload")
 		}
 		if p.Now() != 0 {
-			t.Errorf("1-process gather charged %v", p.Now())
+			t.Errorf("1-process exchange charged %v", p.Now())
 		}
 	})
 	g2.SetLink(time.Millisecond, 1000)
@@ -334,14 +299,14 @@ func TestSelfMessagesNeverCharged(t *testing.T) {
 		t.Fatal(err)
 	}
 	if msgs, bytes := g2.Traffic(); msgs != 0 || bytes != 0 {
-		t.Fatalf("1-process gather counted traffic: %d msgs, %d bytes", msgs, bytes)
+		t.Fatalf("1-process exchange counted traffic: %d msgs, %d bytes", msgs, bytes)
 	}
 }
 
 func TestTrafficAccounting(t *testing.T) {
 	// Traffic counts cross-link volume even with no link model set (and
 	// charges nothing). 3 ranks: rank 0 sends 10 bytes to each other
-	// rank and 99 to itself; then everyone gathers 7 bytes.
+	// rank and 99 to itself.
 	e := sim.NewEngine()
 	g, join := Run(e, 3, "w", func(p *Proc) {
 		send := make([][]byte, 3)
@@ -351,7 +316,6 @@ func TestTrafficAccounting(t *testing.T) {
 			send[2] = make([]byte, 10)
 		}
 		p.Alltoallv(send)
-		p.Gather(make([]byte, 7))
 		if p.Now() != 0 {
 			t.Errorf("rank %d: accounting charged time %v", p.Rank(), p.Now())
 		}
@@ -360,27 +324,9 @@ func TestTrafficAccounting(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Alltoallv: 2 msgs / 20 bytes. Gather: each of 3 ranks' 7 bytes
-	// reaches 2 remotes → 6 msgs / 42 bytes.
-	if msgs, bytes := g.Traffic(); msgs != 8 || bytes != 62 {
-		t.Fatalf("Traffic() = %d msgs, %d bytes, want 8, 62", msgs, bytes)
-	}
-}
-
-func TestGatherBisectionCost(t *testing.T) {
-	// 2 ranks gather 100 bytes each over a 1000 B/s pool: cross volume =
-	// 2 payloads × 1 remote receiver × 100 bytes = 200 bytes → 0.2 s.
-	e := sim.NewEngine()
-	g, join := Run(e, 2, "w", func(p *Proc) {
-		p.Gather(make([]byte, 100))
-		if want := 200 * time.Millisecond; p.Now() != want {
-			t.Errorf("rank %d finished at %v, want %v", p.Rank(), p.Now(), want)
-		}
-	})
-	g.SetBisection(1000)
-	e.Go("join", func(sp *sim.Proc) { join.Wait(sp) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	// 2 msgs / 20 bytes: the self-message is not traffic.
+	if msgs, bytes := g.Traffic(); msgs != 2 || bytes != 20 {
+		t.Fatalf("Traffic() = %d msgs, %d bytes, want 2, 20", msgs, bytes)
 	}
 }
 

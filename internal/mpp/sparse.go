@@ -84,65 +84,17 @@ func (p *Proc) RecycleRecv(recv []RecvMsg) {
 	p.group.inboxPool[p.rank] = append(p.group.inboxPool[p.rank], recv[:0])
 }
 
-// deliverSparse appends this process's messages to the destination
-// inboxes and returns the outgoing totals: all cross-link bytes and
-// messages, plus the subset of bytes that crosses the bisection cut.
-func (p *Proc) deliverSparse(send []Msg) (out, outPool int64, outMsgs int) {
-	g := p.group
-	for _, m := range send {
-		g.sin[m.Dst] = append(g.sin[m.Dst], RecvMsg{Src: p.rank, Data: m.Data})
-		if m.Dst != p.rank {
-			out += int64(len(m.Data))
-			outMsgs++
-			if g.crossCut(p.rank, m.Dst) {
-				outPool += int64(len(m.Data))
-			}
-		}
-	}
-	return out, outPool, outMsgs
-}
-
 // AlltoallvSparse performs one personalized all-to-all exchange from
-// message lists: each Msg is delivered to its destination rank, and the
-// returned list holds everything the other ranks (and the process
-// itself, if it self-sent) addressed here. Payloads move by reference —
-// the caller must not modify a sent Data until the receiver is done
-// with it, and should hand the returned list back via RecycleRecv when
-// consumed. Charged identically to the equivalent Alltoallv. All
-// processes of the group must call it together.
-func (p *Proc) AlltoallvSparse(send []Msg) []RecvMsg {
-	g := p.group
-	g.ensureSparse()
-	t0 := p.Now()
-	out, outPool, outMsgs := p.deliverSparse(send)
-	p.chargeLink(outMsgs, out)
-	g.trafMsgs += int64(outMsgs)
-	g.trafBytes += out
-	g.crossVol += outPool
-	p.Barrier()
-	recv := g.sin[p.rank]
-	g.sin[p.rank] = g.takeInbox(p.rank)
-	var in, inPool int64
-	inMsgs := 0
-	for _, m := range recv {
-		if m.Src != p.rank {
-			in += int64(len(m.Data))
-			inMsgs++
-			if g.crossCut(m.Src, p.rank) {
-				inPool += int64(len(m.Data))
-			}
-		}
-	}
-	p.chargeLink(inMsgs, in)
-	p.chargePool(g.crossVol, outPool+inPool)
-	p.Barrier()
-	g.crossVol -= outPool
-	g.exCharged = false
-	if g.rec != nil {
-		g.rec.Span(g.rankTrk[p.rank], "mpp", "exchange", t0, p.Now(), out+in, 0)
-	}
-	return recv
-}
+// message lists: round 0 of a fresh SparseExchange, charged by Round.
+// Each Msg is delivered to its destination rank, and the returned list
+// holds everything the other ranks (and the process itself, if it
+// self-sent) addressed here. Payloads move by reference — the caller must
+// not modify a sent Data until the receiver is done with it, and should
+// hand the returned list back via RecycleRecv when consumed. It resets
+// the process's chunked-exchange handle (NewSparseExchange), which is
+// safe because a process runs one exchange at a time. All processes of
+// the group must call it together.
+func (p *Proc) AlltoallvSparse(send []Msg) []RecvMsg { return p.NewSparseExchange().Round(send) }
 
 // SparseExchange is the sparse counterpart of Exchange: one logical
 // personalized exchange split into rounds, with per-pair setup time and
@@ -289,9 +241,11 @@ func (ex *SparseExchange) received(recv []RecvMsg) (in int64, newIn int, inPool 
 }
 
 // Round moves one round of the chunked exchange — the sparse analogue
-// of Exchange.Round, with AlltoallvSparse's delivery and ownership
-// contract. All processes of the group that have not posted their rounds
-// (Post) must call Round together.
+// of Exchange.Round, and the one place an exchange is charged. Each Msg
+// is delivered to its destination rank by reference, under the delivery
+// and ownership contract AlltoallvSparse states. All processes of the
+// group that have not posted their rounds (Post) must call Round
+// together.
 func (ex *SparseExchange) Round(send []Msg) []RecvMsg {
 	p := ex.p
 	g := p.group

@@ -12,7 +12,7 @@
 //	IS   interleaved (wrapped) OpenInterleavedReader / OpenInterleavedWriter
 //	SS   self-scheduled        OpenSelfSched (shared handle)
 //	GDA  global direct access  OpenDirect
-//	PDA  partitioned direct    OpenDirectPart
+//	PDA  partitioned direct    OpenDirectPart (a Direct checked to owned blocks)
 //
 // Every file also presents the paper's global view — a conventional
 // sequential byte stream — through OpenGlobalReader/OpenGlobalWriter, so
@@ -79,8 +79,8 @@
 // sharing the device array — and OpenCollective's handle executes them
 // together. The union access footprint is split into contiguous file
 // domains, one per aggregator rank; ranks exchange their pieces with the
-// aggregators over the modeled interconnect (AlltoallvSparse with per-byte
-// link cost, RankGroup.SetLink); and each aggregator issues its whole
+// aggregators over the modeled interconnect (sparse exchange rounds with
+// per-byte link cost, RankGroup.SetLink); and each aggregator issues its whole
 // domain as one cross-file batch (BatchVec), merging pieces that are
 // physically adjacent on a device into single requests even across
 // files. An 8-rank strided checkpoint that costs one device request per
@@ -272,21 +272,21 @@
 // signature compare, so collisions cannot alias), builds and validates
 // the plan once, and freezes it into an immutable schedule; subsequent
 // calls with the same shape replay it, doing only buffer rebinding and
-// payload packing. The cache is a small per-handle LRU
-// (CollectiveOptions.PlanCache: 0 = default capacity 8, >0 sets the
-// capacity, <0 disables), invalidated whenever the answer could change:
+// payload packing. The cache is a small per-handle LRU of 8 schedules,
+// invalidated whenever the answer could change:
 // Collective.SetOptions re-tunes a handle and flushes, and every
 // interconnect reconfiguration (RankGroup.SetLink / SetBisection /
 // SetBisectionPool / SetTopology) bumps a model epoch the cache
 // stamps its entries against; Collective.InvalidateSchedules drops
-// them by hand. Replay threads through every route — two-phase at one
+// them by hand, before every call for a caller that wants none replayed. Replay threads through every route — two-phase at one
 // round or many, vectored, sieved, and the nonblocking server path — and
 // is invisible to the virtual world: modeled times, stats and probe
 // traces are bit-identical cached or uncached (the win is host
 // wall-clock and allocations; ≥3× fewer allocations per replayed
 // iteration is enforced by TestPlanReplayWin on a 1024-rank ×
-// 64-iteration contended loop, wall-clock is the benchmark's to judge). Collective.PlanCacheStats reports hits, misses,
-// evictions and invalidations (CollectiveCacheStats);
+// 64-iteration contended loop, wall-clock is the benchmark's to judge).
+// Collective.PlanCacheStats reports hits, misses, evictions and
+// invalidations (CollectiveCacheStats);
 // TestReplayDeterminism512 fences determinism, the differential
 // harness's replay phases diff replayed iterations against fresh-plan
 // and reference-model execution, and `pariobench -run replay`
@@ -342,7 +342,8 @@
 // activity, not with machine size. The engine keeps pending events in
 // an indexed heap with in-place re-schedule and recycles process shells
 // (goroutine + wake channel) across spawns; the exchange layer's sparse
-// collectives (internal/mpp's AlltoallvSparse / SparseExchange) carry
+// collectives (internal/mpp's SparseExchange, whose Round charges every
+// exchange; AlltoallvSparse is its one-round form) carry
 // explicit message lists with by-reference payload delivery and pooled
 // receive buffers, so an exchange round costs O(messages actually
 // sent), not O(ranks²) — and, in a pipelined collective, not O(ranks)
@@ -434,10 +435,9 @@ type (
 	SelfSched = core.SelfSched
 	// SelfSchedDirect is the §3.2 direct-access SS variant over GDA.
 	SelfSchedDirect = core.SelfSchedDirect
-	// Direct is the GDA handle.
+	// Direct is the direct-access handle: GDA from OpenDirect, PDA from
+	// OpenDirectPart.
 	Direct = core.Direct
-	// DirectPart is the PDA handle.
-	DirectPart = core.DirectPart
 	// GlobalReader is the conventional sequential read view (io.ReadSeekCloser).
 	GlobalReader = core.GlobalReader
 	// GlobalWriter is the conventional sequential write view (io.WriteCloser).
@@ -514,7 +514,8 @@ type (
 	RoutePrices = collective.Prices
 
 	// Rank is one process of a parallel program (GoRanks), with the
-	// group collectives (Barrier, AlltoallvSparse, reductions).
+	// group collectives (Barrier, AlltoallvSparse — one exchange round —
+	// and reductions).
 	Rank = mpp.Proc
 	// RankGroup is a parallel program's process group; SetLink and
 	// SetBisection configure its modeled interconnect (per-process and
@@ -536,7 +537,7 @@ type (
 	VecReq = collective.VecReq
 	// CollectiveOptions tunes a Collective (aggregator count,
 	// locality-aware domain assignment, last-writer-wins overlaps,
-	// schedule-cache capacity via PlanCache).
+	// pipeline chunking, route strategy, I/O-server lane).
 	CollectiveOptions = collective.Options
 	// ExchangeStats reports a collective call's exchange split — bytes
 	// moved over the interconnect vs bytes kept local on aggregating
