@@ -257,20 +257,49 @@ func TestTraceOverheadModeledTimeIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkVirtualEngine measures scheduler overhead: processes doing
-// nothing but sleeping (events per second).
+// BenchmarkVirtualEngine measures scheduler overhead and reports it as
+// host ns per event (one event is one process resumed): "sleep" is eight
+// processes doing nothing but sleeping, "pingpong" two that park and
+// wake each other, every event a switch from one process to the other.
 func BenchmarkVirtualEngine(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := pario.NewEngine()
-		for p := 0; p < 8; p++ {
-			e.Go("p", func(pr *pario.Proc) {
-				for s := 0; s < 100; s++ {
-					pr.Sleep(1)
+	run := func(b *testing.B, events int, build func(e *pario.Engine)) {
+		for i := 0; i < b.N; i++ {
+			e := pario.NewEngine()
+			build(e)
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+	}
+	b.Run("sleep", func(b *testing.B) {
+		const procs, sleeps = 8, 100
+		run(b, procs*(sleeps+1), func(e *pario.Engine) {
+			for p := 0; p < procs; p++ {
+				e.Go("p", func(pr *pario.Proc) {
+					for s := 0; s < sleeps; s++ {
+						pr.Sleep(1)
+					}
+				})
+			}
+		})
+	})
+	b.Run("pingpong", func(b *testing.B) {
+		const rounds = 400
+		run(b, 2*(rounds+1), func(e *pario.Engine) {
+			var ping *pario.Proc
+			pong := e.Go("pong", func(p *pario.Proc) {
+				for r := 0; r < rounds; r++ {
+					p.Park()
+					e.Wake(ping)
 				}
 			})
-		}
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+			ping = e.Go("ping", func(p *pario.Proc) {
+				for r := 0; r < rounds; r++ {
+					e.Wake(pong)
+					p.Park()
+				}
+			})
+		})
+	})
 }

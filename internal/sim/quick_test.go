@@ -41,33 +41,6 @@ func TestQuickIndependentSleepsEndAtMax(t *testing.T) {
 	}
 }
 
-// TestQuickSemaphorePipelineTime checks the M/D/c-style identity: n unit
-// jobs through a c-wide semaphore take ceil(n/c) service rounds.
-func TestQuickSemaphorePipelineTime(t *testing.T) {
-	check := func(n8, c8 uint8) bool {
-		n := int(n8%20) + 1
-		c := int(c8%5) + 1
-		e := NewEngine()
-		s := NewSemaphore(c)
-		unit := time.Millisecond
-		for i := 0; i < n; i++ {
-			e.Go("w", func(p *Proc) {
-				s.Acquire(p)
-				p.Sleep(unit)
-				s.Release(p)
-			})
-		}
-		if err := e.Run(); err != nil {
-			return false
-		}
-		rounds := (n + c - 1) / c
-		return e.Now() == time.Duration(rounds)*unit
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickBarrierRounds checks that k barrier phases of staggered
 // sleepers cost the sum of per-phase maxima.
 func TestQuickBarrierRounds(t *testing.T) {

@@ -10,8 +10,8 @@
 //
 //   - Proc, a process managed by Engine, runs under virtual time. The
 //     Engine is a strict-alternation discrete-event scheduler: exactly one
-//     managed goroutine executes at any instant, and when all are parked
-//     the earliest pending event (ties broken by creation order) fires.
+//     managed goroutine executes at any instant, and when it parks the
+//     earliest pending event (ties broken by schedule order) fires.
 //     Results are bit-for-bit reproducible.
 //
 //   - Wall, a trivial context for ordinary library use, where device
@@ -30,9 +30,14 @@
 // shells — struct, wake channel, and worker goroutine — are recycled
 // through a free list, so spawn-heavy patterns (sim.Par fan-out per
 // device access) stop paying per-spawn allocation and goroutine-creation
-// costs after warm-up. All of this changes wall-clock cost only: the
-// dispatch order, and therefore every modeled timestamp, is bit-identical
-// to a naive heap-of-events scheduler.
+// costs after warm-up. There is no scheduler goroutine between two
+// processes: the one that parks or finishes picks the next event itself
+// and hands the engine straight to that process's goroutine, so an event
+// costs one goroutine switch, and none when the parking process's own
+// event is the next (a Sleep(0) with nothing else ready). All of this
+// changes wall-clock cost only: the dispatch order, and therefore every
+// modeled timestamp, is bit-identical to a naive heap-of-events
+// scheduler.
 package sim
 
 import (
@@ -66,11 +71,20 @@ const (
 // processes. Create one with NewEngine, add processes with Go, then call
 // Run from the owning (unmanaged) goroutine.
 //
-// Engine enforces strict alternation: at most one managed goroutine runs
-// between scheduling decisions, so shared state touched only by managed
-// processes needs no locking, and every run of the same program is
-// identical. All engine and process methods must be called either from
-// the currently running managed process or (before Run) from the owner.
+// The scheduler has no goroutine of its own: it runs on whichever
+// goroutine holds the engine. Run holds it until it resumes the first
+// process; from then on each process holds it while it runs and, when it
+// parks or finishes, picks the next event (next) and passes the engine
+// to that process by a send on its wake channel, then blocks on its own.
+// The one that finds nothing left to run passes it back to Run. Engine
+// thereby enforces strict alternation: exactly one goroutine holds the
+// engine at a time, and every hand-off is a channel send paired with the
+// receive that resumes the next holder — the happens-before edge that
+// orders everything the one did before everything the next does. Shared
+// state touched only by managed processes therefore needs no locking,
+// and every run of the same program is identical. All engine and process
+// methods must be called either from the currently running managed
+// process or (before Run) from the owner.
 type Engine struct {
 	now       time.Duration
 	seq       uint64
@@ -79,8 +93,9 @@ type Engine struct {
 	readyHead int
 	live      []*Proc // live processes (order immaterial; swap-removed)
 	free      []*Proc // finished shells available for reuse by Go
-	yield     chan struct{}
-	started   bool
+	// yield passes the engine back to Run when nothing is left to run.
+	yield   chan struct{}
+	started bool
 	// Flight-recorder hooks (nil when no recorder is attached; all are
 	// nil-safe, so the off path costs one pointer check per site).
 	prDispatch *probe.Counter
@@ -176,8 +191,12 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 }
 
 // loop is the worker goroutine body: run one process function per wake,
-// then return the shell to the engine's free list. The goroutine exits
-// when the engine closes the shell's wake channel after Run completes.
+// return the shell to the engine's free list, and pass the engine on to
+// the next event's process. The shell goes on the free list first: the
+// process resumed next may spawn onto it at this same instant, and its
+// first wake then waits only until this goroutine is back at the top of
+// the loop. The goroutine exits when the engine closes the shell's wake
+// channel after Run completes.
 func (p *Proc) loop() {
 	for {
 		if _, ok := <-p.wake; !ok {
@@ -194,7 +213,7 @@ func (p *Proc) loop() {
 		e.live = e.live[:last]
 		p.dead = true
 		e.free = append(e.free, p)
-		e.yield <- struct{}{}
+		e.pass(e.next())
 	}
 }
 
@@ -237,11 +256,30 @@ func (e *Engine) schedule(at time.Duration, p *Proc, ep uint64) {
 	// Otherwise the pending event fires no later; the new one is stale.
 }
 
-// park hands control to the scheduler and blocks until resumed. The
-// caller must have set waiting and bumped epoch (via sleep/Park).
+// park picks the next event and blocks until p is resumed. The caller
+// must have set waiting and bumped epoch (via SleepUntil/Park). When p's
+// own event is the next one, p simply carries on; otherwise it passes
+// the engine on and waits on its own wake channel. Between the send and
+// that receive the goroutine touches nothing but p.wake: the process it
+// woke is already running, on another P when there are several.
 func (p *Proc) park() {
-	p.e.yield <- struct{}{}
+	e := p.e
+	q := e.next()
+	if q == p {
+		return
+	}
+	e.pass(q)
 	<-p.wake
+}
+
+// pass hands the engine to q, or back to Run when q is nil (nothing can
+// run: the end of the run, or a deadlock).
+func (e *Engine) pass(q *Proc) {
+	if q == nil {
+		e.yield <- struct{}{}
+		return
+	}
+	q.wake <- struct{}{}
 }
 
 // Sleep suspends the process for d of virtual time. Sleep(0) yields,
@@ -262,8 +300,9 @@ func (p *Proc) SleepUntil(t time.Duration) {
 	p.park()
 }
 
-// Park suspends the process indefinitely; it resumes when another process
-// calls Engine.Wake (or WakeAt) for it. Used to build synchronization
+// Park suspends the process indefinitely, handing the engine to the next
+// event's process; it resumes when another process calls Engine.Wake (or
+// WakeAt) for it and that event fires. Used to build synchronization
 // primitives and device queues. Each Park must be matched by exactly one
 // Wake; extra wakes for a superseded park are dropped harmlessly.
 func (p *Proc) Park() {
@@ -297,59 +336,70 @@ func (d *Deadlock) Error() string {
 
 // Run executes scheduled processes until none remain. It must be called
 // from the goroutine that owns the engine (not a managed process), and at
-// most once. It returns a *Deadlock error if processes remain parked with
-// no pending events; otherwise nil.
+// most once. It resumes the first process and then waits for the engine
+// to be passed back, which happens once: when a parking or finishing
+// process finds no event left to fire. It returns a *Deadlock error if
+// processes remain parked then; otherwise nil.
+func (e *Engine) Run() error {
+	if e.started {
+		return fmt.Errorf("sim: Run called twice")
+	}
+	e.started = true
+	if p := e.next(); p != nil {
+		p.wake <- struct{}{}
+		<-e.yield
+	}
+	if len(e.live) == 0 {
+		e.flushBatch()
+		e.reapFree()
+		return nil
+	}
+	var names []string
+	for _, q := range e.live {
+		names = append(names, q.name)
+	}
+	sort.Strings(names)
+	e.reapFree()
+	return &Deadlock{At: e.now, Procs: names}
+}
+
+// next removes the next event and returns the process it resumes, nil
+// when no event is pending. It is the whole scheduler, and it runs on
+// whichever goroutine holds the engine. The process returned counts as
+// one dispatch even when it is the caller itself.
 //
 // Dispatch order: among pending events, the minimum (time, schedule-seq)
 // fires first. Events for the current instant live on a FIFO ready list;
 // every heap event at the current instant was scheduled before time
 // advanced here and so precedes every ready entry, which is why draining
 // heap-at-now before the ready list preserves exact seq order.
-func (e *Engine) Run() error {
-	if e.started {
-		return fmt.Errorf("sim: Run called twice")
+func (e *Engine) next() *Proc {
+	var p *Proc
+	switch {
+	case len(e.heap) > 0 && e.heap[0].evAt == e.now:
+		p = e.heapPop()
+	case e.readyHead < len(e.ready):
+		p = e.ready[e.readyHead]
+		e.ready[e.readyHead] = nil
+		e.readyHead++
+		if e.readyHead == len(e.ready) {
+			e.ready = e.ready[:0]
+			e.readyHead = 0
+		}
+		p.slot = slotNone
+	case len(e.heap) > 0:
+		e.flushBatch()
+		e.now = e.heap[0].evAt
+		p = e.heapPop()
+	default:
+		return nil
 	}
-	e.started = true
-	for {
-		if len(e.live) == 0 {
-			e.flushBatch()
-			e.reapFree()
-			return nil
-		}
-		var p *Proc
-		switch {
-		case len(e.heap) > 0 && e.heap[0].evAt == e.now:
-			p = e.heapPop()
-		case e.readyHead < len(e.ready):
-			p = e.ready[e.readyHead]
-			e.ready[e.readyHead] = nil
-			e.readyHead++
-			if e.readyHead == len(e.ready) {
-				e.ready = e.ready[:0]
-				e.readyHead = 0
-			}
-			p.slot = slotNone
-		case len(e.heap) > 0:
-			e.flushBatch()
-			e.now = e.heap[0].evAt
-			p = e.heapPop()
-		default:
-			var names []string
-			for _, q := range e.live {
-				names = append(names, q.name)
-			}
-			sort.Strings(names)
-			e.reapFree()
-			return &Deadlock{At: e.now, Procs: names}
-		}
-		if e.prDispatch != nil {
-			e.prDispatch.Add(1)
-			e.batchN++
-		}
-		p.waiting = false
-		p.wake <- struct{}{}
-		<-e.yield // wait for the process to park or finish
+	if e.prDispatch != nil {
+		e.prDispatch.Add(1)
+		e.batchN++
 	}
+	p.waiting = false
+	return p
 }
 
 // flushBatch folds the just-completed instant's dispatch count into the

@@ -278,27 +278,6 @@ func TestMutexExclusionAndFIFO(t *testing.T) {
 	}
 }
 
-func TestMutexTryLock(t *testing.T) {
-	e := NewEngine()
-	var m Mutex
-	e.Go("a", func(p *Proc) {
-		if !m.TryLock() {
-			t.Error("TryLock on free mutex failed")
-		}
-		if m.TryLock() {
-			t.Error("TryLock on held mutex succeeded")
-		}
-		m.Unlock(p)
-		if !m.TryLock() {
-			t.Error("TryLock after Unlock failed")
-		}
-		m.Unlock(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBarrierReleasesTogetherAndReuses(t *testing.T) {
 	e := NewEngine()
 	b := NewBarrier(3)
@@ -326,34 +305,6 @@ func TestBarrierReleasesTogetherAndReuses(t *testing.T) {
 		if ts != 4*time.Millisecond {
 			t.Fatalf("phase2 release at %v, want 4ms", ts)
 		}
-	}
-}
-
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	e := NewEngine()
-	s := NewSemaphore(2)
-	inside, peak := 0, 0
-	for i := 0; i < 6; i++ {
-		e.Go("w", func(p *Proc) {
-			s.Acquire(p)
-			inside++
-			if inside > peak {
-				peak = inside
-			}
-			p.Sleep(time.Millisecond)
-			inside--
-			s.Release(p)
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if peak != 2 {
-		t.Fatalf("peak concurrency %d, want 2", peak)
-	}
-	// 6 unit jobs, 2 at a time -> 3ms.
-	if e.Now() != 3*time.Millisecond {
-		t.Fatalf("end time %v, want 3ms", e.Now())
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 // Synchronization primitives for virtual-time processes.
 //
 // Because the engine enforces strict alternation, these types need no
-// real locks: a process mutates primitive state only while it is the sole
-// running goroutine, and the park/wake channel operations provide the
-// happens-before edges the memory model requires.
+// real locks: a process mutates primitive state only while it holds the
+// engine, and the wake-channel hand-off from one holder to the next
+// provides the happens-before edges the memory model requires.
 
 // fifo is a first-in-first-out list that keeps its backing array: buf[head:]
 // are the elements, a list that drains goes back to the start of the
@@ -98,15 +98,6 @@ func (m *Mutex) Lock(p *Proc) {
 	m.locked = true
 }
 
-// TryLock acquires the mutex if it is free and reports whether it did.
-func (m *Mutex) TryLock() bool {
-	if m.locked {
-		return false
-	}
-	m.locked = true
-	return true
-}
-
 // Unlock releases the mutex, waking the next waiter if any. The caller
 // supplies its Proc so the wake is scheduled deterministically.
 func (m *Mutex) Unlock(p *Proc) {
@@ -135,29 +126,6 @@ func (b *Barrier) Wait(p *Proc) {
 		return
 	}
 	b.wq.Wait(p)
-}
-
-// Semaphore is a counting semaphore under virtual time.
-type Semaphore struct {
-	avail int
-	wq    WaitQueue
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(n int) *Semaphore { return &Semaphore{avail: n} }
-
-// Acquire takes one permit, parking until one is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	for s.avail == 0 {
-		s.wq.Wait(p)
-	}
-	s.avail--
-}
-
-// Release returns one permit and wakes a waiter if any.
-func (s *Semaphore) Release(p *Proc) {
-	s.avail++
-	s.wq.WakeOne(p.e)
 }
 
 // Group tracks completion of a set of spawned processes so a parent can
