@@ -18,7 +18,10 @@
 //  2. Exchange. Every rank ships the pieces of its buffer that fall in
 //     each domain to that domain's aggregator (writes), or the
 //     aggregators ship freshly read domains back to the ranks (reads),
-//     as sparse message lists with modeled link cost.
+//     as sparse message lists with modeled link cost. The ranks share
+//     one address space, so a message carries only its size and the
+//     aggregator copies the pieces between the ranks' buffers and its
+//     own staging itself (pipeline.go).
 //  3. Access. Each aggregator moves its whole domain with one
 //     blockio.BatchVec — the cross-file batch — so pieces that are
 //     physically adjacent on a device coalesce into single requests even
@@ -40,7 +43,6 @@ package collective
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"time"
 
 	"repro/internal/blockio"
@@ -252,18 +254,17 @@ type Collective struct {
 	domOut  int
 
 	// Sparse-exchange scratch, shared by all ranks under strict
-	// alternation. payPool recycles exchange payload buffers by size class
-	// (getPay): a sender packs into a pooled buffer, ownership rides the
-	// message, and the consumer returns it once copied out, so steady-state
-	// rounds allocate nothing. dstIdx (invariant: all -1 outside a pack call)
-	// maps destination rank to its message while one rank packs; a pack
-	// never parks the engine, so one shared array serves every rank.
-	// msgScratch holds per-rank outgoing message lists, reused per call.
-	payPool    [64][][]byte
+	// alternation. A message carries only its size: the aggregators copy
+	// the bytes straight between the ranks' buffers (bufs, or a nonblocking
+	// call's Handle.bufs) and their staging (plan.copyChunk). dstIdx
+	// (invariant: all -1 outside a sizing call) maps destination rank to
+	// its message while one rank sizes a round (sized); sizing never parks
+	// the engine, so one shared array serves every rank. msgScratch holds
+	// per-rank outgoing message lists and domScr per-rank domain slices of
+	// a nonblocking call buffer (Handle.domSlices), both reused per call.
 	dstIdx     []int
-	dstLen     []int   // per destination, while one rank packs: its message's length
-	pieces     []piece // the pack in progress (pack)
 	msgScratch [][]mpp.Msg
+	domScr     [][][]byte
 
 	// Aggregator state, per rank, made on a rank's first turn as an
 	// aggregator and rebound call after call (pipeline.go).
@@ -303,29 +304,6 @@ func ForceAligned(c *Collective, split int) {
 	c.flushSchedules()
 }
 
-// getPay pops a recycled payload buffer that holds n bytes (length 0),
-// or makes one. The pool is kept by size class, a power of two, so a
-// payload is never taken smaller than what it will carry.
-func (c *Collective) getPay(n int) []byte {
-	cl := bits.Len(uint(max(n, 1) - 1)) // the least class of 2^cl ≥ n bytes
-	if pool := c.payPool[cl]; len(pool) > 0 {
-		b := pool[len(pool)-1]
-		pool[len(pool)-1] = nil
-		c.payPool[cl] = pool[:len(pool)-1]
-		return b[:0]
-	}
-	return make([]byte, 0, 1<<cl)
-}
-
-// putPay returns a fully consumed payload buffer to the pool, in the
-// largest class its capacity holds.
-func (c *Collective) putPay(b []byte) {
-	if cap(b) > 0 {
-		cl := bits.Len(uint(cap(b))) - 1
-		c.payPool[cl] = append(c.payPool[cl], b)
-	}
-}
-
 // Open builds a collective handle for a size-rank group over the file
 // group.
 func Open(g *pfs.FileGroup, size int, opts Options) (*Collective, error) {
@@ -352,8 +330,8 @@ func Open(g *pfs.FileGroup, size int, opts Options) (*Collective, error) {
 		bufs:       make([][]byte, size),
 		errs:       make([]error, size),
 		dstIdx:     make([]int, size),
-		dstLen:     make([]int, size),
 		msgScratch: make([][]mpp.Msg, size),
+		domScr:     make([][][]byte, size),
 	}
 	for i := range c.dstIdx {
 		c.dstIdx[i] = -1
@@ -433,7 +411,7 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 		// exchange feeding rounds of access, one round when nothing cuts the
 		// domains. A call nobody asked anything of goes straight to the
 		// closing barriers.
-		c.runPipelined(p, sd, write, buf)
+		c.runPipelined(p, sd, write)
 	}
 	p.Barrier()
 	if rank == 0 {

@@ -51,14 +51,16 @@ import (
 //
 // A Handle owns one call buffer and one server ticket. The call buffer
 // holds the call's covered bytes in covered-index order, so domain a is
-// a sub-slice of it (domSlices) and the aggregators pack, assemble and
-// scatter with the blocking executor's helpers, the slices standing in
+// a sub-slice of it (domSlices) and the aggregators size their messages
+// and copy with the blocking executor's helpers, the slices standing in
 // for round 0's staging (a nonblocking call exchanges in one round;
 // Options.ChunkBytes cuts what the server issues, not the domains). The
-// rank that finishes its
-// eager half last (pending reaching zero) submits the schedule's
-// call-wide plan bound to that buffer; every rank's Test and Wait read
-// that one ticket.
+// aggregators copy between the call buffer and the ranks' own buffers,
+// which the Handle keeps (bufs): a write's are read in IWriteAll, right
+// after its exchange, and a read's are filled in Wait, right after its
+// delivery exchange. The rank that finishes its eager half last (pending
+// reaching zero) submits the schedule's call-wide plan bound to the call
+// buffer; every rank's Test and Wait read that one ticket.
 type Handle struct {
 	c     *Collective
 	write bool
@@ -69,34 +71,40 @@ type Handle struct {
 	sub     int               // the rank that submitted
 	ticket  *ioserver.Request // nil until the last rank has submitted
 	subq    sim.WaitQueue     // ranks that reached Wait before then
-	bufs    [][]byte          // per rank: the caller's buffer (reads scatter in Wait)
+	bufs    [][]byte          // per rank: the caller's buffer, which the aggregators copy from or into
 }
 
 // domSlices lists rank's owned domains as slices of the call buffer, in
-// ownedOf order — the shape assembleChunk and packChunkDomains take.
+// ownedOf order — the staging copyChunk takes — in the rank's reused
+// scratch list (Collective.domScr): what it returns is good until the
+// rank's next call.
 func (h *Handle) domSlices(rank int) [][]byte {
 	pl, owned := h.sd.pl, h.sd.ownedOf[rank]
-	bufs := make([][]byte, len(owned))
-	for i, a := range owned {
+	bufs := h.c.domScr[rank][:0]
+	for _, a := range owned {
 		lo, hi := pl.domain(a)
-		bufs[i] = h.callbuf[lo*pl.bs : hi*pl.bs]
+		bufs = append(bufs, h.callbuf[lo*pl.bs:hi*pl.bs])
 	}
+	h.c.domScr[rank] = bufs
 	return bufs
 }
 
 // IWriteAll starts a nonblocking collective write: the exchange runs
 // now, the whole call is enqueued on Options.Service as one request, and
-// the returned Handle completes once the server has written it.
-// Requires Options.Service; see WriteAll for the blocking semantics the
-// data outcome matches.
+// the returned Handle completes once the server has written it. The
+// aggregators copy buf's bytes into the call buffer once the exchange
+// has run, before any rank's Wait returns: buf must hold still until
+// Wait. Requires Options.Service; see WriteAll for the blocking semantics
+// the data outcome matches.
 func (c *Collective) IWriteAll(p *mpp.Proc, reqs []VecReq, buf []byte) (*Handle, error) {
 	return c.istart(p, true, reqs, buf)
 }
 
 // IReadAll starts a nonblocking collective read: the whole call is
 // enqueued on Options.Service as one request now, and Wait performs the
-// delivery exchange once it has arrived. The rank's buffer is filled
-// only after Wait returns.
+// delivery exchange once it has arrived. The aggregators copy the rank's
+// bytes into buf inside Wait, after the delivery exchange and before the
+// barrier that ends it: buf is filled only after Wait returns.
 func (c *Collective) IReadAll(p *mpp.Proc, reqs []VecReq, buf []byte) (*Handle, error) {
 	return c.istart(p, false, reqs, buf)
 }
@@ -150,10 +158,11 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 	if write {
 		// Writes exchange eagerly: once the domains are assembled (with
 		// rank-order overlap resolution) the call buffer is final, and the
-		// server may run the request whenever its policy says.
-		recv := p.NewSparseExchange().Round(c.packRounds(sd.pl, rank, buf))
-		c.assembleChunk(sd.pl, sd.ownedOf[rank], 0, recv, h.domSlices(rank))
-		p.RecycleRecv(recv)
+		// server may run the request whenever its policy says. Assembly
+		// reads h.bufs, never c.bufs: a rank the Round released first may
+		// already have re-entered istart and replaced its c.bufs slot.
+		p.RecycleRecv(p.NewSparseExchange().Round(c.packRounds(sd.pl, rank)))
+		sd.pl.copyChunk(sd.ownedOf[rank], 0, h.domSlices(rank), h.bufs, true)
 	}
 	if h.pending--; h.pending == 0 {
 		// One request for the whole call: blockio's sort/merge across the
@@ -233,17 +242,19 @@ func (h *Handle) Wait(p *mpp.Proc) error {
 	}
 	err := h.ticket.Wait(p.Proc)
 	if !h.write {
-		// Delivery: the freshly read domains ship back to the ranks and
-		// scatter into their buffers, as in the blocking read's tail.
-		send := c.packChunkDomains(pl, h.sd.ownedOf[rank], 0, h.domSlices(rank), c.msgScratch[rank][:0])
+		// Delivery: the exchange charges the freshly read domains' trip
+		// back to the ranks, then each aggregator copies them into the
+		// ranks' buffers. Every rank is in Wait by then, and none leaves
+		// before the barrier below.
+		owned := h.sd.ownedOf[rank]
+		send := c.packChunkDomains(pl, owned, 0, c.msgScratch[rank][:0])
 		c.msgScratch[rank] = send
-		recv := p.NewSparseExchange().Round(send)
-		c.scatterChunkSparse(pl, rank, 0, recv, h.bufs[rank])
-		p.RecycleRecv(recv)
+		p.RecycleRecv(p.NewSparseExchange().Round(send))
+		pl.copyChunk(owned, 0, h.domSlices(rank), h.bufs, false)
 	}
 	// The server is done with the call buffer (the ticket has completed,
-	// failed or not) and past this barrier every rank has packed a read's
-	// bytes out of it: rank 0 returns it, once.
+	// failed or not) and past this barrier every aggregator has copied a
+	// read's bytes out of it: rank 0 returns it, once.
 	p.Barrier()
 	if rank == 0 {
 		c.putDom(h.callbuf)

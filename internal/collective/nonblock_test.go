@@ -721,3 +721,67 @@ func TestNonblockingKeepsLogicalPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIWriteAllReentry: every rank issues two IWriteAll calls back to
+// back — the first half of file a from one buffer, the second half from
+// another — and only then waits on both. Links are free, so every rank
+// reaches the exchange Round's closing barrier at one instant, and the
+// last to arrive, rank 7, which owns no domain, closes it and runs on:
+// out of the first call and into the second, whose prologue points its
+// Collective.bufs slot at the second buffer, all before the aggregators
+// of the first call have assembled a byte. Assembly must read the
+// first call's buffers (Handle.bufs), so both halves read back exactly
+// what each call wrote. The buffer is the caller's again once Wait
+// returns: each rank clears it there, and the bytes still land.
+func TestIWriteAllReentry(t *testing.T) {
+	const nRanks, half = 8, 20
+	e, g, _ := collectiveFixture(t, storeDirect, testPlacements[0].spec)
+	srv, jb := serviceFor(e, ioserver.FIFO, 1)
+	col, err := Open(g, nRanks, Options{Service: jb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col.Aggregators() >= nRanks {
+		t.Fatalf("%d aggregators: the last rank must own no domain", col.Aggregators())
+	}
+	_, join := mpp.Run(e, nRanks, "iw", func(p *mpp.Proc) {
+		var hs [2]*Handle
+		var bufs [2][]byte
+		for call := range hs {
+			// Call c writes pattern(gb + 1000(c+1)) to its rank's stride of
+			// blocks [20c, 20c+20) of file a.
+			var vec blockio.Vec
+			var buf []byte
+			for b := int64(call*half + p.Rank()); b < int64((call+1)*half); b += nRanks {
+				vec = append(vec, blockio.VecSeg{Block: b, N: 1, BufOff: int64(len(buf))})
+				buf = append(buf, make([]byte, testBS)...)
+				pattern(b+int64(1000*(call+1)), buf[len(buf)-testBS:])
+			}
+			h, err := col.IWriteAll(p, []VecReq{{File: 0, Vec: vec}}, buf)
+			if err != nil {
+				t.Errorf("rank %d call %d: %v", p.Rank(), call, err)
+				return
+			}
+			hs[call], bufs[call] = h, buf
+		}
+		for call, h := range hs {
+			if err := h.Wait(p); err != nil {
+				t.Errorf("rank %d call %d: %v", p.Rank(), call, err)
+			}
+			clear(bufs[call])
+		}
+	})
+	e.Go("join", func(sp *sim.Proc) { join.Wait(sp); srv.Stop(sp) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got := readAllBlocks(t, g)
+	want := make([]byte, testBS)
+	for b := int64(0); b < 2*half; b++ {
+		call := b / half
+		pattern(b+1000*(call+1), want)
+		if !bytes.Equal(got[b*testBS:(b+1)*testBS], want) {
+			t.Errorf("block %d of file a does not hold call %d's bytes", b, call)
+		}
+	}
+}

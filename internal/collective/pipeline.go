@@ -12,8 +12,18 @@
 // (plan.chunkWindow), with every aggregator's device access running in a
 // companion process fed through a depth-1 sim.Queue:
 //
-//	write: main   pack(k) → Round(k) ──→ queue ──→ companion: assemble(k) → WriteWindow(k)
-//	read:  companion ReadWindow(k) → pack(k) ──→ queue ──→ main: Round(k) → scatter(k)
+//	write: main   size(k) → Round(k) ──→ queue ──→ companion: assemble(k) → WriteWindow(k)
+//	read:  companion ReadWindow(k) → deliver(k) → size(k) ──→ queue ──→ main: Round(k)
+//
+// An exchange message carries only its size (mpp.Msg.Len): every rank's
+// buffer is in one address space, so the aggregator moves the bytes itself
+// with one copy per clip (plan.copyChunk) — assemble(k) from the ranks'
+// buffers into chunk k's staging once Round(k) has charged their
+// transfer, deliver(k) from the staging into the ranks' buffers as soon
+// as chunk k is read. A read delivers before the hand-off, not after
+// Round(k): by then the companion may be reading chunk k+2 into the same
+// staging. The ranks look at their buffers only once the call returns,
+// so when within the call the bytes land is not observable.
 //
 // So while chunk k sits in the drives (writes) the main process is
 // already exchanging chunk k+1, and while chunk k is being delivered to
@@ -33,17 +43,16 @@
 // (TestOneRoundGoldens pins its modeled times to the nanosecond).
 //
 // Only the aggregators run the rounds. A rank that owns no domain has
-// nothing to do between them — it packs before the first and scatters
-// after the last, both free in virtual time — so it posts all its rounds
-// at once and parks until the exchange is over
+// nothing to do between them — it sizes its messages before the first,
+// free in virtual time, and the aggregators copy its bytes — so it posts
+// all its rounds at once and parks until the exchange is over
 // (mpp.SparseExchange.Post: modeled time is what taking part in every
 // round charges). A round therefore costs the host what its aggregators
 // and its messages cost, not four engine dispatches for each of the
 // group's ranks, and in steady state it allocates nothing: hand-off
-// slots, staging, message lists, payloads, device requests and wait
-// lists are all reused — staging at the table's largest chunk and every
-// payload sized before it is packed, so unequal rounds reuse each
-// other's memory too.
+// slots, staging, message lists, device requests and wait lists are all
+// reused — staging at the table's largest chunk, so unequal rounds reuse
+// each other's memory too.
 //
 // What a chunk is on the drives is the plan's business, not this file's.
 // A chunk of a logical domain is a contiguous slice of the files: on a
@@ -62,8 +71,8 @@
 // partitions or the two cuts apart.
 //
 // The nonblocking calls (nonblock.go) hand their device phase to an I/O
-// server instead, but pack, assemble and scatter with the same helpers:
-// round 0 of a plan built with one window per domain.
+// server instead, but size their messages and copy with the same
+// helpers: round 0 of a plan built with one window per domain.
 
 package collective
 
@@ -79,26 +88,24 @@ import (
 
 // runPipelined executes the schedule's rounds for one rank, leaving its
 // error in c.errs[rank]. Called with a footprint (pl.rounds ≥ 1).
-func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []byte) {
+func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool) {
 	rank := p.Rank()
 	pl := sd.pl
 	rec, trk, prefix := p.Probe()
 	ex := p.NewSparseExchange()
 	if len(sd.ownedOf[rank]) == 0 {
-		// A rank with no domain has nothing to do between rounds: it packs
-		// every round's payloads now (writes) or scatters them at the end
-		// (reads), both free in virtual time, so it posts its rounds and
+		// A rank with no domain has nothing to do between rounds: it sizes
+		// every round's messages now (writes), free in virtual time, and the
+		// aggregators copy its bytes either way, so it posts its rounds and
 		// parks once (mpp.SparseExchange.Post).
 		var send []mpp.Msg
 		if write {
-			send = c.packRounds(pl, rank, buf)
+			send = c.packRounds(pl, rank)
 		}
 		t0 := p.Now()
-		recv := ex.Post(send, pl.rounds)
+		p.RecycleRecv(ex.Post(send, pl.rounds))
 		c.commIv = append(c.commIv, probe.Interval{From: t0, To: p.Now()})
 		rec.Span(trk, "collective", "chunk.exchange", t0, p.Now(), 0, 0)
-		c.scatterRounds(pl, rank, recv, buf)
-		p.RecycleRecv(recv)
 		return
 	}
 	agg := c.bindAgg(sd, rank)
@@ -118,13 +125,13 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 			func(q *sim.Queue) error { // exchange stage, on the rank
 				defer q.Close(p.Proc)
 				for k := 0; k < pl.rounds; k++ {
-					send := c.packChunkSparse(pl, rank, k, buf, c.msgScratch[rank][:0])
+					send := c.packChunkSparse(pl, rank, k, c.msgScratch[rank][:0])
 					c.msgScratch[rank] = send
 					t0 := p.Now()
-					recv := ex.Round(send)
+					p.RecycleRecv(ex.Round(send))
 					c.commIv = append(c.commIv, probe.Interval{From: t0, To: p.Now()})
 					sp := rec.Span(trk, "collective", "chunk.exchange", t0, p.Now(), 0, 0)
-					q.Put(p.Proc, agg.handOff(k, recv, nil, sp))
+					q.Put(p.Proc, agg.handOff(k, nil, sp))
 				}
 				return nil
 			},
@@ -137,31 +144,26 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 					}
 					r := *v.(*round)
 					t0 := cp.Now()
-					if err := agg.writeChunk(cp, r.k, r.recv); err != nil {
+					if err := agg.writeChunk(cp, r.k); err != nil {
 						errs = append(errs, err)
 					}
 					c.ioIv = append(c.ioIv, probe.Interval{From: t0, To: cp.Now()})
 					rec.Span(ioTrk, "collective", "chunk.access", t0, cp.Now(), 0, r.span)
-					// The companion recycles on the rank's behalf: only
-					// handle memory is touched, never engine state.
-					p.RecycleRecv(r.recv)
 				}
 			})
 		return
 	}
 	c.errs[rank] = sim.Pipe(p.Proc, "collective-io", 1,
-		func(q *sim.Queue) error { // delivery stage, on the rank
+		func(q *sim.Queue) error { // exchange stage, on the rank
 			for k := 0; k < pl.rounds; k++ {
 				var r round
 				if v, ok := q.Get(p.Proc); ok {
 					r = *v.(*round)
 				}
 				t0 := p.Now()
-				recv := ex.Round(r.send)
+				p.RecycleRecv(ex.Round(r.send))
 				c.commIv = append(c.commIv, probe.Interval{From: t0, To: p.Now()})
 				rec.Span(trk, "collective", "chunk.exchange", t0, p.Now(), 0, r.span)
-				c.scatterChunkSparse(pl, rank, k, recv, buf)
-				p.RecycleRecv(recv)
 			}
 			return nil
 		},
@@ -176,7 +178,7 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 				}
 				c.ioIv = append(c.ioIv, probe.Interval{From: t0, To: cp.Now()})
 				sp := rec.Span(ioTrk, "collective", "chunk.access", t0, cp.Now(), 0, 0)
-				q.Put(cp, agg.handOff(k, nil, send, sp))
+				q.Put(cp, agg.handOff(k, send, sp))
 			}
 			return errors.Join(errs...)
 		})
@@ -186,9 +188,8 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool, buf []b
 // queue.
 type round struct {
 	k    int
-	recv []mpp.RecvMsg // write: payloads received for the access stage
-	send []mpp.Msg     // read: payloads packed for delivery
-	span probe.SpanID  // producing stage's span: the consumer's causal parent
+	send []mpp.Msg    // read: the delivered chunk's messages, sized for the exchange
+	span probe.SpanID // producing stage's span: the consumer's causal parent
 }
 
 // aggState is one aggregator rank's device-access state, the handle's
@@ -200,8 +201,8 @@ type round struct {
 // only while the call runs (takeStage / putStage). A workload whose
 // schedules never repeat therefore allocates the plan and nothing else.
 // msgScr holds the read path's two in-flight outgoing message lists:
-// round k's list sits in the stage queue while round k+1 is being packed,
-// and slot k%2 is free again by round k+2 because the delivery stage is
+// round k's list sits in the stage queue while round k+1 is being sized,
+// and slot k%2 is free again by round k+2 because the exchange stage is
 // sequential.
 type aggState struct {
 	c      *Collective
@@ -220,9 +221,9 @@ type aggState struct {
 // value did once per round; the consumer copies the slot out as it takes
 // it off the depth-1 queue, before the producer can have put round k+1
 // and come back for this slot with round k+2.
-func (s *aggState) handOff(k int, recv []mpp.RecvMsg, send []mpp.Msg, span probe.SpanID) *round {
+func (s *aggState) handOff(k int, send []mpp.Msg, span probe.SpanID) *round {
 	r := &s.slots[k%2]
-	*r = round{k: k, recv: recv, send: send, span: span}
+	*r = round{k: k, send: send, span: span}
 	return r
 }
 
@@ -307,15 +308,17 @@ func (s *aggState) window(i, k int, write bool, ctx sim.Context, buf []byte) err
 	return s.cut.plan.ReadWindow(ctx, s.cut.win0[a]+k, buf, lo*s.pl.bs)
 }
 
-// writeChunk assembles round k's received payloads into the owned
-// domains' chunk staging buffers and issues each chunk's window of the
-// prepared plan. Assembly is pure compute, so finishing it before the
-// first WriteWindow leaves the device schedule bit-identical to
-// assembling per domain.
-func (s *aggState) writeChunk(ctx sim.Context, k int, recv []mpp.RecvMsg) error {
-	pl := s.pl
+// writeChunk assembles round k — every rank's clips in chunk k of the
+// owned domains, copied straight out of the ranks' buffers — into the
+// chunk staging buffers and issues each chunk's window of the prepared
+// plan. Assembly is pure compute, so finishing it before the first
+// WriteWindow leaves the device schedule bit-identical to assembling per
+// domain. It runs after Round(k), once the exchange has charged the
+// bytes' transfer; the ranks are all inside the call until the pipeline
+// drains, so their buffers hold still.
+func (s *aggState) writeChunk(ctx sim.Context, k int) error {
 	bufs := s.chunkBufs(k)
-	s.c.assembleChunk(pl, s.owned, k, recv, bufs)
+	s.pl.copyChunk(s.owned, k, bufs, s.c.bufs, true)
 	var errs []error
 	for i, buf := range bufs {
 		if len(buf) == 0 {
@@ -329,11 +332,12 @@ func (s *aggState) writeChunk(ctx sim.Context, k int, recv []mpp.RecvMsg) error 
 }
 
 // readChunk reads chunk k of every owned domain through the prepared
-// plans, then packs the ranks' round-k messages from the fresh staging
-// buffers — the read mirror of writeChunk. The pack runs without parking,
-// after all the reads, keeping the handle-shared pack scratch consistent.
+// plans, delivers it into the ranks' buffers and sizes the ranks' round-k
+// messages — the read mirror of writeChunk. Delivery cannot wait for
+// Round(k): by the time that ends this stage may be reading chunk k+2
+// into the same staging. Delivery and sizing run without parking, after
+// all the reads, keeping the handle-shared sizing scratch consistent.
 func (s *aggState) readChunk(ctx sim.Context, k int) ([]mpp.Msg, error) {
-	pl := s.pl
 	bufs := s.chunkBufs(k)
 	var errs []error
 	for i, buf := range bufs {
@@ -344,164 +348,103 @@ func (s *aggState) readChunk(ctx sim.Context, k int) ([]mpp.Msg, error) {
 			errs = append(errs, err)
 		}
 	}
-	s.msgScr[k%2] = s.c.packChunkDomains(pl, s.owned, k, bufs, s.msgScr[k%2][:0])
+	s.pl.copyChunk(s.owned, k, bufs, s.c.bufs, false)
+	s.msgScr[k%2] = s.c.packChunkDomains(s.pl, s.owned, k, s.msgScr[k%2][:0])
 	return s.msgScr[k%2], errors.Join(errs...)
 }
 
-// assembleChunk copies round k's received write payloads into bufs, the
-// staging of chunk k of each owned domain (a whole domain, when the plan
-// has one window per domain). A single cursor walks each payload across
-// the owned domains in ascending order, mirroring packChunkSparse's
-// concatenation; the receive list is sorted by source first, so each
-// domain sees its sources in rank order and LastWriterWins overlaps
-// resolve to the highest rank's bytes. Consumed payloads return to the
-// pool; the caller recycles the receive list itself.
-func (c *Collective) assembleChunk(pl *plan, owned []int, k int, recv []mpp.RecvMsg, bufs [][]byte) {
-	mpp.SortBySrc(recv)
-	for _, m := range recv {
-		var off int64
-		for i, a := range owned {
-			lo, hi := pl.chunkWindow(a, k)
-			buf := bufs[i]
-			pl.forEachClipWin(m.Src, lo, hi, func(cl clip) {
-				n := cl.n * pl.bs
-				copy(buf[cl.domOff:cl.domOff+n], m.Data[off:off+n])
-				off += n
+// copyChunk moves chunk k of the owned domains between stage, the
+// chunk's staging of each (a whole domain, when the plan has one window
+// per domain), and bufs, every rank's own buffer: each clip of each rank
+// in the chunk is one copy, into the staging for a write (assemble) and
+// out of it for a read (deliver). The ranks share one address space, so
+// no payload carries the bytes between them; the exchange charges their
+// size (packChunkSparse, packChunkDomains). Within a domain the ranks go
+// in ascending order, so LastWriterWins overlaps resolve to the highest
+// rank's bytes.
+func (pl *plan) copyChunk(owned []int, k int, stage, bufs [][]byte, write bool) {
+	for i, a := range owned {
+		lo, hi := pl.chunkWindow(a, k)
+		st := stage[i]
+		for _, r := range pl.ranksIn[a] {
+			buf := bufs[r]
+			pl.forEachClipWin(int(r), lo, hi, func(cl clip) {
+				dom, own := st[cl.domOff:][:cl.n*pl.bs], buf[cl.bufOff:][:cl.n*pl.bs]
+				if write {
+					copy(dom, own)
+				} else {
+					copy(own, dom)
+				}
 			})
 		}
-		c.putPay(m.Data)
 	}
 }
 
 // packChunkDomains appends an aggregator's round-k read messages to
-// msgs, one per rank with a clip in chunk k of any owned domain: the
-// rank's clips copied out of bufs, the freshly read staging, owned
-// domains in ascending order — the order scatterChunkSparse consumes.
-// The copy goes into pooled payload buffers (staging is reused two rounds
-// later, so bytes cannot ride the message by reference).
-func (c *Collective) packChunkDomains(pl *plan, owned []int, k int, bufs [][]byte, msgs []mpp.Msg) []mpp.Msg {
-	for i, a := range owned {
-		lo, hi := pl.chunkWindow(a, k)
-		buf := bufs[i]
-		for _, r32 := range pl.ranksIn[a] {
-			r := int(r32)
-			pl.forEachClipWin(r, lo, hi, func(cl clip) {
-				c.pieces = append(c.pieces, piece{r, buf[cl.domOff : cl.domOff+cl.n*pl.bs]})
-			})
-		}
-	}
-	return c.pack(msgs, k)
-}
-
-// packChunkSparse appends rank's round-k write messages to msgs: for
-// each touched domain in ascending order, the rank's clips against that
-// domain's chunk-k window concatenated onto the domain owner's payload,
-// in the canonical (domain asc, clip asc) order that lets the aggregator
-// consume a payload with one plain cursor. A message is created only
-// when the window actually holds a clip, so round-level pair counts (and
-// the exchange's per-pair setup charges) match the dense schedule
-// exactly. Payload buffers come from the handle's pool; the consumer
-// recycles them. Messages carry their round, so a rank may pack all its
-// rounds into one list and post them.
-func (c *Collective) packChunkSparse(pl *plan, rank, k int, buf []byte, msgs []mpp.Msg) []mpp.Msg {
-	for _, a32 := range pl.domsOf[rank] {
-		a := int(a32)
-		lo, hi := pl.chunkWindow(a, k)
-		dst := pl.owner[a]
-		pl.forEachClipWin(rank, lo, hi, func(cl clip) {
-			c.pieces = append(c.pieces, piece{dst, buf[cl.bufOff : cl.bufOff+cl.n*pl.bs]})
-		})
-	}
-	return c.pack(msgs, k)
-}
-
-// piece is the next bytes of the round's message to dst, as a pack walks
-// its clips.
-type piece struct {
-	dst int
-	b   []byte
-}
-
-// pack appends to msgs one round-k message per destination of c.pieces,
-// its pieces concatenated in order, and empties c.pieces. Every message
-// is sized before it is filled, so its payload comes out of the pool at
-// the size it will hold (getPay) and never regrows: rounds of unequal
-// size recycle each other's payloads without allocating.
-func (c *Collective) pack(msgs []mpp.Msg, k int) []mpp.Msg {
+// msgs: one per rank with a clip in chunk k of any owned domain, sized to
+// the rank's clips there (copyChunk delivers their bytes).
+func (c *Collective) packChunkDomains(pl *plan, owned []int, k int, msgs []mpp.Msg) []mpp.Msg {
 	first := len(msgs)
-	for _, pc := range c.pieces {
-		if c.dstIdx[pc.dst] < 0 {
-			c.dstIdx[pc.dst] = len(msgs)
-			msgs = append(msgs, mpp.Msg{Dst: pc.dst, Round: k})
+	for _, a := range owned {
+		lo, hi := pl.chunkWindow(a, k)
+		for _, r := range pl.ranksIn[a] {
+			msgs = c.sized(msgs, k, int(r), pl.winBytes(int(r), lo, hi))
 		}
-		c.dstLen[pc.dst] += len(pc.b)
 	}
-	for i := first; i < len(msgs); i++ {
-		d := msgs[i].Dst
-		msgs[i].Data, c.dstLen[d] = c.getPay(c.dstLen[d]), 0
+	return c.sizedDone(msgs, first)
+}
+
+// packChunkSparse appends rank's round-k write messages to msgs: one per
+// owner of a domain whose chunk-k window holds a clip of the rank, sized
+// to the rank's clips in the owner's domains (copyChunk assembles their
+// bytes). Messages carry their round, so a rank may size all its rounds
+// into one list and post them.
+func (c *Collective) packChunkSparse(pl *plan, rank, k int, msgs []mpp.Msg) []mpp.Msg {
+	first := len(msgs)
+	for _, a := range pl.domsOf[rank] {
+		lo, hi := pl.chunkWindow(int(a), k)
+		msgs = c.sized(msgs, k, pl.owner[a], pl.winBytes(rank, lo, hi))
 	}
-	for _, pc := range c.pieces {
-		m := &msgs[c.dstIdx[pc.dst]]
-		m.Data = append(m.Data, pc.b...)
+	return c.sizedDone(msgs, first)
+}
+
+// sized adds n bytes to msgs' round-k message to dst, opening it for the
+// first bytes. A window without a clip sends nothing, so round-level pair
+// counts (and the exchange's per-pair setup charges) match the dense
+// schedule exactly. c.dstIdx keeps each open message's index until
+// sizedDone.
+func (c *Collective) sized(msgs []mpp.Msg, k, dst int, n int64) []mpp.Msg {
+	if n == 0 {
+		return msgs
 	}
-	clear(c.pieces)
-	c.pieces = c.pieces[:0]
+	i := c.dstIdx[dst]
+	if i < 0 {
+		i, c.dstIdx[dst] = len(msgs), len(msgs)
+		msgs = append(msgs, mpp.Msg{Dst: dst, Round: k})
+	}
+	msgs[i].Len += int(n)
+	return msgs
+}
+
+// sizedDone closes the messages sized since msgs[first], leaving c.dstIdx
+// all -1 again.
+func (c *Collective) sizedDone(msgs []mpp.Msg, first int) []mpp.Msg {
 	for _, m := range msgs[first:] {
 		c.dstIdx[m.Dst] = -1
 	}
 	return msgs
 }
 
-// scatterChunkSparse delivers round k's read payloads into rank's
-// buffer, consuming each aggregator's payload with a per-message cursor
-// across that aggregator's domains in ascending order (matching
-// packChunkDomains; scatter targets are disjoint buffer ranges, so
-// message order is immaterial). Consumed payloads return to the pool;
-// the caller recycles the receive list itself.
-func (c *Collective) scatterChunkSparse(pl *plan, rank, k int, recv []mpp.RecvMsg, buf []byte) {
-	for _, m := range recv {
-		var off int64
-		for _, a32 := range pl.domsOf[rank] {
-			a := int(a32)
-			if pl.owner[a] != m.Src {
-				continue
-			}
-			lo, hi := pl.chunkWindow(a, k)
-			pl.forEachClipWin(rank, lo, hi, func(cl clip) {
-				n := cl.n * pl.bs
-				copy(buf[cl.bufOff:cl.bufOff+n], m.Data[off:off+n])
-				off += n
-			})
-		}
-		c.putPay(m.Data)
-	}
-}
-
-// packRounds packs every round's write messages of rank into one list,
+// packRounds sizes every round's write messages of rank into one list,
 // in round order — what a rank that posts its rounds hands the exchange,
 // and a nonblocking call's one round.
-func (c *Collective) packRounds(pl *plan, rank int, buf []byte) []mpp.Msg {
+func (c *Collective) packRounds(pl *plan, rank int) []mpp.Msg {
 	msgs := c.msgScratch[rank][:0]
 	for k := 0; k < pl.rounds; k++ {
-		msgs = c.packChunkSparse(pl, rank, k, buf, msgs)
+		msgs = c.packChunkSparse(pl, rank, k, msgs)
 	}
 	c.msgScratch[rank] = msgs
 	return msgs
-}
-
-// scatterRounds consumes what a rank that posted its rounds was sent
-// over the whole exchange of a read, a list in round order: each round's
-// payloads are scattered into buf as scatterChunkSparse does round by
-// round. (In a write only aggregators are sent anything.)
-func (c *Collective) scatterRounds(pl *plan, rank int, recv []mpp.RecvMsg, buf []byte) {
-	for len(recv) > 0 {
-		n := 1
-		for n < len(recv) && recv[n].Round == recv[0].Round {
-			n++
-		}
-		c.scatterChunkSparse(pl, rank, recv[0].Round, recv[:n], buf)
-		recv = recv[n:]
-	}
 }
 
 // batchVec assembles the cross-file batch shape of the covered-index

@@ -77,9 +77,8 @@ type span struct{ gb, n int64 }
 
 // clip is the intersection of one rank segment with one aggregator
 // domain: n blocks moving rank-buffer bytes at bufOff to/from
-// domain-buffer bytes at domOff. Clips enumerate in the same canonical
-// order on the rank and the aggregator side, which is what lets the
-// exchange payloads be plain concatenations.
+// domain-buffer bytes at domOff: one copy, which the aggregator makes
+// between the two buffers itself (plan.copyChunk).
 type clip struct {
 	n      int64
 	bufOff int64
@@ -487,6 +486,13 @@ func (pl *plan) forEachClipWin(rank int, lo, hi int64, fn func(c clip)) {
 			domOff: (cLo - lo) * pl.bs,
 		})
 	}
+}
+
+// winBytes is the bytes of rank's clips in the covered-index window
+// [lo, hi).
+func (pl *plan) winBytes(rank int, lo, hi int64) (n int64) {
+	pl.forEachClipWin(rank, lo, hi, func(cl clip) { n += cl.n })
+	return n * pl.bs
 }
 
 // chunkWindow reports chunk k of aggregator a's domain as a

@@ -387,7 +387,6 @@ func (pl *plan) forEachClip(rank, agg int, fn func(c clip)) {
 // enumerating clips — the reference implementation of shares[rank][agg],
 // the fuzz target's independent cross-check.
 func (pl *plan) clipBytes(rank, agg int) int64 {
-	var n int64
-	pl.forEachClip(rank, agg, func(c clip) { n += c.n })
-	return n * pl.bs
+	lo, hi := pl.domain(agg)
+	return pl.winBytes(rank, lo, hi)
 }

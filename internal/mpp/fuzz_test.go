@@ -1,14 +1,16 @@
 // Fuzz target for the Alltoallv exchange and its link models. Arbitrary
 // bytes decode into a group size, a payload-size matrix, a link
 // configuration, a chunked-round count, a subset of ranks that post
-// their rounds (SparseExchange.Post) while the rest run them, and
+// their rounds (SparseExchange.Post) while the rest run them, a subset
+// of ranks whose sparse messages carry only their size (Msg.Len), and
 // optionally a second group issuing an overlapping exchange on a shared
 // pool; invariants:
 //
 //   - delivery: every rank receives exactly the bytes each source sent
-//     it, absent entries stay nil — whether the exchange moves in one
-//     Alltoallv, in chunked Exchange rounds, or in sparse rounds with
-//     any subset of the ranks posted;
+//     it (the size alone, from a size-only source), absent entries stay
+//     nil — whether the exchange moves in one Alltoallv, in chunked
+//     Exchange rounds, or in sparse rounds with any subset of the ranks
+//     posted;
 //   - self-messages are never charged: with only self payloads the
 //     clock stays at zero under every model;
 //   - the shared pool charges exactly the exchange's cross volume once
@@ -17,7 +19,9 @@
 //     ends at (crossVol+crossVol2)/BW, never earlier (no
 //     double-counting of the pool's bandwidth);
 //   - traffic accounting matches the payload matrix, with a chunked
-//     exchange counting one message per communicating pair.
+//     exchange counting one message per communicating pair, and a
+//     size-only message charges what a payload of its size does: every
+//     invariant above holds with any subset of the sources size-only.
 //
 // Run as `go test -fuzz=FuzzAlltoallv ./internal/mpp`; the seed corpus
 // keeps it exercised as a plain test (CI runs a -fuzztime=10s smoke).
@@ -43,6 +47,13 @@ func FuzzAlltoallv(f *testing.F) {
 	f.Add([]byte{3, 2, 2 | 0b1010<<2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}) // ranks 1 and 3 posted
 	f.Add([]byte{5, 1, 3 | 0b111110<<2, 0, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})               // all but rank 0 posted
 	f.Add([]byte{3, 2, 1 | 0b1111<<2, 17, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})       // every rank drawn: rank 0 runs them
+
+	// Size-only messages (Msg.Len). sizeMask and the link mode share
+	// data[1] (mask data[1]>>2, mode data[1]%3), so each byte is picked
+	// for both: 26 is mode 2 with ranks 1 and 2 size-only, 254 is mode 2
+	// with every rank size-only.
+	f.Add([]byte{3, 26, 2 | 0b1010<<2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}) // ranks 1 and 2 size-only
+	f.Add([]byte{5, 254, 3 | 0b100<<2, 17, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})            // every rank size-only, overlapped
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -53,6 +64,8 @@ func FuzzAlltoallv(f *testing.F) {
 		// Bit r set: rank r posts its rounds. Any bit set moves the chunked
 		// exchange to the sparse form; rank 0 always runs the rounds.
 		postMask := int(data[2]>>2) &^ 1
+		// Bit r set: rank r's sparse messages carry only their size.
+		sizeMask := int(data[1] >> 2)
 		overlap := data[3]%2 == 1  // second group exchanging on the same pool
 		vol2 := int(data[3]) % 128 // second group's per-rank payload
 		// sizes[src][dst]: payload length; 0 = nil (nothing sent).
@@ -89,6 +102,7 @@ func FuzzAlltoallv(f *testing.F) {
 		e := sim.NewEngine()
 		g, join := Run(e, size, "f", func(pr *Proc) {
 			got := make([][]byte, size)
+			sized := 0 // bit src set: src's messages here carried only their size
 			if rounds == 1 {
 				recv := pr.Alltoallv(make2(sizes, pr.Rank()))
 				for src := 0; src < size; src++ {
@@ -101,8 +115,14 @@ func FuzzAlltoallv(f *testing.F) {
 				whole := make2(sizes, pr.Rank())
 				chunk := func(k int) (send []Msg) {
 					for dst, pl := range whole {
-						if pl != nil {
-							send = append(send, Msg{Dst: dst, Round: k, Data: pl[k*len(pl)/rounds : (k+1)*len(pl)/rounds]})
+						if pl == nil {
+							continue
+						}
+						part := pl[k*len(pl)/rounds : (k+1)*len(pl)/rounds]
+						if sizeMask>>pr.Rank()&1 == 1 {
+							send = append(send, Msg{Dst: dst, Round: k, Len: len(part)})
+						} else {
+							send = append(send, Msg{Dst: dst, Round: k, Data: part})
 						}
 					}
 					return send
@@ -128,9 +148,13 @@ func FuzzAlltoallv(f *testing.F) {
 								got[m.Src] = []byte{}
 							}
 							got[m.Src] = append(got[m.Src], m.Data...)
+							if m.Data == nil {
+								got[m.Src] = append(got[m.Src], make([]byte, m.Len)...)
+							}
 						}
 					}
 				}
+				sized = sizeMask
 			} else {
 				ex := pr.NewExchange()
 				whole := make2(sizes, pr.Rank())
@@ -161,9 +185,11 @@ func FuzzAlltoallv(f *testing.F) {
 					}
 					continue
 				}
-				want := make([]byte, n)
+				want := make([]byte, n) // zeros, from a size-only source
 				for i := range want {
-					want[i] = byte(7*src + 3*pr.Rank() + i)
+					if sized>>src&1 == 0 {
+						want[i] = byte(7*src + 3*pr.Rank() + i)
+					}
 				}
 				if !bytes.Equal(got[src], want) {
 					t.Errorf("rank %d: corrupted payload from %d", pr.Rank(), src)

@@ -63,8 +63,10 @@
 //
 // The exchanges carry their payloads as explicit (rank, payload) message
 // lists: a process pays only for the pairs it actually communicates
-// with, payloads transfer by reference instead of by copy, and receive
-// lists are recycled through a pool (RecycleRecv). The original dense
+// with, payloads transfer by reference instead of by copy (or not at all:
+// a message may carry only its size, Msg.Len, charged as that many
+// bytes), and receive lists are recycled through a pool (RecycleRecv).
+// The original dense
 // forms (Alltoallv, NewExchange), which take and return rank-indexed
 // slices and so touch all P slots per round, are retained in the test
 // suite as comparison baselines: charging is identical by construction —

@@ -1,6 +1,8 @@
 package mpp
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -17,23 +19,28 @@ import (
 // group's pool — a reservation every few microseconds, at instants that
 // are never the first group's — so a reservation of the first group made
 // at any instant but lockstep's queues behind a different one of theirs.
+// sizeOnly, when set, picks the messages that carry only their size
+// (Msg.Len) instead of a payload.
 type postedScn struct {
 	ranks     int
 	sizes     [][][]int
 	configure func(g *Group)
 	peer      bool
+	sizeOnly  func(k, src, dst int) bool
 }
 
 // postedObs is what a run of the scenario shows: where the clock ended,
 // when each rank left the exchange (the peer group's ranks after the
-// first group's), the traffic counted, and a digest per rank of what it
-// received, in (round, source) order.
+// first group's), the traffic counted, a digest per rank of what it
+// received, in (round, source) order, and the first group's mpp spans
+// with the bytes each counted, in recording order.
 type postedObs struct {
 	now       time.Duration
 	done      []time.Duration
 	msgs      int64
 	bytes     int64
 	checksums []uint64
+	spans     []string
 }
 
 func postedPayload(k, src, dst, n int) []byte {
@@ -55,13 +62,19 @@ func (scn postedScn) run(t *testing.T, posted []bool) postedObs {
 		// unequal work.
 		p.Compute(time.Duration(r%3) * 700 * time.Nanosecond)
 		ex := p.NewSparseExchange()
+		msg := func(k, dst, n int) Msg {
+			if scn.sizeOnly != nil && scn.sizeOnly(k, r, dst) {
+				return Msg{Dst: dst, Round: k, Len: n}
+			}
+			return Msg{Dst: dst, Round: k, Data: postedPayload(k, r, dst, n)}
+		}
 		var got []RecvMsg
 		if posted != nil && posted[r] {
 			var send []Msg
 			for k := 0; k < rounds; k++ {
 				for dst, n := range scn.sizes[k][r] {
 					if n > 0 {
-						send = append(send, Msg{Dst: dst, Round: k, Data: postedPayload(k, r, dst, n)})
+						send = append(send, msg(k, dst, n))
 					}
 				}
 			}
@@ -73,7 +86,7 @@ func (scn postedScn) run(t *testing.T, posted []bool) postedObs {
 				var send []Msg
 				for dst, n := range scn.sizes[k][r] {
 					if n > 0 {
-						send = append(send, Msg{Dst: dst, Data: postedPayload(k, r, dst, n)})
+						send = append(send, msg(k, dst, n))
 					}
 				}
 				recv := ex.Round(send)
@@ -95,8 +108,8 @@ func (scn postedScn) run(t *testing.T, posted []bool) postedObs {
 		})
 		var sum uint64
 		for _, m := range got {
-			if want := scn.sizes[m.Round][m.Src][r]; len(m.Data) != want {
-				t.Errorf("rank %d round %d: %d bytes from %d, want %d", r, m.Round, len(m.Data), m.Src, want)
+			if want := scn.sizes[m.Round][m.Src][r]; size(m.Data, m.Len) != int64(want) {
+				t.Errorf("rank %d round %d: %d bytes from %d, want %d", r, m.Round, size(m.Data, m.Len), m.Src, want)
 			}
 			for _, b := range m.Data {
 				sum = sum*31 + uint64(b)
@@ -106,6 +119,8 @@ func (scn postedScn) run(t *testing.T, posted []bool) postedObs {
 		obs.checksums[r] = sum
 	})
 	scn.configure(g)
+	rec := probe.New()
+	g.SetProbe(rec, "x")
 	joins := []*sim.Group{join}
 	var peerDone []time.Duration
 	if scn.peer {
@@ -133,6 +148,9 @@ func (scn postedScn) run(t *testing.T, posted []bool) postedObs {
 	obs.now = e.Now()
 	obs.done = append(obs.done, peerDone...)
 	obs.msgs, obs.bytes = g.Traffic()
+	for _, s := range rec.Spans() {
+		obs.spans = append(obs.spans, fmt.Sprintf("%d %s %v-%v %dB", s.Track, s.Name, s.Start, s.End, s.Bytes))
+	}
 	return obs
 }
 
@@ -326,6 +344,74 @@ func TestPostedParksOnce(t *testing.T) {
 		// Posters: 2 each. Aggregators: at most 5 per round and 2 more.
 		if limit := 2*(ranks-aggs) + aggs*(5*rounds+2) + 4; post > limit {
 			t.Errorf("%d rounds posted cost %d dispatches, want ≤ %d", rounds, post, limit)
+		}
+	}
+}
+
+// TestSizeOnlyChargesAsPayload: a message that carries only its size
+// (Msg.Len, Data nil) is charged exactly what a payload of that many
+// bytes is — the clock to the nanosecond, every rank's release, Traffic's
+// messages and bytes, and every mpp span with the bytes it counts — with
+// every rank in Round, with the compute ranks posted (Post), posted under
+// a topology (Post's fallback to taking part in every round), and with
+// both kinds mixed in one round.
+func TestSizeOnlyChargesAsPayload(t *testing.T) {
+	const ranks, aggs, rounds = 8, 2, 3
+	both := make([][][]int, rounds) // rank r ships to r%aggs, which answers
+	for k := range both {
+		both[k] = make([][]int, ranks)
+		for r := range both[k] {
+			both[k][r] = make([]int, ranks)
+		}
+		for r := 0; r < ranks; r++ {
+			both[k][r][r%aggs] = 300 + 70*r + 250*k // the aggregators' self-messages too
+			both[k][r%aggs][r] += 40 + 9*r
+		}
+	}
+	compute := make([]bool, ranks)
+	for r := aggs; r < ranks; r++ {
+		compute[r] = true
+	}
+	topo := make([]int, ranks)
+	for r := range topo {
+		topo[r] = r % 2
+	}
+	linkPool := func(g *Group) { g.SetLink(2*time.Microsecond, 80e6); g.SetBisection(300e6) }
+	for _, m := range []struct {
+		name      string
+		configure func(g *Group)
+		peer      bool
+	}{
+		{"link+bisection", linkPool, false},
+		{"shared-pool", linkPool, true},
+		{"topology", func(g *Group) { linkPool(g); g.SetTopology(topo) }, false},
+	} {
+		for _, posted := range [][]bool{nil, compute} {
+			for _, kind := range []struct {
+				name     string
+				sizeOnly func(k, src, dst int) bool
+			}{
+				{"all", func(int, int, int) bool { return true }},
+				{"mixed", func(k, src, dst int) bool { return (k+src+dst)%2 == 0 }},
+			} {
+				name := fmt.Sprintf("%s/posted=%v/%s", m.name, posted != nil, kind.name)
+				t.Run(name, func(t *testing.T) {
+					scn := postedScn{ranks: ranks, sizes: both, configure: m.configure, peer: m.peer}
+					ref := scn.run(t, posted)
+					if ref.now == 0 || ref.bytes == 0 || len(ref.spans) == 0 {
+						t.Fatalf("the scenario charged nothing: %+v", ref)
+					}
+					scn.sizeOnly = kind.sizeOnly
+					got := scn.run(t, posted)
+					if got.now != ref.now || got.msgs != ref.msgs || got.bytes != ref.bytes || !slices.Equal(got.done, ref.done) {
+						t.Errorf("size-only: now %v, Traffic (%d, %d), released %v; payloads: %v, (%d, %d), %v",
+							got.now, got.msgs, got.bytes, got.done, ref.now, ref.msgs, ref.bytes, ref.done)
+					}
+					if !slices.Equal(got.spans, ref.spans) {
+						t.Errorf("size-only spans differ from the payloads' spans:\n%v\n%v", got.spans, ref.spans)
+					}
+				})
+			}
 		}
 	}
 }

@@ -10,45 +10,50 @@ import (
 // Sparse personalized exchanges: the same collectives as Alltoallv and
 // Exchange.Round, carried as explicit message lists instead of
 // rank-indexed slices. A process pays only for the pairs it actually
-// communicates with — O(messages) instead of O(group size) per round —
-// and payloads transfer by reference: the sender gives up ownership of
-// each Msg.Data until the receiver has consumed it, and no copy is made
-// anywhere on the path. Charging (per-process link, shared pool,
+// communicates with — O(messages) instead of O(group size) per round.
+// A message carries its bytes by reference or only their size: a Data
+// payload transfers by reference (the sender gives up ownership of it
+// until the receiver has consumed it, and no copy is made anywhere on the
+// path), while a message with nil Data and a Len moves nothing and is
+// charged as Len bytes — the form for processes that share an address
+// space and copy between each other's buffers themselves (package
+// collective's aggregators). Charging (per-process link, shared pool,
 // Traffic) is computed from the same message and byte totals as the
 // dense forms, between the same pair of barriers, so modeled times are
 // bit-identical; only the wall-clock cost of the simulation differs.
 
-// Msg is one outgoing payload of a sparse exchange. At most one Msg per
-// destination may be passed per round (matching the dense forms, where
-// send[dst] is a single payload). Round is read by SparseExchange.Post
-// alone, which takes every round's messages in one list.
+// Msg is one outgoing message of a sparse exchange: a payload (Data), or
+// with Data nil only its size (Len), charged exactly as a payload of Len
+// bytes. At most one Msg per destination may be passed per round
+// (matching the dense forms, where send[dst] is a single payload). Round
+// is read by SparseExchange.Post alone, which takes every round's
+// messages in one list.
 type Msg struct {
 	Dst   int
 	Round int
 	Data  []byte
+	Len   int // the bytes charged when Data is nil
 }
 
-// RecvMsg is one delivered payload: what rank Src sent this process, and
-// in which round of a chunked exchange (0 from AlltoallvSparse).
-// Delivery order follows the engine's deterministic execution order of
-// the senders, not rank order; consumers that need rank order (e.g. a
-// last-writer-wins merge) must sort by Src.
+// RecvMsg is one delivered message: what rank Src sent this process (its
+// Data and Len as sent), and in which round of a chunked exchange (0 from
+// AlltoallvSparse). Delivery order follows the engine's deterministic
+// execution order of the senders, not rank order; consumers that need
+// rank order (e.g. a last-writer-wins merge) must sort by Src.
 type RecvMsg struct {
 	Src   int
 	Round int
 	Data  []byte
+	Len   int
 }
 
-// SortBySrc orders a receive list by source rank in place (insertion
-// sort: receive lists are short and nearly ordered, and unlike
-// sort.Slice this allocates nothing). Use it when consumption order
-// matters, e.g. a last-writer-wins merge keyed on rank order.
-func SortBySrc(recv []RecvMsg) {
-	for i := 1; i < len(recv); i++ {
-		for j := i; j > 0 && recv[j].Src < recv[j-1].Src; j-- {
-			recv[j], recv[j-1] = recv[j-1], recv[j]
-		}
+// size is the bytes a message is charged: its payload's, or Len when it
+// carries none.
+func size(data []byte, n int) int64 {
+	if data != nil {
+		return int64(len(data))
 	}
+	return int64(n)
 }
 
 // ensureSparse lazily allocates the per-rank inboxes.
@@ -89,11 +94,12 @@ func (p *Proc) RecycleRecv(recv []RecvMsg) {
 // Each Msg is delivered to its destination rank, and the returned list
 // holds everything the other ranks (and the process itself, if it
 // self-sent) addressed here. Payloads move by reference — the caller must
-// not modify a sent Data until the receiver is done with it, and should
-// hand the returned list back via RecycleRecv when consumed. It resets
-// the process's chunked-exchange handle (NewSparseExchange), which is
-// safe because a process runs one exchange at a time. All processes of
-// the group must call it together.
+// not modify a sent Data until the receiver is done with it — and a
+// message with nil Data moves only its size, Len, charged as that many
+// bytes; either way the caller should hand the returned list back via
+// RecycleRecv when consumed. It resets the process's chunked-exchange
+// handle (NewSparseExchange), which is safe because a process runs one
+// exchange at a time. All processes of the group must call it together.
 func (p *Proc) AlltoallvSparse(send []Msg) []RecvMsg { return p.NewSparseExchange().Round(send) }
 
 // SparseExchange is the sparse counterpart of Exchange: one logical
@@ -211,13 +217,14 @@ func (ex *SparseExchange) account(s *sent, m Msg) {
 	if m.Dst == p.rank {
 		return
 	}
-	s.bytes += int64(len(m.Data))
+	n := size(m.Data, m.Len)
+	s.bytes += n
 	if f := ex.pairs[m.Dst]; f&1 == 0 {
 		ex.pairs[m.Dst] = f | 1
 		s.pairs++
 	}
 	if p.group.crossCut(p.rank, m.Dst) {
-		s.pool += int64(len(m.Data))
+		s.pool += n
 	}
 }
 
@@ -227,13 +234,14 @@ func (ex *SparseExchange) received(recv []RecvMsg) (in int64, newIn int, inPool 
 	p := ex.p
 	for _, m := range recv {
 		if m.Src != p.rank {
-			in += int64(len(m.Data))
+			n := size(m.Data, m.Len)
+			in += n
 			if f := ex.pairs[m.Src]; f&2 == 0 {
 				ex.pairs[m.Src] = f | 2
 				newIn++
 			}
 			if p.group.crossCut(m.Src, p.rank) {
-				inPool += int64(len(m.Data))
+				inPool += n
 			}
 		}
 	}
@@ -242,8 +250,9 @@ func (ex *SparseExchange) received(recv []RecvMsg) (in int64, newIn int, inPool 
 
 // Round moves one round of the chunked exchange — the sparse analogue
 // of Exchange.Round, and the one place an exchange is charged. Each Msg
-// is delivered to its destination rank by reference, under the delivery
-// and ownership contract AlltoallvSparse states. All processes of the
+// is delivered to its destination rank — its payload by reference, or
+// its size alone — under the delivery, ownership and charging contract
+// AlltoallvSparse states. All processes of the
 // group that have not posted their rounds (Post) must call Round
 // together.
 func (ex *SparseExchange) Round(send []Msg) []RecvMsg {
@@ -256,7 +265,7 @@ func (ex *SparseExchange) Round(send []Msg) []RecvMsg {
 	t0 := p.Now()
 	var out sent
 	for _, m := range send {
-		g.sin[m.Dst] = append(g.sin[m.Dst], RecvMsg{Src: p.rank, Round: k, Data: m.Data})
+		g.sin[m.Dst] = append(g.sin[m.Dst], RecvMsg{Src: p.rank, Round: k, Data: m.Data, Len: m.Len})
 		ex.account(&out, m)
 	}
 	p.chargeLink(out.pairs, out.bytes)
@@ -339,7 +348,7 @@ func (ex *SparseExchange) Post(send []Msg, rounds int) []RecvMsg {
 		for len(send) > 0 && send[0].Round == k {
 			m := send[0]
 			send = send[1:]
-			rd.msgs = append(rd.msgs, postedMsg{m.Dst, RecvMsg{Src: p.rank, Round: k, Data: m.Data}})
+			rd.msgs = append(rd.msgs, postedMsg{m.Dst, RecvMsg{Src: p.rank, Round: k, Data: m.Data, Len: m.Len}})
 			ex.account(&out, m)
 		}
 		if d := g.linkTime(out.pairs, out.bytes); k == 0 {
@@ -372,7 +381,7 @@ func (ex *SparseExchange) Post(send []Msg, rounds int) []RecvMsg {
 	if g.rec != nil {
 		for _, m := range recv {
 			if m.Src != p.rank {
-				total += int64(len(m.Data))
+				total += size(m.Data, m.Len)
 			}
 		}
 		g.rec.Span(g.rankTrk[p.rank], "mpp", "posted", t0, p.Now(), total, 0)

@@ -2,6 +2,7 @@ package mpp
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -49,7 +50,7 @@ func runChunkedScenario(ranks, rounds, fanout, payload int, sparse bool) exchang
 					send = append(send, Msg{Dst: (r + j) % ranks, Data: buf})
 				}
 				recv := ex.Round(send)
-				SortBySrc(recv)
+				slices.SortFunc(recv, bySrc)
 				for _, m := range recv {
 					digest(m.Src, m.Data)
 				}
@@ -96,6 +97,9 @@ func runChunkedScenario(ranks, rounds, fanout, payload int, sparse bool) exchang
 		allocs:    after.Mallocs - before.Mallocs,
 	}
 }
+
+// bySrc orders received messages by source rank.
+func bySrc(a, b RecvMsg) int { return a.Src - b.Src }
 
 // TestSparseMatchesDenseChunked checks the sparse exchange's core
 // guarantee: same modeled time, same Traffic, same delivered payloads
@@ -144,7 +148,7 @@ func TestAlltoallvSparseMatchesDense(t *testing.T) {
 					{Dst: (r + 1) % ranks, Data: pl},
 					{Dst: (r + 2) % ranks, Data: pl},
 				})
-				SortBySrc(recv)
+				slices.SortFunc(recv, bySrc)
 				for _, m := range recv {
 					digest(m.Src, m.Data)
 				}

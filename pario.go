@@ -163,9 +163,13 @@
 // Collective.IWriteAll / IReadAll: plan and exchange run inline (they
 // are collective by nature), the device phase is enqueued, and the
 // returned IOHandle lets every rank overlap its own computation before
-// the collective Wait (Test polls locally). The unit of submission is
-// the call: the aggregators assemble their domains side by side in one
-// call buffer and the last rank out of the exchange submits ONE request
+// the collective Wait (Test polls locally). That computation must leave
+// the call's buffer alone until Wait returns: the aggregators copy a
+// write's bytes out of it after the exchange, possibly after this rank's
+// IWriteAll has returned, and a read's bytes into it inside Wait. The
+// unit of submission is the call: the aggregators assemble their
+// domains side by side in one call buffer and the last rank out of the
+// exchange submits ONE request
 // — every domain in one prepared BatchPlan, merged across domains, so a
 // checkpoint of a declustered file reaches each drive as one sequential
 // run (TestServerDirectedWin: 64 lane requests and 1 024 device
@@ -344,14 +348,15 @@
 // (goroutine + wake channel) across spawns; the exchange layer's sparse
 // collectives (internal/mpp's SparseExchange, whose Round charges every
 // exchange; AlltoallvSparse is its one-round form) carry
-// explicit message lists with by-reference payload delivery and pooled
-// receive buffers, so an exchange round costs O(messages actually
-// sent), not O(ranks²) — and, in a pipelined collective, not O(ranks)
-// either: the ranks that own no file domain post all their rounds at
-// once and park until the exchange is over (SparseExchange.Post), so
-// only the aggregators take the engine's hand-offs round by round; the
-// collective layer packs and scatters through
-// the plan's participation indexes and pooled payload buffers. The
+// explicit message lists with by-reference payload delivery (or a size
+// alone) and pooled receive buffers, so an exchange round costs
+// O(messages actually sent), not O(ranks²) — and, in a pipelined
+// collective, not O(ranks) either: the ranks that own no file domain
+// post all their rounds at once and park until the exchange is over
+// (SparseExchange.Post), so only the aggregators take the engine's
+// hand-offs round by round; the collective layer sizes its messages
+// through the plan's participation indexes, and its aggregators copy
+// each byte once, between the ranks' buffers and their staging. The
 // sparse-exchange guarantee is exact: charging is computed from the
 // same message and byte totals, between the same barriers, as the dense
 // forms, so modeled results are bit-identical — only the wall-clock
@@ -574,6 +579,7 @@ type (
 	IOPolicy = ioserver.Policy
 	// IOHandle is an in-flight nonblocking collective
 	// (Collective.IWriteAll / IReadAll; Wait is collective, Test local).
+	// The buffer passed to the call must not change until Wait returns.
 	IOHandle = collective.Handle
 )
 
