@@ -20,12 +20,21 @@
 // All three are engine-aware: under a sim.Engine they overlap transfers
 // with the caller's computation in virtual time; without one they degrade
 // to synchronous operation (single-goroutine use only).
+//
+// SeqReader and SeqWriter recycle their frames: a stream takes them from
+// a free list kept per frame size when it opens and gives back at Close
+// the ones no transfer can still touch, so a workload that opens stream
+// after stream allocates its frames once. A recycled frame holds what its
+// last stream left in it; every user overwrites a frame before reading
+// it (a fetch fills a reader's, and core's writer clears each one it
+// acquires).
 package buffer
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -51,6 +60,52 @@ type FlushRun func(ctx sim.Context, first int64, n int, buf []byte) error
 // but need not be contiguous; a vectored backend (blockio.Set.ReadVec)
 // coalesces physically adjacent blocks into single device requests.
 type FetchSpan func(ctx sim.Context, idxs []int64, buf []byte) error
+
+// frames is the free list of stream frames, by size. It keeps at most
+// maxFrameSizes sizes: a new one beyond that starts it over (the rest
+// goes to the collector), so streams whose frames keep changing size
+// never pile up. A size's list holds at most what the streams open at
+// once took of it.
+var frames struct {
+	sync.Mutex
+	free map[int][][]byte
+}
+
+const maxFrameSizes = 8
+
+// getFrames returns n frames of size bytes, recycled where it can.
+func getFrames(size, n int) [][]byte {
+	out := make([][]byte, 0, n)
+	frames.Lock()
+	if free := frames.free[size]; len(free) > 0 {
+		k := len(free) - min(n, len(free))
+		out = append(out, free[k:]...)
+		frames.free[size] = free[:k]
+	}
+	frames.Unlock()
+	for len(out) < n {
+		out = append(out, make([]byte, size))
+	}
+	return out
+}
+
+// putFrames returns frames to the free list, each under its full size
+// (a caller may have handed back a shortened slice of one).
+func putFrames(bufs [][]byte) {
+	frames.Lock()
+	defer frames.Unlock()
+	for _, b := range bufs {
+		b = b[:cap(b)]
+		free, ok := frames.free[len(b)]
+		if !ok && len(frames.free) >= maxFrameSizes {
+			clear(frames.free)
+		}
+		if frames.free == nil {
+			frames.free = make(map[int][][]byte)
+		}
+		frames.free[len(b)] = append(free, b)
+	}
+}
 
 // fetched is one prefetched block's future: the prefetcher enqueues it
 // on the filled queue at claim time (so consumers receive blocks in
@@ -107,16 +162,13 @@ func NewSeqReader(fetch Fetch, blockSize int, total int64, nbufs, readers int) (
 	if readers > nbufs {
 		readers = nbufs
 	}
-	r := &SeqReader{
+	return &SeqReader{
 		fetch:     fetch,
 		blockSize: blockSize,
 		total:     total,
 		readers:   readers,
-	}
-	for i := 0; i < nbufs; i++ {
-		r.free = append(r.free, make([]byte, blockSize))
-	}
-	return r, nil
+		free:      getFrames(blockSize, nbufs),
+	}, nil
 }
 
 // NewSeqReaderExtent builds a reader whose streaming unit is an extent
@@ -262,12 +314,16 @@ func (r *SeqReader) Release(ctx sim.Context, buf []byte) {
 }
 
 // Close shuts the reader down; outstanding prefetches complete and are
-// discarded. Close is optional: an unclosed reader holds only memory.
+// discarded. Only the frames in the pool are recycled: one being fetched
+// into, waiting to be consumed or held by a consumer stays with the
+// reader. Close is optional: an unclosed reader holds only memory.
 func (r *SeqReader) Close(ctx sim.Context) {
 	if r.closed {
 		return
 	}
 	r.closed = true
+	putFrames(r.free)
+	r.free = nil
 	if p, ok := ctx.(*sim.Proc); ok && r.started {
 		r.fillq.Close(p)
 	}
@@ -316,11 +372,8 @@ func NewSeqWriter(flush FlushFn, blockSize, nbufs, writers int) (*SeqWriter, err
 	if writers > nbufs {
 		writers = nbufs
 	}
-	w := &SeqWriter{flush: flush, blockSize: blockSize, nbufs: nbufs, writers: writers}
-	for i := 0; i < nbufs; i++ {
-		w.free = append(w.free, make([]byte, blockSize))
-	}
-	return w, nil
+	return &SeqWriter{flush: flush, blockSize: blockSize, nbufs: nbufs, writers: writers,
+		free: getFrames(blockSize, nbufs)}, nil
 }
 
 // NewSeqWriterExtent builds a deferred writer whose streaming unit is an
@@ -360,7 +413,7 @@ func (w *SeqWriter) startWriters(p *sim.Proc) {
 	for _, b := range w.free {
 		w.freeq.Put(p, b)
 	}
-	w.free = nil
+	w.free = w.free[:0]
 	for i := 0; i < w.writers; i++ {
 		w.g.Spawn(p.Engine(), "write-behind", func(io *sim.Proc) {
 			for {
@@ -422,7 +475,8 @@ func (w *SeqWriter) Submit(ctx sim.Context, idx int64, buf []byte) error {
 }
 
 // Close drains pending writes, stops the writer processes and returns
-// any accumulated flush errors.
+// any accumulated flush errors. The drained frames are recycled; one the
+// producer acquired and never submitted stays with the writer.
 func (w *SeqWriter) Close(ctx sim.Context) error {
 	if w.closed {
 		return nil
@@ -431,6 +485,11 @@ func (w *SeqWriter) Close(ctx sim.Context) error {
 	if p, ok := ctx.(*sim.Proc); ok && w.started {
 		w.queue.Close(p)
 		w.g.Wait(p)
+		for v, ok := w.freeq.TryGet(p); ok; v, ok = w.freeq.TryGet(p) {
+			w.free = append(w.free, v.([]byte))
+		}
 	}
+	putFrames(w.free)
+	w.free = nil
 	return errors.Join(w.errs...)
 }

@@ -1,99 +1,134 @@
 package device
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
-// Backend stores a disk's pages. The default is an in-memory sparse map;
-// FileBackend keeps pages in a host file so simulated volumes can exceed
-// RAM and persist across processes.
+// Backend stores a disk's blocks and moves them a run at a time: a Disk
+// makes one call per scatter/gather element of a request, never one per
+// block. The default keeps a drive in memory as cylinder-sized slabs;
+// FileBackend keeps it in a host file so simulated volumes can exceed
+// RAM. A backend holds data only: the timing model never consults it.
 type Backend interface {
-	// ReadPage copies block's page into dst, reporting false if the
-	// block was never written (dst contents are then unspecified).
-	ReadPage(block int64, dst []byte) (bool, error)
-	// WritePage stores src as block's page.
-	WritePage(block int64, src []byte) error
-	// Erase discards all pages.
+	// ReadBlocks copies the run of len(dst)/BlockSize blocks starting at
+	// block into dst; blocks never written read as zeros.
+	ReadBlocks(block int64, dst []byte) error
+	// WriteBlocks stores src, a whole number of blocks, as the run
+	// starting at block.
+	WriteBlocks(block int64, src []byte) error
+	// Erase discards all blocks.
 	Erase() error
-	// Snapshot deep-copies all written pages.
+	// Snapshot deep-copies every written block, one page per block.
 	Snapshot() (map[int64][]byte, error)
-	// Restore replaces contents with the snapshot.
-	Restore(map[int64][]byte) error
 	// Close releases backend resources.
 	Close() error
 }
 
-// memBackend is the default sparse in-memory store.
+// bitmap marks blocks that have been written.
+type bitmap []uint64
+
+// set marks blocks [lo, hi), growing the map as needed.
+func (m *bitmap) set(lo, hi int64) {
+	if need := int((hi + 63) / 64); need > len(*m) {
+		*m = append(*m, make([]uint64, need-len(*m))...)
+	}
+	for b := lo; b < hi; b++ {
+		(*m)[b/64] |= 1 << (b % 64)
+	}
+}
+
+// has reports whether block b is marked.
+func (m bitmap) has(b int64) bool { return b/64 < int64(len(m)) && m[b/64]>>(b%64)&1 != 0 }
+
+// slab is one cylinder of an in-memory drive: data is zero wherever it
+// was never written, and written marks the blocks that were.
+type slab struct {
+	data    []byte
+	written bitmap
+}
+
+// memBackend is the default in-memory store: a table of cylinder-sized
+// slabs indexed by block / per, each allocated on its first write. A run
+// is copied in one piece per slab it touches.
 type memBackend struct {
-	pages map[int64][]byte
-	bs    int
+	slabs []slab
+	bs    int64 // bytes per block
+	per   int64 // blocks per slab
 }
 
-// newMemBackend builds an empty in-memory backend.
-func newMemBackend(blockSize int) *memBackend {
-	return &memBackend{pages: make(map[int64][]byte), bs: blockSize}
+// newMemBackend builds an empty in-memory backend for geometry g.
+func newMemBackend(g Geometry) *memBackend {
+	return &memBackend{bs: int64(g.BlockSize), per: int64(g.BlocksPerCyl)}
 }
 
-// ReadPage implements Backend.
-func (m *memBackend) ReadPage(block int64, dst []byte) (bool, error) {
-	pg, ok := m.pages[block]
-	if !ok {
-		return false, nil
+// ReadBlocks implements Backend: a missing slab reads as zeros.
+func (m *memBackend) ReadBlocks(block int64, dst []byte) error {
+	for len(dst) > 0 {
+		si, off := block/m.per, block%m.per
+		n := min(int64(len(dst)), (m.per-off)*m.bs)
+		if si < int64(len(m.slabs)) && m.slabs[si].data != nil {
+			copy(dst[:n], m.slabs[si].data[off*m.bs:])
+		} else {
+			clear(dst[:n])
+		}
+		dst, block = dst[n:], block+n/m.bs
 	}
-	copy(dst, pg)
-	return true, nil
+	return nil
 }
 
-// WritePage implements Backend.
-func (m *memBackend) WritePage(block int64, src []byte) error {
-	pg := m.pages[block]
-	if pg == nil {
-		pg = make([]byte, m.bs)
-		m.pages[block] = pg
+// WriteBlocks implements Backend.
+func (m *memBackend) WriteBlocks(block int64, src []byte) error {
+	for len(src) > 0 {
+		si, off := block/m.per, block%m.per
+		n := min(int64(len(src)), (m.per-off)*m.bs)
+		if si >= int64(len(m.slabs)) {
+			m.slabs = append(m.slabs, make([]slab, si+1-int64(len(m.slabs)))...)
+		}
+		s := &m.slabs[si]
+		if s.data == nil {
+			s.data = make([]byte, m.per*m.bs)
+		}
+		copy(s.data[off*m.bs:], src[:n])
+		s.written.set(off, off+n/m.bs)
+		src, block = src[n:], block+n/m.bs
 	}
-	copy(pg, src)
 	return nil
 }
 
 // Erase implements Backend.
 func (m *memBackend) Erase() error {
-	m.pages = make(map[int64][]byte)
+	m.slabs = nil
 	return nil
 }
 
 // Snapshot implements Backend.
 func (m *memBackend) Snapshot() (map[int64][]byte, error) {
-	out := make(map[int64][]byte, len(m.pages))
-	for b, pg := range m.pages {
-		cp := make([]byte, len(pg))
-		copy(cp, pg)
-		out[b] = cp
+	out := make(map[int64][]byte)
+	for si, s := range m.slabs {
+		for i := int64(0); i < m.per; i++ {
+			if s.written.has(i) {
+				out[int64(si)*m.per+i] = append([]byte(nil), s.data[i*m.bs:(i+1)*m.bs]...)
+			}
+		}
 	}
 	return out, nil
-}
-
-// Restore implements Backend.
-func (m *memBackend) Restore(snap map[int64][]byte) error {
-	m.pages = make(map[int64][]byte, len(snap))
-	for b, pg := range snap {
-		cp := make([]byte, len(pg))
-		copy(cp, pg)
-		m.pages[b] = cp
-	}
-	return nil
 }
 
 // Close implements Backend.
 func (m *memBackend) Close() error { return nil }
 
-// FileBackend stores pages in a host file at block-aligned offsets
-// (sparse where the OS supports it). Written blocks are tracked in
-// memory so unwritten blocks still read as "absent".
+// FileBackend stores a drive in a host file at block-aligned offsets
+// (sparse where the OS supports it): a run is one ReadAt or WriteAt.
+// Written blocks are tracked in memory for Snapshot; a block never
+// written is a hole, or lies past the end of the file, and reads as
+// zeros.
 type FileBackend struct {
 	f       *os.File
-	bs      int
-	written map[int64]bool
+	bs      int64
+	written bitmap
 }
 
 // NewFileBackend creates (or truncates) the backing file at path.
@@ -102,26 +137,28 @@ func NewFileBackend(path string, blockSize int) (*FileBackend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("device: file backend: %w", err)
 	}
-	return &FileBackend{f: f, bs: blockSize, written: make(map[int64]bool)}, nil
+	return &FileBackend{f: f, bs: int64(blockSize)}, nil
 }
 
-// ReadPage implements Backend.
-func (fb *FileBackend) ReadPage(block int64, dst []byte) (bool, error) {
-	if !fb.written[block] {
-		return false, nil
+// ReadBlocks implements Backend.
+func (fb *FileBackend) ReadBlocks(block int64, dst []byte) error {
+	n, err := fb.f.ReadAt(dst, block*fb.bs)
+	if errors.Is(err, io.EOF) {
+		clear(dst[n:])
+		err = nil
 	}
-	if _, err := fb.f.ReadAt(dst[:fb.bs], block*int64(fb.bs)); err != nil {
-		return true, fmt.Errorf("device: file backend read block %d: %w", block, err)
+	if err != nil {
+		return fmt.Errorf("device: file backend read block %d: %w", block, err)
 	}
-	return true, nil
+	return nil
 }
 
-// WritePage implements Backend.
-func (fb *FileBackend) WritePage(block int64, src []byte) error {
-	if _, err := fb.f.WriteAt(src[:fb.bs], block*int64(fb.bs)); err != nil {
+// WriteBlocks implements Backend.
+func (fb *FileBackend) WriteBlocks(block int64, src []byte) error {
+	if _, err := fb.f.WriteAt(src, block*fb.bs); err != nil {
 		return fmt.Errorf("device: file backend write block %d: %w", block, err)
 	}
-	fb.written[block] = true
+	fb.written.set(block, block+int64(len(src))/fb.bs)
 	return nil
 }
 
@@ -130,34 +167,23 @@ func (fb *FileBackend) Erase() error {
 	if err := fb.f.Truncate(0); err != nil {
 		return err
 	}
-	fb.written = make(map[int64]bool)
+	fb.written = nil
 	return nil
 }
 
 // Snapshot implements Backend.
 func (fb *FileBackend) Snapshot() (map[int64][]byte, error) {
-	out := make(map[int64][]byte, len(fb.written))
-	for b := range fb.written {
-		pg := make([]byte, fb.bs)
-		if _, err := fb.f.ReadAt(pg, b*int64(fb.bs)); err != nil {
-			return nil, err
+	out := make(map[int64][]byte)
+	for b := int64(0); b < int64(len(fb.written))*64; b++ {
+		if fb.written.has(b) {
+			pg := make([]byte, fb.bs)
+			if err := fb.ReadBlocks(b, pg); err != nil {
+				return nil, err
+			}
+			out[b] = pg
 		}
-		out[b] = pg
 	}
 	return out, nil
-}
-
-// Restore implements Backend.
-func (fb *FileBackend) Restore(snap map[int64][]byte) error {
-	if err := fb.Erase(); err != nil {
-		return err
-	}
-	for b, pg := range snap {
-		if err := fb.WritePage(b, pg); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Close implements Backend.

@@ -153,18 +153,25 @@ func TestFileBackendBadPath(t *testing.T) {
 	}
 }
 
+// TestMemBackendFound: a block never written reads as zeros, and one written
+// by a run across a slab boundary is found in its slab and in Snapshot.
 func TestMemBackendFound(t *testing.T) {
-	m := newMemBackend(8)
-	buf := make([]byte, 8)
-	found, err := m.ReadPage(0, buf)
-	if err != nil || found {
-		t.Fatalf("empty backend: found=%v err=%v", found, err)
+	m := newMemBackend(Geometry{BlockSize: 4, BlocksPerCyl: 2, Cylinders: 4})
+	buf := bytes.Repeat([]byte{0xff}, 12)
+	if err := m.ReadBlocks(1, buf); err != nil || !bytes.Equal(buf, make([]byte, 12)) {
+		t.Fatalf("empty backend: %v err=%v", buf, err)
 	}
-	if err := m.WritePage(0, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+	// A run across the slab boundary at block 2 lands in both slabs.
+	if err := m.WriteBlocks(1, []byte{1, 1, 1, 1, 2, 2, 2, 2}); err != nil {
 		t.Fatal(err)
 	}
-	found, err = m.ReadPage(0, buf)
-	if err != nil || !found || buf[0] != 1 {
-		t.Fatalf("after write: found=%v err=%v buf=%v", found, err, buf)
+	if err := m.ReadBlocks(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2}; !bytes.Equal(buf, want) {
+		t.Fatalf("after write: %v, want %v", buf, want)
+	}
+	if snap, _ := m.Snapshot(); len(snap) != 2 || snap[1][0] != 1 || snap[2][0] != 2 {
+		t.Fatalf("snapshot = %v", snap)
 	}
 }

@@ -2,10 +2,11 @@
 // the paper assumes: late-1980s Winchester drives with seek, rotational
 // and transfer delays, accessed through a per-device request queue.
 //
-// A Disk stores data through a pluggable Backend — sparse in-memory
-// pages by default, or a host file (FileBackend) for volumes larger than
-// RAM — and, when attached to a sim.Engine, charges virtual time for
-// every request using a parametric service-time model:
+// A Disk stores data through a pluggable Backend, which moves each run
+// in one piece: by default in memory as cylinder-sized slabs, each
+// allocated on its first write, or in a host file (FileBackend) for
+// volumes larger than RAM. When attached to a sim.Engine, a Disk charges
+// virtual time for every request using a parametric service-time model:
 //
 //	service = overhead + seek(|head - cylinder|) + rotational latency + bytes/rate
 //
@@ -161,7 +162,7 @@ type Disk struct {
 	sched  Sched
 	eng    *sim.Engine // nil: untimed
 
-	backend Backend // page storage (in-memory by default)
+	backend Backend // block storage (in-memory slabs by default)
 	head    int     // current cylinder
 	scanUp  bool    // SCAN direction
 	busy    bool
@@ -185,8 +186,8 @@ type Config struct {
 	Timing   Timing
 	Sched    Sched
 	Engine   *sim.Engine // nil for untimed operation
-	// Backend optionally overrides the page store (e.g. a FileBackend);
-	// nil selects the in-memory sparse store.
+	// Backend optionally overrides the block store (e.g. a FileBackend);
+	// nil selects the in-memory slab store.
 	Backend Backend
 	// MergeQueued enables block-layer style back/front merging: a newly
 	// queued whole-block request that is physically adjacent to a queued
@@ -211,7 +212,7 @@ func New(cfg Config) *Disk {
 	}
 	backend := cfg.Backend
 	if backend == nil {
-		backend = newMemBackend(cfg.Geometry.BlockSize)
+		backend = newMemBackend(cfg.Geometry)
 	}
 	return &Disk{
 		name:    cfg.Name,
@@ -246,7 +247,7 @@ func (d *Disk) SetProbe(r *probe.Recorder) {
 	m.Gauge("dev."+d.name+".merged", func() float64 { return float64(d.stats.Merged) })
 }
 
-// Close releases the page backend (required for file-backed disks).
+// Close releases the block backend (required for file-backed disks).
 func (d *Disk) Close() error { return d.backend.Close() }
 
 // Name reports the device name.
@@ -311,8 +312,28 @@ func (d *Disk) Erase() error { return d.backend.Erase() }
 func (d *Disk) Snapshot() (map[int64][]byte, error) { return d.backend.Snapshot() }
 
 // Restore replaces the stored data with a snapshot (rolling the drive
-// back to that point in time).
-func (d *Disk) Restore(snap map[int64][]byte) error { return d.backend.Restore(snap) }
+// back to that point in time). A snapshot naming a block outside the
+// drive, or holding a page that is not exactly one block, is refused
+// with an error naming the block, and the drive is left as it was.
+func (d *Disk) Restore(snap map[int64][]byte) error {
+	for b, pg := range snap {
+		if b < 0 || b >= d.geom.Blocks() {
+			return fmt.Errorf("%w: snapshot block %d of %d on %s", ErrOutOfRange, b, d.geom.Blocks(), d.name)
+		}
+		if len(pg) != d.geom.BlockSize {
+			return fmt.Errorf("device: snapshot block %d is %d bytes, not one %d-byte block, on %s", b, len(pg), d.geom.BlockSize, d.name)
+		}
+	}
+	if err := d.backend.Erase(); err != nil {
+		return err
+	}
+	for b, pg := range snap {
+		if err := d.backend.WriteBlocks(b, pg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // ServiceTime is the service-time model as a function of the drive's
 // parameters: what one request moving bytes costs a drive of geometry g
@@ -603,17 +624,10 @@ func (d *Disk) ReadBlocksVec(ctx sim.Context, block int64, n int, dsts [][]byte)
 		bs := d.geom.BlockSize
 		b := block
 		for _, dst := range dsts {
-			for off := 0; off < len(dst); off += bs {
-				page := dst[off : off+bs]
-				found, err := d.backend.ReadPage(b, page)
-				if err != nil {
-					return err
-				}
-				if !found {
-					clear(page)
-				}
-				b++
+			if err := d.backend.ReadBlocks(b, dst); err != nil {
+				return err
 			}
+			b += int64(len(dst) / bs)
 		}
 		d.stats.Reads++
 		d.stats.BytesRead += int64(n) * int64(bs)
@@ -633,12 +647,10 @@ func (d *Disk) WriteBlocksVec(ctx sim.Context, block int64, n int, srcs [][]byte
 		bs := d.geom.BlockSize
 		b := block
 		for _, src := range srcs {
-			for off := 0; off < len(src); off += bs {
-				if err := d.backend.WritePage(b, src[off:off+bs]); err != nil {
-					return err
-				}
-				b++
+			if err := d.backend.WriteBlocks(b, src); err != nil {
+				return err
 			}
+			b += int64(len(src) / bs)
 		}
 		d.stats.Writes++
 		d.stats.BytesWritten += int64(n) * int64(bs)

@@ -1,6 +1,10 @@
 package volio
 
 import (
+	"encoding/gob"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/blockio"
@@ -245,4 +249,40 @@ func TestSaveLoadExtentWritten(t *testing.T) {
 		}
 	}
 	_ = r.Close(ctx)
+}
+
+// TestLoadRejectsMalformedImage hand-writes device images that name a
+// block past the drive, a negative block, or a page cut short, as a
+// damaged or truncated image would: Load must refuse each with an error
+// naming the device and the block, not hand back a drive holding them.
+func TestLoadRejectsMalformedImage(t *testing.T) {
+	disks, vol := mkVolume(t, 2)
+	bs := disks[0].Geometry().BlockSize
+	for _, tc := range []struct {
+		pages map[int64][]byte
+		want  string
+	}{
+		{map[int64][]byte{0: make([]byte, bs), 1 << 40: make([]byte, bs)}, "block 1099511627776"},
+		{map[int64][]byte{-5: make([]byte, bs)}, "block -5"},
+		{map[int64][]byte{3: make([]byte, bs/2)}, "block 3 is 128 bytes"},
+	} {
+		dir := t.TempDir()
+		if err := Save(dir, disks, vol); err != nil {
+			t.Fatal(err)
+		}
+		df, err := os.Create(filepath.Join(dir, "dev001.gob"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(df).Encode(tc.pages); err != nil {
+			t.Fatal(err)
+		}
+		if err := df.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = Load(dir, nil)
+		if err == nil || !strings.Contains(err.Error(), "restore device 1") || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("Load of image %v = %v, want an error naming device 1 and %q", tc.pages, err, tc.want)
+		}
+	}
 }

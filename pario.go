@@ -458,10 +458,12 @@ type (
 	Timing = device.Timing
 	// Sched selects a disk queue's scheduling discipline (FCFS or SCAN).
 	Sched = device.Sched
-	// Backend is a disk's page store; FileBackend keeps pages in a host
+	// Backend is a disk's block store, which moves each run of blocks in
+	// one piece (ReadBlocks / WriteBlocks); the default keeps a drive in
+	// memory as cylinder-sized slabs, and FileBackend keeps it in a host
 	// file so simulated volumes can exceed RAM.
 	Backend = device.Backend
-	// FileBackend stores disk pages in a host file.
+	// FileBackend stores a disk's blocks in a host file.
 	FileBackend = device.FileBackend
 
 	// Recorder is the flight recorder: virtual-clock spans plus a typed
@@ -668,7 +670,7 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 // 1.5 MB/s, 4 KiB blocks).
 func NewDisk(cfg DiskConfig) *Disk { return device.New(cfg) }
 
-// NewFileBackend creates a host-file page store for a disk (pass it in
+// NewFileBackend creates a host-file block store for a disk (pass it in
 // DiskConfig.Backend; remember to Close the disk).
 func NewFileBackend(path string, blockSize int) (*FileBackend, error) {
 	return device.NewFileBackend(path, blockSize)
