@@ -36,7 +36,7 @@ type BatchItem struct {
 // must share one Store (the same device array — Sets of one Volume
 // qualify); pieces that are physically adjacent on a device merge into
 // single gather requests even across items. Prepare it with Plan, issue
-// it with BatchPlan.ReadWindow/WriteWindow.
+// it with BatchPlan.ReadWindows/WriteWindows.
 type BatchVec []BatchItem
 
 // piece is one physical fragment of a descriptor before merging: n blocks

@@ -49,7 +49,7 @@ func readBatch(ctx sim.Context, b BatchVec, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	return plan.ReadWindow(ctx, 0, buf, 0)
+	return plan.ReadWindows(ctx, 0, 1, Space{{Buf: buf}})
 }
 
 func writeBatch(ctx sim.Context, b BatchVec, buf []byte) error {
@@ -57,7 +57,7 @@ func writeBatch(ctx sim.Context, b BatchVec, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	return plan.WriteWindow(ctx, 0, buf, 0)
+	return plan.WriteWindows(ctx, 0, 1, Space{{Buf: buf}})
 }
 
 // TestBatchVecMergesAcrossFiles is the point of the cross-file batch: two
@@ -83,7 +83,7 @@ func TestBatchVecMergesAcrossFiles(t *testing.T) {
 	if err != nil || plan.WindowRuns(0) != devs {
 		t.Fatalf("WindowRuns = %d, %v; want %d (one merged run per device)", plan.WindowRuns(0), err, devs)
 	}
-	if err := plan.WriteWindow(ctx, 0, buf, 0); err != nil {
+	if err := plan.WriteWindows(ctx, 0, 1, Space{{Buf: buf}}); err != nil {
 		t.Fatal(err)
 	}
 	var reqs int64

@@ -9,9 +9,10 @@
 // the chunk boundaries known up front: pieces are split at the cut
 // offsets, merged only within their window, and bucketed per window, so
 // issuing chunk k is a plain walk of its precomputed gather runs. The
-// plan is buffer-less because the windows are staged through bounded
-// buffers that exist only while their chunk is in flight; the staging
-// buffer and its base offset are bound at issue time. Planning is the map
+// plan is buffer-less: a window is issued against a buffer space
+// (issue.go) bound at issue time — one buffer, or the pieces of the
+// ranks' own buffers a collective's chunk is made of, so the drives
+// gather from and scatter into them with no staging copy. Planning is the map
 // stage of the package's one pipeline (mapRuns, batch.go) run with cuts,
 // and a window leaves through its one issue loop (issue.go).
 
@@ -27,17 +28,16 @@ import (
 )
 
 // BatchPlan is a prepared cross-file batch split into issue windows.
-// Build one with BatchVec.Plan; issue windows with ReadWindow and
-// WriteWindow, or a range of them as if it had not been cut with
-// ReadWindows and WriteWindows. A plan's runs are immutable and it may be
+// Build one with BatchVec.Plan; issue a window, or a range of them as if
+// it had not been cut, with ReadWindows and WriteWindows. A plan's runs are immutable and it may be
 // issued any number of times, in any window order, concurrently under an
 // engine.
 type BatchPlan struct {
 	store Store
 	bs    int64
 	// wins holds each window's merged gather runs (absolute physical
-	// blocks). Their Segs hold buffer-space offsets; they are rebased onto
-	// the caller's staging buffer at issue time.
+	// blocks). Their Segs hold buffer-space offsets, bound to the caller's
+	// space at issue time.
 	wins [][]Run
 }
 
@@ -123,58 +123,47 @@ func (pl *BatchPlan) WindowBlocks(w int) int64 {
 // WindowBytes reports the bytes window w transfers.
 func (pl *BatchPlan) WindowBytes(w int) int64 { return pl.WindowBlocks(w) * pl.bs }
 
-// ReadWindow reads window w into buf, which stands in for the buffer
-// space bytes starting at base: a segment at plan offset o lands at
-// buf[o-base:]. Every merged run is one scatter device request; runs
-// proceed in parallel across devices under a simulation engine.
-func (pl *BatchPlan) ReadWindow(ctx sim.Context, w int, buf []byte, base int64) error {
-	return pl.windows(ctx, "ReadWindow", false, w, w+1, buf, base)
+// ReadWindows reads the windows [w0, w1) into the buffer space sp: a
+// segment at plan offset o lands at space offset o. Every merged run is
+// one scatter device request; runs proceed in parallel across devices
+// under a simulation engine. Windows issued together go out as if the
+// cuts between them had not been made: runs of different windows that
+// are neighbours on a drive are one device request, so every window of a
+// plan issued together is exactly the uncut plan's transfer. This is how
+// a server that cuts a call into windows only to be able to stop between
+// them (ioserver) pays nothing for the cuts it does not use.
+func (pl *BatchPlan) ReadWindows(ctx sim.Context, w0, w1 int, sp Space) error {
+	return pl.windows(ctx, "ReadWindow", false, w0, w1, sp)
 }
 
-// WriteWindow writes window w from buf (offset like ReadWindow) — the
-// write counterpart.
-func (pl *BatchPlan) WriteWindow(ctx sim.Context, w int, buf []byte, base int64) error {
-	return pl.windows(ctx, "WriteWindow", true, w, w+1, buf, base)
+// WriteWindows writes the windows [w0, w1) from the buffer space sp —
+// the write counterpart of ReadWindows.
+func (pl *BatchPlan) WriteWindows(ctx sim.Context, w0, w1 int, sp Space) error {
+	return pl.windows(ctx, "WriteWindow", true, w0, w1, sp)
 }
 
-// ReadWindows reads the windows [w0, w1) in one issue, as if the cuts
-// between them had not been made: runs of different windows that are
-// neighbours on a drive go out as one device request, so every window of
-// a plan issued together is exactly the uncut plan's transfer. This is
-// how a server that cuts a call into windows only to be able to stop
-// between them (ioserver) pays nothing for the cuts it does not use.
-func (pl *BatchPlan) ReadWindows(ctx sim.Context, w0, w1 int, buf []byte, base int64) error {
-	return pl.windows(ctx, "ReadWindow", false, w0, w1, buf, base)
-}
-
-// WriteWindows writes the windows [w0, w1) in one issue — the write
-// counterpart of ReadWindows.
-func (pl *BatchPlan) WriteWindows(ctx sim.Context, w0, w1 int, buf []byte, base int64) error {
-	return pl.windows(ctx, "WriteWindow", true, w0, w1, buf, base)
-}
-
-// windows checks that buf holds every segment of the windows [w0, w1),
+// windows checks that sp covers every segment of the windows [w0, w1),
 // then issues their runs: one window's as they are, several merged
 // across the cuts in pooled scratch that lives until the issue returns.
-func (pl *BatchPlan) windows(ctx sim.Context, op string, write bool, w0, w1 int, buf []byte, base int64) error {
+func (pl *BatchPlan) windows(ctx sim.Context, op string, write bool, w0, w1 int, sp Space) error {
 	if w0 < 0 || w0 >= w1 || w1 > len(pl.wins) {
 		return fmt.Errorf("blockio: %s windows [%d,%d) of %d", op, w0, w1, len(pl.wins))
 	}
 	for w := w0; w < w1; w++ {
 		for _, r := range pl.wins[w] {
 			for _, sg := range r.Segs {
-				if off := sg.BufOff - base; off < 0 || off+sg.Blocks*pl.bs > int64(len(buf)) {
-					return fmt.Errorf("blockio: %s window %d: plan bytes [%d,%d) outside the %d-byte buffer at base %d",
-						op, w, sg.BufOff, sg.BufOff+sg.Blocks*pl.bs, len(buf), base)
+				if !sp.bind(sg.BufOff, sg.Blocks*pl.bs, pl.bs, nil) {
+					return fmt.Errorf("blockio: %s window %d: plan bytes [%d,%d) not covered by whole blocks of the buffer space",
+						op, w, sg.BufOff, sg.BufOff+sg.Blocks*pl.bs)
 				}
 			}
 		}
 	}
 	if w1-w0 == 1 {
-		return issue(ctx, pl.store, op, write, pl.wins[w0], buf, base, nil)
+		return issue(ctx, pl.store, op, write, pl.wins[w0], sp, nil)
 	}
 	m := mergePool.Get().(*mergeScratch)
-	err := issue(ctx, pl.store, op, write, m.merge(pl.wins[w0:w1], pl.bs), buf, base, nil)
+	err := issue(ctx, pl.store, op, write, m.merge(pl.wins[w0:w1], pl.bs), sp, nil)
 	mergePool.Put(m)
 	return err
 }

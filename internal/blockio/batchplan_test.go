@@ -2,11 +2,13 @@ package blockio
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/sim"
 )
 
@@ -71,7 +73,7 @@ func TestBatchPlanWindowedEquivalence(t *testing.T) {
 			lo, hi := bounds[w][0], bounds[w][1]
 			stage := make([]byte, hi-lo)
 			copy(stage, whole[lo:hi])
-			if err := plan.WriteWindow(ctx, w, stage, lo); err != nil {
+			if err := plan.WriteWindows(ctx, w, w+1, Space{{Off: lo, Buf: stage}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -92,7 +94,7 @@ func TestBatchPlanWindowedEquivalence(t *testing.T) {
 		for _, w := range []int{1, 2, 0} {
 			lo, hi := bounds[w][0], bounds[w][1]
 			stage := make([]byte, hi-lo)
-			if err := plan.ReadWindow(ctx, w, stage, lo); err != nil {
+			if err := plan.ReadWindows(ctx, w, w+1, Space{{Off: lo, Buf: stage}}); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(stage, whole[lo:hi]) {
@@ -136,7 +138,7 @@ func TestBatchPlanNoReMerge(t *testing.T) {
 	ctx := sim.NewWall()
 	buf := make([]byte, 8*bs)
 	for w := 0; w < plan4.Windows(); w++ {
-		if err := plan4.WriteWindow(ctx, w, buf, int64(w)*8*bs); err != nil {
+		if err := plan4.WriteWindows(ctx, w, w+1, Space{{Off: int64(w) * 8 * bs, Buf: buf}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,20 +176,29 @@ func TestBatchPlanErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := sim.NewWall()
-	if err := plan.WriteWindow(ctx, 2, nil, 0); err == nil || !strings.Contains(err.Error(), "window") {
+	if err := plan.WriteWindows(ctx, 2, 3, nil); err == nil || !strings.Contains(err.Error(), "window") {
 		t.Errorf("out-of-range window: err = %v", err)
 	}
 	// Window 1 covers plan bytes [4bs, 8bs): a 2-block buffer at base
-	// 4bs cannot hold it.
-	if err := plan.WriteWindow(ctx, 1, make([]byte, 2*bs), 4*bs); err == nil || !strings.Contains(err.Error(), "outside") {
-		t.Errorf("short staging buffer: err = %v", err)
+	// 4bs cannot hold it, nor two pieces with a block-sized gap between
+	// them, nor a piece that ends part-way into a block, nor pieces out of
+	// order.
+	for _, sp := range []Space{
+		{{Off: 4 * bs, Buf: make([]byte, 2*bs)}},
+		{{Off: 4 * bs, Buf: make([]byte, bs)}, {Off: 6 * bs, Buf: make([]byte, 2*bs)}},
+		{{Off: 4 * bs, Buf: make([]byte, bs+1)}, {Off: 5*bs + 1, Buf: make([]byte, 3*bs-1)}},
+		{{Off: 6 * bs, Buf: make([]byte, 2*bs)}, {Off: 4 * bs, Buf: make([]byte, 2*bs)}},
+	} {
+		if err := plan.WriteWindows(ctx, 1, 2, sp); err == nil || !strings.Contains(err.Error(), "window 1: plan bytes") {
+			t.Errorf("space not covering window 1: err = %v", err)
+		}
 	}
 	// Empty batches plan and issue as no-ops.
 	empty, err := BatchVec{}.Plan([]int64{bs})
 	if err != nil || empty.Windows() != 2 {
 		t.Fatalf("empty batch: %v, windows %d", err, empty.Windows())
 	}
-	if err := empty.ReadWindow(ctx, 1, nil, 0); err != nil {
+	if err := empty.ReadWindows(ctx, 1, 2, nil); err != nil {
 		t.Errorf("empty window read: %v", err)
 	}
 }
@@ -248,7 +259,7 @@ func TestBatchPlanWindowRangesUncut(t *testing.T) {
 					}
 				}
 				before := requests()
-				if err := plan.WriteWindows(ctx, w0, w1, buf, 0); err != nil {
+				if err := plan.WriteWindows(ctx, w0, w1, Space{{Buf: buf}}); err != nil {
 					t.Fatal(err)
 				}
 				if n := requests() - before; n != int64(len(want)) {
@@ -257,14 +268,131 @@ func TestBatchPlanWindowRangesUncut(t *testing.T) {
 			}
 		}
 		back := make([]byte, len(buf))
-		if err := plan.ReadWindows(ctx, 0, plan.Windows(), back, 0); err != nil {
+		if err := plan.ReadWindows(ctx, 0, plan.Windows(), Space{{Buf: back}}); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(back, buf) {
 			t.Errorf("unit %d: the windows read back together differ from what was written", unit)
 		}
-		if err := plan.ReadWindows(ctx, 2, 2, back, 0); err == nil || !strings.Contains(err.Error(), "windows [2,2)") {
+		if err := plan.ReadWindows(ctx, 2, 2, Space{{Buf: back}}); err == nil || !strings.Contains(err.Error(), "windows [2,2)") {
 			t.Errorf("empty range: %v", err)
 		}
 	}
+}
+
+// FuzzWindowSpace holds a window issued through a buffer space cut into
+// pieces — each in its own allocation, so nothing is contiguous — to the
+// same window issued through one contiguous buffer: for a seeded layout,
+// descriptor, cut and window range, a write through the pieces leaves the
+// drives byte for byte as a write through the buffer does on a twin
+// machine, and a read through the pieces fills them with the bytes the
+// buffer reads. Drop a piece and the window is refused with the coverage
+// error, naming the window.
+func FuzzWindowSpace(f *testing.F) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		devs := 1 + rng.Intn(4)
+		twin := func() *dryWorld {
+			return newDryWorld(t, rand.New(rand.NewSource(int64(seed))), devs, device.FCFS, false)
+		}
+		a, b := twin(), twin()
+		bs := a.bs
+		vec, size := a.vec(rng, 0, a.total)
+		if size == 0 {
+			return
+		}
+		var cuts []int64
+		for off := bs * (1 + rng.Int63n(8)); off < size; off += bs * (1 + rng.Int63n(8)) {
+			cuts = append(cuts, off)
+		}
+		plans := make([]*BatchPlan, 2)
+		for i, w := range []*dryWorld{a, b} {
+			var err error
+			if plans[i], err = (BatchVec{{Set: w.set, Vec: vec}}).Plan(cuts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w0 := rng.Intn(len(cuts) + 1)
+		w1 := w0 + 1 + rng.Intn(len(cuts)+1-w0)
+		bounds := append(append([]int64{0}, cuts...), size)
+		lo, hi := bounds[w0], bounds[w1]
+		data := make([]byte, size)
+		rng.Read(data)
+		// pieces cuts data[lo:hi] at seeded whole blocks into fresh copies.
+		pieces := func(fill bool) Space {
+			var sp Space
+			for off := lo; off < hi; {
+				n := min(bs*(1+rng.Int63n(6)), hi-off)
+				buf := make([]byte, n)
+				if fill {
+					copy(buf, data[off:off+n])
+				}
+				sp = append(sp, Piece{Off: off, Buf: buf})
+				off += n
+			}
+			return sp
+		}
+		// Each twin runs its engine once: a writes through the pieces, then
+		// reads back through the buffer, through fresh pieces and through
+		// pieces with one dropped; b writes through the buffer.
+		image := func(p *sim.Proc, w *dryWorld) []byte {
+			var img []byte
+			for _, d := range w.disks {
+				blk := make([]byte, d.Geometry().Blocks()*bs)
+				if err := d.ReadBlocksVec(p, 0, int(d.Geometry().Blocks()), [][]byte{blk}); err != nil {
+					t.Fatal(err)
+				}
+				img = append(img, blk...)
+			}
+			return img
+		}
+		var imgA, imgB []byte
+		whole, sp, wsp := make([]byte, size), pieces(false), pieces(true)
+		gap := rng.Intn(len(sp))
+		a.e.Go("pieces", func(p *sim.Proc) {
+			if err := plans[0].WriteWindows(p, w0, w1, wsp); err != nil {
+				t.Fatal(err)
+			}
+			imgA = image(p, a)
+			if err := plans[0].ReadWindows(p, w0, w1, Space{{Buf: whole}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := plans[0].ReadWindows(p, w0, w1, sp); err != nil {
+				t.Fatal(err)
+			}
+			err := plans[0].ReadWindows(p, w0, w1, append(sp[:gap:gap], sp[gap+1:]...))
+			named := false
+			for w := w0; w < w1 && err != nil; w++ {
+				named = named || strings.Contains(err.Error(), fmt.Sprintf("window %d: plan bytes", w))
+			}
+			if !named || !strings.Contains(err.Error(), "not covered") {
+				t.Errorf("seed %d: a space with a gap read windows [%d,%d): %v", seed, w0, w1, err)
+			}
+		})
+		b.e.Go("buffer", func(p *sim.Proc) {
+			if err := plans[1].WriteWindows(p, w0, w1, Space{{Buf: data}}); err != nil {
+				t.Fatal(err)
+			}
+			imgB = image(p, b)
+		})
+		for _, w := range []*dryWorld{a, b} {
+			if err := w.e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(imgA, imgB) {
+			t.Fatalf("seed %d: windows [%d,%d) written through pieces leave other drive bytes than through one buffer", seed, w0, w1)
+		}
+		if !bytes.Equal(whole[lo:hi], data[lo:hi]) {
+			t.Fatalf("seed %d: windows [%d,%d) read back other bytes than were written", seed, w0, w1)
+		}
+		for _, pc := range sp {
+			if !bytes.Equal(pc.Buf, whole[pc.Off:pc.Off+int64(len(pc.Buf))]) {
+				t.Fatalf("seed %d: the piece at %d read other bytes than the buffer", seed, pc.Off)
+			}
+		}
+	})
 }

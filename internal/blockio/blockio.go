@@ -31,7 +31,8 @@
 //	transform  optionally, data sieving: a device's runs become one
 //	           covering run whose gaps are hole segments (sieve.go)
 //	issue      one loop binds each run's segments to the caller's buffer
-//	           and hands it to the store, runs in parallel (issue.go)
+//	           space — one buffer, or pieces anywhere in memory — and
+//	           hands it to the store, runs in parallel (issue.go)
 //	dry issue  the same runs through the drives' queues without the
 //	           drives: what the issue would take, which is how a
 //	           strategy is priced before one is chosen (dry.go)
@@ -487,12 +488,12 @@ func (s *Set) Locate(b int64) (dev int, pblock int64) {
 // descriptor, no mapping pass, nothing allocated.
 func (s *Set) ReadBlock(ctx sim.Context, b int64, dst []byte) error {
 	dev, pb := s.layout.Map(b)
-	return issue(ctx, s.store, "ReadBlock", false, []Run{{Dev: dev, PBlock: s.base[dev] + pb, B: b, N: 1}}, dst, 0, nil)
+	return issue(ctx, s.store, "ReadBlock", false, []Run{{Dev: dev, PBlock: s.base[dev] + pb, B: b, N: 1}}, Space{{Buf: dst}}, nil)
 }
 
 // WriteBlock writes src to logical block b, the write counterpart of
 // ReadBlock.
 func (s *Set) WriteBlock(ctx sim.Context, b int64, src []byte) error {
 	dev, pb := s.layout.Map(b)
-	return issue(ctx, s.store, "WriteBlock", true, []Run{{Dev: dev, PBlock: s.base[dev] + pb, B: b, N: 1}}, src, 0, nil)
+	return issue(ctx, s.store, "WriteBlock", true, []Run{{Dev: dev, PBlock: s.base[dev] + pb, B: b, N: 1}}, Space{{Buf: src}}, nil)
 }

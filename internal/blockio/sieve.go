@@ -155,7 +155,7 @@ func (s *Set) sievedWrite(ctx sim.Context, r Run, iov [][]byte, scratch []byte) 
 	defer unlock()
 	if scratch != nil {
 		span := []Run{{Dev: r.Dev, PBlock: r.PBlock, B: r.B, N: r.N}}
-		if err := issue(ctx, s.store, "SieveRead", false, span, scratch, 0, nil); err != nil {
+		if err := issue(ctx, s.store, "SieveRead", false, span, Space{{Buf: scratch}}, nil); err != nil {
 			return err
 		}
 	}

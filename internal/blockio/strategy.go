@@ -157,7 +157,7 @@ func (s *Set) issueRuns(ctx sim.Context, op string, write bool, strat Strategy, 
 			body = s.sievedWrite
 		}
 	}
-	return issue(ctx, s.store, op, write, runs, buf, 0, body)
+	return issue(ctx, s.store, op, write, runs, Space{{Buf: buf}}, body)
 }
 
 // dryPool recycles the dry issues of Set-level pricing (a collective

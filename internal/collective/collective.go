@@ -19,9 +19,9 @@
 //     each domain to that domain's aggregator (writes), or the
 //     aggregators ship freshly read domains back to the ranks (reads),
 //     as sparse message lists with modeled link cost. The ranks share
-//     one address space, so a message carries only its size and the
-//     aggregator copies the pieces between the ranks' buffers and its
-//     own staging itself (pipeline.go).
+//     one address space, so a message carries only its size, and the
+//     bytes move once, between the drives and the ranks' own buffers
+//     (pipeline.go).
 //  3. Access. Each aggregator moves its whole domain with one
 //     blockio.BatchVec — the cross-file batch — so pieces that are
 //     physically adjacent on a device coalesce into single requests even
@@ -102,29 +102,29 @@ type Options struct {
 	// the default modeled timings stay bit-identical.
 	Service *ioserver.Job
 
-	// ChunkBytes bounds each aggregator's staging memory and turns the
-	// collective into a software pipeline (ROMIO's cb_buffer_size): every
-	// file domain is cut into chunks of at most ChunkBytes and the
-	// exchange of chunk k+1 proceeds concurrently with the device access
-	// of chunk k (reads mirror this: the access of chunk k+1 overlaps the
-	// delivery of chunk k), so the interconnect and the drives work at the
-	// same time instead of strictly alternating. Each aggregator stages at
-	// most two chunks per owned domain (double buffering), one when there
-	// is a single round. It is an upper bound: sub-block values round up
+	// ChunkBytes bounds what one round moves and turns the collective
+	// into a software pipeline (ROMIO's cb_buffer_size): every file
+	// domain is cut into chunks of at most ChunkBytes and the exchange of
+	// chunk k+1 proceeds concurrently with the device access of chunk k
+	// (reads mirror this: the access of chunk k+1 overlaps the delivery
+	// of chunk k), so the interconnect and the drives work at the same
+	// time instead of strictly alternating. Nothing is staged: a chunk's
+	// bytes move between the drives and the ranks' own buffers, so the
+	// bound sizes a round's exchange and device requests, not memory. It
+	// is an upper bound: sub-block values round up
 	// to one block per chunk, values above the domain size mean one chunk
 	// per domain — a single round, whole exchange then whole access, with
 	// nothing to overlap — and on StrategyAuto's drive-aligned partition
 	// the chunk may be cut finer, as many times as prices cheapest
 	// (Strategy). 0 (the default): no bound — one round unless
-	// StrategyAuto prices a deeper pipeline cheaper; staging ≤ one domain
-	// either way (a depth-d pipeline holds two chunks of domain/d). One
-	// round under the other strategies keeps their modeled timings
-	// bit-identical to earlier releases.
+	// StrategyAuto prices a deeper pipeline cheaper. One round under the
+	// other strategies keeps their modeled timings bit-identical to
+	// earlier releases.
 	//
 	// For the nonblocking calls (Service) it is the same bound on what is
 	// in service at once, one layer down: the call still exchanges in one
-	// round into one call buffer, and the request the I/O server receives
-	// is cut every ChunkBytes of that buffer (whole blocks, at least one)
+	// round, and the request the I/O server receives is cut every
+	// ChunkBytes of the call's bytes (whole blocks, at least one)
 	// into the windows the server issues one at a time, choosing again
 	// among the jobs between them — so another job waits for at most a
 	// window of this one's call. The server uses a cut only when another
@@ -243,28 +243,21 @@ type Collective struct {
 	// Nonblocking-call scratch: the Handle under construction, built by
 	// rank 0 between the plan barriers and grabbed by every rank right
 	// after (nonblock.go). Outstanding handles own their state, so this
-	// slot is free for reuse the moment every rank has copied it.
+	// slot is free for reuse the moment every rank has copied it. spaces
+	// holds the bound spaces of finished nonblocking calls, for the next
+	// calls to bind: as many as were ever outstanding at once.
 	hScratch *Handle
-	// Domain-sized buffers, recycled by size (getDom / putDom), and how
-	// many are out with unfinished calls: the blocking calls' chunk
-	// staging (taken on an aggregator's first use in a call, returned
-	// when its pipeline has drained) and the nonblocking calls' buffers,
-	// one per call, holding every domain.
-	domFree map[int][][]byte
-	domOut  int
+	spaces   []blockio.Space
 
 	// Sparse-exchange scratch, shared by all ranks under strict
-	// alternation. A message carries only its size: the aggregators copy
-	// the bytes straight between the ranks' buffers (bufs, or a nonblocking
-	// call's Handle.bufs) and their staging (plan.copyChunk). dstIdx
+	// alternation. A message carries only its size: the drives move the
+	// bytes between the ranks' buffers and the files (pipeline.go). dstIdx
 	// (invariant: all -1 outside a sizing call) maps destination rank to
 	// its message while one rank sizes a round (sized); sizing never parks
 	// the engine, so one shared array serves every rank. msgScratch holds
-	// per-rank outgoing message lists and domScr per-rank domain slices of
-	// a nonblocking call buffer (Handle.domSlices), both reused per call.
+	// per-rank outgoing message lists, reused per call.
 	dstIdx     []int
 	msgScratch [][]mpp.Msg
-	domScr     [][][]byte
 
 	// Aggregator state, per rank, made on a rank's first turn as an
 	// aggregator and rebound call after call (pipeline.go).
@@ -277,6 +270,7 @@ type Collective struct {
 	cached     []*schedule
 	cacheStamp modelStamp
 	sigScratch []uint64
+	spare      [][]part // evicted schedules' pieces, for the next tables
 
 	hits, misses, evictions, invalidations uint64
 
@@ -331,7 +325,6 @@ func Open(g *pfs.FileGroup, size int, opts Options) (*Collective, error) {
 		errs:       make([]error, size),
 		dstIdx:     make([]int, size),
 		msgScratch: make([][]mpp.Msg, size),
-		domScr:     make([][][]byte, size),
 	}
 	for i := range c.dstIdx {
 		c.dstIdx[i] = -1

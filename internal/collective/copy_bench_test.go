@@ -12,13 +12,16 @@ import (
 	"repro/internal/sim"
 )
 
-// BenchmarkExchangeCopy is the host cost of the two-phase exchange on a
-// steady checkpoint: 32 ranks write a 4 MiB checkpoint interleaved one
-// 4 KiB block at a time over four drives, with WriteAll, and read it back
-// with ReadAll, over and over, in 64 KiB pipeline rounds; every call after
-// the first replays the cached schedule. One op is one WriteAll and one
-// ReadAll: host_ns/B is the wall clock per byte the two exchanged, and
-// allocs/op what they allocated.
+// BenchmarkExchangeCopy is the host cost of moving a steady checkpoint's
+// bytes through the two-phase calls: 32 ranks write a 4 MiB checkpoint
+// interleaved one 4 KiB block at a time over four drives, with WriteAll,
+// and read it back with ReadAll, over and over, in 64 KiB pipeline rounds;
+// every call after the first replays the cached schedule. Nothing is
+// staged: each chunk's piece table is bound to the ranks' buffers and the
+// drives copy straight between those and their own store, so the one copy
+// left is the drive's. One op is one WriteAll and one ReadAll: host_ns/B
+// is the wall clock per byte the two moved — exchange sizing, binding and
+// the drives' copy — and allocs/op what they allocated.
 func BenchmarkExchangeCopy(b *testing.B) {
 	const nRanks, bs, blocks = 32, 4096, 1024
 	e := sim.NewEngine()

@@ -7,9 +7,10 @@
 // server's device work and rendezvous in Handle.Wait.
 //
 // The unit of submission is the call, not the aggregator domain. The
-// aggregators assemble their domains side by side in one call buffer,
-// and the rank that finishes last submits one request: the schedule's
-// prepared plan (schedule.cut), every domain's spans mapped, sorted and merged together by
+// call's buffer space is every domain's pieces of the ranks' own buffers
+// (the schedule's frozen table, bound once), and the rank that finishes
+// its eager half last submits one request: the schedule's prepared plan
+// (schedule.cut), every domain's spans mapped, sorted and merged together by
 // blockio, so pieces of different domains that are neighbours on a drive
 // are one device request (on a declustered file: one sequential run per
 // drive per call, where per-domain submission issued one short piece per
@@ -17,18 +18,19 @@
 // drives every device at once — ViPIOS's server-directed I/O, with Ching
 // et al.'s list-I/O descriptor as the message. The unit of service is
 // smaller: Options.ChunkBytes cuts the call plan every ChunkBytes of the
-// call buffer (ROMIO's collective-buffer loop, run by the server), the
+// call's space (ROMIO's collective-buffer loop, run by the server), the
 // server issues it a window at a time and its QoS policy chooses again
 // between windows, so another job's small call waits for one window of a
 // bulk call in service, not for the call (ioserver's package doc gives
 // the bound) — and a call with the server to itself is handed over whole,
 // cuts and all, as the one run per drive it would be uncut.
 //
-// The outcome is data-identical to the blocking call: for writes, the
-// exchange and LastWriterWins overlap resolution complete before the
-// request is submitted, so the call buffer is final and the server may
-// run it whenever its policy says; for reads, the delivery exchange runs
-// inside Wait, after the whole call has arrived from the devices. The
+// The outcome is data-identical to the blocking call: LastWriterWins
+// overlaps are resolved in the frozen table, so the server may run a
+// write whenever its policy says, straight from the ranks' buffers, which
+// must hold still until Wait; a read lands in the ranks' buffers as the
+// server reads it, and Wait charges the delivery exchange and copies the
+// blocks several readers share once the whole call has arrived. The
 // differential harness's multijob phase enforces this equivalence
 // against serialized execution.
 
@@ -36,7 +38,9 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/blockio"
 	"repro/internal/ioserver"
 	"repro/internal/mpp"
 	"repro/internal/sim"
@@ -49,69 +53,50 @@ import (
 // Collective may have several outstanding Handles, but their Waits
 // must be issued in the same order on every rank.
 //
-// A Handle owns one call buffer and one server ticket. The call buffer
-// holds the call's covered bytes in covered-index order, so domain a is
-// a sub-slice of it (domSlices) and the aggregators size their messages
-// and copy with the blocking executor's helpers, the slices standing in
-// for round 0's staging (a nonblocking call exchanges in one round;
-// Options.ChunkBytes cuts what the server issues, not the domains). The
-// aggregators copy between the call buffer and the ranks' own buffers,
-// which the Handle keeps (bufs): a write's are read in IWriteAll, right
-// after its exchange, and a read's are filled in Wait, right after its
-// delivery exchange. The rank that finishes its eager half last (pending
-// reaching zero) submits the schedule's call-wide plan bound to the call
-// buffer; every rank's Test and Wait read that one ticket.
+// A Handle owns one buffer space and one server ticket. The space is the
+// call's: the schedule's piece table bound to the ranks' own buffers by
+// rank 0 as the call starts (a nonblocking call exchanges in one round;
+// Options.ChunkBytes cuts what the server issues, not the domains), so
+// the server's drives gather a write from them and scatter a read into
+// them. The rank that finishes its eager half last (pending reaching
+// zero) submits the schedule's call-wide plan bound to that space; every
+// rank's Test and Wait read that one ticket.
 type Handle struct {
 	c     *Collective
 	write bool
 	sd    *schedule
 
-	callbuf []byte            // from getDom; rank 0 returns it in Wait
+	space   blockio.Space     // from Collective.spaces; rank 0 returns it in Wait
+	bufs    [][]byte          // a read with dups: per rank, the caller's buffer
 	pending int               // ranks still in their eager half
 	sub     int               // the rank that submitted
 	ticket  *ioserver.Request // nil until the last rank has submitted
 	subq    sim.WaitQueue     // ranks that reached Wait before then
-	bufs    [][]byte          // per rank: the caller's buffer, which the aggregators copy from or into
-}
-
-// domSlices lists rank's owned domains as slices of the call buffer, in
-// ownedOf order — the staging copyChunk takes — in the rank's reused
-// scratch list (Collective.domScr): what it returns is good until the
-// rank's next call.
-func (h *Handle) domSlices(rank int) [][]byte {
-	pl, owned := h.sd.pl, h.sd.ownedOf[rank]
-	bufs := h.c.domScr[rank][:0]
-	for _, a := range owned {
-		lo, hi := pl.domain(a)
-		bufs = append(bufs, h.callbuf[lo*pl.bs:hi*pl.bs])
-	}
-	h.c.domScr[rank] = bufs
-	return bufs
 }
 
 // IWriteAll starts a nonblocking collective write: the exchange runs
 // now, the whole call is enqueued on Options.Service as one request, and
 // the returned Handle completes once the server has written it. The
-// aggregators copy buf's bytes into the call buffer once the exchange
-// has run, before any rank's Wait returns: buf must hold still until
-// Wait. Requires Options.Service; see WriteAll for the blocking semantics
-// the data outcome matches.
+// server's drives gather buf's bytes whenever it serves the call: buf
+// must hold still until Wait returns. Requires Options.Service; see
+// WriteAll for the blocking semantics the data outcome matches.
 func (c *Collective) IWriteAll(p *mpp.Proc, reqs []VecReq, buf []byte) (*Handle, error) {
 	return c.istart(p, true, reqs, buf)
 }
 
 // IReadAll starts a nonblocking collective read: the whole call is
 // enqueued on Options.Service as one request now, and Wait performs the
-// delivery exchange once it has arrived. The aggregators copy the rank's
-// bytes into buf inside Wait, after the delivery exchange and before the
-// barrier that ends it: buf is filled only after Wait returns.
+// delivery exchange once it has arrived. The server's drives scatter the
+// rank's bytes into buf as it serves the call, so they may land before
+// Wait returns: buf is off limits from the call until Wait returns, and
+// holds the bytes read only then.
 func (c *Collective) IReadAll(p *mpp.Proc, reqs []VecReq, buf []byte) (*Handle, error) {
 	return c.istart(p, false, reqs, buf)
 }
 
-// istart is the shared nonblocking prologue: plan, then the direction's
-// eager half (writes: exchange and assemble; reads: nothing), then the
-// last rank through submits the call.
+// istart is the shared nonblocking prologue: plan and bind the call's
+// space, then the direction's eager half (writes: the exchange; reads:
+// nothing), then the last rank through submits the call.
 func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) (*Handle, error) {
 	if p.Size() != c.size {
 		return nil, fmt.Errorf("collective: handle opened for %d ranks, called from a %d-rank group", c.size, p.Size())
@@ -131,20 +116,21 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 			// calls too; the phase-time fields stay zero (the access
 			// phase runs on the server's clock, not inside this call).
 			c.stats = c.sched.stats
-			// The call buffer outlives the call — the server holds it
-			// until the request completes — so it comes from the handle's
-			// free list and goes back in Wait, not at the end of this
-			// call as blocking staging does. A call rejected above takes
-			// nothing.
-			pl := c.sched.pl
-			c.hScratch = &Handle{
-				c:       c,
-				write:   write,
-				sd:      c.sched,
-				callbuf: c.getDom(int(pl.total * pl.bs)),
-				pending: c.size,
-				bufs:    make([][]byte, c.size),
+			// The space outlives the call — the server holds it until the
+			// request completes — so it comes from the handle's free list
+			// and goes back in Wait. Every rank's buffer is in c.bufs by
+			// now, and none can re-enter before the barrier below. A call
+			// rejected above takes nothing.
+			tab := c.sched.tab
+			h := &Handle{c: c, write: write, sd: c.sched, pending: c.size}
+			if n := len(c.spaces); n > 0 {
+				h.space, c.spaces = c.spaces[n-1], c.spaces[:n-1]
 			}
+			h.space = tab.bind(h.space, 0, len(tab.at)-1, c.bufs)
+			if !write && len(tab.dups) > 0 {
+				h.bufs = slices.Clone(c.bufs)
+			}
+			c.hScratch = h
 		}
 	}
 	p.Barrier()
@@ -153,16 +139,10 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 	}
 	h := c.hScratch
 	sd := h.sd
-	h.bufs[rank] = buf
-
 	if write {
-		// Writes exchange eagerly: once the domains are assembled (with
-		// rank-order overlap resolution) the call buffer is final, and the
-		// server may run the request whenever its policy says. Assembly
-		// reads h.bufs, never c.bufs: a rank the Round released first may
-		// already have re-entered istart and replaced its c.bufs slot.
+		// Writes exchange eagerly; the bytes stay in the ranks' buffers
+		// until the server's drives gather them.
 		p.RecycleRecv(p.NewSparseExchange().Round(c.packRounds(sd.pl, rank)))
-		sd.pl.copyChunk(sd.ownedOf[rank], 0, h.domSlices(rank), h.bufs, true)
 	}
 	if h.pending--; h.pending == 0 {
 		// One request for the whole call: blockio's sort/merge across the
@@ -170,55 +150,10 @@ func (c *Collective) istart(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) 
 		// the footprint allows (schedule.cut), and a server worker
 		// drives them all at once, a window or several at a time.
 		h.sub = rank
-		bytes := int64(len(h.callbuf))
-		if write {
-			h.ticket = c.opts.Service.SubmitWritePlan(p.Proc, sd.cut.plan, h.callbuf, bytes)
-		} else {
-			h.ticket = c.opts.Service.SubmitReadPlan(p.Proc, sd.cut.plan, h.callbuf, bytes)
-		}
+		h.ticket = c.opts.Service.Submit(p.Proc, write, sd.cut.plan, h.space, sd.pl.total*sd.pl.bs)
 		h.subq.WakeAll(p.Engine())
 	}
 	return h, nil
-}
-
-// maxDomSizes bounds the sizes the free list keeps: one per schedule a
-// default cache retains, since a schedule's chunk is what sizes staging.
-const maxDomSizes = defaultPlanCacheCap
-
-// getDom pops a buffer of exactly n bytes from the handle's free list, or
-// makes one: a blocking call's chunk staging or a nonblocking call's call
-// buffer. Contents are stale (aggState.takeStage says why that is safe).
-func (c *Collective) getDom(n int) []byte {
-	c.domOut++
-	if free := c.domFree[n]; len(free) > 0 {
-		b := free[len(free)-1]
-		c.domFree[n] = free[:len(free)-1]
-		return b
-	}
-	return make([]byte, n)
-}
-
-// putDom returns a buffer to the free list. A size's list holds what the
-// calls in flight needed of it at their peak (every aggregator's staging
-// of one blocking call; two nonblocking calls may be outstanding), so an
-// iterative workload stops allocating after its first epoch. A handle
-// whose footprints keep changing size does not grow without bound: the
-// list keeps maxDomSizes sizes, and a new one beyond that starts it over
-// (the rest goes to the collector), so it never holds more than that many
-// calls' worth.
-func (c *Collective) putDom(b []byte) {
-	c.domOut--
-	if len(b) == 0 {
-		return
-	}
-	free, ok := c.domFree[len(b)]
-	if !ok && len(c.domFree) >= maxDomSizes {
-		clear(c.domFree)
-	}
-	if c.domFree == nil {
-		c.domFree = make(map[int][][]byte)
-	}
-	c.domFree[len(b)] = append(free, b)
 }
 
 // Test reports whether the call's server request has completed — local,
@@ -242,23 +177,27 @@ func (h *Handle) Wait(p *mpp.Proc) error {
 	}
 	err := h.ticket.Wait(p.Proc)
 	if !h.write {
-		// Delivery: the exchange charges the freshly read domains' trip
-		// back to the ranks, then each aggregator copies them into the
-		// ranks' buffers. Every rank is in Wait by then, and none leaves
-		// before the barrier below.
-		owned := h.sd.ownedOf[rank]
-		send := c.packChunkDomains(pl, owned, 0, c.msgScratch[rank][:0])
+		// Delivery: the exchange charges the read domains' trip back to
+		// the ranks, whose buffers the drives have filled; rank 0 then
+		// copies the call's shared blocks to their other readers — only if
+		// the call read, so a failed one leaves every byte no drive
+		// returned as the caller left it. Every rank is in Wait by then,
+		// and none leaves before the barrier below.
+		send := c.packChunkDomains(pl, h.sd.ownedOf[rank], 0, c.msgScratch[rank][:0])
 		c.msgScratch[rank] = send
 		p.RecycleRecv(p.NewSparseExchange().Round(send))
-		pl.copyChunk(owned, 0, h.domSlices(rank), h.bufs, false)
+		if rank == 0 && err == nil && h.bufs != nil {
+			h.sd.tab.copyDups(0, len(h.sd.tab.dat)-1, h.bufs)
+		}
 	}
-	// The server is done with the call buffer (the ticket has completed,
-	// failed or not) and past this barrier every aggregator has copied a
-	// read's bytes out of it: rank 0 returns it, once.
+	// The server is done with the space (the ticket has completed, failed
+	// or not) and past this barrier the copies are made: rank 0 returns
+	// it, once.
 	p.Barrier()
 	if rank == 0 {
-		c.putDom(h.callbuf)
-		h.callbuf = nil
+		clear(h.space)
+		c.spaces = append(c.spaces, h.space[:0])
+		h.space, h.bufs = nil, nil
 	}
 	if err != nil {
 		return fmt.Errorf("rank %d: %w", h.sub, err)

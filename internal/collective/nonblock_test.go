@@ -230,23 +230,15 @@ func TestNonblockingOverlapsCompute(t *testing.T) {
 	}
 }
 
-// freeDomBufs counts the domain buffers parked in the handle's free list.
-func freeDomBufs(c *Collective) (n int) {
-	for _, l := range c.domFree {
-		n += len(l)
-	}
-	return n
-}
-
-// TestNonblockingDomainBuffersRecycle: a nonblocking call's buffer comes
-// from a per-handle free list and goes back in Wait, exactly once (rank
-// 0, after Wait's barrier). With two writes outstanding per epoch the
-// list must balance (nothing out) after every epoch's Waits, hold after
-// the first epoch everything later epochs need (its population stops
-// growing, so steady state allocates no call buffer), and balance again
-// after a call that failed at plan validation (which takes nothing) and
-// after one whose server request failed (whose Wait still returns what
-// it took). The single ticket's contract rides along: Test is false, not
+// TestNonblockingDomainBuffersRecycle: a nonblocking call's buffer
+// space — its domains as pieces of the ranks' buffers — comes from a
+// per-handle free list and goes back in Wait, exactly once (rank 0, after
+// Wait's barrier). With two writes outstanding per epoch the list must
+// hold after every epoch's Waits the two spaces the first epoch needed
+// (its population stops growing, so steady state allocates no space), and
+// the same after a call that failed at plan validation (which takes
+// nothing) and after one whose server request failed (whose Wait still
+// returns what it took). The single ticket's contract rides along: Test is false, not
 // a nil dereference, on a rank that is out of IWriteAll before the last
 // rank has submitted, and a failed request is the identical error on
 // every rank.
@@ -261,15 +253,12 @@ func TestNonblockingDomainBuffersRecycle(t *testing.T) {
 	var parked, early int
 	failed := make([]string, nRanks)
 	check := func(p *mpp.Proc, what string) {
-		p.Barrier() // rank 0 has returned the call buffers
+		p.Barrier() // rank 0 has returned the spaces
 		if p.Rank() == 0 {
-			if col.domOut != 0 {
-				t.Errorf("%s: %d call buffers still out", what, col.domOut)
-			}
-			if n := freeDomBufs(col); parked == 0 {
+			if n := len(col.spaces); parked == 0 {
 				parked = n
 			} else if n != parked {
-				t.Errorf("%s: free list holds %d buffers, %d after the first epoch", what, n, parked)
+				t.Errorf("%s: free list holds %d spaces, %d after the first epoch", what, n, parked)
 			}
 		}
 		p.Barrier()
@@ -295,8 +284,8 @@ func TestNonblockingDomainBuffersRecycle(t *testing.T) {
 				t.Errorf("rank %d epoch %d: %v / %v", p.Rank(), epoch, err1, err2)
 				return
 			}
-			if p.Rank() == 0 && epoch == 0 && col.domOut != 2 {
-				t.Errorf("two outstanding writes hold %d call buffers", col.domOut)
+			if p.Rank() == 0 && (len(h1.space) == 0 || len(h2.space) == 0 || &h1.space[0] == &h2.space[0]) {
+				t.Errorf("epoch %d: two outstanding writes do not hold two spaces", epoch)
 			}
 			if err := h1.Wait(p); err != nil {
 				t.Errorf("rank %d epoch %d: %v", p.Rank(), epoch, err)
@@ -313,7 +302,7 @@ func TestNonblockingDomainBuffersRecycle(t *testing.T) {
 				t.Errorf("rank %d epoch %d: %v", p.Rank(), epoch, err)
 			}
 			if !bytes.Equal(rbuf, buf) {
-				t.Errorf("rank %d epoch %d: recycled call buffers delivered different bytes", p.Rank(), epoch)
+				t.Errorf("rank %d epoch %d: recycled spaces delivered different bytes", p.Rank(), epoch)
 			}
 			check(p, fmt.Sprintf("epoch %d", epoch))
 		}
@@ -348,6 +337,9 @@ func TestNonblockingDomainBuffersRecycle(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if parked != 2 {
+		t.Errorf("the free list held %d spaces after the first epoch, want the 2 of its outstanding writes", parked)
+	}
 	if early == 0 {
 		t.Error("no rank ever left IWriteAll ahead of the submission: the Test-before-submit case did not run")
 	}
@@ -375,7 +367,7 @@ func checkPatternImage(t *testing.T, g *pfs.FileGroup, shift int64) {
 // TestNonblockingDriveFailure fails a drive under the I/O server: call 1
 // is in service and call 2 queued behind it (one worker, FIFO) when drive
 // 1 fail-stops. On a Direct store every rank gets the identical error
-// from each Wait, nobody hangs, the call buffers come back, and after
+// from each Wait, nobody hangs, the spaces come back, and after
 // Repair the same handle writes a third call cleanly. Parity and Mirror
 // absorb the failure: no error, and the image after each step is what a
 // serial writer applying the calls in order leaves.
@@ -420,8 +412,8 @@ func TestNonblockingDriveFailure(t *testing.T) {
 				errs[1][rank] = h2.Wait(p)
 				p.Barrier()
 				if rank == 0 {
-					if col.domOut != 0 {
-						t.Errorf("%d call buffers still out after the failed calls", col.domOut)
+					if len(col.spaces) != 2 {
+						t.Errorf("%d spaces back after the failed calls, want 2", len(col.spaces))
 					}
 					if kind == storeDirect {
 						disks[1].Repair()
@@ -452,8 +444,8 @@ func TestNonblockingDriveFailure(t *testing.T) {
 					t.Errorf("call %d: %v does not wrap the drive failure", k+1, got)
 				}
 			}
-			if col.domOut != 0 {
-				t.Errorf("%d call buffers still out", col.domOut)
+			if len(col.spaces) != 2 {
+				t.Errorf("%d spaces back, want 2", len(col.spaces))
 			}
 			// The serial reference: the calls applied in order, so call 3's
 			// bytes everywhere.
@@ -495,7 +487,7 @@ func backlogLane(t *testing.T, e *sim.Engine, srv *ioserver.Server, g *pfs.FileG
 // fail-stops after window 1 of call 1 has returned and before window 2
 // is handed out. On a Direct store window 2 fails: the call ends there —
 // no window 3 — call 2 behind it fails on its first window, every rank
-// reads the one identical error off each ticket, and the call buffers are
+// reads the one identical error off each ticket, and the spaces are
 // back on the free list. Parity and Mirror absorb the failure. Either way
 // a third call (after Repair on Direct) leaves the serial reference image.
 func driveFailsBetweenWindows(t *testing.T, kind storeKind) {
@@ -552,8 +544,8 @@ func driveFailsBetweenWindows(t *testing.T, kind storeKind) {
 			if st := jb.Stats(); st.Completed != 2 || st.Dispatches != want {
 				t.Errorf("after the failed calls: %+v, want 2 calls in %d dispatches", st, want)
 			}
-			if col.domOut != 0 || freeDomBufs(col) != 2 {
-				t.Errorf("%d call buffers out, %d on the free list, want both back", col.domOut, freeDomBufs(col))
+			if len(col.spaces) != 2 {
+				t.Errorf("%d spaces on the free list, want both back", len(col.spaces))
 			}
 		}
 		p.Barrier()
@@ -584,8 +576,8 @@ func driveFailsBetweenWindows(t *testing.T, kind storeKind) {
 			t.Errorf("call %d: %v is not the submitting rank's drive failure", k+1, got)
 		}
 	}
-	if col.domOut != 0 {
-		t.Errorf("%d call buffers still out", col.domOut)
+	if len(col.spaces) != 2 {
+		t.Errorf("%d spaces back, want 2", len(col.spaces))
 	}
 	checkPatternImage(t, g, 3000)
 }

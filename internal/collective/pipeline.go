@@ -1,8 +1,7 @@
 // The two-phase executor: every blocking two-phase call runs here, as
-// rounds of exchange feeding rounds of device access through chunked
-// aggregator staging buffers, in the style of ROMIO's collective
-// buffering (one loop parameterised by cb_buffer_size) and PVFS listio
-// chunk pipelining.
+// rounds of exchange feeding rounds of device access, in the style of
+// ROMIO's collective buffering (one loop parameterised by cb_buffer_size)
+// and PVFS listio chunk pipelining — without the collective buffer.
 //
 // Each file domain is cut into chunks where the plan's round table says
 // (plan.ends, one table for every domain: equal chunks, or chunks ramped
@@ -12,47 +11,53 @@
 // (plan.chunkWindow), with every aggregator's device access running in a
 // companion process fed through a depth-1 sim.Queue:
 //
-//	write: main   size(k) → Round(k) ──→ queue ──→ companion: assemble(k) → WriteWindow(k)
-//	read:  companion ReadWindow(k) → deliver(k) → size(k) ──→ queue ──→ main: Round(k)
+//	write: main   size(k) → Round(k) ──→ queue ──→ companion: bind(k) → WriteWindows(k)
+//	read:  companion bind(k) → ReadWindows(k) → dups(k) → size(k) ──→ queue ──→ main: Round(k)
 //
-// An exchange message carries only its size (mpp.Msg.Len): every rank's
-// buffer is in one address space, so the aggregator moves the bytes itself
-// with one copy per clip (plan.copyChunk) — assemble(k) from the ranks'
-// buffers into chunk k's staging once Round(k) has charged their
-// transfer, deliver(k) from the staging into the ranks' buffers as soon
-// as chunk k is read. A read delivers before the hand-off, not after
-// Round(k): by then the companion may be reading chunk k+2 into the same
-// staging. The ranks look at their buffers only once the call returns,
-// so when within the call the bytes land is not observable.
+// An exchange message carries only its size (mpp.Msg.Len), and nothing is
+// staged: every rank's buffer is in one address space, so chunk k of a
+// domain is issued against a buffer space (blockio.Space) whose pieces
+// are the ranks' own clips in it, and the drives gather a write straight
+// out of the ranks' buffers and scatter a read straight into them — the
+// memory list of list I/O (Ching et al.). The schedule freezes every
+// chunk's piece table (spaceTab), so a call binds it to the ranks'
+// buffers and sorts nothing. Overlaps are resolved in the table: where a
+// LastWriterWins write's clips overlap, the highest rank's piece is the
+// one bound; where several readers share a block, one reader's piece
+// takes the drive's bytes and the others copy from it once the chunk has
+// read (dups) — and only if it read, so a failed read leaves every byte
+// no drive returned as the caller left it. A write's chunk k goes to the
+// drives once Round(k) has charged its bytes' transfer, a read's before
+// Round(k) charges their delivery. The ranks are all inside the call
+// until it returns and look at their buffers only then, so when within
+// the call the bytes move is not observable.
 //
 // So while chunk k sits in the drives (writes) the main process is
 // already exchanging chunk k+1, and while chunk k is being delivered to
 // the ranks (reads) the companion is already reading chunk k+2's data —
-// bounded by the double-buffered staging (the queue holds one round,
-// the companion works on another). Device access goes through one
-// blockio.BatchPlan prepared once per call and cut at every chunk of every
-// domain (schedule.cut), so chunking never re-sorts or re-merges the
-// physical pieces.
+// bounded by the depth-1 queue (it holds one round, the companion works
+// on another). Device access goes through one blockio.BatchPlan prepared
+// once per call and cut at every chunk of every domain (schedule.cut), so
+// chunking never re-sorts or re-merges the physical pieces.
 //
 // One round is the schedule with nothing to overlap — plan → whole
 // exchange → whole access, the interconnect idle while the drives work
 // and the drives idle while bytes cross the link — and it is what a
 // handle runs when nothing bounds the chunk and nothing prices a deeper
 // pipeline (Options.ChunkBytes 0 under any Strategy but Auto): the same
-// loop, once, with one staging buffer per owned domain
-// (TestOneRoundGoldens pins its modeled times to the nanosecond).
+// loop, once, each owned domain issued whole (TestOneRoundGoldens pins
+// its modeled times to the nanosecond).
 //
 // Only the aggregators run the rounds. A rank that owns no domain has
 // nothing to do between them — it sizes its messages before the first,
-// free in virtual time, and the aggregators copy its bytes — so it posts
+// free in virtual time, and the drives move its bytes — so it posts
 // all its rounds at once and parks until the exchange is over
 // (mpp.SparseExchange.Post: modeled time is what taking part in every
 // round charges). A round therefore costs the host what its aggregators
 // and its messages cost, not four engine dispatches for each of the
 // group's ranks, and in steady state it allocates nothing: hand-off
-// slots, staging, message lists, device requests and wait lists are all
-// reused — staging at the table's largest chunk, so unequal rounds reuse
-// each other's memory too.
+// slots, the bound spaces, message lists, device requests and wait lists
+// are all reused.
 //
 // What a chunk is on the drives is the plan's business, not this file's.
 // A chunk of a logical domain is a contiguous slice of the files: on a
@@ -71,14 +76,17 @@
 // partitions or the two cuts apart.
 //
 // The nonblocking calls (nonblock.go) hand their device phase to an I/O
-// server instead, but size their messages and copy with the same
-// helpers: round 0 of a plan built with one window per domain.
+// server instead, but size their messages with the same helpers and bind
+// the same frozen table: round 0 of every domain, the whole call as one
+// space.
 
 package collective
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/blockio"
 	"repro/internal/mpp"
@@ -96,8 +104,8 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool) {
 	if len(sd.ownedOf[rank]) == 0 {
 		// A rank with no domain has nothing to do between rounds: it sizes
 		// every round's messages now (writes), free in virtual time, and the
-		// aggregators copy its bytes either way, so it posts its rounds and
-		// parks once (mpp.SparseExchange.Post).
+		// drives move its bytes either way, so it posts its rounds and parks
+		// once (mpp.SparseExchange.Post).
 		var send []mpp.Msg
 		if write {
 			send = c.packRounds(pl, rank)
@@ -116,10 +124,6 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool) {
 	if rec != nil {
 		ioTrk = rec.Track(fmt.Sprintf("%s/%d/io", prefix, rank))
 	}
-	// Staging is the call's, not the schedule's: out of the handle's free
-	// list now, back when both stages have drained.
-	agg.takeStage()
-	defer agg.putStage()
 	if write {
 		c.errs[rank] = sim.Pipe(p.Proc, "collective-io", 1,
 			func(q *sim.Queue) error { // exchange stage, on the rank
@@ -144,7 +148,7 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool) {
 					}
 					r := *v.(*round)
 					t0 := cp.Now()
-					if err := agg.writeChunk(cp, r.k); err != nil {
+					if err := agg.chunks(cp, r.k, true); err != nil {
 						errs = append(errs, err)
 					}
 					c.ioIv = append(c.ioIv, probe.Interval{From: t0, To: cp.Now()})
@@ -172,10 +176,13 @@ func (c *Collective) runPipelined(p *mpp.Proc, sd *schedule, write bool) {
 			var errs []error
 			for k := 0; k < pl.rounds; k++ {
 				t0 := cp.Now()
-				send, err := agg.readChunk(cp, k)
-				if err != nil {
+				if err := agg.chunks(cp, k, false); err != nil {
 					errs = append(errs, err)
 				}
+				// Sizing runs without parking, after all the reads, keeping the
+				// handle-shared sizing scratch consistent.
+				send := c.packChunkDomains(pl, agg.owned, k, agg.msgScr[k%2][:0])
+				agg.msgScr[k%2] = send
 				c.ioIv = append(c.ioIv, probe.Interval{From: t0, To: cp.Now()})
 				sp := rec.Span(ioTrk, "collective", "chunk.access", t0, cp.Now(), 0, 0)
 				q.Put(cp, agg.handOff(k, send, sp))
@@ -195,22 +202,19 @@ type round struct {
 // aggState is one aggregator rank's device-access state, the handle's
 // and reused call after call: bound at the start of a call to the
 // schedule's prepared plan (mapped, sorted and merged once, cut at the
-// chunk boundaries — the schedule's, so it replays with it) and to the
-// call's staging — at most two chunk buffers per domain, the bounded
-// memory Options.ChunkBytes is named for, out of the handle's free list
-// only while the call runs (takeStage / putStage). A workload whose
-// schedules never repeat therefore allocates the plan and nothing else.
+// chunk boundaries — the schedule's, so it replays with it) and piece
+// table. sp is the space a chunk is bound in, rebuilt per window by the
+// access stage, its only user. A workload whose schedules never repeat
+// therefore allocates the plan and its table and nothing else.
 // msgScr holds the read path's two in-flight outgoing message lists:
 // round k's list sits in the stage queue while round k+1 is being sized,
 // and slot k%2 is free again by round k+2 because the exchange stage is
 // sequential.
 type aggState struct {
 	c      *Collective
-	pl     *plan
-	cut    *cutPlan
+	sd     *schedule
 	owned  []int
-	stage  [][2][]byte
-	bufs   [][]byte // chunkBufs' result, rebuilt per round by the access stage
+	sp     blockio.Space
 	msgScr [2][]mpp.Msg
 	// slots are the two rounds in flight between the stages (handOff).
 	slots [2]round
@@ -228,7 +232,7 @@ func (s *aggState) handOff(k int, send []mpp.Msg, span probe.SpanID) *round {
 }
 
 // bindAgg binds rank's aggregator state to the schedule's plan, prepared
-// windows and owned domains.
+// windows, piece table and owned domains.
 func (c *Collective) bindAgg(sd *schedule, rank int) *aggState {
 	if c.aggs == nil {
 		c.aggs = make([]*aggState, c.size)
@@ -238,151 +242,154 @@ func (c *Collective) bindAgg(sd *schedule, rank int) *aggState {
 		s = &aggState{c: c}
 		c.aggs[rank] = s
 	}
-	s.pl, s.cut, s.owned = sd.pl, sd.cut, sd.ownedOf[rank]
-	n := len(s.owned)
-	if cap(s.stage) < n {
-		s.stage, s.bufs = make([][2][]byte, n), make([][]byte, n)
-	}
-	s.stage, s.bufs = s.stage[:n], s.bufs[:n]
+	s.sd, s.owned = sd, sd.ownedOf[rank]
 	return s
 }
 
-// takeStage takes the call's staging from the handle's free list: one
-// buffer of the round table's largest chunk per nonempty owned domain, and
-// the second of the double buffer only for a domain that has a second
-// chunk — a one-round call holds one buffer per domain. Every buffer is
-// one size, so a call of unequal rounds recycles what the last one
-// returned. Contents are stale, which is safe: a write chunk is fully
-// covered by the ranks' clips (domains tile the covered footprint) and a
-// read chunk fully overwritten by the device read, so stale bytes never
-// travel.
-func (s *aggState) takeStage() {
-	var chunk, lo int64
-	for _, hi := range s.pl.ends {
-		chunk, lo = max(chunk, hi-lo), hi
-	}
-	n := int(chunk * s.pl.bs)
-	for i, a := range s.owned {
-		lo, hi := s.pl.domain(a)
-		if hi > lo {
-			s.stage[i][0] = s.c.getDom(n)
+// chunks issues chunk k of every owned domain — its window of the call's
+// prepared plan — against the ranks' buffers, the chunk's piece table
+// bound to them; a read that has read makes its dups. A domain that has
+// run out (a ragged one) issues nothing. A write runs after Round(k), once
+// the exchange has charged the bytes' transfer; the ranks are all inside
+// the call until the pipeline drains, so their buffers hold still.
+func (s *aggState) chunks(ctx sim.Context, k int, write bool) error {
+	sd, bufs := s.sd, s.c.bufs
+	var errs []error
+	for _, a := range s.owned {
+		if lo, hi := sd.pl.chunkWindow(a, k); lo == hi {
+			continue
 		}
-		if hi-lo > s.pl.ends[0] {
-			s.stage[i][1] = s.c.getDom(n)
+		i, w := a*sd.pl.rounds+k, sd.cut.win0[a]+k
+		s.sp = sd.tab.bind(s.sp[:0], i, i+1, bufs)
+		var err error
+		if write {
+			err = sd.cut.plan.WriteWindows(ctx, w, w+1, s.sp)
+		} else if err = sd.cut.plan.ReadWindows(ctx, w, w+1, s.sp); err == nil {
+			sd.tab.copyDups(i, i+1, bufs)
+		}
+		if err != nil {
+			errs = append(errs, err)
 		}
 	}
+	clear(s.sp)
+	return errors.Join(errs...)
 }
 
-// putStage returns the call's staging, whatever became of the call.
-func (s *aggState) putStage() {
-	for i := range s.stage {
-		for j, b := range s.stage[i] {
-			if b != nil {
-				s.c.putDom(b)
-				s.stage[i][j] = nil
+// part is one piece of a chunk's buffer space as a schedule freezes it:
+// the n bytes at plan offset off are rank's buffer bytes
+// [bufOff, bufOff+n).
+type part struct {
+	off, bufOff, n int64
+	rank           int
+}
+
+// dup is a read's bytes that another reader's piece takes from the
+// drive: once the chunk has read, from's bytes are copied to to's.
+type dup struct{ to, from part }
+
+// spaceTab is a two-phase call's buffer space, frozen with its schedule
+// (plan.space): chunk k of domain a is table entry i = a·rounds+k, its
+// pieces parts[at[i]:at[i+1]] — ascending by plan offset, tiling the
+// chunk — and its shared reads dups[dat[i]:dat[i+1]].
+type spaceTab struct {
+	parts   []part
+	dups    []dup
+	at, dat []int
+}
+
+// space builds the call's piece table from every rank's clips in every
+// chunk of every domain, resolving overlaps for a write (the highest
+// rank's bytes land, LastWriterWins) or for a read (dups). The pieces are
+// appended to parts[:0]: an evicted schedule's, whose memory is dead by
+// then (scheduleFor).
+func (pl *plan) space(write bool, parts []part) *spaceTab {
+	n := pl.naggs*pl.rounds + 1
+	t := &spaceTab{parts: parts[:0], at: make([]int, 1, n), dat: make([]int, 1, n)}
+	for a := 0; a < pl.naggs; a++ {
+		for k := 0; k < pl.rounds; k++ {
+			lo, hi := pl.chunkWindow(a, k)
+			p0 := len(t.parts)
+			for _, r := range pl.ranksIn[a] {
+				pl.forEachClipWin(int(r), lo, hi, func(cl clip) {
+					t.parts = append(t.parts, part{off: lo*pl.bs + cl.domOff, bufOff: cl.bufOff, n: cl.n * pl.bs, rank: int(r)})
+				})
+			}
+			t.resolve(p0, write)
+			t.at, t.dat = append(t.at, len(t.parts)), append(t.dat, len(t.dups))
+		}
+	}
+	return t
+}
+
+// resolve makes one chunk's clips, t.parts[p0:], its pieces. Clips that
+// do not overlap are the pieces as they are, by offset. Where they do,
+// the chunk is cut at every clip's ends and each stretch goes to one
+// clip: the highest rank's for a write, for a read the clip that reached
+// it first (lowest offset, then rank), every other reader of the stretch
+// a dup of it.
+func (t *spaceTab) resolve(p0 int, write bool) {
+	cs := t.parts[p0:]
+	slices.SortFunc(cs, func(x, y part) int { return cmp.Or(cmp.Compare(x.off, y.off), cmp.Compare(x.rank, y.rank)) })
+	overlap := false
+	for i := 1; i < len(cs); i++ {
+		overlap = overlap || cs[i].off < cs[i-1].off+cs[i-1].n
+	}
+	if !overlap {
+		return
+	}
+	cs, t.parts = slices.Clone(cs), t.parts[:p0]
+	var ends []int64
+	for _, c := range cs {
+		ends = append(ends, c.off, c.off+c.n)
+	}
+	slices.Sort(ends)
+	var live []part // the clips covering the stretch, in cs order
+	next := 0
+	for e := 1; e < len(ends); e++ {
+		lo, hi := ends[e-1], ends[e]
+		live = slices.DeleteFunc(live, func(c part) bool { return c.off+c.n <= lo })
+		for ; next < len(cs) && cs[next].off <= lo; next++ {
+			live = append(live, cs[next])
+		}
+		if lo == hi || len(live) == 0 {
+			continue
+		}
+		at := func(c part) part { return part{off: lo, bufOff: c.bufOff + lo - c.off, n: hi - lo, rank: c.rank} }
+		src := 0
+		for i, c := range live {
+			if write && c.rank > live[src].rank {
+				src = i
+			}
+		}
+		t.parts = append(t.parts, at(live[src]))
+		for i, c := range live {
+			if !write && i != src {
+				t.dups = append(t.dups, dup{to: at(c), from: at(live[src])})
 			}
 		}
 	}
 }
 
-// chunkBufs returns the staging of chunk k of every owned domain, each
-// sized to its window (empty once a ragged domain has run out). Buffers
-// alternate per round; buffer k%2 is free again by round k+2 because the
-// access stage, the only caller, is sequential.
-func (s *aggState) chunkBufs(k int) [][]byte {
-	for i, a := range s.owned {
-		lo, hi := s.pl.chunkWindow(a, k)
-		s.bufs[i] = s.stage[i][k%2][:(hi-lo)*s.pl.bs]
+// bind appends to sp the pieces of table entries [i, j) bound to the
+// ranks' buffers: the space those chunks are issued against.
+func (t *spaceTab) bind(sp blockio.Space, i, j int, bufs [][]byte) blockio.Space {
+	for _, p := range t.parts[t.at[i]:t.at[j]] {
+		sp = append(sp, blockio.Piece{Off: p.off, Buf: bufs[p.rank][p.bufOff:][:p.n]})
 	}
-	return s.bufs
+	return sp
 }
 
-// window issues chunk k of the i-th owned domain — its window of the
-// call's prepared plan — between the drives and buf, the chunk's staging.
-func (s *aggState) window(i, k int, write bool, ctx sim.Context, buf []byte) error {
-	a := s.owned[i]
-	lo, _ := s.pl.chunkWindow(a, k)
-	if write {
-		return s.cut.plan.WriteWindow(ctx, s.cut.win0[a]+k, buf, lo*s.pl.bs)
-	}
-	return s.cut.plan.ReadWindow(ctx, s.cut.win0[a]+k, buf, lo*s.pl.bs)
-}
-
-// writeChunk assembles round k — every rank's clips in chunk k of the
-// owned domains, copied straight out of the ranks' buffers — into the
-// chunk staging buffers and issues each chunk's window of the prepared
-// plan. Assembly is pure compute, so finishing it before the first
-// WriteWindow leaves the device schedule bit-identical to assembling per
-// domain. It runs after Round(k), once the exchange has charged the
-// bytes' transfer; the ranks are all inside the call until the pipeline
-// drains, so their buffers hold still.
-func (s *aggState) writeChunk(ctx sim.Context, k int) error {
-	bufs := s.chunkBufs(k)
-	s.pl.copyChunk(s.owned, k, bufs, s.c.bufs, true)
-	var errs []error
-	for i, buf := range bufs {
-		if len(buf) == 0 {
-			continue
-		}
-		if err := s.window(i, k, true, ctx, buf); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// readChunk reads chunk k of every owned domain through the prepared
-// plans, delivers it into the ranks' buffers and sizes the ranks' round-k
-// messages — the read mirror of writeChunk. Delivery cannot wait for
-// Round(k): by the time that ends this stage may be reading chunk k+2
-// into the same staging. Delivery and sizing run without parking, after
-// all the reads, keeping the handle-shared sizing scratch consistent.
-func (s *aggState) readChunk(ctx sim.Context, k int) ([]mpp.Msg, error) {
-	bufs := s.chunkBufs(k)
-	var errs []error
-	for i, buf := range bufs {
-		if len(buf) == 0 {
-			continue
-		}
-		if err := s.window(i, k, false, ctx, buf); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	s.pl.copyChunk(s.owned, k, bufs, s.c.bufs, false)
-	s.msgScr[k%2] = s.c.packChunkDomains(s.pl, s.owned, k, s.msgScr[k%2][:0])
-	return s.msgScr[k%2], errors.Join(errs...)
-}
-
-// copyChunk moves chunk k of the owned domains between stage, the
-// chunk's staging of each (a whole domain, when the plan has one window
-// per domain), and bufs, every rank's own buffer: each clip of each rank
-// in the chunk is one copy, into the staging for a write (assemble) and
-// out of it for a read (deliver). The ranks share one address space, so
-// no payload carries the bytes between them; the exchange charges their
-// size (packChunkSparse, packChunkDomains). Within a domain the ranks go
-// in ascending order, so LastWriterWins overlaps resolve to the highest
-// rank's bytes.
-func (pl *plan) copyChunk(owned []int, k int, stage, bufs [][]byte, write bool) {
-	for i, a := range owned {
-		lo, hi := pl.chunkWindow(a, k)
-		st := stage[i]
-		for _, r := range pl.ranksIn[a] {
-			buf := bufs[r]
-			pl.forEachClipWin(int(r), lo, hi, func(cl clip) {
-				dom, own := st[cl.domOff:][:cl.n*pl.bs], buf[cl.bufOff:][:cl.n*pl.bs]
-				if write {
-					copy(dom, own)
-				} else {
-					copy(own, dom)
-				}
-			})
-		}
+// copyDups makes the dups of table entries [i, j) in the ranks' buffers,
+// once those chunks have read.
+func (t *spaceTab) copyDups(i, j int, bufs [][]byte) {
+	for _, d := range t.dups[t.dat[i]:t.dat[j]] {
+		copy(bufs[d.to.rank][d.to.bufOff:][:d.to.n], bufs[d.from.rank][d.from.bufOff:][:d.from.n])
 	}
 }
 
 // packChunkDomains appends an aggregator's round-k read messages to
 // msgs: one per rank with a clip in chunk k of any owned domain, sized to
-// the rank's clips there (copyChunk delivers their bytes).
+// the rank's clips there (the drives deliver their bytes).
 func (c *Collective) packChunkDomains(pl *plan, owned []int, k int, msgs []mpp.Msg) []mpp.Msg {
 	first := len(msgs)
 	for _, a := range owned {
@@ -396,7 +403,7 @@ func (c *Collective) packChunkDomains(pl *plan, owned []int, k int, msgs []mpp.M
 
 // packChunkSparse appends rank's round-k write messages to msgs: one per
 // owner of a domain whose chunk-k window holds a clip of the rank, sized
-// to the rank's clips in the owner's domains (copyChunk assembles their
+// to the rank's clips in the owner's domains (the drives gather their
 // bytes). Messages carry their round, so a rank may size all its rounds
 // into one list and post them.
 func (c *Collective) packChunkSparse(pl *plan, rank, k int, msgs []mpp.Msg) []mpp.Msg {

@@ -75,10 +75,9 @@ type owned struct {
 // span is a covered interval of the union footprint.
 type span struct{ gb, n int64 }
 
-// clip is the intersection of one rank segment with one aggregator
-// domain: n blocks moving rank-buffer bytes at bufOff to/from
-// domain-buffer bytes at domOff: one copy, which the aggregator makes
-// between the two buffers itself (plan.copyChunk).
+// clip is the intersection of one rank segment with one window of the
+// covered footprint: n blocks of rank-buffer bytes at bufOff, domOff bytes
+// into the window — one piece of the window's buffer space (plan.space).
 type clip struct {
 	n      int64
 	bufOff int64
@@ -117,7 +116,7 @@ type plan struct {
 	ramped bool // ends is a ramped cut, not the equal one
 	// Sparse participation indexes, derived from shares: domsOf[r] lists
 	// the domains rank r's footprint touches and ranksIn[a] the ranks
-	// touching domain a (both ascending). The exchange and staging loops
+	// touching domain a (both ascending). The exchange and piece-table loops
 	// iterate these instead of scanning all ranks × all domains, so a
 	// round's cost follows the communication pattern, not the group size.
 	domsOf  [][]int32
@@ -369,7 +368,7 @@ func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int, rm
 		}
 	}
 	if pl.total > 0 {
-		// ChunkBytes bounds the staging memory; how deep the pipeline runs
+		// ChunkBytes bounds a round; how deep the pipeline runs
 		// below that bound, and how its rounds share a domain, is the
 		// caller's to price (alignedCost).
 		ceil := opts.chunkCeiling(pl.bs, pl.domBlocks)
@@ -450,10 +449,9 @@ func (pl *plan) domain(a int) (lo, hi int64) {
 // window [lo, hi) — one chunk of a domain (chunkWindow), a whole domain
 // when the plan has one round — in ascending key order, the canonical
 // payload order of the exchange phase. domOff is relative to the window
-// start, so chunk clips address chunk-sized staging buffers directly. A
-// segment is always contained in one covered span, so its covered
-// indexes are consecutive and each segment yields at most one clip per
-// window. The precomputed covered ranges bound the scan to the
+// start. A segment is always contained in one covered span, so its
+// covered indexes are consecutive and each segment yields at most one
+// clip per window. The precomputed covered ranges bound the scan to the
 // intersecting segments (O(log S + clips)), which is what keeps the
 // executor affordable when tiny chunks make the window count large.
 func (pl *plan) forEachClipWin(rank int, lo, hi int64, fn func(c clip)) {

@@ -14,9 +14,9 @@
 // gathered request lists after the entry barrier, and a hit replays the
 // frozen schedule — the validated plan, the domain→aggregator
 // assignment, the chosen route and pipeline depth, the call's prepared
-// blockio.BatchPlan or the ranks' mapped descriptors, and the
-// LastWriterWins clips — rebinding only the
-// callers' buffers and the staging and packing fresh payloads.
+// blockio.BatchPlan and its piece table, or the ranks' mapped
+// descriptors, and the LastWriterWins clips — binding only the callers'
+// buffers and sizing the exchange's messages.
 // Everything frozen is a pure function of the request values and the
 // machine model, so a replayed call is bit-identical in modeled time and
 // probe trace to a fresh build; the win is host wall-clock and
@@ -86,16 +86,21 @@ type schedule struct {
 	maxSegRank int
 
 	// cut is a two-phase schedule's whole call as one prepared batch:
-	// every domain's spans at their call-buffer offsets, mapped, sorted and
+	// every domain's spans at their offsets in the call's space (covered
+	// index × block size), mapped, sorted and
 	// merged once by blockio and cut into the windows the call is issued
 	// in. A blocking call cuts at every chunk of every domain — window
 	// win0[a]+k is chunk k of domain a, what aggregator owner[a] issues in
 	// round k (and what StrategyAuto walked to price the logical
 	// partition). A nonblocking call is one request to the I/O server, the
 	// drives one run each where the footprint allows, cut every
-	// Options.ChunkBytes of the call buffer into the windows the server may
+	// Options.ChunkBytes of the call's space into the windows the server may
 	// stop between. Built with the schedule (rank 0, newSchedule).
 	cut *cutPlan
+	// tab is a two-phase schedule's buffer space: every chunk of every
+	// domain as pieces of the ranks' buffers, overlaps resolved
+	// (plan.space), bound to each call's buffers as it is issued.
+	tab *spaceTab
 
 	// Lazily built execution state of the independent routes: ind[r] is
 	// rank r's request list taken through the map stage (mapped), and
@@ -253,6 +258,12 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedul
 	}
 	if len(c.cached) >= defaultPlanCacheCap {
 		last := len(c.cached) - 1
+		if tab := c.cached[last].tab; tab != nil {
+			// Nothing reads an evicted schedule's pieces again: a call binds
+			// them only as it starts, under its own schedule. A workload
+			// whose schedules never repeat builds its tables in one memory.
+			c.spare = append(c.spare, tab.parts)
+		}
 		c.cached[last] = nil
 		c.cached = c.cached[:last]
 		c.evictions++
@@ -270,7 +281,7 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedul
 // schedule is built on pl.aligned instead. Nonblocking calls are never
 // priced: they always run two-phase on the logical partition. Their
 // device phase is one call-wide request whatever the partition, so the
-// domains only say which rank assembles which slice of the call buffer;
+// domains only say which rank sizes which messages;
 // Options.ChunkBytes cuts that request — not the domains — into the
 // windows the server issues it in and may serve other jobs between (0:
 // one window, the whole call). The signature is copied so no fingerprint
@@ -315,6 +326,11 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 	for a, r := range pl.owner {
 		sd.ownedOf[r] = append(sd.ownedOf[r], a)
 	}
+	var parts []part
+	if n := len(c.spare); n > 0 {
+		parts, c.spare = c.spare[n-1], c.spare[:n-1]
+	}
+	sd.tab = pl.space(write, parts)
 	// An error below is unreachable in practice (plan.cut). It would
 	// fail the call as a plan error, on every rank, before anything is
 	// taken or submitted.

@@ -316,8 +316,7 @@ func (c *Collective) alignedShares(sd *schedule, nd int) {
 // TestPipelineDepthPriced). Its exchange rounds are priced as shares of
 // every message, which its small rounds carry least faithfully — a rank
 // sends a whole block or nothing — so a ramp that wins by less is not
-// known to win, and it would cost the handle staging and payloads of a
-// new size.
+// known to win.
 const rampMargin = 20
 
 // alignedCost prices the aligned partition: its domains end at drive

@@ -9,7 +9,9 @@
 //
 // There is one request form: a prepared blockio.BatchPlan (validated,
 // mapped and merged once by the client, reusable across submissions) and
-// the buffer its windows bind to. A Request is whatever the client makes
+// the buffer space its windows bind to — one buffer, or the pieces of
+// many (the collective layer's call: the ranks' own buffers, which the
+// drives then gather from and scatter into directly). A Request is whatever the client makes
 // it — the collective layer submits one per collective call, every
 // aggregator domain in one prepared plan — but the unit of service is the
 // plan's window, not the request: a worker is handed the next window of
@@ -215,12 +217,12 @@ func (j *Job) Latency() *stats.Sample { return &j.lat }
 type Request struct {
 	job   *Job
 	write bool
-	// The plan's windows are issued against pbuf, in index order. The plan
-	// is the client's: validated and merged once, it may back any number
-	// of submissions with only the buffer rebound (the collective layer's
-	// schedule replay).
+	// The plan's windows are issued against space, in index order. The
+	// plan is the client's: validated and merged once, it may back any
+	// number of submissions with only the space rebound (the collective
+	// layer's schedule replay).
 	plan  *blockio.BatchPlan
-	pbuf  []byte
+	space blockio.Space
 	bytes int64
 	seq   int64 // global arrival order
 	enq   time.Duration
@@ -372,20 +374,24 @@ func (s *Server) Stop(p *sim.Proc) {
 }
 
 // SubmitWritePlan enqueues a write issued through a prepared
-// blockio.BatchPlan — the workers issue the plan's windows in order,
-// bound to buf — and returns its ticket. bytes is the payload size the
-// accounting reports and the QoS policies charge, a window at a time.
+// blockio.BatchPlan from buf, the one-piece space — Submit's contiguous
+// case.
 func (j *Job) SubmitWritePlan(p *sim.Proc, plan *blockio.BatchPlan, buf []byte, bytes int64) *Request {
-	return j.submit(p, true, plan, buf, bytes)
+	return j.Submit(p, true, plan, blockio.Space{{Buf: buf}}, bytes)
 }
 
-// SubmitReadPlan enqueues a read through a prepared plan — the read
-// counterpart of SubmitWritePlan.
+// SubmitReadPlan enqueues a read through a prepared plan into buf — the
+// read counterpart of SubmitWritePlan.
 func (j *Job) SubmitReadPlan(p *sim.Proc, plan *blockio.BatchPlan, buf []byte, bytes int64) *Request {
-	return j.submit(p, false, plan, buf, bytes)
+	return j.Submit(p, false, plan, blockio.Space{{Buf: buf}}, bytes)
 }
 
-func (j *Job) submit(p *sim.Proc, write bool, plan *blockio.BatchPlan, pbuf []byte, bytes int64) *Request {
+// Submit enqueues a write (or a read) issued through a prepared
+// blockio.BatchPlan — the workers issue the plan's windows in order,
+// bound to the buffer space sp, which must hold still until the request
+// is done — and returns its ticket. bytes is the payload size the
+// accounting reports and the QoS policies charge, a window at a time.
+func (j *Job) Submit(p *sim.Proc, write bool, plan *blockio.BatchPlan, sp blockio.Space, bytes int64) *Request {
 	s := j.s
 	if !s.started {
 		panic("ioserver: Submit before Start")
@@ -395,7 +401,7 @@ func (j *Job) submit(p *sim.Proc, write bool, plan *blockio.BatchPlan, pbuf []by
 		job:   j,
 		write: write,
 		plan:  plan,
-		pbuf:  pbuf,
+		space: sp,
 		bytes: bytes,
 		seq:   s.seq,
 		enq:   p.Now(),
@@ -428,9 +434,9 @@ func (s *Server) worker(p *sim.Proc) {
 		start := p.Now()
 		var err error
 		if r.write {
-			err = r.plan.WriteWindows(p, w0, w1, r.pbuf, 0)
+			err = r.plan.WriteWindows(p, w0, w1, r.space)
 		} else {
-			err = r.plan.ReadWindows(p, w0, w1, r.pbuf, 0)
+			err = r.plan.ReadWindows(p, w0, w1, r.space)
 		}
 		s.returned(p, r, start, charge, err)
 	}

@@ -60,9 +60,9 @@ func gBatch(ctx sim.Context, write bool, batch blockio.BatchVec, buf []byte) err
 		return err
 	}
 	if write {
-		return plan.WriteWindow(ctx, 0, buf, 0)
+		return plan.WriteWindows(ctx, 0, 1, blockio.Space{{Buf: buf}})
 	}
-	return plan.ReadWindow(ctx, 0, buf, 0)
+	return plan.ReadWindows(ctx, 0, 1, blockio.Space{{Buf: buf}})
 }
 
 // goldenRow is one pinned transfer. parentEnd/parentReqs are set on the

@@ -164,12 +164,13 @@
 // are collective by nature), the device phase is enqueued, and the
 // returned IOHandle lets every rank overlap its own computation before
 // the collective Wait (Test polls locally). That computation must leave
-// the call's buffer alone until Wait returns: the aggregators copy a
-// write's bytes out of it after the exchange, possibly after this rank's
-// IWriteAll has returned, and a read's bytes into it inside Wait. The
-// unit of submission is the call: the aggregators assemble their
-// domains side by side in one call buffer and the last rank out of the
-// exchange submits ONE request
+// the call's buffer alone until Wait returns: the server's drives gather
+// a write's bytes straight out of it and scatter a read's bytes straight
+// into it whenever they serve the call, so a read's bytes may land before
+// Wait returns, and are all there only once it has. The unit of
+// submission is the call: its buffer space is every domain's pieces of
+// the ranks' own buffers and the last rank out of the exchange submits
+// ONE request
 // — every domain in one prepared BatchPlan, merged across domains, so a
 // checkpoint of a declustered file reaches each drive as one sequential
 // run (TestServerDirectedWin: 64 lane requests and 1 024 device
