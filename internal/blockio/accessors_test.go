@@ -48,7 +48,7 @@ func TestSetAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	layout := NewStriped(2, 1)
-	set, err := NewSet(store, layout, []int64{3, 5})
+	set, err := NewSet(store, layout, []int64{3, 5}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

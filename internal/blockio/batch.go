@@ -19,6 +19,7 @@ package blockio
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -53,13 +54,17 @@ type piece struct {
 }
 
 // mapScratch is the mapper's pooled working state: the unsorted piece
-// list and the per-segment MapRun scratch. The holder doubles as the
-// sort.Interface over its pieces, so the device-major sort allocates
-// nothing (sort.Slice builds a closure and a reflect-based swapper per
-// call — measurable when every transfer maps through here).
+// list, the per-segment MapRun scratch, and the runs and segments of a
+// transfer that is issued before the scratch goes back (Set.transfer).
+// The holder doubles as the sort.Interface over its pieces, so the
+// device-major sort allocates nothing (sort.Slice builds a closure and a
+// reflect-based swapper per call — measurable when every transfer maps
+// through here).
 type mapScratch struct {
 	pieces []piece
 	tmp    []Run
+	runs   []Run
+	segs   []Seg
 }
 
 func (s *mapScratch) Len() int { return len(s.pieces) }
@@ -90,12 +95,17 @@ var mapPool = sync.Pool{New: func() any { return new(mapScratch) }}
 // naming one physical block, which makes the transfer order ambiguous
 // whatever their windows — is rejected here. Only the returned runs
 // survive the call; all mapping scratch goes back to the pool.
-func mapRuns(op string, items BatchVec, cuts []int64, bs int64) (runs []Run, bounds []int, err error) {
+func mapRuns(op string, items BatchVec, cuts []int64, bs int64) ([]Run, []int, error) {
 	s := mapPool.Get().(*mapScratch)
-	defer func() {
-		s.pieces = s.pieces[:0]
-		mapPool.Put(s)
-	}()
+	defer mapPool.Put(s)
+	return s.mapRuns(op, items, cuts, bs, false)
+}
+
+// mapRuns is the mapper on scratch s. With into, the runs and their
+// segments are s's own, recycled from the last such call, and live until
+// s is reused; otherwise they are allocated for the caller to keep.
+func (s *mapScratch) mapRuns(op string, items BatchVec, cuts []int64, bs int64, into bool) (runs []Run, bounds []int, err error) {
+	s.pieces = s.pieces[:0]
 	for _, it := range items {
 		for _, sg := range it.Vec {
 			if sg.N == 0 {
@@ -155,8 +165,13 @@ func mapRuns(op string, items BatchVec, cuts []int64, bs int64) (runs []Run, bou
 	for w := 2; w < len(bounds); w++ {
 		bounds[w] += bounds[w-1]
 	}
-	runs = make([]Run, nr)
-	segs := make([]Seg, 0, nsg)
+	var segs []Seg
+	if into {
+		s.runs, s.segs = slices.Grow(s.runs[:0], nr)[:nr], slices.Grow(s.segs[:0], nsg)
+		runs, segs = s.runs, s.segs
+	} else {
+		runs, segs = make([]Run, nr), make([]Seg, 0, nsg)
+	}
 	var last *Run
 	first, placed := 0, 0 // the growing run's first segment in segs; runs placed so far
 	for i, pc := range s.pieces {

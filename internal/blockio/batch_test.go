@@ -33,7 +33,7 @@ func newBatchStore(t *testing.T, devs int, unit, perDev int64, files int) ([]*Se
 		for d := range base {
 			base[d] = int64(f) * perDev
 		}
-		sets[f], err = NewSet(store, NewStriped(devs, unit), base)
+		sets[f], err = NewSet(store, NewStriped(devs, unit), base, int64(devs)*perDev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestBatchVecEquivalence(t *testing.T) {
 				for d := range base {
 					base[d] = file * need[d]
 				}
-				s, err := NewSet(store, tc.layout, base)
+				s, err := NewSet(store, tc.layout, base, tc.total)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,7 +196,7 @@ func TestBatchVecEquivalence(t *testing.T) {
 					for i := range blk {
 						blk[i] = byte(int64(f)*97 + b*31 + int64(i))
 					}
-					if err := s.WriteBlock(ctx, b, blk); err != nil {
+					if err := s.WriteVec(ctx, Vec{{Block: b, N: 1}}, blk); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -271,7 +271,7 @@ func TestBatchVecValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherSet, err := NewSet(otherStore, NewStriped(1, 1), []int64{0})
+	otherSet, err := NewSet(otherStore, NewStriped(1, 1), []int64{0}, otherStore.Blocks())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -435,11 +435,13 @@ var (
 )
 
 // Set binds a Store, a Layout and per-device extent bases into the
-// file-facing interface: logical-block reads and writes.
+// file-facing interface: reads and writes of the file's logical blocks
+// [0, blocks).
 type Set struct {
 	store  Store
 	layout Layout
 	base   []int64
+	blocks int64
 
 	// sieveLocks serializes sieved read-modify-write spans per device
 	// (lazily created; engine contexts only — see lockSieve). The
@@ -449,16 +451,17 @@ type Set struct {
 	sieveLocks map[int]*sim.Mutex
 }
 
-// NewSet builds a Set. base gives the first physical block of the file's
-// extent on each device (len must equal layout.Devices()).
-func NewSet(store Store, layout Layout, base []int64) (*Set, error) {
+// NewSet builds a Set of blocks logical blocks. base gives the first
+// physical block of the file's extent on each device (len must equal
+// layout.Devices()).
+func NewSet(store Store, layout Layout, base []int64, blocks int64) (*Set, error) {
 	if layout.Devices() > store.Devices() {
 		return nil, fmt.Errorf("blockio: layout wants %d devices, store has %d", layout.Devices(), store.Devices())
 	}
 	if len(base) != layout.Devices() {
 		return nil, fmt.Errorf("blockio: %d extent bases for %d devices", len(base), layout.Devices())
 	}
-	return &Set{store: store, layout: layout, base: base}, nil
+	return &Set{store: store, layout: layout, base: base, blocks: blocks}, nil
 }
 
 // Store exposes the underlying store.
@@ -481,19 +484,4 @@ func (s *Set) BlockSize() int { return s.store.BlockSize() }
 func (s *Set) Locate(b int64) (dev int, pblock int64) {
 	dev, pb := s.layout.Map(b)
 	return dev, s.base[dev] + pb
-}
-
-// ReadBlock reads logical block b into dst: the one-block helper the
-// fault paths use. Layout.Map yields the one run directly — no
-// descriptor, no mapping pass, nothing allocated.
-func (s *Set) ReadBlock(ctx sim.Context, b int64, dst []byte) error {
-	dev, pb := s.layout.Map(b)
-	return issue(ctx, s.store, "ReadBlock", false, []Run{{Dev: dev, PBlock: s.base[dev] + pb, B: b, N: 1}}, Space{{Buf: dst}}, nil)
-}
-
-// WriteBlock writes src to logical block b, the write counterpart of
-// ReadBlock.
-func (s *Set) WriteBlock(ctx sim.Context, b int64, src []byte) error {
-	dev, pb := s.layout.Map(b)
-	return issue(ctx, s.store, "WriteBlock", true, []Run{{Dev: dev, PBlock: s.base[dev] + pb, B: b, N: 1}}, Space{{Buf: src}}, nil)
 }

@@ -324,7 +324,7 @@ func TestSetRoundTripAcrossLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, err := NewSet(store, layout, make([]int64, 4))
+		set, err := NewSet(store, layout, make([]int64, 4), total)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,13 +332,13 @@ func TestSetRoundTripAcrossLayouts(t *testing.T) {
 		bs := set.BlockSize()
 		for b := int64(0); b < total; b++ {
 			blk := bytes.Repeat([]byte{byte(b + 1)}, bs)
-			if err := set.WriteBlock(ctx, b, blk); err != nil {
+			if err := set.WriteVec(ctx, Vec{{Block: b, N: 1}}, blk); err != nil {
 				t.Fatalf("%s: write %d: %v", layout.Name(), b, err)
 			}
 		}
 		for b := int64(0); b < total; b++ {
 			got := make([]byte, bs)
-			if err := set.ReadBlock(ctx, b, got); err != nil {
+			if err := set.ReadVec(ctx, Vec{{Block: b, N: 1}}, got); err != nil {
 				t.Fatalf("%s: read %d: %v", layout.Name(), b, err)
 			}
 			if got[0] != byte(b+1) || got[bs-1] != byte(b+1) {
@@ -357,7 +357,7 @@ func TestSetWithExtentBases(t *testing.T) {
 	bs := store.BlockSize()
 	// Two files on the same devices at different bases must not collide.
 	mk := func(base int64) *Set {
-		set, err := NewSet(store, NewStriped(2, 1), []int64{base, base})
+		set, err := NewSet(store, NewStriped(2, 1), []int64{base, base}, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,14 +366,14 @@ func TestSetWithExtentBases(t *testing.T) {
 	f1, f2 := mk(0), mk(10)
 	blkA := bytes.Repeat([]byte{0xaa}, bs)
 	blkB := bytes.Repeat([]byte{0xbb}, bs)
-	if err := f1.WriteBlock(ctx, 0, blkA); err != nil {
+	if err := f1.WriteVec(ctx, Vec{{Block: 0, N: 1}}, blkA); err != nil {
 		t.Fatal(err)
 	}
-	if err := f2.WriteBlock(ctx, 0, blkB); err != nil {
+	if err := f2.WriteVec(ctx, Vec{{Block: 0, N: 1}}, blkB); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, bs)
-	if err := f1.ReadBlock(ctx, 0, got); err != nil {
+	if err := f1.ReadVec(ctx, Vec{{Block: 0, N: 1}}, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0xaa {
@@ -386,10 +386,10 @@ func TestSetValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSet(store, NewStriped(3, 1), make([]int64, 3)); err == nil {
+	if _, err := NewSet(store, NewStriped(3, 1), make([]int64, 3), 1); err == nil {
 		t.Fatal("layout wider than store accepted")
 	}
-	if _, err := NewSet(store, NewStriped(2, 1), make([]int64, 1)); err == nil {
+	if _, err := NewSet(store, NewStriped(2, 1), make([]int64, 1), 1); err == nil {
 		t.Fatal("wrong base count accepted")
 	}
 }

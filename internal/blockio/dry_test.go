@@ -113,7 +113,7 @@ func newDryWorld(t *testing.T, rng *rand.Rand, devices int, sched device.Sched, 
 	for dev, need := range PerDevice(l, w.total) {
 		base[dev] = rng.Int63n(geom.Blocks() - need + 1)
 	}
-	if w.set, err = NewSet(w.store, l, base); err != nil {
+	if w.set, err = NewSet(w.store, l, base, w.total); err != nil {
 		t.Fatal(err)
 	}
 	return w

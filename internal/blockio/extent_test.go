@@ -133,7 +133,7 @@ func newTestSet(t *testing.T, l Layout, total int64) (*Set, []*device.Disk) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSet(store, l, make([]int64, l.Devices()))
+	set, err := NewSet(store, l, make([]int64, l.Devices()), total)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +177,8 @@ func TestRangeEquivalence(t *testing.T) {
 			// Read back block-at-a-time.
 			buf := make([]byte, bs)
 			for b := int64(0); b < tc.total; b++ {
-				if err := set.ReadBlock(ctx, b, buf); err != nil {
-					t.Fatalf("ReadBlock(%d): %v", b, err)
+				if err := set.ReadVec(ctx, Vec{{Block: b, N: 1}}, buf); err != nil {
+					t.Fatalf("read block %d: %v", b, err)
 				}
 				if !bytes.Equal(buf, data[b*int64(bs):(b+1)*int64(bs)]) {
 					t.Fatalf("block %d mismatch after a ranged write", b)
@@ -188,8 +188,8 @@ func TestRangeEquivalence(t *testing.T) {
 			// Fresh set: write block-at-a-time, read back by range.
 			set2, _ := newTestSet(t, tc.layout, tc.total)
 			for b := int64(0); b < tc.total; b++ {
-				if err := set2.WriteBlock(ctx, b, data[b*int64(bs):(b+1)*int64(bs)]); err != nil {
-					t.Fatalf("WriteBlock(%d): %v", b, err)
+				if err := set2.WriteVec(ctx, Vec{{Block: b, N: 1}}, data[b*int64(bs):(b+1)*int64(bs)]); err != nil {
+					t.Fatalf("write block %d: %v", b, err)
 				}
 			}
 			got := make([]byte, len(data))
@@ -251,7 +251,7 @@ func TestRangeUnderEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSet(store, l, make([]int64, l.Devices()))
+	set, err := NewSet(store, l, make([]int64, l.Devices()), total)
 	if err != nil {
 		t.Fatal(err)
 	}

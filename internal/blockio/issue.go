@@ -1,8 +1,8 @@
 // Issue: the last stage of the transfer pipeline (describe → map →
 // transform → issue) and the only code in the package that touches a
-// Store. Whatever produced the runs — Layout.Map for one block, the
-// mapper for a descriptor or a plan window, the sieving transform for
-// covering runs — they all leave through the one loop below: each run's
+// Store. Whatever produced the runs — the mapper for a descriptor (one
+// block is its one-segment case) or a plan window, the sieving transform
+// for covering runs — they all leave through the one loop below: each run's
 // segments are bound to the caller's buffer space as a scatter/gather
 // list, the list goes to the store's vectored primitive (or to the
 // per-run body a sieved write supplies), a lone run inline and several in
@@ -86,8 +86,8 @@ var parPool = sync.Pool{New: func() any {
 	return px
 }}
 
-// iovPool recycles scatter/gather lists, the one-element list of a block
-// or a contiguous range included, so a steady stream of transfers binds
+// iovPool recycles scatter/gather lists, the one-element list of a
+// contiguous run included, so a steady stream of transfers binds
 // its buffers without allocating. sievePool does the same for the
 // scratch spans hole segments move through (the spans can be large —
 // that is the point of sieving).
@@ -124,7 +124,7 @@ func issue(ctx sim.Context, store Store, op string, write bool, runs []Run, sp S
 		// The branches share a pooled copy of x, the runs and the space and
 		// take their run by index: x, runs or sp captured themselves would
 		// move to the heap on every call, the single-run path above (and
-		// the one-run and one-piece literals of Set.ReadBlock) included,
+		// the one-piece space literal of a Set transfer's buffer) included,
 		// and a closure per run is an allocation per drive.
 		px := parPool.Get().(*parXfer)
 		px.xfer, px.runs, px.sp = x, append(px.runs[:0], runs...), append(px.sp[:0], sp...)

@@ -144,7 +144,7 @@ func TestSieveConcurrentWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSet(store, l, []int64{0})
+	set, err := NewSet(store, l, []int64{0}, total)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func (s *Set) Map(vec Vec) (Mapped, error) {
 	if err := s.checkVec("Map", vec, -1); err != nil {
 		return Mapped{}, err
 	}
-	runs, err := s.mapVec("Map", vec)
+	runs, _, err := mapRuns("Map", BatchVec{{Set: s, Vec: vec}}, nil, int64(s.store.BlockSize()))
 	if err != nil {
 		return Mapped{}, err
 	}
@@ -119,8 +119,8 @@ func (m Mapped) issue(ctx sim.Context, op string, write bool, strat Strategy, bu
 // each segment's blocks at its buffer offset, as strat directs: vectored
 // (also what StrategyDefault and StrategyCollective mean at this layer),
 // sieved, or — StrategyAuto — whichever a dry issue of this descriptor
-// prices cheaper. It is the Set's one read entry point for anything
-// larger than a block.
+// prices cheaper. It is the Set's one read entry point; one block is the
+// one-segment descriptor.
 func (s *Set) ReadVecStrategy(ctx sim.Context, strat Strategy, vec Vec, buf []byte) error {
 	return s.transfer(ctx, "ReadVec", false, strat, vec, buf)
 }
@@ -133,12 +133,15 @@ func (s *Set) WriteVecStrategy(ctx sim.Context, strat Strategy, vec Vec, buf []b
 
 // transfer takes one descriptor down the pipeline: validate, map, price
 // if the strategy asks, transform if it is (or prices out as) sieved,
-// issue.
+// issue. The runs are mapped into pooled scratch held until the issue
+// returns, so a steady stream of transfers maps without allocating.
 func (s *Set) transfer(ctx sim.Context, op string, write bool, strat Strategy, vec Vec, buf []byte) error {
 	if err := s.checkVec(op, vec, int64(len(buf))); err != nil {
 		return err
 	}
-	runs, err := s.mapVec(op, vec)
+	m := mapPool.Get().(*mapScratch)
+	defer mapPool.Put(m)
+	runs, _, err := m.mapRuns(op, BatchVec{{Set: s, Vec: vec}}, nil, int64(s.store.BlockSize()), true)
 	if err != nil {
 		return err
 	}

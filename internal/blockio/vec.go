@@ -1,8 +1,8 @@
 // Describe: the first stage of the transfer pipeline (describe → map →
-// transform → issue). A Vec is the request descriptor every transfer
-// above one block is stated in: a list of (logical block range, buffer
-// offset) segments. A contiguous range is its one-segment case, which is
-// why there is no ranged entry point.
+// transform → issue). A Vec is the request descriptor every Set transfer
+// is stated in: a list of (logical block range, buffer offset) segments.
+// A contiguous range — one block included — is its one-segment case,
+// which is why there is no ranged or one-block entry point.
 //
 // Describing the whole transfer up front is what lets the map stage
 // coalesce it. Declustered layouts break logical contiguity: with a
@@ -61,10 +61,12 @@ func (v Vec) Blocks() int64 {
 	return n
 }
 
-// checkVec validates descriptor shape: block-aligned in-bounds buffer
-// ranges, non-negative block ranges, and pairwise disjointness in both
-// coordinate systems. bufLen < 0 skips the buffer bound check (MapVec,
-// which has no buffer). Segments that arrive ascending in both blocks and
+// checkVec validates descriptor shape: block ranges inside the file's
+// [0, blocks), block-aligned in-bounds buffer ranges, and pairwise
+// disjointness in both coordinate systems. It runs before anything maps,
+// so a segment past the file's end never reaches the layout, which would
+// place it in whatever lies beyond the file's extent. bufLen < 0 skips
+// the buffer bound check (MapVec, which has no buffer). Segments that arrive ascending in both blocks and
 // buffer — one range, a stream's extent, most request lists — are proven
 // disjoint by the first walk alone; only a shuffled descriptor pays for
 // the two sorts.
@@ -72,8 +74,8 @@ func (s *Set) checkVec(op string, vec Vec, bufLen int64) error {
 	bs := int64(s.store.BlockSize())
 	ordered, last := true, -1 // last: the previous non-empty segment
 	for i, sg := range vec {
-		if sg.N < 0 || sg.Block < 0 {
-			return fmt.Errorf("blockio: %s segment %d: blocks [%d,%d)", op, i, sg.Block, sg.Block+sg.N)
+		if sg.N < 0 || sg.Block < 0 || sg.N > s.blocks-sg.Block {
+			return fmt.Errorf("blockio: %s segment %d: blocks [%d,%d) outside the file's %d blocks", op, i, sg.Block, sg.Block+sg.N, s.blocks)
 		}
 		if sg.N == 0 {
 			continue
@@ -134,14 +136,6 @@ func (s *Set) MapVec(vec Vec) ([]Run, error) {
 		m.runs[i].PBlock -= s.base[m.runs[i].Dev]
 	}
 	return m.runs, err
-}
-
-// mapVec maps a validated descriptor — the one-item, one-window case of
-// the package's mapper — into gather runs at absolute physical blocks,
-// the form the issue loop takes.
-func (s *Set) mapVec(op string, vec Vec) ([]Run, error) {
-	runs, _, err := mapRuns(op, BatchVec{{Set: s, Vec: vec}}, nil, int64(s.store.BlockSize()))
-	return runs, err
 }
 
 // ReadVec reads the blocks described by vec into buf, scattering each

@@ -25,7 +25,7 @@ func newVecSet(t *testing.T, l Layout) (*Set, []*device.Disk) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSet(store, l, make([]int64, l.Devices()))
+	set, err := NewSet(store, l, make([]int64, l.Devices()), int64(l.Devices())*store.Blocks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestVecEquivalence(t *testing.T) {
 				for i := range blk {
 					blk[i] = byte(b*31 + int64(i))
 				}
-				if err := set.WriteBlock(ctx, b, blk); err != nil {
+				if err := set.WriteVec(ctx, Vec{{Block: b, N: 1}}, blk); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -189,7 +189,7 @@ func TestVecEquivalence(t *testing.T) {
 				want := make([]byte, bufLen)
 				for _, sg := range vec {
 					for i := int64(0); i < sg.N; i++ {
-						if err := set.ReadBlock(ctx, sg.Block+i, want[sg.BufOff+i*bs:sg.BufOff+(i+1)*bs]); err != nil {
+						if err := set.ReadVec(ctx, Vec{{Block: sg.Block + i, N: 1}}, want[sg.BufOff+i*bs:sg.BufOff+(i+1)*bs]); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -206,7 +206,7 @@ func TestVecEquivalence(t *testing.T) {
 				rb := make([]byte, bs)
 				for _, sg := range vec {
 					for i := int64(0); i < sg.N; i++ {
-						if err := set.ReadBlock(ctx, sg.Block+i, rb); err != nil {
+						if err := set.ReadVec(ctx, Vec{{Block: sg.Block + i, N: 1}}, rb); err != nil {
 							t.Fatal(err)
 						}
 						if !bytes.Equal(rb, src[sg.BufOff+i*bs:sg.BufOff+(i+1)*bs]) {
@@ -247,7 +247,7 @@ func TestVecRequestCount(t *testing.T) {
 		d.ResetStats()
 	}
 	for b := int64(0); b < 32; b++ {
-		if err := set.ReadBlock(ctx, b, buf[:bs]); err != nil {
+		if err := set.ReadVec(ctx, Vec{{Block: b, N: 1}}, buf[:bs]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,10 +12,12 @@
 //     and write-behind — dirty victims are written in vectored batches by
 //     dedicated I/O processes instead of inside the miss that evicted them.
 //
-// SeqReader and SeqWriter also come in extent form (NewSeqReaderExtent,
-// NewSeqWriterExtent): the streaming unit becomes a run of up to E
-// blocks fetched or flushed by one FetchRun/FlushRun call, so a
-// coalescing backend turns every extent into a single device request.
+// Each handle takes its transfer hooks in one form, when it is built. A
+// stream's unit is an extent of up to E blocks, fetched or flushed by one
+// FetchRun/FlushRun call, so a coalescing backend turns every extent into
+// a single device request; block-at-a-time is E = 1. The Cache moves
+// lists of blocks (FetchSpan/FlushSpan); a miss or a write-back of one
+// block is the one-index list.
 //
 // All three are engine-aware: under a sim.Engine they overlap transfers
 // with the caller's computation in virtual time; without one they degrade
@@ -39,12 +41,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Fetch reads stream block idx into buf (len(buf) = block size).
-type Fetch func(ctx sim.Context, idx int64, buf []byte) error
-
-// FlushFn writes stream block idx from buf.
-type FlushFn func(ctx sim.Context, idx int64, buf []byte) error
-
 // FetchRun reads the run of n stream blocks starting at block first into
 // buf (len(buf) = n × block size), ideally coalesced into one device
 // request per drive (core issues it as a blockio.Vec — one segment where
@@ -54,12 +50,6 @@ type FetchRun func(ctx sim.Context, first int64, n int, buf []byte) error
 // FlushRun writes the run of n stream blocks starting at block first
 // from buf, the write counterpart of FetchRun.
 type FlushRun func(ctx sim.Context, first int64, n int, buf []byte) error
-
-// FetchSpan reads the len(idxs) blocks listed in idxs into buf, the i-th
-// landing at buf[i×blockSize:]. The indices are ascending and distinct
-// but need not be contiguous; a vectored backend (blockio.Set.ReadVec)
-// coalesces physically adjacent blocks into single device requests.
-type FetchSpan func(ctx sim.Context, idxs []int64, buf []byte) error
 
 // frames is the free list of stream frames, by size. It keeps at most
 // maxFrameSizes sizes: a new one beyond that starts it over (the rest
@@ -118,9 +108,9 @@ type fetched struct {
 	wq   sim.WaitQueue
 }
 
-// SeqReader streams blocks 0..total-1 in order through a fixed pool of
+// SeqReader streams a stream's extents in order through a fixed pool of
 // buffers, prefetching ahead of the consumer. Multiple consumers may call
-// Next concurrently under an engine (each receives a distinct block, in
+// Next concurrently under an engine (each receives a distinct extent, in
 // claim order) — this is the substrate for shared self-scheduled reads.
 //
 // Under an engine, fetched-block futures flow consumer-ward through
@@ -131,10 +121,12 @@ type fetched struct {
 // abandoned at any point (drained, dropped mid-stream, never closed)
 // therefore leaves nothing behind for the engine to call a deadlock.
 type SeqReader struct {
-	fetch     Fetch
+	fetch     FetchRun
 	blockSize int
-	total     int64
-	readers   int // prefetch processes; 0 = synchronous on Next
+	extent    int64 // blocks per extent
+	blocks    int64 // stream length in blocks
+	extents   int64 // extents in the stream
+	readers   int   // prefetch processes; 0 = synchronous on Next
 
 	started   bool
 	closed    bool
@@ -145,46 +137,21 @@ type SeqReader struct {
 	nextServe int64
 }
 
-// NewSeqReader builds a reader of total blocks of blockSize bytes using
-// nbufs buffers and `readers` prefetch processes. With readers == 0 (or
-// when used without an engine) each Next performs its fetch
-// synchronously — the paper's unbuffered baseline.
-func NewSeqReader(fetch Fetch, blockSize int, total int64, nbufs, readers int) (*SeqReader, error) {
-	if blockSize <= 0 {
-		return nil, fmt.Errorf("buffer: block size %d", blockSize)
-	}
-	if nbufs < 1 {
-		return nil, fmt.Errorf("buffer: need at least 1 buffer, got %d", nbufs)
-	}
-	if readers < 0 {
-		return nil, fmt.Errorf("buffer: negative reader count")
-	}
-	if readers > nbufs {
-		readers = nbufs
-	}
-	return &SeqReader{
-		fetch:     fetch,
-		blockSize: blockSize,
-		total:     total,
-		readers:   readers,
-		free:      getFrames(blockSize, nbufs),
-	}, nil
-}
-
-// NewSeqReaderExtent builds a reader whose streaming unit is an extent
-// of up to `extent` blocks: buffers are extent × blockSize bytes, and
-// each prefetch covers one whole extent — blocks [e·extent,
-// min((e+1)·extent, total)) — in a single FetchRun call, so a coalescing
-// fetch pays the device's per-request overhead once per extent instead
-// of once per block. Next yields whole extents (the index is the extent
-// number; the final extent may cover fewer blocks, and only its valid
-// prefix of the buffer is filled). The pool is sized to the stream, not
-// just to the options: a stream shorter than one extent gets buffers of
-// its own length, and never more buffers than it has extents.
-func NewSeqReaderExtent(fetch FetchRun, blockSize int, total int64, extent, nbufs, readers int) (*SeqReader, error) {
-	if extent < 1 {
-		extent = 1
-	}
+// NewSeqReader builds a reader of a stream of total blocks of blockSize
+// bytes whose unit is an extent of up to `extent` blocks, with nbufs
+// buffers and `readers` prefetch processes. Buffers are extent ×
+// blockSize bytes, and each fetch covers one whole extent — blocks
+// [e·extent, min((e+1)·extent, total)) — in a single FetchRun call, so a
+// coalescing fetch pays the device's per-request overhead once per extent
+// instead of once per block. Next yields whole extents (the index is the
+// extent number; the final extent may cover fewer blocks, and only its
+// valid prefix of the buffer is filled). The pool is sized to the stream,
+// not just to the options: a stream shorter than one extent gets buffers
+// of its own length, and never more buffers than it has extents. With
+// readers == 0 (or when used without an engine) each Next performs its
+// fetch synchronously — the paper's unbuffered baseline.
+func NewSeqReader(fetch FetchRun, blockSize int, total int64, extent, nbufs, readers int) (*SeqReader, error) {
+	extent = max(extent, 1)
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("buffer: block size %d", blockSize)
 	}
@@ -195,15 +162,28 @@ func NewSeqReaderExtent(fetch FetchRun, blockSize int, total int64, extent, nbuf
 	if int64(nbufs) > extents {
 		nbufs = int(max(extents, 1))
 	}
-	wrapped := func(ctx sim.Context, e int64, buf []byte) error {
-		first := e * int64(extent)
-		n := int64(extent)
-		if first+n > total {
-			n = total - first
-		}
-		return fetch(ctx, first, int(n), buf[:n*int64(blockSize)])
+	if nbufs < 1 {
+		return nil, fmt.Errorf("buffer: need at least 1 buffer, got %d", nbufs)
 	}
-	return NewSeqReader(wrapped, blockSize*extent, extents, nbufs, readers)
+	if readers < 0 {
+		return nil, fmt.Errorf("buffer: negative reader count")
+	}
+	return &SeqReader{
+		fetch:     fetch,
+		blockSize: blockSize,
+		extent:    int64(extent),
+		blocks:    total,
+		extents:   extents,
+		readers:   min(readers, nbufs),
+		free:      getFrames(blockSize*extent, nbufs),
+	}, nil
+}
+
+// load fetches extent e into its buffer.
+func (r *SeqReader) load(ctx sim.Context, e int64, buf []byte) error {
+	first := e * r.extent
+	n := min(r.extent, r.blocks-first)
+	return r.fetch(ctx, first, int(n), buf[:n*int64(r.blockSize)])
 }
 
 // takeFree pops a pool buffer; ok=false when the pool is empty.
@@ -230,7 +210,7 @@ func (r *SeqReader) spawnPrefetch(e *sim.Engine) {
 // pool is what bounds read-ahead), then fetch and complete the future.
 // The only place it waits is inside the fetch itself.
 func (r *SeqReader) prefetch(io *sim.Proc) {
-	for !r.closed && r.nextFetch < r.total {
+	for !r.closed && r.nextFetch < r.extents {
 		buf, ok := r.takeFree()
 		if !ok {
 			break // Release respawns
@@ -238,7 +218,7 @@ func (r *SeqReader) prefetch(io *sim.Proc) {
 		f := &fetched{idx: r.nextFetch, buf: buf}
 		r.nextFetch++
 		r.fillq.Put(io, f)
-		if err := r.fetch(io, f.idx, buf); err != nil {
+		if err := r.load(io, f.idx, buf); err != nil {
 			f.err, f.buf = err, nil
 			r.free = append(r.free, buf)
 		}
@@ -248,14 +228,14 @@ func (r *SeqReader) prefetch(io *sim.Proc) {
 	r.active--
 }
 
-// Next claims and returns the next block in stream order along with its
+// Next claims and returns the next extent in stream order along with its
 // index. The caller must Release the buffer when done. At end of stream
 // it returns io.EOF.
 func (r *SeqReader) Next(ctx sim.Context) ([]byte, int64, error) {
 	if r.closed {
 		return nil, 0, fmt.Errorf("buffer: reader closed")
 	}
-	if r.nextServe >= r.total {
+	if r.nextServe >= r.extents {
 		return nil, 0, io.EOF
 	}
 	p, engine := ctx.(*sim.Proc)
@@ -267,7 +247,7 @@ func (r *SeqReader) Next(ctx sim.Context) ([]byte, int64, error) {
 		if !ok {
 			return nil, idx, fmt.Errorf("buffer: no free buffer (missing Release?)")
 		}
-		if err := r.fetch(ctx, idx, buf); err != nil {
+		if err := r.load(ctx, idx, buf); err != nil {
 			r.free = append(r.free, buf)
 			return nil, idx, err
 		}
@@ -297,7 +277,7 @@ func (r *SeqReader) Next(ctx sim.Context) ([]byte, int64, error) {
 	return f.buf, f.idx, nil
 }
 
-// Claimed reports how many blocks, from the start of the stream, have
+// Claimed reports how many extents, from the start of the stream, have
 // been fetched or are being fetched.
 func (r *SeqReader) Claimed() int64 { return max(r.nextFetch, r.nextServe) }
 
@@ -308,7 +288,7 @@ func (r *SeqReader) Release(ctx sim.Context, buf []byte) {
 		return
 	}
 	r.free = append(r.free, buf)
-	if p, ok := ctx.(*sim.Proc); ok && r.started && r.active < r.readers && r.nextFetch < r.total {
+	if p, ok := ctx.(*sim.Proc); ok && r.started && r.active < r.readers && r.nextFetch < r.extents {
 		r.spawnPrefetch(p.Engine())
 	}
 }
@@ -343,8 +323,10 @@ type flushItem struct {
 // SeqReader: filled blocks flow writer-ward through queue, drained
 // buffers flow back through freeq.
 type SeqWriter struct {
-	flush     FlushFn
+	flush     FlushRun
 	blockSize int
+	extent    int64 // blocks per extent
+	blocks    int64 // stream length in blocks
 	nbufs     int
 	writers   int
 
@@ -357,9 +339,16 @@ type SeqWriter struct {
 	g       sim.Group
 }
 
-// NewSeqWriter builds a deferred writer with nbufs buffers and `writers`
-// flush processes (0 = synchronous Submit).
-func NewSeqWriter(flush FlushFn, blockSize, nbufs, writers int) (*SeqWriter, error) {
+// NewSeqWriter builds a deferred writer of a stream of total blocks of
+// blockSize bytes whose unit is an extent of up to `extent` blocks, with
+// nbufs buffers and `writers` flush processes (0 = synchronous Submit).
+// The producer assembles extent × blockSize buffers (Submit index =
+// extent number) and each flush covers the whole extent in a single
+// FlushRun call — one coalesced device request per extent. The final
+// extent is clamped to the stream length, so only its valid prefix is
+// written.
+func NewSeqWriter(flush FlushRun, blockSize int, total int64, extent, nbufs, writers int) (*SeqWriter, error) {
+	extent = max(extent, 1)
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("buffer: block size %d", blockSize)
 	}
@@ -369,38 +358,18 @@ func NewSeqWriter(flush FlushFn, blockSize, nbufs, writers int) (*SeqWriter, err
 	if writers < 0 {
 		return nil, fmt.Errorf("buffer: negative writer count")
 	}
-	if writers > nbufs {
-		writers = nbufs
-	}
-	return &SeqWriter{flush: flush, blockSize: blockSize, nbufs: nbufs, writers: writers,
-		free: getFrames(blockSize, nbufs)}, nil
+	return &SeqWriter{flush: flush, blockSize: blockSize, extent: int64(extent), blocks: total,
+		nbufs: nbufs, writers: min(writers, nbufs), free: getFrames(blockSize*extent, nbufs)}, nil
 }
 
-// NewSeqWriterExtent builds a deferred writer whose streaming unit is an
-// extent of up to `extent` blocks over a stream of total blocks: the
-// producer assembles extent × blockSize buffers (Submit index = extent
-// number) and each flush covers the whole extent in a single FlushRun
-// call — one coalesced device request per extent. The final extent is
-// clamped to the stream length, so only its valid prefix is written.
-func NewSeqWriterExtent(flush FlushRun, blockSize int, total int64, extent, nbufs, writers int) (*SeqWriter, error) {
-	if extent < 1 {
-		extent = 1
+// store flushes extent e from its buffer.
+func (w *SeqWriter) store(ctx sim.Context, e int64, buf []byte) error {
+	first := e * w.extent
+	n := min(w.extent, w.blocks-first)
+	if n <= 0 {
+		return fmt.Errorf("buffer: extent %d beyond stream of %d blocks", e, w.blocks)
 	}
-	if blockSize <= 0 {
-		return nil, fmt.Errorf("buffer: block size %d", blockSize)
-	}
-	wrapped := func(ctx sim.Context, e int64, buf []byte) error {
-		first := e * int64(extent)
-		n := int64(extent)
-		if first+n > total {
-			n = total - first
-		}
-		if n <= 0 {
-			return fmt.Errorf("buffer: extent %d beyond stream of %d blocks", e, total)
-		}
-		return flush(ctx, first, int(n), buf[:n*int64(blockSize)])
-	}
-	return NewSeqWriter(wrapped, blockSize*extent, nbufs, writers)
+	return w.flush(ctx, first, int(n), buf[:n*int64(w.blockSize)])
 }
 
 // startWriters launches the flush processes (engine mode only), moving
@@ -422,7 +391,7 @@ func (w *SeqWriter) startWriters(p *sim.Proc) {
 					return
 				}
 				item := v.(flushItem)
-				if err := w.flush(io, item.idx, item.buf); err != nil {
+				if err := w.store(io, item.idx, item.buf); err != nil {
 					w.errs = append(w.errs, fmt.Errorf("buffer: flush block %d: %w", item.idx, err))
 				}
 				w.freeq.Put(io, item.buf)
@@ -452,8 +421,8 @@ func (w *SeqWriter) Acquire(ctx sim.Context) ([]byte, error) {
 	return buf, nil
 }
 
-// Submit hands a filled buffer over for (deferred) writing as stream
-// block idx. Under an engine with writer processes it returns before the
+// Submit hands a filled buffer over for (deferred) writing as extent
+// idx. Under an engine with writer processes it returns before the
 // transfer; otherwise it flushes synchronously.
 func (w *SeqWriter) Submit(ctx sim.Context, idx int64, buf []byte) error {
 	if w.closed {
@@ -461,7 +430,7 @@ func (w *SeqWriter) Submit(ctx sim.Context, idx int64, buf []byte) error {
 	}
 	p, engine := ctx.(*sim.Proc)
 	if !engine || w.writers == 0 {
-		err := w.flush(ctx, idx, buf)
+		err := w.store(ctx, idx, buf)
 		w.free = append(w.free, buf)
 		return err
 	}

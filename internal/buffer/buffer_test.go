@@ -10,13 +10,28 @@ import (
 	"repro/internal/sim"
 )
 
-// memFetch serves blocks whose first byte is the block index, charging
+// memFetch serves blocks whose every byte is the block index, charging
 // cost of virtual time per fetch.
-func memFetch(cost time.Duration) Fetch {
-	return func(ctx sim.Context, idx int64, buf []byte) error {
+func memFetch(cost time.Duration) FetchRun {
+	return func(ctx sim.Context, first int64, n int, buf []byte) error {
 		ctx.Sleep(cost)
+		bs := len(buf) / n
 		for i := range buf {
-			buf[i] = byte(idx)
+			buf[i] = byte(first + int64(i/bs))
+		}
+		return nil
+	}
+}
+
+// memSpan is memFetch as a cache's span hook.
+func memSpan(cost time.Duration) FetchSpan {
+	return func(ctx sim.Context, idxs []int64, buf []byte) error {
+		ctx.Sleep(cost)
+		for i, idx := range idxs {
+			blk := blockOf(buf, idxs, i)
+			for k := range blk {
+				blk[k] = byte(idx)
+			}
 		}
 		return nil
 	}
@@ -24,13 +39,13 @@ func memFetch(cost time.Duration) Fetch {
 
 func TestSeqReaderValidation(t *testing.T) {
 	f := memFetch(0)
-	if _, err := NewSeqReader(f, 0, 1, 1, 1); err == nil {
+	if _, err := NewSeqReader(f, 0, 1, 1, 1, 1); err == nil {
 		t.Fatal("zero block size accepted")
 	}
-	if _, err := NewSeqReader(f, 8, 1, 0, 1); err == nil {
+	if _, err := NewSeqReader(f, 8, 1, 1, 0, 1); err == nil {
 		t.Fatal("zero buffers accepted")
 	}
-	if _, err := NewSeqReader(f, 8, 1, 1, -1); err == nil {
+	if _, err := NewSeqReader(f, 8, 1, 1, 1, -1); err == nil {
 		t.Fatal("negative readers accepted")
 	}
 }
@@ -62,7 +77,7 @@ func TestSeqReaderExtentSizedToStream(t *testing.T) {
 			return nil
 		}
 		for _, engine := range []bool{false, true} {
-			r, err := NewSeqReaderExtent(fetch, bs, tc.total, tc.extent, tc.nbufs, 2)
+			r, err := NewSeqReader(fetch, bs, tc.total, tc.extent, tc.nbufs, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +129,7 @@ func TestSeqReaderExtentSizedToStream(t *testing.T) {
 }
 
 func TestSeqReaderSynchronousOrder(t *testing.T) {
-	r, err := NewSeqReader(memFetch(0), 8, 5, 2, 0)
+	r, err := NewSeqReader(memFetch(0), 8, 5, 1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +151,7 @@ func TestSeqReaderSynchronousOrder(t *testing.T) {
 
 func TestSeqReaderEngineOrderAndData(t *testing.T) {
 	e := sim.NewEngine()
-	r, err := NewSeqReader(memFetch(time.Millisecond), 8, 20, 4, 2)
+	r, err := NewSeqReader(memFetch(time.Millisecond), 8, 20, 1, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +192,7 @@ func TestSeqReaderOverlapsComputeWithIO(t *testing.T) {
 	// With 2+ buffers and a prefetcher, they overlap: ~1ms/block.
 	run := func(nbufs, readers int) time.Duration {
 		e := sim.NewEngine()
-		r, err := NewSeqReader(memFetch(time.Millisecond), 8, 10, nbufs, readers)
+		r, err := NewSeqReader(memFetch(time.Millisecond), 8, 10, 1, nbufs, readers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +234,7 @@ func TestSeqReaderOverlapsComputeWithIO(t *testing.T) {
 func TestSeqReaderMultipleConsumers(t *testing.T) {
 	// Two consumers share the stream; every block is delivered exactly once.
 	e := sim.NewEngine()
-	r, err := NewSeqReader(memFetch(time.Millisecond), 8, 30, 4, 2)
+	r, err := NewSeqReader(memFetch(time.Millisecond), 8, 30, 1, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,14 +277,14 @@ func TestSeqReaderMultipleConsumers(t *testing.T) {
 
 func TestSeqReaderFetchError(t *testing.T) {
 	boom := errors.New("boom")
-	f := func(ctx sim.Context, idx int64, buf []byte) error {
+	f := func(ctx sim.Context, idx int64, _ int, buf []byte) error {
 		if idx == 3 {
 			return boom
 		}
 		return nil
 	}
 	e := sim.NewEngine()
-	r, err := NewSeqReader(f, 8, 5, 2, 1)
+	r, err := NewSeqReader(f, 8, 5, 1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +314,7 @@ func TestSeqReaderFetchError(t *testing.T) {
 func TestSeqReaderCloseUnblocksPrefetchers(t *testing.T) {
 	// Consumer abandons the stream early; Run must not deadlock.
 	e := sim.NewEngine()
-	r, err := NewSeqReader(memFetch(time.Millisecond), 8, 100, 2, 2)
+	r, err := NewSeqReader(memFetch(time.Millisecond), 8, 100, 1, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +342,7 @@ func TestSeqReaderNeverParksAProcess(t *testing.T) {
 			for _, stopAfter := range []int{0, 1, 7, total} {
 				for _, hold := range []bool{false, true} {
 					e := sim.NewEngine()
-					r, err := NewSeqReader(memFetch(time.Millisecond), 4, total, nbufs, readers)
+					r, err := NewSeqReader(memFetch(time.Millisecond), 4, total, 1, nbufs, readers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -360,11 +375,11 @@ func TestSeqReaderNeverParksAProcess(t *testing.T) {
 
 func TestSeqWriterSynchronous(t *testing.T) {
 	var wrote []int64
-	flush := func(ctx sim.Context, idx int64, buf []byte) error {
+	flush := func(ctx sim.Context, idx int64, _ int, buf []byte) error {
 		wrote = append(wrote, idx)
 		return nil
 	}
-	w, err := NewSeqWriter(flush, 8, 2, 0)
+	w, err := NewSeqWriter(flush, 8, 5, 1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,11 +406,11 @@ func TestSeqWriterDeferredOverlap(t *testing.T) {
 	// writing should overlap them (~n ms), synchronous doubles (~2n ms).
 	run := func(writers int) time.Duration {
 		e := sim.NewEngine()
-		flush := func(ctx sim.Context, idx int64, buf []byte) error {
+		flush := func(ctx sim.Context, idx int64, _ int, buf []byte) error {
 			ctx.Sleep(time.Millisecond)
 			return nil
 		}
-		w, err := NewSeqWriter(flush, 8, 2, writers)
+		w, err := NewSeqWriter(flush, 8, 10, 1, 2, writers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,14 +450,14 @@ func TestSeqWriterDeferredOverlap(t *testing.T) {
 
 func TestSeqWriterCollectsErrors(t *testing.T) {
 	boom := errors.New("boom")
-	flush := func(ctx sim.Context, idx int64, buf []byte) error {
+	flush := func(ctx sim.Context, idx int64, _ int, buf []byte) error {
 		if idx == 2 {
 			return boom
 		}
 		return nil
 	}
 	e := sim.NewEngine()
-	w, err := NewSeqWriter(flush, 8, 2, 1)
+	w, err := NewSeqWriter(flush, 8, 4, 1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +484,7 @@ func TestSeqWriterCollectsErrors(t *testing.T) {
 }
 
 func TestSeqWriterDoubleCloseOK(t *testing.T) {
-	w, err := NewSeqWriter(func(sim.Context, int64, []byte) error { return nil }, 8, 1, 0)
+	w, err := NewSeqWriter(func(sim.Context, int64, int, []byte) error { return nil }, 8, 0, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,37 +509,46 @@ type cacheBacking struct {
 
 func newCacheBacking() *cacheBacking { return &cacheBacking{blocks: map[int64][]byte{}} }
 
-func (b *cacheBacking) fetch(ctx sim.Context, idx int64, buf []byte) error {
-	b.fetches++
-	if src, ok := b.blocks[idx]; ok {
-		copy(buf, src)
-	} else {
-		clear(buf)
+// blockOf is the i-th block of a span buffer holding len(idxs) blocks.
+func blockOf(buf []byte, idxs []int64, i int) []byte {
+	bs := len(buf) / len(idxs)
+	return buf[i*bs : (i+1)*bs]
+}
+
+func (b *cacheBacking) fetch(ctx sim.Context, idxs []int64, buf []byte) error {
+	for i, idx := range idxs {
+		b.fetches++
+		dst := blockOf(buf, idxs, i)
+		clear(dst)
+		copy(dst, b.blocks[idx])
 	}
 	return nil
 }
 
-func (b *cacheBacking) flush(ctx sim.Context, idx int64, buf []byte) error {
-	b.flushes++
-	cp := make([]byte, len(buf))
-	copy(cp, buf)
-	b.blocks[idx] = cp
+func (b *cacheBacking) flush(ctx sim.Context, idxs []int64, buf []byte) error {
+	for i, idx := range idxs {
+		b.flushes++
+		b.blocks[idx] = append([]byte(nil), blockOf(buf, idxs, i)...)
+	}
 	return nil
 }
+
+// noFlush is a write hook for caches that are never dirtied.
+func noFlush(sim.Context, []int64, []byte) error { return nil }
 
 func TestCacheValidation(t *testing.T) {
 	b := newCacheBacking()
-	if _, err := NewCache(b.fetch, b.flush, 0, 1); err == nil {
+	if _, err := NewCache(b.fetch, b.flush, 0, 1, 0); err == nil {
 		t.Fatal("zero block size accepted")
 	}
-	if _, err := NewCache(b.fetch, b.flush, 8, 0); err == nil {
+	if _, err := NewCache(b.fetch, b.flush, 8, 0, 0); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
 }
 
 func TestCacheHitMissAndLRU(t *testing.T) {
 	b := newCacheBacking()
-	c, err := NewCache(b.fetch, b.flush, 8, 2)
+	c, err := NewCache(b.fetch, b.flush, 8, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +581,7 @@ func TestCacheHitMissAndLRU(t *testing.T) {
 
 func TestCacheWriteBackOnEvictionAndFlush(t *testing.T) {
 	b := newCacheBacking()
-	c, err := NewCache(b.fetch, b.flush, 8, 2)
+	c, err := NewCache(b.fetch, b.flush, 8, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +617,7 @@ func TestCacheWriteBackOnEvictionAndFlush(t *testing.T) {
 
 func TestCacheReadAfterWriteThroughEviction(t *testing.T) {
 	b := newCacheBacking()
-	c, err := NewCache(b.fetch, b.flush, 8, 1)
+	c, err := NewCache(b.fetch, b.flush, 8, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,12 +641,12 @@ func TestCacheCoalescesConcurrentMisses(t *testing.T) {
 	// Two processes miss the same block; only one fetch must occur.
 	e := sim.NewEngine()
 	fetches := 0
-	fetch := func(ctx sim.Context, idx int64, buf []byte) error {
+	fetch := func(ctx sim.Context, idxs []int64, buf []byte) error {
 		fetches++
 		ctx.Sleep(time.Millisecond)
 		return nil
 	}
-	c, err := NewCache(fetch, func(sim.Context, int64, []byte) error { return nil }, 8, 4)
+	c, err := NewCache(fetch, noFlush, 8, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +670,7 @@ func TestCacheZipfLocalityBeatsUniform(t *testing.T) {
 	// better hit rate than under uniform access.
 	run := func(skew float64) float64 {
 		b := newCacheBacking()
-		c, err := NewCache(b.fetch, b.flush, 8, 16)
+		c, err := NewCache(b.fetch, b.flush, 8, 16, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -668,9 +692,7 @@ func TestCacheZipfLocalityBeatsUniform(t *testing.T) {
 
 func TestCacheFetchErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	c, err := NewCache(
-		func(sim.Context, int64, []byte) error { return boom },
-		func(sim.Context, int64, []byte) error { return nil }, 8, 2)
+	c, err := NewCache(func(sim.Context, []int64, []byte) error { return boom }, noFlush, 8, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,7 +712,7 @@ func TestSeqReaderManyBuffersStress(t *testing.T) {
 	for _, nbufs := range []int{1, 2, 3, 8} {
 		for _, readers := range []int{1, 2, 4} {
 			e := sim.NewEngine()
-			r, err := NewSeqReader(memFetch(100*time.Microsecond), 4, 50, nbufs, readers)
+			r, err := NewSeqReader(memFetch(100*time.Microsecond), 4, 50, 1, nbufs, readers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -724,12 +746,13 @@ func TestSeqReaderManyBuffersStress(t *testing.T) {
 }
 
 // TestCacheMissRecyclesEvictedFrame pins the steady-state cost of a miss
-// on a full cache: the evicted entry and its frame are recycled, so a
-// miss allocates at most the busy marker and the LRU element — never a
-// block-sized frame.
+// on a full cache: the evicted entry and its frame are recycled, and the
+// one-index span the miss is fetched as takes its list from the cache's
+// batch scratch, so a miss allocates at most the busy marker and the LRU
+// element — never a block-sized frame.
 func TestCacheMissRecyclesEvictedFrame(t *testing.T) {
 	const blockSize, capacity = 4096, 8
-	c, err := NewCache(memFetch(0), func(sim.Context, int64, []byte) error { return nil }, blockSize, capacity)
+	c, err := NewCache(memSpan(0), noFlush, blockSize, capacity, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -775,17 +798,19 @@ func TestCacheMissRecyclesEvictedFrame(t *testing.T) {
 func TestCacheEvictionDuringFlushKeepsFrame(t *testing.T) {
 	written := map[int64]byte{}
 	calls := 0
-	flush := func(ctx sim.Context, idx int64, buf []byte) error {
+	flush := func(ctx sim.Context, idxs []int64, buf []byte) error {
 		calls++
 		if calls == 1 {
 			ctx.Sleep(20 * time.Millisecond) // Flush's write: slow
 		} else {
 			ctx.Sleep(time.Millisecond) // the evictor's write-back overtakes it
 		}
-		written[idx] = buf[0]
+		for i, idx := range idxs {
+			written[idx] = blockOf(buf, idxs, i)[0]
+		}
 		return nil
 	}
-	c, err := NewCache(memFetch(time.Millisecond), flush, 8, 1)
+	c, err := NewCache(memSpan(time.Millisecond), flush, 8, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -824,16 +849,18 @@ func TestCacheEvictionDuringFlushKeepsFrame(t *testing.T) {
 func TestCacheFlushIsNotEvicted(t *testing.T) {
 	b := newCacheBacking()
 	flushed := map[int64]int{}
-	flush := func(ctx sim.Context, idx int64, buf []byte) error {
+	flush := func(ctx sim.Context, idxs []int64, buf []byte) error {
 		ctx.Sleep(10 * time.Millisecond) // long enough for the others to get in its way
-		flushed[idx]++
-		return b.flush(ctx, idx, buf)
+		for _, idx := range idxs {
+			flushed[idx]++
+		}
+		return b.flush(ctx, idxs, buf)
 	}
-	fetch := func(ctx sim.Context, idx int64, buf []byte) error {
+	fetch := func(ctx sim.Context, idxs []int64, buf []byte) error {
 		ctx.Sleep(time.Millisecond)
-		return b.fetch(ctx, idx, buf)
+		return b.fetch(ctx, idxs, buf)
 	}
-	c, err := NewCache(fetch, flush, 8, 2)
+	c, err := NewCache(fetch, flush, 8, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,19 @@ import (
 	"repro/internal/sim"
 )
 
+// FetchSpan reads the len(idxs) blocks listed in idxs into buf, the i-th
+// landing at buf[i×blockSize:]. The indices are ascending and distinct
+// but need not be contiguous; a vectored backend (blockio.Set.ReadVec)
+// coalesces physically adjacent blocks into single device requests. A
+// miss is the one-index list, fetched straight into its frame.
+type FetchSpan func(ctx sim.Context, idxs []int64, buf []byte) error
+
 // FlushSpan writes the len(idxs) blocks listed in idxs from buf, the i-th
 // taken from buf[i×blockSize:] — the write counterpart of FetchSpan. The
 // indices are ascending and distinct; a vectored backend
 // (blockio.Set.WriteVec) turns them into one gather request per physical
-// run, issued in parallel across drives.
+// run, issued in parallel across drives. An eviction's write-back is the
+// one-index list, written from the victim's frame.
 type FlushSpan func(ctx sim.Context, idxs []int64, buf []byte) error
 
 // CacheStats counts cache outcomes.
@@ -56,8 +64,8 @@ func (e *entry) insertAfter(at *entry) {
 	at.next = e
 }
 
-// batch is the scratch of one vectored transfer: the entries it moves
-// and, for a span hook, their block indices and the staging buffer.
+// batch is the scratch of one transfer: the entries it moves, their
+// block indices and, for several, the staging buffer.
 type batch struct {
 	ents []*entry
 	idxs []int64
@@ -91,8 +99,8 @@ func (b *batch) span(blockSize int) (idxs []int64, stage []byte) {
 // blocks touched once — a scan, the tail of a skewed distribution — pass
 // through without displacing the blocks that are hit again.
 //
-// Write-back is deferred when the cache has cleaners (SetFlushSpan) and
-// runs under an engine: an eviction whose victim is dirty leaves the
+// Write-back is deferred when the cache has cleaners (NewCache) and runs
+// under an engine: an eviction whose victim is dirty leaves the
 // victim, frame and all, with a cleaner — a dedicated I/O process that
 // writes the victims handed over so far, sorted by block index, with one
 // vectored request, frees their frames and retires — and the evicting
@@ -107,11 +115,9 @@ func (b *batch) span(blockSize int) (idxs []int64, stage []byte) {
 // Under an engine concurrent accessors coalesce misses per block; without
 // one the cache must be used from a single goroutine.
 type Cache struct {
-	fetch     Fetch
-	fetchSpan FetchSpan // optional vectored batch fetch (FaultIn)
-	flush     FlushFn
-	flushSpan FlushSpan // optional vectored batch write (Flush, cleaners)
-	cleaners  int       // write-behind processes allowed at once
+	fetch     FetchSpan
+	flush     FlushSpan
+	cleaners  int // write-behind processes allowed at once
 	blockSize int
 	capacity  int
 	protCap   int // protected segment's share of capacity
@@ -154,8 +160,11 @@ const (
 	behindDen                  = 4
 )
 
-// NewCache builds a cache of capacity blocks.
-func NewCache(fetch Fetch, flush FlushFn, blockSize, capacity int) (*Cache, error) {
+// NewCache builds a cache of capacity blocks that fetches and writes
+// blocks through fetch and flush, with up to `cleaners` write-behind
+// processes writing the dirty victims evictions leave behind (0 keeps
+// eviction's write-back synchronous).
+func NewCache(fetch FetchSpan, flush FlushSpan, blockSize, capacity, cleaners int) (*Cache, error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("buffer: block size %d", blockSize)
 	}
@@ -165,6 +174,7 @@ func NewCache(fetch Fetch, flush FlushFn, blockSize, capacity int) (*Cache, erro
 	c := &Cache{
 		fetch:     fetch,
 		flush:     flush,
+		cleaners:  max(cleaners, 0),
 		blockSize: blockSize,
 		capacity:  capacity,
 		protCap:   capacity * protectedNum / protectedDen,
@@ -180,23 +190,6 @@ func NewCache(fetch Fetch, flush FlushFn, blockSize, capacity int) (*Cache, erro
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
-
-// SetFetchSpan installs a vectored batch fetch used by FaultIn. Without
-// one, FaultIn degrades to per-block fetches.
-func (c *Cache) SetFetchSpan(fs FetchSpan) { c.fetchSpan = fs }
-
-// SetFlushSpan installs a vectored batch write. Flush uses it to write
-// every dirty block with one call, and up to `cleaners` write-behind
-// processes use it to write the dirty victims evictions leave behind (0
-// keeps eviction's write-back synchronous). Without one, Flush degrades
-// to per-block writes and there is no write-behind.
-func (c *Cache) SetFlushSpan(fs FlushSpan, cleaners int) {
-	c.flushSpan = fs
-	c.cleaners = 0
-	if fs != nil {
-		c.cleaners = max(cleaners, 0)
-	}
-}
 
 // Resident reports how many blocks are cached.
 func (c *Cache) Resident() int { return len(c.entries) }
@@ -294,6 +287,17 @@ func (c *Cache) putBatch(b *batch) {
 	c.batches = append(c.batches, b)
 }
 
+// one moves block e.idx between its frame and the backing store through
+// hook (c.fetch or c.flush) as the one-index span, its list taken from
+// the batch scratch.
+func (c *Cache) one(ctx sim.Context, hook func(sim.Context, []int64, []byte) error, e *entry) error {
+	b := c.getBatch()
+	b.idxs = append(b.idxs[:0], e.idx)
+	err := hook(ctx, b.idxs, e.buf)
+	c.putBatch(b)
+	return err
+}
+
 // frame returns a frame, in flight, for a block about to be fetched,
 // evicting while the cache is full. It may park — in a victim's
 // write-back, or behind a Flush that holds the coldest blocks — so the
@@ -373,7 +377,7 @@ func (c *Cache) evictOne(ctx sim.Context) (*entry, error) {
 	}
 	c.inflight++
 	c.stats.WriteBacks++
-	err := c.flush(ctx, victim.idx, victim.buf)
+	err := c.one(ctx, c.flush, victim)
 	c.clearBusy(ctx, victim.idx)
 	if err != nil {
 		c.release(ctx, victim)
@@ -430,29 +434,17 @@ func (c *Cache) clean(p *sim.Proc) {
 }
 
 // writeSpan writes b's blocks — dirty, marked busy by the caller,
-// ascending — with one FlushSpan call (block by block without the hook)
-// and marks the written ones clean.
+// ascending — with one FlushSpan call and marks them clean.
 func (c *Cache) writeSpan(ctx sim.Context, b *batch) error {
 	if len(b.ents) == 0 {
 		return nil
 	}
 	c.stats.WriteBacks += int64(len(b.ents))
-	if c.flushSpan == nil {
-		var errs []error
-		for _, e := range b.ents {
-			if err := c.flush(ctx, e.idx, e.buf); err != nil {
-				errs = append(errs, fmt.Errorf("buffer: flush block %d: %w", e.idx, err))
-			} else {
-				e.dirty = false
-			}
-		}
-		return errors.Join(errs...)
-	}
 	idxs, stage := b.span(c.blockSize)
 	for i, e := range b.ents {
 		copy(stage[i*c.blockSize:], e.buf)
 	}
-	if err := c.flushSpan(ctx, idxs, stage); err != nil {
+	if err := c.flush(ctx, idxs, stage); err != nil {
 		return fmt.Errorf("buffer: write back %d blocks: %w", len(b.ents), err)
 	}
 	for _, e := range b.ents {
@@ -485,7 +477,7 @@ func (c *Cache) With(ctx sim.Context, idx int64, dirty bool, fn func(buf []byte)
 		}
 		c.stats.Misses++
 		c.setBusy(idx, e)
-		err = c.fetch(ctx, idx, e.buf)
+		err = c.one(ctx, c.fetch, e)
 		c.clearBusy(ctx, idx)
 		if err != nil {
 			c.release(ctx, e)
@@ -498,7 +490,7 @@ func (c *Cache) With(ctx sim.Context, idx int64, dirty bool, fn func(buf []byte)
 }
 
 // FaultIn brings the listed blocks (ascending, distinct) into the cache,
-// fetching all the missing ones with a single vectored FetchSpan call —
+// fetching all the missing ones with a single FetchSpan call —
 // the ranged fault path: a request spanning several absent blocks pays
 // the device's per-request overhead once per physically contiguous run
 // instead of once per block. Blocks already resident are referenced first
@@ -549,19 +541,11 @@ func (c *Cache) FaultIn(ctx sim.Context, idxs []int64) error {
 		return nil
 	}
 	c.stats.Misses += int64(len(b.ents))
-	var err error
-	if c.fetchSpan != nil {
-		idxs, stage := b.span(c.blockSize)
-		if err = c.fetchSpan(ctx, idxs, stage); err == nil {
-			for i, e := range b.ents {
-				copy(e.buf, stage[i*c.blockSize:])
-			}
-		}
-	} else {
-		for _, e := range b.ents {
-			if err = c.fetch(ctx, e.idx, e.buf); err != nil {
-				break
-			}
+	idxs, stage := b.span(c.blockSize)
+	err := c.fetch(ctx, idxs, stage)
+	if err == nil {
+		for i, e := range b.ents {
+			copy(e.buf, stage[i*c.blockSize:])
 		}
 	}
 	for _, e := range b.ents {

@@ -9,25 +9,18 @@ import (
 	"repro/internal/sim"
 )
 
-// poolBacking is a block store with service times, a vectored write and
-// a switch that makes every write fail, for the buffer-pool tests.
+// poolBacking is a block store with service times and a switch that
+// makes every write fail, for the buffer-pool tests.
 type poolBacking struct {
 	blockSize int
 	blocks    map[int64][]byte
 	failing   bool
 	spans     int // FlushSpan calls
 	spanned   int // blocks they carried
-	singles   int // FlushFn calls
+	inline    int // FlushSpan calls made outside a cleaner: evictions' write-backs and Flushes
 }
 
 var errDrive = errors.New("drive failed")
-
-func (b *poolBacking) fetch(ctx sim.Context, idx int64, buf []byte) error {
-	ctx.Sleep(time.Millisecond)
-	clear(buf)
-	copy(buf, b.blocks[idx])
-	return nil
-}
 
 func (b *poolBacking) fetchSpan(ctx sim.Context, idxs []int64, buf []byte) error {
 	ctx.Sleep(time.Millisecond)
@@ -43,17 +36,10 @@ func (b *poolBacking) put(idx int64, buf []byte) {
 	b.blocks[idx] = append(b.blocks[idx][:0], buf...)
 }
 
-func (b *poolBacking) flush(ctx sim.Context, idx int64, buf []byte) error {
-	ctx.Sleep(2 * time.Millisecond)
-	b.singles++
-	if b.failing {
-		return errDrive
-	}
-	b.put(idx, buf)
-	return nil
-}
-
 func (b *poolBacking) flushSpan(ctx sim.Context, idxs []int64, buf []byte) error {
+	if p, ok := ctx.(*sim.Proc); !ok || p.Name() != "cache-cleaner" {
+		b.inline++
+	}
 	ctx.Sleep(2 * time.Millisecond)
 	b.spans++
 	b.spanned += len(idxs)
@@ -72,11 +58,10 @@ func (b *poolBacking) flushSpan(ctx sim.Context, idxs []int64, buf []byte) error
 func newPool(t *testing.T, capacity, cleaners int) (*Cache, *poolBacking) {
 	t.Helper()
 	be := &poolBacking{blockSize: 8, blocks: map[int64][]byte{}}
-	c, err := NewCache(be.fetch, be.flush, be.blockSize, capacity)
+	c, err := NewCache(be.fetchSpan, be.flushSpan, be.blockSize, capacity, cleaners)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetFlushSpan(be.flushSpan, cleaners)
 	return c, be
 }
 
@@ -123,7 +108,6 @@ func TestCacheDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		for _, cleaners := range []int{0, 2} {
 			c, be := newPool(t, capacity, cleaners)
-			c.SetFetchSpan(be.fetchSpan)
 			ref := map[int64]byte{}
 			e := sim.NewEngine()
 			for p := 0; p < procs; p++ {
@@ -221,8 +205,8 @@ func TestCacheScanResistance(t *testing.T) {
 	if got := c.Stats().Hits - before.Hits; got != int64(hot) {
 		t.Fatalf("%d of %d hot blocks survived a sweep of %d blocks through a %d-block cache", got, hot, 4*capacity, capacity)
 	}
-	if be.singles != 0 {
-		t.Fatalf("%d write-backs from a read-only workload", be.singles)
+	if be.spans != 0 {
+		t.Fatalf("%d writes from a read-only workload", be.spans)
 	}
 }
 
@@ -264,11 +248,14 @@ func TestCacheWriteBehind(t *testing.T) {
 	if want := (blocks + 2*evictions + 2) * time.Millisecond; sync != want {
 		t.Fatalf("synchronous write-back took %v, want %v", sync, want)
 	}
-	if sb.singles != evictions || sb.spans != 1 {
-		t.Fatalf("synchronous: %d single write-backs and %d vectored, want %d and 1 (the Flush)", sb.singles, sb.spans, evictions)
+	// Each synchronous write-back is a one-block span from the evicting
+	// process; the Flush writes the capacity resident blocks as one.
+	if sb.inline != evictions+1 || sb.spans != evictions+1 || sb.spanned != evictions+capacity {
+		t.Fatalf("synchronous: %d writes (%d inline) carrying %d blocks, want %d one-block write-backs and the Flush of %d",
+			sb.spans, sb.inline, sb.spanned, evictions, capacity)
 	}
-	if bb.singles != 0 {
-		t.Fatalf("write-behind: %d synchronous write-backs, want none (the reserve never filled)", bb.singles)
+	if bb.inline != 1 {
+		t.Fatalf("write-behind: %d writes outside the cleaners, want only the Flush (the reserve never filled)", bb.inline)
 	}
 	if want := (blocks + 2 + 2) * time.Millisecond; behind > want {
 		t.Fatalf("write-behind took %v, want at most %v (the fetches, then the last batch and the Flush)", behind, want)
@@ -369,7 +356,7 @@ func TestCacheAbandonedLeavesNoProcess(t *testing.T) {
 	if c.cleaning != 0 || c.behind != 0 {
 		t.Fatalf("%d cleaners still at work on %d blocks after the run", c.cleaning, c.behind)
 	}
-	if be.spanned+be.singles != 60-c.Resident() {
-		t.Fatalf("%d blocks written back, %d evicted dirty", be.spanned+be.singles, 60-c.Resident())
+	if be.spanned != 60-c.Resident() {
+		t.Fatalf("%d blocks written back, %d evicted dirty", be.spanned, 60-c.Resident())
 	}
 }

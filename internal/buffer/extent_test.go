@@ -31,7 +31,7 @@ func TestSeqReaderExtentBoundaries(t *testing.T) {
 		}
 		return nil
 	}
-	r, err := NewSeqReaderExtent(fetch, bs, total, extent, 2, 0)
+	r, err := NewSeqReader(fetch, bs, total, extent, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSeqWriterExtentBoundaries(t *testing.T) {
 		}
 		return nil
 	}
-	w, err := NewSeqWriterExtent(flush, bs, total, extent, 2, 0)
+	w, err := NewSeqWriter(flush, bs, total, extent, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSeqReaderExtentPrefetch(t *testing.T) {
 		return nil
 	}
 	e := sim.NewEngine()
-	r, err := NewSeqReaderExtent(fetch, bs, total, extent, 3, 2)
+	r, err := NewSeqReader(fetch, bs, total, extent, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

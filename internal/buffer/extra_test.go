@@ -7,18 +7,18 @@ import (
 )
 
 func TestSeqWriterValidation(t *testing.T) {
-	flush := func(sim.Context, int64, []byte) error { return nil }
-	if _, err := NewSeqWriter(flush, 0, 1, 1); err == nil {
+	flush := func(sim.Context, int64, int, []byte) error { return nil }
+	if _, err := NewSeqWriter(flush, 0, 1, 1, 1, 1); err == nil {
 		t.Fatal("zero block size accepted")
 	}
-	if _, err := NewSeqWriter(flush, 8, 0, 1); err == nil {
+	if _, err := NewSeqWriter(flush, 8, 1, 1, 0, 1); err == nil {
 		t.Fatal("zero buffers accepted")
 	}
-	if _, err := NewSeqWriter(flush, 8, 1, -1); err == nil {
+	if _, err := NewSeqWriter(flush, 8, 1, 1, 1, -1); err == nil {
 		t.Fatal("negative writers accepted")
 	}
 	// writers > nbufs clamps rather than errors.
-	w, err := NewSeqWriter(flush, 8, 2, 10)
+	w, err := NewSeqWriter(flush, 8, 1, 1, 2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestSeqWriterValidation(t *testing.T) {
 }
 
 func TestSeqReaderClampReaders(t *testing.T) {
-	r, err := NewSeqReader(memFetch(0), 8, 4, 2, 10)
+	r, err := NewSeqReader(memFetch(0), 8, 4, 1, 2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +40,8 @@ func TestSeqReaderClampReaders(t *testing.T) {
 func TestSeqWriterSynchronousBufferExhaustion(t *testing.T) {
 	// In synchronous mode, Acquire without Submit exhausts the pool and
 	// must error rather than hang.
-	flush := func(sim.Context, int64, []byte) error { return nil }
-	w, err := NewSeqWriter(flush, 8, 1, 0)
+	flush := func(sim.Context, int64, int, []byte) error { return nil }
+	w, err := NewSeqWriter(flush, 8, 1, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSeqWriterSynchronousBufferExhaustion(t *testing.T) {
 }
 
 func TestSeqReaderSynchronousBufferLeak(t *testing.T) {
-	r, err := NewSeqReader(memFetch(0), 8, 4, 1, 0)
+	r, err := NewSeqReader(memFetch(0), 8, 4, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestCacheOvercommitWhenAllBusy(t *testing.T) {
 	// Capacity 1 with two concurrent misses on different blocks: the
 	// second must overcommit rather than deadlock or fail.
 	e := sim.NewEngine()
-	fetch := func(ctx sim.Context, idx int64, buf []byte) error {
+	fetch := func(ctx sim.Context, idxs []int64, buf []byte) error {
 		ctx.Sleep(1000)
 		return nil
 	}
-	c, err := NewCache(fetch, func(sim.Context, int64, []byte) error { return nil }, 8, 1)
+	c, err := NewCache(fetch, noFlush, 8, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +98,11 @@ func TestCacheEvictionOrderDeterministic(t *testing.T) {
 	// Flush order must be ascending block index regardless of insert
 	// order (determinism of virtual-time runs).
 	var flushed []int64
-	flush := func(ctx sim.Context, idx int64, buf []byte) error {
-		flushed = append(flushed, idx)
+	flush := func(ctx sim.Context, idxs []int64, buf []byte) error {
+		flushed = append(flushed, idxs...)
 		return nil
 	}
-	c, err := NewCache(func(sim.Context, int64, []byte) error { return nil }, flush, 8, 8)
+	c, err := NewCache(memSpan(0), flush, 8, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

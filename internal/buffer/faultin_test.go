@@ -7,22 +7,13 @@ import (
 	"repro/internal/sim"
 )
 
-// spanBackend instruments a fake store: it counts fetch calls of each
-// kind so tests can assert the batch path was taken.
+// spanBackend instruments a fake store: it counts fetch calls and the
+// blocks they carry so tests can assert how a fault was batched.
 type spanBackend struct {
 	blockSize  int
-	fetches    int // single-block Fetch calls
 	spans      int // FetchSpan calls
 	spanBlocks int // blocks moved by FetchSpan calls
-	flushes    int
-}
-
-func (b *spanBackend) fetch(ctx sim.Context, idx int64, buf []byte) error {
-	b.fetches++
-	for i := range buf {
-		buf[i] = byte(idx)
-	}
-	return nil
+	flushes    int // blocks written
 }
 
 func (b *spanBackend) fetchSpan(ctx sim.Context, idxs []int64, buf []byte) error {
@@ -36,19 +27,18 @@ func (b *spanBackend) fetchSpan(ctx sim.Context, idxs []int64, buf []byte) error
 	return nil
 }
 
-func (b *spanBackend) flush(ctx sim.Context, idx int64, buf []byte) error {
-	b.flushes++
+func (b *spanBackend) flushSpan(ctx sim.Context, idxs []int64, buf []byte) error {
+	b.flushes += len(idxs)
 	return nil
 }
 
 func newSpanCache(t *testing.T, capacity int) (*Cache, *spanBackend) {
 	t.Helper()
 	be := &spanBackend{blockSize: 16}
-	c, err := NewCache(be.fetch, be.flush, be.blockSize, capacity)
+	c, err := NewCache(be.fetchSpan, be.flushSpan, be.blockSize, capacity, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetFetchSpan(be.fetchSpan)
 	return c, be
 }
 
@@ -61,9 +51,8 @@ func TestFaultInBatchesMisses(t *testing.T) {
 	if err := c.FaultIn(ctx, idxs); err != nil {
 		t.Fatal(err)
 	}
-	if be.spans != 1 || be.spanBlocks != 4 || be.fetches != 0 {
-		t.Fatalf("FaultIn used %d span calls (%d blocks) and %d single fetches; want 1 span of 4",
-			be.spans, be.spanBlocks, be.fetches)
+	if be.spans != 1 || be.spanBlocks != 4 {
+		t.Fatalf("FaultIn used %d span calls (%d blocks); want 1 span of 4", be.spans, be.spanBlocks)
 	}
 	for _, idx := range idxs {
 		idx := idx
@@ -80,8 +69,8 @@ func TestFaultInBatchesMisses(t *testing.T) {
 	if s := c.Stats(); s.Hits != 4 || s.Misses != 4 {
 		t.Fatalf("stats = %+v, want 4 hits (post-fault) and 4 misses (the faulted blocks)", s)
 	}
-	if be.fetches != 0 {
-		t.Fatalf("%d single-block fetches after FaultIn; want 0", be.fetches)
+	if be.spans != 1 {
+		t.Fatalf("%d fetches after FaultIn; want 0", be.spans-1)
 	}
 }
 
@@ -93,7 +82,7 @@ func TestFaultInSkipsResident(t *testing.T) {
 	if err := c.With(ctx, 7, false, func([]byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	be.fetches = 0
+	be.spans, be.spanBlocks = 0, 0
 	if err := c.FaultIn(ctx, []int64{2, 4, 7, 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +102,7 @@ func TestFaultInSkipsResident(t *testing.T) {
 }
 
 // TestFaultInClampsToCapacity asserts a span larger than the cache only
-// faults capacity blocks (the rest fall back to per-block fetches).
+// faults capacity blocks (callers reach the rest through With).
 func TestFaultInClampsToCapacity(t *testing.T) {
 	c, be := newSpanCache(t, 3)
 	ctx := sim.NewWall()
@@ -143,20 +132,5 @@ func TestFaultInWritesBack(t *testing.T) {
 	}
 	if be.flushes != 2 {
 		t.Fatalf("%d write-backs, want 2 (both dirty victims)", be.flushes)
-	}
-}
-
-// TestFaultInWithoutFetchSpan degrades to per-block fetches.
-func TestFaultInWithoutFetchSpan(t *testing.T) {
-	be := &spanBackend{blockSize: 16}
-	c, err := NewCache(be.fetch, be.flush, be.blockSize, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.FaultIn(sim.NewWall(), []int64{1, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if be.fetches != 2 || c.Resident() != 2 {
-		t.Fatalf("fallback faulted %d blocks via %d fetches, want 2 via 2", c.Resident(), be.fetches)
 	}
 }

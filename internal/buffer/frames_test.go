@@ -30,7 +30,7 @@ func TestFramesRecycledOnReopen(t *testing.T) {
 	ctx := sim.NewWall()
 	reader := func(nbufs int) func() {
 		return func() {
-			r, err := NewSeqReader(memFetch(0), size, 4, nbufs, 0)
+			r, err := NewSeqReader(memFetch(0), size, 8, 1, nbufs, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,7 +39,7 @@ func TestFramesRecycledOnReopen(t *testing.T) {
 	}
 	writer := func(nbufs int) func() {
 		return func() {
-			w, err := NewSeqWriter(func(sim.Context, int64, []byte) error { return nil }, size, nbufs, 0)
+			w, err := NewSeqWriter(func(sim.Context, int64, int, []byte) error { return nil }, size, 0, 1, nbufs, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,10 +61,10 @@ func TestFramesRecycledOnReopen(t *testing.T) {
 	e := sim.NewEngine()
 	var held [][]byte
 	e.Go("producer", func(p *sim.Proc) {
-		w, err := NewSeqWriter(func(ctx sim.Context, _ int64, _ []byte) error {
+		w, err := NewSeqWriter(func(ctx sim.Context, _ int64, _ int, _ []byte) error {
 			ctx.Sleep(time.Millisecond)
 			return nil
-		}, size+1, 3, 2)
+		}, size+1, 10, 1, 3, 2)
 		if err != nil {
 			t.Error(err)
 			return
@@ -102,13 +102,13 @@ func TestCloseKeepsInFlightFrames(t *testing.T) {
 	const size = 12347
 	e := sim.NewEngine()
 	var fetchedInto [][]byte
-	fetch := func(ctx sim.Context, idx int64, buf []byte) error {
+	fetch := func(ctx sim.Context, idx int64, _ int, buf []byte) error {
 		fetchedInto = append(fetchedInto, buf)
 		ctx.Sleep(time.Duration(1+49*idx) * time.Millisecond) // block 1 lands long after block 0
 		return nil
 	}
 	e.Go("consumer", func(p *sim.Proc) {
-		r, err := NewSeqReader(fetch, size, 4, 2, 2)
+		r, err := NewSeqReader(fetch, size, 4, 1, 2, 2)
 		if err != nil {
 			t.Error(err)
 			return
@@ -120,7 +120,7 @@ func TestCloseKeepsInFlightFrames(t *testing.T) {
 		}
 		r.Close(p) // block 1's fetch is in flight
 		r.Release(p, held)
-		next, err := NewSeqReader(fetch, size, 4, 3, 0)
+		next, err := NewSeqReader(fetch, size, 4, 1, 3, 0)
 		if err != nil {
 			t.Error(err)
 			return
@@ -158,14 +158,14 @@ func TestFramesConcurrentStreams(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ctx := sim.NewWall()
-			stamp := func(_ sim.Context, _ int64, buf []byte) error {
+			stamp := func(_ sim.Context, _ int64, _ int, buf []byte) error {
 				for i := range buf {
 					buf[i] = byte(id)
 				}
 				return nil
 			}
 			for range rounds {
-				r, err := NewSeqReader(stamp, size, 3, 3, 0)
+				r, err := NewSeqReader(stamp, size, 3, 1, 3, 0)
 				if err != nil {
 					t.Error(err)
 					return

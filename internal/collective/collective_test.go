@@ -239,7 +239,7 @@ func TestCollectiveReadEquivalence(t *testing.T) {
 						total := g.File(f).Mapper().TotalFSBlocks()
 						for b := int64(0); b < total; b++ {
 							pattern(g.Offset(f)+b, blk)
-							if err := g.File(f).Set().WriteBlock(ctx, b, blk); err != nil {
+							if err := g.File(f).Set().WriteVec(ctx, blockio.Vec{{Block: b, N: 1}}, blk); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -290,7 +290,7 @@ func TestCollectiveDegradedRead(t *testing.T) {
 		total := g.File(f).Mapper().TotalFSBlocks()
 		for b := int64(0); b < total; b++ {
 			pattern(g.Offset(f)+b, blk)
-			if err := g.File(f).Set().WriteBlock(ctx, b, blk); err != nil {
+			if err := g.File(f).Set().WriteVec(ctx, blockio.Vec{{Block: b, N: 1}}, blk); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -234,7 +234,7 @@ func sortedSegs(segs [][]rseg) []owned {
 func (pl *plan) aligned(opts Options, split int, rmp ramp) *plan {
 	store := pl.group.Store()
 	nd, per := store.Devices(), store.Blocks()
-	phys, err := blockio.NewSet(store, blockio.NewStriped(nd, per), make([]int64, nd))
+	phys, err := blockio.NewSet(store, blockio.NewStriped(nd, per), make([]int64, nd), int64(nd)*per)
 	if err != nil {
 		panic(err) // unreachable: the layout is built from the store's own shape
 	}

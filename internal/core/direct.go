@@ -20,15 +20,16 @@ func blockVec(dst blockio.Vec, idxs []int64, bs int64) blockio.Vec {
 	return dst
 }
 
-// spansOf builds the vectored batch fetch and write of f's buffer pool:
-// a ranged fault's missing blocks arrive, and the dirty blocks of a Flush
-// or a cleaner's batch leave, as one gather request per physical run, in
-// parallel across drives. Under Options.Strategy the faulted set may
-// instead come in as one sieved covering span per device — direct access
-// faults are exactly the dense-but-holey patterns sieving was invented
-// for. Each hook reuses its descriptor across calls, which is safe even
-// with concurrent callers: the transfer consumes it into physical runs
-// before its first wait.
+// spansOf builds the two hooks of f's buffer pool: a miss's block and a
+// ranged fault's missing blocks arrive, and an eviction's victim and the
+// dirty blocks of a Flush or a cleaner's batch leave, as one descriptor
+// of one-block segments — one gather request per physical run, in
+// parallel across drives, and a single block the one-segment case. Under
+// Options.Strategy the faulted set may instead come in as one sieved
+// covering span per device — direct access faults are exactly the
+// dense-but-holey patterns sieving was invented for. Each hook reuses its
+// descriptor across calls, which is safe even with concurrent callers:
+// the transfer consumes it into physical runs before its first wait.
 func spansOf(f *pfs.File, strat blockio.Strategy) (buffer.FetchSpan, buffer.FlushSpan) {
 	set := f.Set()
 	bs := int64(f.Mapper().FSBlockSize())
@@ -45,18 +46,11 @@ func spansOf(f *pfs.File, strat blockio.Strategy) (buffer.FetchSpan, buffer.Flus
 }
 
 // newBlockCache builds the buffer pool of a direct-access handle on f:
-// opts.CacheBlocks frames, faults and flushes vectored, and opts.IOProcs
-// write-behind processes.
+// opts.CacheBlocks frames, moved through spansOf's hooks, and
+// opts.IOProcs write-behind processes.
 func newBlockCache(f *pfs.File, opts Options) (*buffer.Cache, error) {
-	set := f.Set()
-	cache, err := buffer.NewCache(set.ReadBlock, set.WriteBlock, f.Mapper().FSBlockSize(), opts.CacheBlocks)
-	if err != nil {
-		return nil, err
-	}
-	fetchSpan, flushSpan := spansOf(f, opts.Strategy)
-	cache.SetFetchSpan(fetchSpan)
-	cache.SetFlushSpan(flushSpan, opts.IOProcs)
-	return cache, nil
+	fetch, flush := spansOf(f, opts.Strategy)
+	return buffer.NewCache(fetch, flush, f.Mapper().FSBlockSize(), opts.CacheBlocks, opts.IOProcs)
 }
 
 // moveRecord copies one record between data (len = record size) and the

@@ -15,12 +15,12 @@ import (
 func staleFrames(t *testing.T, size, n int) {
 	t.Helper()
 	ctx := sim.NewWall()
-	r, err := buffer.NewSeqReader(func(_ sim.Context, _ int64, buf []byte) error {
+	r, err := buffer.NewSeqReader(func(_ sim.Context, _ int64, _ int, buf []byte) error {
 		for i := range buf {
 			buf[i] = 0xff
 		}
 		return nil
-	}, size, int64(n), n, 0)
+	}, size, int64(n), 1, n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

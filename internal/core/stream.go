@@ -39,7 +39,7 @@ func newStreamReader(f *pfs.File, seq blockSeq, opts Options) (*StreamReader, er
 	opts = opts.norm()
 	m := f.Mapper()
 	totalFS := seq.n * m.FSPerBlock()
-	rd, err := buffer.NewSeqReaderExtent(rangedFetch(f, seq, opts.Strategy), m.FSBlockSize(), totalFS,
+	rd, err := buffer.NewSeqReader(rangedFetch(f, seq, opts.Strategy), m.FSBlockSize(), totalFS,
 		opts.ExtentBlocks, opts.NBufs, opts.IOProcs)
 	if err != nil {
 		return nil, err
@@ -210,7 +210,7 @@ func newStreamWriter(f *pfs.File, seq blockSeq, opts Options) (*StreamWriter, er
 	opts = opts.norm()
 	m := f.Mapper()
 	totalFS := seq.n * m.FSPerBlock()
-	sw, err := buffer.NewSeqWriterExtent(rangedFlush(f, seq, opts.Strategy), m.FSBlockSize(), totalFS,
+	sw, err := buffer.NewSeqWriter(rangedFlush(f, seq, opts.Strategy), m.FSBlockSize(), totalFS,
 		opts.ExtentBlocks, opts.NBufs, opts.IOProcs)
 	if err != nil {
 		return nil, err

@@ -74,7 +74,7 @@ func rawScan(rec *probe.Recorder, scope string, devs int, unit, blocks int64, re
 		return 0, 0, err
 	}
 	attach(rec, scope, e, disks, store)
-	set, err := blockio.NewSet(store, blockio.NewStriped(devs, unit), make([]int64, devs))
+	set, err := blockio.NewSet(store, blockio.NewStriped(devs, unit), make([]int64, devs), blocks)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -27,7 +27,7 @@ func fixture(t *testing.T, e *sim.Engine, blocks int64) *blockio.Set {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := blockio.NewSet(store, blockio.NewStriped(devs, 1), make([]int64, devs))
+	set, err := blockio.NewSet(store, blockio.NewStriped(devs, 1), make([]int64, devs), int64(devs)*store.Blocks())
 	if err != nil {
 		t.Fatal(err)
 	}

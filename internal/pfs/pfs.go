@@ -535,7 +535,7 @@ func (v *Volume) create(spec Spec, fixedBase []int64) (*File, error) {
 		}
 	}
 
-	set, err := blockio.NewSet(v.store, layout, base)
+	set, err := blockio.NewSet(v.store, layout, base, totalFS)
 	if err != nil {
 		return nil, fmt.Errorf("pfs: %q: %w", spec.Name, err)
 	}

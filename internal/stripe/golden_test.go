@@ -243,7 +243,7 @@ var goldenKinds = []struct {
 		bs := s.BlockSize()
 		buf := make([]byte, 3*bs)
 		for k, b := range [][]int64{{5, 6, 41}, {50, 7, 90}}[i] {
-			if err := s.ReadBlock(ctx, b, buf[k*bs:(k+1)*bs]); err != nil {
+			if err := s.ReadVec(ctx, blockio.Vec{{Block: b, N: 1}}, buf[k*bs:(k+1)*bs]); err != nil {
 				return buf, err
 			}
 		}
@@ -254,7 +254,7 @@ var goldenKinds = []struct {
 		buf := make([]byte, 3*bs)
 		fill(buf, byte(0x10+i))
 		for k, b := range [][]int64{{5, 6, 41}, {50, 7, 90}}[i] {
-			if err := s.WriteBlock(ctx, b, buf[k*bs:(k+1)*bs]); err != nil {
+			if err := s.WriteVec(ctx, blockio.Vec{{Block: b, N: 1}}, buf[k*bs:(k+1)*bs]); err != nil {
 				return nil, err
 			}
 		}
@@ -324,7 +324,7 @@ func goldenResult(sets []*blockio.Set, total int64, errs [2]error, bufs [2][]byt
 	for _, s := range sets {
 		blk := make([]byte, s.BlockSize())
 		for b := int64(0); b < total; b++ {
-			if err := s.ReadBlock(wall, b, blk); err != nil {
+			if err := s.ReadVec(wall, blockio.Vec{{Block: b, N: 1}}, blk); err != nil {
 				h.Write([]byte("unreadable"))
 				continue
 			}
@@ -396,7 +396,7 @@ func TestTransferGoldens(t *testing.T) {
 					e := sim.NewEngine()
 					st := goldenStores(t, e)[si]
 					layout := goldenLayouts(t)[li].layout
-					set, err := blockio.NewSet(st.store, layout, []int64{16, 16, 16, 16})
+					set, err := blockio.NewSet(st.store, layout, []int64{16, 16, 16, 16}, goldenTotal)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -427,7 +427,7 @@ func TestTransferGoldens(t *testing.T) {
 				var sets []*blockio.Set
 				for f := int64(0); f < 4; f++ {
 					base := 16 + f*per
-					s, err := blockio.NewSet(st.store, blockio.NewStriped(4, 2), []int64{base, base, base, base})
+					s, err := blockio.NewSet(st.store, blockio.NewStriped(4, 2), []int64{base, base, base, base}, abutBlocks)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -505,7 +505,7 @@ func goldenPrepare(t *testing.T, sets []*blockio.Set, total int64, st goldenStor
 		blk := make([]byte, s.BlockSize())
 		for b := int64(0); b < total; b++ {
 			fill(blk, byte(int64(f)*31+b))
-			if err := s.WriteBlock(wall, b, blk); err != nil {
+			if err := s.WriteVec(wall, blockio.Vec{{Block: b, N: 1}}, blk); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -85,7 +85,7 @@ func TestVecStoreEquivalence(t *testing.T) {
 	for _, lt := range vecLayouts(t) {
 		for _, st := range vecStores(t) {
 			t.Run(lt.name+"/"+st.name, func(t *testing.T) {
-				set, err := blockio.NewSet(st.store, lt.layout, make([]int64, lt.layout.Devices()))
+				set, err := blockio.NewSet(st.store, lt.layout, make([]int64, lt.layout.Devices()), lt.total)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,7 +112,7 @@ func TestVecStoreEquivalence(t *testing.T) {
 				rb := make([]byte, bs)
 				for _, sg := range vec {
 					for i := int64(0); i < sg.N; i++ {
-						if err := set.ReadBlock(ctx, sg.Block+i, rb); err != nil {
+						if err := set.ReadVec(ctx, blockio.Vec{{Block: sg.Block + i, N: 1}}, rb); err != nil {
 							t.Fatal(err)
 						}
 						if !bytes.Equal(rb, src[sg.BufOff+i*bs:sg.BufOff+(i+1)*bs]) {

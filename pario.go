@@ -34,8 +34,8 @@
 // contiguous runs in closed form (blockio.Layout.MapRun); and a Set
 // issues those runs in parallel across devices. A range has no entry
 // point of its own — it is the one-segment case of the descriptor the
-// next section introduces, and a single block the one-run case beneath
-// that (Set.ReadBlock/WriteBlock, which the fault paths use). Stream
+// next section introduces — and neither has a single block, the
+// one-block segment that a buffer pool's miss or write-back issues. Stream
 // access methods opt in through Options.ExtentBlocks: prefetchers and
 // write-behind then move whole extents per device request, which cuts
 // the modeled per-request overhead of a sequential scan by the

@@ -157,7 +157,7 @@ func runServerCheckpoint(tb testing.TB, perDomain bool) serverRun {
 	ctx := pario.NewWall()
 	blk, want := make([]byte, 4096), make([]byte, 3)
 	for b := int64(0); b < swBlocks; b++ {
-		if err := f.Set().ReadBlock(ctx, b, blk); err != nil {
+		if err := f.Set().ReadVec(ctx, pario.Vec{{Block: b, N: 1}}, blk); err != nil {
 			tb.Fatal(err)
 		}
 		if swStamp(want, b, swCalls-1); string(blk[:3]) != string(want) {

@@ -1,8 +1,9 @@
 // One transfer primitive: what the pipeline below every access method
 // (describe → map → transform → issue, internal/blockio) costs the
-// allocator against the entry points it replaced, and that every
-// transfer — a stream's extents, a direct-access fault — now shows on
-// the flight recorder's blockio track.
+// allocator and the host against the entry points it replaced — one
+// block is its one-segment descriptor — and that every transfer — a
+// stream's extents, a direct-access fault — shows on the flight
+// recorder's blockio track.
 package pario_test
 
 import (
@@ -28,24 +29,26 @@ func stripedFile(tb testing.TB, org pario.Organization, records int64) (*pario.M
 	return m, f
 }
 
-// TestTransferAllocs gates the allocations of the two transfers the
-// access methods are made of. The "before" counts were measured on this
-// fixture at the commit before the vectored run became the only Store
-// transfer:
+// TestTransferAllocs gates the allocations of the transfers the access
+// methods are made of: the one-segment descriptor of one block (a cache
+// miss or write-back) and of 64 blocks (a stream's extent), outside an
+// engine. The "before" counts were measured on this fixture:
 //
-//   - Set.ReadBlock/WriteBlock went store.ReadBlock → disk.ReadBlock and
-//     allocated nothing. They now issue a one-run transfer whose
-//     one-buffer list is recycled: still nothing.
-//   - A steady-state one-segment ReadVec of 64 blocks (one merged run
-//     per drive) allocated 36 objects — validation's index copies and
+//   - One block. Set.ReadBlock/WriteBlock, the one-block entry points the
+//     one-segment descriptor replaced, allocated nothing; the same block
+//     through ReadVec or ReadVecStrategy(Auto) allocated 2 objects, the
+//     mapped run and its segment list.
+//   - 64 blocks, one merged run per drive: 36 objects before the pooled
+//     mapper and recycled scatter lists (validation's index copies and
 //     sort closures, the mapper's growing piece list, a Segs slice and a
-//     scatter list per run. The pooled mapper and recycled lists leave
-//     the result, the parallel branches and nothing else.
+//     scatter list per run), then 2, the mapped runs and their segments.
+//
+// A transfer now maps into scratch that is recycled once its issue
+// returns, so every one of them allocates nothing.
 func TestTransferAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const blockBefore, vecBefore = 0, 36
 	_, f := stripedFile(t, pario.OrgSequential, 64)
 	set := f.Set()
 	ctx := pario.NewWall()
@@ -55,17 +58,21 @@ func TestTransferAllocs(t *testing.T) {
 	if err := set.WriteVec(ctx, vec, buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(200, func() { _ = set.ReadBlock(ctx, 5, blk) }); got > blockBefore {
-		t.Errorf("Set.ReadBlock allocates %v objects per call, %d before", got, blockBefore)
+	one := pario.Vec{{Block: 5, N: 1}}
+	for _, tc := range []struct {
+		name   string
+		before int
+		call   func()
+	}{
+		{"one-block ReadVec", 2, func() { _ = set.ReadVec(ctx, one, blk) }},
+		{"one-block WriteVec", 2, func() { _ = set.WriteVec(ctx, one, blk) }},
+		{"one-block ReadVecStrategy(Auto)", 2, func() { _ = set.ReadVecStrategy(ctx, pario.StrategyAuto, one, blk) }},
+		{"64-block ReadVec", 2, func() { _ = set.ReadVec(ctx, vec, buf) }},
+	} {
+		if got := testing.AllocsPerRun(200, tc.call); got > 0 {
+			t.Errorf("%s allocates %v objects per call, want 0 (%d before)", tc.name, got, tc.before)
+		}
 	}
-	if got := testing.AllocsPerRun(200, func() { _ = set.WriteBlock(ctx, 5, blk) }); got > blockBefore {
-		t.Errorf("Set.WriteBlock allocates %v objects per call, %d before", got, blockBefore)
-	}
-	got := testing.AllocsPerRun(200, func() { _ = set.ReadVec(ctx, vec, buf) })
-	if got >= vecBefore {
-		t.Errorf("one-segment ReadVec allocates %v objects per call, %d before", got, vecBefore)
-	}
-	t.Logf("one-segment ReadVec over 4 drives: %v objects per call (%d before)", got, vecBefore)
 }
 
 // TestEveryTransferRecorded: with a recorder attached, the blockio layer
@@ -144,6 +151,37 @@ func TestEveryTransferRecorded(t *testing.T) {
 			}
 			if int64(spans) != batches {
 				t.Errorf("%d blockio spans for %d batches", spans, batches)
+			}
+		})
+	}
+}
+
+// BenchmarkOneBlockTransfer is the host cost of the transfer a cache
+// miss or an eviction's write-back is made of: one block, the
+// one-segment descriptor, read (vectored, and under StrategyAuto as a
+// direct-access handle's fault path may ask) and written through the Set
+// outside an engine, where the drives complete at once (ns/op,
+// allocs/op).
+func BenchmarkOneBlockTransfer(b *testing.B) {
+	_, f := stripedFile(b, pario.OrgSequential, 64)
+	set := f.Set()
+	ctx := pario.NewWall()
+	blk := make([]byte, set.BlockSize())
+	one := pario.Vec{{Block: 5, N: 1}}
+	for _, bc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"read", func() error { return set.ReadVec(ctx, one, blk) }},
+		{"read-auto", func() error { return set.ReadVecStrategy(ctx, pario.StrategyAuto, one, blk) }},
+		{"write", func() error { return set.WriteVec(ctx, one, blk) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if err := bc.run(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
