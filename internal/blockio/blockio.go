@@ -18,8 +18,9 @@
 //
 // A Store abstracts the device array so reliability wrappers (parity,
 // shadowing — package stripe) can interpose transparently. It moves
-// blocks one way only: a physically contiguous run of one device,
-// scattered into or gathered from a list of buffers.
+// blocks one way only: a transfer's list of runs, each physically
+// contiguous on one device and scattered into or gathered from a list of
+// buffers.
 //
 // Every transfer, whatever its shape, goes down one pipeline:
 //
@@ -30,9 +31,10 @@
 //	           whole or split into the windows of a BatchPlan (batch.go)
 //	transform  optionally, data sieving: a device's runs become one
 //	           covering run whose gaps are hole segments (sieve.go)
-//	issue      one loop binds each run's segments to the caller's buffer
+//	issue      each run's segments are bound to the caller's buffer
 //	           space — one buffer, or pieces anywhere in memory — and
-//	           hands it to the store, runs in parallel (issue.go)
+//	           the bound list goes to the store in one call, its runs
+//	           in parallel (issue.go)
 //	dry issue  the same runs through the drives' queues without the
 //	           drives: what the issue would take, which is how a
 //	           strategy is priced before one is chosen (dry.go)
@@ -41,6 +43,7 @@ package blockio
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/device"
 	"repro/internal/probe"
@@ -50,12 +53,13 @@ import (
 // Store is a block-addressed array of devices. Implementations: Direct
 // (plain disks), stripe.Parity, stripe.Mirror.
 //
-// The vectored run is the only transfer: one block is a run of one with
-// a one-buffer list, a contiguous range a run of n with one buffer. What
-// a store does below that is its own business — Direct passes the list
-// to the drive, Mirror to the drive and its shadow, Parity splits the
-// run by physical drive, batches the parity rows and stages a scattered
-// list through a contiguous copy.
+// The bound run list is the only transfer: one block is a run of one
+// with a one-buffer list, a contiguous range a run of n with one buffer.
+// What a store does below that is its own business — Direct submits
+// every run to its drive as one batch, Mirror and Parity take each run
+// down their own path, Mirror to the drive and its shadow, Parity split
+// by physical drive with the parity rows batched and a scattered list
+// staged through a contiguous copy.
 type Store interface {
 	// Devices reports how many (data) devices are visible.
 	Devices() int
@@ -63,16 +67,12 @@ type Store interface {
 	BlockSize() int
 	// Blocks reports the per-device capacity in blocks.
 	Blocks() int64
-	// ReadBlocksVec reads the n physically contiguous blocks starting at
-	// pblock of device dev, coalesced into as few device requests as the
-	// store's redundancy geometry allows — one for plain disks —
-	// scattering consecutive blocks into the elements of dsts in order
-	// (each a whole number of blocks, n blocks in total).
-	ReadBlocksVec(ctx sim.Context, dev int, pblock int64, n int, dsts [][]byte) error
-	// WriteBlocksVec writes the n physically contiguous blocks starting
-	// at pblock of device dev, gathering consecutive blocks from the
-	// elements of srcs in order — the write counterpart of ReadBlocksVec.
-	WriteBlocksVec(ctx sim.Context, dev int, pblock int64, n int, srcs [][]byte) error
+	// Transfer reads (write false) or writes the runs of one transfer,
+	// in parallel across devices under a simulation engine, each
+	// coalesced into as few device requests as the store's redundancy
+	// geometry allows — one for plain disks — and returns their errors:
+	// one run's as it is, several joined in run order.
+	Transfer(ctx sim.Context, write bool, runs []Bound) error
 }
 
 // Direct is a Store over plain disks with no redundancy.
@@ -144,14 +144,26 @@ func (d *Direct) Blocks() int64 { return d.disks[0].Geometry().Blocks() }
 // Disk exposes the underlying disk (for stats and failure injection).
 func (d *Direct) Disk(i int) *device.Disk { return d.disks[i] }
 
-// ReadBlocksVec implements Store as one scatter device request.
-func (d *Direct) ReadBlocksVec(ctx sim.Context, dev int, pblock int64, n int, dsts [][]byte) error {
-	return d.disks[dev].ReadBlocksVec(ctx, pblock, n, dsts)
-}
+// batchPool recycles the drive batches of Direct transfers.
+var batchPool = sync.Pool{New: func() any { return new(device.Batch) }}
 
-// WriteBlocksVec implements Store as one gather device request.
-func (d *Direct) WriteBlocksVec(ctx sim.Context, dev int, pblock int64, n int, srcs [][]byte) error {
-	return d.disks[dev].WriteBlocksVec(ctx, pblock, n, srcs)
+// Transfer implements Store as list I/O: each run is one request on its
+// drive, all of them submitted to one device.Batch that the caller waits
+// for once — no process per run. Run 0 reaches its drive at the call
+// instant, the others after one yield (Sleep(0)): once every process
+// runnable at this instant has reached the drives with its own first
+// run, the order a dry issue prices (dry.go).
+func (d *Direct) Transfer(ctx sim.Context, write bool, runs []Bound) error {
+	b := batchPool.Get().(*device.Batch)
+	for i, r := range runs {
+		if i == 1 {
+			ctx.Sleep(0)
+		}
+		d.disks[r.Dev].Submit(ctx, b, write, r.PBlock, r.N, r.Iov)
+	}
+	err := b.Wait()
+	batchPool.Put(b)
+	return err
 }
 
 // Layout maps a file's logical blocks onto a device set. Physical block

@@ -97,9 +97,10 @@ func byArrival(a, b dryReq) int { return cmp.Compare(a.seq, b.seq) }
 func byBlock(a, b dryReq) int   { return cmp.Compare(a.pb, b.pb) }
 
 // later is added to the arrival number of every request of a transfer
-// but its first: the issue loop sends a transfer's first run from the
-// calling process and the others from processes it spawns, which run
-// once every process runnable at that instant has sent its own first.
+// but its first: a transfer's first run reaches its drive at the call
+// instant and the others after the caller yields once (Sleep(0), in
+// Direct.Transfer), which it resumes from once every process runnable at
+// that instant has sent its own first.
 const later = 1 << 40
 
 // Bind points the dry issue at store, whose drives it models from then

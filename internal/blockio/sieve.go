@@ -24,7 +24,7 @@
 // writer's update. Each Set therefore serializes sieved writes per device
 // through a lazily created sim.Mutex (strict-alternation discipline, like
 // stripe.Parity's row locks): the whole read-modify-write of one device
-// is atomic, every branch of the cross-device sim.Par holds at most one
+// is atomic, every branch of the cross-device sim.ParN holds at most one
 // device lock (no ordering to violate, hence no deadlock), and concurrent
 // sieved writers with disjoint block sets land exactly their own bytes
 // whatever order the engine schedules them in. Writers that bypass the
@@ -142,22 +142,34 @@ func (s *Set) lockSieve(ctx sim.Context, dev int) func() {
 	return func() { mu.Unlock(pr) }
 }
 
-// sievedWrite is the per-run body of a sieved write: the read-modify-
-// write of one covering run under its device's sieve lock. The covering
-// read goes out through the issue loop like any transfer, filling the
-// scratch span the run's hole segments are bound to; the write then
-// gathers the requested pieces straight from the caller's buffer and the
-// holes from the freshly read scratch. A run with no holes skips the read
-// but still takes the lock, so a hole-free writer can never slip inside
-// another writer's read-modify-write window.
-func (s *Set) sievedWrite(ctx sim.Context, r Run, iov [][]byte, scratch []byte) error {
+// sievedWrite issues the sieved write of the covering runs bound in x.
+// A run's read-modify-write parks between its read and its write, so
+// each run has a process of its own (sim.ParN, run 0 on the caller).
+func (s *Set) sievedWrite(ctx sim.Context, x *xfer) error {
+	if x.rmw == nil {
+		x.rmw = x.rmwRun
+	}
+	x.set = s
+	return sim.ParN(ctx, len(x.bound), x.rmw)
+}
+
+// rmwRun is the read-modify-write of covering run i under its device's
+// sieve lock. The covering read goes out through the issue loop like any
+// transfer, filling the scratch span the run's hole segments are bound
+// to; the write then gathers the requested pieces straight from the
+// caller's buffer and the holes from the freshly read scratch. A run
+// with no holes skips the read but still takes the lock, so a hole-free
+// writer can never slip inside another writer's read-modify-write
+// window.
+func (x *xfer) rmwRun(ctx sim.Context, i int) error {
+	s, r := x.set, x.bound[i]
 	unlock := s.lockSieve(ctx, r.Dev)
 	defer unlock()
-	if scratch != nil {
-		span := []Run{{Dev: r.Dev, PBlock: r.PBlock, B: r.B, N: r.N}}
-		if err := issue(ctx, s.store, "SieveRead", false, span, Space{{Buf: scratch}}, nil); err != nil {
+	if hp := x.scratch[i]; hp != nil {
+		span := []Run{{Dev: r.Dev, PBlock: r.PBlock, N: int64(r.N)}}
+		if err := issue(ctx, s.store, "SieveRead", false, span, Space{{Buf: *hp}}, nil); err != nil {
 			return err
 		}
 	}
-	return s.store.WriteBlocksVec(ctx, r.Dev, r.PBlock, int(r.N), iov)
+	return s.store.Transfer(ctx, true, x.bound[i:i+1])
 }

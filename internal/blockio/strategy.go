@@ -153,14 +153,14 @@ func (s *Set) issueRuns(ctx sim.Context, op string, write bool, strat Strategy, 
 	if strat == StrategyAuto {
 		strat = s.choose(runs, write)
 	}
-	var body runBody
+	var sieve *Set
 	if strat == StrategySieved {
 		runs = sieveRuns(runs)
 		if write {
-			body = s.sievedWrite
+			sieve = s
 		}
 	}
-	return issue(ctx, s.store, op, write, runs, Space{{Buf: buf}}, body)
+	return issue(ctx, s.store, op, write, runs, Space{{Buf: buf}}, sieve)
 }
 
 // dryPool recycles the dry issues of Set-level pricing (a collective

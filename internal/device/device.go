@@ -10,20 +10,26 @@
 //
 //	service = overhead + seek(|head - cylinder|) + rotational latency + bytes/rate
 //
-// A Disk moves whole blocks only: ReadBlocksVec and WriteBlocksVec, each
-// a run of physically contiguous blocks served as one request, are its
-// two transfers. Requests from concurrent processes queue at the device
-// and are served one at a time under a configurable discipline (FCFS or
-// SCAN), which is what makes the paper's seek-interference and
-// bandwidth-aggregation effects emerge naturally. Without an engine the
-// same calls complete immediately but still maintain all statistics, so
-// the library is usable as an ordinary in-memory block store.
+// A Disk moves whole blocks only, a run of physically contiguous blocks
+// served as one request at a time. A process hands the drives a list of
+// runs — list I/O: Submit queues each run on its drive as part of a
+// Batch without waiting, and Batch.Wait parks the process once, until
+// every run has completed. A run in flight is no process of its own but
+// a sim.Event, fired when the drive finishes it. ReadBlocksVec and
+// WriteBlocksVec are the one-run batch. Requests from concurrent
+// processes queue at the device and are served one at a time under a
+// configurable discipline (FCFS or SCAN), which is what makes the
+// paper's seek-interference and bandwidth-aggregation effects emerge
+// naturally. Without an engine the same calls complete immediately but
+// still maintain all statistics, so the library is usable as an ordinary
+// in-memory block store.
 package device
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/probe"
@@ -134,14 +140,14 @@ func (s Stats) Requests() int64 { return s.Reads + s.Writes }
 func (s Stats) Bytes() int64 { return s.BytesRead + s.BytesWritten }
 
 // request is a queued disk operation. A merged request carries several
-// owning processes: procs[0] issued the request the others were absorbed
-// into, performs the completion chaining, and is woken first; every
-// member transfers its own data at the shared completion instant. The
-// last member to finish hands the request back to the disk's free list
-// (fin counts them), so a steady request stream allocates nothing.
+// runs: runs[0] was queued first, its completion starts the drive's next
+// request, and it completes first; every run moves its own data at the
+// shared completion instant. The last run to complete hands the request
+// back to the disk's free list (fin counts them), so a steady request
+// stream allocates nothing.
 type request struct {
-	procs   []*sim.Proc
-	fin     int   // members that have finished their access
+	runs    []*completion
+	fin     int   // runs that have completed
 	write   bool  // direction: only runs of one direction merge
 	block   int64 // first block of the run (merge key)
 	nblk    int64 // run length in blocks
@@ -149,6 +155,78 @@ type request struct {
 	bytes   int
 	svcFrom time.Duration // service start, set at dispatch
 	done    time.Duration // completion time, set at dispatch
+}
+
+// completion is one submitted run in flight: the engine event that fires
+// when its request is done, the request it rides in, the batch it
+// reports to, and its own copy of the scatter/gather list (a reference
+// to the caller's list would make every one-element list literal escape
+// to the heap). Completions are recycled through the disk's free list.
+type completion struct {
+	ev    sim.Event
+	d     *Disk
+	r     *request
+	b     *Batch
+	i     int // the run's index in b
+	write bool
+	block int64
+	n     int
+	enq   time.Duration
+	iov   [][]byte
+}
+
+// Batch is a list of runs one process submits to drives — one or several
+// — and waits for once. The zero Batch is ready for use, and a Batch is
+// ready again once Wait has returned.
+type Batch struct {
+	p       *sim.Proc // the submitter
+	pending int       // runs submitted under an engine and not yet complete
+	waiting bool      // p is parked in Wait
+	errs    []error   // each run's outcome, in submission order
+}
+
+// batchPool recycles the one-run batches of ReadBlocksVec and
+// WriteBlocksVec.
+var batchPool = sync.Pool{New: func() any { return new(Batch) }}
+
+// Wait parks the submitter until every run submitted to b has completed,
+// and returns the runs' errors: one run's as it is, several joined in
+// submission order. It parks at most once; the run whose completion
+// leaves none pending resumes the submitter.
+func (b *Batch) Wait() error {
+	if b.pending > 0 {
+		b.waiting = true
+		b.p.Park()
+	}
+	var err error
+	if len(b.errs) == 1 {
+		err = b.errs[0]
+	} else {
+		err = errors.Join(b.errs...)
+	}
+	clear(b.errs)
+	b.errs, b.p = b.errs[:0], nil
+	return err
+}
+
+// done records run i's outcome and reports the process to resume in the
+// completing run's slot. The last run to complete releases the waiting
+// submitter: in this very slot when it is run 0, and otherwise by a
+// wakeup scheduled now, behind whatever is already runnable at this
+// instant. That is when a submitter that moved run 0 itself and then
+// joined processes moving the others would resume, so the engine's
+// dispatch order, and every modeled time, is that of a process per run.
+func (b *Batch) done(e *sim.Engine, i int, err error) *sim.Proc {
+	b.errs[i] = err
+	if b.pending--; b.pending > 0 || !b.waiting {
+		return nil
+	}
+	b.waiting = false
+	if i == 0 {
+		return b.p
+	}
+	e.Wake(b.p)
+	return nil
 }
 
 // Disk is a simulated direct-access storage device. Disk methods are not
@@ -168,7 +246,8 @@ type Disk struct {
 	busy    bool
 	merge   bool // merge physically adjacent queued requests
 	queue   []*request
-	free    []*request // finished requests, reused by newRequest
+	free    []*request    // finished requests, reused by newRequest
+	cfree   []*completion // completed runs, reused by Submit
 	failed  bool
 
 	stats Stats
@@ -417,35 +496,35 @@ func (d *Disk) selectNext() *request {
 // time, recording the completion instant in r.done.
 func (d *Disk) startService(r *request, now time.Duration) {
 	svc := d.serviceTime(d.head, r.cyl, r.bytes)
-	if r.cyl != d.head {
-		d.stats.Seeks++
-		dist := r.cyl - d.head
-		if dist < 0 {
-			dist = -dist
-		}
-		d.stats.SeekCyls += int64(dist)
-	}
-	d.head = r.cyl
+	d.seekTo(r.cyl)
 	d.stats.BusyTime += svc
 	r.svcFrom = now
 	r.done = now + svc
 }
 
-// dispatch starts service of the next queued request at virtual time now,
-// waking its (parked) owners at the completion instant — the issuing
-// process first, then any merged members. Caller must have checked the
-// queue is non-empty.
-func (d *Disk) dispatch(now time.Duration) {
-	r := d.selectNext()
-	d.startService(r, now)
-	for _, p := range r.procs {
-		d.eng.WakeAt(p, r.done)
+// seekTo moves the head to cylinder cyl, counting the seek if it moves.
+func (d *Disk) seekTo(cyl int) {
+	if cyl != d.head {
+		d.stats.Seeks++
+		d.stats.SeekCyls += int64(max(cyl-d.head, d.head-cyl))
+		d.head = cyl
 	}
 }
 
-// newRequest returns a request for p, reusing a finished one (and its
-// member list's array) when there is one.
-func (d *Disk) newRequest(p *sim.Proc, write bool, block, nblk int64, bytes int) *request {
+// dispatch starts service of the next queued request at virtual time now
+// and posts its runs' completions at the completion instant, the first
+// queued run first. Caller must have checked the queue is non-empty.
+func (d *Disk) dispatch(now time.Duration) {
+	r := d.selectNext()
+	d.startService(r, now)
+	for _, c := range r.runs {
+		d.eng.Post(&c.ev, r.done)
+	}
+}
+
+// newRequest returns a request for run c, reusing a finished one (and
+// its run list's array) when there is one.
+func (d *Disk) newRequest(c *completion, bytes int) *request {
 	var r *request
 	if n := len(d.free); n > 0 {
 		r, d.free[n-1] = d.free[n-1], nil
@@ -453,104 +532,134 @@ func (d *Disk) newRequest(p *sim.Proc, write bool, block, nblk int64, bytes int)
 	} else {
 		r = new(request)
 	}
-	*r = request{procs: append(r.procs[:0], p), write: write, block: block, nblk: nblk,
-		cyl: d.geom.cylinderOf(block), bytes: bytes}
+	*r = request{runs: append(r.runs[:0], c), write: c.write, block: c.block, nblk: int64(c.n),
+		cyl: d.geom.cylinderOf(c.block), bytes: bytes}
+	c.r = r
 	return r
 }
 
-// tryMerge absorbs a new request into a physically adjacent queued
-// request of the same direction (block-layer back/front merging)
-// and returns the merged request, or nil when nothing is adjacent. Only
-// requests still waiting in the queue merge; the in-service request is
-// already committed to its service time.
-func (d *Disk) tryMerge(p *sim.Proc, write bool, block, nblk int64, bytes int) *request {
+// tryMerge absorbs run c into a physically adjacent queued request of
+// the same direction (block-layer back/front merging) and reports
+// whether one took it. Only requests still waiting in the queue merge;
+// the in-service request is already committed to its service time.
+func (d *Disk) tryMerge(c *completion, bytes int) bool {
+	nblk := int64(c.n)
 	for _, q := range d.queue {
-		if q.write != write {
+		if q.write != c.write {
 			continue
 		}
 		switch {
-		case q.block+q.nblk == block: // back merge
-		case block+nblk == q.block: // front merge
-			q.block = block
-			q.cyl = d.geom.cylinderOf(block)
+		case q.block+q.nblk == c.block: // back merge
+		case c.block+nblk == q.block: // front merge
+			q.block = c.block
+			q.cyl = d.geom.cylinderOf(c.block)
 		default:
 			continue
 		}
 		q.nblk += nblk
 		q.bytes += bytes
-		q.procs = append(q.procs, p)
+		q.runs = append(q.runs, c)
+		c.r = q
 		d.stats.Merged++
-		return q
+		return true
 	}
-	return nil
+	return false
 }
 
-// access performs the timing model around fn, which does the actual
-// data transfer of the nblk-block run starting at block: block fixes the
-// target cylinder, and the run is what queue merging keys on.
-func (d *Disk) access(ctx sim.Context, write bool, block, nblk int64, fn func() error) error {
-	if block < 0 || block >= d.geom.Blocks() {
-		return fmt.Errorf("%w: block %d of %d on %s", ErrOutOfRange, block, d.geom.Blocks(), d.name)
+// Submit queues a run on the drive as part of batch b and returns without
+// waiting: the n physically contiguous blocks starting at block, written
+// from (write) or read into the elements of iov, consecutive blocks in
+// consecutive elements — each a whole number of blocks, n in total. The
+// run is one request, served and charged as ReadBlocksVec describes, and
+// b.Wait reports its outcome. iov itself is copied, not kept; the buffers
+// it names must stay put until Wait returns. Under an engine the run
+// completes as an engine event, in no process of its own: the drive
+// serves it at once if idle, after the requests queued ahead otherwise.
+// Without one it completes before Submit returns. All of a batch's runs
+// must come from one process.
+func (d *Disk) Submit(ctx sim.Context, b *Batch, write bool, block int64, n int, iov [][]byte) {
+	i := len(b.errs)
+	b.errs = append(b.errs, nil)
+	op := "ReadBlocksVec"
+	if write {
+		op = "WriteBlocksVec"
+	}
+	if err := d.checkRunVec(op, block, n, iov); err != nil {
+		b.errs[i] = err
+		return
 	}
 	p, timed := ctx.(*sim.Proc)
 	if !timed || d.eng == nil {
-		if d.failed {
-			return fmt.Errorf("%w: %s", ErrFailed, d.name)
+		if !d.failed {
+			d.seekTo(d.geom.cylinderOf(block))
 		}
-		cyl := d.geom.cylinderOf(block)
-		if cyl != d.head {
-			d.stats.Seeks++
-			dist := cyl - d.head
-			if dist < 0 {
-				dist = -dist
-			}
-			d.stats.SeekCyls += int64(dist)
-			d.head = cyl
-		}
-		return fn()
+		b.errs[i] = d.move(write, block, n, iov)
+		return
 	}
 
-	enq := p.Now()
-	bytes := int(nblk) * d.geom.BlockSize
-	var r *request
-	if d.busy {
-		// Queue behind the in-service request; a completing process will
-		// dispatch us and wake us at our completion time. With merging
-		// enabled, an adjacent queued request may absorb us instead.
-		if d.merge {
-			r = d.tryMerge(p, write, block, nblk, bytes)
-		}
-		if r == nil {
-			r = d.newRequest(p, write, block, nblk, bytes)
-			d.queue = append(d.queue, r)
-		}
-		if depth := len(d.queue) + 1; depth > d.stats.QueuePeak {
-			d.stats.QueuePeak = depth
-		}
-		p.Park()
-	} else {
-		// Idle disk: serve ourselves immediately.
-		r = d.newRequest(p, write, block, nblk, bytes)
+	c := d.newCompletion()
+	c.b, c.i, c.write, c.block, c.n, c.enq = b, i, write, block, n, p.Now()
+	c.iov = append(c.iov, iov...)
+	b.p = p
+	b.pending++
+	bytes := n * d.geom.BlockSize
+	if !d.busy {
+		// Idle disk: the run goes straight into service.
+		r := d.newRequest(c, bytes)
 		d.busy = true
 		if d.stats.QueuePeak < 1 {
 			d.stats.QueuePeak = 1
 		}
-		d.startService(r, p.Now())
-		p.SleepUntil(r.done)
+		d.startService(r, c.enq)
+		d.eng.Post(&c.ev, r.done)
+		return
 	}
+	// Queue behind the in-service request, whose completion dispatches
+	// the next. With merging enabled, an adjacent queued request may
+	// absorb the run instead.
+	if !d.merge || !d.tryMerge(c, bytes) {
+		d.queue = append(d.queue, d.newRequest(c, bytes))
+	}
+	if depth := len(d.queue) + 1; depth > d.stats.QueuePeak {
+		d.stats.QueuePeak = depth
+	}
+}
 
-	lat := p.Now() - enq
+// newCompletion returns a completion with an empty list, reusing a
+// completed one when there is one.
+func (d *Disk) newCompletion() *completion {
+	if n := len(d.cfree); n > 0 {
+		c := d.cfree[n-1]
+		d.cfree[n-1] = nil
+		d.cfree = d.cfree[:n-1]
+		return c
+	}
+	c := &completion{d: d}
+	c.ev.Fire = c.complete
+	return c
+}
+
+// complete is a run's completion event, fired at its request's
+// completion instant: it records the run's latency and spans, moves its
+// data (or fails it, should the drive have failed meanwhile, as a real
+// timeout would), starts the drive's next request if this run was its
+// request's first, recycles what it held, and reports to its batch.
+func (c *completion) complete() *sim.Proc {
+	d, r := c.d, c.r
+	now := d.eng.Now()
+	lat := now - c.enq
 	d.stats.LatencySum += lat
 	if lat > d.stats.LatencyMax {
 		d.stats.LatencyMax = lat
 	}
+	first := c == r.runs[0]
 	if d.rec != nil {
-		// Each member records its own queue wait; the issuing process
-		// records the single service span for the (possibly merged) run.
-		if r.svcFrom > enq {
-			d.rec.Span(d.trkQ, "device", "wait", enq, r.svcFrom, 0, 0)
+		// Each run records its own queue wait; the first records the
+		// single service span of the (possibly merged) request.
+		if r.svcFrom > c.enq {
+			d.rec.Span(d.trkQ, "device", "wait", c.enq, r.svcFrom, 0, 0)
 		}
-		if p == r.procs[0] {
+		if first {
 			name := "read"
 			if r.write {
 				name = "write"
@@ -558,27 +667,52 @@ func (d *Disk) access(ctx sim.Context, write bool, block, nblk int64, fn func() 
 			d.rec.Span(d.trk, "device", name, r.svcFrom, r.done, int64(r.bytes), 0)
 		}
 	}
-
-	var err error
-	if d.failed {
-		err = fmt.Errorf("%w: %s", ErrFailed, d.name)
-	} else {
-		err = fn()
-	}
-	// The issuing process chains the next request or idles the disk;
-	// merged members woken at the same completion instant only transfer
-	// their data.
-	if p == r.procs[0] {
+	err := d.move(c.write, c.block, c.n, c.iov)
+	if first {
 		if len(d.queue) > 0 {
-			d.dispatch(p.Now())
+			d.dispatch(now)
 		} else {
 			d.busy = false
 		}
 	}
-	if r.fin++; r.fin == len(r.procs) {
+	if r.fin++; r.fin == len(r.runs) {
 		d.free = append(d.free, r)
 	}
-	return err
+	b, i := c.b, c.i
+	clear(c.iov)
+	c.iov, c.r, c.b = c.iov[:0], nil, nil
+	d.cfree = append(d.cfree, c)
+	return b.done(d.eng, i, err)
+}
+
+// move transfers the data of a run between the backend and iov and counts
+// it, or fails it on a failed drive.
+func (d *Disk) move(write bool, block int64, n int, iov [][]byte) error {
+	if d.failed {
+		return fmt.Errorf("%w: %s", ErrFailed, d.name)
+	}
+	bs := d.geom.BlockSize
+	b := block
+	for _, v := range iov {
+		var err error
+		if write {
+			err = d.backend.WriteBlocks(b, v)
+		} else {
+			err = d.backend.ReadBlocks(b, v)
+		}
+		if err != nil {
+			return err
+		}
+		b += int64(len(v) / bs)
+	}
+	if write {
+		d.stats.Writes++
+		d.stats.BytesWritten += int64(n) * int64(bs)
+	} else {
+		d.stats.Reads++
+		d.stats.BytesRead += int64(n) * int64(bs)
+	}
+	return nil
 }
 
 // checkRunVec validates a scatter/gather run request: every element of
@@ -614,25 +748,10 @@ func (d *Disk) checkRunVec(op string, block int64, n int, iov [][]byte) error {
 // blocks at the streaming rate — and the statistics count it as a single
 // read of n blocks: a sequential transfer of 1000 blocks pays 1 overhead
 // instead of 1000, and a merged physical run delivers into a strided
-// caller buffer without paying one request per stride. It is the drive's
-// only read; a contiguous buffer is a one-element list.
+// caller buffer without paying one request per stride. It is a batch of
+// one run; a contiguous buffer is a one-element list.
 func (d *Disk) ReadBlocksVec(ctx sim.Context, block int64, n int, dsts [][]byte) error {
-	if err := d.checkRunVec("ReadBlocksVec", block, n, dsts); err != nil {
-		return err
-	}
-	return d.access(ctx, false, block, int64(n), func() error {
-		bs := d.geom.BlockSize
-		b := block
-		for _, dst := range dsts {
-			if err := d.backend.ReadBlocks(b, dst); err != nil {
-				return err
-			}
-			b += int64(len(dst) / bs)
-		}
-		d.stats.Reads++
-		d.stats.BytesRead += int64(n) * int64(bs)
-		return nil
-	})
+	return d.one(ctx, false, block, n, dsts)
 }
 
 // WriteBlocksVec writes the n physically contiguous blocks starting at
@@ -640,20 +759,14 @@ func (d *Disk) ReadBlocksVec(ctx sim.Context, block int64, n int, dsts [][]byte)
 // elements of srcs in order (writev semantics) — the write counterpart
 // of ReadBlocksVec.
 func (d *Disk) WriteBlocksVec(ctx sim.Context, block int64, n int, srcs [][]byte) error {
-	if err := d.checkRunVec("WriteBlocksVec", block, n, srcs); err != nil {
-		return err
-	}
-	return d.access(ctx, true, block, int64(n), func() error {
-		bs := d.geom.BlockSize
-		b := block
-		for _, src := range srcs {
-			if err := d.backend.WriteBlocks(b, src); err != nil {
-				return err
-			}
-			b += int64(len(src) / bs)
-		}
-		d.stats.Writes++
-		d.stats.BytesWritten += int64(n) * int64(bs)
-		return nil
-	})
+	return d.one(ctx, true, block, n, srcs)
+}
+
+// one submits a batch of one run and waits for it.
+func (d *Disk) one(ctx sim.Context, write bool, block int64, n int, iov [][]byte) error {
+	b := batchPool.Get().(*Batch)
+	d.Submit(ctx, b, write, block, n, iov)
+	err := b.Wait()
+	batchPool.Put(b)
+	return err
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/probe"
 )
 
 func TestEngineEmptyRun(t *testing.T) {
@@ -145,6 +147,43 @@ func TestSameTimeEventsFireInScheduleOrder(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("same-time order = %v, want %v", order, want)
 		}
+	}
+}
+
+// TestPostedEventsFireInSlot: a posted event fires in its (time, seq)
+// slot among process wakeups, one dispatch each, and the process its
+// Fire returns resumes in that same slot — before anything scheduled
+// after the event, and with no dispatch of its own.
+func TestPostedEventsFireInSlot(t *testing.T) {
+	e := NewEngine()
+	rec := probe.New()
+	e.SetProbe(rec)
+	var order []string
+	parked := e.Go("parked", func(p *Proc) {
+		p.Park()
+		order = append(order, fmt.Sprint("parked resumed at ", p.Now()))
+	})
+	e.Go("poster", func(p *Proc) {
+		log := &Event{Fire: func() *Proc { order = append(order, "log"); return nil }}
+		resume := &Event{Fire: func() *Proc { order = append(order, "resume"); return parked }}
+		e.Post(log, 5*time.Millisecond)
+		e.Post(resume, 5*time.Millisecond)
+		p.SleepUntil(5 * time.Millisecond) // scheduled after both events
+		order = append(order, "poster")
+		e.Post(log, 0) // the past: fires now, after the poster parks
+		p.Sleep(time.Millisecond)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "[log resume parked resumed at 5ms poster log]"
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("order %s, want %s", got, want)
+	}
+	// Two starts, three events, the poster's two wakeups; the resumed
+	// process rode the second event's dispatch.
+	if got := rec.Metrics().Counter("sim.dispatches").Value(); got != 7 {
+		t.Errorf("%d dispatches, want 7", got)
 	}
 }
 

@@ -3,6 +3,8 @@ package stripe
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -24,11 +26,11 @@ func writeBlock(st blockio.Store, ctx sim.Context, dev int, b int64, src []byte)
 }
 
 func readBlocks(st blockio.Store, ctx sim.Context, dev int, b int64, n int, dst []byte) error {
-	return st.ReadBlocksVec(ctx, dev, b, n, [][]byte{dst})
+	return st.Transfer(ctx, false, []blockio.Bound{{Dev: dev, PBlock: b, N: n, Iov: [][]byte{dst}}})
 }
 
 func writeBlocks(st blockio.Store, ctx sim.Context, dev int, b int64, n int, src []byte) error {
-	return st.WriteBlocksVec(ctx, dev, b, n, [][]byte{src})
+	return st.Transfer(ctx, true, []blockio.Bound{{Dev: dev, PBlock: b, N: n, Iov: [][]byte{src}}})
 }
 
 func drives(n int, e *sim.Engine) []*device.Disk {
@@ -266,6 +268,45 @@ func TestMirrorWritesSurviveSingleFailure(t *testing.T) {
 	}
 	if err := readBlock(m, ctx, 0, 0, got); !errors.Is(err, ErrDoubleFailure) {
 		t.Fatalf("want ErrDoubleFailure, got %v", err)
+	}
+}
+
+// TestMirrorSurvivesOnlyAFailedDrive: a mirror write tolerates one side
+// of the pair that has failed (device.ErrFailed), and no other error. A
+// primary that refuses the write any other way — here its file backend
+// is closed — fails the write: a read fails over to the shadow only from
+// a failed drive, so a write that reported success would leave the next
+// read of the block to the primary's error. And when both sides fail a
+// read, the shadow's own error stays inside the ErrDoubleFailure.
+func TestMirrorSurvivesOnlyAFailedDrive(t *testing.T) {
+	closed := func(name string) *device.Disk {
+		geom := device.Geometry{BlockSize: 128, BlocksPerCyl: 4, Cylinders: 16}
+		fb, err := device.NewFileBackend(filepath.Join(t.TempDir(), name), geom.BlockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return device.New(device.Config{Name: name, Geometry: geom, Backend: fb})
+	}
+	ctx := sim.NewWall()
+	m, err := NewMirror([]*device.Disk{closed("primary")}, drives(1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeBlock(m, ctx, 0, 0, blockOf(7, 128)); !errors.Is(err, os.ErrClosed) || errors.Is(err, device.ErrFailed) {
+		t.Fatalf("write refused by the primary's backend returned %v, want its error", err)
+	}
+
+	m, err = NewMirror(drives(1, nil), []*device.Disk{closed("shadow")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Primary(0).Fail()
+	err = readBlock(m, ctx, 0, 0, make([]byte, 128))
+	if !errors.Is(err, ErrDoubleFailure) || !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("read with a failed primary and a refusing shadow returned %v, want ErrDoubleFailure carrying the shadow's error", err)
 	}
 }
 

@@ -8,9 +8,11 @@ package pario_test
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	pario "repro"
+	"repro/internal/blockio"
 )
 
 // stripedFile creates a striped file of 4 KiB records, one per block,
@@ -184,5 +186,133 @@ func BenchmarkOneBlockTransfer(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestMultiDriveTransferSpawnsNothing: the runs of a transfer on several
+// drives complete as engine events — the submitter hands the drives the
+// list and parks once — so no transfer shape that reaches the drives
+// through a Set spawns a process, and once warm none allocates. It runs
+// each shape on a four-drive striped file, one run per drive, with a
+// recorder on the engine counting its spawns: a descriptor written and
+// read (Set.WriteVec, ReadVec), a BatchPlan window written and read, and
+// a request through an I/O server lane. Before list submission every run
+// after the first was a spawned process, 3 spawns a transfer here.
+func TestMultiDriveTransferSpawnsNothing(t *testing.T) {
+	const warm, laps = 20, 200
+	for _, tc := range []struct {
+		name string
+		// allocs is what a lap may allocate on average. A lane request
+		// costs the server's own bookkeeping, as it did before list
+		// submission: its ticket, the ticket's buffer space and a queue
+		// entry, and now and then a larger latency sample.
+		allocs float64
+		lap    func(p *pario.Proc, set *pario.Set, plan *pario.BatchPlan, job *pario.IOJob, buf []byte) error
+	}{
+		{"Set.WriteVec+ReadVec", 0, func(p *pario.Proc, set *pario.Set, _ *pario.BatchPlan, _ *pario.IOJob, buf []byte) error {
+			vec := pario.Vec{{Block: 0, N: 64}}
+			if err := set.WriteVec(p, vec, buf); err != nil {
+				return err
+			}
+			return set.ReadVec(p, vec, buf)
+		}},
+		{"BatchPlan window", 0, func(p *pario.Proc, _ *pario.Set, plan *pario.BatchPlan, _ *pario.IOJob, buf []byte) error {
+			sp := blockio.Space{{Buf: buf}}
+			if err := plan.WriteWindows(p, 0, 1, sp); err != nil {
+				return err
+			}
+			return plan.ReadWindows(p, 0, 1, sp)
+		}},
+		{"ioserver lane", 3.125, func(p *pario.Proc, _ *pario.Set, plan *pario.BatchPlan, job *pario.IOJob, buf []byte) error {
+			return job.SubmitWritePlan(p, plan, buf, int64(len(buf))).Wait(p)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, f := stripedFile(t, pario.OrgSequential, 64)
+			set := f.Set()
+			runs, err := set.MapVec(pario.Vec{{Block: 0, N: 64}})
+			if err != nil || len(runs) != 4 {
+				t.Fatalf("the fixture maps to %d runs (%v), want one on each of 4 drives", len(runs), err)
+			}
+			plan, err := pario.BatchVec{{Set: set, Vec: pario.Vec{{Block: 0, N: 64}}}}.Plan(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := pario.NewRecorder()
+			m.Engine.SetProbe(rec)
+			spawns := rec.Metrics().Counter("sim.spawns")
+			srv := pario.NewIOServer(pario.IOServerConfig{})
+			job := srv.AddJob(pario.IOJobConfig{Name: "j"})
+			srv.Start(m.Engine)
+			buf := make([]byte, 64*set.BlockSize())
+			var ms runtime.MemStats // out here: reading it must not allocate it
+			var from, to uint64
+			var spawned int64
+			m.Go("io", func(p *pario.Proc) {
+				defer srv.Stop(p)
+				for k := 0; k < warm+laps; k++ {
+					if k == warm {
+						runtime.ReadMemStats(&ms)
+						from, spawned = ms.Mallocs, spawns.Value()
+					}
+					if err := tc.lap(p, set, plan, job, buf); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				runtime.ReadMemStats(&ms)
+				to, spawned = ms.Mallocs, spawns.Value()-spawned
+			})
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if spawned != 0 {
+				t.Errorf("%d laps spawned %d processes, want 0", laps, spawned)
+			}
+			// A handful of objects is the Go runtime's own.
+			if got, want := to-from, uint64(tc.allocs*laps)+8; got > want && !raceEnabled {
+				t.Errorf("%d laps allocated %d objects, want at most %d", laps, got, want)
+			}
+		})
+	}
+}
+
+// BenchmarkMultiDriveTransfer is the host cost of multijob_qos's batch
+// shape under the engine: one descriptor of 16 runs, two blocks on each
+// of 16 drives, written and read back through the Set (ns/op,
+// allocs/op).
+func BenchmarkMultiDriveTransfer(b *testing.B) {
+	const drives = 16
+	m := pario.NewMachine(drives)
+	f, err := m.Volume.Create(pario.Spec{
+		Name: "f", Org: pario.OrgSequential,
+		RecordSize: 4096, BlockRecords: 1, NumRecords: 2 * drives,
+		Placement: pario.PlaceStriped, StripeUnitFS: 2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	set := f.Set()
+	vec := pario.Vec{{Block: 0, N: 2 * drives}}
+	if runs, err := set.MapVec(vec); err != nil || len(runs) != drives {
+		b.Fatalf("the fixture maps to %d runs (%v), want %d", len(runs), err, drives)
+	}
+	buf := make([]byte, 2*drives*set.BlockSize())
+	b.ReportAllocs()
+	m.Go("io", func(p *pario.Proc) {
+		b.ResetTimer()
+		for range b.N {
+			if err := set.WriteVec(p, vec, buf); err != nil {
+				b.Error(err)
+				return
+			}
+			if err := set.ReadVec(p, vec, buf); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	if err := m.Run(); err != nil {
+		b.Fatal(err)
 	}
 }
