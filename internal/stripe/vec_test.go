@@ -169,10 +169,10 @@ func TestParityVecScratchPooled(t *testing.T) {
 		vec   func() error
 	}{
 		{"write",
-			func() error { return writeBlocks(p, ctx, 0, 0, n, flat) },
+			func() error { return p.WriteBlocksVec(ctx, 0, 0, n, [][]byte{flat}) },
 			func() error { return p.WriteBlocksVec(ctx, 0, 0, n, iov) }},
 		{"read",
-			func() error { return readBlocks(p, ctx, 0, 0, n, flat) },
+			func() error { return p.ReadBlocksVec(ctx, 0, 0, n, [][]byte{flat}) },
 			func() error { return p.ReadBlocksVec(ctx, 0, 0, n, iov) }},
 	} {
 		if err := op.vec(); err != nil { // warm the pool
@@ -191,6 +191,69 @@ func TestParityVecScratchPooled(t *testing.T) {
 		if vec > plain+2 {
 			t.Errorf("%s: vectored path allocates %.0f/run vs %.0f for the contiguous path — scratch is not pooled",
 				op.name, vec, plain)
+		}
+	}
+}
+
+// TestRedundantTransferAddsNoAllocs: a redundant store's Transfer hands
+// each run to the store's per-run path and allocates nothing of its own —
+// no closure for a lone run, none for a fan-out of several — so a
+// transfer costs exactly what its runs' ReadBlocksVec / WriteBlocksVec
+// calls cost.
+func TestRedundantTransferAddsNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own account")
+	}
+	ctx := sim.NewWall()
+	geom := device.Geometry{BlockSize: 64, BlocksPerCyl: 16, Cylinders: 8}
+	mk := func(n int) []*device.Disk {
+		ds := make([]*device.Disk, n)
+		for i := range ds {
+			ds[i] = device.New(device.Config{Name: fmt.Sprintf("d%d", i), Geometry: geom})
+		}
+		return ds
+	}
+	p, err := NewParity(mk(5), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMirror(mk(2), mk(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []struct {
+		name  string
+		store interface {
+			blockio.Store
+			runStore
+		}
+	}{{"Parity", p}, {"Mirror", m}} {
+		bs := st.store.BlockSize()
+		buf := make([]byte, 4*bs)
+		runs := []blockio.Bound{
+			{Dev: 0, PBlock: 0, N: 2, Iov: [][]byte{buf[:2*bs]}},
+			{Dev: 1, PBlock: 4, N: 2, Iov: [][]byte{buf[2*bs : 3*bs], buf[3*bs:]}},
+		}
+		for _, write := range []bool{true, false} {
+			for k := 1; k <= len(runs); k++ {
+				transfer := func() {
+					if err := st.store.Transfer(ctx, write, runs[:k]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				perRun := func() {
+					for _, r := range runs[:k] {
+						if err := transferRun(ctx, st.store, write, r); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				transfer() // warm the pools
+				perRun()
+				if got, want := testing.AllocsPerRun(50, transfer), testing.AllocsPerRun(50, perRun); got != want {
+					t.Errorf("%s write=%v, %d runs: Transfer allocates %.0f/call, its runs' own calls %.0f", st.name, write, k, got, want)
+				}
+			}
 		}
 	}
 }
