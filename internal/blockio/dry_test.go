@@ -1,8 +1,10 @@
 package blockio
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -155,9 +157,10 @@ func (w *dryWorld) park(p *sim.Proc, rng *rand.Rand, t *testing.T) {
 // process on idle drives: the dry price of the vectored and of the sieved
 // execution, read and write, equals the modeled time of issuing it to the
 // nanosecond, under either discipline, merging or not. And k processes on
-// one drive, each issuing its own descriptor at the same instant: exact
-// again — the order the requests reach the drive in is known, and the
-// dry walk merges and sweeps as the drive does.
+// a few drives, each issuing its own descriptor at the same instant —
+// disjoint slices of the file, or overlapping ones: exact again — the
+// order the requests reach the drives in is known, and the dry walk
+// replays it through the drive's own waiting line.
 func FuzzDryIssue(f *testing.F) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		f.Add(seed)
@@ -208,6 +211,7 @@ func FuzzDryIssue(f *testing.F) {
 
 		many := newDryWorld(t, rng, 1+rng.Intn(3), sched, merge)
 		k := 2 + rng.Intn(4)
+		overlap := rng.Intn(2) == 1
 		strat, write := Strategy(StrategyVectored+Strategy(rng.Intn(2))), rng.Intn(2) == 1
 		maps := make([]Mapped, k)
 		bufs := make([][]byte, k)
@@ -215,8 +219,14 @@ func FuzzDryIssue(f *testing.F) {
 		dry.Bind(many.store)
 		dry.Sync()
 		for i := range maps {
-			// Each process asks for its own slice of the file.
-			vec, size := many.vec(rng, many.total*int64(i)/int64(k), many.total*int64(i+1)/int64(k))
+			// Each process asks for its own slice of the file, or for
+			// any of it: then requests of several processes abut, and
+			// one may abut two waiting requests.
+			lo, hi := many.total*int64(i)/int64(k), many.total*int64(i+1)/int64(k)
+			if overlap {
+				lo, hi = 0, many.total
+			}
+			vec, size := many.vec(rng, lo, hi)
 			var err error
 			if maps[i], err = many.set.Map(vec); err != nil {
 				t.Fatal(err)
@@ -250,4 +260,63 @@ func FuzzDryIssue(f *testing.F) {
 				seed, k, strat, write, many.set.Layout().Name(), sched, merge, price, took)
 		}
 	})
+}
+
+// flushShape is the vectored candidate of one ckpt_fresh call as a dry
+// issue sees it: 512 ranks, each sending 8 one-block runs to seeded
+// places on 32 SCAN drives, 128 requests a drive, priced parked.
+func flushShape(t testing.TB) (*Dry, [][]Run) {
+	const ranks, each, drives = 512, 8, 32
+	disks := make([]*device.Disk, drives)
+	for i := range disks {
+		disks[i] = device.New(device.Config{Sched: device.SCAN, MergeQueued: true})
+	}
+	store, err := NewDirect(disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	slots := rng.Perm(ranks * each)
+	runs := make([][]Run, ranks)
+	for r := range runs {
+		for _, g := range slots[r*each : (r+1)*each] {
+			runs[r] = append(runs[r], Run{Dev: g % drives, PBlock: 1000 + int64(g/drives)*4, N: 1})
+		}
+		slices.SortFunc(runs[r], func(a, b Run) int { return cmp.Or(a.Dev-b.Dev, int(a.PBlock-b.PBlock)) })
+	}
+	var dry Dry
+	dry.Bind(store)
+	return &dry, runs
+}
+
+func flushAll(dry *Dry, runs [][]Run) time.Duration {
+	dry.Park()
+	for _, r := range runs {
+		dry.Vectored(r)
+	}
+	return dry.Flush()
+}
+
+// BenchmarkDryFlush is the host cost of pricing one ckpt_fresh vectored
+// candidate: queueing 4096 requests and serving 32 drives' SCAN lines.
+func BenchmarkDryFlush(b *testing.B) {
+	dry, runs := flushShape(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		flushAll(dry, runs)
+	}
+}
+
+// TestDryFlushAllocs: once its queues and lines have grown, a dry issue
+// prices a flush without allocating.
+func TestDryFlushAllocs(t *testing.T) {
+	dry, runs := flushShape(t)
+	want := flushAll(dry, runs)
+	if got := testing.AllocsPerRun(20, func() {
+		if price := flushAll(dry, runs); price != want {
+			t.Fatalf("the same flush priced %v, then %v", want, price)
+		}
+	}); got != 0 {
+		t.Errorf("a warm flush allocates %v objects, want 0", got)
+	}
 }

@@ -17,12 +17,15 @@
 // every run has completed. A run in flight is no process of its own but
 // a sim.Event, fired when the drive finishes it. ReadBlocksVec and
 // WriteBlocksVec are the one-run batch. Requests from concurrent
-// processes queue at the device and are served one at a time under a
+// processes wait in the drive's Line and are served one at a time under a
 // configurable discipline (FCFS or SCAN), which is what makes the
 // paper's seek-interference and bandwidth-aggregation effects emerge
-// naturally. Without an engine the same calls complete immediately but
-// still maintain all statistics, so the library is usable as an ordinary
-// in-memory block store.
+// naturally. The Line is the one implementation of a queue discipline —
+// the order waiting requests are served in, and which of them merge: a
+// dry issue (blockio.Dry) prices a route by replaying its arrivals
+// through a Line of its own. Without an engine the same calls complete
+// immediately but still maintain all statistics, so the library is usable
+// as an ordinary in-memory block store.
 package device
 
 import (
@@ -147,11 +150,8 @@ func (s Stats) Bytes() int64 { return s.BytesRead + s.BytesWritten }
 // stream allocates nothing.
 type request struct {
 	runs    []*completion
-	fin     int   // runs that have completed
-	write   bool  // direction: only runs of one direction merge
-	block   int64 // first block of the run (merge key)
-	nblk    int64 // run length in blocks
-	cyl     int
+	fin     int // runs that have completed
+	write   bool
 	bytes   int
 	svcFrom time.Duration // service start, set at dispatch
 	done    time.Duration // completion time, set at dispatch
@@ -234,21 +234,18 @@ func (b *Batch) done(e *sim.Engine, i int, err error) *sim.Proc {
 // strict alternation makes them safe from any managed process, which is
 // the intended use.
 type Disk struct {
-	name   string
-	geom   Geometry
-	timing Timing
-	sched  Sched
-	eng    *sim.Engine // nil: untimed
+	name string
+	geom Geometry
+	eng  *sim.Engine // nil: untimed
 
 	backend Backend // block storage (in-memory slabs by default)
-	head    int     // current cylinder
-	scanUp  bool    // SCAN direction
-	busy    bool
-	merge   bool // merge physically adjacent queued requests
-	queue   []*request
-	free    []*request    // finished requests, reused by newRequest
-	cfree   []*completion // completed runs, reused by Submit
-	failed  bool
+	// line holds the waiting requests, each under its first run, and the
+	// head; it carries the timing, the discipline and the merge setting.
+	line   Line[*completion]
+	busy   bool
+	free   []*request    // finished requests, reused by newRequest
+	cfree  []*completion // completed runs, reused by Submit
+	failed bool
 
 	stats Stats
 
@@ -293,16 +290,10 @@ func New(cfg Config) *Disk {
 	if backend == nil {
 		backend = newMemBackend(cfg.Geometry)
 	}
-	return &Disk{
-		name:    cfg.Name,
-		geom:    cfg.Geometry,
-		timing:  cfg.Timing,
-		sched:   cfg.Sched,
-		eng:     cfg.Engine,
-		backend: backend,
-		scanUp:  true,
-		merge:   cfg.MergeQueued,
-	}
+	d := &Disk{name: cfg.Name, geom: cfg.Geometry, eng: cfg.Engine, backend: backend}
+	d.line.Reset(Model{Geometry: cfg.Geometry, Timing: cfg.Timing, Sched: cfg.Sched, MergeQueued: cfg.MergeQueued})
+	d.line.Arm.Up = true
+	return d
 }
 
 // SetProbe attaches a flight recorder: every serviced request records a
@@ -336,11 +327,12 @@ func (d *Disk) Name() string { return d.name }
 func (d *Disk) Geometry() Geometry { return d.geom }
 
 // Timing reports the disk's service-time model.
-func (d *Disk) Timing() Timing { return d.timing }
+func (d *Disk) Timing() Timing { return d.line.m.Timing }
 
 // Model is everything the time a drive takes over a list of requests
-// depends on, the list and where the head stands apart: what a dry issue
-// (blockio.Dry) replays the drive's queue from without the drive.
+// depends on, the list and where the head stands apart: what a Line
+// serves by. A dry issue (blockio.Dry) builds a Line from a drive's Model
+// to replay the drive's queue without the drive.
 type Model struct {
 	Geometry
 	Timing
@@ -349,19 +341,19 @@ type Model struct {
 }
 
 // Model reports the disk's queue and service-time model.
-func (d *Disk) Model() Model {
-	return Model{Geometry: d.geom, Timing: d.timing, Sched: d.sched, MergeQueued: d.merge}
-}
+func (d *Disk) Model() Model { return d.line.m }
 
 // Arm is where a drive's head stands — the cylinder of the last request
-// it served — and which way a SCAN sweep is travelling.
+// it served — and which way a SCAN sweep is travelling. It is the state a
+// Line keeps between requests: a dry issue starts its Line from a drive's
+// Arm to price what the drive would do next.
 type Arm struct {
 	Cyl int
 	Up  bool
 }
 
 // Arm reports the disk's head position and sweep direction.
-func (d *Disk) Arm() Arm { return Arm{Cyl: d.head, Up: d.scanUp} }
+func (d *Disk) Arm() Arm { return d.line.Arm }
 
 // Stats returns a snapshot of the device counters.
 func (d *Disk) Stats() Stats { return d.stats }
@@ -448,77 +440,31 @@ func seekTime(g Geometry, t Timing, dist int) time.Duration {
 	return t.SeekMin + time.Duration(float64(span)*frac)
 }
 
-// serviceTime models one request: overhead + seek + rotation + transfer.
-func (d *Disk) serviceTime(fromCyl, toCyl, bytes int) time.Duration {
-	dist := toCyl - fromCyl
-	if dist < 0 {
-		dist = -dist
-	}
-	return ServiceTime(d.geom, d.timing, dist, bytes)
-}
-
-// selectNext removes and returns the next request per the discipline.
-func (d *Disk) selectNext() *request {
-	best := 0
-	switch d.sched {
-	case SCAN:
-		// Nearest request at or beyond the head in the travel
-		// direction; if none, reverse.
-		for pass := 0; pass < 2; pass++ {
-			bestDist := math.MaxInt
-			bestIdx := -1
-			for i, r := range d.queue {
-				var dist int
-				if d.scanUp {
-					dist = r.cyl - d.head
-				} else {
-					dist = d.head - r.cyl
-				}
-				if dist >= 0 && dist < bestDist {
-					bestDist, bestIdx = dist, i
-				}
-			}
-			if bestIdx >= 0 {
-				best = bestIdx
-				break
-			}
-			d.scanUp = !d.scanUp
-		}
-	default: // FCFS
-		best = 0
-	}
-	r := d.queue[best]
-	d.queue = append(d.queue[:best], d.queue[best+1:]...)
-	return r
-}
-
-// startService moves the head to the request and charges its service
-// time, recording the completion instant in r.done.
-func (d *Disk) startService(r *request, now time.Duration) {
-	svc := d.serviceTime(d.head, r.cyl, r.bytes)
-	d.seekTo(r.cyl)
-	d.stats.BusyTime += svc
-	r.svcFrom = now
-	r.done = now + svc
-}
-
-// seekTo moves the head to cylinder cyl, counting the seek if it moves.
-func (d *Disk) seekTo(cyl int) {
-	if cyl != d.head {
-		d.stats.Seeks++
-		d.stats.SeekCyls += int64(max(cyl-d.head, d.head-cyl))
-		d.head = cyl
-	}
-}
-
-// dispatch starts service of the next queued request at virtual time now
-// and posts its runs' completions at the completion instant, the first
-// queued run first. Caller must have checked the queue is non-empty.
+// dispatch starts service of the request the line serves next at virtual
+// time now. Caller must have checked the line is non-empty.
 func (d *Disk) dispatch(now time.Duration) {
-	r := d.selectNext()
-	d.startService(r, now)
+	from := d.line.Arm.Cyl
+	c, svc := d.line.Next()
+	d.begin(c.r, from, svc, now)
+}
+
+// begin starts service of r at now, charged svc, and posts its runs'
+// completions at the completion instant, the first queued run first. The
+// head came from cylinder from.
+func (d *Disk) begin(r *request, from int, svc, now time.Duration) {
+	d.seeked(from)
+	d.stats.BusyTime += svc
+	r.svcFrom, r.done = now, now+svc
 	for _, c := range r.runs {
 		d.eng.Post(&c.ev, r.done)
+	}
+}
+
+// seeked counts the head's move from cylinder from, if it moved.
+func (d *Disk) seeked(from int) {
+	if to := d.line.Arm.Cyl; to != from {
+		d.stats.Seeks++
+		d.stats.SeekCyls += int64(max(to-from, from-to))
 	}
 }
 
@@ -532,38 +478,9 @@ func (d *Disk) newRequest(c *completion, bytes int) *request {
 	} else {
 		r = new(request)
 	}
-	*r = request{runs: append(r.runs[:0], c), write: c.write, block: c.block, nblk: int64(c.n),
-		cyl: d.geom.cylinderOf(c.block), bytes: bytes}
+	*r = request{runs: append(r.runs[:0], c), write: c.write, bytes: bytes}
 	c.r = r
 	return r
-}
-
-// tryMerge absorbs run c into a physically adjacent queued request of
-// the same direction (block-layer back/front merging) and reports
-// whether one took it. Only requests still waiting in the queue merge;
-// the in-service request is already committed to its service time.
-func (d *Disk) tryMerge(c *completion, bytes int) bool {
-	nblk := int64(c.n)
-	for _, q := range d.queue {
-		if q.write != c.write {
-			continue
-		}
-		switch {
-		case q.block+q.nblk == c.block: // back merge
-		case c.block+nblk == q.block: // front merge
-			q.block = c.block
-			q.cyl = d.geom.cylinderOf(c.block)
-		default:
-			continue
-		}
-		q.nblk += nblk
-		q.bytes += bytes
-		q.runs = append(q.runs, c)
-		c.r = q
-		d.stats.Merged++
-		return true
-	}
-	return false
 }
 
 // Submit queues a run on the drive as part of batch b and returns without
@@ -590,8 +507,10 @@ func (d *Disk) Submit(ctx sim.Context, b *Batch, write bool, block int64, n int,
 	}
 	p, timed := ctx.(*sim.Proc)
 	if !timed || d.eng == nil {
-		if !d.failed {
-			d.seekTo(d.geom.cylinderOf(block))
+		if !d.failed { // the head moves; the clock does not
+			from := d.line.Arm.Cyl
+			d.line.Serve(block, int64(n))
+			d.seeked(from)
 		}
 		b.errs[i] = d.move(write, block, n, iov)
 		return
@@ -610,17 +529,21 @@ func (d *Disk) Submit(ctx sim.Context, b *Batch, write bool, block int64, n int,
 		if d.stats.QueuePeak < 1 {
 			d.stats.QueuePeak = 1
 		}
-		d.startService(r, c.enq)
-		d.eng.Post(&c.ev, r.done)
+		from := d.line.Arm.Cyl
+		d.begin(r, from, d.line.Serve(block, int64(n)), c.enq)
 		return
 	}
-	// Queue behind the in-service request, whose completion dispatches
-	// the next. With merging enabled, an adjacent queued request may
-	// absorb the run instead.
-	if !d.merge || !d.tryMerge(c, bytes) {
-		d.queue = append(d.queue, d.newRequest(c, bytes))
+	// Wait in line behind the in-service request, whose completion
+	// dispatches the next — or, with merging enabled, join the waiting
+	// request the line merges the run into.
+	if first, ok := d.line.Add(write, block, int64(n), c); ok {
+		r := first.r
+		r.runs, r.bytes, c.r = append(r.runs, c), r.bytes+bytes, r
+		d.stats.Merged++
+	} else {
+		d.newRequest(c, bytes)
 	}
-	if depth := len(d.queue) + 1; depth > d.stats.QueuePeak {
+	if depth := d.line.Len() + 1; depth > d.stats.QueuePeak {
 		d.stats.QueuePeak = depth
 	}
 }
@@ -669,7 +592,7 @@ func (c *completion) complete() *sim.Proc {
 	}
 	err := d.move(c.write, c.block, c.n, c.iov)
 	if first {
-		if len(d.queue) > 0 {
+		if d.line.Len() > 0 {
 			d.dispatch(now)
 		} else {
 			d.busy = false

@@ -184,11 +184,11 @@ func TestSeekTimeMonotonic(t *testing.T) {
 	if d.seekTime(0) != 0 {
 		t.Fatal("zero-distance seek should be free")
 	}
-	if d.seekTime(1) < d.timing.SeekMin {
+	if d.seekTime(1) < d.Timing().SeekMin {
 		t.Fatal("single-cylinder seek below SeekMin")
 	}
-	if got := d.seekTime(d.Geometry().Cylinders - 1); got != d.timing.SeekMax {
-		t.Fatalf("full-stroke seek = %v, want SeekMax %v", got, d.timing.SeekMax)
+	if got := d.seekTime(d.Geometry().Cylinders - 1); got != d.Timing().SeekMax {
+		t.Fatalf("full-stroke seek = %v, want SeekMax %v", got, d.Timing().SeekMax)
 	}
 }
 
@@ -219,8 +219,8 @@ func TestVirtualTimeSingleRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Head starts at cylinder 0, block 0 is cylinder 0: no seek.
-	want := d.timing.Overhead + d.timing.RotationPeriod/2 +
-		time.Duration(float64(d.Geometry().BlockSize)/d.timing.TransferRate*float64(time.Second))
+	want := d.Timing().Overhead + d.Timing().RotationPeriod/2 +
+		time.Duration(float64(d.Geometry().BlockSize)/d.Timing().TransferRate*float64(time.Second))
 	if elapsed != want {
 		t.Fatalf("single request took %v, want %v", elapsed, want)
 	}
@@ -545,4 +545,10 @@ func TestRequestsAreRecycled(t *testing.T) {
 }
 
 // seekTime is the seek model at d's parameters, for the tests above.
-func (d *Disk) seekTime(dist int) time.Duration { return seekTime(d.geom, d.timing, dist) }
+func (d *Disk) seekTime(dist int) time.Duration { return seekTime(d.geom, d.Timing(), dist) }
+
+// serviceTime is what d charges a request moving bytes from cylinder
+// fromCyl to toCyl, for the tests above.
+func (d *Disk) serviceTime(fromCyl, toCyl, bytes int) time.Duration {
+	return ServiceTime(d.geom, d.Timing(), max(toCyl-fromCyl, fromCyl-toCyl), bytes)
+}

@@ -101,7 +101,7 @@ func TestServiceTimeQuickProperties(t *testing.T) {
 		if s2 < s1 {
 			return false
 		}
-		min := d.timing.Overhead + d.timing.RotationPeriod/2
+		min := d.Timing().Overhead + d.Timing().RotationPeriod/2
 		return s1 >= min
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
