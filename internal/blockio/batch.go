@@ -98,13 +98,18 @@ var mapPool = sync.Pool{New: func() any { return new(mapScratch) }}
 func mapRuns(op string, items BatchVec, cuts []int64, bs int64) ([]Run, []int, error) {
 	s := mapPool.Get().(*mapScratch)
 	defer mapPool.Put(s)
-	return s.mapRuns(op, items, cuts, bs, false)
+	runs, _, bounds, err := s.mapRuns(op, items, cuts, bs, nil, nil)
+	return runs, bounds, err
 }
 
-// mapRuns is the mapper on scratch s. With into, the runs and their
-// segments are s's own, recycled from the last such call, and live until
-// s is reused; otherwise they are allocated for the caller to keep.
-func (s *mapScratch) mapRuns(op string, items BatchVec, cuts []int64, bs int64, into bool) (runs []Run, bounds []int, err error) {
+// mapRuns is the mapper on scratch s. It appends the runs to runs and
+// their segments to segs, growing each once at most, and returns both:
+// the new runs are runs[len(runs):] of what was passed. Passing nil
+// allocates them exactly for the caller to keep; passing s's own recycles
+// them from the last such call (Set.transfer), and a caller's arena with
+// room left fills it (Set.Map).
+func (s *mapScratch) mapRuns(op string, items BatchVec, cuts []int64, bs int64, runs []Run, segs []Seg) ([]Run, []Seg, []int, error) {
+	var bounds []int
 	s.pieces = s.pieces[:0]
 	for _, it := range items {
 		for _, sg := range it.Vec {
@@ -145,7 +150,7 @@ func (s *mapScratch) mapRuns(op string, items BatchVec, cuts []int64, bs int64, 
 	for i := range s.pieces {
 		pc := &s.pieces[i]
 		if i > 0 && s.pieces[i-1].dev == pc.dev && s.pieces[i-1].pb+s.pieces[i-1].n > pc.pb {
-			return nil, nil, fmt.Errorf("blockio: %s items overlap on device %d at block %d", op, pc.dev, pc.pb)
+			return runs, segs, nil, fmt.Errorf("blockio: %s items overlap on device %d at block %d", op, pc.dev, pc.pb)
 		}
 		run, seg := s.joins(i, bs)
 		if !run {
@@ -165,13 +170,9 @@ func (s *mapScratch) mapRuns(op string, items BatchVec, cuts []int64, bs int64, 
 	for w := 2; w < len(bounds); w++ {
 		bounds[w] += bounds[w-1]
 	}
-	var segs []Seg
-	if into {
-		s.runs, s.segs = slices.Grow(s.runs[:0], nr)[:nr], slices.Grow(s.segs[:0], nsg)
-		runs, segs = s.runs, s.segs
-	} else {
-		runs, segs = make([]Run, nr), make([]Seg, 0, nsg)
-	}
+	r0 := len(runs)
+	runs, segs = slices.Grow(runs, nr)[:r0+nr], slices.Grow(segs, nsg)
+	mine := runs[r0:]
 	var last *Run
 	first, placed := 0, 0 // the growing run's first segment in segs; runs placed so far
 	for i, pc := range s.pieces {
@@ -189,7 +190,7 @@ func (s *mapScratch) mapRuns(op string, items BatchVec, cuts []int64, bs int64, 
 				bounds[pc.win+1]++
 			}
 			placed++
-			last = &runs[at]
+			last = &mine[at]
 			*last = Run{Dev: pc.dev, PBlock: pc.pb, B: pc.b}
 		}
 		last.N += pc.n
@@ -198,7 +199,7 @@ func (s *mapScratch) mapRuns(op string, items BatchVec, cuts []int64, bs int64, 
 	if bounds != nil {
 		bounds = bounds[:len(cuts)+2]
 	}
-	return runs, bounds, nil
+	return runs, segs, bounds, nil
 }
 
 // joins reports whether sorted piece i extends the run of piece i-1

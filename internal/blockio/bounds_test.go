@@ -3,6 +3,7 @@ package blockio
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func boundsOps(ctx sim.Context, s *Set, buf []byte) map[string]func(Vec) error {
 		"WriteVecStrategy(sieved)": func(v Vec) error { return s.WriteVecStrategy(ctx, StrategySieved, v, buf) },
 		"ReadVecStrategy(auto)":    func(v Vec) error { return s.ReadVecStrategy(ctx, StrategyAuto, v, buf) },
 		"WriteVecStrategy(auto)":   func(v Vec) error { return s.WriteVecStrategy(ctx, StrategyAuto, v, buf) },
-		"Map":                      func(v Vec) error { _, err := s.Map(v); return err },
+		"Map":                      func(v Vec) error { _, _, _, err := s.Map(v, nil, nil); return err },
 		"MapVec":                   func(v Vec) error { _, err := s.MapVec(v); return err },
 		"BatchVec.Plan":            func(v Vec) error { _, err := BatchVec{{Set: s, Vec: v}}.Plan(nil); return err },
 	}
@@ -44,7 +45,9 @@ func image(t *testing.T, s *Set) []byte {
 // on file b's block 0. A segment that ends past a, starts past it or
 // starts below 0 is refused by every entry point, with an error naming
 // the segment, before anything maps — and b, and a, stay byte for byte
-// what they were.
+// what they were. So is one whose buffer bytes end past the largest
+// int64, which no sum of offset and length may wrap below the buffer's
+// end.
 func TestSetRefusesBlocksOutsideItsFile(t *testing.T) {
 	const blocks = 8
 	sets, _ := newBatchStore(t, 4, 1, blocks/4, 2)
@@ -62,17 +65,19 @@ func TestSetRefusesBlocksOutsideItsFile(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		vec  Vec
+		want string
 	}{
-		{"ends past the file", Vec{{Block: 6, N: 4}}},
-		{"starts at the end", Vec{{Block: 8, N: 4}}},
-		{"starts past the file", Vec{{Block: 9, N: 1}}},
-		{"starts below 0", Vec{{Block: -1, N: 1}}},
-		{"one good segment, one past the end", Vec{{Block: 0, N: 2}, {Block: 7, N: 2, BufOff: 2 * bs}}},
+		{"ends past the file", Vec{{Block: 6, N: 4}}, "segment 0: blocks"},
+		{"starts at the end", Vec{{Block: 8, N: 4}}, "segment 0: blocks"},
+		{"starts past the file", Vec{{Block: 9, N: 1}}, "segment 0: blocks"},
+		{"starts below 0", Vec{{Block: -1, N: 1}}, "segment 0: blocks"},
+		{"one good segment, one past the end", Vec{{Block: 0, N: 2}, {Block: 7, N: 2, BufOff: 2 * bs}}, "segment 1: blocks"},
+		{"buffer end past the largest int64", Vec{{Block: 0, N: 1, BufOff: math.MaxInt64 / bs * bs}}, "segment 0: 1 blocks at buffer offset"},
 	} {
 		for name, op := range boundsOps(ctx, a, junk) {
 			err := op(tc.vec)
-			if err == nil || !strings.Contains(err.Error(), "segment") {
-				t.Errorf("%s, %s: %v, want the segment refused", tc.name, name, err)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: %v, want the segment refused (%q)", tc.name, name, err, tc.want)
 			}
 			if !bytes.Equal(image(t, b), wantB) || !bytes.Equal(image(t, a), wantA) {
 				t.Fatalf("%s, %s: a refused descriptor changed the files", tc.name, name)
@@ -157,15 +162,18 @@ func FuzzSetBounds(f *testing.F) {
 			}
 			if len(vec) > 0 && rng.Intn(2) == 0 {
 				// Move one segment out of the file: past its end, across
-				// it, or below block 0.
+				// it, or below block 0 — or its buffer bytes past the
+				// largest int64.
 				sg := &vec[rng.Intn(len(vec))]
-				switch rng.Intn(3) {
+				switch rng.Intn(4) {
 				case 0:
 					sg.Block = total + rng.Int63n(8)
 				case 1:
 					sg.Block = total - sg.N + 1 + rng.Int63n(sg.N)
-				default:
+				case 2:
 					sg.Block = -1 - rng.Int63n(4)
+				default:
+					sg.BufOff = (math.MaxInt64 - rng.Int63n(sg.N)*bs) / bs * bs
 				}
 				buf := make([]byte, size)
 				rng.Read(buf)

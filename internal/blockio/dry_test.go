@@ -178,7 +178,7 @@ func FuzzDryIssue(f *testing.F) {
 				write bool
 			}{{StrategyVectored, false}, {StrategyVectored, true}, {StrategySieved, false}, {StrategySieved, true}} {
 				vec, size := one.vec(rng, 0, one.total)
-				m, err := one.set.Map(vec)
+				m, _, _, err := one.set.Map(vec, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -228,7 +228,7 @@ func FuzzDryIssue(f *testing.F) {
 			}
 			vec, size := many.vec(rng, lo, hi)
 			var err error
-			if maps[i], err = many.set.Map(vec); err != nil {
+			if maps[i], _, _, err = many.set.Map(vec, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			bufs[i] = make([]byte, size)

@@ -71,23 +71,31 @@ type Mapped struct {
 	need int64 // the buffer bytes its segments address
 }
 
-// Map validates vec and maps it once, for pricing and for issue.
-func (s *Set) Map(vec Vec) (Mapped, error) {
+// Map validates vec and maps it once, for pricing and for issue. The
+// runs are appended to runs and their segments to segs, which come back
+// extended: a caller mapping many descriptors passes one arena, sized for
+// all of them, through every call (the collective's independent routes,
+// schedule.mapped); nil allocates them for this descriptor alone. The
+// Mapped's runs are capped, so nothing appended later reaches them.
+func (s *Set) Map(vec Vec, runs []Run, segs []Seg) (Mapped, []Run, []Seg, error) {
 	if err := s.checkVec("Map", vec, -1); err != nil {
-		return Mapped{}, err
+		return Mapped{}, runs, segs, err
 	}
-	runs, _, err := mapRuns("Map", BatchVec{{Set: s, Vec: vec}}, nil, int64(s.store.BlockSize()))
-	if err != nil {
-		return Mapped{}, err
-	}
-	m := Mapped{set: s, runs: runs}
 	bs := int64(s.store.BlockSize())
+	sc := mapPool.Get().(*mapScratch)
+	r0 := len(runs)
+	runs, segs, _, err := sc.mapRuns("Map", BatchVec{{Set: s, Vec: vec}}, nil, bs, runs, segs)
+	mapPool.Put(sc)
+	if err != nil {
+		return Mapped{}, runs[:r0], segs, err
+	}
+	m := Mapped{set: s, runs: runs[r0:len(runs):len(runs)]}
 	for _, sg := range vec {
 		if sg.N > 0 {
 			m.need = max(m.need, sg.BufOff+sg.N*bs)
 		}
 	}
-	return m, nil
+	return m, runs, segs, nil
 }
 
 // Runs exposes the gather runs (absolute physical blocks, (device, block)
@@ -141,11 +149,11 @@ func (s *Set) transfer(ctx sim.Context, op string, write bool, strat Strategy, v
 	}
 	m := mapPool.Get().(*mapScratch)
 	defer mapPool.Put(m)
-	runs, _, err := m.mapRuns(op, BatchVec{{Set: s, Vec: vec}}, nil, int64(s.store.BlockSize()), true)
-	if err != nil {
+	var err error
+	if m.runs, m.segs, _, err = m.mapRuns(op, BatchVec{{Set: s, Vec: vec}}, nil, int64(s.store.BlockSize()), m.runs[:0], m.segs[:0]); err != nil {
 		return err
 	}
-	return s.issueRuns(ctx, op, write, strat, runs, buf)
+	return s.issueRuns(ctx, op, write, strat, m.runs, buf)
 }
 
 // issueRuns is the pipeline below the map stage.

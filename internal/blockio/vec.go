@@ -18,8 +18,10 @@
 package blockio
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -65,13 +67,20 @@ func (v Vec) Blocks() int64 {
 // [0, blocks), block-aligned in-bounds buffer ranges, and pairwise
 // disjointness in both coordinate systems. It runs before anything maps,
 // so a segment past the file's end never reaches the layout, which would
-// place it in whatever lies beyond the file's extent. bufLen < 0 skips
-// the buffer bound check (MapVec, which has no buffer). Segments that arrive ascending in both blocks and
-// buffer — one range, a stream's extent, most request lists — are proven
-// disjoint by the first walk alone; only a shuffled descriptor pays for
-// the two sorts.
+// place it in whatever lies beyond the file's extent. Both bounds are
+// checked by subtraction, so no segment's end can overflow past them.
+// bufLen < 0 means no buffer is bound yet (Map, a batch plan): the
+// segments must then only fit in an int64 byte space. Segments that
+// arrive ascending in both blocks and buffer — one range, a stream's
+// extent, most request lists — are proven disjoint by the first walk
+// alone; only a shuffled descriptor pays for the two sorts, of indexes
+// kept on the stack up to stackSegs segments.
 func (s *Set) checkVec(op string, vec Vec, bufLen int64) error {
 	bs := int64(s.store.BlockSize())
+	limit := bufLen
+	if limit < 0 {
+		limit = math.MaxInt64
+	}
 	ordered, last := true, -1 // last: the previous non-empty segment
 	for i, sg := range vec {
 		if sg.N < 0 || sg.Block < 0 || sg.N > s.blocks-sg.Block {
@@ -83,9 +92,11 @@ func (s *Set) checkVec(op string, vec Vec, bufLen int64) error {
 		if sg.BufOff < 0 || sg.BufOff%bs != 0 {
 			return fmt.Errorf("blockio: %s segment %d: buffer offset %d not aligned to %d-byte blocks", op, i, sg.BufOff, bs)
 		}
-		if bufLen >= 0 && sg.BufOff+sg.N*bs > bufLen {
-			return fmt.Errorf("blockio: %s segment %d: buffer bytes [%d,%d) exceed %d-byte buffer",
-				op, i, sg.BufOff, sg.BufOff+sg.N*bs, bufLen)
+		if sg.BufOff > limit || sg.N > (limit-sg.BufOff)/bs {
+			if bufLen < 0 {
+				return fmt.Errorf("blockio: %s segment %d: %d blocks at buffer offset %d overflow an int64 byte offset", op, i, sg.N, sg.BufOff)
+			}
+			return fmt.Errorf("blockio: %s segment %d: %d blocks at buffer offset %d exceed %d-byte buffer", op, i, sg.N, sg.BufOff, bufLen)
 		}
 		if last >= 0 && (vec[last].Block+vec[last].N > sg.Block || vec[last].BufOff+vec[last].N*bs > sg.BufOff) {
 			ordered = false
@@ -95,33 +106,33 @@ func (s *Set) checkVec(op string, vec Vec, bufLen int64) error {
 	if ordered {
 		return nil
 	}
-	var act []int // indices of non-empty segments
+	var stack [stackSegs]int32
+	idx := stack[:0] // indices of non-empty segments
 	for i, sg := range vec {
 		if sg.N > 0 {
-			act = append(act, i)
+			idx = append(idx, int32(i))
 		}
 	}
-	for pass := 0; pass < 2; pass++ {
-		byBlock := pass == 0
-		idx := append([]int(nil), act...)
-		sort.Slice(idx, func(a, b int) bool {
-			if byBlock {
-				return vec[idx[a]].Block < vec[idx[b]].Block
-			}
-			return vec[idx[a]].BufOff < vec[idx[b]].BufOff
-		})
-		for k := 1; k < len(idx); k++ {
-			p, c := vec[idx[k-1]], vec[idx[k]]
-			if byBlock && p.Block+p.N > c.Block {
-				return fmt.Errorf("blockio: %s segments %d and %d overlap in logical blocks", op, idx[k-1], idx[k])
-			}
-			if !byBlock && p.BufOff+p.N*bs > c.BufOff {
-				return fmt.Errorf("blockio: %s segments %d and %d overlap in the buffer", op, idx[k-1], idx[k])
-			}
+	// Ties go to the lower index, so which pair an error names does not
+	// depend on the sort.
+	slices.SortFunc(idx, func(a, b int32) int { return cmp.Or(cmp.Compare(vec[a].Block, vec[b].Block), cmp.Compare(a, b)) })
+	for k := 1; k < len(idx); k++ {
+		if p, c := vec[idx[k-1]], vec[idx[k]]; p.Block+p.N > c.Block {
+			return fmt.Errorf("blockio: %s segments %d and %d overlap in logical blocks", op, idx[k-1], idx[k])
+		}
+	}
+	slices.SortFunc(idx, func(a, b int32) int { return cmp.Or(cmp.Compare(vec[a].BufOff, vec[b].BufOff), cmp.Compare(a, b)) })
+	for k := 1; k < len(idx); k++ {
+		if p, c := vec[idx[k-1]], vec[idx[k]]; p.BufOff+p.N*bs > c.BufOff {
+			return fmt.Errorf("blockio: %s segments %d and %d overlap in the buffer", op, idx[k-1], idx[k])
 		}
 	}
 	return nil
 }
+
+// stackSegs is how many segments of a shuffled descriptor checkVec sorts
+// without a heap allocation.
+const stackSegs = 64
 
 // MapVec validates vec and decomposes it into gather runs: every segment
 // is mapped through the layout, the resulting pieces are sorted by
@@ -131,7 +142,7 @@ func (s *Set) checkVec(op string, vec Vec, bufLen int64) error {
 // blocks are file-extent relative, like Layout.MapRun. The runs are
 // returned in (device, physical block) order.
 func (s *Set) MapVec(vec Vec) ([]Run, error) {
-	m, err := s.Map(vec)
+	m, _, _, err := s.Map(vec, nil, nil)
 	for i := range m.runs {
 		m.runs[i].PBlock -= s.base[m.runs[i].Dev]
 	}

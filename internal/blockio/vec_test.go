@@ -126,6 +126,27 @@ func TestVecValidation(t *testing.T) {
 	}
 }
 
+// TestCheckVecShuffledAllocs: a shuffled descriptor is proven disjoint
+// by two sorts of its segments' indexes, which stay on the stack: checking
+// one of eight segments, shuffled in blocks and in the buffer alike,
+// allocates nothing.
+func TestCheckVecShuffledAllocs(t *testing.T) {
+	set, _ := newVecSet(t, NewStriped(2, 1))
+	bs := int64(set.BlockSize())
+	var vec Vec
+	for i, k := range []int64{5, 2, 7, 0, 3, 6, 1, 4} {
+		vec = append(vec, VecSeg{Block: 2 * k, N: 1, BufOff: int64(7-i) * bs})
+	}
+	check := func() {
+		if err := set.checkVec("check", vec, 8*bs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, check); n != 0 {
+		t.Errorf("checking a shuffled 8-segment descriptor allocated %.0f times, want 0", n)
+	}
+}
+
 // randomVec builds a deterministic random descriptor over [0, total):
 // disjoint logical ranges in shuffled order with shuffled buffer slots.
 func randomVec(rng *rand.Rand, total, bs int64) (Vec, int64) {

@@ -9,6 +9,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -216,6 +218,69 @@ func TestRejectedAndFailedWritesRecover(t *testing.T) {
 			}
 			checkPatternImage(t, g, 3000)
 		})
+	}
+}
+
+// TestPlanRefusesOverflowingSegments: a segment whose end lies past the
+// largest int64 — in file blocks or in buffer bytes — is refused by the
+// plan like any other segment out of bounds, in a write and in a read:
+// no sum of offset and length may wrap below the bound it is checked
+// against. Every rank returns the same error, and the handle then moves
+// data as before.
+func TestPlanRefusesOverflowingSegments(t *testing.T) {
+	const nRanks = 4
+	for _, tc := range []struct {
+		name string
+		seg  blockio.VecSeg
+		want string
+	}{
+		{"blocks", blockio.VecSeg{Block: 2, N: math.MaxInt64}, "of 40-block file"},
+		{"buffer", blockio.VecSeg{Block: 2, N: 1, BufOff: math.MaxInt64 / testBS * testBS}, fmt.Sprintf("exceed %d-byte buffer", testBS)},
+	} {
+		for _, write := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/write=%v", tc.name, write), func(t *testing.T) {
+				e, g, _ := collectiveFixture(t, storeDirect, testPlacements[0].spec)
+				col, err := Open(g, nRanks, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var refused [nRanks]error
+				_, join := mpp.Run(e, nRanks, "w", func(p *mpp.Proc) {
+					rank := p.Rank()
+					good := []VecReq{{File: 0, Vec: blockio.Vec{{Block: int64(8 + rank), N: 1}}}}
+					reqs := good
+					if rank == 2 {
+						reqs = []VecReq{{File: 0, Vec: blockio.Vec{tc.seg}}}
+					}
+					buf := make([]byte, testBS)
+					if write {
+						refused[rank] = col.WriteAll(p, reqs, buf)
+					} else {
+						refused[rank] = col.ReadAll(p, reqs, buf)
+					}
+					pattern(int64(8+rank), buf)
+					if err := col.WriteAll(p, good, buf); err != nil {
+						t.Errorf("rank %d, after the refused call: %v", rank, err)
+					}
+					got := make([]byte, testBS)
+					if err := col.ReadAll(p, good, got); err != nil || !bytes.Equal(got, buf) {
+						t.Errorf("rank %d, after the refused call: read-back failed (%v)", rank, err)
+					}
+				})
+				e.Go("join", func(sp *sim.Proc) { join.Wait(sp) })
+				if err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+				for r, err := range refused {
+					if err == nil || !strings.Contains(err.Error(), "rank 2 request 0 segment 0") || !strings.Contains(err.Error(), tc.want) {
+						t.Errorf("rank %d returned %v, want rank 2's segment refused (%q)", r, err, tc.want)
+					}
+					if fmt.Sprint(err) != fmt.Sprint(refused[0]) {
+						t.Errorf("rank %d returned %v, rank 0 %v", r, err, refused[0])
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -301,10 +301,16 @@ type spaceTab struct {
 // chunk of every domain, resolving overlaps for a write (the highest
 // rank's bytes land, LastWriterWins) or for a read (dups). The pieces are
 // appended to parts[:0]: an evicted schedule's, whose memory is dead by
-// then (scheduleFor).
+// then (scheduleFor), grown first to what the clips number where no two
+// segments overlap: every segment, plus one for each window edge that
+// cuts one.
 func (pl *plan) space(write bool, parts []part) *spaceTab {
 	n := pl.naggs*pl.rounds + 1
-	t := &spaceTab{parts: parts[:0], at: make([]int, 1, n), dat: make([]int, 1, n)}
+	clips := n
+	for _, segs := range pl.segs {
+		clips += len(segs)
+	}
+	t := &spaceTab{parts: slices.Grow(parts[:0], clips), at: make([]int, 1, n), dat: make([]int, 1, n)}
 	for a := 0; a < pl.naggs; a++ {
 		for k := 0; k < pl.rounds; k++ {
 			lo, hi := pl.chunkWindow(a, k)

@@ -34,6 +34,15 @@
 //     those): a footprint every rank shares equally spreads over the
 //     ranks instead of electing rank 0 for every domain.
 //
+// A plan is built afresh on every call whose request lists the schedule
+// cache has not seen, so building one costs a fixed number of
+// allocations, not a few per rank: every rank-indexed table — the
+// segment lists, their covered ranges, the share table and the
+// participation indexes — is one array counted before it is filled, each
+// rank's row a capped slice of it. Every sort is typed and its order
+// total: segments tie on key by buffer offset, then by rank, so no plan
+// depends on the sort algorithm.
+//
 // Domains are contiguous in covered-index space and holes nobody asked
 // for are never touched. What "contiguous" buys depends on the key: a
 // logical domain is sequential in the file, which on a declustered
@@ -48,9 +57,11 @@
 package collective
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/blockio"
@@ -95,7 +106,7 @@ type plan struct {
 	// address the store. nil on a logical plan, whose keys resolve
 	// through the group's files (locate).
 	phys      *blockio.Set
-	segs      [][]rseg  // per rank, sorted by key
+	segs      [][]rseg  // per rank, sorted by key (byKey)
 	covered   []span    // merged union footprint, sorted by key
 	cbase     []int64   // covered-index of covered[i].gb
 	total     int64     // total covered blocks
@@ -136,13 +147,25 @@ type plan struct {
 // domain split and domain→aggregator assignment of the logical
 // partition. write additionally rejects cross-rank overlaps, whose store
 // order would be ambiguous — unless opts.LastWriterWins selects MPI-IO
-// rank-order semantics.
+// rank-order semantics. Every bound is checked by subtraction, so a
+// segment whose end would overflow an int64 is refused like any other
+// out-of-bounds one.
 func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, write bool, opts Options) (*plan, error) {
 	bs := int64(group.Store().BlockSize())
 	pl := &plan{bs: bs, naggs: naggs, group: group, segs: make([][]rseg, len(reqs))}
+	// Every rank's segments are a capped slice of one array, counted
+	// before it is filled (zero-length segments counted too, and left out).
+	n := 0
+	for _, rr := range reqs {
+		for _, q := range rr {
+			n += len(q.Vec)
+		}
+	}
+	flat := make([]rseg, 0, n)
+	var byBuf []rseg // a rank's segments in buffer order, when key order is not
 	for r, rr := range reqs {
 		bufLen := int64(len(bufs[r]))
-		var segs []rseg
+		lo := len(flat)
 		for qi, q := range rr {
 			if q.File < 0 || q.File >= group.Len() {
 				return nil, fmt.Errorf("collective: rank %d request %d: file %d of %d", r, qi, q.File, group.Len())
@@ -150,7 +173,7 @@ func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, 
 			fileBlocks := group.File(q.File).Mapper().TotalFSBlocks()
 			off := group.Offset(q.File)
 			for si, sg := range q.Vec {
-				if sg.N < 0 || sg.Block < 0 || sg.Block+sg.N > fileBlocks {
+				if sg.N < 0 || sg.Block < 0 || sg.N > fileBlocks-sg.Block {
 					return nil, fmt.Errorf("collective: rank %d request %d segment %d: blocks [%d,%d) of %d-block file",
 						r, qi, si, sg.Block, sg.Block+sg.N, fileBlocks)
 				}
@@ -161,14 +184,15 @@ func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, 
 					return nil, fmt.Errorf("collective: rank %d request %d segment %d: buffer offset %d not aligned to %d-byte blocks",
 						r, qi, si, sg.BufOff, bs)
 				}
-				if sg.BufOff+sg.N*bs > bufLen {
-					return nil, fmt.Errorf("collective: rank %d request %d segment %d: buffer bytes [%d,%d) exceed %d-byte buffer",
-						r, qi, si, sg.BufOff, sg.BufOff+sg.N*bs, bufLen)
+				if sg.BufOff > bufLen || sg.N > (bufLen-sg.BufOff)/bs {
+					return nil, fmt.Errorf("collective: rank %d request %d segment %d: %d blocks at buffer offset %d exceed %d-byte buffer",
+						r, qi, si, sg.N, sg.BufOff, bufLen)
 				}
-				segs = append(segs, rseg{gb: off + sg.Block, n: sg.N, bufOff: sg.BufOff})
+				flat = append(flat, rseg{gb: off + sg.Block, n: sg.N, bufOff: sg.BufOff})
 			}
 		}
-		sort.Slice(segs, func(i, j int) bool { return segs[i].gb < segs[j].gb })
+		segs := flat[lo:len(flat):len(flat)]
+		slices.SortFunc(segs, byKey)
 		if write {
 			// A rank naming a block twice in one write is ambiguous; a
 			// read may fetch one block into several buffer slots.
@@ -178,11 +202,15 @@ func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, 
 				}
 			}
 		}
-		byBuf := append([]rseg(nil), segs...)
-		sort.Slice(byBuf, func(i, j int) bool { return byBuf[i].bufOff < byBuf[j].bufOff })
-		for i := 1; i < len(byBuf); i++ {
-			if byBuf[i-1].bufOff+byBuf[i-1].n*bs > byBuf[i].bufOff {
-				return nil, fmt.Errorf("collective: rank %d requests overlap in the buffer at offset %d", r, byBuf[i].bufOff)
+		inBuf := segs
+		if !slices.IsSortedFunc(segs, byBufOff) {
+			byBuf = append(byBuf[:0], segs...)
+			slices.SortFunc(byBuf, byBufOff)
+			inBuf = byBuf
+		}
+		for i := 1; i < len(inBuf); i++ {
+			if inBuf[i-1].bufOff+inBuf[i-1].n*bs > inBuf[i].bufOff {
+				return nil, fmt.Errorf("collective: rank %d requests overlap in the buffer at offset %d", r, inBuf[i].bufOff)
 			}
 		}
 		pl.segs[r] = segs
@@ -203,8 +231,27 @@ func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, 
 	return pl, nil
 }
 
+// byKey orders segments by key, ties by buffer offset: a total order on
+// any rank's list that buildPlan accepts (two of its segments at one
+// offset overlap in the buffer), so no plan depends on the sort.
+func byKey(x, y rseg) int {
+	if x.gb != y.gb {
+		return cmp.Compare(x.gb, y.gb)
+	}
+	return cmp.Compare(x.bufOff, y.bufOff)
+}
+
+// byBufOff orders segments by buffer offset, ties by key.
+func byBufOff(x, y rseg) int {
+	if x.bufOff != y.bufOff {
+		return cmp.Compare(x.bufOff, y.bufOff)
+	}
+	return cmp.Compare(x.gb, y.gb)
+}
+
 // sortedSegs flattens the per-rank segment lists into one list sorted
-// by key — the input of the union merge.
+// by key, ties by buffer offset and then rank — the input of the union
+// merge.
 func sortedSegs(segs [][]rseg) []owned {
 	n := 0
 	for _, ss := range segs {
@@ -216,7 +263,12 @@ func sortedSegs(segs [][]rseg) []owned {
 			all = append(all, owned{rseg: sg, rank: r})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].gb < all[j].gb })
+	slices.SortFunc(all, func(x, y owned) int {
+		if c := byKey(x.rseg, y.rseg); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.rank, y.rank)
+	})
 	return all
 }
 
@@ -230,7 +282,8 @@ func sortedSegs(segs [][]rseg) []owned {
 // unchanged: a domain buffer is laid out in drive order, a chunk is a
 // contiguous slice of a drive, and locate resolves keys through the
 // identity Set. split deepens the pipeline and rmp sizes its rounds
-// (partition).
+// (partition). The re-keyed lists are slices of one array, like
+// buildPlan's: the pieces are counted, then placed.
 func (pl *plan) aligned(opts Options, split int, rmp ramp) *plan {
 	store := pl.group.Store()
 	nd, per := store.Devices(), store.Blocks()
@@ -240,21 +293,31 @@ func (pl *plan) aligned(opts Options, split int, rmp ramp) *plan {
 	}
 	al := &plan{bs: pl.bs, naggs: pl.naggs, group: pl.group, phys: phys, segs: make([][]rseg, len(pl.segs))}
 	var runs []blockio.Run
-	for r, segs := range pl.segs {
-		if len(segs) == 0 {
-			continue
-		}
-		out := make([]rseg, 0, len(segs))
+	// mapSeg maps one segment (a validated segment lies inside one file).
+	mapSeg := func(sg rseg) (*blockio.Set, int64) {
+		set, blk, _ := pl.locate(sg.gb)
+		runs = set.Layout().MapRun(runs[:0], blk, sg.n)
+		return set, blk
+	}
+	n := 0
+	for _, segs := range pl.segs {
 		for _, sg := range segs {
-			// A validated segment lies inside one file.
-			set, blk, _ := pl.locate(sg.gb)
-			runs = set.Layout().MapRun(runs[:0], blk, sg.n)
+			mapSeg(sg)
+			n += len(runs)
+		}
+	}
+	flat := make([]rseg, 0, n)
+	for r, segs := range pl.segs {
+		lo := len(flat)
+		for _, sg := range segs {
+			set, blk := mapSeg(sg)
 			for _, run := range runs {
 				_, pb := set.Locate(run.B)
-				out = append(out, rseg{gb: int64(run.Dev)*per + pb, n: run.N, bufOff: sg.bufOff + (run.B-blk)*pl.bs})
+				flat = append(flat, rseg{gb: int64(run.Dev)*per + pb, n: run.N, bufOff: sg.bufOff + (run.B-blk)*pl.bs})
 			}
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].gb < out[j].gb })
+		out := flat[lo:len(flat):len(flat)]
+		slices.SortFunc(out, byKey)
 		al.segs[r] = out
 	}
 	cuts := make([]int64, al.naggs+1)
@@ -296,6 +359,17 @@ func (pl *plan) locate(key int64) (set *blockio.Set, block, left int64) {
 // bound, below one round); rmp ramps the rounds where the ramp fits.
 func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int, rmp ramp) {
 	naggs, nranks := pl.naggs, len(pl.segs)
+	// Every table below is counted, then filled: the covered spans, and
+	// the per-rank rows of each rank-indexed table as capped slices of
+	// one array.
+	nspans, end := 0, int64(math.MinInt64)
+	for _, sg := range all {
+		if sg.gb > end {
+			nspans++
+		}
+		end = max(end, sg.gb+sg.n)
+	}
+	pl.covered = make([]span, 0, nspans)
 	for _, sg := range all {
 		if k := len(pl.covered) - 1; k >= 0 && pl.covered[k].gb+pl.covered[k].n >= sg.gb {
 			if end := sg.gb + sg.n; end > pl.covered[k].gb+pl.covered[k].n {
@@ -329,19 +403,19 @@ func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int, rm
 			pl.domBlocks = max(pl.domBlocks, pl.domLo[a]-pl.domLo[a-1])
 		}
 	}
-	pl.cstart = make([][]int64, nranks)
-	pl.cend = make([][]int64, nranks)
-	pl.maxEnd = make([][]int64, nranks)
 	// One pass over all segments fills the covered ranges and the
 	// rank×domain share table (the clips' bytes at every cell) — it
 	// drives the locality election, the exchange stats, and
 	// payload-buffer sizing without rescanning segment lists per domain.
-	pl.shares = make([][]int64, nranks)
+	rows := make([][]int64, 4*nranks)
+	pl.cstart, pl.cend, pl.maxEnd = rows[:nranks:nranks], rows[nranks:2*nranks:2*nranks], rows[2*nranks:3*nranks:3*nranks]
+	pl.shares = rows[3*nranks:]
+	rng, cells := make([]int64, 3*len(all)), make([]int64, nranks*naggs)
 	for r, segs := range pl.segs {
-		n := len(segs) // one allocation holds the rank's three ranges
-		rng := make([]int64, 3*n)
-		pl.cstart[r], pl.cend[r], pl.maxEnd[r] = rng[:n:n], rng[n:2*n:2*n], rng[2*n:]
-		pl.shares[r] = make([]int64, naggs)
+		n := len(segs)
+		pl.cstart[r], pl.cend[r], pl.maxEnd[r] = rng[:n:n], rng[n:2*n:2*n], rng[2*n:3*n:3*n]
+		rng = rng[3*n:]
+		pl.shares[r] = cells[r*naggs : (r+1)*naggs : (r+1)*naggs]
 		var maxEnd int64
 		for i, sg := range segs {
 			ci := pl.coveredIndex(sg.gb)
@@ -357,15 +431,31 @@ func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int, rm
 			}
 		}
 	}
-	pl.domsOf = make([][]int32, nranks)
-	pl.ranksIn = make([][]int32, naggs)
-	for r := range pl.shares {
-		for a, b := range pl.shares[r] {
+	nz := 0
+	for _, b := range cells {
+		if b > 0 {
+			nz++
+		}
+	}
+	idx, lists := make([]int32, 0, 2*nz), make([][]int32, nranks+naggs)
+	pl.domsOf, pl.ranksIn = lists[:nranks:nranks], lists[nranks:]
+	for r, row := range pl.shares {
+		lo := len(idx)
+		for a, b := range row {
 			if b > 0 {
-				pl.domsOf[r] = append(pl.domsOf[r], int32(a))
-				pl.ranksIn[a] = append(pl.ranksIn[a], int32(r))
+				idx = append(idx, int32(a))
 			}
 		}
+		pl.domsOf[r] = idx[lo:len(idx):len(idx)]
+	}
+	for a := range pl.ranksIn {
+		lo := len(idx)
+		for r, row := range pl.shares {
+			if row[a] > 0 {
+				idx = append(idx, int32(r))
+			}
+		}
+		pl.ranksIn[a] = idx[lo:len(idx):len(idx)]
 	}
 	if pl.total > 0 {
 		// ChunkBytes bounds a round; how deep the pipeline runs
@@ -376,7 +466,7 @@ func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int, rm
 			pl.ends = roundEnds(nil, pl.domBlocks, ceil, split, rmp)
 		}
 		if pl.ramped = len(pl.ends) > 0; !pl.ramped {
-			pl.ends = roundEnds(nil, pl.domBlocks, ceil, split, 0)
+			pl.ends = roundEnds(pl.ends[:0], pl.domBlocks, ceil, split, 0)
 		}
 		pl.rounds = len(pl.ends)
 	}
@@ -526,6 +616,7 @@ func roundEnds(dst []int64, dom, ceil int64, split int, r ramp) []int64 {
 	n := int64(max(split, 1))
 	cb := (ceil + n - 1) / n
 	rounds := (dom + cb - 1) / cb
+	dst = slices.Grow(dst, int(rounds))
 	if r == 0 {
 		for end := cb; ; end += cb {
 			if dst = append(dst, min(end, dom)); end >= dom {

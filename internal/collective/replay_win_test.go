@@ -10,7 +10,7 @@ package collective_test
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
@@ -57,7 +57,7 @@ func replayWinSummary(res experiments.CheckpointResult) (buildWall, replayWall t
 		rest = append(rest, c.Wall)
 		sum += c.Mallocs
 	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
+	slices.Sort(rest)
 	return buildWall, rest[len(rest)/2], buildAllocs, sum / uint64(len(rest))
 }
 

@@ -322,7 +322,19 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 		sd.pl = pl
 	}
 	sd.stats = pl.exchangeStats(c.size)
+	// Every rank's owned domains are a capped slice of one array.
+	at := make([]int, c.size+1) // at[r+1]: domains owned by ranks ≤ r
+	for _, r := range pl.owner {
+		at[r+1]++
+	}
+	for r := 1; r <= c.size; r++ {
+		at[r] += at[r-1]
+	}
+	doms := make([]int, len(pl.owner))
 	sd.ownedOf = make([][]int, c.size)
+	for r := range sd.ownedOf {
+		sd.ownedOf[r] = doms[at[r]:at[r]:at[r+1]]
+	}
 	for a, r := range pl.owner {
 		sd.ownedOf[r] = append(sd.ownedOf[r], a)
 	}
@@ -421,35 +433,43 @@ func sigEqual(a, b []uint64) bool {
 
 // mapped returns rank's requests of an independent route taken through
 // the map stage — one blockio.Mapped per request, LastWriterWins-clipped
-// for a write that asks for it — mapping them on first use: StrategyAuto
-// maps every rank to price the routes, a fixed strategy leaves each rank
-// to map its own, and a replayed schedule maps nothing. A request that is
-// not a valid independent descriptor is reported and left out; the others
-// still move.
+// for a write that asks for it. The first call maps every rank at once,
+// into one arena sized up front from the plan: one []Mapped for every
+// request, and a run array and a segment array of one entry per plan
+// segment, which Set.Map appends to — they outgrow that only where a
+// segment splits on the drives. StrategyAuto maps to price the routes, a
+// fixed strategy on the first rank's turn, and a replayed schedule maps
+// nothing. A request that is not a valid independent descriptor is
+// reported for its rank and left out; the others still move.
 func (sd *schedule) mapped(c *Collective, rank int, write bool) ([]blockio.Mapped, error) {
-	if sd.ind == nil {
-		sd.ind, sd.indErr = make([][]blockio.Mapped, c.size), make([]error, c.size)
+	if sd.ind != nil {
+		return sd.ind[rank], sd.indErr[rank]
 	}
-	if ms := sd.ind[rank]; ms != nil {
-		return ms, sd.indErr[rank]
-	}
-	reqs := c.reqs[rank]
-	if write && c.opts.LastWriterWins {
-		reqs = sd.lwwReqs(c, rank)
-	}
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	ms := make([]blockio.Mapped, len(reqs))
-	var errs []error
-	for i, q := range reqs {
-		var err error
-		if ms[i], err = c.group.File(q.File).Set().Map(q.Vec); err != nil {
-			errs = append(errs, err)
+	lists := make([][]VecReq, c.size)
+	nreq, nseg := 0, 0
+	for r := range lists {
+		lists[r] = c.reqs[r]
+		if write && c.opts.LastWriterWins {
+			lists[r] = sd.lwwReqs(c, r)
 		}
+		nreq += len(lists[r])
+		nseg += len(sd.pl.segs[r])
 	}
-	sd.ind[rank], sd.indErr[rank] = ms, errors.Join(errs...)
-	return ms, sd.indErr[rank]
+	ms := make([]blockio.Mapped, nreq)
+	runs, segs := make([]blockio.Run, 0, nseg), make([]blockio.Seg, 0, nseg)
+	sd.ind, sd.indErr = make([][]blockio.Mapped, c.size), make([]error, c.size)
+	for r, reqs := range lists {
+		var errs []error
+		for i, q := range reqs {
+			var err error
+			if ms[i], runs, segs, err = c.group.File(q.File).Set().Map(q.Vec, runs, segs); err != nil {
+				errs = append(errs, err)
+			}
+		}
+		sd.ind[r], ms = ms[:len(reqs):len(reqs)], ms[len(reqs):]
+		sd.indErr[r] = errors.Join(errs...)
+	}
+	return sd.ind[rank], sd.indErr[rank]
 }
 
 // lwwReqs returns rank's LastWriterWins-clipped write requests for the

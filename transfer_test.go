@@ -245,6 +245,11 @@ func TestMultiDriveTransferSpawnsNothing(t *testing.T) {
 			job := srv.AddJob(pario.IOJobConfig{Name: "j"})
 			srv.Start(m.Engine)
 			buf := make([]byte, 64*set.BlockSize())
+			// One P, as testing.AllocsPerRun runs: the transfer's pooled
+			// map scratch sits in a per-P pool slot, and a process whose
+			// goroutine moved to another P would find that P's slot empty
+			// and count a fresh scratch.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			var ms runtime.MemStats // out here: reading it must not allocate it
 			var from, to uint64
 			var spawned int64
