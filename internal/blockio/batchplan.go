@@ -37,8 +37,11 @@ type BatchPlan struct {
 	bs    int64
 	// wins holds each window's merged gather runs (absolute physical
 	// blocks). Their Segs hold buffer-space offsets, bound to the caller's
-	// space at issue time.
+	// space at issue time. runs and segs are the arrays they are slices
+	// of, which PlanInto reuses.
 	wins [][]Run
+	runs []Run
+	segs []Seg
 }
 
 // Plan validates and maps the batch once, splitting its physical pieces
@@ -51,45 +54,61 @@ type BatchPlan struct {
 // space, supplied per window at issue time. An empty cuts list yields a
 // single window: the whole batch.
 func (b BatchVec) Plan(cuts []int64) (*BatchPlan, error) {
+	pl := new(BatchPlan)
+	if err := b.PlanInto(pl, cuts); err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
+
+// PlanInto is Plan into dst, whose storage it reuses: a plan made only
+// to be looked at — priced, then dropped — is made call after call in
+// one memory. What dst held before is gone, so nothing may still issue
+// it; after an error dst holds nothing to issue.
+func (b BatchVec) PlanInto(dst *BatchPlan, cuts []int64) error {
+	dst.wins = slices.Grow(dst.wins[:0], len(cuts)+1)[:len(cuts)+1]
+	clear(dst.wins)
 	if len(b) == 0 {
-		return &BatchPlan{wins: make([][]Run, len(cuts)+1)}, nil
+		return nil
 	}
 	if b[0].Set == nil {
-		return nil, fmt.Errorf("blockio: Plan item 0 has no Set")
+		return fmt.Errorf("blockio: Plan item 0 has no Set")
 	}
 	store := b[0].Set.store
 	bs := int64(store.BlockSize())
 	for i, c := range cuts {
 		if c <= 0 || c%bs != 0 {
-			return nil, fmt.Errorf("blockio: Plan cut %d at %d not a positive multiple of the %d-byte block size", i, c, bs)
+			return fmt.Errorf("blockio: Plan cut %d at %d not a positive multiple of the %d-byte block size", i, c, bs)
 		}
 		if i > 0 && c <= cuts[i-1] {
-			return nil, fmt.Errorf("blockio: Plan cuts not ascending at %d", i)
+			return fmt.Errorf("blockio: Plan cuts not ascending at %d", i)
 		}
 	}
 	for i, it := range b {
 		if it.Set == nil {
-			return nil, fmt.Errorf("blockio: Plan item %d has no Set", i)
+			return fmt.Errorf("blockio: Plan item %d has no Set", i)
 		}
 		if it.Set.store != store {
-			return nil, fmt.Errorf("blockio: Plan item %d is on a different store", i)
+			return fmt.Errorf("blockio: Plan item %d is on a different store", i)
 		}
 		if err := it.Set.checkVec(fmt.Sprintf("Plan item %d", i), it.Vec, -1); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	runs, bounds, err := mapRuns("Plan", b, cuts, bs)
+	s := mapPool.Get().(*mapScratch)
+	defer mapPool.Put(s)
+	runs, segs, bounds, err := s.mapRuns("Plan", b, cuts, bs, dst.runs[:0], dst.segs[:0])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	pl := &BatchPlan{store: store, bs: bs, wins: make([][]Run, len(cuts)+1)}
+	dst.store, dst.bs, dst.runs, dst.segs = store, bs, runs, segs
 	if bounds == nil {
-		pl.wins[0] = runs
+		dst.wins[0] = runs
 	}
 	for w := range bounds[:max(len(bounds)-1, 0)] {
-		pl.wins[w] = runs[bounds[w]:bounds[w+1]:bounds[w+1]]
+		dst.wins[w] = runs[bounds[w]:bounds[w+1]:bounds[w+1]]
 	}
-	return pl, nil
+	return nil
 }
 
 // Uncut appends to dst the plan's runs as if it had no cuts — every

@@ -9,7 +9,11 @@
 // and charges each request device.ServiceTime for the cylinders the head
 // actually crosses to reach it — drives in parallel. Nothing is estimated
 // and no discipline is written twice; the price of a request is computed
-// by the code that charges it.
+// by the code that charges it. Where the line says a drive's arrivals
+// leave it in the order they came (Line.InOrder: a walk that merges
+// nothing, cylinders that never fall from an arm travelling up — every
+// aligned cut and every logical window, priced parked — or an FCFS
+// drive), they are served one by one without the replay.
 //
 // For one process on idle drives, and for any number of processes that
 // issue at one instant, the dry price IS the modeled time of the issue, to
@@ -206,10 +210,14 @@ func (d *Dry) AtLeast(requests, blocks int64) time.Duration {
 // the whole queue to arrive at this instant: the first arrival goes
 // straight into service, and the others join the drive's waiting line
 // (device.Line) in the order they arrive, from which it serves them as
-// its discipline picks. Sieved writes never wait at the drive but at
-// their device's sieve lock, which admits them in arrival order whatever
-// the discipline. The drives work in parallel: Flush reports the time the
-// slowest took, and leaves every head where its last request put it.
+// its discipline picks — or, where the line serves them in the order
+// they arrive (Line.InOrder: nothing merges, and their cylinders never
+// fall from an arm travelling up, or the drive is FCFS), are served one
+// by one as they arrive, with no replay. Sieved writes never wait at the
+// drive but at their device's sieve lock, which admits them in arrival
+// order whatever the discipline. The drives work in parallel: Flush
+// reports the time the slowest took, and leaves every head where its
+// last request put it.
 func (d *Dry) Flush() time.Duration {
 	var slowest time.Duration
 	l := &d.line
@@ -230,12 +238,17 @@ func (d *Dry) Flush() time.Duration {
 			}
 		} else {
 			busy = l.Serve(q[0].pb, q[0].n)
-			for _, r := range q[1:] {
-				l.Add(false, r.pb, r.n, struct{}{})
-			}
-			for l.Len() > 0 {
-				_, svc := l.Next()
+			rest := q[1:]
+			if svc, ok := l.InOrder(len(rest), func(i int) (int64, int64) { return rest[i].pb, rest[i].n }); ok {
 				busy += svc
+			} else {
+				for _, r := range rest {
+					l.Add(false, r.pb, r.n, struct{}{})
+				}
+				for l.Len() > 0 {
+					_, svc := l.Next()
+					busy += svc
+				}
 			}
 		}
 		slowest = max(slowest, busy)

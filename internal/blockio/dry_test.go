@@ -160,9 +160,12 @@ func (w *dryWorld) park(p *sim.Proc, rng *rand.Rand, t *testing.T) {
 // a few drives, each issuing its own descriptor at the same instant —
 // disjoint slices of the file, or overlapping ones: exact again — the
 // order the requests reach the drives in is known, and the dry walk
-// replays it through the drive's own waiting line.
+// replays it through the drive's own waiting line. And where a walk
+// serves a drive's arrivals in the order they came, without the replay
+// (non-merging, cylinder-ascending arrivals, from parked and carried-over
+// arms), it equals the replay to the nanosecond under either discipline.
 func FuzzDryIssue(f *testing.F) {
-	for seed := uint64(1); seed <= 12; seed++ {
+	for seed := uint64(1); seed <= 24; seed++ {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
@@ -259,7 +262,77 @@ func FuzzDryIssue(f *testing.F) {
 			t.Errorf("seed %d, %d processes, %v write=%v on %s (%v, merge %v): dry price %v, the issues took %v",
 				seed, k, strat, write, many.set.Layout().Name(), sched, merge, price, took)
 		}
+
+		// Arrivals whose cylinders never fall, on drives that merge
+		// nothing: served in arrival order from an arm travelling up, or
+		// under FCFS (device.Line.InOrder), they must cost what the
+		// replay through the line charges — from parked arms, and from
+		// arms a walk of seeded arrivals left, travelling either way.
+		// The replay keeps arms of its own from walk to walk, so that an
+		// arm the in-order path left elsewhere, or travelling the other
+		// way, shows in the walks after.
+		ord := newDryWorld(t, rng, 1+rng.Intn(3), sched, false)
+		var od Dry
+		od.Bind(ord.store)
+		arms := make([]device.Arm, len(od.drv))
+		for walk := 0; walk < 6; walk++ {
+			if walk == 0 || rng.Intn(4) == 0 {
+				od.Park()
+				for dev := range arms {
+					arms[dev] = device.Arm{Cyl: -1, Up: true}
+				}
+			}
+			ascending := walk%2 == 1 || rng.Intn(2) == 0
+			for dev := range od.drv {
+				blocks := ord.disks[dev].Geometry().Blocks()
+				pbs := make([]int64, rng.Intn(12))
+				for i := range pbs {
+					pbs[i] = rng.Int63n(blocks - 4)
+				}
+				if ascending {
+					slices.Sort(pbs)
+				}
+				for _, pb := range pbs {
+					od.Extent(dev, pb, 1+rng.Int63n(4))
+				}
+			}
+			want := replayDry(&od, arms)
+			if price := od.Flush(); price != want {
+				t.Errorf("seed %d, walk %d (%v, ascending %v): served in order %v, the replay through the line %v",
+					seed, walk, sched, ascending, price, want)
+			}
+		}
 	})
+}
+
+// replayDry is what d's queued requests cost served from the arms given,
+// every drive's first straight into service and the others through
+// Add and Next — the replay Flush leaves out where they arrive in order.
+// It leaves each arm where the replay put it.
+func replayDry(d *Dry, arms []device.Arm) time.Duration {
+	m := d.model
+	m.MergeQueued = false
+	var l device.Line[struct{}]
+	l.Reset(m)
+	var slowest time.Duration
+	for dev := range d.drv {
+		q := d.drv[dev].first
+		if len(q) == 0 {
+			continue
+		}
+		l.Arm = arms[dev]
+		busy := l.Serve(q[0].pb, q[0].n)
+		for _, r := range q[1:] {
+			l.Add(false, r.pb, r.n, struct{}{})
+		}
+		for l.Len() > 0 {
+			_, svc := l.Next()
+			busy += svc
+		}
+		arms[dev] = l.Arm
+		slowest = max(slowest, busy)
+	}
+	return slowest
 }
 
 // flushShape is the vectored candidate of one ckpt_fresh call as a dry

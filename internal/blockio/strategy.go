@@ -102,6 +102,22 @@ func (s *Set) Map(vec Vec, runs []Run, segs []Seg) (Mapped, []Run, []Seg, error)
 // order); they must not be modified.
 func (m Mapped) Runs() []Run { return m.runs }
 
+// CopyTo appends m's runs to runs and their segments to segs, and returns
+// the copy of m that lives there with both arenas: a descriptor mapped
+// into scratch is kept in memory of its own. Arenas sized for what they
+// receive do not grow.
+func (m Mapped) CopyTo(runs []Run, segs []Seg) (Mapped, []Run, []Seg) {
+	r0 := len(runs)
+	for _, r := range m.runs {
+		s0 := len(segs)
+		segs = append(segs, r.Segs...)
+		r.Segs = segs[s0:len(segs):len(segs)]
+		runs = append(runs, r)
+	}
+	m.runs = runs[r0:len(runs):len(runs)]
+	return m, runs, segs
+}
+
 // Read issues the mapped descriptor as a read into buf under strat, as
 // Set.ReadVecStrategy would the descriptor it was mapped from.
 func (m Mapped) Read(ctx sim.Context, strat Strategy, buf []byte) error {

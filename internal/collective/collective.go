@@ -274,9 +274,11 @@ type Collective struct {
 
 	hits, misses, evictions, invalidations uint64
 
-	// Route-pricing scratch (strategy.go) and the flight-recorder
-	// handles that report what was priced (explain.go).
+	// Route-pricing scratch (strategy.go), the memory of a schedule's
+	// build that no schedule keeps (planScratch, plan.go), and the
+	// flight-recorder handles that report what was priced (explain.go).
 	price priceScratch
+	build planScratch
 	ex    explainProbe
 	// forcePart, when set, replaces route pricing with a fixed choice on
 	// every blocking call — the test hook that runs the differential

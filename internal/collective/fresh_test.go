@@ -2,7 +2,9 @@ package collective
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -122,13 +124,13 @@ func (fs *freshShape) build(tb testing.TB, p *mpp.Proc, fam int, write bool) *sc
 	c := fs.c
 	copy(c.reqs, fs.reqs[fam])
 	copy(c.bufs, fs.bufs)
-	pl, err := buildPlan(c.group, c.reqs, c.bufs, c.naggs, write, c.opts)
+	pl, err := newPlan(c.group, c.reqs, c.bufs, c.naggs, write, c.opts, &c.build)
 	if err != nil {
 		tb.Error(err) // rank 0 is not the test's goroutine: no Fatal
 		return nil
 	}
 	key, sig := c.fingerprint(write, false)
-	sd, err := c.newSchedule(p, pl, write, false, key, sig)
+	sd, err := c.newSchedule(p, pl, write, false, c.opts, key, sig)
 	if err != nil {
 		tb.Error(err)
 	}
@@ -169,20 +171,129 @@ func TestFreshScheduleAllocs(t *testing.T) {
 	}
 }
 
+// TestFreshScheduleBytes: a fresh schedule keeps only what its route
+// runs, and what the build needs only to price and order the candidates
+// — the union, the share table, the mapped descriptors and the logical
+// partition with its cut plan — lives in the handle's scratch. At 512
+// ranks, once the scratch has grown, one build of each family allocates
+// under a bound a build that kept every candidate's tables exceeds
+// (dense 1 607 KB written, 1 487 KB read); an independent schedule holds
+// no partition table and no cut plan, and a two-phase one no mapped
+// descriptors.
+func TestFreshScheduleBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const runs = 4
+	bound := [3]uint64{700 << 10, 180 << 10, 800 << 10} // dense, sparse, interleaved
+	fs := newFreshShape(t, 512)
+	fs.run(t, func(p *mpp.Proc) {
+		for fam, name := range []string{"dense", "sparse", "interleaved"} {
+			for _, write := range []bool{true, false} {
+				sd := fs.build(t, p, fam, write) // grows the handle's scratch
+				if sd == nil {
+					return
+				}
+				// The least of a few builds: a collection between two may
+				// empty blockio's pooled mapping scratch, which the next
+				// build then allocates again.
+				per := uint64(math.MaxUint64)
+				for range runs {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					sd = fs.build(t, p, fam, write)
+					runtime.ReadMemStats(&after)
+					per = min(per, after.TotalAlloc-before.TotalAlloc)
+				}
+				t.Logf("%s write=%v (%s): %d KB a build", name, write, sd.route, per>>10)
+				if per > bound[fam] {
+					t.Errorf("%s write=%v: a fresh schedule allocates %d KB, bound %d KB", name, write, per>>10, bound[fam]>>10)
+				}
+				pl := sd.pl
+				if sd.route != routeTwoPhase {
+					if pl.covered != nil || pl.cbase != nil || pl.domLo != nil || pl.owner != nil || pl.ends != nil ||
+						pl.rng != nil || pl.at != nil || pl.doms != nil || pl.ranks != nil || pl.domAt != nil || pl.rankAt != nil ||
+						sd.cut != nil || sd.tab != nil || sd.ownedOf != nil {
+						t.Errorf("%s write=%v: the %s schedule holds partition tables or a cut plan", name, write, sd.route)
+					}
+					if sd.ind == nil {
+						t.Errorf("%s write=%v: the %s schedule holds no mapped descriptors", name, write, sd.route)
+					}
+				} else if sd.ind != nil {
+					t.Errorf("%s write=%v: the two-phase schedule holds mapped descriptors", name, write)
+				}
+			}
+		}
+	})
+}
+
+// TestFreshScheduleOwnsItsTables: what a schedule keeps is its own, not
+// the handle's scratch that the next build rewrites — a cached schedule
+// is replayed after other calls have been planned. Every family's
+// schedule, written and read, reads the same after the builds of all the
+// others as it did when it was built.
+func TestFreshScheduleOwnsItsTables(t *testing.T) {
+	fs := newFreshShape(t, 512)
+	fs.run(t, func(p *mpp.Proc) {
+		var sds []*schedule
+		var was []string
+		for fam := len(fs.reqs) - 1; fam >= 0; fam-- { // two-phase first: the others rewrite the most
+			for _, write := range []bool{true, false} {
+				sd := fs.build(t, p, fam, write)
+				if sd == nil {
+					return
+				}
+				sds, was = append(sds, sd), append(was, scheduleTables(sd))
+			}
+		}
+		for i, sd := range sds {
+			if now := scheduleTables(sd); now != was[i] {
+				t.Errorf("schedule %d (%s): its tables changed when later schedules were built", i, sd.route)
+			}
+		}
+	})
+}
+
+// scheduleTables prints what a schedule runs from: its mapped
+// descriptors, or its partition, cut plan and piece table.
+func scheduleTables(sd *schedule) string {
+	if sd.route != routeTwoPhase {
+		var runs [][]blockio.Run
+		for r := range sd.ind.ind {
+			ms, _ := sd.ind.of(r)
+			for _, m := range ms {
+				runs = append(runs, m.Runs())
+			}
+		}
+		return fmt.Sprint(sd.pl.segs, runs)
+	}
+	pl := sd.pl
+	wins := make([]int64, sd.cut.plan.Windows())
+	for w := range wins {
+		wins[w] = sd.cut.plan.WindowBlocks(w)
+	}
+	return fmt.Sprint(pl.segs, pl.covered, pl.cbase, pl.domLo, pl.owner, pl.ends, pl.rng, pl.at, pl.doms, pl.ranks,
+		pl.domAt, pl.rankAt, sd.cut.win0, sd.cut.plan.Uncut(nil), wins, sd.tab.parts, sd.ownedOf)
+}
+
 // BenchmarkFreshSchedule is the host cost of one schedule built afresh
 // at a never-repeating checkpoint's shape, 512 ranks over 32 drives:
-// buildPlan and newSchedule (route pricing included) for each of the
-// three request families in turn, written and read alternately as the
-// checkpoint does. An op is one build.
+// buildPlan and newSchedule (route pricing included), one sub-benchmark
+// per request family, written and read alternately as the checkpoint
+// does. An op is one build.
 func BenchmarkFreshSchedule(b *testing.B) {
-	fs := newFreshShape(b, 512)
-	b.ReportAllocs()
-	fs.run(b, func(p *mpp.Proc) {
-		fs.build(b, p, 0, true)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fs.build(b, p, (i/2)%3, i%2 == 0)
-		}
-		b.StopTimer()
-	})
+	for fam, name := range []string{"dense", "sparse", "interleaved"} {
+		b.Run(name, func(b *testing.B) {
+			fs := newFreshShape(b, 512)
+			b.ReportAllocs()
+			fs.run(b, func(p *mpp.Proc) {
+				fs.build(b, p, fam, true)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					fs.build(b, p, fam, i%2 == 0)
+				}
+				b.StopTimer()
+			})
+		})
+	}
 }

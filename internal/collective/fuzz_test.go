@@ -96,18 +96,21 @@ func FuzzPlanDomains(f *testing.F) {
 		if nRanks == 0 {
 			return
 		}
-		pl, err := buildPlan(g, reqs, bufs, naggs, write, opts)
+		sc := new(planScratch)
+		pl, err := buildPlanIn(sc, g, reqs, bufs, naggs, write, opts)
 		if err != nil {
 			return // rejected input: the validator at work, not a plan
 		}
-		checkPlanInvariants(t, pl, reqs, opts)
-		checkPlanInvariants(t, pl.aligned(opts, 1, 0), reqs, opts)
+		checkPlanInvariants(t, pl, sc.shares, reqs, opts)
+		al := pl.aligned(opts, 1, 0, sc)
+		checkPlanInvariants(t, al, sc.shares, reqs, opts)
 	})
 }
 
 // checkPlanInvariants checks the domain, share, clip, span and owner
-// invariants of one plan, in whichever key space it is in.
-func checkPlanInvariants(t *testing.T, pl *plan, reqs [][]VecReq, opts Options) {
+// invariants of one plan, in whichever key space it is in; shares is the
+// share table its partition left in the scratch.
+func checkPlanInvariants(t *testing.T, pl *plan, shares [][]int64, reqs [][]VecReq, opts Options) {
 	t.Helper()
 	nRanks, naggs := len(reqs), pl.naggs
 	// Domains: contiguous, disjoint, exact cover, none larger than
@@ -143,9 +146,9 @@ func checkPlanInvariants(t *testing.T, pl *plan, reqs [][]VecReq, opts Options) 
 	// The one-pass share table agrees with clip enumeration.
 	for r := 0; r < nRanks; r++ {
 		for a := 0; a < naggs; a++ {
-			if pl.shares[r][a] != pl.clipBytes(r, a) {
+			if shares[r][a] != pl.clipBytes(r, a) {
 				t.Fatalf("shares[%d][%d] = %d, clip enumeration says %d",
-					r, a, pl.shares[r][a], pl.clipBytes(r, a))
+					r, a, shares[r][a], pl.clipBytes(r, a))
 			}
 		}
 	}
@@ -289,7 +292,7 @@ func FuzzChunkDomains(f *testing.F) {
 		checkChunkInvariants(t, pl, chunkBytes, 1, 0)
 		for split := 1; split <= 16; split++ {
 			for _, r := range []ramp{0, rampUp, rampDown} {
-				checkChunkInvariants(t, pl.aligned(opts, split, r), chunkBytes, split, r)
+				checkChunkInvariants(t, pl.aligned(opts, split, r, new(planScratch)), chunkBytes, split, r)
 			}
 		}
 	})

@@ -315,7 +315,7 @@ func (pl *plan) space(write bool, parts []part) *spaceTab {
 		for k := 0; k < pl.rounds; k++ {
 			lo, hi := pl.chunkWindow(a, k)
 			p0 := len(t.parts)
-			for _, r := range pl.ranksIn[a] {
+			for _, r := range pl.ranksIn(a) {
 				pl.forEachClipWin(int(r), lo, hi, func(cl clip) {
 					t.parts = append(t.parts, part{off: lo*pl.bs + cl.domOff, bufOff: cl.bufOff, n: cl.n * pl.bs, rank: int(r)})
 				})
@@ -400,7 +400,7 @@ func (c *Collective) packChunkDomains(pl *plan, owned []int, k int, msgs []mpp.M
 	first := len(msgs)
 	for _, a := range owned {
 		lo, hi := pl.chunkWindow(a, k)
-		for _, r := range pl.ranksIn[a] {
+		for _, r := range pl.ranksIn(a) {
 			msgs = c.sized(msgs, k, int(r), pl.winBytes(int(r), lo, hi))
 		}
 	}
@@ -414,7 +414,7 @@ func (c *Collective) packChunkDomains(pl *plan, owned []int, k int, msgs []mpp.M
 // into one list and post them.
 func (c *Collective) packChunkSparse(pl *plan, rank, k int, msgs []mpp.Msg) []mpp.Msg {
 	first := len(msgs)
-	for _, a := range pl.domsOf[rank] {
+	for _, a := range pl.domsOf(rank) {
 		lo, hi := pl.chunkWindow(int(a), k)
 		msgs = c.sized(msgs, k, pl.owner[a], pl.winBytes(rank, lo, hi))
 	}
@@ -462,16 +462,17 @@ func (c *Collective) packRounds(pl *plan, rank int) []mpp.Msg {
 
 // batchVec assembles the cross-file batch shape of the covered-index
 // window [lo, hi) with no buffers bound and offsets relative to the
-// window start — the input to blockio's prepared, windowed batch plan.
+// window start — the input to blockio's prepared, windowed batch plan —
+// in sc's batch and descriptor, which only live until it is planned.
 // The window is the whole call (schedule.cut), or any part of it. plan.locate
 // names the Set behind each key, so a logical window lists its files and
 // an aligned one is one item on the identity Set.
-func (pl *plan) batchVec(lo, hi int64) blockio.BatchVec {
-	var batch blockio.BatchVec
+func (pl *plan) batchVec(lo, hi int64, sc *planScratch) blockio.BatchVec {
+	batch := sc.batch[:0]
 	// The items' descriptors are slices of one array, each its tail while
 	// it grows: a span yields one segment, and one more for every file
 	// boundary it crosses.
-	segs := make(blockio.Vec, 0, len(pl.covered)+pl.group.Len())
+	segs := slices.Grow(sc.vec[:0], len(pl.covered)+pl.group.Len())
 	pl.forEachSpanWin(lo, hi, func(key, n, off int64) {
 		for n > 0 {
 			set, block, seg := pl.locate(key)
@@ -489,5 +490,6 @@ func (pl *plan) batchVec(lo, hi int64) blockio.BatchVec {
 			n -= seg
 		}
 	})
+	sc.batch, sc.vec = batch, segs
 	return batch
 }

@@ -3,7 +3,7 @@
 // request lists.
 //
 // A plan is a set of per-rank segment lists in ONE key space plus
-// everything derived from them. buildPlan validates the requests and
+// everything derived from them. newPlan validates the requests and
 // keys them by global fs block — the pfs.FileGroup concatenation of the
 // member files' block spaces; plan.aligned re-keys a validated plan by
 // physical address, key = device × store.Blocks() + physical block, each
@@ -37,11 +37,15 @@
 // A plan is built afresh on every call whose request lists the schedule
 // cache has not seen, so building one costs a fixed number of
 // allocations, not a few per rank: every rank-indexed table — the
-// segment lists, their covered ranges, the share table and the
-// participation indexes — is one array counted before it is filled, each
-// rank's row a capped slice of it. Every sort is typed and its order
-// total: segments tie on key by buffer offset, then by rank, so no plan
-// depends on the sort algorithm.
+// segment lists, their covered ranges and the participation indexes — is
+// one array counted before it is filled, and what only the build reads
+// lives in the handle's scratch (planScratch): the ordered union and the
+// rank × domain share table, and the whole logical partition while a
+// price decides whether it runs. A plan keeps exactly what its route
+// runs. The union is ordered without a comparison sort — the rank-major
+// list as it is where it is in key order, else one stable radix pass on
+// the key — and its order is total: segments tie on key by buffer
+// offset, then by rank, so no plan depends on the sort algorithm.
 //
 // Domains are contiguous in covered-index space and holes nobody asked
 // for are never touched. What "contiguous" buys depends on the key: a
@@ -77,10 +81,11 @@ type rseg struct {
 	bufOff int64
 }
 
-// owned is a rank segment tagged with its rank, for the union merge.
+// owned is a rank segment tagged with its rank and its place in the
+// rank-major list of every rank's segments, for the union merge.
 type owned struct {
 	rseg
-	rank int
+	rank, idx int32
 }
 
 // span is a covered interval of the union footprint.
@@ -105,15 +110,16 @@ type plan struct {
 	// one whole device, extent bases zero), through which domain batches
 	// address the store. nil on a logical plan, whose keys resolve
 	// through the group's files (locate).
-	phys      *blockio.Set
-	segs      [][]rseg  // per rank, sorted by key (byKey)
-	covered   []span    // merged union footprint, sorted by key
-	cbase     []int64   // covered-index of covered[i].gb
-	total     int64     // total covered blocks
-	domLo     []int64   // domain a is covered indexes [domLo[a], domLo[a+1])
-	domBlocks int64     // blocks in the largest domain
-	owner     []int     // domain index → aggregator rank
-	shares    [][]int64 // shares[rank][domain]: exchange payload bytes
+	phys *blockio.Set
+	segs [][]rseg // per rank, sorted by key (byKey)
+	// Everything below is the partition (plan.partition): an independent
+	// route's plan holds none of it.
+	covered   []span  // merged union footprint, sorted by key
+	cbase     []int64 // covered-index of covered[i].gb
+	total     int64   // total covered blocks
+	domLo     []int64 // domain a is covered indexes [domLo[a], domLo[a+1])
+	domBlocks int64   // blocks in the largest domain
+	owner     []int   // domain index → aggregator rank
 	// Chunking: the collective runs as `rounds` pipelined exchange/access
 	// rounds, round k moving chunk k of every domain at once — its covered
 	// indexes [ends[k-1], ends[k]) counted from the domain's start
@@ -125,32 +131,72 @@ type plan struct {
 	ends   []int64
 	rounds int
 	ramped bool // ends is a ramped cut, not the equal one
-	// Sparse participation indexes, derived from shares: domsOf[r] lists
-	// the domains rank r's footprint touches and ranksIn[a] the ranks
-	// touching domain a (both ascending). The exchange and piece-table loops
-	// iterate these instead of scanning all ranks × all domains, so a
-	// round's cost follows the communication pattern, not the group size.
-	domsOf  [][]int32
-	ranksIn [][]int32
-	// Per-rank covered-index ranges of segs (cstart[r][i] = covered
-	// index of segs[r][i].gb, cend its end) and the running maximum of
-	// cend — precomputed once so window clipping can binary-search its
-	// first candidate segment instead of rescanning the whole list per
-	// chunk. maxEnd is monotone by construction even when a rank's read
-	// segments overlap (cend alone need not be).
-	cstart [][]int64
-	cend   [][]int64
-	maxEnd [][]int64
+	// Sparse participation indexes, derived from the share table:
+	// domsOf(r) lists the domains rank r's footprint touches and
+	// ranksIn(a) the ranks touching domain a (both ascending), rank r's
+	// doms[domAt[r]:domAt[r+1]] and domain a's ranks[rankAt[a]:rankAt[a+1]].
+	// The exchange and piece-table loops iterate these instead of scanning
+	// all ranks × all domains, so a round's cost follows the communication
+	// pattern, not the group size.
+	doms, ranks   []int32
+	domAt, rankAt []int32
+	// Per-segment covered-index ranges: rng[at[r]+i] is segs[r][i]'s
+	// covered start and end, and the running maximum of the ends over
+	// rank r's segments up to i — precomputed once so window clipping can
+	// binary-search its first candidate segment instead of rescanning the
+	// whole list per chunk. maxEnd is monotone by construction even when a
+	// rank's read segments overlap (end alone need not be).
+	rng []crange
+	at  []int
 }
 
-// buildPlan validates every rank's requests and computes the footprint,
-// domain split and domain→aggregator assignment of the logical
-// partition. write additionally rejects cross-rank overlaps, whose store
-// order would be ambiguous — unless opts.LastWriterWins selects MPI-IO
-// rank-order semantics. Every bound is checked by subtraction, so a
-// segment whose end would overflow an int64 is refused like any other
-// out-of-bounds one.
-func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, write bool, opts Options) (*plan, error) {
+// crange is one segment's covered-index range and the running maximum of
+// its rank's range ends (plan.rng).
+type crange struct{ start, end, maxEnd int64 }
+
+// planScratch is the handle-held memory of a schedule's build that no
+// schedule keeps, so a workload whose request lists never repeat builds
+// every schedule in it: the union of the ranks' segments in key order
+// (and the radix pass's second buffer), the last partition's rank ×
+// domain share table (read by the owner election, the exchange stats
+// and the route pricer, all during the build), the logical partition
+// and its cut plan while StrategyAuto prices them, the inputs of a cut,
+// and every rank's mapped descriptors while the independent routes are
+// priced. A schedule that runs any of it builds its own (newSchedule).
+type planScratch struct {
+	union, radix []owned
+	cells        []int64
+	shares       [][]int64 // [rank][domain] rows of cells
+	load         []int     // electOwners' domains given per rank
+	logical      plan
+	cut          cutPlan
+	cuts         []int64
+	batch        blockio.BatchVec
+	vec          blockio.Vec
+	mapped       mappedReqs
+}
+
+// resize returns s with length n, zeroed: s's own array where it has the
+// room (a scratch table, rewritten call after call), else a new one of
+// exactly n (a fresh one, or scratch that has grown).
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// newPlan validates every rank's requests into a plan of segments, and
+// orders their union into sc.union, the input of the partition (which
+// newPlan does not make: a route decides which one it needs). write
+// additionally rejects cross-rank overlaps, whose store order would be
+// ambiguous — unless opts.LastWriterWins selects MPI-IO rank-order
+// semantics. Every bound is checked by subtraction, so a segment whose
+// end would overflow an int64 is refused like any other out-of-bounds
+// one.
+func newPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, write bool, opts Options, sc *planScratch) (*plan, error) {
 	bs := int64(group.Store().BlockSize())
 	pl := &plan{bs: bs, naggs: naggs, group: group, segs: make([][]rseg, len(reqs))}
 	// Every rank's segments are a capped slice of one array, counted
@@ -216,7 +262,7 @@ func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, 
 		pl.segs[r] = segs
 	}
 
-	all := sortedSegs(pl.segs)
+	all := sc.sortedSegs(pl.segs)
 	if write && !opts.LastWriterWins {
 		// Reads may share blocks, and LastWriterWins resolves write
 		// overlaps in rank order; the union merge absorbs both.
@@ -227,12 +273,11 @@ func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, 
 			}
 		}
 	}
-	pl.partition(all, opts, nil, 1, 0)
 	return pl, nil
 }
 
 // byKey orders segments by key, ties by buffer offset: a total order on
-// any rank's list that buildPlan accepts (two of its segments at one
+// any rank's list that newPlan accepts (two of its segments at one
 // offset overlap in the buffer), so no plan depends on the sort.
 func byKey(x, y rseg) int {
 	if x.gb != y.gb {
@@ -251,25 +296,66 @@ func byBufOff(x, y rseg) int {
 
 // sortedSegs flattens the per-rank segment lists into one list sorted
 // by key, ties by buffer offset and then rank — the input of the union
-// merge.
-func sortedSegs(segs [][]rseg) []owned {
+// merge — in the scratch's union, and returns it. The rank-major list is
+// that order already wherever ranks' footprints ascend with the rank
+// (each rank's list is in key order); otherwise a stable radix pass on
+// the key orders it, leaving every run of equal keys in rank-major order,
+// which a run then trades for buffer offset, then rank.
+func (sc *planScratch) sortedSegs(segs [][]rseg) []owned {
 	n := 0
 	for _, ss := range segs {
 		n += len(ss)
 	}
-	all := make([]owned, 0, n)
+	all := resize(sc.union, n)[:0]
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	sorted := true
 	for r, ss := range segs {
 		for _, sg := range ss {
-			all = append(all, owned{rseg: sg, rank: r})
+			if k := len(all); k > 0 && sorted {
+				sorted = byKey(all[k-1].rseg, sg) <= 0
+			}
+			all = append(all, owned{rseg: sg, rank: int32(r), idx: int32(len(all))})
+			lo, hi = min(lo, sg.gb), max(hi, sg.gb)
 		}
 	}
-	slices.SortFunc(all, func(x, y owned) int {
-		if c := byKey(x.rseg, y.rseg); c != 0 {
-			return c
+	sc.union = all
+	if sorted {
+		return all
+	}
+	// Least significant byte first: each pass is stable, so the last
+	// leaves equal keys in the order the first found them.
+	src, dst := all, resize(sc.radix, n)
+	var count [256]int
+	for shift := uint(0); shift < uint(bits.Len64(uint64(hi-lo))); shift += 8 {
+		clear(count[:])
+		for _, sg := range src {
+			count[uint64(sg.gb-lo)>>shift&0xff]++
 		}
-		return cmp.Compare(x.rank, y.rank)
-	})
-	return all
+		at := 0
+		for d, c := range count {
+			count[d], at = at, at+c
+		}
+		for _, sg := range src {
+			d := uint64(sg.gb-lo) >> shift & 0xff
+			dst[count[d]] = sg
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	sc.union, sc.radix = src, dst
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && src[j].gb == src[i].gb {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(src[i:j], func(x, y owned) int {
+				return cmp.Or(cmp.Compare(x.bufOff, y.bufOff), cmp.Compare(x.rank, y.rank))
+			})
+		}
+		i = j
+	}
+	return src
 }
 
 // aligned re-keys a validated logical plan by physical address: every
@@ -283,8 +369,9 @@ func sortedSegs(segs [][]rseg) []owned {
 // contiguous slice of a drive, and locate resolves keys through the
 // identity Set. split deepens the pipeline and rmp sizes its rounds
 // (partition). The re-keyed lists are slices of one array, like
-// buildPlan's: the pieces are counted, then placed.
-func (pl *plan) aligned(opts Options, split int, rmp ramp) *plan {
+// newPlan's: the pieces are counted, then placed. The aligned plan is
+// fresh; its union and share table are sc's.
+func (pl *plan) aligned(opts Options, split int, rmp ramp, sc *planScratch) *plan {
 	store := pl.group.Store()
 	nd, per := store.Devices(), store.Blocks()
 	phys, err := blockio.NewSet(store, blockio.NewStriped(nd, per), make([]int64, nd), int64(nd)*per)
@@ -324,7 +411,7 @@ func (pl *plan) aligned(opts Options, split int, rmp ramp) *plan {
 	for a := range cuts {
 		cuts[a] = int64(firstDrive(a, nd, al.naggs)) * per
 	}
-	al.partition(sortedSegs(al.segs), opts, cuts, split, rmp)
+	al.partition(sc.sortedSegs(al.segs), opts, cuts, split, rmp, sc)
 	return al
 }
 
@@ -351,17 +438,19 @@ func (pl *plan) locate(key int64) (set *blockio.Set, block, left int64) {
 // partition derives everything below the segment lists from pl.segs, in
 // whatever key space they are in: the union footprint (all is every
 // rank's segments sorted by key), the domain table, the per-segment
-// covered ranges, the share table and participation indexes, the round
-// table and the domain owners. cuts == nil cuts the covered-index space
-// into naggs equal domains; otherwise domain a starts at key cuts[a]
-// (naggs+1 ascending keys). split > 1 cuts every chunk into that many,
-// deepening the pipeline below what ChunkBytes asks for (or, with no
-// bound, below one round); rmp ramps the rounds where the ramp fits.
-func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int, rmp ramp) {
+// covered ranges, the participation indexes, the round table and the
+// domain owners — into pl's own tables, which it reuses where they have
+// the room (the scratch plan a price is put on) and allocates exactly
+// where they are nil (a plan that runs) — and the share table, into sc.
+// cuts == nil cuts the covered-index space into naggs equal domains;
+// otherwise domain a starts at key cuts[a] (naggs+1 ascending keys).
+// split > 1 cuts every chunk into that many, deepening the pipeline below
+// what ChunkBytes asks for (or, with no bound, below one round); rmp
+// ramps the rounds where the ramp fits.
+func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int, rmp ramp, sc *planScratch) {
 	naggs, nranks := pl.naggs, len(pl.segs)
-	// Every table below is counted, then filled: the covered spans, and
-	// the per-rank rows of each rank-indexed table as capped slices of
-	// one array.
+	pl.total, pl.domBlocks, pl.rounds, pl.ramped = 0, 0, 0, false
+	// Every table below is counted, then filled.
 	nspans, end := 0, int64(math.MinInt64)
 	for _, sg := range all {
 		if sg.gb > end {
@@ -369,22 +458,29 @@ func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int, rm
 		}
 		end = max(end, sg.gb+sg.n)
 	}
-	pl.covered = make([]span, 0, nspans)
+	// The merge also places every segment in the covered-index space: its
+	// start is its span's covered index plus its offset into the span.
+	pl.covered, pl.cbase = resize(pl.covered, nspans)[:0], resize(pl.cbase, nspans)[:0]
+	pl.rng, pl.at = resize(pl.rng, len(all)), resize(pl.at, nranks+1)
 	for _, sg := range all {
-		if k := len(pl.covered) - 1; k >= 0 && pl.covered[k].gb+pl.covered[k].n >= sg.gb {
+		k := len(pl.covered) - 1
+		if k >= 0 && pl.covered[k].gb+pl.covered[k].n >= sg.gb {
 			if end := sg.gb + sg.n; end > pl.covered[k].gb+pl.covered[k].n {
 				pl.covered[k].n = end - pl.covered[k].gb
 			}
-			continue
+		} else {
+			if k >= 0 {
+				pl.total += pl.covered[k].n
+			}
+			pl.covered, pl.cbase = append(pl.covered, span{gb: sg.gb, n: sg.n}), append(pl.cbase, pl.total)
+			k++
 		}
-		pl.covered = append(pl.covered, span{gb: sg.gb, n: sg.n})
+		pl.rng[sg.idx].start = pl.cbase[k] + sg.gb - pl.covered[k].gb
 	}
-	pl.cbase = make([]int64, len(pl.covered))
-	for i, sp := range pl.covered {
-		pl.cbase[i] = pl.total
-		pl.total += sp.n
+	if k := len(pl.covered) - 1; k >= 0 {
+		pl.total += pl.covered[k].n
 	}
-	pl.domLo = make([]int64, naggs+1)
+	pl.domLo = resize(pl.domLo, naggs+1)
 	if cuts == nil {
 		if pl.total > 0 {
 			pl.domBlocks = (pl.total + int64(naggs) - 1) / int64(naggs)
@@ -405,79 +501,79 @@ func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int, rm
 	}
 	// One pass over all segments fills the covered ranges and the
 	// rank×domain share table (the clips' bytes at every cell) — it
-	// drives the locality election, the exchange stats, and
-	// payload-buffer sizing without rescanning segment lists per domain.
-	rows := make([][]int64, 4*nranks)
-	pl.cstart, pl.cend, pl.maxEnd = rows[:nranks:nranks], rows[nranks:2*nranks:2*nranks], rows[2*nranks:3*nranks:3*nranks]
-	pl.shares = rows[3*nranks:]
-	rng, cells := make([]int64, 3*len(all)), make([]int64, nranks*naggs)
+	// drives the locality election, the exchange stats, and the
+	// participation indexes without rescanning segment lists per domain.
+	sc.cells, sc.shares = resize(sc.cells, nranks*naggs), resize(sc.shares, nranks)
 	for r, segs := range pl.segs {
-		n := len(segs)
-		pl.cstart[r], pl.cend[r], pl.maxEnd[r] = rng[:n:n], rng[n:2*n:2*n], rng[2*n:3*n:3*n]
-		rng = rng[3*n:]
-		pl.shares[r] = cells[r*naggs : (r+1)*naggs : (r+1)*naggs]
+		pl.at[r+1] = pl.at[r] + len(segs)
+		sc.shares[r] = sc.cells[r*naggs : (r+1)*naggs : (r+1)*naggs]
 		var maxEnd int64
 		for i, sg := range segs {
-			ci := pl.coveredIndex(sg.gb)
+			rg := &pl.rng[pl.at[r]+i]
+			ci := rg.start
 			end := ci + sg.n
-			pl.cstart[r][i], pl.cend[r][i] = ci, end
 			maxEnd = max(maxEnd, end)
-			pl.maxEnd[r][i] = maxEnd
+			rg.end, rg.maxEnd = end, maxEnd
 			for a := sort.Search(naggs, func(a int) bool { return pl.domLo[a+1] > ci }); ci < end; a++ {
 				if hi := min(pl.domLo[a+1], end); hi > ci {
-					pl.shares[r][a] += (hi - ci) * pl.bs
+					sc.shares[r][a] += (hi - ci) * pl.bs
 					ci = hi
 				}
 			}
 		}
 	}
 	nz := 0
-	for _, b := range cells {
+	for _, b := range sc.cells {
 		if b > 0 {
 			nz++
 		}
 	}
-	idx, lists := make([]int32, 0, 2*nz), make([][]int32, nranks+naggs)
-	pl.domsOf, pl.ranksIn = lists[:nranks:nranks], lists[nranks:]
-	for r, row := range pl.shares {
-		lo := len(idx)
+	pl.doms, pl.ranks = resize(pl.doms, nz)[:0], resize(pl.ranks, nz)[:0]
+	pl.domAt, pl.rankAt = resize(pl.domAt, nranks+1), resize(pl.rankAt, naggs+1)
+	for r, row := range sc.shares {
 		for a, b := range row {
 			if b > 0 {
-				idx = append(idx, int32(a))
+				pl.doms = append(pl.doms, int32(a))
 			}
 		}
-		pl.domsOf[r] = idx[lo:len(idx):len(idx)]
+		pl.domAt[r+1] = int32(len(pl.doms))
 	}
-	for a := range pl.ranksIn {
-		lo := len(idx)
-		for r, row := range pl.shares {
+	for a := range naggs {
+		for r, row := range sc.shares {
 			if row[a] > 0 {
-				idx = append(idx, int32(r))
+				pl.ranks = append(pl.ranks, int32(r))
 			}
 		}
-		pl.ranksIn[a] = idx[lo:len(idx):len(idx)]
+		pl.rankAt[a+1] = int32(len(pl.ranks))
 	}
+	pl.ends = pl.ends[:0]
 	if pl.total > 0 {
 		// ChunkBytes bounds a round; how deep the pipeline runs
 		// below that bound, and how its rounds share a domain, is the
 		// caller's to price (alignedCost).
 		ceil := opts.chunkCeiling(pl.bs, pl.domBlocks)
 		if rmp != 0 {
-			pl.ends = roundEnds(nil, pl.domBlocks, ceil, split, rmp)
+			pl.ends = roundEnds(pl.ends, pl.domBlocks, ceil, split, rmp)
 		}
 		if pl.ramped = len(pl.ends) > 0; !pl.ramped {
-			pl.ends = roundEnds(pl.ends[:0], pl.domBlocks, ceil, split, 0)
+			pl.ends = roundEnds(pl.ends, pl.domBlocks, ceil, split, 0)
 		}
 		pl.rounds = len(pl.ends)
 	}
-	pl.owner = make([]int, naggs)
+	pl.owner = resize(pl.owner, naggs)
 	for a := range pl.owner {
 		pl.owner[a] = a // round-robin rank order, the bit-identical default
 	}
 	if opts.Locality {
-		electOwners(pl.owner, pl.shares)
+		sc.load = electOwners(pl.owner, sc.shares, sc.load)
 	}
 }
+
+// domsOf lists the domains rank r's footprint touches, ascending.
+func (pl *plan) domsOf(r int) []int32 { return pl.doms[pl.domAt[r]:pl.domAt[r+1]] }
+
+// ranksIn lists the ranks whose footprint touches domain a, ascending.
+func (pl *plan) ranksIn(a int) []int32 { return pl.ranks[pl.rankAt[a]:pl.rankAt[a+1]] }
 
 // electOwners assigns every nonempty domain to the rank holding the
 // largest byte share of it. Among tied ranks the one given the fewest
@@ -487,9 +583,10 @@ func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int, rm
 // another. A nonempty domain always has a participating rank (domains
 // tile the covered footprint, and every covered block was requested by
 // someone), so owner keeps its incoming (round-robin) rank only for
-// empty domains.
-func electOwners(owner []int, shares [][]int64) {
-	load := make([]int, len(shares))
+// empty domains. load is scratch for the count of domains given each
+// rank; it is returned, grown to the ranks.
+func electOwners(owner []int, shares [][]int64, load []int) []int {
+	load = resize(load, len(shares))
 	for a := range owner {
 		best, bestBytes := -1, int64(0)
 		for r := range shares {
@@ -502,16 +599,16 @@ func electOwners(owner []int, shares [][]int64) {
 			load[best]++
 		}
 	}
+	return load
 }
 
-// exchangeStats totals the exchange-phase payload bytes by destination:
-// a rank's pieces for a domain it aggregates itself are a local copy
-// (self-message, free under both link models); everything else crosses
-// the interconnect.
-func (pl *plan) exchangeStats(nranks int) (st ExchangeStats) {
-	for a := 0; a < pl.naggs; a++ {
-		for r := 0; r < nranks; r++ {
-			b := pl.shares[r][a]
+// exchangeStats totals the exchange-phase payload bytes by destination,
+// from the share table of pl's partition: a rank's pieces for a domain
+// it aggregates itself are a local copy (self-message, free under both
+// link models); everything else crosses the interconnect.
+func (pl *plan) exchangeStats(shares [][]int64) (st ExchangeStats) {
+	for r, row := range shares {
+		for a, b := range row {
 			if r == pl.owner[a] {
 				st.BytesLocal += b
 			} else {
@@ -520,13 +617,6 @@ func (pl *plan) exchangeStats(nranks int) (st ExchangeStats) {
 		}
 	}
 	return st
-}
-
-// coveredIndex maps a covered key to its dense covered index. gb must
-// lie in the footprint (every segment's first key does).
-func (pl *plan) coveredIndex(gb int64) int64 {
-	i := sort.Search(len(pl.covered), func(i int) bool { return pl.covered[i].gb+pl.covered[i].n > gb })
-	return pl.cbase[i] + gb - pl.covered[i].gb
 }
 
 // domain reports aggregator a's covered-index range [lo, hi); empty when
@@ -548,13 +638,12 @@ func (pl *plan) forEachClipWin(rank int, lo, hi int64, fn func(c clip)) {
 	if lo >= hi {
 		return
 	}
-	segs := pl.segs[rank]
-	maxEnd := pl.maxEnd[rank]
+	segs, rng := pl.segs[rank], pl.rng[pl.at[rank]:pl.at[rank+1]]
 	// First segment that can reach the window: maxEnd is monotone, so
 	// everything before this index ends at or before lo.
-	i := sort.Search(len(segs), func(i int) bool { return maxEnd[i] > lo })
+	i := sort.Search(len(segs), func(i int) bool { return rng[i].maxEnd > lo })
 	for ; i < len(segs); i++ {
-		cLo, cHi := pl.cstart[rank][i], pl.cend[rank][i]
+		cLo, cHi := rng[i].start, rng[i].end
 		if cLo >= hi {
 			break // cstart ascends: nothing later intersects either
 		}

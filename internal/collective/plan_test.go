@@ -1,7 +1,11 @@
 package collective
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -9,6 +13,23 @@ import (
 	"repro/internal/device"
 	"repro/internal/pfs"
 )
+
+// buildPlan validates reqs and partitions them logically, fresh: the plan
+// a fixed two-phase call runs.
+func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, write bool, opts Options) (*plan, error) {
+	return buildPlanIn(new(planScratch), group, reqs, bufs, naggs, write, opts)
+}
+
+// buildPlanIn is buildPlan on scratch sc, which keeps the partition's
+// share table.
+func buildPlanIn(sc *planScratch, group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, write bool, opts Options) (*plan, error) {
+	pl, err := newPlan(group, reqs, bufs, naggs, write, opts, sc)
+	if err != nil {
+		return nil, err
+	}
+	pl.partition(sc.union, opts, nil, 1, 0, sc)
+	return pl, nil
+}
 
 // planFixture builds a 2-file group (8 + 4 fs blocks) over 2 untimed
 // devices.
@@ -131,14 +152,15 @@ func TestPlanLocalityAssignment(t *testing.T) {
 		// blocks) and rank 1 (1 block); domain 1 all rank 1; domain 2 all
 		// rank 0.
 		reqs := [][]VecReq{slabReqs(6, 8), slabReqs(2, 6), slabReqs(0, 2)}
-		pl, err := buildPlan(g, reqs, mkBufs(reqs), 3, true, Options{Locality: true})
+		sc := new(planScratch)
+		pl, err := buildPlanIn(sc, g, reqs, mkBufs(reqs), 3, true, Options{Locality: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := []int{2, 1, 0}; pl.owner[0] != want[0] || pl.owner[1] != want[1] || pl.owner[2] != want[2] {
 			t.Fatalf("locality owners = %v, want %v", pl.owner, want)
 		}
-		st := pl.exchangeStats(3)
+		st := pl.exchangeStats(sc.shares)
 		// Only rank 1's block 2 lands in a domain (0) it does not own.
 		if st.BytesMoved != 1*bs || st.BytesLocal != 7*bs {
 			t.Fatalf("stats = %+v, want 1 block moved, 7 local", st)
@@ -217,11 +239,12 @@ func TestPlanAlignedDomains(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("naggs=%d", tc.naggs), func(t *testing.T) {
 			opts := Options{Locality: true, ChunkBytes: 1 << 20}
-			pl, err := buildPlan(g, reqs, bufs, tc.naggs, true, opts)
+			sc := new(planScratch)
+			pl, err := buildPlanIn(sc, g, reqs, bufs, tc.naggs, true, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			al := pl.aligned(opts, 2, 0)
+			al := pl.aligned(opts, 2, 0, sc)
 			if al.phys == nil || al.total != pl.total {
 				t.Fatalf("aligned plan covers %d blocks (phys %v), logical %d", al.total, al.phys != nil, pl.total)
 			}
@@ -232,7 +255,7 @@ func TestPlanAlignedDomains(t *testing.T) {
 			if want := []int64{(al.domBlocks + 1) / 2, al.domBlocks}; fmt.Sprint(al.ends) != fmt.Sprint(want) {
 				t.Fatalf("round table %v, want %v", al.ends, want)
 			}
-			checkPlanInvariants(t, al, reqs, opts)
+			checkPlanInvariants(t, al, sc.shares, reqs, opts)
 			checkChunkInvariants(t, al, opts.ChunkBytes, 2, 0)
 		})
 	}
@@ -389,4 +412,51 @@ func (pl *plan) forEachClip(rank, agg int, fn func(c clip)) {
 func (pl *plan) clipBytes(rank, agg int) int64 {
 	lo, hi := pl.domain(agg)
 	return pl.winBytes(rank, lo, hi)
+}
+
+// coveredIndex maps a covered key to its dense covered index. gb must
+// lie in the footprint (every segment's first key does).
+func (pl *plan) coveredIndex(gb int64) int64 {
+	i := sort.Search(len(pl.covered), func(i int) bool { return pl.covered[i].gb+pl.covered[i].n > gb })
+	return pl.cbase[i] + gb - pl.covered[i].gb
+}
+
+// TestUnionOrder: the union is ordered without a comparison sort — the
+// rank-major list where it is in key order, else a radix pass on the key
+// and a sort of each run of equal keys — into the same total order a
+// comparison sort by key, buffer offset and rank gives: on lists whose
+// ranks ascend with their footprints, on lists whose neighbouring ranks
+// share a block at their own buffer offsets, and on seeded lists spanning
+// keys of several radix digits.
+func TestUnionOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var sc planScratch
+	for trial := range 200 {
+		nranks := 1 + rng.Intn(12)
+		span := int64(1) << (4 + rng.Intn(30))
+		segs := make([][]rseg, nranks)
+		for r := range segs {
+			for i := rng.Intn(6); i > 0; i-- {
+				gb := rng.Int63n(span)
+				switch trial % 3 {
+				case 0:
+					gb = int64(r)*span + rng.Int63n(span) // ranks ascend with their footprints
+				case 1:
+					gb = int64(r) / 2 // neighbours share a block, at their own offsets
+				}
+				segs[r] = append(segs[r], rseg{gb: gb, n: 1 + rng.Int63n(3), bufOff: rng.Int63n(4) * 4096})
+			}
+			slices.SortFunc(segs[r], byKey)
+		}
+		var want []owned
+		for r, ss := range segs {
+			for _, sg := range ss {
+				want = append(want, owned{rseg: sg, rank: int32(r), idx: int32(len(want))})
+			}
+		}
+		slices.SortStableFunc(want, func(x, y owned) int { return cmp.Or(byKey(x.rseg, y.rseg), cmp.Compare(x.rank, y.rank)) })
+		if got := sc.sortedSegs(segs); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: the union is ordered\n%v\nwant\n%v", trial, got, want)
+		}
+	}
 }

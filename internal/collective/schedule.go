@@ -3,7 +3,7 @@
 //
 // The paper's headline workload — and every checkpoint-every-iteration
 // loop — issues the *same* request lists over and over with fresh data
-// in the buffers. Rebuilding the whole schedule per call (buildPlan's
+// in the buffers. Rebuilding the whole schedule per call (newPlan's
 // validation, sort and union merge, chooseRoute's pricing, the call's
 // BatchVec map→sort→merge) throws that repetition away;
 // Thakur/Gropp/Lusk note that collective optimization cost must be
@@ -37,6 +37,7 @@ package collective
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/blockio"
@@ -72,7 +73,7 @@ type schedule struct {
 	sig []uint64 // full flattened signature (exact compare on lookup)
 
 	// minBuf[r] is the smallest buffer length rank r's requests address;
-	// a replayed call with a shorter buffer falls back to buildPlan so
+	// a replayed call with a shorter buffer falls back to newPlan so
 	// the bounds error is byte-identical to the uncached path.
 	minBuf []int64
 	// ownedOf[r] lists the domains rank r aggregates, ascending —
@@ -102,14 +103,58 @@ type schedule struct {
 	// (plan.space), bound to each call's buffers as it is issued.
 	tab *spaceTab
 
-	// Lazily built execution state of the independent routes: ind[r] is
-	// rank r's request list taken through the map stage (mapped), and
-	// lww[r] its LastWriterWins-clipped requests, rebuilt from the plan's
+	// Execution state of the independent routes: ind is every rank's
+	// request list taken through the map stage — a compact copy of what
+	// StrategyAuto priced, or mapped on first use (mapped) — and lww[r]
+	// rank r's LastWriterWins-clipped requests, rebuilt from the plan's
 	// own segments so no caller slice is retained across calls.
-	ind    [][]blockio.Mapped
-	indErr []error
+	ind    *mappedReqs
 	lww    [][]VecReq
 	lwwSet []bool
+}
+
+// mappedReqs is every rank's requests taken through the map stage:
+// ind[r] is rank r's, one blockio.Mapped per request, and err[r] what
+// failed to map (err nil: nothing did). The Mappeds are slices of ms and
+// their runs and segments of runs and segs.
+type mappedReqs struct {
+	ind  [][]blockio.Mapped
+	err  []error
+	ms   []blockio.Mapped
+	runs []blockio.Run
+	segs []blockio.Seg
+}
+
+// of returns rank's mapped requests and what failed to map.
+func (m *mappedReqs) of(rank int) ([]blockio.Mapped, error) {
+	if m.err == nil {
+		return m.ind[rank], nil
+	}
+	return m.ind[rank], m.err[rank]
+}
+
+// compact copies m into memory of its own, exactly sized: what a schedule
+// keeps of descriptors mapped into the pricing scratch. m has no errors.
+func (m *mappedReqs) compact() *mappedReqs {
+	nrun, nseg := 0, 0
+	for _, mr := range m.ms {
+		for _, r := range mr.Runs() {
+			nrun, nseg = nrun+1, nseg+len(r.Segs)
+		}
+	}
+	out := &mappedReqs{
+		ind: make([][]blockio.Mapped, len(m.ind)), ms: make([]blockio.Mapped, len(m.ms)),
+		runs: make([]blockio.Run, 0, nrun), segs: make([]blockio.Seg, 0, nseg),
+	}
+	at := 0
+	for r, ms := range m.ind {
+		for _, mr := range ms {
+			out.ms[at], out.runs, out.segs = mr.CopyTo(out.runs, out.segs)
+			at++
+		}
+		out.ind[r] = out.ms[at-len(ms) : at : at]
+	}
+	return out
 }
 
 // cutPlan is a call's prepared batch plan and, for a blocking call, the
@@ -119,13 +164,16 @@ type cutPlan struct {
 	win0 []int
 }
 
-// cut prepares the whole call for the blocking executor: one batch
-// over the covered footprint, cut where the round table starts every
-// chunk of every domain. An error is unreachable in practice: the batch
-// is derived from validated, physically disjoint covered spans.
-func (pl *plan) cut() (*cutPlan, error) {
-	cp := &cutPlan{win0: make([]int, pl.naggs)}
-	cuts := make([]int64, 0, pl.naggs*pl.rounds)
+// cut prepares the whole call for the blocking executor into cp: one
+// batch over the covered footprint, cut where the round table starts
+// every chunk of every domain. cp's tables are its own where it has them
+// (the scratch cut a price walks), made exactly where it has none (a
+// schedule's); the batch and its cuts are assembled in sc. An error is
+// unreachable in practice: the batch is derived from validated,
+// physically disjoint covered spans.
+func (pl *plan) cut(cp *cutPlan, sc *planScratch) error {
+	cp.win0 = resize(cp.win0, pl.naggs)
+	cuts := sc.cuts[:0]
 	for a := range cp.win0 {
 		lo, hi := pl.domain(a)
 		cp.win0[a] = len(cuts)
@@ -138,9 +186,11 @@ func (pl *plan) cut() (*cutPlan, error) {
 			}
 		}
 	}
-	var err error
-	cp.plan, err = pl.batchVec(0, pl.total).Plan(cuts)
-	return cp, err
+	sc.cuts = cuts
+	if cp.plan == nil {
+		cp.plan = new(blockio.BatchPlan)
+	}
+	return pl.batchVec(0, pl.total, sc).PlanInto(cp.plan, cuts)
 }
 
 // CacheStats is a point-in-time snapshot of a handle's schedule cache:
@@ -216,7 +266,7 @@ func stampOf(p *mpp.Proc) modelStamp {
 }
 
 // scheduleFor resolves the schedule for the current call: a cache hit
-// replays the frozen schedule, a miss builds it fresh — buildPlan,
+// replays the frozen schedule, a miss builds it fresh — newPlan,
 // chooseRoute, the byte-split stats — and inserts it. Runs on rank 0
 // between the plan barriers; pure host work, no virtual time.
 func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedule, error) {
@@ -248,11 +298,11 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedul
 		// plan instead (newSchedule).
 		opts.ChunkBytes = 0
 	}
-	pl, err := buildPlan(c.group, c.reqs, c.bufs, c.naggs, write, opts)
+	pl, err := newPlan(c.group, c.reqs, c.bufs, c.naggs, write, opts, &c.build)
 	if err != nil {
 		return nil, err
 	}
-	sd, err := c.newSchedule(p, pl, write, nonblocking, key, sig)
+	sd, err := c.newSchedule(p, pl, write, nonblocking, opts, key, sig)
 	if err != nil {
 		return nil, err
 	}
@@ -276,17 +326,22 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedul
 
 // newSchedule freezes a fresh plan into a schedule: route and partition
 // choice, byte-split stats, the per-rank owned-domain lists and buffer
-// bounds, the call's prepared plan. pl is the validated logical plan;
-// when StrategyAuto prices the drive-aligned partition cheaper the
-// schedule is built on pl.aligned instead. Nonblocking calls are never
-// priced: they always run two-phase on the logical partition. Their
-// device phase is one call-wide request whatever the partition, so the
-// domains only say which rank sizes which messages;
-// Options.ChunkBytes cuts that request — not the domains — into the
-// windows the server issues it in and may serve other jobs between (0:
-// one window, the whole call). The signature is copied so no fingerprint
-// scratch is retained.
-func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool, key uint64, sig []uint64) (*schedule, error) {
+// bounds, the call's prepared plan. pl is the validated plan of segments
+// (newPlan), its union in the handle's scratch; opts are the options it
+// was validated under. Whatever the route, the schedule keeps what that
+// route runs and nothing a loser needed: an independent route the plan's
+// segments and its mapped descriptors, a two-phase route its own
+// partition — the logical one on pl, or when StrategyAuto prices the
+// drive-aligned partition cheaper pl.aligned — with its cut plan and
+// piece table, built fresh and exactly sized; everything a price was put
+// on stays in the scratch. Nonblocking calls are never priced: they
+// always run two-phase on the logical partition. Their device phase is
+// one call-wide request whatever the partition, so the domains only say
+// which rank sizes which messages; Options.ChunkBytes cuts that request —
+// not the domains — into the windows the server issues it in and may
+// serve other jobs between (0: one window, the whole call). The
+// signature is copied so no fingerprint scratch is retained.
+func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool, opts Options, key uint64, sig []uint64) (*schedule, error) {
 	sd := &schedule{
 		pl:         pl,
 		key:        key,
@@ -316,12 +371,14 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 	if ch.route != routeTwoPhase {
 		return sd, nil // independent routes: no exchange, no aggregators
 	}
-	sd.ind, sd.indErr = nil, nil // priced and passed over
+	sc := &c.build
 	if ch.aligned {
-		pl, ch.cut = pl.aligned(c.opts, ch.split, ch.ramp), nil
+		pl = pl.aligned(c.opts, ch.split, ch.ramp, sc)
 		sd.pl = pl
+	} else {
+		pl.partition(sc.union, opts, nil, 1, 0, sc)
 	}
-	sd.stats = pl.exchangeStats(c.size)
+	sd.stats = pl.exchangeStats(sc.shares)
 	// Every rank's owned domains are a capped slice of one array.
 	at := make([]int, c.size+1) // at[r+1]: domains owned by ranks ≤ r
 	for _, r := range pl.owner {
@@ -345,31 +402,24 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 	sd.tab = pl.space(write, parts)
 	// An error below is unreachable in practice (plan.cut). It would
 	// fail the call as a plan error, on every rank, before anything is
-	// taken or submitted.
-	var err error
-	switch {
-	case nonblocking:
-		var cuts []int64
-		win := c.opts.chunkCeiling(pl.bs, pl.total) * pl.bs
-		for off := win; off < pl.total*pl.bs; off += win {
-			cuts = append(cuts, off)
-		}
-		sd.cut = new(cutPlan)
-		sd.cut.plan, err = pl.batchVec(0, pl.total).Plan(cuts)
-	case ch.cut != nil:
-		sd.cut = ch.cut // the plan that was priced is the plan that runs
-	default:
-		sd.cut, err = pl.cut()
+	// taken or submitted. A blocking call's cut is the one its price
+	// walked, made again in memory of its own.
+	sd.cut = new(cutPlan)
+	if !nonblocking {
+		return sd, pl.cut(sd.cut, sc)
 	}
-	if err != nil {
-		return nil, err
+	cuts := sc.cuts[:0]
+	win := c.opts.chunkCeiling(pl.bs, pl.total) * pl.bs
+	for off := win; off < pl.total*pl.bs; off += win {
+		cuts = append(cuts, off)
 	}
-	return sd, nil
+	sc.cuts, sd.cut.plan = cuts, new(blockio.BatchPlan)
+	return sd, pl.batchVec(0, pl.total, sc).PlanInto(sd.cut.plan, cuts)
 }
 
 // bufsFit reports whether every rank's current buffer is long enough
 // for the schedule's requests — the only buffer-dependent validation
-// buildPlan performs.
+// newPlan performs.
 func (c *Collective) bufsFit(sd *schedule) bool {
 	for r, min := range sd.minBuf {
 		if int64(len(c.bufs[r])) < min {
@@ -381,7 +431,7 @@ func (c *Collective) bufsFit(sd *schedule) bool {
 
 // fingerprint flattens the gathered request lists (and the call
 // direction and entry point) into the handle's signature scratch and
-// hashes it. The signature captures everything buildPlan reads from the
+// hashes it. The signature captures everything newPlan reads from the
 // requests — per-rank list shapes, file indexes, and every segment's
 // (Block, N, BufOff) — so equal signatures mean value-identical
 // requests. Blocking and nonblocking calls of the same lists are
@@ -433,43 +483,51 @@ func sigEqual(a, b []uint64) bool {
 
 // mapped returns rank's requests of an independent route taken through
 // the map stage — one blockio.Mapped per request, LastWriterWins-clipped
-// for a write that asks for it. The first call maps every rank at once,
-// into one arena sized up front from the plan: one []Mapped for every
-// request, and a run array and a segment array of one entry per plan
-// segment, which Set.Map appends to — they outgrow that only where a
-// segment splits on the drives. StrategyAuto maps to price the routes, a
-// fixed strategy on the first rank's turn, and a replayed schedule maps
-// nothing. A request that is not a valid independent descriptor is
-// reported for its rank and left out; the others still move.
+// for a write that asks for it: the descriptors StrategyAuto priced, or
+// under a fixed strategy every rank's, mapped on the first rank's turn. A
+// request that is not a valid independent descriptor is reported for its
+// rank and left out; the others still move.
 func (sd *schedule) mapped(c *Collective, rank int, write bool) ([]blockio.Mapped, error) {
-	if sd.ind != nil {
-		return sd.ind[rank], sd.indErr[rank]
+	if sd.ind == nil {
+		sd.ind = new(mappedReqs)
+		sd.mapInto(c, write, sd.ind)
 	}
-	lists := make([][]VecReq, c.size)
-	nreq, nseg := 0, 0
-	for r := range lists {
-		lists[r] = c.reqs[r]
+	return sd.ind.of(rank)
+}
+
+// mapInto maps every rank's requests at once into m, reusing m's storage
+// where it has the room (the pricing scratch) and allocating it sized
+// from the plan where it has none: one []Mapped for every request, and a
+// run array and a segment array of one entry per plan segment, which
+// Set.Map appends to — they outgrow that only where a segment splits on
+// the drives.
+func (sd *schedule) mapInto(c *Collective, write bool, m *mappedReqs) {
+	reqs := func(r int) []VecReq {
 		if write && c.opts.LastWriterWins {
-			lists[r] = sd.lwwReqs(c, r)
+			return sd.lwwReqs(c, r)
 		}
-		nreq += len(lists[r])
+		return c.reqs[r]
+	}
+	nreq, nseg := 0, 0
+	for r := range c.size {
+		nreq += len(reqs(r))
 		nseg += len(sd.pl.segs[r])
 	}
-	ms := make([]blockio.Mapped, nreq)
-	runs, segs := make([]blockio.Run, 0, nseg), make([]blockio.Seg, 0, nseg)
-	sd.ind, sd.indErr = make([][]blockio.Mapped, c.size), make([]error, c.size)
-	for r, reqs := range lists {
+	ms := resize(m.ms, nreq)
+	m.ms, m.runs, m.segs = ms, slices.Grow(m.runs[:0], nseg), slices.Grow(m.segs[:0], nseg)
+	m.ind, m.err = resize(m.ind, c.size), resize(m.err, c.size)
+	for r := range c.size {
 		var errs []error
-		for i, q := range reqs {
+		rr := reqs(r)
+		for i, q := range rr {
 			var err error
-			if ms[i], runs, segs, err = c.group.File(q.File).Set().Map(q.Vec, runs, segs); err != nil {
+			if ms[i], m.runs, m.segs, err = c.group.File(q.File).Set().Map(q.Vec, m.runs, m.segs); err != nil {
 				errs = append(errs, err)
 			}
 		}
-		sd.ind[r], ms = ms[:len(reqs):len(reqs)], ms[len(reqs):]
-		sd.indErr[r] = errors.Join(errs...)
+		m.ind[r], ms = ms[:len(rr):len(rr)], ms[len(rr):]
+		m.err[r] = errors.Join(errs...)
 	}
-	return sd.ind[rank], sd.indErr[rank]
 }
 
 // lwwReqs returns rank's LastWriterWins-clipped write requests for the

@@ -21,11 +21,16 @@ import (
 // arrival with the request served first on top: a pick takes the top of
 // the way the arm travels, or turns the arm to the other. A request that
 // absorbed others keeps its first arrival's place, and under SCAN moves
-// with the cylinder of its first block. A line reuses its storage: once
-// it has been as long as it will be, it allocates nothing.
+// with the cylinder of its first block. Where nothing merges, arrivals
+// whose cylinders never fall are served in the order they arrive, from
+// an arm travelling up or under FCFS: InOrder serves such arrivals one by
+// one, past the line, and tells a caller whose arrivals are not such to
+// queue them. A line reuses its storage: once it has been as long as it
+// will be, it allocates nothing.
 type Line[T any] struct {
-	Arm Arm
-	m   Model
+	Arm   Arm
+	m     Model
+	seeks *seekTable // m's
 	// w holds every request that joined since the line was last empty,
 	// in arrival order: its index is its slot. way[1] keys the waiting
 	// requests the arm serves travelling up — under FCFS all of them —
@@ -62,6 +67,9 @@ func slot(k uint64) int { return int(^uint32(k)) }
 // and timing it charges with, the discipline it picks by and whether
 // arrivals merge. The arm stays where it is.
 func (l *Line[T]) Reset(m Model) {
+	if l.seeks == nil || l.seeks.g != m.Geometry || l.seeks.t != m.Timing {
+		l.seeks = seeksOf(m.Geometry, m.Timing)
+	}
 	l.m = m
 	clear(l.w)
 	l.w, l.way[0], l.way[1], l.sorted = l.w[:0], l.way[0][:0], l.way[1][:0], [2]int{}
@@ -84,7 +92,36 @@ func (l *Line[T]) serve(cyl int, n int64) time.Duration {
 		cross = max(cyl-l.Arm.Cyl, l.Arm.Cyl-cyl)
 	}
 	l.Arm.Cyl = cyl
-	return ServiceTime(l.m.Geometry, l.m.Timing, cross, int(n)*l.m.BlockSize)
+	return l.seeks.service(cross, int(n)*l.m.BlockSize)
+}
+
+// InOrder serves, past the line, arrivals that reach it at one instant
+// while nothing waits, where the line would serve them in the order they
+// arrive: where waiting requests do not merge and the discipline is
+// FCFS, or SCAN with the arm travelling up and no arrival on a lower
+// cylinder than the one before it, the first than the arm — then every
+// arrival joins the way up, in the order of its cylinder and its
+// arrival, and the arm never turns. It serves each in turn, as Add and
+// Next would, moves the arm to the last and returns their service time
+// and true; elsewhere it serves nothing, leaves the arm where it stands
+// and returns false. arrival(i) is arrival i's first block and length,
+// of n.
+func (l *Line[T]) InOrder(n int, arrival func(i int) (block, blocks int64)) (time.Duration, bool) {
+	if l.m.MergeQueued || l.Len() > 0 || l.m.Sched != FCFS && !l.Arm.Up {
+		return 0, false
+	}
+	arm := l.Arm
+	var busy time.Duration
+	for i := range n {
+		block, blocks := arrival(i)
+		cyl := l.m.cylinderOf(block)
+		if l.m.Sched == SCAN && cyl < l.Arm.Cyl {
+			l.Arm = arm
+			return 0, false
+		}
+		busy += l.serve(cyl, blocks)
+	}
+	return busy, true
 }
 
 // Add queues an arrival of n blocks at block, a write or a read, that

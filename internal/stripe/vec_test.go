@@ -144,8 +144,13 @@ func TestVecStoreEquivalence(t *testing.T) {
 // through comes from a pool, so a steady-state vectored sweep allocates
 // no more than the equivalent contiguous call (which pays the run path's
 // own per-call allocations) plus a small constant — not a fresh n×bs
-// buffer per call.
+// buffer per call. Under -race the assertion stands down: the race
+// runtime's sync.Pool drops Puts at random, so a pooled buffer is
+// sometimes allocated afresh.
 func TestParityVecScratchPooled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's sync.Pool drops Puts at random")
+	}
 	ctx := sim.NewWall()
 	geom := device.Geometry{BlockSize: 64, BlocksPerCyl: 16, Cylinders: 8}
 	disks := make([]*device.Disk, 5)
