@@ -54,15 +54,6 @@ type VecSeg struct {
 // rejected. Zero-length segments are permitted and ignored.
 type Vec []VecSeg
 
-// Blocks reports the total block count of the descriptor.
-func (v Vec) Blocks() int64 {
-	var n int64
-	for _, sg := range v {
-		n += sg.N
-	}
-	return n
-}
-
 // checkVec validates descriptor shape: block ranges inside the file's
 // [0, blocks), block-aligned in-bounds buffer ranges, and pairwise
 // disjointness in both coordinate systems. It runs before anything maps,

@@ -334,9 +334,6 @@ func Open(g *pfs.FileGroup, size int, opts Options) (*Collective, error) {
 	return c, nil
 }
 
-// Group returns the underlying file group.
-func (c *Collective) Group() *pfs.FileGroup { return c.group }
-
 // Aggregators reports the number of file domains (with Options.Locality
 // several may be aggregated by one rank).
 func (c *Collective) Aggregators() int { return c.naggs }

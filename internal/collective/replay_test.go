@@ -1,9 +1,8 @@
 // Schedule capture & replay tests: a replayed iteration must be
 // bit-identical — modeled time, stats, traffic, probe trace, data — to
 // the same iteration planned from scratch, and every invalidation
-// trigger (SetOptions, link-model reconfiguration, topology changes,
-// undersized buffers) must force a rebuild that still matches the
-// uncached path exactly.
+// trigger (interconnect-model reconfiguration, undersized buffers) must
+// force a rebuild that still matches the uncached path exactly.
 
 package collective
 
@@ -347,29 +346,26 @@ func TestReplayBitIdentical(t *testing.T) {
 	check("nonblocking-tuned", replayScn{nRanks: 24, iters: 5, opts: tuned, nonblocking: true}, false)
 }
 
-// TestReplayInvalidation mutates the handle options (ChunkBytes, then
-// Strategy) and the interconnect model (SetLink, then SetTopology)
-// between iterations: every mutation must flush the cache, rebuild the
-// schedule, and still match an uncached run bit for bit.
+// TestReplayInvalidation reconfigures the interconnect model between
+// iterations (SetBisection, SetBisectionPool, then SetLink twice): every
+// mutation bumps the model epoch, so it must flush the cache, rebuild
+// the schedule, and still match an uncached run bit for bit.
 func TestReplayInvalidation(t *testing.T) {
-	const nRanks = 24
 	mutate := func(it int, col *Collective, mg *mpp.Group) {
 		switch it {
 		case 2:
-			col.SetOptions(Options{ChunkBytes: 4 * testBS})
+			mg.SetBisection(200e6)
 		case 4:
-			col.SetOptions(Options{Strategy: blockio.StrategyVectored})
+			// The same bandwidth on a pool of its own: only the epoch
+			// tells the model changed.
+			mg.SetBisectionPool(mpp.NewBisection(200e6))
 		case 6:
 			mg.SetLink(5*time.Microsecond, 80e6)
 		case 8:
-			side := make([]int, nRanks)
-			for i := range side {
-				side[i] = i % 2
-			}
-			mg.SetTopology(side)
+			mg.SetLink(20*time.Microsecond, 20e6)
 		}
 	}
-	scn := replayScn{nRanks: nRanks, iters: 10, mutate: mutate}
+	scn := replayScn{nRanks: 24, iters: 10, mutate: mutate}
 	cached := runReplayScenario(t, scn, true, probe.New())
 	fresh := runReplayScenario(t, scn, false, probe.New())
 	diffReplayObs(t, "invalidation", cached, fresh)

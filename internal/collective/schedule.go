@@ -22,11 +22,11 @@
 // probe trace to a fresh build; the win is host wall-clock and
 // allocations.
 //
-// Invalidation is epoch-based: SetOptions flushes the handle's cache
-// (Options shape every planning decision), and the group's model epoch
-// (mpp.Group.ModelEpoch, bumped by SetLink/SetBisection/
-// SetBisectionPool/SetTopology) is checked per call so reconfiguring
-// the interconnect forces a rebuild — the route chooser priced the old
+// Invalidation is epoch-based: a handle's Options, which shape every
+// planning decision, are fixed when it is opened, and the group's model
+// epoch (mpp.Proc.ModelEpoch, bumped by SetLink/SetBisection/
+// SetBisectionPool) is checked per call so reconfiguring the
+// interconnect forces a rebuild — the route chooser priced the old
 // model. The store's drive parameters are immutable after construction,
 // so no device epoch is needed. A small LRU (defaultPlanCacheCap
 // schedules) keeps several so multi-pattern jobs don't thrash; a caller
@@ -195,9 +195,9 @@ func (pl *plan) cut(cp *cutPlan, sc *planScratch) error {
 
 // CacheStats is a point-in-time snapshot of a handle's schedule cache:
 // replayed calls (Hits), full builds (Misses), schedules dropped by
-// capacity (Evictions), and wholesale flushes from SetOptions, a
-// model-epoch change or InvalidateSchedules (Invalidations). Entries is
-// the current cache population.
+// capacity (Evictions), and wholesale flushes from a model-epoch change
+// or InvalidateSchedules (Invalidations). Entries is the current cache
+// population.
 type CacheStats struct {
 	Hits, Misses, Evictions, Invalidations uint64
 	Entries                                int
@@ -212,30 +212,10 @@ func (c *Collective) PlanCacheStats() CacheStats {
 	}
 }
 
-// SetOptions replaces the handle's options between collective calls,
-// recomputing the aggregator count exactly as Open does and flushing
-// the schedule cache — every cached decision (domain split, route,
-// chunking, service binding) was shaped by the old options. Call it
-// from one place between operations (not concurrently with a
-// collective), like the mpp model setters.
-func (c *Collective) SetOptions(opts Options) {
-	c.opts = opts
-	naggs := opts.Aggregators
-	if naggs <= 0 {
-		naggs = c.group.Store().Devices()
-	}
-	if naggs > c.size {
-		naggs = c.size
-	}
-	c.naggs = naggs
-	c.flushSchedules()
-}
-
 // InvalidateSchedules drops every cached schedule. The handle does this
-// itself on SetOptions and on model-epoch changes; the explicit form is
-// for callers that mutate state the handle cannot observe, and for those
-// that want the next call planned afresh. Call it between collective
-// calls.
+// itself on model-epoch changes; the explicit form is for callers that
+// mutate state the handle cannot observe, and for those that want the
+// next call planned afresh. Call it between collective calls.
 func (c *Collective) InvalidateSchedules() { c.flushSchedules() }
 
 func (c *Collective) flushSchedules() {

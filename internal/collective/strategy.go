@@ -291,8 +291,8 @@ func pipelineEnd(write bool, ex *mpp.RoundPrice, access []time.Duration, ends []
 // (plan.aligned's cuts) and the domain owners.
 func (c *Collective) alignedShares(ind *mappedReqs, nd int) {
 	sc := &c.price
-	if len(sc.flat) != c.size*c.naggs || len(sc.owner) != c.naggs {
-		// First pricing on this handle, or SetOptions changed the domain count.
+	if sc.flat == nil {
+		// First pricing on this handle.
 		sc.flat = make([]int64, c.size*c.naggs)
 		sc.shares = make([][]int64, c.size)
 		for r := range sc.shares {

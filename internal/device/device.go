@@ -2,11 +2,10 @@
 // the paper assumes: late-1980s Winchester drives with seek, rotational
 // and transfer delays, accessed through a per-device request queue.
 //
-// A Disk stores data through a pluggable Backend, which moves each run
-// in one piece: by default in memory as cylinder-sized slabs, each
-// allocated on its first write, or in a host file (FileBackend) for
-// volumes larger than RAM. When attached to a sim.Engine, a Disk charges
-// virtual time for every request using a parametric service-time model:
+// A Disk stores its data in memory as cylinder-sized slabs, each
+// allocated on its first write, and moves each run in one piece. When
+// attached to a sim.Engine, a Disk charges virtual time for every
+// request using a parametric service-time model:
 //
 //	service = overhead + seek(|head - cylinder|) + rotational latency + bytes/rate
 //
@@ -74,7 +73,6 @@ func (g Geometry) cylinderOf(block int64) int {
 type Timing struct {
 	SeekMin        time.Duration // single-cylinder (minimum nonzero) seek
 	SeekMax        time.Duration // full-stroke seek
-	LinearSeek     bool          // if true seek grows linearly with distance; default √distance
 	RotationPeriod time.Duration // one revolution; average latency is half
 	TransferRate   float64       // bytes per second
 	Overhead       time.Duration // fixed controller overhead per request
@@ -239,7 +237,7 @@ type Disk struct {
 	geom Geometry
 	eng  *sim.Engine // nil: untimed
 
-	backend Backend // block storage (in-memory slabs by default)
+	blocks store // the stored data
 	// line holds the waiting requests, each under its first run, and the
 	// head; it carries the timing, the discipline and the merge setting.
 	line   Line[*completion]
@@ -263,9 +261,6 @@ type Config struct {
 	Timing   Timing
 	Sched    Sched
 	Engine   *sim.Engine // nil for untimed operation
-	// Backend optionally overrides the block store (e.g. a FileBackend);
-	// nil selects the in-memory slab store.
-	Backend Backend
 	// MergeQueued enables block-layer style back/front merging: a newly
 	// queued whole-block request that is physically adjacent to a queued
 	// request of the same direction is absorbed into it, and the merged
@@ -287,11 +282,7 @@ func New(cfg Config) *Disk {
 	if cfg.Name == "" {
 		cfg.Name = "disk"
 	}
-	backend := cfg.Backend
-	if backend == nil {
-		backend = newMemBackend(cfg.Geometry)
-	}
-	d := &Disk{name: cfg.Name, geom: cfg.Geometry, eng: cfg.Engine, backend: backend}
+	d := &Disk{name: cfg.Name, geom: cfg.Geometry, eng: cfg.Engine, blocks: newStore(cfg.Geometry)}
 	d.line.Reset(Model{Geometry: cfg.Geometry, Timing: cfg.Timing, Sched: cfg.Sched, MergeQueued: cfg.MergeQueued})
 	d.line.Arm.Up = true
 	return d
@@ -317,9 +308,6 @@ func (d *Disk) SetProbe(r *probe.Recorder) {
 	m.Gauge("dev."+d.name+".seeks", func() float64 { return float64(d.stats.Seeks) })
 	m.Gauge("dev."+d.name+".merged", func() float64 { return float64(d.stats.Merged) })
 }
-
-// Close releases the block backend (required for file-backed disks).
-func (d *Disk) Close() error { return d.backend.Close() }
 
 // Name reports the device name.
 func (d *Disk) Name() string { return d.name }
@@ -376,12 +364,15 @@ func (d *Disk) Repair() { d.failed = false }
 
 // Erase discards all stored data, as a replacement drive would arrive
 // blank.
-func (d *Disk) Erase() error { return d.backend.Erase() }
+func (d *Disk) Erase() error {
+	d.blocks.slabs = nil
+	return nil
+}
 
 // Snapshot deep-copies the stored data — a point-in-time backup of this
 // drive (used by the reliability experiments to demonstrate the §5
 // rollback-consistency problem).
-func (d *Disk) Snapshot() (map[int64][]byte, error) { return d.backend.Snapshot() }
+func (d *Disk) Snapshot() (map[int64][]byte, error) { return d.blocks.snapshot(), nil }
 
 // Restore replaces the stored data with a snapshot (rolling the drive
 // back to that point in time). A snapshot naming a block outside the
@@ -396,13 +387,9 @@ func (d *Disk) Restore(snap map[int64][]byte) error {
 			return fmt.Errorf("device: snapshot block %d is %d bytes, not one %d-byte block, on %s", b, len(pg), d.geom.BlockSize, d.name)
 		}
 	}
-	if err := d.backend.Erase(); err != nil {
-		return err
-	}
+	d.blocks.slabs = nil
 	for b, pg := range snap {
-		if err := d.backend.WriteBlocks(b, pg); err != nil {
-			return err
-		}
+		d.blocks.write(b, pg)
 	}
 	return nil
 }
@@ -494,7 +481,9 @@ func (s *seekTable) service(cyls, bytes int) time.Duration {
 	return service(s.t, s.seek(cyls), bytes)
 }
 
-// seekTime models head movement across dist cylinders.
+// seekTime models head movement across dist cylinders: the single-cylinder
+// seek plus the rest of the full stroke in proportion to the square root
+// of dist.
 func seekTime(g Geometry, t Timing, dist int) time.Duration {
 	if dist <= 0 {
 		return 0
@@ -503,14 +492,8 @@ func seekTime(g Geometry, t Timing, dist int) time.Duration {
 	if maxDist < 1 {
 		maxDist = 1
 	}
-	span := t.SeekMax - t.SeekMin
-	var frac float64
-	if t.LinearSeek {
-		frac = float64(dist) / float64(maxDist)
-	} else {
-		frac = math.Sqrt(float64(dist) / float64(maxDist))
-	}
-	return t.SeekMin + time.Duration(float64(span)*frac)
+	frac := math.Sqrt(float64(dist) / float64(maxDist))
+	return t.SeekMin + time.Duration(float64(t.SeekMax-t.SeekMin)*frac)
 }
 
 // dispatch starts service of the request the line serves next at virtual
@@ -681,7 +664,7 @@ func (c *completion) complete() *sim.Proc {
 	return b.done(d.eng, i, err)
 }
 
-// move transfers the data of a run between the backend and iov and counts
+// move transfers the data of a run between the store and iov and counts
 // it, or fails it on a failed drive.
 func (d *Disk) move(write bool, block int64, n int, iov [][]byte) error {
 	if d.failed {
@@ -690,14 +673,10 @@ func (d *Disk) move(write bool, block int64, n int, iov [][]byte) error {
 	bs := d.geom.BlockSize
 	b := block
 	for _, v := range iov {
-		var err error
 		if write {
-			err = d.backend.WriteBlocks(b, v)
+			d.blocks.write(b, v)
 		} else {
-			err = d.backend.ReadBlocks(b, v)
-		}
-		if err != nil {
-			return err
+			d.blocks.read(b, v)
 		}
 		b += int64(len(v) / bs)
 	}

@@ -192,18 +192,6 @@ func TestSeekTimeMonotonic(t *testing.T) {
 	}
 }
 
-func TestLinearSeekOption(t *testing.T) {
-	cfg := Config{Timing: DefaultTiming1989()}
-	cfg.Timing.LinearSeek = true
-	lin := New(cfg)
-	sq := untimed()
-	// At half stroke, sqrt curve must be above linear.
-	half := (sq.Geometry().Cylinders - 1) / 2
-	if !(sq.seekTime(half) > lin.seekTime(half)) {
-		t.Fatalf("sqrt seek %v should exceed linear %v at half stroke", sq.seekTime(half), lin.seekTime(half))
-	}
-}
-
 func TestVirtualTimeSingleRequest(t *testing.T) {
 	e := sim.NewEngine()
 	d := New(Config{Engine: e})

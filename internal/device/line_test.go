@@ -169,29 +169,29 @@ func TestLineAgainstScan(t *testing.T) {
 
 // TestSeekTableIsSeekTime: a line takes its seek term from its model's
 // table, which seekTime fills on first use: at every distance of the 1989
-// drive and of a small geometry, square-root and linear, the table's
-// entry — filled, then read back — is seekTime's, and a request costs
-// overhead, that seek, half a rotation and its transfer, through the
-// table as through ServiceTime.
+// drive and of a small geometry, under the 1989 timing and one with a
+// longer full stroke, the table's entry — filled, then read back — is
+// seekTime's, and a request costs overhead, that seek, half a rotation
+// and its transfer, through the table as through ServiceTime.
 func TestSeekTableIsSeekTime(t *testing.T) {
-	linear := DefaultTiming1989()
-	linear.LinearSeek, linear.SeekMax = true, 40*time.Millisecond
+	long := DefaultTiming1989()
+	long.SeekMax = 40 * time.Millisecond
 	for _, g := range []Geometry{DefaultGeometry1989(), {BlockSize: 64, BlocksPerCyl: 8, Cylinders: 64}} {
-		for _, tm := range []Timing{DefaultTiming1989(), linear} {
+		for _, tm := range []Timing{DefaultTiming1989(), long} {
 			for pass := range 2 {
 				for dist := 0; dist < g.Cylinders; dist++ {
 					seek := seekTime(g, tm, dist)
 					if got := seeksOf(g, tm).seek(dist); got != seek {
-						t.Fatalf("%d cylinders, linear %v, pass %d: the table seeks %d cylinders in %v, seekTime %v",
-							g.Cylinders, tm.LinearSeek, pass, dist, got, seek)
+						t.Fatalf("%d cylinders, full stroke %v, pass %d: the table seeks %d cylinders in %v, seekTime %v",
+							g.Cylinders, tm.SeekMax, pass, dist, got, seek)
 					}
 					bytes := (dist%5 + 1) * g.BlockSize
 					want := tm.Overhead + seek + tm.RotationPeriod/2 + time.Duration(float64(bytes)/tm.TransferRate*float64(time.Second))
 					if got := ServiceTime(g, tm, dist, bytes); got != want {
-						t.Fatalf("%d cylinders, linear %v: ServiceTime(%d, %d) = %v, want %v", g.Cylinders, tm.LinearSeek, dist, bytes, got, want)
+						t.Fatalf("%d cylinders, full stroke %v: ServiceTime(%d, %d) = %v, want %v", g.Cylinders, tm.SeekMax, dist, bytes, got, want)
 					}
 					if got := seeksOf(g, tm).service(dist, bytes); got != want {
-						t.Fatalf("%d cylinders, linear %v: the table prices (%d, %d) at %v, want %v", g.Cylinders, tm.LinearSeek, dist, bytes, got, want)
+						t.Fatalf("%d cylinders, full stroke %v: the table prices (%d, %d) at %v, want %v", g.Cylinders, tm.SeekMax, dist, bytes, got, want)
 					}
 				}
 			}

@@ -208,9 +208,6 @@ func d1seek(tm Timing, g Geometry, from, to int64) time.Duration {
 	}
 	maxDist := g.Cylinders - 1
 	span := tm.SeekMax - tm.SeekMin
-	frac := float64(dist) / float64(maxDist)
-	if !tm.LinearSeek {
-		frac = math.Sqrt(frac)
-	}
+	frac := math.Sqrt(float64(dist) / float64(maxDist))
 	return tm.SeekMin + time.Duration(float64(span)*frac)
 }

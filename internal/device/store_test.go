@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -15,8 +14,8 @@ import (
 )
 
 // TestStoreDifferential runs a seeded sequence of writes, reads,
-// erases and snapshot → restore round trips through a Disk on each
-// backend, and holds every byte read and every snapshot to a map of
+// erases and snapshot → restore round trips through a Disk's slab
+// store, and holds every byte read and every snapshot to a map of
 // pages: runs cross slab boundaries and touch the drive's first and last
 // blocks, reads land in 0xFF-filled buffers (so a block never written
 // must come back cleared), and a scatter/gather list is cut at random
@@ -27,24 +26,10 @@ func TestStoreDifferential(t *testing.T) {
 		{BlockSize: 8, BlocksPerCyl: 5, Cylinders: 7},
 		{BlockSize: 8, BlocksPerCyl: 70, Cylinders: 3},
 	} {
-		backends := map[string]func(t *testing.T) Backend{
-			"mem": func(*testing.T) Backend { return newMemBackend(g) },
-			"file": func(t *testing.T) Backend {
-				fb, err := NewFileBackend(filepath.Join(t.TempDir(), "disk.img"), g.BlockSize)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return fb
-			},
-		}
-		for name, mk := range backends {
-			for seed := int64(1); seed <= 4; seed++ {
-				t.Run(fmt.Sprintf("%s/bpc%d/seed%d", name, g.BlocksPerCyl, seed), func(t *testing.T) {
-					d := New(Config{Geometry: g, Backend: mk(t)})
-					defer d.Close()
-					storeDifferential(t, d, rand.New(rand.NewSource(seed)))
-				})
-			}
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("mem/bpc%d/seed%d", g.BlocksPerCyl, seed), func(t *testing.T) {
+				storeDifferential(t, New(Config{Geometry: g}), rand.New(rand.NewSource(seed)))
+			})
 		}
 	}
 }

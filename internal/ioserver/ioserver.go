@@ -298,12 +298,6 @@ func New(cfg Config) *Server {
 	return &Server{cfg: cfg}
 }
 
-// Policy reports the configured dequeue discipline.
-func (s *Server) Policy() Policy { return s.cfg.Policy }
-
-// Jobs returns the declared jobs in AddJob order.
-func (s *Server) Jobs() []*Job { return s.jobs }
-
 // AddJob declares a client job. Jobs may be added any time before
 // their first Submit.
 func (s *Server) AddJob(cfg JobConfig) *Job {

@@ -27,7 +27,7 @@ package mpp
 func (p *Proc) Alltoallv(send [][]byte) [][]byte {
 	g := p.group
 	row := g.denseRow(p.rank)
-	var out, outPool int64
+	var out int64
 	outMsgs := 0
 	for dst := 0; dst < g.size; dst++ {
 		var pl []byte
@@ -44,36 +44,30 @@ func (p *Proc) Alltoallv(send [][]byte) [][]byte {
 		if dst != p.rank {
 			out += int64(len(pl))
 			outMsgs++
-			if g.crossCut(p.rank, dst) {
-				outPool += int64(len(pl))
-			}
 		}
 	}
 	p.chargeLink(outMsgs, out)
 	g.trafMsgs += int64(outMsgs)
 	g.trafBytes += out
-	g.crossVol += outPool
+	g.crossVol += out
 	p.Barrier()
 	// Between the barriers crossVol holds every rank's contribution —
 	// the whole exchange's cross-link volume (self payloads excluded),
 	// identical for all readers.
 	recv := make([][]byte, g.size)
-	var in, inPool int64
+	var in int64
 	inMsgs := 0
 	for src := 0; src < g.size; src++ {
 		recv[src] = g.a2a[src][p.rank]
 		if src != p.rank && recv[src] != nil {
 			in += int64(len(recv[src]))
 			inMsgs++
-			if g.crossCut(src, p.rank) {
-				inPool += int64(len(recv[src]))
-			}
 		}
 	}
 	p.chargeLink(inMsgs, in)
-	p.chargePool(g.crossVol, outPool+inPool)
+	p.chargePool(g.crossVol)
 	p.Barrier()
-	g.crossVol -= outPool
+	g.crossVol -= out
 	g.exCharged = false
 	return recv
 }
@@ -129,7 +123,7 @@ func (ex *Exchange) Round(send [][]byte) [][]byte {
 	p := ex.p
 	g := p.group
 	row := g.denseRow(p.rank)
-	var out, outPool int64
+	var out int64
 	newOut := 0
 	for dst := 0; dst < g.size; dst++ {
 		var pl []byte
@@ -149,18 +143,15 @@ func (ex *Exchange) Round(send [][]byte) [][]byte {
 				ex.sentTo[dst] = true
 				newOut++
 			}
-			if g.crossCut(p.rank, dst) {
-				outPool += int64(len(pl))
-			}
 		}
 	}
 	p.chargeLink(newOut, out)
 	g.trafMsgs += int64(newOut)
 	g.trafBytes += out
-	g.crossVol += outPool
+	g.crossVol += out
 	p.Barrier()
 	recv := make([][]byte, g.size)
-	var in, inPool int64
+	var in int64
 	newIn := 0
 	for src := 0; src < g.size; src++ {
 		recv[src] = g.a2a[src][p.rank]
@@ -170,15 +161,12 @@ func (ex *Exchange) Round(send [][]byte) [][]byte {
 				ex.recvFrom[src] = true
 				newIn++
 			}
-			if g.crossCut(src, p.rank) {
-				inPool += int64(len(recv[src]))
-			}
 		}
 	}
 	p.chargeLink(newIn, in)
-	p.chargePool(g.crossVol, outPool+inPool)
+	p.chargePool(g.crossVol)
 	p.Barrier()
-	g.crossVol -= outPool
+	g.crossVol -= out
 	g.exCharged = false
 	return recv
 }

@@ -74,16 +74,6 @@
 // the pool, the same Traffic counts, the same barrier structure — so a
 // program moved from the dense to the sparse form reports bit-identical
 // modeled times; only the wall-clock cost of simulating it changes.
-//
-// # Topology-aware bisection (optional)
-//
-// SetTopology splits the group into halves. With a topology configured,
-// only traffic that crosses the cut is charged against the bisection
-// pool (self-side messages still pay per-process link costs), and a
-// process whose round moved no cross-cut bytes skips the pool wait
-// entirely — senders that finish early release the pool to others
-// instead of idling until the collective's drain. Off by default;
-// without a topology pool charging is unchanged.
 package mpp
 
 import (
@@ -210,13 +200,10 @@ type Group struct {
 	// post is the chunked exchanges' round barrier and what the processes
 	// that posted their rounds left with it (sparse.go, "Posted rounds")
 	post posted
-	// topo, when non-nil, assigns each rank a side of the bisection cut;
-	// only cross-cut traffic then charges the pool (see SetTopology)
-	topo []int
 	// epoch counts interconnect-model reconfigurations (SetLink,
-	// SetBisection, SetBisectionPool, SetTopology). Layers that cache
-	// model-derived decisions (collective's schedule cache) compare it
-	// to detect that a cached decision was priced under a stale model.
+	// SetBisection, SetBisectionPool). Layers that cache model-derived
+	// decisions (collective's schedule cache) compare it to detect that a
+	// cached decision was priced under a stale model.
 	epoch uint64
 	// flight recorder (nil: detached); one trace track per rank
 	rec      *probe.Recorder
@@ -283,14 +270,11 @@ func (g *Group) SetLink(msg time.Duration, bytesPerSec float64) {
 	g.epoch++
 }
 
-// ModelEpoch reports how many times the group's interconnect model has
-// been reconfigured (SetLink, SetBisection, SetBisectionPool,
-// SetTopology). Consumers that cache decisions priced under the model —
-// the collective layer's schedule cache — compare epochs to invalidate
-// on reconfiguration.
-func (g *Group) ModelEpoch() uint64 { return g.epoch }
-
-// ModelEpoch reports the model epoch of the proc's group.
+// ModelEpoch reports how many times the interconnect model of the
+// proc's group has been reconfigured (SetLink, SetBisection,
+// SetBisectionPool). Consumers that cache decisions priced under the
+// model — the collective layer's schedule cache — compare epochs to
+// invalidate on reconfiguration.
 func (p *Proc) ModelEpoch() uint64 { return p.group.epoch }
 
 // LinkModel reports the group's interconnect parameters — per-message
@@ -338,26 +322,6 @@ func (g *Group) SetBisectionPool(pool *Bisection) {
 	g.epoch++
 }
 
-// SetTopology assigns each rank a side of the bisection cut: side[r] is
-// an arbitrary side label for rank r (typically 0 or 1 for the two
-// halves of the machine). With a topology configured, only traffic
-// between ranks on different sides charges the shared bisection pool —
-// same-side messages still pay per-process link costs (SetLink) and
-// still count in Traffic, but they do not cross the cut the pool
-// models. A process that moved no cross-cut bytes in a collective skips
-// the pool wait entirely, and the processes that did wait only until
-// the shared reservation drains, so early finishers release bandwidth
-// within the round. nil restores the default (every non-self message
-// charges the pool). Configure before the group's processes start
-// communicating; len(side) must equal the group size.
-func (g *Group) SetTopology(side []int) {
-	if side != nil && len(side) != g.size {
-		panic("mpp: SetTopology side length != group size")
-	}
-	g.topo = side
-	g.epoch++
-}
-
 // SetProbe attaches a flight recorder to the group: one trace track per
 // rank named "<prefix>/<rank>", exchange-round and bisection-pool-wait
 // spans on those tracks, a pool-wait histogram, and the group's traffic
@@ -381,19 +345,6 @@ func (g *Group) SetProbe(r *probe.Recorder, prefix string) {
 	m.Gauge("mpp."+prefix+".bytes", func() float64 { return float64(g.trafBytes) })
 }
 
-// Probe reports the group's attached recorder (nil when detached) and
-// the track-name prefix it was attached under. Layers built on a group
-// (package collective) inherit its recorder through this.
-func (g *Group) Probe() (*probe.Recorder, string) { return g.rec, g.prPrefix }
-
-// RankTrack reports rank r's trace track (0 when detached).
-func (g *Group) RankTrack(r int) probe.TrackID {
-	if g.rankTrk == nil {
-		return 0
-	}
-	return g.rankTrk[r]
-}
-
 // reservePool makes the current exchange's one reservation of vol bytes
 // on the pool, from now, unless it has been made.
 func (g *Group) reservePool(now time.Duration, vol int64) {
@@ -401,19 +352,6 @@ func (g *Group) reservePool(now time.Duration, vol int64) {
 		g.exEnd = g.bisection.reserve(now, vol)
 		g.exCharged = true
 	}
-}
-
-// crossCut reports whether a message from rank a to rank b crosses the
-// bisection cut (and so charges the pool). Without a topology every
-// non-self pair crosses; a == b never does.
-func (g *Group) crossCut(a, b int) bool {
-	if a == b {
-		return false
-	}
-	if g.topo == nil {
-		return true
-	}
-	return g.topo[a] != g.topo[b]
 }
 
 // Traffic reports the cross-link volume the group's collectives have
@@ -462,27 +400,13 @@ func (g *Group) linkTime(msgs int, bytes int64) time.Duration {
 // exceeds it only when an earlier reservation is still draining, i.e.
 // under cross-exchange contention). A no-op when the shared model is
 // off.
-//
-// own is the caller's personal cross-cut volume (bytes it sent plus
-// bytes it received across the bisection cut). It matters only with a
-// topology configured (SetTopology): a process with own == 0 skips the
-// pool wait, and participating processes wait only for the shared
-// reservation to drain rather than their own full-volume drain —
-// finishing early releases the pool within the round.
-func (p *Proc) chargePool(vol, own int64) {
+func (p *Proc) chargePool(vol int64) {
 	g := p.group
 	if g.bisection == nil || vol <= 0 {
 		return
 	}
-	if g.topo != nil && own <= 0 {
-		return // no cross-cut involvement: the pool is not this process's wait
-	}
 	g.reservePool(p.Now(), vol)
-	until := g.exEnd
-	if g.topo == nil {
-		until = g.bisection.leave(p.Now(), vol, g.exEnd)
-	}
-	if until > p.Now() {
+	if until := g.bisection.leave(p.Now(), vol, g.exEnd); until > p.Now() {
 		from := p.Now()
 		p.SleepUntil(until)
 		if g.rec != nil {

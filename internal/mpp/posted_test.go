@@ -212,10 +212,6 @@ func TestPostedMatchesLockstep(t *testing.T) {
 	for r := aggs; r < ranks; r++ {
 		compute[r] = true
 	}
-	topo := make([]int, ranks)
-	for r := range topo {
-		topo[r] = r % 2
-	}
 	models := []struct {
 		name      string
 		configure func(g *Group)
@@ -226,11 +222,6 @@ func TestPostedMatchesLockstep(t *testing.T) {
 		{"bisection", func(g *Group) { g.SetBisection(300e6) }, false},
 		{"link+bisection", func(g *Group) { g.SetLink(2*time.Microsecond, 80e6); g.SetBisection(300e6) }, false},
 		{"shared-pool", func(g *Group) { g.SetLink(2*time.Microsecond, 80e6); g.SetBisection(300e6) }, true},
-		{"topology", func(g *Group) {
-			g.SetLink(2*time.Microsecond, 80e6)
-			g.SetBisection(300e6)
-			g.SetTopology(topo)
-		}, false},
 	}
 	for _, m := range models {
 		for _, dir := range []struct {
@@ -352,8 +343,7 @@ func TestPostedParksOnce(t *testing.T) {
 // (Msg.Len, Data nil) is charged exactly what a payload of that many
 // bytes is — the clock to the nanosecond, every rank's release, Traffic's
 // messages and bytes, and every mpp span with the bytes it counts — with
-// every rank in Round, with the compute ranks posted (Post), posted under
-// a topology (Post's fallback to taking part in every round), and with
+// every rank in Round, with the compute ranks posted (Post), and with
 // both kinds mixed in one round.
 func TestSizeOnlyChargesAsPayload(t *testing.T) {
 	const ranks, aggs, rounds = 8, 2, 3
@@ -372,10 +362,6 @@ func TestSizeOnlyChargesAsPayload(t *testing.T) {
 	for r := aggs; r < ranks; r++ {
 		compute[r] = true
 	}
-	topo := make([]int, ranks)
-	for r := range topo {
-		topo[r] = r % 2
-	}
 	linkPool := func(g *Group) { g.SetLink(2*time.Microsecond, 80e6); g.SetBisection(300e6) }
 	for _, m := range []struct {
 		name      string
@@ -384,7 +370,6 @@ func TestSizeOnlyChargesAsPayload(t *testing.T) {
 	}{
 		{"link+bisection", linkPool, false},
 		{"shared-pool", linkPool, true},
-		{"topology", func(g *Group) { linkPool(g); g.SetTopology(topo) }, false},
 	} {
 		for _, posted := range [][]bool{nil, compute} {
 			for _, kind := range []struct {

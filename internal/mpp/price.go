@@ -14,9 +14,7 @@ import (
 // charges it, and the pool is a scratch timeline reserved and left the
 // way Round reserves and leaves the group's (Bisection.reserve, leave).
 // The scratch pool starts empty: what other groups have reserved on a
-// shared pool when the exchange runs is not the price's to know. Under a
-// topology only cross-cut bytes are booked on it, as charged, but every
-// process is priced as waiting for it.
+// shared pool when the exchange runs is not the price's to know.
 //
 // Enter every message of the whole exchange (Reset, then Msg), then ask
 // for the price of each of its rounds (Price). A RoundPrice keeps its
@@ -25,7 +23,7 @@ type RoundPrice struct {
 	g    *Group
 	use  []linkUse
 	last []int // last[dst]: 1 + the source of the latest message entered for dst
-	vol  int64 // bytes across the bisection cut
+	vol  int64 // bytes across a link, all booked on the pool
 	// outs and ins are the distinct injections and deliveries among use,
 	// tallied at the first Price after an entry: a round's price is a
 	// maximum and a minimum over the processes, which processes of equal
@@ -83,9 +81,7 @@ func (rp *RoundPrice) msg(src, dst int, bytes int64) {
 		out.outMsgs++
 		in.inMsgs++
 	}
-	if rp.g.crossCut(src, dst) {
-		rp.vol += bytes
-	}
+	rp.vol += bytes
 }
 
 // Price reports what one round of the exchange costs that carries part of
@@ -94,7 +90,7 @@ func (rp *RoundPrice) msg(src, dst int, bytes int64) {
 // n); setup prices the round that sets up every pair, the first. A round
 // is what Round charges it: every process injects, the slowest holding
 // the first barrier; every process then takes delivery, the first to
-// finish reserving the round's cross-cut volume on the pool, and the
+// finish reserving the round's volume on the pool, and the
 // round ends when the last has left the pool. The messages of a
 // collective read travel the other way and cost the same.
 func (rp *RoundPrice) Price(part, whole int64, setup bool) time.Duration {

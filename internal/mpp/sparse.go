@@ -139,9 +139,7 @@ func (p *Proc) AlltoallvSparse(send []Msg) []RecvMsg { return p.NewSparseExchang
 //     round's volume at pool bandwidth.
 //
 // Per-pair setup is still charged once per pair, and Traffic ends at the
-// same totals. With a topology configured (SetTopology) a process's pool
-// wait depends on its own cross-cut bytes, which the three numbers do not
-// carry, and Post falls back to taking part in every round.
+// same totals.
 type SparseExchange struct {
 	p     *Proc
 	pairs map[int]uint8 // peer rank -> setup flags (bit 0 sent, bit 1 received)
@@ -189,8 +187,8 @@ type posted struct {
 }
 
 // postedRound is what the posters handed over for one round: their
-// messages, the cross-cut bytes among them, and the largest link-out
-// charge any of them owes for it.
+// messages, the bytes among them that cross a link, and the largest
+// link-out charge any of them owes for it.
 type postedRound struct {
 	msgs []postedMsg
 	vol  int64
@@ -203,11 +201,10 @@ type postedMsg struct {
 }
 
 // sent totals what one round's outgoing messages cost their sender: bytes
-// and pairs new to the exchange across a link, and bytes across the
-// bisection cut.
+// and pairs new to the exchange across a link.
 type sent struct {
-	bytes, pool int64
-	pairs       int
+	bytes int64
+	pairs int
 }
 
 // account enters one outgoing message in the sender's pair table and
@@ -217,35 +214,27 @@ func (ex *SparseExchange) account(s *sent, m Msg) {
 	if m.Dst == p.rank {
 		return
 	}
-	n := size(m.Data, m.Len)
-	s.bytes += n
+	s.bytes += size(m.Data, m.Len)
 	if f := ex.pairs[m.Dst]; f&1 == 0 {
 		ex.pairs[m.Dst] = f | 1
 		s.pairs++
 	}
-	if p.group.crossCut(p.rank, m.Dst) {
-		s.pool += n
-	}
 }
 
 // received totals the link-in charges of newly delivered messages: bytes
-// and new pairs across a link, and bytes across the bisection cut.
-func (ex *SparseExchange) received(recv []RecvMsg) (in int64, newIn int, inPool int64) {
+// and new pairs across a link.
+func (ex *SparseExchange) received(recv []RecvMsg) (in int64, newIn int) {
 	p := ex.p
 	for _, m := range recv {
 		if m.Src != p.rank {
-			n := size(m.Data, m.Len)
-			in += n
+			in += size(m.Data, m.Len)
 			if f := ex.pairs[m.Src]; f&2 == 0 {
 				ex.pairs[m.Src] = f | 2
 				newIn++
 			}
-			if p.group.crossCut(m.Src, p.rank) {
-				inPool += n
-			}
 		}
 	}
-	return in, newIn, inPool
+	return in, newIn
 }
 
 // Round moves one round of the chunked exchange — the sparse analogue
@@ -271,11 +260,11 @@ func (ex *SparseExchange) Round(send []Msg) []RecvMsg {
 	p.chargeLink(out.pairs, out.bytes)
 	g.trafMsgs += int64(out.pairs)
 	g.trafBytes += out.bytes
-	g.crossVol += out.pool
+	g.crossVol += out.bytes
 	g.roundBarrier(p, k, false)
 	recv := g.sin[p.rank]
 	g.sin[p.rank] = g.takeInbox(p.rank)
-	in, newIn, inPool := ex.received(recv)
+	in, newIn := ex.received(recv)
 	vol := g.crossVol
 	if len(ps.posters) > 0 {
 		vol += ps.round[k].vol
@@ -291,9 +280,9 @@ func (ex *SparseExchange) Round(send []Msg) []RecvMsg {
 	} else if d > 0 {
 		p.Sleep(d)
 	}
-	p.chargePool(vol, out.pool+inPool)
+	p.chargePool(vol)
 	g.roundBarrier(p, k, true)
-	g.crossVol -= out.pool
+	g.crossVol -= out.bytes
 	g.exCharged = false
 	if g.rec != nil {
 		g.rec.Span(g.rankTrk[p.rank], "mpp", "round", t0, p.Now(), out.bytes+in, 0)
@@ -313,21 +302,6 @@ func (ex *SparseExchange) Post(send []Msg, rounds int) []RecvMsg {
 	p := ex.p
 	g := p.group
 	g.ensureSparse()
-	if g.topo != nil {
-		// Pool waits are personal under a topology: take part in every round.
-		all := g.takeInbox(p.rank)
-		for k := 0; k < rounds; k++ {
-			n := 0
-			for n < len(send) && send[n].Round == k {
-				n++
-			}
-			recv := ex.Round(send[:n])
-			send = send[n:]
-			all = append(all, recv...)
-			p.RecycleRecv(recv)
-		}
-		return all
-	}
 	if rounds <= 0 {
 		return nil
 	}
@@ -356,7 +330,7 @@ func (ex *SparseExchange) Post(send []Msg, rounds int) []RecvMsg {
 		} else {
 			rd.out = max(rd.out, d)
 		}
-		rd.vol += out.pool
+		rd.vol += out.bytes
 		g.trafMsgs += int64(out.pairs)
 		g.trafBytes += out.bytes
 		total += out.bytes
@@ -484,7 +458,7 @@ func (g *Group) closeFirst(p *Proc, k int) (late bool) {
 	if g.linkMsg != 0 || g.linkBytes != 0 {
 		for i, ex := range ps.posters {
 			inbox := g.sin[ex.p.rank]
-			in, newIn, _ := ex.received(inbox[ex.seen:])
+			in, newIn := ex.received(inbox[ex.seen:])
 			ex.seen = len(inbox)
 			d := g.linkTime(newIn, in)
 			if i == 0 || d < ps.inMin {

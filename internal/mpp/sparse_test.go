@@ -206,89 +206,6 @@ func TestRecycleRecvReused(t *testing.T) {
 	}
 }
 
-// TestTopologySameSideSkipsPool: with a topology whose traffic never
-// crosses the cut, the bisection pool must charge nothing.
-func TestTopologySameSideSkipsPool(t *testing.T) {
-	run := func(topo []int) time.Duration {
-		eng := sim.NewEngine()
-		g, _ := Run(eng, 4, "w", func(p *Proc) {
-			// Ranks 0<->1 exchange within side 0; ranks 2 and 3 idle.
-			var send []Msg
-			switch p.Rank() {
-			case 0:
-				send = []Msg{{Dst: 1, Data: make([]byte, 1000)}}
-			case 1:
-				send = []Msg{{Dst: 0, Data: make([]byte, 1000)}}
-			}
-			p.RecycleRecv(p.AlltoallvSparse(send))
-		})
-		g.SetBisection(1e6) // 1 MB/s: 1000 B cost 1 ms if pooled
-		g.SetTopology(topo)
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return eng.Now()
-	}
-	base := run(nil)
-	if base != 2*time.Millisecond {
-		t.Fatalf("no-topology pool charge = %v, want 2ms (2000 B at 1 MB/s)", base)
-	}
-	sameSide := run([]int{0, 0, 1, 1})
-	if sameSide != 0 {
-		t.Fatalf("same-side exchange charged the pool: %v, want 0", sameSide)
-	}
-}
-
-// TestTopologyReleasesPoolEarly: with a topology, processes that moved
-// no cross-cut bytes skip the pool wait, and participants wait only for
-// the shared reservation to drain instead of re-paying the full volume
-// from their own (link-delayed) arrival.
-func TestTopologyReleasesPoolEarly(t *testing.T) {
-	run := func(topo []int) time.Duration {
-		eng := sim.NewEngine()
-		g, _ := Run(eng, 4, "w", func(p *Proc) {
-			var send []Msg
-			if p.Rank() == 0 {
-				// 0 -> 2 crosses the cut.
-				send = []Msg{{Dst: 2, Data: make([]byte, 1000)}}
-			}
-			p.RecycleRecv(p.AlltoallvSparse(send))
-		})
-		g.SetLink(0, 1e6)   // injecting/receiving 1000 B costs 1 ms
-		g.SetBisection(1e6) // draining 1000 B through the pool costs 1 ms
-		g.SetTopology(topo)
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return eng.Now()
-	}
-	// Pre-PR accounting: rank 0's injection delays the entry barrier to
-	// 1 ms; rank 2 then pays its 1 ms receive charge and re-pays the
-	// full pool drain from its own 2 ms arrival -> ends at 3 ms.
-	if got := run(nil); got != 3*time.Millisecond {
-		t.Fatalf("no-topology end = %v, want 3ms", got)
-	}
-	// With the cut [0,0|1,1]: ranks 1 and 3 moved nothing across it and
-	// skip the pool; the reservation drains at 2 ms (1 ms barrier + 1 ms
-	// drain), so rank 2, arriving at 2 ms after its receive charge, is
-	// not held further -> ends at 2 ms.
-	if got := run([]int{0, 0, 1, 1}); got != 2*time.Millisecond {
-		t.Fatalf("topology end = %v, want 2ms (early pool release)", got)
-	}
-}
-
-// TestTopologyLengthMismatchPanics pins the misuse guard.
-func TestTopologyLengthMismatchPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	g, _ := Run(eng, 4, "w", func(p *Proc) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetTopology with wrong length did not panic")
-		}
-	}()
-	g.SetTopology([]int{0, 1})
-}
-
 // TestEngineScaleWin is the PR's enforced win: on a pinned 1024-rank
 // chunked exchange, the sparse path must simulate the identical modeled
 // scenario with at least 4x fewer allocations per round than the dense

@@ -84,9 +84,6 @@ func (q *Queue) Peek() (v any, ok bool) {
 // Len reports the number of buffered items.
 func (q *Queue) Len() int { return q.items.len() }
 
-// Closed reports whether Close has been called.
-func (q *Queue) Closed() bool { return q.closed }
-
 // Close marks the end of the stream: blocked and future Gets drain the
 // remaining items and then report ok=false. Close is idempotent.
 func (q *Queue) Close(p *Proc) {

@@ -3,8 +3,6 @@ package stripe
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -273,40 +271,27 @@ func TestMirrorWritesSurviveSingleFailure(t *testing.T) {
 
 // TestMirrorSurvivesOnlyAFailedDrive: a mirror write tolerates one side
 // of the pair that has failed (device.ErrFailed), and no other error. A
-// primary that refuses the write any other way — here its file backend
-// is closed — fails the write: a read fails over to the shadow only from
-// a failed drive, so a write that reported success would leave the next
-// read of the block to the primary's error. And when both sides fail a
-// read, the shadow's own error stays inside the ErrDoubleFailure.
+// write the drives refuse any other way — here a run past their end,
+// device.ErrOutOfRange — reports that error: a read fails over to the
+// shadow only from a failed drive, so a write that reported success
+// would leave the next read of the block to the primary's error. And
+// when both sides fail a read, the shadow's own error stays inside the
+// ErrDoubleFailure.
 func TestMirrorSurvivesOnlyAFailedDrive(t *testing.T) {
-	closed := func(name string) *device.Disk {
-		geom := device.Geometry{BlockSize: 128, BlocksPerCyl: 4, Cylinders: 16}
-		fb, err := device.NewFileBackend(filepath.Join(t.TempDir(), name), geom.BlockSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fb.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return device.New(device.Config{Name: name, Geometry: geom, Backend: fb})
-	}
 	ctx := sim.NewWall()
-	m, err := NewMirror([]*device.Disk{closed("primary")}, drives(1, nil))
+	m, err := NewMirror(drives(1, nil), drives(1, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeBlock(m, ctx, 0, 0, blockOf(7, 128)); !errors.Is(err, os.ErrClosed) || errors.Is(err, device.ErrFailed) {
-		t.Fatalf("write refused by the primary's backend returned %v, want its error", err)
+	if err := writeBlock(m, ctx, 0, m.Blocks(), blockOf(7, 128)); !errors.Is(err, device.ErrOutOfRange) || errors.Is(err, device.ErrFailed) {
+		t.Fatalf("write past the drives' end returned %v, want their ErrOutOfRange", err)
 	}
 
-	m, err = NewMirror(drives(1, nil), []*device.Disk{closed("shadow")})
-	if err != nil {
-		t.Fatal(err)
-	}
 	m.Primary(0).Fail()
+	m.Shadow(0).Fail()
 	err = readBlock(m, ctx, 0, 0, make([]byte, 128))
-	if !errors.Is(err, ErrDoubleFailure) || !errors.Is(err, os.ErrClosed) {
-		t.Fatalf("read with a failed primary and a refusing shadow returned %v, want ErrDoubleFailure carrying the shadow's error", err)
+	if !errors.Is(err, ErrDoubleFailure) || !errors.Is(err, device.ErrFailed) {
+		t.Fatalf("read with both sides failed returned %v, want ErrDoubleFailure carrying the shadow's error", err)
 	}
 }
 

@@ -278,11 +278,10 @@
 // the plan once, and freezes it into an immutable schedule; subsequent
 // calls with the same shape replay it, doing only buffer rebinding and
 // payload packing. The cache is a small per-handle LRU of 8 schedules,
-// invalidated whenever the answer could change:
-// Collective.SetOptions re-tunes a handle and flushes, and every
-// interconnect reconfiguration (RankGroup.SetLink / SetBisection /
-// SetBisectionPool / SetTopology) bumps a model epoch the cache
-// stamps its entries against; Collective.InvalidateSchedules drops
+// invalidated whenever the answer could change: a handle's options are
+// fixed when it is opened, and every interconnect reconfiguration
+// (RankGroup.SetLink / SetBisection / SetBisectionPool) bumps a model
+// epoch the cache stamps its entries against; Collective.InvalidateSchedules drops
 // them by hand, before every call for a caller that wants none replayed. Replay threads through every route — two-phase at one
 // round or many, vectored, sieved, and the nonblocking server path — and
 // is invisible to the virtual world: modeled times, stats and probe
@@ -459,13 +458,6 @@ type (
 	Timing = device.Timing
 	// Sched selects a disk queue's scheduling discipline (FCFS or SCAN).
 	Sched = device.Sched
-	// Backend is a disk's block store, which moves each run of blocks in
-	// one piece (ReadBlocks / WriteBlocks); the default keeps a drive in
-	// memory as cylinder-sized slabs, and FileBackend keeps it in a host
-	// file so simulated volumes can exceed RAM.
-	Backend = device.Backend
-	// FileBackend stores a disk's blocks in a host file.
-	FileBackend = device.FileBackend
 
 	// Recorder is the flight recorder: virtual-clock spans plus a typed
 	// metrics registry, nil-default across the whole stack (see the
@@ -671,12 +663,6 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 // 1.5 MB/s, 4 KiB blocks).
 func NewDisk(cfg DiskConfig) *Disk { return device.New(cfg) }
 
-// NewFileBackend creates a host-file block store for a disk (pass it in
-// DiskConfig.Backend; remember to Close the disk).
-func NewFileBackend(path string, blockSize int) (*FileBackend, error) {
-	return device.NewFileBackend(path, blockSize)
-}
-
 // NewVolume formats a parallel file system over identical disks.
 func NewVolume(disks []*Disk) (*Volume, error) {
 	store, err := blockio.NewDirect(disks)
@@ -831,10 +817,6 @@ func (m *Machine) SetProbe(r *Recorder) {
 		direct.SetProbe(r)
 	}
 }
-
-// Probe reports the machine's attached flight recorder (nil when
-// detached).
-func (m *Machine) Probe() *Recorder { return m.rec }
 
 // NewMachine builds a virtual-time machine with n default 1989 drives.
 func NewMachine(n int) *Machine {
