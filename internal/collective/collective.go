@@ -83,14 +83,6 @@ type Options struct {
 	// LastStats reports the measured split.
 	Locality bool
 
-	// LastWriterWins permits cross-rank write overlaps with MPI-IO
-	// ordering semantics: the outcome is as if the ranks wrote in rank
-	// order, so the highest overlapping rank's bytes land — a
-	// deterministic rule, unlike the racing independent writes it
-	// replaces. Off (default) rejects overlapping collective writes.
-	// Overlaps within one rank's request list remain errors either way.
-	LastWriterWins bool
-
 	// Service routes the nonblocking entry points (IWriteAll/IReadAll)
 	// through an I/O server: instead of each aggregator executing its
 	// domain batch inline, the whole call is enqueued as one request on
@@ -156,9 +148,8 @@ type Options struct {
 	// each (fewer aggregators than drives) are priced at one round only.
 	// The other settings never price and run the equal rounds ChunkBytes
 	// asks for: one, when it is 0.
-	// LastRoute says "two-phase" for either. Plan validation, cross-rank
-	// overlap rejection, and LastWriterWins semantics are identical on
-	// every route. The nonblocking entry points (Service) always run
+	// LastRoute says "two-phase" for either. Plan validation and
+	// cross-rank overlap rejection are identical on every route. The nonblocking entry points (Service) always run
 	// two-phase on the logical partition, one window per domain.
 	Strategy blockio.Strategy
 }

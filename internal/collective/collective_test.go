@@ -143,16 +143,24 @@ func collectiveFixture(t *testing.T, kind storeKind, placement func(string, int6
 // independent path (Wall context, per-file ReadVec).
 func readAllBlocks(t *testing.T, g *pfs.FileGroup) []byte {
 	t.Helper()
-	ctx := sim.NewWall()
+	out, err := groupImage(sim.NewWall(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// groupImage reads every block of the group under ctx, in global order.
+func groupImage(ctx sim.Context, g *pfs.FileGroup) ([]byte, error) {
 	out := make([]byte, g.TotalFSBlocks()*testBS)
 	for f := 0; f < g.Len(); f++ {
 		total := g.File(f).Mapper().TotalFSBlocks()
 		buf := out[g.Offset(f)*testBS : (g.Offset(f)+total)*testBS]
 		if err := g.File(f).Set().ReadVec(ctx, blockio.Vec{{Block: 0, N: total}}, buf); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
-	return out
+	return out, nil
 }
 
 // TestCollectiveWriteEquivalence checks, for every store kind × layout,
@@ -585,86 +593,6 @@ func TestCollectiveLocalityKeepsBytesLocal(t *testing.T) {
 	}
 	if localLink != 0 {
 		t.Errorf("locality link traffic = %d bytes, want 0", localLink)
-	}
-}
-
-// TestCollectiveLastWriterWins pins the MPI-IO overlap semantics: three
-// ranks write overlapping ranges and the outcome must be as if they
-// wrote in rank order — deterministically, for both domain assignments.
-func TestCollectiveLastWriterWins(t *testing.T) {
-	for _, locality := range []bool{false, true} {
-		t.Run(fmt.Sprintf("locality=%v", locality), func(t *testing.T) {
-			const nRanks = 3
-			e, g, _ := collectiveFixture(t, storeDirect, testPlacements[0].spec)
-			col, err := Open(g, nRanks, Options{Locality: locality, LastWriterWins: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Rank 0: blocks [0,4); rank 1: [2,6); rank 2: [3,5).
-			ranges := [][2]int64{{0, 4}, {2, 6}, {3, 5}}
-			_, join := mpp.Run(e, nRanks, "w", func(p *mpp.Proc) {
-				lo, hi := ranges[p.Rank()][0], ranges[p.Rank()][1]
-				buf := make([]byte, (hi-lo)*testBS)
-				for i := range buf {
-					buf[i] = byte(100 + p.Rank()) // rank-identifying fill
-				}
-				reqs := []VecReq{{File: 0, Vec: blockio.Vec{{Block: lo, N: hi - lo, BufOff: 0}}}}
-				if err := col.WriteAll(p, reqs, buf); err != nil {
-					t.Errorf("rank %d: %v", p.Rank(), err)
-				}
-			})
-			e.Go("join", func(sp *sim.Proc) { join.Wait(sp) })
-			if err := e.Run(); err != nil {
-				t.Fatal(err)
-			}
-			got := readAllBlocks(t, g)
-			// Rank order outcome: rank 2 owns [3,5), rank 1 owns [2,3) and
-			// [5,6), rank 0 owns [0,2).
-			winners := []int{0, 0, 1, 2, 2, 1}
-			for gb, w := range winners {
-				want := byte(100 + w)
-				for i := int64(0); i < testBS; i++ {
-					if got[int64(gb)*testBS+i] != want {
-						t.Fatalf("block %d byte %d = %d, want rank %d's %d",
-							gb, i, got[int64(gb)*testBS+i], w, want)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestCollectiveLastWriterWinsIdempotent re-runs the same overlapping
-// write twice on a reused handle: the outcome must not change (the
-// resolution is rank order, not arrival order).
-func TestCollectiveLastWriterWinsIdempotent(t *testing.T) {
-	const nRanks = 2
-	e, g, _ := collectiveFixture(t, storeDirect, testPlacements[0].spec)
-	col, err := Open(g, nRanks, Options{LastWriterWins: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, join := mpp.Run(e, nRanks, "w", func(p *mpp.Proc) {
-		for call := 0; call < 2; call++ {
-			buf := make([]byte, 4*testBS)
-			for i := range buf {
-				buf[i] = byte(10*(p.Rank()+1) + call)
-			}
-			// Both ranks write blocks [0,4).
-			if err := col.WriteAll(p, []VecReq{{File: 0, Vec: blockio.Vec{{Block: 0, N: 4}}}}, buf); err != nil {
-				t.Errorf("rank %d call %d: %v", p.Rank(), call, err)
-			}
-		}
-	})
-	e.Go("join", func(sp *sim.Proc) { join.Wait(sp) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got := readAllBlocks(t, g)
-	for i := int64(0); i < 4*testBS; i++ {
-		if got[i] != 21 { // rank 1, call 1
-			t.Fatalf("byte %d = %d, want rank 1's last write (21)", i, got[i])
-		}
 	}
 }
 

@@ -70,21 +70,20 @@ func genMultijob(seed int64) *mjScenario {
 		job := &mjJob{
 			nRanks: 2 + rng.Intn(4),
 			opts: Options{
-				Aggregators:    rng.Intn(5),
-				Locality:       rng.Intn(2) == 1,
-				LastWriterWins: rng.Intn(2) == 1,
+				Aggregators: rng.Intn(5),
+				Locality:    rng.Intn(2) == 1,
 			},
-			lane: ioserver.JobConfig{
-				Name:     fmt.Sprintf("job%d", j),
-				Priority: rng.Intn(3),
-				Weight:   []float64{0, 1, 4}[rng.Intn(3)],
-				// Occasional pacing cap, generous enough to terminate fast.
-				BytesPerSec: []float64{0, 0, 0, 1 << 20}[rng.Intn(4)],
-				QueueDepth:  []int{0, 2, 8}[rng.Intn(3)],
-			},
-			arrival: time.Duration(rng.Intn(4)) * 500 * time.Microsecond,
-			compute: time.Duration(rng.Intn(3)) * time.Millisecond,
 		}
+		// Four draws once set last-writer-wins and the lane's weight,
+		// bandwidth cap and queue depth; they are made and discarded so
+		// that every seed's other fields stay what they were.
+		rng.Intn(2)
+		job.lane = ioserver.JobConfig{Name: fmt.Sprintf("job%d", j), Priority: rng.Intn(3)}
+		rng.Intn(3)
+		rng.Intn(4)
+		rng.Intn(3)
+		job.arrival = time.Duration(rng.Intn(4)) * 500 * time.Microsecond
+		job.compute = time.Duration(rng.Intn(3)) * time.Millisecond
 		g := &fileGroupInfo{nFiles: 1 + rng.Intn(2)}
 		for f := 0; f < g.nFiles; f++ {
 			g.offs = append(g.offs, g.total)
@@ -104,9 +103,9 @@ func genMultijob(seed int64) *mjScenario {
 	return sc
 }
 
-// genJobWrite assigns a random subset of the job's blocks to its ranks
-// (cross-rank overlaps only under the job's LastWriterWins), fills the
-// buffers, and folds rank-order-wins into the job's reference image.
+// genJobWrite assigns a random subset of the job's blocks to its ranks,
+// one rank a block, fills the buffers, and folds them into the job's
+// reference image.
 func (sc *mjScenario) genJobWrite(rng *rand.Rand, job *mjJob, j, ph int) {
 	g := job.geom
 	density := 0.3 + 0.5*rng.Float64()
@@ -115,13 +114,7 @@ func (sc *mjScenario) genJobWrite(rng *rand.Rand, job *mjJob, j, ph int) {
 		if rng.Float64() >= density {
 			continue
 		}
-		r := rng.Intn(job.nRanks)
-		owners[gb] = []int{r}
-		if job.opts.LastWriterWins && rng.Float64() < 0.25 {
-			if r2 := rng.Intn(job.nRanks); r2 != r {
-				owners[gb] = append(owners[gb], r2)
-			}
-		}
+		owners[gb] = []int{rng.Intn(job.nRanks)}
 	}
 	reqs, bufs := rankSegments(rng, g, owners, job.nRanks)
 	phase := 1000*int(sc.seed) + 10*j + ph // any deterministic content tag
@@ -141,14 +134,8 @@ func (sc *mjScenario) genJobWrite(rng *rand.Rand, job *mjJob, j, ph int) {
 		if len(owners[gb]) == 0 {
 			continue
 		}
-		winner := owners[gb][0]
-		for _, w := range owners[gb] {
-			if w > winner {
-				winner = w
-			}
-		}
 		for i := int64(0); i < testBS; i++ {
-			job.ref[gb*testBS+i] = diffContent(sc.seed, phase, winner, gb, i)
+			job.ref[gb*testBS+i] = diffContent(sc.seed, phase, owners[gb][0], gb, i)
 		}
 	}
 	job.writes = append(job.writes, diffPhase{reqs: reqs, bufs: bufs})

@@ -81,7 +81,7 @@ const (
 	// read back by logical reads and the reverse, and every image is
 	// diffed against the same serial reference — across the store kinds,
 	// layouts, multi-file groups, aggregator counts below, at and above
-	// the drive count, ragged domains and LastWriterWins overlaps the
+	// the drive count, ragged domains and rejected overlaps the
 	// scenarios already sweep.
 	diffAlignedWrite
 	diffAlignedRead
@@ -109,6 +109,12 @@ type diffPhase struct {
 	bufs   [][]byte
 	expect [][]byte   // read kinds: wanted buffer contents after the phase
 	iters  [][][]byte // replay write: per-iteration per-rank buffers
+	// overlap and overlapBufs, for a collective write, are the phase's
+	// writes with a second rank on some blocks: a call every route must
+	// refuse, leaving the files as image, what the phase finds there.
+	overlap     [][]VecReq
+	overlapBufs [][]byte
+	image       []byte
 }
 
 // diffScenario is one generated workload plus its reference image.
@@ -118,6 +124,7 @@ type diffScenario struct {
 	place      int
 	nRanks     int
 	opts       Options
+	overlaps   bool  // collective write phases first try a cross-rank overlap
 	chunkBytes int64 // pipelined phases' ChunkBytes
 	linkMode   int   // 0 free, 1 per-process, 2 per-process + bisection
 	geom       *fileGroupInfo
@@ -220,10 +227,10 @@ func genScenario(seed int64) *diffScenario {
 		nRanks: 2 + rng.Intn(7),
 	}
 	sc.opts = Options{
-		Aggregators:    rng.Intn(7), // 0 = default (device count)
-		Locality:       rng.Intn(2) == 1,
-		LastWriterWins: rng.Intn(2) == 1,
+		Aggregators: rng.Intn(7), // 0 = default (device count)
+		Locality:    rng.Intn(2) == 1,
 	}
+	sc.overlaps = rng.Intn(2) == 1
 	// Chunk sizes for the pipelined phases: sub-block (degenerates to
 	// single-block chunks), tiny, odd multi-block, and far larger than
 	// any domain (degenerates to one round).
@@ -266,18 +273,16 @@ func genScenario(seed int64) *diffScenario {
 	return sc
 }
 
-// genAssignedWrite generates a per-block writer assignment (cross-rank
-// overlaps only for collective writes under LastWriterWins), fills the
-// buffers, and applies rank-order-wins to the reference image.
-func (sc *diffScenario) genAssignedWrite(rng *rand.Rand, g *fileGroupInfo, ph, kind int) {
-	// Raw vectored/sieved Set writes have no overlap resolution, so only
-	// the collective kinds — including Auto, which must honor
-	// LastWriterWins on whatever route it picks — generate overlaps.
-	overlaps := (kind == diffCollectiveWrite || kind == diffPipelinedWrite || kind == diffAutoWrite ||
-		kind == diffAlignedWrite) && sc.opts.LastWriterWins
+// drawWriters draws a per-block writer assignment: a block is written
+// with a random density, by one random rank. With overlaps set a quarter
+// of the written blocks draw a second writer too, and where one differs
+// from the first the assignment with both is returned as overlap, and
+// owners keeps the first writer alone.
+func (sc *diffScenario) drawWriters(rng *rand.Rand, g *fileGroupInfo, overlaps bool) (owners, overlap [][]int) {
 	density := 0.2 + 0.6*rng.Float64()
-	owners := make([][]int, g.total)
-	for gb := int64(0); gb < g.total; gb++ {
+	owners = make([][]int, g.total)
+	twice := false
+	for gb := range owners {
 		if rng.Float64() >= density {
 			continue
 		}
@@ -285,94 +290,90 @@ func (sc *diffScenario) genAssignedWrite(rng *rand.Rand, g *fileGroupInfo, ph, k
 		owners[gb] = []int{r}
 		if overlaps && rng.Float64() < 0.25 {
 			if r2 := rng.Intn(sc.nRanks); r2 != r {
-				owners[gb] = append(owners[gb], r2)
+				owners[gb], twice = append(owners[gb], r2), true
 			}
 		}
 	}
-	reqs, bufs := rankSegments(rng, g, owners, sc.nRanks)
+	if !twice {
+		return owners, nil
+	}
+	overlap, owners = owners, make([][]int, g.total)
+	for gb, w := range overlap {
+		if len(w) > 0 {
+			owners[gb] = w[:1]
+		}
+	}
+	return owners, overlap
+}
+
+// fill makes bufs the contents each rank's requests write under key.
+func (sc *diffScenario) fill(g *fileGroupInfo, reqs [][]VecReq, bufs [][]byte, key int) {
 	for r := range reqs {
 		for _, q := range reqs[r] {
 			for _, sg := range q.Vec {
 				gb0 := g.offs[q.File] + sg.Block
 				for b := int64(0); b < sg.N; b++ {
 					for i := int64(0); i < testBS; i++ {
-						bufs[r][sg.BufOff+b*testBS+i] = diffContent(sc.seed, ph, r, gb0+b, i)
+						bufs[r][sg.BufOff+b*testBS+i] = diffContent(sc.seed, key, r, gb0+b, i)
 					}
 				}
 			}
 		}
 	}
-	for gb := int64(0); gb < g.total; gb++ {
-		if len(owners[gb]) == 0 {
-			continue
-		}
-		winner := owners[gb][0] // last writer in rank order wins
-		for _, w := range owners[gb] {
-			if w > winner {
-				winner = w
+}
+
+// writePhase adds a write phase of the assignment owners, one writer a
+// block, whose ranks write their blocks' contents under key, and folds
+// them into the reference image. An overlap assignment becomes the
+// phase's overlapping lists, filled under a key no other write uses, and
+// the image before the phase is what they must leave.
+func (sc *diffScenario) writePhase(rng *rand.Rand, g *fileGroupInfo, kind, ph, key int, owners, overlap [][]int) *diffPhase {
+	reqs, bufs := rankSegments(rng, g, owners, sc.nRanks)
+	sc.fill(g, reqs, bufs, key)
+	phase := diffPhase{kind: kind, reqs: reqs, bufs: bufs}
+	if overlap != nil {
+		phase.overlap, phase.overlapBufs = rankSegments(rng, g, overlap, sc.nRanks)
+		sc.fill(g, phase.overlap, phase.overlapBufs, 200+ph)
+		phase.image = bytes.Clone(sc.ref)
+	}
+	for gb, w := range owners {
+		if len(w) > 0 {
+			for i := int64(0); i < testBS; i++ {
+				sc.ref[int64(gb)*testBS+i] = diffContent(sc.seed, key, w[0], int64(gb), i)
 			}
 		}
-		for i := int64(0); i < testBS; i++ {
-			sc.ref[gb*testBS+i] = diffContent(sc.seed, ph, winner, gb, i)
-		}
 	}
-	sc.phases = append(sc.phases, diffPhase{kind: kind, reqs: reqs, bufs: bufs})
+	sc.phases = append(sc.phases, phase)
+	return &sc.phases[len(sc.phases)-1]
+}
+
+// genAssignedWrite generates a per-block writer assignment, fills the
+// buffers, and applies it to the reference image. Under the scenario's
+// overlaps the collective kinds first try a cross-rank overlap; raw
+// vectored/sieved Set writes are not collective and never do.
+func (sc *diffScenario) genAssignedWrite(rng *rand.Rand, g *fileGroupInfo, ph, kind int) {
+	overlaps := (kind == diffCollectiveWrite || kind == diffPipelinedWrite || kind == diffAutoWrite ||
+		kind == diffAlignedWrite) && sc.overlaps
+	owners, overlap := sc.drawWriters(rng, g, overlaps)
+	sc.writePhase(rng, g, kind, ph, ph, owners, overlap)
 }
 
 // genReplayWrite generates one assigned-write footprint that is issued
 // diffReplayReps consecutive iterations with different contents — the
-// schedule-cache shape. Cross-rank overlaps appear under LastWriterWins
-// exactly as for the plain collective write. The reference holds the
-// final iteration's (winner's) bytes.
+// schedule-cache shape. Cross-rank overlaps are tried exactly as for the
+// plain collective write. The reference holds the final iteration's
+// bytes.
 func (sc *diffScenario) genReplayWrite(rng *rand.Rand, g *fileGroupInfo, ph int) {
-	overlaps := sc.opts.LastWriterWins
-	density := 0.2 + 0.6*rng.Float64()
-	owners := make([][]int, g.total)
-	for gb := int64(0); gb < g.total; gb++ {
-		if rng.Float64() >= density {
-			continue
+	owners, overlap := sc.drawWriters(rng, g, sc.overlaps)
+	phase := sc.writePhase(rng, g, diffReplayWrite, ph, diffReplayKey(ph, diffReplayReps-1), owners, overlap)
+	phase.iters = make([][][]byte, diffReplayReps)
+	for it := range phase.iters {
+		phase.iters[it] = make([][]byte, sc.nRanks)
+		for r, buf := range phase.bufs {
+			phase.iters[it][r] = make([]byte, len(buf))
 		}
-		r := rng.Intn(sc.nRanks)
-		owners[gb] = []int{r}
-		if overlaps && rng.Float64() < 0.25 {
-			if r2 := rng.Intn(sc.nRanks); r2 != r {
-				owners[gb] = append(owners[gb], r2)
-			}
-		}
+		sc.fill(g, phase.reqs, phase.iters[it], diffReplayKey(ph, it))
 	}
-	reqs, bufs := rankSegments(rng, g, owners, sc.nRanks)
-	iters := make([][][]byte, diffReplayReps)
-	for it := range iters {
-		iters[it] = make([][]byte, sc.nRanks)
-		for r := range reqs {
-			iters[it][r] = make([]byte, len(bufs[r]))
-			for _, q := range reqs[r] {
-				for _, sg := range q.Vec {
-					gb0 := g.offs[q.File] + sg.Block
-					for b := int64(0); b < sg.N; b++ {
-						for i := int64(0); i < testBS; i++ {
-							iters[it][r][sg.BufOff+b*testBS+i] = diffContent(sc.seed, diffReplayKey(ph, it), r, gb0+b, i)
-						}
-					}
-				}
-			}
-		}
-	}
-	for gb := int64(0); gb < g.total; gb++ {
-		if len(owners[gb]) == 0 {
-			continue
-		}
-		winner := owners[gb][0]
-		for _, w := range owners[gb] {
-			if w > winner {
-				winner = w
-			}
-		}
-		for i := int64(0); i < testBS; i++ {
-			sc.ref[gb*testBS+i] = diffContent(sc.seed, diffReplayKey(ph, diffReplayReps-1), winner, gb, i)
-		}
-	}
-	sc.phases = append(sc.phases, diffPhase{kind: diffReplayWrite, reqs: reqs, bufs: bufs, iters: iters})
 }
 
 // genCollectiveRead generates per-rank read requests — cross-rank and
@@ -528,9 +529,64 @@ func (sc *diffScenario) run(t *testing.T) {
 		}
 		return fresh
 	}
+	// The fixed independent routes, which only an overlap check uses.
+	var indep []*Collective
+	for _, s := range []blockio.Strategy{blockio.StrategyVectored, blockio.StrategySieved} {
+		o := sc.opts
+		o.Strategy = s
+		h, err := Open(g, sc.nRanks, o)
+		if err != nil {
+			t.Fatalf("seed %d: %v", sc.seed, err)
+		}
+		indep = append(indep, h)
+	}
+	// rejectOverlap issues a phase's overlapping lists through every
+	// handle: each must refuse them on every rank with the one error,
+	// cache no schedule, and leave the files as the phase found them.
+	var refused []string
+	rejectOverlap := func(p *mpp.Proc, pi int, ph diffPhase) {
+		r := p.Rank()
+		hs := append([]*Collective{col, piped, auto, aligned[pi%4], freshly(p)}, indep...)
+		cached := make([]int, len(hs))
+		for i, h := range hs {
+			cached[i] = len(h.cached)
+		}
+		if r == 0 {
+			refused = refused[:0]
+		}
+		p.Barrier()
+		for _, h := range hs {
+			refused = append(refused, fmt.Sprint(h.WriteAll(p, ph.overlap[r], ph.overlapBufs[r])))
+		}
+		p.Barrier()
+		if r != 0 {
+			return
+		}
+		for _, err := range refused {
+			if err == "<nil>" || err != refused[0] {
+				t.Errorf("seed %d phase %d (%s): an overlapping write returned %q, another %q",
+					sc.seed, pi, diffKindNames[ph.kind], err, refused[0])
+				break
+			}
+		}
+		for i, h := range hs {
+			if len(h.cached) != cached[i] {
+				t.Errorf("seed %d phase %d (%s): a refused write left a schedule in handle %d's cache",
+					sc.seed, pi, diffKindNames[ph.kind], i)
+			}
+		}
+		if img, err := groupImage(p.Proc, g); err != nil || !bytes.Equal(img, ph.image) {
+			t.Errorf("seed %d phase %d (%s): a refused write changed the files (read error %v)",
+				sc.seed, pi, diffKindNames[ph.kind], err)
+		}
+	}
 	mg, join := mpp.Run(e, sc.nRanks, "diff", func(p *mpp.Proc) {
 		r := p.Rank()
 		for pi, ph := range sc.phases {
+			if ph.overlap != nil {
+				rejectOverlap(p, pi, ph)
+				p.Barrier()
+			}
 			switch ph.kind {
 			case diffCollectiveWrite, diffPipelinedWrite, diffAutoWrite, diffAlignedWrite:
 				h := col

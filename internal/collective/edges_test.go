@@ -403,15 +403,17 @@ func TestFailedReadLeavesBuffer(t *testing.T) {
 }
 
 // overlapReqs builds rank's requests of the overlap fixture: the global
-// blocks [12·rank, 12·rank+30) of the 63-block group, a slot each in
-// order, so neighbouring ranks share 18 blocks — and, when dupSlots, the
-// first four blocks again into four more slots (one rank reading a block
-// twice). Returns the requests, a buffer for them and the global block
-// each slot holds.
-func overlapReqs(g *pfs.FileGroup, rank int, dupSlots bool) ([]VecReq, []byte, []int64) {
+// blocks [12·rank, 12·rank+30) of the 63-block group that keep says to,
+// a slot each in order, so neighbouring ranks share up to 18 blocks —
+// and, when dupSlots, the first four blocks again into four more slots
+// (one rank reading a block twice). Returns the requests, a buffer for
+// them and the global block each slot holds.
+func overlapReqs(g *pfs.FileGroup, rank int, dupSlots bool, keep func(gb int64) bool) ([]VecReq, []byte, []int64) {
 	var slots []int64
 	for gb := int64(12 * rank); gb < min(int64(12*rank+30), g.TotalFSBlocks()); gb++ {
-		slots = append(slots, gb)
+		if keep(gb) {
+			slots = append(slots, gb)
+		}
 	}
 	if dupSlots {
 		slots = append(slots, slots[:4]...)
@@ -426,10 +428,10 @@ func overlapReqs(g *pfs.FileGroup, rank int, dupSlots bool) ([]VecReq, []byte, [
 }
 
 // TestOverlapsThroughTheSpace: clips that overlap are resolved in the
-// piece table a chunk is issued against. A LastWriterWins write lands the
-// highest overlapping rank's bytes in every block; a read that several
-// ranks share — and one rank that reads four blocks twice — gives every
-// reader every block it asked for. On the logical and the drive-aligned
+// piece table a chunk is issued against. A write whose ranks overlap is
+// refused; written by the highest rank asking for each block, a read
+// that several ranks share — and one rank that reads four blocks twice —
+// gives every reader every block it asked for. On the logical and the drive-aligned
 // partition at one, two and eight rounds, blocking, and on the logical
 // one nonblocking, the server's plan cut into windows as the round bound
 // says.
@@ -448,7 +450,7 @@ func TestOverlapsThroughTheSpace(t *testing.T) {
 				e, g, _ := collectiveFixture(t, storeDirect, testPlacements[0].spec)
 				srv, jb := serviceFor(e, ioserver.FairShare, 1)
 				opts := tc.opts
-				opts.LastWriterWins, opts.Service = true, jb
+				opts.Service = jb
 				col, err := Open(g, nRanks, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -468,16 +470,23 @@ func TestOverlapsThroughTheSpace(t *testing.T) {
 				// Block gb holds, once written, the bytes of the highest rank
 				// asking for it.
 				last := func(gb int64) int64 { return min(gb/12, nRanks-1) }
+				all := func(int64) bool { return true }
 				_, join := mpp.Run(e, nRanks, "o", func(p *mpp.Proc) {
 					rank := p.Rank()
-					reqs, buf, slots := overlapReqs(g, rank, false)
-					for i, gb := range slots {
-						pattern(gb+1000*int64(rank+1), buf[int64(i)*testBS:int64(i+1)*testBS])
+					writeSlots := func(keep func(int64) bool) error {
+						reqs, buf, slots := overlapReqs(g, rank, false, keep)
+						for i, gb := range slots {
+							pattern(gb+1000*int64(rank+1), buf[int64(i)*testBS:int64(i+1)*testBS])
+						}
+						return write(p, reqs, buf)
 					}
-					if err := write(p, reqs, buf); err != nil {
+					if writeSlots(all) == nil {
+						t.Errorf("rank %d: the overlapping write was accepted", rank)
+					}
+					if err := writeSlots(func(gb int64) bool { return last(gb) == int64(rank) }); err != nil {
 						t.Errorf("rank %d write: %v", rank, err)
 					}
-					reqs, rbuf, slots := overlapReqs(g, rank, rank == 0)
+					reqs, rbuf, slots := overlapReqs(g, rank, rank == 0, all)
 					if err := read(col, p, reqs, rbuf); err != nil {
 						t.Errorf("rank %d read: %v", rank, err)
 					}

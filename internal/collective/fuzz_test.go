@@ -32,7 +32,8 @@ import (
 )
 
 // fuzzPlanInput decodes data into (nRanks, naggs, locality, write,
-// reqs, bufs). Segment triples are (rank, start, n) bytes over the
+// reqs, bufs): data[2] bit 0 is Locality, bit 2 a write (bit 1 is
+// unused). Segment triples are (rank, start, n) bytes over the
 // 12-block planFixture group; buffer offsets are assigned sequentially
 // per rank so buffer validation never rejects what block validation
 // would accept.
@@ -45,7 +46,7 @@ func fuzzPlanInput(data []byte) (nRanks, naggs int, opts Options, write bool, re
 	if naggs > nRanks {
 		naggs = nRanks
 	}
-	opts = Options{Locality: data[2]&1 != 0, LastWriterWins: data[2]&2 != 0}
+	opts = Options{Locality: data[2]&1 != 0}
 	write = data[2]&4 != 0
 	reqs = make([][]VecReq, nRanks)
 	bufs = make([][]byte, nRanks)
@@ -84,13 +85,13 @@ func fuzzPlanInput(data []byte) (nRanks, naggs int, opts Options, write bool, re
 func FuzzPlanDomains(f *testing.F) {
 	g := planFixture(f)
 	// Seed corpus: empty, single-rank dense, strided multi-rank, ragged
-	// tails, overlapping writers, locality + LWW flag mixes.
+	// tails, overlapping writers, locality flag mixes.
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{1, 4, 1, 0, 0, 3, 1, 4, 3, 2, 9, 1})
 	f.Add([]byte{8, 3, 5, 0, 0, 0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0})
 	f.Add([]byte{4, 8, 7, 0, 0, 3, 1, 2, 3, 2, 4, 3, 3, 6, 3})
-	f.Add([]byte{2, 2, 3, 0, 0, 3, 1, 1, 3}) // cross-rank overlap, LWW write
+	f.Add([]byte{2, 2, 3, 0, 0, 3, 1, 1, 3}) // cross-rank overlap, read
 	f.Fuzz(func(t *testing.T, data []byte) {
 		nRanks, naggs, opts, write, reqs, bufs := fuzzPlanInput(data)
 		if nRanks == 0 {
@@ -271,7 +272,7 @@ func FuzzChunkDomains(f *testing.F) {
 	f.Add([]byte{7, 1, 4, 1, 0, 0, 3, 1, 4, 3, 2, 9, 1})   // 1-block chunks
 	f.Add([]byte{1, 8, 3, 5, 0, 0, 0, 1, 1, 0, 2, 2, 0})   // sub-block ChunkBytes
 	f.Add([]byte{255, 4, 8, 7, 0, 0, 3, 1, 2, 3, 2, 4, 3}) // chunk > domain
-	f.Add([]byte{130, 2, 2, 3, 0, 0, 3, 1, 1, 3})          // odd chunk, LWW overlap
+	f.Add([]byte{130, 2, 2, 3, 0, 0, 3, 1, 1, 3})          // odd chunk, overlapping read
 	f.Add([]byte{9, 4, 8, 7, 0, 0, 3, 1, 2, 3, 2, 4, 3})   // ChunkBytes 0: no bound
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {

@@ -195,17 +195,6 @@ func TestOneRoundGoldens(t *testing.T) {
 				}
 				return nil, nil
 			}, goldenLocalityNow, goldenLocalityImg},
-		// Ranks 4–7 also write blocks 0–3, which ranks 0–3 own by stride:
-		// rank 7's bytes must land there.
-		{"lww-overlap", storeDirect, 8, Options{LastWriterWins: true},
-			func(g *pfs.FileGroup, rank int) ([]VecReq, []byte) {
-				reqs, buf, _ := strideReqs(g, rank, 8)
-				if rank >= 4 {
-					reqs = append(reqs, VecReq{File: 0, Vec: blockio.Vec{{Block: 0, N: 4, BufOff: int64(len(buf))}}})
-					buf = append(buf, make([]byte, 4*testBS)...)
-				}
-				return reqs, buf
-			}, goldenLWWNow, goldenLWWImg},
 		{"parity", storeParity, 8, Options{},
 			func(g *pfs.FileGroup, rank int) ([]VecReq, []byte) {
 				reqs, buf, _ := strideReqs(g, rank, 8)
@@ -248,8 +237,6 @@ const (
 	goldenDet512Unbounded = 478813420 * time.Nanosecond
 	goldenLocalityNow     = 120964496 * time.Nanosecond
 	goldenLocalityImg     = 0xc0b754d457847225
-	goldenLWWNow          = 121231870 * time.Nanosecond
-	goldenLWWImg          = 0xccdcdc4b93a06025
 	goldenParityNow       = 688510375 * time.Nanosecond
 	goldenParityImg       = 0x4a0ffb39d5b0d325
 )

@@ -25,8 +25,8 @@
 // the bound) — and a call with the server to itself is handed over whole,
 // cuts and all, as the one run per drive it would be uncut.
 //
-// The outcome is data-identical to the blocking call: LastWriterWins
-// overlaps are resolved in the frozen table, so the server may run a
+// The outcome is data-identical to the blocking call: a read's shared
+// blocks are resolved in the frozen table, and the server may run a
 // write whenever its policy says, straight from the ranks' buffers, which
 // must hold still until Wait; a read lands in the ranks' buffers as the
 // server reads it, and Wait charges the delivery exchange and copies the
@@ -182,8 +182,12 @@ func (h *Handle) Wait(p *mpp.Proc) error {
 		// copies the call's shared blocks to their other readers — only if
 		// the call read, so a failed one leaves every byte no drive
 		// returned as the caller left it. Every rank is in Wait by then,
-		// and none leaves before the barrier below.
-		send := c.packChunkDomains(pl, h.sd.ownedOf[rank], 0, c.msgScratch[rank][:0])
+		// and none leaves before the barrier below. A call no rank reads
+		// anything of has no round to deliver.
+		send := c.msgScratch[rank][:0]
+		if pl.rounds > 0 {
+			send = c.packChunkDomains(pl, h.sd.ownedOf[rank], 0, send)
+		}
 		c.msgScratch[rank] = send
 		p.RecycleRecv(p.NewSparseExchange().Round(send))
 		if rank == 0 && err == nil && h.bufs != nil {

@@ -169,6 +169,33 @@ func TestNonblockingRequiresService(t *testing.T) {
 	}
 }
 
+// TestNonblockingEmptyCalls: an IWriteAll and an IReadAll no rank asks
+// anything of complete with nil on every rank.
+func TestNonblockingEmptyCalls(t *testing.T) {
+	const nRanks = 3
+	e, g, _ := collectiveFixture(t, storeDirect, testPlacements[0].spec)
+	srv, jb := serviceFor(e, ioserver.FairShare, 1)
+	col, err := Open(g, nRanks, Options{Service: jb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, join := mpp.Run(e, nRanks, "empty", func(p *mpp.Proc) {
+		for i, start := range []func(*mpp.Proc, []VecReq, []byte) (*Handle, error){col.IWriteAll, col.IReadAll} {
+			h, err := start(p, nil, nil)
+			if err == nil {
+				err = h.Wait(p)
+			}
+			if err != nil {
+				t.Errorf("rank %d call %d: %v", p.Rank(), i, err)
+			}
+		}
+	})
+	e.Go("join", func(sp *sim.Proc) { join.Wait(sp); srv.Stop(sp) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestNonblockingOverlapsCompute: with D of post-issue computation, the
 // nonblocking write finishes sooner than blocking write + D — the
 // server's device work ran under the ranks' compute.
@@ -469,7 +496,7 @@ func backlogLane(t *testing.T, e *sim.Engine, srv *ioserver.Server, g *pfs.FileG
 	cl.Spawn(e, "other", func(p *sim.Proc) {
 		tickets := make([]*ioserver.Request, n)
 		for i := range tickets {
-			tickets[i] = lane.SubmitReadPlan(p, plan, make([]byte, testBS), testBS)
+			tickets[i] = lane.Submit(p, false, plan, blockio.Space{{Buf: make([]byte, testBS)}}, testBS)
 		}
 		for i, tk := range tickets {
 			if err := tk.Wait(p); err != nil {

@@ -21,9 +21,8 @@
 // out of the ranks' buffers and scatter a read straight into them — the
 // memory list of list I/O (Ching et al.). The schedule freezes every
 // chunk's piece table (spaceTab), so a call binds it to the ranks'
-// buffers and sorts nothing. Overlaps are resolved in the table: where a
-// LastWriterWins write's clips overlap, the highest rank's piece is the
-// one bound; where several readers share a block, one reader's piece
+// buffers and sorts nothing. A write's clips never overlap (newPlan
+// rejects that); where several readers share a block, one reader's piece
 // takes the drive's bytes and the others copy from it once the chunk has
 // read (dups) — and only if it read, so a failed read leaves every byte
 // no drive returned as the caller left it. A write's chunk k goes to the
@@ -298,13 +297,12 @@ type spaceTab struct {
 }
 
 // space builds the call's piece table from every rank's clips in every
-// chunk of every domain, resolving overlaps for a write (the highest
-// rank's bytes land, LastWriterWins) or for a read (dups). The pieces are
+// chunk of every domain, resolving a read's overlaps (dups). The pieces are
 // appended to parts[:0]: an evicted schedule's, whose memory is dead by
 // then (scheduleFor), grown first to what the clips number where no two
 // segments overlap: every segment, plus one for each window edge that
 // cuts one.
-func (pl *plan) space(write bool, parts []part) *spaceTab {
+func (pl *plan) space(parts []part) *spaceTab {
 	n := pl.naggs*pl.rounds + 1
 	clips := n
 	for _, segs := range pl.segs {
@@ -320,7 +318,7 @@ func (pl *plan) space(write bool, parts []part) *spaceTab {
 					t.parts = append(t.parts, part{off: lo*pl.bs + cl.domOff, bufOff: cl.bufOff, n: cl.n * pl.bs, rank: int(r)})
 				})
 			}
-			t.resolve(p0, write)
+			t.resolve(p0)
 			t.at, t.dat = append(t.at, len(t.parts)), append(t.dat, len(t.dups))
 		}
 	}
@@ -328,12 +326,11 @@ func (pl *plan) space(write bool, parts []part) *spaceTab {
 }
 
 // resolve makes one chunk's clips, t.parts[p0:], its pieces. Clips that
-// do not overlap are the pieces as they are, by offset. Where they do,
-// the chunk is cut at every clip's ends and each stretch goes to one
-// clip: the highest rank's for a write, for a read the clip that reached
-// it first (lowest offset, then rank), every other reader of the stretch
-// a dup of it.
-func (t *spaceTab) resolve(p0 int, write bool) {
+// do not overlap — a write's never do — are the pieces as they are, by
+// offset. Where a read's do, the chunk is cut at every clip's ends and
+// each stretch goes to the clip that reached it first (lowest offset,
+// then rank), every other reader of the stretch a dup of it.
+func (t *spaceTab) resolve(p0 int) {
 	cs := t.parts[p0:]
 	slices.SortFunc(cs, func(x, y part) int { return cmp.Or(cmp.Compare(x.off, y.off), cmp.Compare(x.rank, y.rank)) })
 	overlap := false
@@ -361,17 +358,10 @@ func (t *spaceTab) resolve(p0 int, write bool) {
 			continue
 		}
 		at := func(c part) part { return part{off: lo, bufOff: c.bufOff + lo - c.off, n: hi - lo, rank: c.rank} }
-		src := 0
-		for i, c := range live {
-			if write && c.rank > live[src].rank {
-				src = i
-			}
-		}
-		t.parts = append(t.parts, at(live[src]))
-		for i, c := range live {
-			if !write && i != src {
-				t.dups = append(t.dups, dup{to: at(c), from: at(live[src])})
-			}
+		src := at(live[0])
+		t.parts = append(t.parts, src)
+		for _, c := range live[1:] {
+			t.dups = append(t.dups, dup{to: at(c), from: src})
 		}
 	}
 }

@@ -69,52 +69,6 @@ func TestPipelinedEquivalence(t *testing.T) {
 	}
 }
 
-// TestPipelinedLastWriterWins pins the MPI-IO overlap semantics on the
-// chunked schedule: single-block chunks slice the overlapping ranges
-// across many rounds, and the outcome must still be as if ranks wrote
-// in rank order.
-func TestPipelinedLastWriterWins(t *testing.T) {
-	for _, locality := range []bool{false, true} {
-		t.Run(fmt.Sprintf("locality=%v", locality), func(t *testing.T) {
-			const nRanks = 3
-			e, g, _ := collectiveFixture(t, storeDirect, testPlacements[0].spec)
-			col, err := Open(g, nRanks, Options{
-				Locality: locality, LastWriterWins: true, ChunkBytes: testBS,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ranges := [][2]int64{{0, 4}, {2, 6}, {3, 5}}
-			_, join := mpp.Run(e, nRanks, "w", func(p *mpp.Proc) {
-				lo, hi := ranges[p.Rank()][0], ranges[p.Rank()][1]
-				buf := make([]byte, (hi-lo)*testBS)
-				for i := range buf {
-					buf[i] = byte(100 + p.Rank())
-				}
-				reqs := []VecReq{{File: 0, Vec: blockio.Vec{{Block: lo, N: hi - lo, BufOff: 0}}}}
-				if err := col.WriteAll(p, reqs, buf); err != nil {
-					t.Errorf("rank %d: %v", p.Rank(), err)
-				}
-			})
-			e.Go("join", func(sp *sim.Proc) { join.Wait(sp) })
-			if err := e.Run(); err != nil {
-				t.Fatal(err)
-			}
-			got := readAllBlocks(t, g)
-			winners := []int{0, 0, 1, 2, 2, 1}
-			for gb, w := range winners {
-				want := byte(100 + w)
-				for i := int64(0); i < testBS; i++ {
-					if got[int64(gb)*testBS+i] != want {
-						t.Fatalf("block %d byte %d = %d, want rank %d's %d",
-							gb, i, got[int64(gb)*testBS+i], w, want)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestPipelinedRaggedChunks drives the two ragged shapes at once: a
 // footprint that does not divide by the aggregator count (the last
 // domain short) and a chunk size that does not divide the domain (the

@@ -192,8 +192,7 @@ func resize[T any](s []T, n int) []T {
 // orders their union into sc.union, the input of the partition (which
 // newPlan does not make: a route decides which one it needs). write
 // additionally rejects cross-rank overlaps, whose store order would be
-// ambiguous — unless opts.LastWriterWins selects MPI-IO rank-order
-// semantics. Every bound is checked by subtraction, so a segment whose
+// ambiguous. Every bound is checked by subtraction, so a segment whose
 // end would overflow an int64 is refused like any other out-of-bounds
 // one.
 func newPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, write bool, opts Options, sc *planScratch) (*plan, error) {
@@ -263,9 +262,8 @@ func newPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, wr
 	}
 
 	all := sc.sortedSegs(pl.segs)
-	if write && !opts.LastWriterWins {
-		// Reads may share blocks, and LastWriterWins resolves write
-		// overlaps in rank order; the union merge absorbs both.
+	if write {
+		// Reads may share blocks; the union merge absorbs that.
 		for i := 1; i < len(all); i++ {
 			if all[i-1].gb+all[i-1].n > all[i].gb {
 				return nil, fmt.Errorf("collective: ranks %d and %d write overlapping blocks at global block %d",

@@ -286,32 +286,6 @@ func TestRoundEnds(t *testing.T) {
 	}
 }
 
-func TestPlanLastWriterWinsOverlap(t *testing.T) {
-	g := planFixture(t)
-	bs := int64(64)
-	buf := make([]byte, 8*bs)
-	reqs := [][]VecReq{slabReqs(0, 4), slabReqs(2, 6)}
-	bufs := [][]byte{buf, buf}
-	if _, err := buildPlan(g, reqs, bufs, 2, true, Options{}); err == nil {
-		t.Fatal("cross-rank write overlap accepted without LastWriterWins")
-	}
-	pl, err := buildPlan(g, reqs, bufs, 2, true, Options{LastWriterWins: true})
-	if err != nil {
-		t.Fatalf("LastWriterWins rejected the overlap: %v", err)
-	}
-	if pl.total != 6 {
-		t.Fatalf("overlap footprint = %d blocks, want 6", pl.total)
-	}
-	// Same-rank overlaps stay rejected: their outcome has no rank order.
-	self := [][]VecReq{{
-		{File: 0, Vec: blockio.Vec{{Block: 0, N: 3, BufOff: 0}}},
-		{File: 0, Vec: blockio.Vec{{Block: 2, N: 2, BufOff: 4 * bs}}},
-	}}
-	if _, err := buildPlan(g, self, [][]byte{buf}, 2, true, Options{LastWriterWins: true}); err == nil {
-		t.Fatal("same-rank overlap accepted under LastWriterWins")
-	}
-}
-
 func TestPlanValidation(t *testing.T) {
 	g := planFixture(t)
 	bs := int64(64)

@@ -274,8 +274,7 @@ func diffReplayObs(t *testing.T, label string, a, b replayObs) {
 
 // TestReplayBitIdentical runs the iterated checkpoint loop cached and
 // uncached on every route family — two-phase in one round and pipelined,
-// auto, vectored and sieved (the latter two with LastWriterWins, so the
-// cached LWW clips are exercised), and the drive-aligned partition:
+// auto, vectored and sieved, and the drive-aligned partition:
 // forced into one round, forced through pipelines of two, four and six
 // rounds (every chunk cut in 2, 4 and 8: the non-owner ranks post all
 // their rounds at once), as the tuned options' StrategyAuto prices its
@@ -300,13 +299,13 @@ func TestReplayBitIdentical(t *testing.T) {
 		{"pipelined", Options{ChunkBytes: 2 * testBS}, nil, false, 0},
 		{"auto", Options{Strategy: blockio.StrategyAuto}, nil, true, 0},
 		{"auto-unbounded", Options{Locality: true, Strategy: blockio.StrategyAuto}, nil, true, 500e3},
-		{"vectored-lww", Options{Strategy: blockio.StrategyVectored, LastWriterWins: true}, nil, false, 0},
-		{"sieved-lww", Options{Strategy: blockio.StrategySieved, LastWriterWins: true}, nil, false, 0},
-		{"aligned", Options{LastWriterWins: true}, aligned(1), true, 0},
+		{"vectored", Options{Strategy: blockio.StrategyVectored}, nil, false, 0},
+		{"sieved", Options{Strategy: blockio.StrategySieved}, nil, false, 0},
+		{"aligned", Options{}, aligned(1), true, 0},
 		{"aligned-chunked", Options{Locality: true, ChunkBytes: 2 * testBS}, aligned(1), true, 0},
 		{"aligned-two-rounds", Options{Locality: true, ChunkBytes: 1 << 20}, aligned(2), true, 0},
 		{"aligned-split-4", Options{Locality: true, ChunkBytes: 1 << 20}, aligned(4), true, 0},
-		{"aligned-split-8", Options{Locality: true, ChunkBytes: 1 << 20, LastWriterWins: true}, aligned(8), true, 0},
+		{"aligned-split-8", Options{Locality: true, ChunkBytes: 1 << 20}, aligned(8), true, 0},
 		{"aligned-unbounded-split-4", Options{Locality: true}, aligned(4), true, 0},
 		{"auto-tuned", tuned, nil, true, 0},
 	}

@@ -15,8 +15,8 @@
 // frozen schedule — the validated plan, the domain→aggregator
 // assignment, the chosen route and pipeline depth, the call's prepared
 // blockio.BatchPlan and its piece table, or the ranks' mapped
-// descriptors, and the LastWriterWins clips — binding only the callers'
-// buffers and sizing the exchange's messages.
+// descriptors — binding only the callers' buffers and sizing the
+// exchange's messages.
 // Everything frozen is a pure function of the request values and the
 // machine model, so a replayed call is bit-identical in modeled time and
 // probe trace to a fresh build; the win is host wall-clock and
@@ -81,10 +81,6 @@ type schedule struct {
 	// enumeration the execution paths historically did per call. Built
 	// for the two-phase route only.
 	ownedOf [][]int
-	// maxSegRank is the highest rank with a nonempty footprint (-1 when
-	// no rank requested anything): clipLWW's no-higher-writers fast path
-	// in one comparison.
-	maxSegRank int
 
 	// cut is a two-phase schedule's whole call as one prepared batch:
 	// every domain's spans at their offsets in the call's space (covered
@@ -103,14 +99,10 @@ type schedule struct {
 	// (plan.space), bound to each call's buffers as it is issued.
 	tab *spaceTab
 
-	// Execution state of the independent routes: ind is every rank's
-	// request list taken through the map stage — a compact copy of what
-	// StrategyAuto priced, or mapped on first use (mapped) — and lww[r]
-	// rank r's LastWriterWins-clipped requests, rebuilt from the plan's
-	// own segments so no caller slice is retained across calls.
-	ind    *mappedReqs
-	lww    [][]VecReq
-	lwwSet []bool
+	// Execution state of the independent routes: every rank's request
+	// list taken through the map stage — a compact copy of what
+	// StrategyAuto priced, or mapped on first use (mapped).
+	ind *mappedReqs
 }
 
 // mappedReqs is every rank's requests taken through the map stage:
@@ -323,16 +315,12 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedul
 // signature is copied so no fingerprint scratch is retained.
 func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool, opts Options, key uint64, sig []uint64) (*schedule, error) {
 	sd := &schedule{
-		pl:         pl,
-		key:        key,
-		sig:        append([]uint64(nil), sig...),
-		minBuf:     make([]int64, c.size),
-		maxSegRank: -1,
+		pl:     pl,
+		key:    key,
+		sig:    append([]uint64(nil), sig...),
+		minBuf: make([]int64, c.size),
 	}
 	for r, segs := range pl.segs {
-		if len(segs) > 0 {
-			sd.maxSegRank = r
-		}
 		for _, sg := range segs {
 			if end := sg.bufOff + sg.n*pl.bs; end > sd.minBuf[r] {
 				sd.minBuf[r] = end
@@ -379,7 +367,7 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 	if n := len(c.spare); n > 0 {
 		parts, c.spare = c.spare[n-1], c.spare[:n-1]
 	}
-	sd.tab = pl.space(write, parts)
+	sd.tab = pl.space(parts)
 	// An error below is unreachable in practice (plan.cut). It would
 	// fail the call as a plan error, on every rank, before anything is
 	// taken or submitted. A blocking call's cut is the one its price
@@ -462,15 +450,15 @@ func sigEqual(a, b []uint64) bool {
 }
 
 // mapped returns rank's requests of an independent route taken through
-// the map stage — one blockio.Mapped per request, LastWriterWins-clipped
-// for a write that asks for it: the descriptors StrategyAuto priced, or
-// under a fixed strategy every rank's, mapped on the first rank's turn. A
-// request that is not a valid independent descriptor is reported for its
-// rank and left out; the others still move.
-func (sd *schedule) mapped(c *Collective, rank int, write bool) ([]blockio.Mapped, error) {
+// the map stage — one blockio.Mapped per request: the descriptors
+// StrategyAuto priced, or under a fixed strategy every rank's, mapped on
+// the first rank's turn. A request that is not a valid independent
+// descriptor is reported for its rank and left out; the others still
+// move.
+func (sd *schedule) mapped(c *Collective, rank int) ([]blockio.Mapped, error) {
 	if sd.ind == nil {
 		sd.ind = new(mappedReqs)
-		sd.mapInto(c, write, sd.ind)
+		sd.mapInto(c, sd.ind)
 	}
 	return sd.ind.of(rank)
 }
@@ -481,16 +469,10 @@ func (sd *schedule) mapped(c *Collective, rank int, write bool) ([]blockio.Mappe
 // run array and a segment array of one entry per plan segment, which
 // Set.Map appends to — they outgrow that only where a segment splits on
 // the drives.
-func (sd *schedule) mapInto(c *Collective, write bool, m *mappedReqs) {
-	reqs := func(r int) []VecReq {
-		if write && c.opts.LastWriterWins {
-			return sd.lwwReqs(c, r)
-		}
-		return c.reqs[r]
-	}
+func (sd *schedule) mapInto(c *Collective, m *mappedReqs) {
 	nreq, nseg := 0, 0
 	for r := range c.size {
-		nreq += len(reqs(r))
+		nreq += len(c.reqs[r])
 		nseg += len(sd.pl.segs[r])
 	}
 	ms := resize(m.ms, nreq)
@@ -498,7 +480,7 @@ func (sd *schedule) mapInto(c *Collective, write bool, m *mappedReqs) {
 	m.ind, m.err = resize(m.ind, c.size), resize(m.err, c.size)
 	for r := range c.size {
 		var errs []error
-		rr := reqs(r)
+		rr := c.reqs[r]
 		for i, q := range rr {
 			var err error
 			if ms[i], m.runs, m.segs, err = c.group.File(q.File).Set().Map(q.Vec, m.runs, m.segs); err != nil {
@@ -508,25 +490,4 @@ func (sd *schedule) mapInto(c *Collective, write bool, m *mappedReqs) {
 		m.ind[r], ms = ms[:len(rr):len(rr)], ms[len(rr):]
 		m.err[r] = errors.Join(errs...)
 	}
-}
-
-// lwwReqs returns rank's LastWriterWins-clipped write requests for the
-// independent routes. The no-higher-writers fast path returns the
-// caller's own request list (value-identical to the one the schedule
-// was built from — the fingerprint matched); the clipped rebuild is
-// derived from the plan's segments only, so caching it retains no
-// caller slice.
-func (sd *schedule) lwwReqs(c *Collective, rank int) []VecReq {
-	if rank >= sd.maxSegRank {
-		return c.reqs[rank]
-	}
-	if sd.lww == nil {
-		sd.lww = make([][]VecReq, len(sd.pl.segs))
-		sd.lwwSet = make([]bool, len(sd.pl.segs))
-	}
-	if !sd.lwwSet[rank] {
-		sd.lww[rank] = c.clipLWW(sd.pl, rank)
-		sd.lwwSet[rank] = true
-	}
-	return sd.lww[rank]
 }

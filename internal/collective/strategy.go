@@ -32,11 +32,9 @@
 // has won (newSchedule).
 //
 // Whatever the route, the semantics are the plan's: validation and
-// cross-rank overlap rejection happen in newPlan before any route is
-// chosen (identical errors on every route), and LastWriterWins is
-// honored on independent routes by clipping each rank's write segments
-// against every higher rank's footprint — block-disjoint independent
-// writes whose final image equals the rank-ordered two-phase assembly.
+// cross-rank write overlap rejection happen in newPlan before any route
+// is chosen (identical errors on every route), so the independent
+// routes' writes are block-disjoint across ranks.
 
 package collective
 
@@ -164,7 +162,7 @@ func (c *Collective) chooseRoute(p *mpp.Proc, sd *schedule, write bool) choice {
 		return ch
 	}
 	ind := &build.mapped
-	sd.mapInto(c, write, ind)
+	sd.mapInto(c, ind)
 	for _, err := range ind.err {
 		if err != nil {
 			// Some request list is not a valid independent descriptor (e.g.
@@ -444,12 +442,11 @@ func (c *Collective) cutCost(write bool) time.Duration {
 // straight to the store, sieved or vectored: the descriptors the schedule
 // mapped (and, under StrategyAuto, priced), issued as they are.
 // Concurrent sieved writers are safe under the Sets' per-device sieve
-// locks; vectored writers are block-disjoint by plan validation (after
-// LastWriterWins clipping).
+// locks; vectored writers are block-disjoint by plan validation.
 func (c *Collective) runIndependent(p *mpp.Proc, sd *schedule, write, sieved bool) {
 	rank := p.Rank()
 	buf := c.bufs[rank]
-	ms, err := sd.mapped(c, rank, write)
+	ms, err := sd.mapped(c, rank)
 	rec, _, prefix := p.Probe()
 	var ioTrk probe.TrackID
 	if rec != nil && len(ms) > 0 {
@@ -479,81 +476,4 @@ func (c *Collective) runIndependent(p *mpp.Proc, sd *schedule, write, sieved boo
 		rec.Span(ioTrk, "collective", "independent", t0, p.Now(), 0, 0)
 	}
 	c.errs[rank] = errors.Join(errs...)
-}
-
-// clipLWW rebuilds rank's write requests with every block claimed by a
-// higher rank removed: since higher ranks land their own bytes on those
-// blocks, the surviving writes are block-disjoint across ranks and the
-// final image equals the two-phase path's rank-ordered assembly,
-// whatever order the engine schedules the independent writers in.
-func (c *Collective) clipLWW(pl *plan, rank int) []VecReq {
-	// Merge the higher ranks' footprints into sorted disjoint spans.
-	var higher []span
-	for r := rank + 1; r < len(pl.segs); r++ {
-		for _, sg := range pl.segs[r] {
-			higher = append(higher, span{gb: sg.gb, n: sg.n})
-		}
-	}
-	if len(higher) == 0 {
-		return c.reqs[rank]
-	}
-	sortSpans(higher)
-	merged := higher[:0]
-	for _, sp := range higher {
-		if k := len(merged) - 1; k >= 0 && merged[k].gb+merged[k].n >= sp.gb {
-			if end := sp.gb + sp.n; end > merged[k].gb+merged[k].n {
-				merged[k].n = end - merged[k].gb
-			}
-			continue
-		}
-		merged = append(merged, sp)
-	}
-	// Subtract the merged spans from each of rank's segments, converting
-	// the survivors back to file-local descriptors (a segment never
-	// crosses a file boundary, so one Locate per piece suffices).
-	byFile := make([]blockio.Vec, c.group.Len())
-	emit := func(gb, n, bufOff int64) {
-		file, blk, err := c.group.Locate(gb)
-		if err != nil {
-			return // validated segments are always locatable
-		}
-		byFile[file] = append(byFile[file], blockio.VecSeg{Block: blk, N: n, BufOff: bufOff})
-	}
-	for _, sg := range pl.segs[rank] {
-		lo, end := sg.gb, sg.gb+sg.n
-		for _, sp := range merged {
-			if sp.gb+sp.n <= lo {
-				continue
-			}
-			if sp.gb >= end {
-				break
-			}
-			if sp.gb > lo {
-				emit(lo, sp.gb-lo, sg.bufOff+(lo-sg.gb)*pl.bs)
-			}
-			if lo = sp.gb + sp.n; lo >= end {
-				break
-			}
-		}
-		if lo < end {
-			emit(lo, end-lo, sg.bufOff+(lo-sg.gb)*pl.bs)
-		}
-	}
-	var out []VecReq
-	for f, vec := range byFile {
-		if len(vec) > 0 {
-			out = append(out, VecReq{File: f, Vec: vec})
-		}
-	}
-	return out
-}
-
-// sortSpans sorts spans by start block (insertion sort: the lists are
-// per-call request footprints, already mostly ordered).
-func sortSpans(s []span) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].gb < s[j-1].gb; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -23,25 +23,30 @@ var strategyStrats = []struct {
 	{"auto", blockio.StrategyAuto},
 }
 
-// runStrategyOverlap executes one overlapping 4-rank strided write under
-// the given strategy: rank r writes blocks {3r, 3r+2, ..., 3r+10} of
-// file 0, so ranks r and r+2 overlap on three blocks and every rank's
-// sieved covering span has holes (the read-modify-write path). Returns
-// the per-rank-identical error string (empty on success), the final
-// group image, and the route taken.
-func runStrategyOverlap(t *testing.T, kind storeKind, strat blockio.Strategy, lww bool) (errStr string, img []byte, route string) {
+// runStrategyWrite executes one 4-rank strided write under the given
+// strategy: with overlap, rank r writes blocks {3r, 3r+2, ..., 3r+10} of
+// file 0, so ranks r and r+2 overlap on three blocks; without, blocks
+// {r, r+4, ..., r+20}. Either way every rank's sieved covering span has
+// holes (the read-modify-write path). Returns the per-rank-identical
+// error string (empty on success), the final group image, and the route
+// taken.
+func runStrategyWrite(t *testing.T, kind storeKind, strat blockio.Strategy, overlap bool) (errStr string, img []byte, route string) {
 	t.Helper()
 	e, g, _ := collectiveFixture(t, kind, testPlacements[1].spec)
-	col, err := Open(g, 4, Options{LastWriterWins: lww, Strategy: strat})
+	col, err := Open(g, 4, Options{Strategy: strat})
 	if err != nil {
 		t.Fatal(err)
 	}
 	errStrs := make([]string, 4)
 	_, join := mpp.Run(e, 4, "strat", func(p *mpp.Proc) {
 		r := p.Rank()
+		first, step := int64(r), int64(4)
+		if overlap {
+			first, step = int64(r)*3, 2
+		}
 		var vec blockio.Vec
 		for i := int64(0); i < 6; i++ {
-			vec = append(vec, blockio.VecSeg{Block: int64(r)*3 + i*2, N: 1, BufOff: i * testBS})
+			vec = append(vec, blockio.VecSeg{Block: first + i*step, N: 1, BufOff: i * testBS})
 		}
 		buf := make([]byte, 6*testBS)
 		for i := range buf {
@@ -64,8 +69,8 @@ func runStrategyOverlap(t *testing.T, kind storeKind, strat blockio.Strategy, lw
 }
 
 // TestStrategyOverlapErrorIdentical is the guarantee the sieved and
-// vectored routes must not weaken: a cross-rank write overlap (without
-// LastWriterWins) is rejected with the exact same error, on every rank,
+// vectored routes must not weaken: a cross-rank write overlap is
+// rejected with the exact same error, on every rank,
 // whatever Options.Strategy says — validation runs before route
 // selection. The store must also be untouched.
 func TestStrategyOverlapErrorIdentical(t *testing.T) {
@@ -73,7 +78,7 @@ func TestStrategyOverlapErrorIdentical(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			var want string
 			for _, tc := range strategyStrats {
-				errStr, img, _ := runStrategyOverlap(t, kind, tc.strat, false)
+				errStr, img, _ := runStrategyWrite(t, kind, tc.strat, true)
 				if errStr == "" {
 					t.Fatalf("strategy %s: overlapping write succeeded, want rejection", tc.name)
 				}
@@ -84,43 +89,6 @@ func TestStrategyOverlapErrorIdentical(t *testing.T) {
 				}
 				if !bytes.Equal(img, make([]byte, len(img))) {
 					t.Fatalf("strategy %s: rejected write modified the store", tc.name)
-				}
-			}
-		})
-	}
-}
-
-// TestStrategyLWWEquivalence is the LastWriterWins half of the same
-// guarantee: with overlaps permitted, every strategy must land the exact
-// two-phase rank-order-wins image — the sieved route via
-// higher-rank-footprint clipping over read-modify-write spans — and land
-// it deterministically (two runs, byte-identical images).
-func TestStrategyLWWEquivalence(t *testing.T) {
-	for _, kind := range []storeKind{storeDirect, storeParity, storeMirror} {
-		t.Run(kind.String(), func(t *testing.T) {
-			var want []byte
-			for _, tc := range strategyStrats {
-				var prev []byte
-				var prevRoute string
-				for run := 0; run < 2; run++ {
-					errStr, img, route := runStrategyOverlap(t, kind, tc.strat, true)
-					if errStr != "" {
-						t.Fatalf("strategy %s run %d: %s", tc.name, run, errStr)
-					}
-					if run == 0 {
-						prev, prevRoute = img, route
-						continue
-					}
-					if !bytes.Equal(img, prev) || route != prevRoute {
-						t.Fatalf("strategy %s: two identical runs diverged (route %s then %s)", tc.name, prevRoute, route)
-					}
-				}
-				if want == nil {
-					want = prev
-					continue
-				}
-				if !bytes.Equal(prev, want) {
-					t.Fatalf("strategy %s final image differs from the two-phase rank-order image", tc.name)
 				}
 			}
 		})
@@ -140,9 +108,9 @@ func TestStrategyForcedRoutes(t *testing.T) {
 		{blockio.StrategySieved, "sieved"},
 	} {
 		t.Run(fmt.Sprint(tc.strat), func(t *testing.T) {
-			_, _, route := runStrategyOverlap(t, storeDirect, tc.strat, true)
-			if route != tc.want {
-				t.Fatalf("strategy %v took route %q, want %q", tc.strat, route, tc.want)
+			errStr, _, route := runStrategyWrite(t, storeDirect, tc.strat, false)
+			if errStr != "" || route != tc.want {
+				t.Fatalf("strategy %v took route %q (error %q), want %q", tc.strat, route, errStr, tc.want)
 			}
 		})
 	}

@@ -38,38 +38,28 @@
 //   - FIFO: global arrival order — the baseline, and the policy that
 //     lets one bulk job bury everyone else's latency.
 //   - FairShare: start-time fair queueing over service bytes — each
-//     job accrues virtual time at bytes/weight per byte served, and the
+//     job accrues virtual time at one unit per byte served, and the
 //     backlogged job with the least virtual time goes next, so a
 //     request-heavy job cannot starve light ones.
 //   - Priority: strict priority (higher JobConfig.Priority first),
 //     FIFO within a level — latency-critical jobs overtake bulk
 //     traffic at every dispatch.
 //
-// Orthogonally, JobConfig.BytesPerSec imposes a per-job bandwidth cap
-// (a leaky bucket over virtual time): a job at its cap is ineligible
-// until its bucket drains, whatever the policy. If every backlogged job
-// is capped the worker sleeps until the earliest becomes eligible, and
-// a Submit arriving mid-sleep wakes it immediately, so an uncapped
-// request never waits out another job's bucket.
+// A lane's queue is unbounded: Submit never parks.
 //
-// Three properties hold for any job mix (TestServerInvariants checks
+// Two properties hold for any job mix (TestServerInvariants checks
 // them on seeded mixes of small requests and call-sized ones cut into
 // one to six windows):
 //
-//   - Work conservation: no worker is idle while a window of a job that
-//     is not at its cap is waiting.
-//   - The cap is a bound over every interval: a window charges the
-//     bucket when it is handed out, and between two dispatches of a
-//     capped job the bytes dispatched in between are at most BytesPerSec
-//     × the time between them.
+//   - Work conservation: no worker is idle while a window is waiting.
 //   - Bounded unfairness under FairShare (start-time fair queueing's
-//     bound): over any interval in which two uncapped jobs f and g both
-//     stay backlogged, their weighted service bytes/weight differs by at
-//     most maxwin(f)/weight(f) + maxwin(g)/weight(g) — one maximum
-//     window each. The bound is in what a client lets the server stop
-//     between: a small job can fall one bulk window behind (in time: that
-//     window's service, per worker), which is a whole bulk call only for
-//     a client that does not cut its calls.
+//     bound): over any interval in which two jobs f and g both stay
+//     backlogged, their service bytes differ by at most maxwin(f) +
+//     maxwin(g) — one maximum window each. The bound is in what a
+//     client lets the server stop between: a small job can fall one
+//     bulk window behind (in time: that window's service, per worker),
+//     which is a whole bulk call only for a client that does not cut
+//     its calls.
 //
 // Every request records its enqueue→completion latency in the job's
 // stats.Sample — one observation a request, however many windows — so
@@ -99,7 +89,7 @@ const (
 	// FIFO serves requests in global arrival order.
 	FIFO Policy = iota
 	// FairShare serves the backlogged job with the least virtual
-	// service time (bytes served / weight), arrival order within a job.
+	// service time (bytes served), arrival order within a job.
 	FairShare
 	// Priority serves the highest-priority backlogged job first
 	// (JobConfig.Priority, larger wins), FIFO within a level.
@@ -140,19 +130,6 @@ type JobConfig struct {
 	// Priority orders jobs under the Priority policy (larger = served
 	// first). Ignored by other policies.
 	Priority int
-	// Weight scales the job's fair share (default 1): a weight-2 job
-	// accrues virtual time half as fast, so it receives twice the
-	// service of a weight-1 job under contention. Ignored by other
-	// policies.
-	Weight float64
-	// BytesPerSec caps the job's dispatch rate in payload bytes per
-	// second of virtual time; 0 means uncapped. Applies under every
-	// policy.
-	BytesPerSec float64
-	// QueueDepth bounds the job's pending-request queue; Submit parks
-	// once the queue is full (admission control back-pressure). 0
-	// means effectively unbounded.
-	QueueDepth int
 }
 
 // JobStats is a point-in-time accounting snapshot for one job. It is a
@@ -168,15 +145,14 @@ type JobStats struct {
 }
 
 // Job is one client's lane into the server: a FIFO request queue plus
-// the scheduling state (fair-share virtual time, bandwidth bucket) and
-// accounting the policies read.
+// the scheduling state (fair-share virtual time) and accounting the
+// policies read.
 type Job struct {
 	s   *Server
 	cfg JobConfig
 	q   *sim.Queue // *Request, FIFO within the job
 
-	vtime   float64       // fair-share virtual service time (weighted bytes)
-	capFree time.Duration // bandwidth bucket: eligible when now ≥ capFree
+	vtime float64 // fair-share virtual service time (bytes)
 
 	submitted  int64
 	completed  int64
@@ -282,10 +258,6 @@ type Server struct {
 	vnow    float64       // fair-share virtual clock (last dispatch's tag)
 	idle    sim.WaitQueue // parked workers waiting for work
 	g       sim.Group
-	// capSleep lists workers sleeping out an all-jobs-capped interval;
-	// submit wakes them early so a newly eligible request is served
-	// immediately rather than at the next bucket expiry.
-	capSleep []*sim.Proc
 
 	rec *probe.Recorder // flight recorder (nil: detached)
 }
@@ -301,17 +273,8 @@ func New(cfg Config) *Server {
 // AddJob declares a client job. Jobs may be added any time before
 // their first Submit.
 func (s *Server) AddJob(cfg JobConfig) *Job {
-	if cfg.Weight <= 0 {
-		cfg.Weight = 1
-	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 1 << 30 // effectively unbounded
-	}
-	j := &Job{s: s, cfg: cfg, q: sim.NewQueue(depth)}
-	if s.rec != nil {
-		j.attachProbe(s.rec)
-	}
+	j := &Job{s: s, cfg: cfg, q: sim.NewQueue(1 << 30)}
+	j.attachProbe(s.rec)
 	s.jobs = append(s.jobs, j)
 	return j
 }
@@ -374,12 +337,6 @@ func (j *Job) SubmitWritePlan(p *sim.Proc, plan *blockio.BatchPlan, buf []byte, 
 	return j.Submit(p, true, plan, blockio.Space{{Buf: buf}}, bytes)
 }
 
-// SubmitReadPlan enqueues a read through a prepared plan into buf — the
-// read counterpart of SubmitWritePlan.
-func (j *Job) SubmitReadPlan(p *sim.Proc, plan *blockio.BatchPlan, buf []byte, bytes int64) *Request {
-	return j.Submit(p, false, plan, blockio.Space{{Buf: buf}}, bytes)
-}
-
 // Submit enqueues a write (or a read) issued through a prepared
 // blockio.BatchPlan — the workers issue the plan's windows in order,
 // bound to the buffer space sp, which must hold still until the request
@@ -401,18 +358,11 @@ func (j *Job) Submit(p *sim.Proc, write bool, plan *blockio.BatchPlan, sp blocki
 		enq:   p.Now(),
 	}
 	j.submitted++
-	j.q.Put(p, r) // parks when the job is at QueueDepth (admission control)
+	j.q.Put(p, r)
 	if s.rec != nil {
 		s.rec.Instant(j.trk, "ioserver", "admit", p.Now())
 	}
 	s.idle.WakeOne(p.Engine())
-	// Workers sleeping out an all-jobs-capped interval re-evaluate now:
-	// if this request is eligible it is served immediately instead of at
-	// the earliest bucket expiry. A spurious wake (the new request's job
-	// is itself capped) just re-sleeps to the same expiry.
-	for _, w := range s.capSleep {
-		p.Engine().Wake(w)
-	}
 	return r
 }
 
@@ -436,78 +386,44 @@ func (s *Server) worker(p *sim.Proc) {
 	}
 }
 
-// next blocks until a request's next window is eligible under the policy
-// and returns the request, still at the head of its lane (nil once the
-// server is stopped and drained). When every backlogged job is at its
-// bandwidth cap, the worker sleeps until the earliest cap expiry —
-// registered on capSleep so a mid-sleep Submit can wake it early.
+// next blocks until a request has a window waiting and returns the one
+// the policy picks — the head of the winning lane, left where it is — or
+// nil once the server is stopped and drained. Job iteration order and
+// seq tie-breaks are fixed, so scheduling is deterministic.
 func (s *Server) next(p *sim.Proc) *Request {
 	for {
-		r, wakeAt := s.pick(p.Now())
-		switch {
-		case r != nil:
+		var r *Request
+		for _, j := range s.jobs {
+			head, ok := j.q.Peek()
+			if !ok {
+				continue
+			}
+			if hr := head.(*Request); r == nil || s.beats(hr, r) {
+				r = hr
+			}
+		}
+		if r != nil {
 			return r
-		case wakeAt > 0:
-			s.capSleep = append(s.capSleep, p)
-			p.SleepUntil(wakeAt)
-			for i, w := range s.capSleep {
-				if w == p {
-					last := len(s.capSleep) - 1
-					s.capSleep[i] = s.capSleep[last]
-					s.capSleep[last] = nil
-					s.capSleep = s.capSleep[:last]
-					break
-				}
-			}
-		case s.closed:
+		}
+		if s.closed {
 			return nil
-		default:
-			s.idle.Wait(p)
 		}
+		s.idle.Wait(p)
 	}
-}
-
-// pick chooses the request to serve next per the policy — the head of
-// the winning lane, left where it is — or reports the earliest
-// bandwidth-cap expiry when every backlogged job is capped (wakeAt 0
-// when there is simply nothing queued). Job iteration order and seq
-// tie-breaks are fixed, so scheduling is deterministic.
-func (s *Server) pick(now time.Duration) (r *Request, wakeAt time.Duration) {
-	var best *Job
-	for _, j := range s.jobs {
-		head, ok := j.q.Peek()
-		if !ok {
-			continue
-		}
-		if j.cfg.BytesPerSec > 0 && j.capFree > now {
-			if wakeAt == 0 || j.capFree < wakeAt {
-				wakeAt = j.capFree
-			}
-			continue
-		}
-		if hr := head.(*Request); best == nil || s.beats(j, hr, best, r) {
-			best, r = j, hr
-		}
-	}
-	if r != nil {
-		wakeAt = 0
-	}
-	return r, wakeAt
 }
 
 // dispatch hands the calling worker r's next windows [w0, w1) and
 // charges r's job for them. It is one window when another job is
 // backlogged — the policy chooses again when it returns — and every
 // window left when none is, or under FIFO, whose choice after any window
-// is the same request again (its seq is the lowest there is; a cap can
-// only delay it): a cut the policy cannot use is only a positioning
-// paid, and issued together the
+// is the same request again (its seq is the lowest there is): a cut the
+// policy cannot use is only a positioning paid, and issued together the
 // windows are the uncut plan's device requests
 // (blockio.BatchPlan.WriteWindows), so a job alone on the server never
 // pays for cuts made on other jobs' behalf. r leaves its lane with its
 // last window.
 func (s *Server) dispatch(p *sim.Proc, r *Request) (w0, w1 int, charge int64) {
-	j, now, n := r.job, p.Now(), r.plan.Windows()
+	j, n := r.job, r.plan.Windows()
 	w0, w1 = r.win, n
 	if s.cfg.Policy != FIFO {
 		for _, o := range s.jobs {
@@ -524,7 +440,7 @@ func (s *Server) dispatch(p *sim.Proc, r *Request) (w0, w1 int, charge int64) {
 		charge = min(charge, r.plan.WindowBytes(w0))
 	}
 	if w0 == 0 {
-		r.first = now
+		r.first = p.Now()
 	}
 	r.win, r.charged = w1, r.charged+charge
 	r.inflight++
@@ -532,38 +448,32 @@ func (s *Server) dispatch(p *sim.Proc, r *Request) (w0, w1 int, charge int64) {
 	if w1 == n {
 		j.q.TryGet(p)
 	}
-	// Charge the QoS state at dispatch: the fair-share virtual clock
-	// advances by weighted bytes, the bandwidth bucket by the time these
-	// bytes take at the capped rate. A job returning from idle first
-	// catches its tag up to the server's virtual clock (the start-time
-	// fair queueing rule), so accumulated idleness buys at most one
-	// early dispatch, not a monopolizing burst.
+	// Charge the fair-share virtual clock at dispatch, by the bytes. A
+	// job returning from idle first catches its tag up to the server's
+	// virtual clock (the start-time fair queueing rule), so accumulated
+	// idleness buys at most one early dispatch, not a monopolizing burst.
 	if j.vtime < s.vnow {
 		j.vtime = s.vnow
 	}
 	s.vnow = j.vtime
-	if j.cfg.BytesPerSec > 0 {
-		busyFor := time.Duration(float64(charge) / j.cfg.BytesPerSec * float64(time.Second))
-		j.capFree = max(j.capFree, now) + busyFor
-	}
-	j.vtime += float64(charge) / j.cfg.Weight
+	j.vtime += float64(charge)
 	return w0, w1, charge
 }
 
-// beats reports whether backlogged job j (head request jr) should be
-// served before the current best under the configured policy.
-func (s *Server) beats(j *Job, jr *Request, best *Job, br *Request) bool {
-	switch s.cfg.Policy {
+// beats reports whether request a, at the head of its lane, should be
+// served before b, the best head so far, under the configured policy.
+func (s *Server) beats(a, b *Request) bool {
+	switch ja, jb := a.job, b.job; s.cfg.Policy {
 	case Priority:
-		if j.cfg.Priority != best.cfg.Priority {
-			return j.cfg.Priority > best.cfg.Priority
+		if ja.cfg.Priority != jb.cfg.Priority {
+			return ja.cfg.Priority > jb.cfg.Priority
 		}
 	case FairShare:
-		if j.vtime != best.vtime {
-			return j.vtime < best.vtime
+		if ja.vtime != jb.vtime {
+			return ja.vtime < jb.vtime
 		}
 	}
-	return jr.seq < br.seq
+	return a.seq < b.seq
 }
 
 // returned accounts for one dispatch coming back and, when it was the

@@ -78,7 +78,7 @@ func TestServerRoundTrip(t *testing.T) {
 		if !w.Done() || w.Err() != nil {
 			t.Error("ticket not completed after Wait")
 		}
-		r := job.SubmitReadPlan(p, batchFor(set, 0, 4), in, 4*bs)
+		r := job.Submit(p, false, batchFor(set, 0, 4), blockio.Space{{Buf: in}}, 4*bs)
 		if err := r.Wait(p); err != nil {
 			t.Error(err)
 		}
@@ -168,82 +168,6 @@ func TestPriorityOvertakesBacklog(t *testing.T) {
 	}
 }
 
-// TestBandwidthCapPaces: a capped job's dispatches are paced at the
-// cap rate even with a deep backlog, leaving the device mostly idle
-// for others. The capped run must take at least bytes/rate of virtual
-// time; the uncapped run finishes far sooner.
-func TestBandwidthCapPaces(t *testing.T) {
-	elapsed := func(rate float64) time.Duration {
-		e := sim.NewEngine()
-		set := fixture(t, e, 64)
-		s := New(Config{Workers: 1})
-		job := s.AddJob(JobConfig{Name: "capped", BytesPerSec: rate})
-		s.Start(e)
-		var done time.Duration
-		bs := int64(set.BlockSize())
-		e.Go("client", func(p *sim.Proc) {
-			var last *Request
-			for i := int64(0); i < 8; i++ {
-				buf := make([]byte, 2*bs)
-				last = job.SubmitWritePlan(p, batchFor(set, i*2, 2), buf, 2*bs)
-			}
-			if err := last.Wait(p); err != nil {
-				t.Error(err)
-			}
-			done = p.Now()
-			s.Stop(p)
-		})
-		run(t, e)
-		return done
-	}
-	uncapped := elapsed(0)
-	rate := 512.0 // bytes/sec of virtual time: 128-byte requests pace 250 ms apart
-	capped := elapsed(rate)
-	// 8 requests of 128 bytes: the first dispatches immediately, each
-	// later one no earlier than its predecessor's bucket expiry, so the
-	// run takes at least 7 × 128/rate of virtual time.
-	minPaced := time.Duration(float64(7*2*64) / rate * float64(time.Second))
-	if capped < minPaced {
-		t.Fatalf("capped run %v faster than the cap allows (%v)", capped, minPaced)
-	}
-	if capped <= uncapped*2 {
-		t.Fatalf("cap had no effect: capped %v vs uncapped %v", capped, uncapped)
-	}
-}
-
-// TestQueueDepthBackpressure: QueueDepth 1 parks the submitter until
-// the server drains its queue — admission control, not an error.
-func TestQueueDepthBackpressure(t *testing.T) {
-	e := sim.NewEngine()
-	set := fixture(t, e, 16)
-	s := New(Config{Workers: 1})
-	job := s.AddJob(JobConfig{Name: "j", QueueDepth: 1})
-	s.Start(e)
-	bs := int64(set.BlockSize())
-	var submitTimes []time.Duration
-	e.Go("client", func(p *sim.Proc) {
-		var last *Request
-		for i := int64(0); i < 3; i++ {
-			buf := make([]byte, bs)
-			last = job.SubmitWritePlan(p, batchFor(set, i, 1), buf, bs)
-			submitTimes = append(submitTimes, p.Now())
-		}
-		if err := last.Wait(p); err != nil {
-			t.Error(err)
-		}
-		s.Stop(p)
-	})
-	run(t, e)
-	// The first two submissions are immediate (one in service, one
-	// queued); the third must have parked until the first completed.
-	if submitTimes[1] != submitTimes[0] {
-		t.Fatalf("second submit parked: %v vs %v", submitTimes[1], submitTimes[0])
-	}
-	if submitTimes[2] <= submitTimes[1] {
-		t.Fatalf("third submit did not park: %v", submitTimes)
-	}
-}
-
 // TestMultiWorkerDrainsAndJoins: several workers, several jobs, Stop
 // joins everything with all requests completed.
 func TestMultiWorkerDrainsAndJoins(t *testing.T) {
@@ -305,67 +229,4 @@ func TestSubmitBeforeStartPanics(t *testing.T) {
 		job.SubmitWritePlan(p, batchFor(set, 0, 1), make([]byte, set.BlockSize()), int64(set.BlockSize()))
 	})
 	run(t, e)
-}
-
-// TestSubmitWakesCapSleeper: when every backlogged job is at its
-// bandwidth cap the single worker sleeps until the earliest bucket
-// expiry; an uncapped request submitted mid-sleep must be served
-// immediately rather than waiting out that expiry (the ROADMAP
-// carry-over the submit-side wake closes). The capped job's own pacing
-// must be unchanged by the early wake.
-func TestSubmitWakesCapSleeper(t *testing.T) {
-	e := sim.NewEngine()
-	set := fixture(t, e, 16)
-	s := New(Config{Workers: 1})
-	bs := int64(set.BlockSize())
-	// 1 block per second of virtual time: after the first dispatch the
-	// capped job's bucket blocks it until t = 1s.
-	capped := s.AddJob(JobConfig{Name: "capped", BytesPerSec: float64(bs)})
-	free := s.AddJob(JobConfig{Name: "free"})
-	s.Start(e)
-
-	const arrival = 100 * time.Millisecond
-	expiry := time.Duration(float64(bs) / float64(bs) * float64(time.Second)) // 1s
-	var freeDone, cappedDone time.Duration
-	var g sim.Group
-	g.Spawn(e, "capped-client", func(p *sim.Proc) {
-		buf := make([]byte, bs)
-		t1 := capped.SubmitWritePlan(p, batchFor(set, 0, 1), buf, bs)
-		t2 := capped.SubmitWritePlan(p, batchFor(set, 1, 1), buf, bs)
-		if err := t1.Wait(p); err != nil {
-			t.Error(err)
-		}
-		if err := t2.Wait(p); err != nil {
-			t.Error(err)
-		}
-		cappedDone = p.Now()
-	})
-	g.Spawn(e, "free-client", func(p *sim.Proc) {
-		p.Sleep(arrival) // well inside the worker's cap sleep [~0, 1s)
-		buf := make([]byte, bs)
-		tk := free.SubmitReadPlan(p, batchFor(set, 2, 1), buf, bs)
-		if err := tk.Wait(p); err != nil {
-			t.Error(err)
-		}
-		freeDone = p.Now()
-	})
-	e.Go("driver", func(p *sim.Proc) {
-		g.Wait(p)
-		s.Stop(p)
-	})
-	run(t, e)
-
-	// The uncapped request arrived at 100ms; served on arrival it
-	// completes after one device access (milliseconds), far inside the
-	// 1s bucket expiry it used to wait for.
-	if freeDone >= expiry {
-		t.Fatalf("uncapped request finished at %v: still waiting out the cap expiry %v", freeDone, expiry)
-	}
-	if freeDone < arrival {
-		t.Fatalf("uncapped request finished at %v, before its own arrival %v", freeDone, arrival)
-	}
-	// The capped job's second dispatch still respects its bucket.
-	if cappedDone < expiry {
-		t.Fatalf("capped job finished at %v, faster than its cap allows (%v)", cappedDone, expiry)
-	}
 }

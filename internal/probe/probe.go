@@ -172,23 +172,6 @@ func (r *Recorder) Metrics() *Metrics {
 	return &r.m
 }
 
-// Reset drops recorded spans and metric values but keeps tracks and
-// registered metrics, so one recorder can trace several runs.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.spans = r.spans[:0]
-	for _, it := range r.m.items {
-		if it.counter != nil {
-			it.counter.v = 0
-		}
-		if it.hist != nil {
-			it.hist.s = stats.Sample{}
-		}
-	}
-}
-
 // Counter is a monotonically increasing metric. The nil *Counter (from
 // a nil registry) no-ops, so hot paths hold one and Add unconditionally.
 type Counter struct{ v int64 }

@@ -21,7 +21,6 @@ func TestNilRecorderNoops(t *testing.T) {
 		t.Fatalf("nil Span = %d, want 0", id)
 	}
 	r.SetScope("s/")
-	r.Reset()
 	if r.Spans() != nil || r.Tracks() != nil || r.Usage() != nil {
 		t.Fatal("nil recorder leaked data")
 	}
@@ -257,24 +256,5 @@ func TestIntervalAlgebra(t *testing.T) {
 		if ab != tc.overlap || ba != tc.overlap {
 			t.Errorf("%s: Overlap = %v one way, %v the other, want %v", tc.name, ab, ba, tc.overlap)
 		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	r := New()
-	trk := r.Track("x")
-	r.Span(trk, "c", "n", 0, time.Microsecond, 0, 0)
-	c := r.Metrics().Counter("n")
-	c.Add(4)
-	r.Metrics().Histogram("h").Add(1)
-	r.Reset()
-	if len(r.Spans()) != 0 {
-		t.Fatal("Reset kept spans")
-	}
-	if r.Track("x") != trk {
-		t.Fatal("Reset dropped tracks")
-	}
-	if c.Value() != 0 {
-		t.Fatal("Reset kept counter value")
 	}
 }

@@ -90,12 +90,6 @@ func (m *Mapper) TotalFSBlocks() int64 { return m.NumBlocks() * m.fsPerBlock }
 // whole-block bulk (extent) transfers of the canonical byte stream.
 func (m *Mapper) Dense() bool { return m.blockBytes == m.paddedBytes }
 
-// PaddedBlockBytes reports the allocated bytes per paper-block.
-func (m *Mapper) PaddedBlockBytes() int { return m.paddedBytes }
-
-// PayloadBlockBytes reports the useful bytes per full paper-block.
-func (m *Mapper) PayloadBlockBytes() int { return m.blockBytes }
-
 // BlockOf reports the paper-block holding record r.
 func (m *Mapper) BlockOf(r int64) int64 { return r / int64(m.blockRecords) }
 
@@ -149,9 +143,3 @@ func (m *Mapper) AppendSpans(dst []Span, r int64) []Span {
 
 // Spans returns the byte spans of record r.
 func (m *Mapper) Spans(r int64) []Span { return m.AppendSpans(nil, r) }
-
-// BlockSpan reports the fs-block range [first, first+count) occupied by
-// paper-block b.
-func (m *Mapper) BlockSpan(b int64) (first, count int64) {
-	return b * m.fsPerBlock, m.fsPerBlock
-}

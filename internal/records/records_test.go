@@ -31,8 +31,8 @@ func TestMapperValidation(t *testing.T) {
 func TestExactFit(t *testing.T) {
 	// 4 records of 64 bytes per paper-block, 256-byte fs blocks: no padding.
 	m := mustMapper(t, 64, 4, 256, 100)
-	if m.FSPerBlock() != 1 || m.PaddedBlockBytes() != 256 || m.PayloadBlockBytes() != 256 {
-		t.Fatalf("exact fit wrong: fsPer=%d padded=%d", m.FSPerBlock(), m.PaddedBlockBytes())
+	if m.FSPerBlock() != 1 || !m.Dense() {
+		t.Fatalf("exact fit wrong: fsPer=%d dense=%v", m.FSPerBlock(), m.Dense())
 	}
 	if m.NumBlocks() != 25 {
 		t.Fatalf("NumBlocks = %d, want 25", m.NumBlocks())
@@ -46,8 +46,8 @@ func TestPadding(t *testing.T) {
 	// 3 records of 100 bytes = 300 payload on 256-byte fs blocks -> 2 fs
 	// blocks, 212 bytes padding.
 	m := mustMapper(t, 100, 3, 256, 7)
-	if m.FSPerBlock() != 2 || m.PaddedBlockBytes() != 512 {
-		t.Fatalf("padding wrong: fsPer=%d padded=%d", m.FSPerBlock(), m.PaddedBlockBytes())
+	if m.FSPerBlock() != 2 || m.Dense() {
+		t.Fatalf("padding wrong: fsPer=%d dense=%v", m.FSPerBlock(), m.Dense())
 	}
 	if m.NumBlocks() != 3 { // 7 records, 3 per block -> blocks of 3,3,1
 		t.Fatalf("NumBlocks = %d", m.NumBlocks())
@@ -164,14 +164,6 @@ func TestSpansCoverExactlyOnceQuick(t *testing.T) {
 	}, &quick.Config{MaxCount: 80})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBlockSpan(t *testing.T) {
-	m := mustMapper(t, 100, 3, 256, 9)
-	first, count := m.BlockSpan(2)
-	if first != 4 || count != 2 {
-		t.Fatalf("BlockSpan(2) = %d,%d want 4,2", first, count)
 	}
 }
 

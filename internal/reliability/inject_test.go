@@ -32,42 +32,6 @@ func TestScheduleFailureFiresOnTime(t *testing.T) {
 	}
 }
 
-func TestScheduleExponentialFailuresWithinHorizon(t *testing.T) {
-	e := sim.NewEngine()
-	disks := make([]*device.Disk, 20)
-	for i := range disks {
-		disks[i] = device.New(device.Config{Engine: e})
-	}
-	rng := sim.NewRNG(77)
-	horizon := 10 * time.Hour
-	// Tiny MTBF so most disks fail inside the horizon.
-	times := ScheduleExponentialFailures(e, disks, rng, 2*time.Hour, horizon)
-	scheduled := 0
-	for _, ts := range times {
-		if ts > 0 {
-			scheduled++
-			if ts > horizon {
-				t.Fatalf("failure at %v beyond horizon", ts)
-			}
-		}
-	}
-	if scheduled < 10 {
-		t.Fatalf("only %d/20 failures scheduled with MTBF << horizon", scheduled)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	failed := 0
-	for _, d := range disks {
-		if d.Failed() {
-			failed++
-		}
-	}
-	if failed != scheduled {
-		t.Fatalf("%d failed, %d scheduled", failed, scheduled)
-	}
-}
-
 // TestMirroredWorkloadSurvivesInjectedFailure runs a PS read workload on
 // a shadowed store while a failure injector kills a primary mid-run: the
 // workload must complete with correct data.

@@ -65,17 +65,6 @@ func MTTFSingleFaultHours(deviceMTBF, mttr time.Duration, n int) float64 {
 	return m * m / (float64(n) * float64(n-1) * mttr.Hours())
 }
 
-// MTTFSingleFault is MTTFSingleFaultHours as a duration, saturating at
-// the maximum representable duration instead of overflowing.
-func MTTFSingleFault(deviceMTBF, mttr time.Duration, n int) time.Duration {
-	h := MTTFSingleFaultHours(deviceMTBF, mttr, n)
-	maxH := float64(1<<63-1) / float64(Hours)
-	if h >= maxH {
-		return 1<<63 - 1
-	}
-	return time.Duration(h * float64(Hours))
-}
-
 // CampaignResult summarizes a Monte-Carlo failure campaign.
 type CampaignResult struct {
 	Missions     int
@@ -304,24 +293,6 @@ func ScheduleFailure(e *sim.Engine, d *device.Disk, at time.Duration) {
 		p.SleepUntil(at)
 		d.Fail()
 	})
-}
-
-// ScheduleExponentialFailures draws one failure time per disk from an
-// exponential lifetime distribution (mean = mtbf) and schedules those
-// that land inside the horizon. It returns the scheduled times (zero
-// means no failure within the horizon) — the workload-facing face of the
-// §5 MTBF model.
-func ScheduleExponentialFailures(e *sim.Engine, disks []*device.Disk, rng *sim.RNG,
-	mtbf, horizon time.Duration) []time.Duration {
-	out := make([]time.Duration, len(disks))
-	for i, d := range disks {
-		t := time.Duration(rng.ExpFloat64() * float64(mtbf))
-		if t <= horizon {
-			out[i] = t
-			ScheduleFailure(e, d, t)
-		}
-	}
-	return out
 }
 
 // NewPlainArray builds n engine-attached disks with the given geometry

@@ -41,14 +41,14 @@ func TestMTTFSingleFault(t *testing.T) {
 	// Redundancy must buy orders of magnitude.
 	plain := SystemMTBF(DeviceMTBF1989, 10)
 	mttr := 24 * Hours
-	prot := MTTFSingleFault(DeviceMTBF1989, mttr, 10)
-	if prot < 100*plain {
-		t.Fatalf("single-fault MTTF %v not >> plain %v", prot, plain)
+	prot := MTTFSingleFaultHours(DeviceMTBF1989, mttr, 10)
+	if prot < 100*plain.Hours() {
+		t.Fatalf("single-fault MTTF %vh not >> plain %v", prot, plain)
 	}
-	if MTTFSingleFault(DeviceMTBF1989, mttr, 1) != 0 {
+	if MTTFSingleFaultHours(DeviceMTBF1989, mttr, 1) != 0 {
 		t.Fatal("n=1 should be 0")
 	}
-	if MTTFSingleFault(DeviceMTBF1989, 0, 4) != 0 {
+	if MTTFSingleFaultHours(DeviceMTBF1989, 0, 4) != 0 {
 		t.Fatal("zero MTTR should be 0")
 	}
 }

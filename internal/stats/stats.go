@@ -118,8 +118,7 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Sample accumulates individual observations for order statistics —
-// the latency-percentile companion to Welford's moment summary. The
+// Sample accumulates individual observations for order statistics. The
 // QoS scheduler records one observation per served request, so a
 // Sample's memory is bounded by the job's request count, and
 // Quantile's nearest-rank definition keeps reported percentiles exact
@@ -182,62 +181,3 @@ func (s *Sample) P99() float64 { return s.Quantile(0.99) }
 
 // Max reports the largest observation, zero when empty.
 func (s *Sample) Max() float64 { return s.Quantile(1) }
-
-// Mean reports the arithmetic mean, zero when empty.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Welford accumulates mean/variance incrementally.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds one observation in.
-func (w *Welford) Add(x float64) {
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N reports the observation count.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean reports the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var reports the sample variance.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Min reports the smallest observation.
-func (w *Welford) Min() float64 { return w.min }
-
-// Max reports the largest observation.
-func (w *Welford) Max() float64 { return w.max }

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Edge cases of the nearest-rank quantile estimator and Welford
-// accumulator that the main tests skip over.
+// Edge cases of the nearest-rank quantile estimator that the main tests
+// skip over.
 
 func TestSampleQuantileEmpty(t *testing.T) {
 	var s Sample
@@ -79,25 +79,5 @@ func TestSampleSingleObservation(t *testing.T) {
 	}
 	if got := s.QuantileDur(0.5); got != 3*time.Second {
 		t.Fatalf("N=1 QuantileDur = %v", got)
-	}
-	if s.Mean() != 3 {
-		t.Fatalf("N=1 Mean = %v", s.Mean())
-	}
-}
-
-func TestWelfordSingleObservation(t *testing.T) {
-	var w Welford
-	w.Add(-2.5)
-	if w.N() != 1 {
-		t.Fatalf("N = %d", w.N())
-	}
-	if w.Min() != -2.5 || w.Max() != -2.5 {
-		t.Fatalf("min/max = %v/%v, want -2.5/-2.5", w.Min(), w.Max())
-	}
-	if w.Mean() != -2.5 {
-		t.Fatalf("mean = %v", w.Mean())
-	}
-	if got := w.Var(); got != 0 {
-		t.Fatalf("variance of one observation = %v, want 0", got)
 	}
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -57,32 +56,9 @@ func TestTableDurationFormats(t *testing.T) {
 	}
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Fatalf("N = %d", w.N())
-	}
-	if w.Mean() != 5 {
-		t.Fatalf("Mean = %v", w.Mean())
-	}
-	if math.Abs(w.Var()-32.0/7.0) > 1e-9 {
-		t.Fatalf("Var = %v", w.Var())
-	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", w.Min(), w.Max())
-	}
-	var empty Welford
-	if empty.Var() != 0 {
-		t.Fatal("empty variance")
-	}
-}
-
 func TestSampleQuantiles(t *testing.T) {
 	var s Sample
-	if s.Quantile(0.5) != 0 || s.Mean() != 0 || s.Max() != 0 {
+	if s.Quantile(0.5) != 0 || s.Max() != 0 {
 		t.Fatal("empty sample should report zeros")
 	}
 	// Insert out of order; quantiles must see the sorted view.
@@ -107,9 +83,6 @@ func TestSampleQuantiles(t *testing.T) {
 	}
 	if got := s.Max(); got != 10 {
 		t.Fatalf("Max = %v", got)
-	}
-	if got := s.Mean(); got != 5.5 {
-		t.Fatalf("Mean = %v", got)
 	}
 	// Adding after a quantile read re-sorts.
 	s.Add(0.5)

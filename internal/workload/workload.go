@@ -20,9 +20,14 @@ func Record(buf []byte, seed uint64, rec int64) {
 		binary.BigEndian.PutUint64(buf[0:8], seed)
 		binary.BigEndian.PutUint64(buf[8:16], uint64(rec))
 	}
-	fill := byte(seed) ^ byte(rec)
-	for i := 16; i < len(buf); i++ {
-		buf[i] = fill
+	if len(buf) > 16 {
+		// One fill byte, then copies that double it: log₂ n memmoves
+		// instead of n byte stores.
+		fill := buf[16:]
+		fill[0] = byte(seed) ^ byte(rec)
+		for n := 1; n < len(fill); n *= 2 {
+			copy(fill[n:], fill[:n])
+		}
 	}
 }
 
@@ -65,53 +70,16 @@ func (m Matrix) BlockOwner(r, p int) int {
 	return r / per
 }
 
-// Task is one unit of work drawn from a task queue.
-type Task struct {
-	ID      int64
-	Service time.Duration // compute time the worker must spend
-}
-
-// TaskQueue generates a deterministic sequence of tasks with variable
-// service times — the "queue with multiple servers" workload that
-// motivates self-scheduled files (§3.1).
-type TaskQueue struct {
-	rng      *sim.RNG
-	n        int64
-	next     int64
-	min, max time.Duration
-}
-
-// NewTaskQueue builds a queue of n tasks with service times uniform in
-// [min, max] drawn from seed.
-func NewTaskQueue(seed uint64, n int64, min, max time.Duration) *TaskQueue {
-	if max < min {
-		min, max = max, min
-	}
-	return &TaskQueue{rng: sim.NewRNG(seed), n: n, min: min, max: max}
-}
-
-// Len reports the total task count.
-func (q *TaskQueue) Len() int64 { return q.n }
-
-// ServiceOf deterministically computes task id's service time (the same
-// value Next would have produced), so tasks can be reconstructed from
-// records read back out of a file.
+// ServiceOf deterministically computes task id's service time, uniform
+// in [min, max) for a given seed — the "queue with multiple servers"
+// workload that motivates self-scheduled files (§3.1) — so tasks can be
+// reconstructed from records read back out of a file.
 func ServiceOf(seed uint64, id int64, min, max time.Duration) time.Duration {
 	r := sim.NewRNG(seed ^ uint64(id)*0x9e3779b97f4a7c15)
 	if max <= min {
 		return min
 	}
 	return min + time.Duration(r.Int63n(int64(max-min)))
-}
-
-// Next returns the next task, or false when exhausted.
-func (q *TaskQueue) Next() (Task, bool) {
-	if q.next >= q.n {
-		return Task{}, false
-	}
-	id := q.next
-	q.next++
-	return Task{ID: id, Service: ServiceOf(0, id, q.min, q.max)}, true
 }
 
 // AccessPattern generates record indices for direct-access experiments.
@@ -154,21 +122,6 @@ type Stencil1D struct {
 // BasePerPart reports the owned points per partition (last may be short).
 func (s Stencil1D) BasePerPart() int64 {
 	return (s.Points + int64(s.Parts) - 1) / int64(s.Parts)
-}
-
-// NeededRange reports the global point range [first, end) partition p
-// must read for one pass (own points plus halos, clipped).
-func (s Stencil1D) NeededRange(p int) (first, end int64) {
-	base := s.BasePerPart()
-	first = int64(p)*base - s.Halo
-	end = int64(p)*base + base + s.Halo
-	if first < 0 {
-		first = 0
-	}
-	if end > s.Points {
-		end = s.Points
-	}
-	return first, end
 }
 
 // OwnedRange reports the points partition p owns (no halo).

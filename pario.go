@@ -108,10 +108,9 @@
 // local) and RankGroup.Traffic the link volume. TestLocalityWin
 // enforces ≥2× fewer bytes moved and better modeled time on a contended
 // 8-rank checkpoint; `pariobench -run contended` sweeps rank count ×
-// link bandwidth. CollectiveOptions.LastWriterWins additionally offers
-// MPI-IO-style deterministic resolution of cross-rank write overlaps
-// (the outcome is as if ranks wrote in rank order). All knobs are
-// opt-in; the free, round-robin default stays bit-identical
+// link bandwidth. A collective write whose ranks overlap is refused on
+// every rank with one error, whatever the route, as MPI-IO leaves such
+// writes undefined. All knobs are opt-in; the free, round-robin default stays bit-identical
 // (TestDefaultModelPinned).
 //
 // # Chunked two-phase I/O
@@ -154,10 +153,8 @@
 // client job gets its own request lane (IOServer.AddJob), and the
 // server multiplexes lanes under a pluggable QoS policy — IOFIFO
 // (arrival order), IOFairShare (start-time fair queuing over served
-// bytes, weighted by IOJobConfig.Weight), IOPriority (strict priority
-// levels) — with optional per-lane bandwidth caps (BytesPerSec, a
-// leaky bucket over virtual time) and admission control (QueueDepth
-// parks the submitter, back-pressure rather than error). A collective
+// bytes), IOPriority (strict priority levels, IOJobConfig.Priority). A
+// lane's queue is unbounded: submitting never parks. A collective
 // opened with CollectiveOptions.Service routes its device phase
 // through a lane and gains the split-collective forms
 // Collective.IWriteAll / IReadAll: plan and exchange run inline (they
@@ -536,8 +533,8 @@ type (
 	// collective's group.
 	VecReq = collective.VecReq
 	// CollectiveOptions tunes a Collective (aggregator count,
-	// locality-aware domain assignment, last-writer-wins overlaps,
-	// pipeline chunking, route strategy, I/O-server lane).
+	// locality-aware domain assignment, pipeline chunking, route
+	// strategy, I/O-server lane).
 	CollectiveOptions = collective.Options
 	// ExchangeStats reports a collective call's exchange split — bytes
 	// moved over the interconnect vs bytes kept local on aggregating
@@ -557,13 +554,12 @@ type (
 	// QoS policy.
 	IOServerConfig = ioserver.Config
 	// IOJob is one client job's request lane on an IOServer. A request
-	// is a prepared BatchPlan and the buffer its windows bind to
-	// (SubmitWritePlan/SubmitReadPlan) — the one request form; the server
+	// is a prepared BatchPlan and the buffer space its windows bind to
+	// (Submit, or SubmitWritePlan for one buffer) — the one request form; the server
 	// issues it a window at a time and chooses among the lanes between
 	// windows.
 	IOJob = ioserver.Job
-	// IOJobConfig sets a lane's QoS parameters (priority, fair-share
-	// weight, bandwidth cap, admission queue depth).
+	// IOJobConfig names a lane and sets its priority under IOPriority.
 	IOJobConfig = ioserver.JobConfig
 	// IOJobStats is a lane's accounting snapshot: request and dispatch
 	// counts, served bytes, device busy time and latency percentiles.
