@@ -148,9 +148,10 @@ type JobStats struct {
 // the scheduling state (fair-share virtual time) and accounting the
 // policies read.
 type Job struct {
-	s   *Server
-	cfg JobConfig
-	q   *sim.Queue // *Request, FIFO within the job
+	s    *Server
+	cfg  JobConfig
+	q    []*Request // the lane: q[head:] wait, oldest first
+	head int
 
 	vtime float64 // fair-share virtual service time (bytes)
 
@@ -273,7 +274,7 @@ func New(cfg Config) *Server {
 // AddJob declares a client job. Jobs may be added any time before
 // their first Submit.
 func (s *Server) AddJob(cfg JobConfig) *Job {
-	j := &Job{s: s, cfg: cfg, q: sim.NewQueue(1 << 30)}
+	j := &Job{s: s, cfg: cfg}
 	j.attachProbe(s.rec)
 	s.jobs = append(s.jobs, j)
 	return j
@@ -316,16 +317,13 @@ func (s *Server) Start(e *sim.Engine) {
 }
 
 // Stop drains every queued request, retires the workers and joins
-// them. Collective: submitting concurrently with Stop panics (Put on
-// the closed lane), like writing on a closed channel.
+// them. Collective: submitting concurrently with Stop panics, like
+// writing on a closed channel.
 func (s *Server) Stop(p *sim.Proc) {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	for _, j := range s.jobs {
-		j.q.Close(p)
-	}
 	s.idle.WakeAll(p.Engine())
 	s.g.Wait(p)
 }
@@ -347,6 +345,9 @@ func (j *Job) Submit(p *sim.Proc, write bool, plan *blockio.BatchPlan, sp blocki
 	if !s.started {
 		panic("ioserver: Submit before Start")
 	}
+	if s.closed {
+		panic("ioserver: Submit after Stop")
+	}
 	s.seq++
 	r := &Request{
 		job:   j,
@@ -358,7 +359,7 @@ func (j *Job) Submit(p *sim.Proc, write bool, plan *blockio.BatchPlan, sp blocki
 		enq:   p.Now(),
 	}
 	j.submitted++
-	j.q.Put(p, r)
+	j.push(r)
 	if s.rec != nil {
 		s.rec.Instant(j.trk, "ioserver", "admit", p.Now())
 	}
@@ -394,11 +395,10 @@ func (s *Server) next(p *sim.Proc) *Request {
 	for {
 		var r *Request
 		for _, j := range s.jobs {
-			head, ok := j.q.Peek()
-			if !ok {
+			if j.pending() == 0 {
 				continue
 			}
-			if hr := head.(*Request); r == nil || s.beats(hr, r) {
+			if hr := j.q[j.head]; r == nil || s.beats(hr, r) {
 				r = hr
 			}
 		}
@@ -427,7 +427,7 @@ func (s *Server) dispatch(p *sim.Proc, r *Request) (w0, w1 int, charge int64) {
 	w0, w1 = r.win, n
 	if s.cfg.Policy != FIFO {
 		for _, o := range s.jobs {
-			if o != j && o.q.Len() > 0 {
+			if o != j && o.pending() > 0 {
 				w1 = w0 + 1
 				break
 			}
@@ -446,7 +446,7 @@ func (s *Server) dispatch(p *sim.Proc, r *Request) (w0, w1 int, charge int64) {
 	r.inflight++
 	j.dispatches++
 	if w1 == n {
-		j.q.TryGet(p)
+		j.pop()
 	}
 	// Charge the fair-share virtual clock at dispatch, by the bytes. A
 	// job returning from idle first catches its tag up to the server's
@@ -458,6 +458,29 @@ func (s *Server) dispatch(p *sim.Proc, r *Request) (w0, w1 int, charge int64) {
 	s.vnow = j.vtime
 	j.vtime += float64(charge)
 	return w0, w1, charge
+}
+
+// pending reports how many requests wait in j's lane.
+func (j *Job) pending() int { return len(j.q) - j.head }
+
+// push appends r to j's lane. A lane that drains goes back to the start
+// of its array, and one that reaches the end of it slides down over the
+// taken prefix before it grows, so a busy lane stops allocating.
+func (j *Job) push(r *Request) {
+	if j.head > 0 && len(j.q) == cap(j.q) {
+		n := copy(j.q, j.q[j.head:])
+		clear(j.q[n:])
+		j.q, j.head = j.q[:n], 0
+	}
+	j.q = append(j.q, r)
+}
+
+// pop takes the head request off j's lane (which must not be empty).
+func (j *Job) pop() {
+	j.q[j.head] = nil
+	if j.head++; j.head == len(j.q) {
+		j.q, j.head = j.q[:0], 0
+	}
 }
 
 // beats reports whether request a, at the head of its lane, should be
@@ -492,7 +515,7 @@ func (s *Server) returned(p *sim.Proc, r *Request, start time.Duration, charge i
 		r.err = err
 		if r.win < n {
 			r.win = n
-			j.q.TryGet(p)
+			j.pop()
 		}
 	}
 	if r.inflight--; r.inflight > 0 || r.win < n {

@@ -230,3 +230,23 @@ func TestSubmitBeforeStartPanics(t *testing.T) {
 	})
 	run(t, e)
 }
+
+// TestSubmitAfterStopPanics: a stopped server's lanes are closed, and a
+// submission to one is the protocol error Stop documents.
+func TestSubmitAfterStopPanics(t *testing.T) {
+	e := sim.NewEngine()
+	set := fixture(t, e, 8)
+	s := New(Config{})
+	job := s.AddJob(JobConfig{Name: "late"})
+	s.Start(e)
+	e.Go("client", func(p *sim.Proc) {
+		s.Stop(p)
+		defer func() {
+			if recover() == nil {
+				t.Error("Submit after Stop did not panic")
+			}
+		}()
+		job.SubmitWritePlan(p, batchFor(set, 0, 1), make([]byte, set.BlockSize()), int64(set.BlockSize()))
+	})
+	run(t, e)
+}

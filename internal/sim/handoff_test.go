@@ -365,8 +365,10 @@ func TestLoneSleepZeroResumesAtOnce(t *testing.T) {
 
 // TestFreedShellRespawnedAtOnce: a process that finishes hands its shell
 // to the free list, and one that runs next at the same instant spawns
-// onto it; the shell runs the new function exactly once. Run under -race
-// with four Ps, the finishing goroutine and the spawner's overlap.
+// onto it; the shell runs the new function exactly once. The finishing
+// coroutine yields to Run with the spawner in hand and Run later resumes
+// it for the new function; run under -race with four Ps, nothing of the
+// one shell's two lives may overlap.
 func TestFreedShellRespawnedAtOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const rounds = 200
@@ -392,12 +394,14 @@ func TestFreedShellRespawnedAtOnce(t *testing.T) {
 	}
 }
 
-// TestRunLeavesNoGoroutines: after a clean Run every worker goroutine
-// has exited — reapFree closed each pooled shell — so the goroutine
+// TestRunLeavesNoGoroutines: after a clean Run every coroutine has
+// exited — reapFree stopped each pooled shell, those of the processes a
+// process spawned and that finished mid-run included — so the goroutine
 // count returns to what it was before the engine started.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
+	var during int
 	for i := 0; i < 16; i++ {
 		e.Go("p", func(p *Proc) {
 			for k := 0; k < 4; k++ {
@@ -405,10 +409,16 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 					t.Error(err)
 				}
 			}
+			during = max(during, runtime.NumGoroutine())
 		})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	// The 16 processes each had their own shell, and at least one fan-out
+	// ran on shells spawned mid-run beside them, freed before Run ended.
+	if during <= before+16 {
+		t.Fatalf("%d goroutines while running, %d before: no spawned shell was alive mid-run", during, before)
 	}
 	if len(e.free) != 0 {
 		t.Fatalf("%d shells left pooled after Run", len(e.free))
@@ -417,5 +427,66 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), before)
 		}
+	}
+}
+
+// TestProcessPanicSurfacesFromRun: a panic in a process comes out of
+// Run, on the owner's goroutine, with the value the process panicked
+// with.
+func TestProcessPanicSurfacesFromRun(t *testing.T) {
+	type boom struct{ at time.Duration }
+	e := NewEngine()
+	e.Go("sleeper", func(p *Proc) { p.Sleep(time.Second) })
+	e.Go("bad", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic(boom{p.Now()})
+	})
+	defer func() {
+		if v, ok := recover().(boom); !ok || v.at != time.Millisecond {
+			t.Fatalf("recovered %v from Run, want boom{1ms}", v)
+		}
+	}()
+	e.Run()
+	t.Fatal("Run returned after a process panicked")
+}
+
+// TestNestedEngineRun: a process that runs a second engine to completion
+// from inside its own body resumes correctly afterwards, and each
+// engine's virtual time is its own: the inner run's sleeps do not move
+// the outer clock, and the outer sleeps around it do not move the inner.
+func TestNestedEngineRun(t *testing.T) {
+	outer := NewEngine()
+	var innerEnd, after time.Duration
+	var order []string
+	outer.Go("host", func(p *Proc) {
+		p.Sleep(5 * time.Millisecond)
+		inner := NewEngine()
+		for i := 1; i <= 3; i++ {
+			inner.Go("inner", func(q *Proc) {
+				q.Sleep(time.Duration(i) * time.Second)
+				order = append(order, fmt.Sprintf("inner %v", q.Now()))
+			})
+		}
+		if err := inner.Run(); err != nil {
+			t.Error(err)
+		}
+		innerEnd = inner.Now()
+		order = append(order, fmt.Sprintf("host %v", p.Now()))
+		p.Sleep(time.Millisecond)
+		after = p.Now()
+	})
+	outer.Go("peer", func(p *Proc) {
+		p.Sleep(5 * time.Millisecond)
+		order = append(order, fmt.Sprintf("peer %v", p.Now()))
+	})
+	if err := outer.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if innerEnd != 3*time.Second || after != 6*time.Millisecond || outer.Now() != 6*time.Millisecond {
+		t.Fatalf("inner ended at %v, host resumed to %v, outer at %v; want 3s, 6ms, 6ms", innerEnd, after, outer.Now())
+	}
+	want := "inner 1s, inner 2s, inner 3s, host 5ms, peer 5ms"
+	if got := strings.Join(order, ", "); got != want {
+		t.Fatalf("order %s, want %s", got, want)
 	}
 }

@@ -73,14 +73,6 @@ func (q *Queue) TryGet(p *Proc) (v any, ok bool) {
 	return v, true
 }
 
-// Peek returns the head item without removing it; ok=false when empty.
-func (q *Queue) Peek() (v any, ok bool) {
-	if q.Len() == 0 {
-		return nil, false
-	}
-	return q.items.buf[q.items.head], true
-}
-
 // Len reports the number of buffered items.
 func (q *Queue) Len() int { return q.items.len() }
 

@@ -10,7 +10,7 @@
 //
 //   - Proc, a process managed by Engine, runs under virtual time. The
 //     Engine is a strict-alternation discrete-event scheduler: exactly one
-//     managed goroutine executes at any instant, and when it parks the
+//     managed process executes at any instant, and when it parks the
 //     earliest pending event (ties broken by schedule order) fires.
 //     Results are bit-for-bit reproducible.
 //
@@ -27,22 +27,24 @@
 // accumulates stale entries. Events scheduled for the current instant
 // bypass the heap entirely via a FIFO ready list, so a barrier releasing
 // P processes costs P appends, not P heap pushes. Finished process
-// shells — struct, wake channel, and worker goroutine — are recycled
-// through a free list, so spawn-heavy patterns (a sim.Par fan-out of
-// ranks or sieved read-modify-writes) stop paying per-spawn allocation
-// and goroutine-creation costs after warm-up. A drive request in flight
-// spawns nothing: it is a stackless Event, fired inline in its slot. There is no scheduler goroutine between two
-// processes: the one that parks or finishes picks the next event itself
-// and hands the engine straight to that process's goroutine, so an event
-// costs one goroutine switch, and none when the parking process's own
-// event is the next (a Sleep(0) with nothing else ready). All of this
-// changes wall-clock cost only: the dispatch order, and therefore every
-// modeled timestamp, is bit-identical to a naive heap-of-events
-// scheduler.
+// shells — struct and coroutine — are recycled through a free list, so
+// spawn-heavy patterns (a sim.Par fan-out of ranks or sieved
+// read-modify-writes) stop paying per-spawn allocation and coroutine
+// creation after warm-up. A drive request in flight spawns nothing: it
+// is a stackless Event, fired inline in its slot. Each process is a
+// coroutine (iter.Pull) that Run resumes: the one that parks or finishes
+// picks the next event itself and yields back to Run, which resumes the
+// process it picked, so an event costs a coroutine switch there and one
+// back, with no trip through the Go scheduler, and none when the parking
+// process's own event is the next (a Sleep(0) with nothing else ready).
+// All of this changes wall-clock cost only: the dispatch order, and
+// therefore every modeled timestamp, is bit-identical to a naive
+// heap-of-events scheduler.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"sync"
 	"time"
@@ -70,22 +72,20 @@ const (
 
 // Engine is a deterministic discrete-event scheduler for virtual-time
 // processes. Create one with NewEngine, add processes with Go, then call
-// Run from the owning (unmanaged) goroutine.
+// Run from the owner, which is not one of the engine's processes.
 //
-// The scheduler has no goroutine of its own: it runs on whichever
-// goroutine holds the engine. Run holds it until it resumes the first
-// process; from then on each process holds it while it runs and, when it
-// parks or finishes, picks the next event (next) and passes the engine
-// to that process by a send on its wake channel, then blocks on its own.
-// The one that finds nothing left to run passes it back to Run. Engine
-// thereby enforces strict alternation: exactly one goroutine holds the
-// engine at a time, and every hand-off is a channel send paired with the
-// receive that resumes the next holder — the happens-before edge that
-// orders everything the one did before everything the next does. Shared
-// state touched only by managed processes therefore needs no locking,
-// and every run of the same program is identical. All engine and process
-// methods must be called either from the currently running managed
-// process or (before Run) from the owner.
+// Each process is a coroutine, and Run is the only place one is resumed.
+// A process runs until it parks or finishes; then it picks the next
+// event itself (next), leaves the process that event resumes in hand and
+// yields to Run, which resumes that one. The one that finds nothing left
+// leaves hand nil, and Run returns. Engine thereby enforces strict
+// alternation: exactly one process runs at a time, and every hand-off is
+// a coroutine switch, which orders everything the one did before
+// everything the next does. Shared state touched only by managed
+// processes therefore needs no locking, and every run of the same
+// program is identical. All engine and process methods must be called
+// either from the currently running managed process or (before Run) from
+// the owner.
 type Engine struct {
 	now       time.Duration
 	seq       uint64
@@ -94,9 +94,8 @@ type Engine struct {
 	readyHead int
 	live      []*Proc // live processes (order immaterial; swap-removed)
 	free      []*Proc // finished shells available for reuse by Go
-	// yield passes the engine back to Run when nothing is left to run.
-	yield   chan struct{}
-	started bool
+	hand      *Proc   // the process Run resumes next; nil ends the run
+	started   bool
 	// Flight-recorder hooks (nil when no recorder is attached; all are
 	// nil-safe, so the off path costs one pointer check per site).
 	prDispatch *probe.Counter
@@ -106,9 +105,7 @@ type Engine struct {
 }
 
 // NewEngine returns an empty engine at time zero.
-func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now reports current virtual time. Valid from any managed process and,
 // between events, from the owner.
@@ -131,7 +128,7 @@ func (e *Engine) SetProbe(r *probe.Recorder) {
 }
 
 // Proc is a virtual-time process. It implements Context. All Proc methods
-// must be called from the goroutine the engine created for it.
+// must be called from the process itself.
 //
 // A Proc value is only valid while its process is live: once the function
 // passed to Go returns, the shell may be recycled for a later Go, so
@@ -142,8 +139,10 @@ func (e *Engine) SetProbe(r *probe.Recorder) {
 type Proc struct {
 	e       *Engine
 	name    string
-	wake    chan struct{}
 	fn      func(*Proc)
+	resume  func() (struct{}, bool) // switch to the coroutine (Run only)
+	yield   func(struct{}) bool     // switch back to Run; false once stopped
+	stop    func()
 	waiting bool
 	dead    bool
 	epoch   uint64
@@ -154,7 +153,7 @@ type Proc struct {
 }
 
 // Event is a stackless engine event: a callback the scheduler runs in its
-// own (time, seq) slot, inline on whichever goroutine holds the engine,
+// own (time, seq) slot, inline in whichever process picks it (or in Run),
 // with no process to start, switch to or park. A drive's request in
 // flight is one (internal/device): its completion moves the data, starts
 // the drive's next request and may resume the process that waits for it.
@@ -182,8 +181,8 @@ func (p *Proc) Now() time.Duration { return p.e.now }
 // Go registers fn as a managed process. It may be called before Run or
 // from a running managed process; the new process begins executing at the
 // current virtual time, after the spawner next parks. Finished process
-// shells (and their worker goroutines) are reused, so the returned *Proc
-// must not be retained past fn's return.
+// shells (and their coroutines) are reused, so the returned *Proc must
+// not be retained past fn's return.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	e.prSpawn.Add(1)
 	var p *Proc
@@ -193,32 +192,29 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		e.free = e.free[:n-1]
 		p.dead = false
 	} else {
-		p = &Proc{e: e, wake: make(chan struct{})}
+		p = &Proc{e: e}
 		p.ev = Event{proc: p, slot: slotNone}
-		go p.loop()
+		p.resume, p.stop = iter.Pull(p.loop)
 	}
 	p.name = name
 	p.fn = fn
 	p.liveIdx = len(e.live)
 	e.live = append(e.live, p)
 	p.epoch++
-	p.waiting = true // the worker goroutine is blocked on its start event
+	p.waiting = true // the coroutine waits for its start event
 	e.schedule(e.now, p, p.epoch)
 	return p
 }
 
-// loop is the worker goroutine body: run one process function per wake,
-// return the shell to the engine's free list, and pass the engine on to
-// the next event's process. The shell goes on the free list first: the
-// process resumed next may spawn onto it at this same instant, and its
-// first wake then waits only until this goroutine is back at the top of
-// the loop. The goroutine exits when the engine closes the shell's wake
-// channel after Run completes.
-func (p *Proc) loop() {
+// loop is the coroutine body: run one process function per resume,
+// return the shell to the engine's free list, and yield to Run with the
+// next event's process in hand. The shell goes on the free list first:
+// the process resumed next may spawn onto it at this same instant, and
+// Run then resumes it back here. The coroutine ends when reapFree stops
+// it after Run completes.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
 	for {
-		if _, ok := <-p.wake; !ok {
-			return
-		}
 		fn := p.fn
 		p.fn = nil
 		fn(p)
@@ -230,7 +226,10 @@ func (p *Proc) loop() {
 		e.live = e.live[:last]
 		p.dead = true
 		e.free = append(e.free, p)
-		e.pass(e.next())
+		e.hand = e.next()
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
@@ -290,28 +289,16 @@ func (e *Engine) enqueue(ev *Event, at time.Duration) {
 
 // park picks the next event and blocks until p is resumed. The caller
 // must have set waiting and bumped epoch (via SleepUntil/Park). When p's
-// own event is the next one, p simply carries on; otherwise it passes
-// the engine on and waits on its own wake channel. Between the send and
-// that receive the goroutine touches nothing but p.wake: the process it
-// woke is already running, on another P when there are several.
+// own event is the next one, p simply carries on; otherwise it leaves
+// the process picked in hand and switches back to Run.
 func (p *Proc) park() {
 	e := p.e
 	q := e.next()
 	if q == p {
 		return
 	}
-	e.pass(q)
-	<-p.wake
-}
-
-// pass hands the engine to q, or back to Run when q is nil (nothing can
-// run: the end of the run, or a deadlock).
-func (e *Engine) pass(q *Proc) {
-	if q == nil {
-		e.yield <- struct{}{}
-		return
-	}
-	q.wake <- struct{}{}
+	e.hand = q
+	p.yield(struct{}{})
 }
 
 // Sleep suspends the process for d of virtual time. Sleep(0) yields,
@@ -367,19 +354,20 @@ func (d *Deadlock) Error() string {
 }
 
 // Run executes scheduled processes until none remain. It must be called
-// from the goroutine that owns the engine (not a managed process), and at
-// most once. It resumes the first process and then waits for the engine
-// to be passed back, which happens once: when a parking or finishing
-// process finds no event left to fire. It returns a *Deadlock error if
-// processes remain parked then; otherwise nil.
+// by the engine's owner — which is not one of its processes, but may be a
+// process of another engine — and at most once. It resumes one process
+// after another, each the one the last left in hand, until a parking or
+// finishing process finds no event left to fire. It returns a *Deadlock
+// error if processes remain parked then; otherwise nil. A panic in a
+// process comes out of Run with its value.
 func (e *Engine) Run() error {
 	if e.started {
 		return fmt.Errorf("sim: Run called twice")
 	}
 	e.started = true
-	if p := e.next(); p != nil {
-		p.wake <- struct{}{}
-		<-e.yield
+	for p := e.next(); p != nil; p = e.hand {
+		e.hand = nil
+		p.resume()
 	}
 	if len(e.live) == 0 {
 		e.flushBatch()
@@ -397,7 +385,7 @@ func (e *Engine) Run() error {
 
 // next fires events until one resumes a process and returns that
 // process, nil when no event is pending. It is the whole scheduler, and it
-// runs on whichever goroutine holds the engine. Every event fired counts
+// runs in whichever process parks or finishes (in Run, for the first). Every event fired counts
 // as one dispatch: a posted one, and a process's wakeup even when the
 // process is the caller itself.
 //
@@ -455,11 +443,11 @@ func (e *Engine) flushBatch() {
 	}
 }
 
-// reapFree terminates pooled worker goroutines once the run is over so
-// finished engines do not pin idle goroutines.
+// reapFree stops pooled coroutines once the run is over so finished
+// engines do not pin idle goroutines.
 func (e *Engine) reapFree() {
 	for i, p := range e.free {
-		close(p.wake)
+		p.stop()
 		e.free[i] = nil
 	}
 	e.free = nil

@@ -108,32 +108,3 @@ func (a *AccessPattern) Next() int64 {
 	}
 	return a.rng.Int63n(a.n)
 }
-
-// Stencil1D describes an out-of-core 1-D stencil sweep: n points split
-// into p partitions, each needing halo neighbours per pass — the
-// workload behind the §5 boundary-data discussion and the PDA paging
-// model.
-type Stencil1D struct {
-	Points int64
-	Parts  int
-	Halo   int64
-}
-
-// BasePerPart reports the owned points per partition (last may be short).
-func (s Stencil1D) BasePerPart() int64 {
-	return (s.Points + int64(s.Parts) - 1) / int64(s.Parts)
-}
-
-// OwnedRange reports the points partition p owns (no halo).
-func (s Stencil1D) OwnedRange(p int) (first, end int64) {
-	base := s.BasePerPart()
-	first = int64(p) * base
-	end = first + base
-	if first > s.Points {
-		first = s.Points
-	}
-	if end > s.Points {
-		end = s.Points
-	}
-	return first, end
-}

@@ -108,23 +108,3 @@ func TestAccessPatterns(t *testing.T) {
 		t.Fatalf("zipf rank0 %d not clearly hotter than uniform %d", zc[0], counts[0])
 	}
 }
-
-func TestStencilRanges(t *testing.T) {
-	s := Stencil1D{Points: 100, Parts: 4, Halo: 2}
-	if s.BasePerPart() != 25 {
-		t.Fatalf("base = %d", s.BasePerPart())
-	}
-	f, e := s.OwnedRange(3)
-	if f != 75 || e != 100 {
-		t.Fatalf("part3 owned [%d,%d)", f, e)
-	}
-	// Owned ranges tile the domain.
-	var covered int64
-	for p := 0; p < 4; p++ {
-		of, oe := s.OwnedRange(p)
-		covered += oe - of
-	}
-	if covered != 100 {
-		t.Fatalf("owned ranges cover %d points", covered)
-	}
-}

@@ -341,8 +341,10 @@
 // scenario costs the simulated machine is fixed by the model, and the
 // engine is built so that what it costs the host grows with actual
 // activity, not with machine size. The engine keeps pending events in
-// an indexed heap with in-place re-schedule and recycles process shells
-// (goroutine + wake channel) across spawns; the exchange layer's sparse
+// an indexed heap with in-place re-schedule, runs each process as a
+// coroutine that its Run loop resumes with one coroutine switch, and
+// recycles process shells (struct + coroutine) across spawns; the
+// exchange layer's sparse
 // collectives (internal/mpp's SparseExchange, whose Round charges every
 // exchange; AlltoallvSparse is its one-round form) carry
 // explicit message lists with by-reference payload delivery (or a size
