@@ -28,20 +28,24 @@ import (
 )
 
 // BatchPlan is a prepared cross-file batch split into issue windows.
-// Build one with BatchVec.Plan; issue a window, or a range of them as if
-// it had not been cut, with ReadWindows and WriteWindows. A plan's runs are immutable and it may be
-// issued any number of times, in any window order, concurrently under an
-// engine.
+// Build one with BatchVec.Plan, or from descriptors already mapped with
+// MappedPlan; issue a window, or a range of them as if it had not been
+// cut, with ReadWindows and WriteWindows. A plan's runs are immutable and
+// it may be issued any number of times, in any window order,
+// concurrently under an engine.
 type BatchPlan struct {
 	store Store
 	bs    int64
-	// wins holds each window's merged gather runs (absolute physical
-	// blocks). Their Segs hold buffer-space offsets, bound to the caller's
-	// space at issue time. runs and segs are the arrays they are slices
-	// of, which PlanInto reuses.
-	wins [][]Run
-	runs []Run
-	segs []Seg
+	// wins holds each window's gather runs (absolute physical blocks):
+	// merged in (device, block) order, or on a plan of mapped descriptors
+	// (apart) their runs as mapped, consecutive stretches of runs. Their
+	// Segs hold buffer-space offsets, bound to the caller's space at issue
+	// time. runs and segs are the arrays they are slices of, which
+	// PlanInto reuses.
+	wins  [][]Run
+	runs  []Run
+	segs  []Seg
+	apart bool
 }
 
 // Plan validates and maps the batch once, splitting its physical pieces
@@ -68,6 +72,7 @@ func (b BatchVec) Plan(cuts []int64) (*BatchPlan, error) {
 func (b BatchVec) PlanInto(dst *BatchPlan, cuts []int64) error {
 	dst.wins = slices.Grow(dst.wins[:0], len(cuts)+1)[:len(cuts)+1]
 	clear(dst.wins)
+	dst.apart = false
 	if len(b) == 0 {
 		return nil
 	}
@@ -111,6 +116,68 @@ func (b BatchVec) PlanInto(dst *BatchPlan, cuts []int64) error {
 	return nil
 }
 
+// MappedPlan prepares mapped descriptors as one plan that issues exactly
+// their runs: nothing is sorted or merged, so no run of one descriptor
+// joins a run of another — joining them is work a caller may have to pay
+// for elsewhere (a collective's exchange), not something the issue gives
+// away. Descriptor i's segments address the plan's buffer space at
+// offset at[i]. The runs go out in the order the drives would receive
+// them were every descriptor issued at one instant by a process of its
+// own (Direct.Transfer): every descriptor's first run, then the others,
+// descriptor by descriptor — the order Dry.Vectored queues them in, so a
+// dry issue of the descriptors one by one prices the plan issued whole.
+// window > 0 cuts the plan between runs, each window as many whole runs
+// as fit in window bytes (at least one); windows issued together are
+// their runs back to back, one transfer. 0: one window.
+func MappedPlan(ms []Mapped, at []int64, window int64) (*BatchPlan, error) {
+	pl := &BatchPlan{apart: true}
+	nrun, nseg := 0, 0
+	for i, m := range ms {
+		if m.set == nil {
+			continue
+		}
+		switch {
+		case pl.store == nil:
+			pl.store, pl.bs = m.set.store, int64(m.set.store.BlockSize())
+		case m.set.store != pl.store:
+			return nil, fmt.Errorf("blockio: MappedPlan descriptor %d is on a different store", i)
+		}
+		nrun += len(m.runs)
+		for _, r := range m.runs {
+			nseg += len(r.Segs)
+		}
+	}
+	pl.runs, pl.segs = make([]Run, 0, nrun), make([]Seg, 0, nseg)
+	add := func(r Run, off int64) {
+		s0 := len(pl.segs)
+		for _, sg := range r.Segs {
+			pl.segs = append(pl.segs, Seg{BufOff: sg.BufOff + off, Blocks: sg.Blocks})
+		}
+		r.Segs = pl.segs[s0:len(pl.segs):len(pl.segs)]
+		pl.runs = append(pl.runs, r)
+	}
+	for i, m := range ms {
+		if len(m.runs) > 0 {
+			add(m.runs[0], at[i])
+		}
+	}
+	for i, m := range ms {
+		for j := 1; j < len(m.runs); j++ {
+			add(m.runs[j], at[i])
+		}
+	}
+	lo, bytes := 0, int64(0)
+	for i, r := range pl.runs {
+		if n := r.N * pl.bs; window > 0 && i > lo && bytes+n > window {
+			pl.wins = append(pl.wins, pl.runs[lo:i:i])
+			lo, bytes = i, 0
+		}
+		bytes += r.N * pl.bs
+	}
+	pl.wins = append(pl.wins, pl.runs[lo:len(pl.runs):len(pl.runs)])
+	return pl, nil
+}
+
 // Uncut appends to dst the plan's runs as if it had no cuts — every
 // window's, neighbours on a drive joined, in (device, block) order —
 // without their segments: where the whole batch lies on the drives.
@@ -123,7 +190,7 @@ func (pl *BatchPlan) Uncut(dst []Run) []Run {
 	return dst
 }
 
-// Windows reports the number of issue windows (len(cuts)+1).
+// Windows reports the number of issue windows.
 func (pl *BatchPlan) Windows() int { return len(pl.wins) }
 
 // WindowRuns reports how many device requests window w issues
@@ -142,6 +209,15 @@ func (pl *BatchPlan) WindowBlocks(w int) int64 {
 // WindowBytes reports the bytes window w transfers.
 func (pl *BatchPlan) WindowBytes(w int) int64 { return pl.WindowBlocks(w) * pl.bs }
 
+// Bytes reports the bytes the whole plan transfers.
+func (pl *BatchPlan) Bytes() int64 {
+	var n int64
+	for w := range pl.wins {
+		n += pl.WindowBytes(w)
+	}
+	return n
+}
+
 // ReadWindows reads the windows [w0, w1) into the buffer space sp: a
 // segment at plan offset o lands at space offset o. Every merged run is
 // one scatter device request; runs proceed in parallel across devices
@@ -150,7 +226,9 @@ func (pl *BatchPlan) WindowBytes(w int) int64 { return pl.WindowBlocks(w) * pl.b
 // are neighbours on a drive are one device request, so every window of a
 // plan issued together is exactly the uncut plan's transfer. This is how
 // a server that cuts a call into windows only to be able to stop between
-// them (ioserver) pays nothing for the cuts it does not use.
+// them (ioserver) pays nothing for the cuts it does not use. A plan of
+// mapped descriptors (MappedPlan) joins nothing: its windows issued
+// together are their runs back to back.
 func (pl *BatchPlan) ReadWindows(ctx sim.Context, w0, w1 int, sp Space) error {
 	return pl.windows(ctx, "ReadWindow", false, w0, w1, sp)
 }
@@ -163,7 +241,8 @@ func (pl *BatchPlan) WriteWindows(ctx sim.Context, w0, w1 int, sp Space) error {
 
 // windows checks that sp covers every segment of the windows [w0, w1),
 // then issues their runs: one window's as they are, several merged
-// across the cuts in pooled scratch that lives until the issue returns.
+// across the cuts in pooled scratch that lives until the issue returns —
+// or, on a plan of mapped descriptors, back to back as they lie.
 func (pl *BatchPlan) windows(ctx sim.Context, op string, write bool, w0, w1 int, sp Space) error {
 	if w0 < 0 || w0 >= w1 || w1 > len(pl.wins) {
 		return fmt.Errorf("blockio: %s windows [%d,%d) of %d", op, w0, w1, len(pl.wins))
@@ -180,6 +259,17 @@ func (pl *BatchPlan) windows(ctx sim.Context, op string, write bool, w0, w1 int,
 	}
 	if w1-w0 == 1 {
 		return issue(ctx, pl.store, op, write, pl.wins[w0], sp, nil)
+	}
+	if pl.apart {
+		lo := 0
+		for _, w := range pl.wins[:w0] {
+			lo += len(w)
+		}
+		hi := lo
+		for _, w := range pl.wins[w0:w1] {
+			hi += len(w)
+		}
+		return issue(ctx, pl.store, op, write, pl.runs[lo:hi], sp, nil)
 	}
 	m := mergePool.Get().(*mergeScratch)
 	err := issue(ctx, pl.store, op, write, m.merge(pl.wins[w0:w1], pl.bs), sp, nil)

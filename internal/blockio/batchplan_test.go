@@ -396,3 +396,129 @@ func FuzzWindowSpace(f *testing.F) {
 		}
 	})
 }
+
+// TestMappedPlanIssuesTheDescriptors: a plan of mapped descriptors
+// (MappedPlan) issued whole by one process is the descriptors issued at
+// one instant by a process each — the same device requests, to the
+// nanosecond the same modeled time, which is the dry price of the
+// descriptors walked one by one — on a seeded layout and discipline,
+// merging or not, reads over overlapping slices of the file as well as
+// disjoint ones. Its windows are whole runs, as many as fit in the
+// window bytes (at least one), and the plan moves the bytes between
+// each descriptor's blocks and its own buffer.
+func TestMappedPlanIssuesTheDescriptors(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		// draw builds the seed's machine and descriptors afresh: the two
+		// executions below each get their own identical copy.
+		draw := func() (w *dryWorld, maps []Mapped, bufs [][]byte, write bool) {
+			rng := rand.New(rand.NewSource(seed))
+			sched, merge := device.Sched(rng.Intn(2)), rng.Intn(2) == 1
+			w = newDryWorld(t, rng, 1+rng.Intn(3), sched, merge)
+			k := 2 + rng.Intn(4)
+			write = rng.Intn(2) == 1
+			overlap := !write && rng.Intn(2) == 1
+			for i := 0; i < k; i++ {
+				lo, hi := w.total*int64(i)/int64(k), w.total*int64(i+1)/int64(k)
+				if overlap {
+					lo, hi = 0, w.total
+				}
+				vec, size := w.vec(rng, lo, hi)
+				m, _, _, err := w.set.Map(vec, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				maps, bufs = append(maps, m), append(bufs, make([]byte, size))
+				rng.Read(bufs[i])
+			}
+			return w, maps, bufs, write
+		}
+		requests := func(w *dryWorld) (n int64) {
+			for _, d := range w.disks {
+				n += d.Stats().Requests()
+			}
+			return n
+		}
+
+		each, maps, bufs, write := draw()
+		var dry Dry
+		dry.Bind(each.store)
+		dry.Sync()
+		for i := range maps {
+			dry.Vectored(maps[i].Runs())
+			each.e.Go(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
+				var err error
+				if write {
+					err = maps[i].Write(p, StrategyVectored, bufs[i])
+				} else {
+					err = maps[i].Read(p, StrategyVectored, bufs[i])
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		price := dry.Flush()
+		if err := each.e.Run(); err != nil {
+			t.Fatal(err)
+		}
+
+		whole, maps, bufs, _ := draw()
+		at := make([]int64, len(maps))
+		var sp Space
+		var off, runs int64
+		for i, b := range bufs {
+			at[i] = off
+			if len(b) > 0 {
+				sp = append(sp, Piece{Off: off, Buf: b})
+			}
+			off += int64(len(b))
+			runs += int64(len(maps[i].Runs()))
+		}
+		window := (1 + seed%4) * whole.bs
+		pl, err := MappedPlan(maps, at, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int
+		var bytes int64
+		for w := 0; w < pl.Windows(); w++ {
+			n += pl.WindowRuns(w)
+			if wb := pl.WindowBytes(w); wb > window && pl.WindowRuns(w) > 1 {
+				t.Errorf("seed %d: window %d moves %d bytes in %d runs, over the %d-byte window", seed, w, wb, pl.WindowRuns(w), window)
+			}
+			bytes += pl.WindowBytes(w)
+		}
+		if int64(n) != runs || bytes != pl.Bytes() {
+			t.Errorf("seed %d: the plan's windows hold %d runs and %d bytes, the descriptors %d runs, the plan %d bytes", seed, n, bytes, runs, pl.Bytes())
+		}
+		whole.e.Go("server", func(p *sim.Proc) {
+			if write {
+				err = pl.WriteWindows(p, 0, pl.Windows(), sp)
+			} else {
+				err = pl.ReadWindows(p, 0, pl.Windows(), sp)
+			}
+		})
+		if err := whole.e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if each.e.Now() != price || whole.e.Now() != price || requests(whole) != requests(each) {
+			t.Errorf("seed %d (write %v): a process a descriptor took %v in %d requests, one plan %v in %d, the dry price %v",
+				seed, write, each.e.Now(), requests(each), whole.e.Now(), requests(whole), price)
+		}
+		// Every descriptor's bytes went to or came from its own buffer: what
+		// it reads now is what its buffer holds (the bytes written, or the
+		// drives' zeros over the seeded fill).
+		for i, m := range maps {
+			got := make([]byte, len(bufs[i]))
+			if err := m.Read(sim.NewWall(), StrategyVectored, got); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(bufs[i], got) {
+				t.Errorf("seed %d (write %v): descriptor %d's buffer and its blocks differ after the plan", seed, write, i)
+			}
+		}
+	}
+}

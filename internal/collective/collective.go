@@ -121,11 +121,12 @@ type Options struct {
 	// among the jobs between them — so another job waits for at most a
 	// window of this one's call. The server uses a cut only when another
 	// job is queued; a call it serves alone costs what it would uncut. 0:
-	// one window, the whole call.
+	// one window, the whole call. On the vectored route the cuts fall
+	// between the ranks' runs, a window as many whole runs as fit.
 	ChunkBytes int64
 
-	// Strategy selects the access route of the blocking collective
-	// calls. The zero value (and blockio.StrategyCollective) keeps the
+	// Strategy selects the access route of a collective call. The zero
+	// value (and blockio.StrategyCollective) keeps the
 	// two-phase exchange; StrategyVectored/StrategySieved route every
 	// rank's requests as independent vectored/sieved Set transfers
 	// (skipping the exchange entirely); StrategyAuto prices the three
@@ -149,8 +150,17 @@ type Options struct {
 	// The other settings never price and run the equal rounds ChunkBytes
 	// asks for: one, when it is 0.
 	// LastRoute says "two-phase" for either. Plan validation and
-	// cross-rank overlap rejection are identical on every route. The nonblocking entry points (Service) always run
-	// two-phase on the logical partition, one window per domain.
+	// cross-rank overlap rejection are identical on every route.
+	//
+	// The nonblocking entry points (Service) take two of the routes:
+	// two-phase on the logical partition, and vectored, whose request to
+	// the server is every rank's runs as they are, none joined to another
+	// rank's — joining them is what the exchange pays for. StrategyAuto
+	// prices the two in the shape they run in: one whole-call exchange
+	// round then the call-wide request, against the ranks' runs. The
+	// server issues no read-modify-write, so StrategySieved runs them
+	// two-phase, as does a call some rank's requests of which are no
+	// valid independent descriptor.
 	Strategy blockio.Strategy
 }
 
@@ -216,6 +226,7 @@ type Collective struct {
 	reqs  [][]VecReq
 	bufs  [][]byte
 	errs  []error
+	err   error // the call's errors, joined by rank 0
 	sched *schedule
 	plErr error
 	route route
@@ -402,19 +413,21 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 		c.stats.AccessTime = probe.Union(c.ioIv)
 		c.stats.Overlap = probe.Overlap(c.commIv, c.ioIv)
 		c.explain(rec, prefix, sd, tPlan, p.Now())
-	}
-	var errs []error
-	for r, err := range c.errs {
-		if err != nil {
-			errs = append(errs, fmt.Errorf("rank %d: %w", r, err))
+		// Every rank has left its slot by now: join them once, for all.
+		var errs []error
+		for r, err := range c.errs {
+			if err != nil {
+				errs = append(errs, fmt.Errorf("rank %d: %w", r, err))
+			}
 		}
+		c.err = errors.Join(errs...)
 	}
-	// Hold everyone until all ranks have read the error scratch: a rank
-	// returning early could re-enter on a reused handle and clear its
-	// slot before slower ranks join the errors
-	// (TestCollectiveReuseErrorVisibility).
+	// Hold everyone until rank 0 has joined the errors: a rank returning
+	// early could re-enter on a reused handle and clear its slot first
+	// (TestCollectiveReuseErrorVisibility). Rank 0 joins the next call's
+	// only after every rank has re-entered, so each returns this one.
 	p.Barrier()
-	return errors.Join(errs...)
+	return c.err
 }
 
 // RecordRangeReq builds the VecReq covering records [firstRec,

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -630,5 +631,39 @@ func TestCollectiveExchangeStatsRead(t *testing.T) {
 	st := col.LastStats()
 	if want := int64(8 * testBS); st.BytesMoved != want || st.BytesLocal != 0 {
 		t.Fatalf("stats = %+v, want %d moved / 0 local", st, want)
+	}
+}
+
+// TestCollectiveErrorReachesEveryRank: rank 0 joins the call's errors
+// once, and every rank returns that one error — also a rank that is the
+// last out of the call's work, here the only rank with anything to
+// write, whose blocks lie on a failed drive. It must wait for rank 0's
+// join rather than read the error before it is made.
+func TestCollectiveErrorReachesEveryRank(t *testing.T) {
+	const nRanks = 4
+	e, g, disks := collectiveFixture(t, storeDirect, testPlacements[0].spec)
+	col, err := Open(g, nRanks, Options{Strategy: blockio.StrategyVectored})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disks[2].Fail()
+	errs := make([]error, nRanks)
+	_, join := mpp.Run(e, nRanks, "w", func(p *mpp.Proc) {
+		var reqs []VecReq
+		buf := make([]byte, 8*testBS)
+		if p.Rank() == nRanks-1 {
+			reqs = []VecReq{{File: 0, Vec: blockio.Vec{{Block: 0, N: 8}}}}
+		}
+		errs[p.Rank()] = col.WriteAll(p, reqs, buf)
+	})
+	e.Go("join", func(sp *sim.Proc) { join.Wait(sp) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("rank %d: ", nRanks-1)
+	for r, err := range errs {
+		if err == nil || !strings.HasPrefix(err.Error(), want) || !errors.Is(err, device.ErrFailed) {
+			t.Errorf("rank %d: error %v, want rank %d's drive failure", r, err, nRanks-1)
+		}
 	}
 }

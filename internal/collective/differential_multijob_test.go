@@ -72,6 +72,9 @@ func genMultijob(seed int64) *mjScenario {
 			opts: Options{
 				Aggregators: rng.Intn(5),
 				Locality:    rng.Intn(2) == 1,
+				// Every route a nonblocking call takes: two-phase always,
+				// vectored always, and whichever StrategyAuto prices cheaper.
+				Strategy: []blockio.Strategy{blockio.StrategyDefault, blockio.StrategyAuto, blockio.StrategyVectored}[(int(seed)+j)%3],
 			},
 		}
 		// Four draws once set last-writer-wins and the lane's weight,
@@ -211,9 +214,10 @@ func (sc *mjScenario) build(t *testing.T, e *sim.Engine, service []*ioserver.Job
 // runScheduled executes every job concurrently through the shared
 // server, every handle at ChunkBytes chunk — the server may stop a call
 // after every chunk bytes of it and serve another job — and returns the
-// final whole-store image and in how many dispatches beyond one a call
-// the server did it.
-func (sc *mjScenario) runScheduled(t *testing.T, chunk int64) (img []byte, cut int64) {
+// final whole-store image, in how many dispatches beyond one a call the
+// server did it, and how many calls took each route (LastRoute).
+func (sc *mjScenario) runScheduled(t *testing.T, chunk int64) (img []byte, cut int64, routes map[string]int) {
+	routes = map[string]int{}
 	e := sim.NewEngine()
 	srv := ioserver.New(ioserver.Config{Workers: sc.workers, Policy: sc.policy})
 	lanes := make([]*ioserver.Job, len(sc.jobs))
@@ -234,6 +238,9 @@ func (sc *mjScenario) runScheduled(t *testing.T, chunk int64) (img []byte, cut i
 					t.Errorf("seed %d job %d write %d rank %d: %v", sc.seed, j, wi, r, err)
 					return
 				}
+				if r == 0 {
+					routes[col.LastRoute()]++
+				}
 				p.Compute(job.compute)
 				if err := h.Wait(p); err != nil {
 					t.Errorf("seed %d job %d write %d rank %d: %v", sc.seed, j, wi, r, err)
@@ -244,6 +251,9 @@ func (sc *mjScenario) runScheduled(t *testing.T, chunk int64) (img []byte, cut i
 			if err != nil {
 				t.Errorf("seed %d job %d read rank %d: %v", sc.seed, j, r, err)
 				return
+			}
+			if r == 0 {
+				routes[col.LastRoute()]++
 			}
 			p.Compute(job.compute)
 			if err := h.Wait(p); err != nil {
@@ -272,7 +282,7 @@ func (sc *mjScenario) runScheduled(t *testing.T, chunk int64) (img []byte, cut i
 		}
 		cut += st.Dispatches - st.Completed
 	}
-	return readAllBlocks(t, all), cut
+	return readAllBlocks(t, all), cut, routes
 }
 
 // runSerialized executes the same workload job-after-job (job j+1's
@@ -316,20 +326,25 @@ func (sc *mjScenario) runSerialized(t *testing.T) []byte {
 }
 
 // TestDifferentialMultijob: 18 seeded scenarios sweeping store kind ×
-// layout × policy × worker count × lane configs. Scheduled and
-// serialized executions must produce byte-identical images, both equal
-// to the serial reference model — with every call one server request,
-// and again with every handle at ChunkBytes of two blocks, so that a
-// call of any size is three windows or more and the server interleaves
-// the jobs inside their calls.
+// layout × policy × worker count × lane configs × route strategy.
+// Scheduled and serialized executions must produce byte-identical
+// images, both equal to the serial reference model — with every call
+// one server request, and again with every handle at ChunkBytes of two
+// blocks, so that a call of any size is three windows or more and the
+// server interleaves the jobs inside their calls. The sweep must have
+// sent both routes of a nonblocking call through the server.
 func TestDifferentialMultijob(t *testing.T) {
 	var cut int64
+	routes := map[string]int{}
 	for seed := int64(0); seed < 18; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			sc := genMultijob(seed)
-			scheduled, _ := sc.runScheduled(t, 0)
-			windowed, n := sc.runScheduled(t, 2*testBS)
+			scheduled, _, rt := sc.runScheduled(t, 0)
+			windowed, n, _ := sc.runScheduled(t, 2*testBS)
 			cut += n
+			for route, k := range rt {
+				routes[route] += k
+			}
 			serialized := sc.runSerialized(t)
 			if !bytes.Equal(scheduled, serialized) {
 				t.Fatalf("seed %d: scheduled image diverges from serialized image", seed)
@@ -346,7 +361,10 @@ func TestDifferentialMultijob(t *testing.T) {
 			}
 		})
 	}
-	t.Logf("windowed runs: %d dispatches beyond one a call", cut)
+	t.Logf("windowed runs: %d dispatches beyond one a call; calls by route %v", cut, routes)
+	if routes["two-phase"] == 0 || routes["vectored"] == 0 {
+		t.Errorf("calls by route %v: the sweep must send both routes of a nonblocking call through the server", routes)
+	}
 	if cut < 100 {
 		t.Errorf("the windowed runs were served in %d dispatches beyond one a call: the sweep does not interleave jobs inside calls", cut)
 	}

@@ -31,15 +31,16 @@ type explainProbe struct {
 }
 
 // LastPredicted reports the modeled cost StrategyAuto priced the chosen
-// candidate of the most recent successfully planned blocking call at —
-// zero when Options.Strategy fixed the route and nothing was priced.
-// Valid under the same rules as LastStats.
+// candidate of the most recent successfully planned call at, blocking or
+// nonblocking — zero when Options.Strategy fixed the route and nothing
+// was priced. Valid under the same rules as LastStats.
 func (c *Collective) LastPredicted() time.Duration { return c.predicted }
 
 // LastPrices reports what StrategyAuto priced every candidate of the most
-// recent successfully planned blocking call at — all zero when
-// Options.Strategy fixed the route and nothing was priced. LastPredicted
-// is the chosen one's. Valid under the same rules as LastStats.
+// recent successfully planned call at, blocking or nonblocking — all
+// zero when Options.Strategy fixed the route and nothing was priced.
+// LastPredicted is the chosen one's. Valid under the same rules as
+// LastStats.
 func (c *Collective) LastPrices() Prices { return c.prices }
 
 // each calls fn with every candidate's name and price, in a fixed order.

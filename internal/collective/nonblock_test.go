@@ -394,92 +394,117 @@ func checkPatternImage(t *testing.T, g *pfs.FileGroup, shift int64) {
 // TestNonblockingDriveFailure fails a drive under the I/O server: call 1
 // is in service and call 2 queued behind it (one worker, FIFO) when drive
 // 1 fail-stops. On a Direct store every rank gets the identical error
-// from each Wait, nobody hangs, the spaces come back, and after
-// Repair the same handle writes a third call cleanly. Parity and Mirror
-// absorb the failure: no error, and the image after each step is what a
-// serial writer applying the calls in order leaves.
+// from each Wait — the submitting rank's, "rank r: …" — nobody hangs,
+// the spaces and the tickets come back, and after Repair the same handle
+// writes a third call cleanly, on a ticket a failed call handed back. Parity and Mirror absorb the failure: no error, and the
+// image after each step is what a serial writer applying the calls in
+// order leaves. Both routes a nonblocking call takes are held to it:
+// two-phase, and vectored, whose request is the ranks' own runs.
 func TestNonblockingDriveFailure(t *testing.T) {
 	for _, kind := range []storeKind{storeDirect, storeParity, storeMirror} {
-		t.Run(kind.String(), func(t *testing.T) {
-			const nRanks = 8
-			e, g, disks := collectiveFixture(t, kind, testPlacements[0].spec)
-			srv, jb := serviceFor(e, ioserver.FIFO, 1)
-			col, err := Open(g, nRanks, Options{Service: jb})
-			if err != nil {
-				t.Fatal(err)
+		for _, strat := range []blockio.Strategy{blockio.StrategyDefault, blockio.StrategyVectored} {
+			name := kind.String()
+			if strat == blockio.StrategyVectored {
+				name += "-vectored"
 			}
-			// Call k writes pattern(gb + 1000k) to every block gb.
-			fill := func(buf []byte, slots []int64, k int) {
-				for i, gb := range slots {
-					pattern(gb+int64(1000*k), buf[int64(i)*testBS:int64(i+1)*testBS])
-				}
-			}
-			var errs [3][nRanks]error
-			_, join := mpp.Run(e, nRanks, "iw", func(p *mpp.Proc) {
-				rank := p.Rank()
-				reqs, buf1, slots := strideReqs(g, rank, nRanks)
-				buf2, buf3 := make([]byte, len(buf1)), make([]byte, len(buf1))
-				fill(buf1, slots, 1)
-				fill(buf2, slots, 2)
-				fill(buf3, slots, 3)
-				h1, err1 := col.IWriteAll(p, reqs, buf1)
-				h2, err2 := col.IWriteAll(p, reqs, buf2)
-				if err1 != nil || err2 != nil {
-					t.Errorf("rank %d: %v / %v", rank, err1, err2)
-					return
-				}
-				p.Barrier() // both calls are with the server
-				if rank == 0 {
-					if st := jb.Stats(); st.Submitted != 2 || st.Completed != 0 {
-						t.Errorf("at the failure: %+v, want one call in service and one queued", st)
-					}
-					disks[1].Fail()
-				}
-				errs[0][rank] = h1.Wait(p)
-				errs[1][rank] = h2.Wait(p)
-				p.Barrier()
-				if rank == 0 {
-					if len(col.spaces) != 2 {
-						t.Errorf("%d spaces back after the failed calls, want 2", len(col.spaces))
-					}
-					if kind == storeDirect {
-						disks[1].Repair()
-					}
-				}
-				p.Barrier()
-				h3, err := col.IWriteAll(p, reqs, buf3)
-				if err != nil {
-					t.Errorf("rank %d: %v", rank, err)
-					return
-				}
-				errs[2][rank] = h3.Wait(p)
-			})
-			e.Go("join", func(sp *sim.Proc) { join.Wait(sp); srv.Stop(sp) })
-			if err := e.Run(); err != nil {
-				t.Fatal(err) // a hang is a deadlock report here
-			}
-			for k, call := range errs {
-				for r, err := range call {
-					if fmt.Sprint(err) != fmt.Sprint(call[0]) {
-						t.Errorf("call %d: rank %d returned %v, rank 0 %v", k+1, r, err, call[0])
-					}
-				}
-				wantErr := kind == storeDirect && k < 2
-				if got := call[0]; (got != nil) != wantErr {
-					t.Errorf("call %d: error %v, want one: %v", k+1, got, wantErr)
-				} else if wantErr && !errors.Is(got, device.ErrFailed) {
-					t.Errorf("call %d: %v does not wrap the drive failure", k+1, got)
-				}
-			}
-			if len(col.spaces) != 2 {
-				t.Errorf("%d spaces back, want 2", len(col.spaces))
-			}
-			// The serial reference: the calls applied in order, so call 3's
-			// bytes everywhere.
-			checkPatternImage(t, g, 3000)
-		})
+			t.Run(name, func(t *testing.T) { driveFailsUnderServer(t, kind, strat) })
+		}
 		t.Run(kind.String()+"-windows", func(t *testing.T) { driveFailsBetweenWindows(t, kind) })
 	}
+}
+
+// driveFailsUnderServer is TestNonblockingDriveFailure on one store kind,
+// the handle's route fixed by strat.
+func driveFailsUnderServer(t *testing.T, kind storeKind, strat blockio.Strategy) {
+	const nRanks = 8
+	e, g, disks := collectiveFixture(t, kind, testPlacements[0].spec)
+	srv, jb := serviceFor(e, ioserver.FIFO, 1)
+	col, err := Open(g, nRanks, Options{Service: jb, Strategy: strat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	route := "two-phase"
+	if strat == blockio.StrategyVectored {
+		route = "vectored"
+	}
+	// Call k writes pattern(gb + 1000k) to every block gb.
+	fill := func(buf []byte, slots []int64, k int) {
+		for i, gb := range slots {
+			pattern(gb+int64(1000*k), buf[int64(i)*testBS:int64(i+1)*testBS])
+		}
+	}
+	var errs [3][nRanks]error
+	var tickets [2]*ioserver.Request
+	_, join := mpp.Run(e, nRanks, "iw", func(p *mpp.Proc) {
+		rank := p.Rank()
+		reqs, buf1, slots := strideReqs(g, rank, nRanks)
+		buf2, buf3 := make([]byte, len(buf1)), make([]byte, len(buf1))
+		fill(buf1, slots, 1)
+		fill(buf2, slots, 2)
+		fill(buf3, slots, 3)
+		h1, err1 := col.IWriteAll(p, reqs, buf1)
+		h2, err2 := col.IWriteAll(p, reqs, buf2)
+		if err1 != nil || err2 != nil {
+			t.Errorf("rank %d: %v / %v", rank, err1, err2)
+			return
+		}
+		p.Barrier() // both calls are with the server
+		if rank == 0 {
+			if col.LastRoute() != route {
+				t.Errorf("the calls ran %s, want %s", col.LastRoute(), route)
+			}
+			if st := jb.Stats(); st.Submitted != 2 || st.Completed != 0 {
+				t.Errorf("at the failure: %+v, want one call in service and one queued", st)
+			}
+			tickets = [2]*ioserver.Request{h1.ticket, h2.ticket}
+			disks[1].Fail()
+		}
+		errs[0][rank] = h1.Wait(p)
+		errs[1][rank] = h2.Wait(p)
+		p.Barrier()
+		if rank == 0 {
+			if len(col.spaces) != 2 {
+				t.Errorf("%d spaces back after the failed calls, want 2", len(col.spaces))
+			}
+			if kind == storeDirect {
+				disks[1].Repair()
+			}
+		}
+		p.Barrier()
+		h3, err := col.IWriteAll(p, reqs, buf3)
+		if err != nil {
+			t.Errorf("rank %d: %v", rank, err)
+			return
+		}
+		p.Barrier() // call 3 is with the server
+		if rank == 0 && h3.ticket != tickets[0] && h3.ticket != tickets[1] {
+			t.Error("call 3 took a new ticket: the failed calls' tickets are not back on the lane")
+		}
+		errs[2][rank] = h3.Wait(p)
+	})
+	e.Go("join", func(sp *sim.Proc) { join.Wait(sp); srv.Stop(sp) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err) // a hang is a deadlock report here
+	}
+	for k, call := range errs {
+		for r, err := range call {
+			if fmt.Sprint(err) != fmt.Sprint(call[0]) {
+				t.Errorf("call %d: rank %d returned %v, rank 0 %v", k+1, r, err, call[0])
+			}
+		}
+		wantErr := kind == storeDirect && k < 2
+		if got := call[0]; (got != nil) != wantErr {
+			t.Errorf("call %d: error %v, want one: %v", k+1, got, wantErr)
+		} else if wantErr && (!errors.Is(got, device.ErrFailed) || !strings.HasPrefix(got.Error(), "rank ")) {
+			t.Errorf("call %d: %v is not the submitting rank's drive failure", k+1, got)
+		}
+	}
+	if len(col.spaces) != 2 {
+		t.Errorf("%d spaces back, want 2", len(col.spaces))
+	}
+	// The serial reference: the calls applied in order, so call 3's
+	// bytes everywhere.
+	checkPatternImage(t, g, 3000)
 }
 
 // backlogLane gives the server a second job with n one-block reads of
@@ -546,6 +571,7 @@ func driveFailsBetweenWindows(t *testing.T, kind storeKind) {
 		}
 	}
 	var errs [3][nRanks]error
+	var tickets [2]*ioserver.Request
 	_, join := mpp.Run(e, nRanks, "iw", func(p *mpp.Proc) {
 		rank := p.Rank()
 		reqs, buf1, slots := strideReqs(g, rank, nRanks)
@@ -558,6 +584,9 @@ func driveFailsBetweenWindows(t *testing.T, kind storeKind) {
 		if err1 != nil || err2 != nil {
 			t.Errorf("rank %d: %v / %v", rank, err1, err2)
 			return
+		}
+		if h2.ticket != nil { // the last rank out of call 2 has submitted both
+			tickets = [2]*ioserver.Request{h1.ticket, h2.ticket}
 		}
 		errs[0][rank] = h1.Wait(p)
 		errs[1][rank] = h2.Wait(p)
@@ -580,6 +609,10 @@ func driveFailsBetweenWindows(t *testing.T, kind storeKind) {
 		if err != nil {
 			t.Errorf("rank %d: %v", rank, err)
 			return
+		}
+		p.Barrier() // call 3 is with the server
+		if rank == 0 && h3.ticket != tickets[0] && h3.ticket != tickets[1] {
+			t.Error("call 3 took a new ticket: the failed calls' tickets are not back on the lane")
 		}
 		errs[2][rank] = h3.Wait(p)
 	})
@@ -688,10 +721,11 @@ func TestNonblockingHandleNeverWaited(t *testing.T) {
 // TestNonblockingKeepsLogicalPartition: a handle's blocking and
 // nonblocking calls share one schedule cache but never one schedule.
 // Under StrategyAuto a WriteAll of lists an IWriteAll already planned is
-// still priced (here onto the drive-aligned partition), and an IWriteAll
-// of lists a WriteAll put on the aligned partition still runs on the
-// logical one — behind a server lane the workers bound device
-// parallelism, and drive-spanning batches are what keep the drives busy.
+// still priced afresh (here onto the drive-aligned partition), and an
+// IWriteAll of lists a WriteAll put on the aligned partition still runs
+// on the logical one — the aligned partition is never offered to a
+// nonblocking call, whose request to the server is call-wide whatever
+// the partition.
 func TestNonblockingKeepsLogicalPartition(t *testing.T) {
 	const nRanks = 8
 	e, g, _ := collectiveFixture(t, storeDirect, testPlacements[1].spec)
@@ -730,7 +764,7 @@ func TestNonblockingKeepsLogicalPartition(t *testing.T) {
 			}
 			p.Barrier()
 		}
-		step(true, false, 1) // planned for istart: logical, unpriced
+		step(true, false, 1) // planned for istart: logical, no aligned candidate
 		step(false, true, 2) // same lists, blocking: priced afresh
 		step(true, false, 2) // replays the logical schedule, not the aligned one
 		step(false, true, 2) // and the reverse
@@ -801,6 +835,79 @@ func TestIWriteAllReentry(t *testing.T) {
 		pattern(b+1000*(call+1), want)
 		if !bytes.Equal(got[b*testBS:(b+1)*testBS], want) {
 			t.Errorf("block %d of file a does not hold call %d's bytes", b, call)
+		}
+	}
+}
+
+// TestNonblockingTicketRecycles: a replayed IWriteAll/Wait loop, the
+// shape of multijob_qos's small jobs, is served on one server ticket.
+// Rank 0's Wait hands it back to the lane, and every later call's
+// submission takes that ticket again instead of a new one — on both
+// routes, and across a read between the writes. Test stays true on
+// every rank once its Wait has returned, with the ticket gone from the
+// handle.
+func TestNonblockingTicketRecycles(t *testing.T) {
+	for _, strat := range []blockio.Strategy{blockio.StrategyDefault, blockio.StrategyVectored} {
+		const nRanks, calls = 8, 4
+		e, g, _ := collectiveFixture(t, storeDirect, testPlacements[0].spec)
+		srv, jb := serviceFor(e, ioserver.FairShare, 2)
+		col, err := Open(g, nRanks, Options{Service: jb, Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first *ioserver.Request
+		routes := map[string]int{}
+		_, join := mpp.Run(e, nRanks, "iw", func(p *mpp.Proc) {
+			reqs, buf, _ := strideReqs(g, p.Rank(), nRanks)
+			for i := 0; i < 2*calls; i++ {
+				var h *Handle
+				var err error
+				if i%2 == 0 {
+					h, err = col.IWriteAll(p, reqs, buf)
+				} else {
+					h, err = col.IReadAll(p, reqs, buf)
+				}
+				if err != nil {
+					t.Errorf("rank %d call %d: %v", p.Rank(), i, err)
+					return
+				}
+				p.Barrier() // every rank is out of its eager half: submitted
+				if p.Rank() == 0 {
+					routes[col.LastRoute()]++
+					if first == nil {
+						first = h.ticket
+					} else if h.ticket != first {
+						t.Errorf("%v call %d: a new ticket, with the last call's released", strat, i)
+					}
+				}
+				if err := h.Wait(p); err != nil {
+					t.Errorf("rank %d call %d: %v", p.Rank(), i, err)
+				}
+				if !h.Test(p) {
+					t.Errorf("rank %d call %d: Test false after Wait", p.Rank(), i)
+				}
+				p.Barrier() // rank 0 has released the ticket
+				if h.ticket != nil {
+					t.Errorf("rank %d call %d: the handle keeps its released ticket", p.Rank(), i)
+				}
+			}
+		})
+		e.Go("join", func(sp *sim.Proc) { join.Wait(sp); srv.Stop(sp) })
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := "two-phase"
+		if strat == blockio.StrategyVectored {
+			want = "vectored"
+		}
+		if routes[want] != 2*calls {
+			t.Errorf("%v: routes %v, want every call %s", strat, routes, want)
+		}
+		if col.hits < 2*calls-2 {
+			t.Errorf("%v: %d schedule replays, want the calls after the first two replayed", strat, col.hits)
+		}
+		if st := jb.Stats(); st.Submitted != 2*calls || st.Completed != 2*calls {
+			t.Errorf("%v: server accounting %+v", strat, st)
 		}
 	}
 }

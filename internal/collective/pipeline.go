@@ -75,9 +75,9 @@
 // partitions or the two cuts apart.
 //
 // The nonblocking calls (nonblock.go) hand their device phase to an I/O
-// server instead, but size their messages with the same helpers and bind
-// the same frozen table: round 0 of every domain, the whole call as one
-// space.
+// server instead, but on the two-phase route size their messages with
+// the same helpers and bind the same frozen table: round 0 of every
+// domain, the whole call as one space.
 
 package collective
 

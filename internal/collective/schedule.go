@@ -92,7 +92,9 @@ type schedule struct {
 	// partition). A nonblocking call is one request to the I/O server, the
 	// drives one run each where the footprint allows, cut every
 	// Options.ChunkBytes of the call's space into the windows the server may
-	// stop between. Built with the schedule (rank 0, newSchedule).
+	// stop between; on the vectored route that request is every rank's
+	// runs as priced (mappedPlan). Built with the schedule (rank 0,
+	// newSchedule).
 	cut *cutPlan
 	// tab is a two-phase schedule's buffer space: every chunk of every
 	// domain as pieces of the ranks' buffers, overlaps resolved
@@ -306,13 +308,17 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedul
 // partition — the logical one on pl, or when StrategyAuto prices the
 // drive-aligned partition cheaper pl.aligned — with its cut plan and
 // piece table, built fresh and exactly sized; everything a price was put
-// on stays in the scratch. Nonblocking calls are never priced: they
-// always run two-phase on the logical partition. Their device phase is
-// one call-wide request whatever the partition, so the domains only say
-// which rank sizes which messages; Options.ChunkBytes cuts that request —
-// not the domains — into the windows the server issues it in and may
-// serve other jobs between (0: one window, the whole call). The
-// signature is copied so no fingerprint scratch is retained.
+// on stays in the scratch. Nonblocking calls are priced like blocking
+// ones, in the shape they run in (chooseRoute), and run two-phase on the
+// logical partition or vectored. Their device phase is one request to
+// the I/O server: two-phase, the call-wide plan, whatever the partition,
+// so the domains only say which rank sizes which messages; vectored,
+// every rank's mapped runs as they were priced, none joined to another
+// rank's (blockio.MappedPlan), each rank's at its offset in the call's
+// space (bindRanks). Options.ChunkBytes cuts that request — not the
+// domains — into the windows the server issues it in and may serve other
+// jobs between (0: one window, the whole call). The signature is copied
+// so no fingerprint scratch is retained.
 func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool, opts Options, key uint64, sig []uint64) (*schedule, error) {
 	sd := &schedule{
 		pl:     pl,
@@ -327,17 +333,20 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 			}
 		}
 	}
-	ch := choice{route: routeTwoPhase}
-	switch {
-	case nonblocking:
-	case c.forcePart != nil:
+	var ch choice
+	if c.forcePart != nil && !nonblocking {
 		ch = *c.forcePart
-	default:
-		ch = c.chooseRoute(p, sd, write)
+	} else {
+		ch = c.chooseRoute(p, sd, write, nonblocking, opts)
 	}
 	sd.route, sd.predicted, sd.prices, sd.depths = ch.route, ch.predicted, ch.prices, ch.depths
 	if ch.route != routeTwoPhase {
-		return sd, nil // independent routes: no exchange, no aggregators
+		// Independent routes: no exchange, no aggregators. A nonblocking
+		// call's runs are mapped in the scratch (chooseRoute).
+		if nonblocking {
+			return sd, c.mappedPlan(sd)
+		}
+		return sd, nil
 	}
 	sc := &c.build
 	if ch.aligned {
@@ -383,6 +392,49 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 	}
 	sc.cuts, sd.cut.plan = cuts, new(blockio.BatchPlan)
 	return sd, pl.batchVec(0, pl.total, sc).PlanInto(sd.cut.plan, cuts)
+}
+
+// mappedPlan prepares a nonblocking call's vectored route: every rank's
+// mapped descriptors (in the scratch) as one server request that issues
+// exactly their runs, rank r's at its offset in the call's space
+// (bindRanks), cut between runs every Options.ChunkBytes.
+func (c *Collective) mappedPlan(sd *schedule) error {
+	ind := &c.build.mapped
+	at := make([]int64, len(ind.ms))
+	var off int64
+	i := 0
+	for r, ms := range ind.ind {
+		for range ms {
+			at[i] = off
+			i++
+		}
+		off += sd.minBuf[r]
+	}
+	var window int64 // whole blocks, at least one
+	if c.opts.ChunkBytes > 0 {
+		window = max(c.opts.ChunkBytes/sd.pl.bs, 1) * sd.pl.bs
+	}
+	pl, err := blockio.MappedPlan(ind.ms, at, window)
+	if err != nil {
+		return err
+	}
+	sd.cut = &cutPlan{plan: pl}
+	return nil
+}
+
+// bindRanks binds a vectored schedule's space to the callers' buffers:
+// rank r's at the sum of the lengths every lower rank's requests address
+// (minBuf), as mappedPlan placed its runs.
+func (sd *schedule) bindRanks(sp blockio.Space, bufs [][]byte) blockio.Space {
+	sp = sp[:0]
+	var off int64
+	for r, n := range sd.minBuf {
+		if n > 0 {
+			sp = append(sp, blockio.Piece{Off: off, Buf: bufs[r][:n]})
+		}
+		off += n
+	}
+	return sp
 }
 
 // bufsFit reports whether every rank's current buffer is long enough

@@ -70,15 +70,17 @@ func (r route) String() string {
 }
 
 // LastRoute reports which route the most recent successfully planned
-// blocking call took ("two-phase", "vectored", "sieved") — observability
-// for sweeps and tests. Valid under the same rules as LastStats.
+// call, blocking or nonblocking, took ("two-phase", "vectored",
+// "sieved") — observability for sweeps and tests. Valid under the same
+// rules as LastStats.
 func (c *Collective) LastRoute() string { return c.route.String() }
 
 // Prices is what StrategyAuto priced the candidates of one call at: the
 // independent routes, two-phase on the logical partition at the rounds
-// Options.ChunkBytes gives it, and two-phase on the drive-aligned
-// partition at its cheapest depth. Zero: not priced, or (Aligned) not
-// offered.
+// Options.ChunkBytes gives it (a nonblocking call: one round, then the
+// call-wide request), and two-phase on the drive-aligned partition at
+// its cheapest depth. Zero: not priced, or (Sieved and Aligned, which a
+// nonblocking call is not offered) not offered.
 type Prices struct {
 	Vectored, Sieved, TwoPhase, Aligned time.Duration
 }
@@ -140,42 +142,63 @@ type unionAt struct {
 // after newPlan succeeds, on the schedule under construction; it is a
 // pure function of the plan, the gathered requests and the modeled
 // machine, so the choice is deterministic. sd.pl holds the segments and
-// the handle's scratch their union. Everything a price is put on is built
-// in the scratch — the mapped descriptors, the logical partition and its
-// cut plan — and the aligned partition is priced from where the same
-// footprint lies on the drives; the schedule keeps a copy of the winner's
-// (newSchedule).
-func (c *Collective) chooseRoute(p *mpp.Proc, sd *schedule, write bool) choice {
+// the handle's scratch their union; opts are the options the plan was
+// validated under. Everything a price is put on is built in the scratch
+// — the mapped descriptors, the logical partition and its cut plan — and
+// the aligned partition is priced from where the same footprint lies on
+// the drives; the schedule keeps a copy of the winner's (newSchedule).
+//
+// A nonblocking call is priced in the shape it runs in: one request to
+// the I/O server, which a server with nobody else to serve issues whole.
+// Its candidates are two-phase — one whole-call exchange round, then the
+// call-wide plan — and vectored, the ranks' mapped runs issued by the
+// server as they are (newSchedule); the server issues no read-modify-
+// write, so sieved is not offered, and the aligned partition is withheld
+// (its domains only say which rank sizes which messages: the server's
+// request is call-wide whatever the partition). An independent winner
+// leaves its mapped descriptors in the scratch for newSchedule to plan.
+func (c *Collective) chooseRoute(p *mpp.Proc, sd *schedule, write, nonblocking bool, opts Options) choice {
+	ch := choice{route: routeTwoPhase}
 	switch c.opts.Strategy {
 	case blockio.StrategyVectored:
+		if nonblocking && !c.mapAll(sd) {
+			return ch
+		}
 		return choice{route: routeVectored}
 	case blockio.StrategySieved:
+		if nonblocking {
+			return ch
+		}
 		return choice{route: routeSieved}
 	case blockio.StrategyAuto:
 	default:
 		// StrategyDefault and StrategyCollective: the historical path.
-		return choice{route: routeTwoPhase}
+		return ch
 	}
 	sc, build := &c.price, &c.build
-	ch := choice{route: routeTwoPhase}
-	if len(build.union) == 0 {
+	if len(build.union) == 0 || !c.mapAll(sd) {
+		// Nothing to price, or some request list is not a valid independent
+		// descriptor (e.g. one rank reading a block into two buffer slots):
+		// only the exchange can serve it, on the partition it always had.
 		return ch
 	}
 	ind := &build.mapped
-	sd.mapInto(c, ind)
-	for _, err := range ind.err {
-		if err != nil {
-			// Some request list is not a valid independent descriptor (e.g.
-			// one rank reading a block into two buffer slots): only the
-			// exchange can serve it, on the partition it always had.
-			return ch
-		}
-	}
 	pl := &build.logical
 	pl.bs, pl.naggs, pl.group, pl.segs = sd.pl.bs, sd.pl.naggs, sd.pl.group, sd.pl.segs
-	pl.partition(build.union, c.opts, nil, 1, 0, build)
+	pl.partition(build.union, opts, nil, 1, 0, build)
 	cut := &build.cut
-	if err := pl.cut(cut, build); err != nil {
+	var err error
+	if nonblocking {
+		// The call-wide plan uncut: a server alone issues its windows
+		// together, as if they had not been cut.
+		if cut.plan == nil {
+			cut.plan = new(blockio.BatchPlan)
+		}
+		err = pl.batchVec(0, pl.total, build).PlanInto(cut.plan, nil)
+	} else {
+		err = pl.cut(cut, build)
+	}
+	if err != nil {
 		return ch // unreachable: newSchedule says why, and fails the call on it
 	}
 	dry := &sc.dry
@@ -194,34 +217,43 @@ func (c *Collective) chooseRoute(p *mpp.Proc, sd *schedule, write bool) choice {
 		}
 		return dry.Flush()
 	}
-	ch.prices.Vectored, ch.prices.Sieved = independent(false), independent(true)
+	ch.prices.Vectored = independent(false)
+	if !nonblocking {
+		ch.prices.Sieved = independent(true)
+	}
 
 	// Two-phase on the logical partition: the windows the executor would
-	// issue, round by round, every aggregator's at once.
+	// issue, round by round, every aggregator's at once — or a
+	// nonblocking call's one round: the whole exchange, then the call.
 	sc.ex.Reset(p)
 	enter(&sc.ex, build.shares, pl.owner)
 	dry.Park()
 	sc.access = sc.access[:0]
-	for k := 0; k < pl.rounds; k++ {
-		for a := 0; a < pl.naggs; a++ {
-			if lo, hi := pl.chunkWindow(a, k); hi > lo {
-				dry.Window(cut.plan, cut.win0[a]+k)
-			}
-		}
+	if nonblocking {
+		dry.Window(cut.plan, 0)
 		sc.access = append(sc.access, dry.Flush())
+	} else {
+		for k := 0; k < pl.rounds; k++ {
+			for a := 0; a < pl.naggs; a++ {
+				if lo, hi := pl.chunkWindow(a, k); hi > lo {
+					dry.Window(cut.plan, cut.win0[a]+k)
+				}
+			}
+			sc.access = append(sc.access, dry.Flush())
+		}
 	}
 	ch.prices.TwoPhase = pipelineEnd(write, &sc.ex, sc.access, pl.ends)
 	ch.predicted = ch.prices.TwoPhase
 
-	// The aligned candidate is offered where every domain is one whole
-	// drive, or domains are several whole drives moved in one round (with a
-	// bound set the candidate is withheld there, with none alignedCost
-	// keeps it at one round).
+	// The aligned candidate is offered to blocking calls where every domain
+	// is one whole drive, or domains are several whole drives moved in one
+	// round (with a bound set the candidate is withheld there, with none
+	// alignedCost keeps it at one round).
 	nd := c.group.Store().Devices()
 	var split int
 	var r ramp
 	var tried []depthPrice
-	if pl.naggs == nd || (pl.naggs < nd && c.opts.ChunkBytes == 0) {
+	if !nonblocking && (pl.naggs == nd || (pl.naggs < nd && c.opts.ChunkBytes == 0)) {
 		c.alignedShares(ind, nd)
 		ch.prices.Aligned, split, r, tried = c.alignedCost(p, write, cut, nd)
 		if ch.prices.Aligned < ch.predicted { // ties to the historical partition
@@ -229,19 +261,34 @@ func (c *Collective) chooseRoute(p *mpp.Proc, sd *schedule, write bool) choice {
 		}
 	}
 	switch pr := ch.prices; {
-	case ch.predicted <= pr.Vectored && ch.predicted <= pr.Sieved:
+	case ch.predicted <= pr.Vectored && (nonblocking || ch.predicted <= pr.Sieved):
 		// ties to the historical path
 		if ch.aligned {
 			ch.split, ch.ramp, ch.depths = split, r, slices.Clone(tried)
 		}
 		return ch
-	case pr.Vectored <= pr.Sieved:
+	case nonblocking || pr.Vectored <= pr.Sieved:
 		ch.route, ch.aligned, ch.predicted = routeVectored, false, pr.Vectored
 	default:
 		ch.route, ch.aligned, ch.predicted = routeSieved, false, pr.Sieved
 	}
-	sd.ind = ind.compact() // what was priced is what runs
+	if !nonblocking {
+		sd.ind = ind.compact() // what was priced is what runs
+	}
 	return ch
+}
+
+// mapAll maps every rank's requests into the scratch (planScratch.mapped)
+// and reports whether every one is a valid independent descriptor.
+func (c *Collective) mapAll(sd *schedule) bool {
+	ind := &c.build.mapped
+	sd.mapInto(c, ind)
+	for _, err := range ind.err {
+		if err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // enter gives the round pricer every message of a two-phase candidate's

@@ -13,9 +13,10 @@
 // many (the collective layer's call: the ranks' own buffers, which the
 // drives then gather from and scatter into directly). A Request is whatever the client makes
 // it — the collective layer submits one per collective call, every
-// aggregator domain in one prepared plan — but the unit of service is the
-// plan's window, not the request: a worker is handed the next window of
-// the request the policy chose, issues its merged runs in parallel across
+// aggregator domain in one prepared plan, or on the vectored route every
+// rank's runs as they are — but the unit of service is the plan's
+// window, not the request: a worker is handed the next window of the
+// request the policy chose, issues its runs in parallel across
 // the drives, and comes back to the policy, which chooses again. A
 // request keeps its place at the head of its lane until its last window
 // is handed out (two workers may hold two windows of one request) and
@@ -152,6 +153,7 @@ type Job struct {
 	cfg  JobConfig
 	q    []*Request // the lane: q[head:] wait, oldest first
 	head int
+	free []*Request // released tickets, for Submit to reuse
 
 	vtime float64 // fair-share virtual service time (bytes)
 
@@ -190,7 +192,9 @@ func (j *Job) Latency() *stats.Sample { return &j.lat }
 
 // Request is the ticket for one submitted plan: Done reports local
 // completion without parking (the MPI_Test shape), Wait parks until the
-// server finishes and returns the access error.
+// server finishes and returns the access error. A client that is done
+// with a completed ticket may hand it back (Job.Release), and the lane's
+// next Submit reuses it, wait queue and all.
 type Request struct {
 	job   *Job
 	write bool
@@ -349,15 +353,14 @@ func (j *Job) Submit(p *sim.Proc, write bool, plan *blockio.BatchPlan, sp blocki
 		panic("ioserver: Submit after Stop")
 	}
 	s.seq++
-	r := &Request{
-		job:   j,
-		write: write,
-		plan:  plan,
-		space: sp,
-		bytes: bytes,
-		seq:   s.seq,
-		enq:   p.Now(),
+	var r *Request
+	if n := len(j.free); n > 0 {
+		r, j.free = j.free[n-1], j.free[:n-1]
+	} else {
+		r = &Request{job: j}
 	}
+	r.write, r.plan, r.space, r.bytes = write, plan, sp, bytes
+	r.seq, r.enq = s.seq, p.Now()
 	j.submitted++
 	j.push(r)
 	if s.rec != nil {
@@ -365,6 +368,21 @@ func (j *Job) Submit(p *sim.Proc, write bool, plan *blockio.BatchPlan, sp blocki
 	}
 	s.idle.WakeOne(p.Engine())
 	return r
+}
+
+// Release hands a completed ticket back to j's lane, whose next Submit
+// reuses it: the caller must hold no other reference to it, since the
+// ticket then describes that later request. It panics on a ticket of
+// another lane, one not yet completed (waited on or not) and one already
+// released. A completed ticket has no waiters: completion woke them all.
+func (j *Job) Release(r *Request) {
+	if r.job != j || !r.done {
+		panic("ioserver: Release of a request that is not a completed one of this lane")
+	}
+	// Keep what the next request fills again: the wait queue's array and
+	// the recorder's service list.
+	*r = Request{job: j, svc: r.svc[:0], wq: r.wq}
+	j.free = append(j.free, r)
 }
 
 // worker is one dedicated I/O-server process: take the next windows in

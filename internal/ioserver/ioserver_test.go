@@ -250,3 +250,90 @@ func TestSubmitAfterStopPanics(t *testing.T) {
 	})
 	run(t, e)
 }
+
+// TestReleasedTicketIsReused: a lane whose client hands every completed
+// ticket back (the collective layer's Handle.Wait) serves a loop of calls
+// on one Request. Eight waiters park on each, as a call's ranks do; after
+// every Release the lane holds that one ticket spare, and every Submit
+// after the first returns it, completed afresh.
+func TestReleasedTicketIsReused(t *testing.T) {
+	const waiters, calls = 8, 5
+	e := sim.NewEngine()
+	set := fixture(t, e, 8)
+	s := New(Config{Workers: 1})
+	job := s.AddJob(JobConfig{Name: "victim"})
+	s.Start(e)
+	bs := int64(set.BlockSize())
+	plan := batchFor(set, 0, 2)
+	buf := make([]byte, 2*bs)
+	e.Go("client", func(p *sim.Proc) {
+		var first *Request
+		for i := 0; i < calls; i++ {
+			r := job.SubmitWritePlan(p, plan, buf, 2*bs)
+			if first == nil {
+				first = r
+			} else if r != first {
+				t.Errorf("call %d: Submit made a new ticket with one released", i)
+			}
+			if r.Done() || r.Err() != nil {
+				t.Errorf("call %d: a reused ticket starts done (%v)", i, r.Err())
+			}
+			var g sim.Group
+			for w := 0; w < waiters; w++ {
+				g.Spawn(e, "rank", func(p *sim.Proc) {
+					if err := r.Wait(p); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			g.Wait(p)
+			job.Release(r)
+			if len(job.free) != 1 {
+				t.Errorf("call %d: %d spare tickets after Release, want 1", i, len(job.free))
+			}
+		}
+		s.Stop(p)
+	})
+	run(t, e)
+	if st := job.Stats(); st.Submitted != calls || st.Completed != calls || st.Bytes != calls*2*bs {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestReleasePanics: only a completed ticket of the lane, released once,
+// may go back — a pending one (with a waiter parked on it or not), a
+// second Release and another lane's ticket are protocol errors.
+func TestReleasePanics(t *testing.T) {
+	e := sim.NewEngine()
+	set := fixture(t, e, 8)
+	s := New(Config{Workers: 1})
+	job, other := s.AddJob(JobConfig{Name: "a"}), s.AddJob(JobConfig{Name: "b"})
+	s.Start(e)
+	bs := int64(set.BlockSize())
+	mustPanic := func(what string, j *Job, r *Request) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Release of %s did not panic", what)
+			}
+		}()
+		j.Release(r)
+	}
+	e.Go("client", func(p *sim.Proc) {
+		r := job.SubmitWritePlan(p, batchFor(set, 0, 1), make([]byte, bs), bs)
+		mustPanic("a pending request", job, r)
+		e.Go("waiter", func(p *sim.Proc) { r.Wait(p) })
+		p.Sleep(time.Nanosecond)
+		if r.done || r.wq.Len() != 1 {
+			t.Fatalf("fixture: done %v, %d waiters", r.done, r.wq.Len())
+		}
+		mustPanic("a waited-on request", job, r)
+		if err := r.Wait(p); err != nil {
+			t.Fatal(err)
+		}
+		mustPanic("another lane's request", other, r)
+		job.Release(r)
+		mustPanic("a released request", job, r)
+		s.Stop(p)
+	})
+	run(t, e)
+}

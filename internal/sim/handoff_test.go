@@ -397,32 +397,92 @@ func TestFreedShellRespawnedAtOnce(t *testing.T) {
 // TestRunLeavesNoGoroutines: after a clean Run every coroutine has
 // exited — reapFree stopped each pooled shell, those of the processes a
 // process spawned and that finished mid-run included — so the goroutine
-// count returns to what it was before the engine started.
+// count returns to what it was before the engine started. So it does
+// after a run that cannot finish, a deadlock or a process that panics:
+// the parked processes' coroutines are stopped too, and each unwinds
+// through its deferred calls without running any more of the simulation
+// (a deferred Sleep, Park or Go panics on, and the clock stays where the
+// run ended).
 func TestRunLeavesNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	e := NewEngine()
-	var during int
-	for i := 0; i < 16; i++ {
-		e.Go("p", func(p *Proc) {
-			for k := 0; k < 4; k++ {
-				if err := ParN(p, 4, func(c Context, _ int) error { c.Sleep(time.Microsecond); return nil }); err != nil {
-					t.Error(err)
+	t.Run("clean", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		e := NewEngine()
+		var during int
+		for i := 0; i < 16; i++ {
+			e.Go("p", func(p *Proc) {
+				for k := 0; k < 4; k++ {
+					if err := ParN(p, 4, func(c Context, _ int) error { c.Sleep(time.Microsecond); return nil }); err != nil {
+						t.Error(err)
+					}
 				}
+				during = max(during, runtime.NumGoroutine())
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// The 16 processes each had their own shell, and at least one fan-out
+		// ran on shells spawned mid-run beside them, freed before Run ended.
+		if during <= before+16 {
+			t.Fatalf("%d goroutines while running, %d before: no spawned shell was alive mid-run", during, before)
+		}
+		if len(e.free) != 0 {
+			t.Fatalf("%d shells left pooled after Run", len(e.free))
+		}
+		waitGoroutines(t, before)
+	})
+	type boom struct{}
+	for _, tc := range []struct {
+		name  string
+		last  func(p *Proc)
+		check func(err error, recovered any)
+	}{
+		{"deadlock", func(p *Proc) { p.Sleep(time.Millisecond); p.Park() }, func(err error, v any) {
+			if d, ok := err.(*Deadlock); !ok || v != nil || len(d.Procs) != 65 {
+				t.Errorf("Run returned %v and panicked with %v, want a *Deadlock naming 65 processes", err, v)
 			}
-			during = max(during, runtime.NumGoroutine())
+		}},
+		{"panic", func(p *Proc) { p.Sleep(time.Millisecond); panic(boom{}) }, func(err error, v any) {
+			if _, ok := v.(boom); !ok {
+				t.Errorf("Run returned %v and panicked with %v, want boom", err, v)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := NewEngine()
+			unwound := 0
+			for i := 0; i < 64; i++ {
+				e.Go("parked", func(p *Proc) {
+					defer func() { unwound++ }()
+					defer e.Go("late", func(*Proc) {})
+					defer p.Park()
+					defer p.Sleep(time.Second)
+					// A fan-out leaves finished shells pooled beside the parked.
+					ParN(p, 2, func(c Context, _ int) error { c.Sleep(time.Microsecond); return nil })
+					p.Park()
+				})
+			}
+			e.Go("last", tc.last)
+			var err error
+			var v any
+			func() {
+				defer func() { v = recover() }()
+				err = e.Run()
+			}()
+			tc.check(err, v)
+			if unwound != 64 || e.Now() != time.Millisecond || len(e.live) != 0 || len(e.free) != 0 {
+				t.Errorf("%d processes unwound at %v, %d live and %d pooled left: want 64 at 1ms, none left",
+					unwound, e.Now(), len(e.live), len(e.free))
+			}
+			waitGoroutines(t, before)
 		})
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// The 16 processes each had their own shell, and at least one fan-out
-	// ran on shells spawned mid-run beside them, freed before Run ended.
-	if during <= before+16 {
-		t.Fatalf("%d goroutines while running, %d before: no spawned shell was alive mid-run", during, before)
-	}
-	if len(e.free) != 0 {
-		t.Fatalf("%d shells left pooled after Run", len(e.free))
-	}
+}
+
+// waitGoroutines waits for the goroutine count to fall back to before.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), before)

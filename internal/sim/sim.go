@@ -96,6 +96,7 @@ type Engine struct {
 	free      []*Proc // finished shells available for reuse by Go
 	hand      *Proc   // the process Run resumes next; nil ends the run
 	started   bool
+	halted    bool // the run cannot finish: every coroutine is being stopped (halt)
 	// Flight-recorder hooks (nil when no recorder is attached; all are
 	// nil-safe, so the off path costs one pointer check per site).
 	prDispatch *probe.Counter
@@ -184,6 +185,9 @@ func (p *Proc) Now() time.Duration { return p.e.now }
 // shells (and their coroutines) are reused, so the returned *Proc must
 // not be retained past fn's return.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
+	if e.halted {
+		panic(halted{}) // a halted process's deferred call: nothing runs now
+	}
 	e.prSpawn.Add(1)
 	var p *Proc
 	if n := len(e.free); n > 0 {
@@ -211,9 +215,18 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 // next event's process in hand. The shell goes on the free list first:
 // the process resumed next may spawn onto it at this same instant, and
 // Run then resumes it back here. The coroutine ends when reapFree stops
-// it after Run completes.
+// it after Run completes, or when halt stops the process it runs: its
+// park panics with halted, which unwinds the process to here.
 func (p *Proc) loop(yield func(struct{}) bool) {
 	p.yield = yield
+	defer func() {
+		// Once the engine halts, whatever the unwinding process's deferred
+		// calls panic with ends here; before, a panic is the process's own
+		// and goes on up to Run.
+		if v := recover(); v != nil && !p.e.halted {
+			panic(v)
+		}
+	}()
 	for {
 		fn := p.fn
 		p.fn = nil
@@ -290,16 +303,27 @@ func (e *Engine) enqueue(ev *Event, at time.Duration) {
 // park picks the next event and blocks until p is resumed. The caller
 // must have set waiting and bumped epoch (via SleepUntil/Park). When p's
 // own event is the next one, p simply carries on; otherwise it leaves
-// the process picked in hand and switches back to Run.
+// the process picked in hand and switches back to Run. On a halted
+// engine — the switch back reports the coroutine stopped, or the process
+// parks again while it unwinds — it panics with halted instead, so the
+// process runs no further simulation code.
 func (p *Proc) park() {
 	e := p.e
+	if e.halted {
+		panic(halted{})
+	}
 	q := e.next()
 	if q == p {
 		return
 	}
 	e.hand = q
-	p.yield(struct{}{})
+	if !p.yield(struct{}{}) {
+		panic(halted{})
+	}
 }
+
+// halted is what a process stopped by halt unwinds with.
+type halted struct{}
 
 // Sleep suspends the process for d of virtual time. Sleep(0) yields,
 // allowing other already-scheduled same-time events to run first.
@@ -359,16 +383,24 @@ func (d *Deadlock) Error() string {
 // after another, each the one the last left in hand, until a parking or
 // finishing process finds no event left to fire. It returns a *Deadlock
 // error if processes remain parked then; otherwise nil. A panic in a
-// process comes out of Run with its value.
+// process comes out of Run with its value. Either way no coroutine is
+// left behind: the parked processes are stopped (halt).
 func (e *Engine) Run() error {
 	if e.started {
 		return fmt.Errorf("sim: Run called twice")
 	}
 	e.started = true
+	finished := false
+	defer func() {
+		if !finished {
+			e.halt() // a process panicked; its value goes on up
+		}
+	}()
 	for p := e.next(); p != nil; p = e.hand {
 		e.hand = nil
 		p.resume()
 	}
+	finished = true
 	if len(e.live) == 0 {
 		e.flushBatch()
 		e.reapFree()
@@ -379,8 +411,22 @@ func (e *Engine) Run() error {
 		names = append(names, q.name)
 	}
 	sort.Strings(names)
-	e.reapFree()
+	e.halt()
 	return &Deadlock{At: e.now, Procs: names}
+}
+
+// halt ends a run that cannot finish, a deadlock or a panic: every live
+// process is stopped — its park panics with halted, which unwinds it
+// through its deferred calls to its coroutine's start, where the
+// coroutine ends — and then every pooled shell.
+func (e *Engine) halt() {
+	e.halted = true
+	for _, p := range e.live {
+		p.stop()
+	}
+	clear(e.live)
+	e.live = e.live[:0]
+	e.reapFree()
 }
 
 // next fires events until one resumes a process and returns that

@@ -194,33 +194,47 @@ func (p *Parity) readBlock(ctx sim.Context, dev int, b int64, dst []byte) error 
 // writeBlock writes one block using the standard small-write procedure:
 // read old data and old parity in parallel, then write new data and new
 // parity (new parity = old parity XOR old data XOR new data) in parallel.
-// Degraded modes cover a failed data or parity drive.
+// Degraded modes cover a failed data or parity drive — also one that
+// fails while the small write is in flight, which is then redone
+// degraded under the same row lock (whatever landed is rewritten).
 func (p *Parity) writeBlock(ctx sim.Context, dev int, b int64, src []byte) error {
+	unlock := p.lockRow(ctx, b)
+	defer unlock()
+	data, parD := p.disks[p.phys(dev, b)], p.disks[p.parityPhys(b)]
+	if data.Failed() || parD.Failed() {
+		return p.writeDegraded(ctx, dev, b, src)
+	}
+	bs := p.BlockSize()
+	oldData := make([]byte, bs)
+	oldPar := make([]byte, bs)
+	err := par(ctx,
+		func(c sim.Context) error { return readDisk(c, data, b, oldData) },
+		func(c sim.Context) error { return readDisk(c, parD, b, oldPar) },
+	)
+	if err == nil {
+		newPar := oldPar
+		xorInto(newPar, oldData)
+		xorInto(newPar, src)
+		err = par(ctx,
+			func(c sim.Context) error { return writeDisk(c, data, b, src) },
+			func(c sim.Context) error { return writeDisk(c, parD, b, newPar) },
+		)
+	}
+	if err == nil || !errors.Is(err, device.ErrFailed) || !data.Failed() && !parD.Failed() {
+		return err
+	}
+	return p.writeDegraded(ctx, dev, b, src)
+}
+
+// writeDegraded is writeBlock with the data or the parity drive of row
+// b failed; the caller holds the row lock.
+func (p *Parity) writeDegraded(ctx sim.Context, dev int, b int64, src []byte) error {
 	dataPhys := p.phys(dev, b)
 	parPhys := p.parityPhys(b)
 	data := p.disks[dataPhys]
 	parD := p.disks[parPhys]
 	bs := p.BlockSize()
-	unlock := p.lockRow(ctx, b)
-	defer unlock()
-
 	switch {
-	case !data.Failed() && !parD.Failed():
-		oldData := make([]byte, bs)
-		oldPar := make([]byte, bs)
-		if err := par(ctx,
-			func(c sim.Context) error { return readDisk(c, data, b, oldData) },
-			func(c sim.Context) error { return readDisk(c, parD, b, oldPar) },
-		); err != nil {
-			return err
-		}
-		newPar := oldPar
-		xorInto(newPar, oldData)
-		xorInto(newPar, src)
-		return par(ctx,
-			func(c sim.Context) error { return writeDisk(c, data, b, src) },
-			func(c sim.Context) error { return writeDisk(c, parD, b, newPar) },
-		)
 	case data.Failed() && parD.Failed():
 		return fmt.Errorf("%w: drives %d and %d", ErrDoubleFailure, dataPhys, parPhys)
 	case parD.Failed():

@@ -124,6 +124,42 @@ func TestParityDegradedWriteThenRecover(t *testing.T) {
 	}
 }
 
+// TestParityWriteRacesFailure: a one-block small write whose data or
+// parity drive fails while it is in flight is redone degraded, so it
+// returns no error and the block reads back — as a multi-block run that
+// races a failure already did (writeBlocks).
+func TestParityWriteRacesFailure(t *testing.T) {
+	for _, victim := range []string{"data", "parity"} {
+		t.Run(victim, func(t *testing.T) {
+			e := sim.NewEngine()
+			p, err := NewParity(drives(4, e), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fail := p.PhysDisk(p.phys(1, 0))
+			if victim == "parity" {
+				fail = p.PhysDisk(p.parityPhys(0))
+			}
+			var werr, rerr error
+			got := make([]byte, 128)
+			e.Go("writer", func(q *sim.Proc) {
+				werr = writeBlock(p, q, 1, 0, blockOf(0x55, 128))
+				rerr = readBlock(p, q, 1, 0, got)
+			})
+			e.Go("fault", func(q *sim.Proc) {
+				q.Sleep(time.Microsecond) // the old data and parity are being read
+				fail.Fail()
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if werr != nil || rerr != nil || !bytes.Equal(got, blockOf(0x55, 128)) {
+				t.Fatalf("write %v, read %v, block %#x...: want the write absorbed", werr, rerr, got[0])
+			}
+		})
+	}
+}
+
 func TestParityRebuild(t *testing.T) {
 	p, err := NewParity(drives(4, nil), true)
 	if err != nil {

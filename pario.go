@@ -171,12 +171,18 @@
 // — every domain in one prepared BatchPlan, merged across domains, so a
 // checkpoint of a declustered file reaches each drive as one sequential
 // run (TestServerDirectedWin: 64 lane requests and 1 024 device
-// requests a call become 1 and 16, ≥ 3× modeled makespan). The unit of
+// requests a call become 1 and 16, ≥ 3× modeled makespan). Under
+// StrategyAuto a nonblocking call is priced like a blocking one, in the
+// shape it runs in — the whole exchange then the call-wide request,
+// against every rank's own runs issued as they are — and where the
+// exchange buys nothing it goes to the server with no exchange round
+// and no delivery round: the request is then the ranks' runs, none joined
+// to another rank's (TestServerVectoredVictim). The unit of
 // service is a window of it: CollectiveOptions.ChunkBytes cuts the call
 // plan, a worker issues one window across all drives, and the QoS
 // policy chooses again between windows, so a small job waits for a
 // window of a bulk call in service, not for the call
-// (TestServerWindowsWin: small-job call p98 275 → 155 ms beside a
+// (TestServerWindowsWin: small-job call p98 277 → 157 ms beside a
 // 64-rank bully) — while a job alone on the server is handed its windows
 // all at once and costs what it would uncut. A failed window ends its
 // request: one error, the same on every rank. Outcomes are
@@ -234,7 +240,7 @@
 // descriptors and the prepared plan go on to issue. The
 // two-phase route has two candidates of its own: file domains
 // contiguous in the files (the logical partition every fixed strategy
-// and every nonblocking call uses) and file domains cut at drive
+// and every nonblocking two-phase call uses) and file domains cut at drive
 // boundaries (domain a is the footprint on drive a, so an aggregator's
 // access is one sequential run on its own drive — the paper's §5
 // strategy), the latter at whatever pipeline depth prices cheapest:

@@ -257,13 +257,15 @@ func runQoSMix(tb testing.TB, chunk int64, rec *pario.Recorder) qosRun {
 }
 
 // TestServerWindowsWin enforces the ISSUE 23 acceptance numbers: the
-// server runs windows, not calls. The parent's numbers were captured by
-// running this fixture at the commit before, where a nonblocking call
-// ignored ChunkBytes; with ChunkBytes 0 the mix must still reproduce them
-// to the nanosecond.
+// server runs windows, not calls. The baseline is the whole-call server:
+// with ChunkBytes 0 every call is one window, and the mix must reproduce
+// its numbers to the nanosecond. They were captured when the victims'
+// calls became priced (vectored, with no exchange: victim p98 275.02 →
+// 277.04 ms, makespan 10.457 → 10.373 s); before that, at the commit
+// before windows, they ran two-phase.
 func TestServerWindowsWin(t *testing.T) {
 	parent := qosRun{
-		victimP98: 275_020_904, bullyP98: 6_613_677_116, makespan: 10_457_073_239,
+		victimP98: 277_038_979, bullyP98: 6_613_677_116, makespan: 10_373_438_061,
 		calls: 676, requests: 10_816,
 	}
 	whole := runQoSMix(t, 0, nil)
@@ -313,5 +315,144 @@ func TestServerWindowsWin(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("two runs of the windowed mix exported different traces")
+	}
+}
+
+// TestServerVectoredVictim: a nonblocking call is priced like a blocking
+// one. multijob_qos's victim call — 8 ranks each writing its 4 blocks of
+// a unit-1 striped file on 16 tuned drives, two blocks on each of two
+// drives — puts one 2-block run on every drive either way, so the
+// exchange buys nothing: StrategyAuto prices it vectored, below
+// two-phase, and the call goes to the server with no exchange round and
+// no delivery round. Alone on the server it issues exactly the device
+// requests the blocking vectored call of the same lists does, and the
+// server's service time is the vectored price to within 1 %.
+func TestServerVectoredVictim(t *testing.T) {
+	const ranks, blocks, drives = 8, 4, 16
+	type run struct {
+		route    string
+		prices   pario.RoutePrices
+		price    time.Duration
+		service  time.Duration
+		requests int64
+	}
+	// one writes the victim's call, then reads it back, through the server
+	// (nonblocking) or with the blocking vectored call.
+	one := func(nonblocking bool) (w, r run) {
+		pf := pario.TunedProfile()
+		m := pario.NewProfiledMachine(drives, pf)
+		if _, err := m.Volume.Create(pario.Spec{
+			Name: "v", Org: pario.OrgGlobalDirect, RecordSize: 4096, BlockRecords: 1,
+			NumRecords: ranks * blocks, Placement: pario.PlaceStriped, StripeUnitFS: 1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		g, err := m.Volume.OpenGroup("v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := pario.NewIOServer(pario.IOServerConfig{Workers: 2, Policy: pario.IOFairShare})
+		lane := srv.AddJob(pario.IOJobConfig{Name: "v"})
+		opts := pf.Collective
+		if nonblocking {
+			opts.Service = lane
+			srv.Start(m.Engine)
+		} else {
+			opts.Strategy = pario.StrategyVectored
+		}
+		col, err := pario.OpenCollective(g, ranks, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requests := func() (n int64) {
+			for _, d := range m.Disks {
+				n += d.Stats().Requests()
+			}
+			return n
+		}
+		var done pario.Group
+		done.Add(ranks)
+		rg := m.GoRanks(ranks, "v", func(rk *pario.Rank) {
+			defer done.Done(rk.Proc)
+			rank := rk.Rank()
+			vec := make(pario.Vec, blocks)
+			pay, back := make([]byte, blocks*4096), make([]byte, blocks*4096)
+			for k := range vec {
+				vec[k] = pario.VecSeg{Block: int64(k*ranks + rank), N: 1, BufOff: int64(k) * 4096}
+				swStamp(pay[k*4096:], vec[k].Block, 1)
+			}
+			reqs := []pario.VecReq{{File: 0, Vec: vec}}
+			for _, write := range []bool{true, false} {
+				rk.Barrier()
+				busy, n0 := lane.Stats().Busy, requests()
+				var err error
+				switch {
+				case !nonblocking && write:
+					err = col.WriteAll(rk, reqs, pay)
+				case !nonblocking:
+					err = col.ReadAll(rk, reqs, back)
+				default:
+					var h *pario.IOHandle
+					if write {
+						h, err = col.IWriteAll(rk, reqs, pay)
+					} else {
+						h, err = col.IReadAll(rk, reqs, back)
+					}
+					if err == nil {
+						err = h.Wait(rk)
+					}
+				}
+				if err != nil {
+					t.Errorf("rank %d: %v", rank, err)
+					return
+				}
+				rk.Barrier()
+				if rank == 0 {
+					res := run{col.LastRoute(), col.LastPrices(), col.LastPredicted(), lane.Stats().Busy - busy, requests() - n0}
+					if write {
+						w = res
+					} else {
+						r = res
+					}
+				}
+			}
+			if !bytes.Equal(back, pay) {
+				t.Errorf("rank %d read back other bytes than it wrote", rank)
+			}
+		})
+		pf.ConfigureRanks(rg)
+		m.Go("join", func(p *pario.Proc) {
+			done.Wait(p)
+			if nonblocking {
+				srv.Stop(p)
+			}
+		})
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return w, r
+	}
+	bw, br := one(false)
+	nw, nr := one(true)
+	for _, c := range []struct {
+		op          string
+		blocking    run
+		nonblocking run
+	}{{"write", bw, nw}, {"read", br, nr}} {
+		nb := c.nonblocking
+		t.Logf("%s: %s, priced vectored %v against two-phase %v; served in %v, %d device requests (blocking vectored: %d)",
+			c.op, nb.route, nb.prices.Vectored, nb.prices.TwoPhase, nb.service, nb.requests, c.blocking.requests)
+		if nb.route != "vectored" || nb.prices.Vectored <= 0 || nb.prices.Vectored >= nb.prices.TwoPhase || nb.price != nb.prices.Vectored {
+			t.Errorf("%s: route %s, prices %+v, predicted %v: want vectored, priced below two-phase", c.op, nb.route, nb.prices, nb.price)
+		}
+		if nb.prices.Sieved != 0 || nb.prices.Aligned != 0 {
+			t.Errorf("%s: prices %+v: a nonblocking call is offered no sieved or aligned route", c.op, nb.prices)
+		}
+		if nb.requests != c.blocking.requests || nb.requests != drives {
+			t.Errorf("%s: %d device requests, the blocking vectored call %d: want one a drive both", c.op, nb.requests, c.blocking.requests)
+		}
+		if d := nb.service - nb.price; d < -nb.price/100 || d > nb.price/100 {
+			t.Errorf("%s: served in %v, priced %v: want within 1 %%", c.op, nb.service, nb.price)
+		}
 	}
 }
