@@ -13,6 +13,7 @@
 package blockio
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -55,6 +56,31 @@ func (sp Space) bind(off, n, bs int64, iov *[][]byte) bool {
 		off, n = off+int64(len(b)), n-int64(len(b))
 	}
 	return true
+}
+
+// end reports the space offset one past its last piece: the buffer length
+// a descriptor is checked against before its coverage is.
+func (sp Space) end() int64 {
+	if len(sp) == 0 {
+		return 0
+	}
+	return sp[len(sp)-1].Off + int64(len(sp[len(sp)-1].Buf))
+}
+
+// covers reports an error naming the first segment of vec whose bytes sp
+// leaves not covered by whole blocks. A one-piece space at offset 0 covers
+// whatever fits in it, which checkVec has already seen to.
+func (sp Space) covers(op string, vec Vec, bs int64) error {
+	if len(sp) == 1 && sp[0].Off == 0 {
+		return nil
+	}
+	for i, sg := range vec {
+		if sg.N > 0 && !sp.bind(sg.BufOff, sg.N*bs, bs, nil) {
+			return fmt.Errorf("blockio: %s segment %d: buffer bytes [%d,%d) not covered by whole blocks of the buffer space",
+				op, i, sg.BufOff, sg.BufOff+sg.N*bs)
+		}
+	}
+	return nil
 }
 
 // Bound is one run of a transfer bound to memory: the N physically

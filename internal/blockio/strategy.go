@@ -119,7 +119,8 @@ func (m Mapped) CopyTo(runs []Run, segs []Seg) (Mapped, []Run, []Seg) {
 }
 
 // Read issues the mapped descriptor as a read into buf under strat, as
-// Set.ReadVecStrategy would the descriptor it was mapped from.
+// Set.ReadVecStrategy would the descriptor it was mapped from into the
+// one-piece space of buf.
 func (m Mapped) Read(ctx sim.Context, strat Strategy, buf []byte) error {
 	return m.issue(ctx, "ReadVec", false, strat, buf)
 }
@@ -136,31 +137,38 @@ func (m Mapped) issue(ctx sim.Context, op string, write bool, strat Strategy, bu
 	if int64(len(buf)) < m.need {
 		return fmt.Errorf("blockio: %s: mapped descriptor addresses %d buffer bytes, the buffer holds %d", op, m.need, len(buf))
 	}
-	return m.set.issueRuns(ctx, op, write, strat, m.runs, buf)
+	return m.set.issueRuns(ctx, op, write, strat, m.runs, Space{{Buf: buf}})
 }
 
-// ReadVecStrategy reads the blocks described by vec into buf, scattering
-// each segment's blocks at its buffer offset, as strat directs: vectored
-// (also what StrategyDefault and StrategyCollective mean at this layer),
-// sieved, or — StrategyAuto — whichever a dry issue of this descriptor
-// prices cheaper. It is the Set's one read entry point; one block is the
-// one-segment descriptor.
-func (s *Set) ReadVecStrategy(ctx sim.Context, strat Strategy, vec Vec, buf []byte) error {
-	return s.transfer(ctx, "ReadVec", false, strat, vec, buf)
+// ReadVecStrategy reads the blocks described by vec into the buffer
+// space sp, scattering each segment's blocks at its space offset, as strat
+// directs: vectored (also what StrategyDefault and StrategyCollective mean
+// at this layer), sieved, or — StrategyAuto — whichever a dry issue of
+// this descriptor prices cheaper. It is the Set's one read entry point;
+// one block is the one-segment descriptor, and one buffer the one-piece
+// space (ReadVec). A space of several pieces is list I/O's memory list:
+// the drives scatter straight into every piece, so a stream's batch of
+// frames moves as one descriptor with nothing staged.
+func (s *Set) ReadVecStrategy(ctx sim.Context, strat Strategy, vec Vec, sp Space) error {
+	return s.transfer(ctx, "ReadVec", false, strat, vec, sp)
 }
 
-// WriteVecStrategy writes the blocks described by vec from buf — the
-// write counterpart of ReadVecStrategy.
-func (s *Set) WriteVecStrategy(ctx sim.Context, strat Strategy, vec Vec, buf []byte) error {
-	return s.transfer(ctx, "WriteVec", true, strat, vec, buf)
+// WriteVecStrategy writes the blocks described by vec from the buffer
+// space sp — the write counterpart of ReadVecStrategy.
+func (s *Set) WriteVecStrategy(ctx sim.Context, strat Strategy, vec Vec, sp Space) error {
+	return s.transfer(ctx, "WriteVec", true, strat, vec, sp)
 }
 
-// transfer takes one descriptor down the pipeline: validate, map, price
-// if the strategy asks, transform if it is (or prices out as) sieved,
-// issue. The runs are mapped into pooled scratch held until the issue
-// returns, so a steady stream of transfers maps without allocating.
-func (s *Set) transfer(ctx sim.Context, op string, write bool, strat Strategy, vec Vec, buf []byte) error {
-	if err := s.checkVec(op, vec, int64(len(buf))); err != nil {
+// transfer takes one descriptor down the pipeline: validate — the
+// segments against the file and against the space — map, price if the
+// strategy asks, transform if it is (or prices out as) sieved, issue. The
+// runs are mapped into pooled scratch held until the issue returns, so a
+// steady stream of transfers maps without allocating.
+func (s *Set) transfer(ctx sim.Context, op string, write bool, strat Strategy, vec Vec, sp Space) error {
+	if err := s.checkVec(op, vec, sp.end()); err != nil {
+		return err
+	}
+	if err := sp.covers(op, vec, int64(s.store.BlockSize())); err != nil {
 		return err
 	}
 	m := mapPool.Get().(*mapScratch)
@@ -169,11 +177,11 @@ func (s *Set) transfer(ctx sim.Context, op string, write bool, strat Strategy, v
 	if m.runs, m.segs, _, err = m.mapRuns(op, BatchVec{{Set: s, Vec: vec}}, nil, int64(s.store.BlockSize()), m.runs[:0], m.segs[:0]); err != nil {
 		return err
 	}
-	return s.issueRuns(ctx, op, write, strat, m.runs, buf)
+	return s.issueRuns(ctx, op, write, strat, m.runs, sp)
 }
 
 // issueRuns is the pipeline below the map stage.
-func (s *Set) issueRuns(ctx sim.Context, op string, write bool, strat Strategy, runs []Run, buf []byte) error {
+func (s *Set) issueRuns(ctx sim.Context, op string, write bool, strat Strategy, runs []Run, sp Space) error {
 	if strat == StrategyAuto {
 		strat = s.choose(runs, write)
 	}
@@ -184,7 +192,7 @@ func (s *Set) issueRuns(ctx sim.Context, op string, write bool, strat Strategy, 
 			sieve = s
 		}
 	}
-	return issue(ctx, s.store, op, write, runs, Space{{Buf: buf}}, sieve)
+	return issue(ctx, s.store, op, write, runs, sp, sieve)
 }
 
 // dryPool recycles the dry issues of Set-level pricing (a collective

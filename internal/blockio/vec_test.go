@@ -280,3 +280,71 @@ func TestVecRequestCount(t *testing.T) {
 		t.Fatalf("per-block transfer issued %d requests, want 32", blockReqs)
 	}
 }
+
+// TestVecThroughPieces: a descriptor moves through a buffer space of
+// pieces anywhere in memory exactly as through one buffer — each strategy
+// writes through pieces what reads back through one buffer, and reads
+// into pieces what was written — and a space that leaves a segment's
+// bytes uncovered, by a gap or by a part-block piece, is refused before
+// anything moves.
+func TestVecThroughPieces(t *testing.T) {
+	set, _ := newVecSet(t, NewStriped(3, 1))
+	bs := int64(set.BlockSize())
+	ctx := sim.NewWall()
+	vec := Vec{{Block: 3, N: 5, BufOff: 0}, {Block: 11, N: 2, BufOff: 6 * bs}, {Block: 20, N: 4, BufOff: 8 * bs}}
+	size := 12 * bs
+	// pieces cuts data into stretches of 1, 2 and 3 blocks in fresh
+	// buffers, copying data into them when fill is set.
+	pieces := func(data []byte, fill bool) Space {
+		var sp Space
+		for off, k := int64(0), int64(1); off < size; off, k = off+k*bs, k%3+1 {
+			n := min(k*bs, size-off)
+			buf := make([]byte, n)
+			if fill {
+				copy(buf, data[off:off+n])
+			}
+			sp = append(sp, Piece{Off: off, Buf: buf})
+		}
+		return sp
+	}
+	flat := func(sp Space) []byte {
+		out := make([]byte, size)
+		for _, pc := range sp {
+			copy(out[pc.Off:], pc.Buf)
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, strat := range []Strategy{StrategyVectored, StrategySieved, StrategyAuto} {
+		data := make([]byte, size)
+		rng.Read(data)
+		clear(data[5*bs : 6*bs]) // the byte range no segment addresses
+		if err := set.WriteVecStrategy(ctx, strat, vec, pieces(data, true)); err != nil {
+			t.Fatalf("%v: write through pieces: %v", strat, err)
+		}
+		got := make([]byte, size)
+		if err := set.ReadVec(ctx, vec, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("%v: what went out through pieces reads back different", strat)
+		}
+		sp := pieces(nil, false)
+		if err := set.ReadVecStrategy(ctx, strat, vec, sp); err != nil {
+			t.Fatalf("%v: read into pieces: %v", strat, err)
+		}
+		if !bytes.Equal(flat(sp), data) {
+			t.Fatalf("%v: what came in through pieces differs from what was written", strat)
+		}
+	}
+	gap := pieces(nil, false)
+	gap = append(gap[:1:1], gap[2:]...)
+	part := pieces(nil, false)
+	part[0].Buf = part[0].Buf[:bs/2]
+	for name, sp := range map[string]Space{"a gap": gap, "a part-block piece": part} {
+		err := set.ReadVecStrategy(ctx, StrategyVectored, vec, sp)
+		if err == nil || !strings.Contains(err.Error(), "not covered") {
+			t.Errorf("a space with %s: got %v, want the coverage error", name, err)
+		}
+	}
+}

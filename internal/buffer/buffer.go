@@ -12,12 +12,19 @@
 //     and write-behind — dirty victims are written in vectored batches by
 //     dedicated I/O processes instead of inside the miss that evicted them.
 //
-// Each handle takes its transfer hooks in one form, when it is built. A
-// stream's unit is an extent of up to E blocks, fetched or flushed by one
-// FetchRun/FlushRun call, so a coalescing backend turns every extent into
-// a single device request; block-at-a-time is E = 1. The Cache moves
-// lists of blocks (FetchSpan/FlushSpan); a miss or a write-back of one
-// block is the one-index list.
+// Each handle takes its transfer hooks in one form, when it is built, and
+// every hook moves a buffer space (blockio.Space) whose pieces are the
+// handle's own frames, so nothing is staged or copied. A stream's unit is
+// an extent of up to E blocks. Its I/O processes move them in batches: a
+// prefetch process claims the extent of every free buffer, a write-behind
+// process takes every consecutive extent queued behind the one it got,
+// and each batch is one FetchRun/FlushRun call — list I/O over the
+// batch's frames — so a coalescing backend sends physically adjacent
+// extents as one device request per drive. Block-at-a-time is E = 1, and
+// there a batch is one block: the paper's one request per block. A
+// synchronous stream moves one extent per call. The Cache moves lists of
+// blocks (FetchSpan/FlushSpan), a frame a piece; a miss or a write-back
+// of one block is the one-index list.
 //
 // All three are engine-aware: under a sim.Engine they overlap transfers
 // with the caller's computation in virtual time; without one they degrade
@@ -38,18 +45,21 @@ import (
 	"io"
 	"sync"
 
+	"repro/internal/blockio"
 	"repro/internal/sim"
 )
 
 // FetchRun reads the run of n stream blocks starting at block first into
-// buf (len(buf) = n × block size), ideally coalesced into one device
-// request per drive (core issues it as a blockio.Vec — one segment where
-// the view is contiguous — through Set.ReadVecStrategy).
-type FetchRun func(ctx sim.Context, first int64, n int, buf []byte) error
+// the buffer space sp, block first+i landing at space offset i × block
+// size. The pieces are the frames of the extents the run covers, one
+// each, and the run is ideally coalesced into one device request per
+// drive (core issues it as a blockio.Vec — one segment where the view is
+// contiguous — through Set.ReadVecStrategy).
+type FetchRun func(ctx sim.Context, first int64, n int, sp blockio.Space) error
 
 // FlushRun writes the run of n stream blocks starting at block first
-// from buf, the write counterpart of FetchRun.
-type FlushRun func(ctx sim.Context, first int64, n int, buf []byte) error
+// from the buffer space sp, the write counterpart of FetchRun.
+type FlushRun func(ctx sim.Context, first int64, n int, sp blockio.Space) error
 
 // frames is the free list of stream frames, by size. It keeps at most
 // maxFrameSizes sizes: a new one beyond that starts it over (the rest
@@ -97,9 +107,40 @@ func putFrames(bufs [][]byte) {
 	}
 }
 
-// fetched is one prefetched block's future: the prefetcher enqueues it
-// on the filled queue at claim time (so consumers receive blocks in
-// stream order) and completes it when the fetch lands.
+// ioBatch is the scratch of one stream transfer: the extents it moves —
+// a reader's futures or a writer's queued extents — and the buffer space
+// their frames make. An I/O process holds its own for as long as it
+// runs, so two processes of one stream never share one.
+type ioBatch struct {
+	futs  []*fetched
+	items []flushItem
+	sp    blockio.Space
+}
+
+// batches recycles ioBatches across processes and streams.
+var batches = sync.Pool{New: func() any { return new(ioBatch) }}
+
+// reset drops the batch's references to frames, readying it for reuse.
+func (b *ioBatch) reset() {
+	clear(b.futs)
+	clear(b.items)
+	clear(b.sp)
+	b.futs, b.items, b.sp = b.futs[:0], b.items[:0], b.sp[:0]
+}
+
+// piece appends to the batch's space the valid prefix of extent e's frame
+// in a stream of blocks blocks: the extent's blocks at their offset from
+// the batch's first extent.
+func (b *ioBatch) piece(e, first, extent, blocks int64, blockSize int, buf []byte) {
+	bs := int64(blockSize)
+	n := min(extent, blocks-e*extent)
+	b.sp = append(b.sp, blockio.Piece{Off: (e - first) * extent * bs, Buf: buf[:n*bs]})
+}
+
+// fetched is one prefetched extent's future: the prefetcher enqueues it
+// on the filled queue at claim time (so consumers receive extents in
+// stream order) and completes it when the fetch lands. The consumer that
+// takes it hands it back to its reader for the next claim.
 type fetched struct {
 	idx  int64
 	buf  []byte
@@ -113,7 +154,7 @@ type fetched struct {
 // Next concurrently under an engine (each receives a distinct extent, in
 // claim order) — this is the substrate for shared self-scheduled reads.
 //
-// Under an engine, fetched-block futures flow consumer-ward through
+// Under an engine, fetched-extent futures flow consumer-ward through
 // fillq in claim order. No prefetch process ever parks waiting for a
 // buffer: one that finds the pool empty retires, and the Release that
 // refills the pool spawns its successor — at the very point a parked
@@ -131,6 +172,7 @@ type SeqReader struct {
 	started   bool
 	closed    bool
 	free      [][]byte   // buffer pool
+	futures   []*fetched // consumed futures, for the next claims
 	active    int        // live prefetch processes
 	fillq     *sim.Queue // *fetched, in claim order
 	nextFetch int64
@@ -140,16 +182,18 @@ type SeqReader struct {
 // NewSeqReader builds a reader of a stream of total blocks of blockSize
 // bytes whose unit is an extent of up to `extent` blocks, with nbufs
 // buffers and `readers` prefetch processes. Buffers are extent ×
-// blockSize bytes, and each fetch covers one whole extent — blocks
-// [e·extent, min((e+1)·extent, total)) — in a single FetchRun call, so a
-// coalescing fetch pays the device's per-request overhead once per extent
-// instead of once per block. Next yields whole extents (the index is the
-// extent number; the final extent may cover fewer blocks, and only its
-// valid prefix of the buffer is filled). The pool is sized to the stream,
-// not just to the options: a stream shorter than one extent gets buffers
-// of its own length, and never more buffers than it has extents. With
+// blockSize bytes. A prefetch process claims the extent of every free
+// buffer — with extent 1, one block at a time — and fetches the claimed
+// extents, blocks [e·extent, min((e+1)·extent, total)) each, in a single
+// FetchRun call whose space pieces are their buffers, so a coalescing
+// fetch pays the device's per-request overhead once per batch instead of
+// once per block. Next yields whole extents (the index is the extent
+// number; the final extent may cover fewer blocks, and only its valid
+// prefix of the buffer is filled). The pool is sized to the stream, not
+// just to the options: a stream shorter than one extent gets buffers of
+// its own length, and never more buffers than it has extents. With
 // readers == 0 (or when used without an engine) each Next performs its
-// fetch synchronously — the paper's unbuffered baseline.
+// one extent's fetch synchronously — the paper's unbuffered baseline.
 func NewSeqReader(fetch FetchRun, blockSize int, total int64, extent, nbufs, readers int) (*SeqReader, error) {
 	extent = max(extent, 1)
 	if blockSize <= 0 {
@@ -179,11 +223,11 @@ func NewSeqReader(fetch FetchRun, blockSize int, total int64, extent, nbufs, rea
 	}, nil
 }
 
-// load fetches extent e into its buffer.
-func (r *SeqReader) load(ctx sim.Context, e int64, buf []byte) error {
-	first := e * r.extent
-	n := min(r.extent, r.blocks-first)
-	return r.fetch(ctx, first, int(n), buf[:n*int64(r.blockSize)])
+// fetchBatch fetches the extents [first, last) of b's space with one
+// FetchRun call.
+func (r *SeqReader) fetchBatch(ctx sim.Context, b *ioBatch, first, last int64) error {
+	lo := first * r.extent
+	return r.fetch(ctx, lo, int(min(last*r.extent, r.blocks)-lo), b.sp)
 }
 
 // takeFree pops a pool buffer; ok=false when the pool is empty.
@@ -197,6 +241,19 @@ func (r *SeqReader) takeFree() (buf []byte, ok bool) {
 	return buf, true
 }
 
+// claim makes the future of extent e, fetching into buf.
+func (r *SeqReader) claim(e int64, buf []byte) *fetched {
+	var f *fetched
+	if n := len(r.futures); n > 0 {
+		f = r.futures[n-1]
+		r.futures = r.futures[:n-1]
+	} else {
+		f = new(fetched)
+	}
+	f.idx, f.buf, f.err, f.done = e, buf, nil, false
+	return f
+}
+
 // spawnPrefetch launches one dedicated I/O process (engine mode only).
 func (r *SeqReader) spawnPrefetch(e *sim.Engine) {
 	r.active++
@@ -204,27 +261,42 @@ func (r *SeqReader) spawnPrefetch(e *sim.Engine) {
 }
 
 // prefetch is the body of a dedicated I/O process: while the stream has
-// blocks left and the pool a buffer, claim the next block, publish its
-// future on fillq (claim and publish never park, so fillq stays in
-// stream order — fillq is unbounded for exactly that reason; the buffer
-// pool is what bounds read-ahead), then fetch and complete the future.
-// The only place it waits is inside the fetch itself.
+// extents left and the pool a buffer, claim the next extent — with
+// extents of more than one block, the next extent of every free buffer —
+// publish their futures on fillq (claim and publish never park, so fillq
+// stays in stream order — fillq is unbounded for exactly that reason; the
+// buffer pool is what bounds read-ahead), then fetch the batch with one
+// FetchRun call and complete its futures; a failed fetch fails every one
+// and returns its buffers to the pool. The only place it waits is inside
+// the fetch itself.
 func (r *SeqReader) prefetch(io *sim.Proc) {
-	for !r.closed && r.nextFetch < r.extents {
-		buf, ok := r.takeFree()
-		if !ok {
-			break // Release respawns
+	b := batches.Get().(*ioBatch)
+	for !r.closed && r.nextFetch < r.extents && len(r.free) > 0 {
+		first, last := r.nextFetch, r.nextFetch+1
+		if r.extent > 1 {
+			last = min(first+int64(len(r.free)), r.extents)
 		}
-		f := &fetched{idx: r.nextFetch, buf: buf}
-		r.nextFetch++
-		r.fillq.Put(io, f)
-		if err := r.load(io, f.idx, buf); err != nil {
-			f.err, f.buf = err, nil
-			r.free = append(r.free, buf)
+		for e := first; e < last; e++ {
+			buf, _ := r.takeFree()
+			f := r.claim(e, buf)
+			r.nextFetch++
+			r.fillq.Put(io, f)
+			b.futs = append(b.futs, f)
+			b.piece(e, first, r.extent, r.blocks, r.blockSize, buf)
 		}
-		f.done = true
-		f.wq.WakeAll(io.Engine())
+		err := r.fetchBatch(io, b, first, last)
+		for _, f := range b.futs {
+			if err != nil {
+				f.err = err
+				r.free = append(r.free, f.buf)
+				f.buf = nil
+			}
+			f.done = true
+			f.wq.WakeAll(io.Engine())
+		}
+		b.reset()
 	}
+	batches.Put(b)
 	r.active--
 }
 
@@ -247,7 +319,12 @@ func (r *SeqReader) Next(ctx sim.Context) ([]byte, int64, error) {
 		if !ok {
 			return nil, idx, fmt.Errorf("buffer: no free buffer (missing Release?)")
 		}
-		if err := r.load(ctx, idx, buf); err != nil {
+		b := batches.Get().(*ioBatch)
+		b.piece(idx, idx, r.extent, r.blocks, r.blockSize, buf)
+		err := r.fetchBatch(ctx, b, idx, idx+1)
+		b.reset()
+		batches.Put(b)
+		if err != nil {
 			r.free = append(r.free, buf)
 			return nil, idx, err
 		}
@@ -262,7 +339,7 @@ func (r *SeqReader) Next(ctx sim.Context) ([]byte, int64, error) {
 	}
 	r.nextServe++
 	// Futures arrive in claim order, so the queue's head is this
-	// consumer's block; park on the future until its fetch lands.
+	// consumer's extent; park on the future until its fetch lands.
 	v, ok := r.fillq.Get(p)
 	if !ok {
 		return nil, r.nextServe - 1, fmt.Errorf("buffer: reader closed")
@@ -271,10 +348,13 @@ func (r *SeqReader) Next(ctx sim.Context) ([]byte, int64, error) {
 	for !f.done {
 		f.wq.Wait(p)
 	}
-	if f.err != nil {
-		return nil, f.idx, f.err
+	buf, idx, err := f.buf, f.idx, f.err
+	f.buf, f.err = nil, nil
+	r.futures = append(r.futures, f)
+	if err != nil {
+		return nil, idx, err
 	}
-	return f.buf, f.idx, nil
+	return buf, idx, nil
 }
 
 // Claimed reports how many extents, from the start of the stream, have
@@ -309,7 +389,7 @@ func (r *SeqReader) Close(ctx sim.Context) {
 	}
 }
 
-// flushItem is a block queued for deferred writing.
+// flushItem is an extent submitted for deferred writing.
 type flushItem struct {
 	idx int64
 	buf []byte
@@ -319,34 +399,37 @@ type flushItem struct {
 // Submit returns immediately while dedicated writer processes perform the
 // transfers. Close drains everything and reports the first errors.
 //
-// Under an engine the writer is built on two sim.Queues, mirroring
-// SeqReader: filled blocks flow writer-ward through queue, drained
-// buffers flow back through freeq.
+// Under an engine, filled extents queue writer-ward in submission order
+// and drained buffers come back to the pool; a producer that finds the
+// pool empty parks until a write lands, and an idle writer parks until
+// an extent is submitted.
 type SeqWriter struct {
 	flush     FlushRun
 	blockSize int
 	extent    int64 // blocks per extent
 	blocks    int64 // stream length in blocks
-	nbufs     int
 	writers   int
 
-	started bool
-	closed  bool
-	free    [][]byte   // synchronous-path free list (engine moves it into freeq)
-	freeq   *sim.Queue // []byte, capacity nbufs
-	queue   *sim.Queue // flushItem, capacity nbufs
-	errs    []error
-	g       sim.Group
+	started   bool
+	closed    bool
+	free      [][]byte      // buffer pool
+	frameWait sim.WaitQueue // producers waiting for a buffer
+	queue     []flushItem   // submitted extents no writer has taken, in submission order
+	work      sim.WaitQueue // idle writers
+	errs      []error
+	g         sim.Group
 }
 
 // NewSeqWriter builds a deferred writer of a stream of total blocks of
 // blockSize bytes whose unit is an extent of up to `extent` blocks, with
 // nbufs buffers and `writers` flush processes (0 = synchronous Submit).
 // The producer assembles extent × blockSize buffers (Submit index =
-// extent number) and each flush covers the whole extent in a single
-// FlushRun call — one coalesced device request per extent. The final
-// extent is clamped to the stream length, so only its valid prefix is
-// written.
+// extent number). A writer takes the next submitted extent — with extents
+// of more than one block, together with every consecutive extent queued
+// behind it — and flushes them in a single FlushRun call whose space
+// pieces are their buffers: one coalesced device request per drive per
+// batch. The final extent is clamped to the stream length, so only its
+// valid prefix is written.
 func NewSeqWriter(flush FlushRun, blockSize int, total int64, extent, nbufs, writers int) (*SeqWriter, error) {
 	extent = max(extent, 1)
 	if blockSize <= 0 {
@@ -359,44 +442,65 @@ func NewSeqWriter(flush FlushRun, blockSize int, total int64, extent, nbufs, wri
 		return nil, fmt.Errorf("buffer: negative writer count")
 	}
 	return &SeqWriter{flush: flush, blockSize: blockSize, extent: int64(extent), blocks: total,
-		nbufs: nbufs, writers: min(writers, nbufs), free: getFrames(blockSize*extent, nbufs)}, nil
+		writers: min(writers, nbufs), free: getFrames(blockSize*extent, nbufs)}, nil
 }
 
-// store flushes extent e from its buffer.
-func (w *SeqWriter) store(ctx sim.Context, e int64, buf []byte) error {
-	first := e * w.extent
-	n := min(w.extent, w.blocks-first)
-	if n <= 0 {
-		return fmt.Errorf("buffer: extent %d beyond stream of %d blocks", e, w.blocks)
+// inStream reports whether extent e holds blocks of the stream.
+func (w *SeqWriter) inStream(e int64) bool { return e*w.extent < w.blocks }
+
+// store flushes the extents of b.items, consecutive and in the stream,
+// with one FlushRun call.
+func (w *SeqWriter) store(ctx sim.Context, b *ioBatch) error {
+	first, last := b.items[0].idx, b.items[len(b.items)-1].idx+1
+	if !w.inStream(first) {
+		return fmt.Errorf("buffer: extent %d beyond stream of %d blocks", first, w.blocks)
 	}
-	return w.flush(ctx, first, int(n), buf[:n*int64(w.blockSize)])
+	for _, it := range b.items {
+		b.piece(it.idx, first, w.extent, w.blocks, w.blockSize, it.buf)
+	}
+	lo := first * w.extent
+	return w.flush(ctx, lo, int(min(last*w.extent, w.blocks)-lo), b.sp)
 }
 
-// startWriters launches the flush processes (engine mode only), moving
-// the buffer pool into the queues. Writers drain the flush queue until
-// Close closes it, returning each drained buffer to the pool.
+// startWriters launches the flush processes (engine mode only).
 func (w *SeqWriter) startWriters(p *sim.Proc) {
 	w.started = true
-	w.freeq = sim.NewQueue(w.nbufs)
-	w.queue = sim.NewQueue(w.nbufs)
-	for _, b := range w.free {
-		w.freeq.Put(p, b)
-	}
-	w.free = w.free[:0]
 	for i := 0; i < w.writers; i++ {
-		w.g.Spawn(p.Engine(), "write-behind", func(io *sim.Proc) {
-			for {
-				v, ok := w.queue.Get(io)
-				if !ok {
-					return
-				}
-				item := v.(flushItem)
-				if err := w.store(io, item.idx, item.buf); err != nil {
-					w.errs = append(w.errs, fmt.Errorf("buffer: flush block %d: %w", item.idx, err))
-				}
-				w.freeq.Put(io, item.buf)
-			}
-		})
+		w.g.Spawn(p.Engine(), "write-behind", w.writeBehind)
+	}
+}
+
+// writeBehind is the body of a flush process: it takes the extent at the
+// head of the queue — with extents of more than one block, together with
+// every consecutive extent of the stream queued behind it — flushes them
+// with one FlushRun call and returns their buffers to the pool, until
+// Close has closed the writer and the queue is empty.
+func (w *SeqWriter) writeBehind(io *sim.Proc) {
+	b := batches.Get().(*ioBatch)
+	defer batches.Put(b)
+	for {
+		for len(w.queue) == 0 && !w.closed {
+			w.work.Wait(io)
+		}
+		if len(w.queue) == 0 {
+			return
+		}
+		k := 1
+		for w.extent > 1 && k < len(w.queue) && w.queue[k].idx == w.queue[k-1].idx+1 && w.inStream(w.queue[k].idx) {
+			k++
+		}
+		b.items = append(b.items, w.queue[:k]...)
+		n := copy(w.queue, w.queue[k:])
+		clear(w.queue[n:])
+		w.queue = w.queue[:n]
+		if err := w.store(io, b); err != nil {
+			w.errs = append(w.errs, fmt.Errorf("buffer: flush extents %d–%d: %w", b.items[0].idx, b.items[k-1].idx, err))
+		}
+		for _, it := range b.items {
+			w.free = append(w.free, it.buf)
+			w.frameWait.WakeOne(io.Engine())
+		}
+		b.reset()
 	}
 }
 
@@ -406,12 +510,10 @@ func (w *SeqWriter) Acquire(ctx sim.Context) ([]byte, error) {
 	if w.closed {
 		return nil, fmt.Errorf("buffer: writer closed")
 	}
-	if p, engine := ctx.(*sim.Proc); engine && w.writers > 0 && w.started {
-		v, ok := w.freeq.Get(p)
-		if !ok {
-			return nil, fmt.Errorf("buffer: writer closed")
+	if p, engine := ctx.(*sim.Proc); engine && w.started {
+		for len(w.free) == 0 {
+			w.frameWait.Wait(p)
 		}
-		return v.([]byte), nil
 	}
 	if len(w.free) == 0 {
 		return nil, fmt.Errorf("buffer: no free buffer (synchronous writer leak?)")
@@ -430,16 +532,19 @@ func (w *SeqWriter) Submit(ctx sim.Context, idx int64, buf []byte) error {
 	}
 	p, engine := ctx.(*sim.Proc)
 	if !engine || w.writers == 0 {
-		err := w.store(ctx, idx, buf)
+		b := batches.Get().(*ioBatch)
+		b.items = append(b.items, flushItem{idx: idx, buf: buf})
+		err := w.store(ctx, b)
+		b.reset()
+		batches.Put(b)
 		w.free = append(w.free, buf)
 		return err
 	}
 	if !w.started {
 		w.startWriters(p)
 	}
-	// Never parks: every queued item holds a distinct pool buffer, so
-	// the queue holds at most nbufs items.
-	w.queue.Put(p, flushItem{idx: idx, buf: buf})
+	w.queue = append(w.queue, flushItem{idx: idx, buf: buf})
+	w.work.WakeOne(p.Engine())
 	return nil
 }
 
@@ -452,11 +557,8 @@ func (w *SeqWriter) Close(ctx sim.Context) error {
 	}
 	w.closed = true
 	if p, ok := ctx.(*sim.Proc); ok && w.started {
-		w.queue.Close(p)
+		w.work.WakeAll(p.Engine())
 		w.g.Wait(p)
-		for v, ok := w.freeq.TryGet(p); ok; v, ok = w.freeq.TryGet(p) {
-			w.free = append(w.free, v.([]byte))
-		}
 	}
 	putFrames(w.free)
 	w.free = nil

@@ -7,28 +7,81 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blockio"
 	"repro/internal/sim"
 )
+
+// spaceEnd is the space offset one past sp's last piece.
+func spaceEnd(sp blockio.Space) int64 {
+	if len(sp) == 0 {
+		return 0
+	}
+	return sp[len(sp)-1].Off + int64(len(sp[len(sp)-1].Buf))
+}
+
+// spaceAt returns the n space bytes at off, which one piece must hold.
+func spaceAt(sp blockio.Space, off, n int64) []byte {
+	for _, pc := range sp {
+		if off >= pc.Off && off+n <= pc.Off+int64(len(pc.Buf)) {
+			return pc.Buf[off-pc.Off : off-pc.Off+n]
+		}
+	}
+	panic("buffer test: space bytes not in one piece")
+}
+
+// runHook is a stream hook written over one contiguous buffer; runIn and
+// runOut adapt one to the buffer space a stream hands its FetchRun and
+// FlushRun. A one-piece space is passed as it is, so the hook sees the
+// frame itself; a batch's pieces are staged through one buffer, scattered
+// into after the hook has filled it (in) or gathered before (out).
+type runHook = func(ctx sim.Context, first int64, n int, buf []byte) error
+
+func runIn(fn runHook) FetchRun {
+	return func(ctx sim.Context, first int64, n int, sp blockio.Space) error {
+		if len(sp) == 1 && sp[0].Off == 0 {
+			return fn(ctx, first, n, sp[0].Buf)
+		}
+		buf := make([]byte, spaceEnd(sp))
+		err := fn(ctx, first, n, buf)
+		for _, pc := range sp {
+			copy(pc.Buf, buf[pc.Off:])
+		}
+		return err
+	}
+}
+
+func runOut(fn runHook) FlushRun {
+	return func(ctx sim.Context, first int64, n int, sp blockio.Space) error {
+		if len(sp) == 1 && sp[0].Off == 0 {
+			return fn(ctx, first, n, sp[0].Buf)
+		}
+		buf := make([]byte, spaceEnd(sp))
+		for _, pc := range sp {
+			copy(buf[pc.Off:], pc.Buf)
+		}
+		return fn(ctx, first, n, buf)
+	}
+}
 
 // memFetch serves blocks whose every byte is the block index, charging
 // cost of virtual time per fetch.
 func memFetch(cost time.Duration) FetchRun {
-	return func(ctx sim.Context, first int64, n int, buf []byte) error {
+	return runIn(func(ctx sim.Context, first int64, n int, buf []byte) error {
 		ctx.Sleep(cost)
 		bs := len(buf) / n
 		for i := range buf {
 			buf[i] = byte(first + int64(i/bs))
 		}
 		return nil
-	}
+	})
 }
 
 // memSpan is memFetch as a cache's span hook.
 func memSpan(cost time.Duration) FetchSpan {
-	return func(ctx sim.Context, idxs []int64, buf []byte) error {
+	return func(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 		ctx.Sleep(cost)
 		for i, idx := range idxs {
-			blk := blockOf(buf, idxs, i)
+			blk := blockOf(sp, idxs, i)
 			for k := range blk {
 				blk[k] = byte(idx)
 			}
@@ -69,13 +122,13 @@ func TestSeqReaderExtentSizedToStream(t *testing.T) {
 		{0, 32, 4, 1, 32},
 	}
 	for _, tc := range cases {
-		fetch := func(ctx sim.Context, first int64, n int, buf []byte) error {
+		fetch := runIn(func(ctx sim.Context, first int64, n int, buf []byte) error {
 			ctx.Sleep(time.Millisecond)
 			for i := range buf {
 				buf[i] = byte(first) + byte(i/bs)
 			}
 			return nil
-		}
+		})
 		for _, engine := range []bool{false, true} {
 			r, err := NewSeqReader(fetch, bs, tc.total, tc.extent, tc.nbufs, 2)
 			if err != nil {
@@ -277,12 +330,12 @@ func TestSeqReaderMultipleConsumers(t *testing.T) {
 
 func TestSeqReaderFetchError(t *testing.T) {
 	boom := errors.New("boom")
-	f := func(ctx sim.Context, idx int64, _ int, buf []byte) error {
+	f := runIn(func(ctx sim.Context, idx int64, _ int, buf []byte) error {
 		if idx == 3 {
 			return boom
 		}
 		return nil
-	}
+	})
 	e := sim.NewEngine()
 	r, err := NewSeqReader(f, 8, 5, 1, 2, 1)
 	if err != nil {
@@ -375,10 +428,10 @@ func TestSeqReaderNeverParksAProcess(t *testing.T) {
 
 func TestSeqWriterSynchronous(t *testing.T) {
 	var wrote []int64
-	flush := func(ctx sim.Context, idx int64, _ int, buf []byte) error {
+	flush := runOut(func(ctx sim.Context, idx int64, _ int, buf []byte) error {
 		wrote = append(wrote, idx)
 		return nil
-	}
+	})
 	w, err := NewSeqWriter(flush, 8, 5, 1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -406,10 +459,10 @@ func TestSeqWriterDeferredOverlap(t *testing.T) {
 	// writing should overlap them (~n ms), synchronous doubles (~2n ms).
 	run := func(writers int) time.Duration {
 		e := sim.NewEngine()
-		flush := func(ctx sim.Context, idx int64, _ int, buf []byte) error {
+		flush := runOut(func(ctx sim.Context, idx int64, _ int, buf []byte) error {
 			ctx.Sleep(time.Millisecond)
 			return nil
-		}
+		})
 		w, err := NewSeqWriter(flush, 8, 10, 1, 2, writers)
 		if err != nil {
 			t.Fatal(err)
@@ -450,12 +503,12 @@ func TestSeqWriterDeferredOverlap(t *testing.T) {
 
 func TestSeqWriterCollectsErrors(t *testing.T) {
 	boom := errors.New("boom")
-	flush := func(ctx sim.Context, idx int64, _ int, buf []byte) error {
+	flush := runOut(func(ctx sim.Context, idx int64, _ int, buf []byte) error {
 		if idx == 2 {
 			return boom
 		}
 		return nil
-	}
+	})
 	e := sim.NewEngine()
 	w, err := NewSeqWriter(flush, 8, 4, 1, 2, 1)
 	if err != nil {
@@ -484,7 +537,7 @@ func TestSeqWriterCollectsErrors(t *testing.T) {
 }
 
 func TestSeqWriterDoubleCloseOK(t *testing.T) {
-	w, err := NewSeqWriter(func(sim.Context, int64, int, []byte) error { return nil }, 8, 0, 1, 1, 0)
+	w, err := NewSeqWriter(runOut(func(sim.Context, int64, int, []byte) error { return nil }), 8, 0, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,32 +562,33 @@ type cacheBacking struct {
 
 func newCacheBacking() *cacheBacking { return &cacheBacking{blocks: map[int64][]byte{}} }
 
-// blockOf is the i-th block of a span buffer holding len(idxs) blocks.
-func blockOf(buf []byte, idxs []int64, i int) []byte {
-	bs := len(buf) / len(idxs)
-	return buf[i*bs : (i+1)*bs]
+// blockOf is the i-th block of a span's buffer space holding len(idxs)
+// blocks.
+func blockOf(sp blockio.Space, idxs []int64, i int) []byte {
+	bs := spaceEnd(sp) / int64(len(idxs))
+	return spaceAt(sp, int64(i)*bs, bs)
 }
 
-func (b *cacheBacking) fetch(ctx sim.Context, idxs []int64, buf []byte) error {
+func (b *cacheBacking) fetch(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 	for i, idx := range idxs {
 		b.fetches++
-		dst := blockOf(buf, idxs, i)
+		dst := blockOf(sp, idxs, i)
 		clear(dst)
 		copy(dst, b.blocks[idx])
 	}
 	return nil
 }
 
-func (b *cacheBacking) flush(ctx sim.Context, idxs []int64, buf []byte) error {
+func (b *cacheBacking) flush(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 	for i, idx := range idxs {
 		b.flushes++
-		b.blocks[idx] = append([]byte(nil), blockOf(buf, idxs, i)...)
+		b.blocks[idx] = append([]byte(nil), blockOf(sp, idxs, i)...)
 	}
 	return nil
 }
 
 // noFlush is a write hook for caches that are never dirtied.
-func noFlush(sim.Context, []int64, []byte) error { return nil }
+func noFlush(sim.Context, []int64, blockio.Space) error { return nil }
 
 func TestCacheValidation(t *testing.T) {
 	b := newCacheBacking()
@@ -641,7 +695,7 @@ func TestCacheCoalescesConcurrentMisses(t *testing.T) {
 	// Two processes miss the same block; only one fetch must occur.
 	e := sim.NewEngine()
 	fetches := 0
-	fetch := func(ctx sim.Context, idxs []int64, buf []byte) error {
+	fetch := func(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 		fetches++
 		ctx.Sleep(time.Millisecond)
 		return nil
@@ -692,7 +746,7 @@ func TestCacheZipfLocalityBeatsUniform(t *testing.T) {
 
 func TestCacheFetchErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	c, err := NewCache(func(sim.Context, []int64, []byte) error { return boom }, noFlush, 8, 2, 0)
+	c, err := NewCache(func(sim.Context, []int64, blockio.Space) error { return boom }, noFlush, 8, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -798,7 +852,7 @@ func TestCacheMissRecyclesEvictedFrame(t *testing.T) {
 func TestCacheEvictionDuringFlushKeepsFrame(t *testing.T) {
 	written := map[int64]byte{}
 	calls := 0
-	flush := func(ctx sim.Context, idxs []int64, buf []byte) error {
+	flush := func(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 		calls++
 		if calls == 1 {
 			ctx.Sleep(20 * time.Millisecond) // Flush's write: slow
@@ -806,7 +860,7 @@ func TestCacheEvictionDuringFlushKeepsFrame(t *testing.T) {
 			ctx.Sleep(time.Millisecond) // the evictor's write-back overtakes it
 		}
 		for i, idx := range idxs {
-			written[idx] = blockOf(buf, idxs, i)[0]
+			written[idx] = blockOf(sp, idxs, i)[0]
 		}
 		return nil
 	}
@@ -849,16 +903,16 @@ func TestCacheEvictionDuringFlushKeepsFrame(t *testing.T) {
 func TestCacheFlushIsNotEvicted(t *testing.T) {
 	b := newCacheBacking()
 	flushed := map[int64]int{}
-	flush := func(ctx sim.Context, idxs []int64, buf []byte) error {
+	flush := func(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 		ctx.Sleep(10 * time.Millisecond) // long enough for the others to get in its way
 		for _, idx := range idxs {
 			flushed[idx]++
 		}
-		return b.flush(ctx, idxs, buf)
+		return b.flush(ctx, idxs, sp)
 	}
-	fetch := func(ctx sim.Context, idxs []int64, buf []byte) error {
+	fetch := func(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 		ctx.Sleep(time.Millisecond)
-		return b.fetch(ctx, idxs, buf)
+		return b.fetch(ctx, idxs, sp)
 	}
 	c, err := NewCache(fetch, flush, 8, 2, 0)
 	if err != nil {

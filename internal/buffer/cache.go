@@ -6,23 +6,26 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/blockio"
 	"repro/internal/sim"
 )
 
-// FetchSpan reads the len(idxs) blocks listed in idxs into buf, the i-th
-// landing at buf[i×blockSize:]. The indices are ascending and distinct
-// but need not be contiguous; a vectored backend (blockio.Set.ReadVec)
-// coalesces physically adjacent blocks into single device requests. A
-// miss is the one-index list, fetched straight into its frame.
-type FetchSpan func(ctx sim.Context, idxs []int64, buf []byte) error
+// FetchSpan reads the len(idxs) blocks listed in idxs into the buffer
+// space sp, the i-th landing at space offset i×blockSize — in the cache's
+// frames, one piece each, so the drives scatter straight into them. The
+// indices are ascending and distinct but need not be contiguous; a
+// vectored backend (blockio.Set.ReadVecStrategy) coalesces physically
+// adjacent blocks into single device requests. A miss is the one-index
+// list.
+type FetchSpan func(ctx sim.Context, idxs []int64, sp blockio.Space) error
 
-// FlushSpan writes the len(idxs) blocks listed in idxs from buf, the i-th
-// taken from buf[i×blockSize:] — the write counterpart of FetchSpan. The
-// indices are ascending and distinct; a vectored backend
-// (blockio.Set.WriteVec) turns them into one gather request per physical
-// run, issued in parallel across drives. An eviction's write-back is the
-// one-index list, written from the victim's frame.
-type FlushSpan func(ctx sim.Context, idxs []int64, buf []byte) error
+// FlushSpan writes the len(idxs) blocks listed in idxs from the buffer
+// space sp, the i-th taken from space offset i×blockSize — the write
+// counterpart of FetchSpan. The indices are ascending and distinct; a
+// vectored backend (blockio.Set.WriteVecStrategy) turns them into one
+// gather request per physical run, issued in parallel across drives. An
+// eviction's write-back is the one-index list.
+type FlushSpan func(ctx sim.Context, idxs []int64, sp blockio.Space) error
 
 // CacheStats counts cache outcomes.
 type CacheStats struct {
@@ -65,27 +68,25 @@ func (e *entry) insertAfter(at *entry) {
 }
 
 // batch is the scratch of one transfer: the entries it moves, their
-// block indices and, for several, the staging buffer.
+// block indices and the buffer space their frames make.
 type batch struct {
 	ents []*entry
 	idxs []int64
-	buf  []byte
+	sp   blockio.Space
 }
 
 // byBlock orders entries by block index.
 func byBlock(x, y *entry) int { return cmp.Compare(x.idx, y.idx) }
 
-// span returns what a span hook takes: the entries' block indices and a
-// staging buffer of one block each.
-func (b *batch) span(blockSize int) (idxs []int64, stage []byte) {
-	b.idxs = b.idxs[:0]
-	for _, e := range b.ents {
+// span returns what a span hook takes: the entries' block indices and the
+// space whose i-th block is the i-th entry's frame.
+func (b *batch) span(blockSize int) (idxs []int64, sp blockio.Space) {
+	b.idxs, b.sp = b.idxs[:0], b.sp[:0]
+	for i, e := range b.ents {
 		b.idxs = append(b.idxs, e.idx)
+		b.sp = append(b.sp, blockio.Piece{Off: int64(i * blockSize), Buf: e.buf})
 	}
-	if n := len(b.ents) * blockSize; cap(b.buf) < n {
-		b.buf = make([]byte, n)
-	}
-	return b.idxs, b.buf[:len(b.ents)*blockSize]
+	return b.idxs, b.sp
 }
 
 // Cache is a write-back buffer pool keyed by block index: capacity frames
@@ -283,17 +284,19 @@ func (c *Cache) getBatch() *batch {
 
 func (c *Cache) putBatch(b *batch) {
 	clear(b.ents)
-	b.ents = b.ents[:0]
+	clear(b.sp)
+	b.ents, b.sp = b.ents[:0], b.sp[:0]
 	c.batches = append(c.batches, b)
 }
 
 // one moves block e.idx between its frame and the backing store through
-// hook (c.fetch or c.flush) as the one-index span, its list taken from
+// hook (c.fetch or c.flush) as the one-index span, its lists taken from
 // the batch scratch.
-func (c *Cache) one(ctx sim.Context, hook func(sim.Context, []int64, []byte) error, e *entry) error {
+func (c *Cache) one(ctx sim.Context, hook func(sim.Context, []int64, blockio.Space) error, e *entry) error {
 	b := c.getBatch()
-	b.idxs = append(b.idxs[:0], e.idx)
-	err := hook(ctx, b.idxs, e.buf)
+	b.ents = append(b.ents, e)
+	idxs, sp := b.span(c.blockSize)
+	err := hook(ctx, idxs, sp)
 	c.putBatch(b)
 	return err
 }
@@ -440,11 +443,8 @@ func (c *Cache) writeSpan(ctx sim.Context, b *batch) error {
 		return nil
 	}
 	c.stats.WriteBacks += int64(len(b.ents))
-	idxs, stage := b.span(c.blockSize)
-	for i, e := range b.ents {
-		copy(stage[i*c.blockSize:], e.buf)
-	}
-	if err := c.flush(ctx, idxs, stage); err != nil {
+	idxs, sp := b.span(c.blockSize)
+	if err := c.flush(ctx, idxs, sp); err != nil {
 		return fmt.Errorf("buffer: write back %d blocks: %w", len(b.ents), err)
 	}
 	for _, e := range b.ents {
@@ -541,13 +541,8 @@ func (c *Cache) FaultIn(ctx sim.Context, idxs []int64) error {
 		return nil
 	}
 	c.stats.Misses += int64(len(b.ents))
-	idxs, stage := b.span(c.blockSize)
-	err := c.fetch(ctx, idxs, stage)
-	if err == nil {
-		for i, e := range b.ents {
-			copy(e.buf, stage[i*c.blockSize:])
-		}
-	}
+	idxs, sp := b.span(c.blockSize)
+	err := c.fetch(ctx, idxs, sp)
 	for _, e := range b.ents {
 		c.clearBusy(ctx, e.idx)
 		if err != nil {

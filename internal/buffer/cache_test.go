@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blockio"
 	"repro/internal/sim"
 )
 
@@ -22,10 +23,10 @@ type poolBacking struct {
 
 var errDrive = errors.New("drive failed")
 
-func (b *poolBacking) fetchSpan(ctx sim.Context, idxs []int64, buf []byte) error {
+func (b *poolBacking) fetchSpan(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 	ctx.Sleep(time.Millisecond)
 	for i, idx := range idxs {
-		dst := buf[i*b.blockSize : (i+1)*b.blockSize]
+		dst := blockOf(sp, idxs, i)
 		clear(dst)
 		copy(dst, b.blocks[idx])
 	}
@@ -36,7 +37,7 @@ func (b *poolBacking) put(idx int64, buf []byte) {
 	b.blocks[idx] = append(b.blocks[idx][:0], buf...)
 }
 
-func (b *poolBacking) flushSpan(ctx sim.Context, idxs []int64, buf []byte) error {
+func (b *poolBacking) flushSpan(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 	if p, ok := ctx.(*sim.Proc); !ok || p.Name() != "cache-cleaner" {
 		b.inline++
 	}
@@ -50,7 +51,7 @@ func (b *poolBacking) flushSpan(ctx sim.Context, idxs []int64, buf []byte) error
 		if i > 0 && idxs[i-1] >= idx {
 			return fmt.Errorf("span %v not ascending", idxs)
 		}
-		b.put(idx, buf[i*b.blockSize:(i+1)*b.blockSize])
+		b.put(idx, blockOf(sp, idxs, i))
 	}
 	return nil
 }

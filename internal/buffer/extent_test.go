@@ -19,7 +19,7 @@ func TestSeqReaderExtentBoundaries(t *testing.T) {
 		n     int
 	}
 	var calls []call
-	fetch := func(ctx sim.Context, first int64, n int, buf []byte) error {
+	fetch := runIn(func(ctx sim.Context, first int64, n int, buf []byte) error {
 		calls = append(calls, call{first, n})
 		if len(buf) != n*bs {
 			t.Fatalf("fetch buf len %d for %d blocks", len(buf), n)
@@ -30,7 +30,7 @@ func TestSeqReaderExtentBoundaries(t *testing.T) {
 			}
 		}
 		return nil
-	}
+	})
 	r, err := NewSeqReader(fetch, bs, total, extent, 2, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -83,13 +83,13 @@ func TestSeqWriterExtentBoundaries(t *testing.T) {
 		n     int
 	}
 	var calls []call
-	flush := func(ctx sim.Context, first int64, n int, buf []byte) error {
+	flush := runOut(func(ctx sim.Context, first int64, n int, buf []byte) error {
 		calls = append(calls, call{first, n})
 		if len(buf) != n*bs {
 			t.Fatalf("flush buf len %d for %d blocks", len(buf), n)
 		}
 		return nil
-	}
+	})
 	w, err := NewSeqWriter(flush, bs, total, extent, 2, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestSeqReaderExtentPrefetch(t *testing.T) {
 	const bs = 4
 	const total = 9
 	const extent = 2
-	fetch := func(ctx sim.Context, first int64, n int, buf []byte) error {
+	fetch := runIn(func(ctx sim.Context, first int64, n int, buf []byte) error {
 		if p, ok := ctx.(*sim.Proc); ok {
 			p.Sleep(1)
 		}
@@ -135,7 +135,7 @@ func TestSeqReaderExtentPrefetch(t *testing.T) {
 			buf[i*bs] = byte(first + int64(i))
 		}
 		return nil
-	}
+	})
 	e := sim.NewEngine()
 	r, err := NewSeqReader(fetch, bs, total, extent, 3, 2)
 	if err != nil {

@@ -3,11 +3,12 @@ package buffer
 import (
 	"testing"
 
+	"repro/internal/blockio"
 	"repro/internal/sim"
 )
 
 func TestSeqWriterValidation(t *testing.T) {
-	flush := func(sim.Context, int64, int, []byte) error { return nil }
+	flush := runOut(func(sim.Context, int64, int, []byte) error { return nil })
 	if _, err := NewSeqWriter(flush, 0, 1, 1, 1, 1); err == nil {
 		t.Fatal("zero block size accepted")
 	}
@@ -40,7 +41,7 @@ func TestSeqReaderClampReaders(t *testing.T) {
 func TestSeqWriterSynchronousBufferExhaustion(t *testing.T) {
 	// In synchronous mode, Acquire without Submit exhausts the pool and
 	// must error rather than hang.
-	flush := func(sim.Context, int64, int, []byte) error { return nil }
+	flush := runOut(func(sim.Context, int64, int, []byte) error { return nil })
 	w, err := NewSeqWriter(flush, 8, 1, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +74,7 @@ func TestCacheOvercommitWhenAllBusy(t *testing.T) {
 	// Capacity 1 with two concurrent misses on different blocks: the
 	// second must overcommit rather than deadlock or fail.
 	e := sim.NewEngine()
-	fetch := func(ctx sim.Context, idxs []int64, buf []byte) error {
+	fetch := func(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 		ctx.Sleep(1000)
 		return nil
 	}
@@ -98,7 +99,7 @@ func TestCacheEvictionOrderDeterministic(t *testing.T) {
 	// Flush order must be ascending block index regardless of insert
 	// order (determinism of virtual-time runs).
 	var flushed []int64
-	flush := func(ctx sim.Context, idxs []int64, buf []byte) error {
+	flush := func(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 		flushed = append(flushed, idxs...)
 		return nil
 	}

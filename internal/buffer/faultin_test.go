@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/blockio"
 	"repro/internal/sim"
 )
 
@@ -16,18 +17,19 @@ type spanBackend struct {
 	flushes    int // blocks written
 }
 
-func (b *spanBackend) fetchSpan(ctx sim.Context, idxs []int64, buf []byte) error {
+func (b *spanBackend) fetchSpan(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 	b.spans++
 	b.spanBlocks += len(idxs)
 	for i, idx := range idxs {
-		for j := 0; j < b.blockSize; j++ {
-			buf[i*b.blockSize+j] = byte(idx)
+		blk := blockOf(sp, idxs, i)
+		for j := range blk {
+			blk[j] = byte(idx)
 		}
 	}
 	return nil
 }
 
-func (b *spanBackend) flushSpan(ctx sim.Context, idxs []int64, buf []byte) error {
+func (b *spanBackend) flushSpan(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 	b.flushes += len(idxs)
 	return nil
 }

@@ -39,7 +39,7 @@ func TestFramesRecycledOnReopen(t *testing.T) {
 	}
 	writer := func(nbufs int) func() {
 		return func() {
-			w, err := NewSeqWriter(func(sim.Context, int64, int, []byte) error { return nil }, size, 0, 1, nbufs, 0)
+			w, err := NewSeqWriter(runOut(func(sim.Context, int64, int, []byte) error { return nil }), size, 0, 1, nbufs, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,10 +61,10 @@ func TestFramesRecycledOnReopen(t *testing.T) {
 	e := sim.NewEngine()
 	var held [][]byte
 	e.Go("producer", func(p *sim.Proc) {
-		w, err := NewSeqWriter(func(ctx sim.Context, _ int64, _ int, _ []byte) error {
+		w, err := NewSeqWriter(runOut(func(ctx sim.Context, _ int64, _ int, _ []byte) error {
 			ctx.Sleep(time.Millisecond)
 			return nil
-		}, size+1, 10, 1, 3, 2)
+		}), size+1, 10, 1, 3, 2)
 		if err != nil {
 			t.Error(err)
 			return
@@ -102,11 +102,11 @@ func TestCloseKeepsInFlightFrames(t *testing.T) {
 	const size = 12347
 	e := sim.NewEngine()
 	var fetchedInto [][]byte
-	fetch := func(ctx sim.Context, idx int64, _ int, buf []byte) error {
+	fetch := runIn(func(ctx sim.Context, idx int64, _ int, buf []byte) error {
 		fetchedInto = append(fetchedInto, buf)
 		ctx.Sleep(time.Duration(1+49*idx) * time.Millisecond) // block 1 lands long after block 0
 		return nil
-	}
+	})
 	e.Go("consumer", func(p *sim.Proc) {
 		r, err := NewSeqReader(fetch, size, 4, 1, 2, 2)
 		if err != nil {
@@ -158,12 +158,12 @@ func TestFramesConcurrentStreams(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ctx := sim.NewWall()
-			stamp := func(_ sim.Context, _ int64, _ int, buf []byte) error {
+			stamp := runIn(func(_ sim.Context, _ int64, _ int, buf []byte) error {
 				for i := range buf {
 					buf[i] = byte(id)
 				}
 				return nil
-			}
+			})
 			for range rounds {
 				r, err := NewSeqReader(stamp, size, 3, 1, 3, 0)
 				if err != nil {

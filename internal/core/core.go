@@ -20,9 +20,9 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/blockio"
-	"repro/internal/buffer"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 )
@@ -32,24 +32,33 @@ import (
 // configuration (double buffering, read-ahead, deferred write).
 type Options struct {
 	// NBufs is the number of block buffers for stream handles
-	// (minimum 1; DefaultOptions sets 2 — double buffering).
+	// (minimum 1; DefaultOptions sets 2 — double buffering). With
+	// extents of more than one block it also bounds a batch: an I/O
+	// process sends at most the extents of every buffer at once.
 	NBufs int
 	// ExtentBlocks sets the streaming transfer size in fs blocks: stream
 	// handles prefetch and write-behind whole extents of up to this many
 	// fs blocks, and spans that are logically contiguous coalesce into
 	// single device requests (extent I/O), paying the device's
 	// per-request overhead once per extent instead of once per block.
-	// 0 or 1 keeps the paper's block-at-a-time requests; DefaultOptions
-	// leaves it there so the paper's modeled shapes are unchanged.
-	// Each of the NBufs buffers grows to ExtentBlocks fs blocks, and a
-	// closed stream writer zero-fills the unwritten remainder of its
-	// final extent.
+	// Above 1 an I/O process also batches: a prefetch process claims the
+	// extent of every free buffer, a write-behind process every
+	// consecutive extent queued behind the one it took, and each batch
+	// leaves as one descriptor over the batch's buffers (list I/O), so
+	// physically adjacent extents are one request per drive. 0 or 1
+	// keeps the paper's block-at-a-time requests; DefaultOptions leaves
+	// it there so the paper's modeled shapes are unchanged. Each of the
+	// NBufs buffers grows to ExtentBlocks fs blocks, and a closed stream
+	// writer zero-fills the unwritten remainder of its final extent.
 	ExtentBlocks int
 	// IOProcs is the number of dedicated I/O processes performing
-	// read-ahead / write-behind. 0 disables overlap (synchronous). For a
-	// direct-access handle it is the number of cleaner processes writing
-	// the dirty blocks evictions leave behind, in vectored batches; with 0
-	// every dirty victim is written back inside the miss that evicted it.
+	// read-ahead / write-behind, each sending its own batches (see
+	// ExtentBlocks); several of one stream have batches in flight at
+	// once. 0 disables overlap (synchronous, one extent a transfer). For
+	// a direct-access handle it is the number of cleaner processes
+	// writing the dirty blocks evictions leave behind, in vectored
+	// batches; with 0 every dirty victim is written back inside the miss
+	// that evicted it.
 	IOProcs int
 	// EarlyRelease enables the §4 self-scheduling optimization. An SS
 	// handle is a cursor over the S stream, shared by its claimants; with
@@ -105,8 +114,8 @@ func DefaultOptions() Options {
 // TunedOptions is the access-method half of the "modern defaults"
 // profile: everything the layers grown since the paper recommend
 // turning on. Streams move 32-block extents through four buffers (the
-// vectored path coalesces them to one gather request per device per
-// extent) and the direct-access cache grows to match. DefaultOptions
+// vectored path coalesces a batch of them to one gather request per
+// device) and the direct-access cache grows to match. DefaultOptions
 // remains the paper's configuration, whose modeled shapes stay
 // bit-identical; see the top-level package's TunedProfile for the
 // machine- and collective-level half (SCAN scheduling, queue merging, a
@@ -230,34 +239,34 @@ func (s blockSeq) streamVec(dst blockio.Vec, fsPer, bs, first, n int64) blockio.
 	return dst
 }
 
-// rangedFetch returns a FetchRun over the stream's fs blocks that issues
-// each extent as one vectored request (Set.ReadVec) — the extent read
-// path, gather-capable since vectored I/O — or, under Options.Strategy,
-// through the sieved/auto-selected path.
-func rangedFetch(f *pfs.File, seq blockSeq, strat blockio.Strategy) buffer.FetchRun {
-	set := f.Set()
-	fsPer := f.Mapper().FSPerBlock()
-	bs := int64(f.Mapper().FSBlockSize())
-	// vec is reused across calls, which is safe even with several
-	// prefetch processes sharing this closure: ReadVec consumes the
-	// descriptor into physical runs before its first wait.
-	var vec blockio.Vec
-	return func(ctx sim.Context, first int64, n int, buf []byte) error {
-		vec = seq.streamVec(vec[:0], fsPer, bs, first, int64(n))
-		return set.ReadVecStrategy(ctx, strat, vec, buf)
-	}
-}
+// vecs recycles the descriptors of stream transfers. A descriptor is held
+// only while its transfer runs, so the streams open at once share what
+// their batches need instead of each keeping its own: an IS view's batch
+// has a segment per block.
+var vecs = sync.Pool{New: func() any { return new(blockio.Vec) }}
 
-// rangedFlush is the write counterpart of rangedFetch, built on
-// Set.WriteVec (or its sieved/auto-selected counterpart).
-func rangedFlush(f *pfs.File, seq blockSeq, strat blockio.Strategy) buffer.FlushRun {
+// rangedRun returns the hook a stream's I/O processes move its fs blocks
+// through — a FetchRun, or with write a FlushRun. It issues each run — a
+// batch of extents, whose frames are the space's pieces — as one vectored
+// descriptor (Set.ReadVecStrategy / WriteVecStrategy: the extent path,
+// gather-capable since vectored I/O) or, under Options.Strategy, through
+// the sieved/auto-selected path. The descriptor comes from pooled
+// scratch, so I/O processes of one stream never share one.
+func rangedRun(f *pfs.File, seq blockSeq, strat blockio.Strategy, write bool) func(sim.Context, int64, int, blockio.Space) error {
 	set := f.Set()
 	fsPer := f.Mapper().FSPerBlock()
 	bs := int64(f.Mapper().FSBlockSize())
-	var vec blockio.Vec
-	return func(ctx sim.Context, first int64, n int, buf []byte) error {
-		vec = seq.streamVec(vec[:0], fsPer, bs, first, int64(n))
-		return set.WriteVecStrategy(ctx, strat, vec, buf)
+	return func(ctx sim.Context, first int64, n int, sp blockio.Space) error {
+		vp := vecs.Get().(*blockio.Vec)
+		*vp = seq.streamVec((*vp)[:0], fsPer, bs, first, int64(n))
+		var err error
+		if write {
+			err = set.WriteVecStrategy(ctx, strat, *vp, sp)
+		} else {
+			err = set.ReadVecStrategy(ctx, strat, *vp, sp)
+		}
+		vecs.Put(vp)
+		return err
 	}
 }
 

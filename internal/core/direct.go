@@ -10,9 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-// blockVec describes the fs blocks idxs, the i-th at buffer block i, each
+// blockVec describes the fs blocks idxs, the i-th at space block i, each
 // a one-block segment: physically adjacent blocks — even when logically
-// strided — coalesce into gather runs (Set.ReadVec / WriteVec).
+// strided — coalesce into gather runs (Set.ReadVecStrategy /
+// WriteVecStrategy).
 func blockVec(dst blockio.Vec, idxs []int64, bs int64) blockio.Vec {
 	for i, k := range idxs {
 		dst = append(dst, blockio.VecSeg{Block: k, N: 1, BufOff: int64(i) * bs})
@@ -23,8 +24,10 @@ func blockVec(dst blockio.Vec, idxs []int64, bs int64) blockio.Vec {
 // spansOf builds the two hooks of f's buffer pool: a miss's block and a
 // ranged fault's missing blocks arrive, and an eviction's victim and the
 // dirty blocks of a Flush or a cleaner's batch leave, as one descriptor
-// of one-block segments — one gather request per physical run, in
-// parallel across drives, and a single block the one-segment case. Under
+// of one-block segments over a space of the cache's frames — one gather
+// request per physical run, scattered into and gathered from the frames
+// themselves, in parallel across drives, and a single block the
+// one-segment case. Under
 // Options.Strategy the faulted set may instead come in as one sieved
 // covering span per device — direct access faults are exactly the
 // dense-but-holey patterns sieving was invented for. Each hook reuses its
@@ -34,13 +37,13 @@ func spansOf(f *pfs.File, strat blockio.Strategy) (buffer.FetchSpan, buffer.Flus
 	set := f.Set()
 	bs := int64(f.Mapper().FSBlockSize())
 	var rvec, wvec blockio.Vec
-	fetch := func(ctx sim.Context, idxs []int64, buf []byte) error {
+	fetch := func(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 		rvec = blockVec(rvec[:0], idxs, bs)
-		return set.ReadVecStrategy(ctx, strat, rvec, buf)
+		return set.ReadVecStrategy(ctx, strat, rvec, sp)
 	}
-	flush := func(ctx sim.Context, idxs []int64, buf []byte) error {
+	flush := func(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 		wvec = blockVec(wvec[:0], idxs, bs)
-		return set.WriteVec(ctx, wvec, buf)
+		return set.WriteVecStrategy(ctx, blockio.StrategyVectored, wvec, sp)
 	}
 	return fetch, flush
 }

@@ -4,6 +4,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/blockio"
 	"repro/internal/buffer"
 	"repro/internal/pfs"
 	"repro/internal/sim"
@@ -15,9 +16,11 @@ import (
 func staleFrames(t *testing.T, size, n int) {
 	t.Helper()
 	ctx := sim.NewWall()
-	r, err := buffer.NewSeqReader(func(_ sim.Context, _ int64, _ int, buf []byte) error {
-		for i := range buf {
-			buf[i] = 0xff
+	r, err := buffer.NewSeqReader(func(_ sim.Context, _ int64, _ int, sp blockio.Space) error {
+		for _, pc := range sp {
+			for i := range pc.Buf {
+				pc.Buf[i] = 0xff
+			}
 		}
 		return nil
 	}, size, int64(n), 1, n, 0)

@@ -17,7 +17,8 @@ import (
 // It is a byte cursor over the S stream view under TunedOptions: reads of
 // any size are served from 32-block extents that a dedicated I/O process
 // keeps four buffers ahead of the program (synchronous extent reads
-// under a wall context), each extent one request per drive. A Seek
+// under a wall context), the extents of every free buffer fetched as one
+// batch, one request per drive. A Seek
 // forward inside the extents already read ahead costs nothing; any other
 // target drops them and restarts read-ahead at the target's paper-block.
 // Consistency is the stream views': a prefetched extent is a snapshot, so

@@ -32,14 +32,15 @@ type StreamReader struct {
 }
 
 // newStreamReader wires an extent SeqReader over the stream's fs blocks:
-// each prefetch covers one extent of up to opts.ExtentBlocks fs blocks,
-// issued as one descriptor (rangedFetch: Set.ReadVecStrategy), which
-// coalesces it into a gather request per drive.
+// each prefetch covers a batch of extents of up to opts.ExtentBlocks fs
+// blocks, issued as one descriptor over the batch's frames (rangedRun:
+// Set.ReadVecStrategy), which coalesces it into a gather request per
+// drive.
 func newStreamReader(f *pfs.File, seq blockSeq, opts Options) (*StreamReader, error) {
 	opts = opts.norm()
 	m := f.Mapper()
 	totalFS := seq.n * m.FSPerBlock()
-	rd, err := buffer.NewSeqReader(rangedFetch(f, seq, opts.Strategy), m.FSBlockSize(), totalFS,
+	rd, err := buffer.NewSeqReader(rangedRun(f, seq, opts.Strategy, false), m.FSBlockSize(), totalFS,
 		opts.ExtentBlocks, opts.NBufs, opts.IOProcs)
 	if err != nil {
 		return nil, err
@@ -203,14 +204,15 @@ type StreamWriter struct {
 }
 
 // newStreamWriter wires an extent SeqWriter over the stream's fs blocks:
-// each deferred flush covers one extent of up to opts.ExtentBlocks fs
-// blocks, issued as one descriptor (rangedFlush: Set.WriteVecStrategy),
-// which coalesces it into a gather request per drive.
+// each deferred flush covers a batch of consecutive extents of up to
+// opts.ExtentBlocks fs blocks, issued as one descriptor over the batch's
+// frames (rangedRun: Set.WriteVecStrategy), which coalesces it into a
+// gather request per drive.
 func newStreamWriter(f *pfs.File, seq blockSeq, opts Options) (*StreamWriter, error) {
 	opts = opts.norm()
 	m := f.Mapper()
 	totalFS := seq.n * m.FSPerBlock()
-	sw, err := buffer.NewSeqWriter(rangedFlush(f, seq, opts.Strategy), m.FSBlockSize(), totalFS,
+	sw, err := buffer.NewSeqWriter(rangedRun(f, seq, opts.Strategy, true), m.FSBlockSize(), totalFS,
 		opts.ExtentBlocks, opts.NBufs, opts.IOProcs)
 	if err != nil {
 		return nil, err

@@ -45,11 +45,11 @@ func gWriteRange(ctx sim.Context, s *blockio.Set, b, n int64, buf []byte) error 
 }
 
 func gReadSieved(ctx sim.Context, s *blockio.Set, vec blockio.Vec, buf []byte) error {
-	return s.ReadVecStrategy(ctx, blockio.StrategySieved, vec, buf)
+	return s.ReadVecStrategy(ctx, blockio.StrategySieved, vec, blockio.Space{{Buf: buf}})
 }
 
 func gWriteSieved(ctx sim.Context, s *blockio.Set, vec blockio.Vec, buf []byte) error {
-	return s.WriteVecStrategy(ctx, blockio.StrategySieved, vec, buf)
+	return s.WriteVecStrategy(ctx, blockio.StrategySieved, vec, blockio.Space{{Buf: buf}})
 }
 
 // gBatch transfers a cross-file batch whose items address one shared

@@ -62,8 +62,9 @@
 // BatchVec) → transform (optionally, data sieving) → issue (one loop,
 // which also records every transfer on the flight recorder's "blockio"
 // track). Stream prefetchers
-// route each extent through the same descriptor, so a unit-1
-// declustered scan collapses to one request per device per extent; the
+// route each batch of extents through the same descriptor, bound to
+// the batch's buffers as one memory list, so a unit-1 declustered scan
+// collapses to one request per device per batch; the
 // direct-access handles batch record ranges through
 // ReadRecordsAt/WriteRecordsAt, whose cache faults fetch a request's
 // missing span as one vectored read. See BenchmarkVectoredScan and

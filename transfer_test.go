@@ -68,7 +68,7 @@ func TestTransferAllocs(t *testing.T) {
 	}{
 		{"one-block ReadVec", 2, func() { _ = set.ReadVec(ctx, one, blk) }},
 		{"one-block WriteVec", 2, func() { _ = set.WriteVec(ctx, one, blk) }},
-		{"one-block ReadVecStrategy(Auto)", 2, func() { _ = set.ReadVecStrategy(ctx, pario.StrategyAuto, one, blk) }},
+		{"one-block ReadVecStrategy(Auto)", 2, func() { _ = set.ReadVecStrategy(ctx, pario.StrategyAuto, one, blockio.Space{{Buf: blk}}) }},
 		{"64-block ReadVec", 2, func() { _ = set.ReadVec(ctx, vec, buf) }},
 	} {
 		if got := testing.AllocsPerRun(200, tc.call); got > 0 {
@@ -175,7 +175,7 @@ func BenchmarkOneBlockTransfer(b *testing.B) {
 		run  func() error
 	}{
 		{"read", func() error { return set.ReadVec(ctx, one, blk) }},
-		{"read-auto", func() error { return set.ReadVecStrategy(ctx, pario.StrategyAuto, one, blk) }},
+		{"read-auto", func() error { return set.ReadVecStrategy(ctx, pario.StrategyAuto, one, blockio.Space{{Buf: blk}}) }},
 		{"write", func() error { return set.WriteVec(ctx, one, blk) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
