@@ -16,6 +16,10 @@
 #                            methods of exported types of every package
 #                            outside bench/, non-test files only, and their
 #                            total: the API-size ledger
+#   bench_ledger.sh dead     print each exported name the surface counts
+#                            that no non-test file (bench/ included)
+#                            references apart from its declaration, and
+#                            their number: the names only tests reach
 #
 # A PR that moves modeled time on purpose runs `record` and commits the
 # result: that diff is its row in the ledger.
@@ -153,12 +157,171 @@ surface() {
 	rm -rf "$tmp"
 }
 
+# dead lists what the dead-name ledger lists: of the names surface counts,
+# each one no non-test .go file (bench/ included, hidden directories not)
+# references apart from its declaration. A top-level name is referenced by
+# a bare identifier in its own package or by pkg.Name where pkg imports
+# it; a method, whose receiver needs types to resolve, by any selector
+# .Name at all, so a method that shares its name with a live one is not
+# listed. Methods that satisfy the standard interfaces (String, Error,
+# Read, Write, Close, Seek, Unwrap) are skipped. Like surface it parses
+# the files with go/parser from a throwaway module.
+dead() {
+	local tmp
+	tmp=$(mktemp -d)
+	cat >"$tmp/go.mod" <<-'EOF'
+		module dead
+	EOF
+	cat >"$tmp/main.go" <<-'EOF'
+		package main
+
+		import (
+			"fmt"
+			"go/ast"
+			"go/parser"
+			"go/token"
+			"os"
+			"path"
+			"path/filepath"
+			"sort"
+			"strconv"
+			"strings"
+		)
+
+		// skip are the methods the standard interfaces call.
+		var skip = map[string]bool{"String": true, "Error": true, "Read": true,
+			"Write": true, "Close": true, "Seek": true, "Unwrap": true}
+
+		// decl is one exported name: its package path, the name as listed
+		// (Type.Method for a method) and its declaring identifier.
+		type decl struct {
+			pkg, name string
+			method    bool
+			id        *ast.Ident
+		}
+
+		func main() {
+			root, module := os.Args[1], os.Args[2]
+			fset := token.NewFileSet()
+			var decls []decl
+			declIDs := map[*ast.Ident]bool{}
+			uses := map[string]bool{} // "pkg.Name" of top-level names referenced
+			sels := map[string]bool{} // selector names, for methods
+			var files []*ast.File
+			var pkgs []string
+			for _, rel := range os.Args[3:] {
+				f, err := parser.ParseFile(fset, filepath.Join(root, rel), nil, parser.SkipObjectResolution)
+				if err != nil {
+					fmt.Fprintln(os.Stderr, err)
+					os.Exit(1)
+				}
+				pkg := path.Join(module, filepath.ToSlash(filepath.Dir(rel)))
+				files, pkgs = append(files, f), append(pkgs, pkg)
+				if strings.HasPrefix(filepath.ToSlash(rel), "bench/") {
+					continue
+				}
+				for _, d := range f.Decls {
+					switch d := d.(type) {
+					case *ast.FuncDecl:
+						if d.Recv == nil {
+							decls = append(decls, decl{pkg, d.Name.Name, false, d.Name})
+						} else if recv := recvType(d.Recv.List[0].Type); ast.IsExported(recv) && !skip[d.Name.Name] {
+							decls = append(decls, decl{pkg, recv + "." + d.Name.Name, true, d.Name})
+						}
+					case *ast.GenDecl:
+						for _, s := range d.Specs {
+							switch s := s.(type) {
+							case *ast.TypeSpec:
+								decls = append(decls, decl{pkg, s.Name.Name, false, s.Name})
+							case *ast.ValueSpec:
+								for _, id := range s.Names {
+									decls = append(decls, decl{pkg, id.Name, false, id})
+								}
+							}
+						}
+					}
+				}
+			}
+			for _, d := range decls {
+				declIDs[d.id] = true
+			}
+			for i, f := range files {
+				imports := map[string]string{}
+				for _, im := range f.Imports {
+					p, _ := strconv.Unquote(im.Path.Value)
+					name := path.Base(p)
+					if im.Name != nil {
+						name = im.Name.Name
+					}
+					imports[name] = p
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						sels[n.Sel.Name] = true
+						if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+							uses[imports[x.Name]+"."+n.Sel.Name] = true
+							return false
+						}
+					case *ast.Ident:
+						if !declIDs[n] {
+							uses[pkgs[i]+"."+n.Name] = true
+						}
+					}
+					return true
+				})
+			}
+			var out []string
+			for _, d := range decls {
+				short := d.name[strings.LastIndex(d.name, ".")+1:]
+				if !ast.IsExported(short) {
+					continue
+				}
+				if d.method && !sels[short] || !d.method && !uses[d.pkg+"."+d.name] {
+					out = append(out, fmt.Sprintf("%s  %s", "."+strings.TrimPrefix(d.pkg, module), d.name))
+				}
+			}
+			sort.Strings(out)
+			for _, l := range out {
+				fmt.Println(l)
+			}
+			fmt.Printf("%6d  total\n", len(out))
+		}
+
+		// recvType is the name of a receiver's type, pointer and type
+		// parameters left off.
+		func recvType(e ast.Expr) string {
+			for {
+				switch t := e.(type) {
+				case *ast.StarExpr:
+					e = t.X
+				case *ast.IndexExpr:
+					e = t.X
+				case *ast.IndexListExpr:
+					e = t.X
+				case *ast.Ident:
+					return t.Name
+				default:
+					return ""
+				}
+			}
+		}
+	EOF
+	local root=$PWD
+	(cd "$tmp" && GOTOOLCHAIN=local go run . "$root" "$(cd "$root" && go list -m)" $(cd "$root" &&
+		find . -name '.?*' -prune -o -name '*.go' ! -name '*_test.go' -print | sed 's|^\./||' | sort))
+	rm -rf "$tmp"
+}
+
 case "${1:-check}" in
 lines)
 	lines
 	;;
 surface)
 	surface
+	;;
+dead)
+	dead
 	;;
 record)
 	record "$baseline"
@@ -183,7 +346,7 @@ check)
 	' "$tmp/table.txt"
 	;;
 *)
-	echo "usage: $0 [check|record|lines|surface]" >&2
+	echo "usage: $0 [check|record|lines|surface|dead]" >&2
 	exit 2
 	;;
 esac

@@ -80,8 +80,8 @@ func TestBatchVecMergesAcrossFiles(t *testing.T) {
 		{Set: sets[1], Vec: Vec{{Block: 0, N: 8, BufOff: 8 * bs}}},
 	}
 	plan, err := batch.Plan(nil)
-	if err != nil || plan.WindowRuns(0) != devs {
-		t.Fatalf("WindowRuns = %d, %v; want %d (one merged run per device)", plan.WindowRuns(0), err, devs)
+	if err != nil || len(plan.wins[0]) != devs {
+		t.Fatalf("window 0 has %d runs, %v; want %d (one merged run per device)", len(plan.wins[0]), err, devs)
 	}
 	if err := plan.WriteWindows(ctx, 0, 1, Space{{Buf: buf}}); err != nil {
 		t.Fatal(err)

@@ -193,10 +193,6 @@ func (pl *BatchPlan) Uncut(dst []Run) []Run {
 // Windows reports the number of issue windows.
 func (pl *BatchPlan) Windows() int { return len(pl.wins) }
 
-// WindowRuns reports how many device requests window w issues
-// (diagnostics and tests).
-func (pl *BatchPlan) WindowRuns(w int) int { return len(pl.wins[w]) }
-
 // WindowBlocks reports the total blocks window w transfers.
 func (pl *BatchPlan) WindowBlocks(w int) int64 {
 	var n int64

@@ -122,7 +122,7 @@ func TestBatchPlanNoReMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := plan.WindowRuns(0); got != devs {
+	if got := len(plan.wins[0]); got != devs {
 		t.Fatalf("unwindowed plan has %d runs, want %d", got, devs)
 	}
 	// Four windows: one run per device per window, no other inflation.
@@ -131,7 +131,7 @@ func TestBatchPlanNoReMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 0; w < plan4.Windows(); w++ {
-		if got := plan4.WindowRuns(w); got != devs {
+		if got := len(plan4.wins[w]); got != devs {
 			t.Fatalf("window %d has %d runs, want %d", w, got, devs)
 		}
 	}
@@ -482,9 +482,9 @@ func TestMappedPlanIssuesTheDescriptors(t *testing.T) {
 		var n int
 		var bytes int64
 		for w := 0; w < pl.Windows(); w++ {
-			n += pl.WindowRuns(w)
-			if wb := pl.WindowBytes(w); wb > window && pl.WindowRuns(w) > 1 {
-				t.Errorf("seed %d: window %d moves %d bytes in %d runs, over the %d-byte window", seed, w, wb, pl.WindowRuns(w), window)
+			n += len(pl.wins[w])
+			if wb := pl.WindowBytes(w); wb > window && len(pl.wins[w]) > 1 {
+				t.Errorf("seed %d: window %d moves %d bytes in %d runs, over the %d-byte window", seed, w, wb, len(pl.wins[w]), window)
 			}
 			bytes += pl.WindowBytes(w)
 		}

@@ -339,11 +339,6 @@ func (p *Partitioned) Devices() int { return p.D }
 // Parts reports the number of partitions.
 func (p *Partitioned) Parts() int { return len(p.starts) - 1 }
 
-// PartRange reports the logical block range [start, end) of partition i.
-func (p *Partitioned) PartRange(i int) (start, end int64) {
-	return p.starts[i], p.starts[i+1]
-}
-
 // PartOf reports which partition holds logical block b.
 func (p *Partitioned) PartOf(b int64) int {
 	return sort.Search(len(p.starts)-1, func(i int) bool { return p.starts[i+1] > b })

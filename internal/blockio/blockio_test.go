@@ -148,8 +148,8 @@ func TestPartitionedUnevenSizes(t *testing.T) {
 	if p.Parts() != 3 {
 		t.Fatalf("Parts = %d", p.Parts())
 	}
-	if s, e := p.PartRange(1); s != 5 || e != 8 {
-		t.Fatalf("PartRange(1) = [%d,%d)", s, e)
+	if s, e := p.starts[1], p.starts[2]; s != 5 || e != 8 {
+		t.Fatalf("partition 1 = [%d,%d)", s, e)
 	}
 	for b := int64(0); b < 10; b++ {
 		want := 0

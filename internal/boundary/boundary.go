@@ -327,6 +327,3 @@ func (h *HaloCache) Get(rec int64) []byte { return h.records[rec] }
 
 // Size reports the cached record count.
 func (h *HaloCache) Size() int { return len(h.records) }
-
-// MemoryBytes reports the cache footprint.
-func (h *HaloCache) MemoryBytes() int64 { return int64(len(h.records)) * int64(h.rs) }

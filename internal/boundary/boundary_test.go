@@ -207,8 +207,8 @@ func TestHaloCache(t *testing.T) {
 	if h.Size() != 4 {
 		t.Fatalf("cache size %d, want 4", h.Size())
 	}
-	if h.MemoryBytes() != 4*64 {
-		t.Fatalf("memory = %d", h.MemoryBytes())
+	if mem := len(h.records) * h.rs; mem != 4*64 {
+		t.Fatalf("memory = %d", mem)
 	}
 	for _, rec := range []int64{8, 9, 20, 21} {
 		data := h.Get(rec)

@@ -628,8 +628,8 @@ func TestCacheHitMissAndLRU(t *testing.T) {
 	if b.flushes != 0 {
 		t.Fatal("clean evictions should not write back")
 	}
-	if c.Resident() != 2 {
-		t.Fatalf("resident = %d", c.Resident())
+	if len(c.entries) != 2 {
+		t.Fatalf("resident = %d", len(c.entries))
 	}
 }
 

@@ -13,10 +13,9 @@ import (
 // FetchSpan reads the len(idxs) blocks listed in idxs into the buffer
 // space sp, the i-th landing at space offset i×blockSize — in the cache's
 // frames, one piece each, so the drives scatter straight into them. The
-// indices are ascending and distinct but need not be contiguous; a
-// vectored backend (blockio.Set.ReadVecStrategy) coalesces physically
-// adjacent blocks into single device requests. A miss is the one-index
-// list.
+// cache fetches only on a miss, so idxs always holds one index; the hook
+// takes a list to share FlushSpan's shape and the one descriptor builder
+// behind both (core.spansOf).
 type FetchSpan func(ctx sim.Context, idxs []int64, sp blockio.Space) error
 
 // FlushSpan writes the len(idxs) blocks listed in idxs from the buffer
@@ -192,9 +191,6 @@ func NewCache(fetch FetchSpan, flush FlushSpan, blockSize, capacity, cleaners in
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
 
-// Resident reports how many blocks are cached.
-func (c *Cache) Resident() int { return len(c.entries) }
-
 // promote records a reference to resident entry e: it becomes the most
 // recent block of the protected segment, whose least recent block falls
 // back to the probationary segment when the segment is over its share.
@@ -306,9 +302,8 @@ func (c *Cache) one(ctx sim.Context, hook func(sim.Context, []int64, blockio.Spa
 // write-back, or behind a Flush that holds the coldest blocks — so the
 // caller re-examines the cache before using the frame, and releases it if
 // the block has arrived meanwhile. When every frame is in flight there is
-// nothing to evict: frame waits for one to land, or, told not to (the
-// caller holds some of those frames itself), returns nil.
-func (c *Cache) frame(ctx sim.Context, wait bool) (*entry, error) {
+// nothing to evict: frame waits for one to land.
+func (c *Cache) frame(ctx sim.Context) (*entry, error) {
 	for {
 		if len(c.entries)+c.inflight < c.capacity {
 			c.inflight++
@@ -325,9 +320,6 @@ func (c *Cache) frame(ctx sim.Context, wait bool) (*entry, error) {
 			p, ok := ctx.(*sim.Proc)
 			if !ok {
 				return nil, fmt.Errorf("buffer: all %d frames in flight outside an engine", c.capacity)
-			}
-			if !wait {
-				return nil, nil
 			}
 			c.frameWait.Wait(p)
 			continue
@@ -467,7 +459,7 @@ func (c *Cache) With(ctx sim.Context, idx int64, dirty bool, fn func(buf []byte)
 		}
 		// Miss: take a frame, then fetch. Both park, so re-check residency
 		// in between (another process may have raced us to the block).
-		e, err := c.frame(ctx, true)
+		e, err := c.frame(ctx)
 		if err != nil {
 			return err
 		}
@@ -487,75 +479,6 @@ func (c *Cache) With(ctx sim.Context, idx int64, dirty bool, fn func(buf []byte)
 		c.admit(ctx, e)
 		return fn(e.buf)
 	}
-}
-
-// FaultIn brings the listed blocks (ascending, distinct) into the cache,
-// fetching all the missing ones with a single FetchSpan call —
-// the ranged fault path: a request spanning several absent blocks pays
-// the device's per-request overhead once per physically contiguous run
-// instead of once per block. Blocks already resident are referenced first
-// (promoted), so the fault's evictions spare them whenever the listed
-// span fits the cache. At most capacity blocks are faulted per call, and
-// fewer when concurrent faults hold the other frames; callers reach the
-// rest through With.
-func (c *Cache) FaultIn(ctx sim.Context, idxs []int64) error {
-	for _, idx := range idxs {
-		c.waitNotBusy(ctx, idx)
-		if e, ok := c.entries[idx]; ok {
-			c.promote(e)
-		}
-	}
-	b := c.getBatch()
-	defer c.putBatch(b)
-	for _, idx := range idxs {
-		if len(b.ents) == c.capacity {
-			break
-		}
-		c.waitNotBusy(ctx, idx)
-		if _, ok := c.entries[idx]; ok {
-			continue
-		}
-		// Holding frames, never wait for another fault's: two faults that
-		// did would wait for each other. Fetch what is in hand instead.
-		e, err := c.frame(ctx, len(b.ents) == 0)
-		if err != nil {
-			for _, h := range b.ents {
-				c.clearBusy(ctx, h.idx)
-				c.release(ctx, h)
-			}
-			return err
-		}
-		if e == nil {
-			break
-		}
-		if _, ok := c.entries[idx]; ok || c.busy[idx] != nil {
-			c.release(ctx, e)
-			continue
-		}
-		// Reserve the block before the next frame's eviction parks, so
-		// concurrent accessors wait for our fetch instead of duplicating it.
-		c.setBusy(idx, e)
-		b.ents = append(b.ents, e)
-	}
-	if len(b.ents) == 0 {
-		return nil
-	}
-	c.stats.Misses += int64(len(b.ents))
-	idxs, sp := b.span(c.blockSize)
-	err := c.fetch(ctx, idxs, sp)
-	for _, e := range b.ents {
-		c.clearBusy(ctx, e.idx)
-		if err != nil {
-			c.release(ctx, e)
-			continue
-		}
-		e.dirty = false
-		c.admit(ctx, e)
-	}
-	if err != nil {
-		return fmt.Errorf("buffer: fault in %d blocks: %w", len(b.ents), err)
-	}
-	return nil
 }
 
 // Flush writes back all dirty entries (they stay resident, clean) with

@@ -429,33 +429,3 @@ func (c *Collective) run(p *mpp.Proc, write bool, reqs []VecReq, buf []byte) err
 	p.Barrier()
 	return c.err
 }
-
-// RecordRangeReq builds the VecReq covering records [firstRec,
-// firstRec+nRec) of group file `file`, with the records' bytes at
-// rank-buffer offset bufOff — the record-list convenience over the
-// block-range API. The file's framing must be dense (records tile fs
-// blocks with no padding) and the record range must cover whole fs
-// blocks, so that ranks' byte ranges remain block-disjoint.
-func RecordRangeReq(g *pfs.FileGroup, file int, firstRec, nRec, bufOff int64) (VecReq, error) {
-	if file < 0 || file >= g.Len() {
-		return VecReq{}, fmt.Errorf("collective: file %d of %d", file, g.Len())
-	}
-	m := g.File(file).Mapper()
-	if !m.Dense() {
-		return VecReq{}, fmt.Errorf("collective: file %q frames records with padding; use block-range requests", g.File(file).Name())
-	}
-	if firstRec < 0 || nRec < 0 || firstRec+nRec > m.NumRecords() {
-		return VecReq{}, fmt.Errorf("collective: records [%d,%d) of %d", firstRec, firstRec+nRec, m.NumRecords())
-	}
-	bs := int64(m.FSBlockSize())
-	rs := int64(m.RecordSize())
-	if (firstRec*rs)%bs != 0 || (nRec*rs)%bs != 0 {
-		return VecReq{}, fmt.Errorf("collective: records [%d,%d) of size %d do not cover whole %d-byte fs blocks",
-			firstRec, firstRec+nRec, rs, bs)
-	}
-	return VecReq{File: file, Vec: blockio.Vec{{
-		Block:  firstRec * rs / bs,
-		N:      nRec * rs / bs,
-		BufOff: bufOff,
-	}}}, nil
-}

@@ -355,24 +355,6 @@ func TestPlanEmptyFootprint(t *testing.T) {
 	}
 }
 
-func TestRecordRangeReq(t *testing.T) {
-	g := planFixture(t)
-	req, err := RecordRangeReq(g, 0, 2, 4, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := VecReq{File: 0, Vec: blockio.Vec{{Block: 2, N: 4, BufOff: 128}}}
-	if req.File != want.File || len(req.Vec) != 1 || req.Vec[0] != want.Vec[0] {
-		t.Fatalf("req = %+v, want %+v", req, want)
-	}
-	if _, err := RecordRangeReq(g, 5, 0, 1, 0); err == nil {
-		t.Fatal("bad file accepted")
-	}
-	if _, err := RecordRangeReq(g, 0, 0, 99, 0); err == nil {
-		t.Fatal("out-of-range records accepted")
-	}
-}
-
 // forEachClip enumerates rank's segments clipped to aggregator agg's
 // whole domain.
 func (pl *plan) forEachClip(rank, agg int, fn func(c clip)) {

@@ -1,19 +1,16 @@
-// Package convert implements the paper's §5 remedies for the
-// view-mismatch problem ("a file created with a PS organization needs to
-// be read later with an IS format"):
-//
-//  1. AlternateView — present the requested internal view through a
-//     software interface over the existing physical layout, accepting
-//     degraded performance (the stride fights the placement).
-//  2. GlobalFallback — force the consumer to the global sequential view.
-//  3. Copy — convert the file into a second file with the desired
-//     organization and placement ("could be expensive for large files").
-//
-// All three produce the same record stream; experiments measure the cost
-// differences the paper predicts.
+// Package convert implements the third of the paper's §5 remedies for
+// the view-mismatch problem ("a file created with a PS organization needs
+// to be read later with an IS format"): convert the file into a second
+// file with the desired organization and placement ("could be expensive
+// for large files"). The other two are core's stream readers: (1) an
+// alternate view over the existing layout is core.OpenInterleavedReader
+// on a PS file, or core.OpenPartReader or core.OpenBlockRangeReader on
+// an IS one, accepting that the stride fights the placement; (2) the
+// global fallback is core.OpenReader.
 package convert
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -21,68 +18,6 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/sim"
 )
-
-// Strategy names the §5 remedies.
-type Strategy int
-
-const (
-	// AlternateView reads the file in the requested pattern despite its
-	// placement.
-	AlternateView Strategy = iota
-	// GlobalFallback reads through the canonical sequential view.
-	GlobalFallback
-	// CopyConvert copies into a new file organized for the new view.
-	CopyConvert
-)
-
-// String implements fmt.Stringer.
-func (s Strategy) String() string {
-	switch s {
-	case AlternateView:
-		return "alternate-view"
-	case GlobalFallback:
-		return "global-fallback"
-	case CopyConvert:
-		return "copy-convert"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// View describes a requested internal read view.
-type View struct {
-	Org    pfs.Organization // OrgPartitioned or OrgInterleaved
-	Part   int              // which partition/stride class
-	Stride int              // IS stride (process count); ignored for PS
-}
-
-// OpenView opens a StreamReader presenting the view over f regardless of
-// f's own organization — remedy (1). PS views of non-PS files use an
-// even block split into Stride partitions.
-func OpenView(f *pfs.File, v View, opts core.Options) (*core.StreamReader, error) {
-	switch v.Org {
-	case pfs.OrgPartitioned:
-		if f.Spec().Org == pfs.OrgPartitioned && v.Stride == f.Parts() || v.Stride == 0 {
-			return core.OpenPartReader(f, v.Part, opts)
-		}
-		// Re-partition evenly into Stride parts over paper-blocks.
-		total := f.Mapper().NumBlocks()
-		per := (total + int64(v.Stride) - 1) / int64(v.Stride)
-		first := int64(v.Part) * per
-		end := first + per
-		if end > total {
-			end = total
-		}
-		if first > total {
-			first = total
-		}
-		return core.OpenBlockRangeReader(f, first, end, opts)
-	case pfs.OrgInterleaved:
-		return core.OpenInterleavedReader(f, v.Part, v.Stride, opts)
-	default:
-		return nil, fmt.Errorf("convert: unsupported view %v", v.Org)
-	}
-}
 
 // Copy streams every record of src into dst (both must share record size
 // and count), using sequential views with read-ahead on both sides —
@@ -126,7 +61,8 @@ func Copy(ctx sim.Context, src, dst *pfs.File, opts core.Options) (int64, error)
 
 // ToOrganization creates a sibling of src named newName with the target
 // organization/placement and copies src into it — the full remedy (3)
-// workflow. The new spec inherits src's framing.
+// workflow. The new spec inherits src's framing. When the copy fails the
+// sibling is removed again, so a retry under the same name can succeed.
 func ToOrganization(ctx sim.Context, vol *pfs.Volume, src *pfs.File, newName string,
 	org pfs.Organization, parts int, opts core.Options) (*pfs.File, error) {
 	spec := src.Spec()
@@ -140,7 +76,7 @@ func ToOrganization(ctx sim.Context, vol *pfs.Volume, src *pfs.File, newName str
 		return nil, err
 	}
 	if _, err := Copy(ctx, src, dst, opts); err != nil {
-		return nil, err
+		return nil, errors.Join(err, vol.Remove(newName))
 	}
 	return dst, nil
 }

@@ -1,7 +1,9 @@
 package convert
 
 import (
+	"errors"
 	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/blockio"
@@ -14,17 +16,26 @@ import (
 
 func testVolume(t *testing.T, devs int) *pfs.Volume {
 	t.Helper()
+	v, _ := testVolumeDisks(t, devs, nil)
+	return v
+}
+
+// testVolumeDisks is testVolume with the drives exposed (to fail them),
+// timed by e when it is not nil.
+func testVolumeDisks(t *testing.T, devs int, e *sim.Engine) (*pfs.Volume, []*device.Disk) {
+	t.Helper()
 	disks := make([]*device.Disk, devs)
 	for i := range disks {
 		disks[i] = device.New(device.Config{
 			Geometry: device.Geometry{BlockSize: 256, BlocksPerCyl: 8, Cylinders: 256},
+			Engine:   e,
 		})
 	}
 	store, err := blockio.NewDirect(disks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pfs.NewVolume(store)
+	return pfs.NewVolume(store), disks
 }
 
 // fill writes workload records through the S view.
@@ -83,7 +94,7 @@ func TestAlternateViewISOverPS(t *testing.T) {
 	// Read the PS file with an IS view of stride 3.
 	var all []int64
 	for part := 0; part < 3; part++ {
-		r, err := OpenView(ps, View{Org: pfs.OrgInterleaved, Part: part, Stride: 3}, core.Options{})
+		r, err := core.OpenInterleavedReader(ps, part, 3, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,10 +123,11 @@ func TestAlternateViewPSOverIS(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(t, is, ctx, 6)
-	// PS view with 2 partitions over the IS file (re-partition).
+	// PS view with 2 partitions over the IS file: the 24 paper-blocks
+	// split evenly into two block ranges.
 	var total int
 	for part := 0; part < 2; part++ {
-		r, err := OpenView(is, View{Org: pfs.OrgPartitioned, Part: part, Stride: 2}, core.Options{})
+		r, err := core.OpenBlockRangeReader(is, int64(part)*12, int64(part+1)*12, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,6 +142,27 @@ func TestAlternateViewPSOverIS(t *testing.T) {
 	}
 	if total != 48 {
 		t.Fatalf("PS alternate view delivered %d", total)
+	}
+	// PS views of the IS file's own 4-way partition table: partition part
+	// is the contiguous paper-blocks [6·part, 6·part+6), records
+	// [12·part, 12·part+12), though the IS placement deals them out
+	// round-robin across the drives.
+	total = 0
+	for part := 0; part < 4; part++ {
+		r, err := core.OpenPartReader(is, part, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := drain(t, r, ctx, 6)
+		total += len(ids)
+		for i, rec := range ids {
+			if want := int64(12*part + i); rec != want {
+				t.Fatalf("part %d record %d is %d, want %d", part, i, rec, want)
+			}
+		}
+	}
+	if total != 48 {
+		t.Fatalf("PS partitions of the IS file delivered %d", total)
 	}
 }
 
@@ -214,20 +247,72 @@ func TestCopyValidation(t *testing.T) {
 	}
 }
 
-func TestOpenViewValidation(t *testing.T) {
-	v := testVolume(t, 2)
-	f, err := v.Create(pfs.Spec{Name: "f", RecordSize: 64, NumRecords: 10})
+// TestToOrganizationFailedCopy: a drive that fails in the middle of the
+// copy fails the conversion, the half-written sibling is removed with it,
+// and once the drive is repaired a retry under the same name succeeds.
+func TestToOrganizationFailedCopy(t *testing.T) {
+	spec := pfs.Spec{Name: "ps", Org: pfs.OrgPartitioned, RecordSize: 64,
+		BlockRecords: 2, NumRecords: 256, Parts: 4}
+	// setup fills a PS file on a timed 4-drive volume and runs convert
+	// in a process of e, returning the volume, its drives and the file.
+	setup := func(e *sim.Engine) (*pfs.Volume, []*device.Disk, *pfs.File) {
+		v, disks := testVolumeDisks(t, 4, e)
+		ps, err := v.Create(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(t, ps, sim.NewWall(), 9)
+		return v, disks, ps
+	}
+	// How long a copy takes, to fail a drive halfway through one.
+	e := sim.NewEngine()
+	v, _, ps := setup(e)
+	e.Go("convert", func(p *sim.Proc) {
+		if _, err := ToOrganization(p, v, ps, "is", pfs.OrgInterleaved, 4, core.Options{}); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	took := e.Now()
+	if took == 0 {
+		t.Fatal("the copy took no modeled time")
+	}
+
+	e = sim.NewEngine()
+	v, disks, ps := setup(e)
+	var convErr error
+	e.Go("convert", func(p *sim.Proc) {
+		_, convErr = ToOrganization(p, v, ps, "is", pfs.OrgInterleaved, 4, core.Options{})
+	})
+	e.Go("failure", func(p *sim.Proc) {
+		p.Sleep(took / 2)
+		disks[1].Fail()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(convErr, device.ErrFailed) {
+		t.Fatalf("conversion across a drive failure returned %v, want %v", convErr, device.ErrFailed)
+	}
+	if _, err := v.Lookup("is"); err == nil {
+		t.Fatal("the failed conversion left its half-copied file in the volume")
+	}
+	disks[1].Repair()
+	ctx := sim.NewWall()
+	is, err := ToOrganization(ctx, v, ps, "is", pfs.OrgInterleaved, 4, core.Options{})
+	if err != nil {
+		t.Fatalf("retry after repair: %v", err)
+	}
+	r, err := core.OpenReader(is, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenView(f, View{Org: pfs.OrgSelfScheduled}, core.Options{}); err == nil {
-		t.Fatal("SS view accepted")
+	if ids := drain(t, r, ctx, 9); len(ids) != 256 {
+		t.Fatalf("converted file has %d records", len(ids))
 	}
-}
-
-func TestStrategyStrings(t *testing.T) {
-	if AlternateView.String() != "alternate-view" || GlobalFallback.String() != "global-fallback" ||
-		CopyConvert.String() != "copy-convert" || Strategy(9).String() == "" {
-		t.Fatal("strategy strings")
+	if got := v.CreationOrder(); !slices.Equal(got, []string{"ps", "is"}) {
+		t.Fatalf("creation order %v, want [ps is]", got)
 	}
 }

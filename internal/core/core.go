@@ -86,18 +86,9 @@ type Options struct {
 	// both against the store's modeled device parameters per operation
 	// and picks the cheaper. The zero value keeps the historical
 	// vectored path, so the paper's modeled shapes are unchanged;
-	// TunedOptions sets StrategyAuto.
+	// TunedOptions sets blockio.StrategyAuto.
 	Strategy blockio.Strategy
 }
-
-// The blockio strategies, re-exported for Options.Strategy.
-const (
-	StrategyDefault    = blockio.StrategyDefault
-	StrategyVectored   = blockio.StrategyVectored
-	StrategySieved     = blockio.StrategySieved
-	StrategyCollective = blockio.StrategyCollective
-	StrategyAuto       = blockio.StrategyAuto
-)
 
 // DefaultOptions is the paper-recommended configuration: double
 // buffering with one dedicated I/O process, early release, and a small
@@ -127,7 +118,7 @@ func TunedOptions() Options {
 		IOProcs:      1,
 		EarlyRelease: true,
 		CacheBlocks:  64,
-		Strategy:     StrategyAuto,
+		Strategy:     blockio.StrategyAuto,
 	}
 }
 

@@ -107,8 +107,14 @@ func TestStreamReaderRecordsCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := r.Records(); n != 10 {
-		t.Fatalf("Records = %d", n)
+	// The view's record count: its paper-blocks' records, 3 + 3 + 3 + 1.
+	var n int64
+	m := f.Mapper()
+	for j := int64(0); j < r.seq.n; j++ {
+		n += int64(m.RecordsInBlock(r.seq.pb(j)))
+	}
+	if n != 10 {
+		t.Fatalf("view counts %d records, want 10", n)
 	}
 }
 

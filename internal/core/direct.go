@@ -21,18 +21,17 @@ func blockVec(dst blockio.Vec, idxs []int64, bs int64) blockio.Vec {
 	return dst
 }
 
-// spansOf builds the two hooks of f's buffer pool: a miss's block and a
-// ranged fault's missing blocks arrive, and an eviction's victim and the
-// dirty blocks of a Flush or a cleaner's batch leave, as one descriptor
-// of one-block segments over a space of the cache's frames — one gather
-// request per physical run, scattered into and gathered from the frames
-// themselves, in parallel across drives, and a single block the
-// one-segment case. Under
-// Options.Strategy the faulted set may instead come in as one sieved
-// covering span per device — direct access faults are exactly the
-// dense-but-holey patterns sieving was invented for. Each hook reuses its
-// descriptor across calls, which is safe even with concurrent callers:
-// the transfer consumes it into physical runs before its first wait.
+// spansOf builds the two hooks of f's buffer pool. A miss's block
+// arrives — the pool fetches nothing else, so the fetch hook only ever
+// gets one index — and an eviction's victim and the dirty blocks of a
+// Flush or a cleaner's batch leave, as one descriptor of one-block
+// segments over a space of the cache's frames: one gather request per
+// physical run, scattered into and gathered from the frames themselves,
+// in parallel across drives, and a single block the one-segment case.
+// The fetch goes through Options.Strategy like every other read of the
+// handle. Each hook reuses its descriptor across calls, which is safe
+// even with concurrent callers: the transfer consumes it into physical
+// runs before its first wait.
 func spansOf(f *pfs.File, strat blockio.Strategy) (buffer.FetchSpan, buffer.FlushSpan) {
 	set := f.Set()
 	bs := int64(f.Mapper().FSBlockSize())
@@ -54,113 +53,6 @@ func spansOf(f *pfs.File, strat blockio.Strategy) (buffer.FetchSpan, buffer.Flus
 func newBlockCache(f *pfs.File, opts Options) (*buffer.Cache, error) {
 	fetch, flush := spansOf(f, opts.Strategy)
 	return buffer.NewCache(fetch, flush, f.Mapper().FSBlockSize(), opts.CacheBlocks, opts.IOProcs)
-}
-
-// moveRecord copies one record between data (len = record size) and the
-// cache.
-func moveRecord(ctx sim.Context, cache *buffer.Cache, m *records.Mapper, rec int64, data []byte, write bool) error {
-	pos := 0
-	// A record rarely straddles more than two fs blocks; the array keeps
-	// the span list off the heap.
-	var arr [4]records.Span
-	for _, sp := range m.AppendSpans(arr[:0], rec) {
-		p0 := pos
-		err := cache.With(ctx, sp.FSBlock, write, func(buf []byte) error {
-			if write {
-				copy(buf[sp.Off:sp.Off+sp.Len], data[p0:])
-			} else {
-				copy(data[p0:], buf[sp.Off:sp.Off+sp.Len])
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		pos += sp.Len
-	}
-	return nil
-}
-
-// batchRecords moves the count records [rec, rec+count) between data and
-// the cache in chunks whose fs-block span fits the cache: each chunk's
-// missing blocks are faulted in with one vectored request
-// (Cache.FaultIn) instead of block-at-a-time, then its records move as
-// cache hits. check, when non-nil, validates each record in order before
-// its chunk is faulted (PDA ownership, restricted sequencing); records
-// preceding a failed check still transfer, matching the per-record loop.
-func batchRecords(ctx sim.Context, cache *buffer.Cache, m *records.Mapper, opts *Options,
-	rec, count int64, data []byte, write bool, check func(int64) error) error {
-	if count < 0 {
-		return fmt.Errorf("core: batch of %d records", count)
-	}
-	if count > 0 {
-		if err := m.Check(rec); err != nil {
-			return err
-		}
-		if err := m.Check(rec + count - 1); err != nil {
-			return err
-		}
-	}
-	rs := int64(m.RecordSize())
-	if int64(len(data)) != count*rs {
-		return fmt.Errorf("core: buffer is %d bytes, %d records are %d", len(data), count, count*rs)
-	}
-	capBlocks := opts.CacheBlocks
-	var arr [4]records.Span
-	spanBuf := arr[:0]
-	var blocks []int64
-	var checkErr error
-	for r := rec; r < rec+count; {
-		// Build a chunk [r, r2) whose distinct fs blocks fit the cache.
-		blocks = blocks[:0]
-		r2 := r
-		for r2 < rec+count && checkErr == nil {
-			// Dry-run the record's blocks against the capacity before
-			// validating it: a record deferred to the next chunk must not
-			// have been sequence-checked (check mutates restricted-mode
-			// state) this round.
-			spanBuf = m.AppendSpans(spanBuf[:0], r2)
-			add, last := 0, int64(-1)
-			if len(blocks) > 0 {
-				last = blocks[len(blocks)-1]
-			}
-			for _, sp := range spanBuf {
-				if sp.FSBlock > last {
-					add++
-					last = sp.FSBlock
-				}
-			}
-			if len(blocks) > 0 && len(blocks)+add > capBlocks {
-				break
-			}
-			if check != nil {
-				if checkErr = check(r2); checkErr != nil {
-					break
-				}
-			}
-			for _, sp := range spanBuf {
-				if n := len(blocks); n == 0 || sp.FSBlock > blocks[n-1] {
-					blocks = append(blocks, sp.FSBlock)
-				}
-			}
-			r2++
-		}
-		if len(blocks) > 0 {
-			if err := cache.FaultIn(ctx, blocks); err != nil {
-				return err
-			}
-		}
-		for ; r < r2; r++ {
-			off := (r - rec) * rs
-			if err := moveRecord(ctx, cache, m, r, data[off:off+rs], write); err != nil {
-				return err
-			}
-		}
-		if checkErr != nil {
-			return checkErr
-		}
-	}
-	return nil
 }
 
 // Direct is the direct-access handle, GDA or PDA. Opened with
@@ -225,21 +117,6 @@ func (d *Direct) WriteRecordAt(ctx sim.Context, rec int64, src []byte) error {
 	return d.access(ctx, rec, src, true)
 }
 
-// ReadRecordsAt reads the count records [rec, rec+count) into dst
-// (len = count × record size). The span's missing blocks are faulted in
-// with vectored reads — one device request per physically contiguous
-// run, even on declustered layouts — instead of block-at-a-time.
-func (d *Direct) ReadRecordsAt(ctx sim.Context, rec, count int64, dst []byte) error {
-	return d.batch(ctx, rec, count, dst, false)
-}
-
-// WriteRecordsAt writes the count records [rec, rec+count) from src, the
-// write counterpart of ReadRecordsAt (absent blocks are still faulted
-// in, preserving the cache's read-modify-write semantics).
-func (d *Direct) WriteRecordsAt(ctx sim.Context, rec, count int64, src []byte) error {
-	return d.batch(ctx, rec, count, src, true)
-}
-
 // check validates record rec for this handle: in range, and on a PDA
 // handle in an owned block and (restricted mode) next in its block.
 func (d *Direct) check(rec int64) error {
@@ -268,20 +145,6 @@ func (d *Direct) check(rec int64) error {
 	return nil
 }
 
-// batch implements the batch-record methods. A GDA batch is checked at
-// its endpoints (batchRecords); on a PDA handle every record passes the
-// ownership (and restricted-sequencing) check before its chunk faults.
-func (d *Direct) batch(ctx sim.Context, rec, count int64, data []byte, write bool) error {
-	if d.closed {
-		return fmt.Errorf("core: handle closed")
-	}
-	var check func(int64) error
-	if d.part >= 0 {
-		check = d.check
-	}
-	return batchRecords(ctx, d.cache, d.f.Mapper(), &d.opts, rec, count, data, write, check)
-}
-
 // access moves one record between the caller's buffer and the cache.
 func (d *Direct) access(ctx sim.Context, rec int64, data []byte, write bool) error {
 	if d.closed {
@@ -294,7 +157,26 @@ func (d *Direct) access(ctx sim.Context, rec int64, data []byte, write bool) err
 	if len(data) != m.RecordSize() {
 		return fmt.Errorf("core: buffer is %d bytes, records are %d", len(data), m.RecordSize())
 	}
-	return moveRecord(ctx, d.cache, m, rec, data, write)
+	pos := 0
+	// A record rarely straddles more than two fs blocks; the array keeps
+	// the span list off the heap.
+	var arr [4]records.Span
+	for _, sp := range m.AppendSpans(arr[:0], rec) {
+		p0 := pos
+		err := d.cache.With(ctx, sp.FSBlock, write, func(buf []byte) error {
+			if write {
+				copy(buf[sp.Off:sp.Off+sp.Len], data[p0:])
+			} else {
+				copy(data[p0:], buf[sp.Off:sp.Off+sp.Len])
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		pos += sp.Len
+	}
+	return nil
 }
 
 // Flush writes back dirty cached blocks.

@@ -12,11 +12,11 @@ import (
 
 // TestDirectPartIsDirect: a PDA handle is the GDA handle with a record
 // check. On a one-partition file, where every record is owned, the same
-// seeded sequence of single-record and batch reads and writes through
-// OpenDirect and through OpenDirectPart costs the same modeled time,
-// leaves the same cache counters and lands the same image. On a
-// two-partition file, a record of the other partition fails with one
-// error whether it is asked for alone or inside a batch.
+// seeded sequence of record reads and writes through OpenDirect and
+// through OpenDirectPart costs the same modeled time, leaves the same
+// cache counters and lands the same image. On a two-partition file, a
+// record of the other partition is refused, read or written, and the
+// partition's own last record is not.
 func TestDirectPartIsDirect(t *testing.T) {
 	const records = 96
 	spec := pfs.Spec{Name: "pda", Org: pfs.OrgPartitionedDirect, RecordSize: 64,
@@ -46,26 +46,13 @@ func TestDirectPartIsDirect(t *testing.T) {
 		e.Go("ops", func(p *sim.Proc) {
 			rng := sim.NewRNG(7)
 			one := make([]byte, 64)
-			many := make([]byte, 8*64)
-			for i := 0; i < 300; i++ {
+			for i := 0; i < 600; i++ {
 				rec := int64(rng.Intn(records))
-				count := 1 + int64(rng.Intn(8))
-				if rec+count > records {
-					count = records - rec
-				}
 				var err error
-				switch rng.Intn(4) {
-				case 0:
+				if rng.Intn(2) == 0 {
 					err = d.ReadRecordAt(p, rec, one)
-				case 1:
+				} else {
 					err = d.WriteRecordAt(p, rec, rec64(rng.Uint64()))
-				case 2:
-					err = d.ReadRecordsAt(p, rec, count, many[:count*64])
-				case 3:
-					for k := int64(0); k < count; k++ {
-						copy(many[k*64:], rec64(rng.Uint64()))
-					}
-					err = d.WriteRecordsAt(p, rec, count, many[:count*64])
 				}
 				if err != nil {
 					t.Errorf("op %d: %v", i, err)
@@ -113,9 +100,13 @@ func TestDirectPartIsDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := sim.NewWall()
-	alone := d.ReadRecordAt(ctx, 48, make([]byte, 64))
-	batch := d.ReadRecordsAt(ctx, 46, 3, make([]byte, 3*64))
-	if alone == nil || batch == nil || alone.Error() != batch.Error() {
-		t.Errorf("foreign record: ReadRecordAt %v, ReadRecordsAt %v; want one error", alone, batch)
+	const want = "core: PDA violation: record 48 is in block 12 owned by partition 1, not 0"
+	rerr := d.ReadRecordAt(ctx, 48, make([]byte, 64))
+	werr := d.WriteRecordAt(ctx, 48, rec64(1))
+	if rerr == nil || werr == nil || rerr.Error() != want || werr.Error() != want {
+		t.Errorf("foreign record: ReadRecordAt %v, WriteRecordAt %v; want %q", rerr, werr, want)
+	}
+	if err := d.ReadRecordAt(ctx, 47, make([]byte, 64)); err != nil {
+		t.Errorf("own last record: %v", err)
 	}
 }

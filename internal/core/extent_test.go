@@ -293,7 +293,7 @@ func TestGlobalReaderDenseBulk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Mapper().Dense() {
+	if m := f.Mapper(); int64(m.RecordSize()*m.BlockRecords()) != m.FSPerBlock()*int64(m.FSBlockSize()) {
 		t.Fatal("expected dense framing")
 	}
 	ctx := sim.NewWall()

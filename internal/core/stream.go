@@ -160,16 +160,6 @@ func (r *StreamReader) ReadRecord(ctx sim.Context) ([]byte, int64, error) {
 	return r.recBuf[:got], rec, nil
 }
 
-// Records reports how many records the stream view contains.
-func (r *StreamReader) Records() int64 {
-	m := r.f.Mapper()
-	var n int64
-	for j := int64(0); j < r.seq.n; j++ {
-		n += int64(m.RecordsInBlock(r.seq.pb(j)))
-	}
-	return n
-}
-
 // Close releases buffers and stops read-ahead.
 func (r *StreamReader) Close(ctx sim.Context) error {
 	if r.closed {

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/blockio"
@@ -46,170 +45,11 @@ func reqTotal(disks []*device.Disk) int64 {
 	return n
 }
 
-// TestDirectBatchEquivalence checks ReadRecordsAt/WriteRecordsAt against
-// per-record loops on a declustered GDA file, and that the batch read
-// faults through the vectored path: ≥4× fewer device requests than the
-// per-record scan.
-func TestDirectBatchEquivalence(t *testing.T) {
-	const records = 64
-	f, disks := declusteredFile(t, records)
-	ctx := sim.NewWall()
-	opts := Options{CacheBlocks: 16}
-
-	// Batch-write a pattern, then verify per record through a fresh handle.
-	src := make([]byte, records*256)
-	for i := range src {
-		src[i] = byte(i*7 + 3)
-	}
-	w, err := OpenDirect(f, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteRecordsAt(ctx, 0, records, src); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := OpenDirect(f, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one := make([]byte, 256)
-	for r := int64(0); r < records; r++ {
-		if err := rd.ReadRecordAt(ctx, r, one); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(one, src[r*256:(r+1)*256]) {
-			t.Fatalf("record %d: batch write differs from per-record read", r)
-		}
-	}
-	if err := rd.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Per-record scan through a cold handle: one request per record.
-	for _, d := range disks {
-		d.ResetStats()
-	}
-	rd, err = OpenDirect(f, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := int64(0); r < records; r++ {
-		if err := rd.ReadRecordAt(ctx, r, one); err != nil {
-			t.Fatal(err)
-		}
-	}
-	perRecord := reqTotal(disks)
-
-	// Batch scan through another cold handle: vectored faults.
-	for _, d := range disks {
-		d.ResetStats()
-	}
-	rd2, err := OpenDirect(f, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, records*256)
-	if err := rd2.ReadRecordsAt(ctx, 0, records, got); err != nil {
-		t.Fatal(err)
-	}
-	batch := reqTotal(disks)
-	if !bytes.Equal(got, src) {
-		t.Fatal("batch read differs from written data")
-	}
-	if batch*4 > perRecord {
-		t.Fatalf("batch scan issued %d requests vs %d per-record; want ≥4× fewer", batch, perRecord)
-	}
-}
-
-// TestDirectBatchValidation exercises the batch error cases.
-func TestDirectBatchValidation(t *testing.T) {
-	f, _ := declusteredFile(t, 8)
-	ctx := sim.NewWall()
-	d, err := OpenDirect(f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ReadRecordsAt(ctx, 0, 8, make([]byte, 7*256)); err == nil {
-		t.Fatal("short buffer accepted")
-	}
-	if err := d.ReadRecordsAt(ctx, 4, 8, make([]byte, 8*256)); err == nil {
-		t.Fatal("out-of-range batch accepted")
-	}
-	if err := d.ReadRecordsAt(ctx, 0, -1, nil); err == nil {
-		t.Fatal("negative count accepted")
-	}
-	if err := d.ReadRecordsAt(ctx, 0, 0, nil); err != nil {
-		t.Fatalf("empty batch rejected: %v", err)
-	}
-	if err := d.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ReadRecordsAt(ctx, 0, 1, make([]byte, 256)); err == nil {
-		t.Fatal("batch on closed handle accepted")
-	}
-}
-
-// TestDirectPartBatch checks PDA batch semantics: owned spans transfer,
-// and a batch crossing into a foreign block fails its ownership check
-// with the records before the violation already transferred — matching
-// the per-record loop.
-func TestDirectPartBatch(t *testing.T) {
-	disks := make([]*device.Disk, 2)
-	for i := range disks {
-		disks[i] = device.New(device.Config{
-			Geometry: device.Geometry{BlockSize: 256, BlocksPerCyl: 8, Cylinders: 64},
-		})
-	}
-	store, err := blockio.NewDirect(disks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := pfs.NewVolume(store)
-	// 2 partitions × 8 blocks × 2 records: partition 0 owns records [0,16).
-	f, err := v.Create(pfs.Spec{
-		Name: "pda", Org: pfs.OrgPartitionedDirect, RecordSize: 128, BlockRecords: 2,
-		NumRecords: 32, Parts: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := sim.NewWall()
-	d, err := OpenDirectPart(f, 0, Options{CacheBlocks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := make([]byte, 16*128)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	if err := d.WriteRecordsAt(ctx, 0, 16, src); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 16*128)
-	if err := d.ReadRecordsAt(ctx, 0, 16, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, src) {
-		t.Fatal("PDA batch round-trip mismatch")
-	}
-	// Records 14..17: 14 and 15 are owned, 16 is partition 1's.
-	err = d.ReadRecordsAt(ctx, 14, 4, make([]byte, 4*128))
-	if err == nil || !strings.Contains(err.Error(), "PDA violation") {
-		t.Fatalf("foreign batch error = %v, want PDA violation", err)
-	}
-	if err := d.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDirectBatchMultiSpanRecords covers records that straddle fs-block
-// boundaries: every record's spans cross two 256-byte blocks (record
-// size 384, two per paper-block), so the chunk builder must count blocks
-// it has not yet appended.
-func TestDirectBatchMultiSpanRecords(t *testing.T) {
+// TestDirectMultiSpanRecords covers records that straddle fs-block
+// boundaries through the direct handle's cache: every record's spans
+// cross two 256-byte blocks (record size 384, two per paper-block), and a
+// two-block cache evicts between a record's spans.
+func TestDirectMultiSpanRecords(t *testing.T) {
 	disks := []*device.Disk{device.New(device.Config{
 		Geometry: device.Geometry{BlockSize: 256, BlocksPerCyl: 8, Cylinders: 64},
 	})}
@@ -225,7 +65,7 @@ func TestDirectBatchMultiSpanRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := sim.NewWall()
-	d, err := OpenDirect(f, Options{CacheBlocks: 2})
+	w, err := OpenDirect(f, Options{CacheBlocks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,58 +73,26 @@ func TestDirectBatchMultiSpanRecords(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i * 11)
 	}
-	if err := d.WriteRecordsAt(ctx, 0, 16, src); err != nil {
+	for _, r := range sim.NewRNG(3).Perm(16) {
+		if err := w.WriteRecordAt(ctx, int64(r), src[r*384:(r+1)*384]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, 16*384)
-	if err := d.ReadRecordsAt(ctx, 0, 16, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, src) {
-		t.Fatal("multi-span batch round-trip mismatch")
-	}
-}
-
-// TestDirectPartBatchRestrictedSeq covers SeqWithinBlocks batches whose
-// chunks break at cache capacity: the record deferred to the next chunk
-// must be sequence-checked exactly once.
-func TestDirectPartBatchRestrictedSeq(t *testing.T) {
-	disks := []*device.Disk{device.New(device.Config{
-		Geometry: device.Geometry{BlockSize: 256, BlocksPerCyl: 8, Cylinders: 64},
-	})}
-	store, err := blockio.NewDirect(disks)
+	rd, err := OpenDirect(f, Options{CacheBlocks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := pfs.NewVolume(store).Create(pfs.Spec{
-		Name: "seq", Org: pfs.OrgPartitionedDirect, RecordSize: 128, BlockRecords: 2,
-		NumRecords: 8, Parts: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := sim.NewWall()
-	d, err := OpenDirectPart(f, 0, Options{CacheBlocks: 1, SeqWithinBlocks: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := make([]byte, 8*128)
-	for i := range src {
-		src[i] = byte(i * 5)
-	}
-	if err := d.WriteRecordsAt(ctx, 0, 8, src); err != nil {
-		t.Fatalf("in-order restricted batch rejected: %v", err)
-	}
-	got := make([]byte, 8*128)
-	if err := d.ReadRecordsAt(ctx, 0, 8, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, src) {
-		t.Fatal("restricted batch round-trip mismatch")
-	}
-	// Out-of-order within a block must still be rejected.
-	if err := d.ReadRecordsAt(ctx, 1, 1, make([]byte, 128)); err == nil {
-		t.Fatal("restricted PDA accepted out-of-order record")
+	got := make([]byte, 384)
+	for _, r := range sim.NewRNG(4).Perm(16) {
+		if err := rd.ReadRecordAt(ctx, int64(r), got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, src[r*384:(r+1)*384]) {
+			t.Fatalf("record %d: straddling round trip mismatch", r)
+		}
 	}
 }
 

@@ -59,11 +59,6 @@ func (g Geometry) Blocks() int64 {
 	return int64(g.BlocksPerCyl) * int64(g.Cylinders)
 }
 
-// Capacity reports the device size in bytes.
-func (g Geometry) Capacity() int64 {
-	return g.Blocks() * int64(g.BlockSize)
-}
-
 // cylinderOf maps a block number to its cylinder.
 func (g Geometry) cylinderOf(block int64) int {
 	return int(block / int64(g.BlocksPerCyl))

@@ -31,8 +31,8 @@ func TestGeometryMath(t *testing.T) {
 	if g.Blocks() != 40 {
 		t.Fatalf("Blocks = %d, want 40", g.Blocks())
 	}
-	if g.Capacity() != 40*512 {
-		t.Fatalf("Capacity = %d", g.Capacity())
+	if c := g.Blocks() * int64(g.BlockSize); c != 40*512 {
+		t.Fatalf("capacity = %d", c)
 	}
 	if g.cylinderOf(0) != 0 || g.cylinderOf(3) != 0 || g.cylinderOf(4) != 1 || g.cylinderOf(39) != 9 {
 		t.Fatal("cylinderOf mapping wrong")

@@ -12,6 +12,7 @@ package pfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/blockio"
@@ -307,15 +308,7 @@ func NewVolume(store blockio.Store) *Volume {
 // (removed files excluded). Replaying Create with each file's resolved
 // Spec on a fresh volume reproduces identical extents, which is how
 // volumes are persisted.
-func (v *Volume) CreationOrder() []string {
-	out := make([]string, 0, len(v.order))
-	for _, n := range v.order {
-		if _, ok := v.files[n]; ok {
-			out = append(out, n)
-		}
-	}
-	return out
-}
+func (v *Volume) CreationOrder() []string { return slices.Clone(v.order) }
 
 // Store exposes the underlying store.
 func (v *Volume) Store() blockio.Store { return v.store }
@@ -349,6 +342,7 @@ func (v *Volume) Remove(name string) error {
 		return fmt.Errorf("pfs: file %q not found", name)
 	}
 	delete(v.files, name)
+	v.order = slices.DeleteFunc(v.order, func(n string) bool { return n == name })
 	return nil
 }
 

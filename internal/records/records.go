@@ -84,12 +84,6 @@ func (m *Mapper) FSPerBlock() int64 { return m.fsPerBlock }
 // TotalFSBlocks reports the fs blocks needed to store the whole file.
 func (m *Mapper) TotalFSBlocks() int64 { return m.NumBlocks() * m.fsPerBlock }
 
-// Dense reports whether the record payload tiles the file's fs blocks
-// exactly (paper-blocks carry no padding): payload byte x then lives at
-// fs block x/FSBlockSize, offset x%FSBlockSize. Dense framings admit
-// whole-block bulk (extent) transfers of the canonical byte stream.
-func (m *Mapper) Dense() bool { return m.blockBytes == m.paddedBytes }
-
 // BlockOf reports the paper-block holding record r.
 func (m *Mapper) BlockOf(r int64) int64 { return r / int64(m.blockRecords) }
 

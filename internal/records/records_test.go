@@ -31,8 +31,8 @@ func TestMapperValidation(t *testing.T) {
 func TestExactFit(t *testing.T) {
 	// 4 records of 64 bytes per paper-block, 256-byte fs blocks: no padding.
 	m := mustMapper(t, 64, 4, 256, 100)
-	if m.FSPerBlock() != 1 || !m.Dense() {
-		t.Fatalf("exact fit wrong: fsPer=%d dense=%v", m.FSPerBlock(), m.Dense())
+	if m.FSPerBlock() != 1 || m.blockBytes != m.paddedBytes {
+		t.Fatalf("exact fit wrong: fsPer=%d dense=%v", m.FSPerBlock(), m.blockBytes == m.paddedBytes)
 	}
 	if m.NumBlocks() != 25 {
 		t.Fatalf("NumBlocks = %d, want 25", m.NumBlocks())
@@ -46,8 +46,8 @@ func TestPadding(t *testing.T) {
 	// 3 records of 100 bytes = 300 payload on 256-byte fs blocks -> 2 fs
 	// blocks, 212 bytes padding.
 	m := mustMapper(t, 100, 3, 256, 7)
-	if m.FSPerBlock() != 2 || m.Dense() {
-		t.Fatalf("padding wrong: fsPer=%d dense=%v", m.FSPerBlock(), m.Dense())
+	if m.FSPerBlock() != 2 || m.blockBytes == m.paddedBytes {
+		t.Fatalf("padding wrong: fsPer=%d dense=%v", m.FSPerBlock(), m.blockBytes == m.paddedBytes)
 	}
 	if m.NumBlocks() != 3 { // 7 records, 3 per block -> blocks of 3,3,1
 		t.Fatalf("NumBlocks = %d", m.NumBlocks())

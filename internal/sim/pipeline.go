@@ -60,19 +60,6 @@ func (q *Queue) Get(p *Proc) (v any, ok bool) {
 	return v, true
 }
 
-// TryGet removes and returns the head item without parking; ok=false
-// when the queue is momentarily empty. A scheduler draining several
-// queues under its own ordering policy uses this instead of Get (which
-// commits the caller to this queue's arrivals).
-func (q *Queue) TryGet(p *Proc) (v any, ok bool) {
-	if q.Len() == 0 {
-		return nil, false
-	}
-	v = q.items.pop()
-	q.sendq.WakeOne(p.e)
-	return v, true
-}
-
 // Len reports the number of buffered items.
 func (q *Queue) Len() int { return q.items.len() }
 

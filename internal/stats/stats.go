@@ -60,9 +60,6 @@ func (t *Table) AddRow(cells ...any) {
 // Rows reports the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
 
-// Cell returns the formatted cell at (row, col) for programmatic checks.
-func (t *Table) Cell(row, col int) string { return t.rows[row][col] }
-
 // fmtDuration renders durations compactly with ms precision above 1s.
 func fmtDuration(d time.Duration) string {
 	switch {

@@ -41,8 +41,8 @@ func TestTableRendering(t *testing.T) {
 	if tb.Rows() != 2 {
 		t.Fatalf("Rows = %d", tb.Rows())
 	}
-	if tb.Cell(0, 0) != "1" {
-		t.Fatalf("Cell(0,0) = %q", tb.Cell(0, 0))
+	if tb.rows[0][0] != "1" {
+		t.Fatalf("cell (0,0) = %q", tb.rows[0][0])
 	}
 }
 

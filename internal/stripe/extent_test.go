@@ -34,7 +34,7 @@ func checkParityConsistent(t *testing.T, p *Parity, rows int64) {
 	buf := make([]byte, bs)
 	for b := int64(0); b < rows; b++ {
 		clear(acc)
-		for i := 0; i < p.PhysDrives(); i++ {
+		for i := 0; i < len(p.disks); i++ {
 			if err := readDisk(ctx, p.PhysDisk(i), b, buf); err != nil {
 				t.Fatalf("row %d drive %d: %v", b, i, err)
 			}
@@ -104,7 +104,7 @@ func TestParityRunEquivalence(t *testing.T) {
 
 			// Degraded: fail each physical drive in turn; every visible
 			// device must still read back exactly via ReadBlocks.
-			for fail := 0; fail < p.PhysDrives(); fail++ {
+			for fail := 0; fail < len(p.disks); fail++ {
 				p.PhysDisk(fail).Fail()
 				for dev := range want {
 					if err := readBlocks(p, ctx, dev, 0, rows, got); err != nil {

@@ -123,9 +123,6 @@ func (p *Parity) Blocks() int64 { return p.disks[0].Geometry().Blocks() }
 // failure injection.
 func (p *Parity) PhysDisk(i int) *device.Disk { return p.disks[i] }
 
-// PhysDrives reports the number of physical drives (data + parity).
-func (p *Parity) PhysDrives() int { return len(p.disks) }
-
 // parityPhys reports which physical drive holds parity for row b.
 func (p *Parity) parityPhys(b int64) int {
 	if p.rotate {

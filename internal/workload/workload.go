@@ -59,10 +59,6 @@ type Matrix struct {
 // RecordSize reports the row record size in bytes.
 func (m Matrix) RecordSize() int { return m.Cols * m.ElemSize }
 
-// WrappedOwner reports which of p processes owns row r under wrapped
-// (cyclic) storage — the paper's example use of IS files.
-func (m Matrix) WrappedOwner(r, p int) int { return r % p }
-
 // BlockOwner reports which of p processes owns row r under block
 // (contiguous) partitioning — the PS analogue.
 func (m Matrix) BlockOwner(r, p int) int {

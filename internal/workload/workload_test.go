@@ -54,11 +54,6 @@ func TestMatrixOwners(t *testing.T) {
 	if m.RecordSize() != 32 {
 		t.Fatalf("RecordSize = %d", m.RecordSize())
 	}
-	for r := 0; r < 10; r++ {
-		if m.WrappedOwner(r, 3) != r%3 {
-			t.Fatal("wrapped owner")
-		}
-	}
 	// Block partitioning of 10 rows over 3 procs: 4,4,2.
 	wantBlock := []int{0, 0, 0, 0, 1, 1, 1, 1, 2, 2}
 	for r, want := range wantBlock {

@@ -64,10 +64,9 @@
 // track). Stream prefetchers
 // route each batch of extents through the same descriptor, bound to
 // the batch's buffers as one memory list, so a unit-1 declustered scan
-// collapses to one request per device per batch; the
-// direct-access handles batch record ranges through
-// ReadRecordsAt/WriteRecordsAt, whose cache faults fetch a request's
-// missing span as one vectored read. See BenchmarkVectoredScan and
+// collapses to one request per device per batch; a direct-access
+// handle's buffer pool writes back its dirty blocks the same way, one
+// gather run per physical run. See BenchmarkVectoredScan and
 // `pariobench -run noncontig` for the measured win.
 //
 // # Collective I/O
@@ -76,8 +75,8 @@
 // layer lifts both limits with two-phase collective I/O in the style of
 // MPI-IO's noncontiguous-access optimization: the ranks of a parallel
 // program (GoRanks / internal/mpp) each submit a request list — block
-// ranges or record ranges over one or several files of a FileGroup
-// sharing the device array — and OpenCollective's handle executes them
+// ranges over one or several files of a FileGroup sharing the device
+// array — and OpenCollective's handle executes them
 // together. The union access footprint is split into contiguous file
 // domains, one per aggregator rank; ranks exchange their pieces with the
 // aggregators over the modeled interconnect (sparse exchange rounds with
@@ -444,8 +443,6 @@ type (
 	StreamWriter = core.StreamWriter
 	// SelfSched is the shared SS handle: a cursor over the S stream.
 	SelfSched = core.SelfSched
-	// SelfSchedDirect is the §3.2 direct-access SS variant over GDA.
-	SelfSchedDirect = core.SelfSchedDirect
 	// Direct is the direct-access handle: GDA from OpenDirect, PDA from
 	// OpenDirectPart.
 	Direct = core.Direct
@@ -533,7 +530,7 @@ type (
 	// interconnect.
 	Bisection = mpp.Bisection
 	// FileGroup is an ordered set of files opened together for
-	// collective access (Volume.OpenGroup / NewFileGroup).
+	// collective access (Volume.OpenGroup).
 	FileGroup = pfs.FileGroup
 	// Collective is the two-phase collective-I/O handle: per-rank
 	// request lists executed via aggregator file domains.
@@ -686,7 +683,6 @@ var (
 	OpenInterleavedReader = core.OpenInterleavedReader
 	OpenInterleavedWriter = core.OpenInterleavedWriter
 	OpenSelfSched         = core.OpenSelfSched
-	OpenSelfSchedDirect   = core.OpenSelfSchedDirect
 	OpenDirect            = core.OpenDirect
 	OpenDirectPart        = core.OpenDirectPart
 	OpenGlobalReader      = core.OpenGlobalReader
@@ -695,19 +691,16 @@ var (
 
 // OpenBlockRangeReader opens a sequential read view over the contiguous
 // paper-block range [first, end) — an ad-hoc PS-style partition
-// independent of the file's own partition table, the substrate for the
-// §5 alternate views (package convert builds on it). It is not one of
-// the paper's six organizations, hence its separate listing here.
+// independent of the file's own partition table, and so the §5 PS-style
+// alternate view of a file laid out otherwise (examples/workqueue reads
+// each server's static share this way). It is not one of the paper's six
+// organizations, hence its separate listing here.
 var OpenBlockRangeReader = core.OpenBlockRangeReader
 
 // Collective I/O entry points: OpenCollective builds the two-phase
-// handle over a FileGroup (Volume.OpenGroup or NewFileGroup);
-// RecordRangeReq is the record-list convenience for building a rank's
-// requests.
+// handle over a FileGroup (Volume.OpenGroup).
 var (
 	OpenCollective = collective.Open
-	NewFileGroup   = pfs.NewFileGroup
-	RecordRangeReq = collective.RecordRangeReq
 	NewBisection   = mpp.NewBisection
 )
 
