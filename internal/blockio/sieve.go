@@ -36,12 +36,12 @@ package blockio
 
 import "repro/internal/sim"
 
-// SieveSpan is one device's covering span for a sieved transfer: the
+// sieveSpan is one device's covering span for a sieved transfer: the
 // Blocks physically contiguous blocks starting at PBlock (extent
 // relative) cover every gather run of the descriptor on Dev; Useful of
 // them were actually requested, the rest are holes moved only to make
 // the span one device request.
-type SieveSpan struct {
+type sieveSpan struct {
 	Dev    int
 	PBlock int64
 	Blocks int64
@@ -49,24 +49,13 @@ type SieveSpan struct {
 	Runs   []Run // the device's gather runs inside the span, ascending
 }
 
-// SieveSpans validates vec and computes the per-device covering spans the
-// sieved strategy would transfer, in ascending device order — the
-// planning half of sieving, exposed for tests.
-func (s *Set) SieveSpans(vec Vec) ([]SieveSpan, error) {
-	runs, err := s.MapVec(vec)
-	if err != nil {
-		return nil, err
-	}
-	return sieveSpans(runs), nil
-}
-
 // sieveSpans groups mapped gather runs (sorted by device, physical
 // block — the mapper's order) into one covering span per device.
-func sieveSpans(runs []Run) []SieveSpan {
-	var spans []SieveSpan
+func sieveSpans(runs []Run) []sieveSpan {
+	var spans []sieveSpan
 	for i := 0; i < len(runs); {
 		j := deviceEnd(runs, i)
-		sp := SieveSpan{
+		sp := sieveSpan{
 			Dev:    runs[i].Dev,
 			PBlock: runs[i].PBlock,
 			Blocks: runs[j-1].PBlock + runs[j-1].N - runs[i].PBlock,

@@ -48,7 +48,7 @@ func writeSieved(ctx sim.Context, s *Set, vec Vec, buf []byte) error {
 func TestSieveSpansShape(t *testing.T) {
 	set, _ := newTestSet(t, NewStriped(2, 4), 64)
 	// Blocks 0 and 16 are dev 0 pblocks 0 and 8; block 5 is dev 1 pblock 1.
-	spans, err := set.SieveSpans(Vec{
+	runs, err := set.MapVec(Vec{
 		{Block: 0, N: 1, BufOff: 0},
 		{Block: 5, N: 1, BufOff: 64},
 		{Block: 16, N: 1, BufOff: 128},
@@ -56,6 +56,7 @@ func TestSieveSpansShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spans := sieveSpans(runs)
 	if len(spans) != 2 {
 		t.Fatalf("%d spans, want 2 (one per touched device): %+v", len(spans), spans)
 	}
@@ -207,14 +208,11 @@ func FuzzSieveSpans(f *testing.F) {
 		if picked == 0 {
 			return
 		}
-		spans, err := set.SieveSpans(vec)
-		if err != nil {
-			t.Fatal(err)
-		}
 		runs, err := set.MapVec(vec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		spans := sieveSpans(runs)
 		seen := map[int]bool{}
 		var useful int64
 		for _, sp := range spans {

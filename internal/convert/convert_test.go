@@ -248,8 +248,10 @@ func TestCopyValidation(t *testing.T) {
 }
 
 // TestToOrganizationFailedCopy: a drive that fails in the middle of the
-// copy fails the conversion, the half-written sibling is removed with it,
-// and once the drive is repaired a retry under the same name succeeds.
+// copy fails the conversion, the half-written sibling is removed with it
+// — its extents too, so the volume's usage reads as before the call —
+// and once the drive is repaired a retry under the same name succeeds
+// and uses what one clean conversion does.
 func TestToOrganizationFailedCopy(t *testing.T) {
 	spec := pfs.Spec{Name: "ps", Org: pfs.OrgPartitioned, RecordSize: 64,
 		BlockRecords: 2, NumRecords: 256, Parts: 4}
@@ -279,9 +281,11 @@ func TestToOrganizationFailedCopy(t *testing.T) {
 	if took == 0 {
 		t.Fatal("the copy took no modeled time")
 	}
+	clean := v.Used()
 
 	e = sim.NewEngine()
 	v, disks, ps := setup(e)
+	before := v.Used()
 	var convErr error
 	e.Go("convert", func(p *sim.Proc) {
 		_, convErr = ToOrganization(p, v, ps, "is", pfs.OrgInterleaved, 4, core.Options{})
@@ -299,6 +303,9 @@ func TestToOrganizationFailedCopy(t *testing.T) {
 	if _, err := v.Lookup("is"); err == nil {
 		t.Fatal("the failed conversion left its half-copied file in the volume")
 	}
+	if got := v.Used(); !slices.Equal(got, before) {
+		t.Fatalf("after the failed conversion the volume uses %v blocks a drive, want %v as before it", got, before)
+	}
 	disks[1].Repair()
 	ctx := sim.NewWall()
 	is, err := ToOrganization(ctx, v, ps, "is", pfs.OrgInterleaved, 4, core.Options{})
@@ -314,5 +321,8 @@ func TestToOrganizationFailedCopy(t *testing.T) {
 	}
 	if got := v.CreationOrder(); !slices.Equal(got, []string{"ps", "is"}) {
 		t.Fatalf("creation order %v, want [ps is]", got)
+	}
+	if got := v.Used(); !slices.Equal(got, clean) {
+		t.Fatalf("after the retry the volume uses %v blocks a drive, want %v as after one clean conversion", got, clean)
 	}
 }

@@ -335,11 +335,26 @@ func (v *Volume) Lookup(name string) (*File, error) {
 	return f, nil
 }
 
-// Remove deletes the directory entry. (Extent space is not reclaimed;
-// volumes are arena-allocated, which suits fixed experiment runs.)
+// Remove deletes the directory entry. Volumes are arena-allocated: the
+// extents of the volume's most recent allocation — a file whose extents
+// end at the allocation cursor on every device — are given back (the
+// cursors return to its bases, so a failed create-and-copy leaves the
+// volume as it found it); any other file's extents stay allocated. The
+// blocks are not erased: a later file on them reads the removed file's
+// bytes until it writes them.
 func (v *Volume) Remove(name string) error {
-	if _, ok := v.files[name]; !ok {
+	f, ok := v.files[name]
+	if !ok {
 		return fmt.Errorf("pfs: file %q not found", name)
+	}
+	bases := f.set.Bases()
+	need := blockio.PerDevice(f.layout, f.mapper.TotalFSBlocks())
+	last := true
+	for dev, n := range need {
+		last = last && bases[dev]+n == v.next[dev]
+	}
+	if last {
+		copy(v.next, bases)
 	}
 	delete(v.files, name)
 	v.order = slices.DeleteFunc(v.order, func(n string) bool { return n == name })

@@ -10,7 +10,7 @@ import (
 
 // TestParityConcurrentAggregators is the -race regression for parity
 // scratch staging under concurrent collective writers: many aggregator
-// processes issue overlapping-row vectored writes (the WriteBlocksVec
+// processes issue overlapping-row vectored writes (the writeVec
 // staging path) to different visible devices concurrently, interleaved
 // with degraded-style single-row writers. The per-row locks must be
 // taken in global (ascending-row) order, so the run must neither
@@ -50,7 +50,7 @@ func TestParityConcurrentAggregators(t *testing.T) {
 				buf[i] = byte(w*31 + i)
 			}
 			srcs := [][]byte{buf[: 8*bs : 8*bs], buf[8*bs:]}
-			if err := p.WriteBlocksVec(pr, dev, base, span, srcs); err != nil {
+			if err := p.writeVec(pr, dev, base, span, srcs); err != nil {
 				t.Errorf("writer %d: %v", w, err)
 			}
 			// A second, shifted run so lock ranges cross between writers

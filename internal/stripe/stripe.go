@@ -15,6 +15,12 @@
 // Multi-drive operations issue their component transfers in parallel
 // under a simulation engine (each transfer is a concurrent request at its
 // device), matching how an I/O controller would drive the spindles.
+//
+// Parity's §5 procedures each live in one function: survivors reads and
+// XORs the surviving drives' rows for a degraded read, a write whose
+// data drive has failed, and a rebuild; smallWrite (extent.go) is the
+// read-old, write-new small write for one row and for a run. vec.go is
+// the Store primitive both stores serve a transfer through.
 package stripe
 
 import (
@@ -30,12 +36,6 @@ import (
 // drives (two or more failures in one parity group, or a failed pair in a
 // mirror).
 var ErrDoubleFailure = errors.New("stripe: multiple drive failures exceed redundancy")
-
-// par runs the given operations concurrently under a simulation engine
-// (or sequentially otherwise) and joins their errors.
-func par(ctx sim.Context, fns ...func(sim.Context) error) error {
-	return sim.Par(ctx, fns...)
-}
 
 // readDisk and writeDisk move the whole blocks of buf to or from drive
 // d's rows starting at b: the drive's one transfer, the vectored run,
@@ -84,30 +84,39 @@ func NewParity(disks []*device.Disk, rotate bool) (*Parity, error) {
 	return &Parity{disks: disks, rotate: rotate, rowLocks: make(map[int64]*sim.Mutex)}, nil
 }
 
-// lockRow serializes row b (engine contexts only — without an engine
-// there is no concurrency to guard). The returned function unlocks.
+// lockRows serializes rows [b, b+n) (engine contexts only — without an
+// engine there is no concurrency to guard), taking the row locks in
+// ascending row number. The returned function unlocks them, last first.
 //
-// Lock-order invariant: every multi-row operation acquires row locks in
-// ascending row number (see writeRun), and single-row operations hold at
-// most one row lock at a time — a global order, so concurrent aggregator
-// goroutines (two-phase collective writers staging through
-// WriteBlocksVec, degraded readers reconstructing mid-write) can never
-// deadlock however their row ranges overlap. The row-lock map itself is
-// only ever touched by engine-managed processes, whose strict
-// alternation provides the required happens-before edges;
-// TestParityConcurrentAggregators runs this under -race.
-func (p *Parity) lockRow(ctx sim.Context, b int64) func() {
+// Lock-order invariant: every operation takes its rows' locks here, in
+// ascending order, and holds no other row lock while it does — a global
+// order, so concurrent aggregator goroutines (two-phase collective
+// writers staging runs through Transfer, degraded readers
+// reconstructing mid-write) can never deadlock however their row ranges
+// overlap. The row-lock map itself is only ever touched by
+// engine-managed processes, whose strict alternation provides the
+// required happens-before edges; TestParityConcurrentAggregators runs
+// this under -race.
+func (p *Parity) lockRows(ctx sim.Context, b int64, n int) func() {
 	pr, ok := ctx.(*sim.Proc)
 	if !ok {
 		return func() {}
 	}
-	mu := p.rowLocks[b]
-	if mu == nil {
-		mu = &sim.Mutex{}
-		p.rowLocks[b] = mu
+	mus := make([]*sim.Mutex, n)
+	for i := range mus {
+		mu := p.rowLocks[b+int64(i)]
+		if mu == nil {
+			mu = &sim.Mutex{}
+			p.rowLocks[b+int64(i)] = mu
+		}
+		mu.Lock(pr)
+		mus[i] = mu
 	}
-	mu.Lock(pr)
-	return func() { mu.Unlock(pr) }
+	return func() {
+		for i := n - 1; i >= 0; i-- {
+			mus[i].Unlock(pr)
+		}
+	}
 }
 
 // Devices implements Store: the number of data drives visible above.
@@ -140,83 +149,62 @@ func (p *Parity) phys(dev int, b int64) int {
 	return dev + 1
 }
 
-// reconstruct reads every healthy drive's row b except failedPhys and
-// XORs them into dst (which it zeroes first).
-func (p *Parity) reconstruct(ctx sim.Context, failedPhys int, b int64, dst []byte) error {
-	clear(dst)
-	bufs := make([][]byte, len(p.disks))
-	fns := make([]func(sim.Context) error, 0, len(p.disks)-1)
+// survivors reads rows [b, b+n) of every drive but skip and skip2 (-1
+// skips none) — each drive's rows one request, all issued in parallel in
+// drive order — and XORs them into acc, n blocks long. A read that fails
+// is an ErrDoubleFailure naming its drive: the skipped drive is the one
+// redundancy already covers. This is the one §5 read behind a degraded
+// read, a write whose data drive has failed, and a rebuild.
+func (p *Parity) survivors(ctx sim.Context, b int64, skip, skip2 int, acc []byte) error {
+	live := make([]int, 0, len(p.disks))
 	for i := range p.disks {
-		if i == failedPhys {
-			continue
+		if i != skip && i != skip2 {
+			live = append(live, i)
 		}
-		i := i
-		bufs[i] = make([]byte, p.BlockSize())
-		fns = append(fns, func(c sim.Context) error {
-			if err := readDisk(c, p.disks[i], b, bufs[i]); err != nil {
-				return fmt.Errorf("%w (drive %d also unavailable: %v)", ErrDoubleFailure, i, err)
-			}
-			return nil
-		})
 	}
-	if err := par(ctx, fns...); err != nil {
+	size := len(acc)
+	bufs := make([]byte, len(live)*size)
+	err := sim.ParN(ctx, len(live), func(c sim.Context, k int) error {
+		if err := readDisk(c, p.disks[live[k]], b, bufs[k*size:(k+1)*size]); err != nil {
+			return fmt.Errorf("%w (drive %d also unavailable: %v)", ErrDoubleFailure, live[k], err)
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	for i, buf := range bufs {
-		if i == failedPhys || buf == nil {
-			continue
-		}
-		xorInto(dst, buf)
+	for k := range live {
+		xorInto(acc, bufs[k*size:(k+1)*size])
 	}
 	return nil
 }
 
-// readBlock reads one block, reconstructing from peers when the target
-// drive has failed. Reconstruction takes the row lock so it never
-// observes a half-applied parity update.
+// readBlock reads one block, reconstructing it from the survivors when
+// the target drive has failed. Reconstruction takes the row lock so it
+// never observes a half-applied parity update.
 func (p *Parity) readBlock(ctx sim.Context, dev int, b int64, dst []byte) error {
 	phys := p.phys(dev, b)
 	err := readDisk(ctx, p.disks[phys], b, dst)
-	if err == nil {
-		return nil
-	}
-	if !errors.Is(err, device.ErrFailed) {
+	if err == nil || !errors.Is(err, device.ErrFailed) {
 		return err
 	}
-	unlock := p.lockRow(ctx, b)
-	defer unlock()
-	return p.reconstruct(ctx, phys, b, dst)
+	defer p.lockRows(ctx, b, 1)()
+	clear(dst)
+	return p.survivors(ctx, b, phys, -1, dst)
 }
 
-// writeBlock writes one block using the standard small-write procedure:
-// read old data and old parity in parallel, then write new data and new
-// parity (new parity = old parity XOR old data XOR new data) in parallel.
-// Degraded modes cover a failed data or parity drive — also one that
-// fails while the small write is in flight, which is then redone
-// degraded under the same row lock (whatever landed is rewritten).
+// writeBlock writes one block under its row lock: the small write
+// (extent.go) when the row's data and parity drives are up, the degraded
+// write when either is down — also when one fails while the small write
+// is in flight, which is then redone degraded under the same row lock
+// (whatever landed is rewritten).
 func (p *Parity) writeBlock(ctx sim.Context, dev int, b int64, src []byte) error {
-	unlock := p.lockRow(ctx, b)
-	defer unlock()
+	defer p.lockRows(ctx, b, 1)()
 	data, parD := p.disks[p.phys(dev, b)], p.disks[p.parityPhys(b)]
 	if data.Failed() || parD.Failed() {
 		return p.writeDegraded(ctx, dev, b, src)
 	}
-	bs := p.BlockSize()
-	oldData := make([]byte, bs)
-	oldPar := make([]byte, bs)
-	err := par(ctx,
-		func(c sim.Context) error { return readDisk(c, data, b, oldData) },
-		func(c sim.Context) error { return readDisk(c, parD, b, oldPar) },
-	)
-	if err == nil {
-		newPar := oldPar
-		xorInto(newPar, oldData)
-		xorInto(newPar, src)
-		err = par(ctx,
-			func(c sim.Context) error { return writeDisk(c, data, b, src) },
-			func(c sim.Context) error { return writeDisk(c, parD, b, newPar) },
-		)
-	}
+	err := p.smallWrite(ctx, dev, b, 1, src)
 	if err == nil || !errors.Is(err, device.ErrFailed) || !data.Failed() && !parD.Failed() {
 		return err
 	}
@@ -226,11 +214,8 @@ func (p *Parity) writeBlock(ctx sim.Context, dev int, b int64, src []byte) error
 // writeDegraded is writeBlock with the data or the parity drive of row
 // b failed; the caller holds the row lock.
 func (p *Parity) writeDegraded(ctx sim.Context, dev int, b int64, src []byte) error {
-	dataPhys := p.phys(dev, b)
-	parPhys := p.parityPhys(b)
-	data := p.disks[dataPhys]
-	parD := p.disks[parPhys]
-	bs := p.BlockSize()
+	dataPhys, parPhys := p.phys(dev, b), p.parityPhys(b)
+	data, parD := p.disks[dataPhys], p.disks[parPhys]
 	switch {
 	case data.Failed() && parD.Failed():
 		return fmt.Errorf("%w: drives %d and %d", ErrDoubleFailure, dataPhys, parPhys)
@@ -240,31 +225,9 @@ func (p *Parity) writeDegraded(ctx sim.Context, dev int, b int64, src []byte) er
 	default:
 		// Data drive failed: fold the write into parity so the block is
 		// recoverable. New parity = XOR of all surviving data rows XOR src.
-		newPar := make([]byte, bs)
-		copy(newPar, src)
-		bufs := make([][]byte, len(p.disks))
-		var fns []func(sim.Context) error
-		for i := range p.disks {
-			if i == dataPhys || i == parPhys {
-				continue
-			}
-			i := i
-			bufs[i] = make([]byte, bs)
-			fns = append(fns, func(c sim.Context) error {
-				if err := readDisk(c, p.disks[i], b, bufs[i]); err != nil {
-					return fmt.Errorf("%w (drive %d also unavailable: %v)", ErrDoubleFailure, i, err)
-				}
-				return nil
-			})
-		}
-		if err := par(ctx, fns...); err != nil {
+		newPar := append([]byte(nil), src...)
+		if err := p.survivors(ctx, b, dataPhys, parPhys, newPar); err != nil {
 			return err
-		}
-		for _, buf := range bufs {
-			if buf == nil {
-				continue
-			}
-			xorInto(newPar, buf)
 		}
 		return writeDisk(ctx, parD, b, newPar)
 	}
@@ -276,56 +239,37 @@ func (p *Parity) writeDegraded(ctx sim.Context, dev int, b int64, src []byte) er
 // the coalescing factor versus row-by-row reconstruction.
 const rebuildExtent = 32
 
+// rebuildExtents calls fn on rows [0, rows) in extents of up to
+// rebuildExtent rows, in order, and stops at the first error, which it
+// names with what and the extent's rows.
+func rebuildExtents(what string, rows int64, fn func(b, n int64) error) error {
+	for b := int64(0); b < rows; b += rebuildExtent {
+		n := min(rebuildExtent, rows-b)
+		if err := fn(b, n); err != nil {
+			return fmt.Errorf("stripe: %s rows [%d,%d): %w", what, b, b+n, err)
+		}
+	}
+	return nil
+}
+
 // Rebuild reconstructs rows [0, rows) of the (repaired, erased) physical
-// drive failedPhys from the surviving drives, in extents of up to
-// rebuildExtent rows: every surviving drive's extent is read as one
-// coalesced request (in parallel across drives), the rows are XORed in
-// memory, and the reconstructed extent is written back as one request.
+// drive failedPhys from the surviving drives, an extent at a time: the
+// survivors' rows are read and XORed, and the reconstructed extent is
+// written back as one request.
 func (p *Parity) Rebuild(ctx sim.Context, failedPhys int, rows int64) error {
 	if p.disks[failedPhys].Failed() {
 		return fmt.Errorf("stripe: rebuild target drive %d still failed", failedPhys)
 	}
 	bs := int64(p.BlockSize())
-	bufs := make([][]byte, len(p.disks))
-	for i := range p.disks {
-		if i != failedPhys {
-			bufs[i] = make([]byte, rebuildExtent*bs)
-		}
-	}
 	acc := make([]byte, rebuildExtent*bs)
-	for b := int64(0); b < rows; b += rebuildExtent {
-		n := int64(rebuildExtent)
-		if b+n > rows {
-			n = rows - b
+	return rebuildExtents("rebuild", rows, func(b, n int64) error {
+		ext := acc[:n*bs]
+		clear(ext)
+		if err := p.survivors(ctx, b, failedPhys, -1, ext); err != nil {
+			return err
 		}
-		fns := make([]func(sim.Context) error, 0, len(p.disks)-1)
-		for i := range p.disks {
-			if i == failedPhys {
-				continue
-			}
-			i := i
-			fns = append(fns, func(c sim.Context) error {
-				if err := readDisk(c, p.disks[i], b, bufs[i][:n*bs]); err != nil {
-					return fmt.Errorf("%w (drive %d also unavailable: %v)", ErrDoubleFailure, i, err)
-				}
-				return nil
-			})
-		}
-		if err := par(ctx, fns...); err != nil {
-			return fmt.Errorf("stripe: rebuild rows [%d,%d): %w", b, b+n, err)
-		}
-		clear(acc[:n*bs])
-		for i, buf := range bufs {
-			if i == failedPhys || buf == nil {
-				continue
-			}
-			xorInto(acc[:n*bs], buf[:n*bs])
-		}
-		if err := writeDisk(ctx, p.disks[failedPhys], b, acc[:n*bs]); err != nil {
-			return fmt.Errorf("stripe: rebuild rows [%d,%d): %w", b, b+n, err)
-		}
-	}
-	return nil
+		return writeDisk(ctx, p.disks[failedPhys], b, ext)
+	})
 }
 
 // Mirror is a Store in which every visible device is a primary/shadow
@@ -366,10 +310,9 @@ func (m *Mirror) Primary(i int) *device.Disk { return m.primary[i] }
 func (m *Mirror) Shadow(i int) *device.Disk { return m.shadow[i] }
 
 // Rebuild copies rows [0, rows) of device dev from its healthy twin onto
-// the (repaired, erased) other drive, in extents of up to rebuildExtent
-// rows — one coalesced read and one coalesced write per extent.
-// fromShadow selects the direction: true restores the primary from the
-// shadow.
+// the (repaired, erased) other drive, an extent at a time — one
+// coalesced read and one coalesced write per extent. fromShadow selects
+// the direction: true restores the primary from the shadow.
 func (m *Mirror) Rebuild(ctx sim.Context, dev int, rows int64, fromShadow bool) error {
 	src, dst := m.primary[dev], m.shadow[dev]
 	if fromShadow {
@@ -377,19 +320,12 @@ func (m *Mirror) Rebuild(ctx sim.Context, dev int, rows int64, fromShadow bool) 
 	}
 	bs := int64(m.BlockSize())
 	buf := make([]byte, rebuildExtent*bs)
-	for b := int64(0); b < rows; b += rebuildExtent {
-		n := int64(rebuildExtent)
-		if b+n > rows {
-			n = rows - b
-		}
+	return rebuildExtents("mirror rebuild", rows, func(b, n int64) error {
 		if err := readDisk(ctx, src, b, buf[:n*bs]); err != nil {
-			return fmt.Errorf("stripe: mirror rebuild rows [%d,%d): %w", b, b+n, err)
+			return err
 		}
-		if err := writeDisk(ctx, dst, b, buf[:n*bs]); err != nil {
-			return fmt.Errorf("stripe: mirror rebuild rows [%d,%d): %w", b, b+n, err)
-		}
-	}
-	return nil
+		return writeDisk(ctx, dst, b, buf[:n*bs])
+	})
 }
 
 var (

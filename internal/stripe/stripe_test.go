@@ -3,6 +3,7 @@ package stripe
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -224,6 +225,49 @@ func TestParityDoubleFailure(t *testing.T) {
 	}
 	if err := writeBlock(p, ctx, 1, 0, blockOf(2, 128)); err == nil {
 		t.Fatal("double-failure write accepted")
+	}
+}
+
+// TestParityDegradedWriteSecondFailure: a write whose data drive has
+// failed folds into parity from the surviving data drives; with a second
+// data drive failed too, that read fails and the write is an
+// ErrDoubleFailure naming the second drive.
+func TestParityDegradedWriteSecondFailure(t *testing.T) {
+	p, err := NewParity(drives(4, nil), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.PhysDisk(0).Fail()
+	p.PhysDisk(2).Fail()
+	err = writeBlock(p, sim.NewWall(), 0, 0, blockOf(1, 128))
+	if !errors.Is(err, ErrDoubleFailure) || !strings.Contains(err.Error(), "drive 2 also unavailable") {
+		t.Fatalf("got %v, want ErrDoubleFailure naming drive 2", err)
+	}
+}
+
+// TestParityRebuildSecondFailure: a rebuild reads every surviving drive;
+// with a second drive failed it stops at the first extent with an
+// ErrDoubleFailure naming that extent's rows.
+func TestParityRebuildSecondFailure(t *testing.T) {
+	e := sim.NewEngine()
+	p, err := NewParity(drives(4, e), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.PhysDisk(1).Fail()
+	p.PhysDisk(3).Fail()
+	if err := p.PhysDisk(1).Erase(); err != nil {
+		t.Fatal(err)
+	}
+	p.PhysDisk(1).Repair()
+	var rerr error
+	e.Go("rebuild", func(pr *sim.Proc) { rerr = p.Rebuild(pr, 1, 40) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(rerr, ErrDoubleFailure) || !strings.HasPrefix(rerr.Error(), "stripe: rebuild rows [0,32): ") ||
+		!strings.Contains(rerr.Error(), "drive 3 also unavailable") {
+		t.Fatalf("got %v, want ErrDoubleFailure naming drive 3 inside stripe: rebuild rows [0,32)", rerr)
 	}
 }
 

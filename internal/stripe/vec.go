@@ -1,14 +1,14 @@
 // The Store primitive — a transfer's bound run list — for the redundant
-// stores: the runs proceed in parallel, each down its store's own
-// vectored-run path. Mirror passes the scatter list straight through to
-// the drive pair, so scattered delivery happens at the device like a
-// plain disk. Parity stages a scattered list through a contiguous scratch run instead: its
-// run path already splits by physical drive and batches parity rows
-// (extent.go), and the redundancy arithmetic (XOR across rows) wants
-// contiguous spans — an in-memory copy costs nothing in the device model,
-// while the queued requests, locks and degraded modes stay exactly those
-// of the contiguous path. A one-buffer list — a block, a contiguous
-// range — goes down it directly.
+// stores: the runs proceed in parallel, each down its store's per-run
+// pair (readVec, writeVec). Mirror passes the scatter list straight
+// through to the drive pair, so scattered delivery happens at the device
+// like a plain disk. Parity stages a scattered list through a contiguous
+// scratch run instead: its run path already splits by physical drive and
+// batches parity rows (extent.go), and the redundancy arithmetic (XOR
+// across rows) wants contiguous spans — an in-memory copy costs nothing
+// in the device model, while the queued requests, locks and degraded
+// modes stay exactly those of the contiguous path. A one-buffer list — a
+// block, a contiguous range — goes down it directly.
 
 package stripe
 
@@ -25,8 +25,8 @@ import (
 // runStore is a redundant store's per-run path: the vectored run of one
 // visible device.
 type runStore interface {
-	ReadBlocksVec(ctx sim.Context, dev int, b int64, n int, dsts [][]byte) error
-	WriteBlocksVec(ctx sim.Context, dev int, b int64, n int, srcs [][]byte) error
+	readVec(ctx sim.Context, dev int, b int64, n int, dsts [][]byte) error
+	writeVec(ctx sim.Context, dev int, b int64, n int, srcs [][]byte) error
 }
 
 // transfer is blockio.Store's Transfer over st's per-run path: a lone
@@ -47,9 +47,9 @@ func transfer(ctx sim.Context, st runStore, write bool, runs []blockio.Bound) er
 // transferRun moves run r down st's per-run path.
 func transferRun(ctx sim.Context, st runStore, write bool, r blockio.Bound) error {
 	if write {
-		return st.WriteBlocksVec(ctx, r.Dev, r.PBlock, r.N, r.Iov)
+		return st.writeVec(ctx, r.Dev, r.PBlock, r.N, r.Iov)
 	}
-	return st.ReadBlocksVec(ctx, r.Dev, r.PBlock, r.N, r.Iov)
+	return st.readVec(ctx, r.Dev, r.PBlock, r.N, r.Iov)
 }
 
 // runXfer is a transfer of several runs in flight on a redundant store:
@@ -73,14 +73,12 @@ var runXferPool = sync.Pool{New: func() any {
 	return x
 }}
 
-// Transfer implements blockio.Store, each run down ReadBlocksVec or
-// WriteBlocksVec.
+// Transfer implements blockio.Store, each run down readVec or writeVec.
 func (p *Parity) Transfer(ctx sim.Context, write bool, runs []blockio.Bound) error {
 	return transfer(ctx, p, write, runs)
 }
 
-// Transfer implements blockio.Store, each run down ReadBlocksVec or
-// WriteBlocksVec.
+// Transfer implements blockio.Store, each run down readVec or writeVec.
 func (m *Mirror) Transfer(ctx sim.Context, write bool, runs []blockio.Bound) error {
 	return transfer(ctx, m, write, runs)
 }
@@ -141,12 +139,12 @@ func scatter(src []byte, iov [][]byte) {
 	}
 }
 
-// ReadBlocksVec is Parity's per-run read: the run is read through the
+// readVec is Parity's per-run read: the run is read through the
 // coalesced (and degraded-capable) readBlocks path into a contiguous
 // scratch buffer, then scattered to the caller's segments.
-func (p *Parity) ReadBlocksVec(ctx sim.Context, dev int, b int64, n int, dsts [][]byte) error {
+func (p *Parity) readVec(ctx sim.Context, dev int, b int64, n int, dsts [][]byte) error {
 	bs := p.BlockSize()
-	if err := checkVec("ReadBlocksVec", bs, n, dsts); err != nil {
+	if err := checkVec("read", bs, n, dsts); err != nil {
 		return err
 	}
 	if len(dsts) == 1 {
@@ -161,13 +159,13 @@ func (p *Parity) ReadBlocksVec(ctx sim.Context, dev int, b int64, n int, dsts []
 	return nil
 }
 
-// WriteBlocksVec is Parity's per-run write: the caller's segments are
+// writeVec is Parity's per-run write: the caller's segments are
 // gathered into a contiguous run and written through the batched
 // small-write path (writeBlocks), preserving its row locks and degraded
 // modes.
-func (p *Parity) WriteBlocksVec(ctx sim.Context, dev int, b int64, n int, srcs [][]byte) error {
+func (p *Parity) writeVec(ctx sim.Context, dev int, b int64, n int, srcs [][]byte) error {
 	bs := p.BlockSize()
-	if err := checkVec("WriteBlocksVec", bs, n, srcs); err != nil {
+	if err := checkVec("write", bs, n, srcs); err != nil {
 		return err
 	}
 	if len(srcs) == 1 {
@@ -179,11 +177,11 @@ func (p *Parity) WriteBlocksVec(ctx sim.Context, dev int, b int64, n int, srcs [
 	return p.writeBlocks(ctx, dev, b, n, *bp)
 }
 
-// ReadBlocksVec is Mirror's per-run read: one scatter request on the
+// readVec is Mirror's per-run read: one scatter request on the
 // primary, failing over to one on the shadow when the primary has
 // failed.
-func (m *Mirror) ReadBlocksVec(ctx sim.Context, dev int, b int64, n int, dsts [][]byte) error {
-	if err := checkVec("ReadBlocksVec", m.BlockSize(), n, dsts); err != nil {
+func (m *Mirror) readVec(ctx sim.Context, dev int, b int64, n int, dsts [][]byte) error {
+	if err := checkVec("read", m.BlockSize(), n, dsts); err != nil {
 		return err
 	}
 	err := m.primary[dev].ReadBlocksVec(ctx, b, n, dsts)
@@ -196,17 +194,17 @@ func (m *Mirror) ReadBlocksVec(ctx sim.Context, dev int, b int64, n int, dsts []
 	return nil
 }
 
-// WriteBlocksVec is Mirror's per-run write: one gather request on the
+// writeVec is Mirror's per-run write: one gather request on the
 // drive and one on its shadow, issued in parallel. The write survives
 // one failed drive of the pair (device.ErrFailed) and no other error: a
 // side that refused the write for any other reason would serve stale
 // data to the next read, which fails over only from a failed drive.
-func (m *Mirror) WriteBlocksVec(ctx sim.Context, dev int, b int64, n int, srcs [][]byte) error {
-	if err := checkVec("WriteBlocksVec", m.BlockSize(), n, srcs); err != nil {
+func (m *Mirror) writeVec(ctx sim.Context, dev int, b int64, n int, srcs [][]byte) error {
+	if err := checkVec("write", m.BlockSize(), n, srcs); err != nil {
 		return err
 	}
 	errP := make([]error, 2)
-	err := par(ctx,
+	err := sim.Par(ctx,
 		func(c sim.Context) error { errP[0] = m.primary[dev].WriteBlocksVec(c, b, n, srcs); return nil },
 		func(c sim.Context) error { errP[1] = m.shadow[dev].WriteBlocksVec(c, b, n, srcs); return nil },
 	)

@@ -174,11 +174,11 @@ func TestParityVecScratchPooled(t *testing.T) {
 		vec   func() error
 	}{
 		{"write",
-			func() error { return p.WriteBlocksVec(ctx, 0, 0, n, [][]byte{flat}) },
-			func() error { return p.WriteBlocksVec(ctx, 0, 0, n, iov) }},
+			func() error { return p.writeVec(ctx, 0, 0, n, [][]byte{flat}) },
+			func() error { return p.writeVec(ctx, 0, 0, n, iov) }},
 		{"read",
-			func() error { return p.ReadBlocksVec(ctx, 0, 0, n, [][]byte{flat}) },
-			func() error { return p.ReadBlocksVec(ctx, 0, 0, n, iov) }},
+			func() error { return p.readVec(ctx, 0, 0, n, [][]byte{flat}) },
+			func() error { return p.readVec(ctx, 0, 0, n, iov) }},
 	} {
 		if err := op.vec(); err != nil { // warm the pool
 			t.Fatal(err)
@@ -203,7 +203,7 @@ func TestParityVecScratchPooled(t *testing.T) {
 // TestRedundantTransferAddsNoAllocs: a redundant store's Transfer hands
 // each run to the store's per-run path and allocates nothing of its own —
 // no closure for a lone run, none for a fan-out of several — so a
-// transfer costs exactly what its runs' ReadBlocksVec / WriteBlocksVec
+// transfer costs exactly what its runs' readVec / writeVec
 // calls cost.
 func TestRedundantTransferAddsNoAllocs(t *testing.T) {
 	if raceEnabled {

@@ -508,10 +508,6 @@ type (
 	// per-operation priced selection (StrategyAuto). See the "Data
 	// sieving & strategy selection" doc section.
 	Strategy = blockio.Strategy
-	// SieveSpan is one device's covering span for a sieved transfer
-	// (Set.SieveSpans plans them; a transfer under StrategySieved moves
-	// them).
-	SieveSpan = blockio.SieveSpan
 	// RoutePrices is what StrategyAuto priced every candidate route of a
 	// collective call at (Collective.LastPrices).
 	RoutePrices = collective.Prices
