@@ -80,8 +80,9 @@ func main() {
 		g.Wait(p)
 		checkpointDone := p.Now()
 
-		// Disaster: primary drive 2 dies.
-		mirror.Primary(2).Fail()
+		// Disaster: primary drive 2 dies (the mirror's drives are the
+		// primaries, then their shadows).
+		mirror.Drives()[2].Fail()
 
 		// Phase 2: restart — every process reloads its partition; reads
 		// on device 2 fail over to the shadow transparently.
@@ -115,10 +116,10 @@ func main() {
 			p.Now(), bad)
 
 		// Repair: replacement drive rebuilt from its shadow.
-		if err := mirror.Primary(2).Erase(); err != nil {
+		if err := mirror.Drives()[2].Erase(); err != nil {
 			log.Fatal(err)
 		}
-		mirror.Primary(2).Repair()
+		mirror.Drives()[2].Repair()
 		if err := mirror.Rebuild(p, 2, ckpt.Mapper().TotalFSBlocks(), true); err != nil {
 			log.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func TestIntegrationParityStoreFullStack(t *testing.T) {
 		}
 		g.Wait(p)
 		// Disaster strikes a data drive.
-		par.PhysDisk(1).Fail()
+		par.Drives()[1].Fail()
 		// All partitions remain readable (reconstruction on the fly).
 		var g2 sim.Group
 		for w := 0; w < parts; w++ {

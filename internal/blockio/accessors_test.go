@@ -37,8 +37,8 @@ func TestDirectAccessors(t *testing.T) {
 	if d.Blocks() != disks[0].Geometry().Blocks() {
 		t.Fatalf("Blocks = %d", d.Blocks())
 	}
-	if d.Disk(1) != disks[1] {
-		t.Fatal("Disk accessor wrong")
+	if d.Drives()[1] != disks[1] {
+		t.Fatal("Drives accessor wrong")
 	}
 }
 

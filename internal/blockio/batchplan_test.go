@@ -296,7 +296,7 @@ func FuzzWindowSpace(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		devs := 1 + rng.Intn(4)
 		twin := func() *dryWorld {
-			return newDryWorld(t, rand.New(rand.NewSource(int64(seed))), devs, device.FCFS, false)
+			return newDryWorld(t, rand.New(rand.NewSource(int64(seed))), devs, device.FCFS, false, worldDirect)
 		}
 		a, b := twin(), twin()
 		bs := a.bs
@@ -413,7 +413,7 @@ func TestMappedPlanIssuesTheDescriptors(t *testing.T) {
 		draw := func() (w *dryWorld, maps []Mapped, bufs [][]byte, write bool) {
 			rng := rand.New(rand.NewSource(seed))
 			sched, merge := device.Sched(rng.Intn(2)), rng.Intn(2) == 1
-			w = newDryWorld(t, rng, 1+rng.Intn(3), sched, merge)
+			w = newDryWorld(t, rng, 1+rng.Intn(3), sched, merge, worldDirect)
 			k := 2 + rng.Intn(4)
 			write = rng.Intn(2) == 1
 			overlap := !write && rng.Intn(2) == 1
@@ -441,8 +441,7 @@ func TestMappedPlanIssuesTheDescriptors(t *testing.T) {
 
 		each, maps, bufs, write := draw()
 		var dry Dry
-		dry.Bind(each.store)
-		dry.Sync()
+		dry.Sync(each.store, write)
 		for i := range maps {
 			dry.Vectored(maps[i].Runs())
 			each.e.Go(fmt.Sprintf("p%d", i), func(p *sim.Proc) {

@@ -35,7 +35,8 @@
 //	           space — one buffer, or pieces anywhere in memory — and
 //	           the bound list goes to the store in one call, its runs
 //	           in parallel (issue.go)
-//	dry issue  the same runs through the drives' queues without the
+//	dry issue  the drive requests the store sends for the same runs
+//	           (Store.Requests) through the drives' queues without the
 //	           drives: what the issue would take, which is how a
 //	           strategy is priced before one is chosen (dry.go)
 package blockio
@@ -55,11 +56,10 @@ import (
 //
 // The bound run list is the only transfer: one block is a run of one
 // with a one-buffer list, a contiguous range a run of n with one buffer.
-// What a store does below that is its own business — Direct submits
-// every run to its drive as one batch, Mirror and Parity take each run
-// down their own path, Mirror to the drive and its shadow, Parity split
-// by physical drive with the parity rows batched and a scattered list
-// staged through a contiguous copy.
+// Which drive requests a run becomes is the store's to say, and it says
+// it once (Requests), for the transfer and for its price alike — Direct
+// sends every run to its drive as one batch, Mirror to the drive and its
+// shadow, Parity split by physical drive with the parity rows batched.
 type Store interface {
 	// Devices reports how many (data) devices are visible.
 	Devices() int
@@ -67,12 +67,31 @@ type Store interface {
 	BlockSize() int
 	// Blocks reports the per-device capacity in blocks.
 	Blocks() int64
+	// Drives lists the physical drives, data and redundancy alike: the
+	// drives a Request names by index.
+	Drives() []*device.Disk
+	// Requests appends to dst the drive requests Transfer sends for runs,
+	// read (write false) or written, in the order they reach the drives
+	// while every drive is up.
+	Requests(dst []Request, write bool, runs []Run) []Request
 	// Transfer reads (write false) or writes the runs of one transfer,
 	// in parallel across devices under a simulation engine, each
 	// coalesced into as few device requests as the store's redundancy
 	// geometry allows — one for plain disks — and returns their errors:
 	// one run's as it is, several joined in run order.
 	Transfer(ctx sim.Context, write bool, runs []Bound) error
+}
+
+// Request is one drive request a store sends for a run: N blocks at
+// PBlock of drive Drive, an index into the store's Drives. Later marks a
+// request that reaches its drive only after the first request of every
+// transfer sent at the same instant (Direct's runs after the first, a
+// redundant store's requests after a run's first). RMW marks a write
+// whose drive first reads the blocks it overwrites: Kim's small write.
+type Request struct {
+	Drive      int
+	PBlock, N  int64
+	Later, RMW bool
 }
 
 // Direct is a Store over plain disks with no redundancy.
@@ -141,8 +160,17 @@ func (d *Direct) BlockSize() int { return d.disks[0].Geometry().BlockSize }
 // Blocks implements Store.
 func (d *Direct) Blocks() int64 { return d.disks[0].Geometry().Blocks() }
 
-// Disk exposes the underlying disk (for stats and failure injection).
-func (d *Direct) Disk(i int) *device.Disk { return d.disks[i] }
+// Drives implements Store: the disks, one a device.
+func (d *Direct) Drives() []*device.Disk { return d.disks }
+
+// Requests implements Store: each run is one request on its drive, run 0
+// at the call instant and the others after one yield (Transfer).
+func (d *Direct) Requests(dst []Request, write bool, runs []Run) []Request {
+	for i := range runs {
+		dst = append(dst, Request{Drive: runs[i].Dev, PBlock: runs[i].PBlock, N: runs[i].N, Later: i > 0})
+	}
+	return dst
+}
 
 // batchPool recycles the drive batches of Direct transfers.
 var batchPool = sync.Pool{New: func() any { return new(device.Batch) }}

@@ -2,25 +2,32 @@
 // transform → issue, and beside issue its dry twin). A route is priced
 // by walking the very runs it would send — a descriptor's mapped runs,
 // their sieved covering runs with the second pass of a read-modify-write,
-// the windows of a BatchPlan — through the drives' queues without the
-// drives: every drive's arrivals are replayed, in the order they would
-// reach it, through a device.Line — the drive's own waiting line, which
+// the windows of a BatchPlan — as the drive requests the store sends for
+// them (Store.Requests: the run itself on a plain array, the run and its
+// shadow on a mirror, the rotated data segments and on a write the
+// parity segments of Kim's small write on a parity store), through the
+// physical drives' queues without the drives: every drive's arrivals are
+// replayed, in the order they would reach it, through a device.Line —
+// the drive's own waiting line, built from that drive's own Model, which
 // orders, merges and picks as the drive does, from where its head stands,
 // and charges each request device.ServiceTime for the cylinders the head
 // actually crosses to reach it — drives in parallel. Nothing is estimated
 // and no discipline is written twice; the price of a request is computed
-// by the code that charges it. Where the line says a drive's arrivals
+// by the code that charges it, and which requests a run becomes by the
+// code that sends them. Where the line says a drive's arrivals
 // leave it in the order they came (Line.InOrder: a walk that merges
 // nothing, cylinders that never fall from an arm travelling up — every
 // aligned cut and every logical window, priced parked — or an FCFS
 // drive), they are served one by one without the replay.
 //
-// For one process on idle drives, and for any number of processes that
-// issue at one instant, the dry price IS the modeled time of the issue, to
-// the nanosecond, whatever the layout, the descriptors — disjoint or
-// overlapping — the discipline, the merging and the head positions
-// (FuzzDryIssue). A price can therefore only be wrong where the dry walk
-// and the live walk differ, and they differ in these stated ways:
+// For one process on idle drives — on a plain array, on a mirror but for
+// its sieved writes, and for the reads of a parity store — and on a plain
+// array for any number of processes that issue at one instant, the dry
+// price IS the modeled time of the issue, to the nanosecond, whatever the
+// layout, the descriptors — disjoint or overlapping — the discipline, the
+// merging, the head positions and each drive's timing (FuzzDryIssue). A
+// price can therefore only be wrong where the dry walk and the live walk
+// differ, and they differ in these stated ways:
 //
 //   - everything queued between two flushes is taken to reach its drive at
 //     one instant. Live, a process that issues several transfers in a row
@@ -37,173 +44,165 @@
 //   - the drives are taken to be idle when the walk starts;
 //   - a parked walk (Park: a price that must not depend on the moment)
 //     charges the first request of every drive no seek and merges no
-//     waiting requests.
+//     waiting requests;
+//   - a parity small write's segment, data or parity, is priced as its
+//     read with its write right behind it in the drive's line. Live, a
+//     run's writes wait for all its reads (smallWrite's barrier), and
+//     runs that share a parity row take turns on its row lock: neither
+//     wait is priced. A scratch copy whose row locks did nothing ran the
+//     strided parity writes of TestRedundantStoresPriceWhatTheyRun
+//     (internal/collective) 14–26 % faster — 219.2 → 163.1 ms cut to six
+//     requests a rank, 583.5 → 437.9 ms whole — and was priced exactly
+//     cut, at 0.91 of its time whole. So a parity write is priced at most
+//     what it takes (FuzzDryIssue, one process), here at 0.68–0.86 of it;
+//   - a sieved write on a mirror is priced with the shadow's write from
+//     the start; live it waits for the primary's covering read;
+//   - a redundant store's requests after a run's first reach the drives
+//     behind every run's first (Request.Later), which is the live order
+//     for one process; several processes' interleave deeper;
+//   - a store with a failed drive is priced as if every drive were up.
 package blockio
 
 import (
+	"math"
 	"slices"
 	"time"
 
 	"repro/internal/device"
 )
 
-// DeviceModeler is implemented by stores that can report their drives'
-// queue and service-time model (Direct, stripe.Parity, stripe.Mirror).
-// Stores without it are priced as 1989 default drives served first come,
-// first served.
-type DeviceModeler interface {
-	DeviceModel() device.Model
-}
-
-// DeviceModel implements DeviceModeler for plain disk arrays.
-func (d *Direct) DeviceModel() device.Model { return d.disks[0].Model() }
-
-// Dry is a dry issue in progress: a head tracker and a queue per drive of
-// one store. Queue what a route would send (Vectored, Sieved, Window,
-// Extent), Flush to serve it and learn how long the slowest drive took;
-// the heads stay where the flush left them, so a second flush prices what
-// the route would send next (its next round, its write-back). A Dry holds
-// no reference to what it was shown and allocates only while its queues
-// grow: keep one per handle.
+// Dry is a dry issue in progress: a head tracker and a queue per
+// physical drive of one store. Start a price with Park or Sync, which say
+// of which store and whether it reads or writes; queue what a route would
+// send (Vectored, Sieved, Window) — the store says which drive requests
+// that is (Store.Requests) — and Flush to serve it, each drive by its own
+// Model, and learn how long the slowest drive took; the heads stay where
+// the flush left them, so a second flush prices what the route would send
+// next (its next round, its write-back). A Dry holds no reference to what
+// it was shown and allocates only while its queues grow: keep one per
+// handle.
 type Dry struct {
 	store Store
-	model device.Model
-	bs    int64
+	write bool // what is queued is written
 	drv   []dryDrive
+	runs  []Run                 // a sieved transfer's covers
+	reqs  []Request             // the store's requests for what is being queued
 	line  device.Line[struct{}] // each drive's in turn, as Flush serves it
 }
 
 // dryDrive is one drive's head and what was queued on it since the last
 // flush: the first request of every transfer in first, the others in
-// later, each in the order queued. A transfer's first run reaches its
-// drive at the call instant and the others after the caller yields once
-// (Sleep(0), in Direct.Transfer), which it resumes from once every
-// process runnable at that instant has sent its own first: first, then
-// later, is the order the requests arrive in.
+// later, each in the order queued. A transfer's first request reaches
+// its drive at the call instant and the others once every process
+// runnable at that instant has sent its own first (Request.Later):
+// first, then later, is the order the requests arrive in.
 type dryDrive struct {
-	arm          device.Arm // Cyl < 0: unknown — reaching the first request crosses nothing
+	arm          device.Arm   // Cyl < 0: unknown — reaching the first request crosses nothing
+	model        device.Model // the drive's, merging nothing in a parked walk
 	first, later []dryReq
+	rmw          bool // some request queued is a small write's
 }
 
-// dryReq is one queued request: n blocks at physical block pb. A sieved
-// write is one entry though it is up to two requests: it holds its drive
-// from the first to the last.
+// dryReq is one queued request: n blocks at physical block pb. A held
+// one is a sieved write's read or write, which never waits at the drive
+// but at its sieve lock. An rmw one is a small write's (Request.RMW): the
+// drive reads it, and later writes it.
 type dryReq struct {
-	pb, n int64
-	rmw   int8 // sieved write: rmwWrite, or rmwReadWrite when the cover has holes
+	pb, n     int64
+	held, rmw bool
 }
 
-const (
-	rmwWrite = iota + 1
-	rmwReadWrite
-)
+// Park empties the queues and starts a price of reads, or of writes, on
+// store's drives that is a function of what is queued and of the drives'
+// models alone — a collective schedule is priced once and replayed
+// (internal/collective). It forgets where the heads stand: the first
+// request a drive then serves is charged no seek. And waiting requests
+// do not merge: which neighbours the drive's queue joins depends on the
+// order processes reach it in, down to which of them the scheduler
+// happened to release first, and a price that counted on it would be a
+// price for one history. What the queue does merge, live, is a gain the
+// price leaves out.
+func (d *Dry) Park(store Store, write bool) {
+	d.store, d.write = store, write
+	drives := store.Drives()
+	d.drv = slices.Grow(d.drv[:0], len(drives))[:len(drives)]
+	for i, dd := range d.drv {
+		d.drv[i] = dryDrive{arm: device.Arm{Cyl: -1, Up: true}, model: drives[i].Model(), first: dd.first[:0], later: dd.later[:0]}
+		d.drv[i].model.MergeQueued = false
+	}
+}
 
-// Bind points the dry issue at store, whose drives it models from then
-// on, and parks the heads.
-func (d *Dry) Bind(store Store) {
-	if d.store != store {
-		d.store = store
-		d.bs = int64(store.BlockSize())
-		if dm, ok := store.(DeviceModeler); ok {
-			d.model = dm.DeviceModel()
+// Sync empties the queues and starts a price of reads, or of writes, of
+// what store's drives would do now: the heads where the drives have
+// theirs, waiting requests merged if the drives merge them.
+func (d *Dry) Sync(store Store, write bool) {
+	d.Park(store, write)
+	for i, dk := range store.Drives() {
+		d.drv[i].arm, d.drv[i].model = dk.Arm(), dk.Model()
+	}
+}
+
+// send queues the drive requests the store sends for runs, one transfer
+// read or written (write), each later when later is set and held when
+// held is.
+func (d *Dry) send(runs []Run, write, held, later bool) {
+	d.reqs = d.store.Requests(d.reqs[:0], write, runs)
+	for _, r := range d.reqs {
+		q, dd := dryReq{r.PBlock, r.N, held, r.RMW}, &d.drv[r.Drive]
+		dd.rmw = dd.rmw || r.RMW
+		if later || r.Later {
+			dd.later = append(dd.later, q)
 		} else {
-			d.model = device.Model{Geometry: device.DefaultGeometry1989(), Timing: device.DefaultTiming1989()}
+			dd.first = append(dd.first, q)
 		}
-		d.drv = slices.Grow(d.drv[:0], store.Devices())[:store.Devices()]
-	}
-	d.Park()
-}
-
-// Park empties the queues and starts a price that is a function of what
-// is queued and of the drives' model alone — a collective schedule is
-// priced once and replayed (internal/collective). It forgets where the
-// heads stand: the first request a drive then serves is charged no seek.
-// And waiting requests do not merge: which neighbours the drive's queue
-// joins depends on the order processes reach it in, down to which of them
-// the scheduler happened to release first, and a price that counted on it
-// would be a price for one history. What the queue does merge, live, is a
-// gain the price leaves out.
-func (d *Dry) Park() {
-	for i := range d.drv {
-		dd := &d.drv[i]
-		dd.arm, dd.first, dd.later = device.Arm{Cyl: -1, Up: true}, dd.first[:0], dd.later[:0]
-	}
-	m := d.model
-	m.MergeQueued = false
-	d.line.Reset(m)
-}
-
-// Sync empties the queues and starts a price of what the store's drives
-// would do now: the heads where the drives have theirs, waiting requests
-// merged if the drives merge them — on a store whose devices are drives
-// one to one (Direct); any other is parked.
-func (d *Dry) Sync() {
-	d.Park()
-	if direct, ok := d.store.(*Direct); ok {
-		for i, dk := range direct.disks {
-			d.drv[i].arm = dk.Arm()
-		}
-		d.line.Reset(d.model)
 	}
 }
 
-// Extent queues one request, a transfer of its own: n blocks at absolute
-// physical block pb of device dev.
-func (d *Dry) Extent(dev int, pb, n int64) { d.queue(dev, dryReq{pb: pb, n: n}, false) }
-
-// queue queues r on device dev, a transfer's first request or a later one.
-func (d *Dry) queue(dev int, r dryReq, later bool) {
-	dd := &d.drv[dev]
-	if later {
-		dd.later = append(dd.later, r)
-	} else {
-		dd.first = append(dd.first, r)
-	}
-}
-
-// Vectored queues the vectored execution of mapped runs — one process's
-// transfer, read or write: a request per run.
-func (d *Dry) Vectored(runs []Run) {
-	for i, r := range runs {
-		d.queue(r.Dev, dryReq{pb: r.PBlock, n: r.N}, i > 0)
-	}
-}
+// Vectored queues the vectored execution of mapped runs: one process's
+// transfer.
+func (d *Dry) Vectored(runs []Run) { d.send(runs, d.write, false, false) }
 
 // Window queues window w of a prepared plan, as one process issues it.
 func (d *Dry) Window(pl *BatchPlan, w int) { d.Vectored(pl.wins[w]) }
 
 // Sieved queues the sieved execution (sieveRuns) of mapped runs, one
-// process's transfer: each device's runs become one covering request. A
-// write is the read-modify-write sievedWrite performs under the device's
-// sieve lock: the covering read if the cover has holes, then the covering
-// write, which starts where the read left the head.
-func (d *Dry) Sieved(runs []Run, write bool) {
-	covers := 0
-	for i := 0; i < len(runs); covers++ {
+// process's transfer: each device's runs become one covering run. A read
+// is one transfer of the covers. A write is the read-modify-write
+// sievedWrite performs, a process a cover (the first on the caller,
+// the others later) holding the device's sieve lock: the covering read
+// if the cover has holes, then the covering write.
+func (d *Dry) Sieved(runs []Run) {
+	d.runs = d.runs[:0]
+	for i := 0; i < len(runs); {
 		j := deviceEnd(runs, i)
-		r := dryReq{pb: runs[i].PBlock}
-		r.n = runs[j-1].PBlock + runs[j-1].N - r.pb
-		if write {
-			r.rmw = rmwWrite
+		d.runs = append(d.runs, Run{Dev: runs[i].Dev, PBlock: runs[i].PBlock, N: runs[j-1].PBlock + runs[j-1].N - runs[i].PBlock})
+		if cover := d.runs[len(d.runs)-1:]; d.write {
 			if j-i > 1 {
-				r.rmw = rmwReadWrite
+				d.send(cover, false, true, i > 0)
 			}
+			d.send(cover, true, true, i > 0)
 		}
-		d.queue(runs[i].Dev, r, covers > 0)
 		i = j
+	}
+	if !d.write {
+		d.send(d.runs, false, false, false)
 	}
 }
 
-// AtLeast bounds from below what a drive takes over requests requests
-// moving blocks blocks between them, wherever they lie: each pays the
-// controller and half a rotation, and the blocks pay their transfer (a
-// nanosecond a request is allowed for rounding each transfer down). A
-// candidate whose bound is no better than a price in hand need not be
-// walked.
+// AtLeast bounds from below what any of the drives takes over requests
+// requests moving blocks blocks between them, wherever they lie: each
+// pays the controller and half a rotation, and the blocks pay their
+// transfer (a nanosecond a request is allowed for rounding each transfer
+// down) — on the fastest drive. A candidate whose bound is no better
+// than a price in hand need not be walked.
 func (d *Dry) AtLeast(requests, blocks int64) time.Duration {
-	m := d.model
-	fixed := device.ServiceTime(m.Geometry, m.Timing, 0, 0)
-	return time.Duration(requests)*(fixed-1) + device.ServiceTime(m.Geometry, m.Timing, 0, int(blocks*d.bs)) - fixed
+	least := time.Duration(math.MaxInt64)
+	for _, dk := range d.store.Drives() {
+		g, t := dk.Geometry(), dk.Timing()
+		fixed := device.ServiceTime(g, t, 0, 0)
+		least = min(least, time.Duration(requests)*(fixed-1)+device.ServiceTime(g, t, 0, int(blocks)*g.BlockSize)-fixed)
+	}
+	return least
 }
 
 // Flush serves every drive's queue as the drive would, were it idle and
@@ -213,9 +212,10 @@ func (d *Dry) AtLeast(requests, blocks int64) time.Duration {
 // its discipline picks — or, where the line serves them in the order
 // they arrive (Line.InOrder: nothing merges, and their cylinders never
 // fall from an arm travelling up, or the drive is FCFS), are served one
-// by one as they arrive, with no replay. Sieved writes never wait at the
-// drive but at their device's sieve lock, which admits them in arrival
-// order whatever the discipline. The drives work in parallel: Flush
+// by one as they arrive, with no replay (serve). Sieved writes never wait
+// at the drive but at their device's sieve lock, which admits them in
+// arrival order whatever the discipline. Each drive is served by its own
+// Model. The drives work in parallel: Flush
 // reports the time the slowest took, and leaves every head where its
 // last request put it.
 func (d *Dry) Flush() time.Duration {
@@ -227,32 +227,47 @@ func (d *Dry) Flush() time.Duration {
 		if len(q) == 0 {
 			continue
 		}
-		var busy time.Duration
+		l.Reset(dd.model)
 		l.Arm = dd.arm
-		if q[0].rmw != 0 {
-			for _, r := range q {
-				if r.rmw == rmwReadWrite {
-					busy += l.Serve(r.pb, r.n)
-				}
-				busy += l.Serve(r.pb, r.n)
-			}
-		} else {
-			busy = l.Serve(q[0].pb, q[0].n)
-			rest := q[1:]
-			if svc, ok := l.InOrder(len(rest), func(i int) (int64, int64) { return rest[i].pb, rest[i].n }); ok {
-				busy += svc
-			} else {
-				for _, r := range rest {
-					l.Add(false, r.pb, r.n, struct{}{})
-				}
-				for l.Len() > 0 {
-					_, svc := l.Next()
-					busy += svc
-				}
-			}
-		}
-		slowest = max(slowest, busy)
-		dd.arm, dd.first, dd.later = l.Arm, q[:0], dd.later[:0]
+		slowest = max(slowest, d.serve(q, dd.rmw))
+		dd.arm, dd.first, dd.later, dd.rmw = l.Arm, q[:0], dd.later[:0], false
 	}
 	return slowest
+}
+
+// serve serves one drive's queue q from where the line's arm stands and
+// returns the time it took. Held requests are served in the order they
+// came — unless small writes are among them (rmw: a sieved write on a
+// parity store, whose sieve lock covers rows on several drives). The
+// others go through the line: the first straight into service, the
+// others as the line picks them — or one by one in arrival order, where
+// the line would (Line.InOrder) — and with rmw, a small write's write
+// joins the line right behind its read.
+func (d *Dry) serve(q []dryReq, rmw bool) (busy time.Duration) {
+	l := &d.line
+	if q[0].held && !rmw {
+		for _, r := range q {
+			busy += l.Serve(r.pb, r.n)
+		}
+		return busy
+	}
+	busy = l.Serve(q[0].pb, q[0].n)
+	if rest := q[1:]; !rmw {
+		if svc, ok := l.InOrder(len(rest), func(i int) (int64, int64) { return rest[i].pb, rest[i].n }); ok {
+			return busy + svc
+		}
+	}
+	for i, r := range q {
+		if i > 0 {
+			l.Add(false, r.pb, r.n, struct{}{})
+		}
+		if r.rmw {
+			l.Add(true, r.pb, r.n, struct{}{})
+		}
+	}
+	for l.Len() > 0 {
+		_, svc := l.Next()
+		busy += svc
+	}
+	return busy
 }

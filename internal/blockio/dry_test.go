@@ -45,10 +45,9 @@ func TestDryIssueIsWhatTheDriveCharges(t *testing.T) {
 				if j == 1 {
 					rest = -d.Stats().BusyTime
 					var dry Dry
-					dry.Bind(store)
-					dry.Sync()
+					dry.Sync(store, true)
 					for k := int64(1); k <= tc.n; k++ {
-						dry.Extent(0, tc.first+k*tc.blocks, tc.blocks)
+						dry.Vectored([]Run{{Dev: 0, PBlock: tc.first + k*tc.blocks, N: tc.blocks}})
 						want += dry.Flush()
 					}
 				}
@@ -68,29 +67,118 @@ func TestDryIssueIsWhatTheDriveCharges(t *testing.T) {
 	}
 }
 
+// TestDryMixedDrives: every drive is priced by its own model. On a plain
+// array whose drives 1 and 2 are twice as fast as drive 0, the dry price
+// of a vectored read across the three is what the read takes, to the
+// nanosecond — and AtLeast is a lower bound on the fast drives too.
+func TestDryMixedDrives(t *testing.T) {
+	e := sim.NewEngine()
+	slow := device.DefaultTiming1989()
+	fast := slow
+	fast.SeekMin, fast.SeekMax, fast.RotationPeriod, fast.Overhead = slow.SeekMin/2, slow.SeekMax/2, slow.RotationPeriod/2, slow.Overhead/2
+	fast.TransferRate *= 2
+	disks := []*device.Disk{
+		device.New(device.Config{Name: "slow", Timing: slow, Engine: e}),
+		device.New(device.Config{Name: "fast1", Timing: fast, Engine: e}),
+		device.New(device.Config{Name: "fast2", Timing: fast, Engine: e}),
+	}
+	store, err := NewDirect(disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []Run{{Dev: 0, PBlock: 0, N: 1}, {Dev: 1, PBlock: 64, N: 4}, {Dev: 1, PBlock: 9000, N: 4}, {Dev: 2, PBlock: 20000, N: 8}}
+	var dry Dry
+	dry.Sync(store, false)
+	dry.Vectored(runs)
+	price := dry.Flush()
+	bs := disks[0].Geometry().BlockSize
+	bound := make([]Bound, len(runs))
+	for i, r := range runs {
+		bound[i] = Bound{Dev: r.Dev, PBlock: r.PBlock, N: int(r.N), Iov: [][]byte{make([]byte, int(r.N)*bs)}}
+	}
+	e.Go("reader", func(p *sim.Proc) {
+		if err := store.Transfer(p, false, bound); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("priced %v, took %v", price, e.Now())
+	if price != e.Now() {
+		t.Errorf("a vectored read over a slow and two fast drives: dry price %v, the read took %v", price, e.Now())
+	}
+	least, one := dry.AtLeast(1, 3), device.ServiceTime(disks[1].Geometry(), fast, 0, 3*bs)
+	t.Logf("AtLeast(1, 3) = %v; one 3-block request on a fast drive takes %v", least, one)
+	if least > one {
+		t.Errorf("AtLeast(1, 3) = %v, above the %v a fast drive takes for one 3-block request", least, one)
+	}
+}
+
 // dryWorld is one seeded machine for FuzzDryIssue: a handful of small
-// drives under a seeded discipline, and a file under a seeded layout at
+// drives, each of a seeded timing, under a seeded discipline; a store
+// over them, plain or redundant; and a file under a seeded layout at
 // seeded extent bases.
 type dryWorld struct {
 	e     *sim.Engine
 	disks []*device.Disk
-	store *Direct
+	store Store
 	set   *Set
 	total int64
 	bs    int64
 }
 
-func newDryWorld(t *testing.T, rng *rand.Rand, devices int, sched device.Sched, merge bool) *dryWorld {
+// The stores a dryWorld is built on: a plain array, a mirror, and a
+// parity store with its parity rotating or on a dedicated drive.
+const (
+	worldDirect = iota
+	worldMirror
+	worldParity
+	worldParityDedicated
+)
+
+// redundant builds package stripe's stores over disks — a mirror whose
+// first half are the primaries, or a parity store — for the worlds this
+// package's tests cannot import them into (stripe imports blockio); the
+// external test in dry_stripe_test.go sets it (SetRedundant).
+var redundant func(disks []*device.Disk, mirror, rotate bool) (Store, error)
+
+// SetRedundant sets redundant.
+func SetRedundant(f func(disks []*device.Disk, mirror, rotate bool) (Store, error)) { redundant = f }
+
+// drawTiming is a seeded drive timing: the 1989 drive's with its seeks,
+// rotation, overhead and transfer rate each scaled by ½, 1, 1½ or 2.
+func drawTiming(rng *rand.Rand) device.Timing {
+	tm := device.DefaultTiming1989()
+	scale := func() time.Duration { return time.Duration(1 + rng.Intn(4)) }
+	s := scale()
+	tm.SeekMin, tm.SeekMax = tm.SeekMin*s/2, tm.SeekMax*s/2
+	tm.RotationPeriod = tm.RotationPeriod * scale() / 2
+	tm.Overhead = tm.Overhead * scale() / 2
+	tm.TransferRate *= float64(scale()) / 2
+	return tm
+}
+
+func newDryWorld(t *testing.T, rng *rand.Rand, devices int, sched device.Sched, merge bool, kind int) *dryWorld {
 	t.Helper()
 	w := &dryWorld{e: sim.NewEngine(), bs: 64}
 	geom := device.Geometry{BlockSize: int(w.bs), BlocksPerCyl: 8, Cylinders: 64}
-	for i := 0; i < devices; i++ {
+	drives := map[int]int{worldDirect: devices, worldMirror: 2 * devices}[kind]
+	if kind >= worldParity {
+		drives = devices + 1
+	}
+	for i := 0; i < drives; i++ {
 		w.disks = append(w.disks, device.New(device.Config{
-			Name: fmt.Sprintf("d%d", i), Geometry: geom, Engine: w.e, Sched: sched, MergeQueued: merge,
+			Name: fmt.Sprintf("d%d", i), Geometry: geom, Timing: drawTiming(rng), Engine: w.e, Sched: sched, MergeQueued: merge,
 		}))
 	}
 	var err error
-	if w.store, err = NewDirect(w.disks); err != nil {
+	if kind == worldDirect {
+		w.store, err = NewDirect(w.disks)
+	} else {
+		w.store, err = redundant(w.disks, kind == worldMirror, kind == worldParity)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	w.total = int64(40 + rng.Intn(160))
@@ -152,12 +240,57 @@ func (w *dryWorld) park(p *sim.Proc, rng *rand.Rand, t *testing.T) {
 	}
 }
 
+// issueOne prices, then issues, one process's seeded descriptors on w —
+// vectored and sieved, read and write, each from seeded head positions —
+// and hands check each price and what its issue took.
+func (w *dryWorld) issueOne(t *testing.T, rng *rand.Rand, check func(strat Strategy, write bool, price, took time.Duration)) {
+	w.e.Go("one", func(p *sim.Proc) {
+		var dry Dry
+		for _, tc := range []struct {
+			strat Strategy
+			write bool
+		}{{StrategyVectored, false}, {StrategyVectored, true}, {StrategySieved, false}, {StrategySieved, true}} {
+			vec, size := w.vec(rng, 0, w.total)
+			m, _, _, err := w.set.Map(vec, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.park(p, rng, t)
+			dry.Sync(w.store, tc.write)
+			if tc.strat == StrategySieved {
+				dry.Sieved(m.Runs())
+			} else {
+				dry.Vectored(m.Runs())
+			}
+			price := dry.Flush()
+			buf, t0 := make([]byte, size), p.Now()
+			if tc.write {
+				err = m.Write(p, tc.strat, buf)
+			} else {
+				err = m.Read(p, tc.strat, buf)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(tc.strat, tc.write, price, p.Now()-t0)
+		}
+	})
+	if err := w.e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzDryIssue holds the dry issue to the live one. For a seeded layout
-// (striped, partitioned, interleaved), descriptor and head position, one
-// process on idle drives: the dry price of the vectored and of the sieved
-// execution, read and write, equals the modeled time of issuing it to the
-// nanosecond, under either discipline, merging or not. And k processes on
-// a few drives, each issuing its own descriptor at the same instant —
+// (striped, partitioned, interleaved), descriptor, head position and
+// timing of every drive, one process on idle drives: the dry price of
+// the vectored and of the sieved execution, read and write, equals the
+// modeled time of issuing it to the nanosecond, under either discipline,
+// merging or not. On a mirror too, but for a sieved write, whose shadow
+// waits live for the primary's covering read (dry.go): priced no higher
+// than it takes. On a parity store, rotating or not, reads are exact, and
+// writes priced no higher than they take — their row locks and the
+// small write's barrier are not priced. And k processes on a few drives,
+// each issuing its own descriptor at the same instant —
 // disjoint slices of the file, or overlapping ones: exact again — the
 // order the requests reach the drives in is known, and the dry walk
 // replays it through the drive's own waiting line. And where a walk
@@ -172,55 +305,25 @@ func FuzzDryIssue(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		sched, merge := device.Sched(rng.Intn(2)), rng.Intn(2) == 1
 
-		one := newDryWorld(t, rng, 1+rng.Intn(4), sched, merge)
-		one.e.Go("one", func(p *sim.Proc) {
-			var dry Dry
-			dry.Bind(one.store)
-			for _, tc := range []struct {
-				strat Strategy
-				write bool
-			}{{StrategyVectored, false}, {StrategyVectored, true}, {StrategySieved, false}, {StrategySieved, true}} {
-				vec, size := one.vec(rng, 0, one.total)
-				m, _, _, err := one.set.Map(vec, nil, nil)
-				if err != nil {
-					t.Fatal(err)
+		for kind, name := range []string{"plain array", "mirror", "rotating parity store", "dedicated parity store"} {
+			w := newDryWorld(t, rng, 1+rng.Intn(4), sched, merge, kind)
+			w.issueOne(t, rng, func(strat Strategy, write bool, price, took time.Duration) {
+				bound := write && (kind >= worldParity || kind == worldMirror && strat == StrategySieved)
+				if price != took && (!bound || price > took) {
+					t.Errorf("seed %d, %s, %v write=%v on %s (%v, merge %v): dry price %v, the issue took %v",
+						seed, name, strat, write, w.set.Layout().Name(), sched, merge, price, took)
 				}
-				one.park(p, rng, t)
-				dry.Sync()
-				if tc.strat == StrategySieved {
-					dry.Sieved(m.Runs(), tc.write)
-				} else {
-					dry.Vectored(m.Runs())
-				}
-				price := dry.Flush()
-				buf, t0 := make([]byte, size), p.Now()
-				if tc.write {
-					err = m.Write(p, tc.strat, buf)
-				} else {
-					err = m.Read(p, tc.strat, buf)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if took := p.Now() - t0; price != took {
-					t.Errorf("seed %d, %v write=%v on %s (%v, merge %v): dry price %v, the issue took %v",
-						seed, tc.strat, tc.write, one.set.Layout().Name(), sched, merge, price, took)
-				}
-			}
-		})
-		if err := one.e.Run(); err != nil {
-			t.Fatal(err)
+			})
 		}
 
-		many := newDryWorld(t, rng, 1+rng.Intn(3), sched, merge)
+		many := newDryWorld(t, rng, 1+rng.Intn(3), sched, merge, worldDirect)
 		k := 2 + rng.Intn(4)
 		overlap := rng.Intn(2) == 1
 		strat, write := Strategy(StrategyVectored+Strategy(rng.Intn(2))), rng.Intn(2) == 1
 		maps := make([]Mapped, k)
 		bufs := make([][]byte, k)
 		var dry Dry
-		dry.Bind(many.store)
-		dry.Sync()
+		dry.Sync(many.store, write)
 		for i := range maps {
 			// Each process asks for its own slice of the file, or for
 			// any of it: then requests of several processes abut, and
@@ -236,7 +339,7 @@ func FuzzDryIssue(f *testing.F) {
 			}
 			bufs[i] = make([]byte, size)
 			if strat == StrategySieved {
-				dry.Sieved(maps[i].Runs(), write)
+				dry.Sieved(maps[i].Runs())
 			} else {
 				dry.Vectored(maps[i].Runs())
 			}
@@ -271,13 +374,13 @@ func FuzzDryIssue(f *testing.F) {
 		// The replay keeps arms of its own from walk to walk, so that an
 		// arm the in-order path left elsewhere, or travelling the other
 		// way, shows in the walks after.
-		ord := newDryWorld(t, rng, 1+rng.Intn(3), sched, false)
+		ord := newDryWorld(t, rng, 1+rng.Intn(3), sched, false, worldDirect)
 		var od Dry
-		od.Bind(ord.store)
+		od.Park(ord.store, false)
 		arms := make([]device.Arm, len(od.drv))
 		for walk := 0; walk < 6; walk++ {
 			if walk == 0 || rng.Intn(4) == 0 {
-				od.Park()
+				od.Park(ord.store, false)
 				for dev := range arms {
 					arms[dev] = device.Arm{Cyl: -1, Up: true}
 				}
@@ -293,7 +396,7 @@ func FuzzDryIssue(f *testing.F) {
 					slices.Sort(pbs)
 				}
 				for _, pb := range pbs {
-					od.Extent(dev, pb, 1+rng.Int63n(4))
+					od.Vectored([]Run{{Dev: dev, PBlock: pb, N: 1 + rng.Int63n(4)}})
 				}
 			}
 			want := replayDry(&od, arms)
@@ -310,16 +413,16 @@ func FuzzDryIssue(f *testing.F) {
 // Add and Next — the replay Flush leaves out where they arrive in order.
 // It leaves each arm where the replay put it.
 func replayDry(d *Dry, arms []device.Arm) time.Duration {
-	m := d.model
-	m.MergeQueued = false
 	var l device.Line[struct{}]
-	l.Reset(m)
 	var slowest time.Duration
 	for dev := range d.drv {
 		q := d.drv[dev].first
 		if len(q) == 0 {
 			continue
 		}
+		m := d.store.Drives()[dev].Model()
+		m.MergeQueued = false
+		l.Reset(m)
 		l.Arm = arms[dev]
 		busy := l.Serve(q[0].pb, q[0].n)
 		for _, r := range q[1:] {
@@ -358,12 +461,12 @@ func flushShape(t testing.TB) (*Dry, [][]Run) {
 		slices.SortFunc(runs[r], func(a, b Run) int { return cmp.Or(a.Dev-b.Dev, int(a.PBlock-b.PBlock)) })
 	}
 	var dry Dry
-	dry.Bind(store)
+	dry.Park(store, false)
 	return &dry, runs
 }
 
 func flushAll(dry *Dry, runs [][]Run) time.Duration {
-	dry.Park()
+	dry.Park(dry.store, false)
 	for _, r := range runs {
 		dry.Vectored(r)
 	}

@@ -214,12 +214,11 @@ func (s *Set) choose(runs []Run, write bool) Strategy {
 	}
 	d := dryPool.Get().(*Dry)
 	defer dryPool.Put(d)
-	d.Bind(s.store)
-	d.Sync()
+	d.Sync(s.store, write)
 	d.Vectored(runs)
 	vec := d.Flush()
-	d.Sync()
-	d.Sieved(runs, write)
+	d.Sync(s.store, write)
+	d.Sieved(runs)
 	if d.Flush() < vec {
 		return StrategySieved
 	}

@@ -130,8 +130,10 @@ type Options struct {
 	// two-phase exchange; StrategyVectored/StrategySieved route every
 	// rank's requests as independent vectored/sieved Set transfers
 	// (skipping the exchange entirely); StrategyAuto prices the three
-	// routes per call — the device requests each would send by a dry
-	// issue of them through the drives' own queues and service-time
+	// routes per call — the drive requests each would send, as the store
+	// sends them (blockio.Store.Requests: a mirror's shadow writes, a
+	// parity store's rotated segments and small writes), by a dry issue of
+	// them through every physical drive's own queue and service-time
 	// function (blockio.Dry), its exchange by the group's own round charge
 	// (mpp.RoundPrice) — and picks the cheapest (LastPrices). For the
 	// two-phase route it prices two partitions of the footprint into
@@ -199,13 +201,6 @@ type ExchangeStats struct {
 	ExchangeTime time.Duration
 	AccessTime   time.Duration
 	Overlap      time.Duration
-}
-
-// SameBytes reports whether two calls moved the same exchange split
-// (the timing fields differ between reads and writes of one footprint;
-// the byte split may not).
-func (st ExchangeStats) SameBytes(o ExchangeStats) bool {
-	return st.BytesMoved == o.BytesMoved && st.BytesLocal == o.BytesLocal
 }
 
 // Collective is a collective-I/O handle over a group of files sharing

@@ -11,8 +11,9 @@
 // that would charge it. The device side of a route is a dry issue
 // (blockio.Dry) of the very runs the route would send — every rank's
 // mapped descriptor, vectored and sieved; the windows of the call's
-// prepared plan, round by round — through the drives' own queue
-// discipline and service-time function; the exchange side is the rank
+// prepared plan, round by round — as the drive requests the store sends
+// for them, through every drive's own queue discipline and service-time
+// function; the exchange side is the rank
 // group's own round charge on a scratch pool (mpp.RoundPrice); and the
 // two meet in the executor's own hand-off (pipelineEnd). The two-phase
 // route has two candidates of its own: the logical partition (file
@@ -127,6 +128,7 @@ type priceScratch struct {
 	union  []blockio.Run
 	from   []int // domain → its first run in union; one more entry closes the last
 	at     []unionAt
+	round  []blockio.Run // the runs of one round of the cut being priced
 	ends   []int64
 	access []time.Duration
 	tried  []depthPrice
@@ -202,14 +204,13 @@ func (c *Collective) chooseRoute(p *mpp.Proc, sd *schedule, write, nonblocking b
 		return ch // unreachable: newSchedule says why, and fails the call on it
 	}
 	dry := &sc.dry
-	dry.Bind(c.group.Store())
 	// The independent routes: every rank's mapped requests, all at once.
 	independent := func(sieved bool) time.Duration {
-		dry.Park()
+		dry.Park(c.group.Store(), write)
 		for _, ms := range ind.ind {
 			for _, m := range ms {
 				if sieved {
-					dry.Sieved(m.Runs(), write)
+					dry.Sieved(m.Runs())
 				} else {
 					dry.Vectored(m.Runs())
 				}
@@ -227,7 +228,7 @@ func (c *Collective) chooseRoute(p *mpp.Proc, sd *schedule, write, nonblocking b
 	// nonblocking call's one round: the whole exchange, then the call.
 	sc.ex.Reset(p)
 	enter(&sc.ex, build.shares, pl.owner)
-	dry.Park()
+	dry.Park(c.group.Store(), write)
 	sc.access = sc.access[:0]
 	if nonblocking {
 		dry.Window(cut.plan, 0)
@@ -456,28 +457,32 @@ func (c *Collective) alignedCost(p *mpp.Proc, write bool, cut *cutPlan, nd int) 
 // cutCost prices one cut of the aligned partition, the round table in
 // the pricing scratch: every round's windows — the next chunk of every
 // domain's footprint — through the dry issue, and the rounds through the
-// executor's hand-off.
+// executor's hand-off. A round is queued as one transfer, each chunk a
+// run: no two domains share a drive, so every drive sees its aggregator's
+// runs in that aggregator's order, as it would were each sent alone.
 func (c *Collective) cutCost(write bool) time.Duration {
 	sc, dry := &c.price, &c.price.dry
 	for a := range sc.at {
 		sc.at[a] = unionAt{i: sc.from[a]}
 	}
-	dry.Park()
+	dry.Park(c.group.Store(), write)
 	sc.access = sc.access[:0]
 	var lo int64
 	for _, end := range sc.ends {
+		sc.round = sc.round[:0]
 		for a := range sc.at {
 			at := &sc.at[a]
 			for left := end - lo; left > 0 && at.i < sc.from[a+1]; {
-				r := sc.union[at.i]
+				r := &sc.union[at.i]
 				take := min(r.N-at.off, left)
-				dry.Extent(r.Dev, r.PBlock+at.off, take)
+				sc.round = append(sc.round, blockio.Run{Dev: r.Dev, PBlock: r.PBlock + at.off, N: take})
 				left -= take
 				if at.off += take; at.off == r.N {
 					at.i, at.off = at.i+1, 0
 				}
 			}
 		}
+		dry.Vectored(sc.round)
 		sc.access = append(sc.access, dry.Flush())
 		lo = end
 	}

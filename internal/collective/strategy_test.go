@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/blockio"
 	"repro/internal/mpp"
+	"repro/internal/pfs"
 	"repro/internal/sim"
 )
 
@@ -138,4 +139,84 @@ func TestReplayLoopReadsSieved(t *testing.T) {
 		}
 	}
 	t.Logf("iteration %v: write %s at depth %d, read %s", obs.iterDur[0], obs.routes[0][0], obs.depth[0], obs.routes[0][1])
+}
+
+// TestRedundantStoresPriceWhatTheyRun holds StrategyAuto's prices on the
+// redundant stores to what the calls take, now that a dry issue prices
+// the drive requests the store sends (blockio.Store.Requests): the
+// strided requests of 4 ranks — whole, and cut to each rank's first 6 —
+// written and read on a 5-drive rotating parity store and on a 4-pair
+// mirror, under every test placement. A mirror's price is what the call
+// takes. A parity read's is within 8 % of it; a parity write's is at
+// most what it takes and at least 60 % of it — the row locks of writers
+// sharing a parity row, and the wait of a small write's writes for its
+// reads, are not priced (blockio/dry.go). And Auto's call is within 1 %
+// of the best route forced.
+func TestRedundantStoresPriceWhatTheyRun(t *testing.T) {
+	const nRanks = 4
+	// run makes one call under strat and reports its price (Auto's only)
+	// and what it took.
+	run := func(kind storeKind, spec func(string, int64) pfs.Spec, write bool, cut int, strat blockio.Strategy) (price, took time.Duration, route string) {
+		// Fresh drives, their heads where a parked price takes them to be,
+		// whatever is read: the bytes are not what is measured.
+		e, g, _ := collectiveFixture(t, kind, spec)
+		col, err := Open(g, nRanks, Options{Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mg, join := mpp.Run(e, nRanks, "r", func(p *mpp.Proc) {
+			reqs, buf, _ := strideReqs(g, p.Rank(), nRanks)
+			if cut > 0 {
+				reqs = reqs[:1]
+				reqs[0].Vec = reqs[0].Vec[:min(cut, len(reqs[0].Vec))]
+			}
+			if write {
+				err = col.WriteAll(p, reqs, buf)
+			} else {
+				err = col.ReadAll(p, reqs, buf)
+			}
+			if err != nil {
+				t.Errorf("rank %d: %v", p.Rank(), err)
+			}
+		})
+		mg.SetLink(0, 100e6)
+		e.Go("join", func(sp *sim.Proc) { join.Wait(sp) })
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return col.LastPredicted(), e.Now(), col.LastRoute()
+	}
+	for _, kind := range []storeKind{storeParity, storeMirror} {
+		for _, pl := range testPlacements {
+			for _, cut := range []int{0, 6} {
+				for _, write := range []bool{true, false} {
+					name := fmt.Sprintf("%s/%s/cut=%d/write=%v", kind, pl.name, cut, write)
+					t.Run(name, func(t *testing.T) {
+						price, took, route := run(kind, pl.spec, write, cut, blockio.StrategyAuto)
+						var best time.Duration
+						for _, strat := range []blockio.Strategy{blockio.StrategyCollective, blockio.StrategyVectored, blockio.StrategySieved} {
+							if _, forced, _ := run(kind, pl.spec, write, cut, strat); best == 0 || forced < best {
+								best = forced
+							}
+						}
+						ratio, auto := price.Seconds()/took.Seconds(), took.Seconds()/best.Seconds()
+						t.Logf("auto %s: priced %v, took %v (%.3f); best forced %v (auto %.3f of it)", route, price, took, ratio, best, auto)
+						lo, hi := 0.9995, 1.0005
+						switch {
+						case kind == storeParity && write:
+							lo, hi = 0.60, 1.00
+						case kind == storeParity:
+							lo, hi = 0.92, 1.0005
+						}
+						if ratio < lo || ratio > hi {
+							t.Errorf("priced %v, took %v: %.3f outside [%.2f, %.2f]", price, took, ratio, lo, hi)
+						}
+						if auto > 1.01 {
+							t.Errorf("auto took %v, %.3f of the best route forced (%v)", took, auto, best)
+						}
+					})
+				}
+			}
+		}
+	}
 }

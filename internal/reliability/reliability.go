@@ -185,15 +185,15 @@ func ParityScenario(ctx sim.Context, par *stripe.Parity, f *pfs.File, failPhys i
 	if err := WritePattern(ctx, f, seed); err != nil {
 		return 0, fmt.Errorf("reliability: write: %w", err)
 	}
-	par.PhysDisk(failPhys).Fail()
+	par.Drives()[failPhys].Fail()
 	if err := VerifyPattern(ctx, f, seed); err != nil {
 		return 0, fmt.Errorf("reliability: degraded read: %w", err)
 	}
 	// Blank replacement arrives; rebuild every allocated row.
-	if err := par.PhysDisk(failPhys).Erase(); err != nil {
+	if err := par.Drives()[failPhys].Erase(); err != nil {
 		return 0, err
 	}
-	par.PhysDisk(failPhys).Repair()
+	par.Drives()[failPhys].Repair()
 	start := ctx.Now()
 	rows := rowsInUse(par.Blocks(), f)
 	if err := par.Rebuild(ctx, failPhys, rows); err != nil {
@@ -214,25 +214,25 @@ func MirrorScenario(ctx sim.Context, mir *stripe.Mirror, f *pfs.File, dev int, s
 	if err := WritePattern(ctx, f, seed); err != nil {
 		return 0, fmt.Errorf("reliability: write: %w", err)
 	}
-	mir.Primary(dev).Fail()
+	mir.Drives()[dev].Fail() // the primaries, then their shadows
 	if err := VerifyPattern(ctx, f, seed); err != nil {
 		return 0, fmt.Errorf("reliability: failover read: %w", err)
 	}
-	if err := mir.Primary(dev).Erase(); err != nil {
+	if err := mir.Drives()[dev].Erase(); err != nil {
 		return 0, err
 	}
-	mir.Primary(dev).Repair()
+	mir.Drives()[dev].Repair()
 	start := ctx.Now()
 	rows := rowsInUse(mir.Blocks(), f)
 	if err := mir.Rebuild(ctx, dev, rows, true); err != nil {
 		return 0, fmt.Errorf("reliability: rebuild: %w", err)
 	}
 	rebuildTime := ctx.Now() - start
-	mir.Shadow(dev).Fail()
+	mir.Drives()[mir.Devices()+dev].Fail()
 	if err := VerifyPattern(ctx, f, seed); err != nil {
 		return rebuildTime, fmt.Errorf("reliability: post-rebuild read: %w", err)
 	}
-	mir.Shadow(dev).Repair()
+	mir.Drives()[mir.Devices()+dev].Repair()
 	return rebuildTime, nil
 }
 

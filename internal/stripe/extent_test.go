@@ -35,7 +35,7 @@ func checkParityConsistent(t *testing.T, p *Parity, rows int64) {
 	for b := int64(0); b < rows; b++ {
 		clear(acc)
 		for i := 0; i < len(p.disks); i++ {
-			if err := readDisk(ctx, p.PhysDisk(i), b, buf); err != nil {
+			if err := readDisk(ctx, p.Drives()[i], b, buf); err != nil {
 				t.Fatalf("row %d drive %d: %v", b, i, err)
 			}
 			xorInto(acc, buf)
@@ -105,7 +105,7 @@ func TestParityRunEquivalence(t *testing.T) {
 			// Degraded: fail each physical drive in turn; every visible
 			// device must still read back exactly via ReadBlocks.
 			for fail := 0; fail < len(p.disks); fail++ {
-				p.PhysDisk(fail).Fail()
+				p.Drives()[fail].Fail()
 				for dev := range want {
 					if err := readBlocks(p, ctx, dev, 0, rows, got); err != nil {
 						t.Fatalf("degraded(fail=%d) ReadBlocks(dev=%d): %v", fail, dev, err)
@@ -114,12 +114,12 @@ func TestParityRunEquivalence(t *testing.T) {
 						t.Fatalf("degraded(fail=%d) dev %d mismatch", fail, dev)
 					}
 				}
-				p.PhysDisk(fail).Repair()
+				p.Drives()[fail].Repair()
 			}
 
 			// Degraded writes: runs written with a failed drive must fold
 			// into parity and read back after repair+rebuild.
-			p.PhysDisk(0).Fail()
+			p.Drives()[0].Fail()
 			alt := make([]byte, rows*bs)
 			rng.Read(alt)
 			if err := writeBlocks(p, ctx, 0, 0, rows, alt); err != nil {
@@ -131,8 +131,8 @@ func TestParityRunEquivalence(t *testing.T) {
 			if !bytes.Equal(got, alt) {
 				t.Fatal("degraded write not recoverable")
 			}
-			p.PhysDisk(0).Repair()
-			if err := p.PhysDisk(0).Erase(); err != nil {
+			p.Drives()[0].Repair()
+			if err := p.Drives()[0].Erase(); err != nil {
 				t.Fatal(err)
 			}
 			if err := p.Rebuild(ctx, 0, rows); err != nil {
@@ -213,14 +213,14 @@ func TestMirrorRunEquivalence(t *testing.T) {
 	}
 	buf := make([]byte, bs)
 	for b := int64(0); b < rows; b++ {
-		if err := readDisk(ctx, m.Shadow(1), b, buf); err != nil {
+		if err := readDisk(ctx, m.Drives()[m.Devices()+1], b, buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, want[b*bs:(b+1)*bs]) {
 			t.Fatalf("shadow row %d differs", b)
 		}
 	}
-	m.Primary(1).Fail()
+	m.Drives()[1].Fail()
 	clear(got)
 	if err := readBlocks(m, ctx, 1, 0, rows, got); err != nil {
 		t.Fatalf("failover ReadBlocks: %v", err)
@@ -228,7 +228,7 @@ func TestMirrorRunEquivalence(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("failover read mismatch")
 	}
-	m.Shadow(1).Fail()
+	m.Drives()[m.Devices()+1].Fail()
 	if err := readBlocks(m, ctx, 1, 0, rows, got); err == nil {
 		t.Fatal("double failure read should error")
 	}

@@ -16,6 +16,14 @@
 // under a simulation engine (each transfer is a concurrent request at its
 // device), matching how an I/O controller would drive the spindles.
 //
+// Each store says once which drive requests a run becomes, and both the
+// transfer and its price (blockio.Dry) go by that: Mirror's Requests
+// (vec.go) is the run on its primary and, written, on its shadow;
+// Parity's (extent.go) is the run's rotated data segments and, written,
+// its parity segments, which readBlocks and smallWrite issue. Drives
+// lists the physical drives those requests name: Parity's in the order
+// given, Mirror's primaries then shadows.
+//
 // Parity's §5 procedures each live in one function: survivors reads and
 // XORs the surviving drives' rows for a degraded read, a write whose
 // data drive has failed, and a rebuild; smallWrite (extent.go) is the
@@ -102,19 +110,17 @@ func (p *Parity) lockRows(ctx sim.Context, b int64, n int) func() {
 	if !ok {
 		return func() {}
 	}
-	mus := make([]*sim.Mutex, n)
-	for i := range mus {
-		mu := p.rowLocks[b+int64(i)]
+	for row := b; row < b+int64(n); row++ {
+		mu := p.rowLocks[row]
 		if mu == nil {
 			mu = &sim.Mutex{}
-			p.rowLocks[b+int64(i)] = mu
+			p.rowLocks[row] = mu
 		}
 		mu.Lock(pr)
-		mus[i] = mu
 	}
 	return func() {
-		for i := n - 1; i >= 0; i-- {
-			mus[i].Unlock(pr)
+		for row := b + int64(n) - 1; row >= b; row-- {
+			p.rowLocks[row].Unlock(pr)
 		}
 	}
 }
@@ -128,22 +134,22 @@ func (p *Parity) BlockSize() int { return p.disks[0].Geometry().BlockSize }
 // Blocks implements Store.
 func (p *Parity) Blocks() int64 { return p.disks[0].Geometry().Blocks() }
 
-// PhysDisk exposes physical drive i (data and parity alike), e.g. for
-// failure injection.
-func (p *Parity) PhysDisk(i int) *device.Disk { return p.disks[i] }
+// Drives implements Store: the D+1 physical drives, data and parity
+// alike, in the order NewParity was given them.
+func (p *Parity) Drives() []*device.Disk { return p.disks }
 
-// parityPhys reports which physical drive holds parity for row b.
-func (p *Parity) parityPhys(b int64) int {
-	if p.rotate {
-		return int(b % int64(len(p.disks)))
-	}
-	return len(p.disks) - 1
-}
-
-// phys maps a visible data device index to a physical drive for row b.
+// phys maps a visible data device index to the physical drive holding
+// its row b, and dev -1 to the drive holding row b's parity: the last
+// drive, or with rotation drive b mod D+1.
 func (p *Parity) phys(dev int, b int64) int {
-	pp := p.parityPhys(b)
-	if dev < pp {
+	pp := len(p.disks) - 1
+	if p.rotate {
+		pp = int(b % int64(len(p.disks)))
+	}
+	switch {
+	case dev < 0:
+		return pp
+	case dev < pp:
 		return dev
 	}
 	return dev + 1
@@ -200,11 +206,11 @@ func (p *Parity) readBlock(ctx sim.Context, dev int, b int64, dst []byte) error 
 // (whatever landed is rewritten).
 func (p *Parity) writeBlock(ctx sim.Context, dev int, b int64, src []byte) error {
 	defer p.lockRows(ctx, b, 1)()
-	data, parD := p.disks[p.phys(dev, b)], p.disks[p.parityPhys(b)]
+	data, parD := p.disks[p.phys(dev, b)], p.disks[p.phys(-1, b)]
 	if data.Failed() || parD.Failed() {
 		return p.writeDegraded(ctx, dev, b, src)
 	}
-	err := p.smallWrite(ctx, dev, b, 1, src)
+	err := p.smallWrite(ctx, p.Requests(nil, true, []blockio.Run{{Dev: dev, PBlock: b, N: 1}}), b, src)
 	if err == nil || !errors.Is(err, device.ErrFailed) || !data.Failed() && !parD.Failed() {
 		return err
 	}
@@ -214,7 +220,7 @@ func (p *Parity) writeBlock(ctx sim.Context, dev int, b int64, src []byte) error
 // writeDegraded is writeBlock with the data or the parity drive of row
 // b failed; the caller holds the row lock.
 func (p *Parity) writeDegraded(ctx sim.Context, dev int, b int64, src []byte) error {
-	dataPhys, parPhys := p.phys(dev, b), p.parityPhys(b)
+	dataPhys, parPhys := p.phys(dev, b), p.phys(-1, b)
 	data, parD := p.disks[dataPhys], p.disks[parPhys]
 	switch {
 	case data.Failed() && parD.Failed():
@@ -276,8 +282,7 @@ func (p *Parity) Rebuild(ctx sim.Context, failedPhys int, rows int64) error {
 // drive pair (the §5 "shadow" technique): writes go to both drives,
 // reads prefer the primary and fail over to the shadow.
 type Mirror struct {
-	primary []*device.Disk
-	shadow  []*device.Disk
+	drives []*device.Disk // the primaries, then their shadows
 }
 
 // NewMirror pairs primary drives with their shadows.
@@ -285,38 +290,37 @@ func NewMirror(primary, shadow []*device.Disk) (*Mirror, error) {
 	if len(primary) == 0 || len(primary) != len(shadow) {
 		return nil, fmt.Errorf("stripe: mirror needs equal non-empty primary/shadow sets (%d/%d)", len(primary), len(shadow))
 	}
-	g := primary[0].Geometry()
-	for _, d := range append(append([]*device.Disk{}, primary...), shadow...) {
-		if d.Geometry() != g {
+	drives := append(append([]*device.Disk{}, primary...), shadow...)
+	for _, d := range drives {
+		if d.Geometry() != primary[0].Geometry() {
 			return nil, fmt.Errorf("stripe: mixed geometries in mirror")
 		}
 	}
-	return &Mirror{primary: primary, shadow: shadow}, nil
+	return &Mirror{drives: drives}, nil
 }
 
 // Devices implements Store.
-func (m *Mirror) Devices() int { return len(m.primary) }
+func (m *Mirror) Devices() int { return len(m.drives) / 2 }
 
 // BlockSize implements Store.
-func (m *Mirror) BlockSize() int { return m.primary[0].Geometry().BlockSize }
+func (m *Mirror) BlockSize() int { return m.drives[0].Geometry().BlockSize }
 
 // Blocks implements Store.
-func (m *Mirror) Blocks() int64 { return m.primary[0].Geometry().Blocks() }
+func (m *Mirror) Blocks() int64 { return m.drives[0].Geometry().Blocks() }
 
-// Primary exposes primary drive i.
-func (m *Mirror) Primary(i int) *device.Disk { return m.primary[i] }
-
-// Shadow exposes shadow drive i.
-func (m *Mirror) Shadow(i int) *device.Disk { return m.shadow[i] }
+// Drives implements Store: the primaries in device order, then their
+// shadows in the same order — device dev's pair is drives dev and
+// Devices()+dev.
+func (m *Mirror) Drives() []*device.Disk { return m.drives }
 
 // Rebuild copies rows [0, rows) of device dev from its healthy twin onto
 // the (repaired, erased) other drive, an extent at a time — one
 // coalesced read and one coalesced write per extent. fromShadow selects
 // the direction: true restores the primary from the shadow.
 func (m *Mirror) Rebuild(ctx sim.Context, dev int, rows int64, fromShadow bool) error {
-	src, dst := m.primary[dev], m.shadow[dev]
+	src, dst := m.drives[dev], m.drives[m.Devices()+dev]
 	if fromShadow {
-		src, dst = m.shadow[dev], m.primary[dev]
+		src, dst = dst, src
 	}
 	bs := int64(m.BlockSize())
 	buf := make([]byte, rebuildExtent*bs)

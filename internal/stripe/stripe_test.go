@@ -88,7 +88,7 @@ func TestParityReconstructsFailedDrive(t *testing.T) {
 		// Fail data drive holding dev 1 (phys depends on rotation; fail
 		// the physical drive for row 0).
 		failPhys := p.phys(1, 0)
-		p.PhysDisk(failPhys).Fail()
+		p.Drives()[failPhys].Fail()
 		got := make([]byte, 128)
 		// Rows where dev1 lives on the failed phys must reconstruct.
 		if err := readBlock(p, ctx, 1, 0, got); err != nil {
@@ -111,7 +111,7 @@ func TestParityDegradedWriteThenRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.PhysDisk(1).Fail() // dev 1's drive
+	p.Drives()[1].Fail() // dev 1's drive
 	// Write to the failed device: must fold into parity.
 	if err := writeBlock(p, ctx, 1, 0, blockOf(0x99, 128)); err != nil {
 		t.Fatalf("degraded write: %v", err)
@@ -137,9 +137,9 @@ func TestParityWriteRacesFailure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fail := p.PhysDisk(p.phys(1, 0))
+			fail := p.Drives()[p.phys(1, 0)]
 			if victim == "parity" {
-				fail = p.PhysDisk(p.parityPhys(0))
+				fail = p.Drives()[p.phys(-1, 0)]
 			}
 			var werr, rerr error
 			got := make([]byte, 128)
@@ -175,11 +175,11 @@ func TestParityRebuild(t *testing.T) {
 			}
 		}
 	}
-	p.PhysDisk(2).Fail()
-	if err := p.PhysDisk(2).Erase(); err != nil { // replacement drive arrives blank
+	p.Drives()[2].Fail()
+	if err := p.Drives()[2].Erase(); err != nil { // replacement drive arrives blank
 		t.Fatal(err)
 	}
-	p.PhysDisk(2).Repair()
+	p.Drives()[2].Repair()
 	if err := p.Rebuild(ctx, 2, rows); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestParityRebuildRequiresRepairedTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.PhysDisk(0).Fail()
+	p.Drives()[0].Fail()
 	if err := p.Rebuild(sim.NewWall(), 0, 1); err == nil {
 		t.Fatal("rebuild onto failed drive accepted")
 	}
@@ -217,8 +217,8 @@ func TestParityDoubleFailure(t *testing.T) {
 	if err := writeBlock(p, ctx, 0, 0, blockOf(1, 128)); err != nil {
 		t.Fatal(err)
 	}
-	p.PhysDisk(0).Fail()
-	p.PhysDisk(1).Fail()
+	p.Drives()[0].Fail()
+	p.Drives()[1].Fail()
 	got := make([]byte, 128)
 	if err := readBlock(p, ctx, 0, 0, got); !errors.Is(err, ErrDoubleFailure) {
 		t.Fatalf("want ErrDoubleFailure, got %v", err)
@@ -237,8 +237,8 @@ func TestParityDegradedWriteSecondFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.PhysDisk(0).Fail()
-	p.PhysDisk(2).Fail()
+	p.Drives()[0].Fail()
+	p.Drives()[2].Fail()
 	err = writeBlock(p, sim.NewWall(), 0, 0, blockOf(1, 128))
 	if !errors.Is(err, ErrDoubleFailure) || !strings.Contains(err.Error(), "drive 2 also unavailable") {
 		t.Fatalf("got %v, want ErrDoubleFailure naming drive 2", err)
@@ -254,12 +254,12 @@ func TestParityRebuildSecondFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.PhysDisk(1).Fail()
-	p.PhysDisk(3).Fail()
-	if err := p.PhysDisk(1).Erase(); err != nil {
+	p.Drives()[1].Fail()
+	p.Drives()[3].Fail()
+	if err := p.Drives()[1].Erase(); err != nil {
 		t.Fatal(err)
 	}
-	p.PhysDisk(1).Repair()
+	p.Drives()[1].Repair()
 	var rerr error
 	e.Go("rebuild", func(pr *sim.Proc) { rerr = p.Rebuild(pr, 1, 40) })
 	if err := e.Run(); err != nil {
@@ -289,14 +289,14 @@ func TestRotatedParitySpreadsParity(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for b := int64(0); b < 8; b++ {
-		seen[p.parityPhys(b)] = true
+		seen[p.phys(-1, b)] = true
 	}
 	if len(seen) != 4 {
 		t.Fatalf("rotated parity touched %d drives, want 4", len(seen))
 	}
 	fixed, _ := NewParity(drives(4, nil), false)
 	for b := int64(0); b < 8; b++ {
-		if fixed.parityPhys(b) != 3 {
+		if fixed.phys(-1, b) != 3 {
 			t.Fatal("dedicated parity moved")
 		}
 	}
@@ -316,7 +316,7 @@ func TestMirrorRoundTripAndFailover(t *testing.T) {
 	if err := readBlock(m, ctx, 0, 3, got); err != nil || got[0] != 0x42 {
 		t.Fatalf("read: %v %#x", err, got[0])
 	}
-	m.Primary(0).Fail()
+	m.Drives()[0].Fail()
 	clear(got)
 	if err := readBlock(m, ctx, 0, 3, got); err != nil {
 		t.Fatalf("failover read: %v", err)
@@ -332,7 +332,7 @@ func TestMirrorWritesSurviveSingleFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := sim.NewWall()
-	m.Primary(0).Fail()
+	m.Drives()[0].Fail()
 	if err := writeBlock(m, ctx, 0, 0, blockOf(7, 128)); err != nil {
 		t.Fatalf("write with failed primary: %v", err)
 	}
@@ -340,7 +340,7 @@ func TestMirrorWritesSurviveSingleFailure(t *testing.T) {
 	if err := readBlock(m, ctx, 0, 0, got); err != nil || got[0] != 7 {
 		t.Fatalf("read: %v %d", err, got[0])
 	}
-	m.Shadow(0).Fail()
+	m.Drives()[m.Devices()+0].Fail()
 	if err := writeBlock(m, ctx, 0, 0, blockOf(8, 128)); !errors.Is(err, ErrDoubleFailure) {
 		t.Fatalf("want ErrDoubleFailure, got %v", err)
 	}
@@ -367,8 +367,8 @@ func TestMirrorSurvivesOnlyAFailedDrive(t *testing.T) {
 		t.Fatalf("write past the drives' end returned %v, want their ErrOutOfRange", err)
 	}
 
-	m.Primary(0).Fail()
-	m.Shadow(0).Fail()
+	m.Drives()[0].Fail()
+	m.Drives()[m.Devices()+0].Fail()
 	err = readBlock(m, ctx, 0, 0, make([]byte, 128))
 	if !errors.Is(err, ErrDoubleFailure) || !errors.Is(err, device.ErrFailed) {
 		t.Fatalf("read with both sides failed returned %v, want ErrDoubleFailure carrying the shadow's error", err)
@@ -387,15 +387,15 @@ func TestMirrorRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.Primary(0).Fail()
-	if err := m.Primary(0).Erase(); err != nil {
+	m.Drives()[0].Fail()
+	if err := m.Drives()[0].Erase(); err != nil {
 		t.Fatal(err)
 	}
-	m.Primary(0).Repair()
+	m.Drives()[0].Repair()
 	if err := m.Rebuild(ctx, 0, rows, true); err != nil {
 		t.Fatal(err)
 	}
-	m.Shadow(0).Fail() // force reads onto the rebuilt primary
+	m.Drives()[m.Devices()+0].Fail() // force reads onto the rebuilt primary
 	for b := int64(0); b < rows; b++ {
 		got := make([]byte, 128)
 		if err := readBlock(m, ctx, 0, b, got); err != nil || got[0] != byte(b+1) {

@@ -8,7 +8,8 @@
 // across rows) wants contiguous spans — an in-memory copy costs nothing
 // in the device model, while the queued requests, locks and degraded
 // modes stay exactly those of the contiguous path. A one-buffer list — a
-// block, a contiguous range — goes down it directly.
+// block, a contiguous range — goes down it directly. Mirror's Requests is
+// here too: what its pair sends, in the order it reaches the drives.
 
 package stripe
 
@@ -99,14 +100,17 @@ func getVecBuf(n int) *[]byte {
 	return bp
 }
 
-// DeviceModel implements blockio.DeviceModeler with the array's drive
-// model. A dry issue prices the data requests as a plain array would
-// serve them; the parity row's own traffic is not in the price.
-func (p *Parity) DeviceModel() device.Model { return p.disks[0].Model() }
-
-// DeviceModel implements blockio.DeviceModeler with the pair's drive
-// model.
-func (m *Mirror) DeviceModel() device.Model { return m.primary[0].Model() }
+// Requests implements blockio.Store: every run on its primary, and on a
+// write then on its shadow, Later — writeVec's sim.Par spawns it.
+func (m *Mirror) Requests(dst []blockio.Request, write bool, runs []blockio.Run) []blockio.Request {
+	for _, r := range runs {
+		dst = append(dst, blockio.Request{Drive: r.Dev, PBlock: r.PBlock, N: r.N})
+		if write {
+			dst = append(dst, blockio.Request{Drive: m.Devices() + r.Dev, PBlock: r.PBlock, N: r.N, Later: true})
+		}
+	}
+	return dst
+}
 
 // checkVec validates a scatter/gather list against a run of n blocks.
 func checkVec(op string, bs, n int, iov [][]byte) error {
@@ -184,11 +188,12 @@ func (m *Mirror) readVec(ctx sim.Context, dev int, b int64, n int, dsts [][]byte
 	if err := checkVec("read", m.BlockSize(), n, dsts); err != nil {
 		return err
 	}
-	err := m.primary[dev].ReadBlocksVec(ctx, b, n, dsts)
+	primary, shadow := m.drives[dev], m.drives[m.Devices()+dev]
+	err := primary.ReadBlocksVec(ctx, b, n, dsts)
 	if err == nil || !errors.Is(err, device.ErrFailed) {
 		return err
 	}
-	if err2 := m.shadow[dev].ReadBlocksVec(ctx, b, n, dsts); err2 != nil {
+	if err2 := shadow.ReadBlocksVec(ctx, b, n, dsts); err2 != nil {
 		return fmt.Errorf("%w: primary and shadow of device %d: %w", ErrDoubleFailure, dev, err2)
 	}
 	return nil
@@ -203,10 +208,11 @@ func (m *Mirror) writeVec(ctx sim.Context, dev int, b int64, n int, srcs [][]byt
 	if err := checkVec("write", m.BlockSize(), n, srcs); err != nil {
 		return err
 	}
+	primary, shadow := m.drives[dev], m.drives[m.Devices()+dev]
 	errP := make([]error, 2)
 	err := sim.Par(ctx,
-		func(c sim.Context) error { errP[0] = m.primary[dev].WriteBlocksVec(c, b, n, srcs); return nil },
-		func(c sim.Context) error { errP[1] = m.shadow[dev].WriteBlocksVec(c, b, n, srcs); return nil },
+		func(c sim.Context) error { errP[0] = primary.WriteBlocksVec(c, b, n, srcs); return nil },
+		func(c sim.Context) error { errP[1] = shadow.WriteBlocksVec(c, b, n, srcs); return nil },
 	)
 	if err != nil {
 		return err

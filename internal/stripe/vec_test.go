@@ -47,7 +47,7 @@ func vecStores(t *testing.T) []struct {
 	}{
 		{"direct", direct, nil},
 		{"parity", parity, func() { parityDisks[1].Fail() }},
-		{"mirror", mirror, func() { mirror.Primary(1).Fail() }},
+		{"mirror", mirror, func() { mirror.Drives()[1].Fail() }},
 	}
 }
 
