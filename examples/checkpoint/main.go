@@ -114,6 +114,9 @@ func main() {
 		fmt.Printf("checkpoint of %d records by %d processes done at t=%v\n", records, procs, checkpointDone)
 		fmt.Printf("primary drive 2 failed; restart completed at t=%v with %d bad records (want 0)\n",
 			p.Now(), bad)
+		if bad != 0 {
+			log.Fatalf("restart read %d bad records", bad)
+		}
 
 		// Repair: replacement drive rebuilt from its shadow.
 		if err := mirror.Drives()[2].Erase(); err != nil {

@@ -11,6 +11,7 @@ package main
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"log"
 	"math"
 
@@ -112,8 +113,11 @@ func main() {
 	bad := 0
 	for {
 		data, rec, err := r.ReadRecord(ctx)
-		if err != nil {
+		if err == io.EOF {
 			break
+		}
+		if err != nil {
+			log.Fatal(err)
 		}
 		for c := 0; c < cols; c++ {
 			got := math.Float64frombits(binary.BigEndian.Uint64(data[c*8:]))
@@ -127,4 +131,7 @@ func main() {
 	fmt.Printf("wrapped matrix %dx%d over %d processes\n", rows, cols, procs)
 	fmt.Printf("parallel write finished at virtual t=%v\n", writeDone)
 	fmt.Printf("verification: %d bad elements (want 0)\n", bad)
+	if bad != 0 {
+		log.Fatalf("verification found %d bad elements", bad)
+	}
 }

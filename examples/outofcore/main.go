@@ -12,6 +12,7 @@ package main
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"log"
 
 	pario "repro"
@@ -96,8 +97,11 @@ func main() {
 	bad := 0
 	for {
 		data, rec, err := r.ReadRecord(ctx)
-		if err != nil {
+		if err == io.EOF {
 			break
+		}
+		if err != nil {
+			log.Fatal(err)
 		}
 		if binary.BigEndian.Uint64(data) != uint64(rec)*3 {
 			bad++
@@ -108,6 +112,9 @@ func main() {
 	fmt.Printf("out-of-core 2-pass transform: %d records in %d-block pages, %d processes\n",
 		records, blockRecords, procs)
 	fmt.Printf("finished at virtual t=%v, %d bad records (want 0)\n", m.Engine.Now(), bad)
+	if bad != 0 {
+		log.Fatalf("verification found %d bad records", bad)
+	}
 	for w, h := range hits {
 		fmt.Printf("proc %d private page-cache hit rate: %.1f%%\n", w, h*100)
 	}

@@ -74,8 +74,11 @@ func main() {
 		sum += binary.BigEndian.Uint64(buf)
 		count++
 	}
-	fmt.Printf("global view: %d records, payload checksum %d (expect %d)\n",
-		count, sum, uint64(records*(records-1)/2))
+	want := uint64(records * (records - 1) / 2)
+	fmt.Printf("global view: %d records, payload checksum %d (expect %d)\n", count, sum, want)
+	if count != records || sum != want {
+		log.Fatalf("global view read %d records, checksum %d: want %d and %d", count, sum, records, want)
+	}
 
 	for i, d := range m.Disks {
 		st := d.Stats()

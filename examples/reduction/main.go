@@ -113,4 +113,7 @@ func main() {
 	fmt.Printf("%d ranks over a wrapped %dx%d matrix (virtual t=%v)\n", procs, rows, cols, e.Now())
 	fmt.Printf("Frobenius norm (reduced) = %.4f, check = %.4f\n", frobenius, math.Sqrt(want))
 	fmt.Printf("max row norm  (reduced) = %.4f\n", maxRow)
+	if math.Abs(frobenius-math.Sqrt(want)) > 1e-9*math.Sqrt(want) {
+		log.Fatalf("reduced Frobenius norm %.6f differs from the sequential %.6f", frobenius, math.Sqrt(want))
+	}
 }

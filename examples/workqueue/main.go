@@ -271,4 +271,7 @@ func main() {
 	fmt.Printf("blocking WriteAll:        finished at %v\n", blockT)
 	fmt.Printf("nonblocking IWriteAll:    finished at %v (compute overlaps the drain)\n", nbT)
 	fmt.Printf("overlap speedup: %.2fx, images identical: %v\n", float64(blockT)/float64(nbT), blockSum == nbSum)
+	if blockSum != nbSum {
+		log.Fatal("the blocking and nonblocking checkpoints wrote different images")
+	}
 }

@@ -58,17 +58,8 @@ func TestSetAccessors(t *testing.T) {
 	if set.Layout() != Layout(layout) {
 		t.Fatal("Layout accessor wrong")
 	}
-	bases := set.Bases()
-	if len(bases) != 2 || bases[0] != 3 || bases[1] != 5 {
-		t.Fatalf("Bases = %v", bases)
-	}
-	bases[0] = 99 // must be a copy
-	if b2 := set.Bases(); b2[0] != 3 {
-		t.Fatal("Bases leaked internal slice")
-	}
-	dev, pb := set.Locate(1) // logical 1 -> dev 1, pblock 0 + base 5
-	if dev != 1 || pb != 5 {
-		t.Fatalf("Locate = (%d,%d)", dev, pb)
+	if set.Base(0) != 3 || set.Base(1) != 5 {
+		t.Fatalf("Base = %d, %d", set.Base(0), set.Base(1))
 	}
 }
 

@@ -196,44 +196,36 @@ func (d *Direct) Transfer(ctx sim.Context, write bool, runs []Bound) error {
 
 // Layout maps a file's logical blocks onto a device set. Physical block
 // numbers are relative to the file's per-device extent (the volume adds
-// the extent base).
+// the extent base). MapRun is a layout's one placement computation:
+// transfers, extent sizing (PerDevice) and the collective's physical
+// keys all read where blocks go from the runs it yields.
 type Layout interface {
 	// Name identifies the layout for diagnostics and metadata.
 	Name() string
 	// Devices reports how many devices the layout spreads over.
 	Devices() int
-	// Map locates logical block b.
-	Map(b int64) (dev int, pblock int64)
 	// MapRun appends to dst the maximal physically contiguous runs
 	// covering the logical range [b, b+n), in ascending logical order.
-	// It is the contiguity iterator behind extent (multi-block) I/O and
-	// never calls Map per block: each implementation walks its layout a
-	// granule (stripe unit, partition span, interleave group) at a time.
+	// Each implementation walks its layout a granule (stripe unit,
+	// partition span, interleave group) at a time, never a block.
 	MapRun(dst []Run, b, n int64) []Run
 }
 
+// extentWindow is how many logical blocks PerDevice maps at a time: a
+// window yields at most that many runs, so they always fit its scratch.
+const extentWindow = 64
+
 // PerDevice computes how many physical blocks a layout needs on each
-// device to hold total logical blocks (the per-device extent sizes).
-// Known layouts are computed in closed form; unknown implementations
-// fall back to mapping every block.
+// device to hold total logical blocks (the per-device extent sizes): the
+// end of the topmost run MapRun yields on each device. It maps the blocks
+// a window at a time through one scratch array, so sizing a file
+// allocates the same however long the file is.
 func PerDevice(l Layout, total int64) []int64 {
 	need := make([]int64, l.Devices())
-	if total <= 0 {
-		return need
-	}
-	switch t := l.(type) {
-	case *Striped:
-		t.perDevice(need, total)
-	case *Partitioned:
-		t.perDevice(need, total)
-	case *Interleaved:
-		t.perDevice(need, total)
-	default:
-		for b := int64(0); b < total; b++ {
-			dev, pb := l.Map(b)
-			if pb+1 > need[dev] {
-				need[dev] = pb + 1
-			}
+	var scratch [extentWindow]Run
+	for b := int64(0); b < total; b += extentWindow {
+		for _, r := range l.MapRun(scratch[:0], b, min(extentWindow, total-b)) {
+			need[r.Dev] = max(need[r.Dev], r.PBlock+r.N)
 		}
 	}
 	return need
@@ -286,14 +278,6 @@ func (s *Striped) Name() string { return fmt.Sprintf("striped(d=%d,unit=%d)", s.
 
 // Devices implements Layout.
 func (s *Striped) Devices() int { return s.D }
-
-// Map implements Layout.
-func (s *Striped) Map(b int64) (int, int64) {
-	stripe := b / s.Unit
-	dev := int(stripe % int64(s.D))
-	pblock := (stripe/int64(s.D))*s.Unit + b%s.Unit
-	return dev, pblock
-}
 
 // Partitioned is the PS placement: partition p (a contiguous logical
 // range) lives on device p mod D. With fewer devices than partitions,
@@ -372,22 +356,6 @@ func (p *Partitioned) PartOf(b int64) int {
 	return sort.Search(len(p.starts)-1, func(i int) bool { return p.starts[i+1] > b })
 }
 
-// Map implements Layout.
-func (p *Partitioned) Map(b int64) (int, int64) {
-	part := p.PartOf(b)
-	within := b - p.starts[part]
-	dev := part % p.D
-	switch p.Policy {
-	case PackInterleaved:
-		k := int64(p.shareK[part])
-		unitIdx := within / p.Unit
-		pblock := (unitIdx*k+int64(p.rank[part]))*p.Unit + within%p.Unit
-		return dev, pblock
-	default: // PackContiguous
-		return dev, p.base[part] + within
-	}
-}
-
 // Interleaved is the IS placement: logical block group g (of Unit blocks)
 // belongs to process g mod P; process p's stream lives on device p mod D.
 // Streams sharing a device are packed per the policy.
@@ -443,23 +411,18 @@ func (il *Interleaved) procsOnDev(dev int) int {
 	return (il.P-1-dev)/il.D + 1
 }
 
-// Map implements Layout.
-func (il *Interleaved) Map(b int64) (int, int64) {
-	group := b / il.Unit
-	proc := int(group % int64(il.P))
-	round := group / int64(il.P)
-	dev := proc % il.D
+// place reports where stream q's group of round round starts: the
+// per-group step of MapRun.
+func (il *Interleaved) place(q int, round int64) (int, int64) {
+	dev := q % il.D
 	if il.Policy == PackContiguous {
-		var base int64
-		for q := dev; q < proc; q += il.D {
-			base += il.streamGroups(q) * il.Unit
+		var before int64 // groups of the streams packed ahead of q's
+		for p := dev; p < q; p += il.D {
+			before += il.streamGroups(p)
 		}
-		return dev, base + round*il.Unit + b%il.Unit
+		return dev, (before + round) * il.Unit
 	}
-	k := int64(il.procsOnDev(dev))
-	procRank := int64(proc / il.D)
-	pblock := (round*k+procRank)*il.Unit + b%il.Unit
-	return dev, pblock
+	return dev, (round*int64(il.procsOnDev(dev)) + int64(q/il.D)) * il.Unit
 }
 
 var (
@@ -502,21 +465,12 @@ func NewSet(store Store, layout Layout, base []int64, blocks int64) (*Set, error
 // Store exposes the underlying store.
 func (s *Set) Store() Store { return s.store }
 
-// Bases returns a copy of the per-device extent bases (for persistence).
-func (s *Set) Bases() []int64 {
-	out := make([]int64, len(s.base))
-	copy(out, s.base)
-	return out
-}
+// Base reports the first physical block of the file's extent on device
+// dev: a layout's relative physical block plus Base is the drive's.
+func (s *Set) Base(dev int) int64 { return s.base[dev] }
 
 // Layout exposes the layout.
 func (s *Set) Layout() Layout { return s.layout }
 
 // BlockSize reports the store block size.
 func (s *Set) BlockSize() int { return s.store.BlockSize() }
-
-// Locate reports the physical location of logical block b (for tracing).
-func (s *Set) Locate(b int64) (dev int, pblock int64) {
-	dev, pb := s.layout.Map(b)
-	return dev, s.base[dev] + pb
-}

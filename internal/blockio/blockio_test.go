@@ -2,6 +2,8 @@ package blockio
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -20,32 +22,39 @@ func smallDisks(n int) []*device.Disk {
 	return disks
 }
 
-// checkBijective verifies a layout never maps two logical blocks to the
+// checkBijective verifies a layout never places two logical blocks on the
 // same physical location.
 func checkBijective(t *testing.T, l Layout, total int64) {
 	t.Helper()
-	seen := make(map[[2]int64]int64)
-	for b := int64(0); b < total; b++ {
-		dev, pb := l.Map(b)
-		if dev < 0 || dev >= l.Devices() {
-			t.Fatalf("%s: block %d mapped to device %d of %d", l.Name(), b, dev, l.Devices())
-		}
-		if pb < 0 {
-			t.Fatalf("%s: block %d mapped to negative pblock %d", l.Name(), b, pb)
-		}
-		key := [2]int64{int64(dev), pb}
-		if prev, dup := seen[key]; dup {
-			t.Fatalf("%s: blocks %d and %d collide at dev %d pblock %d", l.Name(), prev, b, dev, pb)
-		}
-		seen[key] = b
+	if err := placementError(l, total); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// placementError reports a block of [0, total) that MapRun places off the
+// layout's devices, below physical block 0, or on another block's place.
+func placementError(l Layout, total int64) error {
+	seen := make(map[[2]int64]int64)
+	for _, r := range l.MapRun(nil, 0, total) {
+		if r.Dev < 0 || r.Dev >= l.Devices() || r.PBlock < 0 {
+			return fmt.Errorf("%s: blocks from %d mapped to device %d of %d, pblock %d", l.Name(), r.B, r.Dev, l.Devices(), r.PBlock)
+		}
+		for i := int64(0); i < r.N; i++ {
+			key := [2]int64{int64(r.Dev), r.PBlock + i}
+			if prev, dup := seen[key]; dup {
+				return fmt.Errorf("%s: blocks %d and %d collide at dev %d pblock %d", l.Name(), prev, r.B+i, r.Dev, r.PBlock+i)
+			}
+			seen[key] = r.B + i
+		}
+	}
+	return nil
 }
 
 func TestStripedMapping(t *testing.T) {
 	s := NewStriped(4, 1)
 	wantDev := []int{0, 1, 2, 3, 0, 1, 2, 3}
 	for b, wd := range wantDev {
-		dev, pb := s.Map(int64(b))
+		dev, pb := refMap(s, int64(b))
 		if dev != wd || pb != int64(b/4) {
 			t.Fatalf("Map(%d) = (%d,%d), want (%d,%d)", b, dev, pb, wd, b/4)
 		}
@@ -61,7 +70,7 @@ func TestStripedUnitMapping(t *testing.T) {
 		pb  int64
 	}{{0, 0, 0}, {2, 0, 2}, {3, 1, 0}, {5, 1, 2}, {6, 0, 3}, {11, 1, 5}, {12, 0, 6}}
 	for _, c := range cases {
-		dev, pb := s.Map(c.b)
+		dev, pb := refMap(s, c.b)
 		if dev != c.dev || pb != c.pb {
 			t.Fatalf("Map(%d) = (%d,%d), want (%d,%d)", c.b, dev, pb, c.dev, c.pb)
 		}
@@ -97,7 +106,7 @@ func TestPartitionedContiguousOneDevicePerPart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b := int64(0); b < 12; b++ {
-		dev, pb := p.Map(b)
+		dev, pb := refMap(p, b)
 		if dev != int(b/4) || pb != b%4 {
 			t.Fatalf("Map(%d) = (%d,%d), want (%d,%d)", b, dev, pb, b/4, b%4)
 		}
@@ -111,7 +120,7 @@ func TestPartitionedSharedDeviceContiguous(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Part 2 (blocks 8..11) should be at dev0 pblocks 4..7.
-	dev, pb := p.Map(8)
+	dev, pb := refMap(p, 8)
 	if dev != 0 || pb != 4 {
 		t.Fatalf("Map(8) = (%d,%d), want (0,4)", dev, pb)
 	}
@@ -131,7 +140,7 @@ func TestPartitionedSharedDeviceInterleaved(t *testing.T) {
 		pb  int64
 	}{{0, 0, 0}, {1, 0, 1}, {2, 0, 4}, {3, 0, 5}, {8, 0, 2}, {9, 0, 3}, {10, 0, 6}, {11, 0, 7}}
 	for _, c := range cases {
-		dev, pb := p.Map(c.b)
+		dev, pb := refMap(p, c.b)
 		if dev != c.dev || pb != c.pb {
 			t.Fatalf("Map(%d) = (%d,%d), want (%d,%d)", c.b, dev, pb, c.dev, c.pb)
 		}
@@ -184,7 +193,7 @@ func TestInterleavedEqualProcsDevices(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b := int64(0); b < 12; b++ {
-		dev, pb := il.Map(b)
+		dev, pb := refMap(il, b)
 		if dev != int(b%3) || pb != b/3 {
 			t.Fatalf("Map(%d) = (%d,%d), want (%d,%d)", b, dev, pb, b%3, b/3)
 		}
@@ -199,8 +208,8 @@ func TestInterleavedMoreProcsThanDevices(t *testing.T) {
 	}
 	checkBijective(t, il, 16)
 	// Block 0 (proc0 round0) and block 2 (proc2 round0) both on dev0.
-	d0, p0 := il.Map(0)
-	d2, p2 := il.Map(2)
+	d0, p0 := refMap(il, 0)
+	d2, p2 := refMap(il, 2)
 	if d0 != 0 || d2 != 0 {
 		t.Fatalf("devs = %d,%d want 0,0", d0, d2)
 	}
@@ -217,7 +226,7 @@ func TestInterleavedContiguousPacking(t *testing.T) {
 	checkBijective(t, il, 16)
 	// proc0 owns groups 0,4,8,12 -> 4 groups at dev0 pblocks 0..3;
 	// proc2 owns groups 2,6,10,14 -> dev0 pblocks 4..7.
-	dev, pb := il.Map(2) // proc2 round0
+	dev, pb := refMap(il, 2) // proc2 round0
 	if dev != 0 || pb != 4 {
 		t.Fatalf("Map(2) = (%d,%d), want (0,4)", dev, pb)
 	}
@@ -231,7 +240,7 @@ func TestInterleavedUnits(t *testing.T) {
 	checkBijective(t, il, 24)
 	// Group = 3 blocks. Block 0..2 -> proc0 dev0 pb0..2; 3..5 -> proc1 dev1 pb0..2;
 	// 6..8 -> proc0 dev0 pb3..5.
-	dev, pb := il.Map(7)
+	dev, pb := refMap(il, 7)
 	if dev != 0 || pb != 4 {
 		t.Fatalf("Map(7) = (%d,%d), want (0,4)", dev, pb)
 	}
@@ -246,24 +255,27 @@ func TestInterleavedErrors(t *testing.T) {
 	}
 }
 
+// TestLayoutBijectiveQuick draws striped and interleaved (both packings)
+// layouts at random: MapRun over the whole file is one-to-one and equals
+// the per-block reference (refMap).
 func TestLayoutBijectiveQuick(t *testing.T) {
 	err := quick.Check(func(d8, p8, u8 uint8, total16 uint16) bool {
 		d := int(d8%6) + 1
 		procs := int(p8%6) + 1
 		unit := int64(u8%4) + 1
 		total := int64(total16%200) + 1
-		il, err := NewInterleaved(d, procs, unit, total, PackInterleaved)
-		if err != nil {
-			return false
-		}
-		seen := make(map[[2]int64]bool)
-		for b := int64(0); b < total; b++ {
-			dev, pb := il.Map(b)
-			key := [2]int64{int64(dev), pb}
-			if seen[key] {
+		layouts := []Layout{NewStriped(d, unit)}
+		for _, pack := range []Pack{PackInterleaved, PackContiguous} {
+			il, err := NewInterleaved(d, procs, unit, total, pack)
+			if err != nil {
 				return false
 			}
-			seen[key] = true
+			layouts = append(layouts, il)
+		}
+		for _, l := range layouts {
+			if placementError(l, total) != nil || !reflect.DeepEqual(l.MapRun(nil, 0, total), bruteRuns(l, 0, total)) {
+				return false
+			}
 		}
 		return true
 	}, &quick.Config{MaxCount: 60})
@@ -279,7 +291,7 @@ func TestPerDeviceCoversMapping(t *testing.T) {
 	}
 	need := PerDevice(l, 15)
 	for b := int64(0); b < 15; b++ {
-		dev, pb := l.Map(b)
+		dev, pb := refMap(l, b)
 		if pb >= need[dev] {
 			t.Fatalf("block %d at dev %d pb %d exceeds extent %d", b, dev, pb, need[dev])
 		}

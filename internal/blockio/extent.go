@@ -34,54 +34,40 @@ type Run struct {
 	Segs   []Seg // buffer scatter/gather map; nil for plain MapRun runs
 }
 
-// appendRun adds a span to dst, merging with the previous run when it is
-// both logically and physically adjacent (e.g. consecutive stripe units
-// on a single-device layout, or consecutive granules of an unshared
-// partition).
+// appendRun adds a span of n ≥ 1 blocks to dst, merging with the
+// previous run when it is both logically and physically adjacent (e.g.
+// consecutive stripe units on a single-device layout, or consecutive
+// granules of an unshared partition).
 func appendRun(dst []Run, dev int, pblock, b, n int64) []Run {
-	if n <= 0 {
-		return dst
-	}
 	if k := len(dst) - 1; k >= 0 {
 		if last := &dst[k]; last.Dev == dev && last.PBlock+last.N == pblock && last.B+last.N == b {
 			last.N += n
 			return dst
 		}
 	}
-	return append(dst, Run{Dev: dev, PBlock: pblock, B: b, N: n})
-}
-
-// MapRun implements Layout one stripe unit at a time: within a unit
-// blocks are physically contiguous, and adjacent units merge when the
-// layout has a single device.
-func (s *Striped) MapRun(dst []Run, b, n int64) []Run {
-	for n > 0 {
-		seg := s.Unit - b%s.Unit
-		if seg > n {
-			seg = n
-		}
-		dev, pb := s.Map(b)
-		dst = appendRun(dst, dev, pb, b, seg)
-		b += seg
-		n -= seg
-	}
+	// Filled in place: appending the literal would build it on the stack
+	// and copy it out, a stall that costs more than the mapping.
+	dst = append(dst, Run{})
+	r := &dst[len(dst)-1]
+	r.Dev, r.PBlock, r.B, r.N = dev, pblock, b, n
 	return dst
 }
 
-// perDevice is the closed-form extent computation for PerDevice: device
-// dev holds stripe units dev, dev+D, …, each Unit blocks except a
-// possibly short final unit.
-func (s *Striped) perDevice(need []int64, total int64) {
-	nUnits := (total + s.Unit - 1) / s.Unit
-	lastLen := total - (nUnits-1)*s.Unit
-	for dev := int64(0); dev < int64(s.D) && dev < nUnits; dev++ {
-		c := (nUnits-1-dev)/int64(s.D) + 1 // units on this device
-		h := s.Unit
-		if dev+(c-1)*int64(s.D) == nUnits-1 {
-			h = lastLen
+// MapRun implements Layout one stripe unit at a time: within a unit
+// blocks are physically contiguous, unit u+1 follows unit u on the next
+// device, and adjacent units merge when the layout has a single device.
+func (s *Striped) MapRun(dst []Run, b, n int64) []Run {
+	stripe, off := b/s.Unit, b%s.Unit
+	dev, row := int(stripe%int64(s.D)), stripe/int64(s.D)
+	for n > 0 {
+		seg := min(s.Unit-off, n)
+		dst = appendRun(dst, dev, row*s.Unit+off, b, seg)
+		b, n, off = b+seg, n-seg, 0
+		if dev++; dev == s.D {
+			dev, row = 0, row+1
 		}
-		need[dev] = (c-1)*s.Unit + h
 	}
+	return dst
 }
 
 // MapRun implements Layout one partition span at a time; under
@@ -119,81 +105,21 @@ func (p *Partitioned) MapRun(dst []Run, b, n int64) []Run {
 	return dst
 }
 
-// perDevice is the closed-form extent computation for PerDevice: each
-// partition's topmost physical block follows directly from its size,
-// share count and rank.
-func (p *Partitioned) perDevice(need []int64, total int64) {
-	for i := 0; i < p.Parts(); i++ {
-		start, end := p.starts[i], p.starts[i+1]
-		if start >= total {
-			break
-		}
-		if end > total {
-			end = total
-		}
-		size := end - start
-		if size == 0 {
-			continue
-		}
-		dev := i % p.D
-		var top int64
-		if p.Policy == PackInterleaved {
-			k, rk := int64(p.shareK[i]), int64(p.rank[i])
-			lastIdx := (size - 1) / p.Unit
-			top = (lastIdx*k+rk)*p.Unit + (size - lastIdx*p.Unit)
-		} else {
-			top = p.base[i] + size
-		}
-		if top > need[dev] {
-			need[dev] = top
-		}
-	}
-}
-
 // MapRun implements Layout one interleave group at a time: a group's
-// Unit blocks are physically contiguous on its owner's device.
+// Unit blocks are physically contiguous on its owner's device, and group
+// g+1 is the next stream's (the first stream's next round after the
+// last stream's).
 func (il *Interleaved) MapRun(dst []Run, b, n int64) []Run {
+	group, off := b/il.Unit, b%il.Unit
+	q, round := int(group%int64(il.P)), group/int64(il.P)
 	for n > 0 {
-		seg := il.Unit - b%il.Unit
-		if seg > n {
-			seg = n
+		seg := min(il.Unit-off, n)
+		dev, pb := il.place(q, round)
+		dst = appendRun(dst, dev, pb+off, b, seg)
+		b, n, off = b+seg, n-seg, 0
+		if q++; q == il.P {
+			q, round = 0, round+1
 		}
-		dev, pb := il.Map(b)
-		dst = appendRun(dst, dev, pb, b, seg)
-		b += seg
-		n -= seg
 	}
 	return dst
-}
-
-// perDevice is the closed-form extent computation for PerDevice: stream
-// q owns groups q, q+P, … below ceil(total/Unit); its topmost physical
-// block follows from its group count, the height of its final group and
-// its packing position on the device.
-func (il *Interleaved) perDevice(need []int64, total int64) {
-	unit := il.Unit
-	g := (total + unit - 1) / unit // groups covering [0, total)
-	hLast := total - (g-1)*unit
-	for q := int64(0); q < int64(il.P) && q < g; q++ {
-		c := (g-1-q)/int64(il.P) + 1 // groups owned by stream q
-		dev := int(q) % il.D
-		h := unit
-		if q+(c-1)*int64(il.P) == g-1 {
-			h = hLast
-		}
-		var top int64
-		if il.Policy == PackContiguous {
-			var base int64
-			for q2 := int64(dev); q2 < q; q2 += int64(il.D) {
-				base += il.streamGroups(int(q2)) * unit
-			}
-			top = base + (c-1)*unit + h
-		} else {
-			k := int64(il.procsOnDev(dev))
-			top = ((c-1)*k+q/int64(il.D))*unit + h
-		}
-		if top > need[dev] {
-			need[dev] = top
-		}
-	}
 }

@@ -57,19 +57,73 @@ func testLayouts(t *testing.T) []struct {
 	}
 }
 
-// bruteRuns builds the expected run decomposition by mapping every block
-// and merging physically and logically adjacent neighbours.
+// refMap is the per-block reference the layouts' MapRun is held to: each
+// §4 placement's formula for one logical block, written out on its own
+// from the layout's parameters and sharing no code with MapRun.
+func refMap(l Layout, b int64) (dev int, pb int64) {
+	switch l := l.(type) {
+	case *Striped:
+		stripe := b / l.Unit
+		return int(stripe % int64(l.D)), (stripe/int64(l.D))*l.Unit + b%l.Unit
+	case *Partitioned:
+		part := 0
+		for l.starts[part+1] <= b {
+			part++
+		}
+		dev = part % l.D
+		within := b - l.starts[part]
+		// Blocks of the partitions before part on its device, how many
+		// partitions share the device, and part's rank among them.
+		var before, shared, rank int64
+		for j := dev; j < l.Parts(); j += l.D {
+			if j < part {
+				before += l.starts[j+1] - l.starts[j]
+				rank++
+			}
+			shared++
+		}
+		if l.Policy == PackInterleaved {
+			return dev, ((within/l.Unit)*shared+rank)*l.Unit + within%l.Unit
+		}
+		return dev, before + within
+	case *Interleaved:
+		group := b / l.Unit
+		proc, round := group%int64(l.P), group/int64(l.P)
+		dev = int(proc) % l.D
+		if l.Policy == PackContiguous {
+			// The groups of the streams packed before proc's on its device.
+			groups := (l.total + l.Unit - 1) / l.Unit
+			var before int64
+			for q := int64(dev); q < proc; q += int64(l.D) {
+				for g := q; g < groups; g += int64(l.P) {
+					before++
+				}
+			}
+			return dev, (before+round)*l.Unit + b%l.Unit
+		}
+		var shared int64 // streams on the device
+		for q := dev; q < l.P; q += l.D {
+			shared++
+		}
+		return dev, (round*shared+proc/int64(l.D))*l.Unit + b%l.Unit
+	}
+	panic(fmt.Sprintf("refMap: no reference placement for %T", l))
+}
+
+// bruteRuns builds the expected run decomposition by placing every block
+// with refMap and merging physically and logically adjacent neighbours.
 func bruteRuns(l Layout, b, n int64) []Run {
 	var runs []Run
 	for i := int64(0); i < n; i++ {
-		dev, pb := l.Map(b + i)
+		dev, pb := refMap(l, b+i)
 		runs = appendRun(runs, dev, pb, b+i, 1)
 	}
 	return runs
 }
 
 // TestMapRunMatchesMap asserts that every layout's MapRun decomposition
-// equals the per-block reference over every (start, length) window.
+// equals the per-block reference (refMap) over every (start, length)
+// window.
 func TestMapRunMatchesMap(t *testing.T) {
 	for _, tc := range testLayouts(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,9 +147,9 @@ func TestMapRunMatchesMap(t *testing.T) {
 	}
 }
 
-// TestPerDeviceClosedForm validates the closed-form per-device extent
-// computation against the exhaustive per-block loop for every prefix
-// total of every layout.
+// TestPerDeviceClosedForm holds PerDevice, which reads the extents off
+// MapRun, to the closed-form per-block reference (refMap) placed block by
+// block, for every prefix total of every layout.
 func TestPerDeviceClosedForm(t *testing.T) {
 	for _, tc := range testLayouts(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,7 +157,7 @@ func TestPerDeviceClosedForm(t *testing.T) {
 				got := PerDevice(tc.layout, total)
 				want := make([]int64, tc.layout.Devices())
 				for b := int64(0); b < total; b++ {
-					dev, pb := tc.layout.Map(b)
+					dev, pb := refMap(tc.layout, b)
 					if pb+1 > want[dev] {
 						want[dev] = pb + 1
 					}

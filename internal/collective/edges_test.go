@@ -291,8 +291,7 @@ func driveOf(t *testing.T, g *pfs.FileGroup, gb int64) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, _ := g.File(f).Set().Locate(b)
-	return dev
+	return g.File(f).Layout().MapRun(nil, b, 1)[0].Dev
 }
 
 // readCall is one way of reading a rank's requests: a handle's blocking

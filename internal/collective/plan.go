@@ -397,7 +397,7 @@ func (pl *plan) aligned(opts Options, split int, rmp ramp, sc *planScratch) *pla
 		for _, sg := range segs {
 			set, blk := mapSeg(sg)
 			for _, run := range runs {
-				_, pb := set.Locate(run.B)
+				pb := set.Base(run.Dev) + run.PBlock
 				flat = append(flat, rseg{gb: int64(run.Dev)*per + pb, n: run.N, bufOff: sg.bufOff + (run.B-blk)*pl.bs})
 			}
 		}

@@ -26,10 +26,6 @@ type Manager struct {
 	app    string
 	procs  int
 	perPrc int
-	names  []string
-
-	created int
-	deleted int
 }
 
 // NewManager prepares a manager for app with procs processes and
@@ -50,12 +46,6 @@ func (m *Manager) FileName(p, i int) string {
 // paper's first complaint ("the sheer number of files became unwieldy").
 func (m *Manager) FileCount() int { return m.procs * m.perPrc }
 
-// Created reports how many files have been created so far.
-func (m *Manager) Created() int { return m.created }
-
-// Deleted reports how many files have been deleted so far.
-func (m *Manager) Deleted() int { return m.deleted }
-
 // CreateAll creates every private file (recordSize bytes per record,
 // recsPerFile records each). Each create is a separate directory
 // operation, as it was on the FEM.
@@ -73,23 +63,8 @@ func (m *Manager) CreateAll(recordSize int, recsPerFile int64) error {
 			if err != nil {
 				return fmt.Errorf("fem: create %s: %w", name, err)
 			}
-			m.names = append(m.names, name)
-			m.created++
 		}
 	}
-	return nil
-}
-
-// DeleteAll removes every private file — individually, as the paper
-// complains.
-func (m *Manager) DeleteAll() error {
-	for _, name := range m.names {
-		if err := m.vol.Remove(name); err != nil {
-			return err
-		}
-		m.deleted++
-	}
-	m.names = nil
 	return nil
 }
 

@@ -9,6 +9,8 @@
 
 package mpp
 
+import "sync"
+
 // Alltoallv performs a personalized all-to-all exchange: send[dst] is the
 // payload (possibly nil) this process sends to rank dst, and the returned
 // slice holds at recv[src] the payload rank src sent to this process
@@ -57,8 +59,9 @@ func (p *Proc) Alltoallv(send [][]byte) [][]byte {
 	recv := make([][]byte, g.size)
 	var in int64
 	inMsgs := 0
+	a2a := g.denseTable()
 	for src := 0; src < g.size; src++ {
-		recv[src] = g.a2a[src][p.rank]
+		recv[src] = a2a[src][p.rank]
 		if src != p.rank && recv[src] != nil {
 			in += int64(len(recv[src]))
 			inMsgs++
@@ -72,18 +75,28 @@ func (p *Proc) Alltoallv(send [][]byte) [][]byte {
 	return recv
 }
 
-// denseRow returns this rank's row of the dense Alltoallv scratch table,
-// allocating the table lazily: programs on the sparse path never pay the
-// O(size²) footprint. Every rank of a dense collective calls this before
-// the entry barrier, so all rows exist by delivery time.
+// denseTables holds each group's dense Alltoallv scratch table,
+// a2a[src][dst], made on the group's first dense collective.
+var denseTables sync.Map // *Group → [][][]byte
+
+// denseTable returns g's dense scratch table.
+func (g *Group) denseTable() [][][]byte {
+	t, ok := denseTables.Load(g)
+	if !ok {
+		t, _ = denseTables.LoadOrStore(g, make([][][]byte, g.size))
+	}
+	return t.([][][]byte)
+}
+
+// denseRow returns this rank's row of the dense scratch table, allocating
+// it lazily. Every rank of a dense collective calls this before the entry
+// barrier, so all rows exist by delivery time.
 func (g *Group) denseRow(rank int) [][]byte {
-	if g.a2a == nil {
-		g.a2a = make([][][]byte, g.size)
+	a2a := g.denseTable()
+	if a2a[rank] == nil {
+		a2a[rank] = make([][]byte, g.size)
 	}
-	if g.a2a[rank] == nil {
-		g.a2a[rank] = make([][]byte, g.size)
-	}
-	return g.a2a[rank]
+	return a2a[rank]
 }
 
 // Exchange is a chunked personalized exchange: one logical Alltoallv
@@ -153,8 +166,9 @@ func (ex *Exchange) Round(send [][]byte) [][]byte {
 	recv := make([][]byte, g.size)
 	var in int64
 	newIn := 0
+	a2a := g.denseTable()
 	for src := 0; src < g.size; src++ {
-		recv[src] = g.a2a[src][p.rank]
+		recv[src] = a2a[src][p.rank]
 		if src != p.rank && recv[src] != nil {
 			in += int64(len(recv[src]))
 			if !ex.recvFrom[src] {

@@ -192,7 +192,6 @@ type Group struct {
 	exEnd     time.Duration
 	// reduction scratch
 	redVals []float64
-	a2a     [][][]byte // a2a[src][dst]: dense Alltoallv scratch (lazy)
 	// sparse exchange state: per-rank inboxes plus, per rank, a free list
 	// of the consumed receive lists it handed back through RecycleRecv
 	sin       [][]RecvMsg

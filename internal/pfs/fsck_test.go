@@ -43,7 +43,7 @@ func TestCheckDetectsOverlap(t *testing.T) {
 	a, _ := v.Lookup("a")
 	spec := a.Spec()
 	spec.Name = "evil"
-	if _, err := v.Restore(spec, a.Set().Bases()); err != nil {
+	if _, err := v.Restore(spec, []int64{a.Set().Base(0), a.Set().Base(1)}); err != nil {
 		t.Fatal(err)
 	}
 	rep := v.Check()
@@ -58,6 +58,29 @@ func TestCheckDetectsOverlap(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no overlap problem in report:\n%s", rep)
+	}
+}
+
+// TestNegativeBasesRefused: a volume image comes from outside the
+// program, so Restore refuses an extent base below block 0, naming the
+// file and the device, and Check reports such an extent should a file
+// ever hold one.
+func TestNegativeBasesRefused(t *testing.T) {
+	v := testVolume(t, 2)
+	spec := Spec{Name: "neg", RecordSize: 256, NumRecords: 32}
+	_, err := v.Restore(spec, []int64{0, -4})
+	if err == nil || !strings.Contains(err.Error(), `"neg"`) || !strings.Contains(err.Error(), "device 1") {
+		t.Fatalf("Restore with a negative base: err = %v, want one naming \"neg\" and device 1", err)
+	}
+	if len(v.Files()) != 0 {
+		t.Fatalf("refused restore registered %v", v.Files())
+	}
+	if _, err := v.create(spec, []int64{-4, -4}); err != nil {
+		t.Fatal(err)
+	}
+	rep := v.Check()
+	if rep.OK() || !strings.Contains(rep.String(), "below block 0") {
+		t.Fatalf("extent at block -4 not reported:\n%s", rep)
 	}
 }
 

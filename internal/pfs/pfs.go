@@ -305,9 +305,8 @@ func NewVolume(store blockio.Store) *Volume {
 }
 
 // CreationOrder lists live files in the order they were created
-// (removed files excluded). Replaying Create with each file's resolved
-// Spec on a fresh volume reproduces identical extents, which is how
-// volumes are persisted.
+// (removed files excluded): the order a volume image records them in,
+// each with its resolved Spec and extent bases, and Restore reloads them.
 func (v *Volume) CreationOrder() []string { return slices.Clone(v.order) }
 
 // Store exposes the underlying store.
@@ -347,14 +346,15 @@ func (v *Volume) Remove(name string) error {
 	if !ok {
 		return fmt.Errorf("pfs: file %q not found", name)
 	}
-	bases := f.set.Bases()
 	need := blockio.PerDevice(f.layout, f.mapper.TotalFSBlocks())
 	last := true
 	for dev, n := range need {
-		last = last && bases[dev]+n == v.next[dev]
+		last = last && f.set.Base(dev)+n == v.next[dev]
 	}
 	if last {
-		copy(v.next, bases)
+		for dev := range need {
+			v.next[dev] = f.set.Base(dev)
+		}
 	}
 	delete(v.files, name)
 	v.order = slices.DeleteFunc(v.order, func(n string) bool { return n == name })
@@ -450,6 +450,11 @@ func (v *Volume) Create(spec Spec) (*File, error) {
 func (v *Volume) Restore(spec Spec, bases []int64) (*File, error) {
 	if len(bases) != v.store.Devices() {
 		return nil, fmt.Errorf("pfs: %q: %d bases for %d devices", spec.Name, len(bases), v.store.Devices())
+	}
+	for dev, b := range bases {
+		if b < 0 {
+			return nil, fmt.Errorf("pfs: %q: negative extent base %d on device %d", spec.Name, b, dev)
+		}
 	}
 	return v.create(spec, bases)
 }

@@ -23,6 +23,12 @@ func testVolume(t *testing.T, devs int) *Volume {
 	return NewVolume(store)
 }
 
+// locate reports the drive and absolute physical block of f's fs block b.
+func locate(f *File, b int64) (dev int, pblock int64) {
+	r := f.Layout().MapRun(nil, b, 1)[0]
+	return r.Dev, f.Set().Base(r.Dev) + r.PBlock
+}
+
 func TestCreateDefaults(t *testing.T) {
 	v := testVolume(t, 4)
 	f, err := v.Create(Spec{
@@ -200,8 +206,8 @@ func TestAllocationSeparatesFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Physical locations of block 0 must differ.
-	d1, p1 := f1.Set().Locate(0)
-	d2, p2 := f2.Set().Locate(0)
+	d1, p1 := locate(f1, 0)
+	d2, p2 := locate(f2, 0)
 	if d1 == d2 && p1 == p2 {
 		t.Fatal("two files share a physical block")
 	}
@@ -234,8 +240,8 @@ func TestStripeUnitOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With unit 1, consecutive fs blocks hit different devices.
-	d0, _ := f.Set().Locate(0)
-	d1, _ := f.Set().Locate(1)
+	d0, _ := locate(f, 0)
+	d1, _ := locate(f, 1)
 	if d0 == d1 {
 		t.Fatal("declustered layout kept consecutive fs blocks on one device")
 	}
@@ -247,8 +253,8 @@ func TestStripeUnitOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e0, _ := g.Set().Locate(0)
-	e1, _ := g.Set().Locate(1)
+	e0, _ := locate(g, 0)
+	e1, _ := locate(g, 1)
 	if e0 != e1 {
 		t.Fatal("whole-block layout split a paper-block")
 	}
@@ -287,7 +293,7 @@ func TestInterleavedPlacementEqualsDevicesPerProc(t *testing.T) {
 	}
 	// Paper-block b belongs to proc b%3, which owns device b%3.
 	for b := int64(0); b < 9; b++ {
-		dev, _ := f.Set().Locate(b) // fsPer == 1 here
+		dev, _ := locate(f, b) // fsPer == 1 here
 		if dev != int(b%3) {
 			t.Fatalf("block %d on device %d, want %d", b, dev, b%3)
 		}

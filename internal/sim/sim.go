@@ -15,8 +15,7 @@
 //     Results are bit-for-bit reproducible.
 //
 //   - Wall, a trivial context for ordinary library use, where device
-//     models complete instantly and Sleep is a no-op unless a scale
-//     factor is configured.
+//     models complete instantly and Sleep is a no-op.
 //
 // # Scalability
 //
@@ -60,7 +59,7 @@ type Context interface {
 	// run (virtual for Proc, wall-clock-derived for Wall).
 	Now() time.Duration
 	// Sleep pauses the caller for d. Under virtual time the engine
-	// advances; under Wall it sleeps scaled real time (or not at all).
+	// advances; under Wall it returns at once.
 	Sleep(d time.Duration)
 }
 
@@ -590,9 +589,6 @@ func (e *Engine) heapRemove(ev *Event) {
 type Wall struct {
 	start time.Time
 	once  sync.Once
-	// Scale multiplies modeled durations into real sleeps; zero means
-	// modeled delays are skipped entirely (functional mode).
-	Scale float64
 }
 
 // NewWall returns a wall-clock context that skips modeled delays.
@@ -609,12 +605,8 @@ func (w *Wall) Now() time.Duration {
 	return time.Since(w.start)
 }
 
-// Sleep sleeps d scaled by w.Scale (not at all when Scale is zero).
-func (w *Wall) Sleep(d time.Duration) {
-	if w.Scale > 0 && d > 0 {
-		time.Sleep(time.Duration(float64(d) * w.Scale))
-	}
-}
+// Sleep skips the modeled delay: it returns at once.
+func (w *Wall) Sleep(time.Duration) {}
 
 var (
 	_ Context = (*Proc)(nil)

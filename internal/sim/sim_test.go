@@ -515,9 +515,9 @@ func TestBatchedSameTimeDispatch(t *testing.T) {
 func TestWallContext(t *testing.T) {
 	w := NewWall()
 	t0 := w.Now()
-	w.Sleep(50 * time.Millisecond) // Scale 0: returns immediately
+	w.Sleep(50 * time.Millisecond) // returns immediately
 	if w.Now()-t0 > 40*time.Millisecond {
-		t.Fatal("Wall with Scale 0 actually slept")
+		t.Fatal("Wall actually slept")
 	}
 	var zero Wall
 	if zero.Now() < 0 {

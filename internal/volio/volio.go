@@ -49,7 +49,11 @@ func Save(dir string, disks []*device.Disk, vol *pfs.Volume) error {
 		if err != nil {
 			return err
 		}
-		meta.Files = append(meta.Files, imageFile{Spec: f.Spec(), Bases: f.Set().Bases()})
+		bases := make([]int64, f.Layout().Devices())
+		for dev := range bases {
+			bases[dev] = f.Set().Base(dev)
+		}
+		meta.Files = append(meta.Files, imageFile{Spec: f.Spec(), Bases: bases})
 	}
 	mf, err := os.Create(filepath.Join(dir, metaName))
 	if err != nil {
