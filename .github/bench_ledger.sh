@@ -20,6 +20,11 @@
 #                            that no non-test file (bench/ included)
 #                            references apart from its declaration, and
 #                            their number: the names only tests reach
+#   bench_ledger.sh reach    print each library function (outside bench/,
+#                            cmd/ and examples/) that no non-test program
+#                            runs, and their number: the paths only tests
+#                            reach, found by execution where dead finds
+#                            names by reference
 #
 # A PR that moves modeled time on purpose runs `record` and commits the
 # result: that diff is its row in the ledger.
@@ -313,6 +318,61 @@ dead() {
 	rm -rf "$tmp"
 }
 
+# reach lists what the reach ledger lists. It builds the benchmark, both
+# commands and the seven examples with coverage of every package, runs
+# them — each workload for 1 s plain and 1 s traced, pariobench -list and
+# -run all -metrics, every example, and a parioctl session on a scratch
+# volume: init, a file of each organization created, put, cat and
+# described, a conversion, ls, fsck, df, rm, and a recorded trace read
+# back — and prints the functions the merged profile shows at 0 % outside
+# bench/, cmd/ and examples/, then their number.
+reach() {
+	local tmp mod bin ctl vol
+	tmp=$(mktemp -d)
+	mod=$(go list -m)
+	bin=$tmp/bin ctl=$tmp/bin/parioctl vol=$tmp/vol
+	for p in bench cmd/pariobench cmd/parioctl examples/*; do
+		go build -cover -coverpkg=./... -o "$bin/${p##*/}" "./$p"
+	done
+	(
+		export GOCOVERDIR=$tmp/cov
+		mkdir -p "$GOCOVERDIR"
+		for w in ckpt_replay ckpt_fresh org_scan multijob_qos; do
+			"$bin/bench" -workload "$w" -seed 1 -seconds 1
+			"$bin/bench" -workload "$w" -seed 1 -seconds 1 -trace 1 -trace-out "$tmp/$w.json"
+		done
+		"$bin/pariobench" -list
+		"$bin/pariobench" -run all -metrics
+		for p in examples/*; do
+			"$bin/${p##*/}"
+		done
+		head -c 8192 /dev/zero | tr '\0' p >"$tmp/payload"
+		"$ctl" init -vol "$vol" -devices 4
+		for org in S PS IS SS GDA PDA; do
+			"$ctl" create -vol "$vol" -name "$org" -org "$org" -records 64 -recsize 128 -parts 2
+			"$ctl" put -vol "$vol" -name "$org" <"$tmp/payload"
+			"$ctl" cat -vol "$vol" -name "$org" | cmp - "$tmp/payload"
+			"$ctl" info -vol "$vol" -name "$org"
+		done
+		"$ctl" convert -vol "$vol" -src PS -dst PS-IS -org IS -parts 2
+		"$ctl" ls -vol "$vol"
+		"$ctl" fsck -vol "$vol"
+		"$ctl" df -vol "$vol"
+		"$ctl" rm -vol "$vol" -name S
+		"$ctl" trace "$tmp/ckpt_replay.json"
+	) >/dev/null
+	go tool covdata textfmt -i="$tmp/cov" -o "$tmp/cover.txt"
+	go tool cover -func="$tmp/cover.txt" | awk -v mod="$mod/" '
+		$NF == "0.0%" && index($1, mod) == 1 {
+			path = substr($1, length(mod) + 1)
+			if (path ~ /^(bench|cmd|examples)\//) next
+			printf "%s  %s\n", path, $2
+			n++
+		}
+		END { printf "%6d  total\n", n }'
+	rm -rf "$tmp"
+}
+
 case "${1:-check}" in
 lines)
 	lines
@@ -322,6 +382,9 @@ surface)
 	;;
 dead)
 	dead
+	;;
+reach)
+	reach
 	;;
 record)
 	record "$baseline"
@@ -346,7 +409,7 @@ check)
 	' "$tmp/table.txt"
 	;;
 *)
-	echo "usage: $0 [check|record|lines|surface|dead]" >&2
+	echo "usage: $0 [check|record|lines|surface|dead|reach]" >&2
 	exit 2
 	;;
 esac

@@ -65,7 +65,7 @@ func TestBufferPoolTraceDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out bytes.Buffer
-		if err := mix.Rec.WriteChromeTrace(&out); err != nil {
+		if err := pario.WriteChromeTrace(&out, mix.Rec); err != nil {
 			t.Fatal(err)
 		}
 		return out.Bytes(), res

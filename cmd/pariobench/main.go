@@ -107,7 +107,7 @@ func run(list bool, runID, tracePath string, metrics bool, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := rec.WriteChromeTrace(f); err != nil {
+		if err := probe.WriteChromeTrace(f, rec); err != nil {
 			f.Close()
 			return err
 		}

@@ -72,6 +72,9 @@ func run(sub string, args []string, stdin io.Reader, stdout io.Writer) error {
 
 	switch sub {
 	case "init":
+		if *devices < 1 {
+			return fmt.Errorf("init: -devices %d, want at least 1", *devices)
+		}
 		disks := make([]*pario.Disk, *devices)
 		for i := range disks {
 			disks[i] = pario.NewDisk(pario.DiskConfig{Name: fmt.Sprintf("d%d", i)})

@@ -90,6 +90,18 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestCLIInitRejectsDeviceCount: init with a device count below one is
+// an error, not a panic allocating the drive list.
+func TestCLIInitRejectsDeviceCount(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "vol")
+	var out bytes.Buffer
+	for _, n := range []string{"-2", "0"} {
+		if err := run("init", []string{"-vol", dir, "-devices", n}, nil, &out); err == nil || !strings.Contains(err.Error(), "-devices "+n) {
+			t.Fatalf("init -devices %s = %v, want an error naming the count", n, err)
+		}
+	}
+}
+
 func TestParseOrgAll(t *testing.T) {
 	for _, s := range []string{"S", "PS", "IS", "SS", "GDA", "PDA"} {
 		if _, err := parseOrg(s); err != nil {

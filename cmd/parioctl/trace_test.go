@@ -37,7 +37,7 @@ func writeTestTrace(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.WriteChromeTrace(f); err != nil {
+	if err := probe.WriteChromeTrace(f, rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -38,7 +38,7 @@ type BatchItem struct {
 // must share one Store (the same device array — Sets of one Volume
 // qualify); pieces that are physically adjacent on a device merge into
 // single gather requests even across items. Prepare it with Plan, issue
-// it with BatchPlan.ReadWindows/WriteWindows.
+// it with BatchPlan.Transfer.
 type BatchVec []BatchItem
 
 // piece is one physical fragment of a descriptor before merging: n blocks
@@ -57,7 +57,7 @@ type piece struct {
 // mapScratch is the mapper's pooled working state: the unsorted piece
 // list, the per-segment MapRun scratch, the window bounds of a cut batch,
 // and the runs and segments of a transfer that is issued before the
-// scratch goes back (Set.transfer).
+// scratch goes back (Set.Transfer).
 type mapScratch struct {
 	pieces, sorted []piece
 	tmp            []Run
@@ -138,7 +138,7 @@ var mapPool = sync.Pool{New: func() any { return new(mapScratch) }}
 // appends the runs to runs and their segments to segs, growing each once
 // at most, and returns both: the new runs are runs[len(runs):] of what
 // was passed. Passing nil allocates them exactly for the caller to keep;
-// passing s's own recycles them from the last such call (Set.transfer),
+// passing s's own recycles them from the last such call (Set.Transfer),
 // a plan's its own (BatchVec.PlanInto), and a caller's arena with room
 // left fills it (Set.Map).
 func (s *mapScratch) mapRuns(op string, items BatchVec, cuts []int64, bs int64, runs []Run, segs []Seg) ([]Run, []Seg, []int, error) {

@@ -49,7 +49,7 @@ func readBatch(ctx sim.Context, b BatchVec, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	return plan.ReadWindows(ctx, 0, 1, Space{{Buf: buf}})
+	return plan.Transfer(ctx, false, 0, 1, Space{{Buf: buf}})
 }
 
 func writeBatch(ctx sim.Context, b BatchVec, buf []byte) error {
@@ -57,7 +57,7 @@ func writeBatch(ctx sim.Context, b BatchVec, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	return plan.WriteWindows(ctx, 0, 1, Space{{Buf: buf}})
+	return plan.Transfer(ctx, true, 0, 1, Space{{Buf: buf}})
 }
 
 // TestBatchVecMergesAcrossFiles is the point of the cross-file batch: two
@@ -83,7 +83,7 @@ func TestBatchVecMergesAcrossFiles(t *testing.T) {
 	if err != nil || len(plan.wins[0]) != devs {
 		t.Fatalf("window 0 has %d runs, %v; want %d (one merged run per device)", len(plan.wins[0]), err, devs)
 	}
-	if err := plan.WriteWindows(ctx, 0, 1, Space{{Buf: buf}}); err != nil {
+	if err := plan.Transfer(ctx, true, 0, 1, Space{{Buf: buf}}); err != nil {
 		t.Fatal(err)
 	}
 	var reqs int64

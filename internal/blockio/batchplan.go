@@ -30,9 +30,8 @@ import (
 // BatchPlan is a prepared cross-file batch split into issue windows.
 // Build one with BatchVec.Plan, or from descriptors already mapped with
 // MappedPlan; issue a window, or a range of them as if it had not been
-// cut, with ReadWindows and WriteWindows. A plan's runs are immutable and
-// it may be issued any number of times, in any window order,
-// concurrently under an engine.
+// cut, with Transfer. A plan's runs are immutable and it may be issued
+// any number of times, in any window order, concurrently under an engine.
 type BatchPlan struct {
 	store Store
 	bs    int64
@@ -214,32 +213,25 @@ func (pl *BatchPlan) Bytes() int64 {
 	return n
 }
 
-// ReadWindows reads the windows [w0, w1) into the buffer space sp: a
-// segment at plan offset o lands at space offset o. Every merged run is
-// one scatter device request; runs proceed in parallel across devices
-// under a simulation engine. Windows issued together go out as if the
-// cuts between them had not been made: runs of different windows that
-// are neighbours on a drive are one device request, so every window of a
-// plan issued together is exactly the uncut plan's transfer. This is how
-// a server that cuts a call into windows only to be able to stop between
-// them (ioserver) pays nothing for the cuts it does not use. A plan of
-// mapped descriptors (MappedPlan) joins nothing: its windows issued
-// together are their runs back to back.
-func (pl *BatchPlan) ReadWindows(ctx sim.Context, w0, w1 int, sp Space) error {
-	return pl.windows(ctx, "ReadWindow", false, w0, w1, sp)
-}
-
-// WriteWindows writes the windows [w0, w1) from the buffer space sp —
-// the write counterpart of ReadWindows.
-func (pl *BatchPlan) WriteWindows(ctx sim.Context, w0, w1 int, sp Space) error {
-	return pl.windows(ctx, "WriteWindow", true, w0, w1, sp)
-}
-
-// windows checks that sp covers every segment of the windows [w0, w1),
-// then issues their runs: one window's as they are, several merged
-// across the cuts in pooled scratch that lives until the issue returns —
-// or, on a plan of mapped descriptors, back to back as they lie.
-func (pl *BatchPlan) windows(ctx sim.Context, op string, write bool, w0, w1 int, sp Space) error {
+// Transfer moves the windows [w0, w1) between the drives and the buffer
+// space sp — into sp, or with write out of it: a segment at plan offset
+// o lies at space offset o, and sp must cover every segment of those
+// windows in whole blocks. Every merged run is one device request; runs
+// proceed in parallel across devices under a simulation engine. Windows
+// issued together go out as if the cuts between them had not been made:
+// runs of different windows that are neighbours on a drive are one
+// device request (joined in pooled scratch that lives until the issue
+// returns), so every window of a plan issued together is exactly the
+// uncut plan's transfer. This is how a server that cuts a call into
+// windows only to be able to stop between them (ioserver) pays nothing
+// for the cuts it does not use. A plan of mapped descriptors
+// (MappedPlan) joins nothing: its windows issued together are their runs
+// back to back.
+func (pl *BatchPlan) Transfer(ctx sim.Context, write bool, w0, w1 int, sp Space) error {
+	op := "ReadWindow"
+	if write {
+		op = "WriteWindow"
+	}
 	if w0 < 0 || w0 >= w1 || w1 > len(pl.wins) {
 		return fmt.Errorf("blockio: %s windows [%d,%d) of %d", op, w0, w1, len(pl.wins))
 	}

@@ -73,7 +73,7 @@ func TestBatchPlanWindowedEquivalence(t *testing.T) {
 			lo, hi := bounds[w][0], bounds[w][1]
 			stage := make([]byte, hi-lo)
 			copy(stage, whole[lo:hi])
-			if err := plan.WriteWindows(ctx, w, w+1, Space{{Off: lo, Buf: stage}}); err != nil {
+			if err := plan.Transfer(ctx, true, w, w+1, Space{{Off: lo, Buf: stage}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -94,7 +94,7 @@ func TestBatchPlanWindowedEquivalence(t *testing.T) {
 		for _, w := range []int{1, 2, 0} {
 			lo, hi := bounds[w][0], bounds[w][1]
 			stage := make([]byte, hi-lo)
-			if err := plan.ReadWindows(ctx, w, w+1, Space{{Off: lo, Buf: stage}}); err != nil {
+			if err := plan.Transfer(ctx, false, w, w+1, Space{{Off: lo, Buf: stage}}); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(stage, whole[lo:hi]) {
@@ -138,7 +138,7 @@ func TestBatchPlanNoReMerge(t *testing.T) {
 	ctx := sim.NewWall()
 	buf := make([]byte, 8*bs)
 	for w := 0; w < plan4.Windows(); w++ {
-		if err := plan4.WriteWindows(ctx, w, w+1, Space{{Off: int64(w) * 8 * bs, Buf: buf}}); err != nil {
+		if err := plan4.Transfer(ctx, true, w, w+1, Space{{Off: int64(w) * 8 * bs, Buf: buf}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func TestBatchPlanErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := sim.NewWall()
-	if err := plan.WriteWindows(ctx, 2, 3, nil); err == nil || !strings.Contains(err.Error(), "window") {
+	if err := plan.Transfer(ctx, true, 2, 3, nil); err == nil || !strings.Contains(err.Error(), "window") {
 		t.Errorf("out-of-range window: err = %v", err)
 	}
 	// Window 1 covers plan bytes [4bs, 8bs): a 2-block buffer at base
@@ -189,7 +189,7 @@ func TestBatchPlanErrors(t *testing.T) {
 		{{Off: 4 * bs, Buf: make([]byte, bs+1)}, {Off: 5*bs + 1, Buf: make([]byte, 3*bs-1)}},
 		{{Off: 6 * bs, Buf: make([]byte, 2*bs)}, {Off: 4 * bs, Buf: make([]byte, 2*bs)}},
 	} {
-		if err := plan.WriteWindows(ctx, 1, 2, sp); err == nil || !strings.Contains(err.Error(), "window 1: plan bytes") {
+		if err := plan.Transfer(ctx, true, 1, 2, sp); err == nil || !strings.Contains(err.Error(), "window 1: plan bytes") {
 			t.Errorf("space not covering window 1: err = %v", err)
 		}
 	}
@@ -198,7 +198,7 @@ func TestBatchPlanErrors(t *testing.T) {
 	if err != nil || empty.Windows() != 2 {
 		t.Fatalf("empty batch: %v, windows %d", err, empty.Windows())
 	}
-	if err := empty.ReadWindows(ctx, 1, 2, nil); err != nil {
+	if err := empty.Transfer(ctx, false, 1, 2, nil); err != nil {
 		t.Errorf("empty window read: %v", err)
 	}
 }
@@ -259,7 +259,7 @@ func TestBatchPlanWindowRangesUncut(t *testing.T) {
 					}
 				}
 				before := requests()
-				if err := plan.WriteWindows(ctx, w0, w1, Space{{Buf: buf}}); err != nil {
+				if err := plan.Transfer(ctx, true, w0, w1, Space{{Buf: buf}}); err != nil {
 					t.Fatal(err)
 				}
 				if n := requests() - before; n != int64(len(want)) {
@@ -268,13 +268,13 @@ func TestBatchPlanWindowRangesUncut(t *testing.T) {
 			}
 		}
 		back := make([]byte, len(buf))
-		if err := plan.ReadWindows(ctx, 0, plan.Windows(), Space{{Buf: back}}); err != nil {
+		if err := plan.Transfer(ctx, false, 0, plan.Windows(), Space{{Buf: back}}); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(back, buf) {
 			t.Errorf("unit %d: the windows read back together differ from what was written", unit)
 		}
-		if err := plan.ReadWindows(ctx, 2, 2, Space{{Buf: back}}); err == nil || !strings.Contains(err.Error(), "windows [2,2)") {
+		if err := plan.Transfer(ctx, false, 2, 2, Space{{Buf: back}}); err == nil || !strings.Contains(err.Error(), "windows [2,2)") {
 			t.Errorf("empty range: %v", err)
 		}
 	}
@@ -353,17 +353,17 @@ func FuzzWindowSpace(f *testing.F) {
 		whole, sp, wsp := make([]byte, size), pieces(false), pieces(true)
 		gap := rng.Intn(len(sp))
 		a.e.Go("pieces", func(p *sim.Proc) {
-			if err := plans[0].WriteWindows(p, w0, w1, wsp); err != nil {
+			if err := plans[0].Transfer(p, true, w0, w1, wsp); err != nil {
 				t.Fatal(err)
 			}
 			imgA = image(p, a)
-			if err := plans[0].ReadWindows(p, w0, w1, Space{{Buf: whole}}); err != nil {
+			if err := plans[0].Transfer(p, false, w0, w1, Space{{Buf: whole}}); err != nil {
 				t.Fatal(err)
 			}
-			if err := plans[0].ReadWindows(p, w0, w1, sp); err != nil {
+			if err := plans[0].Transfer(p, false, w0, w1, sp); err != nil {
 				t.Fatal(err)
 			}
-			err := plans[0].ReadWindows(p, w0, w1, append(sp[:gap:gap], sp[gap+1:]...))
+			err := plans[0].Transfer(p, false, w0, w1, append(sp[:gap:gap], sp[gap+1:]...))
 			named := false
 			for w := w0; w < w1 && err != nil; w++ {
 				named = named || strings.Contains(err.Error(), fmt.Sprintf("window %d: plan bytes", w))
@@ -373,7 +373,7 @@ func FuzzWindowSpace(f *testing.F) {
 			}
 		})
 		b.e.Go("buffer", func(p *sim.Proc) {
-			if err := plans[1].WriteWindows(p, w0, w1, Space{{Buf: data}}); err != nil {
+			if err := plans[1].Transfer(p, true, w0, w1, Space{{Buf: data}}); err != nil {
 				t.Fatal(err)
 			}
 			imgB = image(p, b)
@@ -445,13 +445,7 @@ func TestMappedPlanIssuesTheDescriptors(t *testing.T) {
 		for i := range maps {
 			dry.Vectored(maps[i].Runs())
 			each.e.Go(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
-				var err error
-				if write {
-					err = maps[i].Write(p, StrategyVectored, bufs[i])
-				} else {
-					err = maps[i].Read(p, StrategyVectored, bufs[i])
-				}
-				if err != nil {
+				if err := maps[i].Transfer(p, write, StrategyVectored, bufs[i]); err != nil {
 					t.Error(err)
 				}
 			})
@@ -491,11 +485,7 @@ func TestMappedPlanIssuesTheDescriptors(t *testing.T) {
 			t.Errorf("seed %d: the plan's windows hold %d runs and %d bytes, the descriptors %d runs, the plan %d bytes", seed, n, bytes, runs, pl.Bytes())
 		}
 		whole.e.Go("server", func(p *sim.Proc) {
-			if write {
-				err = pl.WriteWindows(p, 0, pl.Windows(), sp)
-			} else {
-				err = pl.ReadWindows(p, 0, pl.Windows(), sp)
-			}
+			err = pl.Transfer(p, write, 0, pl.Windows(), sp)
 		})
 		if err := whole.e.Run(); err != nil {
 			t.Fatal(err)
@@ -512,7 +502,7 @@ func TestMappedPlanIssuesTheDescriptors(t *testing.T) {
 		// drives' zeros over the seeded fill).
 		for i, m := range maps {
 			got := make([]byte, len(bufs[i]))
-			if err := m.Read(sim.NewWall(), StrategyVectored, got); err != nil {
+			if err := m.Transfer(sim.NewWall(), false, StrategyVectored, got); err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(bufs[i], got) {

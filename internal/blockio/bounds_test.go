@@ -18,15 +18,15 @@ import (
 // what the Set said of vec; a transfer's buffer is buf.
 func boundsOps(ctx sim.Context, s *Set, buf []byte) map[string]func(Vec) error {
 	return map[string]func(Vec) error{
-		"ReadVec":                  func(v Vec) error { return s.ReadVec(ctx, v, buf) },
-		"WriteVec":                 func(v Vec) error { return s.WriteVec(ctx, v, buf) },
-		"ReadVecStrategy(sieved)":  func(v Vec) error { return s.ReadVecStrategy(ctx, StrategySieved, v, Space{{Buf: buf}}) },
-		"WriteVecStrategy(sieved)": func(v Vec) error { return s.WriteVecStrategy(ctx, StrategySieved, v, Space{{Buf: buf}}) },
-		"ReadVecStrategy(auto)":    func(v Vec) error { return s.ReadVecStrategy(ctx, StrategyAuto, v, Space{{Buf: buf}}) },
-		"WriteVecStrategy(auto)":   func(v Vec) error { return s.WriteVecStrategy(ctx, StrategyAuto, v, Space{{Buf: buf}}) },
-		"Map":                      func(v Vec) error { _, _, _, err := s.Map(v, nil, nil); return err },
-		"MapVec":                   func(v Vec) error { _, err := s.MapVec(v); return err },
-		"BatchVec.Plan":            func(v Vec) error { _, err := BatchVec{{Set: s, Vec: v}}.Plan(nil); return err },
+		"ReadVec":                 func(v Vec) error { return s.ReadVec(ctx, v, buf) },
+		"WriteVec":                func(v Vec) error { return s.WriteVec(ctx, v, buf) },
+		"Transfer(read, sieved)":  func(v Vec) error { return s.Transfer(ctx, false, StrategySieved, v, Space{{Buf: buf}}) },
+		"Transfer(write, sieved)": func(v Vec) error { return s.Transfer(ctx, true, StrategySieved, v, Space{{Buf: buf}}) },
+		"Transfer(read, auto)":    func(v Vec) error { return s.Transfer(ctx, false, StrategyAuto, v, Space{{Buf: buf}}) },
+		"Transfer(write, auto)":   func(v Vec) error { return s.Transfer(ctx, true, StrategyAuto, v, Space{{Buf: buf}}) },
+		"Map":                     func(v Vec) error { _, _, _, err := s.Map(v, nil, nil); return err },
+		"MapVec":                  func(v Vec) error { _, err := s.MapVec(v); return err },
+		"BatchVec.Plan":           func(v Vec) error { _, err := BatchVec{{Set: s, Vec: v}}.Plan(nil); return err },
 	}
 }
 
@@ -186,11 +186,11 @@ func FuzzSetBounds(f *testing.F) {
 				data := make([]byte, size)
 				rng.Read(data)
 				strat := []Strategy{StrategyVectored, StrategySieved, StrategyAuto}[rng.Intn(3)]
-				if err := a.WriteVecStrategy(ctx, strat, vec, Space{{Buf: data}}); err != nil {
+				if err := a.Transfer(ctx, true, strat, vec, Space{{Buf: data}}); err != nil {
 					t.Fatal(err)
 				}
 				got := make([]byte, size)
-				if err := a.ReadVecStrategy(ctx, strat, vec, Space{{Buf: got}}); err != nil {
+				if err := a.Transfer(ctx, false, strat, vec, Space{{Buf: got}}); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, data) {

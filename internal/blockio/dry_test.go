@@ -264,12 +264,7 @@ func (w *dryWorld) issueOne(t *testing.T, rng *rand.Rand, check func(strat Strat
 			}
 			price := dry.Flush()
 			buf, t0 := make([]byte, size), p.Now()
-			if tc.write {
-				err = m.Write(p, tc.strat, buf)
-			} else {
-				err = m.Read(p, tc.strat, buf)
-			}
-			if err != nil {
+			if err := m.Transfer(p, tc.write, tc.strat, buf); err != nil {
 				t.Fatal(err)
 			}
 			check(tc.strat, tc.write, price, p.Now()-t0)
@@ -347,13 +342,7 @@ func FuzzDryIssue(f *testing.F) {
 		price := dry.Flush()
 		for i := range maps {
 			many.e.Go(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
-				var err error
-				if write {
-					err = maps[i].Write(p, strat, bufs[i])
-				} else {
-					err = maps[i].Read(p, strat, bufs[i])
-				}
-				if err != nil {
+				if err := maps[i].Transfer(p, write, strat, bufs[i]); err != nil {
 					t.Error(err)
 				}
 			})

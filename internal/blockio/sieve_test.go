@@ -35,11 +35,11 @@ func sieveVecFromBits(bits uint64, total int64, bs int64) (Vec, int64) {
 // strategy prices nothing).
 
 func readSieved(ctx sim.Context, s *Set, vec Vec, buf []byte) error {
-	return s.ReadVecStrategy(ctx, StrategySieved, vec, Space{{Buf: buf}})
+	return s.Transfer(ctx, false, StrategySieved, vec, Space{{Buf: buf}})
 }
 
 func writeSieved(ctx sim.Context, s *Set, vec Vec, buf []byte) error {
-	return s.WriteVecStrategy(ctx, StrategySieved, vec, Space{{Buf: buf}})
+	return s.Transfer(ctx, true, StrategySieved, vec, Space{{Buf: buf}})
 }
 
 // TestSieveSpansShape pins the planner's output on a striped layout:

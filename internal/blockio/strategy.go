@@ -118,53 +118,47 @@ func (m Mapped) CopyTo(runs []Run, segs []Seg) (Mapped, []Run, []Seg) {
 	return m, runs, segs
 }
 
-// Read issues the mapped descriptor as a read into buf under strat, as
-// Set.ReadVecStrategy would the descriptor it was mapped from into the
-// one-piece space of buf.
-func (m Mapped) Read(ctx sim.Context, strat Strategy, buf []byte) error {
-	return m.issue(ctx, "ReadVec", false, strat, buf)
-}
-
-// Write issues the mapped descriptor as a write from buf under strat.
-func (m Mapped) Write(ctx sim.Context, strat Strategy, buf []byte) error {
-	return m.issue(ctx, "WriteVec", true, strat, buf)
-}
-
-func (m Mapped) issue(ctx sim.Context, op string, write bool, strat Strategy, buf []byte) error {
+// Transfer issues the mapped descriptor into buf (a read) or from it
+// (write) under strat, as Set.Transfer would the descriptor it was mapped
+// from with the one-piece space of buf.
+func (m Mapped) Transfer(ctx sim.Context, write bool, strat Strategy, buf []byte) error {
 	if m.set == nil {
 		return nil // the zero Mapped: nothing was described
 	}
+	op := vecOp(write)
 	if int64(len(buf)) < m.need {
 		return fmt.Errorf("blockio: %s: mapped descriptor addresses %d buffer bytes, the buffer holds %d", op, m.need, len(buf))
 	}
 	return m.set.issueRuns(ctx, op, write, strat, m.runs, Space{{Buf: buf}})
 }
 
-// ReadVecStrategy reads the blocks described by vec into the buffer
-// space sp, scattering each segment's blocks at its space offset, as strat
-// directs: vectored (also what StrategyDefault and StrategyCollective mean
-// at this layer), sieved, or — StrategyAuto — whichever a dry issue of
-// this descriptor prices cheaper. It is the Set's one read entry point;
-// one block is the one-segment descriptor, and one buffer the one-piece
-// space (ReadVec). A space of several pieces is list I/O's memory list:
-// the drives scatter straight into every piece, so a stream's batch of
-// frames moves as one descriptor with nothing staged.
-func (s *Set) ReadVecStrategy(ctx sim.Context, strat Strategy, vec Vec, sp Space) error {
-	return s.transfer(ctx, "ReadVec", false, strat, vec, sp)
+// vecOp names a descriptor transfer in errors and spans.
+func vecOp(write bool) string {
+	if write {
+		return "WriteVec"
+	}
+	return "ReadVec"
 }
 
-// WriteVecStrategy writes the blocks described by vec from the buffer
-// space sp — the write counterpart of ReadVecStrategy.
-func (s *Set) WriteVecStrategy(ctx sim.Context, strat Strategy, vec Vec, sp Space) error {
-	return s.transfer(ctx, "WriteVec", true, strat, vec, sp)
-}
-
-// transfer takes one descriptor down the pipeline: validate — the
-// segments against the file and against the space — map, price if the
-// strategy asks, transform if it is (or prices out as) sieved, issue. The
-// runs are mapped into pooled scratch held until the issue returns, so a
-// steady stream of transfers maps without allocating.
-func (s *Set) transfer(ctx sim.Context, op string, write bool, strat Strategy, vec Vec, sp Space) error {
+// Transfer moves the blocks described by vec between the file and the
+// buffer space sp — into sp, or with write out of it — each segment's
+// blocks at its space offset, as strat directs: vectored (also what
+// StrategyDefault and StrategyCollective mean at this layer), sieved, or
+// — StrategyAuto — whichever a dry issue of this descriptor prices
+// cheaper. It is the Set's one entry point for both directions; one
+// block is the one-segment descriptor, and one buffer the one-piece
+// space (ReadVec, WriteVec). A space of several pieces is list I/O's
+// memory list: the drives scatter straight into (gather straight from)
+// every piece, so a stream's batch of frames moves as one descriptor
+// with nothing staged.
+//
+// The pipeline: validate — the segments against the file and against
+// the space — map, price if the strategy asks, transform if it is (or
+// prices out as) sieved, issue. The runs are mapped into pooled scratch
+// held until the issue returns, so a steady stream of transfers maps
+// without allocating.
+func (s *Set) Transfer(ctx sim.Context, write bool, strat Strategy, vec Vec, sp Space) error {
+	op := vecOp(write)
 	if err := s.checkVec(op, vec, sp.end()); err != nil {
 		return err
 	}

@@ -144,15 +144,15 @@ func (s *Set) MapVec(vec Vec) ([]Run, error) {
 // segment's blocks at its buffer offset. Physically adjacent pieces —
 // across segments, regardless of logical adjacency — coalesce into
 // single gather requests, issued in parallel across devices under a
-// simulation engine. It is ReadVecStrategy with the vectored strategy and
-// the one-piece space of buf.
+// simulation engine. It is Transfer with the vectored strategy and the
+// one-piece space of buf.
 func (s *Set) ReadVec(ctx sim.Context, vec Vec, buf []byte) error {
-	return s.ReadVecStrategy(ctx, StrategyVectored, vec, Space{{Buf: buf}})
+	return s.Transfer(ctx, false, StrategyVectored, vec, Space{{Buf: buf}})
 }
 
 // WriteVec writes the blocks described by vec from buf, gathering each
 // segment's bytes from its buffer offset — the write counterpart of
 // ReadVec.
 func (s *Set) WriteVec(ctx sim.Context, vec Vec, buf []byte) error {
-	return s.WriteVecStrategy(ctx, StrategyVectored, vec, Space{{Buf: buf}})
+	return s.Transfer(ctx, true, StrategyVectored, vec, Space{{Buf: buf}})
 }

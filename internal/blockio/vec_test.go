@@ -319,7 +319,7 @@ func TestVecThroughPieces(t *testing.T) {
 		data := make([]byte, size)
 		rng.Read(data)
 		clear(data[5*bs : 6*bs]) // the byte range no segment addresses
-		if err := set.WriteVecStrategy(ctx, strat, vec, pieces(data, true)); err != nil {
+		if err := set.Transfer(ctx, true, strat, vec, pieces(data, true)); err != nil {
 			t.Fatalf("%v: write through pieces: %v", strat, err)
 		}
 		got := make([]byte, size)
@@ -330,7 +330,7 @@ func TestVecThroughPieces(t *testing.T) {
 			t.Fatalf("%v: what went out through pieces reads back different", strat)
 		}
 		sp := pieces(nil, false)
-		if err := set.ReadVecStrategy(ctx, strat, vec, sp); err != nil {
+		if err := set.Transfer(ctx, false, strat, vec, sp); err != nil {
 			t.Fatalf("%v: read into pieces: %v", strat, err)
 		}
 		if !bytes.Equal(flat(sp), data) {
@@ -342,7 +342,7 @@ func TestVecThroughPieces(t *testing.T) {
 	part := pieces(nil, false)
 	part[0].Buf = part[0].Buf[:bs/2]
 	for name, sp := range map[string]Space{"a gap": gap, "a part-block piece": part} {
-		err := set.ReadVecStrategy(ctx, StrategyVectored, vec, sp)
+		err := set.Transfer(ctx, false, StrategyVectored, vec, sp)
 		if err == nil || !strings.Contains(err.Error(), "not covered") {
 			t.Errorf("a space with %s: got %v, want the coverage error", name, err)
 		}

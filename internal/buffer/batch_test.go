@@ -11,7 +11,7 @@ import (
 	"repro/internal/sim"
 )
 
-// runCall is one FetchRun or FlushRun call a counting hook saw.
+// runCall is one RunIO call a counting hook saw.
 type runCall struct {
 	first int64
 	n     int
@@ -50,7 +50,7 @@ func (c *counter) enter(ctx sim.Context, first int64, n int) error {
 	return nil
 }
 
-func (c *counter) fetch() FetchRun {
+func (c *counter) fetch() RunIO {
 	return runIn(func(ctx sim.Context, first int64, n int, buf []byte) error {
 		if err := c.enter(ctx, first, n); err != nil {
 			return err
@@ -62,7 +62,7 @@ func (c *counter) fetch() FetchRun {
 	})
 }
 
-func (c *counter) flush() FlushRun {
+func (c *counter) flush() RunIO {
 	return runOut(func(ctx sim.Context, first int64, n int, buf []byte) error {
 		if err := c.enter(ctx, first, n); err != nil {
 			return err
@@ -344,12 +344,13 @@ func TestCacheSpansAreItsFrames(t *testing.T) {
 			*into = append(*into, pc.Buf)
 		}
 	}
-	c, err := NewCache(func(_ sim.Context, idxs []int64, sp blockio.Space) error {
-		pieces(idxs, sp, &fetched)
-		return nil
-	}, func(_ sim.Context, idxs []int64, sp blockio.Space) error {
-		flushes++
-		pieces(idxs, sp, &flushed)
+	c, err := NewCache(func(_ sim.Context, write bool, idxs []int64, sp blockio.Space) error {
+		if write {
+			flushes++
+			pieces(idxs, sp, &flushed)
+		} else {
+			pieces(idxs, sp, &fetched)
+		}
 		return nil
 	}, bs, 4, 0)
 	if err != nil {

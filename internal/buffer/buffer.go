@@ -12,19 +12,20 @@
 //     and write-behind — dirty victims are written in vectored batches by
 //     dedicated I/O processes instead of inside the miss that evicted them.
 //
-// Each handle takes its transfer hooks in one form, when it is built, and
-// every hook moves a buffer space (blockio.Space) whose pieces are the
-// handle's own frames, so nothing is staged or copied. A stream's unit is
-// an extent of up to E blocks. Its I/O processes move them in batches: a
-// prefetch process claims the extent of every free buffer, a write-behind
-// process takes every consecutive extent queued behind the one it got,
-// and each batch is one FetchRun/FlushRun call — list I/O over the
-// batch's frames — so a coalescing backend sends physically adjacent
-// extents as one device request per drive. Block-at-a-time is E = 1, and
-// there a batch is one block: the paper's one request per block. A
-// synchronous stream moves one extent per call. The Cache moves lists of
-// blocks (FetchSpan/FlushSpan), a frame a piece; a miss or a write-back
-// of one block is the one-index list.
+// Each handle takes its transfer hook when it is built, one type for
+// both directions, and every hook moves a buffer space (blockio.Space)
+// whose pieces are the handle's own frames, so nothing is staged or
+// copied. A stream's unit is an extent of up to E blocks. Its I/O
+// processes move them in batches: a prefetch process claims the extent
+// of every free buffer, a write-behind process takes every consecutive
+// extent queued behind the one it got, and each batch is one RunIO call
+// — list I/O over the batch's frames — so a coalescing backend sends
+// physically adjacent extents as one device request per drive.
+// Block-at-a-time is E = 1, and there a batch is one block: the paper's
+// one request per block. A synchronous stream moves one extent per call.
+// The Cache moves lists of blocks through one SpanIO, which takes the
+// direction, a frame a piece; a miss or a write-back of one block is the
+// one-index list.
 //
 // All three are engine-aware: under a sim.Engine they overlap transfers
 // with the caller's computation in virtual time; without one they degrade
@@ -49,17 +50,14 @@ import (
 	"repro/internal/sim"
 )
 
-// FetchRun reads the run of n stream blocks starting at block first into
-// the buffer space sp, block first+i landing at space offset i × block
-// size. The pieces are the frames of the extents the run covers, one
-// each, and the run is ideally coalesced into one device request per
-// drive (core issues it as a blockio.Vec — one segment where the view is
-// contiguous — through Set.ReadVecStrategy).
-type FetchRun func(ctx sim.Context, first int64, n int, sp blockio.Space) error
-
-// FlushRun writes the run of n stream blocks starting at block first
-// from the buffer space sp, the write counterpart of FetchRun.
-type FlushRun func(ctx sim.Context, first int64, n int, sp blockio.Space) error
+// RunIO moves the run of n stream blocks starting at block first between
+// the backing store and the buffer space sp, block first+i at space
+// offset i × block size: a SeqReader's hook reads into sp, a SeqWriter's
+// writes from it. The pieces are the frames of the extents the run
+// covers, one each, and the run is ideally coalesced into one device
+// request per drive (core issues it as a blockio.Vec — one segment where
+// the view is contiguous — through Set.Transfer).
+type RunIO func(ctx sim.Context, first int64, n int, sp blockio.Space) error
 
 // frames is the free list of stream frames, by size. It keeps at most
 // maxFrameSizes sizes: a new one beyond that starts it over (the rest
@@ -162,7 +160,7 @@ type fetched struct {
 // abandoned at any point (drained, dropped mid-stream, never closed)
 // therefore leaves nothing behind for the engine to call a deadlock.
 type SeqReader struct {
-	fetch     FetchRun
+	fetch     RunIO
 	blockSize int
 	extent    int64 // blocks per extent
 	blocks    int64 // stream length in blocks
@@ -185,7 +183,7 @@ type SeqReader struct {
 // blockSize bytes. A prefetch process claims the extent of every free
 // buffer — with extent 1, one block at a time — and fetches the claimed
 // extents, blocks [e·extent, min((e+1)·extent, total)) each, in a single
-// FetchRun call whose space pieces are their buffers, so a coalescing
+// RunIO call whose space pieces are their buffers, so a coalescing
 // fetch pays the device's per-request overhead once per batch instead of
 // once per block. Next yields whole extents (the index is the extent
 // number; the final extent may cover fewer blocks, and only its valid
@@ -194,7 +192,7 @@ type SeqReader struct {
 // its own length, and never more buffers than it has extents. With
 // readers == 0 (or when used without an engine) each Next performs its
 // one extent's fetch synchronously — the paper's unbuffered baseline.
-func NewSeqReader(fetch FetchRun, blockSize int, total int64, extent, nbufs, readers int) (*SeqReader, error) {
+func NewSeqReader(fetch RunIO, blockSize int, total int64, extent, nbufs, readers int) (*SeqReader, error) {
 	extent = max(extent, 1)
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("buffer: block size %d", blockSize)
@@ -224,7 +222,7 @@ func NewSeqReader(fetch FetchRun, blockSize int, total int64, extent, nbufs, rea
 }
 
 // fetchBatch fetches the extents [first, last) of b's space with one
-// FetchRun call.
+// RunIO call.
 func (r *SeqReader) fetchBatch(ctx sim.Context, b *ioBatch, first, last int64) error {
 	lo := first * r.extent
 	return r.fetch(ctx, lo, int(min(last*r.extent, r.blocks)-lo), b.sp)
@@ -266,7 +264,7 @@ func (r *SeqReader) spawnPrefetch(e *sim.Engine) {
 // publish their futures on fillq (claim and publish never park, so fillq
 // stays in stream order — fillq is unbounded for exactly that reason; the
 // buffer pool is what bounds read-ahead), then fetch the batch with one
-// FetchRun call and complete its futures; a failed fetch fails every one
+// RunIO call and complete its futures; a failed fetch fails every one
 // and returns its buffers to the pool. The only place it waits is inside
 // the fetch itself.
 func (r *SeqReader) prefetch(io *sim.Proc) {
@@ -404,7 +402,7 @@ type flushItem struct {
 // pool empty parks until a write lands, and an idle writer parks until
 // an extent is submitted.
 type SeqWriter struct {
-	flush     FlushRun
+	flush     RunIO
 	blockSize int
 	extent    int64 // blocks per extent
 	blocks    int64 // stream length in blocks
@@ -426,11 +424,11 @@ type SeqWriter struct {
 // The producer assembles extent × blockSize buffers (Submit index =
 // extent number). A writer takes the next submitted extent — with extents
 // of more than one block, together with every consecutive extent queued
-// behind it — and flushes them in a single FlushRun call whose space
+// behind it — and flushes them in a single RunIO call whose space
 // pieces are their buffers: one coalesced device request per drive per
 // batch. The final extent is clamped to the stream length, so only its
 // valid prefix is written.
-func NewSeqWriter(flush FlushRun, blockSize int, total int64, extent, nbufs, writers int) (*SeqWriter, error) {
+func NewSeqWriter(flush RunIO, blockSize int, total int64, extent, nbufs, writers int) (*SeqWriter, error) {
 	extent = max(extent, 1)
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("buffer: block size %d", blockSize)
@@ -449,7 +447,7 @@ func NewSeqWriter(flush FlushRun, blockSize int, total int64, extent, nbufs, wri
 func (w *SeqWriter) inStream(e int64) bool { return e*w.extent < w.blocks }
 
 // store flushes the extents of b.items, consecutive and in the stream,
-// with one FlushRun call.
+// with one RunIO call.
 func (w *SeqWriter) store(ctx sim.Context, b *ioBatch) error {
 	first, last := b.items[0].idx, b.items[len(b.items)-1].idx+1
 	if !w.inStream(first) {
@@ -473,7 +471,7 @@ func (w *SeqWriter) startWriters(p *sim.Proc) {
 // writeBehind is the body of a flush process: it takes the extent at the
 // head of the queue — with extents of more than one block, together with
 // every consecutive extent of the stream queued behind it — flushes them
-// with one FlushRun call and returns their buffers to the pool, until
+// with one RunIO call and returns their buffers to the pool, until
 // Close has closed the writer and the queue is empty.
 func (w *SeqWriter) writeBehind(io *sim.Proc) {
 	b := batches.Get().(*ioBatch)

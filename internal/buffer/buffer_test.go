@@ -30,13 +30,14 @@ func spaceAt(sp blockio.Space, off, n int64) []byte {
 }
 
 // runHook is a stream hook written over one contiguous buffer; runIn and
-// runOut adapt one to the buffer space a stream hands its FetchRun and
-// FlushRun. A one-piece space is passed as it is, so the hook sees the
-// frame itself; a batch's pieces are staged through one buffer, scattered
-// into after the hook has filled it (in) or gathered before (out).
+// runOut adapt one to the buffer space a stream hands its RunIO, a
+// reader's and a writer's. A one-piece space is passed as it is, so the
+// hook sees the frame itself; a batch's pieces are staged through one
+// buffer, scattered into after the hook has filled it (in) or gathered
+// before (out).
 type runHook = func(ctx sim.Context, first int64, n int, buf []byte) error
 
-func runIn(fn runHook) FetchRun {
+func runIn(fn runHook) RunIO {
 	return func(ctx sim.Context, first int64, n int, sp blockio.Space) error {
 		if len(sp) == 1 && sp[0].Off == 0 {
 			return fn(ctx, first, n, sp[0].Buf)
@@ -50,7 +51,7 @@ func runIn(fn runHook) FetchRun {
 	}
 }
 
-func runOut(fn runHook) FlushRun {
+func runOut(fn runHook) RunIO {
 	return func(ctx sim.Context, first int64, n int, sp blockio.Space) error {
 		if len(sp) == 1 && sp[0].Off == 0 {
 			return fn(ctx, first, n, sp[0].Buf)
@@ -65,7 +66,7 @@ func runOut(fn runHook) FlushRun {
 
 // memFetch serves blocks whose every byte is the block index, charging
 // cost of virtual time per fetch.
-func memFetch(cost time.Duration) FetchRun {
+func memFetch(cost time.Duration) RunIO {
 	return runIn(func(ctx sim.Context, first int64, n int, buf []byte) error {
 		ctx.Sleep(cost)
 		bs := len(buf) / n
@@ -76,8 +77,21 @@ func memFetch(cost time.Duration) FetchRun {
 	})
 }
 
-// memSpan is memFetch as a cache's span hook.
-func memSpan(cost time.Duration) FetchSpan {
+// spanHook is one direction of a cache's SpanIO; spanIO joins a read
+// hook and a write hook into one.
+type spanHook = func(ctx sim.Context, idxs []int64, sp blockio.Space) error
+
+func spanIO(fetch, flush spanHook) SpanIO {
+	return func(ctx sim.Context, write bool, idxs []int64, sp blockio.Space) error {
+		if write {
+			return flush(ctx, idxs, sp)
+		}
+		return fetch(ctx, idxs, sp)
+	}
+}
+
+// memSpan is memFetch as a cache's read hook.
+func memSpan(cost time.Duration) spanHook {
 	return func(ctx sim.Context, idxs []int64, sp blockio.Space) error {
 		ctx.Sleep(cost)
 		for i, idx := range idxs {
@@ -592,17 +606,17 @@ func noFlush(sim.Context, []int64, blockio.Space) error { return nil }
 
 func TestCacheValidation(t *testing.T) {
 	b := newCacheBacking()
-	if _, err := NewCache(b.fetch, b.flush, 0, 1, 0); err == nil {
+	if _, err := NewCache(spanIO(b.fetch, b.flush), 0, 1, 0); err == nil {
 		t.Fatal("zero block size accepted")
 	}
-	if _, err := NewCache(b.fetch, b.flush, 8, 0, 0); err == nil {
+	if _, err := NewCache(spanIO(b.fetch, b.flush), 8, 0, 0); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
 }
 
 func TestCacheHitMissAndLRU(t *testing.T) {
 	b := newCacheBacking()
-	c, err := NewCache(b.fetch, b.flush, 8, 2, 0)
+	c, err := NewCache(spanIO(b.fetch, b.flush), 8, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,7 +649,7 @@ func TestCacheHitMissAndLRU(t *testing.T) {
 
 func TestCacheWriteBackOnEvictionAndFlush(t *testing.T) {
 	b := newCacheBacking()
-	c, err := NewCache(b.fetch, b.flush, 8, 2, 0)
+	c, err := NewCache(spanIO(b.fetch, b.flush), 8, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,7 +685,7 @@ func TestCacheWriteBackOnEvictionAndFlush(t *testing.T) {
 
 func TestCacheReadAfterWriteThroughEviction(t *testing.T) {
 	b := newCacheBacking()
-	c, err := NewCache(b.fetch, b.flush, 8, 1, 0)
+	c, err := NewCache(spanIO(b.fetch, b.flush), 8, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -700,7 +714,7 @@ func TestCacheCoalescesConcurrentMisses(t *testing.T) {
 		ctx.Sleep(time.Millisecond)
 		return nil
 	}
-	c, err := NewCache(fetch, noFlush, 8, 4, 0)
+	c, err := NewCache(spanIO(fetch, noFlush), 8, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,7 +738,7 @@ func TestCacheZipfLocalityBeatsUniform(t *testing.T) {
 	// better hit rate than under uniform access.
 	run := func(skew float64) float64 {
 		b := newCacheBacking()
-		c, err := NewCache(b.fetch, b.flush, 8, 16, 0)
+		c, err := NewCache(spanIO(b.fetch, b.flush), 8, 16, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -746,7 +760,7 @@ func TestCacheZipfLocalityBeatsUniform(t *testing.T) {
 
 func TestCacheFetchErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	c, err := NewCache(func(sim.Context, []int64, blockio.Space) error { return boom }, noFlush, 8, 2, 0)
+	c, err := NewCache(spanIO(func(sim.Context, []int64, blockio.Space) error { return boom }, noFlush), 8, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -806,7 +820,7 @@ func TestSeqReaderManyBuffersStress(t *testing.T) {
 // element — never a block-sized frame.
 func TestCacheMissRecyclesEvictedFrame(t *testing.T) {
 	const blockSize, capacity = 4096, 8
-	c, err := NewCache(memSpan(0), noFlush, blockSize, capacity, 0)
+	c, err := NewCache(spanIO(memSpan(0), noFlush), blockSize, capacity, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -864,7 +878,7 @@ func TestCacheEvictionDuringFlushKeepsFrame(t *testing.T) {
 		}
 		return nil
 	}
-	c, err := NewCache(memSpan(time.Millisecond), flush, 8, 1, 0)
+	c, err := NewCache(spanIO(memSpan(time.Millisecond), flush), 8, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -914,7 +928,7 @@ func TestCacheFlushIsNotEvicted(t *testing.T) {
 		ctx.Sleep(time.Millisecond)
 		return b.fetch(ctx, idxs, sp)
 	}
-	c, err := NewCache(fetch, flush, 8, 2, 0)
+	c, err := NewCache(spanIO(fetch, flush), 8, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

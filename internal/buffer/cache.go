@@ -10,21 +10,16 @@ import (
 	"repro/internal/sim"
 )
 
-// FetchSpan reads the len(idxs) blocks listed in idxs into the buffer
-// space sp, the i-th landing at space offset i×blockSize — in the cache's
-// frames, one piece each, so the drives scatter straight into them. The
-// cache fetches only on a miss, so idxs always holds one index; the hook
-// takes a list to share FlushSpan's shape and the one descriptor builder
-// behind both (core.spansOf).
-type FetchSpan func(ctx sim.Context, idxs []int64, sp blockio.Space) error
-
-// FlushSpan writes the len(idxs) blocks listed in idxs from the buffer
-// space sp, the i-th taken from space offset i×blockSize — the write
-// counterpart of FetchSpan. The indices are ascending and distinct; a
-// vectored backend (blockio.Set.WriteVecStrategy) turns them into one
-// gather request per physical run, issued in parallel across drives. An
+// SpanIO moves the len(idxs) blocks listed in idxs between the backing
+// store and the buffer space sp, the i-th at space offset i×blockSize —
+// in the cache's frames, one piece each, so the drives scatter straight
+// into them and gather straight out of them. A read (write false) is a
+// miss's fetch: the cache fetches nothing else, so idxs then holds one
+// index. A write is a write-back: the indices are ascending and distinct,
+// and a vectored backend (blockio.Set.Transfer) turns them into one
+// gather request per physical run, issued in parallel across drives; an
 // eviction's write-back is the one-index list.
-type FlushSpan func(ctx sim.Context, idxs []int64, sp blockio.Space) error
+type SpanIO func(ctx sim.Context, write bool, idxs []int64, sp blockio.Space) error
 
 // CacheStats counts cache outcomes.
 type CacheStats struct {
@@ -115,8 +110,7 @@ func (b *batch) span(blockSize int) (idxs []int64, sp blockio.Space) {
 // Under an engine concurrent accessors coalesce misses per block; without
 // one the cache must be used from a single goroutine.
 type Cache struct {
-	fetch     FetchSpan
-	flush     FlushSpan
+	io        SpanIO
 	cleaners  int // write-behind processes allowed at once
 	blockSize int
 	capacity  int
@@ -161,10 +155,10 @@ const (
 )
 
 // NewCache builds a cache of capacity blocks that fetches and writes
-// blocks through fetch and flush, with up to `cleaners` write-behind
-// processes writing the dirty victims evictions leave behind (0 keeps
-// eviction's write-back synchronous).
-func NewCache(fetch FetchSpan, flush FlushSpan, blockSize, capacity, cleaners int) (*Cache, error) {
+// blocks through io, with up to `cleaners` write-behind processes writing
+// the dirty victims evictions leave behind (0 keeps eviction's write-back
+// synchronous).
+func NewCache(io SpanIO, blockSize, capacity, cleaners int) (*Cache, error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("buffer: block size %d", blockSize)
 	}
@@ -172,8 +166,7 @@ func NewCache(fetch FetchSpan, flush FlushSpan, blockSize, capacity, cleaners in
 		return nil, fmt.Errorf("buffer: cache capacity %d", capacity)
 	}
 	c := &Cache{
-		fetch:     fetch,
-		flush:     flush,
+		io:        io,
 		cleaners:  max(cleaners, 0),
 		blockSize: blockSize,
 		capacity:  capacity,
@@ -285,14 +278,14 @@ func (c *Cache) putBatch(b *batch) {
 	c.batches = append(c.batches, b)
 }
 
-// one moves block e.idx between its frame and the backing store through
-// hook (c.fetch or c.flush) as the one-index span, its lists taken from
-// the batch scratch.
-func (c *Cache) one(ctx sim.Context, hook func(sim.Context, []int64, blockio.Space) error, e *entry) error {
+// one moves block e.idx between its frame and the backing store — into
+// the frame, or with write out of it — as the one-index span, its lists
+// taken from the batch scratch.
+func (c *Cache) one(ctx sim.Context, write bool, e *entry) error {
 	b := c.getBatch()
 	b.ents = append(b.ents, e)
 	idxs, sp := b.span(c.blockSize)
-	err := hook(ctx, idxs, sp)
+	err := c.io(ctx, write, idxs, sp)
 	c.putBatch(b)
 	return err
 }
@@ -372,7 +365,7 @@ func (c *Cache) evictOne(ctx sim.Context) (*entry, error) {
 	}
 	c.inflight++
 	c.stats.WriteBacks++
-	err := c.one(ctx, c.flush, victim)
+	err := c.one(ctx, true, victim)
 	c.clearBusy(ctx, victim.idx)
 	if err != nil {
 		c.release(ctx, victim)
@@ -429,14 +422,14 @@ func (c *Cache) clean(p *sim.Proc) {
 }
 
 // writeSpan writes b's blocks — dirty, marked busy by the caller,
-// ascending — with one FlushSpan call and marks them clean.
+// ascending — with one SpanIO write and marks them clean.
 func (c *Cache) writeSpan(ctx sim.Context, b *batch) error {
 	if len(b.ents) == 0 {
 		return nil
 	}
 	c.stats.WriteBacks += int64(len(b.ents))
 	idxs, sp := b.span(c.blockSize)
-	if err := c.flush(ctx, idxs, sp); err != nil {
+	if err := c.io(ctx, true, idxs, sp); err != nil {
 		return fmt.Errorf("buffer: write back %d blocks: %w", len(b.ents), err)
 	}
 	for _, e := range b.ents {
@@ -469,7 +462,7 @@ func (c *Cache) With(ctx sim.Context, idx int64, dirty bool, fn func(buf []byte)
 		}
 		c.stats.Misses++
 		c.setBusy(idx, e)
-		err = c.one(ctx, c.fetch, e)
+		err = c.one(ctx, false, e)
 		c.clearBusy(ctx, idx)
 		if err != nil {
 			c.release(ctx, e)

@@ -16,9 +16,9 @@ type poolBacking struct {
 	blockSize int
 	blocks    map[int64][]byte
 	failing   bool
-	spans     int // FlushSpan calls
+	spans     int // write calls
 	spanned   int // blocks they carried
-	inline    int // FlushSpan calls made outside a cleaner: evictions' write-backs and Flushes
+	inline    int // write calls made outside a cleaner: evictions' write-backs and Flushes
 }
 
 var errDrive = errors.New("drive failed")
@@ -62,7 +62,7 @@ func (b *poolBacking) flushSpan(ctx sim.Context, idxs []int64, sp blockio.Space)
 func newPool(t *testing.T, capacity, cleaners int) (*Cache, *poolBacking) {
 	t.Helper()
 	be := &poolBacking{blockSize: 8, blocks: map[int64][]byte{}}
-	c, err := NewCache(be.fetchSpan, be.flushSpan, be.blockSize, capacity, cleaners)
+	c, err := NewCache(spanIO(be.fetchSpan, be.flushSpan), be.blockSize, capacity, cleaners)
 	if err != nil {
 		t.Fatal(err)
 	}

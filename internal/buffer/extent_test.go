@@ -8,7 +8,7 @@ import (
 )
 
 // TestSeqReaderExtentBoundaries checks that the extent reader issues one
-// FetchRun per extent with correct first/n (short final extent) and that
+// RunIO call per extent with correct first/n (short final extent) and that
 // Next yields extents in order.
 func TestSeqReaderExtentBoundaries(t *testing.T) {
 	const bs = 8

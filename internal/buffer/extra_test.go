@@ -78,7 +78,7 @@ func TestCacheOvercommitWhenAllBusy(t *testing.T) {
 		ctx.Sleep(1000)
 		return nil
 	}
-	c, err := NewCache(fetch, noFlush, 8, 1, 0)
+	c, err := NewCache(spanIO(fetch, noFlush), 8, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestCacheEvictionOrderDeterministic(t *testing.T) {
 		flushed = append(flushed, idxs...)
 		return nil
 	}
-	c, err := NewCache(memSpan(0), flush, 8, 8, 0)
+	c, err := NewCache(spanIO(memSpan(0), flush), 8, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

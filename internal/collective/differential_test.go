@@ -622,7 +622,7 @@ func (sc *diffScenario) run(t *testing.T) {
 					set := g.File(q.File).Set()
 					var err error
 					if ph.kind == diffSievedWrite {
-						err = set.WriteVecStrategy(p.Proc, blockio.StrategySieved, q.Vec, blockio.Space{{Buf: ph.bufs[r]}})
+						err = set.Transfer(p.Proc, true, blockio.StrategySieved, q.Vec, blockio.Space{{Buf: ph.bufs[r]}})
 					} else {
 						err = set.WriteVec(p.Proc, q.Vec, ph.bufs[r])
 					}
@@ -632,7 +632,7 @@ func (sc *diffScenario) run(t *testing.T) {
 				}
 			case diffSievedRead:
 				for _, q := range ph.reqs[r] {
-					if err := g.File(q.File).Set().ReadVecStrategy(p.Proc, blockio.StrategySieved, q.Vec, blockio.Space{{Buf: ph.bufs[r]}}); err != nil {
+					if err := g.File(q.File).Set().Transfer(p.Proc, false, blockio.StrategySieved, q.Vec, blockio.Space{{Buf: ph.bufs[r]}}); err != nil {
 						t.Errorf("seed %d phase %d (%s) rank %d: %v", sc.seed, pi, diffKindNames[ph.kind], r, err)
 					}
 				}

@@ -11,8 +11,8 @@
 // (plan.chunkWindow), with every aggregator's device access running in a
 // companion process fed through a depth-1 sim.Queue:
 //
-//	write: main   size(k) → Round(k) ──→ queue ──→ companion: bind(k) → WriteWindows(k)
-//	read:  companion bind(k) → ReadWindows(k) → dups(k) → size(k) ──→ queue ──→ main: Round(k)
+//	write: main   size(k) → Round(k) ──→ queue ──→ companion: bind(k) → Transfer(k)
+//	read:  companion bind(k) → Transfer(k) → dups(k) → size(k) ──→ queue ──→ main: Round(k)
 //
 // An exchange message carries only its size (mpp.Msg.Len), and nothing is
 // staged: every rank's buffer is in one address space, so chunk k of a
@@ -260,14 +260,10 @@ func (s *aggState) chunks(ctx sim.Context, k int, write bool) error {
 		}
 		i, w := a*sd.pl.rounds+k, sd.cut.win0[a]+k
 		s.sp = sd.tab.bind(s.sp[:0], i, i+1, bufs)
-		var err error
-		if write {
-			err = sd.cut.plan.WriteWindows(ctx, w, w+1, s.sp)
-		} else if err = sd.cut.plan.ReadWindows(ctx, w, w+1, s.sp); err == nil {
-			sd.tab.copyDups(i, i+1, bufs)
-		}
-		if err != nil {
+		if err := sd.cut.plan.Transfer(ctx, write, w, w+1, s.sp); err != nil {
 			errs = append(errs, err)
+		} else if !write {
+			sd.tab.copyDups(i, i+1, bufs)
 		}
 	}
 	clear(s.sp)

@@ -227,7 +227,7 @@ func runReplayScenario(t *testing.T, scn replayScn, cache bool, rec *probe.Recor
 	obs.imageHash = ih.Sum64()
 	if rec != nil {
 		var tr bytes.Buffer
-		if err := rec.WriteChromeTrace(&tr); err != nil {
+		if err := probe.WriteChromeTrace(&tr, rec); err != nil {
 			t.Fatal(err)
 		}
 		obs.trace = tr.Bytes()

@@ -40,7 +40,7 @@ func runReplayWin(tb testing.TB, nRanks, iters int, cache bool, rec *probe.Recor
 func traceOf(tb testing.TB, rec *probe.Recorder) (trace []byte, metrics string) {
 	tb.Helper()
 	var tr bytes.Buffer
-	if err := rec.WriteChromeTrace(&tr); err != nil {
+	if err := probe.WriteChromeTrace(&tr, rec); err != nil {
 		tb.Fatal(err)
 	}
 	return tr.Bytes(), rec.Metrics().Table().String()

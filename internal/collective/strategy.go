@@ -514,12 +514,7 @@ func (c *Collective) runIndependent(p *mpp.Proc, sd *schedule, write, sieved boo
 	}
 	t0 := p.Now()
 	for _, m := range ms {
-		if write {
-			err = m.Write(p.Proc, strat, buf)
-		} else {
-			err = m.Read(p.Proc, strat, buf)
-		}
-		if err != nil {
+		if err := m.Transfer(p.Proc, write, strat, buf); err != nil {
 			errs = append(errs, err)
 		}
 	}

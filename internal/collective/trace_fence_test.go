@@ -21,7 +21,7 @@ func TestTraceDeterminism512(t *testing.T) {
 		rec := probe.New()
 		res := runDeterminismScenario(t, nRanks, detOpts, rec)
 		var trace bytes.Buffer
-		if err := rec.WriteChromeTrace(&trace); err != nil {
+		if err := probe.WriteChromeTrace(&trace, rec); err != nil {
 			t.Fatal(err)
 		}
 		return trace.Bytes(), []byte(rec.Metrics().Table().String()), res
@@ -62,7 +62,7 @@ func TestTraceDeterminism512(t *testing.T) {
 		t.Fatalf("ReadChromeTrace: %v", err)
 	}
 	var re bytes.Buffer
-	if err := parsed.WriteChromeTrace(&re); err != nil {
+	if err := probe.WriteChromeTrace(&re, parsed); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(re.Bytes(), trA) {

@@ -237,11 +237,11 @@ func (s blockSeq) streamVec(dst blockio.Vec, fsPer, bs, first, n int64) blockio.
 var vecs = sync.Pool{New: func() any { return new(blockio.Vec) }}
 
 // rangedRun returns the hook a stream's I/O processes move its fs blocks
-// through — a FetchRun, or with write a FlushRun. It issues each run — a
-// batch of extents, whose frames are the space's pieces — as one vectored
-// descriptor (Set.ReadVecStrategy / WriteVecStrategy: the extent path,
-// gather-capable since vectored I/O) or, under Options.Strategy, through
-// the sieved/auto-selected path. The descriptor comes from pooled
+// through: it reads them, or with write writes them. It issues each run —
+// a batch of extents, whose frames are the space's pieces — as one
+// vectored descriptor (Set.Transfer: the extent path, gather-capable
+// since vectored I/O) or, under Options.Strategy, through the
+// sieved/auto-selected path. The descriptor comes from pooled
 // scratch, so I/O processes of one stream never share one.
 func rangedRun(f *pfs.File, seq blockSeq, strat blockio.Strategy, write bool) func(sim.Context, int64, int, blockio.Space) error {
 	set := f.Set()
@@ -250,12 +250,7 @@ func rangedRun(f *pfs.File, seq blockSeq, strat blockio.Strategy, write bool) fu
 	return func(ctx sim.Context, first int64, n int, sp blockio.Space) error {
 		vp := vecs.Get().(*blockio.Vec)
 		*vp = seq.streamVec((*vp)[:0], fsPer, bs, first, int64(n))
-		var err error
-		if write {
-			err = set.WriteVecStrategy(ctx, strat, *vp, sp)
-		} else {
-			err = set.ReadVecStrategy(ctx, strat, *vp, sp)
-		}
+		err := set.Transfer(ctx, write, strat, *vp, sp)
 		vecs.Put(vp)
 		return err
 	}

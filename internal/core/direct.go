@@ -12,8 +12,7 @@ import (
 
 // blockVec describes the fs blocks idxs, the i-th at space block i, each
 // a one-block segment: physically adjacent blocks — even when logically
-// strided — coalesce into gather runs (Set.ReadVecStrategy /
-// WriteVecStrategy).
+// strided — coalesce into gather runs (Set.Transfer).
 func blockVec(dst blockio.Vec, idxs []int64, bs int64) blockio.Vec {
 	for i, k := range idxs {
 		dst = append(dst, blockio.VecSeg{Block: k, N: 1, BufOff: int64(i) * bs})
@@ -21,38 +20,36 @@ func blockVec(dst blockio.Vec, idxs []int64, bs int64) blockio.Vec {
 	return dst
 }
 
-// spansOf builds the two hooks of f's buffer pool. A miss's block
-// arrives — the pool fetches nothing else, so the fetch hook only ever
-// gets one index — and an eviction's victim and the dirty blocks of a
-// Flush or a cleaner's batch leave, as one descriptor of one-block
-// segments over a space of the cache's frames: one gather request per
-// physical run, scattered into and gathered from the frames themselves,
-// in parallel across drives, and a single block the one-segment case.
-// The fetch goes through Options.Strategy like every other read of the
-// handle. Each hook reuses its descriptor across calls, which is safe
+// spansOf builds the hook of f's buffer pool. A miss's block arrives —
+// the pool fetches nothing else, so a read only ever gets one index — and
+// an eviction's victim and the dirty blocks of a Flush or a cleaner's
+// batch leave, as one descriptor of one-block segments over a space of
+// the cache's frames: one gather request per physical run, scattered
+// into and gathered from the frames themselves, in parallel across
+// drives, and a single block the one-segment case. A read goes through
+// Options.Strategy like every other read of the handle; a write is
+// vectored. The hook reuses its descriptor across calls, which is safe
 // even with concurrent callers: the transfer consumes it into physical
 // runs before its first wait.
-func spansOf(f *pfs.File, strat blockio.Strategy) (buffer.FetchSpan, buffer.FlushSpan) {
+func spansOf(f *pfs.File, strat blockio.Strategy) buffer.SpanIO {
 	set := f.Set()
 	bs := int64(f.Mapper().FSBlockSize())
-	var rvec, wvec blockio.Vec
-	fetch := func(ctx sim.Context, idxs []int64, sp blockio.Space) error {
-		rvec = blockVec(rvec[:0], idxs, bs)
-		return set.ReadVecStrategy(ctx, strat, rvec, sp)
+	var vec blockio.Vec
+	return func(ctx sim.Context, write bool, idxs []int64, sp blockio.Space) error {
+		vec = blockVec(vec[:0], idxs, bs)
+		st := strat
+		if write {
+			st = blockio.StrategyVectored
+		}
+		return set.Transfer(ctx, write, st, vec, sp)
 	}
-	flush := func(ctx sim.Context, idxs []int64, sp blockio.Space) error {
-		wvec = blockVec(wvec[:0], idxs, bs)
-		return set.WriteVecStrategy(ctx, blockio.StrategyVectored, wvec, sp)
-	}
-	return fetch, flush
 }
 
 // newBlockCache builds the buffer pool of a direct-access handle on f:
-// opts.CacheBlocks frames, moved through spansOf's hooks, and
+// opts.CacheBlocks frames, moved through spansOf's hook, and
 // opts.IOProcs write-behind processes.
 func newBlockCache(f *pfs.File, opts Options) (*buffer.Cache, error) {
-	fetch, flush := spansOf(f, opts.Strategy)
-	return buffer.NewCache(fetch, flush, f.Mapper().FSBlockSize(), opts.CacheBlocks, opts.IOProcs)
+	return buffer.NewCache(spansOf(f, opts.Strategy), f.Mapper().FSBlockSize(), opts.CacheBlocks, opts.IOProcs)
 }
 
 // Direct is the direct-access handle, GDA or PDA. Opened with

@@ -34,7 +34,7 @@ type StreamReader struct {
 // newStreamReader wires an extent SeqReader over the stream's fs blocks:
 // each prefetch covers a batch of extents of up to opts.ExtentBlocks fs
 // blocks, issued as one descriptor over the batch's frames (rangedRun:
-// Set.ReadVecStrategy), which coalesces it into a gather request per
+// Set.Transfer), which coalesces it into a gather request per
 // drive.
 func newStreamReader(f *pfs.File, seq blockSeq, opts Options) (*StreamReader, error) {
 	opts = opts.norm()
@@ -196,7 +196,7 @@ type StreamWriter struct {
 // newStreamWriter wires an extent SeqWriter over the stream's fs blocks:
 // each deferred flush covers a batch of consecutive extents of up to
 // opts.ExtentBlocks fs blocks, issued as one descriptor over the batch's
-// frames (rangedRun: Set.WriteVecStrategy), which coalesces it into a
+// frames (rangedRun: Set.Transfer), which coalesces it into a
 // gather request per drive.
 func newStreamWriter(f *pfs.File, seq blockSeq, opts Options) (*StreamWriter, error) {
 	opts = opts.norm()

@@ -12,11 +12,11 @@ import (
 	"repro/internal/stats"
 )
 
-// E1Striping measures sequential (type S) read and write bandwidth as
+// e1Striping measures sequential (type S) read and write bandwidth as
 // the file is striped over 1..16 devices — the §4 claim that "disk
 // striping can be used to spread the file across multiple drives,
 // resulting in higher transfer rates".
-func E1Striping(rec *probe.Recorder) (*Result, error) {
+func e1Striping(rec *probe.Recorder) (*Result, error) {
 	const records = 1024 // 4 MiB with 4 KiB records
 	const recordSize = 4096
 	table := stats.NewTable("E1: type-S scan of a 4 MiB file, striped (stripe unit = 1 block)",
@@ -51,10 +51,10 @@ func E1Striping(rec *probe.Recorder) (*Result, error) {
 	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
-// E2SelfSched measures the §4 self-scheduling optimization: early
+// e2SelfSched measures the §4 self-scheduling optimization: early
 // pointer release vs holding the shared pointer through each transfer,
 // across compute/IO ratios.
-func E2SelfSched(rec *probe.Recorder) (*Result, error) {
+func e2SelfSched(rec *probe.Recorder) (*Result, error) {
 	const records = 512
 	const recordSize = 4096
 	const workers = 8
@@ -107,10 +107,10 @@ func E2SelfSched(rec *probe.Recorder) (*Result, error) {
 	return &Result{Tables: []*stats.Table{table, granTable}, Metrics: metrics}, nil
 }
 
-// E3DevicePerProcess shows the §4 property of PS/IS placements: with one
+// e3DevicePerProcess shows the §4 property of PS/IS placements: with one
 // device per process, processes "are free to proceed at different
 // rates"; sharing one device couples them.
-func E3DevicePerProcess(rec *probe.Recorder) (*Result, error) {
+func e3DevicePerProcess(rec *probe.Recorder) (*Result, error) {
 	const procs = 4
 	const blocksPerPart = 64
 	const recordSize = 4096
@@ -148,12 +148,12 @@ func E3DevicePerProcess(rec *probe.Recorder) (*Result, error) {
 	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
-// E4SeekInterference measures the §4 concern that with fewer devices
+// e4SeekInterference measures the §4 concern that with fewer devices
 // than processes "seek times are likely to cause some performance
 // degradation as the drive services requests from different processes",
 // and compares the two on-device allocation policies ("work is needed
 // here to determine the best ways to allocate space").
-func E4SeekInterference(rec *probe.Recorder) (*Result, error) {
+func e4SeekInterference(rec *probe.Recorder) (*Result, error) {
 	const procs = 16
 	const blocksPerPart = 32
 	const recordSize = 4096

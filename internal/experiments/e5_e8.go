@@ -17,13 +17,13 @@ import (
 	"repro/internal/workload"
 )
 
-// E5Decluster reproduces the Livny et al. comparison the paper cites:
+// e5Decluster reproduces the Livny et al. comparison the paper cites:
 // "by splitting blocks across multiple drives rather than allocating
 // whole blocks to individual drives, contention problems caused by
 // non-uniform access patterns are reduced". Whole blocks live on single
 // drives (round-robin); declustered blocks are split into one chunk per
 // drive, accessed as a synchronized gang (Kim's interleaving).
-func E5Decluster(rec *probe.Recorder) (*Result, error) {
+func e5Decluster(rec *probe.Recorder) (*Result, error) {
 	const blockBytes = 65536 // one database block (transfer-dominated)
 	const nBlocks = 64
 	const accesses = 48 // per worker
@@ -132,11 +132,11 @@ func E5Decluster(rec *probe.Recorder) (*Result, error) {
 	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
-// E6Buffering reproduces the §4 buffering claims: "buffering overheads
+// e6Buffering reproduces the §4 buffering claims: "buffering overheads
 // can be a significant factor in limiting speedups" and "reading ahead
 // and deferred writing can be used to overlap I/O operations with
 // computation".
-func E6Buffering(rec *probe.Recorder) (*Result, error) {
+func e6Buffering(rec *probe.Recorder) (*Result, error) {
 	const records = 256
 	const recordSize = 4096
 	const devs = 4
@@ -199,12 +199,12 @@ func E6Buffering(rec *probe.Recorder) (*Result, error) {
 	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
-// E7GlobalView measures the §4 warnings about reading parallel files
+// e7GlobalView measures the §4 warnings about reading parallel files
 // through the global (sequential) view: striped S files parallelize,
 // PS files are serial ("all of the data would have to be read from the
 // first disk, followed by ... the second"), and IS files degrade when
 // the block size approaches the buffer space.
-func E7GlobalView(rec *probe.Recorder) (*Result, error) {
+func e7GlobalView(rec *probe.Recorder) (*Result, error) {
 	const recordSize = 4096
 	const totalRecords = 512
 	const devs = 4
@@ -247,11 +247,11 @@ func E7GlobalView(rec *probe.Recorder) (*Result, error) {
 	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
-// E8Reliability reproduces the §5 analysis: the MTBF table (including
+// e8Reliability reproduces the §5 analysis: the MTBF table (including
 // the paper's 10-device and 100-device numbers), Monte-Carlo loss rates
 // with and without redundancy, and measured inject/recover scenarios on
 // parity and shadowed stores.
-func E8Reliability(rec *probe.Recorder) (*Result, error) {
+func e8Reliability(rec *probe.Recorder) (*Result, error) {
 	mtbfTable := stats.NewTable("E8a: system MTBF, 30,000 h drives (§5 arithmetic)",
 		"devices", "system MTBF", "failures/year", "paper says")
 	paperNote := map[int]string{

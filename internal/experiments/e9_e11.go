@@ -18,11 +18,11 @@ import (
 // fourPasses is a body that runs the same phase four times.
 func fourPasses(cs []consumer) [][]consumer { return [][]consumer{cs, cs, cs, cs} }
 
-// E9ViewMismatch measures the §5 remedies when a file written with a PS
+// e9ViewMismatch measures the §5 remedies when a file written with a PS
 // organization must later be consumed with an IS view: the alternate
 // software view (degraded), the global-view fallback (serial), and copy
 // conversion (expensive once, fast thereafter).
-func E9ViewMismatch(rec *probe.Recorder) (*Result, error) {
+func e9ViewMismatch(rec *probe.Recorder) (*Result, error) {
 	const recordSize = 4096
 	const totalRecords = 512
 	const devs = 4
@@ -71,11 +71,11 @@ func E9ViewMismatch(rec *probe.Recorder) (*Result, error) {
 	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
-// E10Boundary measures the §5 boundary-data remedies on an out-of-core
+// e10Boundary measures the §5 boundary-data remedies on an out-of-core
 // 1-D stencil: replicating halo records in the file (bigger file, clean
 // per-partition streams, dirty global view) versus caching halos in
 // memory (clean file, extra random reads on the first pass only).
-func E10Boundary(rec *probe.Recorder) (*Result, error) {
+func e10Boundary(rec *probe.Recorder) (*Result, error) {
 	const recordSize = 4096
 	const points = 512
 	const parts = 4
@@ -173,10 +173,10 @@ func E10Boundary(rec *probe.Recorder) (*Result, error) {
 	return &Result{Tables: []*stats.Table{table}, Metrics: metrics}, nil
 }
 
-// E11FemBaseline quantifies the §3 Finite Element Machine experience:
+// e11FemBaseline quantifies the §3 Finite Element Machine experience:
 // file-per-process working sets versus one PS parallel file — object
 // counts and the pre/post-processing passes users "balked at".
-func E11FemBaseline(rec *probe.Recorder) (*Result, error) {
+func e11FemBaseline(rec *probe.Recorder) (*Result, error) {
 	const recordSize = 4096
 	const devs = 4
 	table := stats.NewTable("E11: file-per-process (FEM) vs one PS parallel file, 1 MiB of records",

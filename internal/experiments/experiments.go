@@ -61,18 +61,18 @@ var registry = []struct {
 	id, title string
 	run       func(rec *probe.Recorder) (*Result, error)
 }{
-	{"f1", "Figure 1: internal organizations of sequential parallel files", Figure1},
-	{"e1", "E1: disk striping bandwidth for S files (§4)", E1Striping},
-	{"e2", "E2: self-scheduled early pointer release (§4)", E2SelfSched},
-	{"e3", "E3: one device per process — independent progress (§4)", E3DevicePerProcess},
-	{"e4", "E4: fewer devices than processes — seek interference (§4)", E4SeekInterference},
-	{"e5", "E5: declustering vs whole blocks under skew (§4, Livny)", E5Decluster},
-	{"e6", "E6: buffering — overlap of I/O with computation (§4)", E6Buffering},
-	{"e7", "E7: global view performance by placement (§4)", E7GlobalView},
-	{"e8", "E8: reliability — MTBF, parity, shadowing (§5)", E8Reliability},
-	{"e9", "E9: view mismatch remedies (§5)", E9ViewMismatch},
-	{"e10", "E10: boundary data — replicate vs cache (§5)", E10Boundary},
-	{"e11", "E11: file-per-process baseline (FEM, §3)", E11FemBaseline},
+	{"f1", "Figure 1: internal organizations of sequential parallel files", figure1},
+	{"e1", "E1: disk striping bandwidth for S files (§4)", e1Striping},
+	{"e2", "E2: self-scheduled early pointer release (§4)", e2SelfSched},
+	{"e3", "E3: one device per process — independent progress (§4)", e3DevicePerProcess},
+	{"e4", "E4: fewer devices than processes — seek interference (§4)", e4SeekInterference},
+	{"e5", "E5: declustering vs whole blocks under skew (§4, Livny)", e5Decluster},
+	{"e6", "E6: buffering — overlap of I/O with computation (§4)", e6Buffering},
+	{"e7", "E7: global view performance by placement (§4)", e7GlobalView},
+	{"e8", "E8: reliability — MTBF, parity, shadowing (§5)", e8Reliability},
+	{"e9", "E9: view mismatch remedies (§5)", e9ViewMismatch},
+	{"e10", "E10: boundary data — replicate vs cache (§5)", e10Boundary},
+	{"e11", "E11: file-per-process baseline (FEM, §3)", e11FemBaseline},
 	{"seek", "device model: seek time vs distance", seekCurve},
 	{"service", "device model: service time of one request", serviceTimes},
 	{"stripe", "raw striped scan: bandwidth vs device count", stripedScan},

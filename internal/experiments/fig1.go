@@ -11,12 +11,12 @@ import (
 	"repro/internal/stats"
 )
 
-// Figure1 reproduces the paper's Figure 1: the access patterns of the
+// figure1 reproduces the paper's Figure 1: the access patterns of the
 // four sequential organizations (S, PS, IS, SS) for a hypothetical
 // three-process program over a 12-block file. Each pattern is rendered
 // as a block strip, from the records its processes read and checked, and
 // held to the §3.1 definition by checkFigure1.
-func Figure1(rec *probe.Recorder) (*Result, error) {
+func figure1(rec *probe.Recorder) (*Result, error) {
 	const procs = 3
 	const blocks = 12
 	table := stats.NewTable("Figure 1: access patterns, 3 processes, 12 blocks (1 record/block)",

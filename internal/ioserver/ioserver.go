@@ -395,12 +395,7 @@ func (s *Server) worker(p *sim.Proc) {
 		}
 		w0, w1, charge := s.dispatch(p, r)
 		start := p.Now()
-		var err error
-		if r.write {
-			err = r.plan.WriteWindows(p, w0, w1, r.space)
-		} else {
-			err = r.plan.ReadWindows(p, w0, w1, r.space)
-		}
+		err := r.plan.Transfer(p, r.write, w0, w1, r.space)
 		s.returned(p, r, start, charge, err)
 	}
 }
@@ -437,7 +432,7 @@ func (s *Server) next(p *sim.Proc) *Request {
 // is the same request again (its seq is the lowest there is): a cut the
 // policy cannot use is only a positioning paid, and issued together the
 // windows are the uncut plan's device requests
-// (blockio.BatchPlan.WriteWindows), so a job alone on the server never
+// (blockio.BatchPlan.Transfer), so a job alone on the server never
 // pays for cuts made on other jobs' behalf. r leaves its lane with its
 // last window.
 func (s *Server) dispatch(p *sim.Proc, r *Request) (w0, w1 int, charge int64) {

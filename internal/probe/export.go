@@ -74,9 +74,6 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 	return bw.Flush()
 }
 
-// WriteChromeTrace is the method form of the package function.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error { return WriteChromeTrace(w, r) }
-
 func writeSpanEvent(bw *bufio.Writer, s Span, async bool) {
 	args := spanArgs(s)
 	switch {

@@ -91,7 +91,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	r.Instant(ranks, "collective", "plan", 5*time.Microsecond)
 
 	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadChromeTrace(bytes.NewReader(buf.Bytes()))
@@ -118,7 +118,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 	// And a re-export of the parsed recorder is byte-identical.
 	var buf2 bytes.Buffer
-	if err := got.WriteChromeTrace(&buf2); err != nil {
+	if err := WriteChromeTrace(&buf2, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -137,7 +137,7 @@ func TestChromeTraceDeterministic(t *testing.T) {
 			r.Span(q, "ioserver", "req", at, at+2*time.Microsecond, 0, p)
 		}
 		var buf bytes.Buffer
-		if err := r.WriteChromeTrace(&buf); err != nil {
+		if err := WriteChromeTrace(&buf, r); err != nil {
 			t.Fatal(err)
 		}
 		return &buf

@@ -63,7 +63,7 @@ func (p *Parity) readBlocks(ctx sim.Context, dev int, b int64, n int, dst []byte
 	return sim.ParN(ctx, len(segs), func(c sim.Context, k int) error {
 		sg := segs[k]
 		sub := dst[(sg.PBlock-b)*bs : (sg.PBlock-b+sg.N)*bs]
-		err := readDisk(c, p.disks[sg.Drive], sg.PBlock, sub)
+		err := diskIO(c, false, p.disks[sg.Drive], sg.PBlock, sub)
 		if err == nil || !errors.Is(err, device.ErrFailed) {
 			return err
 		}
@@ -124,10 +124,7 @@ func (p *Parity) smallWrite(ctx sim.Context, segs []blockio.Request, b int64, sr
 				buf = newPar
 			}
 			buf = buf[(sg.PBlock-b)*bs : (sg.PBlock-b+sg.N)*bs]
-			if write {
-				return writeDisk(c, p.disks[sg.Drive], sg.PBlock, buf)
-			}
-			return readDisk(c, p.disks[sg.Drive], sg.PBlock, buf)
+			return diskIO(c, write, p.disks[sg.Drive], sg.PBlock, buf)
 		})
 	}
 	if err := segIO(false, oldData); err != nil {

@@ -35,7 +35,7 @@ func checkParityConsistent(t *testing.T, p *Parity, rows int64) {
 	for b := int64(0); b < rows; b++ {
 		clear(acc)
 		for i := 0; i < len(p.disks); i++ {
-			if err := readDisk(ctx, p.Drives()[i], b, buf); err != nil {
+			if err := diskIO(ctx, false, p.Drives()[i], b, buf); err != nil {
 				t.Fatalf("row %d drive %d: %v", b, i, err)
 			}
 			xorInto(acc, buf)
@@ -213,7 +213,7 @@ func TestMirrorRunEquivalence(t *testing.T) {
 	}
 	buf := make([]byte, bs)
 	for b := int64(0); b < rows; b++ {
-		if err := readDisk(ctx, m.Drives()[m.Devices()+1], b, buf); err != nil {
+		if err := diskIO(ctx, false, m.Drives()[m.Devices()+1], b, buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, want[b*bs:(b+1)*bs]) {

@@ -114,7 +114,7 @@ func FuzzParityStore(f *testing.F) {
 			acc := make([]byte, rows*bs)
 			for _, d := range ds {
 				img := make([]byte, rows*bs)
-				if err := readDisk(ctx, d, 0, img); err != nil {
+				if err := diskIO(ctx, false, d, 0, img); err != nil {
 					return err
 				}
 				xorInto(acc, img)

@@ -45,11 +45,11 @@ func gWriteRange(ctx sim.Context, s *blockio.Set, b, n int64, buf []byte) error 
 }
 
 func gReadSieved(ctx sim.Context, s *blockio.Set, vec blockio.Vec, buf []byte) error {
-	return s.ReadVecStrategy(ctx, blockio.StrategySieved, vec, blockio.Space{{Buf: buf}})
+	return s.Transfer(ctx, false, blockio.StrategySieved, vec, blockio.Space{{Buf: buf}})
 }
 
 func gWriteSieved(ctx sim.Context, s *blockio.Set, vec blockio.Vec, buf []byte) error {
-	return s.WriteVecStrategy(ctx, blockio.StrategySieved, vec, blockio.Space{{Buf: buf}})
+	return s.Transfer(ctx, true, blockio.StrategySieved, vec, blockio.Space{{Buf: buf}})
 }
 
 // gBatch transfers a cross-file batch whose items address one shared
@@ -59,10 +59,7 @@ func gBatch(ctx sim.Context, write bool, batch blockio.BatchVec, buf []byte) err
 	if err != nil {
 		return err
 	}
-	if write {
-		return plan.WriteWindows(ctx, 0, 1, blockio.Space{{Buf: buf}})
-	}
-	return plan.ReadWindows(ctx, 0, 1, blockio.Space{{Buf: buf}})
+	return plan.Transfer(ctx, write, 0, 1, blockio.Space{{Buf: buf}})
 }
 
 // goldenRow is one pinned transfer. parentEnd/parentReqs are set on the

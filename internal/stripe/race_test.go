@@ -86,7 +86,7 @@ func TestParityConcurrentAggregators(t *testing.T) {
 	for r := int64(0); r < rows; r++ {
 		clear(acc)
 		for i := range disks {
-			if err := readDisk(ctx, disks[i], r, blk); err != nil {
+			if err := diskIO(ctx, false, disks[i], r, blk); err != nil {
 				t.Fatal(err)
 			}
 			xorInto(acc, blk)

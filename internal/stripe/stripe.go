@@ -45,15 +45,16 @@ import (
 // mirror).
 var ErrDoubleFailure = errors.New("stripe: multiple drive failures exceed redundancy")
 
-// readDisk and writeDisk move the whole blocks of buf to or from drive
-// d's rows starting at b: the drive's one transfer, the vectored run,
-// given a one-element list (row arithmetic works on contiguous rows).
-func readDisk(ctx sim.Context, d *device.Disk, b int64, buf []byte) error {
-	return d.ReadBlocksVec(ctx, b, len(buf)/d.Geometry().BlockSize, [][]byte{buf})
-}
-
-func writeDisk(ctx sim.Context, d *device.Disk, b int64, buf []byte) error {
-	return d.WriteBlocksVec(ctx, b, len(buf)/d.Geometry().BlockSize, [][]byte{buf})
+// diskIO moves the whole blocks of buf between drive d's rows starting
+// at b and buf — into buf, or with write out of it: the drive's one
+// transfer, the vectored run, given a one-element list (row arithmetic
+// works on contiguous rows).
+func diskIO(ctx sim.Context, write bool, d *device.Disk, b int64, buf []byte) error {
+	n, iov := len(buf)/d.Geometry().BlockSize, [][]byte{buf}
+	if write {
+		return d.WriteBlocksVec(ctx, b, n, iov)
+	}
+	return d.ReadBlocksVec(ctx, b, n, iov)
 }
 
 // xorInto sets dst ^= src.
@@ -171,7 +172,7 @@ func (p *Parity) survivors(ctx sim.Context, b int64, skip, skip2 int, acc []byte
 	size := len(acc)
 	bufs := make([]byte, len(live)*size)
 	err := sim.ParN(ctx, len(live), func(c sim.Context, k int) error {
-		if err := readDisk(c, p.disks[live[k]], b, bufs[k*size:(k+1)*size]); err != nil {
+		if err := diskIO(c, false, p.disks[live[k]], b, bufs[k*size:(k+1)*size]); err != nil {
 			return fmt.Errorf("%w (drive %d also unavailable: %v)", ErrDoubleFailure, live[k], err)
 		}
 		return nil
@@ -190,7 +191,7 @@ func (p *Parity) survivors(ctx sim.Context, b int64, skip, skip2 int, acc []byte
 // never observes a half-applied parity update.
 func (p *Parity) readBlock(ctx sim.Context, dev int, b int64, dst []byte) error {
 	phys := p.phys(dev, b)
-	err := readDisk(ctx, p.disks[phys], b, dst)
+	err := diskIO(ctx, false, p.disks[phys], b, dst)
 	if err == nil || !errors.Is(err, device.ErrFailed) {
 		return err
 	}
@@ -227,7 +228,7 @@ func (p *Parity) writeDegraded(ctx sim.Context, dev int, b int64, src []byte) er
 		return fmt.Errorf("%w: drives %d and %d", ErrDoubleFailure, dataPhys, parPhys)
 	case parD.Failed():
 		// Parity unavailable: the data write alone keeps user data intact.
-		return writeDisk(ctx, data, b, src)
+		return diskIO(ctx, true, data, b, src)
 	default:
 		// Data drive failed: fold the write into parity so the block is
 		// recoverable. New parity = XOR of all surviving data rows XOR src.
@@ -235,7 +236,7 @@ func (p *Parity) writeDegraded(ctx sim.Context, dev int, b int64, src []byte) er
 		if err := p.survivors(ctx, b, dataPhys, parPhys, newPar); err != nil {
 			return err
 		}
-		return writeDisk(ctx, parD, b, newPar)
+		return diskIO(ctx, true, parD, b, newPar)
 	}
 }
 
@@ -274,7 +275,7 @@ func (p *Parity) Rebuild(ctx sim.Context, failedPhys int, rows int64) error {
 		if err := p.survivors(ctx, b, failedPhys, -1, ext); err != nil {
 			return err
 		}
-		return writeDisk(ctx, p.disks[failedPhys], b, ext)
+		return diskIO(ctx, true, p.disks[failedPhys], b, ext)
 	})
 }
 
@@ -325,10 +326,10 @@ func (m *Mirror) Rebuild(ctx sim.Context, dev int, rows int64, fromShadow bool) 
 	bs := int64(m.BlockSize())
 	buf := make([]byte, rebuildExtent*bs)
 	return rebuildExtents("mirror rebuild", rows, func(b, n int64) error {
-		if err := readDisk(ctx, src, b, buf[:n*bs]); err != nil {
+		if err := diskIO(ctx, false, src, b, buf[:n*bs]); err != nil {
 			return err
 		}
-		return writeDisk(ctx, dst, b, buf[:n*bs])
+		return diskIO(ctx, true, dst, b, buf[:n*bs])
 	})
 }
 

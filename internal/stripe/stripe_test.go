@@ -435,7 +435,7 @@ func TestMirrorWritesOverlapUnderEngine(t *testing.T) {
 	d := drives(1, single)[0]
 	var one time.Duration
 	single.Go("w", func(p *sim.Proc) {
-		if err := writeDisk(p, d, 0, blockOf(1, 128)); err != nil {
+		if err := diskIO(p, true, d, 0, blockOf(1, 128)); err != nil {
 			t.Error(err)
 		}
 		one = p.Now()
@@ -470,7 +470,7 @@ func TestParitySmallWritePenaltyUnderEngine(t *testing.T) {
 	d := drives(1, single)[0]
 	var one time.Duration
 	single.Go("w", func(p *sim.Proc) {
-		_ = readDisk(p, d, 0, make([]byte, 128))
+		_ = diskIO(p, false, d, 0, make([]byte, 128))
 		one = p.Now()
 	})
 	if err := single.Run(); err != nil {

@@ -367,7 +367,7 @@ func TestMirrorRebuildBatched(t *testing.T) {
 		t.Fatalf("batched mirror rebuild issued %d requests; row-by-row would issue %d, want ≥4× fewer", got, rowByRow)
 	}
 	buf := make([]byte, rows*bs)
-	if err := readDisk(ctx, primary[0], 0, buf); err != nil {
+	if err := diskIO(ctx, false, primary[0], 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, want) {

@@ -88,7 +88,11 @@ func Save(dir string, disks []*device.Disk, vol *pfs.Volume) error {
 }
 
 // Load reads a volume image from dir, recreating devices (attached to
-// the optional engine) and the directory with identical extents.
+// the optional engine) and the directory with identical extents. A
+// header claiming fewer than one device, or a geometry field ≤ 0, is
+// refused; the device list grows as each device file opens, so a header
+// claiming more devices than the image holds fails at the first missing
+// file instead of allocating for the claim.
 func Load(dir string, e *sim.Engine) ([]*device.Disk, *pfs.Volume, error) {
 	mf, err := os.Open(filepath.Join(dir, metaName))
 	if err != nil {
@@ -99,13 +103,20 @@ func Load(dir string, e *sim.Engine) ([]*device.Disk, *pfs.Volume, error) {
 	if err := gob.NewDecoder(mf).Decode(&meta); err != nil {
 		return nil, nil, fmt.Errorf("volio: decode metadata: %w", err)
 	}
-	disks := make([]*device.Disk, meta.Devices)
-	for i := range disks {
-		disks[i] = device.New(device.Config{
-			Name:     fmt.Sprintf("d%d", i),
-			Geometry: meta.Geometry,
-			Engine:   e,
-		})
+	if meta.Devices < 1 {
+		return nil, nil, fmt.Errorf("volio: header claims %d devices", meta.Devices)
+	}
+	g := meta.Geometry
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"BlockSize", g.BlockSize}, {"BlocksPerCyl", g.BlocksPerCyl}, {"Cylinders", g.Cylinders}} {
+		if f.v <= 0 {
+			return nil, nil, fmt.Errorf("volio: header geometry %s %d", f.name, f.v)
+		}
+	}
+	var disks []*device.Disk
+	for i := range meta.Devices {
 		df, err := os.Open(filepath.Join(dir, fmt.Sprintf("dev%03d.gob", i)))
 		if err != nil {
 			return nil, nil, err
@@ -116,9 +127,11 @@ func Load(dir string, e *sim.Engine) ([]*device.Disk, *pfs.Volume, error) {
 			return nil, nil, fmt.Errorf("volio: decode device %d: %w", i, err)
 		}
 		df.Close()
-		if err := disks[i].Restore(pages); err != nil {
+		d := device.New(device.Config{Name: fmt.Sprintf("d%d", i), Geometry: g, Engine: e})
+		if err := d.Restore(pages); err != nil {
 			return nil, nil, fmt.Errorf("volio: restore device %d: %w", i, err)
 		}
+		disks = append(disks, d)
 	}
 	store, err := blockio.NewDirect(disks)
 	if err != nil {

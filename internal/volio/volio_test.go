@@ -286,3 +286,55 @@ func TestLoadRejectsMalformedImage(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadRejectsMalformedHeader: a volume.gob whose device count or
+// geometry no drive can have, as a damaged header would, must be refused
+// with an error naming the field, not panic or hand back drives built
+// from it; a claim of more devices than the image holds fails at the
+// first missing device file without allocating for the claim.
+func TestLoadRejectsMalformedHeader(t *testing.T) {
+	disks, vol := mkVolume(t, 2)
+	for _, tc := range []struct {
+		name string
+		edit func(*imageMeta)
+		want string
+	}{
+		{"negative devices", func(m *imageMeta) { m.Devices = -2 }, "-2 devices"},
+		{"huge devices", func(m *imageMeta) { m.Devices = 1 << 62 }, "dev002.gob"},
+		{"zero block size", func(m *imageMeta) { m.Geometry.BlockSize = 0 }, "BlockSize 0"},
+		{"zero blocks per cylinder", func(m *imageMeta) { m.Geometry.BlocksPerCyl = 0 }, "BlocksPerCyl 0"},
+		{"negative cylinders", func(m *imageMeta) { m.Geometry.Cylinders = -1 }, "Cylinders -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := Save(dir, disks, vol); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, metaName)
+			mf, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var meta imageMeta
+			err = gob.NewDecoder(mf).Decode(&meta)
+			mf.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&meta)
+			mf, err = os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := gob.NewEncoder(mf).Encode(meta); err != nil {
+				t.Fatal(err)
+			}
+			if err := mf.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Load(dir, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load = %v, want an error naming %q", err, tc.want)
+			}
+		})
+	}
+}

@@ -202,12 +202,11 @@
 // Vectored I/O issues one device request per physically contiguous
 // gather run — optimal when runs are long, but every hole in a pattern
 // costs a full request (overhead + seek + rotational latency).
-// StrategySieved — one of the strategies Set.ReadVecStrategy and
-// Set.WriteVecStrategy, the Set's one read and one write entry point,
-// take — instead moves each device's whole covering span as ONE request
-// (two for writes: a read-modify-write, serialized per device through
-// ordered locks so concurrent sieved writers with disjoint blocks stay
-// safe), scattering the requested pieces straight into the caller's
+// StrategySieved — one of the strategies Set.Transfer, the Set's one
+// entry point for both directions, takes — instead moves each device's
+// whole covering span as ONE request (two for writes: a
+// read-modify-write, serialized per device through ordered locks so
+// concurrent sieved writers with disjoint blocks stay safe), scattering the requested pieces straight into the caller's
 // buffer and the hole blocks into pooled scratch — ROMIO-style data
 // sieving, applied as a transform of the mapped runs.
 // No fixed choice wins everywhere ("Noncontiguous I/O through PVFS",
@@ -475,9 +474,9 @@ type (
 	TrackUsage = probe.TrackUsage
 
 	// Vec is the scatter/gather request descriptor: a list of (logical
-	// block range, buffer offset) segments moved by
-	// Set.ReadVecStrategy/WriteVecStrategy (ReadVec/WriteVec for short)
-	// with listio-style physical coalescing. One contiguous range is its
+	// block range, buffer offset) segments moved by Set.Transfer
+	// (ReadVec/WriteVec for short) with listio-style physical
+	// coalescing. One contiguous range is its
 	// one-segment case.
 	Vec = blockio.Vec
 	// VecSeg is one segment of a Vec.

@@ -307,10 +307,10 @@ func TestServerWindowsWin(t *testing.T) {
 		t.Errorf("second run differs:\n%+v\n%+v", r, cut)
 	}
 	var a, b bytes.Buffer
-	if err := rec.WriteChromeTrace(&a); err != nil {
+	if err := pario.WriteChromeTrace(&a, rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := again.WriteChromeTrace(&b); err != nil {
+	if err := pario.WriteChromeTrace(&b, again); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

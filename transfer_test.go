@@ -38,7 +38,7 @@ func stripedFile(tb testing.TB, org pario.Organization, records int64) (*pario.M
 //
 //   - One block. Set.ReadBlock/WriteBlock, the one-block entry points the
 //     one-segment descriptor replaced, allocated nothing; the same block
-//     through ReadVec or ReadVecStrategy(Auto) allocated 2 objects, the
+//     through ReadVec or an Auto read Transfer allocated 2 objects, the
 //     mapped run and its segment list.
 //   - 64 blocks, one merged run per drive: 36 objects before the pooled
 //     mapper and recycled scatter lists (validation's index copies and
@@ -68,7 +68,7 @@ func TestTransferAllocs(t *testing.T) {
 	}{
 		{"one-block ReadVec", 2, func() { _ = set.ReadVec(ctx, one, blk) }},
 		{"one-block WriteVec", 2, func() { _ = set.WriteVec(ctx, one, blk) }},
-		{"one-block ReadVecStrategy(Auto)", 2, func() { _ = set.ReadVecStrategy(ctx, pario.StrategyAuto, one, blockio.Space{{Buf: blk}}) }},
+		{"one-block Transfer(read, Auto)", 2, func() { _ = set.Transfer(ctx, false, pario.StrategyAuto, one, blockio.Space{{Buf: blk}}) }},
 		{"64-block ReadVec", 2, func() { _ = set.ReadVec(ctx, vec, buf) }},
 	} {
 		if got := testing.AllocsPerRun(200, tc.call); got > 0 {
@@ -175,7 +175,7 @@ func BenchmarkOneBlockTransfer(b *testing.B) {
 		run  func() error
 	}{
 		{"read", func() error { return set.ReadVec(ctx, one, blk) }},
-		{"read-auto", func() error { return set.ReadVecStrategy(ctx, pario.StrategyAuto, one, blockio.Space{{Buf: blk}}) }},
+		{"read-auto", func() error { return set.Transfer(ctx, false, pario.StrategyAuto, one, blockio.Space{{Buf: blk}}) }},
 		{"write", func() error { return set.WriteVec(ctx, one, blk) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -218,10 +218,10 @@ func TestMultiDriveTransferSpawnsNothing(t *testing.T) {
 		}},
 		{"BatchPlan window", 0, func(p *pario.Proc, _ *pario.Set, plan *pario.BatchPlan, _ *pario.IOJob, buf []byte) error {
 			sp := blockio.Space{{Buf: buf}}
-			if err := plan.WriteWindows(p, 0, 1, sp); err != nil {
+			if err := plan.Transfer(p, true, 0, 1, sp); err != nil {
 				return err
 			}
-			return plan.ReadWindows(p, 0, 1, sp)
+			return plan.Transfer(p, false, 0, 1, sp)
 		}},
 		{"ioserver lane", 3.125, func(p *pario.Proc, _ *pario.Set, plan *pario.BatchPlan, job *pario.IOJob, buf []byte) error {
 			return job.SubmitWritePlan(p, plan, buf, int64(len(buf))).Wait(p)
