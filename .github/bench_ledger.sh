@@ -17,8 +17,8 @@
 #                            outside bench/, non-test files only, and their
 #                            total: the API-size ledger
 #   bench_ledger.sh dead     print each exported name the surface counts
-#                            that no non-test file (bench/ included)
-#                            references apart from its declaration, and
+#                            that no program (bench/ included) reaches by
+#                            reference, type-checked from every main, and
 #                            their number: the names only tests reach
 #   bench_ledger.sh reach    print each library function (outside bench/,
 #                            cmd/ and examples/) that no non-test program
@@ -28,6 +28,15 @@
 #
 # A PR that moves modeled time on purpose runs `record` and commits the
 # result: that diff is its row in the ledger.
+#
+# dead and reach are gates. .github/unreached.txt is their one
+# allow-list: a line "path name reason" for each function or name that
+# stays unreached, and why (a reach path is a file, a dead path a package
+# directory). Either fails when it prints an entry the list lacks, when a
+# list entry is no longer printed, and when an entry has no reason, so a
+# path only tests run cannot land unexplained and the list only shrinks:
+# give a new entry a program user or delete it, and take off an entry a
+# program now reaches.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 baseline=.github/bench_baseline.jsonl
@@ -163,14 +172,16 @@ surface() {
 }
 
 # dead lists what the dead-name ledger lists: of the names surface counts,
-# each one no non-test .go file (bench/ included, hidden directories not)
-# references apart from its declaration. A top-level name is referenced by
-# a bare identifier in its own package or by pkg.Name where pkg imports
-# it; a method, whose receiver needs types to resolve, by any selector
-# .Name at all, so a method that shares its name with a live one is not
-# listed. Methods that satisfy the standard interfaces (String, Error,
-# Read, Write, Close, Seek, Unwrap) are skipped. Like surface it parses
-# the files with go/parser from a throwaway module.
+# each one that no program reaches by reference. It type-checks every
+# non-test .go file (bench/ included, hidden directories not) with
+# go/types and follows references from each program's main and from init:
+# a name is reached when reached code refers to it — a method only by a
+# selector that resolves to that type's method, or by a call through an
+# interface the type satisfies. A name referenced only from code no
+# program reaches is listed too. Methods that satisfy the standard
+# interfaces (String, Error, Read, Write, Close, Seek, Unwrap) are taken
+# as reached. Like surface it runs from a throwaway module, so it needs
+# only the toolchain.
 dead() {
 	local tmp
 	tmp=$(mktemp -d)
@@ -183,13 +194,14 @@ dead() {
 		import (
 			"fmt"
 			"go/ast"
+			"go/importer"
 			"go/parser"
 			"go/token"
+			"go/types"
 			"os"
 			"path"
 			"path/filepath"
 			"sort"
-			"strconv"
 			"strings"
 		)
 
@@ -197,93 +209,159 @@ dead() {
 		var skip = map[string]bool{"String": true, "Error": true, "Read": true,
 			"Write": true, "Close": true, "Seek": true, "Unwrap": true}
 
-		// decl is one exported name: its package path, the name as listed
-		// (Type.Method for a method) and its declaring identifier.
-		type decl struct {
-			pkg, name string
-			method    bool
-			id        *ast.Ident
+		// pkg is one package directory's non-test files and, once checked, its
+		// types.
+		type pkg struct {
+			dir   string
+			files []*ast.File
+			types *types.Package
 		}
 
 		func main() {
 			root, module := os.Args[1], os.Args[2]
 			fset := token.NewFileSet()
-			var decls []decl
-			declIDs := map[*ast.Ident]bool{}
-			uses := map[string]bool{} // "pkg.Name" of top-level names referenced
-			sels := map[string]bool{} // selector names, for methods
-			var files []*ast.File
-			var pkgs []string
+			pkgs := map[string]*pkg{} // by import path
 			for _, rel := range os.Args[3:] {
 				f, err := parser.ParseFile(fset, filepath.Join(root, rel), nil, parser.SkipObjectResolution)
 				if err != nil {
 					fmt.Fprintln(os.Stderr, err)
 					os.Exit(1)
 				}
-				pkg := path.Join(module, filepath.ToSlash(filepath.Dir(rel)))
-				files, pkgs = append(files, f), append(pkgs, pkg)
-				if strings.HasPrefix(filepath.ToSlash(rel), "bench/") {
-					continue
+				p := path.Join(module, filepath.ToSlash(filepath.Dir(rel)))
+				if pkgs[p] == nil {
+					pkgs[p] = &pkg{dir: filepath.ToSlash(filepath.Dir(rel))}
 				}
-				for _, d := range f.Decls {
-					switch d := d.(type) {
-					case *ast.FuncDecl:
-						if d.Recv == nil {
-							decls = append(decls, decl{pkg, d.Name.Name, false, d.Name})
-						} else if recv := recvType(d.Recv.List[0].Type); ast.IsExported(recv) && !skip[d.Name.Name] {
-							decls = append(decls, decl{pkg, recv + "." + d.Name.Name, true, d.Name})
-						}
-					case *ast.GenDecl:
-						for _, s := range d.Specs {
-							switch s := s.(type) {
-							case *ast.TypeSpec:
-								decls = append(decls, decl{pkg, s.Name.Name, false, s.Name})
-							case *ast.ValueSpec:
-								for _, id := range s.Names {
-									decls = append(decls, decl{pkg, id.Name, false, id})
+				pkgs[p].files = append(pkgs[p].files, f)
+			}
+			refs := map[types.Object][]types.Object{} // what each top-level declaration references
+			var roots []types.Object
+			var methods []*types.Func // every method declared in the module
+			std := importer.Default()
+			var imp importerFunc
+			imp = func(path string) (*types.Package, error) {
+				p := pkgs[path]
+				if p == nil {
+					return std.Import(path)
+				}
+				if p.types != nil {
+					return p.types, nil
+				}
+				info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+				tp, err := (&types.Config{Importer: imp}).Check(path, fset, p.files, info)
+				if err != nil {
+					return nil, err
+				}
+				p.types = tp
+				for _, f := range p.files {
+					for _, d := range f.Decls {
+						var objs []types.Object
+						switch d := d.(type) {
+						case *ast.FuncDecl:
+							fn := info.Defs[d.Name].(*types.Func)
+							objs = append(objs, fn)
+							switch {
+							case d.Recv != nil:
+								methods = append(methods, fn)
+								if skip[fn.Name()] {
+									roots = append(roots, fn)
+								}
+							case fn.Name() == "init" || fn.Name() == "main" && tp.Name() == "main":
+								roots = append(roots, fn)
+							}
+						case *ast.GenDecl:
+							for _, s := range d.Specs {
+								switch s := s.(type) {
+								case *ast.TypeSpec:
+									objs = append(objs, info.Defs[s.Name])
+								case *ast.ValueSpec:
+									for _, id := range s.Names {
+										objs = append(objs, info.Defs[id])
+									}
 								}
 							}
 						}
+						ast.Inspect(d, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil {
+								for _, o := range objs {
+									refs[o] = append(refs[o], origin(info.Uses[id]))
+								}
+							}
+							return true
+						})
 					}
 				}
+				return tp, nil
 			}
-			for _, d := range decls {
-				declIDs[d.id] = true
+			paths := make([]string, 0, len(pkgs))
+			for p := range pkgs {
+				paths = append(paths, p)
 			}
-			for i, f := range files {
-				imports := map[string]string{}
-				for _, im := range f.Imports {
-					p, _ := strconv.Unquote(im.Path.Value)
-					name := path.Base(p)
-					if im.Name != nil {
-						name = im.Name.Name
-					}
-					imports[name] = p
+			sort.Strings(paths)
+			for _, p := range paths {
+				if _, err := imp(p); err != nil {
+					fmt.Fprintln(os.Stderr, err)
+					os.Exit(1)
 				}
-				ast.Inspect(f, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.SelectorExpr:
-						sels[n.Sel.Name] = true
-						if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-							uses[imports[x.Name]+"."+n.Sel.Name] = true
-							return false
+			}
+			// used is what the programs reach by reference: everything main and
+			// init reference, what that references, and so on; a method called
+			// through an interface reaches that method of every type satisfying
+			// the interface.
+			used := map[types.Object]bool{}
+			var ifaceUses []*types.Func
+			for work := roots; len(work) > 0; {
+				for len(work) > 0 {
+					o := work[len(work)-1]
+					work = work[:len(work)-1]
+					for _, r := range refs[o] {
+						if used[r] {
+							continue
 						}
-					case *ast.Ident:
-						if !declIDs[n] {
-							uses[pkgs[i]+"."+n.Name] = true
+						used[r] = true
+						work = append(work, r)
+						if f, ok := r.(*types.Func); ok && f.Signature().Recv() != nil && types.IsInterface(f.Signature().Recv().Type()) {
+							ifaceUses = append(ifaceUses, f)
 						}
 					}
-					return true
-				})
+				}
+				for _, m := range methods {
+					if !used[m] && viaInterface(m, ifaceUses) {
+						used[m] = true
+						work = append(work, m)
+					}
+				}
 			}
 			var out []string
-			for _, d := range decls {
-				short := d.name[strings.LastIndex(d.name, ".")+1:]
-				if !ast.IsExported(short) {
+			for _, p := range paths {
+				dir := pkgs[p].dir
+				if dir == "bench" || strings.HasPrefix(dir, "bench/") {
 					continue
 				}
-				if d.method && !sels[short] || !d.method && !uses[d.pkg+"."+d.name] {
-					out = append(out, fmt.Sprintf("%s  %s", "."+strings.TrimPrefix(d.pkg, module), d.name))
+				if dir != "." {
+					dir = "./" + dir
+				}
+				scope := pkgs[p].types.Scope()
+				for _, name := range scope.Names() {
+					obj := scope.Lookup(name)
+					if !obj.Exported() {
+						continue
+					}
+					if !used[obj] {
+						out = append(out, dir+"  "+name)
+					}
+					tn, ok := obj.(*types.TypeName)
+					if !ok || tn.IsAlias() {
+						continue
+					}
+					named, ok := tn.Type().(*types.Named)
+					if !ok {
+						continue
+					}
+					for i := 0; i < named.NumMethods(); i++ {
+						if m := named.Method(i); m.Exported() && !skip[m.Name()] && !used[m] {
+							out = append(out, dir+"  "+name+"."+m.Name())
+						}
+					}
 				}
 			}
 			sort.Strings(out)
@@ -293,23 +371,40 @@ dead() {
 			fmt.Printf("%6d  total\n", len(out))
 		}
 
-		// recvType is the name of a receiver's type, pointer and type
-		// parameters left off.
-		func recvType(e ast.Expr) string {
-			for {
-				switch t := e.(type) {
-				case *ast.StarExpr:
-					e = t.X
-				case *ast.IndexExpr:
-					e = t.X
-				case *ast.IndexListExpr:
-					e = t.X
-				case *ast.Ident:
-					return t.Name
-				default:
-					return ""
+		// viaInterface reports whether a call through an interface reaches
+		// method m: a used method of the same name of an interface m's receiver
+		// type satisfies.
+		func viaInterface(m *types.Func, ifaceUses []*types.Func) bool {
+			t := m.Signature().Recv().Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			for _, f := range ifaceUses {
+				if f.Name() != m.Name() {
+					continue
+				}
+				iface := f.Signature().Recv().Type().Underlying().(*types.Interface)
+				if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
+					return true
 				}
 			}
+			return false
+		}
+
+		type importerFunc func(path string) (*types.Package, error)
+
+		func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+		// origin is the generic declaration of an instantiated function, method
+		// or field, and any other object itself.
+		func origin(o types.Object) types.Object {
+			switch o := o.(type) {
+			case *types.Func:
+				return o.Origin()
+			case *types.Var:
+				return o.Origin()
+			}
+			return o
 		}
 	EOF
 	local root=$PWD
@@ -373,6 +468,48 @@ reach() {
 	rm -rf "$tmp"
 }
 
+# allowed passes a dead or reach ledger ($1) through and holds it to its
+# entries in .github/unreached.txt: a reach entry's path is a file (a .go
+# name), a dead entry's a package directory. It fails on a printed entry
+# the list lacks, on a list entry the ledger no longer prints, and on a
+# list entry with no reason. A reach entry is matched without its line
+# number, so moving a function leaves its entry good.
+allowed() {
+	awk -v ledger="$1" -v list=.github/unreached.txt '
+		BEGIN {
+			while ((getline line <list) > 0) {
+				if (line ~ /^[ \t]*(#|$)/)
+					continue
+				n = split(line, f, " ")
+				if ((f[1] ~ /\.go$/) != (ledger == "reach"))
+					continue
+				if (n < 3) {
+					print "ledger: " list ": " f[1] " " f[2] " gives no reason" >"/dev/stderr"
+					bad = 1
+				}
+				want[f[1] " " f[2]]++
+			}
+		}
+		{ print }
+		$2 == "total" { next }
+		{
+			path = $1
+			sub(/:[0-9]+:$/, "", path)
+			if (want[path " " $2]-- > 0)
+				next
+			print "ledger: " path " " $2 " is not on " list ": give it a program user, delete it, or add it there with its reason" >"/dev/stderr"
+			bad = 1
+		}
+		END {
+			for (k in want)
+				if (want[k] > 0) {
+					print "ledger: " k " is on " list " but " ledger " no longer lists it: take it off" >"/dev/stderr"
+					bad = 1
+				}
+			exit bad
+		}'
+}
+
 case "${1:-check}" in
 lines)
 	lines
@@ -381,10 +518,10 @@ surface)
 	surface
 	;;
 dead)
-	dead
+	dead | allowed dead
 	;;
 reach)
-	reach
+	reach | allowed reach
 	;;
 record)
 	record "$baseline"

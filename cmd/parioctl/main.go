@@ -29,6 +29,7 @@ import (
 	pario "repro"
 	"repro/internal/convert"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/pfs"
 )
 
@@ -75,10 +76,7 @@ func run(sub string, args []string, stdin io.Reader, stdout io.Writer) error {
 		if *devices < 1 {
 			return fmt.Errorf("init: -devices %d, want at least 1", *devices)
 		}
-		disks := make([]*pario.Disk, *devices)
-		for i := range disks {
-			disks[i] = pario.NewDisk(pario.DiskConfig{Name: fmt.Sprintf("d%d", i)})
-		}
+		disks := device.NewDrives(*devices, device.Config{})
 		v, err := pario.NewVolume(disks)
 		if err != nil {
 			return err
@@ -111,7 +109,7 @@ func run(sub string, args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 		sp := f.Spec()
 		m := f.Mapper()
-		fmt.Fprintf(stdout, "name:         %s\n", sp.Name)
+		fmt.Fprintf(stdout, "name:         %s\n", f.Name())
 		fmt.Fprintf(stdout, "organization: %s (%s)\n", sp.Org, sp.Category)
 		fmt.Fprintf(stdout, "records:      %d x %d bytes\n", m.NumRecords(), m.RecordSize())
 		fmt.Fprintf(stdout, "blocks:       %d x %d records (%d fs blocks each)\n",
@@ -214,7 +212,7 @@ func run(sub string, args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 		return nil
 	case "df":
-		_, v, err := load(*vol)
+		disks, v, err := load(*vol)
 		if err != nil {
 			return err
 		}
@@ -222,7 +220,7 @@ func run(sub string, args []string, stdin io.Reader, stdout io.Writer) error {
 		bs := int64(v.Store().BlockSize())
 		fmt.Fprintf(stdout, "%-8s %12s %12s %12s\n", "device", "used", "free", "capacity")
 		for dev := range used {
-			fmt.Fprintf(stdout, "d%-7d %10dKB %10dKB %10dKB\n", dev,
+			fmt.Fprintf(stdout, "%-8s %10dKB %10dKB %10dKB\n", disks[dev].Name(),
 				used[dev]*bs/1024, free[dev]*bs/1024, (used[dev]+free[dev])*bs/1024)
 		}
 		return nil

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	pario "repro"
 	"repro/internal/probe"
 	"repro/internal/stats"
 )
@@ -32,7 +33,7 @@ func traceCmd(args []string, stdout io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	rec, err := probe.ReadChromeTrace(f)
+	rec, err := pario.ReadChromeTrace(f)
 	if err != nil {
 		return fmt.Errorf("parse %s: %w", fs.Arg(0), err)
 	}

@@ -12,6 +12,7 @@ import (
 	"log"
 
 	pario "repro"
+	"repro/internal/device"
 	"repro/internal/pfs"
 	"repro/internal/stripe"
 )
@@ -24,17 +25,8 @@ const (
 
 func main() {
 	e := pario.NewEngine()
-	mk := func(prefix string) []*pario.Disk {
-		ds := make([]*pario.Disk, procs)
-		for i := range ds {
-			ds[i] = pario.NewDisk(pario.DiskConfig{
-				Name:   fmt.Sprintf("%s%d", prefix, i),
-				Engine: e,
-			})
-		}
-		return ds
-	}
-	primaries, shadows := mk("p"), mk("s")
+	primaries := device.NewDrives(procs, device.Config{Name: "p", Engine: e})
+	shadows := device.NewDrives(procs, device.Config{Name: "s", Engine: e})
 	mirror, err := stripe.NewMirror(primaries, shadows)
 	if err != nil {
 		log.Fatal(err)

@@ -14,6 +14,7 @@ import (
 
 	pario "repro"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/mpp"
 	"repro/internal/sim"
 )
@@ -26,10 +27,7 @@ const (
 
 func main() {
 	e := pario.NewEngine()
-	disks := make([]*pario.Disk, procs)
-	for i := range disks {
-		disks[i] = pario.NewDisk(pario.DiskConfig{Name: fmt.Sprintf("d%d", i), Engine: e})
-	}
+	disks := device.NewDrives(procs, device.Config{Engine: e})
 	vol, err := pario.NewVolume(disks)
 	if err != nil {
 		log.Fatal(err)

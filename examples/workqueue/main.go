@@ -6,7 +6,10 @@
 // Tasks grow progressively harder (service time ramps with task id), so
 // a static contiguous split hands one server all the hard work;
 // self-scheduling balances the load automatically. The example runs the
-// same queue both ways and reports the speedup.
+// same queue both ways and reports the speedup. Both hand each finished
+// task's record to a self-scheduled output file (SSWrite) — a
+// self-scheduled server claims the next record, a static one the next
+// whole block once it has filled one — and check that file read back.
 //
 // A third section adds result checkpointing: the servers, now a rank
 // group, write each round's results collectively. The blocking variant
@@ -47,6 +50,26 @@ func buildQueue(m *pario.Machine, name string) *pario.File {
 	return f
 }
 
+// checkResults exits nonzero unless f holds every task's record once.
+func checkResults(f *pario.File) {
+	rd, err := pario.OpenGlobalReader(f, pario.NewWall())
+	if err != nil {
+		log.Fatal(err)
+	}
+	all, err := io.ReadAll(rd)
+	seen := map[int64]bool{}
+	for ; err == nil && len(all) > 0; all = all[recordSize:] {
+		id := int64(binary.BigEndian.Uint64(all))
+		if seen[id] || time.Duration(binary.BigEndian.Uint64(all[8:])) != serviceOf(id) {
+			log.Fatalf("results: task %d's record is repeated or wrong", id)
+		}
+		seen[id] = true
+	}
+	if len(seen) != tasks {
+		log.Fatalf("results: %d of %d tasks (%v)", len(seen), tasks, err)
+	}
+}
+
 // serviceOf ramps task difficulty linearly with the id.
 func serviceOf(id int64) time.Duration {
 	return minService + time.Duration(int64(maxService-minService)*id/tasks)
@@ -73,11 +96,15 @@ func fill(p *pario.Proc, f *pario.File) {
 // selfScheduled runs the queue with SS claims.
 func selfScheduled() (time.Duration, []int) {
 	m := pario.NewMachine(workers)
-	f := buildQueue(m, "tasks")
+	f, results := buildQueue(m, "tasks"), buildQueue(m, "results")
 	counts := make([]int, workers)
 	m.Go("driver", func(p *pario.Proc) {
 		fill(p, f)
 		ss, err := pario.OpenSelfSched(f, pario.SSRead, pario.DefaultOptions())
+		if err != nil {
+			log.Fatal(err)
+		}
+		out, err := pario.OpenSelfSched(results, pario.SSWrite, pario.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -94,6 +121,9 @@ func selfScheduled() (time.Duration, []int) {
 					}
 					service := time.Duration(binary.BigEndian.Uint64(buf[8:]))
 					c.Sleep(service) // do the work
+					if _, err := out.WriteNext(c, buf); err != nil {
+						log.Fatal(err)
+					}
 					counts[wid]++
 				}
 			})
@@ -102,19 +132,27 @@ func selfScheduled() (time.Duration, []int) {
 		if err := ss.Close(p); err != nil {
 			log.Fatal(err)
 		}
+		if err := out.Close(p); err != nil {
+			log.Fatal(err)
+		}
 	})
 	if err := m.Run(); err != nil {
 		log.Fatal(err)
 	}
+	checkResults(results)
 	return m.Engine.Now(), counts
 }
 
 // staticPartition runs the same tasks with a fixed 1/workers split.
 func staticPartition() time.Duration {
 	m := pario.NewMachine(workers)
-	f := buildQueue(m, "tasks")
+	f, results := buildQueue(m, "tasks"), buildQueue(m, "results")
 	m.Go("driver", func(p *pario.Proc) {
 		fill(p, f)
+		out, err := pario.OpenSelfSched(results, pario.SSWrite, pario.DefaultOptions())
+		if err != nil {
+			log.Fatal(err)
+		}
 		var g pario.Group
 		per := tasks / workers
 		for w := 0; w < workers; w++ {
@@ -128,8 +166,7 @@ func staticPartition() time.Duration {
 				if err != nil {
 					log.Fatal(err)
 				}
-				buf := make([]byte, recordSize)
-				_ = buf
+				block := make([]byte, 0, f.Mapper().BlockRecords()*recordSize)
 				for {
 					data, _, err := r.ReadRecord(c)
 					if err != nil {
@@ -137,15 +174,25 @@ func staticPartition() time.Duration {
 					}
 					service := time.Duration(binary.BigEndian.Uint64(data[8:]))
 					c.Sleep(service)
+					if block = append(block, data...); len(block) == cap(block) {
+						if _, err := out.WriteNextBlock(c, block); err != nil {
+							log.Fatal(err)
+						}
+						block = block[:0]
+					}
 				}
 				_ = r.Close(c)
 			})
 		}
 		g.Wait(p)
+		if err := out.Close(p); err != nil {
+			log.Fatal(err)
+		}
 	})
 	if err := m.Run(); err != nil {
 		log.Fatal(err)
 	}
+	checkResults(results)
 	return m.Engine.Now()
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -417,7 +418,7 @@ func TestIntegrationSharedGDAWriters(t *testing.T) {
 		for w := 0; w < 4; w++ {
 			wid := w
 			g.Spawn(p.Engine(), "writer", func(c *sim.Proc) {
-				rng := sim.NewRNG(uint64(wid) + 1)
+				rng := rand.New(rand.NewSource(int64(wid) + 1))
 				buf := make([]byte, 512)
 				// Each worker owns records ≡ wid (mod 4); random order,
 				// each written twice with a read-back in between.

@@ -68,17 +68,14 @@ func TestInterleavedProcsOnDev(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// procs 0..6 on 3 devices: dev0 gets {0,3,6}=3, dev1 {1,4}=2, dev2 {2,5}=2.
-	if il.procsOnDev(0) != 3 || il.procsOnDev(1) != 2 || il.procsOnDev(2) != 2 {
-		t.Fatalf("procsOnDev = %d,%d,%d", il.procsOnDev(0), il.procsOnDev(1), il.procsOnDev(2))
-	}
-	// More devices than procs: high devices host nobody.
-	il2, err := NewInterleaved(8, 2, 1, 4, PackInterleaved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if il2.procsOnDev(5) != 0 {
-		t.Fatalf("empty device hosts %d", il2.procsOnDev(5))
+	// procs 0..6 on 3 devices: dev0 hosts {0,3,6}, dev1 {1,4}, dev2
+	// {2,5}. Interleaved packing gives each device's streams one unit a
+	// round in turn, so a round on a device is as long as its streams
+	// are many.
+	for q, want := range []int64{3, 2, 2, 4, 3, 3, 5} {
+		if dev, off := il.place(q, 1); dev != q%3 || off != want {
+			t.Fatalf("stream %d round 1 at device %d block %d, want %d block %d", q, dev, off, q%3, want)
+		}
 	}
 }
 

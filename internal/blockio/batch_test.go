@@ -67,7 +67,7 @@ func writeBatch(ctx sim.Context, b BatchVec, buf []byte) error {
 func TestBatchVecMergesAcrossFiles(t *testing.T) {
 	const devs, perDev = 2, 4
 	sets, disks := newBatchStore(t, devs, 1, perDev, 2)
-	bs := int64(sets[0].BlockSize())
+	bs := int64(sets[0].Store().BlockSize())
 	ctx := sim.NewWall()
 	buf := make([]byte, 16*bs)
 	bufA, bufB := buf[:8*bs], buf[8*bs:]
@@ -126,7 +126,7 @@ func TestBatchVecMergesAcrossFiles(t *testing.T) {
 // collapsing into a single iov slice.
 func TestBatchVecSharedBuffer(t *testing.T) {
 	sets, disks := newBatchStore(t, 2, 1, 4, 2)
-	bs := int64(sets[0].BlockSize())
+	bs := int64(sets[0].Store().BlockSize())
 	ctx := sim.NewWall()
 	buf := make([]byte, 16*bs)
 	for i := range buf {
@@ -260,7 +260,7 @@ func TestBatchVecEquivalence(t *testing.T) {
 // TestBatchVecValidation exercises the batch-level error cases.
 func TestBatchVecValidation(t *testing.T) {
 	sets, disks := newBatchStore(t, 2, 1, 4, 2)
-	bs := int64(sets[0].BlockSize())
+	bs := int64(sets[0].Store().BlockSize())
 	ctx := sim.NewWall()
 	buf := make([]byte, 8*bs)
 

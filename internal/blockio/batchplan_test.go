@@ -22,7 +22,7 @@ func TestBatchPlanWindowedEquivalence(t *testing.T) {
 		const devs, perDev = 2, 32
 		const blocks = 48 // across 2 files of 24
 		sets, _ := newBatchStore(t, devs, unit, perDev, 2)
-		bs := int64(sets[0].BlockSize())
+		bs := int64(sets[0].Store().BlockSize())
 		ctx := sim.NewWall()
 		rng := rand.New(rand.NewSource(unit))
 		whole := make([]byte, blocks*bs)
@@ -112,7 +112,7 @@ func TestBatchPlanNoReMerge(t *testing.T) {
 	// the 2 devices, so the two files' extents abut physically.
 	const devs, perDev = 2, 8
 	sets, disks := newBatchStore(t, devs, 1, perDev, 2)
-	bs := int64(sets[0].BlockSize())
+	bs := int64(sets[0].Store().BlockSize())
 	batch := BatchVec{
 		{Set: sets[0], Vec: Vec{{Block: 0, N: 16}}},
 		{Set: sets[1], Vec: Vec{{Block: 0, N: 16, BufOff: 16 * bs}}},
@@ -156,7 +156,7 @@ func TestBatchPlanNoReMerge(t *testing.T) {
 // and out-of-range staging buffers at issue time.
 func TestBatchPlanErrors(t *testing.T) {
 	sets, _ := newBatchStore(t, 2, 1, 16, 2)
-	bs := int64(sets[0].BlockSize())
+	bs := int64(sets[0].Store().BlockSize())
 	batch := BatchVec{{Set: sets[0], Vec: Vec{{Block: 0, N: 8}}}}
 	if _, err := batch.Plan([]int64{bs + 1}); err == nil || !strings.Contains(err.Error(), "block size") {
 		t.Errorf("misaligned cut: err = %v", err)
@@ -214,7 +214,7 @@ func TestBatchPlanWindowRangesUncut(t *testing.T) {
 	for _, unit := range []int64{1, 2, 8} {
 		const devs, perDev, blocks = 2, 32, 48
 		sets, disks := newBatchStore(t, devs, unit, perDev, 2)
-		bs := int64(sets[0].BlockSize())
+		bs := int64(sets[0].Store().BlockSize())
 		var v0, v1 Vec
 		for b := int64(0); b < 24; b++ {
 			v0 = append(v0, VecSeg{Block: b, N: 1, BufOff: (b * 7 % 24) * bs})

@@ -348,9 +348,6 @@ func (p *Partitioned) Name() string {
 // Devices implements Layout.
 func (p *Partitioned) Devices() int { return p.D }
 
-// Parts reports the number of partitions.
-func (p *Partitioned) Parts() int { return len(p.starts) - 1 }
-
 // PartOf reports which partition holds logical block b.
 func (p *Partitioned) PartOf(b int64) int {
 	return sort.Search(len(p.starts)-1, func(i int) bool { return p.starts[i+1] > b })
@@ -403,14 +400,6 @@ func (il *Interleaved) Name() string {
 // Devices implements Layout.
 func (il *Interleaved) Devices() int { return il.D }
 
-// procsOnDev reports how many processes share device dev.
-func (il *Interleaved) procsOnDev(dev int) int {
-	if dev >= il.P {
-		return 0
-	}
-	return (il.P-1-dev)/il.D + 1
-}
-
 // place reports where stream q's group of round round starts: the
 // per-group step of MapRun.
 func (il *Interleaved) place(q int, round int64) (int, int64) {
@@ -422,7 +411,8 @@ func (il *Interleaved) place(q int, round int64) (int, int64) {
 		}
 		return dev, (before + round) * il.Unit
 	}
-	return dev, (round*int64(il.procsOnDev(dev)) + int64(q/il.D)) * il.Unit
+	onDev := (il.P-1-dev)/il.D + 1 // streams sharing device dev
+	return dev, (round*int64(onDev) + int64(q/il.D)) * il.Unit
 }
 
 var (
@@ -471,6 +461,3 @@ func (s *Set) Base(dev int) int64 { return s.base[dev] }
 
 // Layout exposes the layout.
 func (s *Set) Layout() Layout { return s.layout }
-
-// BlockSize reports the store block size.
-func (s *Set) BlockSize() int { return s.store.BlockSize() }

@@ -154,8 +154,8 @@ func TestPartitionedUnevenSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBijective(t, p, 10)
-	if p.Parts() != 3 {
-		t.Fatalf("Parts = %d", p.Parts())
+	if parts := len(p.starts) - 1; parts != 3 {
+		t.Fatalf("parts = %d", parts)
 	}
 	if s, e := p.starts[1], p.starts[2]; s != 5 || e != 8 {
 		t.Fatalf("partition 1 = [%d,%d)", s, e)
@@ -341,7 +341,7 @@ func TestSetRoundTripAcrossLayouts(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := sim.NewWall()
-		bs := set.BlockSize()
+		bs := set.Store().BlockSize()
 		for b := int64(0); b < total; b++ {
 			blk := bytes.Repeat([]byte{byte(b + 1)}, bs)
 			if err := set.WriteVec(ctx, Vec{{Block: b, N: 1}}, blk); err != nil {

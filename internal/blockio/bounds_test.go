@@ -33,7 +33,7 @@ func boundsOps(ctx sim.Context, s *Set, buf []byte) map[string]func(Vec) error {
 // image reads the whole of s.
 func image(t *testing.T, s *Set) []byte {
 	t.Helper()
-	buf := make([]byte, s.blocks*int64(s.BlockSize()))
+	buf := make([]byte, s.blocks*int64(s.Store().BlockSize()))
 	if err := s.ReadVec(sim.NewWall(), Vec{{Block: 0, N: s.blocks}}, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSetRefusesBlocksOutsideItsFile(t *testing.T) {
 	const blocks = 8
 	sets, _ := newBatchStore(t, 4, 1, blocks/4, 2)
 	a, b := sets[0], sets[1]
-	bs := int64(a.BlockSize())
+	bs := int64(a.Store().BlockSize())
 	ctx := sim.NewWall()
 	for i, s := range sets {
 		img := bytes.Repeat([]byte{byte(0x10 + i)}, int(blocks*bs))

@@ -75,7 +75,7 @@ func refMap(l Layout, b int64) (dev int, pb int64) {
 		// Blocks of the partitions before part on its device, how many
 		// partitions share the device, and part's rank among them.
 		var before, shared, rank int64
-		for j := dev; j < l.Parts(); j += l.D {
+		for j := dev; j < len(l.starts)-1; j += l.D {
 			if j < part {
 				before += l.starts[j+1] - l.starts[j]
 				rank++

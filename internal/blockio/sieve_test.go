@@ -79,7 +79,7 @@ func TestSievedMatchesVectored(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			ctx := sim.NewWall()
 			set, _ := newTestSet(t, tc.layout, tc.total)
-			bs := int64(set.BlockSize())
+			bs := int64(set.Store().BlockSize())
 			base := make([]byte, tc.total*bs)
 			rng.Read(base)
 			if err := writeRange(ctx, set, 0, tc.total, base); err != nil {

@@ -37,7 +37,7 @@ func newVecSet(t *testing.T, l Layout) (*Set, []*device.Disk) {
 // one gather run per device, not one request per block.
 func TestMapVecUnit1Coalescing(t *testing.T) {
 	set, _ := newVecSet(t, NewStriped(4, 1))
-	bs := int64(set.BlockSize())
+	bs := int64(set.Store().BlockSize())
 	runs, err := set.MapVec(Vec{{Block: 0, N: 32, BufOff: 0}})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestMapVecUnit1Coalescing(t *testing.T) {
 // and buffer-adjacent segs collapse.
 func TestMapVecMergesAcrossSegments(t *testing.T) {
 	set, _ := newVecSet(t, NewStriped(2, 1))
-	bs := int64(set.BlockSize())
+	bs := int64(set.Store().BlockSize())
 	// Logical blocks 0, 2, 4 all live on device 0 at pblocks 0, 1, 2:
 	// physically adjacent, logically strided, buffer contiguous.
 	runs, err := set.MapVec(Vec{
@@ -92,7 +92,7 @@ func TestMapVecMergesAcrossSegments(t *testing.T) {
 // overlapping-segment rejections.
 func TestVecValidation(t *testing.T) {
 	set, _ := newVecSet(t, NewStriped(2, 1))
-	bs := int64(set.BlockSize())
+	bs := int64(set.Store().BlockSize())
 	buf := make([]byte, 8*bs)
 	ctx := sim.NewWall()
 	cases := []struct {
@@ -132,7 +132,7 @@ func TestVecValidation(t *testing.T) {
 // allocates nothing.
 func TestCheckVecShuffledAllocs(t *testing.T) {
 	set, _ := newVecSet(t, NewStriped(2, 1))
-	bs := int64(set.BlockSize())
+	bs := int64(set.Store().BlockSize())
 	var vec Vec
 	for i, k := range []int64{5, 2, 7, 0, 3, 6, 1, 4} {
 		vec = append(vec, VecSeg{Block: 2 * k, N: 1, BufOff: int64(7-i) * bs})
@@ -188,7 +188,7 @@ func TestVecEquivalence(t *testing.T) {
 	for _, tc := range testLayouts(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			set, _ := newVecSet(t, tc.layout)
-			bs := int64(set.BlockSize())
+			bs := int64(set.Store().BlockSize())
 			ctx := sim.NewWall()
 			rng := rand.New(rand.NewSource(7))
 			// Seed every block with a distinct pattern.
@@ -245,7 +245,7 @@ func TestVecEquivalence(t *testing.T) {
 // (one gather run per device) versus 32 per-block.
 func TestVecRequestCount(t *testing.T) {
 	set, disks := newVecSet(t, NewStriped(4, 1))
-	bs := int64(set.BlockSize())
+	bs := int64(set.Store().BlockSize())
 	ctx := sim.NewWall()
 	buf := make([]byte, 32*bs)
 	if err := set.WriteVec(ctx, Vec{{Block: 0, N: 32}}, buf); err != nil {
@@ -289,7 +289,7 @@ func TestVecRequestCount(t *testing.T) {
 // anything moves.
 func TestVecThroughPieces(t *testing.T) {
 	set, _ := newVecSet(t, NewStriped(3, 1))
-	bs := int64(set.BlockSize())
+	bs := int64(set.Store().BlockSize())
 	ctx := sim.NewWall()
 	vec := Vec{{Block: 3, N: 5, BufOff: 0}, {Block: 11, N: 2, BufOff: 6 * bs}, {Block: 20, N: 4, BufOff: 8 * bs}}
 	size := 12 * bs

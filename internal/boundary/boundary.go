@@ -324,6 +324,3 @@ func (h *HaloCache) Fill(ctx sim.Context, f *pfs.File, opts core.Options) error 
 
 // Get returns the cached halo record, or nil if rec is not a cached halo.
 func (h *HaloCache) Get(rec int64) []byte { return h.records[rec] }
-
-// Size reports the cached record count.
-func (h *HaloCache) Size() int { return len(h.records) }

@@ -204,8 +204,8 @@ func TestHaloCache(t *testing.T) {
 	if err := h.Fill(ctx, plain, core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if h.Size() != 4 {
-		t.Fatalf("cache size %d, want 4", h.Size())
+	if len(h.records) != 4 {
+		t.Fatalf("cache size %d, want 4", len(h.records))
 	}
 	if mem := len(h.records) * h.rs; mem != 4*64 {
 		t.Fatalf("memory = %d", mem)
@@ -227,8 +227,8 @@ func TestHaloCache(t *testing.T) {
 	if err := h0.Fill(ctx, plain, core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if h0.Size() != 2 {
-		t.Fatalf("edge cache size %d, want 2", h0.Size())
+	if len(h0.records) != 2 {
+		t.Fatalf("edge cache size %d, want 2", len(h0.records))
 	}
 }
 

@@ -18,7 +18,8 @@ type poolBacking struct {
 	failing   bool
 	spans     int // write calls
 	spanned   int // blocks they carried
-	inline    int // write calls made outside a cleaner: evictions' write-backs and Flushes
+	inline    int // write calls made by caller: evictions' write-backs and Flushes
+	caller    sim.Context
 }
 
 var errDrive = errors.New("drive failed")
@@ -41,7 +42,7 @@ func (b *poolBacking) put(idx int64, buf []byte) {
 }
 
 func (b *poolBacking) flushSpan(ctx sim.Context, idxs []int64, sp blockio.Space) error {
-	if p, ok := ctx.(*sim.Proc); !ok || p.Name() != "cache-cleaner" {
+	if ctx == b.caller {
 		b.inline++
 	}
 	ctx.Sleep(2 * time.Millisecond)
@@ -219,6 +220,7 @@ func TestCacheWriteBehind(t *testing.T) {
 		c, be := newPool(t, capacity, cleaners)
 		e := sim.NewEngine()
 		e.Go("w", func(p *sim.Proc) {
+			be.caller = p
 			for idx := int64(0); idx < blocks; idx++ {
 				if err := c.With(p, idx, true, func(buf []byte) error { buf[0] = byte(idx + 1); return nil }); err != nil {
 					t.Error(err)

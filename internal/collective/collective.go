@@ -331,10 +331,6 @@ func Open(g *pfs.FileGroup, size int, opts Options) (*Collective, error) {
 	return c, nil
 }
 
-// Aggregators reports the number of file domains (with Options.Locality
-// several may be aggregated by one rank).
-func (c *Collective) Aggregators() int { return c.naggs }
-
 // LastStats reports the exchange split (bytes moved over the
 // interconnect vs bytes kept local) of the most recent successfully
 // planned ReadAll/WriteAll. Valid once that call has returned on every

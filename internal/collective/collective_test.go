@@ -479,7 +479,7 @@ func TestCollectiveRequestReduction(t *testing.T) {
 		reqs += d.Stats().Requests()
 	}
 	// 63 blocks, 4 aggregators × 4 devices bounds the request count.
-	if max := int64(col.Aggregators() * len(disks)); reqs > max {
+	if max := int64(col.naggs * len(disks)); reqs > max {
 		t.Fatalf("collective write issued %d device requests, want ≤ %d", reqs, max)
 	}
 	got := readAllBlocks(t, g)

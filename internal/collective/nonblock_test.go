@@ -794,8 +794,8 @@ func TestIWriteAllReentry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if col.Aggregators() >= nRanks {
-		t.Fatalf("%d aggregators: the last rank must own no domain", col.Aggregators())
+	if col.naggs >= nRanks {
+		t.Fatalf("%d aggregators: the last rank must own no domain", col.naggs)
 	}
 	_, join := mpp.Run(e, nRanks, "iw", func(p *mpp.Proc) {
 		var hs [2]*Handle

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -615,13 +616,13 @@ func TestDirectRandomAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Write in a scrambled order, read back in another.
-	perm := sim.NewRNG(7).Perm(64)
+	perm := rand.New(rand.NewSource(7)).Perm(64)
 	for _, r := range perm {
 		if err := d.WriteRecordAt(ctx, int64(r), rec64(uint64(r*3))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	perm2 := sim.NewRNG(9).Perm(64)
+	perm2 := rand.New(rand.NewSource(9)).Perm(64)
 	dst := make([]byte, 64)
 	for _, r := range perm2 {
 		if err := d.ReadRecordAt(ctx, int64(r), dst); err != nil {
@@ -758,8 +759,8 @@ func TestGlobalReaderWholeFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gr.Size() != 32*64 {
-		t.Fatalf("Size = %d", gr.Size())
+	if gr.size != 32*64 {
+		t.Fatalf("size = %d", gr.size)
 	}
 	all, err := io.ReadAll(gr)
 	if err != nil {

@@ -176,9 +176,6 @@ func (d *Direct) access(ctx sim.Context, rec int64, data []byte, write bool) err
 	return nil
 }
 
-// Flush writes back dirty cached blocks.
-func (d *Direct) Flush(ctx sim.Context) error { return d.cache.Flush(ctx) }
-
 // Close flushes and invalidates the handle.
 func (d *Direct) Close(ctx sim.Context) error {
 	if d.closed {

@@ -302,13 +302,13 @@ func TestGlobalReaderDenseBulk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, gr.Size()+10)
-	n, err := io.ReadFull(gr, got[:gr.Size()])
+	got := make([]byte, gr.size+10)
+	n, err := io.ReadFull(gr, got[:gr.size])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(n) != gr.Size() {
-		t.Fatalf("read %d of %d", n, gr.Size())
+	if int64(n) != gr.size {
+		t.Fatalf("read %d of %d", n, gr.size)
 	}
 	rs := f.Mapper().RecordSize()
 	want := make([]byte, rs)

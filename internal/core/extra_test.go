@@ -10,7 +10,7 @@ import (
 	"repro/internal/sim"
 )
 
-func TestDirectFlushPersistsWithoutClose(t *testing.T) {
+func TestDirectClosePersists(t *testing.T) {
 	v := testVolume(t, 2, nil)
 	f, err := v.Create(pfs.Spec{Name: "g", Org: pfs.OrgGlobalDirect, RecordSize: 64, NumRecords: 16})
 	if err != nil {
@@ -24,23 +24,22 @@ func TestDirectFlushPersistsWithoutClose(t *testing.T) {
 	if err := d.WriteRecordAt(ctx, 3, rec64(77)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Flush(ctx); err != nil {
+	if err := d.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// A second, independent handle must see the flushed record even
-	// though the first handle is still open.
+	// A second, independent handle must see the record the first one's
+	// Close wrote back.
 	d2, err := OpenDirect(f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, 64)
 	if err := d2.ReadRecordAt(ctx, 3, dst); err != nil || recVal(dst) != 77 {
-		t.Fatalf("after Flush: %v %d", err, recVal(dst))
+		t.Fatalf("after Close: %v %d", err, recVal(dst))
 	}
 	if st := d.CacheStats(); st.WriteBacks == 0 {
 		t.Fatalf("no write-backs recorded: %+v", st)
 	}
-	_ = d.Close(ctx)
 	if err := d.Close(ctx); err != nil { // idempotent
 		t.Fatal(err)
 	}
@@ -61,9 +60,6 @@ func TestDirectPartFlushAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := d.WriteRecordAt(ctx, 1, rec64(9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if d.CacheStats().Misses == 0 {

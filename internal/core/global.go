@@ -50,9 +50,6 @@ func OpenGlobalReader(f *pfs.File, ctx sim.Context) (*GlobalReader, error) {
 	}, nil
 }
 
-// Size reports the payload length in bytes.
-func (g *GlobalReader) Size() int64 { return g.size }
-
 // Read implements io.Reader over the canonical record stream. A fetch
 // error surfaces on the Read that reaches the failed extent; the next
 // Read retries from the same position.

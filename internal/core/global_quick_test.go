@@ -93,13 +93,13 @@ func globalScript(ctx sim.Context, gr *GlobalReader, ref []byte, ext int64, rng 
 		whence := io.SeekStart
 		switch rng.Intn(6) {
 		case 0: // forward, inside the window
-			off, whence = rng.Int63n(2*ext), io.SeekCurrent
+			off, whence = int64(rng.Intn(int(2*ext))), io.SeekCurrent
 		case 1: // backward
-			off, whence = -rng.Int63n(2*ext), io.SeekCurrent
+			off, whence = -int64(rng.Intn(int(2*ext))), io.SeekCurrent
 		case 2: // size−k
-			off, whence = -rng.Int63n(min(size, 40)+1), io.SeekEnd
+			off, whence = -int64(rng.Intn(int(min(size, 40)+1))), io.SeekEnd
 		case 3: // anywhere, EOF included
-			off = rng.Int63n(size + 1)
+			off = int64(rng.Intn(int(size + 1)))
 		default: // keep reading
 			off, whence = 0, io.SeekCurrent
 		}
@@ -164,8 +164,8 @@ func TestQuickGlobalReaderMatchesReference(t *testing.T) {
 		f, ref := globalFile(t, v, spec)
 		wall := sim.NewWall()
 		gr, err := OpenGlobalReader(f, wall)
-		if err != nil || gr.Size() != int64(len(ref)) {
-			t.Logf("seed %d %+v: open: size %d, %v", seed, spec, gr.Size(), err)
+		if err != nil || gr.size != int64(len(ref)) {
+			t.Logf("seed %d %+v: open: size %d, %v", seed, spec, gr.size, err)
 			return false
 		}
 		if err := globalScript(wall, gr, ref, extentBytes(f), sim.NewRNG(seed+1), end); err != nil {

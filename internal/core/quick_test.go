@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -124,7 +125,7 @@ func TestQuickRoundTripAllFramings(t *testing.T) {
 				return false
 			}
 			// Scrambled write order.
-			perm := sim.NewRNG(seed).Perm(int(numRecords))
+			perm := rand.New(rand.NewSource(int64(seed))).Perm(int(numRecords))
 			for _, ri := range perm {
 				workload.Record(buf, seed, int64(ri))
 				if err := d.WriteRecordAt(ctx, int64(ri), buf); err != nil {

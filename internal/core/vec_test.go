@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/blockio"
@@ -73,7 +74,7 @@ func TestDirectMultiSpanRecords(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i * 11)
 	}
-	for _, r := range sim.NewRNG(3).Perm(16) {
+	for _, r := range rand.New(rand.NewSource(3)).Perm(16) {
 		if err := w.WriteRecordAt(ctx, int64(r), src[r*384:(r+1)*384]); err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestDirectMultiSpanRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, 384)
-	for _, r := range sim.NewRNG(4).Perm(16) {
+	for _, r := range rand.New(rand.NewSource(4)).Perm(16) {
 		if err := rd.ReadRecordAt(ctx, int64(r), got); err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func TestDriveFailsMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := int64(set.BlockSize())
+	bs := int64(set.Store().BlockSize())
 	// Three strided stretches: each drive gets three runs that are not
 	// neighbours, twelve runs in all, and drive 2's runs are 6 to 8.
 	vec := blockio.Vec{{Block: 0, N: 4}, {Block: 8, N: 4, BufOff: 4 * bs}, {Block: 16, N: 4, BufOff: 8 * bs}}

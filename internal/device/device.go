@@ -28,6 +28,7 @@
 package device
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -263,6 +264,18 @@ type Config struct {
 	// the combined transfer). Off by default — the paper's model services
 	// every arrival individually — and counted in Stats.Merged when on.
 	MergeQueued bool
+}
+
+// NewDrives creates n drives from one template, in name order: the
+// template's name followed by the index, d0 … d(n-1) when it has none.
+func NewDrives(n int, tmpl Config) []*Disk {
+	prefix := cmp.Or(tmpl.Name, "d")
+	disks := make([]*Disk, n)
+	for i := range disks {
+		tmpl.Name = fmt.Sprintf("%s%d", prefix, i)
+		disks[i] = New(tmpl)
+	}
+	return disks
 }
 
 // New creates a disk. Zero-valued geometry or timing fields are filled

@@ -169,7 +169,7 @@ func (c Checkpoint) Run() (CheckpointResult, error) {
 	pf := c.Profile
 
 	e := sim.NewEngine()
-	disks := drives(e, c.Drives, device.Config{Geometry: c.Geometry, Sched: pf.Sched, MergeQueued: pf.MergeQueued})
+	disks := device.NewDrives(c.Drives, device.Config{Geometry: c.Geometry, Engine: e, Sched: pf.Sched, MergeQueued: pf.MergeQueued})
 	vol, err := pario.NewVolume(disks)
 	if err != nil {
 		return res, err

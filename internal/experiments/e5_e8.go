@@ -36,7 +36,7 @@ func e5Decluster(rec *probe.Recorder) (*Result, error) {
 
 	run := func(devs int, skew float64, declustered bool) (time.Duration, time.Duration, float64, error) {
 		e := sim.NewEngine()
-		disks := drives(e, devs, device.Config{Geometry: geom1989()})
+		disks := device.NewDrives(devs, device.Config{Geometry: geom1989(), Engine: e})
 		attach(rec, "", e, disks, nil)
 		var elapsed time.Duration
 		var respSum time.Duration
@@ -294,7 +294,7 @@ func e8Reliability(rec *probe.Recorder) (*Result, error) {
 	geom := device.Geometry{BlockSize: 4096, BlocksPerCyl: 16, Cylinders: 64}
 	{
 		e := sim.NewEngine()
-		disks := drives(e, 5, device.Config{Geometry: geom})
+		disks := device.NewDrives(5, device.Config{Geometry: geom, Engine: e})
 		attach(rec, "", e, disks, nil)
 		par, err := stripe.NewParity(disks, true)
 		if err != nil {
@@ -318,14 +318,8 @@ func e8Reliability(rec *probe.Recorder) (*Result, error) {
 	}
 	{
 		e := sim.NewEngine()
-		mk := func(role string) []*device.Disk {
-			ds := make([]*device.Disk, 2)
-			for i := range ds {
-				ds[i] = device.New(device.Config{Name: fmt.Sprintf("%s%d", role, i), Geometry: geom, Engine: e})
-			}
-			return ds
-		}
-		primary, shadow := mk("p"), mk("s")
+		primary := device.NewDrives(2, device.Config{Name: "p", Geometry: geom, Engine: e})
+		shadow := device.NewDrives(2, device.Config{Name: "s", Geometry: geom, Engine: e})
 		attach(rec, "", e, slices.Concat(primary, shadow), nil)
 		mir, err := stripe.NewMirror(primary, shadow)
 		if err != nil {
@@ -350,11 +344,10 @@ func e8Reliability(rec *probe.Recorder) (*Result, error) {
 	{
 		// Rollback consistency demo (§5): single-drive restore corrupts.
 		e := sim.NewEngine()
-		disks, vol, err := reliability.NewPlainArray(e, 4, geom)
+		disks, vol, err := array(rec, e, 4, device.Config{Geometry: geom})
 		if err != nil {
 			return nil, err
 		}
-		attach(rec, "", e, disks, nil)
 		f, err := vol.Create(pfs.Spec{Name: "data", RecordSize: 4096, NumRecords: 96})
 		if err != nil {
 			return nil, err

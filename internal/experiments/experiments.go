@@ -153,20 +153,11 @@ func attach(rec *probe.Recorder, scope string, e *sim.Engine, disks []*device.Di
 // 64 per cylinder, 900 cylinders.
 func geom1989() device.Geometry { return device.DefaultGeometry1989() }
 
-// drives builds n engine-attached drives d0 … d(n-1) from one template.
-func drives(e *sim.Engine, n int, tmpl device.Config) []*device.Disk {
-	disks := make([]*device.Disk, n)
-	for i := range disks {
-		tmpl.Name, tmpl.Engine = fmt.Sprintf("d%d", i), e
-		disks[i] = device.New(tmpl)
-	}
-	return disks
-}
-
-// array builds n engine-attached 1989 drives and a volume over them,
+// array builds n drives from tmpl attached to e and a volume over them,
 // recorded through rec.
-func array(rec *probe.Recorder, e *sim.Engine, n int, sched device.Sched) ([]*device.Disk, *pfs.Volume, error) {
-	disks := drives(e, n, device.Config{Geometry: geom1989(), Sched: sched})
+func array(rec *probe.Recorder, e *sim.Engine, n int, tmpl device.Config) ([]*device.Disk, *pfs.Volume, error) {
+	tmpl.Engine = e
+	disks := device.NewDrives(n, tmpl)
 	store, err := blockio.NewDirect(disks)
 	if err != nil {
 		return nil, nil, err

@@ -171,10 +171,7 @@ func TestMechanismRowShapes(t *testing.T) {
 }
 
 func TestFigure1AllPatternsValid(t *testing.T) {
-	res := runOK(t, "f1")
-	if res.Tables[0].Rows() != 4 {
-		t.Fatalf("Figure 1 rows = %d", res.Tables[0].Rows())
-	}
+	res := runOK(t, "f1") // TestRegistryGoldens holds its table's rows
 	if len(res.Metrics) != 4 {
 		t.Fatalf("only %d of 4 patterns validated: %v", len(res.Metrics), res.Metrics)
 	}

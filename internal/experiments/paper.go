@@ -101,7 +101,7 @@ type orgResult struct {
 func (o organization) run(rec *probe.Recorder) (orgResult, error) {
 	var res orgResult
 	e := sim.NewEngine()
-	disks, vol, err := array(rec, e, o.drives, o.sched)
+	disks, vol, err := array(rec, e, o.drives, device.Config{Geometry: geom1989(), Sched: o.sched})
 	if err != nil {
 		return res, err
 	}

@@ -68,7 +68,7 @@ func serviceTimes(*probe.Recorder) (*Result, error) {
 // otherwise one process reads window-block descriptors in order.
 func rawScan(rec *probe.Recorder, scope string, devs int, unit, blocks int64, readers int, window int64) (requests int64, elapsed time.Duration, err error) {
 	e := sim.NewEngine()
-	disks := drives(e, devs, device.Config{})
+	disks := device.NewDrives(devs, device.Config{Engine: e})
 	store, err := blockio.NewDirect(disks)
 	if err != nil {
 		return 0, 0, err

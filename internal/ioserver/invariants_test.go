@@ -46,7 +46,7 @@ func cutPlan(set *blockio.Set, first int64, wins []int64) *blockio.BatchPlan {
 	var cuts []int64
 	for _, w := range wins {
 		if n += w; len(cuts) < len(wins)-1 {
-			cuts = append(cuts, n*int64(set.BlockSize()))
+			cuts = append(cuts, n*int64(set.Store().BlockSize()))
 		}
 	}
 	plan, err := blockio.BatchVec{{Set: set, Vec: blockio.Vec{{Block: first, N: n}}}}.Plan(cuts)
@@ -80,7 +80,7 @@ func invariantMix(t *testing.T, seed int64, pol Policy) (cfgs []JobConfig, worke
 		{Name: "urgent", Priority: 3},
 	}
 	set := fixture(t, e, region*int64(len(cfgs)))
-	bs := int64(set.BlockSize())
+	bs := int64(set.Store().BlockSize())
 	rec := probe.New()
 	s := New(Config{Workers: workers, Policy: pol})
 	s.SetProbe(rec)

@@ -167,9 +167,6 @@ type Job struct {
 	trk probe.TrackID // flight-recorder lane track (0: detached)
 }
 
-// Name reports the job's configured name.
-func (j *Job) Name() string { return j.cfg.Name }
-
 // Stats snapshots the job's accounting.
 func (j *Job) Stats() JobStats {
 	return JobStats{
@@ -230,14 +227,6 @@ type service struct {
 
 // Done reports whether the server has completed the request.
 func (r *Request) Done() bool { return r.done }
-
-// Err returns the access error once Done; nil before completion.
-func (r *Request) Err() error {
-	if !r.done {
-		return nil
-	}
-	return r.err
-}
 
 // Wait parks the caller until the server completes the request and
 // returns the access error.

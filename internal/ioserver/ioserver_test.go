@@ -61,7 +61,7 @@ func TestServerRoundTrip(t *testing.T) {
 	job := s.AddJob(JobConfig{Name: "j0"})
 	s.Start(e)
 
-	bs := int64(set.BlockSize())
+	bs := int64(set.Store().BlockSize())
 	out := make([]byte, 4*bs)
 	for i := range out {
 		out[i] = byte(i)
@@ -75,7 +75,7 @@ func TestServerRoundTrip(t *testing.T) {
 		if err := w.Wait(p); err != nil {
 			t.Error(err)
 		}
-		if !w.Done() || w.Err() != nil {
+		if !w.Done() || w.err != nil {
 			t.Error("ticket not completed after Wait")
 		}
 		r := job.Submit(p, false, batchFor(set, 0, 4), blockio.Space{{Buf: in}}, 4*bs)
@@ -104,8 +104,8 @@ func TestServerRoundTrip(t *testing.T) {
 // order via the shared log.
 func submitN(e *sim.Engine, job *Job, set *blockio.Set, first, blocks int64, n int, gap time.Duration, log *[]string) *sim.Group {
 	var g sim.Group
-	bs := int64(set.BlockSize())
-	g.Spawn(e, "client-"+job.Name(), func(p *sim.Proc) {
+	bs := int64(set.Store().BlockSize())
+	g.Spawn(e, "client-"+job.cfg.Name, func(p *sim.Proc) {
 		tickets := make([]*Request, 0, n)
 		for i := 0; i < n; i++ {
 			if gap > 0 && i > 0 {
@@ -118,7 +118,7 @@ func submitN(e *sim.Engine, job *Job, set *blockio.Set, first, blocks int64, n i
 			if err := tk.Wait(p); err != nil {
 				panic(err)
 			}
-			*log = append(*log, fmt.Sprintf("%s-%d", job.Name(), i))
+			*log = append(*log, fmt.Sprintf("%s-%d", job.cfg.Name, i))
 		}
 	})
 	return &g
@@ -226,7 +226,7 @@ func TestSubmitBeforeStartPanics(t *testing.T) {
 				t.Error("Submit before Start did not panic")
 			}
 		}()
-		job.SubmitWritePlan(p, batchFor(set, 0, 1), make([]byte, set.BlockSize()), int64(set.BlockSize()))
+		job.SubmitWritePlan(p, batchFor(set, 0, 1), make([]byte, set.Store().BlockSize()), int64(set.Store().BlockSize()))
 	})
 	run(t, e)
 }
@@ -246,7 +246,7 @@ func TestSubmitAfterStopPanics(t *testing.T) {
 				t.Error("Submit after Stop did not panic")
 			}
 		}()
-		job.SubmitWritePlan(p, batchFor(set, 0, 1), make([]byte, set.BlockSize()), int64(set.BlockSize()))
+		job.SubmitWritePlan(p, batchFor(set, 0, 1), make([]byte, set.Store().BlockSize()), int64(set.Store().BlockSize()))
 	})
 	run(t, e)
 }
@@ -263,7 +263,7 @@ func TestReleasedTicketIsReused(t *testing.T) {
 	s := New(Config{Workers: 1})
 	job := s.AddJob(JobConfig{Name: "victim"})
 	s.Start(e)
-	bs := int64(set.BlockSize())
+	bs := int64(set.Store().BlockSize())
 	plan := batchFor(set, 0, 2)
 	buf := make([]byte, 2*bs)
 	e.Go("client", func(p *sim.Proc) {
@@ -275,8 +275,8 @@ func TestReleasedTicketIsReused(t *testing.T) {
 			} else if r != first {
 				t.Errorf("call %d: Submit made a new ticket with one released", i)
 			}
-			if r.Done() || r.Err() != nil {
-				t.Errorf("call %d: a reused ticket starts done (%v)", i, r.Err())
+			if r.Done() || r.err != nil {
+				t.Errorf("call %d: a reused ticket starts done (%v)", i, r.err)
 			}
 			var g sim.Group
 			for w := 0; w < waiters; w++ {
@@ -309,7 +309,7 @@ func TestReleasePanics(t *testing.T) {
 	s := New(Config{Workers: 1})
 	job, other := s.AddJob(JobConfig{Name: "a"}), s.AddJob(JobConfig{Name: "b"})
 	s.Start(e)
-	bs := int64(set.BlockSize())
+	bs := int64(set.Store().BlockSize())
 	mustPanic := func(what string, j *Job, r *Request) {
 		defer func() {
 			if recover() == nil {

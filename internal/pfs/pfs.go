@@ -470,8 +470,14 @@ func (v *Volume) create(spec Spec, fixedBase []int64) (*File, error) {
 	}
 	nBlocks := mapper.NumBlocks()
 	fsPer := mapper.FSPerBlock()
-	totalFS := mapper.TotalFSBlocks()
 	devs := v.store.Devices()
+	// Refuse a file the drives cannot hold before anything maps its
+	// blocks, comparing without forming its fs-block count.
+	if capacity := int64(devs) * v.store.Blocks(); nBlocks > capacity/fsPer {
+		return nil, fmt.Errorf("pfs: %q: %d blocks of %d fs blocks each exceed the volume's %d fs blocks",
+			spec.Name, nBlocks, fsPer, capacity)
+	}
+	totalFS := mapper.TotalFSBlocks()
 
 	// Partition table in paper-blocks.
 	partBlocks := spec.PartBlocks

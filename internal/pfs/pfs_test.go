@@ -1,8 +1,10 @@
 package pfs
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/blockio"
 	"repro/internal/device"
@@ -226,6 +228,48 @@ func TestVolumeFull(t *testing.T) {
 	// A fitting file still works afterwards.
 	if _, err := v.Create(Spec{Name: "ok", RecordSize: 256, NumRecords: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBeyondCapacityRefused: a file larger than all the drives together
+// is refused at once, the error naming its size and the volume's, whether
+// it is created or restored and however large its record count.
+func TestBeyondCapacityRefused(t *testing.T) {
+	const capacity = "the volume's 2048 fs blocks" // 4 drives of 512 blocks
+	for _, tc := range []struct {
+		records int64
+		size    string // two 128-byte records a block
+	}{
+		{600_000, "300000 blocks of 1 fs blocks"},
+		{1_000_000_000_000, "500000000000 blocks of 1 fs blocks"},
+		{1 << 62, "2305843009213693952 blocks of 1 fs blocks"},
+		{math.MaxInt64, "4611686018427387904 blocks of 1 fs blocks"},
+	} {
+		for _, restore := range []bool{false, true} {
+			v := testVolume(t, 4)
+			spec := Spec{Name: "big", RecordSize: 128, NumRecords: tc.records}
+			done := make(chan error, 1)
+			go func() {
+				if restore {
+					_, err := v.Restore(spec, make([]int64, 4))
+					done <- err
+				} else {
+					_, err := v.Create(spec)
+					done <- err
+				}
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), tc.size) || !strings.Contains(err.Error(), capacity) {
+					t.Errorf("%d records (restore %v): %v, want an error naming %s and %s", tc.records, restore, err, tc.size, capacity)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d records (restore %v): still mapping after 10 s", tc.records, restore)
+			}
+		}
+	}
+	if _, err := testVolume(t, 4).Create(Spec{Name: "full", RecordSize: 128, NumRecords: 4096}); err != nil {
+		t.Fatalf("a file of exactly the volume's 2048 fs blocks: %v", err)
 	}
 }
 

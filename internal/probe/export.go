@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -158,7 +159,7 @@ func ReadChromeTrace(rd io.Reader) (*Recorder, error) {
 		case "X", "i", "b":
 			var a traceArgs
 			json.Unmarshal(ev.Args, &a)
-			ts, err := parseUsec(ev.Ts)
+			ts, err := parseUsec(ev.Name, ev.Ts)
 			if err != nil {
 				return nil, err
 			}
@@ -169,9 +170,12 @@ func ReadChromeTrace(rd io.Reader) (*Recorder, error) {
 			}
 			switch ev.Ph {
 			case "X":
-				dur, err := parseUsec(ev.Dur)
+				dur, err := parseUsec(ev.Name, ev.Dur)
 				if err != nil {
 					return nil, err
+				}
+				if dur > math.MaxInt64-ts {
+					return nil, fmt.Errorf("probe: event %q ends past the largest duration", ev.Name)
 				}
 				s.End = ts + dur
 				raw = append(raw, s)
@@ -186,7 +190,7 @@ func ReadChromeTrace(rd io.Reader) (*Recorder, error) {
 			id, _ := ev.ID.Int64()
 			for i := len(pending) - 1; i >= 0; i-- {
 				if pending[i].id == id {
-					ts, err := parseUsec(ev.Ts)
+					ts, err := parseUsec(ev.Name, ev.Ts)
 					if err != nil {
 						return nil, err
 					}
@@ -233,16 +237,22 @@ func ReadChromeTrace(rd io.Reader) (*Recorder, error) {
 	return r, nil
 }
 
-func parseUsec(n json.Number) (time.Duration, error) {
+// parseUsec reads event's time n, in microseconds, refusing one that is
+// negative or whose nanoseconds overflow a time.Duration.
+func parseUsec(event string, n json.Number) (time.Duration, error) {
 	str := n.String()
 	if str == "" {
 		return 0, nil
 	}
 	f, err := strconv.ParseFloat(str, 64)
 	if err != nil {
-		return 0, fmt.Errorf("probe: bad trace timestamp %q: %w", str, err)
+		return 0, fmt.Errorf("probe: event %q: bad trace time %q: %w", event, str, err)
 	}
-	return time.Duration(f*1000 + 0.5), nil
+	ns := f*1000 + 0.5
+	if !(f >= 0 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("probe: event %q: trace time %sµs is negative or past the largest duration", event, str)
+	}
+	return time.Duration(ns), nil
 }
 
 // TrackUsage summarizes one track: busy time is the union of its span

@@ -327,8 +327,8 @@ func (m *Metrics) Snapshot() []MetricValue {
 			v.Value = it.gauge()
 		default:
 			s := it.sample
-			if s == nil && it.hist != nil {
-				s = &it.hist.s
+			if s == nil {
+				s = it.hist.Sample()
 			}
 			if s != nil {
 				v.Value = float64(s.N())

@@ -126,6 +126,28 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestChromeTraceImpossibleTimes: a time that is negative or overflows a
+// duration's nanoseconds is refused with the event's name.
+func TestChromeTraceImpossibleTimes(t *testing.T) {
+	for _, evs := range []string{
+		`{"name":"neg","ph":"X","ts":-5,"dur":-3}`,
+		`{"name":"negdur","ph":"X","ts":5,"dur":-3}`,
+		`{"name":"huge","ph":"X","ts":1e300,"dur":1}`,
+		`{"name":"edge","ph":"i","ts":9223372036854775.808}`,
+		`{"name":"long","ph":"X","ts":5e15,"dur":5e15}`,
+		`{"name":"end","ph":"b","id":1,"ts":10},{"name":"end","ph":"e","id":1,"ts":-4}`,
+	} {
+		_, err := ReadChromeTrace(strings.NewReader("[" + evs + "]"))
+		name := evs[len(`{"name":"`):strings.Index(evs, `","ph"`)]
+		if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Errorf("%s: %v, want an error naming event %q", evs, err, name)
+		}
+	}
+	if _, err := ReadChromeTrace(strings.NewReader(`[{"name":"ok","ph":"X","ts":4e15,"dur":5e15}]`)); err != nil {
+		t.Errorf("a 104-day span refused: %v", err)
+	}
+}
+
 func TestChromeTraceDeterministic(t *testing.T) {
 	build := func() *bytes.Buffer {
 		r := New()

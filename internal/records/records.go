@@ -10,7 +10,10 @@
 // sequential consumers still see a gap-free record stream.
 package records
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Span is a byte range within one file-system block.
 type Span struct {
@@ -36,8 +39,8 @@ func NewMapper(recordSize, blockRecords, fsBlock int, numRecords int64) (*Mapper
 	if recordSize <= 0 {
 		return nil, fmt.Errorf("records: record size %d must be positive", recordSize)
 	}
-	if blockRecords <= 0 {
-		return nil, fmt.Errorf("records: block records %d must be positive", blockRecords)
+	if blockRecords <= 0 || blockRecords > math.MaxInt/recordSize {
+		return nil, fmt.Errorf("records: block records %d must be positive, and a block of %d-byte records fit an int", blockRecords, recordSize)
 	}
 	if fsBlock <= 0 {
 		return nil, fmt.Errorf("records: fs block size %d must be positive", fsBlock)
@@ -52,7 +55,7 @@ func NewMapper(recordSize, blockRecords, fsBlock int, numRecords int64) (*Mapper
 		numRecords:   numRecords,
 	}
 	m.blockBytes = recordSize * blockRecords
-	m.fsPerBlock = int64((m.blockBytes + fsBlock - 1) / fsBlock)
+	m.fsPerBlock = int64((m.blockBytes-1)/fsBlock + 1)
 	m.paddedBytes = int(m.fsPerBlock) * fsBlock
 	return m, nil
 }
@@ -75,7 +78,7 @@ func (m *Mapper) NumBlocks() int64 {
 	if m.numRecords == 0 {
 		return 0
 	}
-	return (m.numRecords + int64(m.blockRecords) - 1) / int64(m.blockRecords)
+	return (m.numRecords-1)/int64(m.blockRecords) + 1
 }
 
 // FSPerBlock reports fs blocks per paper-block.

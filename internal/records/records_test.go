@@ -20,6 +20,7 @@ func TestMapperValidation(t *testing.T) {
 		n          int64
 	}{
 		{0, 1, 1, 1}, {1, 0, 1, 1}, {1, 1, 0, 1}, {1, 1, 1, -1},
+		{1 << 40, 1 << 40, 4096, 1}, // a block's bytes overflow an int
 	}
 	for _, c := range cases {
 		if _, err := NewMapper(c.rs, c.br, c.fs, c.n); err == nil {

@@ -19,7 +19,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/blockio"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/pfs"
@@ -293,22 +292,4 @@ func ScheduleFailure(e *sim.Engine, d *device.Disk, at time.Duration) {
 		p.SleepUntil(at)
 		d.Fail()
 	})
-}
-
-// NewPlainArray builds n engine-attached disks with the given geometry
-// and a volume over them (convenience for experiments and tests).
-func NewPlainArray(e *sim.Engine, n int, geom device.Geometry) ([]*device.Disk, *pfs.Volume, error) {
-	disks := make([]*device.Disk, n)
-	for i := range disks {
-		disks[i] = device.New(device.Config{
-			Name:     fmt.Sprintf("d%d", i),
-			Geometry: geom,
-			Engine:   e,
-		})
-	}
-	store, err := blockio.NewDirect(disks)
-	if err != nil {
-		return nil, nil, err
-	}
-	return disks, pfs.NewVolume(store), nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/blockio"
 	"repro/internal/device"
 	"repro/internal/pfs"
 	"repro/internal/sim"
@@ -143,12 +144,20 @@ func TestMirrorScenarioEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRollbackDemo(t *testing.T) {
-	e := sim.NewEngine()
-	disks, vol, err := NewPlainArray(e, 4, device.Geometry{BlockSize: 256, BlocksPerCyl: 8, Cylinders: 64})
+// plainArray builds n small drives attached to e and a volume over them.
+func plainArray(t *testing.T, e *sim.Engine, n int) ([]*device.Disk, *pfs.Volume) {
+	t.Helper()
+	disks := device.NewDrives(n, device.Config{Geometry: device.Geometry{BlockSize: 256, BlocksPerCyl: 8, Cylinders: 64}, Engine: e})
+	store, err := blockio.NewDirect(disks)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return disks, pfs.NewVolume(store)
+}
+
+func TestRollbackDemo(t *testing.T) {
+	e := sim.NewEngine()
+	disks, vol := plainArray(t, e, 4)
 	f, err := vol.Create(pfs.Spec{Name: "data", RecordSize: 64, NumRecords: 128})
 	if err != nil {
 		t.Fatal(err)
@@ -174,10 +183,7 @@ func TestRollbackDemo(t *testing.T) {
 
 func TestWriteVerifyPattern(t *testing.T) {
 	e := sim.NewEngine()
-	_, vol, err := NewPlainArray(e, 2, device.Geometry{BlockSize: 256, BlocksPerCyl: 8, Cylinders: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, vol := plainArray(t, e, 2)
 	f, err := vol.Create(pfs.Spec{Name: "p", RecordSize: 64, NumRecords: 32})
 	if err != nil {
 		t.Fatal(err)

@@ -37,14 +37,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: Int63n with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -58,17 +50,6 @@ func (r *RNG) ExpFloat64() float64 {
 		u = r.Float64()
 	}
 	return -math.Log(u)
-}
-
-// Perm returns a pseudorandom permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Zipf draws from a Zipf-like distribution over [0, n) with skew s >= 0

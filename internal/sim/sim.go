@@ -169,9 +169,6 @@ type Event struct {
 	slot int
 }
 
-// Name reports the name given to Go.
-func (p *Proc) Name() string { return p.name }
-
 // Engine returns the owning engine.
 func (p *Proc) Engine() *Engine { return p.e }
 

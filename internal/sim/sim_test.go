@@ -660,7 +660,7 @@ func TestParN(t *testing.T) {
 		err = ParN(p, 4, func(c Context, i int) error {
 			order = append(order, i)
 			if (i == 0) != (c == Context(p)) {
-				t.Errorf("branch %d ran on %v", i, c.(*Proc).Name())
+				t.Errorf("branch %d ran on %v", i, c.(*Proc).name)
 			}
 			c.Sleep(time.Duration(4-i) * time.Millisecond)
 			if i%2 == 1 {

@@ -57,9 +57,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows reports the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // fmtDuration renders durations compactly with ms precision above 1s.
 func fmtDuration(d time.Duration) string {
 	switch {

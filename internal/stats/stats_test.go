@@ -38,8 +38,8 @@ func TestTableRendering(t *testing.T) {
 			t.Fatalf("table output missing %q:\n%s", want, s)
 		}
 	}
-	if tb.Rows() != 2 {
-		t.Fatalf("Rows = %d", tb.Rows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 	if tb.rows[0][0] != "1" {
 		t.Fatalf("cell (0,0) = %q", tb.rows[0][0])

@@ -237,7 +237,7 @@ var goldenKinds = []struct {
 	run  func(ctx sim.Context, s *blockio.Set, i int) ([]byte, error)
 }{
 	{"blk-r", func(ctx sim.Context, s *blockio.Set, i int) ([]byte, error) {
-		bs := s.BlockSize()
+		bs := s.Store().BlockSize()
 		buf := make([]byte, 3*bs)
 		for k, b := range [][]int64{{5, 6, 41}, {50, 7, 90}}[i] {
 			if err := s.ReadVec(ctx, blockio.Vec{{Block: b, N: 1}}, buf[k*bs:(k+1)*bs]); err != nil {
@@ -247,7 +247,7 @@ var goldenKinds = []struct {
 		return buf, nil
 	}},
 	{"blk-w", func(ctx sim.Context, s *blockio.Set, i int) ([]byte, error) {
-		bs := s.BlockSize()
+		bs := s.Store().BlockSize()
 		buf := make([]byte, 3*bs)
 		fill(buf, byte(0x10+i))
 		for k, b := range [][]int64{{5, 6, 41}, {50, 7, 90}}[i] {
@@ -259,44 +259,44 @@ var goldenKinds = []struct {
 	}},
 	{"rng-r", func(ctx sim.Context, s *blockio.Set, i int) ([]byte, error) {
 		b, n := [][2]int64{{3, 40}, {50, 37}}[i][0], [][2]int64{{3, 40}, {50, 37}}[i][1]
-		buf := make([]byte, n*int64(s.BlockSize()))
+		buf := make([]byte, n*int64(s.Store().BlockSize()))
 		return buf, gReadRange(ctx, s, b, n, buf)
 	}},
 	{"rng-w", func(ctx sim.Context, s *blockio.Set, i int) ([]byte, error) {
 		b, n := [][2]int64{{3, 40}, {50, 37}}[i][0], [][2]int64{{3, 40}, {50, 37}}[i][1]
-		buf := make([]byte, n*int64(s.BlockSize()))
+		buf := make([]byte, n*int64(s.Store().BlockSize()))
 		fill(buf, byte(0x20+i))
 		return nil, gWriteRange(ctx, s, b, n, buf)
 	}},
 	{"vec-r", func(ctx sim.Context, s *blockio.Set, i int) ([]byte, error) {
-		vec, n := goldenVec(i, int64(s.BlockSize()))
+		vec, n := goldenVec(i, int64(s.Store().BlockSize()))
 		buf := make([]byte, n)
 		return buf, s.ReadVec(ctx, vec, buf)
 	}},
 	{"vec-w", func(ctx sim.Context, s *blockio.Set, i int) ([]byte, error) {
-		vec, n := goldenVec(i, int64(s.BlockSize()))
+		vec, n := goldenVec(i, int64(s.Store().BlockSize()))
 		buf := make([]byte, n)
 		fill(buf, byte(0x30+i))
 		return nil, s.WriteVec(ctx, vec, buf)
 	}},
 	{"sv-r", func(ctx sim.Context, s *blockio.Set, i int) ([]byte, error) {
-		vec, n := goldenVec(i, int64(s.BlockSize()))
+		vec, n := goldenVec(i, int64(s.Store().BlockSize()))
 		buf := make([]byte, n)
 		return buf, gReadSieved(ctx, s, vec, buf)
 	}},
 	{"sv-w", func(ctx sim.Context, s *blockio.Set, i int) ([]byte, error) {
-		vec, n := goldenVec(i, int64(s.BlockSize()))
+		vec, n := goldenVec(i, int64(s.Store().BlockSize()))
 		buf := make([]byte, n)
 		fill(buf, byte(0x40+i))
 		return nil, gWriteSieved(ctx, s, vec, buf)
 	}},
 	{"svd-r", func(ctx sim.Context, s *blockio.Set, i int) ([]byte, error) {
-		vec, n := goldenDense(i, int64(s.BlockSize()))
+		vec, n := goldenDense(i, int64(s.Store().BlockSize()))
 		buf := make([]byte, n)
 		return buf, gReadSieved(ctx, s, vec, buf)
 	}},
 	{"svd-w", func(ctx sim.Context, s *blockio.Set, i int) ([]byte, error) {
-		vec, n := goldenDense(i, int64(s.BlockSize()))
+		vec, n := goldenDense(i, int64(s.Store().BlockSize()))
 		buf := make([]byte, n)
 		fill(buf, byte(0x50+i))
 		return nil, gWriteSieved(ctx, s, vec, buf)
@@ -319,7 +319,7 @@ func goldenResult(sets []*blockio.Set, total int64, errs [2]error, bufs [2][]byt
 	}
 	wall := sim.NewWall()
 	for _, s := range sets {
-		blk := make([]byte, s.BlockSize())
+		blk := make([]byte, s.Store().BlockSize())
 		for b := int64(0); b < total; b++ {
 			if err := s.ReadVec(wall, blockio.Vec{{Block: b, N: 1}}, blk); err != nil {
 				h.Write([]byte("unreadable"))
@@ -431,7 +431,7 @@ func TestTransferGoldens(t *testing.T) {
 					sets = append(sets, s)
 				}
 				goldenPrepare(t, sets, abutBlocks, st, failed)
-				bs := int64(sets[0].BlockSize())
+				bs := int64(sets[0].Store().BlockSize())
 				var errs [2]error
 				var bufs [2][]byte
 				for i := 0; i < 2; i++ {
@@ -499,7 +499,7 @@ func goldenPrepare(t *testing.T, sets []*blockio.Set, total int64, st goldenStor
 	t.Helper()
 	wall := sim.NewWall()
 	for f, s := range sets {
-		blk := make([]byte, s.BlockSize())
+		blk := make([]byte, s.Store().BlockSize())
 		for b := int64(0); b < total; b++ {
 			fill(blk, byte(int64(f)*31+b))
 			if err := s.WriteVec(wall, blockio.Vec{{Block: b, N: 1}}, blk); err != nil {

@@ -90,7 +90,7 @@ func TestVecStoreEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				ctx := sim.NewWall()
-				bs := int64(set.BlockSize())
+				bs := int64(set.Store().BlockSize())
 				rng := rand.New(rand.NewSource(11))
 				// Strided descriptor: every other pair of blocks, buffer
 				// slots shuffled.

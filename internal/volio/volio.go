@@ -115,7 +115,10 @@ func Load(dir string, e *sim.Engine) ([]*device.Disk, *pfs.Volume, error) {
 			return nil, nil, fmt.Errorf("volio: header geometry %s %d", f.name, f.v)
 		}
 	}
-	var disks []*device.Disk
+	// Every drive's image is read before the drives are built, so a
+	// header claiming more drives than the directory holds fails at the
+	// first missing image.
+	var images []map[int64][]byte
 	for i := range meta.Devices {
 		df, err := os.Open(filepath.Join(dir, fmt.Sprintf("dev%03d.gob", i)))
 		if err != nil {
@@ -127,11 +130,13 @@ func Load(dir string, e *sim.Engine) ([]*device.Disk, *pfs.Volume, error) {
 			return nil, nil, fmt.Errorf("volio: decode device %d: %w", i, err)
 		}
 		df.Close()
-		d := device.New(device.Config{Name: fmt.Sprintf("d%d", i), Geometry: g, Engine: e})
-		if err := d.Restore(pages); err != nil {
+		images = append(images, pages)
+	}
+	disks := device.NewDrives(meta.Devices, device.Config{Geometry: g, Engine: e})
+	for i, d := range disks {
+		if err := d.Restore(images[i]); err != nil {
 			return nil, nil, fmt.Errorf("volio: restore device %d: %w", i, err)
 		}
-		disks = append(disks, d)
 	}
 	store, err := blockio.NewDirect(disks)
 	if err != nil {

@@ -50,22 +50,6 @@ func CheckRecord(buf []byte, seed uint64, rec int64) error {
 	return nil
 }
 
-// Matrix describes a dense matrix stored one row per record.
-type Matrix struct {
-	Rows, Cols int
-	ElemSize   int // bytes per element
-}
-
-// RecordSize reports the row record size in bytes.
-func (m Matrix) RecordSize() int { return m.Cols * m.ElemSize }
-
-// BlockOwner reports which of p processes owns row r under block
-// (contiguous) partitioning — the PS analogue.
-func (m Matrix) BlockOwner(r, p int) int {
-	per := (m.Rows + p - 1) / p
-	return r / per
-}
-
 // ServiceOf deterministically computes task id's service time, uniform
 // in [min, max) for a given seed — the "queue with multiple servers"
 // workload that motivates self-scheduled files (§3.1) — so tasks can be
@@ -75,7 +59,7 @@ func ServiceOf(seed uint64, id int64, min, max time.Duration) time.Duration {
 	if max <= min {
 		return min
 	}
-	return min + time.Duration(r.Int63n(int64(max-min)))
+	return min + time.Duration(r.Intn(int(max-min)))
 }
 
 // AccessPattern generates record indices for direct-access experiments.
@@ -102,5 +86,5 @@ func (a *AccessPattern) Next() int64 {
 	if a.zipf != nil {
 		return int64(a.zipf.Next())
 	}
-	return a.rng.Int63n(a.n)
+	return int64(a.rng.Intn(int(a.n)))
 }

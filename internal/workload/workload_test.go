@@ -49,20 +49,6 @@ func TestRecordQuick(t *testing.T) {
 	}
 }
 
-func TestMatrixOwners(t *testing.T) {
-	m := Matrix{Rows: 10, Cols: 4, ElemSize: 8}
-	if m.RecordSize() != 32 {
-		t.Fatalf("RecordSize = %d", m.RecordSize())
-	}
-	// Block partitioning of 10 rows over 3 procs: 4,4,2.
-	wantBlock := []int{0, 0, 0, 0, 1, 1, 1, 1, 2, 2}
-	for r, want := range wantBlock {
-		if got := m.BlockOwner(r, 3); got != want {
-			t.Fatalf("block owner(%d) = %d, want %d", r, got, want)
-		}
-	}
-}
-
 // TestServiceOfMatchesQueue: the service time a task queue draws for a
 // task is the same for the same seed and id, and within [min, max).
 func TestServiceOfMatchesQueue(t *testing.T) {

@@ -391,7 +391,6 @@
 package pario
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/blockio"
@@ -823,15 +822,7 @@ func NewMachine(n int) *Machine {
 // interconnect to rank groups.
 func NewProfiledMachine(n int, pf Profile) *Machine {
 	e := sim.NewEngine()
-	disks := make([]*Disk, n)
-	for i := range disks {
-		disks[i] = device.New(device.Config{
-			Name:        fmt.Sprintf("d%d", i),
-			Engine:      e,
-			Sched:       pf.Sched,
-			MergeQueued: pf.MergeQueued,
-		})
-	}
+	disks := device.NewDrives(n, device.Config{Engine: e, Sched: pf.Sched, MergeQueued: pf.MergeQueued})
 	vol, err := NewVolume(disks)
 	if err != nil {
 		// Unreachable: identical fresh disks always form a valid store.

@@ -54,8 +54,8 @@ func TestTransferAllocs(t *testing.T) {
 	_, f := stripedFile(t, pario.OrgSequential, 64)
 	set := f.Set()
 	ctx := pario.NewWall()
-	blk := make([]byte, set.BlockSize())
-	buf := make([]byte, 64*set.BlockSize())
+	blk := make([]byte, set.Store().BlockSize())
+	buf := make([]byte, 64*set.Store().BlockSize())
 	vec := pario.Vec{{Block: 0, N: 64}}
 	if err := set.WriteVec(ctx, vec, buf); err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func BenchmarkOneBlockTransfer(b *testing.B) {
 	_, f := stripedFile(b, pario.OrgSequential, 64)
 	set := f.Set()
 	ctx := pario.NewWall()
-	blk := make([]byte, set.BlockSize())
+	blk := make([]byte, set.Store().BlockSize())
 	one := pario.Vec{{Block: 5, N: 1}}
 	for _, bc := range []struct {
 		name string
@@ -244,7 +244,7 @@ func TestMultiDriveTransferSpawnsNothing(t *testing.T) {
 			srv := pario.NewIOServer(pario.IOServerConfig{})
 			job := srv.AddJob(pario.IOJobConfig{Name: "j"})
 			srv.Start(m.Engine)
-			buf := make([]byte, 64*set.BlockSize())
+			buf := make([]byte, 64*set.Store().BlockSize())
 			// One P, as testing.AllocsPerRun runs: the transfer's pooled
 			// map scratch sits in a per-P pool slot, and a process whose
 			// goroutine moved to another P would find that P's slot empty
@@ -302,7 +302,7 @@ func BenchmarkMultiDriveTransfer(b *testing.B) {
 	if runs, err := set.MapVec(vec); err != nil || len(runs) != drives {
 		b.Fatalf("the fixture maps to %d runs (%v), want %d", len(runs), err, drives)
 	}
-	buf := make([]byte, 2*drives*set.BlockSize())
+	buf := make([]byte, 2*drives*set.Store().BlockSize())
 	b.ReportAllocs()
 	m.Go("io", func(p *pario.Proc) {
 		b.ResetTimer()
