@@ -161,9 +161,13 @@ func (s *mapScratch) mapRuns(op string, items BatchVec, cuts []int64, bs int64, 
 	if len(cuts) > 0 {
 		// A split piece's tail goes to the end of the list and is looked
 		// at in its turn, so a piece spanning several cuts splits at each.
+		w := 0 // the last piece's window: pieces mostly come in buffer order
 		for i := 0; i < len(s.pieces); i++ {
 			pc := &s.pieces[i]
-			pc.win = sort.Search(len(cuts), func(k int) bool { return cuts[k] > pc.bufOff })
+			if w > 0 && cuts[w-1] > pc.bufOff || w < len(cuts) && cuts[w] <= pc.bufOff {
+				w = sort.Search(len(cuts), func(k int) bool { return cuts[k] > pc.bufOff })
+			}
+			pc.win = w
 			if pc.win < len(cuts) && cuts[pc.win] < pc.bufOff+pc.n*bs {
 				head := (cuts[pc.win] - pc.bufOff) / bs
 				tail := *pc

@@ -177,17 +177,58 @@ func MappedPlan(ms []Mapped, at []int64, window int64) (*BatchPlan, error) {
 	return pl, nil
 }
 
-// Uncut appends to dst the plan's runs as if it had no cuts — every
-// window's, neighbours on a drive joined, in (device, block) order —
-// without their segments: where the whole batch lies on the drives.
-func (pl *BatchPlan) Uncut(dst []Run) []Run {
-	m := mergePool.Get().(*mergeScratch)
-	for _, r := range m.merge(pl.wins, pl.bs) {
-		dst = append(dst, Run{Dev: r.Dev, PBlock: r.PBlock, B: r.B, N: r.N})
+// Footprint is where the whole batch lies on the store's devices: the
+// plan's runs as if it had no cuts, without their segments, into dst —
+// device i's are dst[at[i]:at[i+1]], ascending, neighbours joined. at
+// has one entry per device and one more; both tables are reused where
+// they have the room. The runs are bucketed by device in one counting
+// pass; a device whose runs come out of the windows in block order —
+// windows that follow one another on it — needs no sort.
+func (pl *BatchPlan) Footprint(dst []Run, at []int) ([]Run, []int) {
+	nd := 0
+	if pl.store != nil {
+		nd = pl.store.Devices()
 	}
-	mergePool.Put(m)
-	return dst
+	at = slices.Grow(at[:0], nd+1)[:nd+1]
+	clear(at)
+	for _, w := range pl.wins {
+		for _, r := range w {
+			at[r.Dev+1]++
+		}
+	}
+	for i := 1; i <= nd; i++ {
+		at[i] += at[i-1]
+	}
+	dst = slices.Grow(dst[:0], at[nd])[:at[nd]]
+	for _, w := range pl.wins { // at[i] ends up where device i+1's start
+		for _, r := range w {
+			dst[at[r.Dev]] = Run{Dev: r.Dev, PBlock: r.PBlock, N: r.N}
+			at[r.Dev]++
+		}
+	}
+	copy(at[1:], at[:nd])
+	at[0] = 0
+	out := 0
+	for i := range nd {
+		runs := dst[at[i]:at[i+1]]
+		if !slices.IsSortedFunc(runs, byPBlock) {
+			slices.SortFunc(runs, byPBlock)
+		}
+		at[i] = out
+		for _, r := range runs {
+			if k := out - 1; out > at[i] && dst[k].PBlock+dst[k].N == r.PBlock {
+				dst[k].N += r.N
+			} else {
+				dst[out] = r
+				out++
+			}
+		}
+	}
+	at[nd] = out
+	return dst[:out], at
 }
+
+func byPBlock(a, b Run) int { return cmp.Compare(a.PBlock, b.PBlock) }
 
 // Windows reports the number of issue windows.
 func (pl *BatchPlan) Windows() int { return len(pl.wins) }

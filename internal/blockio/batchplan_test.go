@@ -511,3 +511,58 @@ func TestMappedPlanIssuesTheDescriptors(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchPlanFootprint: a plan's footprint is its windows' runs with
+// the cuts undone — in (device, block) order, neighbours on a drive
+// joined, what merging every window at once gives — bucketed by device.
+// The batch puts the second file's blocks first in the buffer space, so
+// some devices' runs come out of the windows in descending blocks and
+// are sorted; every unit and cut stride, and a plan of nothing.
+func TestBatchPlanFootprint(t *testing.T) {
+	for _, unit := range []int64{1, 2, 8} {
+		for _, stride := range []int64{1, 3, 7, 40} {
+			const devs, perDev = 3, 32
+			sets, _ := newBatchStore(t, devs, unit, perDev, 2)
+			bs := int64(sets[0].Store().BlockSize())
+			rng := rand.New(rand.NewSource(unit*100 + stride))
+			var v0, v1 Vec
+			var off int64
+			for _, v := range []*Vec{&v1, &v0} {
+				for b := int64(0); b < devs*perDev; b += 1 + rng.Int63n(4) {
+					n := 1 + rng.Int63n(min(3, devs*perDev-b))
+					*v = append(*v, VecSeg{Block: b, N: n, BufOff: off * bs})
+					off, b = off+n, b+n
+				}
+			}
+			var cuts []int64
+			for c := stride; c < off; c += stride {
+				cuts = append(cuts, c*bs)
+			}
+			plan, err := BatchVec{{Set: sets[0], Vec: v0}, {Set: sets[1], Vec: v1}}.Plan(cuts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m mergeScratch
+			want := m.merge(plan.wins, bs)
+			got, at := plan.Footprint(nil, nil)
+			if len(at) != devs+1 || at[0] != 0 || at[devs] != len(got) || len(got) != len(want) {
+				t.Fatalf("unit %d stride %d: %d runs, bounds %v; %d merged", unit, stride, len(got), at, len(want))
+			}
+			for i, r := range got {
+				if w := want[i]; r.Dev != w.Dev || r.PBlock != w.PBlock || r.N != w.N || r.Segs != nil {
+					t.Errorf("unit %d stride %d run %d: %+v, merged %+v", unit, stride, i, r, w)
+				}
+				if i < at[r.Dev] || i >= at[r.Dev+1] {
+					t.Errorf("unit %d stride %d run %d on device %d outside its bounds %v", unit, stride, i, r.Dev, at)
+				}
+			}
+		}
+	}
+	var empty BatchPlan
+	if err := (BatchVec{}).PlanInto(&empty, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, at := empty.Footprint(nil, nil); len(got) != 0 || len(at) != 1 {
+		t.Errorf("a plan of nothing: %d runs, bounds %v", len(got), at)
+	}
+}

@@ -60,7 +60,18 @@
 //   - a redundant store's requests after a run's first reach the drives
 //     behind every run's first (Request.Later), which is the live order
 //     for one process; several processes' interleave deeper;
-//   - a store with a failed drive is priced as if every drive were up.
+//   - a store with a failed drive is priced as if every drive were up;
+//   - a walk that is serial (Serial: parked, every run one request of its
+//     own on its own drive, as on a plain array or a mirror's reads) is
+//     priced by a caller that adds up the service times of its runs,
+//     each served from the cylinder the run before it left (Serve),
+//     instead of queueing and flushing them. That sum is what Flush
+//     charges such runs only while every drive is shown its runs in
+//     ascending blocks, so that the line serves them as they come
+//     (Line.InOrder) — the caller's to keep: the aligned collective
+//     candidate, which prices every cut of a drive's footprint from one
+//     walk of it and is held to the replay by FuzzAlignedPrice
+//     (internal/collective). Any other walk is replayed through the line.
 package blockio
 
 import (
@@ -82,12 +93,15 @@ import (
 // it was shown and allocates only while its queues grow: keep one per
 // handle.
 type Dry struct {
-	store Store
-	write bool // what is queued is written
-	drv   []dryDrive
-	runs  []Run                 // a sieved transfer's covers
-	reqs  []Request             // the store's requests for what is being queued
-	line  device.Line[struct{}] // each drive's in turn, as Flush serves it
+	store  Store
+	write  bool // what is queued is written
+	parked bool // started by Park
+	drv    []dryDrive
+	runs   []Run                 // a sieved transfer's covers
+	reqs   []Request             // the store's requests for what is being queued
+	line   device.Line[struct{}] // each drive's in turn, as Flush serves it
+	one    device.Line[struct{}] // Serve's, on drive oneOn (-1: none yet)
+	oneOn  int
 }
 
 // dryDrive is one drive's head and what was queued on it since the last
@@ -123,7 +137,7 @@ type dryReq struct {
 // price for one history. What the queue does merge, live, is a gain the
 // price leaves out.
 func (d *Dry) Park(store Store, write bool) {
-	d.store, d.write = store, write
+	d.store, d.write, d.parked, d.oneOn = store, write, true, -1
 	drives := store.Drives()
 	d.drv = slices.Grow(d.drv[:0], len(drives))[:len(drives)]
 	for i, dd := range d.drv {
@@ -137,6 +151,7 @@ func (d *Dry) Park(store Store, write bool) {
 // theirs, waiting requests merged if the drives merge them.
 func (d *Dry) Sync(store Store, write bool) {
 	d.Park(store, write)
+	d.parked = false
 	for i, dk := range store.Drives() {
 		d.drv[i].arm, d.drv[i].model = dk.Arm(), dk.Model()
 	}
@@ -187,6 +202,57 @@ func (d *Dry) Sieved(runs []Run) {
 	if !d.write {
 		d.send(d.runs, false, false, false)
 	}
+}
+
+// Serial reports whether the runs given, queued on this walk, would be
+// served one by one in the order they are queued on their drives: the
+// walk is parked (Park), so nothing merges and every arm travels up, and
+// the store sends each run as one request of its own — to the run's own
+// drive at the run's blocks, none a small write's, and none that reaches
+// its drive at once behind one sent later (Request.Later) — as a plain
+// array does, and a mirror's reads. A
+// drive shown such runs in ascending blocks serves them as they come
+// (device.Line.InOrder), so its time for a flush is the sum of their
+// service times, each fixed by the request before it on the drive
+// (Serve), and a walk of such runs cut anywhere is priced by adding up
+// those of its pieces. A mirror's writes send a shadow behind every run
+// and a parity store's runs fall on rotated drives, or are small writes:
+// those walks are not serial, and only a replay through the line prices
+// them.
+func (d *Dry) Serial(runs []Run) bool {
+	if !d.parked {
+		return false
+	}
+	d.reqs = d.store.Requests(d.reqs[:0], d.write, runs)
+	if len(d.reqs) != len(runs) {
+		return false
+	}
+	later := false
+	for i, q := range d.reqs {
+		r := &runs[i]
+		if q.Drive != r.Dev || q.PBlock != r.PBlock || q.N != r.N || q.RMW || later && !q.Later {
+			return false
+		}
+		later = q.Later
+	}
+	return true
+}
+
+// Serve is what n blocks at physical block pb take on drive i of a
+// parked walk, served in arrival order with the drive's arm at cylinder
+// from (negative: nowhere known, and reaching them crosses nothing), and
+// the cylinder they leave the arm on: what Flush charges such a request
+// on a drive that serves its queue as it comes (Serial). It queues
+// nothing and leaves the walk as it was.
+func (d *Dry) Serve(i, from int, pb, n int64) (time.Duration, int) {
+	l := &d.one
+	if d.oneOn != i {
+		l.Reset(d.drv[i].model)
+		d.oneOn = i
+	}
+	l.Arm.Cyl = from
+	svc := l.Serve(pb, n)
+	return svc, l.Arm.Cyl
 }
 
 // AtLeast bounds from below what any of the drives takes over requests

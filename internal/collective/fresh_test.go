@@ -171,6 +171,30 @@ func TestFreshScheduleAllocs(t *testing.T) {
 	}
 }
 
+// TestAlignedPriceWork counts the host work of the aligned candidate's
+// price in exact units, which a wall clock cannot flake: the runs it
+// serves or queues for one dense 512-rank build (every other block of a
+// 15-block window of each rank's slice, 128 one-block runs a drive),
+// written and read. Every pipeline depth and both cuts are priced from
+// one walk of the footprint (serialAccess), so the count may reach two
+// walks of the footprint's runs and no more.
+func TestAlignedPriceWork(t *testing.T) {
+	fs := newFreshShape(t, 512)
+	fs.run(t, func(p *mpp.Proc) {
+		for _, write := range []bool{true, false} {
+			if sd := fs.build(t, p, 0, write); sd == nil {
+				return
+			}
+			sc := &fs.c.price
+			t.Logf("write=%v: %d runs served or queued for a %d-run footprint, %d cuts priced", write, sc.visits, len(sc.foot), len(sc.tried))
+			if !sc.serial || sc.visits > 2*len(sc.foot) || len(sc.tried) < 2 {
+				t.Errorf("write=%v: %d runs served or queued for a %d-run footprint over %d cuts (serial %v): more than two walks",
+					write, sc.visits, len(sc.foot), len(sc.tried), sc.serial)
+			}
+		}
+	})
+}
+
 // TestFreshScheduleBytes: a fresh schedule keeps only what its route
 // runs, and what the build needs only to price and order the candidates
 // — the union, the share table, the mapped descriptors and the logical
@@ -272,8 +296,9 @@ func scheduleTables(sd *schedule) string {
 	for w := range wins {
 		wins[w] = sd.cut.plan.WindowBlocks(w)
 	}
+	foot, at := sd.cut.plan.Footprint(nil, nil)
 	return fmt.Sprint(pl.segs, pl.covered, pl.cbase, pl.domLo, pl.owner, pl.ends, pl.rng, pl.at, pl.doms, pl.ranks,
-		pl.domAt, pl.rankAt, sd.cut.win0, sd.cut.plan.Uncut(nil), wins, sd.tab.parts, sd.ownedOf)
+		pl.domAt, pl.rankAt, sd.cut.win0, foot, at, wins, sd.tab.parts, sd.ownedOf)
 }
 
 // BenchmarkFreshSchedule is the host cost of one schedule built afresh

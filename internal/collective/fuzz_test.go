@@ -26,9 +26,13 @@
 package collective
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/blockio"
+	"repro/internal/device"
+	"repro/internal/stripe"
 )
 
 // fuzzPlanInput decodes data into (nRanks, naggs, locality, write,
@@ -415,4 +419,136 @@ func checkChunkInvariants(t *testing.T, pl *plan, chunkBytes int64, split int, r
 			}
 		}
 	}
+}
+
+// FuzzAlignedPrice holds the aligned candidate's price at the drives to
+// a replay of its rounds through the dry issue, round by round and to
+// the nanosecond, at every pipeline depth and on both cuts: a random
+// footprint — segments of one file striped over 2–5 devices at a random
+// unit and extent bases, planned with random cuts — read or written on a
+// plain array, a mirror or a parity store (rotated or dedicated), over
+// FCFS and SCAN drives of two geometries, in as many aligned domains as
+// devices or fewer, ChunkBytes from none to a few blocks. A walk that is
+// serial (blockio.Dry.Serial: every plain array's, a mirror's reads, a
+// dedicated parity store's reads) is priced from its drives' prefix sums
+// (serialAccess), which must equal the replay (replayAccess); the others
+// are replayed. Run as `go test -run '^$' -fuzz FuzzAlignedPrice
+// ./internal/collective`.
+func FuzzAlignedPrice(f *testing.F) {
+	f.Add([]byte{0, 2, 0, 0, 1, 0, 0, 1, 3, 2, 1, 0, 4, 1, 2})
+	f.Add([]byte{0, 3, 1, 1, 3, 2, 5, 4, 9, 2, 1, 3, 4, 5, 2, 6, 1, 7})
+	f.Add([]byte{1, 2, 2, 0, 2, 1, 0, 3, 1, 2, 3, 1, 2, 8, 1, 1})
+	f.Add([]byte{2, 3, 3, 1, 1, 0, 2, 2, 4, 4, 2, 1, 1, 2, 3, 5})
+	f.Add([]byte{3, 2, 4, 0, 5, 3, 1, 1, 7, 2, 2, 2, 9, 9, 1, 1})
+	f.Add([]byte{0, 1, 5, 1, 0, 2, 3, 6, 2, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[0])
+			data = data[1:]
+			return b
+		}
+		const bs = 64
+		kind, nd, flags := next()%4, 2+next()%4, next()
+		write := flags&1 != 0
+		geoms := []device.Geometry{{BlockSize: bs, BlocksPerCyl: 4, Cylinders: 64}, {BlockSize: bs, BlocksPerCyl: 16, Cylinders: 32}}
+		mk := func(n int) []*device.Disk {
+			out := make([]*device.Disk, n)
+			for i := range out {
+				sched := device.FCFS
+				if flags>>(1+i%6)&1 != 0 {
+					sched = device.SCAN
+				}
+				tm := device.DefaultTiming1989() // a store's drives share a geometry, not their timing
+				if flags>>7+i%2 == 1 {
+					tm.SeekMin, tm.TransferRate = tm.SeekMin/2, 4e6
+				}
+				out[i] = device.New(device.Config{Geometry: geoms[flags>>7], Timing: tm, Sched: sched, MergeQueued: i%2 == 0})
+			}
+			return out
+		}
+		var store blockio.Store
+		var err error
+		switch kind {
+		case 0:
+			store, err = blockio.NewDirect(mk(nd))
+		case 1:
+			store, err = stripe.NewMirror(mk(nd), mk(nd))
+		default:
+			store, err = stripe.NewParity(mk(nd+1), kind == 3)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		naggs := nd
+		if n := next() % (nd + 1); n > 0 {
+			naggs = n
+		}
+		opts := Options{ChunkBytes: []int64{0, 1, bs / 2, bs, 2 * bs, 5 * bs}[next()%6]}
+		unit := int64(1 + next()%8)
+		per := store.Blocks()
+		base := make([]int64, nd)
+		for i := range base {
+			base[i] = int64(next() % 64)
+		}
+		blocks := int64(nd) * (per - 64)
+		set, err := blockio.NewSet(store, blockio.NewStriped(nd, unit), base, blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vec blockio.Vec
+		var at, off int64
+		for len(data) >= 2 && len(vec) < 64 {
+			at += int64(next() % 24)
+			n := int64(1 + next()%6)
+			if at+n > blocks {
+				break
+			}
+			vec = append(vec, blockio.VecSeg{Block: at, N: n, BufOff: off * bs})
+			at, off = at+n, off+n
+		}
+		if len(vec) == 0 {
+			return
+		}
+		var cuts []int64
+		for c := int64(1 + flags%5); c < off; c += int64(1 + flags%7) {
+			cuts = append(cuts, c*bs)
+		}
+		plan, err := blockio.BatchVec{{Set: set, Vec: vec}}.Plan(cuts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := new(priceScratch)
+		dom := sc.footprint(store, write, plan, naggs)
+		// A rotated parity store's run may still fall on its own drive whole.
+		if want := kind == 0 || kind < 3 && !write; kind < 3 && sc.serial != want {
+			t.Fatalf("%s store, write=%v: serial walk %v, want %v", [...]string{"plain", "mirror", "dedicated parity", "rotated parity"}[kind], write, sc.serial, want)
+		}
+		whole := opts.chunkCeiling(bs, dom)
+		up := rampDown
+		if write {
+			up = rampUp
+		}
+		for n := 1; ; n *= 2 {
+			for _, r := range []ramp{0, up} {
+				if sc.ends = roundEnds(sc.ends[:0], dom, whole, n, r); len(sc.ends) == 0 {
+					continue
+				}
+				var got []time.Duration
+				if sc.serial {
+					sc.serialAccess(naggs)
+					got = slices.Clone(sc.access)
+				}
+				sc.replayAccess(store, write, naggs)
+				if sc.serial && !slices.Equal(got, sc.access) {
+					t.Fatalf("split %d ramp %d, rounds %v: one pass %v, replayed %v", n, r, sc.ends, got, sc.access)
+				}
+			}
+			if sc.ends = roundEnds(sc.ends[:0], dom, whole, n, 0); sc.ends[0] == 1 {
+				return
+			}
+		}
+	})
 }

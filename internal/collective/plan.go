@@ -162,7 +162,8 @@ type crange struct{ start, end, maxEnd int64 }
 // and the route pricer, all during the build), the logical partition
 // and its cut plan while StrategyAuto prices them, the inputs of a cut,
 // and every rank's mapped descriptors while the independent routes are
-// priced. A schedule that runs any of it builds its own (newSchedule).
+// priced, and the aligned plan's segments as they are mapped. A
+// schedule that runs any of it builds its own (newSchedule).
 type planScratch struct {
 	union, radix []owned
 	cells        []int64
@@ -174,6 +175,9 @@ type planScratch struct {
 	batch        blockio.BatchVec
 	vec          blockio.Vec
 	mapped       mappedReqs
+	keyed        []rseg        // plan.aligned's pieces, rank after rank
+	keyedAt      []int         // rank r's are keyed[keyedAt[r]:keyedAt[r+1]]
+	runs         []blockio.Run // one segment's runs, as MapRun places them
 }
 
 // resize returns s with length n, zeroed: s's own array where it has the
@@ -367,8 +371,8 @@ func (sc *planScratch) sortedSegs(segs [][]rseg) []owned {
 // contiguous slice of a drive, and locate resolves keys through the
 // identity Set. split deepens the pipeline and rmp sizes its rounds
 // (partition). The re-keyed lists are slices of one array, like
-// newPlan's: the pieces are counted, then placed. The aligned plan is
-// fresh; its union and share table are sc's.
+// newPlan's: the pieces are mapped into sc, then copied out. The aligned
+// plan is fresh; its union and share table are sc's.
 func (pl *plan) aligned(opts Options, split int, rmp ramp, sc *planScratch) *plan {
 	store := pl.group.Store()
 	nd, per := store.Devices(), store.Blocks()
@@ -377,31 +381,26 @@ func (pl *plan) aligned(opts Options, split int, rmp ramp, sc *planScratch) *pla
 		panic(err) // unreachable: the layout is built from the store's own shape
 	}
 	al := &plan{bs: pl.bs, naggs: pl.naggs, group: pl.group, phys: phys, segs: make([][]rseg, len(pl.segs))}
-	var runs []blockio.Run
-	// mapSeg maps one segment (a validated segment lies inside one file).
-	mapSeg := func(sg rseg) (*blockio.Set, int64) {
-		set, blk, _ := pl.locate(sg.gb)
-		runs = set.Layout().MapRun(runs[:0], blk, sg.n)
-		return set, blk
-	}
-	n := 0
+	// Every segment is mapped once (a validated segment lies inside one
+	// file), into the scratch, and the pieces copied out exactly sized.
+	keyed, runs := sc.keyed[:0], sc.runs
+	sc.keyedAt = append(sc.keyedAt[:0], 0)
 	for _, segs := range pl.segs {
 		for _, sg := range segs {
-			mapSeg(sg)
-			n += len(runs)
-		}
-	}
-	flat := make([]rseg, 0, n)
-	for r, segs := range pl.segs {
-		lo := len(flat)
-		for _, sg := range segs {
-			set, blk := mapSeg(sg)
+			set, blk, _ := pl.locate(sg.gb)
+			runs = set.Layout().MapRun(runs[:0], blk, sg.n)
 			for _, run := range runs {
 				pb := set.Base(run.Dev) + run.PBlock
-				flat = append(flat, rseg{gb: int64(run.Dev)*per + pb, n: run.N, bufOff: sg.bufOff + (run.B-blk)*pl.bs})
+				keyed = append(keyed, rseg{gb: int64(run.Dev)*per + pb, n: run.N, bufOff: sg.bufOff + (run.B-blk)*pl.bs})
 			}
 		}
-		out := flat[lo:len(flat):len(flat)]
+		sc.keyedAt = append(sc.keyedAt, len(keyed))
+	}
+	sc.keyed, sc.runs = keyed, runs
+	flat := slices.Clone(keyed)
+	for r := range al.segs {
+		lo, hi := sc.keyedAt[r], sc.keyedAt[r+1]
+		out := flat[lo:hi:hi]
 		slices.SortFunc(out, byKey)
 		al.segs[r] = out
 	}
@@ -502,6 +501,7 @@ func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int, rm
 	// drives the locality election, the exchange stats, and the
 	// participation indexes without rescanning segment lists per domain.
 	sc.cells, sc.shares = resize(sc.cells, nranks*naggs), resize(sc.shares, nranks)
+	dom := 0 // the domain of the segment before: a rank's segments mostly ascend
 	for r, segs := range pl.segs {
 		pl.at[r+1] = pl.at[r] + len(segs)
 		sc.shares[r] = sc.cells[r*naggs : (r+1)*naggs : (r+1)*naggs]
@@ -512,38 +512,46 @@ func (pl *plan) partition(all []owned, opts Options, cuts []int64, split int, rm
 			end := ci + sg.n
 			maxEnd = max(maxEnd, end)
 			rg.end, rg.maxEnd = end, maxEnd
-			for a := sort.Search(naggs, func(a int) bool { return pl.domLo[a+1] > ci }); ci < end; a++ {
-				if hi := min(pl.domLo[a+1], end); hi > ci {
-					sc.shares[r][a] += (hi - ci) * pl.bs
+			if pl.domLo[dom] > ci || pl.domLo[dom+1] <= ci {
+				dom = sort.Search(naggs, func(a int) bool { return pl.domLo[a+1] > ci })
+			}
+			for d := dom; ci < end; d++ {
+				if hi := min(pl.domLo[d+1], end); hi > ci {
+					sc.shares[r][d] += (hi - ci) * pl.bs
 					ci = hi
 				}
 			}
 		}
 	}
-	nz := 0
-	for _, b := range sc.cells {
-		if b > 0 {
-			nz++
-		}
-	}
-	pl.doms, pl.ranks = resize(pl.doms, nz)[:0], resize(pl.ranks, nz)[:0]
+	// The participation indexes, counted in one pass over the share table
+	// and filled in another, row by row.
 	pl.domAt, pl.rankAt = resize(pl.domAt, nranks+1), resize(pl.rankAt, naggs+1)
+	for r, row := range sc.shares {
+		n := pl.domAt[r]
+		for a, b := range row {
+			if b > 0 {
+				n++
+				pl.rankAt[a+1]++
+			}
+		}
+		pl.domAt[r+1] = n
+	}
+	for a := range naggs {
+		pl.rankAt[a+1] += pl.rankAt[a]
+	}
+	nz := int(pl.domAt[nranks])
+	pl.doms, pl.ranks = resize(pl.doms, nz)[:0], resize(pl.ranks, nz)
 	for r, row := range sc.shares {
 		for a, b := range row {
 			if b > 0 {
 				pl.doms = append(pl.doms, int32(a))
+				pl.ranks[pl.rankAt[a]] = int32(r)
+				pl.rankAt[a]++
 			}
 		}
-		pl.domAt[r+1] = int32(len(pl.doms))
 	}
-	for a := range naggs {
-		for r, row := range sc.shares {
-			if row[a] > 0 {
-				pl.ranks = append(pl.ranks, int32(r))
-			}
-		}
-		pl.rankAt[a+1] = int32(len(pl.ranks))
-	}
+	copy(pl.rankAt[1:], pl.rankAt[:naggs]) // rankAt[a] ended where domain a+1's ranks start
+	pl.rankAt[0] = 0
 	pl.ends = pl.ends[:0]
 	if pl.total > 0 {
 		// ChunkBytes bounds a round; how deep the pipeline runs

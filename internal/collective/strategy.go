@@ -18,7 +18,13 @@
 // two meet in the executor's own hand-off (pipelineEnd). The two-phase
 // route has two candidates of its own: the logical partition (file
 // domains contiguous in the files) and the drive-aligned one
-// (plan.aligned), the latter at every pipeline depth.
+// (plan.aligned), the latter at every pipeline depth — all of them from
+// one walk of where the footprint lies on each drive: where the drives
+// serve that walk in arrival order (blockio.Dry.Serial: a plain array, a
+// mirror's reads), each drive's runs are served once into prefix sums
+// and every cut's rounds are read off them (serialAccess); a mirror's
+// writes and a parity store's rounds are replayed cut by cut
+// (replayAccess).
 //
 // A price is a pure function of the requests and the modeled machine —
 // the dry issue starts with the heads parked, not where the drives happen
@@ -114,28 +120,43 @@ type depthPrice struct {
 
 // priceScratch is the handle-retained scratch of route pricing, so a
 // workload whose request lists never repeat prices every call without
-// allocating: the dry issue and the round pricer, the aligned
-// candidate's rank × domain byte table and owners, where the footprint
-// lies on the drives, each domain's place in it, the round table and the
-// access time of every round of the candidate being priced.
+// allocating: the dry issues (the vectored walk, and the sieved one
+// queued from the same pass over the ranks' runs) and the round pricer,
+// the aligned candidate's rank × domain byte table and owners, where the
+// footprint lies on the drives and, where its walk is serial, what each
+// drive takes to serve it, the round table and the access time of every
+// round of the candidate being priced.
 type priceScratch struct {
-	dry    blockio.Dry
-	ex     mpp.RoundPrice
-	flat   []int64   // backing of shares, cleared per pricing
-	shares [][]int64 // [rank][domain]
-	owner  []int
-	domOf  []int // drive → aligned domain
-	union  []blockio.Run
-	from   []int // domain → its first run in union; one more entry closes the last
-	at     []unionAt
-	round  []blockio.Run // the runs of one round of the cut being priced
-	ends   []int64
-	access []time.Duration
-	tried  []depthPrice
+	dry, sieve blockio.Dry
+	ex         mpp.RoundPrice
+	flat       []int64   // backing of shares, cleared per pricing
+	shares     [][]int64 // [rank][domain]
+	owner      []int
+	domOf      []int         // drive → aligned domain
+	foot       []blockio.Run // drive d's footprint is foot[from[d]:from[d+1]], ascending
+	from       []int         // one entry per drive and one more
+	on         []served      // foot[i] as its drive serves its footprint, uncut (serial walks)
+	serial     bool          // the footprint's walk is serial (blockio.Dry.Serial)
+	at         []footAt      // the replay's place in every domain's footprint
+	round      []blockio.Run // the runs of one round of the cut being replayed
+	ends       []int64
+	access     []time.Duration
+	tried      []depthPrice
+	visits     int // runs the aligned candidate's last pricing served or queued
 }
 
-// unionAt is a position in priceScratch.union: off blocks into run i.
-type unionAt struct {
+// served is one run of a drive's footprint as the drive serves the whole
+// footprint in order, one request a run: the blocks of the footprint up
+// to the run's end, the service time of its runs up to this one, and the
+// cylinder the run leaves the arm on.
+type served struct {
+	end int64
+	pre time.Duration
+	cyl int
+}
+
+// footAt is a position in priceScratch.foot: off blocks into run i.
+type footAt struct {
 	i   int
 	off int64
 }
@@ -204,23 +225,23 @@ func (c *Collective) chooseRoute(p *mpp.Proc, sd *schedule, write, nonblocking b
 		return ch // unreachable: newSchedule says why, and fails the call on it
 	}
 	dry := &sc.dry
-	// The independent routes: every rank's mapped requests, all at once.
-	independent := func(sieved bool) time.Duration {
-		dry.Park(c.group.Store(), write)
-		for _, ms := range ind.ind {
-			for _, m := range ms {
-				if sieved {
-					dry.Sieved(m.Runs())
-				} else {
-					dry.Vectored(m.Runs())
-				}
+	// The independent routes: every rank's mapped requests, all at once,
+	// vectored and (a blocking call) sieved, queued from one pass.
+	dry.Park(c.group.Store(), write)
+	if !nonblocking {
+		sc.sieve.Park(c.group.Store(), write)
+	}
+	for _, ms := range ind.ind {
+		for _, m := range ms {
+			dry.Vectored(m.Runs())
+			if !nonblocking {
+				sc.sieve.Sieved(m.Runs())
 			}
 		}
-		return dry.Flush()
 	}
-	ch.prices.Vectored = independent(false)
+	ch.prices.Vectored = dry.Flush()
 	if !nonblocking {
-		ch.prices.Sieved = independent(true)
+		ch.prices.Sieved = sc.sieve.Flush()
 	}
 
 	// Two-phase on the logical partition: the windows the executor would
@@ -380,48 +401,34 @@ const rampMargin = 20
 // alignedCost prices the aligned partition: its domains end at drive
 // boundaries, so a domain's windows are the footprint on its drives cut
 // where the round table says — what plan.aligned's prepared plan would
-// hold, read here off the logical plan's runs with its cuts undone.
-// ChunkBytes bounds the chunk (at one whole domain when it sets no bound,
-// or none smaller); the depth of the pipeline below that bound is priced,
-// not fixed: every chunk is cut in 1, 2, 4, … down to single blocks, and
-// at each depth two cuts (roundEnds) go through a dry issue of their
-// rounds and the executor's hand-off — the equal one and, where it fits
-// under the bound, the ramped one, whose small first exchange (a write)
-// or last delivery (a read) leaves less of the call unhidden. The
-// cheapest is returned as split and ramp (ties to the equal cut and the
-// shallower depth, so an exchange priced at nothing — a free
-// interconnect — stays at one round; a ramp must be cheaper by a margin,
-// rampMargin). A deeper pipeline hides more of the shorter phase behind
-// the longer one and pays one more request per drive per round for it;
-// what such a request costs is the drive's business — one that continues
-// where the previous round's ended crosses no cylinder, or one — and so
-// is what a ramp costs: on a drive whose footprint is separate runs,
-// chunks that no longer fall on them may cost requests the equal cut
-// does not. Domains of several drives (fewer
-// domains than drives: chooseRoute offers them unbounded only) are priced
-// at one round and no deeper. Nor is any depth walked that could not win:
-// one at which the requests of the largest domain's drive alone, a round
-// each, take as long as the cheapest depth so far. tried aliases the
-// scratch.
+// hold, read here off the logical plan's runs with its cuts undone
+// (footprint). ChunkBytes bounds the chunk (at one whole domain when it
+// sets no bound, or none smaller); the depth of the pipeline below that
+// bound is priced, not fixed: every chunk is cut in 1, 2, 4, … down to
+// single blocks, and at each depth two cuts (roundEnds) are priced at the
+// drives (cutCost) and through the executor's hand-off — the equal one
+// and, where it fits under the bound, the ramped one, whose small first
+// exchange (a write) or last delivery (a read) leaves less of the call
+// unhidden. The cheapest is returned as split and ramp (ties to the
+// equal cut and the shallower depth, so an exchange priced at nothing — a
+// free interconnect — stays at one round; a ramp must be cheaper by a
+// margin, rampMargin). A deeper pipeline hides more of the shorter phase
+// behind the longer one and pays one more request per drive per round for
+// it; what such a request costs is the drive's business — one that
+// continues where the previous round's ended crosses no cylinder, or one
+// — and so is what a ramp costs: on a drive whose footprint is separate
+// runs, chunks that no longer fall on them may cost requests the equal
+// cut does not. Domains of several drives (fewer domains than drives:
+// chooseRoute offers them unbounded only) are priced at one round and no
+// deeper. Nor is any depth priced that could not win: one at which the
+// requests of the largest domain's drive alone, a round each, take as
+// long as the cheapest depth so far. tried aliases the scratch.
 func (c *Collective) alignedCost(p *mpp.Proc, write bool, cut *cutPlan, nd int) (t time.Duration, split int, rmp ramp, tried []depthPrice) {
-	sc, dry := &c.price, &c.price.dry
+	sc := &c.price
 	sc.ex.Reset(p)
 	enter(&sc.ex, sc.shares, sc.owner)
-	// Domain a's footprint is union[from[a]:from[a+1]], in drive order.
-	sc.union = cut.plan.Uncut(sc.union[:0])
-	sc.from = sc.from[:0]
-	var dom int64 // the largest domain: one drive, unless domains are several
-	i := 0
-	for a := 0; a < c.naggs; a++ {
-		sc.from = append(sc.from, i)
-		var blocks int64
-		for ; i < len(sc.union) && sc.union[i].Dev < firstDrive(a+1, nd, c.naggs); i++ {
-			blocks += sc.union[i].N
-		}
-		dom = max(dom, blocks)
-	}
-	sc.from = append(sc.from, i)
-	sc.at = slices.Grow(sc.at[:0], c.naggs)[:c.naggs]
+	store := c.group.Store()
+	dom := sc.footprint(store, write, cut.plan, c.naggs)
 	sc.tried = sc.tried[:0]
 	whole := c.opts.chunkCeiling(c.bs, max(dom, 1))
 	up := rampDown
@@ -431,7 +438,7 @@ func (c *Collective) alignedCost(p *mpp.Proc, write bool, cut *cutPlan, nd int) 
 	for n := 1; ; n *= 2 {
 		sc.ends = roundEnds(sc.ends[:0], dom, whole, n, 0)
 		rounds, chunk := int64(len(sc.ends)), sc.ends[0]
-		if n > 1 && dry.AtLeast(rounds, dom) >= t {
+		if n > 1 && sc.dry.AtLeast(rounds, dom) >= t {
 			// The largest domain's drive alone takes that long over a request
 			// a round; deeper is more requests still.
 			return t, split, rmp, sc.tried
@@ -442,7 +449,7 @@ func (c *Collective) alignedCost(p *mpp.Proc, write bool, cut *cutPlan, nd int) 
 					break
 				}
 			}
-			cost := c.cutCost(write)
+			cost := sc.cutCost(store, write, c.naggs)
 			sc.tried = append(sc.tried, depthPrice{int32(rounds), r != 0, cost})
 			if n == 1 && r == 0 || cost < t && (r == 0 || cost+cost/rampMargin < t) {
 				t, split, rmp = cost, n, r
@@ -454,26 +461,157 @@ func (c *Collective) alignedCost(p *mpp.Proc, write bool, cut *cutPlan, nd int) 
 	}
 }
 
+// footprint readies the aligned candidate's pricing of a call whose
+// logical cut plan is plan: where the call's footprint lies on each of
+// the store's drives (BatchPlan.Footprint), and — where a walk of it is
+// serial (blockio.Dry.Serial) — every drive's footprint served once, in
+// order and uncut, into prefix sums (served), from which cutCost prices
+// every cut. It returns the blocks of the largest of the naggs aligned
+// domains.
+func (sc *priceScratch) footprint(store blockio.Store, write bool, plan *blockio.BatchPlan, naggs int) (dom int64) {
+	sc.foot, sc.from = plan.Footprint(sc.foot[:0], sc.from[:0])
+	nd := len(sc.from) - 1
+	dry := &sc.dry
+	dry.Park(store, write)
+	sc.serial = dry.Serial(sc.foot)
+	sc.visits = 0
+	if sc.serial {
+		sc.on = slices.Grow(sc.on[:0], len(sc.foot))[:len(sc.foot)]
+		sc.visits = len(sc.foot)
+	}
+	for a := 0; a < naggs; a++ {
+		var blocks int64
+		for d := firstDrive(a, nd, naggs); d < firstDrive(a+1, nd, naggs); d++ {
+			var end int64
+			var pre time.Duration
+			cyl := -1
+			for i := sc.from[d]; i < sc.from[d+1]; i++ {
+				r := &sc.foot[i]
+				end += r.N
+				if sc.serial {
+					svc, at := dry.Serve(d, cyl, r.PBlock, r.N)
+					pre, cyl = pre+svc, at
+					sc.on[i] = served{end: end, pre: pre, cyl: cyl}
+				}
+			}
+			blocks += end
+		}
+		dom = max(dom, blocks)
+	}
+	return dom
+}
+
 // cutCost prices one cut of the aligned partition, the round table in
 // the pricing scratch: every round's windows — the next chunk of every
-// domain's footprint — through the dry issue, and the rounds through the
-// executor's hand-off. A round is queued as one transfer, each chunk a
-// run: no two domains share a drive, so every drive sees its aggregator's
-// runs in that aggregator's order, as it would were each sent alone.
-func (c *Collective) cutCost(write bool) time.Duration {
-	sc, dry := &c.price, &c.price.dry
-	for a := range sc.at {
-		sc.at[a] = unionAt{i: sc.from[a]}
+// domain's footprint — at the drives, and the rounds through the
+// executor's hand-off. No two domains share a drive, so every drive sees
+// its aggregator's runs in that aggregator's order, as it would were each
+// sent alone. Where the walk is serial, a drive's time for a round is
+// the sum of its pieces' service times, read off the drive's prefix sums
+// (serialAccess); elsewhere — a mirror's writes, whose shadows queue
+// behind every drive's own runs, a parity store's rotated segments and
+// small writes — the rounds are replayed through the dry issue
+// (replayAccess).
+func (sc *priceScratch) cutCost(store blockio.Store, write bool, naggs int) time.Duration {
+	if sc.serial {
+		sc.serialAccess(naggs)
+	} else {
+		sc.replayAccess(store, write, naggs)
 	}
-	dry.Park(c.group.Store(), write)
+	return pipelineEnd(write, &sc.ex, sc.access, sc.ends)
+}
+
+// serialAccess fills sc.access with the time every round of the cut in
+// sc.ends takes at the drives of a serial walk, each drive's runs served
+// in order: the runs a round holds whole, from a run whose arm the
+// prefix assumed — the run before it on the drive, or none — are the
+// difference of two prefix sums, and only a piece of a run that a chunk
+// boundary splits, or a run behind such a piece, whose arm it moved, is
+// priced again (Dry.Serve). A round takes what its slowest drive takes.
+func (sc *priceScratch) serialAccess(naggs int) {
+	nd := len(sc.from) - 1
+	sc.access = resize(sc.access, len(sc.ends))
+	for a := 0; a < naggs; a++ {
+		var base int64 // the domain's blocks on its drives before d
+		for d := firstDrive(a, nd, naggs); d < firstDrive(a+1, nd, naggs); d++ {
+			lo, hi := sc.from[d], sc.from[d+1]
+			if lo == hi {
+				continue
+			}
+			on := sc.on[lo:hi]
+			total := on[len(on)-1].end
+			j, arm := 0, -1
+			start := -base // round k's first block, counted on the drive
+			for k, end := range sc.ends {
+				x, y := max(start, 0), min(end-base, total)
+				if start = end - base; x >= total {
+					break
+				}
+				var t time.Duration
+				for x < y {
+					for on[j].end <= x {
+						j++
+					}
+					// Run j starts where the run before it ends, and the prefix
+					// priced it from that run's cylinder (none before the first).
+					first, prev, before := int64(0), -1, time.Duration(0)
+					if j > 0 {
+						first, prev, before = on[j-1].end, on[j-1].cyl, on[j-1].pre
+					}
+					if x == first && arm == prev && on[j].end <= y {
+						to := past(on, j+1, y)
+						t += on[to-1].pre - before
+						arm, x, j = on[to-1].cyl, on[to-1].end, to
+						continue
+					}
+					e := min(y, on[j].end)
+					svc, cyl := sc.dry.Serve(d, arm, sc.foot[lo+j].PBlock+x-first, e-x)
+					t, arm, x = t+svc, cyl, e
+					sc.visits++
+				}
+				sc.access[k] = max(sc.access[k], t)
+			}
+			base += total
+		}
+	}
+}
+
+// past is the first of on[j:] that ends past block y, len(on) if none:
+// a search that gallops from j, as a round of a deep cut holds few runs.
+func past(on []served, j int, y int64) int {
+	n, step := len(on), 1
+	for j < n && on[j].end <= y {
+		j, step = j+step, step*2
+	}
+	lo, hi := j-step/2, min(j, n) // lo: where the gallop began, or the last run it found inside
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); on[m].end > y {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// replayAccess fills sc.access with the time every round of the cut in
+// sc.ends takes at the drives, replayed: each round queued through the
+// dry issue as one transfer, every domain's chunk a run, and flushed.
+func (sc *priceScratch) replayAccess(store blockio.Store, write bool, naggs int) {
+	nd, dry := len(sc.from)-1, &sc.dry
+	sc.at = slices.Grow(sc.at[:0], naggs)[:naggs]
+	for a := range sc.at {
+		sc.at[a] = footAt{i: sc.from[firstDrive(a, nd, naggs)]}
+	}
+	dry.Park(store, write)
 	sc.access = sc.access[:0]
 	var lo int64
 	for _, end := range sc.ends {
 		sc.round = sc.round[:0]
 		for a := range sc.at {
-			at := &sc.at[a]
-			for left := end - lo; left > 0 && at.i < sc.from[a+1]; {
-				r := &sc.union[at.i]
+			at, last := &sc.at[a], sc.from[firstDrive(a+1, nd, naggs)]
+			for left := end - lo; left > 0 && at.i < last; {
+				r := &sc.foot[at.i]
 				take := min(r.N-at.off, left)
 				sc.round = append(sc.round, blockio.Run{Dev: r.Dev, PBlock: r.PBlock + at.off, N: take})
 				left -= take
@@ -482,11 +620,11 @@ func (c *Collective) cutCost(write bool) time.Duration {
 				}
 			}
 		}
+		sc.visits += len(sc.round)
 		dry.Vectored(sc.round)
 		sc.access = append(sc.access, dry.Flush())
 		lo = end
 	}
-	return pipelineEnd(write, &sc.ex, sc.access, sc.ends)
 }
 
 // runIndependent executes one collective call as independent per-rank

@@ -195,6 +195,9 @@ func ReadChromeTrace(rd io.Reader) (*Recorder, error) {
 						return nil, err
 					}
 					s := pending[i].s
+					if ts < s.Start {
+						return nil, fmt.Errorf("probe: event %q ends at %sµs, before it begins", ev.Name, ev.Ts)
+					}
 					s.End = ts
 					raw = append(raw, s)
 					pending = append(pending[:i], pending[i+1:]...)

@@ -136,6 +136,7 @@ func TestChromeTraceImpossibleTimes(t *testing.T) {
 		`{"name":"edge","ph":"i","ts":9223372036854775.808}`,
 		`{"name":"long","ph":"X","ts":5e15,"dur":5e15}`,
 		`{"name":"end","ph":"b","id":1,"ts":10},{"name":"end","ph":"e","id":1,"ts":-4}`,
+		`{"name":"back","ph":"b","id":1,"ts":10},{"name":"back","ph":"e","id":1,"ts":4}`,
 	} {
 		_, err := ReadChromeTrace(strings.NewReader("[" + evs + "]"))
 		name := evs[len(`{"name":"`):strings.Index(evs, `","ph"`)]
