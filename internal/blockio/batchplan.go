@@ -95,8 +95,9 @@ func (b BatchVec) PlanInto(dst *BatchPlan, cuts []int64) error {
 		if it.Set.store != store {
 			return fmt.Errorf("blockio: Plan item %d is on a different store", i)
 		}
-		if err := it.Set.checkVec(fmt.Sprintf("Plan item %d", i), it.Vec, -1); err != nil {
-			return err
+		if it.Set.checkVec("Plan", it.Vec, -1) != nil {
+			// Checked again to name the item: only a refused plan formats it.
+			return it.Set.checkVec(fmt.Sprintf("Plan item %d", i), it.Vec, -1)
 		}
 	}
 	s := mapPool.Get().(*mapScratch)

@@ -34,7 +34,12 @@
 
 package blockio
 
-import "repro/internal/sim"
+import (
+	"slices"
+	"sync"
+
+	"repro/internal/sim"
+)
 
 // sieveSpan is one device's covering span for a sieved transfer: the
 // Blocks physically contiguous blocks starting at PBlock (extent
@@ -49,10 +54,10 @@ type sieveSpan struct {
 	Runs   []Run // the device's gather runs inside the span, ascending
 }
 
-// sieveSpans groups mapped gather runs (sorted by device, physical
-// block — the mapper's order) into one covering span per device.
-func sieveSpans(runs []Run) []sieveSpan {
-	var spans []sieveSpan
+// sieveSpans appends to dst the covering span of every device of mapped
+// gather runs (sorted by device, physical block — the mapper's order),
+// one per device.
+func sieveSpans(dst []sieveSpan, runs []Run) []sieveSpan {
 	for i := 0; i < len(runs); {
 		j := deviceEnd(runs, i)
 		sp := sieveSpan{
@@ -64,10 +69,10 @@ func sieveSpans(runs []Run) []sieveSpan {
 		for _, r := range sp.Runs {
 			sp.Useful += r.N
 		}
-		spans = append(spans, sp)
+		dst = append(dst, sp)
 		i = j
 	}
-	return spans
+	return dst
 }
 
 // deviceEnd reports where the stretch of runs on runs[i]'s device ends:
@@ -81,34 +86,62 @@ func deviceEnd(runs []Run, i int) int {
 	return j
 }
 
+// sieveScratch is the memory a sieved transfer's covering runs are built
+// in (sieveRuns): the spans, the covers and their segment lists. It is
+// pooled and held until the issue returns, so a sieved transfer builds
+// its covers without allocating.
+type sieveScratch struct {
+	spans  []sieveSpan
+	covers []Run
+	segs   []Seg
+}
+
+var coverPool = sync.Pool{New: func() any { return new(sieveScratch) }}
+
 // sieveRuns is the sieving transform: each device's gather runs become
 // one covering run — the device's span, first requested block to last —
 // whose Segs are the runs' own with a hole segment for every gap between
-// them. A device with a single run keeps it as it is.
-func sieveRuns(runs []Run) []Run {
-	spans := sieveSpans(runs)
-	out := make([]Run, len(spans))
-	for i, sp := range spans {
+// them. A device with a single run keeps it as it is. The covers and
+// their segments live in sc, until its next sieveRuns.
+func (sc *sieveScratch) sieveRuns(runs []Run) []Run {
+	sc.spans = sieveSpans(sc.spans[:0], runs)
+	nseg := 0
+	for _, sp := range sc.spans {
+		if len(sp.Runs) > 1 {
+			nseg += len(sp.Runs) - 1 // the holes
+			for _, r := range sp.Runs {
+				nseg += len(r.Segs)
+			}
+		}
+	}
+	// Grown once, so no cover's segments move as the next are appended.
+	sc.covers, sc.segs = sc.covers[:0], slices.Grow(sc.segs[:0], nseg)
+	for _, sp := range sc.spans {
 		if len(sp.Runs) == 1 {
-			out[i] = sp.Runs[0]
+			sc.covers = append(sc.covers, sp.Runs[0])
 			continue
 		}
-		nseg := len(sp.Runs) - 1 // the holes
-		for _, r := range sp.Runs {
-			nseg += len(r.Segs)
-		}
-		cover := Run{Dev: sp.Dev, PBlock: sp.PBlock, B: sp.Runs[0].B, N: sp.Blocks, Segs: make([]Seg, 0, nseg)}
+		s0 := len(sc.segs)
 		pos := sp.PBlock
 		for _, r := range sp.Runs {
 			if r.PBlock > pos {
-				cover.Segs = append(cover.Segs, Seg{BufOff: hole, Blocks: r.PBlock - pos})
+				sc.segs = append(sc.segs, Seg{BufOff: hole, Blocks: r.PBlock - pos})
 			}
-			cover.Segs = append(cover.Segs, r.Segs...)
+			sc.segs = append(sc.segs, r.Segs...)
 			pos = r.PBlock + r.N
 		}
-		out[i] = cover
+		segs := sc.segs[s0:len(sc.segs):len(sc.segs)]
+		sc.covers = append(sc.covers, Run{Dev: sp.Dev, PBlock: sp.PBlock, B: sp.Runs[0].B, N: sp.Blocks, Segs: segs})
 	}
-	return out
+	return sc.covers
+}
+
+// release drops every reference to the transfer's runs, readying sc for
+// the pool.
+func (sc *sieveScratch) release() {
+	clear(sc.spans)
+	clear(sc.covers)
+	sc.spans, sc.covers = sc.spans[:0], sc.covers[:0]
 }
 
 // lockSieve serializes sieved writes on device dev (engine contexts

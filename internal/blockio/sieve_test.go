@@ -56,7 +56,7 @@ func TestSieveSpansShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := sieveSpans(runs)
+	spans := sieveSpans(nil, runs)
 	if len(spans) != 2 {
 		t.Fatalf("%d spans, want 2 (one per touched device): %+v", len(spans), spans)
 	}
@@ -212,7 +212,7 @@ func FuzzSieveSpans(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spans := sieveSpans(runs)
+		spans := sieveSpans(nil, runs)
 		seen := map[int]bool{}
 		var useful int64
 		for _, sp := range spans {

@@ -102,22 +102,6 @@ func (s *Set) Map(vec Vec, runs []Run, segs []Seg) (Mapped, []Run, []Seg, error)
 // order); they must not be modified.
 func (m Mapped) Runs() []Run { return m.runs }
 
-// CopyTo appends m's runs to runs and their segments to segs, and returns
-// the copy of m that lives there with both arenas: a descriptor mapped
-// into scratch is kept in memory of its own. Arenas sized for what they
-// receive do not grow.
-func (m Mapped) CopyTo(runs []Run, segs []Seg) (Mapped, []Run, []Seg) {
-	r0 := len(runs)
-	for _, r := range m.runs {
-		s0 := len(segs)
-		segs = append(segs, r.Segs...)
-		r.Segs = segs[s0:len(segs):len(segs)]
-		runs = append(runs, r)
-	}
-	m.runs = runs[r0:len(runs):len(runs)]
-	return m, runs, segs
-}
-
 // Transfer issues the mapped descriptor into buf (a read) or from it
 // (write) under strat, as Set.Transfer would the descriptor it was mapped
 // from with the one-piece space of buf.
@@ -174,14 +158,17 @@ func (s *Set) Transfer(ctx sim.Context, write bool, strat Strategy, vec Vec, sp 
 	return s.issueRuns(ctx, op, write, strat, m.runs, sp)
 }
 
-// issueRuns is the pipeline below the map stage.
+// issueRuns is the pipeline below the map stage. A sieved transfer's
+// covering runs are built in pooled scratch held until the issue returns.
 func (s *Set) issueRuns(ctx sim.Context, op string, write bool, strat Strategy, runs []Run, sp Space) error {
 	if strat == StrategyAuto {
 		strat = s.choose(runs, write)
 	}
 	var sieve *Set
 	if strat == StrategySieved {
-		runs = sieveRuns(runs)
+		sc := coverPool.Get().(*sieveScratch)
+		defer func() { sc.release(); coverPool.Put(sc) }()
+		runs = sc.sieveRuns(runs)
 		if write {
 			sieve = s
 		}

@@ -262,20 +262,27 @@ type Collective struct {
 
 	// Schedule capture/replay state (schedule.go): the cached
 	// schedules in MRU order, the interconnect-model stamp they were
-	// built under, the fingerprint scratch, and the counters
-	// PlanCacheStats reports.
+	// built under, the fingerprint scratch, the keys of the one-shot
+	// calls last seen (seen[nseen%len] is where the next goes), the memory
+	// of the one-shot schedule (nil until the first, and after it is
+	// admitted), and the counters PlanCacheStats reports.
 	cached     []*schedule
 	cacheStamp modelStamp
 	sigScratch []uint64
-	spare      [][]part // evicted schedules' pieces, for the next tables
+	seen       [defaultPlanCacheCap]uint64
+	nseen      int
+	oneShot    *schedMem
 
 	hits, misses, evictions, invalidations uint64
 
 	// Route-pricing scratch (strategy.go), the memory of a schedule's
-	// build that no schedule keeps (planScratch, plan.go), and the
-	// flight-recorder handles that report what was priced (explain.go).
+	// build that no admitted schedule keeps (planScratch, plan.go), the
+	// identity Set every aligned plan addresses the drives through
+	// (physSet), and the flight-recorder handles that report what was
+	// priced (explain.go).
 	price priceScratch
 	build planScratch
+	phys  *blockio.Set
 	ex    explainProbe
 	// forcePart, when set, replaces route pricing with a fixed choice on
 	// every blocking call — the test hook that runs the differential

@@ -107,7 +107,7 @@ func FuzzPlanDomains(f *testing.F) {
 			return // rejected input: the validator at work, not a plan
 		}
 		checkPlanInvariants(t, pl, sc.shares, reqs, opts)
-		al := pl.aligned(opts, 1, 0, sc)
+		al := alignedPlan(pl, opts, 1, 0, sc)
 		checkPlanInvariants(t, al, sc.shares, reqs, opts)
 	})
 }
@@ -297,7 +297,7 @@ func FuzzChunkDomains(f *testing.F) {
 		checkChunkInvariants(t, pl, chunkBytes, 1, 0)
 		for split := 1; split <= 16; split++ {
 			for _, r := range []ramp{0, rampUp, rampDown} {
-				checkChunkInvariants(t, pl.aligned(opts, split, r, new(planScratch)), chunkBytes, split, r)
+				checkChunkInvariants(t, alignedPlan(pl, opts, split, r, new(planScratch)), chunkBytes, split, r)
 			}
 		}
 	})

@@ -765,9 +765,9 @@ func TestNonblockingKeepsLogicalPartition(t *testing.T) {
 			p.Barrier()
 		}
 		step(true, false, 1) // planned for istart: logical, no aligned candidate
-		step(false, true, 2) // same lists, blocking: priced afresh
+		step(false, true, 2) // same lists, blocking: priced afresh, one-shot
 		step(true, false, 2) // replays the logical schedule, not the aligned one
-		step(false, true, 2) // and the reverse
+		step(false, true, 2) // and the reverse: the one-shot schedule, admitted
 	})
 	e.Go("join", func(sp *sim.Proc) { join.Wait(sp); srv.Stop(sp) })
 	if err := e.Run(); err != nil {

@@ -204,7 +204,8 @@ type round struct {
 // chunk boundaries — the schedule's, so it replays with it) and piece
 // table. sp is the space a chunk is bound in, rebuilt per window by the
 // access stage, its only user. A workload whose schedules never repeat
-// therefore allocates the plan and its table and nothing else.
+// runs every call on the handle's one-shot schedule, so it allocates
+// neither.
 // msgScr holds the read path's two in-flight outgoing message lists:
 // round k's list sits in the stage queue while round k+1 is being sized,
 // and slot k%2 is free again by round k+2 because the exchange stage is
@@ -292,19 +293,20 @@ type spaceTab struct {
 	at, dat []int
 }
 
-// space builds the call's piece table from every rank's clips in every
-// chunk of every domain, resolving a read's overlaps (dups). The pieces are
-// appended to parts[:0]: an evicted schedule's, whose memory is dead by
-// then (scheduleFor), grown first to what the clips number where no two
-// segments overlap: every segment, plus one for each window edge that
-// cuts one.
-func (pl *plan) space(parts []part) *spaceTab {
+// space builds the call's piece table into t from every rank's clips in
+// every chunk of every domain, resolving a read's overlaps (dups). t's
+// tables are rewritten where they have the room (a one-shot schedule's)
+// and made where they have none, the pieces grown first to what the clips
+// number where no two segments overlap: every segment, plus one for each
+// window edge that cuts one.
+func (pl *plan) space(t *spaceTab) {
 	n := pl.naggs*pl.rounds + 1
 	clips := n
 	for _, segs := range pl.segs {
 		clips += len(segs)
 	}
-	t := &spaceTab{parts: slices.Grow(parts[:0], clips), at: make([]int, 1, n), dat: make([]int, 1, n)}
+	t.parts, t.dups = slices.Grow(t.parts[:0], clips), t.dups[:0]
+	t.at, t.dat = append(slices.Grow(t.at[:0], n), 0), append(slices.Grow(t.dat[:0], n), 0)
 	for a := 0; a < pl.naggs; a++ {
 		for k := 0; k < pl.rounds; k++ {
 			lo, hi := pl.chunkWindow(a, k)
@@ -318,7 +320,6 @@ func (pl *plan) space(parts []part) *spaceTab {
 			t.at, t.dat = append(t.at, len(t.parts)), append(t.dat, len(t.dups))
 		}
 	}
-	return t
 }
 
 // resolve makes one chunk's clips, t.parts[p0:], its pieces. Clips that

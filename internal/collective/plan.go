@@ -35,17 +35,21 @@
 //     ranks instead of electing rank 0 for every domain.
 //
 // A plan is built afresh on every call whose request lists the schedule
-// cache has not seen, so building one costs a fixed number of
-// allocations, not a few per rank: every rank-indexed table — the
-// segment lists, their covered ranges and the participation indexes — is
-// one array counted before it is filled, and what only the build reads
-// lives in the handle's scratch (planScratch): the ordered union and the
-// rank × domain share table, and the whole logical partition while a
-// price decides whether it runs. A plan keeps exactly what its route
-// runs. The union is ordered without a comparison sort — the rank-major
-// list as it is where it is in key order, else one stable radix pass on
-// the key — and its order is total: segments tie on key by buffer
-// offset, then by rank, so no plan depends on the sort algorithm.
+// cache has not seen, so building one costs a fixed number of tables,
+// not a few per rank: every rank-indexed table — the segment lists, their
+// covered ranges and the participation indexes — is one array counted
+// before it is filled, and what only the build reads lives in the
+// handle's scratch (planScratch): the ordered union and the rank × domain
+// share table, and the whole logical partition while a price decides
+// whether it runs. A plan is filled where it is handed, every table
+// resized in place: a one-shot call's plan is the handle's, whose tables
+// are rewritten call after call and allocate nothing once grown; an
+// admitted schedule's is new, every table made exactly (schedule.go). A
+// plan keeps exactly what its route runs. The union is ordered without
+// a comparison sort — the rank-major list as it is where it is in key
+// order, else one stable radix pass on the key — and its order is
+// total: segments tie on key by buffer offset, then by rank, so no plan
+// depends on the sort algorithm.
 //
 // Domains are contiguous in covered-index space and holes nobody asked
 // for are never touched. What "contiguous" buys depends on the key: a
@@ -112,6 +116,7 @@ type plan struct {
 	// through the group's files (locate).
 	phys *blockio.Set
 	segs [][]rseg // per rank, sorted by key (byKey)
+	flat []rseg   // the array every rank's segs are a slice of
 	// Everything below is the partition (plan.partition): an independent
 	// route's plan holds none of it.
 	covered   []span  // merged union footprint, sorted by key
@@ -155,17 +160,20 @@ type plan struct {
 type crange struct{ start, end, maxEnd int64 }
 
 // planScratch is the handle-held memory of a schedule's build that no
-// schedule keeps, so a workload whose request lists never repeat builds
-// every schedule in it: the union of the ranks' segments in key order
+// admitted schedule keeps: the union of the ranks' segments in key order
 // (and the radix pass's second buffer), the last partition's rank ×
 // domain share table (read by the owner election, the exchange stats
 // and the route pricer, all during the build), the logical partition
 // and its cut plan while StrategyAuto prices them, the inputs of a cut,
-// and every rank's mapped descriptors while the independent routes are
-// priced, and the aligned plan's segments as they are mapped. A
-// schedule that runs any of it builds its own (newSchedule).
+// every rank's mapped descriptors while the independent routes are priced
+// (which a one-shot schedule then runs, newSchedule), the aligned plan's
+// segments as they are mapped and its domain cuts, a rank's segments in
+// buffer order while newPlan checks them, and the owned-domain counts of
+// a two-phase schedule. An admitted schedule that runs any of it builds
+// its own.
 type planScratch struct {
 	union, radix []owned
+	byBuf        []rseg
 	cells        []int64
 	shares       [][]int64 // [rank][domain] rows of cells
 	load         []int     // electOwners' domains given per rank
@@ -178,6 +186,8 @@ type planScratch struct {
 	keyed        []rseg        // plan.aligned's pieces, rank after rank
 	keyedAt      []int         // rank r's are keyed[keyedAt[r]:keyedAt[r+1]]
 	runs         []blockio.Run // one segment's runs, as MapRun places them
+	domCuts      []int64       // plan.aligned's domain boundaries, by key
+	ownAt        []int         // newSchedule's owned domains per rank, summed
 }
 
 // resize returns s with length n, zeroed: s's own array where it has the
@@ -192,16 +202,18 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
-// newPlan validates every rank's requests into a plan of segments, and
-// orders their union into sc.union, the input of the partition (which
-// newPlan does not make: a route decides which one it needs). write
-// additionally rejects cross-rank overlaps, whose store order would be
-// ambiguous. Every bound is checked by subtraction, so a segment whose
-// end would overflow an int64 is refused like any other out-of-bounds
-// one.
-func newPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, write bool, opts Options, sc *planScratch) (*plan, error) {
+// newPlan validates every rank's requests into pl, a logical plan of
+// segments, and orders their union into sc.union, the input of the
+// partition (which newPlan does not make: a route decides which one it
+// needs). write additionally rejects cross-rank overlaps, whose store
+// order would be ambiguous. Every bound is checked by subtraction, so a
+// segment whose end would overflow an int64 is refused like any other
+// out-of-bounds one. The segment tables are pl's, resized; a refused
+// call leaves them half rewritten, for nothing to run.
+func newPlan(pl *plan, group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, write bool, sc *planScratch) error {
 	bs := int64(group.Store().BlockSize())
-	pl := &plan{bs: bs, naggs: naggs, group: group, segs: make([][]rseg, len(reqs))}
+	pl.bs, pl.naggs, pl.group, pl.phys = bs, naggs, group, nil
+	pl.segs = resize(pl.segs, len(reqs))
 	// Every rank's segments are a capped slice of one array, counted
 	// before it is filled (zero-length segments counted too, and left out).
 	n := 0
@@ -210,31 +222,31 @@ func newPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, wr
 			n += len(q.Vec)
 		}
 	}
-	flat := make([]rseg, 0, n)
-	var byBuf []rseg // a rank's segments in buffer order, when key order is not
+	pl.flat = resize(pl.flat, n)
+	flat := pl.flat[:0]
 	for r, rr := range reqs {
 		bufLen := int64(len(bufs[r]))
 		lo := len(flat)
 		for qi, q := range rr {
 			if q.File < 0 || q.File >= group.Len() {
-				return nil, fmt.Errorf("collective: rank %d request %d: file %d of %d", r, qi, q.File, group.Len())
+				return fmt.Errorf("collective: rank %d request %d: file %d of %d", r, qi, q.File, group.Len())
 			}
 			fileBlocks := group.File(q.File).Mapper().TotalFSBlocks()
 			off := group.Offset(q.File)
 			for si, sg := range q.Vec {
 				if sg.N < 0 || sg.Block < 0 || sg.N > fileBlocks-sg.Block {
-					return nil, fmt.Errorf("collective: rank %d request %d segment %d: blocks [%d,%d) of %d-block file",
+					return fmt.Errorf("collective: rank %d request %d segment %d: blocks [%d,%d) of %d-block file",
 						r, qi, si, sg.Block, sg.Block+sg.N, fileBlocks)
 				}
 				if sg.N == 0 {
 					continue
 				}
 				if sg.BufOff < 0 || sg.BufOff%bs != 0 {
-					return nil, fmt.Errorf("collective: rank %d request %d segment %d: buffer offset %d not aligned to %d-byte blocks",
+					return fmt.Errorf("collective: rank %d request %d segment %d: buffer offset %d not aligned to %d-byte blocks",
 						r, qi, si, sg.BufOff, bs)
 				}
 				if sg.BufOff > bufLen || sg.N > (bufLen-sg.BufOff)/bs {
-					return nil, fmt.Errorf("collective: rank %d request %d segment %d: %d blocks at buffer offset %d exceed %d-byte buffer",
+					return fmt.Errorf("collective: rank %d request %d segment %d: %d blocks at buffer offset %d exceed %d-byte buffer",
 						r, qi, si, sg.N, sg.BufOff, bufLen)
 				}
 				flat = append(flat, rseg{gb: off + sg.Block, n: sg.N, bufOff: sg.BufOff})
@@ -247,19 +259,20 @@ func newPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, wr
 			// read may fetch one block into several buffer slots.
 			for i := 1; i < len(segs); i++ {
 				if segs[i-1].gb+segs[i-1].n > segs[i].gb {
-					return nil, fmt.Errorf("collective: rank %d requests overlap at global block %d", r, segs[i].gb)
+					return fmt.Errorf("collective: rank %d requests overlap at global block %d", r, segs[i].gb)
 				}
 			}
 		}
 		inBuf := segs
 		if !slices.IsSortedFunc(segs, byBufOff) {
-			byBuf = append(byBuf[:0], segs...)
-			slices.SortFunc(byBuf, byBufOff)
-			inBuf = byBuf
+			// The rank's segments in buffer order, where key order is not.
+			sc.byBuf = append(sc.byBuf[:0], segs...)
+			slices.SortFunc(sc.byBuf, byBufOff)
+			inBuf = sc.byBuf
 		}
 		for i := 1; i < len(inBuf); i++ {
 			if inBuf[i-1].bufOff+inBuf[i-1].n*bs > inBuf[i].bufOff {
-				return nil, fmt.Errorf("collective: rank %d requests overlap in the buffer at offset %d", r, inBuf[i].bufOff)
+				return fmt.Errorf("collective: rank %d requests overlap in the buffer at offset %d", r, inBuf[i].bufOff)
 			}
 		}
 		pl.segs[r] = segs
@@ -270,12 +283,12 @@ func newPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, wr
 		// Reads may share blocks; the union merge absorbs that.
 		for i := 1; i < len(all); i++ {
 			if all[i-1].gb+all[i-1].n > all[i].gb {
-				return nil, fmt.Errorf("collective: ranks %d and %d write overlapping blocks at global block %d",
+				return fmt.Errorf("collective: ranks %d and %d write overlapping blocks at global block %d",
 					all[i-1].rank, all[i].rank, all[i].gb)
 			}
 		}
 	}
-	return pl, nil
+	return nil
 }
 
 // byKey orders segments by key, ties by buffer offset: a total order on
@@ -369,18 +382,16 @@ func (sc *planScratch) sortedSegs(segs [][]rseg) []owned {
 // lists (partition), the executor and the nonblocking path then run
 // unchanged: a domain buffer is laid out in drive order, a chunk is a
 // contiguous slice of a drive, and locate resolves keys through the
-// identity Set. split deepens the pipeline and rmp sizes its rounds
-// (partition). The re-keyed lists are slices of one array, like
-// newPlan's: the pieces are mapped into sc, then copied out. The aligned
-// plan is fresh; its union and share table are sc's.
-func (pl *plan) aligned(opts Options, split int, rmp ramp, sc *planScratch) *plan {
-	store := pl.group.Store()
-	nd, per := store.Devices(), store.Blocks()
-	phys, err := blockio.NewSet(store, blockio.NewStriped(nd, per), make([]int64, nd), int64(nd)*per)
-	if err != nil {
-		panic(err) // unreachable: the layout is built from the store's own shape
-	}
-	al := &plan{bs: pl.bs, naggs: pl.naggs, group: pl.group, phys: phys, segs: make([][]rseg, len(pl.segs))}
+// identity Set, phys (physSet). split deepens the pipeline and rmp sizes
+// its rounds (partition). The aligned plan is filled into al, its tables
+// resized like newPlan's, and its re-keyed lists are slices of one array:
+// the pieces are mapped into sc, then copied out. Its union and share
+// table are sc's.
+func (pl *plan) aligned(al *plan, phys *blockio.Set, opts Options, split int, rmp ramp, sc *planScratch) {
+	per := pl.group.Store().Blocks()
+	nd := phys.Layout().Devices()
+	al.bs, al.naggs, al.group, al.phys = pl.bs, pl.naggs, pl.group, phys
+	al.segs = resize(al.segs, len(pl.segs))
 	// Every segment is mapped once (a validated segment lies inside one
 	// file), into the scratch, and the pieces copied out exactly sized.
 	keyed, runs := sc.keyed[:0], sc.runs
@@ -397,19 +408,20 @@ func (pl *plan) aligned(opts Options, split int, rmp ramp, sc *planScratch) *pla
 		sc.keyedAt = append(sc.keyedAt, len(keyed))
 	}
 	sc.keyed, sc.runs = keyed, runs
-	flat := slices.Clone(keyed)
+	al.flat = resize(al.flat, len(keyed))
+	copy(al.flat, keyed)
 	for r := range al.segs {
 		lo, hi := sc.keyedAt[r], sc.keyedAt[r+1]
-		out := flat[lo:hi:hi]
+		out := al.flat[lo:hi:hi]
 		slices.SortFunc(out, byKey)
 		al.segs[r] = out
 	}
-	cuts := make([]int64, al.naggs+1)
+	cuts := resize(sc.domCuts, al.naggs+1)
 	for a := range cuts {
 		cuts[a] = int64(firstDrive(a, nd, al.naggs)) * per
 	}
+	sc.domCuts = cuts
 	al.partition(sc.sortedSegs(al.segs), opts, cuts, split, rmp, sc)
-	return al
 }
 
 // firstDrive is the first drive of aligned domain a: ⌈a·nd/naggs⌉, so

@@ -23,12 +23,20 @@ func buildPlan(group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, 
 // buildPlanIn is buildPlan on scratch sc, which keeps the partition's
 // share table.
 func buildPlanIn(sc *planScratch, group *pfs.FileGroup, reqs [][]VecReq, bufs [][]byte, naggs int, write bool, opts Options) (*plan, error) {
-	pl, err := newPlan(group, reqs, bufs, naggs, write, opts, sc)
-	if err != nil {
+	pl := new(plan)
+	if err := newPlan(pl, group, reqs, bufs, naggs, write, sc); err != nil {
 		return nil, err
 	}
 	pl.partition(sc.union, opts, nil, 1, 0, sc)
 	return pl, nil
+}
+
+// alignedPlan re-keys pl by physical address into a fresh plan
+// (plan.aligned), through the identity Set a handle on pl's group makes.
+func alignedPlan(pl *plan, opts Options, split int, rmp ramp, sc *planScratch) *plan {
+	al := new(plan)
+	pl.aligned(al, (&Collective{group: pl.group}).physSet(), opts, split, rmp, sc)
+	return al
 }
 
 // planFixture builds a 2-file group (8 + 4 fs blocks) over 2 untimed
@@ -244,7 +252,7 @@ func TestPlanAlignedDomains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			al := pl.aligned(opts, 2, 0, sc)
+			al := alignedPlan(pl, opts, 2, 0, sc)
 			if al.phys == nil || al.total != pl.total {
 				t.Fatalf("aligned plan covers %d blocks (phys %v), logical %d", al.total, al.phys != nil, pl.total)
 			}

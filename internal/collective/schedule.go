@@ -10,13 +10,26 @@
 // amortized over repeated accesses, and ViPIOS precomputes server-side
 // access profiles for the same reason.
 //
-// The cache is transparent and first-call: rank 0 fingerprints the
-// gathered request lists after the entry barrier, and a hit replays the
-// frozen schedule — the validated plan, the domain→aggregator
-// assignment, the chosen route and pipeline depth, the call's prepared
-// blockio.BatchPlan and its piece table, or the ranks' mapped
-// descriptors — binding only the callers' buffers and sizing the
-// exchange's messages.
+// The cache is transparent and admits a schedule on the second sight of
+// its key: rank 0 fingerprints the gathered request lists after the
+// entry barrier, and a hit replays the frozen schedule — the validated
+// plan, the domain→aggregator assignment, the chosen route and pipeline
+// depth, the call's prepared blockio.BatchPlan and its piece table, or
+// the ranks' mapped descriptors — binding only the callers' buffers and
+// sizing the exchange's messages. A key not among the last
+// defaultPlanCacheCap one-shot keys a handle has seen is a one-shot
+// call, a checkpoint whose request lists never repeat: it is built into
+// the handle's one one-shot schedule, whose tables are rewritten call
+// after call and, once grown, allocate nothing, and it is not inserted.
+// A key seen before is admitted: where the one-shot schedule is still
+// its own — no other one-shot call came between — the handle gives that
+// memory to the cache as it is, a hit, and makes new memory for its next
+// one-shot call (promote); otherwise it is built again into memory of
+// its own and inserted, a miss. Nonblocking calls are always admitted
+// on their first call: the I/O server runs them after the call returns.
+// Both are one build (newSchedule), differing only in whose memory it
+// fills.
+//
 // Everything frozen is a pure function of the request values and the
 // machine model, so a replayed call is bit-identical in modeled time and
 // probe trace to a fresh build; the win is host wall-clock and
@@ -31,7 +44,8 @@
 // so no device epoch is needed. A small LRU (defaultPlanCacheCap
 // schedules) keeps several so multi-pattern jobs don't thrash; a caller
 // that wants every call planned afresh drops them first
-// (InvalidateSchedules).
+// (InvalidateSchedules). Neither flush forgets the keys seen: they hold
+// nothing priced.
 
 package collective
 
@@ -102,9 +116,26 @@ type schedule struct {
 	tab *spaceTab
 
 	// Execution state of the independent routes: every rank's request
-	// list taken through the map stage — a compact copy of what
-	// StrategyAuto priced, or mapped on first use (mapped).
+	// list taken through the map stage — a one-shot schedule's in the
+	// pricing scratch, where StrategyAuto priced them, an admitted one's
+	// mapped on first use (mapped).
 	ind *mappedReqs
+}
+
+// schedMem is the memory a schedule is built in (newSchedule): the
+// handle's one-shot schedule's, rewritten by every call whose key the
+// handle has not seen and grown only where a call needs more, or an
+// admitted schedule's own, every table made exactly by the same code.
+// The schedule points into it: its plan is logical, or aligned where
+// that partition runs, and a two-phase route's cut plan, piece table and
+// owned-domain lists are cut, tab and ownedOf, the lists slices of doms.
+type schedMem struct {
+	sd               schedule
+	logical, aligned plan
+	cut              cutPlan
+	tab              spaceTab
+	ownedOf          [][]int
+	doms             []int
 }
 
 // mappedReqs is every rank's requests taken through the map stage:
@@ -127,30 +158,6 @@ func (m *mappedReqs) of(rank int) ([]blockio.Mapped, error) {
 	return m.ind[rank], m.err[rank]
 }
 
-// compact copies m into memory of its own, exactly sized: what a schedule
-// keeps of descriptors mapped into the pricing scratch. m has no errors.
-func (m *mappedReqs) compact() *mappedReqs {
-	nrun, nseg := 0, 0
-	for _, mr := range m.ms {
-		for _, r := range mr.Runs() {
-			nrun, nseg = nrun+1, nseg+len(r.Segs)
-		}
-	}
-	out := &mappedReqs{
-		ind: make([][]blockio.Mapped, len(m.ind)), ms: make([]blockio.Mapped, len(m.ms)),
-		runs: make([]blockio.Run, 0, nrun), segs: make([]blockio.Seg, 0, nseg),
-	}
-	at := 0
-	for r, ms := range m.ind {
-		for _, mr := range ms {
-			out.ms[at], out.runs, out.segs = mr.CopyTo(out.runs, out.segs)
-			at++
-		}
-		out.ind[r] = out.ms[at-len(ms) : at : at]
-	}
-	return out
-}
-
 // cutPlan is a call's prepared batch plan and, for a blocking call, the
 // first window of every domain.
 type cutPlan struct {
@@ -160,9 +167,10 @@ type cutPlan struct {
 
 // cut prepares the whole call for the blocking executor into cp: one
 // batch over the covered footprint, cut where the round table starts
-// every chunk of every domain. cp's tables are its own where it has them
-// (the scratch cut a price walks), made exactly where it has none (a
-// schedule's); the batch and its cuts are assembled in sc. An error is
+// every chunk of every domain. cp's tables are rewritten where they have
+// the room (the scratch cut a price walks, a one-shot schedule's), made
+// exactly where they have none (an admitted schedule's); the batch and
+// its cuts are assembled in sc. An error is
 // unreachable in practice: the batch is derived from validated,
 // physically disjoint covered spans.
 func (pl *plan) cut(cp *cutPlan, sc *planScratch) error {
@@ -213,6 +221,9 @@ func (c *Collective) PlanCacheStats() CacheStats {
 func (c *Collective) InvalidateSchedules() { c.flushSchedules() }
 
 func (c *Collective) flushSchedules() {
+	if c.oneShot != nil {
+		c.oneShot.sd.sig = c.oneShot.sd.sig[:0] // nor is it promoted
+	}
 	if len(c.cached) == 0 {
 		return
 	}
@@ -240,9 +251,13 @@ func stampOf(p *mpp.Proc) modelStamp {
 }
 
 // scheduleFor resolves the schedule for the current call: a cache hit
-// replays the frozen schedule, a miss builds it fresh — newPlan,
-// chooseRoute, the byte-split stats — and inserts it. Runs on rank 0
-// between the plan barriers; pure host work, no virtual time.
+// replays the frozen schedule; so does the second sight of a key whose
+// one-shot schedule is still the handle's, which the handle admits as it
+// is (promote). A miss builds it (newSchedule) — into the handle's
+// one-shot schedule where the key is new to the ring of keys seen, which
+// records it, and otherwise, or for a nonblocking call, into memory of
+// its own, inserted. Runs on rank 0 between the plan barriers; pure host
+// work, no virtual time.
 func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedule, error) {
 	if st := stampOf(p); st != c.cacheStamp {
 		c.flushSchedules()
@@ -263,31 +278,65 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedul
 		c.hits++
 		return sd, nil
 	}
+	if m := c.oneShot; m != nil && m.sd.key == key && sigEqual(m.sd.sig, sig) && c.bufsFit(&m.sd) {
+		c.hits++
+		return c.promote(m), nil
+	}
 	c.misses++
-	opts := c.opts
-	if nonblocking {
-		// The domains assemble in one round: the device phase of a
-		// nonblocking call belongs to the server, so a rank has nothing to
-		// overlap an exchange round with. ChunkBytes cuts the server's
-		// plan instead (newSchedule).
-		opts.ChunkBytes = 0
+	if !nonblocking && !c.seenKey(key) {
+		c.seen[c.nseen%len(c.seen)] = key
+		c.nseen++
+		m := c.shotMem()
+		sd, err := c.newSchedule(p, m, write, nonblocking, key, sig)
+		if err != nil {
+			m.sd.sig = m.sd.sig[:0] // what the build left is nothing to replay
+		}
+		return sd, err
 	}
-	pl, err := newPlan(c.group, c.reqs, c.bufs, c.naggs, write, opts, &c.build)
+	sd, err := c.newSchedule(p, new(schedMem), write, nonblocking, key, sig)
 	if err != nil {
 		return nil, err
 	}
-	sd, err := c.newSchedule(p, pl, write, nonblocking, opts, key, sig)
-	if err != nil {
-		return nil, err
+	c.insert(sd)
+	return sd, nil
+}
+
+// shotMem returns the memory of the handle's one-shot schedule, made
+// on the first one-shot call and after every promote.
+func (c *Collective) shotMem() *schedMem {
+	if c.oneShot == nil {
+		c.oneShot = new(schedMem)
 	}
+	return c.oneShot
+}
+
+// promote admits the handle's one-shot schedule m as it is, on the second
+// sight of its key: the handle gives m to the cache and makes new memory
+// for its next one-shot call. m drops what earlier one-shot calls left
+// that its route does not run, and the mapped descriptors in the pricing
+// scratch, which it maps again on first use; its tables keep whatever
+// room the one-shot calls grew them to.
+func (c *Collective) promote(m *schedMem) *schedule {
+	c.oneShot = nil
+	sd := &m.sd
+	sd.ind = nil
+	if sd.pl == &m.logical {
+		m.aligned = plan{}
+	} else {
+		m.logical = plan{}
+	}
+	if sd.route != routeTwoPhase {
+		m.cut, m.tab, m.ownedOf, m.doms = cutPlan{}, spaceTab{}, nil, nil
+	}
+	c.insert(sd)
+	return sd
+}
+
+// insert puts sd at the front of the cache, evicting the least recently
+// used schedule when it is full.
+func (c *Collective) insert(sd *schedule) {
 	if len(c.cached) >= defaultPlanCacheCap {
 		last := len(c.cached) - 1
-		if tab := c.cached[last].tab; tab != nil {
-			// Nothing reads an evicted schedule's pieces again: a call binds
-			// them only as it starts, under its own schedule. A workload
-			// whose schedules never repeat builds its tables in one memory.
-			c.spare = append(c.spare, tab.parts)
-		}
 		c.cached[last] = nil
 		c.cached = c.cached[:last]
 		c.evictions++
@@ -295,37 +344,55 @@ func (c *Collective) scheduleFor(p *mpp.Proc, write, nonblocking bool) (*schedul
 	c.cached = append(c.cached, nil)
 	copy(c.cached[1:], c.cached)
 	c.cached[0] = sd
-	return sd, nil
 }
 
-// newSchedule freezes a fresh plan into a schedule: route and partition
-// choice, byte-split stats, the per-rank owned-domain lists and buffer
-// bounds, the call's prepared plan. pl is the validated plan of segments
-// (newPlan), its union in the handle's scratch; opts are the options it
-// was validated under. Whatever the route, the schedule keeps what that
-// route runs and nothing a loser needed: an independent route the plan's
-// segments and its mapped descriptors, a two-phase route its own
-// partition — the logical one on pl, or when StrategyAuto prices the
-// drive-aligned partition cheaper pl.aligned — with its cut plan and
-// piece table, built fresh and exactly sized; everything a price was put
-// on stays in the scratch. Nonblocking calls are priced like blocking
-// ones, in the shape they run in (chooseRoute), and run two-phase on the
-// logical partition or vectored. Their device phase is one request to
-// the I/O server: two-phase, the call-wide plan, whatever the partition,
-// so the domains only say which rank sizes which messages; vectored,
-// every rank's mapped runs as they were priced, none joined to another
-// rank's (blockio.MappedPlan), each rank's at its offset in the call's
-// space (bindRanks). Options.ChunkBytes cuts that request — not the
-// domains — into the windows the server issues it in and may serve other
-// jobs between (0: one window, the whole call). The signature is copied
-// so no fingerprint scratch is retained.
-func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool, opts Options, key uint64, sig []uint64) (*schedule, error) {
-	sd := &schedule{
-		pl:     pl,
-		key:    key,
-		sig:    append([]uint64(nil), sig...),
-		minBuf: make([]int64, c.size),
+// seenKey reports whether key is in the ring of the keys last seen.
+func (c *Collective) seenKey(key uint64) bool {
+	for _, k := range c.seen[:min(c.nseen, len(c.seen))] {
+		if k == key {
+			return true
+		}
 	}
+	return false
+}
+
+// newSchedule builds the call's schedule into mem: it validates the
+// requests into a plan of segments (newPlan), its union in the handle's
+// scratch, and freezes the plan into a schedule — route and partition
+// choice, byte-split stats, the per-rank owned-domain lists and buffer
+// bounds, the call's prepared plan. Whatever the route, the schedule
+// keeps what that route runs and nothing a loser needed: an independent
+// route the plan's segments and its mapped descriptors, a two-phase route
+// its own partition — the logical one, or when StrategyAuto prices the
+// drive-aligned partition cheaper pl.aligned — with its cut plan and
+// piece table; everything a price was put on stays in the scratch. A
+// one-shot schedule (mem is the handle's) runs its mapped descriptors
+// straight out of the scratch; an admitted one maps its own on first use.
+// Nonblocking calls are priced like blocking ones, in the shape they run
+// in (chooseRoute), and run two-phase on the logical partition or
+// vectored. Their device phase is one request to the I/O server:
+// two-phase, the call-wide plan, whatever the partition, so the domains
+// only say which rank sizes which messages; vectored, every rank's mapped
+// runs as they were priced, none joined to another rank's
+// (blockio.MappedPlan), each rank's at its offset in the call's space
+// (bindRanks). Options.ChunkBytes cuts that request — not the domains —
+// into the windows the server issues it in and may serve other jobs
+// between (0: one window, the whole call).
+func (c *Collective) newSchedule(p *mpp.Proc, mem *schedMem, write, nonblocking bool, key uint64, sig []uint64) (*schedule, error) {
+	opts := c.opts
+	if nonblocking {
+		// The domains assemble in one round: the device phase of a
+		// nonblocking call belongs to the server, so a rank has nothing to
+		// overlap an exchange round with. ChunkBytes cuts the server's
+		// plan instead.
+		opts.ChunkBytes = 0
+	}
+	pl := &mem.logical
+	if err := newPlan(pl, c.group, c.reqs, c.bufs, c.naggs, write, &c.build); err != nil {
+		return nil, err
+	}
+	sd := &mem.sd
+	*sd = schedule{pl: pl, key: key, sig: append(sd.sig[:0], sig...), minBuf: resize(sd.minBuf, c.size), depths: sd.depths[:0]}
 	for r, segs := range pl.segs {
 		for _, sg := range segs {
 			if end := sg.bufOff + sg.n*pl.bs; end > sd.minBuf[r] {
@@ -339,49 +406,56 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 	} else {
 		ch = c.chooseRoute(p, sd, write, nonblocking, opts)
 	}
-	sd.route, sd.predicted, sd.prices, sd.depths = ch.route, ch.predicted, ch.prices, ch.depths
+	sd.route, sd.predicted, sd.prices = ch.route, ch.predicted, ch.prices
+	sd.depths = append(sd.depths, ch.depths...)
+	sc := &c.build
 	if ch.route != routeTwoPhase {
 		// Independent routes: no exchange, no aggregators. A nonblocking
 		// call's runs are mapped in the scratch (chooseRoute).
-		if nonblocking {
-			return sd, c.mappedPlan(sd)
+		switch {
+		case nonblocking:
+			return sd, c.mappedPlan(sd, &mem.cut)
+		case mem == c.oneShot:
+			if c.opts.Strategy != blockio.StrategyAuto {
+				c.mapAll(sd) // nothing priced them
+			}
+			sd.ind = &sc.mapped
 		}
 		return sd, nil
 	}
-	sc := &c.build
 	if ch.aligned {
-		pl = pl.aligned(c.opts, ch.split, ch.ramp, sc)
+		pl.aligned(&mem.aligned, c.physSet(), c.opts, ch.split, ch.ramp, sc)
+		if mem != c.oneShot {
+			mem.logical = plan{} // an admitted schedule keeps what it runs
+		}
+		pl = &mem.aligned
 		sd.pl = pl
 	} else {
 		pl.partition(sc.union, opts, nil, 1, 0, sc)
 	}
 	sd.stats = pl.exchangeStats(sc.shares)
 	// Every rank's owned domains are a capped slice of one array.
-	at := make([]int, c.size+1) // at[r+1]: domains owned by ranks ≤ r
+	at := resize(sc.ownAt, c.size+1) // at[r+1]: domains owned by ranks ≤ r
 	for _, r := range pl.owner {
 		at[r+1]++
 	}
 	for r := 1; r <= c.size; r++ {
 		at[r] += at[r-1]
 	}
-	doms := make([]int, len(pl.owner))
-	sd.ownedOf = make([][]int, c.size)
-	for r := range sd.ownedOf {
-		sd.ownedOf[r] = doms[at[r]:at[r]:at[r+1]]
+	sc.ownAt = at
+	mem.doms, mem.ownedOf = resize(mem.doms, len(pl.owner)), resize(mem.ownedOf, c.size)
+	for r := range mem.ownedOf {
+		mem.ownedOf[r] = mem.doms[at[r]:at[r]:at[r+1]]
 	}
 	for a, r := range pl.owner {
-		sd.ownedOf[r] = append(sd.ownedOf[r], a)
+		mem.ownedOf[r] = append(mem.ownedOf[r], a)
 	}
-	var parts []part
-	if n := len(c.spare); n > 0 {
-		parts, c.spare = c.spare[n-1], c.spare[:n-1]
-	}
-	sd.tab = pl.space(parts)
+	pl.space(&mem.tab)
+	sd.ownedOf, sd.tab, sd.cut = mem.ownedOf, &mem.tab, &mem.cut
 	// An error below is unreachable in practice (plan.cut). It would
 	// fail the call as a plan error, on every rank, before anything is
 	// taken or submitted. A blocking call's cut is the one its price
-	// walked, made again in memory of its own.
-	sd.cut = new(cutPlan)
+	// walked, made again in the schedule's memory.
 	if !nonblocking {
 		return sd, pl.cut(sd.cut, sc)
 	}
@@ -394,11 +468,28 @@ func (c *Collective) newSchedule(p *mpp.Proc, pl *plan, write, nonblocking bool,
 	return sd, pl.batchVec(0, pl.total, sc).PlanInto(sd.cut.plan, cuts)
 }
 
-// mappedPlan prepares a nonblocking call's vectored route: every rank's
-// mapped descriptors (in the scratch) as one server request that issues
-// exactly their runs, rank r's at its offset in the call's space
+// physSet is the identity Set every aligned plan of the handle addresses
+// the drives through: striped over every device with a stripe unit of
+// one whole device, extent bases zero, so its logical block is the
+// aligned key. Made on the first aligned build.
+func (c *Collective) physSet() *blockio.Set {
+	if c.phys == nil {
+		store := c.group.Store()
+		nd, per := store.Devices(), store.Blocks()
+		phys, err := blockio.NewSet(store, blockio.NewStriped(nd, per), make([]int64, nd), int64(nd)*per)
+		if err != nil {
+			panic(err) // unreachable: the layout is built from the store's own shape
+		}
+		c.phys = phys
+	}
+	return c.phys
+}
+
+// mappedPlan prepares a nonblocking call's vectored route into cp: every
+// rank's mapped descriptors (in the scratch) as one server request that
+// issues exactly their runs, rank r's at its offset in the call's space
 // (bindRanks), cut between runs every Options.ChunkBytes.
-func (c *Collective) mappedPlan(sd *schedule) error {
+func (c *Collective) mappedPlan(sd *schedule, cp *cutPlan) error {
 	ind := &c.build.mapped
 	at := make([]int64, len(ind.ms))
 	var off int64
@@ -418,7 +509,8 @@ func (c *Collective) mappedPlan(sd *schedule) error {
 	if err != nil {
 		return err
 	}
-	sd.cut = &cutPlan{plan: pl}
+	cp.plan = pl
+	sd.cut = cp
 	return nil
 }
 
@@ -502,11 +594,11 @@ func sigEqual(a, b []uint64) bool {
 }
 
 // mapped returns rank's requests of an independent route taken through
-// the map stage — one blockio.Mapped per request: the descriptors
-// StrategyAuto priced, or under a fixed strategy every rank's, mapped on
-// the first rank's turn. A request that is not a valid independent
-// descriptor is reported for its rank and left out; the others still
-// move.
+// the map stage — one blockio.Mapped per request: a one-shot schedule's
+// in the scratch, an admitted one's every rank's, mapped on the first
+// rank's turn into memory of its own. A request that is not a valid
+// independent descriptor is reported for its rank and left out; the
+// others still move.
 func (sd *schedule) mapped(c *Collective, rank int) ([]blockio.Mapped, error) {
 	if sd.ind == nil {
 		sd.ind = new(mappedReqs)

@@ -32,11 +32,12 @@
 // (schedule.go). What was priced is what runs, and the losers leave
 // nothing: every candidate is priced from tables in the handle's scratch
 // (planScratch) — the mapped descriptors, the logical partition and its
-// cut plan — and the schedule keeps its own copy of the winner's only:
-// an independent route the descriptors it was priced from, compacted;
-// the logical partition the plan whose windows were walked, made again;
-// the aligned partition the one whose cuts were walked, built once it
-// has won (newSchedule).
+// cut plan — and the schedule keeps the winner's only: an independent
+// route the descriptors it was priced from, which a one-shot schedule
+// runs out of the scratch and an admitted one maps again on first use;
+// the logical partition the plan whose windows were walked, made again
+// in the schedule's memory; the aligned partition the one whose cuts
+// were walked, built once it has won (newSchedule).
 //
 // Whatever the route, the semantics are the plan's: validation and
 // cross-rank write overlap rejection happen in newPlan before any route
@@ -99,7 +100,8 @@ type Prices struct {
 // equally). predicted is the price of the chosen candidate (zero when
 // Options.Strategy fixed the route and nothing was priced), prices every
 // candidate's and depths what each depth of the aligned partition was
-// priced at (explain.go).
+// priced at (explain.go), in the pricing scratch until newSchedule copies
+// it.
 type choice struct {
 	route     route
 	aligned   bool
@@ -169,7 +171,7 @@ type footAt struct {
 // validated under. Everything a price is put on is built in the scratch
 // — the mapped descriptors, the logical partition and its cut plan — and
 // the aligned partition is priced from where the same footprint lies on
-// the drives; the schedule keeps a copy of the winner's (newSchedule).
+// the drives; the schedule keeps the winner's (newSchedule).
 //
 // A nonblocking call is priced in the shape it runs in: one request to
 // the I/O server, which a server with nobody else to serve issues whole.
@@ -286,16 +288,13 @@ func (c *Collective) chooseRoute(p *mpp.Proc, sd *schedule, write, nonblocking b
 	case ch.predicted <= pr.Vectored && (nonblocking || ch.predicted <= pr.Sieved):
 		// ties to the historical path
 		if ch.aligned {
-			ch.split, ch.ramp, ch.depths = split, r, slices.Clone(tried)
+			ch.split, ch.ramp, ch.depths = split, r, tried
 		}
 		return ch
 	case nonblocking || pr.Vectored <= pr.Sieved:
 		ch.route, ch.aligned, ch.predicted = routeVectored, false, pr.Vectored
 	default:
 		ch.route, ch.aligned, ch.predicted = routeSieved, false, pr.Sieved
-	}
-	if !nonblocking {
-		sd.ind = ind.compact() // what was priced is what runs
 	}
 	return ch
 }

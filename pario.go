@@ -274,12 +274,19 @@
 // with fresh payloads, yet each collective call used to rebuild its
 // whole schedule from scratch — domain assignment, route choice, chunk
 // windows, per-pair message shapes, device batch plans. Every
-// Collective now carries a transparent schedule cache: the first call
+// Collective now carries a transparent schedule cache: every call
 // fingerprints the request lists (an FNV-1a hash plus an exact
-// signature compare, so collisions cannot alias), builds and validates
-// the plan once, and freezes it into an immutable schedule; subsequent
-// calls with the same shape replay it, doing only buffer rebinding and
-// payload packing. The cache is a small per-handle LRU of 8 schedules,
+// signature compare, so collisions cannot alias), and a schedule is
+// admitted on the second sight of its lists: the first call builds and
+// validates the plan into the handle's one-shot schedule, whose memory
+// every call with lists the handle has not seen rewrites, so a workload
+// whose lists never repeat allocates no schedule; the second call admits
+// that schedule as it is when no other such call came between, and
+// builds it again into memory of its own when one did — then it is a
+// miss in PlanCacheStats. Nonblocking calls are admitted on their first
+// call. Admitted calls with the same shape replay the frozen schedule,
+// doing only buffer rebinding and payload packing. The cache is a small
+// per-handle LRU of 8 schedules,
 // invalidated whenever the answer could change: a handle's options are
 // fixed when it is opened, and every interconnect reconfiguration
 // (RankGroup.SetLink / SetBisection / SetBisectionPool) bumps a model

@@ -44,9 +44,13 @@ func stripedFile(tb testing.TB, org pario.Organization, records int64) (*pario.M
 //     mapper and recycled scatter lists (validation's index copies and
 //     sort closures, the mapper's growing piece list, a Segs slice and a
 //     scatter list per run), then 2, the mapped runs and their segments.
+//   - A fragmented descriptor sieved, read and written: three runs on one
+//     drive under one cover with two holes. 3 objects before the covers
+//     were built in pooled scratch: the spans, the covers and the cover's
+//     segment list.
 //
-// A transfer now maps into scratch that is recycled once its issue
-// returns, so every one of them allocates nothing.
+// A transfer now maps, and sieves, into scratch that is recycled once its
+// issue returns, so every one of them allocates nothing.
 func TestTransferAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -61,6 +65,8 @@ func TestTransferAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := pario.Vec{{Block: 5, N: 1}}
+	// Blocks 0, 2 and 4–5 lie on the first drive (stripe unit 8).
+	frag := pario.Vec{{Block: 0, N: 1}, {Block: 2, N: 1, BufOff: 4096}, {Block: 4, N: 2, BufOff: 8192}}
 	for _, tc := range []struct {
 		name   string
 		before int
@@ -70,6 +76,8 @@ func TestTransferAllocs(t *testing.T) {
 		{"one-block WriteVec", 2, func() { _ = set.WriteVec(ctx, one, blk) }},
 		{"one-block Transfer(read, Auto)", 2, func() { _ = set.Transfer(ctx, false, pario.StrategyAuto, one, blockio.Space{{Buf: blk}}) }},
 		{"64-block ReadVec", 2, func() { _ = set.ReadVec(ctx, vec, buf) }},
+		{"fragmented sieved read", 3, func() { _ = set.Transfer(ctx, false, pario.StrategySieved, frag, blockio.Space{{Buf: buf}}) }},
+		{"fragmented sieved write", 3, func() { _ = set.Transfer(ctx, true, pario.StrategySieved, frag, blockio.Space{{Buf: buf}}) }},
 	} {
 		if got := testing.AllocsPerRun(200, tc.call); got > 0 {
 			t.Errorf("%s allocates %v objects per call, want 0 (%d before)", tc.name, got, tc.before)
