@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
-# The modeled-time ledger. .github/bench_baseline.jsonl holds the four
-# benchmark records (bench/README.md; --seed 1 --seconds 5) of the commit
-# that last moved a modeled time. Modeled metrics repeat exactly for a
-# seed on any host, so CI reproduces the four records and compares:
+# The modeled-time ledger. .github/bench_baseline.jsonl holds three
+# benchmark records of each of the four workloads (bench/README.md; --seed
+# 1 --seconds 5) of the commit that last moved a modeled time or an
+# allocation row. Modeled metrics repeat exactly for a seed on any host, so
+# CI reproduces the twelve records and compares them row by row
+# (-compare). An allocation row is gated on its median alone, which one
+# pooled-scratch refill landing in a timed op of one run cannot move:
 #
 #   bench_ledger.sh check    fail if a modeled_* row reads anything but
-#                            "identical" or a host_alloc* row reads "worse";
-#                            the wall-clock rows are printed, never gated
+#                            "identical", or a host_alloc* row's median
+#                            rose by more than its bound (or an op
+#                            failed); the wall-clock rows are printed,
+#                            never gated
 #   bench_ledger.sh record   rewrite the baseline from this checkout
 #   bench_ledger.sh lines    print the non-test Go code lines (comment and
 #                            blank lines left out) of every package outside
@@ -44,7 +49,9 @@ baseline=.github/bench_baseline.jsonl
 record() {
 	rm -f "$1"
 	for w in ckpt_replay ckpt_fresh org_scan multijob_qos; do
-		bash bench/run.sh --workload "$w" --seed 1 --seconds 5 --out "$1" >/dev/null
+		for _ in 1 2 3; do
+			bash bench/run.sh --workload "$w" --seed 1 --seconds 5 --out "$1" >/dev/null
+		done
 	done
 }
 
@@ -510,6 +517,52 @@ allowed() {
 		}'
 }
 
+# compare prints the -compare table of records $2 against baseline $1.
+# -compare exits 1 on any "worse" row, wall-clock included: the verdict
+# that gates is gate's.
+compare() {
+	bash bench/run.sh -compare "$1" "$2" || true
+}
+
+# gate reads a -compare table and fails on a modeled_* row that is not
+# identical and on a host_alloc* row whose median change ($5, signed, in
+# %) is over its bound ($6), whatever the verdict: with three runs a row's
+# spread is its max - min, so one jittery run reads "unresolved" and would
+# hide a real rise. A row that reads "worse" (a failed op makes any row
+# worse) fails too.
+gate() {
+	awk '
+		$2 ~ /^modeled_/ && $NF != "identical" {
+			print "ledger: " $1 " " $2 " reads " $NF ", not identical: if the move is meant, run .github/bench_ledger.sh record and say why in CHANGES.md"
+			bad = 1
+		}
+		$2 ~ /^host_alloc/ && ($NF == "worse" || $5 + 0 > $6 + 0) {
+			print "ledger: " $1 " " $2 " median moved " $5 " against a bound of " $6 " (" $NF "): worse than the baseline"
+			bad = 1
+		}
+		END { exit bad }
+	'
+}
+
+# gate_cases holds gate to two made-up comparisons of three runs of one
+# allocation row, in directory $1: one jittery run (+7 %) over an
+# unchanged median passes, and the same jitter over a 3 % median rise
+# fails.
+gate_cases() {
+	local row='{"provenance":{"workload":"ckpt_fresh","seed":1},"metrics":{"host_alloc_KB_per_op":{"value":%s}}}\n'
+	printf "$row" 7.00 7.00 7.00 >"$1/gate_base.jsonl"
+	printf "$row" 7.00 7.00 7.49 >"$1/gate_jitter.jsonl"
+	printf "$row" 7.21 7.21 7.72 >"$1/gate_rise.jsonl"
+	if ! compare "$1/gate_base.jsonl" "$1/gate_jitter.jsonl" | gate >/dev/null; then
+		echo "ledger: gate fails one jittery run over an unchanged median" >&2
+		exit 1
+	fi
+	if compare "$1/gate_base.jsonl" "$1/gate_rise.jsonl" | gate >/dev/null; then
+		echo "ledger: gate passes a 3 % median rise with one jittery run" >&2
+		exit 1
+	fi
+}
+
 case "${1:-check}" in
 lines)
 	lines
@@ -529,21 +582,10 @@ record)
 check)
 	tmp=$(mktemp -d)
 	trap 'rm -rf "$tmp"' EXIT
+	gate_cases "$tmp"
 	record "$tmp/now.jsonl"
-	# -compare exits 1 on any "worse" row, wall-clock included: the verdict
-	# that gates is the awk below.
-	bash bench/run.sh -compare "$baseline" "$tmp/now.jsonl" | tee "$tmp/table.txt" || true
-	awk '
-		$2 ~ /^modeled_/ && $NF != "identical" {
-			print "ledger: " $1 " " $2 " reads " $NF ", not identical: if the move is meant, run .github/bench_ledger.sh record and say why in CHANGES.md"
-			bad = 1
-		}
-		$2 ~ /^host_alloc/ && $NF == "worse" {
-			print "ledger: " $1 " " $2 " is worse than the baseline"
-			bad = 1
-		}
-		END { exit bad }
-	' "$tmp/table.txt"
+	compare "$baseline" "$tmp/now.jsonl" | tee "$tmp/table.txt"
+	gate <"$tmp/table.txt"
 	;;
 *)
 	echo "usage: $0 [check|record|lines|surface|dead|reach]" >&2

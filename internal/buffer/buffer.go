@@ -32,12 +32,15 @@
 // to synchronous operation (single-goroutine use only).
 //
 // SeqReader and SeqWriter recycle their frames: a stream takes them from
-// a free list kept per frame size when it opens and gives back at Close
-// the ones no transfer can still touch, so a workload that opens stream
-// after stream allocates its frames once. A recycled frame holds what its
-// last stream left in it; every user overwrites a frame before reading
-// it (a fetch fills a reader's, and core's writer clears each one it
-// acquires).
+// a free list kept per frame size when it opens and gives each back as
+// soon as no transfer or consumer can touch it — a writer's at Close,
+// after the drain; a reader's at Close, or, for one still being fetched
+// into or held by a consumer then, when its fetch lands or the consumer
+// releases it — so a workload that opens stream after stream allocates
+// its frames once. A reader's futures are recycled the same way. A
+// recycled frame holds what its last stream left in it; every user
+// overwrites a frame before reading it (a fetch fills a reader's, and
+// core's writer clears each one it acquires).
 package buffer
 
 import (
@@ -63,10 +66,13 @@ type RunIO func(ctx sim.Context, first int64, n int, sp blockio.Space) error
 // maxFrameSizes sizes: a new one beyond that starts it over (the rest
 // goes to the collector), so streams whose frames keep changing size
 // never pile up. A size's list holds at most what the streams open at
-// once took of it.
+// once took of it. Beside the frames it keeps the futures consumers and
+// closed readers gave back, chained through their next links, which any
+// reader's claims take.
 var frames struct {
 	sync.Mutex
 	free map[int][][]byte
+	futs *fetched
 }
 
 const maxFrameSizes = 8
@@ -89,7 +95,7 @@ func getFrames(size, n int) [][]byte {
 
 // putFrames returns frames to the free list, each under its full size
 // (a caller may have handed back a shortened slice of one).
-func putFrames(bufs [][]byte) {
+func putFrames(bufs ...[]byte) {
 	frames.Lock()
 	defer frames.Unlock()
 	for _, b := range bufs {
@@ -103,6 +109,15 @@ func putFrames(bufs [][]byte) {
 		}
 		frames.free[len(b)] = append(free, b)
 	}
+}
+
+// putFuture returns a future no process can touch any more to the free
+// list.
+func putFuture(f *fetched) {
+	f.buf, f.err = nil, nil
+	frames.Lock()
+	f.next, frames.futs = frames.futs, f
+	frames.Unlock()
 }
 
 // ioBatch is the scratch of one stream transfer: the extents it moves —
@@ -138,13 +153,15 @@ func (b *ioBatch) piece(e, first, extent, blocks int64, blockSize int, buf []byt
 // fetched is one prefetched extent's future: the prefetcher enqueues it
 // on the filled queue at claim time (so consumers receive extents in
 // stream order) and completes it when the fetch lands. The consumer that
-// takes it hands it back to its reader for the next claim.
+// takes it hands it back to the free list for any reader's next claim.
 type fetched struct {
-	idx  int64
-	buf  []byte
-	err  error
-	done bool
-	wq   sim.WaitQueue
+	idx   int64
+	buf   []byte
+	err   error
+	done  bool
+	taken bool     // a consumer has taken it off the filled queue
+	next  *fetched // the claim behind it on the filled queue, or once recycled the next on the free list
+	wq    sim.WaitQueue
 }
 
 // SeqReader streams a stream's extents in order through a fixed pool of
@@ -152,13 +169,20 @@ type fetched struct {
 // Next concurrently under an engine (each receives a distinct extent, in
 // claim order) — this is the substrate for shared self-scheduled reads.
 //
-// Under an engine, fetched-extent futures flow consumer-ward through
-// fillq in claim order. No prefetch process ever parks waiting for a
-// buffer: one that finds the pool empty retires, and the Release that
-// refills the pool spawns its successor — at the very point a parked
-// process would have been woken, so modeled time is the same. A reader
-// abandoned at any point (drained, dropped mid-stream, never closed)
-// therefore leaves nothing behind for the engine to call a deadlock.
+// Under an engine, fetched-extent futures flow consumer-ward through the
+// filled queue in claim order: a list threaded through the futures
+// themselves, so a reader on recycled futures queues without allocating.
+// No prefetch process ever parks waiting for a buffer: one that finds the
+// pool empty retires, and the Release that refills the pool spawns its
+// successor — at the very point a parked process would have been woken,
+// so modeled time is the same. A reader abandoned at any point (drained,
+// dropped mid-stream, never closed) therefore leaves nothing behind for
+// the engine to call a deadlock.
+//
+// Close gives every frame back as soon as no transfer or consumer can
+// touch it: the pool's at once, with those of the futures fetched and
+// not yet taken; one still being fetched into when its fetch lands; one
+// a consumer holds when it is released.
 type SeqReader struct {
 	fetch     RunIO
 	blockSize int
@@ -167,14 +191,15 @@ type SeqReader struct {
 	extents   int64 // extents in the stream
 	readers   int   // prefetch processes; 0 = synchronous on Next
 
-	started   bool
-	closed    bool
-	free      [][]byte   // buffer pool
-	futures   []*fetched // consumed futures, for the next claims
-	active    int        // live prefetch processes
-	fillq     *sim.Queue // *fetched, in claim order
-	nextFetch int64
-	nextServe int64
+	started    bool
+	closed     bool
+	free       [][]byte      // buffer pool
+	active     int           // live prefetch processes
+	filled     *fetched      // filled queue: claims no consumer has taken, in claim order
+	filledTail *fetched      // its last claim
+	filledWait sim.WaitQueue // consumers waiting for a claim
+	nextFetch  int64
+	nextServe  int64
 }
 
 // NewSeqReader builds a reader of a stream of total blocks of blockSize
@@ -228,6 +253,31 @@ func (r *SeqReader) fetchBatch(ctx sim.Context, b *ioBatch, first, last int64) e
 	return r.fetch(ctx, lo, int(min(last*r.extent, r.blocks)-lo), b.sp)
 }
 
+// land completes f, whose fetch is over, with the fetch's error. A failed
+// fetch's frame goes back to the pool, or to the free list once the reader
+// is closed. A future of a closed reader that no consumer has taken is
+// recycled, frame and all; any other wakes the consumer waiting on it.
+func (r *SeqReader) land(e *sim.Engine, f *fetched, err error) {
+	f.done = true
+	if err != nil {
+		f.err = err
+		if r.closed {
+			putFrames(f.buf)
+		} else {
+			r.free = append(r.free, f.buf)
+		}
+		f.buf = nil
+	}
+	if r.closed && !f.taken {
+		if f.buf != nil {
+			putFrames(f.buf)
+		}
+		putFuture(f)
+		return
+	}
+	f.wq.WakeAll(e)
+}
+
 // takeFree pops a pool buffer; ok=false when the pool is empty.
 func (r *SeqReader) takeFree() (buf []byte, ok bool) {
 	n := len(r.free)
@@ -241,14 +291,40 @@ func (r *SeqReader) takeFree() (buf []byte, ok bool) {
 
 // claim makes the future of extent e, fetching into buf.
 func (r *SeqReader) claim(e int64, buf []byte) *fetched {
-	var f *fetched
-	if n := len(r.futures); n > 0 {
-		f = r.futures[n-1]
-		r.futures = r.futures[:n-1]
-	} else {
+	frames.Lock()
+	f := frames.futs
+	if f != nil {
+		frames.futs, f.next = f.next, nil
+	}
+	frames.Unlock()
+	if f == nil {
 		f = new(fetched)
 	}
-	f.idx, f.buf, f.err, f.done = e, buf, nil, false
+	f.idx, f.buf, f.err, f.done, f.taken = e, buf, nil, false, false
+	return f
+}
+
+// publish puts f at the tail of the filled queue and wakes a consumer
+// waiting for it.
+func (r *SeqReader) publish(e *sim.Engine, f *fetched) {
+	if r.filledTail == nil {
+		r.filled = f
+	} else {
+		r.filledTail.next = f
+	}
+	r.filledTail = f
+	r.filledWait.WakeOne(e)
+}
+
+// pop takes the claim at the head of the filled queue, or nil.
+func (r *SeqReader) pop() *fetched {
+	f := r.filled
+	if f != nil {
+		r.filled, f.next = f.next, nil
+		if r.filled == nil {
+			r.filledTail = nil
+		}
+	}
 	return f
 }
 
@@ -261,12 +337,13 @@ func (r *SeqReader) spawnPrefetch(e *sim.Engine) {
 // prefetch is the body of a dedicated I/O process: while the stream has
 // extents left and the pool a buffer, claim the next extent — with
 // extents of more than one block, the next extent of every free buffer —
-// publish their futures on fillq (claim and publish never park, so fillq
-// stays in stream order — fillq is unbounded for exactly that reason; the
-// buffer pool is what bounds read-ahead), then fetch the batch with one
-// RunIO call and complete its futures; a failed fetch fails every one
-// and returns its buffers to the pool. The only place it waits is inside
-// the fetch itself.
+// publish their futures on the filled queue (claim and publish never
+// park, so it stays in stream order — it is unbounded for exactly that
+// reason; the buffer pool is what bounds read-ahead), then fetch the
+// batch with one RunIO call and complete its futures; a failed fetch
+// fails every one and returns its buffers to the pool. The only place it
+// waits is inside the fetch itself. A future the reader's Close found
+// still being fetched is recycled, frame and all, when its fetch lands.
 func (r *SeqReader) prefetch(io *sim.Proc) {
 	b := batches.Get().(*ioBatch)
 	for !r.closed && r.nextFetch < r.extents && len(r.free) > 0 {
@@ -278,19 +355,13 @@ func (r *SeqReader) prefetch(io *sim.Proc) {
 			buf, _ := r.takeFree()
 			f := r.claim(e, buf)
 			r.nextFetch++
-			r.fillq.Put(io, f)
+			r.publish(io.Engine(), f)
 			b.futs = append(b.futs, f)
 			b.piece(e, first, r.extent, r.blocks, r.blockSize, buf)
 		}
 		err := r.fetchBatch(io, b, first, last)
 		for _, f := range b.futs {
-			if err != nil {
-				f.err = err
-				r.free = append(r.free, f.buf)
-				f.buf = nil
-			}
-			f.done = true
-			f.wq.WakeAll(io.Engine())
+			r.land(io.Engine(), f, err)
 		}
 		b.reset()
 	}
@@ -323,14 +394,13 @@ func (r *SeqReader) Next(ctx sim.Context) ([]byte, int64, error) {
 		b.reset()
 		batches.Put(b)
 		if err != nil {
-			r.free = append(r.free, buf)
+			r.Release(ctx, buf)
 			return nil, idx, err
 		}
 		return buf, idx, nil
 	}
 	if !r.started {
 		r.started = true
-		r.fillq = sim.NewQueue(1 << 30)
 		for i := 0; i < r.readers; i++ {
 			r.spawnPrefetch(p.Engine())
 		}
@@ -338,17 +408,19 @@ func (r *SeqReader) Next(ctx sim.Context) ([]byte, int64, error) {
 	r.nextServe++
 	// Futures arrive in claim order, so the queue's head is this
 	// consumer's extent; park on the future until its fetch lands.
-	v, ok := r.fillq.Get(p)
-	if !ok {
+	for r.filled == nil && !r.closed {
+		r.filledWait.Wait(p)
+	}
+	f := r.pop()
+	if f == nil {
 		return nil, r.nextServe - 1, fmt.Errorf("buffer: reader closed")
 	}
-	f := v.(*fetched)
+	f.taken = true
 	for !f.done {
 		f.wq.Wait(p)
 	}
 	buf, idx, err := f.buf, f.idx, f.err
-	f.buf, f.err = nil, nil
-	r.futures = append(r.futures, f)
+	putFuture(f)
 	if err != nil {
 		return nil, idx, err
 	}
@@ -360,9 +432,11 @@ func (r *SeqReader) Next(ctx sim.Context) ([]byte, int64, error) {
 func (r *SeqReader) Claimed() int64 { return max(r.nextFetch, r.nextServe) }
 
 // Release returns a buffer obtained from Next to the pool, restarting
-// read-ahead if it had stopped for want of one.
+// read-ahead if it had stopped for want of one; after Close, to the free
+// list.
 func (r *SeqReader) Release(ctx sim.Context, buf []byte) {
 	if r.closed {
+		putFrames(buf)
 		return
 	}
 	r.free = append(r.free, buf)
@@ -372,18 +446,29 @@ func (r *SeqReader) Release(ctx sim.Context, buf []byte) {
 }
 
 // Close shuts the reader down; outstanding prefetches complete and are
-// discarded. Only the frames in the pool are recycled: one being fetched
-// into, waiting to be consumed or held by a consumer stays with the
-// reader. Close is optional: an unclosed reader holds only memory.
+// discarded. The frames in the pool and those of the fetched futures no
+// consumer has taken go back to the free list at once, with those
+// futures; one still being fetched into goes back when its fetch lands,
+// and one a consumer holds or is waiting for when that consumer releases
+// it. Close is optional: an unclosed reader holds only memory.
 func (r *SeqReader) Close(ctx sim.Context) {
 	if r.closed {
 		return
 	}
 	r.closed = true
-	putFrames(r.free)
+	putFrames(r.free...)
 	r.free = nil
-	if p, ok := ctx.(*sim.Proc); ok && r.started {
-		r.fillq.Close(p)
+	var e *sim.Engine
+	if p, ok := ctx.(*sim.Proc); ok {
+		e = p.Engine()
+	}
+	for f := r.pop(); f != nil; f = r.pop() {
+		if f.done {
+			r.land(e, f, nil) // recycles it: no consumer will take it now
+		}
+	}
+	if e != nil {
+		r.filledWait.WakeAll(e)
 	}
 }
 
@@ -536,7 +621,10 @@ func (w *SeqWriter) Submit(ctx sim.Context, idx int64, buf []byte) error {
 		b.reset()
 		batches.Put(b)
 		w.free = append(w.free, buf)
-		return err
+		if err != nil {
+			return fmt.Errorf("buffer: flush extent %d: %w", idx, err)
+		}
+		return nil
 	}
 	if !w.started {
 		w.startWriters(p)
@@ -558,7 +646,7 @@ func (w *SeqWriter) Close(ctx sim.Context) error {
 		w.work.WakeAll(p.Engine())
 		w.g.Wait(p)
 	}
-	putFrames(w.free)
+	putFrames(w.free...)
 	w.free = nil
 	return errors.Join(w.errs...)
 }

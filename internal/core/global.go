@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -22,9 +23,12 @@ import (
 // forward inside the extents already read ahead costs nothing; any other
 // target drops them and restarts read-ahead at the target's paper-block.
 // Consistency is the stream views': a prefetched extent is a snapshot, so
-// a writer racing the scan is seen or not per extent. Close releases the
-// buffers and stops read-ahead early; a reader that is merely dropped
-// leaves no process behind.
+// a writer racing the scan is seen or not per extent. A reader read to
+// its end has already given its buffers back, so it may be dropped
+// without a Close, as io.Reader consumers do; Close releases the buffers
+// and stops read-ahead early, and buffers still being fetched into go
+// back when their fetch lands. A reader that is merely dropped leaves no
+// process behind.
 type GlobalReader struct {
 	f      *pfs.File
 	ctx    sim.Context
@@ -190,21 +194,20 @@ func (g *GlobalWriter) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// Close pads and flushes the final record and drains deferred writes.
+// Close pads and flushes the final record and drains deferred writes. A
+// final record that fails still drains and releases the writer; the
+// error reports both.
 func (g *GlobalWriter) Close() error {
 	if g.closed {
 		return nil
 	}
 	g.closed = true
+	var err error
 	if g.fill > 0 {
-		for i := g.fill; i < len(g.rec); i++ {
-			g.rec[i] = 0
-		}
-		if _, err := g.w.WriteRecord(g.ctx, g.rec); err != nil {
-			return err
-		}
+		clear(g.rec[g.fill:])
+		_, err = g.w.WriteRecord(g.ctx, g.rec)
 	}
-	return g.w.Close(g.ctx)
+	return errors.Join(err, g.w.Close(g.ctx))
 }
 
 var _ io.WriteCloser = (*GlobalWriter)(nil)

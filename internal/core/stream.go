@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -12,7 +13,9 @@ import (
 
 // StreamReader reads the records of a stream view (S, one PS partition,
 // or one IS stride class) in order, with multiple buffering and
-// read-ahead when IOProcs > 0. It is a single-process handle.
+// read-ahead when IOProcs > 0. It is a single-process handle. Once it
+// has handed out the stream's last record it gives its buffers back, so
+// a reader read to its end need not be closed.
 type StreamReader struct {
 	f   *pfs.File
 	seq blockSeq
@@ -124,6 +127,17 @@ func (r *StreamReader) fsSlice(k int64) []byte {
 	return extentSlice(r.cur, k, r.curLo, r.f.Mapper().FSBlockSize())
 }
 
+// more moves the cursor past paper-blocks it has read to the end and
+// reports whether the stream has a record left.
+func (r *StreamReader) more() bool {
+	m := r.f.Mapper()
+	for r.j < r.seq.n && r.i >= m.RecordsInBlock(r.seq.pb(r.j)) {
+		r.j++
+		r.i = 0
+	}
+	return r.j < r.seq.n
+}
+
 // ReadRecord returns the next record of the stream and its global record
 // index. The returned slice is valid until the next call. At the end of
 // the stream it returns io.EOF.
@@ -131,14 +145,11 @@ func (r *StreamReader) ReadRecord(ctx sim.Context) ([]byte, int64, error) {
 	if r.closed {
 		return nil, 0, fmt.Errorf("core: reader closed")
 	}
-	m := r.f.Mapper()
-	for r.j < r.seq.n && r.i >= m.RecordsInBlock(r.seq.pb(r.j)) {
-		r.j++
-		r.i = 0
-	}
-	if r.j >= r.seq.n {
+	if !r.more() {
+		r.finish(ctx)
 		return nil, 0, io.EOF
 	}
+	m := r.f.Mapper()
 	block := r.seq.pb(r.j)
 	rec := block*int64(m.BlockRecords()) + int64(r.i)
 	fsPer := m.FSPerBlock()
@@ -157,20 +168,29 @@ func (r *StreamReader) ReadRecord(ctx sim.Context) ([]byte, int64, error) {
 		got += sp.Len
 	}
 	r.i++
+	if !r.more() {
+		r.finish(ctx) // the last record is in recBuf: no frame is needed
+	}
 	return r.recBuf[:got], rec, nil
 }
 
-// Close releases buffers and stops read-ahead.
-func (r *StreamReader) Close(ctx sim.Context) error {
-	if r.closed {
-		return nil
-	}
-	r.closed = true
+// finish stops read-ahead and gives every buffer back. The SeqReader
+// closes first, so releasing cur recycles it rather than restarting
+// read-ahead.
+func (r *StreamReader) finish(ctx sim.Context) {
+	r.rd.Close(ctx)
 	if r.cur != nil {
 		r.rd.Release(ctx, r.cur)
 		r.cur = nil
 	}
-	r.rd.Close(ctx)
+}
+
+// Close releases buffers and stops read-ahead.
+func (r *StreamReader) Close(ctx sim.Context) error {
+	if !r.closed {
+		r.closed = true
+		r.finish(ctx)
+	}
 	return nil
 }
 
@@ -310,17 +330,18 @@ func (w *StreamWriter) WriteRecord(ctx sim.Context, data []byte) (int64, error) 
 	return rec, nil
 }
 
-// Close flushes the partial block and drains deferred writes.
+// Close flushes the partial block and drains deferred writes. A failed
+// flush of the partial block still drains and releases the writer; the
+// error reports both.
 func (w *StreamWriter) Close(ctx sim.Context) error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
+	var err error
 	if w.cur != nil {
-		if err := w.sw.Submit(ctx, w.wLo/w.ext, w.cur); err != nil {
-			return err
-		}
+		err = w.sw.Submit(ctx, w.wLo/w.ext, w.cur)
 		w.cur = nil
 	}
-	return w.sw.Close(ctx)
+	return errors.Join(err, w.sw.Close(ctx))
 }
